@@ -20,7 +20,7 @@ COVER_DAEMON_MIN = 85.0
 COVER_SCRUB_MIN = 85.0
 COVER_CAPACITY_MIN = 85.0
 
-.PHONY: build vet test test-race bench-erasure bench-sync bench-trial bench chaos scrub check cover
+.PHONY: build vet test test-race e2e-check bench-erasure bench-sync bench-trial bench chaos scrub check cover
 
 build:
 	$(GO) build ./...
@@ -75,5 +75,11 @@ cover:
 		COVER_DAEMON_MIN=$(COVER_DAEMON_MIN) COVER_SCRUB_MIN=$(COVER_SCRUB_MIN) \
 		COVER_CAPACITY_MIN=$(COVER_CAPACITY_MIN) ./scripts/cover.sh
 
+# The end-to-end benchmark harness (BENCHMARK.json) is its own module,
+# so ./... neither builds nor tests it and a core API change could
+# break the benchmark unnoticed.
+e2e-check:
+	cd benchmarks/e2e && $(GO) vet . && $(GO) test .
+
 # Tier-1 gate: everything a change must pass before merging.
-check: vet build test test-race
+check: vet build test test-race e2e-check

@@ -105,10 +105,6 @@ type Config struct {
 	BackoffMax  time.Duration
 	// DisableWatch forces polling mode even on watchable folders.
 	DisableWatch bool
-	// CheckpointInterval throttles state checkpoints (SaveState is
-	// O(folder)); zero checkpoints after every applying pass, matching
-	// the pre-event-loop behavior.
-	CheckpointInterval time.Duration
 	// OnPass, when non-nil, receives the report of every successful
 	// RunLoop pass that committed or applied something.
 	OnPass func(SyncReport)
@@ -236,8 +232,9 @@ type Client struct {
 	// entry the first time it re-chunks the segment, so the re-upload
 	// pass skips blocks that already survive in the clouds.
 	recovered map[string]map[int]string
-	// lastCheckpoint is when SaveState last ran (see CheckpointInterval).
-	lastCheckpoint time.Time
+
+	// ckpt is the write cursor of the state checkpoint (see persist.go).
+	ckpt checkpointCursor
 }
 
 // New creates a UniDrive client over the given clouds and local

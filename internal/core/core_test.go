@@ -33,7 +33,7 @@ func newRig(nClouds int) *rig {
 }
 
 // device creates a client for the named device with its own folder.
-func (r *rig) device(t *testing.T, name string) (*Client, *localfs.Mem) {
+func (r *rig) device(t testing.TB, name string) (*Client, *localfs.Mem) {
 	t.Helper()
 	folder := localfs.NewMem()
 	var clouds []cloud.Interface
@@ -59,7 +59,7 @@ func (r *rig) device(t *testing.T, name string) (*Client, *localfs.Mem) {
 	return c, folder
 }
 
-func ctxT(t *testing.T) context.Context {
+func ctxT(t testing.TB) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	t.Cleanup(cancel)

@@ -107,8 +107,8 @@ func (c *Client) RunLoop(ctx context.Context, onError func(error)) {
 	}
 	gauge()
 
-	// The final checkpoint makes restart-convergence cheap even when
-	// CheckpointInterval throttled the periodic ones.
+	// Fold the delta log into the base on the way out, so the next
+	// start reads one file.
 	defer func() { _ = c.SaveState() }()
 
 	// Jitter is deterministic per device so fleet-scale tests are

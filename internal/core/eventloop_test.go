@@ -314,7 +314,8 @@ func TestSpuriousMtimeDoesNotCommit(t *testing.T) {
 	writeFile(t, mem, "stable.txt", "different bytes now!")
 	rep = syncOK(t, c)
 	if rep.LocalChanges != 1 || rep.Version != 2 {
-		t.Fatalf("real edit pass = %+v", rep)	}
+		t.Fatalf("real edit pass = %+v", rep)
+	}
 }
 
 // TestSyncDirtyCommitsOnlyDirtyPaths pins the O(changes) pass: a
@@ -380,29 +381,32 @@ func TestSyncRemoteAppliesPeerCommit(t *testing.T) {
 	}
 }
 
-// TestCheckpointIntervalThrottlesSaveState pins the checkpoint
-// throttle: with a long CheckpointInterval only the first applying
-// pass persists state; with the default every pass does.
-func TestCheckpointIntervalThrottlesSaveState(t *testing.T) {
+// TestEveryApplyingPassAdvancesPersistedHead pins the checkpoint
+// contract that replaced the throttle: after every committing pass a
+// fresh client over the same folder restores exactly the version that
+// pass reached, and the passes after the first persist a delta, not
+// another base.
+func TestEveryApplyingPassAdvancesPersistedHead(t *testing.T) {
 	mem := localfs.NewMem()
-	lr := newLoopRig(t, mem, Config{CheckpointInterval: time.Hour})
+	lr := newLoopRig(t, mem, Config{})
 	c := lr.client
 
-	writeFile(t, mem, "one.txt", "1")
-	syncOK(t, c)
-	st1, err := mem.Stat(localfs.StatePrefix + "state.json")
-	if err != nil {
-		t.Fatalf("first pass did not checkpoint: %v", err)
+	for i, name := range []string{"one.txt", "two.txt", "three.txt"} {
+		writeFile(t, mem, name, name)
+		want := syncOK(t, c).Version
+		fresh := newLoopRig(t, mem, Config{}).client
+		if restored, reason, err := fresh.LoadState(); err != nil || !restored {
+			t.Fatalf("pass %d: restored=%v reason=%q err=%v", i, restored, reason, err)
+		}
+		if got := fresh.Image().Version; got != want {
+			t.Fatalf("pass %d: persisted head v%d, pass reached v%d", i, got, want)
+		}
 	}
-
-	writeFile(t, mem, "two.txt", "2")
-	syncOK(t, c)
-	st2, err := mem.Stat(localfs.StatePrefix + "state.json")
-	if err != nil {
-		t.Fatal(err)
+	if got := lr.reg.Counter("core.checkpoint.compactions").Value(); got != 1 {
+		t.Fatalf("core.checkpoint.compactions = %d, want 1 (the first pass's base)", got)
 	}
-	if st2.Size != st1.Size || !st2.ModTime.Equal(st1.ModTime) {
-		t.Fatal("second pass checkpointed despite the interval")
+	if got := lr.reg.Counter("core.checkpoint.deltas").Value(); got != 2 {
+		t.Fatalf("core.checkpoint.deltas = %d, want 2", got)
 	}
 }
 

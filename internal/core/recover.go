@@ -131,13 +131,13 @@ func (c *Client) recoverApply(in *journal.Intent, img *meta.Image, known map[str
 		snap := img.Lookup(path).Current()
 		if snap == nil || snap.Deleted {
 			if _, err := c.folder.Stat(path); err != nil && known[path] {
-				c.scanner.Suppress(path, 0, time.Time{}, true)
+				c.suppress(path, 0, time.Time{}, true)
 				suppressed++
 			}
 			continue
 		}
 		if fi, ok := c.localMatches(path, snap); ok {
-			c.scanner.Suppress(path, fi.Size, fi.ModTime, false)
+			c.suppress(path, fi.Size, fi.ModTime, false)
 			suppressed++
 			continue
 		}
@@ -147,7 +147,7 @@ func (c *Client) recoverApply(in *journal.Intent, img *meta.Image, known map[str
 		// not fire).
 		if old := c.lastImage().Lookup(path).Current(); old != nil && !old.Deleted {
 			if fi, ok := c.localMatches(path, old); ok {
-				c.scanner.Suppress(path, fi.Size, fi.ModTime, false)
+				c.suppress(path, fi.Size, fi.ModTime, false)
 				suppressed++
 			}
 		}
@@ -207,12 +207,12 @@ func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *met
 					continue
 				}
 				if fi, ok := c.localMatches(ch.Path, snap); ok {
-					c.scanner.Suppress(ch.Path, fi.Size, fi.ModTime, false)
+					c.suppress(ch.Path, fi.Size, fi.ModTime, false)
 					rep.PathsSuppressed++
 				}
 			case meta.ChangeDelete:
 				if _, err := c.folder.Stat(ch.Path); err != nil && known[ch.Path] {
-					c.scanner.Suppress(ch.Path, 0, time.Time{}, true)
+					c.suppress(ch.Path, 0, time.Time{}, true)
 					rep.PathsSuppressed++
 				}
 			}

@@ -78,6 +78,9 @@ func (c *Client) scanDirty(paths []string) (statted, recorded int, err error) {
 func (c *Client) recordEvents(events []localfs.Event) (int, error) {
 	recorded := 0
 	for _, ev := range events {
+		// Every event moved the scanner's baseline entry for its path,
+		// including the spurious ones skipped below.
+		c.noteDirty(ev.Info.Path)
 		switch ev.Kind {
 		case localfs.Added, localfs.Modified:
 			data, err := c.folder.ReadFile(ev.Info.Path)
@@ -212,7 +215,7 @@ func (c *Client) syncPass(ctx context.Context, report *SyncReport, pollRemote bo
 	report.Version = after.Version
 	if after.Version == before.Version && after.Device == before.Device {
 		// Nothing new, locally or remotely. Skip the apply/GC machinery
-		// (both are O(folder)) and leave the checkpoint clock alone.
+		// and the checkpoint.
 		return nil
 	}
 	diff, gcPaths := c.diffForApply(before, after)
@@ -223,10 +226,9 @@ func (c *Client) syncPass(ctx context.Context, report *SyncReport, pollRemote bo
 	report.CloudChanges = n
 	c.setLast(after)
 	c.gcSegments(ctx, before, after, gcPaths)
-	// Checkpoint so a restarted client resumes from this state
-	// instead of rediscovering the folder. Best effort: a failed
-	// checkpoint only costs restart efficiency, not correctness.
-	c.maybeCheckpoint()
+	// Best effort: a failed checkpoint only costs restart efficiency,
+	// not correctness.
+	_ = c.checkpoint()
 	return nil
 }
 
@@ -265,27 +267,6 @@ func (c *Client) diffForApply(before, after *meta.Image) (meta.Diff, []string) {
 	}
 	c.cfg.Obs.Counter("sync.diff.full").Inc()
 	return meta.DiffImages(before, after), nil
-}
-
-// maybeCheckpoint persists the client state unless a checkpoint
-// happened within CheckpointInterval — SaveState serializes the whole
-// image and baseline (O(folder)), which would dominate event-driven
-// passes if run after every small commit.
-func (c *Client) maybeCheckpoint() {
-	interval := c.cfg.CheckpointInterval
-	now := c.cfg.Clock.Now()
-	if interval > 0 {
-		c.mu.Lock()
-		due := c.lastCheckpoint.IsZero() || now.Sub(c.lastCheckpoint) >= interval
-		if due {
-			c.lastCheckpoint = now
-		}
-		c.mu.Unlock()
-		if !due {
-			return
-		}
-	}
-	_ = c.SaveState()
 }
 
 // commitLocal commits pending local changes under the quorum lock:
@@ -498,7 +479,7 @@ func (c *Client) reconcile(ctx context.Context, changes []*meta.Change, report *
 				if err := c.folder.WriteFile(copyPath, data, snap.ModTime); err != nil {
 					return nil, err
 				}
-				c.scanner.Suppress(copyPath, int64(len(data)), snap.ModTime, false)
+				c.suppress(copyPath, int64(len(data)), snap.ModTime, false)
 			}
 			c.noteConflict(copyPath)
 			report.Conflicts = append(report.Conflicts, copyPath)
@@ -643,7 +624,7 @@ func (c *Client) applyCloudUpdate(ctx context.Context, from, to *meta.Image, dif
 			writeErrs[f.snap.Path] = err
 			return
 		}
-		c.scanner.Suppress(f.snap.Path, int64(len(data)), f.snap.ModTime, false)
+		c.suppress(f.snap.Path, int64(len(data)), f.snap.ModTime, false)
 		applied++
 		if crashArmed && applied >= crashAfter {
 			crashed = true
@@ -663,7 +644,7 @@ func (c *Client) applyCloudUpdate(ctx context.Context, from, to *meta.Image, dif
 				if err := c.folder.Remove(path); err != nil {
 					return applied, err
 				}
-				c.scanner.Suppress(path, 0, time.Time{}, true)
+				c.suppress(path, 0, time.Time{}, true)
 				applied++
 				if crashArmed && applied >= crashAfter {
 					crashed = true
@@ -871,4 +852,3 @@ func (c *Client) gcSegments(ctx context.Context, from, to *meta.Image, paths []s
 		c.engine.DeleteBlocks(ctx, id, placement)
 	}
 }
-

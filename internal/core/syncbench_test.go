@@ -30,14 +30,9 @@ func benchClient(tb testing.TB, nFiles int) (*Client, *localfs.Mem) {
 		clouds = append(clouds, cloudsim.NewDirect(cloudsim.NewStore(fmt.Sprintf("c%d", i), 0)))
 	}
 	c, err := New(clouds, mem, Config{
-		Device:     "bench",
-		Passphrase: "bench-secret",
-		// Checkpoints are throttled out of the way: SaveState is
-		// O(folder) by design and would swamp the per-pass numbers this
-		// benchmark isolates (the event loop amortizes it identically
-		// for both modes).
-		CheckpointInterval: time.Hour,
-		DisableWatch:       true,
+		Device:       "bench",
+		Passphrase:   "bench-secret",
+		DisableWatch: true,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -198,9 +193,9 @@ func TestWriteSyncBenchSnapshot(t *testing.T) {
 		},
 		"results": results,
 		"summary": map[string]any{
-			"unchanged50kSpeedup":    results["files=50000"]["changed=0"].Speedup,
-			"eventFlatness1kTo50k":   map[string]float64{"changed=1": flat("changed=1"), "changed=100": flat("changed=100")},
-			"flatnessNote":           "event pass latency at fixed change count, 50k files vs 1k files (1.0 = perfectly O(changes))",
+			"unchanged50kSpeedup":  results["files=50000"]["changed=0"].Speedup,
+			"eventFlatness1kTo50k": map[string]float64{"changed=1": flat("changed=1"), "changed=100": flat("changed=100")},
+			"flatnessNote":         "event pass latency at fixed change count, 50k files vs 1k files (1.0 = perfectly O(changes))",
 		},
 	}
 	blob, err := json.MarshalIndent(doc, "", "  ")

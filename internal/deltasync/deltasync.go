@@ -76,6 +76,25 @@ func parseChunkName(name string) (int64, bool) {
 // DefaultDir is the metadata directory on every cloud.
 const DefaultDir = ".unidrive/meta"
 
+// DefaultLambdaFrac and DefaultLambdaMin define the default delta-merge
+// threshold λ (the paper suggests 0.25·base or 10 KB).
+const (
+	DefaultLambdaFrac = 0.25
+	DefaultLambdaMin  = 10 * 1024
+)
+
+// Lambda returns the default merge threshold for a base of baseLen
+// bytes: a delta log larger than this is folded into a fresh base. The
+// client's local checkpoint applies the same rule to its state file.
+func Lambda(baseLen int) int { return lambda(DefaultLambdaFrac, DefaultLambdaMin, baseLen) }
+
+func lambda(frac float64, floor, baseLen int) int {
+	if l := int(frac * float64(baseLen)); l > floor {
+		return l
+	}
+	return floor
+}
+
 // ErrNoQuorum reports that a commit could not reach a majority of
 // clouds.
 var ErrNoQuorum = errors.New("deltasync: commit did not reach a quorum of clouds")
@@ -133,10 +152,10 @@ func (c *Config) fillDefaults() {
 		c.Dir = DefaultDir
 	}
 	if c.LambdaFrac <= 0 {
-		c.LambdaFrac = 0.25
+		c.LambdaFrac = DefaultLambdaFrac
 	}
 	if c.LambdaMin <= 0 {
-		c.LambdaMin = 10 * 1024
+		c.LambdaMin = DefaultLambdaMin
 	}
 	if c.ChunkBytes <= 0 {
 		c.ChunkBytes = 64 * 1024
@@ -672,23 +691,40 @@ func (s *Store) adoptRecords(records []Record, tailStart int64) (*meta.Image, bo
 	return s.img, true
 }
 
-// ChangesSince returns the concatenated committed changes with
-// versions in (from, to], in commit order, when the cached record
-// chain covers that whole span. ok=false means the span crosses a
-// base rotation (or references versions the chain does not hold) and
-// the caller must fall back to a full image diff. This is how
-// applying passes stay O(changes): the chain already names every
-// path that moved between two cached versions.
-func (s *Store) ChangesSince(from, to int64) (changes []*meta.Change, ok bool) {
+// RecordsSince returns the committed records with versions in
+// (from, to], in commit order, when the cached record chain covers
+// that whole span. ok=false means the span crosses a base rotation (or
+// references versions the chain does not hold). The records are shared
+// with the store and must be treated as read-only.
+func (s *Store) RecordsSince(from, to int64) (records []Record, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if from < s.base.Version || to > s.stamp.Version || from > to {
 		return nil, false
 	}
-	for _, r := range s.records {
-		if r.Version > from && r.Version <= to {
-			changes = append(changes, r.Changes...)
-		}
+	// The chain is contiguous from the base (fetchCloud and adoptRecords
+	// enforce it), so the span is a sub-slice. The store only ever
+	// replaces s.records, never writes into it.
+	lo, hi := int(from-s.base.Version), int(to-s.base.Version)
+	if hi > len(s.records) {
+		return nil, false
+	}
+	return s.records[lo:hi:hi], true
+}
+
+// ChangesSince returns the concatenated committed changes with
+// versions in (from, to], in commit order, under the same coverage
+// rule as RecordsSince; on ok=false the caller must fall back to a
+// full image diff. This is how applying passes stay O(changes): the
+// chain already names every path that moved between two cached
+// versions.
+func (s *Store) ChangesSince(from, to int64) (changes []*meta.Change, ok bool) {
+	records, ok := s.RecordsSince(from, to)
+	if !ok {
+		return nil, false
+	}
+	for _, r := range records {
+		changes = append(changes, r.Changes...)
 	}
 	return changes, true
 }
@@ -806,13 +842,9 @@ func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats
 		}
 		baseLen = len(sealed)
 	}
-	lambda := int(s.cfg.LambdaFrac * float64(baseLen))
-	if lambda < s.cfg.LambdaMin {
-		lambda = s.cfg.LambdaMin
-	}
 	// λ measures the whole delta — frozen chunks plus tail — against
 	// the base, exactly as before chunking.
-	rotate := prevChunkBytes+len(tailBlob) > lambda
+	rotate := prevChunkBytes+len(tailBlob) > lambda(s.cfg.LambdaFrac, s.cfg.LambdaMin, baseLen)
 	// A tail past the chunk cap is frozen with this commit: the tail
 	// (including the new record) is uploaded once as an immutable
 	// chunk and the active tail restarts empty.

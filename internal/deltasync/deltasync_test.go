@@ -389,3 +389,56 @@ func TestConcurrentDevicesSerializedCommits(t *testing.T) {
 		t.Fatalf("final image: %v by %s", img.Paths(), img.Device)
 	}
 }
+
+// TestRecordsSinceCoversOnlyTheCachedChain pins the coverage rule the
+// client's diff and checkpoint rely on: a span inside the cached chain
+// yields exactly its records, and a span reaching below the base (a
+// rotation dropped those records) or beyond the head is refused, never
+// answered partially.
+func TestRecordsSinceCoversOnlyTheCachedChain(t *testing.T) {
+	ctx := context.Background()
+	r := newRig(3)
+	// A huge floor keeps the first three commits in the delta log.
+	s := r.store(t, "d1", Config{LambdaMin: 1 << 30})
+	for i := 1; i <= 3; i++ {
+		if _, err := s.Commit(ctx, []*meta.Change{addChange(fmt.Sprintf("f%d", i), fmt.Sprintf("s%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, ok := s.RecordsSince(1, 3)
+	if !ok || len(recs) != 2 || recs[0].Version != 2 || recs[1].Version != 3 {
+		t.Fatalf("RecordsSince(1,3) = %+v, %v", recs, ok)
+	}
+	if recs, ok := s.RecordsSince(3, 3); !ok || len(recs) != 0 {
+		t.Fatalf("empty span = %+v, %v", recs, ok)
+	}
+	changes, ok := s.ChangesSince(0, 3)
+	if !ok || len(changes) != 3 || changes[2].Path != "f3" {
+		t.Fatalf("ChangesSince(0,3) = %+v, %v", changes, ok)
+	}
+	for _, span := range [][2]int64{{0, 4}, {2, 1}} {
+		if _, ok := s.RecordsSince(span[0], span[1]); ok {
+			t.Errorf("RecordsSince(%d,%d) answered outside the chain", span[0], span[1])
+		}
+	}
+
+	// A rotation folds the chain into the base: spans from before it are
+	// no longer covered, by this store or by one that fetches afterwards.
+	rotating := r.store(t, "d2", Config{LambdaMin: 1})
+	if _, err := rotating.Fetch(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := rotating.Commit(ctx, []*meta.Change{addChange("f4", "s4")})
+	if err != nil || !stats.BaseRotated {
+		t.Fatalf("rotating commit: %+v, %v", stats, err)
+	}
+	if _, err := s.Fetch(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.RecordsSince(3, 4); ok {
+		t.Error("RecordsSince answered a span below the rotated base")
+	}
+	if recs, ok := s.RecordsSince(4, 4); !ok || len(recs) != 0 {
+		t.Errorf("RecordsSince(4,4) after rotation = %+v, %v", recs, ok)
+	}
+}

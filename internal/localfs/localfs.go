@@ -429,23 +429,55 @@ func (s *Scanner) Restore(infos []FileInfo) {
 func (s *Scanner) Baseline() []FileInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	merged := make(map[string]FileInfo, len(s.prev))
-	for path, fi := range s.prev {
-		merged[path] = fi
-	}
-	for path, sup := range s.suppress {
-		if sup.removed {
-			delete(merged, path)
-		} else {
-			merged[path] = FileInfo{Path: path, Size: sup.size, ModTime: sup.modTime}
+	out := make([]FileInfo, 0, len(s.prev)+len(s.suppress))
+	add := func(path string) {
+		if fi, ok := s.knownLocked(path); ok {
+			out = append(out, fi)
 		}
 	}
-	out := make([]FileInfo, 0, len(merged))
-	for _, fi := range merged {
-		out = append(out, fi)
+	for path := range s.prev {
+		add(path)
+	}
+	for path := range s.suppress {
+		if _, listed := s.prev[path]; !listed {
+			add(path)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
+}
+
+// BaselineFor is Baseline restricted to the given paths — what an
+// incremental checkpoint persists after a pass that touched only
+// them. known holds the paths' current entries sorted by path; gone
+// lists, sorted, the paths the baseline does not (or no longer) know.
+// Cost is O(len(paths)) regardless of folder size.
+func (s *Scanner) BaselineFor(paths []string) (known []FileInfo, gone []string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, path := range paths {
+		if fi, ok := s.knownLocked(path); ok {
+			known = append(known, fi)
+		} else {
+			gone = append(gone, path)
+		}
+	}
+	sort.Slice(known, func(i, j int) bool { return known[i].Path < known[j].Path })
+	sort.Strings(gone)
+	return known, gone
+}
+
+// knownLocked returns the baseline entry for path with any pending
+// suppression folded in (see Baseline). The caller holds s.mu.
+func (s *Scanner) knownLocked(path string) (FileInfo, bool) {
+	if sup, ok := s.suppress[path]; ok {
+		if sup.removed {
+			return FileInfo{}, false
+		}
+		return FileInfo{Path: path, Size: sup.size, ModTime: sup.modTime}, true
+	}
+	fi, ok := s.prev[path]
+	return fi, ok
 }
 
 // Scan compares the folder against the previous scan and returns the

@@ -270,6 +270,14 @@ func TestBaselineFoldsPendingSuppressions(t *testing.T) {
 	if fi, there := got["new.txt"]; !there || fi.Size != 9 {
 		t.Fatalf("new.txt missing from baseline: %+v", fi)
 	}
+	// BaselineFor is the same view restricted to the paths asked for.
+	known, gone := s.BaselineFor([]string{"new.txt", "never.txt", "kept.txt", "gone.txt"})
+	if len(known) != 2 || known[0] != got["kept.txt"] || known[1] != got["new.txt"] {
+		t.Fatalf("BaselineFor known = %+v, want kept.txt and new.txt as in Baseline", known)
+	}
+	if len(gone) != 2 || gone[0] != "gone.txt" || gone[1] != "never.txt" {
+		t.Fatalf("BaselineFor gone = %v, want [gone.txt never.txt]", gone)
+	}
 	// Folding must not consume the entries: the next Scan still needs
 	// them to stay quiet.
 	events, err := s.Scan()

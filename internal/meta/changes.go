@@ -55,8 +55,16 @@ type Change struct {
 
 // Validate checks structural invariants of the change.
 func (c *Change) Validate() error {
+	if c == nil {
+		return fmt.Errorf("meta: nil change")
+	}
 	if c.Path == "" {
 		return fmt.Errorf("meta: change with empty path")
+	}
+	for _, seg := range c.Segments {
+		if seg == nil {
+			return fmt.Errorf("meta: change for %q carries a nil segment", c.Path)
+		}
 	}
 	switch c.Type {
 	case ChangeAdd, ChangeEdit:

@@ -39,6 +39,8 @@ func TestChangeValidate(t *testing.T) {
 		{"path mismatch", &Change{Type: ChangeEdit, Path: "a", Snapshot: snap("b", "d")}, true},
 		{"delete with snapshot", &Change{Type: ChangeDelete, Path: "a", Snapshot: snap("a", "d")}, true},
 		{"unknown type", &Change{Type: ChangeType(9), Path: "a"}, true},
+		{"nil change", nil, true},
+		{"nil segment", &Change{Type: ChangeRelocate, Path: "s", Segments: []*Segment{nil}}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

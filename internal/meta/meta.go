@@ -490,10 +490,24 @@ func (im *Image) UnmarshalJSON(data []byte) error {
 	im.Device = w.Device
 	im.files = &shardMap[*FileEntry]{}
 	im.segments = &shardMap[*Segment]{}
+	// A JSON null decodes to a nil pointer, which every walker of the
+	// image would dereference: reject it here, at the one place outside
+	// bytes become an Image.
 	for p, e := range w.Files {
+		if e == nil {
+			return fmt.Errorf("meta: null entry for %q", p)
+		}
+		for _, snap := range e.Snapshots {
+			if snap == nil {
+				return fmt.Errorf("meta: null snapshot in entry %q", p)
+			}
+		}
 		im.files.Put(p, e)
 	}
 	for id, s := range w.Segments {
+		if s == nil {
+			return fmt.Errorf("meta: null segment %q", id)
+		}
 		im.segments.Put(id, s)
 	}
 	return nil

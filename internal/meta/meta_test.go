@@ -208,6 +208,16 @@ func TestDecodeImageEmptyObject(t *testing.T) {
 	if _, err := DecodeImage([]byte(`not json`)); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
+	// A JSON null would decode to a nil pointer every walker dereferences.
+	for _, data := range []string{
+		`{"files":{"a":null}}`,
+		`{"files":{"a":{"path":"a","snapshots":[null]}}}`,
+		`{"segments":{"s":null}}`,
+	} {
+		if _, err := DecodeImage([]byte(data)); err == nil {
+			t.Errorf("DecodeImage(%s) accepted a null", data)
+		}
+	}
 }
 
 func TestVersionStampRoundTrip(t *testing.T) {

@@ -20,4 +20,7 @@ go test -race ./internal/erasure/... ./internal/gf256/... ./internal/transfer/..
 	./internal/daemon/... ./internal/trial/... ./internal/netsim/... ./internal/scrub/... \
 	./internal/capacity/...
 
+echo "== benchmarks/e2e (its own module): go vet, go test"
+(cd benchmarks/e2e && go vet . && go test .)
+
 echo "OK"
