@@ -1,13 +1,9 @@
 GO ?= go
 
-# Packages whose tests exercise concurrent machinery (data plane,
-# metrics hot paths, quorum lock, full-stack sync); the race detector
-# runs over exactly these in `make test-race` and `make check`.
-RACE_PKGS = ./internal/erasure/... ./internal/gf256/... ./internal/transfer/... \
-	./internal/obs/... ./internal/qlock/... ./internal/core/... ./internal/health/... \
-	./internal/journal/... ./internal/localfs/... ./internal/deltasync/... \
-	./internal/daemon/... ./internal/trial/... ./internal/netsim/... ./internal/scrub/... \
-	./internal/capacity/...
+# The packages the race detector runs over in `make test-race` and
+# `make check`; the list lives in scripts/race_pkgs.txt, which
+# scripts/check.sh reads too.
+RACE_PKGS = $(shell grep -v '^\#' scripts/race_pkgs.txt)
 
 # Coverage gate: the repo total must not drop below the recorded
 # baseline, and the observability layer is held to a higher bar.

@@ -321,6 +321,16 @@ func TestRecorderCountsAndBytes(t *testing.T) {
 	if paths := r.UploadedPaths(); len(paths) != 1 || paths[0] != "a" {
 		t.Fatalf("UploadedPaths = %v", paths)
 	}
+	// Per-directory counts: the directory itself and everything below
+	// it, but not a sibling sharing the name as a prefix.
+	must(t, r.Upload(ctxb(), "d/x", nil))
+	must(t, r.Upload(ctxb(), "d2", nil))
+	if _, err := r.List(ctxb(), "d"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.CountsUnder("d"), (CallCounts{Upload: 1, CreateDir: 1, List: 1}); got != want {
+		t.Fatalf("CountsUnder(d) = %+v, want %+v", got, want)
+	}
 }
 
 func TestInvalidPathsRejected(t *testing.T) {

@@ -392,6 +392,23 @@ func (c CallCounts) Total() int {
 	return c.Upload + c.Download + c.CreateDir + c.List + c.Delete
 }
 
+// Plus returns the per-operation sum of c and o.
+func (c CallCounts) Plus(o CallCounts) CallCounts {
+	return CallCounts{
+		Upload: c.Upload + o.Upload, Download: c.Download + o.Download,
+		CreateDir: c.CreateDir + o.CreateDir, List: c.List + o.List, Delete: c.Delete + o.Delete,
+	}
+}
+
+// Minus returns the per-operation difference c − o: the calls made
+// since an earlier snapshot o.
+func (c CallCounts) Minus(o CallCounts) CallCounts {
+	return CallCounts{
+		Upload: c.Upload - o.Upload, Download: c.Download - o.Download,
+		CreateDir: c.CreateDir - o.CreateDir, List: c.List - o.List, Delete: c.Delete - o.Delete,
+	}
+}
+
 // Recorder wraps a cloud.Interface and counts calls and payload
 // bytes; tests and the overhead accounting use it to verify protocol
 // frugality (e.g. that the version-file fast path avoids metadata
@@ -401,6 +418,7 @@ type Recorder struct {
 
 	mu            sync.Mutex
 	counts        CallCounts
+	byPath        map[string]*CallCounts
 	failures      CallCounts
 	bytesUp       int64
 	bytesDown     int64
@@ -420,6 +438,38 @@ func (r *Recorder) Counts() CallCounts {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counts
+}
+
+// CountsUnder returns the call counts of the requests whose path is
+// prefix or lies below it — request budgets are stated per layout
+// directory (lock flags, version stamp, delta, blocks).
+func (r *Recorder) CountsUnder(prefix string) CallCounts {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var sum CallCounts
+	below := prefix + "/"
+	for path, c := range r.byPath {
+		if path == prefix || strings.HasPrefix(path, below) {
+			sum = sum.Plus(*c)
+		}
+	}
+	return sum
+}
+
+// note counts one call, overall and against its path.
+func (r *Recorder) note(path string, bump func(*CallCounts)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	bump(&r.counts)
+	c := r.byPath[path]
+	if c == nil {
+		if r.byPath == nil {
+			r.byPath = make(map[string]*CallCounts)
+		}
+		c = new(CallCounts)
+		r.byPath[path] = c
+	}
+	bump(c)
 }
 
 // Bytes returns the cumulative uploaded and downloaded payload bytes.
@@ -478,9 +528,7 @@ func (r *Recorder) noteFailure(err error, bump func(*CallCounts)) {
 // recorded only for successful uploads, so retried attempts do not
 // inflate the payload accounting.
 func (r *Recorder) Upload(ctx context.Context, path string, data []byte) error {
-	r.mu.Lock()
-	r.counts.Upload++
-	r.mu.Unlock()
+	r.note(path, func(c *CallCounts) { c.Upload++ })
 	err := r.inner.Upload(ctx, path, data)
 	if err == nil {
 		r.mu.Lock()
@@ -495,9 +543,7 @@ func (r *Recorder) Upload(ctx context.Context, path string, data []byte) error {
 
 // Download implements cloud.Interface.
 func (r *Recorder) Download(ctx context.Context, path string) ([]byte, error) {
-	r.mu.Lock()
-	r.counts.Download++
-	r.mu.Unlock()
+	r.note(path, func(c *CallCounts) { c.Download++ })
 	data, err := r.inner.Download(ctx, path)
 	if err == nil {
 		r.mu.Lock()
@@ -510,24 +556,18 @@ func (r *Recorder) Download(ctx context.Context, path string) ([]byte, error) {
 
 // CreateDir implements cloud.Interface.
 func (r *Recorder) CreateDir(ctx context.Context, path string) error {
-	r.mu.Lock()
-	r.counts.CreateDir++
-	r.mu.Unlock()
+	r.note(path, func(c *CallCounts) { c.CreateDir++ })
 	return r.inner.CreateDir(ctx, path)
 }
 
 // List implements cloud.Interface.
 func (r *Recorder) List(ctx context.Context, path string) ([]cloud.Entry, error) {
-	r.mu.Lock()
-	r.counts.List++
-	r.mu.Unlock()
+	r.note(path, func(c *CallCounts) { c.List++ })
 	return r.inner.List(ctx, path)
 }
 
 // Delete implements cloud.Interface.
 func (r *Recorder) Delete(ctx context.Context, path string) error {
-	r.mu.Lock()
-	r.counts.Delete++
-	r.mu.Unlock()
+	r.note(path, func(c *CallCounts) { c.Delete++ })
 	return r.inner.Delete(ctx, path)
 }

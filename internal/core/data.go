@@ -661,7 +661,10 @@ func (c *Client) fetchFile(ctx context.Context, img *meta.Image, snap *meta.Snap
 // random-access read API (used by the reliability experiments; normal
 // sync flows write files into the folder instead).
 func (c *Client) Get(ctx context.Context, path string) ([]byte, error) {
-	img, err := c.store.Fetch(ctx)
+	// The delta cursor, not a full fetch: five stamp GETs when nothing
+	// is pending, a delta catch-up when something is. The image is
+	// shared and only read.
+	img, err := c.store.Refresh(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"unidrive/internal/meta"
+	"unidrive/internal/transfer"
 )
 
 // TrimOverProvisioned reclaims over-provisioned parity blocks,
@@ -33,11 +34,7 @@ func (c *Client) TrimOverProvisioned(ctx context.Context) (int, error) {
 	}
 	fair := c.params.FairShare()
 	var changes []*meta.Change
-	type deletion struct {
-		segID     string
-		placement map[int]string
-	}
-	var deletions []deletion
+	var doomedBlocks []transfer.BlockRef
 	for _, segID := range sortedSegmentIDs(img) {
 		seg, _ := img.Segment(segID)
 		perCloud := make(map[string][]int)
@@ -71,7 +68,9 @@ func (c *Client) TrimOverProvisioned(ctx context.Context) (int, error) {
 			Type: meta.ChangeRelocate, Path: segID,
 			Segments: []*meta.Segment{updated}, Time: time.Time{},
 		})
-		deletions = append(deletions, deletion{segID: segID, placement: doomed})
+		for b, cloudName := range doomed {
+			doomedBlocks = append(doomedBlocks, transfer.BlockRef{SegID: segID, BlockID: b, Cloud: cloudName})
+		}
 	}
 	if len(changes) == 0 {
 		return 0, nil
@@ -82,10 +81,7 @@ func (c *Client) TrimOverProvisioned(ctx context.Context) (int, error) {
 	if _, err := c.store.Commit(ctx, changes); err != nil {
 		return 0, err
 	}
-	deleted := 0
-	for _, d := range deletions {
-		deleted += c.engine.DeleteBlocks(ctx, d.segID, d.placement)
-	}
+	deleted := c.engine.DeleteBlocks(ctx, doomedBlocks)
 	c.setLast(c.store.Cached())
 	return deleted, nil
 }
@@ -125,11 +121,7 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 	}
 	fair := c.params.FairShare()
 	var changes []*meta.Change
-	type deletion struct {
-		segID     string
-		placement map[int]string
-	}
-	var deletions []deletion
+	var doomedBlocks []transfer.BlockRef
 	for _, segID := range sortedSegmentIDs(img) {
 		seg, _ := img.Segment(segID)
 		perCloud := make(map[string][]int)
@@ -161,7 +153,9 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 			Type: meta.ChangeRelocate, Path: segID,
 			Segments: []*meta.Segment{updated}, Time: time.Time{},
 		})
-		deletions = append(deletions, deletion{segID: segID, placement: doomed})
+		for b, cloudName := range doomed {
+			doomedBlocks = append(doomedBlocks, transfer.BlockRef{SegID: segID, BlockID: b, Cloud: cloudName})
+		}
 	}
 	if len(changes) == 0 {
 		return 0, nil
@@ -172,10 +166,7 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 	if _, err := c.store.Commit(ctx, changes); err != nil {
 		return 0, err
 	}
-	deleted := 0
-	for _, d := range deletions {
-		deleted += c.engine.DeleteBlocks(ctx, d.segID, d.placement)
-	}
+	deleted := c.engine.DeleteBlocks(ctx, doomedBlocks)
 	c.cfg.Obs.Counter("core.capacity.pressure_deleted").Add(int64(deleted))
 	c.setLast(c.store.Cached())
 	return deleted, nil
@@ -196,30 +187,24 @@ func (c *Client) GCOrphanBlocks(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	removed := 0
-	for _, cl := range c.clouds {
-		entries, err := cl.List(ctx, c.engine.BlockDir())
+	var orphans []transfer.BlockRef
+	for _, name := range c.engine.CloudNames() {
+		names, err := c.engine.ListBlockNames(ctx, name)
 		if err != nil {
 			continue // unreachable cloud: collect on a later pass
 		}
-		for _, e := range entries {
-			if e.IsDir {
-				continue
-			}
-			segID, _, ok := parseBlockName(e.Name)
+		for _, n := range names {
+			segID, blockID, ok := parseBlockName(n)
 			if !ok {
 				continue
 			}
 			if _, known := img.Segment(segID); known {
 				continue
 			}
-			path := c.engine.BlockDir() + "/" + e.Name
-			if err := cl.Delete(ctx, path); err == nil {
-				removed++
-			}
+			orphans = append(orphans, transfer.BlockRef{SegID: segID, BlockID: blockID, Cloud: name})
 		}
 	}
-	return removed, nil
+	return c.engine.DeleteBlocks(ctx, orphans), nil
 }
 
 // parseBlockName splits "<segmentID>.<blockID>".

@@ -8,6 +8,7 @@ import (
 	"unidrive/internal/journal"
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
+	"unidrive/internal/transfer"
 )
 
 // RecoveryReport summarizes one journal replay.
@@ -165,7 +166,7 @@ func (c *Client) recoverApply(in *journal.Intent, img *meta.Image, known map[str
 // reference them.
 func (c *Client) recoverRepair(ctx context.Context, in *journal.Intent, img *meta.Image) int {
 	surveyed := c.engine.SurveyBlocks(ctx, in.SegmentIDs())
-	reclaimed := 0
+	var orphans []transfer.BlockRef
 	for segID, locs := range surveyed {
 		pool, _ := img.Segment(segID)
 		intended := in.Placements[segID]
@@ -178,12 +179,18 @@ func (c *Client) recoverRepair(ctx context.Context, in *journal.Intent, img *met
 			if intended[loc.BlockID] != loc.CloudID {
 				continue
 			}
-			n := c.engine.DeleteBlocks(ctx, segID, map[int]string{loc.BlockID: loc.CloudID})
-			reclaimed += n
-			c.cfg.Obs.Counter("journal.orphans_reclaimed").Add(int64(n))
+			orphans = append(orphans, transfer.BlockRef{SegID: segID, BlockID: loc.BlockID, Cloud: loc.CloudID})
 		}
 	}
-	return reclaimed
+	return c.reclaimOrphans(ctx, orphans)
+}
+
+// reclaimOrphans deletes blocks recovery judged unreferenced and
+// reports how many went.
+func (c *Client) reclaimOrphans(ctx context.Context, orphans []transfer.BlockRef) int {
+	n := c.engine.DeleteBlocks(ctx, orphans)
+	c.cfg.Obs.Counter("journal.orphans_reclaimed").Add(int64(n))
+	return n
 }
 
 // recoverUpload replays one upload intent per the decision table,
@@ -237,6 +244,7 @@ func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *met
 	}
 
 	adopted := 0
+	var orphans []transfer.BlockRef
 	for segID, locs := range surveyed {
 		pool, _ := img.Segment(segID)
 		for _, loc := range locs {
@@ -247,12 +255,11 @@ func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *met
 				c.addRecovered(segID, loc.BlockID, loc.CloudID)
 				adopted++
 			default:
-				n := c.engine.DeleteBlocks(ctx, segID, map[int]string{loc.BlockID: loc.CloudID})
-				rep.OrphansReclaimed += n
-				c.cfg.Obs.Counter("journal.orphans_reclaimed").Add(int64(n))
+				orphans = append(orphans, transfer.BlockRef{SegID: segID, BlockID: loc.BlockID, Cloud: loc.CloudID})
 			}
 		}
 	}
+	rep.OrphansReclaimed += c.reclaimOrphans(ctx, orphans)
 	rep.BlocksResumed += adopted
 	c.cfg.Obs.Counter("journal.resumed_blocks").Add(int64(adopted))
 

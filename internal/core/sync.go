@@ -844,11 +844,13 @@ func (c *Client) gcSegments(ctx context.Context, from, to *meta.Image, paths []s
 		}
 	}
 	c.dropSegmentCache(committed)
+	// One batch for the whole pass: the deletes of every dead segment
+	// overlap, per cloud, instead of costing one API latency each.
+	var doomed []transfer.BlockRef
 	for id, seg := range dead {
-		placement := make(map[int]string, len(seg.Blocks))
 		for _, b := range seg.Blocks {
-			placement[b.BlockID] = b.CloudID
+			doomed = append(doomed, transfer.BlockRef{SegID: id, BlockID: b.BlockID, Cloud: b.CloudID})
 		}
-		c.engine.DeleteBlocks(ctx, id, placement)
 	}
+	c.engine.DeleteBlocks(ctx, doomed)
 }

@@ -199,6 +199,12 @@ type Store struct {
 	// chunks, counted toward λ.
 	frozen     int
 	chunkBytes int
+	// seen is what the last stamp poll read from each cloud's version
+	// file (index-aligned with clouds). polled reports that a poll has
+	// run since the last commit rewrote those files: only then may
+	// Commit decide from seen without polling itself.
+	seen   []cloudStamp
+	polled bool
 }
 
 // New creates a metadata store over the given clouds. cipher encrypts
@@ -272,59 +278,87 @@ func (s *Store) materializeLocked() *meta.Image {
 	return img
 }
 
-// CheckRemote reports whether any reachable cloud advertises a newer
-// metadata version than the cached one — the paper's cheap
-// cloud-update check using only the tiny version file.
-func (s *Store) CheckRemote(ctx context.Context) (bool, error) {
-	known := s.Stamp()
-	type outcome struct {
-		reachable bool
-		pending   bool
-		err       error
+// cloudStamp is one cloud's answer to a stamp poll.
+type cloudStamp struct {
+	// stamp is the decoded version file, valid when found is set.
+	stamp meta.VersionStamp
+	found bool
+	// reachable: the cloud answered — with a stamp, with "no such file"
+	// (an empty cloud: neither found nor err), or with bytes that do not
+	// decode (err set).
+	reachable bool
+	err       error
+}
+
+// upToDate reports whether the cloud is known to hold exactly the
+// commit prev — the condition for appending to its delta instead of
+// rewriting its base. A cloud with no version file is up to date only
+// at genesis; an unreachable one never is.
+func (c cloudStamp) upToDate(prev meta.VersionStamp) bool {
+	if c.found {
+		return c.stamp == prev
 	}
-	results := make([]outcome, len(s.clouds))
+	return c.reachable && c.err == nil && prev.Version == 0
+}
+
+// pollStamps reads every cloud's version file concurrently — the one
+// place the store asks the clouds "who committed last" — and records
+// the answers for the Commit that follows under the same lock hold.
+func (s *Store) pollStamps(ctx context.Context) []cloudStamp {
+	seen := make([]cloudStamp, len(s.clouds))
 	var wg sync.WaitGroup
 	for i, c := range s.clouds {
 		wg.Add(1)
 		go func(i int, c cloud.Interface) {
 			defer wg.Done()
 			data, err := c.Download(ctx, s.path(versionFile))
-			if err != nil {
-				if errors.Is(err, cloud.ErrNotFound) {
-					results[i] = outcome{reachable: true}
-				} else {
-					results[i] = outcome{err: err}
-				}
-				return
+			switch {
+			case errors.Is(err, cloud.ErrNotFound):
+				seen[i] = cloudStamp{reachable: true}
+			case err != nil:
+				seen[i] = cloudStamp{err: err}
+			default:
+				stamp, err := meta.DecodeVersionStamp(data)
+				seen[i] = cloudStamp{stamp: stamp, found: err == nil, reachable: true, err: err}
 			}
-			stamp, err := meta.DecodeVersionStamp(data)
-			if err != nil {
-				results[i] = outcome{reachable: true, err: err}
-				return
-			}
-			pending := stamp.Version > known.Version ||
-				(stamp.Version == known.Version && stamp.Device != known.Device)
-			results[i] = outcome{reachable: true, pending: pending}
 		}(i, c)
 	}
 	wg.Wait()
+	s.mu.Lock()
+	s.seen = seen
+	s.polled = true
+	s.mu.Unlock()
+	return seen
+}
+
+// CheckRemote reports whether any reachable cloud advertises a newer
+// metadata version than the cached one — the paper's cheap
+// cloud-update check using only the tiny version file.
+func (s *Store) CheckRemote(ctx context.Context) (bool, error) {
+	pending, _, err := s.checkRemote(ctx)
+	return pending, err
+}
+
+// checkRemote is CheckRemote, also handing back the poll it ran.
+func (s *Store) checkRemote(ctx context.Context) (pending bool, seen []cloudStamp, err error) {
+	known := s.Stamp()
+	seen = s.pollStamps(ctx)
 	var anyReachable bool
 	var lastErr error
-	for _, r := range results {
-		if r.err != nil {
-			lastErr = r.err
+	for _, c := range seen {
+		if c.err != nil {
+			lastErr = c.err
 		}
-		if r.reachable {
-			anyReachable = true
-		}
-		if r.pending {
-			return true, nil
+		anyReachable = anyReachable || c.reachable
+		if c.found && (c.stamp.Version > known.Version ||
+			(c.stamp.Version == known.Version && c.stamp.Device != known.Device)) {
+			return true, seen, nil
 		}
 	}
 	if !anyReachable {
-		return false, fmt.Errorf("deltasync: no cloud reachable for version check: %w", lastErr)
+		return false, seen, fmt.Errorf("deltasync: no cloud reachable for version check: %w", lastErr)
 	}
-	return false, nil
+	return false, seen, nil
 }
 
 // cloudState is one cloud's fetched metadata.
@@ -448,6 +482,22 @@ func (s *Store) fetchChunks(ctx context.Context, c cloud.Interface) ([]Record, i
 // every reachable cloud's state and adopts the newest consistent one.
 // It returns the materialized image.
 func (s *Store) Fetch(ctx context.Context) (*meta.Image, error) {
+	// The stamps are read alongside the metadata, not before it: the
+	// fetch itself does not depend on them, but a Commit that follows
+	// under the same lock hold decides from them.
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		s.pollStamps(ctx)
+	}()
+	img, err := s.fetchAll(ctx)
+	<-polled
+	return img, err
+}
+
+// fetchAll is Fetch without the stamp poll, for callers that have just
+// polled.
+func (s *Store) fetchAll(ctx context.Context) (*meta.Image, error) {
 	states := make([]*cloudState, len(s.clouds))
 	errs := make([]error, len(s.clouds))
 	var wg sync.WaitGroup
@@ -488,8 +538,10 @@ func (s *Store) Fetch(ctx context.Context) (*meta.Image, error) {
 
 // Refresh brings the cache up to date with the clouds while moving as
 // few bytes as possible — the remote half of the event-driven sync
-// pipeline. It first polls the tiny version stamps (CheckRemote); when
-// nothing is pending the cached image is returned untouched. When a
+// pipeline. It first polls the tiny version stamps (CheckRemote) —
+// once: the same answers rank the clouds for the catch-up and serve a
+// Commit that follows under the same lock hold. When nothing is
+// pending the cached image is returned untouched. When a
 // newer commit is advertised it attempts an incremental catch-up: the
 // cached record log acts as a delta cursor into the remote version
 // chain, so downloading only the delta file and verifying that it
@@ -500,7 +552,7 @@ func (s *Store) Fetch(ctx context.Context) (*meta.Image, error) {
 // The returned image is shared (see CachedShared) and must be treated
 // as read-only.
 func (s *Store) Refresh(ctx context.Context) (*meta.Image, error) {
-	pending, err := s.CheckRemote(ctx)
+	pending, seen, err := s.checkRemote(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -508,12 +560,12 @@ func (s *Store) Refresh(ctx context.Context) (*meta.Image, error) {
 		s.cfg.Obs.Counter("deltasync.refresh.noop").Inc()
 		return s.CachedShared(), nil
 	}
-	if img, ok := s.refreshIncremental(ctx); ok {
+	if img, ok := s.refreshIncremental(ctx, seen); ok {
 		s.cfg.Obs.Counter("deltasync.refresh.incremental").Inc()
 		return img, nil
 	}
 	s.cfg.Obs.Counter("deltasync.refresh.full").Inc()
-	return s.Fetch(ctx)
+	return s.fetchAll(ctx)
 }
 
 // refreshIncremental attempts a delta-only catch-up: download just the
@@ -521,33 +573,18 @@ func (s *Store) Refresh(ctx context.Context) (*meta.Image, error) {
 // adopt it if it extends the cached records from the cached base.
 // When chunk freezes since the last poll opened a gap between the
 // cached head and the tail's first record, only the chunks covering
-// that gap are downloaded — never the base.
-func (s *Store) refreshIncremental(ctx context.Context) (*meta.Image, bool) {
-	// Rank reachable clouds by advertised version, newest first.
-	stamps := make([]meta.VersionStamp, len(s.clouds))
-	reachable := make([]bool, len(s.clouds))
-	var wg sync.WaitGroup
-	for i, c := range s.clouds {
-		wg.Add(1)
-		go func(i int, c cloud.Interface) {
-			defer wg.Done()
-			data, err := c.Download(ctx, s.path(versionFile))
-			if err != nil {
-				return
-			}
-			if st, err := meta.DecodeVersionStamp(data); err == nil {
-				stamps[i], reachable[i] = st, true
-			}
-		}(i, c)
-	}
-	wg.Wait()
+// that gap are downloaded — never the base. seen is the stamp poll
+// that found the update pending.
+func (s *Store) refreshIncremental(ctx context.Context, seen []cloudStamp) (*meta.Image, bool) {
+	// Rank the clouds that served a stamp by advertised version, newest
+	// first.
 	order := make([]int, 0, len(s.clouds))
 	for i := range s.clouds {
-		if reachable[i] {
+		if seen[i].found {
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return stamps[order[a]].Version > stamps[order[b]].Version })
+	sort.Slice(order, func(a, b int) bool { return seen[order[a]].stamp.Version > seen[order[b]].stamp.Version })
 
 	for _, i := range order {
 		c := s.clouds[i]
@@ -768,13 +805,16 @@ func (s *Store) decodeDelta(blob []byte) ([]Record, error) {
 
 // Commit writes a new metadata version containing the given changes.
 // It must be called while holding the quorum lock, with the cached
-// state up to date (call Fetch first when a cloud update is pending).
-// The new image version is cached version + 1.
+// state up to date (Refresh or Fetch under that lock hold). The new
+// image version is cached version + 1.
 //
 // Commit appends a record to the delta log, or — when the delta would
 // exceed λ, or a full image write is forced — rotates the base.
 // Clouds whose version stamp shows they missed earlier commits are
-// repaired with a full base write.
+// repaired with a full base write. The stamps are the ones the
+// preceding Refresh, CheckRemote or Fetch read — under the lock nobody
+// else rewrites them — and a Commit that no poll preceded since the
+// previous Commit polls them itself.
 func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats, error) {
 	for _, c := range changes {
 		if err := c.Validate(); err != nil {
@@ -804,7 +844,11 @@ func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats
 	}
 	newImage.Version = rec.Version
 	newImage.Device = rec.Device
+	seen, polled := s.seen, s.polled
 	s.mu.Unlock()
+	if !polled {
+		seen = s.pollStamps(ctx)
+	}
 
 	// Encoding and encrypting the full image is O(folder); under
 	// LazyBase it runs only when something actually needs the bytes
@@ -882,10 +926,15 @@ func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats
 		wg.Add(1)
 		go func(i int, c cloud.Interface) {
 			defer wg.Done()
-			okCh[i] = s.commitToCloud(ctx, c, prevStamp, rotate, freeze, chunk, sealBase, tailBlob, emptyTail, stampData)
+			okCh[i] = s.commitToCloud(ctx, c, seen[i].upToDate(prevStamp), rotate, freeze, chunk, sealBase, tailBlob, emptyTail, stampData)
 		}(i, c)
 	}
 	wg.Wait()
+	// Some version files are rewritten now, whether or not a quorum was
+	// reached: what the poll saw no longer describes the clouds.
+	s.mu.Lock()
+	s.polled = false
+	s.mu.Unlock()
 	for _, ok := range okCh {
 		if ok {
 			stats.CloudsOK++
@@ -917,29 +966,20 @@ func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats
 }
 
 // commitToCloud writes this commit to one cloud. A cloud that is
-// up-to-date (its stamp equals prevStamp) receives only the delta
-// tail (or, on a freeze, the frozen chunk plus an empty tail; on
-// rotation, the new base); a stale or empty cloud receives a full
-// repair (base + empty delta). sealBase produces the sealed full
-// image on demand (memoized), so commits that write no base never pay
-// for encoding one.
+// up-to-date (the stamp poll saw it at the commit being extended)
+// receives only the delta tail (or, on a freeze, the frozen chunk plus
+// an empty tail; on rotation, the new base); a stale or empty cloud
+// receives a full repair (base + empty delta). sealBase produces the
+// sealed full image on demand (memoized), so commits that write no
+// base never pay for encoding one.
 //
 // Write order is crash-safe: chunk before tail before stamp, so a
 // partial commit leaves at worst an extra chunk whose records overlap
 // the old tail — readers deduplicate by version — and base writes
 // precede chunk deletion, so leftover chunks of the old lineage are
 // filtered by their BaseVersion until the next rotation removes them.
-func (s *Store) commitToCloud(ctx context.Context, c cloud.Interface, prevStamp meta.VersionStamp,
+func (s *Store) commitToCloud(ctx context.Context, c cloud.Interface, upToDate,
 	rotate, freeze bool, chunk string, sealBase func() ([]byte, error), tailBlob, emptyTail, stampData []byte) bool {
-
-	upToDate := false
-	if data, err := c.Download(ctx, s.path(versionFile)); err == nil {
-		if st, err := meta.DecodeVersionStamp(data); err == nil && st == prevStamp {
-			upToDate = true
-		}
-	} else if prevStamp.Version == 0 && errors.Is(err, cloud.ErrNotFound) {
-		upToDate = true // brand-new cloud at genesis
-	}
 
 	switch {
 	case rotate || !upToDate:

@@ -288,12 +288,11 @@ func TestRefreshIncrementalDownloadsNoBase(t *testing.T) {
 	if _, err := reader.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// The incremental refresh downloads version stamps and one delta;
-	// the base files must not move again.
-	grew := totalDownloads(recorders) - baseDownloadsAfterFetch
-	// 3 stamps (CheckRemote) + 3 stamps (ranking) + 1 delta = 7 calls max.
-	if grew > 7 {
-		t.Errorf("incremental refresh made %d downloads, want <= 7", grew)
+	// The incremental refresh polls the version stamps once — the same
+	// answers find the update and rank the clouds — and downloads one
+	// delta; the base files must not move again.
+	if grew := totalDownloads(recorders) - baseDownloadsAfterFetch; grew != 4 {
+		t.Errorf("incremental refresh made %d downloads, want 4 (3 stamps + 1 delta)", grew)
 	}
 }
 

@@ -8,7 +8,9 @@
 // directory on each cloud: it holds a cloud's lock iff every listed
 // lock file is its own. Holding a majority (quorum) of clouds wins;
 // otherwise the device withdraws its files everywhere and retries
-// after a random backoff.
+// after a random backoff. Withdrawing and releasing delete by name:
+// the manager keeps a record of which of its flag files exist on which
+// cloud, so a lock hold is three fan-outs — upload, list, delete.
 //
 // The protocol needs only read-after-write list consistency from each
 // cloud. It requires no global clock: timestamps inside lock names
@@ -133,6 +135,13 @@ type Manager struct {
 	rng       *rand.Rand
 	counter   int64
 	firstSeen map[string]map[string]time.Time // cloud name -> lock file -> first seen
+	// own is, per cloud, the flag files of this device known to exist
+	// there: every name this manager uploaded and has not deleted, plus
+	// own-device names an acquisition List showed (a crashed
+	// incarnation's leftovers, or an upload that landed though it
+	// reported failure). Withdraw and release delete exactly these, by
+	// name.
+	own map[string]map[string]bool
 }
 
 // New creates a lock manager. It panics if no clouds or no device
@@ -150,6 +159,7 @@ func New(clouds []cloud.Interface, cfg Config) *Manager {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		firstSeen: make(map[string]map[string]time.Time),
+		own:       make(map[string]map[string]bool),
 	}
 }
 
@@ -205,7 +215,7 @@ func (m *Manager) Acquire(ctx context.Context) (*Lock, error) {
 		// Withdraw (delete all own lock files, including this
 		// attempt's) and back off for a random time (paper §5.2).
 		m.cfg.Obs.Counter("qlock.backoffs").Inc()
-		m.deleteOwnLocks(ctx, "")
+		m.deleteOwnLocks(ctx)
 		m.sleepJittered(ctx, backoff)
 		backoff *= 2
 		if backoff > m.cfg.BackoffMax {
@@ -271,7 +281,10 @@ func (m *Manager) tryOnce(ctx context.Context, name string) int {
 		wg.Add(1)
 		go func(i int, c cloud.Interface) {
 			defer wg.Done()
-			uploaded[i] = c.Upload(ctx, path, nil) == nil
+			if c.Upload(ctx, path, nil) == nil {
+				uploaded[i] = true
+				m.noteOwn(c.Name(), name)
+			}
 		}(i, c)
 	}
 	wg.Wait()
@@ -313,6 +326,7 @@ func (m *Manager) checkCloud(ctx context.Context, c cloud.Interface) bool {
 	ok := true
 	for _, name := range live {
 		if ownedBy(name, m.cfg.Device) {
+			m.noteOwn(c.Name(), name)
 			continue
 		}
 		if now.Sub(m.firstSeenAt(c.Name(), name)) > m.cfg.Expiry {
@@ -365,23 +379,60 @@ func (m *Manager) firstSeenAt(cloudName, lockName string) time.Time {
 	return m.firstSeen[cloudName][lockName]
 }
 
-// deleteOwnLocks removes every lock file of this device (any stamp)
-// from all clouds. Used on withdraw, release, and refresh cleanup.
-func (m *Manager) deleteOwnLocks(ctx context.Context, except string) {
+// noteOwn records that a flag file of this device exists on the cloud.
+func (m *Manager) noteOwn(cloudName, lockName string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	names := m.own[cloudName]
+	if names == nil {
+		names = make(map[string]bool)
+		m.own[cloudName] = names
+	}
+	names[lockName] = true
+}
+
+// forgetOwn records that the flag file is gone from the cloud.
+func (m *Manager) forgetOwn(cloudName, lockName string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.own[cloudName], lockName)
+}
+
+// takeOwn returns the flag files of this device recorded on the cloud
+// and forgets them: each delete is tried once. One that fails leaves a
+// file the next acquisition's List shows again (and other devices
+// break after Expiry), so nothing is retried blindly against a cloud
+// that stays down.
+func (m *Manager) takeOwn(cloudName string) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	names := make([]string, 0, len(m.own[cloudName]))
+	for name := range m.own[cloudName] {
+		names = append(names, name)
+	}
+	delete(m.own, cloudName)
+	return names
+}
+
+// deleteOwnLocks removes this device's flag files from all clouds, by
+// name: the current attempt's or hold's file wherever its upload
+// succeeded, own-device names an acquisition List showed, and old names
+// a refresh could not delete. Used on withdraw and release. No List is
+// needed — every file this manager created is on its record, and one
+// it does not know of is found by the next acquisition's List — and a
+// cloud holding nothing of ours gets no request at all.
+func (m *Manager) deleteOwnLocks(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, c := range m.clouds {
+		names := m.takeOwn(c.Name())
+		if len(names) == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func(c cloud.Interface) {
 			defer wg.Done()
-			entries, err := c.List(ctx, m.cfg.LockDir)
-			if err != nil {
-				return
-			}
-			for _, e := range entries {
-				if !isLockFile(e) || !ownedBy(e.Name, m.cfg.Device) || e.Name == except {
-					continue
-				}
-				_ = c.Delete(ctx, cloud.JoinPath(m.cfg.LockDir, e.Name))
+			for _, name := range names {
+				_ = c.Delete(ctx, cloud.JoinPath(m.cfg.LockDir, name))
 			}
 		}(c)
 	}
@@ -470,7 +521,12 @@ func (l *Lock) refreshOnce(ctx context.Context) {
 			if err := c.Upload(ctx, newPath, nil); err != nil {
 				return
 			}
-			_ = c.Delete(ctx, oldPath)
+			m.noteOwn(c.Name(), newName)
+			// An old name that could not be deleted stays on record and
+			// goes with the release.
+			if err := c.Delete(ctx, oldPath); err == nil || errors.Is(err, cloud.ErrNotFound) {
+				m.forgetOwn(c.Name(), oldName)
+			}
 			// Renewed on this cloud (read-after-write: the new flag
 			// file is visible to every later List).
 			held[i] = true
@@ -505,6 +561,6 @@ func (l *Lock) Release(ctx context.Context) error {
 	l.valid = false
 	l.mu.Unlock()
 	l.refreshDone.Wait()
-	l.mgr.deleteOwnLocks(ctx, "")
+	l.mgr.deleteOwnLocks(ctx)
 	return nil
 }

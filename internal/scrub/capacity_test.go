@@ -10,6 +10,7 @@ import (
 	"unidrive/internal/chunker"
 	"unidrive/internal/erasure"
 	"unidrive/internal/meta"
+	"unidrive/internal/transfer"
 )
 
 // capScrubber builds a scrubber with the capacity tracker and thin
@@ -71,8 +72,8 @@ func TestScrubRepairSkipsQuotaFullClouds(t *testing.T) {
 	seg := h.addSegment(t, 40, 6000, 3, true)
 
 	loc := seg.Blocks[1]
-	if n := h.engine.DeleteBlocks(context.Background(), seg.ID,
-		map[int]string{1: loc.CloudID}); n != 1 {
+	if n := h.engine.DeleteBlocks(context.Background(),
+		[]transfer.BlockRef{{SegID: seg.ID, BlockID: 1, Cloud: loc.CloudID}}); n != 1 {
 		t.Fatalf("setup delete removed %d blocks", n)
 	}
 	tr := capacity.NewTracker(capacity.Config{})
@@ -107,8 +108,8 @@ func TestScrubUnrepairableCapacityDistinctFromDataLoss(t *testing.T) {
 	h := newHarness(t, 5)
 	seg := h.addSegment(t, 41, 6000, 3, true)
 	loc := seg.Blocks[2]
-	if n := h.engine.DeleteBlocks(context.Background(), seg.ID,
-		map[int]string{2: loc.CloudID}); n != 1 {
+	if n := h.engine.DeleteBlocks(context.Background(),
+		[]transfer.BlockRef{{SegID: seg.ID, BlockID: 2, Cloud: loc.CloudID}}); n != 1 {
 		t.Fatalf("setup delete removed %d blocks", n)
 	}
 	tr := capacity.NewTracker(capacity.Config{})

@@ -1226,24 +1226,86 @@ func (e *Engine) PutBlock(ctx context.Context, cloudName, segID string, blockID 
 	})
 }
 
-// DeleteBlocks removes the given blocks (block ID -> cloud) of a
-// segment from their clouds, ignoring individual failures (orphaned
-// blocks are garbage-collected by later delete passes). It reports
-// the number of successful deletions.
-func (e *Engine) DeleteBlocks(ctx context.Context, segID string, placement map[int]string) int {
-	okCount := 0
-	for blockID, cloudName := range placement {
-		c, ok := e.clouds[cloudName]
-		if !ok {
-			e.cfg.Obs.Counter("transfer.delete.unknown_cloud").Inc()
+// BlockRef names one stored coded block: a block of a segment on a
+// cloud.
+type BlockRef struct {
+	SegID   string
+	BlockID int
+	Cloud   string
+}
+
+// DeleteBlocks removes the given blocks from their clouds and reports
+// the number of successful deletions. Every cloud's deletes run
+// concurrently, through the same connection-slot accounting as block
+// transfers: at most ConnsPerCloud in flight per cloud, each holding a
+// shared-scheduler slot when one is configured — a delete is one Web
+// API latency, so a pass that drops a large file's segments would
+// otherwise wait for them one after another. Individual failures are
+// ignored (orphaned blocks are garbage-collected by later passes) and a
+// delete is tried once. Once ctx is done no further request is
+// launched; the blocks not tried are counted under
+// transfer.delete.skipped.
+func (e *Engine) DeleteBlocks(ctx context.Context, blocks []BlockRef) int {
+	reg := e.cfg.Obs
+	queues := make(map[string][]BlockRef, len(e.names))
+	queued := 0
+	for _, b := range blocks {
+		if _, ok := e.clouds[b.Cloud]; !ok {
+			reg.Counter("transfer.delete.unknown_cloud").Inc()
 			continue
 		}
-		if err := c.Delete(ctx, e.BlockPath(segID, blockID)); err == nil {
-			okCount++
-			e.cfg.Obs.Counter("transfer.delete.blocks").Inc()
-		} else {
-			e.cfg.Obs.Counter("transfer.delete.blocks_failed").Inc()
+		queues[b.Cloud] = append(queues[b.Cloud], b)
+		queued++
+	}
+	d := e.newDispatcher()
+	dispatch := func() {
+		for _, name := range e.names {
+			q := queues[name]
+			for len(q) > 0 && d.idle[name] > 0 && d.acquireFair(name) {
+				b := q[0]
+				q = q[1:]
+				queued--
+				d.take(name)
+				go func() {
+					err := e.clouds[name].Delete(ctx, e.BlockPath(b.SegID, b.BlockID))
+					d.results <- result{cloudName: name, err: err}
+				}()
+			}
+			queues[name] = q
 		}
 	}
-	return okCount
+
+	if f := e.cfg.Fair; f != nil {
+		defer f.EndBatch(e.cfg.Tenant)
+	}
+	deleted := 0
+	for {
+		var changed <-chan struct{}
+		if ctx.Err() == nil {
+			// Captured before the Acquire attempts, so a slot freed between
+			// a refusal and the wait below still wakes it.
+			if f := e.cfg.Fair; f != nil {
+				changed = f.Changed()
+			}
+			d.fairDenied = false
+			dispatch()
+		}
+		if d.active == 0 {
+			// Done, cancelled, or every slot belongs to other tenants.
+			if ctx.Err() == nil && d.fairDenied && e.awaitFair(ctx, changed) {
+				continue
+			}
+			break
+		}
+		r := <-d.results
+		d.release(r.cloudName)
+		if r.err == nil {
+			deleted++
+			reg.Counter("transfer.delete.blocks").Inc()
+		} else {
+			reg.Counter("transfer.delete.blocks_failed").Inc()
+		}
+	}
+	reg.Counter("transfer.delete.skipped").Add(int64(queued))
+	return deleted
 }

@@ -117,7 +117,7 @@ func TestDeleteBlocksEdges(t *testing.T) {
 	}
 	placement[1000] = "no-such-cloud"
 
-	n := engine.DeleteBlocks(context.Background(), "segE", placement)
+	n := engine.DeleteBlocks(context.Background(), blockRefs("segE", placement))
 	want := len(placement) - 1 - downBlocks // minus phantom, minus down cloud's blocks
 	if n != want {
 		t.Fatalf("DeleteBlocks = %d, want %d", n, want)
@@ -139,7 +139,7 @@ func TestDeleteBlocksEdges(t *testing.T) {
 	// whose files are already gone.
 	r.flaky[1].SetDown(false)
 	delete(placement, 1000)
-	if n := engine.DeleteBlocks(context.Background(), "segE", placement); n != len(placement) {
+	if n := engine.DeleteBlocks(context.Background(), blockRefs("segE", placement)); n != len(placement) {
 		t.Fatalf("second DeleteBlocks = %d, want %d (idempotent deletes)", n, len(placement))
 	}
 	for _, st := range r.stores {

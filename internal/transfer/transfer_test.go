@@ -344,6 +344,16 @@ func TestOverProvisioningFavoursFastClouds(t *testing.T) {
 	}
 }
 
+// blockRefs turns a plan's placement (block ID -> cloud) into the
+// batch-delete argument.
+func blockRefs(segID string, placement map[int]string) []BlockRef {
+	refs := make([]BlockRef, 0, len(placement))
+	for blockID, cloudName := range placement {
+		refs = append(refs, BlockRef{SegID: segID, BlockID: blockID, Cloud: cloudName})
+	}
+	return refs
+}
+
 func TestDeleteBlocks(t *testing.T) {
 	r := newDirectRig(t, 5)
 	seg := make([]byte, 500)
@@ -357,7 +367,7 @@ func TestDeleteBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	placement := plan.Placement()
-	n := r.engine.DeleteBlocks(context.Background(), "segDel", placement)
+	n := r.engine.DeleteBlocks(context.Background(), blockRefs("segDel", placement))
 	if n != len(placement) {
 		t.Fatalf("deleted %d of %d blocks", n, len(placement))
 	}

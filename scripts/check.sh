@@ -13,12 +13,9 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (data plane, obs, qlock, core, health, journal, localfs, deltasync, daemon, trial, netsim, scrub, capacity)"
-go test -race ./internal/erasure/... ./internal/gf256/... ./internal/transfer/... \
-	./internal/obs/... ./internal/qlock/... ./internal/core/... ./internal/health/... \
-	./internal/journal/... ./internal/localfs/... ./internal/deltasync/... \
-	./internal/daemon/... ./internal/trial/... ./internal/netsim/... ./internal/scrub/... \
-	./internal/capacity/...
+echo "== go test -race (the packages in scripts/race_pkgs.txt)"
+# shellcheck disable=SC2046 # one argument per listed package
+go test -race $(grep -v '^#' scripts/race_pkgs.txt)
 
 echo "== benchmarks/e2e (its own module): go vet, go test"
 (cd benchmarks/e2e && go vet . && go test .)
