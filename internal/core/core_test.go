@@ -36,6 +36,12 @@ func newRig(nClouds int) *rig {
 func (r *rig) device(t testing.TB, name string) (*Client, *localfs.Mem) {
 	t.Helper()
 	folder := localfs.NewMem()
+	return r.deviceOn(t, name, folder), folder
+}
+
+// deviceOn is device over a folder of the caller's making.
+func (r *rig) deviceOn(t testing.TB, name string, folder localfs.Folder) *Client {
+	t.Helper()
 	var clouds []cloud.Interface
 	var flakies []*cloudsim.Flaky
 	for i, st := range r.stores {
@@ -56,7 +62,7 @@ func (r *rig) device(t testing.TB, name string) (*Client, *localfs.Mem) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, folder
+	return c
 }
 
 func ctxT(t testing.TB) context.Context {

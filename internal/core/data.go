@@ -463,24 +463,39 @@ func (c *Client) fetchSegment(ctx context.Context, seg *meta.Segment) ([]byte, e
 	return c.reconstructVerified(ctx, seg, blocks)
 }
 
+// downloadItem is a segment's download work: a plan over its recorded
+// block locations (minus the excluded block IDs), the stamped
+// checksums to verify against, and the coded block size ⌈Length ÷ K⌉
+// the dispatcher selects sources for.
+func downloadItem(seg *meta.Segment, excluded map[int]bool) (transfer.DownloadItem, error) {
+	locations := make(map[int][]string, len(seg.Blocks))
+	for _, b := range seg.Blocks {
+		if !excluded[b.BlockID] {
+			locations[b.BlockID] = append(locations[b.BlockID], b.CloudID)
+		}
+	}
+	plan, err := sched.NewDownloadPlan(seg.K, locations)
+	if err != nil {
+		return transfer.DownloadItem{}, fmt.Errorf("core: segment %s: %w", seg.ID, err)
+	}
+	return transfer.DownloadItem{
+		Plan:  plan,
+		SegID: seg.ID,
+		Size:  int64((seg.Length + seg.K - 1) / seg.K),
+		Sums:  seg.Sums(),
+	}, nil
+}
+
 // fetchBlocksExcluding downloads any K blocks of a segment, skipping
 // the excluded block IDs, with download-time checksum verification
 // for every block that carries a stamped sum.
 func (c *Client) fetchBlocksExcluding(ctx context.Context, seg *meta.Segment, excluded map[int]bool) (map[int][]byte, error) {
-	locations := make(map[int][]string, len(seg.Blocks))
-	for _, b := range seg.Blocks {
-		if excluded[b.BlockID] {
-			continue
-		}
-		locations[b.BlockID] = append(locations[b.BlockID], b.CloudID)
-	}
-	plan, err := sched.NewDownloadPlan(seg.K, locations)
+	item, err := downloadItem(seg, excluded)
 	if err != nil {
-		return nil, fmt.Errorf("core: segment %s: %w", seg.ID, err)
+		return nil, err
 	}
-	res, err := c.engine.DownloadBatch(ctx, []transfer.DownloadItem{
-		{Plan: plan, SegID: seg.ID, Sums: seg.Sums()},
-	})
+	plan := item.Plan
+	res, err := c.engine.DownloadBatch(ctx, []transfer.DownloadItem{item})
 	if err != nil {
 		return nil, fmt.Errorf("core: segment %s: %w", seg.ID, err)
 	}
@@ -600,17 +615,13 @@ func (c *Client) fetchFile(ctx context.Context, img *meta.Image, snap *meta.Snap
 			parts[i].data = data
 			continue
 		}
-		locations := make(map[int][]string, len(seg.Blocks))
-		for _, b := range seg.Blocks {
-			locations[b.BlockID] = append(locations[b.BlockID], b.CloudID)
-		}
-		plan, err := sched.NewDownloadPlan(seg.K, locations)
+		item, err := downloadItem(seg, nil)
 		if err != nil {
-			return nil, fmt.Errorf("core: segment %s: %w", id, err)
+			return nil, err
 		}
 		parts[i].item = len(items)
-		items = append(items, transfer.DownloadItem{Plan: plan, SegID: id, Sums: seg.Sums()})
-		plans = append(plans, plan)
+		items = append(items, item)
+		plans = append(plans, item.Plan)
 	}
 	var fetched []map[int][]byte
 	if len(items) > 0 {

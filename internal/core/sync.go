@@ -11,7 +11,6 @@ import (
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
 	"unidrive/internal/qlock"
-	"unidrive/internal/sched"
 	"unidrive/internal/transfer"
 )
 
@@ -201,7 +200,10 @@ func (c *Client) SyncRemote(ctx context.Context) (SyncReport, error) {
 func (c *Client) syncPass(ctx context.Context, report *SyncReport, pollRemote bool) error {
 	before := c.lastImage()
 
-	if !c.changes.Empty() {
+	// scanned is what this pass's commit read from disk, as scanned
+	// (before reconciliation moves a conflicting edit aside).
+	scanned := c.changes.Snapshot()
+	if len(scanned) > 0 {
 		if err := c.commitLocal(ctx, report); err != nil {
 			return err
 		}
@@ -219,7 +221,7 @@ func (c *Client) syncPass(ctx context.Context, report *SyncReport, pollRemote bo
 		return nil
 	}
 	diff, gcPaths := c.diffForApply(before, after)
-	n, err := c.applyCloudUpdate(ctx, before, after, diff)
+	n, err := c.applyCloudUpdate(ctx, before, after, diff, scanned)
 	if err != nil {
 		return err
 	}
@@ -550,9 +552,24 @@ func (c *Client) reuploadMissingSegments(ctx context.Context, changes []*meta.Ch
 // connections — and each file is assembled and written the moment its
 // last segment lands (the paper's availability-first pipeline, on the
 // receive side). The diff is precomputed by the caller (diffForApply)
-// so chain-covered passes never walk the whole image.
-func (c *Client) applyCloudUpdate(ctx context.Context, from, to *meta.Image, diff meta.Diff) (int, error) {
+// so chain-covered passes never walk the whole image. scanned lists
+// the local changes this pass committed, as the scan recorded them.
+func (c *Client) applyCloudUpdate(ctx context.Context, from, to *meta.Image, diff meta.Diff, scanned []*meta.Change) (int, error) {
 	applied := 0
+	// lastKnown is the content this device last saw at a path: what this
+	// pass's scan read there, else what the image it had applied says.
+	ownScan := make(map[string]*meta.Snapshot, len(scanned))
+	for _, ch := range scanned {
+		if ch.Type != meta.ChangeRelocate {
+			ownScan[ch.Path] = ch.Snapshot
+		}
+	}
+	lastKnown := func(path string) *meta.Snapshot {
+		if snap, ok := ownScan[path]; ok {
+			return snap
+		}
+		return from.Lookup(path).Current()
+	}
 
 	// Journal the apply before the first folder mutation: a crash
 	// mid-apply leaves a half-written folder, and without a record the
@@ -654,10 +671,20 @@ func (c *Client) applyCloudUpdate(ctx context.Context, from, to *meta.Image, dif
 		}
 		// Skip content already on disk (e.g. our own commits or a
 		// previous partial application).
-		if fi, err := c.folder.Stat(path); err == nil && fi.Size == after.Size {
-			if data, err := c.folder.ReadFile(path); err == nil {
-				if snap, _ := c.chunkFile(localfs.FileInfo{Path: path, ModTime: fi.ModTime}, data); snap.ContentEquals(after) {
+		if fi, err := c.folder.Stat(path); err == nil {
+			if known := lastKnown(path); c.unchangedSince(fi, known) {
+				// The device knows what these bytes hash to without
+				// reading them again.
+				if known.ContentEquals(after) {
 					continue
+				}
+			} else if fi.Size == after.Size {
+				// An edit no scan has seen, or a half-apply recovery
+				// restored: only the bytes can tell.
+				if data, err := c.folder.ReadFile(path); err == nil {
+					if snap, _ := c.chunkFile(localfs.FileInfo{Path: path, ModTime: fi.ModTime}, data); snap.ContentEquals(after) {
+						continue
+					}
 				}
 			}
 		}
@@ -671,41 +698,33 @@ func (c *Client) applyCloudUpdate(ctx context.Context, from, to *meta.Image, dif
 				f.parts[i] = data
 				continue
 			}
-			locations := make(map[int][]string, len(seg.Blocks))
-			for _, b := range seg.Blocks {
-				locations[b.BlockID] = append(locations[b.BlockID], b.CloudID)
-			}
-			plan, err := sched.NewDownloadPlan(seg.K, locations)
+			item, err := downloadItem(seg, nil)
 			if err != nil {
-				return applied, fmt.Errorf("core: segment %s: %w", id, err)
+				return applied, err
 			}
 			f.missing++
 			itemFiles = append(itemFiles, f)
 			itemSegs = append(itemSegs, seg)
-			items = append(items, transfer.DownloadItem{
-				Plan:  plan,
-				SegID: id,
-				Sums:  seg.Sums(),
-				Done: func(blocks map[int][]byte) {
-					data, excluded, err := c.decodeAndVerify(seg, blocks)
-					if err != nil {
-						if errors.Is(err, errDecodeMismatch) {
-							// Defer the replacement fetch to after the batch.
-							corruptRetries = append(corruptRetries, corruptRetry{
-								f: f, part: i, seg: seg, excluded: excluded,
-							})
-							return
-						}
-						writeErrs[f.snap.Path] = err
+			item.Done = func(blocks map[int][]byte) {
+				data, excluded, err := c.decodeAndVerify(seg, blocks)
+				if err != nil {
+					if errors.Is(err, errDecodeMismatch) {
+						// Defer the replacement fetch to after the batch.
+						corruptRetries = append(corruptRetries, corruptRetry{
+							f: f, part: i, seg: seg, excluded: excluded,
+						})
 						return
 					}
-					f.parts[i] = data
-					f.missing--
-					if f.missing == 0 {
-						finish(f)
-					}
-				},
-			})
+					writeErrs[f.snap.Path] = err
+					return
+				}
+				f.parts[i] = data
+				f.missing--
+				if f.missing == 0 {
+					finish(f)
+				}
+			}
+			items = append(items, item)
 		}
 		if f.missing == 0 {
 			// Everything served from the local segment cache.
@@ -790,6 +809,18 @@ func (c *Client) applyCloudUpdate(ctx context.Context, from, to *meta.Image, dif
 		}
 	}
 	return applied, nil
+}
+
+// unchangedSince reports that the file fi describes still holds the
+// content of snap, the snapshot this device last knew at the path: its
+// size and mtime are the ones the scanner baseline holds — no edit has
+// gone unscanned — and the ones snap was taken (or written) with.
+func (c *Client) unchangedSince(fi localfs.FileInfo, snap *meta.Snapshot) bool {
+	if snap == nil || snap.Deleted || fi.Size != snap.Size || !fi.ModTime.Equal(snap.ModTime) {
+		return false
+	}
+	base, _ := c.scanner.BaselineFor([]string{fi.Path})
+	return len(base) == 1 && base[0].Size == fi.Size && base[0].ModTime.Equal(fi.ModTime)
 }
 
 // gcSegments deletes the coded blocks of segments that disappeared

@@ -53,21 +53,27 @@ func newAblationRig(opts AblationOpts) (*ablationRig, error) {
 	return r, nil
 }
 
-func (r *ablationRig) engine(seedProber bool, cutoff float64) *transfer.Engine {
+// engine builds a data-plane engine over the rig's clouds. With probe
+// set the clouds are wrapped as core wraps them and one version-stamp
+// sized file goes up and comes back per cloud: what in-channel probing
+// has learnt from control traffic when a real pass reaches its first
+// block. Without it the scheduler is blind: no cloud has an estimate.
+func (r *ablationRig) engine(ctx context.Context, probe bool) *transfer.Engine {
 	prober := sched.NewProber(0)
-	if seedProber {
-		// Approximate what in-channel probing learns from control
-		// traffic: one latency-dominated small transfer per cloud.
-		for i, name := range r.names {
-			_ = i
-			prober.Observe(name, sched.Up, 2048, 500*time.Millisecond)
-			prober.Observe(name, sched.Down, 2048, 500*time.Millisecond)
+	clouds := r.clouds
+	if probe {
+		clouds = make([]cloud.Interface, len(r.clouds))
+		stamp := make([]byte, 33)
+		for i, cl := range r.clouds {
+			clouds[i] = transfer.NewProbing(cl, prober, r.c.Clock)
+			// Best effort: a cloud that fails its stamp is demoted by the
+			// failure itself.
+			if err := clouds[i].Upload(ctx, ".unidrive/ablation-stamp", stamp); err == nil {
+				_, _ = clouds[i].Download(ctx, ".unidrive/ablation-stamp")
+			}
 		}
 	}
-	return transfer.New(r.clouds, prober, transfer.Config{
-		Clock:       r.c.Clock,
-		SpeedCutoff: cutoff,
-	})
+	return transfer.New(clouds, prober, transfer.Config{Clock: r.c.Clock})
 }
 
 // uploadOnce codes one segment and uploads it, honouring maxPerCloud
@@ -115,7 +121,7 @@ func AblationOverProvisioning(opts AblationOpts) *Table {
 		}
 		data := workload.Bytes(opts.Seed+int64(trial), rig.c.Size(opts.SizeMB<<20))
 
-		eng := rig.engine(true, 0)
+		eng := rig.engine(ctx, true)
 		dur, _, err := rig.uploadOnce(ctx, eng, fmt.Sprintf("op-%d", trial), data, true)
 		if err != nil {
 			continue
@@ -156,15 +162,16 @@ func AblationOverProvisioning(opts AblationOpts) *Table {
 	return t
 }
 
-// AblationDownloadScheduling compares the dynamic fastest-cloud
-// download dispatch (with the speed cutoff) against a naive dispatch
-// that treats all clouds equally (cutoff disabled and ranking
-// unseeded), downloading the same over-provisioned placement.
+// AblationDownloadScheduling compares the dynamic download dispatch
+// (probed clouds, sources admitted by estimated finish time) against a
+// naive dispatch that treats all clouds equally (no estimates, so
+// every holder is admitted in name order), downloading the same
+// over-provisioned placement.
 func AblationDownloadScheduling(opts AblationOpts) *Table {
 	opts.fill()
 	t := &Table{
 		Title:   "Ablation: dynamic download scheduling vs naive (download time, s)",
-		Headers: []string{"trial", "dynamic (probed + cutoff)", "naive (blind)"},
+		Headers: []string{"trial", "dynamic (probed, earliest finish)", "naive (blind)"},
 	}
 	ctx := context.Background()
 	var dyn, naive []float64
@@ -176,7 +183,7 @@ func AblationDownloadScheduling(opts AblationOpts) *Table {
 		}
 		data := workload.Bytes(opts.Seed+int64(trial)+500, rig.c.Size(opts.SizeMB<<20))
 		segID := fmt.Sprintf("dl-%d", trial)
-		upEng := rig.engine(true, 0)
+		upEng := rig.engine(ctx, true)
 		// Upload to full reliability (with over-provisioning) and keep
 		// the placement for the download plans.
 		plan, err := sched.NewUploadPlan(paperParams, rig.names)
@@ -201,15 +208,18 @@ func AblationDownloadScheduling(opts AblationOpts) *Table {
 				return 0, false
 			}
 			start := rig.c.Clock.Now()
-			if _, err := eng.DownloadSegment(ctx, dplan, segID+"b"); err != nil {
+			_, err = eng.DownloadBatch(ctx, []transfer.DownloadItem{{
+				Plan: dplan, SegID: segID + "b", Size: int64(rig.coder.ShardSize(len(data))),
+			}})
+			if err != nil || !dplan.Done() {
 				return 0, false
 			}
 			return rig.c.Clock.Now().Sub(start).Seconds(), true
 		}
-		if d, ok := measure(rig.engine(true, 0)); ok {
+		if d, ok := measure(rig.engine(ctx, true)); ok {
 			dyn = append(dyn, d)
 		}
-		if d, ok := measure(rig.engine(false, 1e9)); ok { // blind: unprobed, cutoff off
+		if d, ok := measure(rig.engine(ctx, false)); ok { // blind: no estimates, every cloud admitted
 			naive = append(naive, d)
 		}
 		if len(dyn) > 0 && len(naive) > 0 && len(dyn) == len(naive) {
@@ -249,7 +259,7 @@ func AblationChunkerTheta(opts AblationOpts) *Table {
 		data := workload.Bytes(opts.Seed+int64(thetaMB), rig.c.Size(16<<20))
 		theta := rig.c.Size(thetaMB << 20)
 		segments := (len(data) + theta - 1) / theta
-		eng := rig.engine(true, 0)
+		eng := rig.engine(ctx, true)
 		start := rig.c.Clock.Now()
 		okAll := true
 		for s := 0; s < segments; s++ {

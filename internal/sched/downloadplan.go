@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 )
 
 // DownloadPlan schedules the retrieval of one segment (paper §6.2,
 // "Dynamic Scheduling for Download"): only K blocks are needed, from
 // whichever clouds, normal and over-provisioned parity blocks alike.
 // The engine keeps requesting the next needed block on the idle
-// connection of the fastest eligible cloud (per the Prober ranking);
-// the plan tracks which blocks are available where, which are done,
-// and hands out work so that exactly K distinct blocks are fetched.
+// connection of the fastest admitted cloud (Prober ranking,
+// AdmitDownload); the plan tracks which blocks are available where,
+// which are done, and hands out work so that exactly K distinct blocks
+// are fetched.
 //
 // Over-provisioning pays off here: fast clouds hold more blocks than
 // their fair share, so they can supply more of the K.
@@ -267,6 +269,89 @@ func (p *DownloadPlan) Stuck() bool {
 		}
 	}
 	return reachable < p.k
+}
+
+// Unassigned returns how many of the K blocks the plan has not yet
+// handed out: neither fetched nor in flight (NextBlock keeps the two
+// at or below K together).
+func (p *DownloadPlan) Unassigned() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.k - len(p.done) - len(p.inflight)
+}
+
+// Requires reports that the plan cannot reach K without another block
+// from cloudName: the blocks fetched, in flight, or still assignable
+// from other live clouds fall short. Such a cloud must be used however
+// slow it is.
+func (p *DownloadPlan) Requires(cloudName string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.dead[cloudName] || len(p.done) >= p.k {
+		return false
+	}
+	reachable := len(p.done) + len(p.inflight)
+	for b, clouds := range p.sources {
+		if p.done[b] || len(p.inflight[b]) > 0 {
+			continue
+		}
+		for _, c := range clouds {
+			if c != cloudName && !p.dead[c] {
+				reachable++
+				break
+			}
+		}
+	}
+	return reachable < p.k
+}
+
+// AdmitDownload is the download dispatcher's source-selection rule: a
+// block of blockBytes goes to cloudName, which has a connection idle
+// now, only if its estimated finish there is no later than the time
+// the faster ones among others — the live clouds that could supply
+// the plan's block instead, each with conns connections — need to
+// drain the unassigned bytes the batch has not handed out yet, plus
+// one block on the fastest of them. Holders slower than cloudName set
+// no bar: whatever refuses it refuses them too, so they will not help
+// drain. Evaluated per block, the bar falls as the batch drains: a
+// slow cloud contributes while there is more work than the fast ones
+// can absorb and drops out of the end-game by itself, where a block
+// parked on it would be the straggler the whole batch waits for. A
+// cloud the prober has no estimate for is always admitted (its first
+// transfer is the probe), and so is one the plan Requires.
+func AdmitDownload(p *Prober, plan *DownloadPlan, cloudName string, others []string,
+	conns int, blockBytes, unassigned int64) bool {
+
+	if plan.Requires(cloudName) {
+		return true
+	}
+	mine, ok := p.Estimate(cloudName, Down, blockBytes)
+	if !ok {
+		return true
+	}
+	var rate float64 // bytes/second the faster holders sustain on blocks this size
+	fastest := mine
+	for _, o := range others {
+		est, ok := p.Estimate(o, Down, blockBytes)
+		if !ok || est > mine {
+			continue
+		}
+		if est <= 0 {
+			est = time.Nanosecond
+		}
+		rate += float64(conns) * float64(blockBytes) / est.Seconds()
+		if est < fastest {
+			fastest = est
+		}
+	}
+	if fastest == mine {
+		return true // nobody faster holds work
+	}
+	drain := 0.0
+	if rate > 0 {
+		drain = float64(unassigned) / rate
+	}
+	return mine.Seconds() <= drain+fastest.Seconds()
 }
 
 // HasWork reports whether cloudName holds at least one needed block

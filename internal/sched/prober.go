@@ -28,26 +28,75 @@ func (d Direction) String() string {
 	return "down"
 }
 
-// DefaultAlpha is the EWMA smoothing factor for throughput samples.
-// Recent samples dominate — the whole point of in-channel probing is
-// reacting to transient network conditions.
+// DefaultAlpha is the EWMA smoothing factor for latency and bandwidth
+// samples. Recent samples dominate — the whole point of in-channel
+// probing is reacting to transient network conditions.
 const DefaultAlpha = 0.4
 
+// MinBandwidthSample is the payload size below which a request's
+// duration says nothing usable about bandwidth: version stamps, lock
+// flags, listings and metadata deltas of a few KB fit one transport
+// window and take one Web-API round trip however fast the pipe is.
+// Such requests are latency samples; only larger transfers are
+// bandwidth samples.
+const MinBandwidthSample = 64 << 10
+
+// unmeasuredWindow is the prior for a bandwidth nobody has measured
+// yet: one initial congestion window (ten segments, RFC 6928) per
+// round trip, what a connection gets before it has proved anything.
+// Deliberately pessimistic: a block handed to a cloud that turns out
+// slow is pinned there by the plan's K-block budget and the whole
+// batch waits for it, while a cloud left unexplored costs at most its
+// share of the bandwidth — and it is still explored when a batch is
+// large enough to admit it at this rate, or a segment requires it.
+const unmeasuredWindow = 16 << 10
+
+// minNetFraction bounds how much of a transfer's duration the latency
+// estimate may explain away: with jittery latency a transfer can
+// finish in less than the smoothed round trip, and the bandwidth
+// sample must stay finite and positive.
+const minNetFraction = 0.1
+
+// failurePenalty is what one certain failure adds to an estimate: the
+// request has to be detected as failed and sent again, whatever the
+// cloud's good-day numbers say. It is weighted by the smoothed
+// failure rate, so it decays as requests succeed again.
+const failurePenalty = time.Second
+
+// channel is the model of one (cloud, direction): a request of b
+// bytes takes latency + b ÷ bandwidth on one connection, plus the
+// expected cost of failing.
+type channel struct {
+	latency   *stats.EWMA // seconds per request
+	bandwidth *stats.EWMA // bytes/second per connection, net of latency
+	// failRate smooths 0 per success and 1 per failure; every
+	// observation feeds it, so its count is the channel's sample count.
+	failRate *stats.EWMA
+}
+
 // Prober implements in-channel bandwidth probing (paper §6.2): every
-// completed block transfer doubles as a probe. The prober tracks the
-// average per-connection throughput of each cloud and direction with
-// an EWMA; the schedulers rank clouds by the smoothed value. No
-// explicit probe traffic is ever sent.
+// request the client sends doubles as a probe, and no explicit probe
+// traffic is ever sent. Each (cloud, direction) is modelled as
 //
-// Per-connection (rather than aggregate) throughput is tracked
-// because UniDrive opens multiple concurrent HTTP connections per
-// cloud and schedules work per block on individual connections.
+//	duration = latency + bytes ÷ bandwidth
+//
+// Requests below MinBandwidthSample update only the latency term;
+// payload-bearing transfers update the bandwidth term with the
+// latency estimate taken out (until the first one, bandwidth is
+// assumed to be one unmeasuredWindow per round trip); failures add a
+// decaying penalty without distorting either measurement. The schedulers ask one question —
+// Estimate: how long would a transfer of this size take there — and
+// rank clouds by the answer.
+//
+// Bandwidth is per connection (rather than aggregate) because
+// UniDrive opens multiple concurrent HTTP connections per cloud and
+// schedules work per block on individual connections.
 type Prober struct {
 	alpha float64
 
-	mu    sync.Mutex
-	ewmas map[string]*stats.EWMA
-	obs   *obs.Registry
+	mu       sync.Mutex
+	channels map[string]*channel
+	obs      *obs.Registry
 }
 
 // NewProber returns a Prober with the given EWMA alpha (0 uses
@@ -56,15 +105,16 @@ func NewProber(alpha float64) *Prober {
 	if alpha == 0 {
 		alpha = DefaultAlpha
 	}
-	return &Prober{alpha: alpha, ewmas: make(map[string]*stats.EWMA)}
+	return &Prober{alpha: alpha, channels: make(map[string]*channel)}
 }
 
 func key(cloudName string, dir Direction) string {
 	return cloudName + "|" + dir.String()
 }
 
-// SetObs publishes every smoothed throughput estimate as a gauge
-// ("sched.probe.<cloud>.<dir>_bps") in reg, updated on each
+// SetObs publishes both terms of every channel's model as gauges
+// ("sched.probe.<cloud>.<dir>_bps" and
+// "sched.probe.<cloud>.<dir>_latency_ms") in reg, updated on each
 // observation. Call before the prober is shared with transfer
 // goroutines; nil disables publication.
 func (p *Prober) SetObs(reg *obs.Registry) {
@@ -73,88 +123,103 @@ func (p *Prober) SetObs(reg *obs.Registry) {
 	p.obs = reg
 }
 
-// Observe feeds one completed block transfer: size bytes moved in d
+// Observe feeds one completed request: size payload bytes moved in d
 // on one connection to cloudName. Zero or negative durations are
 // ignored (clock anomalies under heavy load).
 func (p *Prober) Observe(cloudName string, dir Direction, size int64, d time.Duration) {
 	if d <= 0 || size < 0 {
 		return
 	}
-	e, reg := p.ewma(cloudName, dir)
-	e.Observe(float64(size) / d.Seconds())
-	reg.Gauge("sched.probe." + cloudName + "." + dir.String() + "_bps").Set(e.Value())
+	ch, reg := p.channel(cloudName, dir)
+	ch.failRate.Observe(0)
+	gauge := "sched.probe." + cloudName + "." + dir.String()
+	if size < MinBandwidthSample {
+		ch.latency.Observe(d.Seconds())
+		reg.Gauge(gauge + "_latency_ms").Set(ch.latency.Value() * 1000)
+		return
+	}
+	net := d.Seconds() - ch.latency.Value()
+	if floor := d.Seconds() * minNetFraction; net < floor {
+		net = floor
+	}
+	ch.bandwidth.Observe(float64(size) / net)
+	reg.Gauge(gauge + "_bps").Set(ch.bandwidth.Value())
 }
 
-// ObserveFailure feeds a failed transfer as a strong negative signal:
-// the throughput sample is zero, pushing the cloud down the ranking.
+// ObserveFailure feeds a failed request as a strong negative signal:
+// the channel's failure rate rises, pushing the cloud down the
+// ranking for every transfer size until requests succeed again.
 func (p *Prober) ObserveFailure(cloudName string, dir Direction) {
-	e, reg := p.ewma(cloudName, dir)
-	e.Observe(0)
-	reg.Gauge("sched.probe." + cloudName + "." + dir.String() + "_bps").Set(e.Value())
+	ch, reg := p.channel(cloudName, dir)
+	ch.failRate.Observe(1)
 	reg.Counter("sched.probe.failures").Inc()
 }
 
-func (p *Prober) ewma(cloudName string, dir Direction) (*stats.EWMA, *obs.Registry) {
+func (p *Prober) channel(cloudName string, dir Direction) (*channel, *obs.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	k := key(cloudName, dir)
-	e, ok := p.ewmas[k]
+	ch, ok := p.channels[k]
 	if !ok {
-		e = stats.NewEWMA(p.alpha)
-		p.ewmas[k] = e
+		ch = &channel{
+			latency:   stats.NewEWMA(p.alpha),
+			bandwidth: stats.NewEWMA(p.alpha),
+			failRate:  stats.NewEWMA(p.alpha),
+		}
+		p.channels[k] = ch
 	}
-	return e, p.obs
+	return ch, p.obs
 }
 
-// Throughput returns the smoothed per-connection throughput in
-// bytes/second for the cloud and direction, or 0 before any sample.
-func (p *Prober) Throughput(cloudName string, dir Direction) float64 {
+// Estimate returns how long a transfer of size bytes is expected to
+// take on one connection to the cloud: latency + size ÷ bandwidth,
+// plus failurePenalty weighted by the recent failure rate. Until a
+// bandwidth sample exists the bandwidth is taken to be one
+// unmeasuredWindow per round trip, so control traffic alone ranks the
+// clouds, by latency, before the first block moves, and a cloud
+// nobody has measured does not pass for a fast one next to clouds
+// that have been. ok is false while the channel has never been
+// observed.
+func (p *Prober) Estimate(cloudName string, dir Direction, size int64) (d time.Duration, ok bool) {
 	p.mu.Lock()
-	e, ok := p.ewmas[key(cloudName, dir)]
+	ch := p.channels[key(cloudName, dir)]
 	p.mu.Unlock()
-	if !ok {
-		return 0
+	if ch == nil || ch.failRate.Count() == 0 {
+		return 0, false
 	}
-	return e.Value()
+	latency := ch.latency.Value()
+	secs := latency + ch.failRate.Value()*failurePenalty.Seconds()
+	if bw := ch.bandwidth.Value(); bw > 0 {
+		secs += float64(size) / bw
+	} else {
+		secs += latency * float64(size) / unmeasuredWindow
+	}
+	return time.Duration(secs * float64(time.Second)), true
 }
 
-// Samples reports how many transfers have been observed for the
-// cloud/direction.
-func (p *Prober) Samples(cloudName string, dir Direction) int {
-	p.mu.Lock()
-	e, ok := p.ewmas[key(cloudName, dir)]
-	p.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return e.Count()
-}
-
-// Rank returns the clouds sorted fastest-first for the given
-// direction. Unprobed clouds (no samples yet) sort above probed ones
-// so every cloud gets probed early — their first transfers are the
-// probes. Ties break by name for determinism.
-func (p *Prober) Rank(clouds []string, dir Direction) []string {
+// Rank returns the clouds sorted by Estimate for a transfer of size
+// bytes in the given direction, fastest first. Clouds without any
+// estimate sort above estimated ones so every cloud gets probed early
+// — their first transfers are the probes. Ties break by name for
+// determinism.
+func (p *Prober) Rank(clouds []string, dir Direction, size int64) []string {
 	type entry struct {
-		name     string
-		sampled  bool
-		smoothed float64
+		name      string
+		estimated bool
+		estimate  time.Duration
 	}
 	entries := make([]entry, 0, len(clouds))
 	for _, c := range clouds {
-		entries = append(entries, entry{
-			name:     c,
-			sampled:  p.Samples(c, dir) > 0,
-			smoothed: p.Throughput(c, dir),
-		})
+		d, ok := p.Estimate(c, dir, size)
+		entries = append(entries, entry{name: c, estimated: ok, estimate: d})
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]
-		if a.sampled != b.sampled {
-			return !a.sampled // unprobed first
+		if a.estimated != b.estimated {
+			return !a.estimated // unprobed first
 		}
-		if a.smoothed != b.smoothed {
-			return a.smoothed > b.smoothed
+		if a.estimate != b.estimate {
+			return a.estimate < b.estimate
 		}
 		return a.name < b.name
 	})

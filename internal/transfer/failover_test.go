@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,6 +58,31 @@ func newGuardedRig(t *testing.T, n int, cfg Config) *guardedRig {
 	return r
 }
 
+// afterTrip orders a test's uploads around a breaker trip: the dying
+// cloud's first answered upload closes tripped (the Guard beneath it
+// has reported the outage by then), and every other cloud's uploads
+// wait for that.
+type afterTrip struct {
+	cloud.Interface
+	dying   bool
+	tripped chan struct{}
+	once    *sync.Once
+}
+
+func (a *afterTrip) Upload(ctx context.Context, path string, data []byte) error {
+	if a.dying {
+		err := a.Interface.Upload(ctx, path, data)
+		a.once.Do(func() { close(a.tripped) })
+		return err
+	}
+	select {
+	case <-a.tripped:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return a.Interface.Upload(ctx, path, data)
+}
+
 // TestUploadRoutesAroundOpenBreaker is the upload acceptance case:
 // with one of four clouds in full outage, a k=4, n=8 upload must
 // complete; after the breaker trips, no request may reach the dead
@@ -66,6 +92,17 @@ func TestUploadRoutesAroundOpenBreaker(t *testing.T) {
 	p := sched.Params{N: 4, K: 4, Kr: 2, Ks: 2} // fair 2, normal 8, max 3/cloud
 	r := newGuardedRig(t, 4, Config{})
 	r.flaky[3].SetDown(true)
+	// The case is an outage detected before the healthy clouds finish
+	// their fair shares. Left to the scheduler's timing, an instant
+	// healthy cloud can finish first and take over-provisioned extras
+	// into the room the dead cloud's blocks need (3 clouds x 3 = 9
+	// slots for 8 normal blocks) — a different, also legal, outcome.
+	tripped, once := make(chan struct{}), new(sync.Once)
+	var ordered []cloud.Interface
+	for i, name := range r.names {
+		ordered = append(ordered, &afterTrip{Interface: r.engine.clouds[name], dying: i == 3, tripped: tripped, once: once})
+	}
+	r.engine = New(ordered, sched.NewProber(0), r.engine.cfg)
 
 	seg := make([]byte, 4096)
 	rand.New(rand.NewSource(3)).Read(seg)

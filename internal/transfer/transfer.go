@@ -1,16 +1,18 @@
 // Package transfer is UniDrive's data-plane engine: it executes
 // upload and download plans over the clouds with multiple concurrent
-// connections per cloud, feeds completed transfers into the
-// in-channel bandwidth prober, retries transient Web API failures,
-// and excludes clouds that stop responding.
+// connections per cloud, schedules them on the in-channel prober's
+// estimates (fed by the Probing wrapper around each cloud), retries
+// transient Web API failures, and excludes clouds that stop
+// responding.
 //
 // The engine is a central dispatcher (paper §7: "priority queuing ...
 // multi-threaded file transfer to each cloud"): whenever a connection
 // slot is idle it asks the plan for that cloud's next block —
 // visiting clouds fastest-first per the prober — launches the
 // transfer, and processes completions as they arrive. Dynamic
-// decisions (over-provisioning, fastest-cloud download) therefore
-// happen block by block on live throughput information.
+// decisions (over-provisioning, download source selection by
+// estimated finish time) therefore happen block by block on live
+// latency and bandwidth estimates.
 package transfer
 
 import (
@@ -48,14 +50,6 @@ type Config struct {
 	// DeadAfter is the number of consecutive failed block transfers
 	// after which a cloud is excluded from the current plan.
 	DeadAfter int
-	// SpeedCutoff excludes a cloud from download dispatch while its
-	// probed per-connection throughput is more than this factor below
-	// the fastest cloud that still has work: handing a block to a
-	// far slower cloud pins that block (the per-segment budget is k)
-	// until the slow cloud delivers, which is exactly what the
-	// paper's fastest-clouds-first download rule avoids. Unprobed
-	// clouds are always eligible. Default 4.
-	SpeedCutoff float64
 	// Clock paces retry backoff; defaults to the real clock.
 	Clock vclock.Clock
 	// Obs receives the engine's metrics (per-block retries, straggler
@@ -112,9 +106,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 3
-	}
-	if c.SpeedCutoff <= 0 {
-		c.SpeedCutoff = 4
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real{}
@@ -366,6 +357,11 @@ func (e *Engine) UploadBatch(ctx context.Context, items []UploadItem, stop func(
 	for _, it := range items {
 		it.Plan.SetObs(e.cfg.Obs)
 	}
+	// rankBytes is the transfer size clouds are ranked for: the largest
+	// block landed so far. The first dispatch ranks by latency alone,
+	// which costs nothing — every cloud has idle connections and its own
+	// fair share to send; the order only decides who gets the extras.
+	var rankBytes int64
 	batchStart := e.cfg.Clock.Now()
 	var bytesOK int64
 	stopped := false
@@ -478,7 +474,7 @@ func (e *Engine) UploadBatch(ctx context.Context, items []UploadItem, stop func(
 		}
 		// Fastest clouds get first pick of the work (and of the
 		// over-provisioned extras).
-		for _, name := range e.prober.Rank(e.names, sched.Up) {
+		for _, name := range e.prober.Rank(e.names, sched.Up, rankBytes) {
 			if d.dead[name] || d.full[name] {
 				continue
 			}
@@ -613,6 +609,9 @@ func (e *Engine) UploadBatch(ctx context.Context, items []UploadItem, stop func(
 				reg.Counter("transfer.up.overprovisioned").Inc()
 			}
 			bytesOK += r.size
+			if r.size > rankBytes {
+				rankBytes = r.size
+			}
 			plan.Complete(r.cloudName, r.blockID)
 			// A landed block can unlock work that NextBlock refused
 			// earlier — the uploader's own fair share completing opens
@@ -620,7 +619,6 @@ func (e *Engine) UploadBatch(ctx context.Context, items []UploadItem, stop func(
 			// the spare slots held back for orphaned blocks. Make the
 			// item findable on every live queue again.
 			requeueItem(r.item)
-			e.prober.Observe(r.cloudName, sched.Up, r.size, r.dur)
 			d.markOutcome(r.cloudName, nil)
 		}
 		if ctx.Err() != nil {
@@ -678,6 +676,10 @@ type DownloadItem struct {
 	Plan *sched.DownloadPlan
 	// SegID names the segment.
 	SegID string
+	// Size is the expected size of one coded block, ⌈segment length ÷
+	// K⌉ — what the dispatcher asks the prober to estimate when it
+	// picks a source. Zero (unknown) selects by latency alone.
+	Size int64
 	// Done, when non-nil, is invoked once from the dispatcher as soon
 	// as this item's plan completes, with the item's fetched blocks —
 	// before the rest of the batch finishes. Callers use it to
@@ -718,9 +720,11 @@ func (e *Engine) DownloadSegment(ctx context.Context, plan *sched.DownloadPlan, 
 }
 
 // DownloadBatch runs several segments' download plans through one
-// dispatcher — idle connections of the fastest clouds always serve
-// the earliest unfinished segment — and returns each item's fetched
-// blocks, indexed like items. Individual segments may come back
+// dispatcher — an idle connection serves the earliest unfinished
+// segment its cloud is admitted for (sched.AdmitDownload: the block
+// would not finish later there than by waiting for the faster
+// holders) — and returns each item's fetched blocks, indexed like
+// items. Individual segments may come back
 // incomplete (fewer than K blocks) when too many clouds failed; the
 // caller checks each plan's Done.
 //
@@ -814,34 +818,28 @@ func (e *Engine) DownloadBatch(ctx context.Context, items []DownloadItem) ([]map
 		}
 	}
 
+	// unassigned is the payload the batch has not handed out yet: each
+	// plan's K minus its fetched and in-flight blocks, at the item's
+	// block size. account(i) re-reads item i's plan after anything that
+	// moved it.
+	rem := make([]int, len(items))
+	var unassigned, rankBytes int64
+	account := func(i int) {
+		n := items[i].Plan.Unassigned()
+		unassigned += int64(n-rem[i]) * items[i].Size
+		rem[i] = n
+	}
+	for i, it := range items {
+		account(i)
+		if it.Size > rankBytes {
+			rankBytes = it.Size
+		}
+	}
+
 	dispatch := func() {
-		ranked := e.prober.Rank(e.names, sched.Down)
-		// The fastest cloud that can still contribute sets the speed
-		// bar: a cloud SpeedCutoff× slower is skipped — its blocks
-		// wait for a fast connection instead of pinning the
-		// per-segment budget on a straw. Only clouds that actually
-		// hold needed blocks raise the bar, so blocks living solely
-		// on slow clouds are never starved. Answered from the pending
-		// queue (compacting spent entries as a side effect), not by
-		// scanning every plan.
-		hasWork := func(name string) bool {
-			q := pending[name]
-			for len(q) > 0 && !items[q[0]].Plan.HasWork(name) {
-				q = q[1:]
-			}
-			pending[name] = q
-			return len(q) > 0
-		}
-		var fastest float64
-		for _, name := range ranked {
-			if !hasWork(name) {
-				continue
-			}
-			if tp := e.prober.Throughput(name, sched.Down); tp > fastest {
-				fastest = tp
-			}
-		}
-		for _, name := range ranked {
+		// Breakers first, so that every walk below sees the same live set.
+		live := make([]string, 0, len(e.names))
+		for _, name := range e.prober.Rank(e.names, sched.Down, rankBytes) {
 			if d.dead[name] {
 				continue
 			}
@@ -852,37 +850,55 @@ func (e *Engine) DownloadBatch(ctx context.Context, items []DownloadItem) ([]map
 				markDeadForBatch(name)
 				continue
 			}
-			tp := e.prober.Throughput(name, sched.Down)
-			if e.prober.Samples(name, sched.Down) > 0 && tp*e.cfg.SpeedCutoff < fastest {
-				continue
-			}
-			for d.idle[name] > 0 {
-				if len(pending[name]) == 0 {
-					break
+			live = append(live, name)
+		}
+		others := make([]string, 0, len(live))
+		for _, name := range live {
+			// Walk the queue in place: entries the plan has nothing for
+			// are spent and dropped; entries the admission rule refuses
+			// stay (the bar moves with every block handed out), and the
+			// walk goes on behind them — a later segment may need this
+			// cloud for its K-th block.
+			q := pending[name]
+			kept := q[:0]
+			pos := 0
+			for pos < len(q) && d.idle[name] > 0 {
+				i := q[pos]
+				plan := items[i].Plan
+				if !plan.HasWork(name) {
+					pos++
+					continue
 				}
-				// Shared slot before NextBlock, as in the upload path.
+				// The holders that could take this block instead.
+				others = others[:0]
+				for _, o := range live {
+					if o != name && plan.HasWork(o) {
+						others = append(others, o)
+					}
+				}
+				if !sched.AdmitDownload(e.prober, plan, name, others,
+					e.cfg.ConnsPerCloud, items[i].Size, unassigned) {
+					kept = append(kept, i)
+					pos++
+					continue
+				}
+				// The shared slot is claimed BEFORE NextBlock, as in the
+				// upload path.
 				if !d.acquireFair(name) {
 					break
 				}
-				q := pending[name]
-				dispatched := false
-				for len(q) > 0 {
-					i := q[0]
-					blockID, ok := items[i].Plan.NextBlock(name)
-					if !ok {
-						q = q[1:]
-						continue
-					}
-					launch(i, name, blockID)
-					dispatched = true
-					break
-				}
-				pending[name] = q
-				if !dispatched {
+				blockID, ok := plan.NextBlock(name)
+				if !ok {
 					d.releaseFair(name)
-					break
+					pos++
+					continue
 				}
+				// The entry stays at the front: the plan may hold another
+				// block for this cloud.
+				launch(i, name, blockID)
+				account(i)
 			}
+			pending[name] = append(kept, q[pos:]...)
 		}
 	}
 
@@ -1053,6 +1069,7 @@ func (e *Engine) DownloadBatch(ctx context.Context, items []DownloadItem) ([]map
 			// The failed block is back on some holder's queue; make the
 			// item findable there again.
 			requeueItem(r.item)
+			account(r.item)
 			e.prober.ObserveFailure(r.cloudName, sched.Down)
 		} else {
 			f.done = true
@@ -1074,8 +1091,8 @@ func (e *Engine) DownloadBatch(ctx context.Context, items []DownloadItem) ([]map
 			bytesOK += r.size
 			plan.Complete(r.cloudName, r.blockID)
 			blocks[r.item][r.blockID] = r.data
-			e.prober.Observe(r.cloudName, sched.Down, r.size, r.dur)
 			d.markOutcome(r.cloudName, nil)
+			account(r.item)
 			// Completion callbacks fire here, on the dispatcher's own
 			// goroutine (the DownloadBatch caller), never concurrently —
 			// the serialization contract documented on DownloadItem.Done.

@@ -303,11 +303,14 @@ func TestOverProvisioningFavoursFastClouds(t *testing.T) {
 	host := env.NewHost(netsim.LocationProfile{Name: "here", UplinkMbps: 10000, DownlinkMbps: 10000})
 	var clouds []cloud.Interface
 	var names []string
+	// Wrapped as core wraps them: the prober hears of a block only
+	// through Probing.
+	prober := sched.NewProber(0)
 	for _, p := range profiles {
-		clouds = append(clouds, cloudsim.NewClient(cloudsim.NewStore(p.Name, 0), host))
+		clouds = append(clouds, NewProbing(cloudsim.NewClient(cloudsim.NewStore(p.Name, 0), host), prober, clk))
 		names = append(names, p.Name)
 	}
-	engine := New(clouds, sched.NewProber(0), Config{Clock: clk, ConnsPerCloud: 2})
+	engine := New(clouds, prober, Config{Clock: clk, ConnsPerCloud: 2})
 
 	params := sched.Params{N: 4, K: 4, Kr: 2, Ks: 2} // fair 2, maxPC 3, normal 8, max 12
 	coder, err := erasure.NewCoder(params.K, params.CodeN())
@@ -378,26 +381,46 @@ func TestDeleteBlocks(t *testing.T) {
 	}
 }
 
+// TestProberFedByTransfers: block transfers reach the prober through
+// the Probing wrapper and nowhere else — the engine does not observe
+// them a second time.
 func TestProberFedByTransfers(t *testing.T) {
-	r := newDirectRig(t, 5)
-	seg := make([]byte, 400)
-	rand.New(rand.NewSource(10)).Read(seg)
-	plan, err := sched.NewUploadPlan(paperParams, r.names)
-	if err != nil {
-		t.Fatal(err)
+	upload := func(wrap bool) (*sched.Prober, []string) {
+		prober := sched.NewProber(0)
+		var clouds []cloud.Interface
+		var names []string
+		for i := 0; i < 5; i++ {
+			var c cloud.Interface = cloudsim.NewDirect(cloudsim.NewStore(fmt.Sprintf("c%d", i), 0))
+			if wrap {
+				c = NewProbing(c, prober, vclock.Real{})
+			}
+			clouds = append(clouds, c)
+			names = append(names, c.Name())
+		}
+		seg := make([]byte, 400)
+		rand.New(rand.NewSource(10)).Read(seg)
+		plan, err := sched.NewUploadPlan(paperParams, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine := New(clouds, prober, Config{})
+		if err := engine.UploadSegment(context.Background(), plan, "segP",
+			coderSource(t, paperCoder(t), seg), nil); err != nil {
+			t.Fatal(err)
+		}
+		return prober, names
 	}
-	if err := r.engine.UploadSegment(context.Background(), plan, "segP",
-		coderSource(t, paperCoder(t), seg), nil); err != nil {
-		t.Fatal(err)
-	}
-	sampled := 0
-	for _, n := range r.names {
-		if r.engine.Prober().Samples(n, sched.Up) > 0 {
-			sampled++
+	prober, names := upload(true)
+	for _, n := range names {
+		if !estimated(prober, n, sched.Up) {
+			t.Fatalf("no prober sample for %s despite its fair-share upload", n)
 		}
 	}
-	if sampled == 0 {
-		t.Fatal("no prober samples recorded by uploads")
+	prober, names = upload(false)
+	for _, n := range names {
+		if estimated(prober, n, sched.Up) {
+			t.Fatalf("%s observed without the Probing wrapper: the engine must not observe transfers itself", n)
+		}
 	}
 }
 
