@@ -1,79 +1,46 @@
 package capacity
 
 import (
-	"context"
 	"errors"
 
 	"unidrive/internal/cloud"
 )
 
-// Observer wraps a cloud.Interface and feeds every upload and delete
-// outcome into the Tracker. It sits directly above the raw connector
-// (below the health Guard in the core stack), so it sees exactly the
-// requests that reached the provider: every ErrQuotaExceeded the
-// cloud actually returned is observed once — the invariant the chaos
-// soaks reconcile — and fail-fast circuit-breaker rejections, which
-// never reached the cloud, are never miscounted as quota evidence.
+// ObserveCall is the tracker's cloud.Observer: it feeds every upload
+// and delete outcome into the Tracker. The chain tells observers only
+// of requests that reached the provider, so every ErrQuotaExceeded
+// the cloud actually returned is observed exactly once — the
+// invariant the chaos soaks reconcile — and fail-fast circuit-breaker
+// rejections, which never reached the cloud, are never miscounted as
+// quota evidence.
 //
-// Unlike the health Guard the Observer gates nothing: a full cloud
-// must keep serving downloads, lists and lock traffic, and even its
-// uploads are allowed through (the transfer engine stops PLANNING
-// work onto full clouds; requests that still arrive — lock flags,
-// metadata deltas, probes — are the recovery signal).
-type Observer struct {
-	inner   cloud.Interface
-	tracker *Tracker
+// Observing gates nothing: a full cloud must keep serving downloads,
+// lists and lock traffic, and even its uploads are allowed through
+// (the transfer engine stops PLANNING work onto full clouds; requests
+// that still arrive — lock flags, metadata deltas, probes — are the
+// recovery signal).
+func (t *Tracker) ObserveCall(c cloud.Call) {
+	switch {
+	case c.Op == cloud.OpUpload && c.Err == nil:
+		// Proof of space.
+		t.ObserveUpload(c.Cloud, c.BytesUp)
+	case c.Op == cloud.OpUpload && errors.Is(c.Err, cloud.ErrQuotaExceeded):
+		// Proof of none.
+		t.ObserveQuotaExceeded(c.Cloud)
+	case c.Op == cloud.OpDelete && c.Err == nil:
+		// A successful delete is a probe-after-free signal; the
+		// interface does not expose the freed object's size, so the
+		// Tracker credits at least one byte. A failed delete freed
+		// nothing. Reads say nothing about quota.
+		t.ObserveDelete(c.Cloud, 0)
+	}
 }
 
-var _ cloud.Interface = (*Observer)(nil)
-
-// Wrap returns inner with capacity observation. A nil tracker returns
-// inner unchanged.
+// Wrap returns inner in a chain whose only observer is the tracker. A
+// nil tracker returns inner unchanged.
 func (t *Tracker) Wrap(inner cloud.Interface) cloud.Interface {
 	if t == nil {
 		return inner
 	}
-	return &Observer{inner: inner, tracker: t}
-}
-
-// Name implements cloud.Interface.
-func (o *Observer) Name() string { return o.inner.Name() }
-
-// Upload implements cloud.Interface, recording success (proof of
-// space) and quota rejection (proof of none).
-func (o *Observer) Upload(ctx context.Context, path string, data []byte) error {
-	err := o.inner.Upload(ctx, path, data)
-	switch {
-	case err == nil:
-		o.tracker.ObserveUpload(o.inner.Name(), int64(len(data)))
-	case errors.Is(err, cloud.ErrQuotaExceeded):
-		o.tracker.ObserveQuotaExceeded(o.inner.Name())
-	}
-	return err
-}
-
-// Download implements cloud.Interface; reads say nothing about quota.
-func (o *Observer) Download(ctx context.Context, path string) ([]byte, error) {
-	return o.inner.Download(ctx, path)
-}
-
-// CreateDir implements cloud.Interface.
-func (o *Observer) CreateDir(ctx context.Context, path string) error {
-	return o.inner.CreateDir(ctx, path)
-}
-
-// List implements cloud.Interface.
-func (o *Observer) List(ctx context.Context, path string) ([]cloud.Entry, error) {
-	return o.inner.List(ctx, path)
-}
-
-// Delete implements cloud.Interface. A successful delete is a
-// probe-after-free signal; the interface does not expose the freed
-// object's size, so the Tracker credits at least one byte.
-func (o *Observer) Delete(ctx context.Context, path string) error {
-	err := o.inner.Delete(ctx, path)
-	if err == nil {
-		o.tracker.ObserveDelete(o.inner.Name(), 0)
-	}
-	return err
+	return cloud.NewChain(inner, t.cfg.Clock, nil, t.ObserveCall)
 }

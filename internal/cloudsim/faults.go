@@ -412,9 +412,10 @@ func (c CallCounts) Minus(o CallCounts) CallCounts {
 // Recorder wraps a cloud.Interface and counts calls and payload
 // bytes; tests and the overhead accounting use it to verify protocol
 // frugality (e.g. that the version-file fast path avoids metadata
-// downloads).
+// downloads). It is a cloud.Chain with one observer, its own
+// accounting.
 type Recorder struct {
-	inner cloud.Interface
+	*cloud.Chain
 
 	mu            sync.Mutex
 	counts        CallCounts
@@ -426,11 +427,55 @@ type Recorder struct {
 	uploadedSizes []int64
 }
 
-var _ cloud.Interface = (*Recorder)(nil)
-
 // NewRecorder wraps inner with call accounting.
 func NewRecorder(inner cloud.Interface) *Recorder {
-	return &Recorder{inner: inner}
+	r := &Recorder{byPath: make(map[string]*CallCounts)}
+	r.Chain = cloud.NewChain(inner, nil, nil, r.observe)
+	return r
+}
+
+// counter returns the field of c that counts op.
+func (c *CallCounts) counter(op cloud.Op) *int {
+	switch op {
+	case cloud.OpUpload:
+		return &c.Upload
+	case cloud.OpDownload:
+		return &c.Download
+	case cloud.OpCreateDir:
+		return &c.CreateDir
+	case cloud.OpList:
+		return &c.List
+	default:
+		return &c.Delete
+	}
+}
+
+// observe counts one finished call, overall and against its path.
+// Payload bytes and paths are recorded only for successful transfers,
+// so retried attempts do not inflate the payload accounting; only
+// network-class errors (transient, outage) of an upload or download
+// count as failures for the availability statistics.
+func (r *Recorder) observe(c cloud.Call) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	*r.counts.counter(c.Op)++
+	p := r.byPath[c.Path]
+	if p == nil {
+		p = new(CallCounts)
+		r.byPath[c.Path] = p
+	}
+	*p.counter(c.Op)++
+	transfer := c.Op == cloud.OpUpload || c.Op == cloud.OpDownload
+	switch {
+	case c.Err == nil && c.Op == cloud.OpUpload:
+		r.bytesUp += c.BytesUp
+		r.uploadedPaths = append(r.uploadedPaths, c.Path)
+		r.uploadedSizes = append(r.uploadedSizes, c.BytesUp)
+	case c.Err == nil:
+		r.bytesDown += c.BytesDown
+	case transfer && (errors.Is(c.Err, cloud.ErrTransient) || errors.Is(c.Err, cloud.ErrUnavailable)):
+		*r.failures.counter(c.Op)++
+	}
 }
 
 // Counts returns a snapshot of the per-operation call counts.
@@ -454,22 +499,6 @@ func (r *Recorder) CountsUnder(prefix string) CallCounts {
 		}
 	}
 	return sum
-}
-
-// note counts one call, overall and against its path.
-func (r *Recorder) note(path string, bump func(*CallCounts)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	bump(&r.counts)
-	c := r.byPath[path]
-	if c == nil {
-		if r.byPath == nil {
-			r.byPath = make(map[string]*CallCounts)
-		}
-		c = new(CallCounts)
-		r.byPath[path] = c
-	}
-	bump(c)
 }
 
 // Bytes returns the cumulative uploaded and downloaded payload bytes.
@@ -507,67 +536,4 @@ func (r *Recorder) FailureCounts() CallCounts {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.failures
-}
-
-// Name implements cloud.Interface.
-func (r *Recorder) Name() string { return r.inner.Name() }
-
-// noteFailure counts network-class errors for availability stats.
-func (r *Recorder) noteFailure(err error, bump func(*CallCounts)) {
-	if err == nil {
-		return
-	}
-	if errors.Is(err, cloud.ErrTransient) || errors.Is(err, cloud.ErrUnavailable) {
-		r.mu.Lock()
-		bump(&r.failures)
-		r.mu.Unlock()
-	}
-}
-
-// Upload implements cloud.Interface. Payload bytes and paths are
-// recorded only for successful uploads, so retried attempts do not
-// inflate the payload accounting.
-func (r *Recorder) Upload(ctx context.Context, path string, data []byte) error {
-	r.note(path, func(c *CallCounts) { c.Upload++ })
-	err := r.inner.Upload(ctx, path, data)
-	if err == nil {
-		r.mu.Lock()
-		r.bytesUp += int64(len(data))
-		r.uploadedPaths = append(r.uploadedPaths, path)
-		r.uploadedSizes = append(r.uploadedSizes, int64(len(data)))
-		r.mu.Unlock()
-	}
-	r.noteFailure(err, func(c *CallCounts) { c.Upload++ })
-	return err
-}
-
-// Download implements cloud.Interface.
-func (r *Recorder) Download(ctx context.Context, path string) ([]byte, error) {
-	r.note(path, func(c *CallCounts) { c.Download++ })
-	data, err := r.inner.Download(ctx, path)
-	if err == nil {
-		r.mu.Lock()
-		r.bytesDown += int64(len(data))
-		r.mu.Unlock()
-	}
-	r.noteFailure(err, func(c *CallCounts) { c.Download++ })
-	return data, err
-}
-
-// CreateDir implements cloud.Interface.
-func (r *Recorder) CreateDir(ctx context.Context, path string) error {
-	r.note(path, func(c *CallCounts) { c.CreateDir++ })
-	return r.inner.CreateDir(ctx, path)
-}
-
-// List implements cloud.Interface.
-func (r *Recorder) List(ctx context.Context, path string) ([]cloud.Entry, error) {
-	r.note(path, func(c *CallCounts) { c.List++ })
-	return r.inner.List(ctx, path)
-}
-
-// Delete implements cloud.Interface.
-func (r *Recorder) Delete(ctx context.Context, path string) error {
-	r.note(path, func(c *CallCounts) { c.Delete++ })
-	return r.inner.Delete(ctx, path)
 }

@@ -123,14 +123,14 @@ type Config struct {
 	// quorum lock's protocol counters.
 	Obs *obs.Registry
 	// Health, when non-nil, adds per-cloud circuit breakers: every
-	// cloud is wrapped in a breaker guard, the transfer engine fails
+	// cloud's call chain is gated by its breaker, the transfer engine fails
 	// blocks over to healthy clouds when a breaker opens (and hedges
 	// straggling downloads), and the quorum lock skips open-breaker
 	// clouds. Build one with health.NewDefaultTracker, sharing the
 	// same Clock and Obs as this config.
 	Health *health.Tracker
 	// Capacity, when non-nil, adds per-cloud quota-exhaustion tracking:
-	// every cloud is wrapped in a capacity observer (so each real
+	// the tracker observes every cloud's call chain (so each real
 	// ErrQuotaExceeded is counted exactly once), the transfer engine
 	// stops planning uploads onto Full clouds and re-plans quota-
 	// rejected blocks onto clouds with space, segments that cannot
@@ -204,14 +204,12 @@ type Client struct {
 	cfg    Config
 	params sched.Params
 
-	clouds  []cloud.Interface
-	names   []string
+	// stack is everything built over the cloud set; SetClouds replaces
+	// it whole.
+	stack
 	folder  localfs.Folder
 	scanner *localfs.Scanner
 	chnk    *chunker.Chunker
-	engine  *transfer.Engine
-	store   *deltasync.Store
-	locks   *qlock.Manager
 	changes *meta.ChangedFileList
 	journal *journal.Journal
 	// crash is the test-only seeded crash harness (see crash.go).
@@ -235,6 +233,91 @@ type Client struct {
 
 	// ckpt is the write cursor of the state checkpoint (see persist.go).
 	ckpt checkpointCursor
+}
+
+// stack is the part of a Client that is built over the cloud set: the
+// chained clouds and the three components that talk to them.
+type stack struct {
+	clouds []cloud.Interface
+	names  []string
+	engine *transfer.Engine
+	store  *deltasync.Store
+	locks  *qlock.Manager
+}
+
+// newStack puts every raw connector behind its cloud call chain and
+// builds the transfer engine, metadata store and lock manager over
+// the result. New and SetClouds both come through here, so a
+// rebalanced client is wired exactly like a fresh one.
+//
+// The chain order is fixed here. One request produces one cloud.Call,
+// delivered in this order to:
+//
+//  1. the op table (cfg.Obs) — first, so that one recorded row entry is
+//     one real API request whatever the later observers make of it;
+//  2. the capacity tracker — it must see exactly the requests that
+//     reached the provider (quota rejections reconcile one-for-one
+//     against the simulator in the chaos soaks);
+//  3. the cloud's breaker — which is also the chain's gate: a call it
+//     refuses fails fast with cloud.ErrCircuitOpen and is told to
+//     nobody, because a refusal is not an API request (no op-table
+//     row) and not capacity evidence;
+//  4. the prober — last: ALL admitted traffic (version checks,
+//     metadata, lock flags, blocks) doubles as an in-channel probe
+//     (paper §6.2), and control-plane calls touch every cloud early,
+//     so the schedulers have a ranking before the first block moves.
+func newStack(cfg Config, raw []cloud.Interface, prober *sched.Prober, cipher *metacrypt.Cipher) stack {
+	st := stack{clouds: make([]cloud.Interface, len(raw)), names: make([]string, len(raw))}
+	for i, c := range raw {
+		var observers []cloud.Observer
+		var gate cloud.Gate
+		if cfg.Obs != nil {
+			observers = append(observers, cfg.Obs.ObserveCall)
+		}
+		if cfg.Capacity != nil {
+			observers = append(observers, cfg.Capacity.ObserveCall)
+		}
+		if cfg.Health != nil {
+			breaker := cfg.Health.Breaker(c.Name())
+			gate, observers = breaker, append(observers, breaker.ObserveCall)
+		}
+		st.clouds[i] = cloud.NewChain(c, cfg.Clock, gate, append(observers, prober.ObserveCall)...)
+		st.names[i] = c.Name()
+	}
+	sort.Strings(st.names)
+	st.engine = transfer.New(st.clouds, prober, transfer.Config{
+		ConnsPerCloud: cfg.ConnsPerCloud,
+		Clock:         cfg.Clock,
+		Obs:           cfg.Obs,
+		Health:        cfg.Health,
+		Capacity:      cfg.Capacity,
+		Fair:          cfg.Fair,
+		Tenant:        cfg.TenantID,
+	})
+	// LazyBase: the client never needs the store's full-image encode on
+	// commits that don't rotate — with event-driven passes the commit
+	// rate goes up and the per-commit cost must stay O(changes), not
+	// O(folder).
+	st.store = deltasync.New(st.clouds, cipher, deltasync.Config{
+		Device: cfg.Device, LazyBase: true, Obs: cfg.Obs,
+	})
+	st.locks = qlock.New(st.clouds, qlock.Config{
+		Device: cfg.Device,
+		Expiry: cfg.LockExpiry,
+		Clock:  cfg.Clock,
+		Obs:    cfg.Obs,
+		Health: voteGate{Health: cfg.Health, Capacity: cfg.Capacity},
+	})
+	return st
+}
+
+// voteGate adapts the eligibility view to the lock manager's Health
+// interface: a cloud takes part in a lock round while it holds a
+// quorum vote.
+type voteGate transfer.Eligibility
+
+func (g voteGate) Admits(cloudName string) bool {
+	return transfer.Eligibility(g).HoldsVote(cloudName)
 }
 
 // New creates a UniDrive client over the given clouds and local
@@ -263,70 +346,15 @@ func New(clouds []cloud.Interface, folder localfs.Folder, cfg Config) (*Client, 
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(clouds))
-	for i, c := range clouds {
-		names[i] = c.Name()
-	}
-	sort.Strings(names)
-	// Every cloud is wrapped so that ALL traffic — version checks,
-	// metadata, lock flags, blocks — doubles as an in-channel
-	// bandwidth probe (paper §6.2). Control-plane calls touch every
-	// cloud early, so the schedulers have a throughput ranking before
-	// the first data block moves.
 	prober := sched.NewProber(0)
 	prober.SetObs(cfg.Obs)
-	probed := make([]cloud.Interface, len(clouds))
-	for i, c := range clouds {
-		// The instrumenting wrapper sits directly on the raw connector
-		// so one recorded op-table row is one real API request; the
-		// breaker guard stacks above it (a rejected call is not an API
-		// request and must not appear in the op table), the probing
-		// wrapper on top.
-		if cfg.Obs != nil {
-			c = obs.Instrument(c, cfg.Obs, cfg.Clock)
-		}
-		// The capacity observer sits between the instrument and the
-		// breaker guard: it must see exactly the requests that reached
-		// the provider (quota rejections reconcile one-for-one against
-		// the simulator in chaos soaks), and a breaker fail-fast is not
-		// capacity evidence.
-		c = cfg.Capacity.Wrap(c)
-		if cfg.Health != nil {
-			c = cfg.Health.Wrap(c)
-		}
-		probed[i] = transfer.NewProbing(c, prober, cfg.Clock)
-	}
 	cl := &Client{
-		cfg:     cfg,
-		params:  params,
-		clouds:  probed,
-		names:   names,
-		folder:  folder,
-		scanner: localfs.NewScanner(folder),
-		chnk:    chnk,
-		engine: transfer.New(probed, prober, transfer.Config{
-			ConnsPerCloud: cfg.ConnsPerCloud,
-			Clock:         cfg.Clock,
-			Obs:           cfg.Obs,
-			Health:        cfg.Health,
-			Capacity:      cfg.Capacity,
-			Fair:          cfg.Fair,
-			Tenant:        cfg.TenantID,
-		}),
-		// LazyBase: the client never needs the store's full-image encode
-		// on commits that don't rotate — with event-driven passes the
-		// commit rate goes up and the per-commit cost must stay
-		// O(changes), not O(folder).
-		store: deltasync.New(probed, cipher, deltasync.Config{
-			Device: cfg.Device, LazyBase: true, Obs: cfg.Obs,
-		}),
-		locks: qlock.New(probed, qlock.Config{
-			Device: cfg.Device,
-			Expiry: cfg.LockExpiry,
-			Clock:  cfg.Clock,
-			Obs:    cfg.Obs,
-			Health: healthGate(cfg.Health),
-		}),
+		cfg:       cfg,
+		params:    params,
+		folder:    folder,
+		scanner:   localfs.NewScanner(folder),
+		chnk:      chnk,
+		stack:     newStack(cfg, clouds, prober, cipher),
 		changes:   meta.NewChangedFileList(),
 		last:      meta.NewImage(),
 		segData:   make(map[string][]byte),
@@ -367,16 +395,6 @@ func (c *Client) Health() *health.Tracker { return c.cfg.Health }
 // Capacity returns the client's quota-exhaustion tracker (nil when
 // none was configured).
 func (c *Client) Capacity() *capacity.Tracker { return c.cfg.Capacity }
-
-// healthGate adapts an optional tracker to qlock's Health interface;
-// a plain nil-tracker assignment would produce a non-nil interface
-// holding a nil pointer.
-func healthGate(t *health.Tracker) qlock.Health {
-	if t == nil {
-		return nil
-	}
-	return t
-}
 
 // Image returns a deep copy of the device's current view of the
 // committed metadata.

@@ -92,9 +92,9 @@ func (c *Client) TrimOverProvisioned(ctx context.Context) (int, error) {
 // share — from the full clouds only, committing the reduced
 // placements first. Fair-share blocks and every block on a cloud with
 // space are untouched, so no segment loses redundancy it is entitled
-// to; the freed bytes flow through the capacity observer and reopen
-// the cloud for a probe. It returns the number of blocks deleted, 0
-// without work (no tracker, nothing Full, nothing over-provisioned).
+// to; the capacity tracker observes the deletes and reopens the cloud
+// for a probe. It returns the number of blocks deleted, 0 without work
+// (no tracker, nothing Full, nothing over-provisioned).
 func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 	tracker := c.cfg.Capacity
 	if !tracker.AnyFull() {

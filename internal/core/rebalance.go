@@ -7,13 +7,10 @@ import (
 	"time"
 
 	"unidrive/internal/cloud"
-	"unidrive/internal/deltasync"
 	"unidrive/internal/erasure"
 	"unidrive/internal/meta"
 	"unidrive/internal/metacrypt"
-	"unidrive/internal/qlock"
 	"unidrive/internal/sched"
-	"unidrive/internal/transfer"
 )
 
 // SetClouds changes the client's cloud set (paper §6.2, "Adding or
@@ -30,20 +27,25 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 	if len(newClouds) == 0 {
 		return fmt.Errorf("core: cannot rebalance to zero clouds")
 	}
-	newNames := make([]string, len(newClouds))
-	byName := make(map[string]cloud.Interface, len(newClouds))
-	for i, cl := range newClouds {
-		newNames[i] = cl.Name()
-		byName[cl.Name()] = cl
-	}
-	sort.Strings(newNames)
-
 	newCfg := c.cfg
 	newCfg.Kr, newCfg.Ks = 0, 0 // re-derive for the new N
 	newCfg.fillDefaults(len(newClouds))
 	newParams := sched.Params{N: len(newClouds), K: newCfg.K, Kr: newCfg.Kr, Ks: newCfg.Ks}
 	if err := newParams.Validate(); err != nil {
 		return err
+	}
+	cipher, err := metacrypt.New(c.cfg.CipherAlg, c.cfg.Passphrase)
+	if err != nil {
+		return err
+	}
+	// The new set is wired exactly like New wires a fresh client, on
+	// the same prober: every request below — the rebalance's own block
+	// moves included — goes through the cloud call chain.
+	next := newStack(newCfg, newClouds, c.engine.Prober(), cipher)
+	newNames := next.names
+	byName := make(map[string]cloud.Interface, len(next.clouds))
+	for _, cl := range next.clouds {
+		byName[cl.Name()] = cl
 	}
 
 	lock, err := c.locks.Acquire(ctx)
@@ -105,51 +107,26 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 		})
 	}
 
-	// Commit the new placements through a store over the NEW cloud
+	// Commit the new placements through the store over the NEW cloud
 	// set; its fetch adopts the latest state from the overlapping
 	// clouds, and its commit fully repairs brand-new ones.
-	cipher, err := metacrypt.New(c.cfg.CipherAlg, c.cfg.Passphrase)
-	if err != nil {
-		return err
-	}
-	newStore := deltasync.New(newClouds, cipher, deltasync.Config{
-		Device: c.cfg.Device, LazyBase: true, Obs: c.cfg.Obs,
-	})
-	if _, err := newStore.Fetch(ctx); err != nil {
+	if _, err := next.store.Fetch(ctx); err != nil {
 		return err
 	}
 	if len(relocates) > 0 {
 		if !lock.Valid() {
 			return fmt.Errorf("core: quorum lock lost during rebalance")
 		}
-		if _, err := newStore.Commit(ctx, relocates); err != nil {
+		if _, err := next.store.Commit(ctx, relocates); err != nil {
 			return err
 		}
 	}
 
-	// Switch the client over (wrapping the new clouds for in-channel
-	// probing like New does).
-	prober := c.engine.Prober()
-	probed := make([]cloud.Interface, len(newClouds))
-	for i, cl := range newClouds {
-		probed[i] = transfer.NewProbing(cl, prober, newCfg.Clock)
-	}
 	c.mu.Lock()
-	c.clouds = probed
-	c.names = newNames
+	c.stack = next
 	c.params = newParams
 	c.cfg = newCfg
-	c.engine = transfer.New(probed, prober, transfer.Config{
-		ConnsPerCloud: newCfg.ConnsPerCloud,
-		Clock:         newCfg.Clock,
-	})
-	c.store = newStore
-	c.locks = qlock.New(probed, qlock.Config{
-		Device: newCfg.Device,
-		Expiry: newCfg.LockExpiry,
-		Clock:  newCfg.Clock,
-	})
-	c.last = newStore.Cached()
+	c.last = next.store.Cached()
 	c.mu.Unlock()
 	return nil
 }

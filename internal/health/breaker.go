@@ -95,8 +95,8 @@ func (b *Breaker) Latency() float64 {
 
 // Allow reports whether a request may proceed. While half-open it
 // admits at most Config.HalfOpenProbes unreported probe requests;
-// every admission must be matched by a Report call (the Guard wrapper
-// pairs them).
+// every admission must be matched by a Report call (the cloud chain
+// pairs them: the breaker is both its gate and one of its observers).
 func (b *Breaker) Allow() bool {
 	b.t.mu.Lock()
 	defer b.t.mu.Unlock()
@@ -138,12 +138,18 @@ func (b *Breaker) Report(err error, latency time.Duration) {
 	b.reportSuccessLocked(latency)
 }
 
+// ObserveCall is the breaker's cloud.Observer: the outcome and
+// latency of a request the breaker admitted. The chain tells no
+// observer of a call its gate refused, so the breaker only ever
+// learns from real cloud outcomes.
+func (b *Breaker) ObserveCall(c cloud.Call) { b.Report(c.Err, c.Latency) }
+
 // ReportCorrupt feeds one integrity failure into the breaker:
 // the cloud returned bytes that failed their checksum. Corruption is
-// detected above the Guard (the transfer engine compares content
+// detected above the chain (the transfer engine compares content
 // against metadata), so unlike Report it is not paired with an Allow
 // admission and must not touch the half-open probe accounting — the
-// Guard already reported the transport-level success of the same
+// chain already reported the transport-level success of the same
 // call. It counts as a plain (non-outage) failure: enough corrupt
 // answers trip the breaker exactly like enough request errors.
 func (b *Breaker) ReportCorrupt() {

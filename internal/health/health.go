@@ -11,7 +11,7 @@
 //	   ▲                                                 │
 //	   └──(probe successes)──────────────────────────────┘
 //
-// While a breaker is open, the Guard wrapper rejects requests locally
+// While a breaker is open, the cloud chain it gates rejects requests
 // with cloud.ErrCircuitOpen instead of burning the retry budget
 // against a cloud that is known to be down; the transfer engine,
 // scheduler and quorum lock treat such a cloud as an outage and route
@@ -180,7 +180,7 @@ func (t *Tracker) breakerLocked(cloudName string) *Breaker {
 // Admits reports whether the named cloud is currently worth planning
 // work on: its breaker is closed, or half-open (probes may flow).
 // Unlike Allow, Admits does not consume a probe slot — schedulers use
-// it to filter candidates, the Guard uses Allow to gate real calls.
+// it to filter candidates, the cloud chain uses Allow to gate real calls.
 func (t *Tracker) Admits(cloudName string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -230,8 +230,11 @@ func (t *Tracker) ReportCorrupt(cloudName string) {
 	t.Breaker(cloudName).ReportCorrupt()
 }
 
-// Wrap returns inner guarded by this tracker: every call is gated on
-// the breaker's Allow and its outcome fed back via Report.
-func (t *Tracker) Wrap(inner cloud.Interface) *Guard {
-	return &Guard{inner: inner, breaker: t.Breaker(inner.Name()), clock: t.cfg.Clock}
+// Wrap returns inner behind this tracker's breaker for the cloud:
+// the breaker gates every call (cloud.Chain fails a refused one fast
+// with cloud.ErrCircuitOpen — no network traffic, no retry budget
+// spent) and observes the outcome of every call it admitted.
+func (t *Tracker) Wrap(inner cloud.Interface) *cloud.Chain {
+	b := t.Breaker(inner.Name())
+	return cloud.NewChain(inner, t.cfg.Clock, b, b.ObserveCall)
 }

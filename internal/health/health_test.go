@@ -257,8 +257,8 @@ func TestGuardFailsFastAndReports(t *testing.T) {
 	if err := g.Upload(ctx, "g", []byte("x")); !errors.Is(err, cloud.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
-	if g.State() != Open {
-		t.Fatalf("state = %v, want Open", g.State())
+	if tr.Breaker("c0").State() != Open {
+		t.Fatalf("state = %v, want Open", tr.Breaker("c0").State())
 	}
 	callsBefore := rec.Counts().Total()
 
@@ -299,8 +299,8 @@ func TestGuardFailsFastAndReports(t *testing.T) {
 			t.Fatalf("probe upload %d: %v", i, err)
 		}
 	}
-	if g.State() != Closed {
-		t.Fatalf("state after probes = %v, want Closed", g.State())
+	if tr.Breaker("c0").State() != Closed {
+		t.Fatalf("state after probes = %v, want Closed", tr.Breaker("c0").State())
 	}
 	if n := reg.Counter("health.breaker.c0.closed").Value(); n != 1 {
 		t.Errorf("closed counter = %d, want 1", n)

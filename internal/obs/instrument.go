@@ -1,83 +1,23 @@
 package obs
 
 import (
-	"context"
-
 	"unidrive/internal/cloud"
 	"unidrive/internal/vclock"
 )
 
-// Instrumented wraps a cloud.Interface so every Web API call is
-// recorded in a Registry's per-cloud operation table: latency, bytes
-// up/down, and error class. It sits directly above the raw connector
-// (below retry loops and the probing wrapper), so one recorded row is
-// exactly one request against the cloud — retries show up as
-// additional rows, which is what lets tests reconcile observed
-// failures against injected ones one-for-one.
-type Instrumented struct {
-	inner cloud.Interface
-	reg   *Registry
-	clock vclock.Clock
+// ObserveCall is the op table's cloud.Observer: one finished Web API
+// request becomes one recorded row entry — latency, bytes up/down and
+// error class. The chain tells observers only of requests that
+// reached the cloud, so one row entry is exactly one request: retries
+// show up as additional entries, which is what lets tests reconcile
+// observed failures against injected ones one-for-one. A nil registry
+// records nothing.
+func (r *Registry) ObserveCall(c cloud.Call) {
+	r.Op(c.Cloud, string(c.Op)).Record(Classify(c.Err), c.BytesUp, c.BytesDown, c.Latency)
 }
 
-var _ cloud.Interface = (*Instrumented)(nil)
-
-// Instrument wraps inner with per-call recording into reg. A nil
-// clock uses the real clock; a nil reg records into the discard
-// instances (the wrapper stays cheap and call sites stay branch-free).
-func Instrument(inner cloud.Interface, reg *Registry, clock vclock.Clock) *Instrumented {
-	if clock == nil {
-		clock = vclock.Real{}
-	}
-	return &Instrumented{inner: inner, reg: reg, clock: clock}
-}
-
-// Unwrap returns the wrapped cloud.
-func (in *Instrumented) Unwrap() cloud.Interface { return in.inner }
-
-// Name implements cloud.Interface.
-func (in *Instrumented) Name() string { return in.inner.Name() }
-
-// Upload implements cloud.Interface.
-func (in *Instrumented) Upload(ctx context.Context, path string, data []byte) error {
-	start := in.clock.Now()
-	err := in.inner.Upload(ctx, path, data)
-	up := int64(0)
-	if err == nil {
-		up = int64(len(data))
-	}
-	in.reg.Op(in.inner.Name(), OpUpload).Record(Classify(err), up, 0, in.clock.Now().Sub(start))
-	return err
-}
-
-// Download implements cloud.Interface.
-func (in *Instrumented) Download(ctx context.Context, path string) ([]byte, error) {
-	start := in.clock.Now()
-	data, err := in.inner.Download(ctx, path)
-	in.reg.Op(in.inner.Name(), OpDownload).Record(Classify(err), 0, int64(len(data)), in.clock.Now().Sub(start))
-	return data, err
-}
-
-// CreateDir implements cloud.Interface.
-func (in *Instrumented) CreateDir(ctx context.Context, path string) error {
-	start := in.clock.Now()
-	err := in.inner.CreateDir(ctx, path)
-	in.reg.Op(in.inner.Name(), OpCreateDir).Record(Classify(err), 0, 0, in.clock.Now().Sub(start))
-	return err
-}
-
-// List implements cloud.Interface.
-func (in *Instrumented) List(ctx context.Context, path string) ([]cloud.Entry, error) {
-	start := in.clock.Now()
-	entries, err := in.inner.List(ctx, path)
-	in.reg.Op(in.inner.Name(), OpList).Record(Classify(err), 0, 0, in.clock.Now().Sub(start))
-	return entries, err
-}
-
-// Delete implements cloud.Interface.
-func (in *Instrumented) Delete(ctx context.Context, path string) error {
-	start := in.clock.Now()
-	err := in.inner.Delete(ctx, path)
-	in.reg.Op(in.inner.Name(), OpDelete).Record(Classify(err), 0, 0, in.clock.Now().Sub(start))
-	return err
+// Instrument wraps inner in a chain whose only observer is reg's op
+// table. A nil clock uses the real clock.
+func Instrument(inner cloud.Interface, reg *Registry, clock vclock.Clock) *cloud.Chain {
+	return cloud.NewChain(inner, clock, nil, reg.ObserveCall)
 }

@@ -1,6 +1,6 @@
 // Package obs is UniDrive's observability layer: a dependency-free
 // metrics core (atomic counters, gauges, fixed-bucket latency
-// histograms) plus a cloud.Interface instrumenting wrapper that turns
+// histograms) plus an observer of the cloud call chain that turns
 // every Web API call into a row of a per-cloud operation table.
 //
 // The paper's scheduling decisions are driven entirely by observed

@@ -12,11 +12,11 @@ import (
 // Operation names used as the op dimension of the per-cloud table —
 // one per Web API call of cloud.Interface.
 const (
-	OpUpload    = "upload"
-	OpDownload  = "download"
-	OpCreateDir = "createdir"
-	OpList      = "list"
-	OpDelete    = "delete"
+	OpUpload    = string(cloud.OpUpload)
+	OpDownload  = string(cloud.OpDownload)
+	OpCreateDir = string(cloud.OpCreateDir)
+	OpList      = string(cloud.OpList)
+	OpDelete    = string(cloud.OpDelete)
 )
 
 // Outcome classifies how one Web API call ended. The interesting

@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"time"
 
+	"unidrive/internal/cloud"
 	"unidrive/internal/obs"
 	"unidrive/internal/stats"
 )
@@ -153,6 +155,48 @@ func (p *Prober) ObserveFailure(cloudName string, dir Direction) {
 	ch, reg := p.channel(cloudName, dir)
 	ch.failRate.Observe(1)
 	reg.Counter("sched.probe.failures").Inc()
+}
+
+// ObserveCall is the prober's cloud.Observer: every upload, download
+// and listing — metadata, version files, lock flags, blocks — feeds
+// the prober, exactly once. This is the paper's probing scheme taken
+// literally: "uses the last transmission as probes", with no
+// dedicated probe traffic. Observe sorts the samples itself
+// (MinBandwidthSample): small control requests measure latency, block
+// transfers bandwidth. Because control-plane traffic touches all
+// clouds early (version checks query every cloud), the prober has a
+// latency ranking before the first data block moves.
+//
+// Deletes and directory creation are not observed: like a delete to
+// the capacity tracker, they are evidence of neither latency under
+// load nor bandwidth.
+func (p *Prober) ObserveCall(c cloud.Call) {
+	var dir Direction
+	var size int64
+	switch c.Op {
+	case cloud.OpUpload:
+		dir, size = Up, c.BytesUp
+	case cloud.OpDownload:
+		dir, size = Down, c.BytesDown
+	case cloud.OpList:
+		// A listing is a latency sample: its reply size is the
+		// provider's business, not payload the pipe was measured with.
+		dir = Down
+	default:
+		return
+	}
+	switch {
+	case c.Err == nil:
+		p.Observe(c.Cloud, dir, size, c.Latency)
+	case errors.Is(c.Err, cloud.ErrNotFound):
+		// A perfectly healthy answer, and a prompt one: a latency sample.
+		// (A cloud that missed the last commit answers its stamp poll
+		// this way, and must not stay "never observed" for it.)
+		p.Observe(c.Cloud, dir, 0, c.Latency)
+	case errors.Is(c.Err, cloud.ErrTransient) || errors.Is(c.Err, cloud.ErrUnavailable):
+		// Only network-class failures say something about the cloud.
+		p.ObserveFailure(c.Cloud, dir)
+	}
 }
 
 func (p *Prober) channel(cloudName string, dir Direction) (*channel, *obs.Registry) {

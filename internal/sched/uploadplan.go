@@ -23,8 +23,8 @@ import (
 //
 // The transfer engine drives the plan: NextBlock(cloud) hands out the
 // next block the cloud should upload, Complete and Fail report
-// outcomes, MarkDead excludes a cloud that stopped responding, and
-// MarkFull excludes one that ran out of quota (it stays alive for
+// outcomes, and Exclude writes a cloud off — because it stopped
+// responding (Dead) or ran out of quota (Full; it stays alive for
 // everything except new uploads). All methods are safe for
 // concurrent use.
 type UploadPlan struct {
@@ -47,16 +47,11 @@ type UploadPlan struct {
 	extraFree []int
 	// nextExtra is the next fresh over-provisioned block ID.
 	nextExtra int
-	dead      map[string]bool
-	// full marks clouds out of quota: they receive no NEW upload work
-	// but — unlike dead — are alive for downloads, lists and locks.
-	full map[string]bool
-	// fairExempt marks clouds whose fair-share obligation was waived
-	// because their queued normal blocks were re-homed (quota
-	// exhaustion). Unlike full it is never cleared: once a cloud's
-	// share has been handed elsewhere the plan cannot owe it back,
-	// even if quota frees mid-plan.
-	fairExempt map[string]bool
+	// excluded holds the clouds written off for this plan and why (a
+	// cloud can be both Full and, later, Dead). An excluded cloud gets
+	// no further work and its fair-share obligation is waived: the
+	// plan can finish Reliable without it.
+	excluded map[string]Reason
 	// obs receives scheduling-decision counters; nil records nothing.
 	obs *obs.Registry
 }
@@ -79,9 +74,7 @@ func NewUploadPlan(params Params, clouds []string) (*UploadPlan, error) {
 		countByCloud: make(map[string]int, len(clouds)),
 		fairUploaded: make(map[string]int, len(clouds)),
 		nextExtra:    params.NormalBlocks(),
-		dead:         make(map[string]bool),
-		full:         make(map[string]bool),
-		fairExempt:   make(map[string]bool),
+		excluded:     make(map[string]Reason),
 	}
 	// Even, deterministic assignment of the normal parity blocks:
 	// block b goes to cloud b mod N, giving each cloud exactly
@@ -111,7 +104,7 @@ func (p *UploadPlan) SetObs(reg *obs.Registry) {
 func (p *UploadPlan) NextBlock(cloudName string) (blockID int, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.dead[cloudName] || p.full[cloudName] {
+	if p.excluded[cloudName] != 0 {
 		return 0, false
 	}
 	// Normal share first.
@@ -127,10 +120,8 @@ func (p *UploadPlan) NextBlock(cloudName string) (blockID int, ok bool) {
 	// COMPLETED their own fair share (paper Fig 7 — fast clouds get
 	// extras precisely because they finished early), only while some
 	// live cloud's fair share is incomplete, and within the security
-	// ceiling. A fair-exempt cloud (its share was re-homed during a
-	// quota episode and its quota has since freed) has nothing owed,
-	// so it qualifies immediately — it is spare capacity now.
-	if !p.fairExempt[cloudName] && p.fairUploaded[cloudName] < p.params.FairShare() {
+	// ceiling.
+	if p.fairUploaded[cloudName] < p.params.FairShare() {
 		return 0, false
 	}
 	if p.reliableLocked() {
@@ -179,9 +170,9 @@ func (p *UploadPlan) Complete(cloudName string, blockID int) {
 // Fail records a failed upload. A normal-share block is requeued to
 // its owning cloud (it will be retried unless the cloud is marked
 // dead); an over-provisioned block ID returns to the free list. When
-// the failing cloud is already dead, its normal block is handed to a
-// live cloud with spare capacity instead, so in-flight work that
-// lands after MarkDeadAndReassign is not stranded on the dead queue.
+// the failing cloud is already excluded, its normal block is handed to
+// a live cloud with spare capacity instead, so in-flight work that
+// lands after Exclude is not stranded on the excluded cloud's queue.
 func (p *UploadPlan) Fail(cloudName string, blockID int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -195,38 +186,38 @@ func (p *UploadPlan) Fail(cloudName string, blockID int) {
 		p.extraFree = append(p.extraFree, blockID)
 		return
 	}
-	if p.dead[cloudName] || p.full[cloudName] {
+	if p.excluded[cloudName] != 0 {
 		p.reassignLocked(blockID, nil)
 		return
 	}
 	p.fairQueue[cloudName] = append(p.fairQueue[cloudName], blockID)
 }
 
-// orphanedLocked counts normal blocks still owed by dead or
-// quota-full clouds — queued on one, or in flight to one (those will
-// fail and then need a live home via reassignment).
+// orphanedLocked counts normal blocks still owed by excluded clouds —
+// queued on one, or in flight to one (those will fail and then need a
+// live home via reassignment).
 func (p *UploadPlan) orphanedLocked() int {
 	n := 0
 	for c, q := range p.fairQueue {
-		if p.dead[c] || p.full[c] {
+		if p.excluded[c] != 0 {
 			n += len(q)
 		}
 	}
 	for b, c := range p.inflight {
-		if b < p.params.NormalBlocks() && (p.dead[c] || p.full[c]) {
+		if b < p.params.NormalBlocks() && p.excluded[c] != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// spareLocked sums the live, non-full clouds' remaining capacity
+// spareLocked sums the non-excluded clouds' remaining capacity
 // under the per-cloud security ceiling, counting queued-but-unstarted
 // work as taken.
 func (p *UploadPlan) spareLocked() int {
 	spare := 0
 	for _, c := range p.clouds {
-		if p.dead[c] || p.full[c] {
+		if p.excluded[c] != 0 {
 			continue
 		}
 		if free := p.params.MaxPerCloud() - p.countByCloud[c] - len(p.fairQueue[c]); free > 0 {
@@ -236,121 +227,72 @@ func (p *UploadPlan) spareLocked() int {
 	return spare
 }
 
-// MarkDead excludes a cloud from the plan: its pending normal blocks
-// stay unuploaded (reliability accounting ignores dead clouds) and it
-// receives no further work.
-func (p *UploadPlan) MarkDead(cloudName string) {
+// Reason says why a cloud is excluded from a plan.
+type Reason uint8
+
+const (
+	// Dead: the cloud stopped responding (failed transfers, an outage,
+	// an open circuit breaker).
+	Dead Reason = 1 << iota
+	// Full: the cloud is out of quota. It takes no NEW upload work but
+	// — unlike a dead cloud — still serves downloads, lists and lock
+	// traffic, and the blocks it already holds stay in the placement.
+	Full
+)
+
+// Exclude is the one mid-transfer exclusion entry point, for failover
+// (Dead) and quota exhaustion (Full) alike: the cloud receives no
+// further work, its fair-share obligation is waived, and its
+// still-unassigned normal blocks move onto other clouds, preferring
+// the given ranked order (healthiest / most space first), within each
+// target's remaining per-cloud security capacity (paper §4.2: no
+// cloud may hold MaxPerCloud or more blocks). It returns the number of
+// blocks moved; blocks that fit nowhere are dropped from the plan —
+// the erasure code's redundancy absorbs the loss, and the segment
+// commits thin if at least K blocks land — and counted under
+// sched.plan.failover_dropped (and sched.plan.quota_dropped for Full).
+func (p *UploadPlan) Exclude(cloudName string, reason Reason, ranked []string) (moved int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.markDeadLocked(cloudName)
-}
-
-func (p *UploadPlan) markDeadLocked(cloudName string) {
-	if !p.dead[cloudName] {
-		p.obs.Counter("sched.plan.dead_marks").Inc()
-	}
-	p.dead[cloudName] = true
-}
-
-// MarkDeadAndReassign is the mid-transfer failover entry point: it
-// marks the cloud dead and moves its still-unassigned normal blocks
-// onto live clouds, preferring the given ranked order (healthiest
-// first), within each target's remaining per-cloud security capacity
-// (paper §4.2: no cloud may hold MaxPerCloud or more blocks). It
-// returns the number of blocks moved; blocks that fit nowhere are
-// dropped from the plan (the erasure code's redundancy absorbs the
-// loss) and counted under sched.plan.failover_dropped.
-func (p *UploadPlan) MarkDeadAndReassign(cloudName string, ranked []string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.markDeadLocked(cloudName)
-	orphans := p.fairQueue[cloudName]
-	p.fairQueue[cloudName] = nil
-	moved := 0
-	for _, b := range orphans {
-		if p.reassignLocked(b, ranked) {
-			moved++
+	if p.excluded[cloudName]&reason == 0 {
+		if reason == Full {
+			p.obs.Counter("sched.plan.full_marks").Inc()
+		} else {
+			p.obs.Counter("sched.plan.dead_marks").Inc()
 		}
 	}
-	return moved
-}
-
-// MarkFull excludes a cloud from receiving NEW upload work: its
-// quota is exhausted. Unlike MarkDead the cloud is alive — downloads,
-// lists and lock traffic are unaffected, and ClearFull restores it
-// once space returns. Its fair-share obligation is waived (the plan
-// can finish Reliable without it).
-func (p *UploadPlan) MarkFull(cloudName string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.markFullLocked(cloudName)
-}
-
-func (p *UploadPlan) markFullLocked(cloudName string) {
-	if !p.full[cloudName] {
-		p.obs.Counter("sched.plan.full_marks").Inc()
-	}
-	p.full[cloudName] = true
-	p.fairExempt[cloudName] = true
-}
-
-// MarkFullAndReassign is the quota-exhaustion entry point: it marks
-// the cloud full and moves its still-unassigned normal blocks onto
-// clouds with space, preferring the given ranked order (most space /
-// healthiest first), within each target's remaining per-cloud
-// security capacity. It returns the number of blocks moved; blocks
-// that fit nowhere are dropped from the plan — the segment commits
-// thin if at least K blocks land — and counted under
-// sched.plan.quota_dropped.
-func (p *UploadPlan) MarkFullAndReassign(cloudName string, ranked []string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.markFullLocked(cloudName)
+	p.excluded[cloudName] |= reason
 	orphans := p.fairQueue[cloudName]
 	p.fairQueue[cloudName] = nil
-	moved := 0
 	for _, b := range orphans {
 		if p.reassignLocked(b, ranked) {
 			moved++
-		} else {
+		} else if reason == Full {
 			p.obs.Counter("sched.plan.quota_dropped").Inc()
 		}
 	}
-	if moved > 0 {
+	if reason == Full && moved > 0 {
 		p.obs.Counter("sched.plan.quota_moved").Add(int64(moved))
 	}
 	return moved
 }
 
-// ClearFull re-admits a quota-full cloud after space is reclaimed
-// (probe-after-free). The cloud may again be a reassignment target
-// and receive over-provisioned extras; its waived fair share stays
-// waived — those blocks already found other homes.
-func (p *UploadPlan) ClearFull(cloudName string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.full[cloudName] {
-		p.obs.Counter("sched.plan.full_cleared").Inc()
-	}
-	delete(p.full, cloudName)
-}
-
-// IsFull reports whether the cloud is currently marked quota-full.
+// IsFull reports whether the cloud was excluded for quota exhaustion.
 func (p *UploadPlan) IsFull(cloudName string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.full[cloudName]
+	return p.excluded[cloudName]&Full != 0
 }
 
-// reassignLocked places a dead or quota-full cloud's normal block
-// onto the first live, non-full cloud — in ranked order, then plan
-// order for clouds the ranking omitted — whose assigned-plus-queued
+// reassignLocked places an excluded cloud's normal block onto the
+// first cloud still in the plan — in ranked order, then plan order
+// for clouds the ranking omitted — whose assigned-plus-queued
 // block count stays under the security ceiling. Reports whether a
 // home was found.
 func (p *UploadPlan) reassignLocked(blockID int, ranked []string) bool {
 	seen := make(map[string]bool, len(ranked))
 	try := func(c string) bool {
-		if seen[c] || p.dead[c] || p.full[c] {
+		if seen[c] || p.excluded[c] != 0 {
 			return false
 		}
 		seen[c] = true
@@ -422,8 +364,8 @@ func (p *UploadPlan) Available() bool {
 	return len(p.uploaded) >= p.params.K
 }
 
-// Reliable reports whether every live cloud has received its fair
-// share (the paper's reliability goal for the segment).
+// Reliable reports whether every cloud still in the plan has received
+// its fair share (the paper's reliability goal for the segment).
 func (p *UploadPlan) Reliable() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -433,7 +375,7 @@ func (p *UploadPlan) Reliable() bool {
 func (p *UploadPlan) reliableLocked() bool {
 	fair := p.params.FairShare()
 	for _, c := range p.clouds {
-		if p.dead[c] || p.fairExempt[c] {
+		if p.excluded[c] != 0 {
 			continue
 		}
 		if p.fairUploaded[c] < fair {
@@ -444,12 +386,12 @@ func (p *UploadPlan) reliableLocked() bool {
 }
 
 // CloudDone reports that cloudName will never receive more work from
-// this plan: it is dead, or it has no pending normal blocks and
+// this plan: it is excluded, or it has no pending normal blocks and
 // over-provisioning can no longer apply to it.
 func (p *UploadPlan) CloudDone(cloudName string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.dead[cloudName] || p.full[cloudName] {
+	if p.excluded[cloudName] != 0 {
 		return true
 	}
 	if len(p.fairQueue[cloudName]) > 0 {

@@ -43,7 +43,7 @@ func TestQuotaShapeOneCloudFull(t *testing.T) {
 	reg := obs.NewRegistry()
 	plan.SetObs(reg)
 
-	moved := plan.MarkFullAndReassign("c0", []string{"c1", "c2", "c3", "c4"})
+	moved := plan.Exclude("c0", Full, []string{"c1", "c2", "c3", "c4"})
 	if moved != 1 {
 		t.Fatalf("moved = %d, want 1 (c0's single fair block)", moved)
 	}
@@ -94,7 +94,7 @@ func TestQuotaShapeMajorityFull(t *testing.T) {
 	ranked := []string{"c3", "c4"}
 	moved := 0
 	for _, c := range []string{"c0", "c1", "c2"} {
-		moved += plan.MarkFullAndReassign(c, ranked)
+		moved += plan.Exclude(c, Full, ranked)
 	}
 	if moved != 2 {
 		t.Fatalf("moved = %d, want 2 (third orphan exceeds security caps)", moved)
@@ -139,7 +139,7 @@ func TestQuotaShapeMajorityFull(t *testing.T) {
 func TestQuotaShapeAllFull(t *testing.T) {
 	plan := mustUploadPlan(t, paperParams, fiveClouds)
 	for _, c := range fiveClouds {
-		plan.MarkFullAndReassign(c, nil)
+		plan.Exclude(c, Full, nil)
 	}
 	for _, c := range fiveClouds {
 		if b, ok := plan.NextBlock(c); ok {
@@ -154,70 +154,7 @@ func TestQuotaShapeAllFull(t *testing.T) {
 	}
 }
 
-// Decision table, shape 4: quota freed MID-PLAN. The freed cloud is
-// excluded while full, then — after ClearFull — becomes spare
-// capacity: it qualifies for over-provisioned extras immediately
-// (fair share waived ⇒ nothing owed) and is again a reassignment
-// target for later failures.
-func TestQuotaShapeFreedMidPlan(t *testing.T) {
-	plan := mustUploadPlan(t, paperParams, fiveClouds)
-	plan.MarkFullAndReassign("c0", []string{"c1"})
-	if !plan.IsFull("c0") {
-		t.Fatal("c0 not marked full")
-	}
-	if _, ok := plan.NextBlock("c0"); ok {
-		t.Fatal("full cloud got work")
-	}
-	if !plan.CloudDone("c0") {
-		t.Fatal("full cloud must report done (no more upload work while full)")
-	}
-
-	// Drive c1..c3 to completion; leave c4's fair block unfinished so
-	// the plan is not yet Reliable when c0 frees.
-	for _, c := range []string{"c1", "c2", "c3"} {
-		for {
-			b, ok := plan.NextBlock(c)
-			if !ok {
-				break
-			}
-			plan.Complete(c, b)
-			if plan.Reliable() {
-				t.Fatal("plan reliable with c4's fair share outstanding")
-			}
-		}
-	}
-
-	plan.ClearFull("c0")
-	if plan.IsFull("c0") {
-		t.Fatal("ClearFull did not clear")
-	}
-	// Freed cloud takes an over-provisioned extra (IDs ≥ NormalBlocks).
-	b, ok := plan.NextBlock("c0")
-	if !ok {
-		t.Fatal("freed cloud got no extra despite incomplete plan")
-	}
-	if b < paperParams.NormalBlocks() {
-		t.Fatalf("freed cloud got normal block %d, want an extra (≥ %d)",
-			b, paperParams.NormalBlocks())
-	}
-	plan.Complete("c0", b)
-
-	// And it is a reassignment target again: kill c4, ranked to c0.
-	// c0 holds 1 extra < MaxPerCloud=2, so block 4 lands there.
-	if moved := plan.MarkDeadAndReassign("c4", []string{"c0"}); moved != 1 {
-		t.Fatalf("moved = %d, want 1", moved)
-	}
-	b2, ok := plan.NextBlock("c0")
-	if !ok || b2 != 4 {
-		t.Fatalf("NextBlock(c0) = (%d,%v), want c4's orphan block 4", b2, ok)
-	}
-	plan.Complete("c0", b2)
-	if !plan.Available() || !plan.Reliable() {
-		t.Fatalf("Available=%v Reliable=%v, want both", plan.Available(), plan.Reliable())
-	}
-}
-
-// Decision table, shape 5 (scheduler half): MarkFull is not MarkDead.
+// Decision table, shape 4 (scheduler half): Full is not Dead.
 // The full cloud's existing uploads remain in the placement (they are
 // real copies that still serve downloads) and only NEW upload work is
 // blocked; in-flight work that fails after the mark is re-homed, not
@@ -236,7 +173,7 @@ func TestQuotaFullKeepsExistingPlacements(t *testing.T) {
 	if !ok {
 		t.Fatal("no block for c1")
 	}
-	plan.MarkFull("c1")
+	plan.Exclude("c1", Full, nil)
 	plan.Fail("c1", b1)
 	found := false
 	for _, c := range []string{"c0", "c2", "c3", "c4"} {

@@ -200,22 +200,39 @@ func TestFailRecyclesExtraBlockID(t *testing.T) {
 	}
 }
 
-func TestMarkDeadExcludesCloud(t *testing.T) {
-	plan := mustUploadPlan(t, paperParams, fiveClouds)
-	plan.MarkDead("c0")
-	if _, ok := plan.NextBlock("c0"); ok {
-		t.Fatal("dead cloud received work")
-	}
-	if !plan.CloudDone("c0") {
-		t.Fatal("dead cloud not done")
-	}
-	// Reliability ignores the dead cloud.
-	for _, c := range fiveClouds[1:] {
-		b, _ := plan.NextBlock(c)
-		plan.Complete(c, b)
-	}
-	if !plan.Reliable() {
-		t.Fatal("reliability must ignore dead clouds")
+// One exclusion path, whatever the reason: the cloud gets no work, is
+// done for the plan, and its fair share no longer counts toward
+// Reliable — while the other clouds' still does. Only IsFull tells the
+// reasons apart (core reads it to call a shortfall a capacity problem).
+func TestExcludeWritesCloudOff(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		reason Reason
+	}{{"dead", Dead}, {"full", Full}} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := mustUploadPlan(t, paperParams, fiveClouds)
+			plan.Exclude("c0", tc.reason, []string{"c1"})
+			if got := plan.IsFull("c0"); got != (tc.reason == Full) {
+				t.Fatalf("IsFull(c0) = %v after Exclude(%s)", got, tc.name)
+			}
+			if _, ok := plan.NextBlock("c0"); ok {
+				t.Fatal("excluded cloud received work")
+			}
+			if !plan.CloudDone("c0") {
+				t.Fatal("excluded cloud not done")
+			}
+			// Reliability ignores the excluded cloud, and only it.
+			for _, c := range fiveClouds[1:] {
+				if plan.Reliable() {
+					t.Fatalf("plan reliable with %s's fair share outstanding", c)
+				}
+				b, _ := plan.NextBlock(c)
+				plan.Complete(c, b)
+			}
+			if !plan.Reliable() {
+				t.Fatal("reliability must ignore excluded clouds")
+			}
+		})
 	}
 }
 
@@ -226,7 +243,7 @@ func TestAvailabilityReachableWithDeadCloudViaOverProvisioning(t *testing.T) {
 	p := Params{N: 3, K: 4, Kr: 2, Ks: 2} // fair 2, normal 6, maxPC 3, maxBlocks 9
 	clouds := []string{"a", "b", "dead"}
 	plan := mustUploadPlan(t, p, clouds)
-	plan.MarkDead("dead")
+	plan.Exclude("dead", Dead, nil)
 	uploaded := 0
 	for _, c := range []string{"a", "b"} {
 		for {
@@ -347,7 +364,7 @@ func TestFailoverReassignsDeadClouds(t *testing.T) {
 	clouds := []string{"c1", "c2", "c3", "c4"}
 	plan := mustUploadPlan(t, p, clouds)
 
-	moved := plan.MarkDeadAndReassign("c4", []string{"c2", "c1", "c3"})
+	moved := plan.Exclude("c4", Dead, []string{"c2", "c1", "c3"})
 	if moved != p.FairShare() {
 		t.Fatalf("moved = %d, want %d", moved, p.FairShare())
 	}
@@ -388,7 +405,7 @@ func TestFailoverReassignsDeadClouds(t *testing.T) {
 func TestFailoverRespectsRankedOrder(t *testing.T) {
 	p := Params{N: 4, K: 4, Kr: 2, Ks: 2}
 	plan := mustUploadPlan(t, p, []string{"c1", "c2", "c3", "c4"})
-	plan.MarkDeadAndReassign("c1", []string{"c3", "c2", "c4"})
+	plan.Exclude("c1", Dead, []string{"c3", "c2", "c4"})
 	// c3 is ranked healthiest and has capacity 3-0-2=1, so it takes the
 	// first orphan; the second also fits there? No: after one append its
 	// queued count is 3 >= MaxPerCloud, so the second goes to c2.
@@ -411,30 +428,32 @@ func TestFailoverRespectsRankedOrder(t *testing.T) {
 
 func TestFailAfterDeathReassignsInFlightBlock(t *testing.T) {
 	p := Params{N: 4, K: 4, Kr: 2, Ks: 2}
-	plan := mustUploadPlan(t, p, []string{"c1", "c2", "c3", "c4"})
-	b, ok := plan.NextBlock("c4")
-	if !ok {
-		t.Fatal("no block for c4")
-	}
-	// c4 dies while b is in flight; the orphaned queue is reassigned
-	// first, then the in-flight block fails and must also move to a
-	// live cloud rather than back onto the dead queue.
-	plan.MarkDeadAndReassign("c4", nil)
-	plan.Fail("c4", b)
-	seen := false
-	for _, c := range []string{"c1", "c2", "c3"} {
-		for {
-			got, ok := plan.NextBlock(c)
-			if !ok {
-				break
-			}
-			if got == b {
-				seen = true
+	for _, reason := range []Reason{Dead, Full} {
+		plan := mustUploadPlan(t, p, []string{"c1", "c2", "c3", "c4"})
+		b, ok := plan.NextBlock("c4")
+		if !ok {
+			t.Fatal("no block for c4")
+		}
+		// c4 is excluded while b is in flight; the orphaned queue is
+		// reassigned first, then the in-flight block fails and must also
+		// move to a live cloud rather than back onto the excluded queue.
+		plan.Exclude("c4", reason, nil)
+		plan.Fail("c4", b)
+		seen := false
+		for _, c := range []string{"c1", "c2", "c3"} {
+			for {
+				got, ok := plan.NextBlock(c)
+				if !ok {
+					break
+				}
+				if got == b {
+					seen = true
+				}
 			}
 		}
-	}
-	if !seen {
-		t.Errorf("block %d stranded on the dead cloud's queue", b)
+		if !seen {
+			t.Errorf("reason %d: block %d stranded on the excluded cloud's queue", reason, b)
+		}
 	}
 }
 
@@ -444,8 +463,8 @@ func TestFailoverDropsWhenNoCapacity(t *testing.T) {
 	// still reaches availability (K=4 <= 6 placeable blocks).
 	p := Params{N: 4, K: 4, Kr: 2, Ks: 2}
 	plan := mustUploadPlan(t, p, []string{"c1", "c2", "c3", "c4"})
-	moved := plan.MarkDeadAndReassign("c3", nil)
-	moved += plan.MarkDeadAndReassign("c4", nil)
+	moved := plan.Exclude("c3", Dead, nil)
+	moved += plan.Exclude("c4", Dead, nil)
 	if moved != 2 {
 		t.Fatalf("moved = %d, want 2 (one spare slot per live cloud)", moved)
 	}
@@ -466,7 +485,7 @@ func TestOverprovisionReservesCapacityForOrphans(t *testing.T) {
 	// c4 takes its fair share in flight, then dies.
 	d1, _ := plan.NextBlock("c4")
 	d2, _ := plan.NextBlock("c4")
-	plan.MarkDead("c4")
+	plan.Exclude("c4", Dead, nil)
 
 	// The healthy clouds drain everything on offer: fair shares first,
 	// then whatever extras the plan is willing to grant.

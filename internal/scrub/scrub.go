@@ -156,6 +156,8 @@ type Scrubber struct {
 	cfg    Config
 	reg    *obs.Registry
 	coders map[[2]int]*erasure.Coder
+	// elig is where repairs and re-expansions may be written.
+	elig transfer.Eligibility
 }
 
 // New creates a Scrubber.
@@ -173,6 +175,7 @@ func New(cfg Config) (*Scrubber, error) {
 		cfg:    cfg,
 		reg:    cfg.Obs,
 		coders: make(map[[2]int]*erasure.Coder),
+		elig:   transfer.Eligibility{Capacity: cfg.Capacity},
 	}, nil
 }
 
@@ -683,7 +686,7 @@ func (s *Scrubber) expandThin(ctx context.Context, seg *meta.Segment, data []byt
 		}
 		return cands[i] < cands[j]
 	})
-	cands = s.cfg.Capacity.WithSpace(cands)
+	cands = s.elig.WriteTargets(cands)
 
 	added := 0
 	if len(placed) < target && len(cands) > 0 {
@@ -793,12 +796,12 @@ func (s *Scrubber) repairCandidates(seg *meta.Segment, loc meta.BlockLocation, u
 		return rest[i] < rest[j]
 	})
 	before := len(rest)
-	rest = s.cfg.Capacity.WithSpace(rest)
+	rest = s.elig.WriteTargets(rest)
 	dropped := len(rest) < before
 	if unknown[loc.CloudID] {
 		return rest, dropped
 	}
-	if !s.cfg.Capacity.Admits(loc.CloudID) {
+	if !s.elig.AcceptsWrites(loc.CloudID) {
 		// A quota-full cloud still HOLDS its copies fine — it just
 		// cannot take the repair write.
 		return rest, true
