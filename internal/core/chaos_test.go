@@ -253,7 +253,7 @@ func TestChaosBreakerFailover(t *testing.T) {
 	// the speed-ranked download plan may legitimately send c3 nothing —
 	// so a later-opening window can miss the sync entirely.
 	deadDown := r.flaky["beta"][3]
-	deadDown.AddOutageWindow(deadDown.Ops()+1, deadDown.Ops()+8)
+	deadDown.AddOutageWindow(deadDown.Ops(), deadDown.Ops()+8)
 	syncChaosTo(t, b, upRep.Version)
 
 	// Byte-identical convergence despite both fault injections.

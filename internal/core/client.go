@@ -409,7 +409,7 @@ func (c *Client) Image() *meta.Image {
 // folder and the clouds' data — the metadata view behind `unidrive
 // status`.
 func (c *Client) FetchImage(ctx context.Context) (*meta.Image, error) {
-	img, err := c.store.Fetch(ctx)
+	img, err := c.store.Refresh(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -549,7 +549,7 @@ func TestRemoveCloudDropsFairPlacedReferences(t *testing.T) {
 	img := a.Image()
 	names := []string{"c0", "c1", "c2", "c3", "c4"}
 	var rels []*meta.Change
-	for _, segID := range sortedSegmentIDs(img) {
+	for _, segID := range img.SegmentIDs() {
 		cur, _ := img.Segment(segID)
 		updated := cur.Clone()
 		updated.Blocks = nil

@@ -305,3 +305,67 @@ func TestRecoverNoJournalIsNoop(t *testing.T) {
 		t.Fatalf("clean restart replayed %d intents", rec.IntentsReplayed)
 	}
 }
+
+// Two journaled batches can name the same segment (the same content
+// under two paths). Recovery judges each surviving block once, whatever
+// the order of the intents: what one intent adopts for resumption the
+// other must not reclaim, and what one reclaims the other must not
+// adopt — an adopted block is one the resumed upload will not re-send.
+func TestRecoverSharedSegmentJudgedOnce(t *testing.T) {
+	for _, staleFirst := range []bool{true, false} {
+		r := newRig(5)
+		c, folder := r.device(t, "alpha")
+		content := randContent(31, 1000) // one segment at θ=4096
+		segs := c.chnk.Split([]byte(content))
+		if len(segs) != 1 {
+			t.Fatalf("content cut into %d segments, want 1", len(segs))
+		}
+		segID := segs[0].ID()
+		// kept.bin still holds the journaled content, so its batch is
+		// resumable; edited.bin was rewritten after the crash, so its
+		// batch is stale and its unreferenced blocks are orphans.
+		writeFile(t, folder, "kept.bin", content)
+		writeFile(t, folder, "edited.bin", randContent(32, 1000))
+		for _, b := range []int{0, 1, 2} {
+			if err := c.Engine().PutBlock(ctxT(t), r.stores[b].Name(), segID, b, []byte("block")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		intent := func(path string) *journal.Intent {
+			return &journal.Intent{
+				ID: "batch-" + path, Kind: journal.KindUpload, State: journal.StateUploading,
+				Changes: []*meta.Change{{
+					Type: meta.ChangeAdd, Path: path,
+					Snapshot: &meta.Snapshot{Path: path, Size: int64(len(content)), SegmentIDs: []string{segID}},
+					Segments: []*meta.Segment{{ID: segID, Length: len(content), K: 3, N: 9}},
+				}},
+			}
+		}
+		order := []string{"kept.bin", "edited.bin"}
+		if staleFirst {
+			order = []string{"edited.bin", "kept.bin"}
+		}
+		for _, path := range order {
+			if err := c.journal.Begin(intent(path)); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		if _, err := c.Recover(ctxT(t)); err != nil {
+			t.Fatal(err)
+		}
+		for blockID, cloudName := range c.takeRecovered(segID) {
+			stored := false
+			for _, st := range r.stores {
+				if st.Name() == cloudName {
+					for _, p := range st.Paths() {
+						stored = stored || p == c.Engine().BlockPath(segID, blockID)
+					}
+				}
+			}
+			if !stored {
+				t.Errorf("staleFirst=%v: block %d adopted on %s, but recovery deleted it", staleFirst, blockID, cloudName)
+			}
+		}
+	}
+}

@@ -66,7 +66,7 @@ func stripStamps(t *testing.T, c *Client, segID string, blockIDs ...int) {
 		t.Fatal(err)
 	}
 	defer c.releaseLock(ctx, lock)
-	img, err := c.store.Fetch(ctx)
+	img, err := c.store.Refresh(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,66 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
+	"slices"
+	"sort"
 
 	"unidrive/internal/meta"
 	"unidrive/internal/transfer"
 )
+
+// Every maintenance operation is the same five steps: read the
+// committed image through the store's delta cursor (five stamp GETs
+// when nothing is pending), survey what the clouds actually hold where
+// the policy needs it (one List per cloud, concurrently), let a pure
+// policy over (image, survey) decide, commit its relocates under the
+// quorum lock, and only then delete the blocks the commit released.
+// relocate is the locked half; the policies are the short functions
+// below and in scrub.go, rebalance.go and recover.go.
+
+// relocate commits a maintenance pass's relocate changes under the
+// quorum lock and then deletes the blocks the commit released, in that
+// order: metadata never names a block that is already gone. build
+// turns the then-current committed image into the changes and the
+// doomed blocks; with no changes nothing is committed or deleted. to
+// is the stack that takes the commit and the deletes — the client's
+// own for every caller but SetClouds, whose relocates land on the new
+// cloud set. what names the operation in the lock-lost error. It
+// returns the committed version (the current one when nothing
+// changed) and the number of blocks deleted.
+func (c *Client) relocate(ctx context.Context, what string, to stack,
+	build func(img *meta.Image) ([]*meta.Change, []transfer.BlockRef, error)) (int64, int, error) {
+
+	lock, err := c.locks.Acquire(ctx)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer c.releaseLock(ctx, lock)
+	img, err := c.store.Refresh(ctx)
+	if err != nil {
+		return 0, 0, err
+	}
+	changes, doomed, err := build(img)
+	if err != nil {
+		return 0, 0, err
+	}
+	if len(changes) == 0 {
+		return to.store.Stamp().Version, 0, nil
+	}
+	if !lock.Valid() {
+		return 0, 0, fmt.Errorf("core: quorum lock lost during %s", what)
+	}
+	stats, err := to.store.Commit(ctx, changes)
+	if err != nil {
+		return 0, 0, err
+	}
+	c.setLast(to.store.Cached())
+	return stats.Version, to.engine.DeleteBlocks(ctx, doomed), nil
+}
+
+// relocateChange wraps a segment's new placement in its change.
+func relocateChange(seg *meta.Segment) *meta.Change {
+	return &meta.Change{Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{seg}}
+}
 
 // TrimOverProvisioned reclaims over-provisioned parity blocks,
 // trimming every segment back to each cloud's fair share (paper §6.2:
@@ -22,68 +77,7 @@ import (
 //
 // It returns the number of blocks deleted.
 func (c *Client) TrimOverProvisioned(ctx context.Context) (int, error) {
-	lock, err := c.locks.Acquire(ctx)
-	if err != nil {
-		return 0, err
-	}
-	defer c.releaseLock(ctx, lock)
-
-	img, err := c.store.Fetch(ctx)
-	if err != nil {
-		return 0, err
-	}
-	fair := c.params.FairShare()
-	var changes []*meta.Change
-	var doomedBlocks []transfer.BlockRef
-	for _, segID := range sortedSegmentIDs(img) {
-		seg, _ := img.Segment(segID)
-		perCloud := make(map[string][]int)
-		for _, b := range seg.Blocks {
-			perCloud[b.CloudID] = append(perCloud[b.CloudID], b.BlockID)
-		}
-		doomed := make(map[int]string)
-		updated := seg.Clone()
-		for cloudName, blocks := range perCloud {
-			// Keep the lowest block IDs (the normal parity set);
-			// surplus high IDs are the over-provisioned extras.
-			if len(blocks) <= fair {
-				continue
-			}
-			sortInts(blocks)
-			for _, b := range blocks[fair:] {
-				doomed[b] = cloudName
-			}
-		}
-		if len(doomed) == 0 {
-			continue
-		}
-		kept := updated.Blocks[:0]
-		for _, b := range updated.Blocks {
-			if _, dead := doomed[b.BlockID]; !dead {
-				kept = append(kept, b)
-			}
-		}
-		updated.Blocks = kept
-		changes = append(changes, &meta.Change{
-			Type: meta.ChangeRelocate, Path: segID,
-			Segments: []*meta.Segment{updated}, Time: time.Time{},
-		})
-		for b, cloudName := range doomed {
-			doomedBlocks = append(doomedBlocks, transfer.BlockRef{SegID: segID, BlockID: b, Cloud: cloudName})
-		}
-	}
-	if len(changes) == 0 {
-		return 0, nil
-	}
-	if !lock.Valid() {
-		return 0, fmt.Errorf("core: quorum lock lost during trim")
-	}
-	if _, err := c.store.Commit(ctx, changes); err != nil {
-		return 0, err
-	}
-	deleted := c.engine.DeleteBlocks(ctx, doomedBlocks)
-	c.setLast(c.store.Cached())
-	return deleted, nil
+	return c.trimSurplus(ctx, "trim", func(string) bool { return true })
 }
 
 // RelieveCapacityPressure is the capacity pressure valve: when the
@@ -96,12 +90,10 @@ func (c *Client) TrimOverProvisioned(ctx context.Context) (int, error) {
 // for a probe. It returns the number of blocks deleted, 0 without work
 // (no tracker, nothing Full, nothing over-provisioned).
 func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
-	tracker := c.cfg.Capacity
-	if !tracker.AnyFull() {
-		return 0, nil
-	}
+	// Read before the lock is taken: a flag file landing on a full
+	// cloud is itself a recovery signal to the tracker.
 	full := make(map[string]bool)
-	for _, st := range tracker.Snapshot() {
+	for _, st := range c.cfg.Capacity.Snapshot() {
 		if st.State == "full" {
 			full[st.Cloud] = true
 		}
@@ -109,67 +101,56 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 	if len(full) == 0 {
 		return 0, nil
 	}
-	lock, err := c.locks.Acquire(ctx)
-	if err != nil {
-		return 0, err
-	}
-	defer c.releaseLock(ctx, lock)
+	deleted, err := c.trimSurplus(ctx, "capacity relief", func(name string) bool { return full[name] })
+	c.cfg.Obs.Counter("core.capacity.pressure_deleted").Add(int64(deleted))
+	return deleted, err
+}
 
-	img, err := c.store.Fetch(ctx)
-	if err != nil {
-		return 0, err
-	}
+// trimSurplus deletes, on every cloud onCloud accepts, each segment's
+// blocks beyond the cloud's fair share, committing the reduced
+// placements first. It returns the number of blocks deleted.
+func (c *Client) trimSurplus(ctx context.Context, what string, onCloud func(cloudName string) bool) (int, error) {
 	fair := c.params.FairShare()
-	var changes []*meta.Change
-	var doomedBlocks []transfer.BlockRef
-	for _, segID := range sortedSegmentIDs(img) {
-		seg, _ := img.Segment(segID)
-		perCloud := make(map[string][]int)
-		for _, b := range seg.Blocks {
-			perCloud[b.CloudID] = append(perCloud[b.CloudID], b.BlockID)
-		}
-		doomed := make(map[int]string)
-		for cloudName, blocks := range perCloud {
-			if !full[cloudName] || len(blocks) <= fair {
+	_, deleted, err := c.relocate(ctx, what, c.stack, func(img *meta.Image) ([]*meta.Change, []transfer.BlockRef, error) {
+		var changes []*meta.Change
+		var doomed []transfer.BlockRef
+		for _, segID := range img.SegmentIDs() {
+			seg, _ := img.Segment(segID)
+			surplus := surplusBlocks(seg, fair, onCloud)
+			if len(surplus) == 0 {
 				continue
 			}
-			sortInts(blocks)
-			for _, b := range blocks[fair:] {
-				doomed[b] = cloudName
-			}
+			updated := seg.Clone()
+			updated.Blocks = slices.DeleteFunc(updated.Blocks, func(b meta.BlockLocation) bool {
+				return slices.Contains(surplus, transfer.BlockRef{SegID: segID, BlockID: b.BlockID, Cloud: b.CloudID})
+			})
+			changes = append(changes, relocateChange(updated))
+			doomed = append(doomed, surplus...)
 		}
-		if len(doomed) == 0 {
-			continue
-		}
-		updated := seg.Clone()
-		kept := updated.Blocks[:0]
-		for _, b := range updated.Blocks {
-			if _, dead := doomed[b.BlockID]; !dead {
-				kept = append(kept, b)
-			}
-		}
-		updated.Blocks = kept
-		changes = append(changes, &meta.Change{
-			Type: meta.ChangeRelocate, Path: segID,
-			Segments: []*meta.Segment{updated}, Time: time.Time{},
-		})
-		for b, cloudName := range doomed {
-			doomedBlocks = append(doomedBlocks, transfer.BlockRef{SegID: segID, BlockID: b, Cloud: cloudName})
+		return changes, doomed, nil
+	})
+	return deleted, err
+}
+
+// surplusBlocks returns the blocks a segment holds beyond the fair
+// share on each cloud onCloud accepts. The lowest block IDs on a cloud
+// are kept (the normal parity set); the surplus high IDs are the
+// over-provisioned extras.
+func surplusBlocks(seg *meta.Segment, fair int, onCloud func(cloudName string) bool) []transfer.BlockRef {
+	perCloud := make(map[string][]int)
+	for _, b := range seg.Blocks {
+		if onCloud(b.CloudID) {
+			perCloud[b.CloudID] = append(perCloud[b.CloudID], b.BlockID)
 		}
 	}
-	if len(changes) == 0 {
-		return 0, nil
+	var out []transfer.BlockRef
+	for cloudName, ids := range perCloud {
+		sort.Ints(ids)
+		for _, id := range ids[min(fair, len(ids)):] {
+			out = append(out, transfer.BlockRef{SegID: seg.ID, BlockID: id, Cloud: cloudName})
+		}
 	}
-	if !lock.Valid() {
-		return 0, fmt.Errorf("core: quorum lock lost during capacity relief")
-	}
-	if _, err := c.store.Commit(ctx, changes); err != nil {
-		return 0, err
-	}
-	deleted := c.engine.DeleteBlocks(ctx, doomedBlocks)
-	c.cfg.Obs.Counter("core.capacity.pressure_deleted").Add(int64(deleted))
-	c.setLast(c.store.Cached())
-	return deleted, nil
+	return out
 }
 
 // GCOrphanBlocks deletes coded blocks that exist in the clouds'
@@ -182,42 +163,31 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 // Only blocks whose segment is entirely absent from the pool are
 // collected: a known segment's unreferenced spare blocks may belong
 // to an in-flight upload on another device.
+//
+// Precondition: no device is uploading. GCOrphanBlocks takes no lock
+// and cannot tell a crashed upload's blocks from those of an upload in
+// flight on another device whose metadata is not committed yet —
+// blocks always land before the metadata that names them — so run
+// against a live writer it deletes that writer's blocks. It is library
+// API for an operator who knows the folder is quiescent; the safe path
+// after a crash is Recover, which reclaims only what this device's own
+// journal names.
 func (c *Client) GCOrphanBlocks(ctx context.Context) (int, error) {
-	img, err := c.store.Fetch(ctx)
+	img, err := c.store.Refresh(ctx)
 	if err != nil {
 		return 0, err
 	}
-	var orphans []transfer.BlockRef
-	for _, name := range c.engine.CloudNames() {
-		names, err := c.engine.ListBlockNames(ctx, name)
-		if err != nil {
-			continue // unreachable cloud: collect on a later pass
-		}
-		for _, n := range names {
-			segID, blockID, ok := parseBlockName(n)
-			if !ok {
-				continue
-			}
-			if _, known := img.Segment(segID); known {
-				continue
-			}
-			orphans = append(orphans, transfer.BlockRef{SegID: segID, BlockID: blockID, Cloud: name})
-		}
-	}
-	return c.engine.DeleteBlocks(ctx, orphans), nil
+	return c.engine.DeleteBlocks(ctx, orphanBlocks(img, c.engine.Survey(ctx))), nil
 }
 
-// parseBlockName splits "<segmentID>.<blockID>".
-func parseBlockName(name string) (segID string, blockID int, ok bool) {
-	return meta.ParseBlockName(name)
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+// orphanBlocks returns the surveyed blocks whose segment the image
+// does not know. A cloud whose listing failed contributes none: its
+// orphans are collected on a later pass.
+func orphanBlocks(img *meta.Image, sv *transfer.Survey) []transfer.BlockRef {
+	return sv.Blocks(func(segID string) bool {
+		_, known := img.Segment(segID)
+		return !known
+	})
 }
 
 // FsckReport is the result of a metadata-vs-clouds existence check.
@@ -233,40 +203,33 @@ type FsckReport struct {
 
 // Fsck verifies that every segment in the committed metadata still
 // has at least K reachable blocks (spot-checking existence via one
-// List per referenced cloud). It is a read-only health check; at-risk
-// segments are repaired by Scrub with repair enabled.
+// List per cloud). It is a read-only health check; at-risk segments
+// are repaired by Scrub with repair enabled.
 //
 // A cloud whose listing fails is UNKNOWN, not empty: its blocks are
 // presumed present (so an unreachable cloud does not flood the report
 // with spurious at-risk segments) and the cloud is named in
 // UnknownClouds so the caller knows the verdict is partial.
 func (c *Client) Fsck(ctx context.Context) (*FsckReport, error) {
-	img, err := c.store.Fetch(ctx)
+	img, err := c.store.Refresh(ctx)
 	if err != nil {
 		return nil, err
 	}
-	rep := &FsckReport{}
-	present := make(map[string]bool)
-	unknown := make(map[string]bool)
-	for _, name := range c.engine.CloudNames() {
-		names, err := c.engine.ListBlockNames(ctx, name)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			unknown[name] = true
-			rep.UnknownClouds = append(rep.UnknownClouds, name)
-			continue
-		}
-		for _, n := range names {
-			present[name+"/"+n] = true
-		}
+	sv := c.engine.Survey(ctx)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	for _, segID := range sortedSegmentIDs(img) {
+	return fsckVerdict(img, sv), nil
+}
+
+// fsckVerdict judges the image against a survey.
+func fsckVerdict(img *meta.Image, sv *transfer.Survey) *FsckReport {
+	rep := &FsckReport{UnknownClouds: sv.UnknownClouds()}
+	for _, segID := range img.SegmentIDs() {
 		seg, _ := img.Segment(segID)
 		live := 0
 		for _, b := range seg.Blocks {
-			if unknown[b.CloudID] || present[b.CloudID+"/"+meta.BlockName(segID, b.BlockID)] {
+			if sv.Unknown(b.CloudID) || sv.Has(b.CloudID, segID, b.BlockID) {
 				live++
 			}
 		}
@@ -274,5 +237,5 @@ func (c *Client) Fsck(ctx context.Context) (*FsckReport, error) {
 			rep.AtRisk = append(rep.AtRisk, segID)
 		}
 	}
-	return rep, nil
+	return rep
 }

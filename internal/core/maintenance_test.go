@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"unidrive/internal/cloudsim"
+	"unidrive/internal/meta"
 )
 
 func totalBlocks(r *rig) int {
@@ -176,7 +177,7 @@ func TestParseBlockName(t *testing.T) {
 		{"seg.x", "", 0, false},
 	}
 	for _, tt := range tests {
-		seg, id, ok := parseBlockName(tt.name)
+		seg, id, ok := meta.ParseBlockName(tt.name)
 		if ok != tt.wantOK || (ok && (seg != tt.seg || id != tt.id)) {
 			t.Errorf("parseBlockName(%q) = (%q, %d, %v)", tt.name, seg, id, ok)
 		}

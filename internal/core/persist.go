@@ -263,7 +263,7 @@ func (c *Client) suppress(path string, size int64, modTime time.Time, removed bo
 // restarted client resumes from it instead of rediscovering the
 // folder. It appends a delta when the store's record chain covers the
 // span from the persisted head to the current image, and rewrites the
-// base when it does not (a full Fetch after a base rotation, the first
+// base when it does not (a full fetch after a base rotation, the first
 // checkpoint of a process that restored nothing) or when the deltas
 // have outgrown λ. Best effort: a failed checkpoint leaves the cursor
 // where it was, so the next one covers the wider span.

@@ -88,3 +88,59 @@ func opCalls(reg *obs.Registry, cloudName string) int64 {
 	}
 	return n
 }
+
+// A rebalance that fails part-way must leave the committed metadata
+// fully backed: nothing it names may have been deleted. (SetClouds used
+// to delete each segment's reclaimed blocks as it went, before the
+// commit; a failure on a later segment then returned with the committed
+// image still naming them.)
+func TestSetCloudsFailureDeletesNothingCommitted(t *testing.T) {
+	r := newRig(5)
+	a, fa := r.device(t, "alpha")
+	writeFile(t, fa, "data.bin", randContent(7, 10_000))
+	syncOK(t, a)
+
+	// The second segment in walk order cannot be reconstructed: every
+	// copy of its blocks reads back corrupt.
+	img := a.Image()
+	ids := img.SegmentIDs()
+	if len(ids) < 2 {
+		t.Fatalf("file cut into %d segments, want at least 2", len(ids))
+	}
+	broken, _ := img.Segment(ids[1])
+	for _, b := range broken.Blocks {
+		for _, f := range r.flaky["alpha"] {
+			if f.Name() == b.CloudID {
+				f.CorruptPath(a.Engine().BlockPath(broken.ID, b.BlockID), cloudsim.CorruptStale)
+			}
+		}
+	}
+
+	// Adding c5 moves one block of every segment onto it and reclaims
+	// what the old clouds then hold beyond their new fair share.
+	clouds := []cloud.Interface{cloudsim.NewDirect(cloudsim.NewStore("c5", 0))}
+	for _, f := range r.flaky["alpha"] {
+		clouds = append(clouds, f)
+	}
+	if err := a.SetClouds(ctxT(t), clouds); err == nil {
+		t.Fatal("SetClouds succeeded though a segment could not be reconstructed")
+	}
+
+	committed, err := a.FetchImage(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := make(map[string]bool)
+	for _, st := range r.stores {
+		for _, p := range st.Paths() {
+			stored[st.Name()+"/"+p] = true
+		}
+	}
+	for _, seg := range committed.AllSegments() {
+		for _, b := range seg.Blocks {
+			if !stored[b.CloudID+"/"+a.Engine().BlockPath(seg.ID, b.BlockID)] {
+				t.Errorf("committed image names block %d of %s on %s, which is gone", b.BlockID, seg.ID, b.CloudID)
+			}
+		}
+	}
+}

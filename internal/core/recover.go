@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"unidrive/internal/journal"
@@ -64,9 +66,10 @@ type RecoveryReport struct {
 //
 // Survey is trust-but-verify: journaled placements are hints only;
 // what actually survives in each cloud is established by listing the
-// block directories (transfer.Engine.SurveyBlocks). A cloud whose
-// listing fails contributes nothing — its blocks are neither adopted
-// nor deleted, and a later recovery or GC pass picks them up.
+// block directories — one transfer.Engine.Survey for the whole
+// journal, taken when the first intent needs it. A cloud whose listing
+// fails contributes nothing — its blocks are neither adopted nor
+// deleted, and a later recovery or GC pass picks them up.
 func (c *Client) Recover(ctx context.Context) (RecoveryReport, error) {
 	var rep RecoveryReport
 	if c.journal.Len() == 0 {
@@ -74,10 +77,11 @@ func (c *Client) Recover(ctx context.Context) (RecoveryReport, error) {
 	}
 	// Decisions are made against the latest committed image, not the
 	// device's possibly stale local view.
-	img, err := c.store.Fetch(ctx)
+	img, err := c.store.Refresh(ctx)
 	if err != nil {
 		return rep, fmt.Errorf("core: recovery needs the committed image: %w", err)
 	}
+	survey := sync.OnceValue(func() *transfer.Survey { return c.engine.Survey(ctx) })
 	// Only paths the restored scanner baseline knows can produce a
 	// Removed event worth suppressing; an unconditional suppression
 	// would linger and swallow a future genuine deletion.
@@ -93,7 +97,7 @@ func (c *Client) Recover(ctx context.Context) (RecoveryReport, error) {
 				return rep, err
 			}
 		case journal.KindUpload:
-			retained, err := c.recoverUpload(ctx, in, img, known, &rep)
+			retained, err := c.recoverUpload(ctx, in, img, survey(), known, &rep)
 			if err != nil {
 				return rep, err
 			}
@@ -101,7 +105,7 @@ func (c *Client) Recover(ctx context.Context) (RecoveryReport, error) {
 				rep.IntentsRetained++
 			}
 		case journal.KindRepair:
-			rep.OrphansReclaimed += c.recoverRepair(ctx, in, img)
+			rep.OrphansReclaimed += c.recoverRepair(ctx, in, img, survey())
 			if err := c.journal.Clear(in.ID); err != nil {
 				return rep, err
 			}
@@ -164,25 +168,33 @@ func (c *Client) recoverApply(in *journal.Intent, img *meta.Image, known map[str
 // same as upload recovery: only blocks that actually exist in the
 // clouds are touched, and only when the committed image does not
 // reference them.
-func (c *Client) recoverRepair(ctx context.Context, in *journal.Intent, img *meta.Image) int {
-	surveyed := c.engine.SurveyBlocks(ctx, in.SegmentIDs())
+func (c *Client) recoverRepair(ctx context.Context, in *journal.Intent, img *meta.Image, sv *transfer.Survey) int {
 	var orphans []transfer.BlockRef
-	for segID, locs := range surveyed {
-		pool, _ := img.Segment(segID)
-		intended := in.Placements[segID]
-		for _, loc := range locs {
-			if pool != nil && pool.HasBlock(loc.BlockID, loc.CloudID) {
-				continue // referenced by committed metadata: not ours
-			}
-			// Only locations this repair intended to write are ours to
-			// judge; anything else on the clouds belongs to another pass.
-			if intended[loc.BlockID] != loc.CloudID {
-				continue
-			}
-			orphans = append(orphans, transfer.BlockRef{SegID: segID, BlockID: loc.BlockID, Cloud: loc.CloudID})
+	for _, b := range surveyedBlocks(sv, in) {
+		if pool, _ := img.Segment(b.SegID); pool != nil && pool.HasBlock(b.BlockID, b.Cloud) {
+			continue // referenced by committed metadata: not ours
+		}
+		// Only locations this repair intended to write are ours to
+		// judge; anything else on the clouds belongs to another pass.
+		if in.Placements[b.SegID][b.BlockID] == b.Cloud {
+			orphans = append(orphans, b)
 		}
 	}
 	return c.reclaimOrphans(ctx, orphans)
+}
+
+// surveyedBlocks hands an intent the blocks of its segments that exist
+// in the clouds, and takes them out of the survey: each block is
+// judged once, so a later intent naming the same segment can neither
+// adopt what this one reclaims nor reclaim what this one adopts.
+func surveyedBlocks(sv *transfer.Survey, in *journal.Intent) []transfer.BlockRef {
+	ids := in.SegmentIDs() // sorted
+	blocks := sv.Blocks(func(segID string) bool {
+		_, ok := slices.BinarySearch(ids, segID)
+		return ok
+	})
+	sv.Forget(blocks)
+	return blocks
 }
 
 // reclaimOrphans deletes blocks recovery judged unreferenced and
@@ -196,8 +208,7 @@ func (c *Client) reclaimOrphans(ctx context.Context, orphans []transfer.BlockRef
 // recoverUpload replays one upload intent per the decision table,
 // reporting whether the intent was retained (blocks adopted for
 // resumption).
-func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *meta.Image, known map[string]bool, rep *RecoveryReport) (bool, error) {
-	surveyed := c.engine.SurveyBlocks(ctx, in.SegmentIDs())
+func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *meta.Image, sv *transfer.Survey, known map[string]bool, rep *RecoveryReport) (bool, error) {
 	committed := in.State == journal.StateCommitted || c.changesReflected(img, in.Changes)
 
 	if committed {
@@ -245,18 +256,16 @@ func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *met
 
 	adopted := 0
 	var orphans []transfer.BlockRef
-	for segID, locs := range surveyed {
-		pool, _ := img.Segment(segID)
-		for _, loc := range locs {
-			switch {
-			case pool != nil && pool.HasBlock(loc.BlockID, loc.CloudID):
-				// Referenced by committed metadata: not ours to touch.
-			case !committed && resumable[segID] && pool == nil:
-				c.addRecovered(segID, loc.BlockID, loc.CloudID)
-				adopted++
-			default:
-				orphans = append(orphans, transfer.BlockRef{SegID: segID, BlockID: loc.BlockID, Cloud: loc.CloudID})
-			}
+	for _, b := range surveyedBlocks(sv, in) {
+		pool, _ := img.Segment(b.SegID)
+		switch {
+		case pool != nil && pool.HasBlock(b.BlockID, b.Cloud):
+			// Referenced by committed metadata: not ours to touch.
+		case !committed && resumable[b.SegID] && pool == nil:
+			c.addRecovered(b.SegID, b.BlockID, b.Cloud)
+			adopted++
+		default:
+			orphans = append(orphans, b)
 		}
 	}
 	rep.OrphansReclaimed += c.reclaimOrphans(ctx, orphans)
@@ -267,7 +276,7 @@ func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *met
 		// Keep the record: the adopted blocks stay covered until the
 		// resumed pass journals its own intent (same batch, same ID) or
 		// a later recovery finds them committed. A lingering record
-		// costs one redundant survey, never data.
+		// costs the next startup its survey, never data.
 		return true, nil
 	}
 	return false, c.journal.Clear(in.ID)

@@ -10,6 +10,7 @@ import (
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/deltasync"
+	"unidrive/internal/journal"
 	"unidrive/internal/localfs"
 	"unidrive/internal/obs"
 	"unidrive/internal/qlock"
@@ -129,6 +130,80 @@ func TestSingleFileCommitRequestBudget(t *testing.T) {
 	}
 	if n := total() - totalBefore; n != 5+blocks.Download {
 		t.Errorf("Get issued %d requests, want %d", n, 5+blocks.Download)
+	}
+}
+
+// The request budget of the maintenance entries on a warm device with
+// nothing pending: each reads the committed image through the delta
+// cursor — the five stamp GETs, not the whole base from every cloud —
+// and takes one survey, one List of the block directory per cloud.
+func TestMaintenanceRequestBudget(t *testing.T) {
+	c, folder, recs := recordedDevice(t)
+	writeFile(t, folder, "warm.bin", randContent(1, 100_000))
+	if _, err := c.SyncDirty(ctxT(t), []string{"warm.bin"}); err != nil {
+		t.Fatal(err)
+	}
+	// during runs one maintenance entry and returns the requests it
+	// issued under the metadata and the block directory.
+	during := func(run func() error) (metadata, blocks cloudsim.CallCounts) {
+		t.Helper()
+		m, b := requestsUnder(recs, deltasync.DefaultDir), requestsUnder(recs, transfer.DefaultBlockDir)
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		return requestsUnder(recs, deltasync.DefaultDir).Minus(m), requestsUnder(recs, transfer.DefaultBlockDir).Minus(b)
+	}
+	stampGETs := cloudsim.CallCounts{Download: 5}
+
+	for _, entry := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Scrub(false)", func() error { _, err := c.Scrub(ctxT(t), false); return err }},
+		{"Scrub(true)", func() error { _, err := c.Scrub(ctxT(t), true); return err }},
+		{"Fsck", func() error { _, err := c.Fsck(ctxT(t)); return err }},
+		{"GCOrphanBlocks", func() error { _, err := c.GCOrphanBlocks(ctxT(t)); return err }},
+	} {
+		metadata, blocks := during(entry.run)
+		if metadata != stampGETs {
+			t.Errorf("%s: metadata requests = %+v, want %+v", entry.name, metadata, stampGETs)
+		}
+		if blocks.List != 5 || blocks.Upload+blocks.Delete != 0 {
+			t.Errorf("%s: block-directory requests = %+v, want 5 lists and no writes", entry.name, blocks)
+		}
+	}
+
+	// A trim commits, so it also writes; what it READS is the stamps.
+	metadata, blocks := during(func() error { _, err := c.TrimOverProvisioned(ctxT(t)); return err })
+	if metadata.Download != 5 || metadata.List != 0 {
+		t.Errorf("TrimOverProvisioned: metadata requests = %+v, want 5 downloads and no lists", metadata)
+	}
+	if blocks.List != 0 {
+		t.Errorf("TrimOverProvisioned listed the block directory %d times; it judges the image alone", blocks.List)
+	}
+
+	// Recovery takes one survey for the whole journal, not one per
+	// intent.
+	segID := c.Image().SegmentIDs()[0]
+	for _, id := range []string{"scrub:alpha", "scrub:beta"} {
+		err := c.journal.Begin(&journal.Intent{
+			ID: id, Kind: journal.KindRepair, State: journal.StateUploading,
+			Placements: map[string]map[int]string{segID: {0: "c0"}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rep RecoveryReport
+	metadata, blocks = during(func() (err error) { rep, err = c.Recover(ctxT(t)); return err })
+	if rep.IntentsReplayed != 2 {
+		t.Fatalf("recovery replayed %d intents, want 2", rep.IntentsReplayed)
+	}
+	if metadata != stampGETs {
+		t.Errorf("Recover: metadata requests = %+v, want %+v", metadata, stampGETs)
+	}
+	if want := (cloudsim.CallCounts{List: 5}); blocks != want {
+		t.Errorf("Recover: block-directory requests = %+v, want %+v", blocks, want)
 	}
 }
 

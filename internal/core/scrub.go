@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"unidrive/internal/meta"
 	"unidrive/internal/scrub"
+	"unidrive/internal/transfer"
 )
 
 // Scrub runs one anti-entropy cycle over the committed metadata:
@@ -18,7 +20,7 @@ import (
 func (c *Client) Scrub(ctx context.Context, repair bool) (*scrub.Report, error) {
 	s, err := scrub.New(scrub.Config{
 		Engine:      c.engine,
-		Image:       func(ctx context.Context) (*meta.Image, error) { return c.store.Fetch(ctx) },
+		Image:       c.store.Refresh,
 		Commit:      c.commitRepairs,
 		Journal:     c.journal,
 		Fair:        c.cfg.Fair,
@@ -53,58 +55,30 @@ func (c *Client) Scrub(ctx context.Context, repair bool) (*scrub.Report, error) 
 // the current record per block ID — so a concurrent reliability pass
 // adding copies of OTHER blocks is never clobbered.
 func (c *Client) commitRepairs(ctx context.Context, changes []*meta.Change) (int64, error) {
-	lock, err := c.locks.Acquire(ctx)
-	if err != nil {
-		return 0, err
-	}
-	defer c.releaseLock(ctx, lock)
-	img, err := c.store.Fetch(ctx)
-	if err != nil {
-		return 0, err
-	}
-	kept := make([]*meta.Change, 0, len(changes))
-	for _, ch := range changes {
-		if ch.Type != meta.ChangeRelocate || len(ch.Segments) != 1 {
-			return 0, fmt.Errorf("core: scrub commit: malformed change for %q", ch.Path)
-		}
-		cur, ok := img.Segment(ch.Path)
-		if !ok {
-			continue
-		}
-		want := ch.Segments[0]
-		merged := cur.Clone()
-		touched := make(map[int]bool, len(want.Blocks))
-		for _, b := range want.Blocks {
-			touched[b.BlockID] = true
-		}
-		locs := merged.Blocks[:0]
-		for _, b := range merged.Blocks {
-			if !touched[b.BlockID] {
-				locs = append(locs, b)
+	version, _, err := c.relocate(ctx, "scrub commit", c.stack, func(img *meta.Image) ([]*meta.Change, []transfer.BlockRef, error) {
+		kept := make([]*meta.Change, 0, len(changes))
+		for _, ch := range changes {
+			if ch.Type != meta.ChangeRelocate || len(ch.Segments) != 1 {
+				return nil, nil, fmt.Errorf("core: scrub commit: malformed change for %q", ch.Path)
 			}
+			cur, ok := img.Segment(ch.Path)
+			if !ok {
+				continue
+			}
+			want := ch.Segments[0]
+			merged := cur.Clone()
+			merged.Blocks = slices.DeleteFunc(merged.Blocks, func(b meta.BlockLocation) bool {
+				return slices.ContainsFunc(want.Blocks, func(w meta.BlockLocation) bool { return w.BlockID == b.BlockID })
+			})
+			for _, b := range want.Blocks {
+				merged.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
+			}
+			// The scrubber's thin verdict is authoritative: re-expansion
+			// clears the mark, a capacity-blocked repair leaves it.
+			merged.Thin = want.Thin
+			kept = append(kept, relocateChange(merged))
 		}
-		merged.Blocks = locs
-		for _, b := range want.Blocks {
-			merged.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
-		}
-		// The scrubber's thin verdict is authoritative: re-expansion
-		// clears the mark, a capacity-blocked repair leaves it.
-		merged.Thin = want.Thin
-		kept = append(kept, &meta.Change{
-			Type: meta.ChangeRelocate, Path: ch.Path,
-			Segments: []*meta.Segment{merged}, Time: ch.Time,
-		})
-	}
-	if len(kept) == 0 {
-		return c.store.Stamp().Version, nil
-	}
-	if !lock.Valid() {
-		return 0, fmt.Errorf("core: quorum lock lost during scrub commit")
-	}
-	stats, err := c.store.Commit(ctx, kept)
-	if err != nil {
-		return 0, err
-	}
-	c.setLast(c.store.Cached())
-	return stats.Version, nil
+		return kept, nil, nil
+	})
+	return version, err
 }

@@ -265,7 +265,7 @@ func (s *Store) materializeLocked() *meta.Image {
 	for _, r := range s.records {
 		for _, c := range r.Changes {
 			// Records were validated at commit time; an error here
-			// indicates corrupted state and is surfaced by Fetch.
+			// indicates corrupted state and is surfaced by the full fetch.
 			_ = img.Apply(c, r.Device)
 		}
 		img.Version = r.Version
@@ -478,25 +478,11 @@ func (s *Store) fetchChunks(ctx context.Context, c cloud.Interface) ([]Record, i
 	return records, total, nil
 }
 
-// Fetch refreshes the cached metadata from the clouds: it collects
-// every reachable cloud's state and adopts the newest consistent one.
-// It returns the materialized image.
-func (s *Store) Fetch(ctx context.Context) (*meta.Image, error) {
-	// The stamps are read alongside the metadata, not before it: the
-	// fetch itself does not depend on them, but a Commit that follows
-	// under the same lock hold decides from them.
-	polled := make(chan struct{})
-	go func() {
-		defer close(polled)
-		s.pollStamps(ctx)
-	}()
-	img, err := s.fetchAll(ctx)
-	<-polled
-	return img, err
-}
-
-// fetchAll is Fetch without the stamp poll, for callers that have just
-// polled.
+// fetchAll is Refresh's fallback when the delta cursor cannot be
+// extended (a cold cache, a rotated base, an unreachable delta): it
+// collects every reachable cloud's whole lineage, adopts the newest
+// consistent one and returns the materialized image. It does not poll
+// the stamps; Refresh has.
 func (s *Store) fetchAll(ctx context.Context) (*meta.Image, error) {
 	states := make([]*cloudState, len(s.clouds))
 	errs := make([]error, len(s.clouds))
@@ -547,7 +533,7 @@ func (s *Store) fetchAll(ctx context.Context) (*meta.Image, error) {
 // chain, so downloading only the delta file and verifying that it
 // extends the cursor from the same base suffices. Only when that fails
 // (the base rotated, or the delta is unreachable) does it fall back to
-// a full Fetch.
+// fetching every cloud's whole lineage (fetchAll).
 //
 // The returned image is shared (see CachedShared) and must be treated
 // as read-only.
@@ -594,7 +580,7 @@ func (s *Store) refreshIncremental(ctx context.Context, seen []cloudStamp) (*met
 		}
 		tail, err := s.decodeDelta(deltaData)
 		if err != nil {
-			return nil, false // corrupt delta: let Fetch's validation decide
+			return nil, false // corrupt delta: let fetchAll's validation decide
 		}
 		s.mu.Lock()
 		lastV := s.stamp.Version
@@ -624,7 +610,7 @@ func (s *Store) refreshIncremental(ctx context.Context, seen []cloudStamp) (*met
 // fetchChunksAfter downloads the frozen chunks that may hold records
 // with versions beyond afterV: every chunk starting past afterV plus
 // the one straddling it. Returns ok=false when the listing or a
-// download fails (the caller falls back to a full Fetch).
+// download fails (the caller falls back to fetchAll).
 func (s *Store) fetchChunksAfter(ctx context.Context, c cloud.Interface, afterV int64) ([]Record, bool) {
 	entries, err := c.List(ctx, s.cfg.Dir)
 	if err != nil {
@@ -694,7 +680,7 @@ func (s *Store) adoptRecords(records []Record, tailStart int64) (*meta.Image, bo
 		// not a full replay.
 		next, err := img.ApplyCOW(r.Changes, r.Device)
 		if err != nil {
-			return nil, false // corrupt record; full Fetch will surface it
+			return nil, false // corrupt record; fetchAll will surface it
 		}
 		next.Version = r.Version
 		next.Device = r.Device
@@ -805,14 +791,14 @@ func (s *Store) decodeDelta(blob []byte) ([]Record, error) {
 
 // Commit writes a new metadata version containing the given changes.
 // It must be called while holding the quorum lock, with the cached
-// state up to date (Refresh or Fetch under that lock hold). The new
+// state up to date (Refresh under that lock hold). The new
 // image version is cached version + 1.
 //
 // Commit appends a record to the delta log, or — when the delta would
 // exceed λ, or a full image write is forced — rotates the base.
 // Clouds whose version stamp shows they missed earlier commits are
 // repaired with a full base write. The stamps are the ones the
-// preceding Refresh, CheckRemote or Fetch read — under the lock nobody
+// preceding Refresh or CheckRemote read — under the lock nobody
 // else rewrites them — and a Commit that no poll preceded since the
 // previous Commit polls them itself.
 func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats, error) {

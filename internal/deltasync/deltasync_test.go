@@ -72,7 +72,7 @@ func TestCommitAndFetchRoundTrip(t *testing.T) {
 	}
 	// A different device fetches and sees the file.
 	s2 := r.store(t, "d2", Config{})
-	img, err := s2.Fetch(context.Background())
+	img, err := s2.fetchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCheckRemoteDetectsPendingUpdate(t *testing.T) {
 	if !pending {
 		t.Fatal("pending update not detected after commit")
 	}
-	if _, err := s2.Fetch(context.Background()); err != nil {
+	if _, err := s2.fetchAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	pending, err = s2.CheckRemote(context.Background())
@@ -149,7 +149,7 @@ func TestCheckRemoteIsCheap(t *testing.T) {
 	}
 	rec := cloudsim.NewRecorder(cloudsim.NewDirect(r.stores[0]))
 	probe := New([]cloud.Interface{rec}, testCipher(t), Config{Device: "dX"})
-	if _, err := probe.Fetch(context.Background()); err != nil {
+	if _, err := probe.fetchAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := rec.Counts().Download
@@ -192,7 +192,7 @@ func TestDeltaAccumulatesThenRotates(t *testing.T) {
 		t.Fatal("every commit rotated the base; delta-sync inert")
 	}
 	// State after mixed commits is still correct for a new device.
-	img, err := r.store(t, "d2", Config{}).Fetch(context.Background())
+	img, err := r.store(t, "d2", Config{}).fetchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestStaleCloudRepairedOnNextCommit(t *testing.T) {
 	}
 	// A reader that can only see cloud 0 must observe all three files.
 	only0 := New([]cloud.Interface{cloudsim.NewDirect(r.stores[0])}, testCipher(t), Config{Device: "dR"})
-	img, err := only0.Fetch(context.Background())
+	img, err := only0.fetchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestFetchPrefersNewestCloud(t *testing.T) {
 	}
 	r.flaky[2].SetDown(false)
 
-	img, err := r.store(t, "d2", Config{}).Fetch(context.Background())
+	img, err := r.store(t, "d2", Config{}).fetchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestFetchAllCloudsDown(t *testing.T) {
 	for _, f := range r.flaky {
 		f.SetDown(true)
 	}
-	if _, err := r.store(t, "d1", Config{}).Fetch(context.Background()); err == nil {
+	if _, err := r.store(t, "d1", Config{}).fetchAll(context.Background()); err == nil {
 		t.Fatal("fetch succeeded with all clouds down")
 	}
 }
@@ -371,7 +371,7 @@ func TestConcurrentDevicesSerializedCommits(t *testing.T) {
 	if _, err := s1.Commit(context.Background(), []*meta.Change{addChange("a", "s1")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Fetch(context.Background()); err != nil {
+	if _, err := s2.fetchAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := s2.Commit(context.Background(), []*meta.Change{addChange("b", "s2")})
@@ -381,7 +381,7 @@ func TestConcurrentDevicesSerializedCommits(t *testing.T) {
 	if stats.Version != 2 {
 		t.Fatalf("second device committed version %d, want 2", stats.Version)
 	}
-	img, err := s1.Fetch(context.Background())
+	img, err := s1.fetchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,14 +425,14 @@ func TestRecordsSinceCoversOnlyTheCachedChain(t *testing.T) {
 	// A rotation folds the chain into the base: spans from before it are
 	// no longer covered, by this store or by one that fetches afterwards.
 	rotating := r.store(t, "d2", Config{LambdaMin: 1})
-	if _, err := rotating.Fetch(ctx); err != nil {
+	if _, err := rotating.fetchAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := rotating.Commit(ctx, []*meta.Change{addChange("f4", "s4")})
 	if err != nil || !stats.BaseRotated {
 		t.Fatalf("rotating commit: %+v, %v", stats, err)
 	}
-	if _, err := s.Fetch(ctx); err != nil {
+	if _, err := s.fetchAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.RecordsSince(3, 4); ok {

@@ -77,7 +77,7 @@ func TestRefreshIncrementalSkipsBaseDownload(t *testing.T) {
 		clouds[i] = recorders[i]
 	}
 	reader := New(clouds, testCipher(t), Config{Device: "dR", Obs: reg})
-	if _, err := reader.Fetch(context.Background()); err != nil {
+	if _, err := reader.fetchAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,9 +113,9 @@ func TestRefreshIncrementalSkipsBaseDownload(t *testing.T) {
 	if n := reg.Counter("deltasync.refresh.full").Value(); n != 0 {
 		t.Errorf("full counter = %d, want 0", n)
 	}
-	// Equivalence: a fresh full Fetch on another store sees the same image.
+	// Equivalence: a fresh full fetch on another store sees the same image.
 	other := r.store(t, "dX", Config{})
-	full, err := other.Fetch(context.Background())
+	full, err := other.fetchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRefreshFallsBackToFullAfterRotation(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	reader := r.store(t, "dR", Config{Obs: reg})
-	if _, err := reader.Fetch(context.Background()); err != nil {
+	if _, err := reader.fetchAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := writer.Commit(context.Background(), []*meta.Change{addChange("b.txt", "s2")}); err != nil {
@@ -221,7 +221,7 @@ func TestLazyBaseSkipsEncodeUntilRotation(t *testing.T) {
 
 	// Cross-device equivalence: a plain reader fetches the same state.
 	reader := r.store(t, "dR", Config{})
-	img, err := reader.Fetch(context.Background())
+	img, err := reader.fetchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestLazyBaseRepairsStaleCloud(t *testing.T) {
 	}
 	// A reader served only by the repaired cloud sees everything.
 	only2 := New([]cloud.Interface{cloudsim.NewDirect(r.stores[2])}, testCipher(t), Config{Device: "dR"})
-	img, err := only2.Fetch(context.Background())
+	img, err := only2.fetchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestRefreshIncrementalDownloadsNoBase(t *testing.T) {
 		clouds[i] = recorders[i]
 	}
 	reader := New(clouds, testCipher(t), Config{Device: "dR"})
-	if _, err := reader.Fetch(context.Background()); err != nil {
+	if _, err := reader.fetchAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	baseDownloadsAfterFetch := totalDownloads(recorders)

@@ -66,8 +66,8 @@ func commitOne(t *testing.T, s *Store, path, seg string) CommitStats {
 }
 
 // The poll that precedes a Commit under the lock — Refresh's, or
-// Fetch's — is the only time the version files are read: the commit
-// decides up-to-date vs repair from its answers.
+// CheckRemote's — is the only time the version files are read: the
+// commit decides up-to-date vs repair from its answers.
 func TestPollThenCommitIssuesNoStampGET(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(3)
@@ -79,7 +79,6 @@ func TestPollThenCommitIssuesNoStampGET(t *testing.T) {
 		run  func() error
 	}{
 		{"Refresh", func() error { _, err := s.Refresh(ctx); return err }},
-		{"Fetch", func() error { _, err := s.Fetch(ctx); return err }},
 		{"CheckRemote", func() error { _, err := s.CheckRemote(ctx); return err }},
 	} {
 		before := metaCounts(recs, versionFile)
@@ -127,7 +126,7 @@ func TestCommitWithoutPollPollsAndRepairs(t *testing.T) {
 	// Only the stale cloud is rewritten in full.
 	wantBaseUploads(t, recs, bases, 0)
 	only0 := New([]cloud.Interface{cloudsim.NewDirect(r.stores[0])}, testCipher(t), Config{Device: "dR"})
-	img, err := only0.Fetch(context.Background())
+	img, err := only0.fetchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

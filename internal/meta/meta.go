@@ -378,6 +378,17 @@ func (im *Image) NumSegments() int { return im.segments.Len() }
 // AllSegments iterates every ID -> segment pair, in unspecified order.
 func (im *Image) AllSegments() iter.Seq2[string, *Segment] { return im.segments.All() }
 
+// SegmentIDs returns the IDs of the segment pool in sorted order — the
+// deterministic walk order of every maintenance pass.
+func (im *Image) SegmentIDs() []string {
+	out := make([]string, 0, im.segments.Len())
+	for id := range im.segments.All() {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // SetSnapshot replaces the entry for snap.Path with the single given
 // snapshot (resolving any retained conflict versions).
 func (im *Image) SetSnapshot(snap *Snapshot) {

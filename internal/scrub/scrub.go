@@ -185,13 +185,22 @@ func New(cfg Config) (*Scrubber, error) {
 // upload batch).
 func (s *Scrubber) intentID() string { return "scrub:" + s.cfg.Device }
 
+// cycle is the state of one Cycle: what the clouds hold, the report
+// being filled in, and whether the repair intent is journaled yet.
+type cycle struct {
+	*Scrubber
+	sv        *transfer.Survey
+	rep       *Report
+	journaled bool
+}
+
 // locKey addresses one copy of one block.
 type locKey struct {
 	blockID int
 	cloudID string
 }
 
-// segDamage is everything Cycle learned about one segment.
+// segDamage is everything a cycle learned about one segment.
 type segDamage struct {
 	seg *meta.Segment
 	// missing and corrupt are the damaged copies.
@@ -206,6 +215,31 @@ type segDamage struct {
 	suspectLocs map[int][]meta.BlockLocation
 	// backfill collects verified legacy copies awaiting a stamp.
 	backfill map[locKey]uint32
+	// enc re-encodes the segment's blocks once its content has been
+	// reconstructed and SHA-verified.
+	enc *reencoder
+	// full names the clouds that rejected one of this segment's
+	// writes for quota this cycle; place skips them.
+	full map[string]bool
+}
+
+// reencoder yields any coded block of one reconstructed segment, in a
+// pooled buffer it reuses: a block is valid until the next is asked
+// for (PutBlock does not retain its data argument).
+type reencoder struct {
+	coder   *erasure.Coder
+	sh      *erasure.Shards
+	payload []byte
+}
+
+func (r *reencoder) block(blockID int) []byte {
+	r.coder.EncodeBlocksInto(r.sh, []int{blockID}, [][]byte{r.payload})
+	return r.payload
+}
+
+func (r *reencoder) release() {
+	erasure.PutBuffer(r.payload)
+	r.sh.Release()
 }
 
 // Cycle walks every committed segment once. With repair false it only
@@ -220,119 +254,29 @@ func (s *Scrubber) Cycle(ctx context.Context, repair bool) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scrub: fetching image: %w", err)
 	}
-	rep := &Report{}
 	s.reg.Counter("scrub.cycles").Inc()
 
-	// One listing per cloud covers existence for every block. A cloud
-	// whose listing fails is UNKNOWN, not empty: its copies are
-	// skipped entirely (SurveyBlocks-style conservatism) — presuming
-	// them missing would trigger spurious repairs, and presuming them
-	// present would hide real loss.
-	listings := make(map[string]map[string]bool)
-	unknown := make(map[string]bool)
-	for _, name := range s.cfg.Engine.CloudNames() {
-		names, lerr := s.cfg.Engine.ListBlockNames(ctx, name)
-		if lerr != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			unknown[name] = true
-			rep.UnknownClouds = append(rep.UnknownClouds, name)
-			s.reg.Counter("scrub.clouds_unknown").Inc()
-			continue
-		}
-		set := make(map[string]bool, len(names))
-		for _, n := range names {
-			set[n] = true
-		}
-		listings[name] = set
+	// One survey covers existence for every block. A cloud whose
+	// listing fails is UNKNOWN, not empty: its copies are skipped
+	// entirely — presuming them missing would trigger spurious repairs,
+	// and presuming them present would hide real loss.
+	sv := s.cfg.Engine.Survey(ctx)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	rep := &Report{UnknownClouds: sv.UnknownClouds()}
+	s.reg.Counter("scrub.clouds_unknown").Add(int64(len(rep.UnknownClouds)))
+	c := &cycle{Scrubber: s, sv: sv, rep: rep}
 
 	var changes []*meta.Change
-	var intended map[string]map[int]string // journaled repair targets
-	// ensureIntent journals the cycle's repair intent once, before the
-	// first block (repair or re-expansion) leaves this device.
-	ensureIntent := func() error {
-		if s.cfg.Journal == nil || intended != nil {
-			return nil
-		}
-		intended = make(map[string]map[int]string)
-		in := &journal.Intent{
-			ID: s.intentID(), Kind: journal.KindRepair,
-			Device: s.cfg.Device, CreatedAt: s.cfg.Clock.Now(),
-		}
-		if err := s.cfg.Journal.Begin(in); err != nil {
-			return fmt.Errorf("scrub: journaling repair intent: %w", err)
-		}
-		return nil
-	}
-	ids := make([]string, 0, img.NumSegments())
-	for id := range img.AllSegments() {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	for _, segID := range ids {
+	for _, segID := range img.SegmentIDs() {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		seg, _ := img.Segment(segID)
-		rep.Segments++
-		s.reg.Counter("scrub.segments").Inc()
-
-		d, err := s.checkSegment(ctx, seg, listings, unknown, rep)
+		change, err := c.scrubSegment(ctx, seg, repair)
 		if err != nil {
 			return nil, err
-		}
-		if seg.Thin {
-			rep.ThinSegments++
-			s.reg.Counter("scrub.thin_segments").Inc()
-		}
-		expand := repair && seg.Thin && s.cfg.Target > 0
-		damaged := len(d.missing) + len(d.corrupt)
-		needsData := len(d.suspect) > 0 || (repair && damaged > 0) || expand
-		if !needsData {
-			continue
-		}
-
-		data, ok := s.reconstruct(seg, d)
-		if !ok {
-			if damaged > 0 {
-				rep.Unrepairable = append(rep.Unrepairable, segID)
-				s.reg.Counter("scrub.unrepairable_segments").Inc()
-			}
-			continue
-		}
-		// Content in hand and SHA-verified: settle every legacy copy's
-		// verdict by comparing against its re-encoded expected bytes.
-		s.settleSuspects(d, data, rep)
-		damaged = len(d.missing) + len(d.corrupt)
-
-		if !repair {
-			erasure.PutBuffer(data)
-			continue
-		}
-		if damaged > 0 || expand {
-			if err := ensureIntent(); err != nil {
-				erasure.PutBuffer(data)
-				return nil, err
-			}
-		}
-		change, capBlocked, err := s.repairSegment(ctx, seg, d, data, unknown, intended, rep)
-		if err == nil && expand {
-			var expBlocked bool
-			change, expBlocked, err = s.expandThin(ctx, seg, data, unknown, intended, rep, change)
-			capBlocked = capBlocked || expBlocked
-		}
-		erasure.PutBuffer(data)
-		if err != nil {
-			return nil, err
-		}
-		if capBlocked {
-			// Intact but unplaceable: every eligible cloud is out of
-			// quota. Deferred, not lost — distinct from Unrepairable.
-			rep.UnrepairableCapacity = append(rep.UnrepairableCapacity, segID)
-			s.reg.Counter("scrub.capacity_blocked_segments").Inc()
 		}
 		if change != nil {
 			changes = append(changes, change)
@@ -347,13 +291,13 @@ func (s *Scrubber) Cycle(ctx context.Context, repair bool) (*Report, error) {
 			return rep, fmt.Errorf("scrub: committing repairs: %w", err)
 		}
 		rep.Committed = true
-		if s.cfg.Journal != nil && intended != nil {
+		if c.journaled {
 			if err := s.cfg.Journal.MarkCommitted(s.intentID(), version); err != nil {
 				return rep, err
 			}
 		}
 	}
-	if s.cfg.Journal != nil && intended != nil {
+	if c.journaled {
 		if err := s.cfg.Journal.Clear(s.intentID()); err != nil {
 			return rep, err
 		}
@@ -361,33 +305,105 @@ func (s *Scrubber) Cycle(ctx context.Context, repair bool) (*Report, error) {
 	return rep, nil
 }
 
-// checkSegment verifies every copy of one segment: existence against
-// the cloud listings, content against the per-location stamp (or any
-// sibling location's stamp — block content is determined by (segment,
-// block ID), so one stamp speaks for every copy of the block).
-func (s *Scrubber) checkSegment(ctx context.Context, seg *meta.Segment,
-	listings map[string]map[string]bool, unknown map[string]bool, rep *Report) (*segDamage, error) {
+// scrubSegment verifies one segment and, in repair mode, restores it.
+// It returns the segment's relocate change, nil when its committed
+// placement stands.
+func (s *cycle) scrubSegment(ctx context.Context, seg *meta.Segment, repair bool) (*meta.Change, error) {
+	s.rep.Segments++
+	s.reg.Counter("scrub.segments").Inc()
+	d, err := s.checkSegment(ctx, seg)
+	if err != nil {
+		return nil, err
+	}
+	if seg.Thin {
+		s.rep.ThinSegments++
+		s.reg.Counter("scrub.thin_segments").Inc()
+	}
+	expand := repair && seg.Thin && s.cfg.Target > 0
+	damaged := len(d.missing) + len(d.corrupt)
+	if len(d.suspect) == 0 && !(repair && damaged > 0) && !expand {
+		return nil, nil // nothing needs the segment's content
+	}
 
+	if !s.reconstruct(d) {
+		if damaged > 0 {
+			s.rep.Unrepairable = append(s.rep.Unrepairable, seg.ID)
+			s.reg.Counter("scrub.unrepairable_segments").Inc()
+		}
+		return nil, nil
+	}
+	defer d.enc.release()
+	// Content in hand and SHA-verified: settle every legacy copy's
+	// verdict by comparing against its re-encoded expected bytes.
+	s.settleSuspects(d)
+	if !repair {
+		return nil, nil
+	}
+	if len(d.missing)+len(d.corrupt) > 0 || expand {
+		if err := s.ensureIntent(); err != nil {
+			return nil, err
+		}
+	}
+	change, capBlocked, err := s.repairSegment(ctx, d)
+	if err == nil && expand {
+		var expBlocked bool
+		change, expBlocked, err = s.expandThin(ctx, d, change)
+		capBlocked = capBlocked || expBlocked
+	}
+	if err != nil {
+		return nil, err
+	}
+	if capBlocked {
+		// Intact but unplaceable: every eligible cloud is out of
+		// quota. Deferred, not lost — distinct from Unrepairable.
+		s.rep.UnrepairableCapacity = append(s.rep.UnrepairableCapacity, seg.ID)
+		s.reg.Counter("scrub.capacity_blocked_segments").Inc()
+	}
+	return change, nil
+}
+
+// ensureIntent journals the cycle's repair intent once, before the
+// first block (repair or re-expansion) leaves this device.
+func (s *cycle) ensureIntent() error {
+	if s.cfg.Journal == nil || s.journaled {
+		return nil
+	}
+	in := &journal.Intent{
+		ID: s.intentID(), Kind: journal.KindRepair,
+		Device: s.cfg.Device, CreatedAt: s.cfg.Clock.Now(),
+	}
+	if err := s.cfg.Journal.Begin(in); err != nil {
+		return fmt.Errorf("scrub: journaling repair intent: %w", err)
+	}
+	s.journaled = true
+	return nil
+}
+
+// checkSegment verifies every copy of one segment: existence against
+// the survey, content against the per-location stamp (or any sibling
+// location's stamp — block content is determined by (segment, block
+// ID), so one stamp speaks for every copy of the block).
+func (s *cycle) checkSegment(ctx context.Context, seg *meta.Segment) (*segDamage, error) {
 	d := &segDamage{
 		seg:         seg,
 		healthy:     make(map[int][]byte),
 		suspect:     make(map[int][]byte),
 		suspectLocs: make(map[int][]meta.BlockLocation),
 		backfill:    make(map[locKey]uint32),
+		full:        make(map[string]bool),
 	}
+	rep := s.rep
 	shardSize := 0
 	if coder, err := s.coder(seg.K, seg.N); err == nil {
 		shardSize = coder.ShardSize(seg.Length)
 	}
 	for _, loc := range seg.Blocks {
-		if unknown[loc.CloudID] {
-			continue // cannot say anything about this copy
+		if !s.sv.Listed(loc.CloudID) {
+			// Listing failed, or the cloud is not in the engine (stale
+			// metadata): nothing can be said about this copy.
+			continue
 		}
-		listing, ok := listings[loc.CloudID]
-		if !ok {
-			continue // cloud not in the engine (stale metadata)
-		}
-		if !listing[meta.BlockName(seg.ID, loc.BlockID)] {
+		if !s.sv.Has(loc.CloudID, seg.ID, loc.BlockID) {
 			rep.BlocksChecked++
 			s.reg.Counter("scrub.blocks_checked").Inc()
 			rep.BlocksMissing++
@@ -395,7 +411,11 @@ func (s *Scrubber) checkSegment(ctx context.Context, seg *meta.Segment,
 			d.missing = append(d.missing, loc)
 			continue
 		}
-		data, err := s.fetchPaced(ctx, loc.CloudID, seg.ID, loc.BlockID)
+		var data []byte
+		err := s.paced(ctx, loc.CloudID, func() (err error) {
+			data, err = s.cfg.Engine.FetchBlock(ctx, loc.CloudID, seg.ID, loc.BlockID)
+			return err
+		})
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -444,13 +464,14 @@ func (s *Scrubber) checkSegment(ctx context.Context, seg *meta.Segment,
 }
 
 // reconstruct decodes the segment content from verified copies,
-// falling back to legacy suspects, and SHA-1 verifies the result
-// against the segment's content address. The returned buffer is
-// pooled; the caller must erasure.PutBuffer it.
-func (s *Scrubber) reconstruct(seg *meta.Segment, d *segDamage) ([]byte, bool) {
+// falling back to legacy suspects, SHA-1 verifies the result against
+// the segment's content address and leaves it in d.enc, ready to be
+// re-encoded; the caller must release d.enc.
+func (s *Scrubber) reconstruct(d *segDamage) bool {
+	seg := d.seg
 	coder, err := s.coder(seg.K, seg.N)
 	if err != nil {
-		return nil, false
+		return false
 	}
 	healthyIDs := sortedKeys(d.healthy)
 	suspectIDs := make([]int, 0, len(d.suspect))
@@ -462,7 +483,7 @@ func (s *Scrubber) reconstruct(seg *meta.Segment, d *segDamage) ([]byte, bool) {
 	// Preference order: verified copies first, legacy suspects only to
 	// fill up to K. A failed SHA check can then only be explained by a
 	// poisoned suspect, so retries drop one suspect at a time.
-	try := func(exclude int) ([]byte, bool) {
+	try := func(exclude int) bool {
 		blocks := make(map[int][]byte, seg.K)
 		for _, id := range healthyIDs {
 			if len(blocks) == seg.K {
@@ -479,58 +500,51 @@ func (s *Scrubber) reconstruct(seg *meta.Segment, d *segDamage) ([]byte, bool) {
 			}
 		}
 		if len(blocks) < seg.K {
-			return nil, false
+			return false
 		}
 		buf := erasure.GetBuffer(seg.K * coder.ShardSize(seg.Length))
 		data, err := coder.DecodeInto(buf, blocks, seg.Length)
 		if err != nil {
 			erasure.PutBuffer(buf)
-			return nil, false
+			return false
 		}
+		defer erasure.PutBuffer(data)
 		if chunker.SegmentID(data) != seg.ID {
-			erasure.PutBuffer(data)
 			s.reg.Counter("scrub.decode_sha_mismatch").Inc()
-			return nil, false
+			return false
 		}
-		return data, true
+		// Split copies the content, so the decode buffer goes straight
+		// back to the pool.
+		sh := coder.Split(data)
+		d.enc = &reencoder{coder: coder, sh: sh, payload: erasure.GetBuffer(sh.ShardSize())}
+		return true
 	}
-	if data, ok := try(-1); ok {
-		return data, true
+	if try(-1) {
+		return true
 	}
 	for _, id := range suspectIDs {
-		if data, ok := try(id); ok {
-			return data, true
+		if try(id) {
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // settleSuspects classifies every deferred legacy copy now that the
 // segment content is known: a copy matching its re-encoded expected
 // bytes is verified (and queued for stamp backfill); anything else is
 // corrupt.
-func (s *Scrubber) settleSuspects(d *segDamage, data []byte, rep *Report) {
-	if len(d.suspectLocs) == 0 {
-		return
-	}
-	coder, err := s.coder(d.seg.K, d.seg.N)
-	if err != nil {
-		return
-	}
-	sh := coder.Split(data)
-	payload := erasure.GetBuffer(sh.ShardSize())
-	dst := [][]byte{payload}
+func (s *cycle) settleSuspects(d *segDamage) {
 	for _, blockID := range sortedKeys(d.suspectLocs) {
-		coder.EncodeBlocksInto(sh, []int{blockID}, dst)
-		want := meta.BlockSum(payload)
+		want := meta.BlockSum(d.enc.block(blockID))
 		got := meta.BlockSum(d.suspect[blockID])
 		for _, loc := range d.suspectLocs[blockID] {
 			if got == want {
-				rep.BlocksVerified++
+				s.rep.BlocksVerified++
 				s.reg.Counter("scrub.blocks_verified").Inc()
 				d.backfill[locKey{loc.BlockID, loc.CloudID}] = want
 			} else {
-				rep.BlocksCorrupt++
+				s.rep.BlocksCorrupt++
 				s.reg.Counter("scrub.blocks_corrupt").Inc()
 				d.corrupt = append(d.corrupt, loc)
 			}
@@ -539,88 +553,47 @@ func (s *Scrubber) settleSuspects(d *segDamage, data []byte, rep *Report) {
 			d.healthy[blockID] = d.suspect[blockID]
 		}
 	}
-	erasure.PutBuffer(payload)
-	sh.Release()
 	d.suspect = nil
 	d.suspectLocs = nil
 }
 
 // repairSegment re-encodes and re-uploads every damaged copy and
 // returns the relocate change carrying the refreshed placement (nil
-// when nothing changed). Replacement copies go to the damaged copy's
-// own cloud when reachable and not out of quota — an idempotent
-// overwrite of the committed path — falling back to the reachable
-// cloud with space holding the fewest of this segment's blocks. The
-// second result reports a copy left unrepaired purely for capacity:
-// every eligible destination was quota-full.
-func (s *Scrubber) repairSegment(ctx context.Context, seg *meta.Segment, d *segDamage,
-	data []byte, unknown map[string]bool, intended map[string]map[int]string, rep *Report) (*meta.Change, bool, error) {
-
+// when nothing changed). A replacement goes to the damaged copy's own
+// cloud when that is not out of quota — an idempotent overwrite of the
+// committed path — falling back to writeTargets' order. The second
+// result reports a copy left unrepaired purely for capacity: an
+// eligible destination was quota-full.
+func (s *cycle) repairSegment(ctx context.Context, d *segDamage) (*meta.Change, bool, error) {
+	seg := d.seg
 	capBlocked := false
-	damaged := append(append([]meta.BlockLocation(nil), d.missing...), d.corrupt...)
-	if len(damaged) == 0 && len(d.backfill) == 0 {
-		return nil, false, nil
-	}
 	moves := make(map[locKey]meta.BlockLocation) // damaged copy -> replacement
-	if len(damaged) > 0 {
-		coder, err := s.coder(seg.K, seg.N)
+	repaired := make(map[int]bool)               // one replacement per block ID
+	for _, loc := range append(append([]meta.BlockLocation(nil), d.missing...), d.corrupt...) {
+		if repaired[loc.BlockID] {
+			continue
+		}
+		repaired[loc.BlockID] = true
+		cands, dropped := s.writeTargets(seg.Blocks, loc.CloudID)
+		if s.elig.AcceptsWrites(loc.CloudID) {
+			cands = append([]string{loc.CloudID}, cands...)
+		} else {
+			// A quota-full cloud still HOLDS its copies fine — it just
+			// cannot take the repair write.
+			dropped = true
+		}
+		placed, sum, err := s.place(ctx, d, loc.BlockID, cands)
 		if err != nil {
 			return nil, false, err
 		}
-		sh := coder.Split(data)
-		payload := erasure.GetBuffer(sh.ShardSize())
-		dst := [][]byte{payload}
-		repaired := make(map[int]bool) // one replacement per block ID
-		for _, loc := range damaged {
-			if repaired[loc.BlockID] {
-				continue
-			}
-			repaired[loc.BlockID] = true
-			coder.EncodeBlocksInto(sh, []int{loc.BlockID}, dst)
-			sum := meta.BlockSum(payload)
-			placed := ""
-			cands, dropped := s.repairCandidates(seg, loc, unknown)
-			quotaHit := false
-			for _, target := range cands {
-				// Journal the attempt before the block leaves this
-				// device; a crash mid-upload must leave a record of
-				// where an orphan could sit.
-				if err := s.journalTarget(intended, seg.ID, loc.BlockID, target); err != nil {
-					erasure.PutBuffer(payload)
-					sh.Release()
-					return nil, false, err
-				}
-				if err := s.putPaced(ctx, target, seg.ID, loc.BlockID, payload); err != nil {
-					if ctx.Err() != nil {
-						erasure.PutBuffer(payload)
-						sh.Release()
-						return nil, false, ctx.Err()
-					}
-					if errors.Is(err, cloud.ErrQuotaExceeded) {
-						// The tracker learned of this rejection through
-						// the engine's wrapped cloud; for this cycle just
-						// note the capacity miss and move on.
-						quotaHit = true
-					}
-					s.reg.Counter("scrub.repair_failed").Inc()
-					continue
-				}
-				placed = target
-				break
-			}
-			if placed == "" {
-				if dropped || quotaHit {
-					capBlocked = true
-				}
-				continue
-			}
-			rep.RepairedBlocks++
-			s.reg.Counter("scrub.repaired_blocks").Inc()
-			moves[locKey{loc.BlockID, loc.CloudID}] =
-				meta.BlockLocation{BlockID: loc.BlockID, CloudID: placed, Checksum: sum}
+		if placed == "" {
+			capBlocked = capBlocked || dropped || len(d.full) > 0
+			continue
 		}
-		erasure.PutBuffer(payload)
-		sh.Release()
+		s.rep.RepairedBlocks++
+		s.reg.Counter("scrub.repaired_blocks").Inc()
+		moves[locKey{loc.BlockID, loc.CloudID}] =
+			meta.BlockLocation{BlockID: loc.BlockID, CloudID: placed, Checksum: sum}
 	}
 	if len(moves) == 0 && len(d.backfill) == 0 {
 		return nil, capBlocked, nil
@@ -631,17 +604,14 @@ func (s *Scrubber) repairSegment(ctx context.Context, seg *meta.Segment, d *segD
 		b := &updated.Blocks[i]
 		if sum, ok := d.backfill[locKey{b.BlockID, b.CloudID}]; ok {
 			b.Checksum = sum
-			rep.Backfilled++
+			s.rep.Backfilled++
 			s.reg.Counter("scrub.backfilled").Inc()
 		}
 		if repl, ok := moves[locKey{b.BlockID, b.CloudID}]; ok {
 			*b = repl
 		}
 	}
-	return &meta.Change{
-		Type: meta.ChangeRelocate, Path: seg.ID,
-		Segments: []*meta.Segment{updated}, Time: time.Time{},
-	}, capBlocked, nil
+	return relocate(updated), capBlocked, nil
 }
 
 // expandThin grows a thin (under-replicated) segment back toward the
@@ -651,32 +621,74 @@ func (s *Scrubber) repairSegment(ctx context.Context, seg *meta.Segment, d *segD
 // It extends change — the segment's repair relocate, when one exists —
 // or creates a fresh one. The bool result reports a capacity block:
 // the target could not be reached because eligible clouds are full.
-func (s *Scrubber) expandThin(ctx context.Context, seg *meta.Segment, data []byte,
-	unknown map[string]bool, intended map[string]map[int]string, rep *Report,
-	change *meta.Change) (*meta.Change, bool, error) {
-
+func (s *cycle) expandThin(ctx context.Context, d *segDamage, change *meta.Change) (*meta.Change, bool, error) {
+	seg := d.seg
 	var base *meta.Segment
 	if change != nil {
 		base = change.Segments[0]
 	} else {
 		base = seg.Clone()
 	}
-	target := s.cfg.Target
-	if target > seg.N {
-		target = seg.N
-	}
+	target := min(s.cfg.Target, seg.N)
 	placed := make(map[int]bool, len(base.Blocks))
-	perCloud := make(map[string]int)
 	for _, b := range base.Blocks {
 		placed[b.BlockID] = true
+	}
+	cands, _ := s.writeTargets(base.Blocks, "")
+
+	added := 0
+	for blockID := 0; blockID < seg.N && len(placed) < target; blockID++ {
+		if placed[blockID] {
+			continue
+		}
+		var open []string // candidates still under the per-cloud bound
+		for _, name := range cands {
+			if s.cfg.MaxPerCloud <= 0 || len(base.BlocksOn(name)) < s.cfg.MaxPerCloud {
+				open = append(open, name)
+			}
+		}
+		landed, sum, err := s.place(ctx, d, blockID, open)
+		if err != nil {
+			return nil, false, err
+		}
+		if landed == "" {
+			continue
+		}
+		base.AddBlockSum(blockID, landed, sum)
+		placed[blockID] = true
+		added++
+		s.rep.ReexpandedBlocks++
+		s.reg.Counter("scrub.reexpanded_blocks").Inc()
+	}
+
+	blocked := len(placed) < target
+	cleared := !blocked && base.Thin
+	if cleared {
+		base.Thin = false
+		s.rep.ThinCleared++
+		s.reg.Counter("scrub.thin_cleared").Inc()
+	}
+	if change != nil || (added == 0 && !cleared) {
+		return change, blocked, nil // base aliases change's segment, or nothing to record
+	}
+	return relocate(base), blocked, nil
+}
+
+// writeTargets orders the clouds a new block of a segment may be
+// written to, given where the segment's blocks are now: every listed
+// cloud but skip, fewest of this segment's blocks first — the same
+// spread-for-reliability tiebreak the upload planner uses — then
+// filtered and ranked by eligibility (out-of-quota clouds dropped,
+// Probing ones last: a probe is the last resort). The bool result
+// reports that a cloud was dropped for capacity.
+func (s *cycle) writeTargets(blocks []meta.BlockLocation, skip string) ([]string, bool) {
+	perCloud := make(map[string]int)
+	for _, b := range blocks {
 		perCloud[b.CloudID]++
 	}
-	// Eligible targets: reachable clouds with space, fewest of this
-	// segment's blocks first (Probing clouds ordered last by the
-	// capacity tracker — a probe is the last resort).
 	var cands []string
 	for _, name := range s.cfg.Engine.CloudNames() {
-		if !unknown[name] {
+		if s.sv.Listed(name) && name != skip {
 			cands = append(cands, name)
 		}
 	}
@@ -686,162 +698,56 @@ func (s *Scrubber) expandThin(ctx context.Context, seg *meta.Segment, data []byt
 		}
 		return cands[i] < cands[j]
 	})
-	cands = s.elig.WriteTargets(cands)
+	ranked := s.elig.WriteTargets(cands)
+	return ranked, len(ranked) < len(cands)
+}
 
-	added := 0
-	if len(placed) < target && len(cands) > 0 {
-		coder, err := s.coder(seg.K, seg.N)
-		if err != nil {
-			return change, false, err
+// place re-encodes one block of a reconstructed segment and uploads it
+// to the first candidate that takes it, reporting where it landed (""
+// when nowhere) and its checksum. Every attempt is journaled before
+// the block leaves this device: a crash mid-upload must leave a record
+// of where an orphan could sit. A candidate that rejects the write for
+// quota joins d.full and is not tried again for this segment (the
+// tracker learned of the rejection through the engine's cloud chain).
+func (s *cycle) place(ctx context.Context, d *segDamage, blockID int, cands []string) (string, uint32, error) {
+	var payload []byte
+	for _, target := range cands {
+		if d.full[target] {
+			continue
 		}
-		sh := coder.Split(data)
-		payload := erasure.GetBuffer(sh.ShardSize())
-		dst := [][]byte{payload}
-		full := make(map[string]bool) // quota hits within this cycle
-		for blockID := 0; blockID < seg.N && len(placed) < target; blockID++ {
-			if placed[blockID] {
-				continue
+		if payload == nil {
+			payload = d.enc.block(blockID)
+		}
+		if s.cfg.Journal != nil {
+			if err := s.cfg.Journal.UpdatePlacements(s.intentID(), d.seg.ID, map[int]string{blockID: target}); err != nil {
+				return "", 0, err
 			}
-			coder.EncodeBlocksInto(sh, []int{blockID}, dst)
-			sum := meta.BlockSum(payload)
-			landed := ""
-			for _, name := range cands {
-				if full[name] {
-					continue
-				}
-				if s.cfg.MaxPerCloud > 0 && perCloud[name] >= s.cfg.MaxPerCloud {
-					continue
-				}
-				if err := s.journalTarget(intended, seg.ID, blockID, name); err != nil {
-					erasure.PutBuffer(payload)
-					sh.Release()
-					return nil, false, err
-				}
-				if err := s.putPaced(ctx, name, seg.ID, blockID, payload); err != nil {
-					if ctx.Err() != nil {
-						erasure.PutBuffer(payload)
-						sh.Release()
-						return nil, false, ctx.Err()
-					}
-					if errors.Is(err, cloud.ErrQuotaExceeded) {
-						full[name] = true
-					} else {
-						s.reg.Counter("scrub.repair_failed").Inc()
-					}
-					continue
-				}
-				landed = name
-				break
-			}
-			if landed == "" {
-				continue
-			}
-			base.AddBlockSum(blockID, landed, sum)
-			placed[blockID] = true
-			perCloud[landed]++
-			added++
-			rep.ReexpandedBlocks++
-			s.reg.Counter("scrub.reexpanded_blocks").Inc()
 		}
-		erasure.PutBuffer(payload)
-		sh.Release()
-	}
-
-	cleared := false
-	blocked := false
-	if len(placed) >= target {
-		if base.Thin {
-			base.Thin = false
-			cleared = true
-			rep.ThinCleared++
-			s.reg.Counter("scrub.thin_cleared").Inc()
+		err := s.paced(ctx, target, func() error {
+			return s.cfg.Engine.PutBlock(ctx, target, d.seg.ID, blockID, payload)
+		})
+		if err == nil {
+			return target, meta.BlockSum(payload), nil
 		}
-	} else {
-		blocked = true
+		if ctx.Err() != nil {
+			return "", 0, ctx.Err()
+		}
+		s.reg.Counter("scrub.repair_failed").Inc()
+		if errors.Is(err, cloud.ErrQuotaExceeded) {
+			d.full[target] = true
+		}
 	}
-	if added == 0 && !cleared {
-		return change, blocked, nil
-	}
-	if change != nil {
-		return change, blocked, nil // base aliases change's segment
-	}
-	return &meta.Change{
-		Type: meta.ChangeRelocate, Path: seg.ID,
-		Segments: []*meta.Segment{base}, Time: time.Time{},
-	}, blocked, nil
+	return "", 0, nil
 }
 
-// repairCandidates orders the destination clouds for one damaged
-// copy: its own cloud first when reachable and not out of quota (the
-// repair is then an idempotent overwrite of the committed path), then
-// the remaining reachable clouds with space by fewest of this
-// segment's blocks — the same spread-for-reliability tiebreak the
-// upload planner uses. The bool result reports that at least one
-// otherwise-eligible cloud was skipped for capacity.
-func (s *Scrubber) repairCandidates(seg *meta.Segment, loc meta.BlockLocation, unknown map[string]bool) ([]string, bool) {
-	perCloud := make(map[string]int)
-	for _, b := range seg.Blocks {
-		perCloud[b.CloudID]++
-	}
-	var rest []string
-	for _, name := range s.cfg.Engine.CloudNames() {
-		if !unknown[name] && name != loc.CloudID {
-			rest = append(rest, name)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		if perCloud[rest[i]] != perCloud[rest[j]] {
-			return perCloud[rest[i]] < perCloud[rest[j]]
-		}
-		return rest[i] < rest[j]
-	})
-	before := len(rest)
-	rest = s.elig.WriteTargets(rest)
-	dropped := len(rest) < before
-	if unknown[loc.CloudID] {
-		return rest, dropped
-	}
-	if !s.elig.AcceptsWrites(loc.CloudID) {
-		// A quota-full cloud still HOLDS its copies fine — it just
-		// cannot take the repair write.
-		return rest, true
-	}
-	return append([]string{loc.CloudID}, rest...), dropped
+// relocate wraps a segment's refreshed placement in its change.
+func relocate(seg *meta.Segment) *meta.Change {
+	return &meta.Change{Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{seg}}
 }
 
-// journalTarget records one intended repair placement in the cycle's
-// intent (and its in-memory mirror) before the upload is attempted.
-func (s *Scrubber) journalTarget(intended map[string]map[int]string, segID string, blockID int, target string) error {
-	if intended != nil {
-		m := intended[segID]
-		if m == nil {
-			m = make(map[int]string)
-			intended[segID] = m
-		}
-		m[blockID] = target
-	}
-	if s.cfg.Journal == nil {
-		return nil
-	}
-	return s.cfg.Journal.UpdatePlacementsBatch(s.intentID(),
-		map[string]map[int]string{segID: {blockID: target}})
-}
-
-// fetchPaced downloads one copy under the rate limit and the fair
-// scheduler's no-reservation discipline.
-func (s *Scrubber) fetchPaced(ctx context.Context, cloudName, segID string, blockID int) ([]byte, error) {
-	if err := s.pace(ctx); err != nil {
-		return nil, err
-	}
-	if err := s.acquire(ctx, cloudName); err != nil {
-		return nil, err
-	}
-	defer s.release(cloudName)
-	return s.cfg.Engine.FetchBlock(ctx, cloudName, segID, blockID)
-}
-
-// putPaced uploads one replacement copy under the same discipline.
-func (s *Scrubber) putPaced(ctx context.Context, cloudName, segID string, blockID int, data []byte) error {
+// paced runs one block request against a cloud under the rate limit
+// and the fair scheduler's no-reservation discipline.
+func (s *Scrubber) paced(ctx context.Context, cloudName string, request func() error) error {
 	if err := s.pace(ctx); err != nil {
 		return err
 	}
@@ -849,7 +755,7 @@ func (s *Scrubber) putPaced(ctx context.Context, cloudName, segID string, blockI
 		return err
 	}
 	defer s.release(cloudName)
-	return s.cfg.Engine.PutBlock(ctx, cloudName, segID, blockID, data)
+	return request()
 }
 
 // pace enforces the blocks-per-second budget.

@@ -17,7 +17,6 @@ package transfer
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -176,76 +175,9 @@ func (e *Engine) retryPolicy() cloud.RetryPolicy {
 	return p
 }
 
-// SurveyBlocks verifies block existence by listing: one List of the
-// block directory per cloud, filtered down to the requested segments.
-// It returns, for each segment that has any surviving blocks, the
-// block locations that actually exist right now — crash recovery uses
-// this to resume interrupted uploads without re-uploading present
-// blocks, and to find orphans to reclaim.
-//
-// The survey is conservative by construction: a cloud whose List
-// fails (counted under transfer.survey.clouds_failed) simply
-// contributes no locations, so its blocks are neither adopted nor
-// deleted. A missing block directory is an empty cloud, not a
-// failure.
-func (e *Engine) SurveyBlocks(ctx context.Context, segIDs []string) map[string][]meta.BlockLocation {
-	want := make(map[string]bool, len(segIDs))
-	for _, id := range segIDs {
-		want[id] = true
-	}
-	out := make(map[string][]meta.BlockLocation)
-	for _, name := range e.names {
-		entries, err := e.clouds[name].List(ctx, e.cfg.BlockDir)
-		if errors.Is(err, cloud.ErrNotFound) {
-			continue
-		}
-		if err != nil {
-			e.cfg.Obs.Counter("transfer.survey.clouds_failed").Inc()
-			continue
-		}
-		for _, en := range entries {
-			if en.IsDir {
-				continue
-			}
-			segID, blockID, ok := meta.ParseBlockName(en.Name)
-			if !ok || !want[segID] {
-				continue
-			}
-			out[segID] = append(out[segID], meta.BlockLocation{BlockID: blockID, CloudID: name})
-		}
-	}
-	return out
-}
-
 // CloudNames returns the engine's cloud names, sorted.
 func (e *Engine) CloudNames() []string {
 	return append([]string(nil), e.names...)
-}
-
-// ListBlockNames lists the block directory of one cloud and returns
-// the raw block file names. A missing directory is an empty cloud,
-// not an error; any other List failure is returned so callers (the
-// scrubber, Fsck) can treat the cloud's contents as unknown instead
-// of empty.
-func (e *Engine) ListBlockNames(ctx context.Context, cloudName string) ([]string, error) {
-	c, ok := e.clouds[cloudName]
-	if !ok {
-		return nil, fmt.Errorf("transfer: unknown cloud %q", cloudName)
-	}
-	entries, err := c.List(ctx, e.cfg.BlockDir)
-	if errors.Is(err, cloud.ErrNotFound) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(entries))
-	for _, en := range entries {
-		if !en.IsDir {
-			names = append(names, en.Name)
-		}
-	}
-	return names, nil
 }
 
 // FetchBlock downloads one coded block from one specific cloud, with
