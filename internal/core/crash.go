@@ -15,18 +15,18 @@ type CrashPoint string
 
 // Seeded crash sites, in pass order.
 const (
-	// CrashMidUpload aborts the availability-phase upload after N
-	// blocks have landed: coded blocks exist in the clouds that no
-	// metadata references.
+	// CrashMidUpload aborts the pass's upload, before it is available,
+	// once N blocks have landed: coded blocks exist in the clouds that
+	// no metadata references.
 	CrashMidUpload CrashPoint = "mid-upload"
 	// CrashPreCommit aborts after the quorum lock is acquired but
 	// before the metadata commit: the full availability set is
 	// uploaded and entirely unreferenced.
 	CrashPreCommit CrashPoint = "pre-commit"
 	// CrashPostCommit aborts after the metadata commit but before the
-	// journal records it (and before the reliability phase): the
-	// intent looks uncommitted while the image already holds the
-	// changes.
+	// journal records it (the upload's reliability tail is cut short
+	// with it): the intent looks uncommitted while the image already
+	// holds the changes.
 	CrashPostCommit CrashPoint = "post-commit"
 	// CrashMidApply aborts applyCloudUpdate after N files have been
 	// written: the folder is half old, half new.

@@ -75,14 +75,28 @@ type uploadOutcome struct {
 	OverProvisioned int
 }
 
-// uploadSession carries the still-running upload plans between the
-// availability phase (before the first metadata commit) and the
-// reliability phase (after it).
+// uploadSession is one commit pass's upload: every new segment's plan
+// in ONE continuous batch on its own goroutine, availability first and
+// on to reliability (paper §6.2). The pass waits for the availability
+// instant, commits, and joins the batch; whether the commit overlaps
+// the batch's reliability tail is commitLocal's decision. Every path
+// out of the pass ends in close.
 type uploadSession struct {
-	plans []sessionSegment
-	// availAt is the simulated instant every segment of the batch
-	// became available (K blocks each in the multi-cloud).
-	availAt time.Time
+	c       *Client
+	plans   []sessionSegment
+	outcome uploadOutcome
+	// available is closed by the batch at the instant every segment has
+	// K blocks in the multi-cloud, availAt; a batch that ends short of
+	// that closes only done.
+	available chan struct{}
+	availAt   time.Time
+	// done is closed when the batch has returned, nothing in flight; err,
+	// crashed and endAt are the batch's to write until then.
+	done    chan struct{}
+	cancel  context.CancelFunc
+	err     error
+	crashed bool
+	endAt   time.Time
 }
 
 type sessionSegment struct {
@@ -91,35 +105,14 @@ type sessionSegment struct {
 	src  *segmentSource
 }
 
-func (s *uploadSession) items() []transfer.UploadItem {
-	items := make([]transfer.UploadItem, len(s.plans))
-	for i, p := range s.plans {
-		items[i] = transfer.UploadItem{Plan: p.plan, SegID: p.seg.ID, Src: p.src.blocks}
-	}
-	return items
-}
-
-// release returns every segment source's pooled coding buffers. Call
-// it once all of the session's transfers have drained (UploadBatch
-// never returns with block reads in flight).
-func (s *uploadSession) release() {
-	for _, p := range s.plans {
-		p.src.release()
-	}
-}
-
-// uploadAvailability runs the paper's availability-first phase: each
-// changed file's segments are uploaded, in order, just until K blocks
-// of each are in the multi-cloud ("all networking resources are
-// immediately assigned to the next file"). Current placements are
-// written into the change records so metadata can be committed — the
-// files are usable from this moment; reliability is topped up
-// afterwards (see uploadReliability), with further placements
-// committed asynchronously, as the paper's callback-updated Cloud-ID
-// fields are.
-func (c *Client) uploadAvailability(ctx context.Context, changes []*meta.Change) (*uploadSession, uploadOutcome, error) {
-	var out uploadOutcome
-	session := &uploadSession{availAt: c.cfg.Clock.Now()}
+// startUpload plans every segment the changes add that is not in the
+// multi-cloud yet and starts their batch: each changed file's segments
+// go up in order, every cloud's idle connection taking the first block
+// queued for it ("all networking resources are immediately assigned to
+// the next file"), with over-provisioned extras until the batch is
+// available and the queued fair shares alone after that.
+func (c *Client) startUpload(ctx context.Context, changes []*meta.Change) (*uploadSession, error) {
+	s := &uploadSession{c: c, available: make(chan struct{}), done: make(chan struct{}), cancel: func() {}}
 	seen := make(map[string]bool)
 	for _, ch := range changes {
 		if ch.Type != meta.ChangeAdd && ch.Type != meta.ChangeEdit {
@@ -131,14 +124,14 @@ func (c *Client) uploadAvailability(ctx context.Context, changes []*meta.Change)
 			}
 			src, err := c.blockSource(seg)
 			if err != nil {
-				session.release()
-				return nil, out, err
+				s.release()
+				return nil, err
 			}
 			plan, err := sched.NewUploadPlan(c.params, c.names)
 			if err != nil {
 				src.release()
-				session.release()
-				return nil, out, err
+				s.release()
+				return nil, err
 			}
 			// Blocks surviving from a crashed pass (adopted by recovery
 			// into the segment record) count as already uploaded.
@@ -146,77 +139,149 @@ func (c *Client) uploadAvailability(ctx context.Context, changes []*meta.Change)
 				plan.SeedUploaded(b.BlockID, b.CloudID)
 			}
 			seen[seg.ID] = true
-			session.plans = append(session.plans, sessionSegment{seg: seg, plan: plan, src: src})
-			out.SegmentsUploaded++
-			out.BytesUploaded += int64(seg.Length)
+			s.plans = append(s.plans, sessionSegment{seg: seg, plan: plan, src: src})
+			s.outcome.SegmentsUploaded++
+			s.outcome.BytesUploaded += int64(seg.Length)
 		}
 	}
-	if len(session.plans) > 0 {
-		// One pipelined batch, availability-first in file order: the
-		// dispatcher returns (and timestamps) the moment every
-		// segment has K blocks up, draining stragglers afterwards.
-		// Availability is monotone (blocks only accumulate), so the
-		// check resumes from the first plan not yet available instead
-		// of rescanning all of them — the dispatcher calls it per
-		// landed block, and a rescan would cost O(blocks × segments)
-		// on a large commit.
-		availCursor := 0
-		allAvailable := func() bool {
-			for availCursor < len(session.plans) && session.plans[availCursor].plan.Available() {
-				availCursor++
-			}
-			return availCursor == len(session.plans)
-		}
-		uploadedTotal := func() int {
-			total := 0
-			for _, p := range session.plans {
-				total += len(p.plan.UploadedBlocks())
-			}
-			return total
-		}
-		stop := allAvailable
-		crashAfter, crashArmed := c.crashThreshold(CrashMidUpload)
-		if crashArmed {
-			stop = func() bool {
-				return uploadedTotal() >= crashAfter || allAvailable()
-			}
-		}
-		availAt, err := c.engine.UploadBatch(ctx, session.items(), stop)
-		if err != nil {
-			session.release()
-			return nil, out, err
-		}
-		if crashArmed && uploadedTotal() >= crashAfter {
+	if len(s.plans) == 0 {
+		s.availAt = c.cfg.Clock.Now()
+		close(s.available)
+		close(s.done)
+		return s, nil
+	}
+	bctx, cancel := context.WithCancel(ctx)
+	s.cancel = cancel
+	crashAfter, crashArmed := c.crashThreshold(CrashMidUpload)
+	// Availability is monotone (blocks only accumulate), so the check
+	// resumes from the first plan not yet available instead of
+	// rescanning all of them — the dispatcher asks per landed block, and
+	// a rescan would cost O(blocks × segments) on a large commit.
+	availCursor := 0
+	available := func() bool {
+		if crashArmed && s.uploadedTotal() >= crashAfter {
 			// Die with blocks in the clouds that no metadata (and no
 			// journaled placement) references — the worst orphan window.
 			c.disarmCrash(CrashMidUpload)
-			session.release()
-			return nil, out, ErrCrashInjected
+			s.crashed = true
+			cancel()
+			return false
 		}
-		session.availAt = availAt
-		for _, p := range session.plans {
-			if !p.plan.Available() {
-				session.release()
-				if quotaConstrained(p.plan, c.names) {
-					// The loud < K failure: not even availability fits in
-					// the clouds' remaining quota. Distinct from generic
-					// unavailability so the sync loop can back off to the
-					// safety net instead of hot-looping failure backoff.
-					return nil, out, fmt.Errorf("core: segment %s: %w (%d/%d blocks)",
-						p.seg.ID, ErrInsufficientCapacity, len(p.plan.UploadedBlocks()), c.params.K)
-				}
-				return nil, out, fmt.Errorf("core: segment %s could not reach availability (%d/%d blocks)",
-					p.seg.ID, len(p.plan.UploadedBlocks()), c.params.K)
-			}
+		for availCursor < len(s.plans) && s.plans[availCursor].plan.Available() {
+			availCursor++
+		}
+		if availCursor < len(s.plans) {
+			return false
+		}
+		s.availAt = c.cfg.Clock.Now()
+		close(s.available)
+		return true
+	}
+	items := make([]transfer.UploadItem, len(s.plans))
+	for i, p := range s.plans {
+		items[i] = transfer.UploadItem{Plan: p.plan, SegID: p.seg.ID, Src: p.src.blocks}
+	}
+	engine := c.engine
+	go func() {
+		defer close(s.done)
+		_, s.err = engine.UploadBatch(bctx, items, available)
+		s.endAt = c.cfg.Clock.Now()
+	}()
+	return s, nil
+}
+
+func (s *uploadSession) uploadedTotal() int {
+	total := 0
+	for _, p := range s.plans {
+		total += len(p.plan.UploadedBlocks())
+	}
+	return total
+}
+
+// awaitAvailable waits for the batch's availability instant. When the
+// batch ended without one it says why: the injected crash, the
+// cancelled pass, or the segment that could not get K blocks placed.
+func (s *uploadSession) awaitAvailable() error {
+	select {
+	case <-s.available:
+		return nil
+	case <-s.done:
+	}
+	select {
+	case <-s.available: // both were ready
+		return nil
+	default:
+	}
+	if s.crashed {
+		return ErrCrashInjected
+	}
+	if s.err != nil {
+		return s.err
+	}
+	for _, p := range s.plans {
+		if p.plan.Available() {
+			continue
+		}
+		if quotaConstrained(p.plan, s.c.names) {
+			// The loud < K failure: not even availability fits in
+			// the clouds' remaining quota. Distinct from generic
+			// unavailability so the sync loop can back off to the
+			// safety net instead of hot-looping failure backoff.
+			return fmt.Errorf("core: segment %s: %w (%d/%d blocks)",
+				p.seg.ID, ErrInsufficientCapacity, len(p.plan.UploadedBlocks()), s.c.params.K)
+		}
+		return fmt.Errorf("core: segment %s could not reach availability (%d/%d blocks)",
+			p.seg.ID, len(p.plan.UploadedBlocks()), s.c.params.K)
+	}
+	return nil
+}
+
+// backlog reports whether any plan still has a fair-share block that
+// no connection has taken: the batch's tail is then longer than what
+// is in flight, and a commit made now overlaps real upload time.
+func (s *uploadSession) backlog() bool {
+	for _, p := range s.plans {
+		if p.plan.Queued() > 0 {
+			return true
 		}
 	}
-	// Record the availability placements into every change that
-	// references an uploaded segment, stamping each block's content
-	// checksum from the still-live coding buffers — the cheapest
-	// possible moment: the encoded bytes are already in memory.
-	placements := make(map[string]map[int]string, len(session.plans))
-	sources := make(map[string]*segmentSource, len(session.plans))
-	for _, p := range session.plans {
+	return false
+}
+
+// join waits for the batch to finish, every plan reliable or dry and
+// nothing in flight. Its error is the cancelled pass's.
+func (s *uploadSession) join() error {
+	<-s.done
+	return s.err
+}
+
+// close ends the session on every path out of the pass: whatever the
+// batch still has in flight is cancelled and drained BEFORE the pooled
+// coding buffers it reads from go back (transfer.BlockSource's
+// ownership rule). After a join it only releases.
+func (s *uploadSession) close() {
+	s.cancel()
+	<-s.done
+	s.release()
+}
+
+func (s *uploadSession) release() {
+	for _, p := range s.plans {
+		p.src.release()
+	}
+}
+
+// stamp writes the placements landed so far into every change record
+// that references an uploaded segment, with each block's content
+// checksum from the still-live coding buffers — the cheapest possible
+// moment: the encoded bytes are already in memory. Only landed blocks
+// are named (plan.Placement), never blocks in flight, so a commit of
+// these records keeps blocks-before-metadata while the batch runs on.
+// It returns the placements by segment for the journal.
+func (s *uploadSession) stamp(changes []*meta.Change) map[string]map[int]string {
+	placements := make(map[string]map[int]string, len(s.plans))
+	sources := make(map[string]*segmentSource, len(s.plans))
+	for _, p := range s.plans {
 		placements[p.seg.ID] = p.plan.Placement()
 		sources[p.seg.ID] = p.src
 	}
@@ -231,14 +296,46 @@ func (c *Client) uploadAvailability(ctx context.Context, changes []*meta.Change)
 			for blockID, cloudName := range pl {
 				seg.AddBlockSum(blockID, cloudName, src.sum(blockID))
 			}
-			// The availability placement is below the fair-share target
-			// by design (K blocks suffice); committing it thin means a
-			// crash before the reliability commit leaves a record the
-			// scrubber knows to re-expand.
-			seg.Thin = len(pl) < c.normalTarget(seg)
+			// A placement below the fair-share target is committed thin:
+			// a crash before the final placement is recorded leaves a
+			// record the scrubber knows to re-expand.
+			seg.Thin = len(pl) < s.c.normalTarget(seg)
 		}
 	}
-	return session, out, nil
+	return placements
+}
+
+// settle compares the joined batch's final placements with what stamp
+// recorded and returns relocate changes for the segments that moved on
+// — the paper's callback-updated Cloud-ID fields — plus the number of
+// over-provisioned blocks uploaded. Nothing when the commit already
+// named the full placement.
+func (s *uploadSession) settle() (relocates []*meta.Change, overProvisioned int) {
+	for _, p := range s.plans {
+		overProvisioned += p.plan.OverProvisioned()
+		placement := p.plan.Placement()
+		thin := len(placement) < s.c.normalTarget(p.seg)
+		if thin {
+			// The batch could not reach fair share — quota pressure left
+			// the segment under-replicated. It stays committed thin;
+			// scrub/rebalance re-expand it when space returns.
+			s.c.cfg.Obs.Counter("core.commit.thin_segments").Inc()
+		}
+		if len(placement) == len(p.seg.Blocks) && thin == p.seg.Thin {
+			continue // nothing new to record
+		}
+		updated := p.seg.Clone()
+		updated.Blocks = nil
+		updated.Thin = thin
+		for blockID, cloudName := range placement {
+			updated.AddBlockSum(blockID, cloudName, p.src.sum(blockID))
+		}
+		relocates = append(relocates, &meta.Change{
+			Type: meta.ChangeRelocate, Path: updated.ID,
+			Segments: []*meta.Segment{updated},
+		})
+	}
+	return relocates, overProvisioned
 }
 
 // ErrInsufficientCapacity reports that the clouds' remaining quota
@@ -270,70 +367,6 @@ func (c *Client) normalTarget(seg *meta.Segment) int {
 	return n
 }
 
-// uploadReliability runs the reliability-second phase: every segment
-// of the session continues until each live cloud holds its fair
-// share, over-provisioning extra parity blocks to fast clouds along
-// the way. It returns relocate changes carrying the final placements
-// for a follow-up metadata commit (nil when nothing moved beyond the
-// already-committed availability placement).
-func (c *Client) uploadReliability(ctx context.Context, session *uploadSession) ([]*meta.Change, int, error) {
-	committed := make([]int, len(session.plans))
-	for i, p := range session.plans {
-		committed[i] = len(p.plan.UploadedBlocks())
-	}
-	if len(session.plans) > 0 {
-		if _, err := c.engine.UploadBatch(ctx, session.items(), nil); err != nil {
-			return nil, 0, err
-		}
-	}
-	var relocates []*meta.Change
-	overProvisioned := 0
-	for i, p := range session.plans {
-		overProvisioned += p.plan.OverProvisioned()
-		placement := p.plan.Placement()
-		thin := len(placement) < c.normalTarget(p.seg)
-		if thin {
-			// The reliability phase could not reach fair share — quota
-			// pressure left the segment under-replicated. It stays
-			// committed thin; scrub/rebalance re-expand it when space
-			// returns.
-			c.cfg.Obs.Counter("core.commit.thin_segments").Inc()
-		}
-		if len(placement) == committed[i] && thin == p.seg.Thin {
-			continue // nothing new to record
-		}
-		updated := p.seg.Clone()
-		updated.Blocks = nil
-		updated.Thin = thin
-		for blockID, cloudName := range placement {
-			updated.AddBlockSum(blockID, cloudName, p.src.sum(blockID))
-		}
-		relocates = append(relocates, &meta.Change{
-			Type: meta.ChangeRelocate, Path: updated.ID,
-			Segments: []*meta.Segment{updated},
-		})
-	}
-	return relocates, overProvisioned, nil
-}
-
-// uploadSegmentAvailable uploads one segment until it is available
-// (K blocks in the multi-cloud), returning the still-running plan for
-// the reliability phase.
-func (c *Client) uploadSegmentAvailable(ctx context.Context, seg *meta.Segment, src transfer.BlockSource) (*sched.UploadPlan, error) {
-	plan, err := sched.NewUploadPlan(c.params, c.names)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.engine.UploadSegment(ctx, plan, seg.ID, src, plan.Available); err != nil {
-		return nil, err
-	}
-	if !plan.Available() {
-		return nil, fmt.Errorf("core: segment %s could not reach availability (%d/%d blocks)",
-			seg.ID, len(plan.UploadedBlocks()), c.params.K)
-	}
-	return plan, nil
-}
-
 // segmentSource supplies a segment's coded blocks to the transfer
 // engine. The segment is split into source shards once, lazily; the
 // normal blocks are encoded in one fused pass on first request (the
@@ -346,7 +379,8 @@ func (c *Client) uploadSegmentAvailable(ctx context.Context, seg *meta.Segment, 
 // Buffer ownership: blocks() lends a buffer to the engine for the
 // duration of the upload; cloud.Interface.Upload must not retain its
 // data argument, and UploadBatch drains in-flight transfers before
-// returning, so release() is safe once the session's batches are done.
+// returning, so release() is safe once the session's batch has been
+// joined (uploadSession.close).
 type segmentSource struct {
 	coder       *erasure.Coder
 	data        []byte

@@ -11,6 +11,7 @@ import (
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
 	"unidrive/internal/qlock"
+	"unidrive/internal/sched"
 	"unidrive/internal/transfer"
 )
 
@@ -31,8 +32,8 @@ type SyncReport struct {
 	// every committed file was AVAILABLE in the multi-cloud (K blocks
 	// per segment uploaded and metadata committed) — the paper's
 	// "available time" metric (§7.1). The pass itself runs longer: it
-	// also completes the reliability phase. Zero when no local
-	// changes were committed.
+	// also completes the upload to reliability and records the final
+	// placements. Zero when no local changes were committed.
 	AvailableDuration time.Duration
 }
 
@@ -271,11 +272,25 @@ func (c *Client) diffForApply(before, after *meta.Image) (meta.Diff, []string) {
 	return meta.DiffImages(before, after), nil
 }
 
-// commitLocal commits pending local changes under the quorum lock:
-// the availability-first upload phase, then the metadata commit (the
-// files are available to other devices from here — AvailableDuration
-// marks this moment), then the reliability-second phase whose extra
-// placements go into a follow-up commit.
+// commitLocal commits pending local changes under the quorum lock.
+// The pass's upload is one continuous batch (startUpload); the
+// metadata commit happens at its availability instant — the files are
+// available to other devices from here, AvailableDuration marks this
+// moment — and the final placements are recorded once the batch has
+// finished. What the commit waits for depends on what the batch still
+// owes when it becomes available:
+//
+//   - nothing queued, the rest of every fair share is in flight (a
+//     single small file): the pass waits those few blocks out and
+//     commits once, naming the full placement;
+//   - fair-share blocks still queued behind busy connections (more
+//     segments than a cloud has connections): a second locked round to
+//     record them is owed either way, so the first commit names the
+//     blocks landed so far, thin, and runs WHILE the reliability tail
+//     keeps uploading; the relocate commit follows the join.
+//
+// Overlapping therefore never adds a lock round, and only landed
+// blocks are ever named (blocks before metadata, DESIGN.md §8).
 func (c *Client) commitLocal(ctx context.Context, report *SyncReport) error {
 	start := c.cfg.Clock.Now()
 	changes := c.changes.Drain()
@@ -302,27 +317,36 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) error {
 		return err
 	}
 
-	session, outcome, err := c.uploadAvailability(ctx, changes)
+	session, err := c.startUpload(ctx, changes)
 	if err != nil {
 		return err
 	}
-	// Both upload phases are over once commitLocal returns; hand the
-	// session's coding buffers back to the pool then.
-	defer session.release()
-	report.Upload = outcome
-
-	// Record the landed availability placements. Best effort: recovery
-	// re-verifies against a live survey, so a lost update costs
-	// nothing; but an intact record lets operators see exactly what a
-	// crashed pass had achieved.
-	placements := make(map[string]map[int]string, len(session.plans))
-	for _, p := range session.plans {
-		placements[p.seg.ID] = p.plan.Placement()
+	// Whatever ends the pass — commit error, lost lock, injected crash,
+	// cancelled ctx — the batch is cancelled and drained before the
+	// coding buffers it reads go back to the pool.
+	defer session.close()
+	if err := session.awaitAvailable(); err != nil {
+		return err
 	}
-	_ = c.journal.UpdatePlacementsBatch(intentID, placements)
+	report.Upload = session.outcome
+	overlap := session.backlog()
+	if overlap {
+		c.cfg.Obs.Counter("core.commit.overlapped").Inc()
+	} else {
+		c.cfg.Obs.Counter("core.commit.drained").Inc()
+		if err := session.join(); err != nil {
+			return err
+		}
+	}
+
+	// Record the landed placements. Best effort: recovery re-verifies
+	// against a live survey, so a lost update costs nothing; but an
+	// intact record lets operators see exactly what a crashed pass had
+	// achieved.
+	_ = c.journal.UpdatePlacementsBatch(intentID, session.stamp(changes))
 
 	commitStart := c.cfg.Clock.Now()
-	commitDone, err := c.commitUnderLock(ctx, &changes, report, true)
+	commitDone, err := c.commitUnderLock(ctx, &changes, report, session)
 	if err != nil {
 		return err
 	}
@@ -336,28 +360,35 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) error {
 	}
 	report.LocalChanges = len(changes)
 	// The paper's "available time": transfers until the batch had K
-	// blocks per segment, plus the metadata commit. Excluded: the
-	// drain of in-flight straggler blocks before the commit, and the
-	// lock release after it — a concurrent implementation overlaps
-	// both, and the data is visible to other devices the moment the
+	// blocks per segment, plus the metadata commit. Excluded: whatever
+	// the pass waited for between the two, and the lock release after
+	// the commit — the data is visible to other devices the moment the
 	// commit lands.
 	report.AvailableDuration = session.availAt.Sub(start) + commitDone.Sub(commitStart)
 	ok = true
 
-	// Reliability-second: top up fair shares (and over-provision),
-	// then record the extra placements with a follow-up commit.
-	relocates, over, err := c.uploadReliability(ctx, session)
-	if err != nil {
+	committed := c.cfg.Clock.Now()
+	if err := session.join(); err != nil {
 		return err
 	}
+	if overlap {
+		tail := session.endAt.Sub(committed)
+		if tail < 0 {
+			tail = 0 // the batch finished under the commit
+		}
+		c.cfg.Obs.Histogram("core.commit.tail_ms").Observe(float64(tail) / float64(time.Millisecond))
+	}
+	// Reliability-second: the fair shares (and extras) that landed after
+	// the stamp go into a follow-up commit.
+	relocates, over := session.settle()
 	report.Upload.OverProvisioned = over
 	if len(relocates) > 0 {
-		if _, err := c.commitUnderLock(ctx, &relocates, report, false); err != nil {
+		if _, err := c.commitUnderLock(ctx, &relocates, report, nil); err != nil {
 			return err
 		}
 	}
 	// The pass is fully recorded in committed metadata (including the
-	// reliability-phase placements): the intent has served its purpose.
+	// final placements): the intent has served its purpose.
 	return c.journal.Clear(intentID)
 }
 
@@ -384,11 +415,12 @@ func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock) {
 }
 
 // commitUnderLock acquires the quorum lock, reconciles against any
-// pending cloud update (when reconcile is true), and commits the
-// changes. The changes slice is replaced with the reconciled set. It
-// returns the instant the commit itself completed (before the lock
-// release).
-func (c *Client) commitUnderLock(ctx context.Context, changes *[]*meta.Change, report *SyncReport, reconcile bool) (time.Time, error) {
+// pending cloud update, and commits the changes. upload is the pass's
+// upload session when the changes are local file changes, which need
+// reconciling, and nil for a relocate commit, which does not. The
+// changes slice is replaced with the reconciled set. It returns the
+// instant the commit itself completed (before the lock release).
+func (c *Client) commitUnderLock(ctx context.Context, changes *[]*meta.Change, report *SyncReport, upload *uploadSession) (time.Time, error) {
 	lock, err := c.locks.Acquire(ctx)
 	if err != nil {
 		return time.Time{}, err
@@ -407,8 +439,8 @@ func (c *Client) commitUnderLock(ctx context.Context, changes *[]*meta.Change, r
 	// has applied locally — not just when the refresh found it first.
 	// Recovery pre-fetches the image at startup, so a cloud update can
 	// already sit in the cache with nothing "pending" remotely.
-	if reconcile && c.store.Stamp().Version > c.lastImage().Version {
-		*changes, err = c.reconcile(ctx, *changes, report)
+	if upload != nil && c.store.Stamp().Version > c.lastImage().Version {
+		*changes, err = c.reconcile(ctx, *changes, report, upload)
 		if err != nil {
 			return time.Time{}, err
 		}
@@ -441,7 +473,7 @@ func (c *Client) commitUnderLock(ctx context.Context, changes *[]*meta.Change, r
 // It also re-verifies that every segment referenced by the surviving
 // changes still exists (another device may have garbage-collected a
 // deduplicated segment we relied on) and re-uploads any that do not.
-func (c *Client) reconcile(ctx context.Context, changes []*meta.Change, report *SyncReport) ([]*meta.Change, error) {
+func (c *Client) reconcile(ctx context.Context, changes []*meta.Change, report *SyncReport, upload *uploadSession) ([]*meta.Change, error) {
 	vo := c.lastImage()
 	vc := c.store.CachedShared() // read-only: diffed and consulted, never mutated
 	deltaC, _ := c.diffForApply(vo, vc)
@@ -494,7 +526,7 @@ func (c *Client) reconcile(ctx context.Context, changes []*meta.Change, report *
 			// Both deleted: nothing to commit.
 		}
 	}
-	out, err := c.reuploadMissingSegments(ctx, out, vc)
+	out, err := c.reuploadMissingSegments(ctx, out, vc, upload)
 	if err != nil {
 		return nil, err
 	}
@@ -504,8 +536,11 @@ func (c *Client) reconcile(ctx context.Context, changes []*meta.Change, report *
 // reuploadMissingSegments verifies dedup assumptions against the
 // fetched image: any referenced segment that is neither freshly
 // uploaded (has block placements in the change) nor present in the
-// cloud pool is re-uploaded from the local cache.
-func (c *Client) reuploadMissingSegments(ctx context.Context, changes []*meta.Change, vc *meta.Image) ([]*meta.Change, error) {
+// cloud pool is re-uploaded from the local cache, after the pass's own
+// upload has been joined — a tenant has one open batch at the shared
+// FairScheduler, whose EndBatch would otherwise clear the other's
+// waiting marks.
+func (c *Client) reuploadMissingSegments(ctx context.Context, changes []*meta.Change, vc *meta.Image, upload *uploadSession) ([]*meta.Change, error) {
 	for _, ch := range changes {
 		for _, seg := range ch.Segments {
 			if len(seg.Blocks) > 0 {
@@ -516,29 +551,42 @@ func (c *Client) reuploadMissingSegments(ctx context.Context, changes []*meta.Ch
 				continue
 			}
 			// Dedup assumption broken: re-upload.
-			src, err := c.blockSource(seg)
-			if err != nil {
+			if err := upload.join(); err != nil {
 				return nil, err
 			}
-			plan, err := c.uploadSegmentAvailable(ctx, seg, src.blocks)
-			if err != nil {
-				src.release()
+			if err := c.reuploadSegment(ctx, seg); err != nil {
 				return nil, err
 			}
-			err = c.engine.UploadSegment(ctx, plan, seg.ID, src.blocks, nil)
-			if err != nil {
-				src.release()
-				return nil, err
-			}
-			// Stamp checksums before releasing the source: sum() reads
-			// the still-pooled encoded buffers.
-			for blockID, cloudName := range plan.Placement() {
-				seg.AddBlockSum(blockID, cloudName, src.sum(blockID))
-			}
-			src.release()
 		}
 	}
 	return changes, nil
+}
+
+// reuploadSegment uploads one segment from the local cache, to
+// reliability, and stamps the placement into its record.
+func (c *Client) reuploadSegment(ctx context.Context, seg *meta.Segment) error {
+	src, err := c.blockSource(seg)
+	if err != nil {
+		return err
+	}
+	defer src.release()
+	plan, err := sched.NewUploadPlan(c.params, c.names)
+	if err != nil {
+		return err
+	}
+	if err := c.engine.UploadSegment(ctx, plan, seg.ID, src.blocks, plan.Available); err != nil {
+		return err
+	}
+	if !plan.Available() {
+		return fmt.Errorf("core: segment %s could not reach availability (%d/%d blocks)",
+			seg.ID, len(plan.UploadedBlocks()), c.params.K)
+	}
+	// Stamp checksums before the deferred release: sum() reads the
+	// still-pooled encoded buffers.
+	for blockID, cloudName := range plan.Placement() {
+		seg.AddBlockSum(blockID, cloudName, src.sum(blockID))
+	}
+	return nil
 }
 
 // applyCloudUpdate materializes the difference between two metadata

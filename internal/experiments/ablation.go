@@ -76,11 +76,12 @@ func (r *ablationRig) engine(ctx context.Context, probe bool) *transfer.Engine {
 	return transfer.New(clouds, prober, transfer.Config{Clock: r.c.Clock})
 }
 
-// uploadOnce codes one segment and uploads it, honouring maxPerCloud
-// via the plan; it returns the time to availability and the final
-// placement.
+// uploadOnce codes one segment and uploads it to reliability,
+// honouring maxPerCloud via the plan; it returns the time to
+// availability (the batch's availability instant, which ends
+// over-provisioning) and the final placement.
 func (r *ablationRig) uploadOnce(ctx context.Context, eng *transfer.Engine, segID string,
-	data []byte, stopAtAvailable bool) (time.Duration, map[int]string, error) {
+	data []byte) (time.Duration, map[int]string, error) {
 
 	plan, err := sched.NewUploadPlan(paperParams, r.names)
 	if err != nil {
@@ -90,15 +91,11 @@ func (r *ablationRig) uploadOnce(ctx context.Context, eng *transfer.Engine, segI
 		return r.coder.EncodeBlocks(data, []int{blockID})[0], nil
 	}
 	start := r.c.Clock.Now()
-	var stop func() bool
-	if stopAtAvailable {
-		stop = plan.Available
-	}
-	stopAt, err := eng.UploadBatch(ctx, []transfer.UploadItem{{Plan: plan, SegID: segID, Src: src}}, stop)
+	availAt, err := eng.UploadBatch(ctx, []transfer.UploadItem{{Plan: plan, SegID: segID, Src: src}}, plan.Available)
 	if err != nil {
 		return 0, nil, err
 	}
-	return stopAt.Sub(start), plan.Placement(), nil
+	return availAt.Sub(start), plan.Placement(), nil
 }
 
 // AblationOverProvisioning compares time-to-availability and
@@ -122,7 +119,7 @@ func AblationOverProvisioning(opts AblationOpts) *Table {
 		data := workload.Bytes(opts.Seed+int64(trial), rig.c.Size(opts.SizeMB<<20))
 
 		eng := rig.engine(ctx, true)
-		dur, _, err := rig.uploadOnce(ctx, eng, fmt.Sprintf("op-%d", trial), data, true)
+		dur, _, err := rig.uploadOnce(ctx, eng, fmt.Sprintf("op-%d", trial), data)
 		if err != nil {
 			continue
 		}
@@ -141,12 +138,12 @@ func AblationOverProvisioning(opts AblationOpts) *Table {
 			return rig.coder.EncodeBlocks(data, []int{blockID})[0], nil
 		}
 		start := rig.c.Clock.Now()
-		stopAt, err := eng.UploadBatch(ctx,
+		availAt, err := eng.UploadBatch(ctx,
 			[]transfer.UploadItem{{Plan: plan, SegID: fmt.Sprintf("fs-%d", trial), Src: src}}, plan.Available)
 		if err != nil {
 			continue
 		}
-		without = append(without, stopAt.Sub(start).Seconds())
+		without = append(without, availAt.Sub(start).Seconds())
 		t.AddRow(fmt.Sprintf("%d", trial+1),
 			fmt.Sprintf("%.1f", with[len(with)-1]),
 			fmt.Sprintf("%.1f", without[len(without)-1]))
@@ -260,7 +257,9 @@ func AblationChunkerTheta(opts AblationOpts) *Table {
 		theta := rig.c.Size(thetaMB << 20)
 		segments := (len(data) + theta - 1) / theta
 		eng := rig.engine(ctx, true)
-		start := rig.c.Clock.Now()
+		// Segment by segment: the file's availability time is the sum of
+		// its segments' (each upload's reliability tail is not part of it).
+		var avail time.Duration
 		okAll := true
 		for s := 0; s < segments; s++ {
 			lo := s * theta
@@ -268,22 +267,22 @@ func AblationChunkerTheta(opts AblationOpts) *Table {
 			if hi > len(data) {
 				hi = len(data)
 			}
-			_, _, err := rig.uploadOnce(ctx, eng, fmt.Sprintf("th%d-%d", thetaMB, s), data[lo:hi], true)
+			dur, _, err := rig.uploadOnce(ctx, eng, fmt.Sprintf("th%d-%d", thetaMB, s), data[lo:hi])
 			if err != nil {
 				okAll = false
 				break
 			}
+			avail += dur
 		}
 		if !okAll {
 			t.AddRow(fmt.Sprintf("%dMB", thetaMB), "-", "-", "failed")
 			continue
 		}
-		dur := rig.c.Clock.Now().Sub(start)
 		blockKB := thetaMB << 10 / paperParams.K
 		t.AddRow(fmt.Sprintf("%dMB", thetaMB),
 			fmt.Sprintf("%d", segments),
 			fmt.Sprintf("~%dKB", blockKB),
-			fmt.Sprintf("%.1f", dur.Seconds()))
+			fmt.Sprintf("%.1f", avail.Seconds()))
 	}
 	t.AddNote("small θ multiplies per-block API latency; large θ reduces parallelism and raises per-request failure odds")
 	return t

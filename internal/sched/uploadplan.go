@@ -100,8 +100,12 @@ func (p *UploadPlan) SetObs(reg *obs.Registry) {
 
 // NextBlock returns the next block the cloud should upload and marks
 // it in flight. ok is false when the cloud has no work right now
-// (more may appear later; see CloudDone).
-func (p *UploadPlan) NextBlock(cloudName string) (blockID int, ok bool) {
+// (more may appear later; see CloudDone). extras is the driver's
+// decision whether over-provisioned blocks may still be handed out:
+// they exist to reach availability sooner, so the transfer engine
+// withdraws it at the batch's availability instant and the plan then
+// serves queued normal blocks only.
+func (p *UploadPlan) NextBlock(cloudName string, extras bool) (blockID int, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.excluded[cloudName] != 0 {
@@ -121,7 +125,7 @@ func (p *UploadPlan) NextBlock(cloudName string) (blockID int, ok bool) {
 	// extras precisely because they finished early), only while some
 	// live cloud's fair share is incomplete, and within the security
 	// ceiling.
-	if p.fairUploaded[cloudName] < p.params.FairShare() {
+	if !extras || p.fairUploaded[cloudName] < p.params.FairShare() {
 		return 0, false
 	}
 	if p.reliableLocked() {
@@ -409,6 +413,20 @@ func (p *UploadPlan) CloudDone(cloudName string) bool {
 	// Not done: extras may open up once this cloud's fair share (or
 	// another's) completes.
 	return false
+}
+
+// Queued returns the number of normal blocks not yet handed out: the
+// fair-share work that is neither landed nor in flight. Failed blocks
+// count again once re-queued; blocks an exclusion could not re-home
+// are dropped from the plan and do not.
+func (p *UploadPlan) Queued() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, q := range p.fairQueue {
+		n += len(q)
+	}
+	return n
 }
 
 // InFlight returns the number of blocks currently being uploaded.

@@ -14,7 +14,7 @@ func drainPlan(t *testing.T, plan *UploadPlan, clouds []string) map[int]string {
 	for progressed := true; progressed; {
 		progressed = false
 		for _, c := range clouds {
-			if b, ok := plan.NextBlock(c); ok {
+			if b, ok := plan.NextBlock(c, true); ok {
 				plan.Complete(c, b)
 				progressed = true
 			}
@@ -47,7 +47,7 @@ func TestQuotaShapeOneCloudFull(t *testing.T) {
 	if moved != 1 {
 		t.Fatalf("moved = %d, want 1 (c0's single fair block)", moved)
 	}
-	if b, ok := plan.NextBlock("c0"); ok {
+	if b, ok := plan.NextBlock("c0", true); ok {
 		t.Fatalf("full cloud handed block %d", b)
 	}
 	got := placementByCloud(drainPlan(t, plan, fiveClouds))
@@ -142,7 +142,7 @@ func TestQuotaShapeAllFull(t *testing.T) {
 		plan.Exclude(c, Full, nil)
 	}
 	for _, c := range fiveClouds {
-		if b, ok := plan.NextBlock(c); ok {
+		if b, ok := plan.NextBlock(c, true); ok {
 			t.Fatalf("all-full plan handed block %d to %s", b, c)
 		}
 	}
@@ -161,7 +161,7 @@ func TestQuotaShapeAllFull(t *testing.T) {
 // requeued to the full cloud.
 func TestQuotaFullKeepsExistingPlacements(t *testing.T) {
 	plan := mustUploadPlan(t, paperParams, fiveClouds)
-	b0, ok := plan.NextBlock("c0")
+	b0, ok := plan.NextBlock("c0", true)
 	if !ok {
 		t.Fatal("no block for c0")
 	}
@@ -169,7 +169,7 @@ func TestQuotaFullKeepsExistingPlacements(t *testing.T) {
 
 	// A second in-flight block on c1 fails AFTER c1 goes full: it must
 	// re-home to another cloud, not sit on c1's queue forever.
-	b1, ok := plan.NextBlock("c1")
+	b1, ok := plan.NextBlock("c1", true)
 	if !ok {
 		t.Fatal("no block for c1")
 	}
@@ -178,7 +178,7 @@ func TestQuotaFullKeepsExistingPlacements(t *testing.T) {
 	found := false
 	for _, c := range []string{"c0", "c2", "c3", "c4"} {
 		for {
-			b, ok := plan.NextBlock(c)
+			b, ok := plan.NextBlock(c, true)
 			if !ok {
 				break
 			}

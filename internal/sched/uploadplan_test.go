@@ -33,8 +33,8 @@ func TestEvenDeterministicAssignment(t *testing.T) {
 	// NextBlock; assignment is deterministic across plans.
 	plan2 := mustUploadPlan(t, paperParams, fiveClouds)
 	for _, c := range fiveClouds {
-		b1, ok1 := plan.NextBlock(c)
-		b2, ok2 := plan2.NextBlock(c)
+		b1, ok1 := plan.NextBlock(c, true)
+		b2, ok2 := plan2.NextBlock(c, true)
 		if !ok1 || !ok2 || b1 != b2 {
 			t.Fatalf("assignment not deterministic for %s: (%d,%v) vs (%d,%v)", c, b1, ok1, b2, ok2)
 		}
@@ -50,7 +50,7 @@ func TestAvailabilityAfterKBlocks(t *testing.T) {
 		t.Fatal("empty plan available")
 	}
 	for i, c := range fiveClouds[:3] { // K = 3
-		b, ok := plan.NextBlock(c)
+		b, ok := plan.NextBlock(c, true)
 		if !ok {
 			t.Fatalf("no block for %s", c)
 		}
@@ -64,13 +64,13 @@ func TestAvailabilityAfterKBlocks(t *testing.T) {
 func TestReliabilityNeedsEveryCloud(t *testing.T) {
 	plan := mustUploadPlan(t, paperParams, fiveClouds)
 	for _, c := range fiveClouds[:4] {
-		b, _ := plan.NextBlock(c)
+		b, _ := plan.NextBlock(c, true)
 		plan.Complete(c, b)
 	}
 	if plan.Reliable() {
 		t.Fatal("reliable with one cloud missing its fair share")
 	}
-	b, _ := plan.NextBlock("c4")
+	b, _ := plan.NextBlock("c4", true)
 	plan.Complete("c4", b)
 	if !plan.Reliable() {
 		t.Fatal("not reliable after every cloud got its fair share")
@@ -90,7 +90,7 @@ func TestOverProvisioningToFastClouds(t *testing.T) {
 	taken := make(map[string][]int)
 	for _, c := range clouds {
 		for {
-			b, ok := plan.NextBlock(c)
+			b, ok := plan.NextBlock(c, true)
 			if !ok {
 				break
 			}
@@ -108,7 +108,7 @@ func TestOverProvisioningToFastClouds(t *testing.T) {
 	}
 	// Fast clouds ask again: they must get over-provisioned blocks.
 	for _, c := range []string{"c1", "c2"} {
-		b, ok := plan.NextBlock(c)
+		b, ok := plan.NextBlock(c, true)
 		if !ok {
 			t.Fatalf("fast cloud %s got no over-provisioned block", c)
 		}
@@ -131,7 +131,7 @@ func TestSecurityCapNeverExceeded(t *testing.T) {
 	// the per-cloud cap.
 	count := 0
 	for {
-		b, ok := plan.NextBlock("c1")
+		b, ok := plan.NextBlock("c1", true)
 		if !ok {
 			break
 		}
@@ -149,14 +149,14 @@ func TestSecurityCapNeverExceeded(t *testing.T) {
 func TestOverProvisioningStopsWhenReliable(t *testing.T) {
 	plan := mustUploadPlan(t, paperParams, fiveClouds)
 	for _, c := range fiveClouds {
-		b, _ := plan.NextBlock(c)
+		b, _ := plan.NextBlock(c, true)
 		plan.Complete(c, b)
 	}
 	if !plan.Reliable() {
 		t.Fatal("should be reliable")
 	}
 	for _, c := range fiveClouds {
-		if _, ok := plan.NextBlock(c); ok {
+		if _, ok := plan.NextBlock(c, true); ok {
 			t.Fatalf("%s received work after reliability was met", c)
 		}
 		if !plan.CloudDone(c) {
@@ -167,9 +167,9 @@ func TestOverProvisioningStopsWhenReliable(t *testing.T) {
 
 func TestFailRequeuesFairBlock(t *testing.T) {
 	plan := mustUploadPlan(t, paperParams, fiveClouds)
-	b, _ := plan.NextBlock("c0")
+	b, _ := plan.NextBlock("c0", true)
 	plan.Fail("c0", b)
-	b2, ok := plan.NextBlock("c0")
+	b2, ok := plan.NextBlock("c0", true)
 	if !ok || b2 != b {
 		t.Fatalf("failed fair block not requeued: got (%d, %v), want %d", b2, ok, b)
 	}
@@ -182,19 +182,19 @@ func TestFailRecyclesExtraBlockID(t *testing.T) {
 	plan := mustUploadPlan(t, p, clouds)
 	// a completes its fair share (2 blocks).
 	for i := 0; i < 2; i++ {
-		b, ok := plan.NextBlock("a")
+		b, ok := plan.NextBlock("a", true)
 		if !ok {
 			t.Fatal("no fair block")
 		}
 		plan.Complete("a", b)
 	}
 	// b hasn't finished, so a gets an extra; fail it.
-	extra, ok := plan.NextBlock("a")
+	extra, ok := plan.NextBlock("a", true)
 	if !ok || extra < p.NormalBlocks() {
 		t.Fatalf("expected extra block, got (%d, %v)", extra, ok)
 	}
 	plan.Fail("a", extra)
-	again, ok := plan.NextBlock("a")
+	again, ok := plan.NextBlock("a", true)
 	if !ok || again != extra {
 		t.Fatalf("failed extra ID not recycled: got (%d, %v), want %d", again, ok, extra)
 	}
@@ -215,7 +215,7 @@ func TestExcludeWritesCloudOff(t *testing.T) {
 			if got := plan.IsFull("c0"); got != (tc.reason == Full) {
 				t.Fatalf("IsFull(c0) = %v after Exclude(%s)", got, tc.name)
 			}
-			if _, ok := plan.NextBlock("c0"); ok {
+			if _, ok := plan.NextBlock("c0", true); ok {
 				t.Fatal("excluded cloud received work")
 			}
 			if !plan.CloudDone("c0") {
@@ -226,7 +226,7 @@ func TestExcludeWritesCloudOff(t *testing.T) {
 				if plan.Reliable() {
 					t.Fatalf("plan reliable with %s's fair share outstanding", c)
 				}
-				b, _ := plan.NextBlock(c)
+				b, _ := plan.NextBlock(c, true)
 				plan.Complete(c, b)
 			}
 			if !plan.Reliable() {
@@ -247,7 +247,7 @@ func TestAvailabilityReachableWithDeadCloudViaOverProvisioning(t *testing.T) {
 	uploaded := 0
 	for _, c := range []string{"a", "b"} {
 		for {
-			b, ok := plan.NextBlock(c)
+			b, ok := plan.NextBlock(c, true)
 			if !ok {
 				break
 			}
@@ -267,7 +267,7 @@ func TestPlacementRecordsCloudPerBlock(t *testing.T) {
 	plan := mustUploadPlan(t, paperParams, fiveClouds)
 	want := make(map[int]string)
 	for _, c := range fiveClouds {
-		b, _ := plan.NextBlock(c)
+		b, _ := plan.NextBlock(c, true)
 		plan.Complete(c, b)
 		want[b] = c
 	}
@@ -328,7 +328,7 @@ func TestUploadPlanPropertySecurityInvariant(t *testing.T) {
 		}
 		for steps := 0; steps < 200; steps++ {
 			c := clouds[next(n)]
-			b, ok := plan.NextBlock(c)
+			b, ok := plan.NextBlock(c, true)
 			if !ok {
 				continue
 			}
@@ -368,7 +368,7 @@ func TestFailoverReassignsDeadClouds(t *testing.T) {
 	if moved != p.FairShare() {
 		t.Fatalf("moved = %d, want %d", moved, p.FairShare())
 	}
-	if _, ok := plan.NextBlock("c4"); ok {
+	if _, ok := plan.NextBlock("c4", true); ok {
 		t.Fatal("dead cloud still receives work")
 	}
 	// Drain the plan: every live cloud uploads everything offered.
@@ -376,7 +376,7 @@ func TestFailoverReassignsDeadClouds(t *testing.T) {
 	for again := true; again; {
 		again = false
 		for _, c := range clouds[:3] {
-			if b, ok := plan.NextBlock(c); ok {
+			if b, ok := plan.NextBlock(c, true); ok {
 				plan.Complete(c, b)
 				counts[c]++
 				again = true
@@ -409,14 +409,14 @@ func TestFailoverRespectsRankedOrder(t *testing.T) {
 	// c3 is ranked healthiest and has capacity 3-0-2=1, so it takes the
 	// first orphan; the second also fits there? No: after one append its
 	// queued count is 3 >= MaxPerCloud, so the second goes to c2.
-	b3, ok3 := plan.NextBlock("c3")
+	b3, ok3 := plan.NextBlock("c3", true)
 	_ = b3
 	if !ok3 {
 		t.Fatal("c3 should have work")
 	}
 	q3 := 1
 	for {
-		if _, ok := plan.NextBlock("c3"); !ok {
+		if _, ok := plan.NextBlock("c3", true); !ok {
 			break
 		}
 		q3++
@@ -430,7 +430,7 @@ func TestFailAfterDeathReassignsInFlightBlock(t *testing.T) {
 	p := Params{N: 4, K: 4, Kr: 2, Ks: 2}
 	for _, reason := range []Reason{Dead, Full} {
 		plan := mustUploadPlan(t, p, []string{"c1", "c2", "c3", "c4"})
-		b, ok := plan.NextBlock("c4")
+		b, ok := plan.NextBlock("c4", true)
 		if !ok {
 			t.Fatal("no block for c4")
 		}
@@ -442,7 +442,7 @@ func TestFailAfterDeathReassignsInFlightBlock(t *testing.T) {
 		seen := false
 		for _, c := range []string{"c1", "c2", "c3"} {
 			for {
-				got, ok := plan.NextBlock(c)
+				got, ok := plan.NextBlock(c, true)
 				if !ok {
 					break
 				}
@@ -483,8 +483,8 @@ func TestOverprovisionReservesCapacityForOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	// c4 takes its fair share in flight, then dies.
-	d1, _ := plan.NextBlock("c4")
-	d2, _ := plan.NextBlock("c4")
+	d1, _ := plan.NextBlock("c4", true)
+	d2, _ := plan.NextBlock("c4", true)
 	plan.Exclude("c4", Dead, nil)
 
 	// The healthy clouds drain everything on offer: fair shares first,
@@ -492,7 +492,7 @@ func TestOverprovisionReservesCapacityForOrphans(t *testing.T) {
 	extras := 0
 	for _, c := range []string{"c1", "c2", "c3"} {
 		for {
-			b, ok := plan.NextBlock(c)
+			b, ok := plan.NextBlock(c, true)
 			if !ok {
 				break
 			}
@@ -511,7 +511,7 @@ func TestOverprovisionReservesCapacityForOrphans(t *testing.T) {
 	plan.Fail("c4", d2)
 	for _, c := range []string{"c1", "c2", "c3"} {
 		for {
-			b, ok := plan.NextBlock(c)
+			b, ok := plan.NextBlock(c, true)
 			if !ok || b >= p.NormalBlocks() {
 				break
 			}
@@ -551,10 +551,10 @@ func TestSeedUploadedSkipsReupload(t *testing.T) {
 		t.Fatal("negative block ID accepted")
 	}
 	// The owners must not be handed their seeded blocks again.
-	if b, ok := plan.NextBlock("c0"); ok && b == 0 {
+	if b, ok := plan.NextBlock("c0", true); ok && b == 0 {
 		t.Fatalf("c0 re-assigned seeded block %d", b)
 	}
-	if b, ok := plan.NextBlock("c1"); ok && b == 1 {
+	if b, ok := plan.NextBlock("c1", true); ok && b == 1 {
 		t.Fatalf("c1 re-assigned seeded block %d", b)
 	}
 	pl := plan.Placement()
@@ -582,7 +582,7 @@ func TestSeedUploadedCountsTowardGoals(t *testing.T) {
 		t.Fatal("plan reliable while c4 owes its fair share")
 	}
 	for {
-		b, ok := plan.NextBlock("c4")
+		b, ok := plan.NextBlock("c4", true)
 		if !ok {
 			break
 		}
@@ -604,7 +604,7 @@ func TestSeedUploadedExtraAdvancesCursor(t *testing.T) {
 	for moved := true; moved; {
 		moved = false
 		for _, c := range fiveClouds {
-			if b, ok := plan.NextBlock(c); ok {
+			if b, ok := plan.NextBlock(c, true); ok {
 				if b == extra {
 					t.Fatalf("seeded extra %d re-assigned to %s", extra, c)
 				}
@@ -612,5 +612,62 @@ func TestSeedUploadedExtraAdvancesCursor(t *testing.T) {
 				moved = true
 			}
 		}
+	}
+}
+
+// The two questions a continuous batch asks a plan: may this cloud
+// still have an over-provisioned block (the driver says no once the
+// batch is available; queued normal blocks flow regardless), and is any
+// fair-share block still waiting for a connection (Queued — the
+// commit's reason to overlap the tail). Steps run in order on one plan.
+func TestExtrasRefusedAndQueuedBacklog(t *testing.T) {
+	// fair 2, normal 8, cap 3 per cloud.
+	plan := mustUploadPlan(t, Params{N: 4, K: 4, Kr: 2, Ks: 2}, []string{"c1", "c2", "c3", "c4"})
+	normal := plan.Params().NormalBlocks()
+	var held int // a block one step takes and a later one fails
+	take := func(c string, extras, wantOK, wantExtra bool) func(*testing.T) {
+		return func(t *testing.T) {
+			b, ok := plan.NextBlock(c, extras)
+			if ok != wantOK || (ok && (b >= normal) != wantExtra) {
+				t.Fatalf("NextBlock(%s, extras=%v) = (%d, %v), want ok=%v extra=%v", c, extras, b, ok, wantOK, wantExtra)
+			}
+			if ok {
+				held = b
+			}
+		}
+	}
+	complete := func(c string) func(*testing.T) { return func(*testing.T) { plan.Complete(c, held) } }
+	for _, step := range []struct {
+		name   string
+		do     func(*testing.T)
+		queued int
+	}{
+		{"fresh plan: every normal block queued", func(*testing.T) {}, 8},
+		{"c1 takes a fair block", take("c1", false, true, false), 7},
+		{"and lands it", complete("c1"), 7},
+		{"c1's second fair block goes out with extras refused", take("c1", false, true, false), 6},
+		{"and lands: c1's fair share is up", complete("c1"), 6},
+		{"extras refused: c1 gets nothing though others lag", take("c1", false, false, false), 6},
+		{"extras allowed: c1 gets one, the backlog does not move", take("c1", true, true, true), 6},
+		{"c2 takes a fair block", take("c2", false, true, false), 5},
+		{"it fails: back on c2's queue", func(*testing.T) { plan.Fail("c2", held) }, 6},
+		{"c3 excluded: its queued blocks move to c2 and c4, still queued", func(*testing.T) { plan.Exclude("c3", Dead, []string{"c2"}) }, 6},
+		{"c4 takes a fair block", take("c4", false, true, false), 5},
+		{"c4 excluded with it in flight: its two queued ones have no home", func(*testing.T) { plan.Exclude("c4", Full, nil) }, 3},
+		{"the in-flight block fails: no home either", func(*testing.T) { plan.Fail("c4", held) }, 3},
+		{"c2 drains its own and the adopted block, extras refused", func(t *testing.T) {
+			for i := 0; i < 3; i++ {
+				take("c2", false, true, false)(t)
+				plan.Complete("c2", held)
+			}
+		}, 0},
+	} {
+		step.do(t)
+		if got := plan.Queued(); got != step.queued {
+			t.Fatalf("%s: Queued() = %d, want %d", step.name, got, step.queued)
+		}
+	}
+	if !plan.Reliable() {
+		t.Fatal("the live clouds' fair shares are up: the plan must be reliable")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/erasure"
 	"unidrive/internal/netsim"
+	"unidrive/internal/obs"
 	"unidrive/internal/sched"
 	"unidrive/internal/vclock"
 )
@@ -101,27 +102,50 @@ func TestUploadSegmentToReliability(t *testing.T) {
 	}
 }
 
-func TestUploadStopsAtAvailability(t *testing.T) {
+// The predicate marks the availability instant and ends
+// over-provisioning, not the batch: from there only normal blocks go
+// out, and the plan finishes reliable.
+func TestUploadPastAvailabilitySendsOnlyNormalBlocks(t *testing.T) {
 	r := newDirectRig(t, 5)
+	reg := obs.NewRegistry()
+	r.engine = New(enginesClouds(r), sched.NewProber(0), Config{Obs: reg})
 	seg := make([]byte, 900)
 	rand.New(rand.NewSource(2)).Read(seg)
 	plan, err := sched.NewUploadPlan(paperParams, r.names)
 	if err != nil {
 		t.Fatal(err)
 	}
+	extras := reg.Counter("sched.plan.overprov_assigned")
+	extrasAtInstant, landedAtInstant := int64(-1), 0
 	err = r.engine.UploadSegment(context.Background(), plan, "seg1",
-		coderSource(t, paperCoder(t), seg), plan.Available)
+		coderSource(t, paperCoder(t), seg), func() bool {
+			if !plan.Available() {
+				return false
+			}
+			extrasAtInstant, landedAtInstant = extras.Value(), len(plan.UploadedBlocks())
+			return true
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Available() {
-		t.Fatal("stop condition returned before availability")
+	if extrasAtInstant < 0 {
+		t.Fatal("the batch returned without an availability instant")
 	}
-	// Dispatching stops at availability; only blocks already in
-	// flight may complete afterwards, so the plan must not have run
-	// anywhere near the 10-block over-provisioning ceiling.
+	if !plan.Reliable() {
+		t.Fatalf("the batch ended at %d blocks, short of reliability (%d landed at the instant)",
+			len(plan.UploadedBlocks()), landedAtInstant)
+	}
+	if got := extras.Value(); got != extrasAtInstant {
+		t.Fatalf("%d over-provisioned blocks handed out after the availability instant", got-extrasAtInstant)
+	}
+	// Extras only before K blocks landed: nowhere near the 10-block
+	// over-provisioning ceiling.
 	if got := len(plan.UploadedBlocks()); got > paperParams.NormalBlocks()+2 {
-		t.Fatalf("uploaded %d blocks despite availability stop", got)
+		t.Fatalf("uploaded %d blocks, want at most %d", got, paperParams.NormalBlocks()+2)
+	}
+	if got := reg.Counter("transfer.up.stragglers").Value(); got != int64(len(plan.UploadedBlocks())-landedAtInstant) {
+		t.Fatalf("transfer.up.stragglers = %d, want the %d blocks that landed after the instant",
+			got, len(plan.UploadedBlocks())-landedAtInstant)
 	}
 }
 

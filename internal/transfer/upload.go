@@ -33,12 +33,11 @@ type UploadItem struct {
 	Src BlockSource
 }
 
-// UploadSegment runs a single upload plan until the stop condition
-// holds (nil means: until the plan has no more work anywhere).
-// Individual cloud failures are handled inside the plan.
+// UploadSegment is UploadBatch for a single plan. Individual cloud
+// failures are handled inside the plan.
 func (e *Engine) UploadSegment(ctx context.Context, plan *sched.UploadPlan, segID string,
-	src BlockSource, stop func() bool) error {
-	_, err := e.UploadBatch(ctx, []UploadItem{{Plan: plan, SegID: segID, Src: src}}, stop)
+	src BlockSource, available func() bool) error {
+	_, err := e.UploadBatch(ctx, []UploadItem{{Plan: plan, SegID: segID, Src: src}}, available)
 	return err
 }
 
@@ -47,10 +46,11 @@ type uploadBatch struct {
 	*dispatcher
 	ctx   context.Context
 	items []UploadItem
-	stop  func() bool
-	// stopped latches the first time stop() held, at stopAt.
-	stopped bool
-	stopAt  time.Time
+	// available is asked before every dispatch until it first holds:
+	// the batch's availability instant, availAt, latched in reached.
+	available func() bool
+	reached   bool
+	availAt   time.Time
 	// rankBytes is the transfer size clouds are ranked for: the largest
 	// block landed so far. The first dispatch ranks by latency alone,
 	// which costs nothing — every cloud has idle connections and its own
@@ -72,13 +72,19 @@ var moveCounter = map[sched.Reason]string{
 // blocks on slow clouds drain in the background while fast clouds
 // already push later files.
 //
-// Dispatching stops when stop() turns true (or every plan runs dry);
-// blocks already in flight are drained before returning. The returned
-// time is the moment the stop condition was first observed — the
-// batch's availability instant when stop tests all-plans-available —
-// which precedes the drain.
-func (e *Engine) UploadBatch(ctx context.Context, items []UploadItem, stop func() bool) (time.Time, error) {
-	u := &uploadBatch{dispatcher: e.newDispatcher(len(items)), ctx: ctx, items: items, stop: stop}
+// The batch runs until every plan is reliable (or runs dry); only
+// cancelling ctx ends it early, and blocks in flight are drained
+// before it returns either way. available marks the availability
+// instant — the first moment it holds, all-plans-available when the
+// caller tests that — which is the returned time (the batch's end when
+// it never held). Over-provisioned blocks exist to reach that instant
+// sooner (paper §6.2), so from then on the plans hand out their queued
+// normal blocks only: every cloud's connections stay fed until its
+// fair share is up, and no extra is bought that could make nothing
+// available earlier. With a nil predicate extras flow until the plans
+// are reliable.
+func (e *Engine) UploadBatch(ctx context.Context, items []UploadItem, available func() bool) (time.Time, error) {
+	u := &uploadBatch{dispatcher: e.newDispatcher(len(items)), ctx: ctx, items: items, available: available}
 	u.replan = u.replanAround
 	for _, it := range items {
 		it.Plan.SetObs(e.cfg.Obs)
@@ -87,23 +93,15 @@ func (e *Engine) UploadBatch(ctx context.Context, items []UploadItem, stop func(
 	start := e.cfg.Clock.Now()
 	u.run(ctx, u.dispatch, u.handle)
 	end := e.cfg.Clock.Now()
-	if !u.stopped {
-		u.stopAt = end
+	if !u.reached {
+		u.availAt = end
 	}
 	if secs := end.Sub(start).Seconds(); secs > 0 && u.bytesOK > 0 {
 		// Goodput: successfully transferred payload over the whole
 		// batch's wall time, the number the paper's Figure 9 plots.
 		e.cfg.Obs.Gauge("transfer.up.goodput_bps").Set(float64(u.bytesOK) / secs)
 	}
-	return u.stopAt, ctx.Err()
-}
-
-func (u *uploadBatch) checkStop() bool {
-	if !u.stopped && u.stop != nil && u.stop() {
-		u.stopped = true
-		u.stopAt = u.e.cfg.Clock.Now()
-	}
-	return u.stopped
+	return u.availAt, ctx.Err()
 }
 
 // replanAround is the mid-transfer failover and its quota-exhaustion
@@ -132,14 +130,16 @@ func (u *uploadBatch) replanAround(cloudName string, reason sched.Reason) bool {
 // Fastest clouds get first pick of the work (and of the
 // over-provisioned extras).
 func (u *uploadBatch) dispatch() {
-	if u.checkStop() {
-		return
+	if !u.reached && u.available != nil && u.available() {
+		u.reached = true
+		u.availAt = u.e.cfg.Clock.Now()
+	}
+	if u.ctx.Err() != nil {
+		return // the predicate may cancel the batch it watches
 	}
 	e, reg := u.e, u.e.cfg.Obs
 	for _, name := range e.prober.Rank(e.names, sched.Up, u.rankBytes) {
 		switch {
-		case u.stopped:
-			return
 		case u.excluded[name] != 0:
 		case !e.elig.ServesReads(name):
 			// Open breaker: route this cloud's blocks elsewhere instead
@@ -161,7 +161,7 @@ func (u *uploadBatch) dispatch() {
 
 // fill launches queued blocks on the cloud's idle connections.
 func (u *uploadBatch) fill(name string) {
-	for u.idle[name] > 0 && len(u.pending[name]) > 0 && !u.checkStop() {
+	for u.idle[name] > 0 && len(u.pending[name]) > 0 {
 		// The shared slot is claimed BEFORE NextBlock: NextBlock assigns
 		// the block to this cloud, and a refusal after the fact would
 		// leave it assigned with no transfer.
@@ -182,7 +182,7 @@ func (u *uploadBatch) launchNext(name string) bool {
 	q := u.pending[name]
 	for len(q) > 0 {
 		it := u.items[q[0]]
-		if blockID, ok := it.Plan.NextBlock(name); ok {
+		if blockID, ok := it.Plan.NextBlock(name, !u.reached); ok {
 			u.pending[name] = q
 			u.take(name)
 			go u.e.uploadBlock(u.ctx, u.results, q[0], name, it.SegID, blockID, it.Src)
@@ -197,10 +197,9 @@ func (u *uploadBatch) launchNext(name string) bool {
 func (u *uploadBatch) handle(r result) {
 	reg := u.e.cfg.Obs
 	reg.Counter("transfer.up.retries").Add(int64(r.attempts - 1))
-	if u.stopped {
-		// The stop condition already held when this block landed: it
-		// was a straggler drained for reliability, not for the
-		// availability instant.
+	if u.reached {
+		// The batch was already available when this block finished: it
+		// went up for reliability, not for the availability instant.
 		reg.Counter("transfer.up.stragglers").Inc()
 	}
 	plan := u.items[r.item].Plan
@@ -235,6 +234,13 @@ func (u *uploadBatch) handle(r result) {
 func (u *uploadBatch) failed(r result, plan *sched.UploadPlan) {
 	reg := u.e.cfg.Obs
 	reg.Counter("transfer.up.blocks_failed").Inc()
+	if u.ctx.Err() != nil {
+		// A cancelled batch's aborted requests say nothing about the
+		// cloud: the caller's commit failed while the reliability tail
+		// was still uploading. No streak, no exclusion, no prober penalty.
+		plan.Fail(r.cloudName, r.blockID)
+		return
+	}
 	reason := sched.Dead
 	if errors.Is(r.err, cloud.ErrQuotaExceeded) {
 		// Quota exhaustion is a PLACEMENT failure, not a health failure:
