@@ -1,17 +1,12 @@
-// Package unidrive's root benchmark harness: one testing.B benchmark
-// per table and figure of the paper. Each benchmark runs the
-// corresponding experiment from internal/experiments (or
-// internal/trial) at benchmark-friendly sizes and reports the
-// experiment's headline number as a custom metric; run with -v to see
-// the full paper-style tables. cmd/unibench runs the same experiments
-// at full size.
+// Package unidrive's root benchmark harness: the experiment table
+// (every table and figure of the paper, from internal/experiments and
+// internal/trial) as one benchmark with a sub-benchmark per row, at
+// the miniature sizes the shape tests use; run with -v to see the
+// paper-style tables. cmd/unibench runs the same rows at full size.
 package unidrive
 
 import (
 	"math/rand"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 
 	"unidrive/internal/erasure"
@@ -19,43 +14,17 @@ import (
 	"unidrive/internal/trial"
 )
 
-// full reports whether the benchmarks should run at paper-like sizes.
-// The default is miniature workloads so `go test -bench=.` finishes in
-// minutes on one core; set UNIDRIVE_BENCH_FULL=1 (or use cmd/unibench)
-// for the full-size runs.
-var full = os.Getenv("UNIDRIVE_BENCH_FULL") != ""
-
-func benchTrials(fullN, quickN int) int {
-	if full {
-		return fullN
-	}
-	return quickN
-}
-
-// logTables prints the tables under -v and returns them for metric
-// extraction.
-func logTables(b *testing.B, tables ...*experiments.Table) {
-	b.Helper()
-	for _, t := range tables {
-		b.Log("\n" + t.String())
-	}
-}
-
-// noteMetric extracts the first float in a note containing tag and
-// reports it as a benchmark metric.
-func noteMetric(b *testing.B, t *experiments.Table, tag, unit string) {
-	b.Helper()
-	for _, n := range t.Notes {
-		if !strings.Contains(n, tag) {
-			continue
-		}
-		for _, f := range strings.Fields(n) {
-			f = strings.TrimSuffix(f, "x")
-			if v, err := strconv.ParseFloat(f, 64); err == nil {
-				b.ReportMetric(v, unit)
-				return
+// BenchmarkExperiments runs each row of the experiment table:
+// `go test -bench 'Experiments/fig8$' -v` for one of them.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range append(experiments.All, trial.Experiments...) {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, t := range e.Tables(e.Sizes.Mini, int64(i+1)) {
+					b.Log("\n" + t.String())
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -103,157 +72,4 @@ func BenchmarkDataPlaneCoding(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkFig1SpatialVariation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.MeasurementOpts{Seed: int64(i + 1), Scale: 2500, Trials: benchTrials(8, 2)}
-		tables := experiments.Fig1SpatialVariation(opts)
-		logTables(b, tables...)
-	}
-}
-
-func BenchmarkFig2FileSizeThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, experiments.Fig2FileSizeThroughput(experiments.MeasurementOpts{Seed: int64(i + 1), Scale: 2500, Trials: benchTrials(8, 2)}))
-	}
-}
-
-func BenchmarkFig3TemporalVariation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, experiments.Fig3TemporalVariation(experiments.MeasurementOpts{Seed: int64(i + 1), Scale: 2500, Trials: benchTrials(4, 2)}))
-	}
-}
-
-func BenchmarkFig4FailureBySize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, experiments.Fig4FailureBySize(experiments.MeasurementOpts{Seed: int64(i + 1), Scale: 2500, Trials: benchTrials(8, 2)}))
-	}
-}
-
-func BenchmarkTable1FailureCorrelation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, experiments.Table1FailureCorrelation(experiments.MeasurementOpts{Seed: int64(i + 1), Scale: 2500}))
-	}
-}
-
-func BenchmarkFig8Micro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig8Micro(experiments.MicroOpts{Seed: int64(i + 1), Trials: benchTrials(3, 1), SizeMB: benchTrials(32, 8)})
-		logTables(b, tables...)
-		noteMetric(b, tables[0], "upload speedup over the fastest CCS", "upSpeedup")
-		noteMetric(b, tables[1], "download speedup over the fastest CCS", "downSpeedup")
-	}
-}
-
-func BenchmarkFig9FileSizes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, experiments.Fig9FileSizes(experiments.MicroOpts{Seed: int64(i + 1), Trials: benchTrials(3, 1), SizeMB: benchTrials(32, 8)}))
-	}
-}
-
-func BenchmarkFig10HourlyVariation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, experiments.Fig10HourlyVariation(experiments.MicroOpts{Seed: int64(i + 1), SizeMB: benchTrials(32, 8)}))
-	}
-}
-
-func BenchmarkFig11BatchSync(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig11BatchSync(experiments.BatchOpts{
-			Seed: int64(i + 1), Files: benchTrials(100, 8), Sources: benchTrials(7, 2),
-		})
-		logTables(b, tables...)
-		noteMetric(b, tables[0], "e2e speedup", "e2eSpeedup")
-	}
-}
-
-func BenchmarkFig12CumulativeSync(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, experiments.Fig12CumulativeSync(experiments.BatchOpts{Seed: int64(i + 1), Files: benchTrials(100, 8)}))
-	}
-}
-
-func BenchmarkTable2SyncVariance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		// Table 2 is derived from the Fig 11 runs.
-		tables := experiments.Fig11BatchSync(experiments.BatchOpts{
-			Seed: int64(i + 1), Files: benchTrials(50, 6), Sources: benchTrials(7, 3),
-		})
-		logTables(b, tables[1])
-	}
-}
-
-func BenchmarkTable3Overhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, experiments.Table3Overhead(experiments.BatchOpts{Seed: int64(i + 1), Files: benchTrials(100, 8)}))
-	}
-}
-
-func BenchmarkFig13DeltaSync(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig13DeltaSync(experiments.DeltaOpts{Files: benchTrials(1024, 256)})
-		logTables(b, t)
-		noteMetric(b, t, "reduction", "reductionX")
-	}
-}
-
-func BenchmarkFig14Reliability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, experiments.Fig14Reliability(experiments.ReliabilityOpts{Seed: int64(i + 1), Scale: 600, Trials: benchTrials(12, 4), SizeMB: benchTrials(32, 8)}))
-	}
-}
-
-func BenchmarkFig15TrialThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := trial.Run(trial.Opts{Seed: int64(i + 1), Users: benchTrials(96, 8), FilesPerUser: benchTrials(10, 4)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, trial.Fig15Throughput(res))
-	}
-}
-
-func BenchmarkFig16TrialDaily(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := trial.Run(trial.Opts{Seed: int64(i + 1), Users: benchTrials(96, 8), FilesPerUser: benchTrials(10, 6)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, trial.Fig16Daily(res))
-	}
-}
-
-func BenchmarkTrialDeploymentStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := trial.Run(trial.Opts{Seed: int64(i + 1), Users: benchTrials(96, 8), FilesPerUser: benchTrials(10, 4)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, trial.DeploymentStats(res))
-		b.ReportMetric(res.APISuccessRate()*100, "apiSuccess%")
-		b.ReportMetric(res.OpSuccessRate()*100, "opSuccess%")
-	}
-}
-
-func BenchmarkAblationOverProvisioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationOverProvisioning(experiments.AblationOpts{Seed: int64(i + 1), Trials: benchTrials(7, 3), SizeMB: benchTrials(16, 8)})
-		logTables(b, t)
-		noteMetric(b, t, "mean availability", "fairShareOnlySlowdownX")
-	}
-}
-
-func BenchmarkAblationDownloadScheduling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationDownloadScheduling(experiments.AblationOpts{Seed: int64(i + 1), Trials: benchTrials(7, 3), SizeMB: benchTrials(16, 8)})
-		logTables(b, t)
-		noteMetric(b, t, "mean download", "naiveSlowdownX")
-	}
-}
-
-func BenchmarkAblationChunkerTheta(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, experiments.AblationChunkerTheta(experiments.AblationOpts{Seed: int64(i + 1), SizeMB: benchTrials(16, 8)}))
-	}
 }

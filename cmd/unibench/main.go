@@ -4,17 +4,19 @@
 //
 // Usage:
 //
-//	unibench [-run all|fig1|fig2|fig3|fig4|tab1|fig8|fig9|fig10|fig11|fig12|tab3|fig13|fig14|trial]
+//	unibench [-run all|fig1|fig2|fig3|fig4|tab1|fig8|fig9|fig10|fig11|fig12|tab3|fig13|fig14|ablation|trial]
 //	         [-seed 1] [-quick]
 //
 // -quick shrinks workloads (fewer trials/files/users) for a fast
-// pass; the default sizes match the paper's where feasible.
+// pass; the default sizes match the paper's where feasible. The rows
+// and their sizes are the experiment table (experiments.All followed
+// by trial.Experiments); tab2, fig15 and fig16 select the rows that
+// print them.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -32,96 +34,27 @@ func main() {
 	for _, s := range strings.Split(*runSel, ",") {
 		selected[strings.TrimSpace(strings.ToLower(s))] = true
 	}
-	want := func(name string) bool { return selected["all"] || selected[name] }
+	want := func(e experiments.Experiment) bool {
+		for _, n := range append([]string{"all", e.Name}, e.Aliases...) {
+			if selected[n] {
+				return true
+			}
+		}
+		return false
+	}
 
-	show := func(tables ...*experiments.Table) {
-		for _, t := range tables {
+	for _, e := range append(experiments.All, trial.Experiments...) {
+		if !want(e) {
+			continue
+		}
+		size := e.Sizes.Paper
+		if *quick {
+			size = e.Sizes.Quick
+		}
+		start := time.Now()
+		for _, t := range e.Tables(size, *seed) {
 			fmt.Println(t.String())
 		}
-	}
-	timed := func(name string, f func()) {
-		start := time.Now()
-		f()
-		fmt.Printf("-- %s finished in %v --\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	// The measurement study (single raw transfers, no client compute)
-	// tolerates a much higher clock compression than the end-to-end
-	// experiments, whose hashing/coding compute would be magnified.
-	mOpts := experiments.MeasurementOpts{Seed: *seed, Scale: 3000, Trials: 8}
-	uOpts := experiments.MicroOpts{Seed: *seed, Trials: 5}
-	bOpts := experiments.BatchOpts{Seed: *seed, Files: 100, FileKB: 1024}
-	dOpts := experiments.DeltaOpts{Files: 1024, FileKB: 100}
-	rOpts := experiments.ReliabilityOpts{Seed: *seed, Trials: 12}
-	tOpts := trial.Opts{Seed: *seed, Users: 272, FilesPerUser: 10}
-	if *quick {
-		mOpts.Trials = 3
-		uOpts.Trials = 2
-		uOpts.SizeMB = 16
-		bOpts.Files, bOpts.Sources = 20, 3
-		dOpts.Files = 256
-		rOpts.Trials = 6
-		tOpts.Users, tOpts.FilesPerUser = 32, 6
-	}
-
-	if want("fig1") {
-		timed("fig1", func() { show(experiments.Fig1SpatialVariation(mOpts)...) })
-	}
-	if want("fig2") {
-		timed("fig2", func() { show(experiments.Fig2FileSizeThroughput(mOpts)) })
-	}
-	if want("fig3") {
-		timed("fig3", func() { show(experiments.Fig3TemporalVariation(mOpts)) })
-	}
-	if want("fig4") {
-		timed("fig4", func() { show(experiments.Fig4FailureBySize(mOpts)) })
-	}
-	if want("tab1") {
-		timed("tab1", func() { show(experiments.Table1FailureCorrelation(mOpts)) })
-	}
-	if want("fig8") {
-		timed("fig8", func() { show(experiments.Fig8Micro(uOpts)...) })
-	}
-	if want("fig9") {
-		timed("fig9", func() { show(experiments.Fig9FileSizes(uOpts)) })
-	}
-	if want("fig10") {
-		timed("fig10", func() { show(experiments.Fig10HourlyVariation(uOpts)) })
-	}
-	if want("fig11") || want("tab2") {
-		timed("fig11+tab2", func() { show(experiments.Fig11BatchSync(bOpts)...) })
-	}
-	if want("fig12") {
-		timed("fig12", func() { show(experiments.Fig12CumulativeSync(bOpts)) })
-	}
-	if want("tab3") {
-		timed("tab3", func() { show(experiments.Table3Overhead(bOpts)) })
-	}
-	if want("fig13") {
-		timed("fig13", func() { show(experiments.Fig13DeltaSync(dOpts)) })
-	}
-	if want("fig14") {
-		timed("fig14", func() { show(experiments.Fig14Reliability(rOpts)) })
-	}
-	if want("ablation") {
-		aOpts := experiments.AblationOpts{Seed: *seed, Trials: 7}
-		if *quick {
-			aOpts.Trials = 5
-		}
-		timed("ablation", func() {
-			show(experiments.AblationOverProvisioning(aOpts),
-				experiments.AblationDownloadScheduling(aOpts),
-				experiments.AblationChunkerTheta(aOpts))
-		})
-	}
-	if want("trial") || want("fig15") || want("fig16") {
-		timed("trial", func() {
-			res, err := trial.Run(tOpts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "unibench: trial:", err)
-				return
-			}
-			show(trial.Fig15Throughput(res), trial.Fig16Daily(res), trial.DeploymentStats(res))
-		})
+		fmt.Printf("-- %s finished in %v --\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -231,40 +231,23 @@ func (iv *Intuitive) Upload(ctx context.Context, name string, data []byte) error
 	if blocks == 0 {
 		blocks = 1
 	}
-	// Group blocks per cloud, then run each native app's sync in
-	// parallel; each app transfers its own blocks.
-	perCloud := make([][]int, len(iv.natives))
-	for b := 0; b < blocks; b++ {
-		c := b % len(iv.natives)
-		perCloud[c] = append(perCloud[c], b)
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(iv.natives))
-	for ci, blockIDs := range perCloud {
-		wg.Add(1)
-		go func(ci int, blockIDs []int) {
-			defer wg.Done()
-			for _, b := range blockIDs {
-				lo := b * iv.blockSize
-				hi := lo + iv.blockSize
-				if hi > len(data) {
-					hi = len(data)
-				}
-				part := fmt.Sprintf("%s.part%d", name, b)
-				if err := iv.natives[ci].Upload(ctx, part, data[lo:hi]); err != nil {
-					errCh <- err
-					return
-				}
+	// Each native app syncs its own round-robin share of the blocks,
+	// all apps in parallel.
+	err := parallel(ctx, len(iv.natives), len(iv.natives), func(ci int) error {
+		for b := ci; b < blocks; b += len(iv.natives) {
+			lo := b * iv.blockSize
+			hi := lo + iv.blockSize
+			if hi > len(data) {
+				hi = len(data)
 			}
-			errCh <- nil
-		}(ci, blockIDs)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return fmt.Errorf("baseline: intuitive upload: %w", err)
+			if err := iv.natives[ci].Upload(ctx, fmt.Sprintf("%s.part%d", name, b), data[lo:hi]); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("baseline: intuitive upload: %w", err)
 	}
 	return nil
 }
@@ -277,30 +260,17 @@ func (iv *Intuitive) Download(ctx context.Context, name string, size int) ([]byt
 		blocks = 1
 	}
 	parts := make([][]byte, blocks)
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(iv.natives))
-	for ci := range iv.natives {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			for b := ci; b < blocks; b += len(iv.natives) {
-				part := fmt.Sprintf("%s.part%d", name, b)
-				data, err := iv.natives[ci].Download(ctx, part)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				parts[b] = data
+	err := parallel(ctx, len(iv.natives), len(iv.natives), func(ci int) error {
+		for b := ci; b < blocks; b += len(iv.natives) {
+			var err error
+			if parts[b], err = iv.natives[ci].Download(ctx, fmt.Sprintf("%s.part%d", name, b)); err != nil {
+				return err
 			}
-			errCh <- nil
-		}(ci)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return nil, fmt.Errorf("baseline: intuitive download: %w", err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("baseline: intuitive download: %w", err)
 	}
 	out := make([]byte, 0, size)
 	for _, p := range parts {
@@ -360,35 +330,24 @@ func (b *Benchmark) Upload(ctx context.Context, name string, data []byte) error 
 			availOnce.Do(b.OnAvailable)
 		}
 	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(b.clouds))
-	for ci, c := range b.clouds {
-		wg.Add(1)
-		go func(ci int, c cloud.Interface) {
-			defer wg.Done()
-			// Cloud ci statically owns blocks ci, ci+N, ci+2N, ...
-			var ids []int
-			for id := ci; id < len(blocks); id += len(b.clouds) {
-				ids = append(ids, id)
-			}
-			errCh <- parallel(ctx, len(ids), b.conns, func(j int) error {
-				id := ids[j]
-				err := retried(ctx, func() error {
-					return c.Upload(ctx, benchBlockPath(name, id), blocks[id])
-				})
-				if err == nil {
-					noteDone()
-				}
-				return err
-			})
-		}(ci, c)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return fmt.Errorf("baseline: benchmark upload: %w", err)
+	err := parallel(ctx, len(b.clouds), len(b.clouds), func(ci int) error {
+		// Cloud ci statically owns blocks ci, ci+N, ci+2N, ...
+		var ids []int
+		for id := ci; id < len(blocks); id += len(b.clouds) {
+			ids = append(ids, id)
 		}
+		return parallel(ctx, len(ids), b.conns, func(j int) error {
+			err := retried(ctx, func() error {
+				return b.clouds[ci].Upload(ctx, benchBlockPath(name, ids[j]), blocks[ids[j]])
+			})
+			if err == nil {
+				noteDone()
+			}
+			return err
+		})
+	})
+	if err != nil {
+		return fmt.Errorf("baseline: benchmark upload: %w", err)
 	}
 	return nil
 }

@@ -14,43 +14,19 @@ import (
 	"unidrive/internal/workload"
 )
 
-// AblationOpts sizes the design-choice ablations.
-type AblationOpts struct {
-	Seed   int64
-	Scale  float64
-	Trials int
-	SizeMB int
-}
-
-func (o *AblationOpts) fill() {
-	if o.Trials <= 0 {
-		o.Trials = 5
-	}
-	if o.SizeMB <= 0 {
-		o.SizeMB = 16
-	}
-}
-
-// ablationRig is a bare data-plane setup (no metadata/locks): five
-// shaped clouds, an engine, and a coder — so each ablation isolates
-// exactly one scheduling mechanism.
+// ablationRig is a bare data-plane setup (no metadata/locks): the
+// five recorded clouds of one Virginia site, an engine, and a coder —
+// so each ablation isolates exactly one scheduling mechanism.
 type ablationRig struct {
 	c      *Cluster
 	clouds []cloud.Interface
-	names  []string
 	coder  *erasure.Coder
 }
 
-func newAblationRig(opts AblationOpts) (*ablationRig, error) {
+func newAblationRig(opts Opts) (*ablationRig, error) {
 	c := NewCluster(opts.Seed, opts.Scale)
-	host := c.Host(netsim.EC2Location("virginia"))
-	r := &ablationRig{c: c, clouds: c.Clouds(host), names: c.CloudNames()}
 	coder, err := erasure.NewCoder(paperParams.K, paperParams.CodeN())
-	if err != nil {
-		return nil, err
-	}
-	r.coder = coder
-	return r, nil
+	return &ablationRig{c: c, clouds: c.Site(netsim.EC2Location("virginia")).Clouds(), coder: coder}, err
 }
 
 // engine builds a data-plane engine over the rig's clouds. With probe
@@ -76,96 +52,88 @@ func (r *ablationRig) engine(ctx context.Context, probe bool) *transfer.Engine {
 	return transfer.New(clouds, prober, transfer.Config{Clock: r.c.Clock})
 }
 
-// uploadOnce codes one segment and uploads it to reliability,
-// honouring maxPerCloud via the plan; it returns the time to
-// availability (the batch's availability instant, which ends
-// over-provisioning) and the final placement.
-func (r *ablationRig) uploadOnce(ctx context.Context, eng *transfer.Engine, segID string,
-	data []byte) (time.Duration, map[int]string, error) {
+// upload codes one segment and uploads it to reliability under the
+// given placement parameters; it returns the time to availability
+// and the plan. Over-provisioning ends at the availability instant,
+// unless toReliability keeps the extras flowing.
+func (r *ablationRig) upload(ctx context.Context, eng *transfer.Engine, params sched.Params, segID string,
+	data []byte, toReliability bool) (time.Duration, *sched.UploadPlan, error) {
 
-	plan, err := sched.NewUploadPlan(paperParams, r.names)
+	plan, err := sched.NewUploadPlan(params, fiveProviders)
 	if err != nil {
 		return 0, nil, err
 	}
 	src := func(blockID int) ([]byte, error) {
 		return r.coder.EncodeBlocks(data, []int{blockID})[0], nil
 	}
-	start := r.c.Clock.Now()
-	availAt, err := eng.UploadBatch(ctx, []transfer.UploadItem{{Plan: plan, SegID: segID, Src: src}}, plan.Available)
-	if err != nil {
-		return 0, nil, err
+	available := plan.Available
+	if toReliability {
+		available = nil
 	}
-	return availAt.Sub(start), plan.Placement(), nil
+	start := r.c.Clock.Now()
+	availAt, err := eng.UploadBatch(ctx, []transfer.UploadItem{{Plan: plan, SegID: segID, Src: src}}, available)
+	return availAt.Sub(start), plan, err
 }
 
-// AblationOverProvisioning compares time-to-availability and
-// time-to-reliability with over-provisioning enabled (UniDrive's
-// plan) versus a fair-share-only plan (the multi-cloud benchmark's
-// static policy), on the same network draw.
-func AblationOverProvisioning(opts AblationOpts) *Table {
-	opts.fill()
+// speedupNote summarises paired per-trial times of a mechanism on and
+// off.
+func speedupNote(t *Table, what, onLabel, offLabel string, on, off []float64) {
+	if len(on) == 0 || len(on) != len(off) {
+		return
+	}
+	ratios := make([]float64, len(on))
+	for i := range on {
+		ratios[i] = off[i] / on[i]
+	}
+	t.AddNote("mean %s: %.1fs %s vs %.1fs %s; median per-trial speedup %.2fx",
+		what, stats.Mean(on), onLabel, stats.Mean(off), offLabel, stats.Median(ratios))
+}
+
+// ablationOverProvisioning compares time-to-availability with
+// over-provisioning enabled (UniDrive's plan) versus a fair-share-only
+// plan (the multi-cloud benchmark's static policy), on the same
+// network draw.
+func ablationOverProvisioning(opts Opts) *Table {
 	t := &Table{
 		Title:   "Ablation: over-provisioning on vs off (time to availability, s)",
 		Headers: []string{"trial", "with over-provisioning", "fair-share only"},
 	}
 	ctx := context.Background()
+	// Fair-share-only: Ks chosen so MaxPerCloud == FairShare, which
+	// forbids any extras — the same engine then degenerates to the
+	// benchmark's static assignment.
+	fairOnly := paperParams
+	fairOnly.Ks = fairOnly.Kr // cap = fair share for k=3,Kr=3,N=5
 	var with, without []float64
 	for trial := 0; trial < opts.Trials; trial++ {
 		rig, err := newAblationRig(opts)
 		if err != nil {
-			t.AddNote("setup: %v", err)
+			t.AddNote("setup failed: %v", err)
 			return t
 		}
 		data := workload.Bytes(opts.Seed+int64(trial), rig.c.Size(opts.SizeMB<<20))
-
 		eng := rig.engine(ctx, true)
-		dur, _, err := rig.uploadOnce(ctx, eng, fmt.Sprintf("op-%d", trial), data)
+		on, _, err := rig.upload(ctx, eng, paperParams, fmt.Sprintf("op-%d", trial), data, false)
 		if err != nil {
 			continue
 		}
-		with = append(with, dur.Seconds())
-
-		// Fair-share-only: Ks chosen so MaxPerCloud == FairShare,
-		// which forbids any extras — the same engine then degenerates
-		// to the benchmark's static assignment.
-		fairOnly := paperParams
-		fairOnly.Ks = fairOnly.Kr // cap = fair share for k=3,Kr=3,N=5
-		plan, err := sched.NewUploadPlan(fairOnly, rig.names)
+		off, _, err := rig.upload(ctx, eng, fairOnly, fmt.Sprintf("fs-%d", trial), data, false)
 		if err != nil {
 			continue
 		}
-		src := func(blockID int) ([]byte, error) {
-			return rig.coder.EncodeBlocks(data, []int{blockID})[0], nil
-		}
-		start := rig.c.Clock.Now()
-		availAt, err := eng.UploadBatch(ctx,
-			[]transfer.UploadItem{{Plan: plan, SegID: fmt.Sprintf("fs-%d", trial), Src: src}}, plan.Available)
-		if err != nil {
-			continue
-		}
-		without = append(without, availAt.Sub(start).Seconds())
-		t.AddRow(fmt.Sprintf("%d", trial+1),
-			fmt.Sprintf("%.1f", with[len(with)-1]),
-			fmt.Sprintf("%.1f", without[len(without)-1]))
+		with, without = append(with, on.Seconds()), append(without, off.Seconds())
+		t.AddRow(fmt.Sprintf("%d", trial+1), fmt.Sprintf("%.1f", on.Seconds()), fmt.Sprintf("%.1f", off.Seconds()))
 	}
-	if len(with) > 0 && len(with) == len(without) {
-		ratios := make([]float64, len(with))
-		for i := range with {
-			ratios[i] = without[i] / with[i]
-		}
-		t.AddNote("mean availability time: %.1fs with vs %.1fs without; median per-trial speedup %.2fx",
-			stats.Mean(with), stats.Mean(without), stats.Median(ratios))
-	}
+	speedupNote(t, "availability time", "with", "without", with, without)
 	return t
 }
 
-// AblationDownloadScheduling compares the dynamic download dispatch
+// ablationDownloadScheduling compares the dynamic download dispatch
 // (probed clouds, sources admitted by estimated finish time) against a
 // naive dispatch that treats all clouds equally (no estimates, so
 // every holder is admitted in name order), downloading the same
 // over-provisioned placement.
-func AblationDownloadScheduling(opts AblationOpts) *Table {
-	opts.fill()
+func ablationDownloadScheduling(opts Opts) *Table {
 	t := &Table{
 		Title:   "Ablation: dynamic download scheduling vs naive (download time, s)",
 		Headers: []string{"trial", "dynamic (probed, earliest finish)", "naive (blind)"},
@@ -175,73 +143,50 @@ func AblationDownloadScheduling(opts AblationOpts) *Table {
 	for trial := 0; trial < opts.Trials; trial++ {
 		rig, err := newAblationRig(opts)
 		if err != nil {
-			t.AddNote("setup: %v", err)
+			t.AddNote("setup failed: %v", err)
 			return t
 		}
 		data := workload.Bytes(opts.Seed+int64(trial)+500, rig.c.Size(opts.SizeMB<<20))
-		segID := fmt.Sprintf("dl-%d", trial)
-		upEng := rig.engine(ctx, true)
+		segID := fmt.Sprintf("dl-%db", trial)
 		// Upload to full reliability (with over-provisioning) and keep
 		// the placement for the download plans.
-		plan, err := sched.NewUploadPlan(paperParams, rig.names)
+		_, plan, err := rig.upload(ctx, rig.engine(ctx, true), paperParams, segID, data, true)
 		if err != nil {
-			continue
-		}
-		src := func(blockID int) ([]byte, error) {
-			return rig.coder.EncodeBlocks(data, []int{blockID})[0], nil
-		}
-		if _, err := upEng.UploadBatch(ctx,
-			[]transfer.UploadItem{{Plan: plan, SegID: segID + "b", Src: src}}, nil); err != nil {
 			continue
 		}
 		locations := make(map[int][]string)
 		for b, c := range plan.Placement() {
 			locations[b] = []string{c}
 		}
-
 		measure := func(eng *transfer.Engine) (float64, bool) {
 			dplan, err := sched.NewDownloadPlan(paperParams.K, locations)
 			if err != nil {
 				return 0, false
 			}
-			start := rig.c.Clock.Now()
-			_, err = eng.DownloadBatch(ctx, []transfer.DownloadItem{{
-				Plan: dplan, SegID: segID + "b", Size: int64(rig.coder.ShardSize(len(data))),
-			}})
-			if err != nil || !dplan.Done() {
-				return 0, false
-			}
-			return rig.c.Clock.Now().Sub(start).Seconds(), true
+			d, err := rig.c.Time(func() error {
+				_, err := eng.DownloadBatch(ctx, []transfer.DownloadItem{{
+					Plan: dplan, SegID: segID, Size: int64(rig.coder.ShardSize(len(data))),
+				}})
+				return err
+			})
+			return d.Seconds(), err == nil && dplan.Done()
 		}
-		if d, ok := measure(rig.engine(ctx, true)); ok {
-			dyn = append(dyn, d)
-		}
-		if d, ok := measure(rig.engine(ctx, false)); ok { // blind: no estimates, every cloud admitted
-			naive = append(naive, d)
-		}
-		if len(dyn) > 0 && len(naive) > 0 && len(dyn) == len(naive) {
-			t.AddRow(fmt.Sprintf("%d", trial+1),
-				fmt.Sprintf("%.1f", dyn[len(dyn)-1]),
-				fmt.Sprintf("%.1f", naive[len(naive)-1]))
+		d, okD := measure(rig.engine(ctx, true))
+		n, okN := measure(rig.engine(ctx, false)) // blind: no estimates, every cloud admitted
+		if okD && okN {
+			dyn, naive = append(dyn, d), append(naive, n)
+			t.AddRow(fmt.Sprintf("%d", trial+1), fmt.Sprintf("%.1f", d), fmt.Sprintf("%.1f", n))
 		}
 	}
-	if len(dyn) > 0 && len(dyn) == len(naive) {
-		ratios := make([]float64, len(dyn))
-		for i := range dyn {
-			ratios[i] = naive[i] / dyn[i]
-		}
-		t.AddNote("mean download: %.1fs dynamic vs %.1fs naive; median per-trial speedup %.2fx",
-			stats.Mean(dyn), stats.Mean(naive), stats.Median(ratios))
-	}
+	speedupNote(t, "download", "dynamic", "naive", dyn, naive)
 	return t
 }
 
-// AblationChunkerTheta sweeps the segmentation target θ and reports
+// ablationChunkerTheta sweeps the segmentation target θ and reports
 // block size and availability time — the tradeoff behind the paper's
 // θ = 4 MB, k = 3 choice ("final block size ... 1-2 MB ... strikes a
 // good balance between throughput and failure rate").
-func AblationChunkerTheta(opts AblationOpts) *Table {
-	opts.fill()
+func ablationChunkerTheta(opts Opts) *Table {
 	t := &Table{
 		Title:   "Ablation: segment target θ vs availability time (16 MB file)",
 		Headers: []string{"θ (nominal)", "segments", "block size", "availability [s]"},
@@ -250,7 +195,7 @@ func AblationChunkerTheta(opts AblationOpts) *Table {
 	for _, thetaMB := range []int{1, 2, 4, 8} {
 		rig, err := newAblationRig(opts)
 		if err != nil {
-			t.AddNote("setup: %v", err)
+			t.AddNote("setup failed: %v", err)
 			return t
 		}
 		data := workload.Bytes(opts.Seed+int64(thetaMB), rig.c.Size(16<<20))
@@ -267,7 +212,7 @@ func AblationChunkerTheta(opts AblationOpts) *Table {
 			if hi > len(data) {
 				hi = len(data)
 			}
-			dur, _, err := rig.uploadOnce(ctx, eng, fmt.Sprintf("th%d-%d", thetaMB, s), data[lo:hi])
+			dur, _, err := rig.upload(ctx, eng, paperParams, fmt.Sprintf("th%d-%d", thetaMB, s), data[lo:hi], false)
 			if err != nil {
 				okAll = false
 				break

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
+// The three ablations are one row of the experiment table; its
+// miniature run is shared with the smoke test.
+
 func TestAblationOverProvisioning(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	tb := AblationOverProvisioning(AblationOpts{Seed: 7, Scale: 800, Trials: 3, SizeMB: 8})
+	tb := miniTables(t, "ablation")[0]
 	if len(tb.Rows) == 0 {
 		t.Fatalf("no trials completed:\n%s", tb.String())
 	}
@@ -22,27 +22,18 @@ func TestAblationOverProvisioning(t *testing.T) {
 	if !hasMean {
 		t.Fatal("no mean note")
 	}
-	t.Log("\n" + tb.String())
 }
 
 func TestAblationDownloadScheduling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	tb := AblationDownloadScheduling(AblationOpts{Seed: 8, Scale: 800, Trials: 3, SizeMB: 8})
+	tb := miniTables(t, "ablation")[1]
 	if len(tb.Notes) == 0 {
 		t.Fatalf("no summary note:\n%s", tb.String())
 	}
-	t.Log("\n" + tb.String())
 }
 
 func TestAblationChunkerTheta(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	tb := AblationChunkerTheta(AblationOpts{Seed: 9, Scale: 800})
+	tb := miniTables(t, "ablation")[2]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d:\n%s", len(tb.Rows), tb.String())
 	}
-	t.Log("\n" + tb.String())
 }

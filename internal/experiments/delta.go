@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -11,25 +12,7 @@ import (
 	"unidrive/internal/metacrypt"
 )
 
-// DeltaOpts sizes the Delta-sync efficiency experiment (Fig 13).
-type DeltaOpts struct {
-	// Files is the number of single-file updates, committed one after
-	// another (paper: 1024 × 100 KB files, one per minute).
-	Files int
-	// FileKB is each file's nominal size, recorded in metadata.
-	FileKB int
-}
-
-func (o *DeltaOpts) fill() {
-	if o.Files <= 0 {
-		o.Files = 1024
-	}
-	if o.FileKB <= 0 {
-		o.FileKB = 100
-	}
-}
-
-// Fig13DeltaSync reproduces Figure 13: the metadata size versus the
+// fig13DeltaSync reproduces Figure 13: the metadata size versus the
 // metadata traffic actually transferred, while files are added one
 // per sync. With Delta-sync, per-commit traffic stays near the small
 // delta size with sparse peaks when a base merge happens; without it,
@@ -38,8 +21,7 @@ func (o *DeltaOpts) fill() {
 //
 // This is a metadata-only experiment: it runs on direct (unshaped)
 // clouds, since the quantity of interest is bytes, not seconds.
-func Fig13DeltaSync(opts DeltaOpts) *Table {
-	opts.fill()
+func fig13DeltaSync(opts Opts) *Table {
 	var clouds []cloud.Interface
 	for i := 0; i < 5; i++ {
 		clouds = append(clouds, cloudsim.NewDirect(cloudsim.NewStore(fmt.Sprintf("c%d", i), 0)))
@@ -60,7 +42,7 @@ func Fig13DeltaSync(opts DeltaOpts) *Table {
 	for i := 1; i <= 8; i++ {
 		checkpoints[opts.Files*i/8] = true
 	}
-	ctx := contextBackground()
+	ctx := context.Background()
 	for i := 0; i < opts.Files; i++ {
 		path := fmt.Sprintf("docs/file-%04d.dat", i)
 		segID := fmt.Sprintf("seg-%04d", i)

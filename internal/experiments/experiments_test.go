@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,6 +9,47 @@ import (
 
 	"unidrive/internal/netsim"
 )
+
+// miniRuns memoizes miniTables, so the smoke test and the shape tests
+// share one run of each experiment.
+var miniRuns = map[string][]*Table{}
+
+// miniSeeds are the seeds the shape tests were written against; every
+// other row runs at seed 1.
+var miniSeeds = map[string]int64{
+	"fig1": 11, "fig2": 11, "tab1": 11, "fig14": 3, "fig11": 4, "ablation": 7,
+}
+
+// miniTables runs the named row of All at its miniature size.
+func miniTables(t *testing.T, name string) []*Table {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	if tables, ok := miniRuns[name]; ok {
+		return tables
+	}
+	seed, ok := miniSeeds[name]
+	if !ok {
+		seed = 1
+	}
+	for _, e := range All {
+		if e.Name == name {
+			miniRuns[name] = e.Tables(e.Sizes.Mini, seed)
+			return miniRuns[name]
+		}
+	}
+	t.Fatalf("no experiment named %q", name)
+	return nil
+}
+
+func render(tables []*Table) string {
+	var sb strings.Builder
+	for _, tb := range tables {
+		sb.WriteString(tb.String())
+	}
+	return sb.String()
+}
 
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Title: "T", Headers: []string{"a", "bb"}}
@@ -22,7 +64,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestClusterScalingConsistent(t *testing.T) {
-	c := NewClusterWith(ClusterOpts{Seed: 1, Scale: 500, DataScale: 8})
+	c := NewCluster(1, 500)
 	if c.Size(32<<20) != 4<<20 {
 		t.Fatalf("Size(32MB) = %d", c.Size(32<<20))
 	}
@@ -46,21 +88,53 @@ func TestMbpsHelper(t *testing.T) {
 	}
 }
 
-func TestSecondsHelper(t *testing.T) {
-	if got := Seconds(1500 * time.Millisecond); got != "1.50" {
-		t.Fatalf("Seconds = %q", got)
+// TestOptsFill: a size lists only what differs from the paper's.
+func TestOptsFill(t *testing.T) {
+	got := Opts{Trials: 2, Scale: 800}.fill(Opts{Trials: 5, SizeMB: 32, Files: 100})
+	want := Opts{Scale: 800, Trials: 2, SizeMB: 32, Files: 100}
+	if got != want {
+		t.Fatalf("fill = %+v, want %+v", got, want)
+	}
+}
+
+// TestExperimentsSmoke runs every row of the experiment table at its
+// miniature size: each returns at least one table with at least one
+// data row, nothing failed to set up, and UniDrive — which re-plans
+// around faults where the baselines have no failover — completed
+// everywhere.
+func TestExperimentsSmoke(t *testing.T) {
+	for _, e := range All {
+		t.Run(e.Name, func(t *testing.T) {
+			tables := miniTables(t, e.Name)
+			if len(tables) == 0 {
+				t.Fatal("no tables")
+			}
+			for _, tb := range tables {
+				if len(tb.Rows) == 0 {
+					t.Errorf("%s: no data rows", tb.Title)
+				}
+				for _, n := range tb.Notes {
+					if strings.Contains(n, "setup failed") {
+						t.Errorf("%s: %s", tb.Title, n)
+					}
+				}
+				for _, row := range tb.Rows {
+					for i, cell := range row {
+						if strings.HasPrefix(cell, "fail") && (tb.Headers[i] == uniDriveName || row[0] == uniDriveName) {
+							t.Errorf("%s: UniDrive failed in row %v", tb.Title, row)
+						}
+					}
+				}
+			}
+			t.Log("\n" + render(tables))
+		})
 	}
 }
 
 // TestMeasurementShapes runs the §3.2 study small and asserts the
 // paper's qualitative findings hold in the model.
 func TestMeasurementShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	opts := MeasurementOpts{Seed: 11, Scale: 2000, Trials: 3}
-
-	tables := Fig1SpatialVariation(opts)
+	tables := miniTables(t, "fig1")
 	if len(tables) != 2 {
 		t.Fatal("Fig1 must produce upload and download tables")
 	}
@@ -73,12 +147,12 @@ func TestMeasurementShapes(t *testing.T) {
 		}
 	}
 
-	t2 := Fig2FileSizeThroughput(opts)
+	t2 := miniTables(t, "fig2")[0]
 	if len(t2.Rows) != 5 {
 		t.Fatalf("Fig2 rows = %d", len(t2.Rows))
 	}
 
-	t1 := Table1FailureCorrelation(opts)
+	t1 := miniTables(t, "tab1")[0]
 	neg := 0
 	for _, row := range t1.Rows {
 		for _, cell := range row[1:] {
@@ -92,13 +166,24 @@ func TestMeasurementShapes(t *testing.T) {
 	}
 }
 
+// TestMeasurementDeterministic: the §3.2 study runs on the stepping
+// clock, so two runs at one seed render byte-identical tables.
+func TestMeasurementDeterministic(t *testing.T) {
+	for _, e := range All[:5] { // fig1, fig2, fig3, fig4, tab1
+		a, b := render(e.Tables(e.Sizes.Mini, 5)), render(e.Tables(e.Sizes.Mini, 5))
+		if a != b {
+			t.Errorf("%s: two runs at seed 5 differ:\n%s\n%s", e.Name, a, b)
+		}
+		if c := render(e.Tables(e.Sizes.Mini, 6)); c == a {
+			t.Errorf("%s: seeds 5 and 6 rendered the same tables", e.Name)
+		}
+	}
+}
+
 // TestFig14Shape asserts the reliability/security crossover: full
 // recovery through n=2 (Kr=3), never at n=4 (Ks=2).
 func TestFig14Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	tb := Fig14Reliability(ReliabilityOpts{Seed: 3, Scale: 800, SizeMB: 16, Trials: 4})
+	tb := miniTables(t, "fig14")[0]
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -126,7 +211,7 @@ func TestFig14Shape(t *testing.T) {
 // TestFig13Shape asserts delta-sync cuts metadata traffic
 // substantially.
 func TestFig13Shape(t *testing.T) {
-	tb := Fig13DeltaSync(DeltaOpts{Files: 256})
+	tb := miniTables(t, "fig13")[0]
 	for _, n := range tb.Notes {
 		i := strings.Index(n, "— a ")
 		j := strings.Index(n, "x reduction")
@@ -145,13 +230,23 @@ func TestFig13Shape(t *testing.T) {
 	t.Fatal("no reduction note emitted")
 }
 
+// TestFig13Golden pins Fig 13 — the one byte-stable §7 table — to its
+// rendering at 256 files, recorded before the experiment table
+// replaced the per-figure option structs.
+func TestFig13Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fig13_files256.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := miniTables(t, "fig13")[0].String(); got != string(want) {
+		t.Fatalf("Fig 13 at 256 files moved:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestFig11SmallShape runs a tiny Fig 11 and asserts UniDrive beats
 // the single clouds end to end.
 func TestFig11SmallShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	tables := Fig11BatchSync(BatchOpts{Seed: 4, Scale: 800, Files: 10, FileKB: 1024, Sources: 2})
+	tables := miniTables(t, "fig11")
 	if len(tables) != 2 {
 		t.Fatal("Fig11 must return the figure and Table 2")
 	}

@@ -9,26 +9,16 @@ import (
 	"unidrive/internal/stats"
 )
 
-// MeasurementOpts sizes the §3.2 measurement-study experiments.
-type MeasurementOpts struct {
-	// Seed drives the simulated network.
-	Seed int64
-	// Scale is the clock compression (0 = DefaultScale).
-	Scale float64
-	// Trials is the number of samples per (location, cloud) point.
-	Trials int
-	// Gap is the simulated pause between samples, so they land in
-	// different fluctuation epochs.
-	Gap time.Duration
-}
+// measurementGap is the simulated pause between samples of the §3.2
+// study, so they land in different fluctuation epochs.
+const measurementGap = 45 * time.Second
 
-func (o *MeasurementOpts) fill() {
-	if o.Trials <= 0 {
-		o.Trials = 8
-	}
-	if o.Gap <= 0 {
-		o.Gap = 45 * time.Second
-	}
+// newMeasurementCluster builds the world of the §3.2 study: Figs 1–4
+// and Table 1 issue one raw transfer at a time from one goroutine, so
+// they run on a stepping clock — no wall time passes, Opts.Scale does
+// not apply, and a seed gives the same tables every run.
+func newMeasurementCluster(seed int64) *Cluster {
+	return newCluster(seed, &stepClock{now: time.Unix(0, 0)})
 }
 
 // rawTransfer issues one Web-API transfer of size bytes and reports
@@ -39,20 +29,18 @@ func rawTransfer(c *Cluster, h *netsim.Host, cloudName string, dir netsim.Direct
 	return c.Clock.Now().Sub(start), err == nil
 }
 
-// Fig1SpatialVariation reproduces Figure 1: average/min/max time to
+// fig1SpatialVariation reproduces Figure 1: average/min/max time to
 // upload and download an 8 MB file to each of the five CCSs from the
 // 13 PlanetLab vantage points.
-func Fig1SpatialVariation(opts MeasurementOpts) []*Table {
-	opts.fill()
+func fig1SpatialVariation(opts Opts) []*Table {
 	var tables []*Table
 	for _, dir := range []netsim.Direction{netsim.Upload, netsim.Download} {
-		c := NewCluster(opts.Seed, opts.Scale)
+		c := newMeasurementCluster(opts.Seed)
 		size := int64(c.Size(8 << 20))
 		t := &Table{
 			Title:   fmt.Sprintf("Fig 1 (%s): 8 MB %s time per CCS across PlanetLab nodes [s, avg (min-max)]", dir, dir),
 			Headers: append([]string{"location"}, c.CloudNames()...),
 		}
-		type cell struct{ avg, min, max float64 }
 		byCloud := make(map[string][]float64)
 		for _, loc := range netsim.PlanetLabLocations() {
 			h := c.Host(loc)
@@ -64,7 +52,7 @@ func Fig1SpatialVariation(opts MeasurementOpts) []*Table {
 					if ok {
 						samples = append(samples, d.Seconds())
 					}
-					c.Clock.Sleep(opts.Gap)
+					c.Clock.Sleep(measurementGap)
 				}
 				if len(samples) == 0 {
 					row = append(row, "unreachable")
@@ -90,12 +78,11 @@ func Fig1SpatialVariation(opts MeasurementOpts) []*Table {
 	return tables
 }
 
-// Fig2FileSizeThroughput reproduces Figure 2: throughput versus file
+// fig2FileSizeThroughput reproduces Figure 2: throughput versus file
 // size on the Princeton node — throughput rises with size and
 // flattens past ~4 MB (per-request latency amortization).
-func Fig2FileSizeThroughput(opts MeasurementOpts) *Table {
-	opts.fill()
-	c := NewCluster(opts.Seed, opts.Scale)
+func fig2FileSizeThroughput(opts Opts) *Table {
+	c := newMeasurementCluster(opts.Seed)
 	h := c.Host(netsim.PlanetLabLocation("princeton"))
 	sizes := []int64{512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20}
 	t := &Table{
@@ -116,7 +103,7 @@ func Fig2FileSizeThroughput(opts MeasurementOpts) *Table {
 				if d, ok := rawTransfer(c, h, name, netsim.Download, scaled); ok {
 					downT = append(downT, Mbps(size, d))
 				}
-				c.Clock.Sleep(opts.Gap)
+				c.Clock.Sleep(measurementGap)
 			}
 			up, down := stats.Mean(upT), stats.Mean(downT)
 			if _, ok := firstUp[name]; !ok {
@@ -135,17 +122,16 @@ func Fig2FileSizeThroughput(opts MeasurementOpts) *Table {
 	return t
 }
 
-// Fig3TemporalVariation reproduces Figure 3: daily upload time for an
+// fig3TemporalVariation reproduces Figure 3: daily upload time for an
 // 8 MB file over a month on Princeton, for the three US clouds.
 // Expect high, pattern-free fluctuation (paper: same-day max/min up
 // to 17×) and near-independent clouds.
-func Fig3TemporalVariation(opts MeasurementOpts) *Table {
-	opts.fill()
+func fig3TemporalVariation(opts Opts) *Table {
 	const days = 30
-	c := NewCluster(opts.Seed, opts.Scale)
+	c := newMeasurementCluster(opts.Seed)
 	size := int64(c.Size(8 << 20))
 	h := c.Host(netsim.PlanetLabLocation("princeton"))
-	clouds := c.USCloudNames()
+	clouds := usProviders
 	t := &Table{
 		Title:   "Fig 3: daily 8 MB upload time over one month, Princeton [s]",
 		Headers: append([]string{"day"}, clouds...),
@@ -190,11 +176,10 @@ func Fig3TemporalVariation(opts MeasurementOpts) *Table {
 	return t
 }
 
-// Fig4FailureBySize reproduces Figure 4: among all failed requests,
+// fig4FailureBySize reproduces Figure 4: among all failed requests,
 // the share contributed by each file size — larger files fail more.
-func Fig4FailureBySize(opts MeasurementOpts) *Table {
-	opts.fill()
-	c := NewCluster(opts.Seed, opts.Scale)
+func fig4FailureBySize(opts Opts) *Table {
+	c := newMeasurementCluster(opts.Seed)
 	h := c.Host(netsim.PlanetLabLocation("princeton"))
 	sizes := []int64{0, 512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20}
 	labels := []string{"0", "0.5MB", "1MB", "2MB", "4MB", "8MB"}
@@ -209,7 +194,7 @@ func Fig4FailureBySize(opts MeasurementOpts) *Table {
 				total++
 			}
 			if n%10 == 0 {
-				c.Clock.Sleep(opts.Gap)
+				c.Clock.Sleep(measurementGap)
 			}
 		}
 	}
@@ -230,15 +215,14 @@ func Fig4FailureBySize(opts MeasurementOpts) *Table {
 	return t
 }
 
-// Table1FailureCorrelation reproduces Table 1: the correlation of
+// table1FailureCorrelation reproduces Table 1: the correlation of
 // failed Web API requests between the three US CCSs, measured over
 // time windows. The paper finds negative correlations — clouds
 // rarely fail together.
-func Table1FailureCorrelation(opts MeasurementOpts) *Table {
-	opts.fill()
-	c := NewCluster(opts.Seed, opts.Scale)
+func table1FailureCorrelation(opts Opts) *Table {
+	c := newMeasurementCluster(opts.Seed)
 	h := c.Host(netsim.PlanetLabLocation("princeton"))
-	clouds := c.USCloudNames()
+	clouds := usProviders
 	const windows = 60
 	const perWindow = 12
 	size := int64(c.Size(2 << 20))

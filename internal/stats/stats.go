@@ -39,9 +39,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the smallest element of xs, or 0 for an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -129,7 +126,6 @@ type Summary struct {
 	Mean  float64
 	Min   float64
 	Max   float64
-	Std   float64
 }
 
 // Summarize computes a Summary over xs.
@@ -139,7 +135,6 @@ func Summarize(xs []float64) Summary {
 		Mean:  Mean(xs),
 		Min:   Min(xs),
 		Max:   Max(xs),
-		Std:   StdDev(xs),
 	}
 }
 
@@ -190,25 +185,4 @@ func (e *EWMA) Count() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.n
-}
-
-// Counter is a thread-safe monotonic byte/event counter used by the
-// traffic-overhead accounting (paper Table 3).
-type Counter struct {
-	mu sync.Mutex
-	v  int64
-}
-
-// Add increments the counter by n (n may be negative for adjustments).
-func (c *Counter) Add(n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.v += n
-}
-
-// Value returns the current counter value.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
 }

@@ -4,8 +4,8 @@
 // — folder scanner, erasure coder, quorum lock, simulated transfers —
 // which is faithful but tops out around a few thousand users per CPU
 // minute. To characterize sync latency at six-figure population
-// sizes, RunBench evaluates the SAME network model analytically: each
-// synthetic user gets an independently seeded netsim.Sampler (the
+// sizes, RunBench evaluates the SAME population (newUser) on the SAME
+// network model analytically: each synthetic user gets an independently seeded netsim.Sampler (the
 // deterministic, wall-clock-free fluctuation process the packet-level
 // simulator itself uses) and each upload's availability time is
 // computed from the paper's data path — K-of-N availability-first
@@ -23,7 +23,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"unidrive/internal/netsim"
@@ -39,9 +38,11 @@ const benchTheta = 4 << 20
 // drawn fluctuation epoch within it.
 const benchWeek = 7 * 24 * time.Hour
 
-// BenchProfiles are the access-network classes of the synthetic
-// population, in report order.
-var BenchProfiles = []string{"residential", "university", "company"}
+// params are the paper's placement parameters and conns its per-cloud
+// connection budget (§7.1).
+var params = sched.Params{N: 5, K: 3, Kr: 3, Ks: 2}
+
+const conns = 5
 
 // BenchOpts sizes the analytic trial.
 type BenchOpts struct {
@@ -54,11 +55,6 @@ type BenchOpts struct {
 	// Workers bounds simulation parallelism. Default GOMAXPROCS.
 	// The report is byte-identical at any worker count.
 	Workers int
-	// Params are the placement parameters. Default the paper's
-	// {N:5, K:3, Kr:3, Ks:2}.
-	Params sched.Params
-	// Conns is the per-cloud connection budget. Default 5.
-	Conns int
 }
 
 func (o *BenchOpts) fill() {
@@ -70,12 +66,6 @@ func (o *BenchOpts) fill() {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Params.N == 0 {
-		o.Params = sched.Params{N: 5, K: 3, Kr: 3, Ks: 2}
-	}
-	if o.Conns <= 0 {
-		o.Conns = 5
 	}
 }
 
@@ -122,21 +112,6 @@ type BenchReport struct {
 	Cells []BenchGroup `json:"cells"`
 }
 
-// benchSample is one completed upload.
-type benchSample struct {
-	bucket  workload.SizeBucket
-	profile int // index into BenchProfiles
-	bytes   int64
-	latency float64 // seconds until available
-	mbps    float64
-}
-
-// benchTotals accumulates a user's non-sample counts.
-type benchTotals struct {
-	apiCalls, apiFails int64
-	opFailed           int
-}
-
 // mix64 decorrelates per-user seeds with a splitmix64 round, so user
 // u and user u+1 do not get overlapping rand streams.
 func mix64(seed int64, u int) int64 {
@@ -158,40 +133,10 @@ type benchCloud struct {
 	p    float64 // per-block transient failure probability
 }
 
-// simulateUser generates user u's population draw and uploads. It is
-// a pure function of (opts, u) — workers may call it in any order.
-func simulateUser(opts BenchOpts, u int, out *[]benchSample, tot *benchTotals) {
-	rng := newBenchRand(mix64(opts.Seed, u))
-
-	// Population draw: access-network class and location, matching
-	// Run's mix (50% residential, 30% university, 20% company).
-	var loc netsim.LocationProfile
-	var profile int
-	switch p := rng.Float64(); {
-	case p < 0.5:
-		profile = 0
-		loc = netsim.ResidentialLocation("res")
-	case p < 0.8:
-		profile = 1
-		loc = netsim.UniversityLocation("uni")
-	default:
-		profile = 2
-		loc = netsim.CompanyLocation("corp")
-	}
-	region := Regions[rng.Intn(len(Regions))]
-	rf := regionFactor[region]
-	// Draw the per-cloud jitter in sorted-name order: ranging over the
-	// map directly would consume the rng stream in a random order and
-	// break the determinism the published report depends on.
-	names := make([]string, 0, len(loc.CloudFactor))
-	for k := range loc.CloudFactor {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	spatial := make(map[string]float64, len(names))
-	for _, k := range names {
-		spatial[k] = loc.CloudFactor[k] * rf * (0.7 + 0.6*rng.Float64())
-	}
+// simulateUser generates user u's uploads. It is a pure function of
+// (opts, u) — workers may call it in any order.
+func simulateUser(opts BenchOpts, u int) ([]sample, totals, error) {
+	usr, rng := newUser(opts.Seed, u)
 
 	// Each user's network fluctuates independently (users don't share
 	// accounts): an independently seeded sampler over the same five
@@ -200,25 +145,28 @@ func simulateUser(opts BenchOpts, u int, out *[]benchSample, tot *benchTotals) {
 	sampler := netsim.NewSampler(cfg, netsim.FiveClouds())
 	epochs := int64(benchWeek / cfg.EpochLength)
 
+	var out []sample
+	var tot totals
 	for f := 0; f < opts.FilesPerUser; f++ {
 		size := workload.TrialSize(rng)
 		ep := rng.Int63n(epochs)
-		lat, calls, fails, ok := simulateUpload(sampler, spatial, loc, rng, size, ep, opts.Params, opts.Conns)
+		lat, calls, fails, ok := simulateUpload(sampler, usr.loc, rng, size, ep)
 		tot.apiCalls += calls
 		tot.apiFails += fails
 		if !ok {
 			tot.opFailed++
 			continue
 		}
-		mbps := float64(size) * 8 / lat / 1e6
-		*out = append(*out, benchSample{
+		out = append(out, sample{
 			bucket:  workload.BucketOf(size),
-			profile: profile,
+			profile: usr.profile,
+			region:  usr.region,
 			bytes:   int64(size),
 			latency: lat,
-			mbps:    mbps,
+			mbps:    float64(size) * 8 / lat / 1e6,
 		})
 	}
+	return out, tot, nil
 }
 
 // simulateUpload computes one file's sync latency (seconds to
@@ -226,8 +174,7 @@ func simulateUser(opts BenchOpts, u int, out *[]benchSample, tot *benchTotals) {
 // request accounting. ok is false when the operation failed outright:
 // a block exhausted its retries on its planned cloud AND on the
 // failover cloud.
-func simulateUpload(s *netsim.Sampler, spatial map[string]float64, loc netsim.LocationProfile,
-	rng *benchRand, size int, ep int64, params sched.Params, conns int,
+func simulateUpload(s *netsim.Sampler, loc netsim.LocationProfile, rng *benchRand, size int, ep int64,
 ) (latency float64, apiCalls, apiFails int64, ok bool) {
 	segs := (size + benchTheta - 1) / benchTheta
 	segBytes := (size + segs - 1) / segs
@@ -238,7 +185,7 @@ func simulateUpload(s *netsim.Sampler, spatial map[string]float64, loc netsim.Lo
 	// `conns` connections' worth of per-connection throttling.
 	clouds := make([]benchCloud, 0, len(s.Clouds()))
 	for _, name := range s.Clouds() {
-		rate := s.CloudRate(name, netsim.Upload, spatial[name], ep)
+		rate := s.CloudRate(name, netsim.Upload, loc.CloudFactor[name], ep)
 		if cr := s.ConnRate(name, netsim.Upload, ep) * float64(conns); cr < rate {
 			rate = cr
 		}
@@ -358,37 +305,12 @@ func simulateUpload(s *netsim.Sampler, spatial map[string]float64, loc netsim.Lo
 // opts (ignoring Workers) produce byte-identical reports.
 func RunBench(opts BenchOpts) *BenchReport {
 	opts.fill()
-	perUser := make([][]benchSample, opts.Users)
-	totals := make([]benchTotals, opts.Users)
-
-	var wg sync.WaitGroup
-	next := make(chan int, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range next {
-				simulateUser(opts, u, &perUser[u], &totals[u])
-			}
-		}()
+	// simulateUser never fails.
+	samples, tot, _ := collect(opts.Users, opts.Workers, func(u int) ([]sample, totals, error) { return simulateUser(opts, u) })
+	rep := &BenchReport{
+		Seed: opts.Seed, Users: opts.Users, FilesPerUser: opts.FilesPerUser,
+		Files: len(samples), OpFailed: tot.opFailed, APICalls: tot.apiCalls, APIFails: tot.apiFails,
 	}
-	for u := 0; u < opts.Users; u++ {
-		next <- u
-	}
-	close(next)
-	wg.Wait()
-
-	// Aggregate in user order, so float summation order — and the
-	// report bytes — never depend on scheduling.
-	var samples []benchSample
-	rep := &BenchReport{Seed: opts.Seed, Users: opts.Users, FilesPerUser: opts.FilesPerUser}
-	for u := 0; u < opts.Users; u++ {
-		samples = append(samples, perUser[u]...)
-		rep.APICalls += totals[u].apiCalls
-		rep.APIFails += totals[u].apiFails
-		rep.OpFailed += totals[u].opFailed
-	}
-	rep.Files = len(samples)
 	for _, s := range samples {
 		rep.Bytes += s.bytes
 	}
@@ -399,30 +321,28 @@ func RunBench(opts BenchOpts) *BenchReport {
 		rep.OpSuccessRate = float64(rep.Files) / float64(ops)
 	}
 
-	rep.Overall = benchGroup("all", samples, nil)
+	rep.Overall = group("all", samples, nil)
 	for _, b := range workload.Buckets() {
-		b := b
-		rep.Buckets = append(rep.Buckets, benchGroup(b.String(), samples,
-			func(s benchSample) bool { return s.bucket == b }))
+		rep.Buckets = append(rep.Buckets, group(b.String(), samples,
+			func(s sample) bool { return s.bucket == b }))
 	}
 	for pi, pname := range BenchProfiles {
-		pi := pi
-		rep.Profiles = append(rep.Profiles, benchGroup(pname, samples,
-			func(s benchSample) bool { return s.profile == pi }))
+		rep.Profiles = append(rep.Profiles, group(pname, samples,
+			func(s sample) bool { return s.profile == pi }))
 	}
 	for _, b := range workload.Buckets() {
 		for pi, pname := range BenchProfiles {
-			b, pi := b, pi
-			rep.Cells = append(rep.Cells, benchGroup(b.String()+"/"+pname, samples,
-				func(s benchSample) bool { return s.bucket == b && s.profile == pi }))
+			rep.Cells = append(rep.Cells, group(b.String()+"/"+pname, samples,
+				func(s sample) bool { return s.bucket == b && s.profile == pi }))
 		}
 	}
 	return rep
 }
 
-// benchGroup reduces the samples matching the filter (nil = all) to
-// one report row.
-func benchGroup(key string, samples []benchSample, match func(benchSample) bool) BenchGroup {
+// group reduces the samples matching the filter (nil = all) to one
+// report row — the one aggregation behind BENCH_trial.json and
+// Figs 15/16.
+func group(key string, samples []sample, match func(sample) bool) BenchGroup {
 	g := BenchGroup{Key: key}
 	var mbpsSum float64
 	var lats []float64

@@ -41,16 +41,12 @@ func TestBenchDeterministic(t *testing.T) {
 func TestBenchUserPurity(t *testing.T) {
 	opts := BenchOpts{Seed: 11, Users: 10, FilesPerUser: 5}
 	opts.fill()
-	var s1, s2 []benchSample
-	var t1, t2 benchTotals
-	simulateUser(opts, 3, &s1, &t1)
-	simulateUser(opts, 3, &s2, &t2)
+	s1, t1, _ := simulateUser(opts, 3)
+	s2, t2, _ := simulateUser(opts, 3)
 	if !reflect.DeepEqual(s1, s2) || t1 != t2 {
 		t.Fatal("simulateUser is not deterministic for a fixed user index")
 	}
-	var s3 []benchSample
-	var t3 benchTotals
-	simulateUser(opts, 4, &s3, &t3)
+	s3, _, _ := simulateUser(opts, 4)
 	if reflect.DeepEqual(s1, s3) {
 		t.Fatal("adjacent users drew identical uploads — seed streams overlap")
 	}
@@ -60,9 +56,9 @@ func TestBenchUserPurity(t *testing.T) {
 // hand-computed values: latencies 1..100s under linear-interpolation
 // percentiles give p50=50.5, p95=95.05, p99=99.01.
 func TestBenchPercentileFixture(t *testing.T) {
-	var samples []benchSample
+	var samples []sample
 	for i := 1; i <= 100; i++ {
-		samples = append(samples, benchSample{
+		samples = append(samples, sample{
 			bucket:  workload.BucketTiny,
 			profile: 0,
 			bytes:   1000,
@@ -70,7 +66,7 @@ func TestBenchPercentileFixture(t *testing.T) {
 			mbps:    2,
 		})
 	}
-	g := benchGroup("fix", samples, nil)
+	g := group("fix", samples, nil)
 	if g.Count != 100 || g.Bytes != 100_000 {
 		t.Fatalf("count=%d bytes=%d, want 100 / 100000", g.Count, g.Bytes)
 	}
@@ -81,7 +77,7 @@ func TestBenchPercentileFixture(t *testing.T) {
 		t.Fatalf("percentiles = %v/%v/%v, want 50.5/95.05/99.01", g.P50Sec, g.P95Sec, g.P99Sec)
 	}
 	// Empty group: all zeros, no NaNs.
-	if e := benchGroup("none", samples, func(benchSample) bool { return false }); e.Count != 0 || e.P99Sec != 0 {
+	if e := group("none", samples, func(sample) bool { return false }); e.Count != 0 || e.P99Sec != 0 {
 		t.Fatalf("empty group not zero: %+v", e)
 	}
 }
@@ -135,6 +131,24 @@ func TestBenchSmoke500(t *testing.T) {
 	}
 	if rep.OpSuccessRate < rep.APISuccessRate {
 		t.Errorf("op success %v below API success %v", rep.OpSuccessRate, rep.APISuccessRate)
+	}
+}
+
+// TestBenchGolden ties RunBench to the published BENCH_trial.json: the
+// 1000-user report at seed 1, recorded before Run and RunBench came to
+// share one population draw and one aggregation, must not move — so the
+// 100k-user snapshot (same code, same seed) need not be regenerated.
+func TestBenchGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/bench_seed1_users1000.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(RunBench(BenchOpts{Seed: 1, Users: 1000}), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got)+"\n" != string(want) {
+		t.Fatalf("RunBench(seed 1, 1000 users) moved:\n%s", got)
 	}
 }
 

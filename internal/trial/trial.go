@@ -12,22 +12,24 @@
 // simulated network environment (users do not share accounts, so
 // their networks are independent), a profile drawn from a
 // residential/university/company mix, and a region factor.
+//
+// Two harnesses run the one population (newUser) and reduce the one
+// kind of sample (group): Run drives a real UniDrive client per user
+// on the scaled clock — faithful, a few thousand users per CPU minute
+// — and RunBench (bench.go) evaluates the same network model
+// analytically at six-figure population sizes.
 package trial
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"sort"
+	"sync"
 	"time"
 
-	"unidrive/internal/cloud"
-	"unidrive/internal/cloudsim"
-	"unidrive/internal/core"
 	"unidrive/internal/experiments"
-	"unidrive/internal/localfs"
 	"unidrive/internal/netsim"
 	"unidrive/internal/stats"
-	"unidrive/internal/vclock"
 	"unidrive/internal/workload"
 )
 
@@ -40,41 +42,112 @@ var regionFactor = map[string]float64{
 	"america": 1.0, "europe": 0.85, "asia": 0.6, "australia": 0.5,
 }
 
-// Opts sizes the trial.
-type Opts struct {
-	Seed  int64
-	Scale float64
-	// Users is the population size (paper: 272).
-	Users int
-	// FilesPerUser is how many files each user uploads over the week.
-	FilesPerUser int
-	// DataScale shrinks bytes as in the experiments package.
-	DataScale int
+// BenchProfiles are the access-network classes of the synthetic
+// population, in report order.
+var BenchProfiles = []string{"residential", "university", "company"}
+
+// user is one member of the synthetic population.
+type user struct {
+	profile int // index into BenchProfiles
+	region  string
+	// loc is the access link; its CloudFactor already carries the
+	// region factor and the user's own per-cloud jitter.
+	loc netsim.LocationProfile
 }
 
-func (o *Opts) fill() {
-	if o.Scale <= 0 {
-		o.Scale = 400
+// newUser draws user u of the population for a seed — access-network
+// class (50% residential, 30% university, 20% company), region, and a
+// mild per-cloud jitter on top of the region factor — and returns the
+// rest of the user's private random stream. It is a pure function of
+// (seed, u): no shared stream, and the per-cloud jitter is drawn in
+// sorted-name order, because ranging over the map directly would
+// consume the stream in a random order and break the determinism the
+// published report depends on.
+func newUser(seed int64, u int) (user, *benchRand) {
+	rng := newBenchRand(mix64(seed, u))
+	var usr user
+	switch p := rng.Float64(); {
+	case p < 0.5:
+		usr.profile, usr.loc = 0, netsim.ResidentialLocation(fmt.Sprintf("res-%d", u))
+	case p < 0.8:
+		usr.profile, usr.loc = 1, netsim.UniversityLocation(fmt.Sprintf("uni-%d", u))
+	default:
+		usr.profile, usr.loc = 2, netsim.CompanyLocation(fmt.Sprintf("corp-%d", u))
 	}
-	if o.Users <= 0 {
-		o.Users = 272
+	usr.region = Regions[rng.Intn(len(Regions))]
+	names := make([]string, 0, len(usr.loc.CloudFactor))
+	for k := range usr.loc.CloudFactor {
+		names = append(names, k)
 	}
-	if o.FilesPerUser <= 0 {
-		o.FilesPerUser = 10
+	sort.Strings(names)
+	factors := make(map[string]float64, len(names))
+	for _, k := range names {
+		factors[k] = usr.loc.CloudFactor[k] * regionFactor[usr.region] * (0.7 + 0.6*rng.Float64())
 	}
-	if o.DataScale <= 0 {
-		o.DataScale = experiments.DefaultDataScale
-	}
+	usr.loc.CloudFactor = factors
+	return usr, rng
 }
 
 // sample is one completed file upload.
 type sample struct {
-	region string
-	day    int
-	bucket workload.SizeBucket
+	bucket  workload.SizeBucket
+	profile int // index into BenchProfiles
+	region  string
+	day     int
+	bytes   int64   // nominal content bytes
+	latency float64 // seconds until available
 	// mbps is the nominal upload throughput (content bits over the
 	// sync's available time).
 	mbps float64
+}
+
+// totals accumulates a user's non-sample counts.
+type totals struct {
+	apiCalls, apiFails int64
+	opFailed           int
+	// Run only: the user's metadata traffic with Delta-sync, and what a
+	// full-image design would have used for the same commits.
+	deltaBytes, fullBytes int64
+}
+
+// collect simulates every user on `workers` goroutines and returns
+// the samples and totals in user order, so float summation order —
+// and the report bytes — never depend on scheduling.
+func collect(users, workers int, simulate func(u int) ([]sample, totals, error)) ([]sample, totals, error) {
+	perUser := make([][]sample, users)
+	perUserTotals := make([]totals, users)
+	errs := make([]error, users)
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for u := range next {
+				perUser[u], perUserTotals[u], errs[u] = simulate(u)
+			}
+		}()
+	}
+	for u := 0; u < users; u++ {
+		next <- u
+	}
+	close(next)
+	wg.Wait()
+
+	var samples []sample
+	var tot totals
+	for u := 0; u < users; u++ {
+		if errs[u] != nil {
+			return nil, totals{}, fmt.Errorf("trial: user %d: %w", u, errs[u])
+		}
+		samples = append(samples, perUser[u]...)
+		tot.apiCalls += perUserTotals[u].apiCalls
+		tot.apiFails += perUserTotals[u].apiFails
+		tot.opFailed += perUserTotals[u].opFailed
+		tot.deltaBytes += perUserTotals[u].deltaBytes
+		tot.fullBytes += perUserTotals[u].fullBytes
+	}
+	return samples, tot, nil
 }
 
 // Result carries the trial's aggregate outcomes.
@@ -108,180 +181,139 @@ func (r *Result) OpSuccessRate() float64 {
 	return float64(r.OpOK) / float64(total)
 }
 
-// Run simulates the whole trial.
-func Run(opts Opts) (*Result, error) {
-	opts.fill()
-	res := &Result{Users: opts.Users}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for u := 0; u < opts.Users; u++ {
-		if err := runUser(opts, int64(u), rng, res); err != nil {
-			return nil, fmt.Errorf("trial: user %d: %w", u, err)
-		}
+// Run simulates the whole trial with real clients: opts.Users users
+// uploading opts.Files files each. One user at a time — concurrent
+// users would contend for CPU, which a scaled clock turns into fake
+// simulated seconds.
+func Run(opts experiments.Opts) (*Result, error) {
+	samples, tot, err := collect(opts.Users, 1, func(u int) ([]sample, totals, error) { return runUser(opts, u) })
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Users: opts.Users, Files: len(samples), OpOK: len(samples), OpFailed: tot.opFailed,
+		APICalls: tot.apiCalls, APIFails: tot.apiFails,
+		DeltaBytes: tot.deltaBytes, FullBytes: tot.fullBytes, samples: samples,
+	}
+	for _, s := range samples {
+		res.Bytes += s.bytes
 	}
 	return res, nil
 }
 
-// userLocation draws a user's access profile and region.
-func userLocation(userSeed int64, rng *rand.Rand) (netsim.LocationProfile, string) {
-	region := Regions[rng.Intn(len(Regions))]
-	var loc netsim.LocationProfile
-	switch p := rng.Float64(); {
-	case p < 0.5:
-		loc = netsim.ResidentialLocation(fmt.Sprintf("res-%d", userSeed))
-	case p < 0.8:
-		loc = netsim.UniversityLocation(fmt.Sprintf("uni-%d", userSeed))
-	default:
-		loc = netsim.CompanyLocation(fmt.Sprintf("corp-%d", userSeed))
-	}
-	rf := regionFactor[region]
-	factors := make(map[string]float64, len(loc.CloudFactor))
-	for k, v := range loc.CloudFactor {
-		// Mild per-user jitter on top of the region factor.
-		factors[k] = v * rf * (0.7 + 0.6*rng.Float64())
-	}
-	loc.CloudFactor = factors
-	return loc, region
-}
-
-func runUser(opts Opts, userSeed int64, rng *rand.Rand, res *Result) error {
-	ds := float64(opts.DataScale)
-	clk := vclock.NewScaled(opts.Scale)
-	profiles := netsim.FiveClouds()
-	for i := range profiles {
-		profiles[i].UpMbps /= ds
-		profiles[i].DownMbps /= ds
-		profiles[i].PerConnMbps /= ds
-		profiles[i].FailurePerMB *= ds
-	}
-	cfg := netsim.DefaultConfig(opts.Seed*1000 + userSeed)
-	cfg.QuantumBytes = int64(float64(cfg.QuantumBytes) / ds)
-	env := netsim.NewEnv(clk, cfg, profiles)
-	loc, region := userLocation(userSeed, rng)
-	loc.UplinkMbps /= ds
-	loc.DownlinkMbps /= ds
-	host := env.NewHost(loc)
-
-	var clouds []cloud.Interface
-	var recorders []*cloudsim.Recorder
-	for _, p := range profiles {
-		r := cloudsim.NewRecorder(cloudsim.NewClient(cloudsim.NewStore(p.Name, 0), host))
-		recorders = append(recorders, r)
-		clouds = append(clouds, r)
-	}
-	folder := localfs.NewMem()
-	client, err := core.New(clouds, folder, core.Config{
-		Device: fmt.Sprintf("user-%d", userSeed), Passphrase: "trial", Clock: clk,
-		Theta: int(float64(core.DefaultTheta) / ds),
-	})
+// runUser runs user u's week on a world of its own.
+func runUser(opts experiments.Opts, u int) ([]sample, totals, error) {
+	usr, rng := newUser(opts.Seed, u)
+	c := experiments.NewCluster(opts.Seed*1000+int64(u), opts.Scale)
+	d, err := c.NewDevice(usr.loc, fmt.Sprintf("user-%d", u))
 	if err != nil {
-		return err
+		return nil, totals{}, err
 	}
-
-	files := workload.TrialFiles(opts.Seed*7919+userSeed, opts.FilesPerUser)
-	ctx := context.Background()
+	var samples []sample
+	var tot totals
+	files := workload.TrialFiles(opts.Seed*7919+int64(u), opts.Files)
 	for i, f := range files {
-		day := i * 7 / len(files) // spread over the week
-		scaled := f.Data[:max(1, len(f.Data)/opts.DataScale)]
-		if err := folder.WriteFile(f.Name, scaled, clk.Now()); err != nil {
-			return err
+		if err := d.Folder.WriteFile(f.Name, f.Data[:c.Size(len(f.Data))], c.Clock.Now()); err != nil {
+			return nil, totals{}, err
 		}
-		rep, err := client.SyncOnce(ctx)
+		rep, err := d.Client.SyncOnce(context.Background())
 		if err != nil {
-			res.OpFailed++
 			// The file stays pending; a later sync (next file's
 			// pass) will retry it, as UniDrive's loop does.
+			tot.opFailed++
 			continue
 		}
-		res.OpOK++
-		res.Files++
 		nominal := int64(len(f.Data))
-		res.Bytes += nominal
-		if rep.AvailableDuration > 0 {
-			res.samples = append(res.samples, sample{
-				region: region,
-				day:    day,
-				bucket: workload.BucketOf(len(f.Data)),
-				mbps:   experiments.Mbps(nominal, rep.AvailableDuration),
-			})
-		}
+		samples = append(samples, sample{
+			bucket: workload.BucketOf(len(f.Data)), profile: usr.profile, region: usr.region,
+			day:   i * 7 / len(files), // spread over the week
+			bytes: nominal, latency: rep.AvailableDuration.Seconds(),
+			mbps: experiments.Mbps(nominal, rep.AvailableDuration),
+		})
 		// A little think time between uploads.
-		clk.Sleep(time.Duration(30+rng.Intn(90)) * time.Second)
+		c.Clock.Sleep(time.Duration(30+rng.Intn(90)) * time.Second)
 	}
 
-	for _, r := range recorders {
-		res.APICalls += int64(r.Counts().Total())
-		res.APIFails += int64(r.FailureCounts().Total())
+	for _, r := range d.Recorders {
+		tot.apiCalls += int64(r.Counts().Total())
+		tot.apiFails += int64(r.FailureCounts().Total())
 	}
 	// Metadata traffic with and without Delta-sync, from the actual
 	// uploads: base+delta+version uploads vs image size per commit.
-	for _, r := range recorders {
-		res.DeltaBytes += r.PrefixUploadBytes(".unidrive/meta")
-	}
-	img := client.Image()
-	if enc, err := img.Encode(); err == nil {
+	_, tot.deltaBytes = d.Traffic(".unidrive/meta")
+	if enc, err := d.Client.Image().Encode(); err == nil {
 		// A full-image design uploads the (growing) image to all five
 		// clouds on every commit; approximate with half the final
-		// size times commits times clouds.
-		res.FullBytes += int64(len(enc)) / 2 * int64(res.OpOK) * 5 / int64(opts.Users)
+		// size times this user's commits times clouds.
+		tot.fullBytes = int64(len(enc)) / 2 * int64(len(samples)) * 5
 	}
-	return nil
+	return samples, tot, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// Experiments are the trial's rows of the experiment table (see
+// experiments.All); cmd/unibench and bench_test.go append them.
+var Experiments = []experiments.Experiment{{
+	Name: "trial", Aliases: []string{"fig15", "fig16"},
+	Sizes: experiments.Sizes{
+		Paper: experiments.Opts{Scale: 400, Users: 272, Files: 10},
+		Quick: experiments.Opts{Users: 32, Files: 6},
+		Mini:  experiments.Opts{Scale: 800, Users: 6, Files: 4},
+	},
+	Run: func(opts experiments.Opts) []*experiments.Table {
+		res, err := Run(opts)
+		if err != nil {
+			t := &experiments.Table{Title: "Trial (paper §7.3)"}
+			t.AddNote("setup failed: %v", err)
+			return []*experiments.Table{t}
+		}
+		return []*experiments.Table{fig15Throughput(res), fig16Daily(res), deploymentStats(res)}
+	},
+}}
+
+// meanMbps is the mean throughput of the samples matching the filter;
+// ok is false when there are none.
+func meanMbps(samples []sample, match func(sample) bool) (mean float64, ok bool) {
+	g := group("", samples, match)
+	return g.MeanMbps, g.Count > 0
 }
 
-// Fig15Throughput builds the Figure 15 table: average upload
+// cell renders a meanMbps result as a table cell.
+func cell(mean float64, ok bool) string {
+	if !ok {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f", mean)
+}
+
+// fig15Throughput builds the Figure 15 table: average upload
 // throughput by file-size bucket and region.
-func Fig15Throughput(res *Result) *experiments.Table {
+func fig15Throughput(res *Result) *experiments.Table {
 	t := &experiments.Table{
 		Title:   "Fig 15: trial avg upload throughput [Mbit/s] by size bucket and region",
 		Headers: append([]string{"bucket"}, Regions...),
 	}
 	for _, b := range workload.Buckets() {
 		row := []string{b.String()}
-		var bucketAll []float64
 		for _, region := range Regions {
-			var xs []float64
-			for _, s := range res.samples {
-				if s.bucket == b && s.region == region {
-					xs = append(xs, s.mbps)
-				}
-			}
-			bucketAll = append(bucketAll, xs...)
-			if len(xs) == 0 {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.2f", stats.Mean(xs)))
+			row = append(row, cell(meanMbps(res.samples, func(s sample) bool { return s.bucket == b && s.region == region })))
 		}
-		_ = bucketAll
 		t.AddRow(row...)
 	}
-	// Shape checks: larger buckets faster; regions close.
-	means := make(map[workload.SizeBucket]float64)
-	for _, b := range workload.Buckets() {
-		var xs []float64
-		for _, s := range res.samples {
-			if s.bucket == b {
-				xs = append(xs, s.mbps)
-			}
-		}
-		means[b] = stats.Mean(xs)
+	// Shape check: larger buckets faster.
+	of := func(b workload.SizeBucket) float64 {
+		m, _ := meanMbps(res.samples, func(s sample) bool { return s.bucket == b })
+		return m
 	}
-	if means[workload.BucketLarge] > means[workload.BucketTiny] {
+	if of(workload.BucketLarge) > of(workload.BucketTiny) {
 		t.AddNote("larger files achieve higher throughput (paper: same; API latency dominates small files)")
 	}
 	return t
 }
 
-// Fig16Daily builds the Figure 16 table: daily average upload
+// fig16Daily builds the Figure 16 table: daily average upload
 // throughput of medium files (100 KB – 1 MB) per region over the
 // week.
-func Fig16Daily(res *Result) *experiments.Table {
+func fig16Daily(res *Result) *experiments.Table {
 	t := &experiments.Table{
 		Title:   "Fig 16: trial daily avg upload throughput [Mbit/s], medium files (100KB-1MB)",
 		Headers: append([]string{"day"}, Regions...),
@@ -290,19 +322,13 @@ func Fig16Daily(res *Result) *experiments.Table {
 	for day := 0; day < 7; day++ {
 		row := []string{fmt.Sprintf("%d", day+1)}
 		for _, region := range Regions {
-			var xs []float64
-			for _, s := range res.samples {
-				if s.day == day && s.region == region && s.bucket == workload.BucketMedium {
-					xs = append(xs, s.mbps)
-				}
+			m, ok := meanMbps(res.samples, func(s sample) bool {
+				return s.day == day && s.region == region && s.bucket == workload.BucketMedium
+			})
+			if ok {
+				allDaily = append(allDaily, m)
 			}
-			if len(xs) == 0 {
-				row = append(row, "-")
-				continue
-			}
-			m := stats.Mean(xs)
-			allDaily = append(allDaily, m)
-			row = append(row, fmt.Sprintf("%.2f", m))
+			row = append(row, cell(m, ok))
 		}
 		t.AddRow(row...)
 	}
@@ -313,8 +339,8 @@ func Fig16Daily(res *Result) *experiments.Table {
 	return t
 }
 
-// DeploymentStats builds the §7.3 deployment-statistics table.
-func DeploymentStats(res *Result) *experiments.Table {
+// deploymentStats builds the §7.3 deployment-statistics table.
+func deploymentStats(res *Result) *experiments.Table {
 	t := &experiments.Table{
 		Title:   "Trial deployment statistics (paper §7.3)",
 		Headers: []string{"metric", "value", "paper"},

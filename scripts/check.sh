@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-1 gate, runnable without make: vet, build, full test suite, and
-# the race detector over the concurrent data-plane packages.
+# Tier-1 gate, runnable without make: vet, build, full test suite, the
+# race detector over the concurrent data-plane packages, the benchmark
+# module, and the shipped §3.2 output.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -19,5 +20,8 @@ go test -race $(grep -v '^#' scripts/race_pkgs.txt)
 
 echo "== benchmarks/e2e (its own module): go vet, go test"
 (cd benchmarks/e2e && go vet . && go test .)
+
+echo "== unibench_measurement.txt is what unibench prints"
+./scripts/measurement_check.sh
 
 echo "OK"
