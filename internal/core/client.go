@@ -36,7 +36,6 @@ import (
 	"unidrive/internal/chunker"
 	"unidrive/internal/cloud"
 	"unidrive/internal/deltasync"
-	"unidrive/internal/erasure"
 	"unidrive/internal/health"
 	"unidrive/internal/journal"
 	"unidrive/internal/localfs"
@@ -77,32 +76,21 @@ type Config struct {
 	// watch mode it paces the remote observer's stamp polls; in polling
 	// mode (no watcher) it paces full passes exactly as before.
 	SyncInterval time.Duration
-	// The event-loop knobs below are resolved lazily inside RunLoop
+	// The two event-loop knobs below are resolved lazily inside RunLoop
 	// (not in fillDefaults) so their defaults track SyncInterval even
-	// when it is adjusted after New.
+	// when it is adjusted after New; the loop's other periods derive
+	// from these and SyncInterval (see loopIntervals).
 	//
 	// DebounceWindow is the settle window of the change buffer: a burst
 	// of watcher events must go quiet for this long before the dirty
 	// paths are scanned, so editor write-then-rename save patterns
 	// coalesce into one pass. Default min(500ms, SyncInterval/4).
 	DebounceWindow time.Duration
-	// DebounceMax bounds how long a never-quiet folder can postpone a
-	// pass: dirty paths older than this are scanned even if events keep
-	// arriving. Default 10×DebounceWindow.
-	DebounceMax time.Duration
-	// RemotePollInterval paces the remote observer's version-stamp
-	// checks in watch mode. Default SyncInterval.
-	RemotePollInterval time.Duration
 	// FullRescanInterval paces the full-folder safety-net rescan that
 	// reconciles dropped watcher events. Default 10×SyncInterval in
 	// watch mode; SyncInterval in polling mode (where the full pass IS
 	// the loop).
 	FullRescanInterval time.Duration
-	// BackoffBase and BackoffMax shape the jittered exponential backoff
-	// applied after consecutive failed passes (reset on the first
-	// success). Defaults SyncInterval and 16×SyncInterval.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// DisableWatch forces polling mode even on watchable folders.
 	DisableWatch bool
 	// OnPass, when non-nil, receives the report of every successful
@@ -201,8 +189,7 @@ func (c *Config) fillDefaults(n int) {
 
 // Client is one device's UniDrive instance.
 type Client struct {
-	cfg    Config
-	params sched.Params
+	cfg Config
 
 	// stack is everything built over the cloud set; SetClouds replaces
 	// it whole.
@@ -221,8 +208,6 @@ type Client struct {
 	last *meta.Image
 	// segData caches content of segments pending upload.
 	segData map[string][]byte
-	// coders caches erasure coders by (k, n).
-	coders map[[2]int]*erasure.Coder
 	// conflicts accumulates detected conflicts for the user.
 	conflicts []string
 	// recovered holds block placements adopted from a replayed crash
@@ -236,8 +221,11 @@ type Client struct {
 }
 
 // stack is the part of a Client that is built over the cloud set: the
-// chained clouds and the three components that talk to them.
+// placement parameters its size fixes (Config.K, Kr and Ks are only
+// their input), the chained clouds and the three components that talk
+// to them.
 type stack struct {
+	params sched.Params
 	clouds []cloud.Interface
 	names  []string
 	engine *transfer.Engine
@@ -266,8 +254,8 @@ type stack struct {
 //     metadata, lock flags, blocks) doubles as an in-channel probe
 //     (paper §6.2), and control-plane calls touch every cloud early,
 //     so the schedulers have a ranking before the first block moves.
-func newStack(cfg Config, raw []cloud.Interface, prober *sched.Prober, cipher *metacrypt.Cipher) stack {
-	st := stack{clouds: make([]cloud.Interface, len(raw)), names: make([]string, len(raw))}
+func newStack(cfg Config, params sched.Params, raw []cloud.Interface, prober *sched.Prober, cipher *metacrypt.Cipher) stack {
+	st := stack{params: params, clouds: make([]cloud.Interface, len(raw)), names: make([]string, len(raw))}
 	for i, c := range raw {
 		var observers []cloud.Observer
 		var gate cloud.Gate
@@ -350,15 +338,13 @@ func New(clouds []cloud.Interface, folder localfs.Folder, cfg Config) (*Client, 
 	prober.SetObs(cfg.Obs)
 	cl := &Client{
 		cfg:       cfg,
-		params:    params,
 		folder:    folder,
 		scanner:   localfs.NewScanner(folder),
 		chnk:      chnk,
-		stack:     newStack(cfg, clouds, prober, cipher),
+		stack:     newStack(cfg, params, clouds, prober, cipher),
 		changes:   meta.NewChangedFileList(),
 		last:      meta.NewImage(),
 		segData:   make(map[string][]byte),
-		coders:    make(map[[2]int]*erasure.Coder),
 		recovered: make(map[string]map[int]string),
 	}
 	// The intent journal lives inside the sync folder; a damaged file
@@ -424,23 +410,8 @@ func (c *Client) Conflicts() []string {
 	return append([]string(nil), c.conflicts...)
 }
 
-// coder returns (building if needed) the erasure coder for a segment
-// with the given k and n.
-func (c *Client) coder(k, n int) (*erasure.Coder, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := [2]int{k, n}
-	if cd, ok := c.coders[key]; ok {
-		return cd, nil
-	}
-	cd, err := erasure.NewCoder(k, n)
-	if err != nil {
-		return nil, err
-	}
-	c.coders[key] = cd
-	return cd, nil
-}
-
+// setLast moves the device's view. Only LoadState (restoring it) and
+// the pass's advance stage (apply.go) may call it.
 func (c *Client) setLast(img *meta.Image) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -28,7 +28,7 @@ const (
 	// with it): the intent looks uncommitted while the image already
 	// holds the changes.
 	CrashPostCommit CrashPoint = "post-commit"
-	// CrashMidApply aborts applyCloudUpdate after N files have been
+	// CrashMidApply aborts the write stage after N files have been
 	// written: the folder is half old, half new.
 	CrashMidApply CrashPoint = "mid-apply"
 )

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"unidrive/internal/chunker"
-	"unidrive/internal/cloud"
 	"unidrive/internal/erasure"
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
@@ -400,19 +398,15 @@ func (c *Client) blockSource(seg *meta.Segment) (*segmentSource, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: no cached content for segment %s", seg.ID)
 	}
-	coder, err := c.coder(seg.K, seg.N)
+	coder, err := erasure.CoderFor(seg.K, seg.N)
 	if err != nil {
 		return nil, err
-	}
-	normalCount := c.params.NormalBlocks()
-	if normalCount > seg.N {
-		normalCount = seg.N
 	}
 	return &segmentSource{
 		coder:       coder,
 		data:        data,
 		n:           seg.N,
-		normalCount: normalCount,
+		normalCount: c.normalTarget(seg),
 	}, nil
 }
 
@@ -481,241 +475,4 @@ func (s *segmentSource) release() {
 		erasure.PutBuffer(b)
 	}
 	s.extras = nil
-}
-
-// fetchSegment downloads and decodes one segment from the
-// multi-cloud, verifying the reconstructed bytes against the
-// segment's content address (seg.ID) before returning them.
-func (c *Client) fetchSegment(ctx context.Context, seg *meta.Segment) ([]byte, error) {
-	if data, ok := c.cachedSegment(seg.ID); ok {
-		return data, nil
-	}
-	blocks, err := c.fetchBlocksExcluding(ctx, seg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.reconstructVerified(ctx, seg, blocks)
-}
-
-// downloadItem is a segment's download work: a plan over its recorded
-// block locations (minus the excluded block IDs), the stamped
-// checksums to verify against, and the coded block size ⌈Length ÷ K⌉
-// the dispatcher selects sources for.
-func downloadItem(seg *meta.Segment, excluded map[int]bool) (transfer.DownloadItem, error) {
-	locations := make(map[int][]string, len(seg.Blocks))
-	for _, b := range seg.Blocks {
-		if !excluded[b.BlockID] {
-			locations[b.BlockID] = append(locations[b.BlockID], b.CloudID)
-		}
-	}
-	plan, err := sched.NewDownloadPlan(seg.K, locations)
-	if err != nil {
-		return transfer.DownloadItem{}, fmt.Errorf("core: segment %s: %w", seg.ID, err)
-	}
-	return transfer.DownloadItem{
-		Plan:  plan,
-		SegID: seg.ID,
-		Size:  int64((seg.Length + seg.K - 1) / seg.K),
-		Sums:  seg.Sums(),
-	}, nil
-}
-
-// fetchBlocksExcluding downloads any K blocks of a segment, skipping
-// the excluded block IDs, with download-time checksum verification
-// for every block that carries a stamped sum.
-func (c *Client) fetchBlocksExcluding(ctx context.Context, seg *meta.Segment, excluded map[int]bool) (map[int][]byte, error) {
-	item, err := downloadItem(seg, excluded)
-	if err != nil {
-		return nil, err
-	}
-	plan := item.Plan
-	res, err := c.engine.DownloadBatch(ctx, []transfer.DownloadItem{item})
-	if err != nil {
-		return nil, fmt.Errorf("core: segment %s: %w", seg.ID, err)
-	}
-	if !plan.Done() {
-		recycleBlocks(res[0])
-		if n := plan.CorruptCount(); n > 0 {
-			return nil, fmt.Errorf("core: segment %s: %w after %d corrupt block fetches: %w",
-				seg.ID, transfer.ErrSegmentUnrecoverable, n, cloud.ErrCorrupt)
-		}
-		return nil, fmt.Errorf("core: segment %s: %w", seg.ID, transfer.ErrSegmentUnrecoverable)
-	}
-	return res[0], nil
-}
-
-// errDecodeMismatch reports decoded segment bytes failing the content
-// SHA-1. Internal only: callers retry once on a replacement block set
-// and surface cloud.ErrCorrupt if that fails too.
-var errDecodeMismatch = errors.New("core: decoded segment fails content verification")
-
-// decodeAndVerify decodes blocks into segment content, verifies the
-// result against seg.ID, and recycles the block buffers on EVERY
-// path — success, decode error, or mismatch. On a content mismatch
-// (err == errDecodeMismatch) the second result names the block IDs to
-// exclude from a retry fetch: the copies indicted by their stamped
-// checksums, or — when no checksum points a finger (pre-integrity
-// metadata) — every block of the failed set.
-func (c *Client) decodeAndVerify(seg *meta.Segment, blocks map[int][]byte) ([]byte, map[int]bool, error) {
-	coder, err := c.coder(seg.K, seg.N)
-	if err != nil {
-		recycleBlocks(blocks)
-		return nil, nil, err
-	}
-	data, err := coder.Decode(blocks, seg.Length)
-	if err != nil {
-		recycleBlocks(blocks)
-		return nil, nil, fmt.Errorf("core: segment %s: %w", seg.ID, err)
-	}
-	if chunker.SegmentID(data) == seg.ID {
-		recycleBlocks(blocks)
-		return data, nil, nil
-	}
-	excluded := make(map[int]bool)
-	for blockID, b := range blocks {
-		if want := seg.BlockSum(blockID); want != 0 && meta.BlockSum(b) != want {
-			excluded[blockID] = true
-		}
-	}
-	if len(excluded) == 0 {
-		for blockID := range blocks {
-			excluded[blockID] = true
-		}
-	}
-	recycleBlocks(blocks)
-	c.cfg.Obs.Counter("core.decode.sha_mismatch").Inc()
-	return nil, excluded, errDecodeMismatch
-}
-
-// reconstructVerified is the decode-time last line of defense: decode
-// the fetched blocks, check the content SHA-1, and on a mismatch
-// retry once on a replacement fetch that excludes the poisoned
-// copies. Corrupt bytes never leave this function — if the retry
-// cannot produce verified content either, the caller gets a loud
-// cloud.ErrCorrupt, never silently wrong data. Consumes (recycles)
-// the passed blocks.
-func (c *Client) reconstructVerified(ctx context.Context, seg *meta.Segment, blocks map[int][]byte) ([]byte, error) {
-	data, excluded, err := c.decodeAndVerify(seg, blocks)
-	if err == nil {
-		return data, nil
-	}
-	if !errors.Is(err, errDecodeMismatch) {
-		return nil, err
-	}
-	retry, err := c.fetchBlocksExcluding(ctx, seg, excluded)
-	if err != nil {
-		return nil, fmt.Errorf("core: segment %s: content verification failed and no clean replacement blocks: %w (%v)",
-			seg.ID, cloud.ErrCorrupt, err)
-	}
-	data, _, err = c.decodeAndVerify(seg, retry)
-	if err != nil {
-		return nil, fmt.Errorf("core: segment %s: content verification failed after excluding %d suspect blocks: %w",
-			seg.ID, len(excluded), cloud.ErrCorrupt)
-	}
-	c.cfg.Obs.Counter("core.decode.exclusion_retries").Inc()
-	return data, nil
-}
-
-// recycleBlocks feeds downloaded coded blocks back to the erasure
-// buffer pool once decoding is done with them. Download results are
-// caller-owned (cloud.Interface's contract), so nothing else can hold
-// a reference.
-func recycleBlocks(blocks map[int][]byte) {
-	for _, b := range blocks {
-		erasure.PutBuffer(b)
-	}
-}
-
-// fetchFile reconstructs a file's content from a snapshot, in the
-// given image's segment pool. All of the file's segments download
-// through one batched dispatcher, so every cloud connection stays
-// busy instead of the fetch serializing segment by segment.
-func (c *Client) fetchFile(ctx context.Context, img *meta.Image, snap *meta.Snapshot) ([]byte, error) {
-	type part struct {
-		seg  *meta.Segment
-		data []byte // non-nil when served from the local cache
-		item int    // batch index when data is nil
-	}
-	parts := make([]part, len(snap.SegmentIDs))
-	var items []transfer.DownloadItem
-	var plans []*sched.DownloadPlan
-	for i, id := range snap.SegmentIDs {
-		seg, ok := img.Segment(id)
-		if !ok {
-			return nil, fmt.Errorf("core: file %s references unknown segment %s", snap.Path, id)
-		}
-		parts[i].seg = seg
-		if data, ok := c.cachedSegment(id); ok {
-			parts[i].data = data
-			continue
-		}
-		item, err := downloadItem(seg, nil)
-		if err != nil {
-			return nil, err
-		}
-		parts[i].item = len(items)
-		items = append(items, item)
-		plans = append(plans, item.Plan)
-	}
-	var fetched []map[int][]byte
-	if len(items) > 0 {
-		var err error
-		fetched, err = c.engine.DownloadBatch(ctx, items)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Every fetched block set is consumed exactly once: handed to
-	// reconstructVerified (which recycles on all its paths) and nilled
-	// out. Whatever is still held when an error aborts the assembly —
-	// including sets never reached — goes back to the pool here
-	// instead of leaking.
-	defer func() {
-		for _, m := range fetched {
-			recycleBlocks(m)
-		}
-	}()
-	out := make([]byte, 0, snap.Size)
-	for i := range parts {
-		if parts[i].data != nil {
-			out = append(out, parts[i].data...)
-			continue
-		}
-		seg := parts[i].seg
-		it := parts[i].item
-		if !plans[it].Done() {
-			if n := plans[it].CorruptCount(); n > 0 {
-				return nil, fmt.Errorf("core: segment %s: %w after %d corrupt block fetches: %w",
-					seg.ID, transfer.ErrSegmentUnrecoverable, n, cloud.ErrCorrupt)
-			}
-			return nil, fmt.Errorf("core: segment %s: %w", seg.ID, transfer.ErrSegmentUnrecoverable)
-		}
-		blocks := fetched[it]
-		fetched[it] = nil
-		data, err := c.reconstructVerified(ctx, seg, blocks)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, data...)
-	}
-	return out, nil
-}
-
-// Get downloads one file's current content directly from the
-// multi-cloud using the committed metadata — the library's
-// random-access read API (used by the reliability experiments; normal
-// sync flows write files into the folder instead).
-func (c *Client) Get(ctx context.Context, path string) ([]byte, error) {
-	// The delta cursor, not a full fetch: five stamp GETs when nothing
-	// is pending, a delta catch-up when something is. The image is
-	// shared and only read.
-	img, err := c.store.Refresh(ctx)
-	if err != nil {
-		return nil, err
-	}
-	snap := img.Lookup(path).Current()
-	if snap == nil || snap.Deleted {
-		return nil, fmt.Errorf("core: %s not in the sync folder image", path)
-	}
-	return c.fetchFile(ctx, img, snap)
 }

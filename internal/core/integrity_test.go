@@ -354,7 +354,11 @@ func TestDecodeExclusionTargetsStampedPoison(t *testing.T) {
 	}
 
 	ctx := ctxT(t)
-	blocks, err := a.fetchBlocksExcluding(ctx, seg, nil)
+	item, err := downloadItem(seg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := a.engine.DownloadSegment(ctx, item.Plan, seg.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,12 +369,21 @@ func TestDecodeExclusionTargetsStampedPoison(t *testing.T) {
 		break
 	}
 	blocks[poisoned][0] ^= 0xFF
-	data, err := a.reconstructVerified(ctx, seg, blocks)
+	// The two halves of fetchVerified's decode-time defense, driven by
+	// hand because the poison goes in between the fetch and the decode.
+	_, excluded, err := a.decodeAndVerify(seg, blocks)
+	if !errors.Is(err, errDecodeMismatch) {
+		t.Fatalf("decoding a poisoned block set: %v, want errDecodeMismatch", err)
+	}
+	if len(excluded) != 1 || !excluded[poisoned] {
+		t.Fatalf("excluded = %v, want only the poisoned block %d", excluded, poisoned)
+	}
+	data, err := a.refetch(ctx, seg, excluded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, plain) {
-		t.Fatal("reconstructVerified returned wrong bytes")
+		t.Fatal("the replacement fetch returned wrong bytes")
 	}
 	reg := r.regs["alpha"]
 	if n := reg.Counter("core.decode.sha_mismatch").Value(); n != 1 {

@@ -26,9 +26,18 @@ import (
 // doomed blocks; with no changes nothing is committed or deleted. to
 // is the stack that takes the commit and the deletes — the client's
 // own for every caller but SetClouds, whose relocates land on the new
-// cloud set. what names the operation in the lock-lost error. It
-// returns the committed version (the current one when nothing
-// changed) and the number of blocks deleted.
+// cloud set, which is the client's from then on. what names the
+// operation in the lock-lost error. It returns the committed version
+// (the current one when nothing changed) and the number of blocks
+// deleted.
+//
+// Like every commit, it ends in the pass's advance stage — the only
+// code that moves the device's view — and only when the folder already
+// agrees with the new head, i.e. the span holds nothing but relocates.
+// A file change of another device's that the lock's refresh pulled in
+// is left unapplied and v_o behind it: maintenance never writes the
+// folder, and the next pass, which observes the folder first, applies
+// the change or turns a concurrent local edit into a conflict copy.
 func (c *Client) relocate(ctx context.Context, what string, to stack,
 	build func(img *meta.Image) ([]*meta.Change, []transfer.BlockRef, error)) (int64, int, error) {
 
@@ -45,18 +54,28 @@ func (c *Client) relocate(ctx context.Context, what string, to stack,
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(changes) == 0 {
-		return to.store.Stamp().Version, 0, nil
+	version := to.store.Stamp().Version
+	if len(changes) > 0 {
+		if !lock.Valid() {
+			return 0, 0, fmt.Errorf("core: quorum lock lost during %s", what)
+		}
+		stats, err := to.store.Commit(ctx, changes)
+		if err != nil {
+			return 0, 0, err
+		}
+		version = stats.Version
 	}
-	if !lock.Valid() {
-		return 0, 0, fmt.Errorf("core: quorum lock lost during %s", what)
+	if to.store != c.store {
+		// SetClouds: the new set holds the head now, whatever happens next.
+		c.mu.Lock()
+		c.stack = to
+		c.mu.Unlock()
 	}
-	stats, err := to.store.Commit(ctx, changes)
-	if err != nil {
-		return 0, 0, err
+	deleted := c.engine.DeleteBlocks(ctx, doomed)
+	if sp := c.span(); sp.moved() && len(sp.diff) == 0 {
+		c.advance(ctx, sp)
 	}
-	c.setLast(to.store.Cached())
-	return stats.Version, to.engine.DeleteBlocks(ctx, doomed), nil
+	return version, deleted, nil
 }
 
 // relocateChange wraps a segment's new placement in its change.

@@ -183,3 +183,63 @@ func TestParseBlockName(t *testing.T) {
 		}
 	}
 }
+
+// A maintenance commit takes the quorum lock, and the lock's refresh
+// pulls in whatever other devices committed meanwhile. The commit must
+// not move this device's view (v_o) past a file change it has not
+// applied: the change would never reach the folder, and a later local
+// edit of the same file would overwrite it without a conflict copy.
+// (relocate used to setLast the store's head.)
+func TestMaintenanceCommitKeepsUnappliedRemoteEdit(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		localEdit bool
+	}{
+		{"the next pass applies the remote edit", false},
+		{"a local edit made meanwhile ends as a conflict copy", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(5)
+			a, fa := r.device(t, "alpha")
+			b, fb := r.device(t, "beta")
+			writeFile(t, fa, "x.bin", randContent(31, 20_000))
+			syncOK(t, a)
+			syncOK(t, b)
+
+			theirs := randContent(32, 20_000)
+			writeFile(t, fb, "x.bin", theirs)
+			syncOK(t, b)
+
+			// alpha has not synced since; its trim really commits, because
+			// the uploads above over-provisioned.
+			deleted, err := a.TrimOverProvisioned(ctxT(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if deleted == 0 {
+				t.Fatal("nothing was over-provisioned: the trim committed nothing and the test tests nothing")
+			}
+
+			ours := randContent(33, 20_000)
+			if c.localEdit {
+				writeFile(t, fa, "x.bin", ours)
+			}
+			rep := syncOK(t, a)
+			if got, err := fa.ReadFile("x.bin"); err != nil || string(got) != theirs {
+				t.Fatalf("alpha's x.bin is not beta's committed edit (err %v)", err)
+			}
+			if !c.localEdit {
+				if rep.CloudChanges != 1 {
+					t.Fatalf("the pass after the trim applied %d cloud changes, want 1", rep.CloudChanges)
+				}
+				return
+			}
+			if len(rep.Conflicts) != 1 {
+				t.Fatalf("conflicts = %v, want alpha's edit retained as one conflict copy", rep.Conflicts)
+			}
+			if got, err := fa.ReadFile(rep.Conflicts[0]); err != nil || string(got) != ours {
+				t.Fatalf("the conflict copy does not hold alpha's edit (err %v)", err)
+			}
+		})
+	}
+}

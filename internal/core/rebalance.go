@@ -22,15 +22,16 @@ import (
 //
 // The operation runs under the quorum lock of the OLD cloud set (so
 // it serializes with ongoing commits), then commits the updated
-// placements to the NEW set and switches the client over.
+// placements to the NEW set, which relocate makes the client's own the
+// moment it holds the commit.
 func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) error {
 	if len(newClouds) == 0 {
 		return fmt.Errorf("core: cannot rebalance to zero clouds")
 	}
-	newCfg := c.cfg
-	newCfg.Kr, newCfg.Ks = 0, 0 // re-derive for the new N
-	newCfg.fillDefaults(len(newClouds))
-	newParams := sched.Params{N: len(newClouds), K: newCfg.K, Kr: newCfg.Kr, Ks: newCfg.Ks}
+	derived := c.cfg
+	derived.Kr, derived.Ks = 0, 0 // re-derive for the new N
+	derived.fillDefaults(len(newClouds))
+	newParams := sched.Params{N: len(newClouds), K: derived.K, Kr: derived.Kr, Ks: derived.Ks}
 	if err := newParams.Validate(); err != nil {
 		return err
 	}
@@ -41,7 +42,7 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 	// The new set is wired exactly like New wires a fresh client, on
 	// the same prober: every request below — the rebalance's own block
 	// moves included — goes through the cloud call chain.
-	next := newStack(newCfg, newClouds, c.engine.Prober(), cipher)
+	next := newStack(c.cfg, newParams, newClouds, c.engine.Prober(), cipher)
 
 	_, _, err = c.relocate(ctx, "rebalance", next, func(img *meta.Image) ([]*meta.Change, []transfer.BlockRef, error) {
 		var relocates []*meta.Change
@@ -98,16 +99,7 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 		_, err := next.store.Refresh(ctx)
 		return relocates, doomed, err
 	})
-	if err != nil {
-		return err
-	}
-
-	c.mu.Lock()
-	c.stack = next
-	c.params = newParams
-	c.cfg = newCfg
-	c.mu.Unlock()
-	return nil
+	return err
 }
 
 // uploadRebalanced writes the blocks one segment's rebalance plan
@@ -128,7 +120,7 @@ func (c *Client) uploadRebalanced(ctx context.Context, seg *meta.Segment,
 	if err != nil {
 		return nil, fmt.Errorf("core: cannot reconstruct segment %s for rebalance: %w", seg.ID, err)
 	}
-	coder, err := c.coder(seg.K, seg.N)
+	coder, err := erasure.CoderFor(seg.K, seg.N)
 	if err != nil {
 		return nil, err
 	}

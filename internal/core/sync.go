@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"time"
 
-	"unidrive/internal/cloud"
 	"unidrive/internal/journal"
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
 	"unidrive/internal/qlock"
 	"unidrive/internal/sched"
-	"unidrive/internal/transfer"
 )
 
 // SyncReport summarizes one SyncOnce pass.
@@ -37,35 +35,51 @@ type SyncReport struct {
 	AvailableDuration time.Duration
 }
 
+// A pass is the paper's Algorithm 1 (SyncMetadata) as named stages,
+// each with one job (DESIGN.md §9):
+//
+//	observe  folder → ChangedFileList (full scan | dirty paths | nothing)
+//	commit   ChangedFileList → committed metadata (commitLocal: upload,
+//	         quorum lock, reconcile, commit), or a stamp poll when there
+//	         is nothing to commit
+//	plan     (diff, folder stat, last-known snapshot) → []applyAction
+//	fetch    the plan's files, through fetchVerified
+//	write    verified content and removals → folder
+//	advance  v_o := the store's head; GC; checkpoint
+//
+// The first two are this file; the rest is apply.go and fetch.go.
+
+// scan is a pass's observer: it names the folder events the pass looks
+// at and how many files it statted to find them. localfs.Scanner's
+// ScanAll is one, ScanDirty bound to a path set another, nil looks at
+// nothing.
+type scan func() (events []localfs.Event, statted int, err error)
+
 // ScanLocal polls the sync folder once and records detected changes
 // in the ChangedFileList. It is called by SyncOnce but is exported so
 // tests and tools can drive detection explicitly.
 func (c *Client) ScanLocal() error {
-	_, _, err := c.scanFull()
-	return err
+	return c.observe(c.scanner.ScanAll)
 }
 
-// scanFull walks the whole folder and records every detected change;
-// it returns the number of files examined and changes recorded.
-func (c *Client) scanFull() (statted, recorded int, err error) {
-	events, statted, err := c.scanner.ScanAll()
+// observe is a pass's first stage: it records the real changes among
+// the scan's events in the ChangedFileList and the scan's control-plane
+// cost in the obs histograms the sync-pass benchmark and operators
+// read.
+func (c *Client) observe(look scan) error {
+	start := c.cfg.Clock.Now()
+	events, statted, err := look()
 	if err != nil {
-		return statted, 0, fmt.Errorf("core: scanning folder: %w", err)
+		return fmt.Errorf("core: scanning folder: %w", err)
 	}
-	recorded, err = c.recordEvents(events)
-	return statted, recorded, err
-}
-
-// scanDirty stats only the given paths — the dirty set accumulated
-// from watcher notifications — and records the real changes among
-// them. Cost is O(len(paths)) regardless of folder size.
-func (c *Client) scanDirty(paths []string) (statted, recorded int, err error) {
-	events, statted, err := c.scanner.ScanDirty(paths)
+	recorded, err := c.recordEvents(events)
 	if err != nil {
-		return statted, 0, fmt.Errorf("core: scanning dirty paths: %w", err)
+		return err
 	}
-	recorded, err = c.recordEvents(events)
-	return statted, recorded, err
+	c.cfg.Obs.Histogram("sync.pass.scan_ms").Observe(float64(c.cfg.Clock.Now().Sub(start)) / float64(time.Millisecond))
+	c.cfg.Obs.Histogram("sync.pass.files_statted").Observe(float64(statted))
+	c.cfg.Obs.Histogram("sync.pass.changes").Observe(float64(recorded))
+	return nil
 }
 
 // recordEvents converts scanner events into ChangedFileList entries.
@@ -123,153 +137,60 @@ func (c *Client) recordEvents(events []localfs.Event) (int, error) {
 	return recorded, nil
 }
 
-// observeScan records one scan's control-plane cost in the obs
-// histograms that the sync-pass benchmark and operators read.
-func (c *Client) observeScan(elapsed time.Duration, statted, recorded int) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.cfg.Obs.Histogram("sync.pass.scan_ms").Observe(float64(elapsed) / float64(time.Millisecond))
-	c.cfg.Obs.Histogram("sync.pass.files_statted").Observe(float64(statted))
-	c.cfg.Obs.Histogram("sync.pass.changes").Observe(float64(recorded))
-}
-
-// SyncOnce runs one pass of the paper's Algorithm 1 (SyncMetadata),
-// extended with the data-plane work around it:
-//
-//  1. detect local updates (ChangedFileList);
-//  2. if any: upload their data blocks (freely, before metadata);
-//     acquire the quorum lock; if a cloud update is pending, fetch
-//     and reconcile (conflict copies for coincidental updates);
-//     commit the metadata; release the lock;
-//  3. otherwise: if a cloud update is pending, fetch it and apply to
-//     the local folder (downloading any K blocks per segment).
+// SyncOnce runs one full pass: every file in the folder is observed,
+// pending local updates are committed (blocks freely, before metadata;
+// then under the quorum lock: fetch and reconcile against a pending
+// cloud update — conflict copies for coincidental updates — and commit),
+// and whatever is newly committed, here or elsewhere, is applied to the
+// folder by downloading any K blocks per segment.
 func (c *Client) SyncOnce(ctx context.Context) (SyncReport, error) {
-	var report SyncReport
-	scanStart := c.cfg.Clock.Now()
-	statted, recorded, err := c.scanFull()
-	if err != nil {
-		return report, err
-	}
-	c.observeScan(c.cfg.Clock.Now().Sub(scanStart), statted, recorded)
-	err = c.syncPass(ctx, &report, true)
-	return report, err
+	return c.pass(ctx, c.scanner.ScanAll, true)
 }
 
-// SyncDirty is the event-driven counterpart of SyncOnce: it scans
+// SyncDirty is the event-driven counterpart of SyncOnce: it observes
 // only the given dirty paths and commits whatever real changes they
-// contain. It does not poll the clouds when there is nothing to
-// commit — remote updates are the remote observer's job (SyncRemote)
-// — so an over-reporting watcher costs a few stats, not a network
-// round-trip. Pass cost is O(len(paths) + changes), independent of
-// folder size.
+// contain. It does not poll the clouds when there is nothing to commit
+// — remote updates are SyncRemote's job — so an over-reporting watcher
+// costs a few stats, not a network round-trip. Pass cost is
+// O(len(paths) + changes), independent of folder size.
 func (c *Client) SyncDirty(ctx context.Context, paths []string) (SyncReport, error) {
-	var report SyncReport
-	scanStart := c.cfg.Clock.Now()
-	statted, recorded, err := c.scanDirty(paths)
-	if err != nil {
-		return report, err
-	}
-	c.observeScan(c.cfg.Clock.Now().Sub(scanStart), statted, recorded)
-	if c.changes.Empty() {
-		// Nothing real changed (or everything was suppressed): the pass
-		// ends here, touching neither the network nor the image.
-		report.Version = c.lastImage().Version
-		return report, nil
-	}
-	err = c.syncPass(ctx, &report, false)
-	return report, err
+	return c.pass(ctx, func() ([]localfs.Event, int, error) { return c.scanner.ScanDirty(paths) }, false)
 }
 
 // SyncRemote runs the remote half of a pass: poll the version stamps,
 // refresh the cached metadata if a commit is pending, and apply it to
-// the local folder. No local scan happens; pending local changes from
-// an earlier failed pass are still committed first, since committing
+// the local folder. Nothing is observed; pending local changes from an
+// earlier failed pass are still committed first, since committing
 // under the lock subsumes the refresh.
 func (c *Client) SyncRemote(ctx context.Context) (SyncReport, error) {
-	var report SyncReport
-	err := c.syncPass(ctx, &report, true)
-	return report, err
+	return c.pass(ctx, nil, true)
 }
 
-// syncPass is the shared tail of every sync variant: commit pending
-// local changes if any (optionally polling and refreshing from the
-// clouds first when there are none), then apply whatever is newly
-// committed to the local folder. When nothing was committed anywhere,
-// the pass is a no-op that never materializes or diffs an image —
-// the property that makes event-driven passes O(changes).
-func (c *Client) syncPass(ctx context.Context, report *SyncReport, pollRemote bool) error {
-	before := c.lastImage()
-
-	// scanned is what this pass's commit read from disk, as scanned
+// pass runs the stages in order. poll says whether a pass that finds
+// nothing to commit still asks the clouds for news. When nothing was
+// committed anywhere the pass ends before an image is materialized or
+// diffed — the property that makes event-driven passes O(changes).
+func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport, error) {
+	var report SyncReport
+	if observer != nil {
+		if err := c.observe(observer); err != nil {
+			return report, err
+		}
+	}
+	// scanned is what this pass's commit read from disk, as observed
 	// (before reconciliation moves a conflicting edit aside).
 	scanned := c.changes.Snapshot()
 	if len(scanned) > 0 {
-		if err := c.commitLocal(ctx, report); err != nil {
-			return err
+		if err := c.commitLocal(ctx, &report); err != nil {
+			return report, err
 		}
-	} else if pollRemote {
+	} else if poll {
 		if _, err := c.store.Refresh(ctx); err != nil {
-			return err
+			return report, err
 		}
 	}
-
-	after := c.store.CachedShared()
-	report.Version = after.Version
-	if after.Version == before.Version && after.Device == before.Device {
-		// Nothing new, locally or remotely. Skip the apply/GC machinery
-		// and the checkpoint.
-		return nil
-	}
-	diff, gcPaths := c.diffForApply(before, after)
-	n, err := c.applyCloudUpdate(ctx, before, after, diff, scanned)
-	if err != nil {
-		return err
-	}
-	report.CloudChanges = n
-	c.setLast(after)
-	c.gcSegments(ctx, before, after, gcPaths)
-	// Best effort: a failed checkpoint only costs restart efficiency,
-	// not correctness.
-	_ = c.checkpoint()
-	return nil
-}
-
-// diffForApply computes the per-path difference between two cached
-// images. When the store's version chain covers the (before, after]
-// span, only the paths named by the chain's change records are
-// compared — O(changes in the span) instead of the O(folder) tree
-// walk of meta.DiffImages, which is what keeps applying passes flat
-// as the folder grows. The second result is the garbage-collection
-// candidate set: the unique file paths the chain reported changed
-// (including ones whose current content ended up equal — their entry
-// may still have shed segment references), or nil when the chain did
-// not cover the span and the caller must consider every path.
-func (c *Client) diffForApply(before, after *meta.Image) (meta.Diff, []string) {
-	if after.Version > before.Version {
-		if changes, ok := c.store.ChangesSince(before.Version, after.Version); ok {
-			c.cfg.Obs.Counter("sync.diff.chain").Inc()
-			d := make(meta.Diff)
-			seen := make(map[string]bool, len(changes))
-			var paths []string
-			for _, ch := range changes {
-				if ch.Type == meta.ChangeRelocate || seen[ch.Path] {
-					continue
-				}
-				seen[ch.Path] = true
-				paths = append(paths, ch.Path)
-				b := before.Lookup(ch.Path).Current()
-				a := after.Lookup(ch.Path).Current()
-				if b.ContentEquals(a) {
-					continue
-				}
-				d[ch.Path] = meta.DiffEntry{Path: ch.Path, Before: b, After: a}
-			}
-			return d, paths
-		}
-	}
-	c.cfg.Obs.Counter("sync.diff.full").Inc()
-	return meta.DiffImages(before, after), nil
+	err := c.apply(ctx, scanned, &report)
+	return report, err
 }
 
 // commitLocal commits pending local changes under the quorum lock.
@@ -587,349 +508,4 @@ func (c *Client) reuploadSegment(ctx context.Context, seg *meta.Segment) error {
 		seg.AddBlockSum(blockID, cloudName, src.sum(blockID))
 	}
 	return nil
-}
-
-// applyCloudUpdate materializes the difference between two metadata
-// versions in the local folder: files changed remotely are downloaded
-// (any K blocks per segment, fastest clouds first), deletions are
-// applied, and our own just-committed paths are skipped (they are
-// already on disk).
-//
-// All files' segments download through ONE batched dispatcher —
-// earliest file first, later files' blocks filling otherwise-idle
-// connections — and each file is assembled and written the moment its
-// last segment lands (the paper's availability-first pipeline, on the
-// receive side). The diff is precomputed by the caller (diffForApply)
-// so chain-covered passes never walk the whole image. scanned lists
-// the local changes this pass committed, as the scan recorded them.
-func (c *Client) applyCloudUpdate(ctx context.Context, from, to *meta.Image, diff meta.Diff, scanned []*meta.Change) (int, error) {
-	applied := 0
-	// lastKnown is the content this device last saw at a path: what this
-	// pass's scan read there, else what the image it had applied says.
-	ownScan := make(map[string]*meta.Snapshot, len(scanned))
-	for _, ch := range scanned {
-		if ch.Type != meta.ChangeRelocate {
-			ownScan[ch.Path] = ch.Snapshot
-		}
-	}
-	lastKnown := func(path string) *meta.Snapshot {
-		if snap, ok := ownScan[path]; ok {
-			return snap
-		}
-		return from.Lookup(path).Current()
-	}
-
-	// Journal the apply before the first folder mutation: a crash
-	// mid-apply leaves a half-written folder, and without a record the
-	// next scan would re-detect the downloaded halves as local edits.
-	var touched []string
-	for _, path := range diff.Paths() {
-		if diff[path].After != nil {
-			touched = append(touched, path)
-		}
-	}
-	intentID := ""
-	if len(touched) > 0 {
-		intentID = "apply:" + fmt.Sprintf("%d-%d", from.Version, to.Version)
-		if err := c.journal.Begin(&journal.Intent{
-			ID:        intentID,
-			Kind:      journal.KindApply,
-			Device:    c.cfg.Device,
-			CreatedAt: c.cfg.Clock.Now(),
-			Paths:     touched,
-		}); err != nil {
-			return 0, err
-		}
-	}
-
-	crashAfter, crashArmed := c.crashThreshold(CrashMidApply)
-	crashed := false
-
-	// pendingFile tracks a file whose segments are downloading.
-	type pendingFile struct {
-		snap *meta.Snapshot
-		// parts[i] is segment i's content; cached segments are filled
-		// immediately, downloaded ones by their Done callback.
-		parts   [][]byte
-		missing int
-	}
-	var files []*pendingFile
-	var items []transfer.DownloadItem
-	// itemFiles/itemSegs map each download item back to its file and
-	// segment so plan failures can be classified after the batch.
-	var itemFiles []*pendingFile
-	var itemSegs []*meta.Segment
-	// writeErrs and applied are mutated both inline and from download
-	// Done callbacks; that is race-free because DownloadBatch runs
-	// every Done on this goroutine (the serialization contract on
-	// transfer.DownloadItem.Done).
-	writeErrs := make(map[string]error)
-	// corruptRetries collects segments whose decoded bytes failed the
-	// content SHA-1 inside a Done callback. The replacement fetch runs
-	// AFTER the batch returns: a nested DownloadBatch inside Done
-	// could deadlock on the shared fair scheduler (the outer batch's
-	// slots release on this very goroutine).
-	type corruptRetry struct {
-		f        *pendingFile
-		part     int
-		seg      *meta.Segment
-		excluded map[int]bool
-	}
-	var corruptRetries []corruptRetry
-
-	finish := func(f *pendingFile) {
-		if crashed {
-			return // the injected crash already "killed" this pass
-		}
-		data := make([]byte, 0, f.snap.Size)
-		for _, p := range f.parts {
-			data = append(data, p...)
-		}
-		if err := c.folder.WriteFile(f.snap.Path, data, f.snap.ModTime); err != nil {
-			writeErrs[f.snap.Path] = err
-			return
-		}
-		c.suppress(f.snap.Path, int64(len(data)), f.snap.ModTime, false)
-		applied++
-		if crashArmed && applied >= crashAfter {
-			crashed = true
-		}
-	}
-
-	for _, path := range diff.Paths() {
-		after := diff[path].After
-		if after == nil {
-			continue
-		}
-		if after.Deleted {
-			if crashed {
-				continue
-			}
-			if _, err := c.folder.Stat(path); err == nil {
-				if err := c.folder.Remove(path); err != nil {
-					return applied, err
-				}
-				c.suppress(path, 0, time.Time{}, true)
-				applied++
-				if crashArmed && applied >= crashAfter {
-					crashed = true
-				}
-			}
-			continue
-		}
-		// Skip content already on disk (e.g. our own commits or a
-		// previous partial application).
-		if fi, err := c.folder.Stat(path); err == nil {
-			if known := lastKnown(path); c.unchangedSince(fi, known) {
-				// The device knows what these bytes hash to without
-				// reading them again.
-				if known.ContentEquals(after) {
-					continue
-				}
-			} else if fi.Size == after.Size {
-				// An edit no scan has seen, or a half-apply recovery
-				// restored: only the bytes can tell.
-				if data, err := c.folder.ReadFile(path); err == nil {
-					if snap, _ := c.chunkFile(localfs.FileInfo{Path: path, ModTime: fi.ModTime}, data); snap.ContentEquals(after) {
-						continue
-					}
-				}
-			}
-		}
-		f := &pendingFile{snap: after, parts: make([][]byte, len(after.SegmentIDs))}
-		for i, id := range after.SegmentIDs {
-			seg, ok := to.Segment(id)
-			if !ok {
-				return applied, fmt.Errorf("core: file %s references unknown segment %s", path, id)
-			}
-			if data, cached := c.cachedSegment(id); cached {
-				f.parts[i] = data
-				continue
-			}
-			item, err := downloadItem(seg, nil)
-			if err != nil {
-				return applied, err
-			}
-			f.missing++
-			itemFiles = append(itemFiles, f)
-			itemSegs = append(itemSegs, seg)
-			item.Done = func(blocks map[int][]byte) {
-				data, excluded, err := c.decodeAndVerify(seg, blocks)
-				if err != nil {
-					if errors.Is(err, errDecodeMismatch) {
-						// Defer the replacement fetch to after the batch.
-						corruptRetries = append(corruptRetries, corruptRetry{
-							f: f, part: i, seg: seg, excluded: excluded,
-						})
-						return
-					}
-					writeErrs[f.snap.Path] = err
-					return
-				}
-				f.parts[i] = data
-				f.missing--
-				if f.missing == 0 {
-					finish(f)
-				}
-			}
-			items = append(items, item)
-		}
-		if f.missing == 0 {
-			// Everything served from the local segment cache.
-			finish(f)
-			continue
-		}
-		files = append(files, f)
-	}
-
-	if len(items) > 0 {
-		if _, err := c.engine.DownloadBatch(ctx, items); err != nil {
-			return applied, err
-		}
-	}
-	// Classify plans the batch could not complete: when corrupt copies
-	// (detected by their stamped checksums) exhausted a segment's
-	// holders, the file fails loudly as data corruption, not as a
-	// generic availability problem.
-	for i := range items {
-		if items[i].Plan.Done() {
-			continue
-		}
-		f := itemFiles[i]
-		if writeErrs[f.snap.Path] != nil {
-			continue
-		}
-		if n := items[i].Plan.CorruptCount(); n > 0 {
-			writeErrs[f.snap.Path] = fmt.Errorf("core: segment %s: %w after %d corrupt block fetches: %w",
-				itemSegs[i].ID, transfer.ErrSegmentUnrecoverable, n, cloud.ErrCorrupt)
-		}
-	}
-	// Replacement fetches for segments whose first decode failed
-	// content verification, excluding the poisoned copies. A segment
-	// that cannot be reconstructed cleanly fails its file loudly with
-	// cloud.ErrCorrupt (via reconstructVerified's fetch path) — the
-	// half-applied journal intent keeps the pass resumable.
-	for _, cr := range corruptRetries {
-		if writeErrs[cr.f.snap.Path] != nil {
-			continue
-		}
-		blocks, err := c.fetchBlocksExcluding(ctx, cr.seg, cr.excluded)
-		if err != nil {
-			writeErrs[cr.f.snap.Path] = fmt.Errorf("core: segment %s: content verification failed and no clean replacement blocks: %w (%v)",
-				cr.seg.ID, cloud.ErrCorrupt, err)
-			continue
-		}
-		data, _, err := c.decodeAndVerify(cr.seg, blocks)
-		if err != nil {
-			writeErrs[cr.f.snap.Path] = fmt.Errorf("core: segment %s: content verification failed after excluding %d suspect blocks: %w",
-				cr.seg.ID, len(cr.excluded), cloud.ErrCorrupt)
-			continue
-		}
-		c.cfg.Obs.Counter("core.decode.exclusion_retries").Inc()
-		cr.f.parts[cr.part] = data
-		cr.f.missing--
-		if cr.f.missing == 0 {
-			finish(cr.f)
-		}
-	}
-	for _, f := range files {
-		if err := writeErrs[f.snap.Path]; err != nil {
-			return applied, err
-		}
-		if f.missing > 0 {
-			return applied, fmt.Errorf("core: file %s: %w", f.snap.Path, transfer.ErrSegmentUnrecoverable)
-		}
-	}
-	// Report write failures in diff order, not map order, so a pass
-	// that trips several returns the same error every time.
-	for _, path := range diff.Paths() {
-		if err, ok := writeErrs[path]; ok {
-			return applied, fmt.Errorf("core: applying %s: %w", path, err)
-		}
-	}
-	if crashed {
-		return applied, ErrCrashInjected
-	}
-	if intentID != "" {
-		// Every path landed; the half-applied window is closed.
-		if err := c.journal.Clear(intentID); err != nil {
-			return applied, err
-		}
-	}
-	return applied, nil
-}
-
-// unchangedSince reports that the file fi describes still holds the
-// content of snap, the snapshot this device last knew at the path: its
-// size and mtime are the ones the scanner baseline holds — no edit has
-// gone unscanned — and the ones snap was taken (or written) with.
-func (c *Client) unchangedSince(fi localfs.FileInfo, snap *meta.Snapshot) bool {
-	if snap == nil || snap.Deleted || fi.Size != snap.Size || !fi.ModTime.Equal(snap.ModTime) {
-		return false
-	}
-	base, _ := c.scanner.BaselineFor([]string{fi.Path})
-	return len(base) == 1 && base[0].Size == fi.Size && base[0].ModTime.Equal(fi.ModTime)
-}
-
-// gcSegments deletes the coded blocks of segments that disappeared
-// from the pool between two committed images (their refcount reached
-// zero), and drops the local content cache for segments now safely
-// committed.
-//
-// paths narrows the work to the files that actually changed between
-// the images (from diffForApply's chain walk): only their entries can
-// have shed or gained segment references, so only their segments are
-// inspected — O(changes). nil paths means the span was not chain-
-// covered and both whole pools are compared, the O(folder) fallback.
-func (c *Client) gcSegments(ctx context.Context, from, to *meta.Image, paths []string) {
-	var committed []string
-	dead := make(map[string]*meta.Segment)
-	if paths == nil {
-		for id := range to.AllSegments() {
-			committed = append(committed, id)
-		}
-		for id, seg := range from.AllSegments() {
-			if _, alive := to.Segment(id); !alive {
-				dead[id] = seg
-			}
-		}
-	} else {
-		seen := make(map[string]bool)
-		for _, p := range paths {
-			if e := to.Lookup(p); e != nil {
-				for _, snap := range e.Snapshots {
-					for _, id := range snap.SegmentIDs {
-						if !seen[id] {
-							seen[id] = true
-							committed = append(committed, id)
-						}
-					}
-				}
-			}
-			// Every snapshot of the old entry, not just the current one:
-			// a conflict-retaining entry holds references beyond Current().
-			if e := from.Lookup(p); e != nil {
-				for _, snap := range e.Snapshots {
-					for _, id := range snap.SegmentIDs {
-						if _, alive := to.Segment(id); alive {
-							continue
-						}
-						if seg, ok := from.Segment(id); ok {
-							dead[id] = seg
-						}
-					}
-				}
-			}
-		}
-	}
-	c.dropSegmentCache(committed)
-	// One batch for the whole pass: the deletes of every dead segment
-	// overlap, per cloud, instead of costing one API latency each.
-	var doomed []transfer.BlockRef
-	for id, seg := range dead {
-		for _, b := range seg.Blocks {
-			doomed = append(doomed, transfer.BlockRef{SegID: id, BlockID: b.BlockID, Cloud: b.CloudID})
-		}
-	}
-	c.engine.DeleteBlocks(ctx, doomed)
 }

@@ -113,6 +113,15 @@ type Record struct {
 	Changes []*meta.Change `json:"changes"`
 }
 
+// maxTailBytes caps the active delta tail: when the sealed tail would
+// exceed it, the tail is frozen into an immutable chunk object
+// (delta.v<firstVersion>) uploaded once, and the tail restarts empty.
+// Commits therefore re-encode and re-upload only the records since the
+// last freeze — O(recent changes) — instead of the whole chain since
+// the last base rotation, which grows with folder size (a single
+// post-populate relocation commit can hold thousands of records).
+const maxTailBytes = 64 * 1024
+
 // Config parametrizes the store.
 type Config struct {
 	// Device is this device's name, stamped into commits.
@@ -125,15 +134,6 @@ type Config struct {
 	// 10 KB.
 	LambdaFrac float64
 	LambdaMin  int
-	// ChunkBytes caps the active delta tail: when the sealed tail
-	// would exceed it, the tail is frozen into an immutable chunk
-	// object (delta.v<firstVersion>) uploaded once, and the tail
-	// restarts empty. Commits therefore re-encode and re-upload only
-	// the records since the last freeze — O(recent changes) — instead
-	// of the whole chain since the last base rotation, which grows
-	// with folder size (a single post-populate relocation commit can
-	// hold thousands of records). Default 64 KB.
-	ChunkBytes int
 	// LazyBase skips encoding and encrypting the full image on commits
 	// that do not rotate the base (the common case) — the dominant
 	// per-commit CPU cost once folders grow large. λ is then computed
@@ -156,9 +156,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.LambdaMin <= 0 {
 		c.LambdaMin = DefaultLambdaMin
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 64 * 1024
 	}
 }
 
@@ -878,7 +875,7 @@ func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats
 	// A tail past the chunk cap is frozen with this commit: the tail
 	// (including the new record) is uploaded once as an immutable
 	// chunk and the active tail restarts empty.
-	freeze := !rotate && len(tailBlob) > s.cfg.ChunkBytes
+	freeze := !rotate && len(tailBlob) > maxTailBytes
 	var chunk string
 	if freeze {
 		chunk = chunkName(tail[0].Version)

@@ -18,6 +18,7 @@ package erasure
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"unidrive/internal/gf256"
 )
@@ -44,6 +45,29 @@ func NewCoder(k, n int) (*Coder, error) {
 		return nil, fmt.Errorf("erasure: invalid parameters k=%d n=%d", k, n)
 	}
 	return &Coder{k: k, n: n, enc: gf256.Cauchy(n, k), dec: newDecodeCache()}, nil
+}
+
+// coders holds CoderFor's coders, [2]int{k, n} -> *Coder.
+var coders sync.Map
+
+// CoderFor returns the process-wide (k, n) coder of the on-cloud block
+// format, building it on first use; every component that encodes or
+// decodes stored blocks (upload, download, rebalance, scrub repair)
+// shares it and its decode-matrix cache. It must be the non-systematic
+// code: the format never stores a plaintext shard, so a reader or
+// repairer speaking any other code could neither reconstruct a segment
+// nor re-encode a block the uploader's metadata describes.
+func CoderFor(k, n int) (*Coder, error) {
+	key := [2]int{k, n}
+	if c, ok := coders.Load(key); ok {
+		return c.(*Coder), nil
+	}
+	c, err := NewCoder(k, n)
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := coders.LoadOrStore(key, c)
+	return shared.(*Coder), nil
 }
 
 // NewSystematicCoder returns a (k, n) coder whose first k blocks are

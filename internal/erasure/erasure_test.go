@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +35,41 @@ func TestNewCoderValidation(t *testing.T) {
 		if (err != nil) != tt.wantErr {
 			t.Errorf("NewCoder(%d, %d) error = %v, wantErr %v", tt.k, tt.n, err, tt.wantErr)
 		}
+	}
+}
+
+// TestCoderForSharesOneCoder: every caller of a (k, n), from any
+// goroutine, gets the same non-systematic coder; bad parameters are an
+// error and cache nothing.
+func TestCoderForSharesOneCoder(t *testing.T) {
+	const callers = 16
+	got := make([]*Coder, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := CoderFor(4, 11)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = c
+		}()
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c == nil || c != got[0] {
+			t.Fatalf("caller %d got coder %p, caller 0 got %p", i, c, got[0])
+		}
+	}
+	if got[0].Systematic() || got[0].K() != 4 || got[0].N() != 11 {
+		t.Fatalf("CoderFor(4, 11) = systematic %v, k %d, n %d", got[0].Systematic(), got[0].K(), got[0].N())
+	}
+	if other, _ := CoderFor(4, 12); other == got[0] {
+		t.Fatal("CoderFor(4, 12) returned the (4, 11) coder")
+	}
+	if _, err := CoderFor(5, 3); err == nil {
+		t.Fatal("CoderFor(5, 3) succeeded")
 	}
 }
 

@@ -67,9 +67,6 @@ var ErrLost = errors.New("qlock: lock lost")
 type Config struct {
 	// Device is this device's unique name.
 	Device string
-	// LockDir is the lock directory path on every cloud.
-	// Defaults to DefaultLockDir.
-	LockDir string
 	// Expiry is ΔT: how long a lock file may sit unrefreshed before
 	// other devices break it. Defaults to DefaultExpiry.
 	Expiry time.Duration
@@ -98,9 +95,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.LockDir == "" {
-		c.LockDir = DefaultLockDir
-	}
 	if c.Expiry <= 0 {
 		c.Expiry = DefaultExpiry
 	}
@@ -271,7 +265,7 @@ func (m *Manager) tryOnce(ctx context.Context, name string) int {
 		// Too few live clouds to possibly win; send nothing.
 		return 0
 	}
-	path := cloud.JoinPath(m.cfg.LockDir, name)
+	path := cloud.JoinPath(DefaultLockDir, name)
 	var wg sync.WaitGroup
 	uploaded := make([]bool, len(m.clouds))
 	for i, c := range m.clouds {
@@ -317,7 +311,7 @@ func (m *Manager) tryOnce(ctx context.Context, name string) int {
 // first seen by this manager more than Expiry ago — are broken
 // (deleted) and ignored.
 func (m *Manager) checkCloud(ctx context.Context, c cloud.Interface) bool {
-	entries, err := c.List(ctx, m.cfg.LockDir)
+	entries, err := c.List(ctx, DefaultLockDir)
 	if err != nil {
 		return false
 	}
@@ -333,7 +327,7 @@ func (m *Manager) checkCloud(ctx context.Context, c cloud.Interface) bool {
 			// Obsolete: the holder crashed or lost connectivity.
 			// Break the lock (paper §5.2 lock-breaking).
 			m.cfg.Obs.Counter("qlock.broken_locks").Inc()
-			_ = c.Delete(ctx, cloud.JoinPath(m.cfg.LockDir, name))
+			_ = c.Delete(ctx, cloud.JoinPath(DefaultLockDir, name))
 			continue
 		}
 		m.cfg.Obs.Counter("qlock.contended_checks").Inc()
@@ -432,7 +426,7 @@ func (m *Manager) deleteOwnLocks(ctx context.Context) {
 		go func(c cloud.Interface) {
 			defer wg.Done()
 			for _, name := range names {
-				_ = c.Delete(ctx, cloud.JoinPath(m.cfg.LockDir, name))
+				_ = c.Delete(ctx, cloud.JoinPath(DefaultLockDir, name))
 			}
 		}(c)
 	}
@@ -504,8 +498,8 @@ func (l *Lock) refreshOnce(ctx context.Context) {
 	oldName := l.name
 	l.mu.Unlock()
 
-	newPath := cloud.JoinPath(m.cfg.LockDir, newName)
-	oldPath := cloud.JoinPath(m.cfg.LockDir, oldName)
+	newPath := cloud.JoinPath(DefaultLockDir, newName)
+	oldPath := cloud.JoinPath(DefaultLockDir, oldName)
 	admitted := m.admitted()
 	var wg sync.WaitGroup
 	held := make([]bool, len(m.clouds))

@@ -153,9 +153,8 @@ type Report struct {
 // Scrubber walks committed segments verifying block integrity. Not
 // safe for concurrent cycles; run one at a time.
 type Scrubber struct {
-	cfg    Config
-	reg    *obs.Registry
-	coders map[[2]int]*erasure.Coder
+	cfg Config
+	reg *obs.Registry
 	// elig is where repairs and re-expansions may be written.
 	elig transfer.Eligibility
 }
@@ -172,10 +171,9 @@ func New(cfg Config) (*Scrubber, error) {
 		cfg.Clock = vclock.Real{}
 	}
 	return &Scrubber{
-		cfg:    cfg,
-		reg:    cfg.Obs,
-		coders: make(map[[2]int]*erasure.Coder),
-		elig:   transfer.Eligibility{Capacity: cfg.Capacity},
+		cfg:  cfg,
+		reg:  cfg.Obs,
+		elig: transfer.Eligibility{Capacity: cfg.Capacity},
 	}, nil
 }
 
@@ -394,7 +392,7 @@ func (s *cycle) checkSegment(ctx context.Context, seg *meta.Segment) (*segDamage
 	}
 	rep := s.rep
 	shardSize := 0
-	if coder, err := s.coder(seg.K, seg.N); err == nil {
+	if coder, err := erasure.CoderFor(seg.K, seg.N); err == nil {
 		shardSize = coder.ShardSize(seg.Length)
 	}
 	for _, loc := range seg.Blocks {
@@ -469,7 +467,7 @@ func (s *cycle) checkSegment(ctx context.Context, seg *meta.Segment) (*segDamage
 // re-encoded; the caller must release d.enc.
 func (s *Scrubber) reconstruct(d *segDamage) bool {
 	seg := d.seg
-	coder, err := s.coder(seg.K, seg.N)
+	coder, err := erasure.CoderFor(seg.K, seg.N)
 	if err != nil {
 		return false
 	}
@@ -799,22 +797,6 @@ func (s *Scrubber) release(cloudName string) {
 	if s.cfg.Fair != nil {
 		s.cfg.Fair.Release(cloudName, s.cfg.Tenant)
 	}
-}
-
-func (s *Scrubber) coder(k, n int) (*erasure.Coder, error) {
-	key := [2]int{k, n}
-	if c, ok := s.coders[key]; ok {
-		return c, nil
-	}
-	// Non-systematic, matching the upload path (internal/core): the
-	// on-cloud block format never stores plaintext shards, so the
-	// scrubber must speak the same code to reconstruct and re-encode.
-	c, err := erasure.NewCoder(k, n)
-	if err != nil {
-		return nil, err
-	}
-	s.coders[key] = c
-	return c, nil
 }
 
 func sortedKeys[V any](m map[int]V) []int {

@@ -255,7 +255,12 @@ func (b *downloadBatch) admits(i int, name string, live []string) bool {
 		b.e.cfg.ConnsPerCloud, b.items[i].Size, b.unassigned)
 }
 
-// hedgeDeadline is the straggler threshold: the configured quantile of
+// hedgeQuantile is the latency quantile of the observed download block
+// histogram past which an in-flight download counts as a straggler and
+// earns a duplicate (hedged) request on a spare cloud.
+const hedgeQuantile = 0.95
+
+// hedgeDeadline is the straggler threshold: the hedgeQuantile of
 // observed block latencies, falling back to a fixed delay until the
 // histogram is populated (Aktaş et al.: duplicate the slow reads, take
 // the fastest responses).
@@ -264,7 +269,7 @@ func (b *downloadBatch) hedgeDeadline() time.Duration {
 	if cfg.Obs != nil {
 		h := cfg.Obs.Histogram("transfer.down.block_seconds")
 		if h.Count() >= int64(cfg.HedgeMinSamples) {
-			if q := h.Quantile(cfg.HedgeQuantile); q > 0 {
+			if q := h.Quantile(hedgeQuantile); q > 0 {
 				return time.Duration(q * float64(time.Second))
 			}
 		}

@@ -67,13 +67,8 @@ type Config struct {
 	// evidence. Downloads are unaffected: a full cloud still serves
 	// every read. nil disables capacity gating.
 	Capacity *capacity.Tracker
-	// HedgeQuantile is the latency quantile of the observed download
-	// block histogram past which an in-flight download counts as a
-	// straggler and earns a duplicate (hedged) request on a spare
-	// cloud. Default 0.95.
-	HedgeQuantile float64
 	// HedgeMinSamples is the minimum histogram population before the
-	// quantile deadline is trusted; below it HedgeFallbackDelay is
+	// hedgeQuantile deadline is trusted; below it HedgeFallbackDelay is
 	// used. Default 8.
 	HedgeMinSamples int
 	// HedgeFallbackDelay is the straggler deadline used while the
@@ -108,9 +103,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real{}
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
 	}
 	if c.HedgeMinSamples <= 0 {
 		c.HedgeMinSamples = 8

@@ -1,12 +1,15 @@
 #!/bin/sh
-# Tier-1 gate, runnable without make: vet, build, full test suite, the
-# race detector over the concurrent data-plane packages, the benchmark
-# module, and the shipped §3.2 output.
+# Tier-1 gate, runnable without make: vet, the function-length gate,
+# build, full test suite, the race detector over the concurrent
+# data-plane packages, the benchmark module, and the shipped §3.2 output.
 set -eu
 cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== no function over 100 lines in internal/core, internal/transfer"
+./scripts/funclen.sh 100 internal/core internal/transfer
 
 echo "== go build ./..."
 go build ./...
