@@ -282,13 +282,7 @@ func newStack(cfg Config, params sched.Params, raw []cloud.Interface, prober *sc
 		Fair:          cfg.Fair,
 		Tenant:        cfg.TenantID,
 	})
-	// LazyBase: the client never needs the store's full-image encode on
-	// commits that don't rotate — with event-driven passes the commit
-	// rate goes up and the per-commit cost must stay O(changes), not
-	// O(folder).
-	st.store = deltasync.New(st.clouds, cipher, deltasync.Config{
-		Device: cfg.Device, LazyBase: true, Obs: cfg.Obs,
-	})
+	st.store = deltasync.New(st.clouds, cipher, deltasync.Config{Device: cfg.Device, Obs: cfg.Obs})
 	st.locks = qlock.New(st.clouds, qlock.Config{
 		Device: cfg.Device,
 		Expiry: cfg.LockExpiry,

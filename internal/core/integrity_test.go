@@ -89,7 +89,7 @@ func stripStamps(t *testing.T, c *Client, segID string, blockIDs ...int) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	c.setLast(c.store.Cached())
+	c.setLast(c.store.CachedShared().Clone())
 }
 
 // reshapeSegment commits a deterministic placement for one segment —
@@ -141,7 +141,7 @@ func reshapeSegment(t *testing.T, c *Client, seg *meta.Segment) *meta.Segment {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	c.setLast(c.store.Cached())
+	c.setLast(c.store.CachedShared().Clone())
 	return shaped
 }
 

@@ -172,43 +172,6 @@ func surplusBlocks(seg *meta.Segment, fair int, onCloud func(cloudName string) b
 	return out
 }
 
-// GCOrphanBlocks deletes coded blocks that exist in the clouds'
-// block directories but are referenced by no segment in the committed
-// metadata. Orphans arise when a device uploads blocks and then fails
-// before committing (the paper mandates blocks-before-metadata, so
-// crashes leak blocks, never metadata). It returns the number of
-// blocks removed.
-//
-// Only blocks whose segment is entirely absent from the pool are
-// collected: a known segment's unreferenced spare blocks may belong
-// to an in-flight upload on another device.
-//
-// Precondition: no device is uploading. GCOrphanBlocks takes no lock
-// and cannot tell a crashed upload's blocks from those of an upload in
-// flight on another device whose metadata is not committed yet —
-// blocks always land before the metadata that names them — so run
-// against a live writer it deletes that writer's blocks. It is library
-// API for an operator who knows the folder is quiescent; the safe path
-// after a crash is Recover, which reclaims only what this device's own
-// journal names.
-func (c *Client) GCOrphanBlocks(ctx context.Context) (int, error) {
-	img, err := c.store.Refresh(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return c.engine.DeleteBlocks(ctx, orphanBlocks(img, c.engine.Survey(ctx))), nil
-}
-
-// orphanBlocks returns the surveyed blocks whose segment the image
-// does not know. A cloud whose listing failed contributes none: its
-// orphans are collected on a later pass.
-func orphanBlocks(img *meta.Image, sv *transfer.Survey) []transfer.BlockRef {
-	return sv.Blocks(func(segID string) bool {
-		_, known := img.Segment(segID)
-		return !known
-	})
-}
-
 // FsckReport is the result of a metadata-vs-clouds existence check.
 type FsckReport struct {
 	// AtRisk lists segments with fewer than K blocks confirmed or

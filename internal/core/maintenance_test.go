@@ -68,38 +68,6 @@ func TestTrimOverProvisionedReclaimsSpace(t *testing.T) {
 	}
 }
 
-func TestGCOrphanBlocksRemovesLeakedBlocks(t *testing.T) {
-	r := newRig(5)
-	a, fa := r.device(t, "alpha")
-	writeFile(t, fa, "real.bin", randContent(22, 4000))
-	syncOK(t, a)
-	before := totalBlocks(r)
-
-	// Simulate a crashed device that uploaded blocks but never
-	// committed: orphan blocks under a segment ID no metadata knows.
-	ctx := context.Background()
-	for i, cl := range a.clouds[:3] {
-		path := a.engine.BlockPath("deadbeefcafe0000000000000000000000000000", i)
-		if err := cl.Upload(ctx, path, []byte("orphan")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	removed, err := a.GCOrphanBlocks(ctxT(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 3 {
-		t.Fatalf("removed %d orphans, want 3", removed)
-	}
-	if got := totalBlocks(r); got != before {
-		t.Fatalf("block count %d after GC, want %d (live blocks untouched)", got, before)
-	}
-	// Live content unaffected.
-	if _, err := a.Get(ctxT(t), "real.bin"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFsckReportsAtRiskSegments(t *testing.T) {
 	r := newRig(5)
 	a, fa := r.device(t, "alpha")

@@ -193,8 +193,8 @@ func restoreCheckpoint(device string, base []byte, readDelta func(n int) ([]byte
 			// frozen chunks.
 			continue
 		}
-		next, ok := replayRecords(st.img, d.Records)
-		if !ok {
+		next, err := deltasync.Replay(st.img, d.Records)
+		if err != nil {
 			st.truncated = true
 			return st, "", nil
 		}
@@ -207,25 +207,6 @@ func restoreCheckpoint(device string, base []byte, readDelta func(n int) ([]byte
 		}
 		st.deltaBytes += len(data)
 	}
-}
-
-// replayRecords applies records that must chain contiguously from img,
-// exactly as the store applied them (one copy-on-write step per
-// record), so the result encodes byte-identically to the image the
-// live client held.
-func replayRecords(img *meta.Image, records []deltasync.Record) (*meta.Image, bool) {
-	for _, r := range records {
-		if r.Version != img.Version+1 {
-			return nil, false
-		}
-		next, err := img.ApplyCOW(r.Changes, r.Device)
-		if err != nil {
-			return nil, false
-		}
-		next.Version, next.Device = r.Version, r.Device
-		img = next
-	}
-	return img, true
 }
 
 // checkpointCursor is the client's view of its checkpoint files, kept

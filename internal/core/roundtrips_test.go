@@ -162,7 +162,6 @@ func TestMaintenanceRequestBudget(t *testing.T) {
 		{"Scrub(false)", func() error { _, err := c.Scrub(ctxT(t), false); return err }},
 		{"Scrub(true)", func() error { _, err := c.Scrub(ctxT(t), true); return err }},
 		{"Fsck", func() error { _, err := c.Fsck(ctxT(t)); return err }},
-		{"GCOrphanBlocks", func() error { _, err := c.GCOrphanBlocks(ctxT(t)); return err }},
 	} {
 		metadata, blocks := during(entry.run)
 		if metadata != stampGETs {

@@ -110,7 +110,7 @@ func TestCheckRemoteDetectsPendingUpdate(t *testing.T) {
 	s1 := r.store(t, "d1", Config{})
 	s2 := r.store(t, "d2", Config{})
 
-	pending, err := s2.CheckRemote(context.Background())
+	pending, _, err := s2.checkRemote(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestCheckRemoteDetectsPendingUpdate(t *testing.T) {
 	if _, err := s1.Commit(context.Background(), []*meta.Change{addChange("a", "s1")}); err != nil {
 		t.Fatal(err)
 	}
-	pending, err = s2.CheckRemote(context.Background())
+	pending, _, err = s2.checkRemote(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCheckRemoteDetectsPendingUpdate(t *testing.T) {
 	if _, err := s2.fetchAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	pending, err = s2.CheckRemote(context.Background())
+	pending, _, err = s2.checkRemote(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCheckRemoteIsCheap(t *testing.T) {
 	}
 	before := rec.Counts().Download
 	for i := 0; i < 5; i++ {
-		pending, err := probe.CheckRemote(context.Background())
+		pending, _, err := probe.checkRemote(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,8 @@ func TestCheckRemoteIsCheap(t *testing.T) {
 func TestDeltaAccumulatesThenRotates(t *testing.T) {
 	r := newRig(3)
 	// Tiny λ floor so rotation happens quickly.
-	s := r.store(t, "d1", Config{LambdaMin: 1500, LambdaFrac: 0.0001})
+	s := r.store(t, "d1", Config{})
+	s.lambda = func(int) int { return 1500 }
 	var rotated, appended int
 	for i := 0; i < 12; i++ {
 		stats, err := s.Commit(context.Background(), []*meta.Change{
@@ -222,7 +223,16 @@ func TestDeltaTrafficSmallerThanFullImage(t *testing.T) {
 		} else {
 			withDelta += int64(stats.DeltaBytes)
 		}
-		withoutDelta += int64(stats.FullImageBytes)
+		// Without Delta-sync every commit uploads the whole sealed image.
+		plain, err := s.CachedShared().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := s.cipher.Seal(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withoutDelta += int64(len(full))
 	}
 	if withDelta*2 >= withoutDelta {
 		t.Fatalf("delta-sync traffic %dB not substantially below full-image traffic %dB",
@@ -309,7 +319,7 @@ func TestCheckRemoteAllCloudsDown(t *testing.T) {
 	for _, f := range r.flaky {
 		f.SetDown(true)
 	}
-	if _, err := r.store(t, "d1", Config{}).CheckRemote(context.Background()); err == nil {
+	if _, _, err := r.store(t, "d1", Config{}).checkRemote(context.Background()); err == nil {
 		t.Fatal("version check succeeded with all clouds down")
 	}
 }
@@ -399,7 +409,8 @@ func TestRecordsSinceCoversOnlyTheCachedChain(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(3)
 	// A huge floor keeps the first three commits in the delta log.
-	s := r.store(t, "d1", Config{LambdaMin: 1 << 30})
+	s := r.store(t, "d1", Config{})
+	s.lambda = func(int) int { return 1 << 30 }
 	for i := 1; i <= 3; i++ {
 		if _, err := s.Commit(ctx, []*meta.Change{addChange(fmt.Sprintf("f%d", i), fmt.Sprintf("s%d", i))}); err != nil {
 			t.Fatal(err)
@@ -424,7 +435,8 @@ func TestRecordsSinceCoversOnlyTheCachedChain(t *testing.T) {
 
 	// A rotation folds the chain into the base: spans from before it are
 	// no longer covered, by this store or by one that fetches afterwards.
-	rotating := r.store(t, "d2", Config{LambdaMin: 1})
+	rotating := r.store(t, "d2", Config{})
+	rotating.lambda = func(int) int { return 1 }
 	if _, err := rotating.fetchAll(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,8 @@ func TestRefreshIncrementalSkipsBaseDownload(t *testing.T) {
 func TestRefreshFallsBackToFullAfterRotation(t *testing.T) {
 	r := newRig(3)
 	// Tiny λ floor: every commit rotates the base.
-	writer := r.store(t, "dW", Config{LambdaMin: 1})
+	writer := r.store(t, "dW", Config{})
+	writer.lambda = func(int) int { return 1 }
 	if _, err := writer.Commit(context.Background(), []*meta.Change{addChange("a.txt", "s1")}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +157,75 @@ func TestRefreshFallsBackToFullAfterRotation(t *testing.T) {
 	}
 }
 
+// A chunk of the reader's lineage that outlives the rotation (the
+// delete is best effort) extends a reader standing inside it — but only
+// to the chunk's end, short of the stamp the cloud advertises. That is
+// not a catch-up: counted as one, the reader's next commit would repair
+// every cloud back to the chunk's end and lose the commits after it.
+func TestRefreshStoppingShortOfTheStampTakesTheFullPath(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		commitAfter bool // a record of the new lineage in the tail, or an empty tail
+	}{
+		{"new-lineage tail", true},
+		{"empty tail", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			r := newRig(3)
+			w := chunkedWriter(t, r)
+			first := w.Stamp().Version + 1
+			appendBatch(t, r, w)
+			reg := obs.NewRegistry()
+			reader := r.store(t, "dR", Config{Obs: reg})
+			if _, err := reader.fetchAll(ctx); err != nil {
+				t.Fatal(err)
+			}
+			appendUntilFreeze(t, r, w)
+			stale := download(t, r.stores[0], chunkName(first))
+			if end := w.Stamp().Version; reader.Stamp().Version < first || reader.Stamp().Version >= end {
+				t.Fatalf("reader at v%d does not stand inside the chunk v%d..v%d", reader.Stamp().Version, first, end)
+			}
+			for rotated := false; !rotated; {
+				stats, err := w.Commit(ctx, batch(fmt.Sprintf("r%d", w.Stamp().Version), 40))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rotated = stats.BaseRotated
+			}
+			for _, st := range r.stores {
+				upload(t, st, chunkName(first), stale)
+			}
+			if tc.commitAfter {
+				if _, err := w.Commit(ctx, batch("after", 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			committed := w.Stamp().Version
+			img, err := reader.Refresh(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSameImage(t, "reader inside the surviving chunk", img, w.CachedShared())
+			if inc, full := reg.Counter("deltasync.refresh.incremental").Value(), reg.Counter("deltasync.refresh.full").Value(); inc != 0 || full != 1 {
+				t.Errorf("refresh counters: incremental %d, full %d; want 0, 1", inc, full)
+			}
+			// The reader's commit lands on top of the writer's, for everyone.
+			if _, err := reader.Commit(ctx, batch("reader", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if img, err = w.Refresh(ctx); err != nil {
+				t.Fatal(err)
+			}
+			wantSameImage(t, "writer after the reader's commit", img, reader.CachedShared())
+			if img.Version != committed+1 || img.Lookup("dir/reader-0000.dat").Current() == nil {
+				t.Errorf("reader's commit is v%d, want v%d on top of the writer's v%d", img.Version, committed+1, committed)
+			}
+		})
+	}
+}
+
 func TestCachedSharedMatchesCached(t *testing.T) {
 	r := newRig(3)
 	s := r.store(t, "d1", Config{})
@@ -163,9 +233,9 @@ func TestCachedSharedMatchesCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := s.CachedShared()
-	clone := s.Cached()
+	clone := s.CachedShared().Clone()
 	if !imagesEqual(shared, clone) {
-		t.Fatal("CachedShared and Cached disagree")
+		t.Fatal("CachedShared and its clone disagree")
 	}
 	// The shared image must survive a subsequent commit unmutated.
 	if _, err := s.Commit(context.Background(), []*meta.Change{addChange("b.txt", "s2")}); err != nil {
@@ -181,7 +251,8 @@ func TestCachedSharedMatchesCached(t *testing.T) {
 
 func TestLazyBaseSkipsEncodeUntilRotation(t *testing.T) {
 	r := newRig(3)
-	lazy := r.store(t, "dL", Config{LazyBase: true, LambdaMin: 1024})
+	lazy := r.store(t, "dL", Config{})
+	lazy.lambda = func(baseLen int) int { return max(baseLen/4, 1024) }
 
 	stats, err := lazy.Commit(context.Background(), []*meta.Change{addChange("a.txt", "s1")})
 	if err != nil {
@@ -232,7 +303,7 @@ func TestLazyBaseSkipsEncodeUntilRotation(t *testing.T) {
 
 func TestLazyBaseRepairsStaleCloud(t *testing.T) {
 	r := newRig(3)
-	lazy := r.store(t, "dL", Config{LazyBase: true})
+	lazy := r.store(t, "dL", Config{})
 	if _, err := lazy.Commit(context.Background(), []*meta.Change{addChange("a.txt", "s1")}); err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func commitOne(t *testing.T, s *Store, path, seg string) CommitStats {
 func TestPollThenCommitIssuesNoStampGET(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(3)
-	s, recs := r.recordedStore(t, "d1", Config{LazyBase: true})
+	s, recs := r.recordedStore(t, "d1", Config{})
 	commitOne(t, s, "a", "s1")
 
 	for _, poll := range []struct {
@@ -79,7 +79,7 @@ func TestPollThenCommitIssuesNoStampGET(t *testing.T) {
 		run  func() error
 	}{
 		{"Refresh", func() error { _, err := s.Refresh(ctx); return err }},
-		{"CheckRemote", func() error { _, err := s.CheckRemote(ctx); return err }},
+		{"checkRemote", func() error { _, _, err := s.checkRemote(ctx); return err }},
 	} {
 		before := metaCounts(recs, versionFile)
 		if err := poll.run(); err != nil {
@@ -108,7 +108,7 @@ func TestPollThenCommitIssuesNoStampGET(t *testing.T) {
 // itself, and still repairs a cloud left one version behind.
 func TestCommitWithoutPollPollsAndRepairs(t *testing.T) {
 	r := newRig(3)
-	s, recs := r.recordedStore(t, "d1", Config{LazyBase: true})
+	s, recs := r.recordedStore(t, "d1", Config{})
 	commitOne(t, s, "a", "s1")
 	r.flaky[0].SetDown(true)
 	commitOne(t, s, "b", "s2") // cloud 0 stays at v1
@@ -155,7 +155,7 @@ func TestCommitWithoutPollPollsAndRepairs(t *testing.T) {
 func TestCloudUnreachableDuringPollIsNotUpToDate(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(3)
-	s, recs := r.recordedStore(t, "d1", Config{LazyBase: true})
+	s, recs := r.recordedStore(t, "d1", Config{})
 	commitOne(t, s, "a", "s1")
 
 	r.flaky[2].SetDown(true)

@@ -231,8 +231,8 @@ func TestFig13Shape(t *testing.T) {
 }
 
 // TestFig13Golden pins Fig 13 — the one byte-stable §7 table — to its
-// rendering at 256 files, recorded before the experiment table
-// replaced the per-figure option structs.
+// rendering at 256 files, on the store the client runs (the base
+// sealed only when a commit writes it; EXPERIMENTS.md "Figure 13").
 func TestFig13Golden(t *testing.T) {
 	want, err := os.ReadFile("testdata/fig13_files256.txt")
 	if err != nil {

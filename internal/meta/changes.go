@@ -100,15 +100,6 @@ func (c *Change) Encode() ([]byte, error) {
 	return data, nil
 }
 
-// DecodeChange parses a change serialized by Encode.
-func DecodeChange(data []byte) (*Change, error) {
-	var c Change
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("meta: decoding change: %w", err)
-	}
-	return &c, nil
-}
-
 // Apply applies the change to the image: upserts any new segments,
 // installs the snapshot (or tombstone) and leaves refcount
 // maintenance to RecountRefs.
@@ -137,9 +128,9 @@ func (im *Image) Apply(c *Change, device string) error {
 // untouched: the result shares every unchanged FileEntry and Segment
 // pointer with im (copy-on-write), refcounts are maintained
 // incrementally, and touched segments whose count reaches zero are
-// dropped from the pool. For an image with exact refcounts (anything
-// produced by materialization-plus-RecountRefs or by ApplyCOW itself)
-// the result is equivalent to Clone + Apply-per-change + RecountRefs +
+// dropped from the pool. For an image with exact refcounts (a decoded
+// base, anything RecountRefs ran over, or ApplyCOW's own output) the
+// result is equivalent to Clone + Apply-per-change + RecountRefs +
 // DropSegments — at O(changes) entry work plus O(changes) copied map
 // shards, instead of an O(folder) deep clone and recount. This is the
 // commit hot path for event-driven sync: a small commit into a large

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -58,8 +59,8 @@ func TestChangeEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeChange(data)
-	if err != nil {
+	got := new(Change)
+	if err := json.Unmarshal(data, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Type != ChangeAdd || got.Path != "dir/f.txt" {
@@ -70,9 +71,6 @@ func TestChangeEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if len(got.Segments) != 1 || !got.Segments[0].HasBlock(0, "c1") {
 		t.Fatal("segments lost")
-	}
-	if _, err := DecodeChange([]byte("{")); err == nil {
-		t.Fatal("bad JSON accepted")
 	}
 }
 

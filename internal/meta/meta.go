@@ -166,16 +166,6 @@ func (s *Segment) BlockSum(blockID int) uint32 {
 	return 0
 }
 
-// SetBlockSum stamps sum on every recorded location of blockID
-// (checksum backfill after a verified read).
-func (s *Segment) SetBlockSum(blockID int, sum uint32) {
-	for i := range s.Blocks {
-		if s.Blocks[i].BlockID == blockID {
-			s.Blocks[i].Checksum = sum
-		}
-	}
-}
-
 // Sums returns blockID → recorded checksum for every block that has
 // one; blocks from pre-checksum metadata are absent.
 func (s *Segment) Sums() map[int]uint32 {
@@ -425,8 +415,8 @@ func (im *Image) UpsertSegment(seg *Segment) {
 // content must stay recoverable). It returns the IDs of segments
 // whose count dropped to zero — candidates for garbage collection.
 // It mutates segment values in place, so it must only run on images
-// with owned values (fresh from Clone, DecodeImage or
-// materialization), never on ones sharing entries copy-on-write.
+// with owned values (fresh from Clone or DecodeImage), never on ones
+// sharing entries copy-on-write.
 func (im *Image) RecountRefs() []string {
 	for _, seg := range im.segments.All() {
 		seg.RefCount = 0
@@ -458,18 +448,6 @@ func (im *Image) DropSegments(ids []string) {
 	for _, id := range ids {
 		im.segments.Delete(id)
 	}
-}
-
-// TotalBytes returns the logical (pre-coding) byte count of all live
-// file content, counting deduplicated segments once.
-func (im *Image) TotalBytes() int64 {
-	var total int64
-	for _, seg := range im.segments.All() {
-		if seg.RefCount > 0 {
-			total += int64(seg.Length)
-		}
-	}
-	return total
 }
 
 // imageJSON is the wire form of Image: plain maps, the same JSON

@@ -159,18 +159,6 @@ func TestRefCountIncludesConflictCopies(t *testing.T) {
 	}
 }
 
-func TestTotalBytes(t *testing.T) {
-	im := NewImage()
-	im.SetSnapshot(snap("a", "d", "s1", "s2"))
-	im.SetSnapshot(snap("b", "d", "s1"))
-	im.UpsertSegment(seg("s1"))
-	im.UpsertSegment(seg("s2"))
-	im.RecountRefs()
-	if got := im.TotalBytes(); got != 200 { // s1 counted once
-		t.Fatalf("TotalBytes = %d, want 200 (dedup)", got)
-	}
-}
-
 func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 	im := NewImage()
 	im.Version = 42

@@ -8,8 +8,8 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
-echo "== no function over 100 lines in internal/core, internal/transfer"
-./scripts/funclen.sh 100 internal/core internal/transfer
+echo "== no function over 100 lines in internal/core, internal/transfer, internal/deltasync, internal/meta"
+./scripts/funclen.sh 100 internal/core internal/transfer internal/deltasync internal/meta
 
 echo "== go build ./..."
 go build ./...

@@ -17,6 +17,7 @@ internal/daemon    85.0
 internal/scrub     85.0
 internal/capacity  85.0
 internal/cloud     85.0
+internal/deltasync 85.0
 "
 PROFILE="${COVER_PROFILE:-/tmp/unidrive-cover.out}"
 
