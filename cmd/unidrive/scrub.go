@@ -68,6 +68,11 @@ func runScrub(args []string) error {
 		return err
 	}
 
+	// The repair commit starts from the device's checkpointed view, as
+	// `run` and `serve` do, not from v0.
+	if _, _, err := client.LoadState(); err != nil {
+		return err
+	}
 	rep, err := client.Scrub(ctx, *repair)
 	if err != nil {
 		return err

@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"unidrive/internal/journal"
-	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
 	"unidrive/internal/transfer"
 )
 
-// span is the stretch of committed history a pass applies: from the
-// device's view (Algorithm 1's v_o) to the head the store has cached.
+// span is the stretch of committed history a pass plans over: from the
+// device's view (Algorithm 1's v_o) to a head the store has cached.
 type span struct {
 	before, after *meta.Image
 	// diff is the per-path content difference and gcPaths the
@@ -22,8 +21,8 @@ type span struct {
 	gcPaths []string
 }
 
-func (c *Client) span() span {
-	sp := span{before: c.lastImage(), after: c.store.CachedShared()}
+func (c *Client) spanTo(head *meta.Image) span {
+	sp := span{before: c.lastImage(), after: head}
 	if sp.moved() {
 		sp.diff, sp.gcPaths = c.diffForApply(sp.before, sp.after)
 	}
@@ -34,38 +33,43 @@ func (sp span) moved() bool {
 	return sp.after.Version != sp.before.Version || sp.after.Device != sp.before.Device
 }
 
-// apply runs the stages after the commit: plan what the span changes
-// in the folder, fetch and write it, advance the device's view. When
-// nothing was committed anywhere it is a no-op that never materializes
-// or diffs an image. scanned lists the local changes this pass
-// committed, as the observer recorded them.
-func (c *Client) apply(ctx context.Context, scanned []*meta.Change, report *SyncReport) error {
-	sp := c.span()
-	report.Version = sp.after.Version
-	if !sp.moved() {
-		return nil
-	}
-	n, err := c.executeApply(ctx, sp, c.planApply(sp, scanned))
+// apply runs the stages after the commit: plan on the live folder over
+// the span from v_o to head — the pass's own commit, when it made one —
+// fetch and write, advance the device's view. local are the changes the
+// pass committed. When nothing was committed anywhere the span has not
+// moved, and planning it touches nothing.
+func (c *Client) apply(ctx context.Context, local []*meta.Change, head *meta.Image, report *SyncReport) error {
+	sp := c.spanTo(head)
+	n, err := c.execute(ctx, sp, c.plan(local, sp, c.folder), report)
+	report.CloudChanges = n
 	if err != nil {
 		return err
 	}
-	report.CloudChanges = n
-	c.advance(ctx, sp)
+	c.advance(ctx, head)
+	report.Version = c.lastImage().Version
 	return nil
 }
 
-// advance is a pass's last stage and the only code that moves the
-// device's view: v_o becomes the span's head, the blocks of segments
-// the span dropped are deleted, and the new state is checkpointed.
-// Callers have made the folder agree with the head first — a pass by
-// executing its apply plan, a maintenance commit (relocate) by checking
-// that the span changes no file.
-func (c *Client) advance(ctx context.Context, sp span) {
-	c.setLast(sp.after)
-	c.gcSegments(ctx, sp.before, sp.after, sp.gcPaths)
-	// Best effort: a failed checkpoint only costs restart efficiency,
-	// not correctness.
-	_ = c.checkpoint()
+// advance is an operation's last stage and the only code that moves the
+// device's view. The folder agrees with head — a pass executed its plan,
+// a maintenance commit writes no file — so v_o becomes head, or the
+// store's head when nothing committed after head changes a file
+// (relocates: the pass's own final placements, a maintenance commit,
+// another device's). The blocks of segments the span dropped are
+// deleted and the new state is checkpointed.
+func (c *Client) advance(ctx context.Context, head *meta.Image) {
+	if cur := c.store.CachedShared(); cur.Version > head.Version {
+		if d, _ := c.diffForApply(head, cur); len(d) == 0 {
+			head = cur
+		}
+	}
+	if sp := c.spanTo(head); sp.moved() {
+		c.setLast(sp.after)
+		c.gcSegments(ctx, sp.before, sp.after, sp.gcPaths)
+		// Best effort: a failed checkpoint only costs restart efficiency,
+		// not correctness.
+		_ = c.checkpoint()
+	}
 }
 
 // diffForApply computes the per-path difference between two cached
@@ -103,98 +107,6 @@ func (c *Client) diffForApply(before, after *meta.Image) (meta.Diff, []string) {
 	}
 	c.cfg.Obs.Counter("sync.diff.full").Inc()
 	return meta.DiffImages(before, after), nil
-}
-
-// applyOp is what the apply plan does with one path.
-type applyOp int
-
-const (
-	// applySkip leaves the path alone: the folder already agrees with
-	// the committed image there.
-	applySkip applyOp = iota
-	// applyRemove deletes the file.
-	applyRemove
-	// applyFetch downloads the committed content and writes it.
-	applyFetch
-)
-
-// applyAction is one step of an apply plan: the decision for one path
-// the span changed, and why.
-type applyAction struct {
-	op   applyOp
-	path string
-	// snap is the committed snapshot an applyFetch materializes.
-	snap   *meta.Snapshot
-	reason string
-}
-
-// The reasons an apply plan gives.
-const (
-	reasonDeleted       = "deleted remotely"
-	reasonAlreadyGone   = "deleted remotely; not in the folder"
-	reasonAbsent        = "not in the folder"
-	reasonKnownCurrent  = "the version this device last saw here is the committed one" // own commit, or a resumed apply
-	reasonKnownOutdated = "holds the version this device last saw, which is not the committed one"
-	reasonRehashedEqual = "unscanned bytes hash to the committed version"
-	reasonUnknownBytes  = "unscanned bytes differ from the committed version"
-)
-
-// planApply is the plan stage: it turns the span's diff, the folder's
-// stat and the content this device last knew at each path into one
-// action per changed path, in path order. It reads the folder (a stat
-// per path; the bytes only of a same-size file no scan has seen) and
-// touches nothing. The content last known at a path is what this pass
-// observed there (scanned), else what the image it had applied says.
-func (c *Client) planApply(sp span, scanned []*meta.Change) []applyAction {
-	ownScan := make(map[string]*meta.Snapshot, len(scanned))
-	for _, ch := range scanned {
-		if ch.Type != meta.ChangeRelocate {
-			ownScan[ch.Path] = ch.Snapshot
-		}
-	}
-	var actions []applyAction
-	for _, path := range sp.diff.Paths() {
-		after := sp.diff[path].After
-		if after == nil {
-			continue
-		}
-		known, observed := ownScan[path]
-		if !observed {
-			known = sp.before.Lookup(path).Current()
-		}
-		op, reason := c.planPath(path, after, known)
-		actions = append(actions, applyAction{op: op, path: path, snap: after, reason: reason})
-	}
-	return actions
-}
-
-// planPath decides one path: after is its committed snapshot, known the
-// content this device last saw there.
-func (c *Client) planPath(path string, after, known *meta.Snapshot) (applyOp, string) {
-	fi, err := c.folder.Stat(path)
-	present := err == nil
-	switch {
-	case after.Deleted && present:
-		return applyRemove, reasonDeleted
-	case after.Deleted:
-		return applySkip, reasonAlreadyGone
-	case !present:
-		return applyFetch, reasonAbsent
-	case c.unchangedSince(fi, known):
-		// The device knows what these bytes hash to without reading
-		// them again.
-		if known.ContentEquals(after) {
-			return applySkip, reasonKnownCurrent
-		}
-		return applyFetch, reasonKnownOutdated
-	case fi.Size == after.Size:
-		// An edit no scan has seen, or a half-apply recovery restored:
-		// only the bytes can tell.
-		if _, same := c.localMatches(path, after); same {
-			return applySkip, reasonRehashedEqual
-		}
-	}
-	return applyFetch, reasonUnknownBytes
 }
 
 // folderWriter is the write stage: removals and verified file content
@@ -239,32 +151,46 @@ func (w *folderWriter) landed() {
 	w.crashed = w.crashArmed && w.applied >= w.crashAfter
 }
 
-// executeApply carries out an apply plan — the fetch and write stages.
-// The touched paths are journaled before the first folder mutation (a
-// crash mid-apply leaves a half-written folder, and without a record
-// the next scan would re-detect the downloaded halves as local edits);
+// execute carries out a plan — the fetch and write stages. The touched
+// paths are journaled before the first folder mutation (a crash
+// mid-apply leaves a half-written folder, and without a record the next
+// scan would re-detect the downloaded halves as local edits); conflict
+// copies move the local bytes aside before anything writes their path;
 // removals are applied; every fetch goes through fetchFiles, each file
 // written the moment its last segment verifies. It returns the number
-// of folder mutations. A failure leaves the intent in the journal, so
-// the half-applied pass stays resumable.
-func (c *Client) executeApply(ctx context.Context, sp span, actions []applyAction) (int, error) {
-	if len(actions) == 0 {
-		return 0, nil
-	}
-	intentID := fmt.Sprintf("apply:%d-%d", sp.before.Version, sp.after.Version)
-	intent := &journal.Intent{ID: intentID, Kind: journal.KindApply, Device: c.cfg.Device, CreatedAt: c.cfg.Clock.Now()}
+// of files removed or written. A failure leaves the intent in the
+// journal, so the half-applied pass stays resumable.
+func (c *Client) execute(ctx context.Context, sp span, actions []applyAction, report *SyncReport) (int, error) {
+	id := fmt.Sprintf("apply:%d-%d", sp.before.Version, sp.after.Version)
+	intent := &journal.Intent{ID: id, Kind: journal.KindApply, Device: c.cfg.Device, CreatedAt: c.cfg.Clock.Now()}
 	var fetches []*meta.Snapshot
 	for _, a := range actions {
-		intent.Paths = append(intent.Paths, a.path)
-		if a.op == applyFetch {
+		switch a.op {
+		case applyConflictCopy:
+			intent.Paths = append(intent.Paths, a.copyPath)
+			fallthrough
+		case applyFetch:
 			fetches = append(fetches, a.snap)
+			fallthrough
+		case applyRemove:
+			intent.Paths = append(intent.Paths, a.path)
 		}
+	}
+	if len(intent.Paths) == 0 {
+		return 0, nil
 	}
 	if err := c.journal.Begin(intent); err != nil {
 		return 0, err
 	}
 	w := &folderWriter{c: c}
 	w.crashAfter, w.crashArmed = c.crashThreshold(CrashMidApply)
+	for _, a := range actions {
+		if a.op == applyConflictCopy {
+			if err := c.copyAside(a, report); err != nil {
+				return 0, err
+			}
+		}
+	}
 	for _, a := range actions {
 		if a.op == applyRemove {
 			if err := w.remove(a.path); err != nil {
@@ -282,19 +208,27 @@ func (c *Client) executeApply(ctx context.Context, sp span, actions []applyActio
 		return w.applied, ErrCrashInjected
 	}
 	// Every path landed; the half-applied window is closed.
-	return w.applied, c.journal.Clear(intentID)
+	return w.applied, c.journal.Clear(id)
 }
 
-// unchangedSince reports that the file fi describes still holds the
-// content of snap, the snapshot this device last knew at the path: its
-// size and mtime are the ones the scanner baseline holds — no edit has
-// gone unscanned — and the ones snap was taken (or written) with.
-func (c *Client) unchangedSince(fi localfs.FileInfo, snap *meta.Snapshot) bool {
-	if snap == nil || snap.Deleted || fi.Size != snap.Size || !fi.ModTime.Equal(snap.ModTime) {
-		return false
+// copyAside is a conflict copy's local half: the bytes at the path go
+// to the copy path. A scanned edit's copy is committed already and is
+// written as its snapshot; an unscanned edit's copy is a new file, which
+// the next scan commits.
+func (c *Client) copyAside(a applyAction, report *SyncReport) error {
+	data, err := c.folder.ReadFile(a.path)
+	if err != nil {
+		return nil // gone since the plan; a committed copy stays in the clouds
 	}
-	base, _ := c.scanner.BaselineFor([]string{fi.Path})
-	return len(base) == 1 && base[0].Size == fi.Size && base[0].ModTime.Equal(fi.ModTime)
+	if a.commit == nil {
+		err = c.folder.WriteFile(a.copyPath, data, c.cfg.Clock.Now())
+	} else if err = c.folder.WriteFile(a.copyPath, data, a.commit.Snapshot.ModTime); err == nil {
+		c.suppress(a.copyPath, int64(len(data)), a.commit.Snapshot.ModTime, false)
+	}
+	if err == nil {
+		report.Conflicts = append(report.Conflicts, a.copyPath)
+	}
+	return err
 }
 
 // gcSegments deletes the coded blocks of segments that disappeared

@@ -78,9 +78,9 @@ func TestPlanApply(t *testing.T) {
 		{name: "same size, unscanned edit that is the committed version", onDisk: v2, diskTime: t1, applied: v1, committed: v2,
 			wantOp: applySkip, wantReason: reasonRehashedEqual, wantReads: 1},
 		{name: "same size, unscanned edit that is something else", onDisk: other, diskTime: t1, applied: v1, committed: v2,
-			wantOp: applyFetch, wantReason: reasonUnknownBytes, wantReads: 1},
+			wantOp: applyConflictCopy, wantReason: reasonUnknownBytes, wantReads: 1},
 		{name: "unscanned edit of another size", onDisk: other[:100], diskTime: t1, applied: v1, committed: v2,
-			wantOp: applyFetch, wantReason: reasonUnknownBytes},
+			wantOp: applyConflictCopy, wantReason: reasonUnknownBytes},
 		{name: "own just-committed path", onDisk: v2, diskTime: t1, scannedOnDisk: true, own: v2, committed: v2,
 			wantOp: applySkip, wantReason: reasonKnownCurrent},
 	} {
@@ -115,7 +115,7 @@ func TestPlanApply(t *testing.T) {
 				scanned = append(scanned, &meta.Change{Type: meta.ChangeAdd, Path: path, Snapshot: p.snap(path, row.own, t1)})
 			}
 
-			actions := p.c.planApply(sp, scanned)
+			actions := p.c.plan(scanned, sp, p.folder)
 			if len(actions) != 1 {
 				t.Fatalf("plan = %+v, want one action", actions)
 			}

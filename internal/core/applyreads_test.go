@@ -144,11 +144,24 @@ func TestApplyComparesUnscannedLocalEdit(t *testing.T) {
 			blocksBefore := r.regs["beta"].Counter("transfer.down.blocks").Value()
 
 			// SyncRemote does not scan: the edit stays unseen.
-			if _, err := b.SyncRemote(ctxT(t)); err != nil {
+			rep, err := b.SyncRemote(ctxT(t))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if n := fb.take("doc.bin"); n != 1 {
-				t.Fatalf("apply read the edited file %d times, want 1 (read and compare)", n)
+			// Read and compare; an edit that differs is read once more, to
+			// go aside as a conflict copy.
+			wantReads, wantCopies := 1, 0
+			if !c.localIsRemote {
+				wantReads, wantCopies = 2, 1
+			}
+			if n := fb.take("doc.bin"); n != wantReads {
+				t.Fatalf("apply read the edited file %d times, want %d", n, wantReads)
+			}
+			if len(rep.Conflicts) != wantCopies {
+				t.Fatalf("conflicts = %v, want %d", rep.Conflicts, wantCopies)
+			}
+			if wantCopies == 1 && fb.content(t, rep.Conflicts[0]) != local {
+				t.Fatal("the conflict copy does not hold the unscanned edit")
 			}
 			fetched := r.regs["beta"].Counter("transfer.down.blocks").Value() - blocksBefore
 			if c.localIsRemote && fetched != 0 {

@@ -202,14 +202,23 @@ type Client struct {
 	// crash is the test-only seeded crash harness (see crash.go).
 	crash crashState
 
+	// writer is held for the whole of every operation that commits,
+	// moves v_o or writes the folder: a pass (and ScanLocal, its first
+	// stage), the trim and the capacity valve, scrub's repair commit,
+	// SetClouds, LoadState, SaveState and Recover. It makes the client
+	// one writer, whichever goroutine asks — the sync loop, a daemon's
+	// scheduled scrub, a CLI — and so one acquirer of the quorum lock,
+	// which does not exclude this device's own concurrent acquisitions.
+	// It also guards the checkpoint cursor and the recovered map. mu
+	// below guards the fields read outside the writer.
+	writer sync.Mutex
+
 	mu sync.Mutex
 	// last is the device's view of the committed metadata (the
 	// algorithm's v_o).
 	last *meta.Image
 	// segData caches content of segments pending upload.
 	segData map[string][]byte
-	// conflicts accumulates detected conflicts for the user.
-	conflicts []string
 	// recovered holds block placements adopted from a replayed crash
 	// intent (segment ID -> block ID -> cloud); chunkFile consumes an
 	// entry the first time it re-chunks the segment, so the re-upload
@@ -396,16 +405,8 @@ func (c *Client) FetchImage(ctx context.Context) (*meta.Image, error) {
 	return img.Clone(), nil
 }
 
-// Conflicts returns the conflict-copy paths created so far, oldest
-// first.
-func (c *Client) Conflicts() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.conflicts...)
-}
-
 // setLast moves the device's view. Only LoadState (restoring it) and
-// the pass's advance stage (apply.go) may call it.
+// advance (apply.go) may call it.
 func (c *Client) setLast(img *meta.Image) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -439,10 +440,4 @@ func (c *Client) dropSegmentCache(ids []string) {
 	for _, id := range ids {
 		delete(c.segData, id)
 	}
-}
-
-func (c *Client) noteConflict(path string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.conflicts = append(c.conflicts, path)
 }

@@ -62,13 +62,9 @@ func (c *Client) ArmCrash(point CrashPoint, n int) {
 // crashNow fires (and disarms) the crash if point is armed. Used at
 // non-counting sites.
 func (c *Client) crashNow(point CrashPoint) bool {
-	c.crash.mu.Lock()
-	defer c.crash.mu.Unlock()
-	if !c.crash.armed || c.crash.point != point {
-		return false
-	}
-	c.crash.armed = false
-	return true
+	_, armed := c.crashThreshold(point)
+	c.disarmCrash(point)
+	return armed
 }
 
 // crashThreshold returns the armed count for a counting crash point

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -14,68 +13,23 @@ import (
 // committed image through the store's delta cursor (five stamp GETs
 // when nothing is pending), survey what the clouds actually hold where
 // the policy needs it (one List per cloud, concurrently), let a pure
-// policy over (image, survey) decide, commit its relocates under the
-// quorum lock, and only then delete the blocks the commit released.
-// relocate is the locked half; the policies are the short functions
-// below and in scrub.go, rebalance.go and recover.go.
+// policy over (image, survey) decide, commit its relocates through
+// lockedCommit, and only then delete the blocks the commit released
+// (released). The policies are the short functions below and in
+// scrub.go, rebalance.go and recover.go; each holds Client.writer.
 
-// relocate commits a maintenance pass's relocate changes under the
-// quorum lock and then deletes the blocks the commit released, in that
-// order: metadata never names a block that is already gone. build
-// turns the then-current committed image into the changes and the
-// doomed blocks; with no changes nothing is committed or deleted. to
-// is the stack that takes the commit and the deletes — the client's
-// own for every caller but SetClouds, whose relocates land on the new
-// cloud set, which is the client's from then on. what names the
-// operation in the lock-lost error. It returns the committed version
-// (the current one when nothing changed) and the number of blocks
-// deleted.
-//
-// Like every commit, it ends in the pass's advance stage — the only
-// code that moves the device's view — and only when the folder already
-// agrees with the new head, i.e. the span holds nothing but relocates.
-// A file change of another device's that the lock's refresh pulled in
-// is left unapplied and v_o behind it: maintenance never writes the
-// folder, and the next pass, which observes the folder first, applies
-// the change or turns a concurrent local edit into a conflict copy.
-func (c *Client) relocate(ctx context.Context, what string, to stack,
-	build func(img *meta.Image) ([]*meta.Change, []transfer.BlockRef, error)) (int64, int, error) {
-
-	lock, err := c.locks.Acquire(ctx)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer c.releaseLock(ctx, lock)
-	img, err := c.store.Refresh(ctx)
-	if err != nil {
-		return 0, 0, err
-	}
-	changes, doomed, err := build(img)
-	if err != nil {
-		return 0, 0, err
-	}
-	version := to.store.Stamp().Version
-	if len(changes) > 0 {
-		if !lock.Valid() {
-			return 0, 0, fmt.Errorf("core: quorum lock lost during %s", what)
-		}
-		stats, err := to.store.Commit(ctx, changes)
-		if err != nil {
-			return 0, 0, err
-		}
-		version = stats.Version
-	}
-	if to.store != c.store {
-		// SetClouds: the new set holds the head now, whatever happens next.
-		c.mu.Lock()
-		c.stack = to
-		c.mu.Unlock()
-	}
+// released ends a maintenance commit: the blocks it released are
+// deleted — after the commit, so metadata never names a block that is
+// already gone — and the view advances as far as the span changes no
+// file. A file change of another device's that the lock's refresh
+// pulled in is left unapplied and v_o behind it: maintenance never
+// writes the folder, and the next pass, which observes the folder
+// first, applies the change or turns a concurrent local edit into a
+// conflict copy. It returns the number of blocks deleted.
+func (c *Client) released(ctx context.Context, doomed []transfer.BlockRef) int {
 	deleted := c.engine.DeleteBlocks(ctx, doomed)
-	if sp := c.span(); sp.moved() && len(sp.diff) == 0 {
-		c.advance(ctx, sp)
-	}
-	return version, deleted, nil
+	c.advance(ctx, c.lastImage())
+	return deleted
 }
 
 // relocateChange wraps a segment's new placement in its change.
@@ -96,7 +50,7 @@ func relocateChange(seg *meta.Segment) *meta.Change {
 //
 // It returns the number of blocks deleted.
 func (c *Client) TrimOverProvisioned(ctx context.Context) (int, error) {
-	return c.trimSurplus(ctx, "trim", func(string) bool { return true })
+	return c.trimSurplus(ctx, func(string) bool { return true })
 }
 
 // RelieveCapacityPressure is the capacity pressure valve: when the
@@ -120,7 +74,7 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 	if len(full) == 0 {
 		return 0, nil
 	}
-	deleted, err := c.trimSurplus(ctx, "capacity relief", func(name string) bool { return full[name] })
+	deleted, err := c.trimSurplus(ctx, func(name string) bool { return full[name] })
 	c.cfg.Obs.Counter("core.capacity.pressure_deleted").Add(int64(deleted))
 	return deleted, err
 }
@@ -128,11 +82,12 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 // trimSurplus deletes, on every cloud onCloud accepts, each segment's
 // blocks beyond the cloud's fair share, committing the reduced
 // placements first. It returns the number of blocks deleted.
-func (c *Client) trimSurplus(ctx context.Context, what string, onCloud func(cloudName string) bool) (int, error) {
+func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string) bool) (int, error) {
+	c.writer.Lock()
+	defer c.writer.Unlock()
 	fair := c.params.FairShare()
-	_, deleted, err := c.relocate(ctx, what, c.stack, func(img *meta.Image) ([]*meta.Change, []transfer.BlockRef, error) {
-		var changes []*meta.Change
-		var doomed []transfer.BlockRef
+	var doomed []transfer.BlockRef
+	_, err := c.lockedCommit(ctx, c.stack, func(img *meta.Image) (changes []*meta.Change, err error) {
 		for _, segID := range img.SegmentIDs() {
 			seg, _ := img.Segment(segID)
 			surplus := surplusBlocks(seg, fair, onCloud)
@@ -146,9 +101,12 @@ func (c *Client) trimSurplus(ctx context.Context, what string, onCloud func(clou
 			changes = append(changes, relocateChange(updated))
 			doomed = append(doomed, surplus...)
 		}
-		return changes, doomed, nil
+		return changes, nil
 	})
-	return deleted, err
+	if err != nil {
+		return 0, err
+	}
+	return c.released(ctx, doomed), nil
 }
 
 // surplusBlocks returns the blocks a segment holds beyond the fair

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 	"time"
 
 	"unidrive/internal/deltasync"
@@ -210,10 +209,9 @@ func restoreCheckpoint(device string, base []byte, readDelta func(n int) ([]byte
 }
 
 // checkpointCursor is the client's view of its checkpoint files, kept
-// so the next pass can extend them. Its mutex serializes checkpoints
-// (SaveState may be called from outside the sync loop).
+// so the next pass can extend them. Client.writer guards it: every
+// checkpoint and every baseline change is a writer's.
 type checkpointCursor struct {
-	mu sync.Mutex
 	// The log is zero (nextDelta == 0) until this process has loaded or
 	// written a base: only then does it describe the files.
 	checkpointLog
@@ -225,8 +223,6 @@ type checkpointCursor struct {
 // noteDirty marks path for the next delta: the scanner's baseline
 // entry for it changed (a scan event or a self-write suppression).
 func (c *Client) noteDirty(path string) {
-	c.ckpt.mu.Lock()
-	defer c.ckpt.mu.Unlock()
 	if c.ckpt.dirty == nil {
 		c.ckpt.dirty = make(map[string]struct{})
 	}
@@ -249,16 +245,14 @@ func (c *Client) suppress(path string, size int64, modTime time.Time, removed bo
 // have outgrown λ. Best effort: a failed checkpoint leaves the cursor
 // where it was, so the next one covers the wider span.
 func (c *Client) checkpoint() error {
-	c.ckpt.mu.Lock()
-	defer c.ckpt.mu.Unlock()
 	start := c.cfg.Clock.Now()
 	img := c.lastImage()
-	n, err := c.appendDeltaLocked(img)
+	n, err := c.appendDelta(img)
 	if err != nil {
 		return err
 	}
 	if n == 0 {
-		if n, err = c.writeBaseLocked(img); err != nil {
+		if n, err = c.writeBase(img); err != nil {
 			return err
 		}
 	}
@@ -267,9 +261,9 @@ func (c *Client) checkpoint() error {
 	return nil
 }
 
-// appendDeltaLocked writes the next delta file and returns its size,
+// appendDelta writes the next delta file and returns its size,
 // or 0 when the base must be rewritten instead.
-func (c *Client) appendDeltaLocked(img *meta.Image) (int, error) {
+func (c *Client) appendDelta(img *meta.Image) (int, error) {
 	ck := &c.ckpt
 	if ck.nextDelta == 0 || img.Version <= ck.head {
 		return 0, nil
@@ -302,12 +296,12 @@ func (c *Client) appendDeltaLocked(img *meta.Image) (int, error) {
 	return len(data), nil
 }
 
-// writeBaseLocked rewrites the base at img and deletes the delta files
+// writeBase rewrites the base at img and deletes the delta files
 // it supersedes. The base goes through the folder's durable write when
 // it has one: a crash while truncating a multi-megabyte state file in
 // place would cost a cold start. A crash between the rewrite and the
 // deletes is harmless — LoadState skips the leftovers by version.
-func (c *Client) writeBaseLocked(img *meta.Image) (int, error) {
+func (c *Client) writeBase(img *meta.Image) (int, error) {
 	data, err := encodeStateBase(c.cfg.Device, c.cfg.Clock.Now(), img, c.scanner.Baseline())
 	if err != nil {
 		return 0, err
@@ -338,9 +332,9 @@ func (c *Client) writeBaseLocked(img *meta.Image) (int, error) {
 // passes checkpoint incrementally on their own; this is for tools and
 // for RunLoop's exit, where the next start should read one file.
 func (c *Client) SaveState() error {
-	c.ckpt.mu.Lock()
-	defer c.ckpt.mu.Unlock()
-	_, err := c.writeBaseLocked(c.lastImage())
+	c.writer.Lock()
+	defer c.writer.Unlock()
+	_, err := c.writeBase(c.lastImage())
 	return err
 }
 
@@ -373,6 +367,8 @@ const (
 // tables instead of only as a mysteriously slow first sync. Call it
 // once, before the first SyncOnce.
 func (c *Client) LoadState() (restored bool, reason string, err error) {
+	c.writer.Lock()
+	defer c.writer.Unlock()
 	base, err := c.folder.ReadFile(statePath)
 	if errors.Is(err, localfs.ErrNotExist) {
 		return false, c.coldStart(ColdStartFresh), nil
@@ -398,9 +394,7 @@ func (c *Client) LoadState() (restored bool, reason string, err error) {
 	}
 	c.setLast(st.img)
 	c.scanner.Restore(baseline)
-	c.ckpt.mu.Lock()
 	c.ckpt.checkpointLog, c.ckpt.dirty = st.checkpointLog, nil
-	c.ckpt.mu.Unlock()
 	return true, "", nil
 }
 

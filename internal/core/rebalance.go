@@ -22,9 +22,10 @@ import (
 //
 // The operation runs under the quorum lock of the OLD cloud set (so
 // it serializes with ongoing commits), then commits the updated
-// placements to the NEW set, which relocate makes the client's own the
-// moment it holds the commit.
+// placements to the NEW set, which is the client's own from then on.
 func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) error {
+	c.writer.Lock()
+	defer c.writer.Unlock()
 	if len(newClouds) == 0 {
 		return fmt.Errorf("core: cannot rebalance to zero clouds")
 	}
@@ -44,9 +45,8 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 	// moves included — goes through the cloud call chain.
 	next := newStack(c.cfg, newParams, newClouds, c.engine.Prober(), cipher)
 
-	_, _, err = c.relocate(ctx, "rebalance", next, func(img *meta.Image) ([]*meta.Change, []transfer.BlockRef, error) {
-		var relocates []*meta.Change
-		var doomed []transfer.BlockRef
+	var doomed []transfer.BlockRef
+	_, err = c.lockedCommit(ctx, next, func(img *meta.Image) (relocates []*meta.Change, err error) {
 		for _, segID := range img.SegmentIDs() {
 			seg, _ := img.Segment(segID)
 			placement := make(map[int]string, len(seg.Blocks))
@@ -55,7 +55,7 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 			}
 			plan, err := sched.PlanRebalance(placement, next.names, seg.N, newParams)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: rebalancing segment %s: %w", segID, err)
+				return nil, fmt.Errorf("core: rebalancing segment %s: %w", segID, err)
 			}
 			// An empty plan still needs a metadata rewrite when the
 			// placement references a removed cloud: the surviving clouds
@@ -69,7 +69,7 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 			}
 			freshSums, err := c.uploadRebalanced(ctx, seg, plan, next.engine)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			for cloudName, blockIDs := range plan.Delete {
 				if !slices.Contains(next.names, cloudName) {
@@ -96,10 +96,17 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 		// The commit goes through the store over the NEW cloud set; its
 		// refresh adopts the latest state from the overlapping clouds,
 		// and its commit fully repairs brand-new ones.
-		_, err := next.store.Refresh(ctx)
-		return relocates, doomed, err
+		_, err = next.store.Refresh(ctx)
+		return relocates, err
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	// The new set holds the head now; the writer keeps every other
+	// operation off the stack while it changes.
+	c.stack = next
+	c.released(ctx, doomed)
+	return nil
 }
 
 // uploadRebalanced writes the blocks one segment's rebalance plan

@@ -71,6 +71,8 @@ type RecoveryReport struct {
 // fails contributes nothing — its blocks are neither adopted nor
 // deleted, and a later recovery or GC pass picks them up.
 func (c *Client) Recover(ctx context.Context) (RecoveryReport, error) {
+	c.writer.Lock()
+	defer c.writer.Unlock()
 	var rep RecoveryReport
 	if c.journal.Len() == 0 {
 		return rep, nil
@@ -134,30 +136,36 @@ func (c *Client) recoverApply(in *journal.Intent, img *meta.Image, known map[str
 	suppressed := 0
 	for _, path := range in.Paths {
 		snap := img.Lookup(path).Current()
-		if snap == nil || snap.Deleted {
-			if _, err := c.folder.Stat(path); err != nil && known[path] {
-				c.suppress(path, 0, time.Time{}, true)
-				suppressed++
-			}
-			continue
-		}
-		if fi, ok := c.localMatches(path, snap); ok {
-			c.suppress(path, fi.Size, fi.ModTime, false)
-			suppressed++
-			continue
-		}
 		// Not yet applied: still at the pre-apply state. Suppress so the
 		// scan stays quiet; the resumed apply rewrites it (its content
 		// differs from the new snapshot, so the content-equal skip will
 		// not fire).
-		if old := c.lastImage().Lookup(path).Current(); old != nil && !old.Deleted {
-			if fi, ok := c.localMatches(path, old); ok {
-				c.suppress(path, fi.Size, fi.ModTime, false)
-				suppressed++
-			}
+		old := c.lastImage().Lookup(path).Current()
+		if c.shield(path, snap, known) ||
+			snap != nil && !snap.Deleted && old != nil && !old.Deleted && c.shield(path, old, known) {
+			suppressed++
 		}
 	}
 	return suppressed
+}
+
+// shield suppresses path when the folder already agrees with snap — it
+// holds snap's content, or snap is absent or a tombstone and the file
+// the restored baseline knew is gone — and reports whether it did.
+func (c *Client) shield(path string, snap *meta.Snapshot, known map[string]bool) bool {
+	if snap == nil || snap.Deleted {
+		_, err := c.folder.Stat(path)
+		gone := err != nil && known[path]
+		if gone {
+			c.suppress(path, 0, time.Time{}, true)
+		}
+		return gone
+	}
+	fi, ok := c.localMatches(path, snap)
+	if ok {
+		c.suppress(path, fi.Size, fi.ModTime, false)
+	}
+	return ok
 }
 
 // recoverRepair replays a scrub-repair intent that died before its
@@ -218,21 +226,14 @@ func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *met
 		// every block — the duplicates placed on different clouds than
 		// the committed copies would be instant orphans.
 		for _, ch := range in.Changes {
-			switch ch.Type {
-			case meta.ChangeAdd, meta.ChangeEdit:
-				snap := img.Lookup(ch.Path).Current()
-				if snap == nil || snap.Deleted {
-					continue
-				}
-				if fi, ok := c.localMatches(ch.Path, snap); ok {
-					c.suppress(ch.Path, fi.Size, fi.ModTime, false)
-					rep.PathsSuppressed++
-				}
-			case meta.ChangeDelete:
-				if _, err := c.folder.Stat(ch.Path); err != nil && known[ch.Path] {
-					c.suppress(ch.Path, 0, time.Time{}, true)
-					rep.PathsSuppressed++
-				}
+			snap := img.Lookup(ch.Path).Current()
+			if ch.Type == meta.ChangeDelete {
+				snap = nil
+			} else if snap == nil || snap.Deleted {
+				continue
+			}
+			if c.shield(ch.Path, snap, known) {
+				rep.PathsSuppressed++
 			}
 		}
 	}
@@ -316,34 +317,19 @@ func (c *Client) changesReflected(img *meta.Image, changes []*meta.Change) bool 
 }
 
 // localMatches reports whether the folder's current content at path
-// still cuts into exactly the snapshot's segments. It reads and
-// re-chunks the file; unlike chunkFile it has no caching side effects.
+// still cuts into exactly the snapshot's segments.
 func (c *Client) localMatches(path string, snap *meta.Snapshot) (localfs.FileInfo, bool) {
 	fi, err := c.folder.Stat(path)
 	if err != nil || fi.Size != snap.Size {
 		return fi, false
 	}
-	data, err := c.folder.ReadFile(path)
-	if err != nil || int64(len(data)) != snap.Size {
-		return fi, false
-	}
-	segs := c.chnk.Split(data)
-	if len(segs) != len(snap.SegmentIDs) {
-		return fi, false
-	}
-	for i, s := range segs {
-		if s.ID() != snap.SegmentIDs[i] {
-			return fi, false
-		}
-	}
-	return fi, true
+	local := c.readSnapshot(c.folder, path)
+	return fi, local != nil && local.ContentEquals(snap)
 }
 
 // addRecovered records an adopted block placement for chunkFile to
 // consume when the segment is next re-chunked.
 func (c *Client) addRecovered(segID string, blockID int, cloudName string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	m := c.recovered[segID]
 	if m == nil {
 		m = make(map[int]string)
@@ -358,8 +344,6 @@ func (c *Client) addRecovered(segID string, blockID int, cloudName string) {
 // stale copy here could poison a later, different upload of the same
 // content.
 func (c *Client) takeRecovered(segID string) map[int]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	m := c.recovered[segID]
 	delete(c.recovered, segID)
 	return m

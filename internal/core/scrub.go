@@ -7,7 +7,6 @@ import (
 
 	"unidrive/internal/meta"
 	"unidrive/internal/scrub"
-	"unidrive/internal/transfer"
 )
 
 // Scrub runs one anti-entropy cycle over the committed metadata:
@@ -55,11 +54,13 @@ func (c *Client) Scrub(ctx context.Context, repair bool) (*scrub.Report, error) 
 // the current record per block ID — so a concurrent reliability pass
 // adding copies of OTHER blocks is never clobbered.
 func (c *Client) commitRepairs(ctx context.Context, changes []*meta.Change) (int64, error) {
-	version, _, err := c.relocate(ctx, "scrub commit", c.stack, func(img *meta.Image) ([]*meta.Change, []transfer.BlockRef, error) {
+	c.writer.Lock()
+	defer c.writer.Unlock()
+	_, err := c.lockedCommit(ctx, c.stack, func(img *meta.Image) ([]*meta.Change, error) {
 		kept := make([]*meta.Change, 0, len(changes))
 		for _, ch := range changes {
 			if ch.Type != meta.ChangeRelocate || len(ch.Segments) != 1 {
-				return nil, nil, fmt.Errorf("core: scrub commit: malformed change for %q", ch.Path)
+				return nil, fmt.Errorf("core: scrub commit: malformed change for %q", ch.Path)
 			}
 			cur, ok := img.Segment(ch.Path)
 			if !ok {
@@ -78,7 +79,11 @@ func (c *Client) commitRepairs(ctx context.Context, changes []*meta.Change) (int
 			merged.Thin = want.Thin
 			kept = append(kept, relocateChange(merged))
 		}
-		return kept, nil, nil
+		return kept, nil
 	})
-	return version, err
+	if err != nil {
+		return 0, err
+	}
+	c.released(ctx, nil)
+	return c.store.Stamp().Version, nil
 }

@@ -39,15 +39,21 @@ type SyncReport struct {
 // each with one job (DESIGN.md §9):
 //
 //	observe  folder → ChangedFileList (full scan | dirty paths | nothing)
-//	commit   ChangedFileList → committed metadata (commitLocal: upload,
-//	         quorum lock, reconcile, commit), or a stamp poll when there
-//	         is nothing to commit
-//	plan     (diff, folder stat, last-known snapshot) → []applyAction
-//	fetch    the plan's files, through fetchVerified
-//	write    verified content and removals → folder
-//	advance  v_o := the store's head; GC; checkpoint
+//	commit   upload, then under the quorum lock: refresh, plan, commit
+//	         (commitLocal); a stamp poll when there is nothing to commit
+//	plan     (local changes, span v_o→v_c, folder) → []applyAction
+//	         (plan.go): its local side under the lock when the pass
+//	         commits, the whole plan on the live folder after release
+//	fetch    conflict copies, then removals, then the plan's files
+//	         through fetchVerified
+//	write    verified content → folder
+//	advance  v_o := the pass's head; GC; checkpoint
 //
-// The first two are this file; the rest is apply.go and fetch.go.
+// One writer: a pass holds Client.writer throughout, as does every
+// other operation that commits, moves v_o or writes the folder.
+//
+// The first two are this file; the rest is plan.go, apply.go and
+// fetch.go.
 
 // scan is a pass's observer: it names the folder events the pass looks
 // at and how many files it statted to find them. localfs.Scanner's
@@ -59,6 +65,8 @@ type scan func() (events []localfs.Event, statted int, err error)
 // in the ChangedFileList. It is called by SyncOnce but is exported so
 // tests and tools can drive detection explicitly.
 func (c *Client) ScanLocal() error {
+	c.writer.Lock()
+	defer c.writer.Unlock()
 	return c.observe(c.scanner.ScanAll)
 }
 
@@ -139,8 +147,8 @@ func (c *Client) recordEvents(events []localfs.Event) (int, error) {
 
 // SyncOnce runs one full pass: every file in the folder is observed,
 // pending local updates are committed (blocks freely, before metadata;
-// then under the quorum lock: fetch and reconcile against a pending
-// cloud update — conflict copies for coincidental updates — and commit),
+// then under the quorum lock: fetch and plan against a pending cloud
+// update — conflict copies for coincidental updates — and commit),
 // and whatever is newly committed, here or elsewhere, is applied to the
 // folder by downloading any K blocks per segment.
 func (c *Client) SyncOnce(ctx context.Context) (SyncReport, error) {
@@ -171,35 +179,40 @@ func (c *Client) SyncRemote(ctx context.Context) (SyncReport, error) {
 // committed anywhere the pass ends before an image is materialized or
 // diffed — the property that makes event-driven passes O(changes).
 func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport, error) {
+	c.writer.Lock()
+	defer c.writer.Unlock()
 	var report SyncReport
 	if observer != nil {
 		if err := c.observe(observer); err != nil {
 			return report, err
 		}
 	}
-	// scanned is what this pass's commit read from disk, as observed
-	// (before reconciliation moves a conflicting edit aside).
-	scanned := c.changes.Snapshot()
-	if len(scanned) > 0 {
-		if err := c.commitLocal(ctx, &report); err != nil {
-			return report, err
-		}
-	} else if poll {
-		if _, err := c.store.Refresh(ctx); err != nil {
-			return report, err
-		}
+	var local []*meta.Change
+	var head *meta.Image
+	var err error
+	switch {
+	case c.changes.Len() > 0:
+		local, head, err = c.commitLocal(ctx, &report)
+	case poll:
+		_, err = c.store.Refresh(ctx)
 	}
-	err := c.apply(ctx, scanned, &report)
-	return report, err
+	if err != nil {
+		return report, err
+	}
+	if head == nil {
+		head = c.store.CachedShared()
+	}
+	return report, c.apply(ctx, local, head, &report)
 }
 
-// commitLocal commits pending local changes under the quorum lock.
-// The pass's upload is one continuous batch (startUpload); the
-// metadata commit happens at its availability instant — the files are
-// available to other devices from here, AvailableDuration marks this
-// moment — and the final placements are recorded once the batch has
-// finished. What the commit waits for depends on what the batch still
-// owes when it becomes available:
+// commitLocal commits pending local changes under the quorum lock, as
+// the local side of the pass's plan decides, and returns them with the
+// head their commit made. The pass's upload is one continuous batch
+// (startUpload); the metadata commit happens at its availability
+// instant — the files are available to other devices from here,
+// AvailableDuration marks this moment — and the final placements are
+// recorded once the batch has finished. What the commit waits for
+// depends on what the batch still owes when it becomes available:
 //
 //   - nothing queued, the rest of every fair share is in flight (a
 //     single small file): the pass waits those few blocks out and
@@ -212,7 +225,7 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 //
 // Overlapping therefore never adds a lock round, and only landed
 // blocks are ever named (blocks before metadata, DESIGN.md §8).
-func (c *Client) commitLocal(ctx context.Context, report *SyncReport) error {
+func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.Change, *meta.Image, error) {
 	start := c.cfg.Clock.Now()
 	changes := c.changes.Drain()
 	ok := false
@@ -235,19 +248,19 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) error {
 		CreatedAt: c.cfg.Clock.Now(),
 		Changes:   changes,
 	}); err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	session, err := c.startUpload(ctx, changes)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	// Whatever ends the pass — commit error, lost lock, injected crash,
 	// cancelled ctx — the batch is cancelled and drained before the
 	// coding buffers it reads go back to the pool.
 	defer session.close()
 	if err := session.awaitAvailable(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	report.Upload = session.outcome
 	overlap := session.backlog()
@@ -256,7 +269,7 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) error {
 	} else {
 		c.cfg.Obs.Counter("core.commit.drained").Inc()
 		if err := session.join(); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
 
@@ -267,19 +280,31 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) error {
 	_ = c.journal.UpdatePlacementsBatch(intentID, session.stamp(changes))
 
 	commitStart := c.cfg.Clock.Now()
-	commitDone, err := c.commitUnderLock(ctx, &changes, report, session)
+	var commit []*meta.Change
+	commitDone, err := c.lockedCommit(ctx, c.stack, func(head *meta.Image) ([]*meta.Change, error) {
+		// The plan's local side, all the commit needs: no folder call
+		// under the lock.
+		sp := c.spanTo(head)
+		for _, a := range c.plan(changes, sp, nil) {
+			if a.commit != nil {
+				commit = append(commit, a.commit)
+			}
+		}
+		return commit, c.reuploadMissingSegments(ctx, commit, sp.after, session)
+	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if c.crashNow(CrashPostCommit) {
 		// The commit landed but the journal still says "uploading" —
 		// recovery must detect committedness from the image itself.
-		return ErrCrashInjected
+		return nil, nil, ErrCrashInjected
 	}
-	if err := c.journal.MarkCommitted(intentID, report.Version); err != nil {
-		return err
+	if err := c.journal.MarkCommitted(intentID, c.store.Stamp().Version); err != nil {
+		return nil, nil, err
 	}
-	report.LocalChanges = len(changes)
+	head := c.store.CachedShared()
+	report.LocalChanges = len(commit)
 	// The paper's "available time": transfers until the batch had K
 	// blocks per segment, plus the metadata commit. Excluded: whatever
 	// the pass waited for between the two, and the lock release after
@@ -288,6 +313,18 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) error {
 	report.AvailableDuration = session.availAt.Sub(start) + commitDone.Sub(commitStart)
 	ok = true
 
+	if err := c.recordPlacements(ctx, session, overlap, report); err != nil {
+		return nil, nil, err
+	}
+	// The pass is fully recorded in committed metadata (including the
+	// final placements): the intent has served its purpose.
+	return changes, head, c.journal.Clear(intentID)
+}
+
+// recordPlacements is a committing pass's reliability second: once the
+// batch has finished, the fair shares (and extras) that landed after
+// the commit's stamp go into a follow-up relocate commit.
+func (c *Client) recordPlacements(ctx context.Context, session *uploadSession, overlap bool, report *SyncReport) error {
 	committed := c.cfg.Clock.Now()
 	if err := session.join(); err != nil {
 		return err
@@ -299,18 +336,13 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) error {
 		}
 		c.cfg.Obs.Histogram("core.commit.tail_ms").Observe(float64(tail) / float64(time.Millisecond))
 	}
-	// Reliability-second: the fair shares (and extras) that landed after
-	// the stamp go into a follow-up commit.
 	relocates, over := session.settle()
 	report.Upload.OverProvisioned = over
-	if len(relocates) > 0 {
-		if _, err := c.commitUnderLock(ctx, &relocates, report, nil); err != nil {
-			return err
-		}
+	if len(relocates) == 0 {
+		return nil
 	}
-	// The pass is fully recorded in committed metadata (including the
-	// final placements): the intent has served its purpose.
-	return c.journal.Clear(intentID)
+	_, err := c.lockedCommit(ctx, c.stack, func(*meta.Image) ([]*meta.Change, error) { return relocates, nil })
+	return err
 }
 
 // releaseLock releases a quorum lock with a hard deadline so a
@@ -335,13 +367,16 @@ func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock) {
 	}
 }
 
-// commitUnderLock acquires the quorum lock, reconciles against any
-// pending cloud update, and commits the changes. upload is the pass's
-// upload session when the changes are local file changes, which need
-// reconciling, and nil for a relocate commit, which does not. The
-// changes slice is replaced with the reconciled set. It returns the
-// instant the commit itself completed (before the lock release).
-func (c *Client) commitUnderLock(ctx context.Context, changes *[]*meta.Change, report *SyncReport, upload *uploadSession) (time.Time, error) {
+// lockedCommit is the one locked commit: acquire the quorum lock,
+// refresh, build the changes from the committed head, check the lock
+// still holds, commit through to's store, release. to is the client's
+// own stack for every caller but SetClouds, whose commit lands on the
+// new cloud set. build runs under the lock and must not touch the
+// folder. It returns the instant the commit completed (or build
+// returned nothing), before the release. Callers hold Client.writer:
+// the lock manager does not exclude this device's own concurrent
+// acquisitions (qlock.Manager).
+func (c *Client) lockedCommit(ctx context.Context, to stack, build func(head *meta.Image) ([]*meta.Change, error)) (time.Time, error) {
 	lock, err := c.locks.Acquire(ctx)
 	if err != nil {
 		return time.Time{}, err
@@ -350,118 +385,37 @@ func (c *Client) commitUnderLock(ctx context.Context, changes *[]*meta.Change, r
 	if c.crashNow(CrashPreCommit) {
 		return time.Time{}, ErrCrashInjected
 	}
-
 	// Refresh polls the cheap version stamps and catches up (delta-only
 	// when possible) only if a newer commit is pending.
-	if _, err := c.store.Refresh(ctx); err != nil {
+	head, err := c.store.Refresh(ctx)
+	if err != nil {
 		return time.Time{}, err
 	}
-	// Reconcile whenever the cached image is ahead of what this device
-	// has applied locally — not just when the refresh found it first.
-	// Recovery pre-fetches the image at startup, so a cloud update can
-	// already sit in the cache with nothing "pending" remotely.
-	if upload != nil && c.store.Stamp().Version > c.lastImage().Version {
-		*changes, err = c.reconcile(ctx, *changes, report, upload)
-		if err != nil {
+	changes, err := build(head)
+	if err != nil {
+		return time.Time{}, err
+	}
+	if len(changes) > 0 {
+		if !lock.Valid() {
+			return time.Time{}, fmt.Errorf("core: quorum lock lost before commit")
+		}
+		if _, err := to.store.Commit(ctx, changes); err != nil {
 			return time.Time{}, err
 		}
-	}
-	if !lock.Valid() {
-		return time.Time{}, fmt.Errorf("core: quorum lock lost before commit")
-	}
-	if len(*changes) > 0 {
-		stats, err := c.store.Commit(ctx, *changes)
-		if err != nil {
-			return time.Time{}, err
-		}
-		report.Version = stats.Version
 	}
 	return c.cfg.Clock.Now(), nil
 }
 
-// reconcile adjusts the pending change list against a freshly fetched
-// cloud image (paper §5.2, conflicting local and cloud updates):
-//
-//   - a path updated only locally keeps its change;
-//   - a coincidental update with identical content drops the local
-//     change (the cloud already has it);
-//   - a true conflict retains both versions: the local version is
-//     renamed to a conflict-copy path (a new Add change plus a local
-//     file copy) and the cloud's version wins the original path;
-//   - a local edit of a file the cloud deleted keeps the local edit;
-//     a local delete of a file the cloud edited drops the delete.
-//
-// It also re-verifies that every segment referenced by the surviving
-// changes still exists (another device may have garbage-collected a
-// deduplicated segment we relied on) and re-uploads any that do not.
-func (c *Client) reconcile(ctx context.Context, changes []*meta.Change, report *SyncReport, upload *uploadSession) ([]*meta.Change, error) {
-	vo := c.lastImage()
-	vc := c.store.CachedShared() // read-only: diffed and consulted, never mutated
-	deltaC, _ := c.diffForApply(vo, vc)
-
-	var out []*meta.Change
-	for _, ch := range changes {
-		if ch.Type == meta.ChangeRelocate {
-			out = append(out, ch)
-			continue
-		}
-		dc, contested := deltaC[ch.Path]
-		if !contested {
-			out = append(out, ch)
-			continue
-		}
-		cloudSnap := dc.After
-		switch ch.Type {
-		case meta.ChangeAdd, meta.ChangeEdit:
-			if cloudSnap == nil || cloudSnap.Deleted {
-				// Cloud deleted, we edited: our edit survives.
-				out = append(out, ch)
-				continue
-			}
-			if cloudSnap.ContentEquals(ch.Snapshot) {
-				continue // identical coincidental update
-			}
-			// True conflict: keep the cloud's version at the path,
-			// retain ours as a conflict copy.
-			copyPath := localfs.ConflictCopyPath(ch.Path, c.cfg.Device)
-			snap := ch.Snapshot.Clone()
-			snap.Path = copyPath
-			out = append(out, &meta.Change{
-				Type: meta.ChangeAdd, Path: copyPath,
-				Snapshot: snap, Segments: ch.Segments, Time: ch.Time,
-			})
-			if data, err := c.folder.ReadFile(ch.Path); err == nil {
-				if err := c.folder.WriteFile(copyPath, data, snap.ModTime); err != nil {
-					return nil, err
-				}
-				c.suppress(copyPath, int64(len(data)), snap.ModTime, false)
-			}
-			c.noteConflict(copyPath)
-			report.Conflicts = append(report.Conflicts, copyPath)
-		case meta.ChangeDelete:
-			if cloudSnap != nil && !cloudSnap.Deleted {
-				// Cloud edited what we deleted: the edit survives,
-				// our delete is dropped.
-				continue
-			}
-			// Both deleted: nothing to commit.
-		}
-	}
-	out, err := c.reuploadMissingSegments(ctx, out, vc, upload)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// reuploadMissingSegments verifies dedup assumptions against the
-// fetched image: any referenced segment that is neither freshly
+// reuploadMissingSegments is the commit's dedup safety check, under the
+// lock: another device may have garbage-collected a deduplicated
+// segment the changes rely on. It verifies dedup assumptions against
+// the fetched image: any referenced segment that is neither freshly
 // uploaded (has block placements in the change) nor present in the
 // cloud pool is re-uploaded from the local cache, after the pass's own
 // upload has been joined — a tenant has one open batch at the shared
 // FairScheduler, whose EndBatch would otherwise clear the other's
 // waiting marks.
-func (c *Client) reuploadMissingSegments(ctx context.Context, changes []*meta.Change, vc *meta.Image, upload *uploadSession) ([]*meta.Change, error) {
+func (c *Client) reuploadMissingSegments(ctx context.Context, changes []*meta.Change, vc *meta.Image, upload *uploadSession) error {
 	for _, ch := range changes {
 		for _, seg := range ch.Segments {
 			if len(seg.Blocks) > 0 {
@@ -473,14 +427,14 @@ func (c *Client) reuploadMissingSegments(ctx context.Context, changes []*meta.Ch
 			}
 			// Dedup assumption broken: re-upload.
 			if err := upload.join(); err != nil {
-				return nil, err
+				return err
 			}
 			if err := c.reuploadSegment(ctx, seg); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return changes, nil
+	return nil
 }
 
 // reuploadSegment uploads one segment from the local cache, to

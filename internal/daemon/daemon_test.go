@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -582,5 +584,129 @@ func TestDaemonCapacityRollup(t *testing.T) {
 	}
 	if rej, _ := c1["quotaRejections"].(float64); rej < 1 {
 		t.Errorf("tenant A c1 quotaRejections = %v, want >= 1", c1["quotaRejections"])
+	}
+}
+
+// userFiles reads a folder's synced files: everything outside the
+// client's private state directory.
+func userFiles(t *testing.T, f *localfs.Mem) map[string]string {
+	t.Helper()
+	infos, err := f.ListAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, fi := range infos {
+		if strings.HasPrefix(fi.Path, localfs.StatePrefix) {
+			continue
+		}
+		data, err := f.ReadFile(fi.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fi.Path] = string(data)
+	}
+	return out
+}
+
+// TestDaemonScheduledScrubRepairsBesideTheLoops: on a manual clock,
+// tenants edit under Run while each tenant's scheduled repair scrub —
+// its own goroutine beside the tenant's sync loop — restores a block a
+// provider lost. The repair commit and the loop's passes take turns on
+// the client's one writer, so the folders converge byte-identical, the
+// placement is whole again and no error reaches onError.
+func TestDaemonScheduledScrubRepairsBesideTheLoops(t *testing.T) {
+	clk := vclock.NewManual(time.Unix(1_700_000_000, 0))
+	d := daemon.New(daemon.Config{ConnsPerCloud: 4, Clock: clk, ScrubInterval: time.Minute, ScrubRepair: true})
+	tenants := []*tenantRig{addTenant(t, d, "A", 0, 71, clk, 0), addTenant(t, d, "B", 0, 72, clk, 0)}
+	for i, r := range tenants {
+		writeFile(t, r.folder, "first.bin", randContent(int64(73+i), 12_000))
+	}
+	var mu sync.Mutex
+	var errs []string
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.Run(ctx, func(id string, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			errs = append(errs, id+": "+err.Error())
+		})
+	}()
+	stop := func() {
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(15 * time.Second):
+			t.Fatal("Run did not return after cancellation")
+		}
+	}
+	defer stop()
+	// until waits for cond, moving the clock on by step each turn.
+	until := func(what string, step time.Duration, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(20 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("never: %s", what)
+			}
+			clk.Advance(step)
+		}
+	}
+	has := func(r *tenantRig, path string) bool { return r.tenant.Client().Image().Lookup(path).Current() != nil }
+	until("the first passes commit", 0, func() bool { return has(tenants[0], "first.bin") && has(tenants[1], "first.bin") })
+
+	// Tenant A's provider loses one copy, and both tenants edit.
+	a := tenants[0]
+	img := a.tenant.Client().Image()
+	seg, _ := img.Segment(img.Lookup("first.bin").Current().SegmentIDs[0])
+	lost := seg.Blocks[0]
+	blockPath := a.tenant.Client().Engine().BlockPath(seg.ID, lost.BlockID)
+	var lostOn *cloudsim.Store
+	for _, st := range a.stores {
+		if st.Name() == lost.CloudID {
+			lostOn = st
+		}
+	}
+	if err := cloudsim.NewDirect(lostOn).Delete(ctxT(t), blockPath); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range tenants {
+		writeFile(t, r.folder, "second.bin", randContent(int64(75+i), 12_000))
+	}
+	stored := func() bool {
+		for _, p := range lostOn.Paths() {
+			if p == blockPath {
+				return true
+			}
+		}
+		return false
+	}
+	until("the edits commit and the scrub restores the lost copy", 30*time.Second, func() bool {
+		return has(tenants[0], "second.bin") && has(tenants[1], "second.bin") && stored() &&
+			a.tenant.Client().Obs().Counter("scrub.repaired_blocks").Value() > 0
+	})
+	stop()
+
+	mu.Lock()
+	if len(errs) != 0 {
+		t.Errorf("onError received %v", errs)
+	}
+	mu.Unlock()
+	if s, _ := a.tenant.Client().Image().Segment(seg.ID); s == nil || !s.HasBlock(lost.BlockID, lost.CloudID) {
+		t.Fatalf("segment %s no longer names block %d on %s", seg.ID, lost.BlockID, lost.CloudID)
+	}
+	for _, r := range tenants {
+		peer, folder := r.peer(t)
+		syncClientTo(t, peer, r.tenant.Client().Image().Version)
+		want, got := userFiles(t, r.folder), userFiles(t, folder)
+		if len(want) != 2 || len(got) != len(want) {
+			t.Fatalf("tenant %s holds %d files, its peer %d, want 2 each", r.id, len(want), len(got))
+		}
+		for path, content := range want {
+			if got[path] != content {
+				t.Fatalf("tenant %s: %s differs on the peer", r.id, path)
+			}
+		}
 	}
 }

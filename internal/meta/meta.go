@@ -265,9 +265,6 @@ func (e *FileEntry) Current() *Snapshot {
 	return e.Snapshots[0]
 }
 
-// Conflicted reports whether the entry retains conflicting versions.
-func (e *FileEntry) Conflicted() bool { return e != nil && len(e.Snapshots) > 1 }
-
 // Clone returns a deep copy of the entry.
 func (e *FileEntry) Clone() *FileEntry {
 	out := &FileEntry{Path: e.Path, Snapshots: make([]*Snapshot, len(e.Snapshots))}

@@ -119,8 +119,13 @@ func (c *Config) fillDefaults() {
 }
 
 // Manager acquires and releases the metadata lock over a fixed set of
-// clouds. It is safe for concurrent use, though a device runs one
-// sync loop and thus normally one acquisition at a time.
+// clouds. Its methods do not race, but concurrent acquisitions through
+// one Manager are NOT mutually exclusive: a round counts every flag
+// file of its own device as held, so a second Acquire wins while the
+// first lock is held, and Release deletes every own flag file, the
+// other hold's included. The caller must serialize its acquisitions
+// (core.Client does, with its one writer); the lock excludes other
+// devices, not this one.
 type Manager struct {
 	clouds []cloud.Interface
 	cfg    Config
