@@ -13,10 +13,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# No function over 100 lines in the sync, transfer, metadata, daemon
-# and scrub packages.
+# No function over 100 lines in the sync, transfer, metadata, daemon,
+# scrub, lock and scheduling packages.
 funclen:
-	./scripts/funclen.sh 100 internal/core internal/transfer internal/deltasync internal/meta internal/daemon internal/scrub
+	./scripts/funclen.sh 100 internal/core internal/transfer internal/deltasync internal/meta internal/daemon internal/scrub internal/qlock internal/sched
 
 test:
 	$(GO) test ./...

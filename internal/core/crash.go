@@ -20,8 +20,10 @@ const (
 	// no metadata references.
 	CrashMidUpload CrashPoint = "mid-upload"
 	// CrashPreCommit aborts after the quorum lock is acquired but
-	// before the metadata commit: the full availability set is
-	// uploaded and entirely unreferenced.
+	// before the metadata commit. The lock round may run beside the
+	// upload, but the pass returns the crash only once the batch is
+	// available: the full availability set is uploaded and entirely
+	// unreferenced.
 	CrashPreCommit CrashPoint = "pre-commit"
 	// CrashPostCommit aborts after the metadata commit but before the
 	// journal records it (the upload's reliability tail is cut short

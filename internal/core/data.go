@@ -234,6 +234,19 @@ func (s *uploadSession) awaitAvailable() error {
 	return nil
 }
 
+// small reports whether the batch is small enough to upload beside the
+// commit's lock round: it goes out in one dispatch (every cloud's share
+// of the normal blocks fits in its connections) and carries at most one
+// segment's worth of content, θ. Its upload then takes about one block
+// round trip, no longer than a lock round. A larger batch spends its
+// time in the data plane, where the lock round is a small share of the
+// pass, and beside the blocks its requests queue behind theirs and slow
+// them: more is lost than saved.
+func (s *uploadSession) small() bool {
+	return len(s.plans)*s.c.params.FairShare() <= s.c.cfg.ConnsPerCloud &&
+		s.outcome.BytesUploaded <= int64(s.c.cfg.Theta)
+}
+
 // backlog reports whether any plan still has a fair-share block that
 // no connection has taken: the batch's tail is then longer than what
 // is in flight, and a commit made now overlaps real upload time.

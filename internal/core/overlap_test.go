@@ -81,6 +81,19 @@ func (tp *tap) held() (inFlight, asked int) {
 	return tp.blocksHeld, tp.blocksAsked
 }
 
+// awaitHeld waits until n block uploads to the slow cloud are in
+// flight, or gives up after a while and lets the caller's assertion
+// report. The dispatcher launches a cloud's uploads as soon as the batch
+// starts, but a launched request reaches the cloud only once its
+// goroutine runs, which on a loaded machine can be after the commit.
+func (tp *tap) awaitHeld(n int) {
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if inFlight, _ := tp.held(); inFlight >= n {
+			return
+		}
+	}
+}
+
 type tappedCloud struct {
 	cloud.Interface
 	tap *tap
@@ -224,8 +237,11 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	go func() { _, err := a.SyncOnce(ctxT(t)); done <- err }()
 
 	// The first commit lands with the slow cloud's connections all held
-	// and more of its fair share queued behind them.
+	// and more of its fair share queued behind them. The gate holds every
+	// upload to it, so none can finish while the test waits for all of
+	// them to arrive.
 	await(t, tp.stampPut, len(r.stores), "version stamps of the first commit")
+	tp.awaitHeld(transfer.DefaultConnsPerCloud)
 	if inFlight, asked := tp.held(); inFlight != transfer.DefaultConnsPerCloud || asked-warmAsked != inFlight {
 		t.Fatalf("at the first commit c4 has %d block uploads in flight of %d asked, want %d held and none finished",
 			inFlight, asked-warmAsked, transfer.DefaultConnsPerCloud)
@@ -310,6 +326,7 @@ func TestCommitErrorDuringTheTailDrainsTheBatch(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	tp.awaitHeld(transfer.DefaultConnsPerCloud)
 	if inFlight, _ := tp.held(); inFlight != transfer.DefaultConnsPerCloud {
 		t.Fatalf("%d block uploads in flight on c4 while the commit runs, want %d", inFlight, transfer.DefaultConnsPerCloud)
 	}
@@ -332,4 +349,68 @@ func TestCommitErrorDuringTheTailDrainsTheBatch(t *testing.T) {
 	syncOK(t, a)
 	syncOK(t, b)
 	requireFolders(t, map[string]string{"big.bin": big}, map[string]*localfs.Mem{"alpha": fa, "beta": fb})
+}
+
+// blocksFail holds every block upload until fail is closed, then fails
+// it: a batch that never becomes available.
+type blocksFail struct {
+	cloud.Interface
+	fail <-chan struct{}
+}
+
+func (c *blocksFail) Upload(ctx context.Context, path string, data []byte) error {
+	if !strings.HasPrefix(path, transfer.DefaultBlockDir+"/") {
+		return c.Interface.Upload(ctx, path, data)
+	}
+	select {
+	case <-c.fail:
+	case <-ctx.Done():
+	}
+	return cloud.ErrUnavailable
+}
+
+// A small batch's lock round is won beside its upload. When the upload
+// then fails, the pass releases the lock it never committed under: no
+// other device has to wait out the expiry.
+func TestFailedUploadReleasesTheEarlyLock(t *testing.T) {
+	r := newRig(5)
+	fail := make(chan struct{})
+	var clouds []cloud.Interface
+	for _, st := range r.stores {
+		clouds = append(clouds, &blocksFail{Interface: cloudsim.NewDirect(st), fail: fail})
+	}
+	folder, reg := localfs.NewMem(), obs.NewRegistry()
+	a, err := New(clouds, folder, Config{Device: "alpha", Passphrase: "shared-secret", Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, folder, "small.txt", "one segment, one dispatch")
+	done := make(chan error, 1)
+	go func() { _, err := a.SyncOnce(ctxT(t)); done <- err }()
+	for deadline := time.Now().Add(20 * time.Second); reg.Counter("qlock.acquire.won").Value() == 0; {
+		if time.Now().After(deadline) {
+			close(fail)
+			t.Fatal("the lock was not won while the blocks were in flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(fail)
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("the pass succeeded though no block landed")
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the pass did not return")
+	}
+	if won, released := reg.Counter("qlock.acquire.won").Value(), reg.Counter("qlock.released").Value(); released != won {
+		t.Errorf("%d locks won, %d released", won, released)
+	}
+	for _, st := range r.stores {
+		for _, p := range st.Paths() {
+			if strings.HasPrefix(p, qlock.DefaultLockDir+"/") {
+				t.Errorf("%s keeps the flag %s", st.Name(), p)
+			}
+		}
+	}
 }

@@ -225,6 +225,14 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 //
 // Overlapping therefore never adds a lock round, and only landed
 // blocks are ever named (blocks before metadata, DESIGN.md §8).
+//
+// The commit's lock round — acquire and refresh, the first part of a
+// locked commit — starts with the batch when the batch is small (one
+// dispatch, at most θ of content: the single-file commit's shape), so
+// it runs beside the upload and the lock hold grows by at most that
+// dispatch. Otherwise it starts where it always did, once the pass is
+// ready to commit: available (drained: joined), placements stamped and
+// journaled.
 func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.Change, *meta.Image, error) {
 	start := c.cfg.Clock.Now()
 	changes := c.changes.Drain()
@@ -235,30 +243,25 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 		}
 	}()
 
-	// Write-ahead intent: before any block leaves this device, the
-	// journal records what this pass is about to upload, so a crash at
-	// ANY later point leaves a replayable record instead of silently
-	// leaked blocks. A retried batch (same changes after a failed
-	// pass) re-begins the same intent ID.
-	intentID := journal.BatchID(changes)
-	if err := c.journal.Begin(&journal.Intent{
-		ID:        intentID,
-		Kind:      journal.KindUpload,
-		Device:    c.cfg.Device,
-		CreatedAt: c.cfg.Clock.Now(),
-		Changes:   changes,
-	}); err != nil {
+	intentID, err := c.beginUpload(changes)
+	if err != nil {
 		return nil, nil, err
 	}
-
 	session, err := c.startUpload(ctx, changes)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Whatever ends the pass — commit error, lost lock, injected crash,
 	// cancelled ctx — the batch is cancelled and drained before the
-	// coding buffers it reads go back to the pool.
+	// coding buffers it reads go back to the pool, and a lock won is
+	// released.
 	defer session.close()
+	var round *lockRound
+	early := session.small()
+	if early {
+		round = c.startLock(ctx)
+		defer round.close()
+	}
 	if err := session.awaitAvailable(); err != nil {
 		return nil, nil, err
 	}
@@ -278,10 +281,14 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	// intact record lets operators see exactly what a crashed pass had
 	// achieved.
 	_ = c.journal.UpdatePlacementsBatch(intentID, session.stamp(changes))
+	readyAt := c.cfg.Clock.Now()
+	if !early {
+		round = c.startLock(ctx)
+		defer round.close()
+	}
 
-	commitStart := c.cfg.Clock.Now()
 	var commit []*meta.Change
-	commitDone, err := c.lockedCommit(ctx, c.stack, func(head *meta.Image) ([]*meta.Change, error) {
+	commitDone, err := round.commit(c.stack, func(head *meta.Image) ([]*meta.Change, error) {
 		// The plan's local side, all the commit needs: no folder call
 		// under the lock.
 		sp := c.spanTo(head)
@@ -305,12 +312,17 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	}
 	head := c.store.CachedShared()
 	report.LocalChanges = len(commit)
-	// The paper's "available time": transfers until the batch had K
-	// blocks per segment, plus the metadata commit. Excluded: whatever
-	// the pass waited for between the two, and the lock release after
-	// the commit — the data is visible to other devices the moment the
-	// commit lands.
-	report.AvailableDuration = session.availAt.Sub(start) + commitDone.Sub(commitStart)
+	// The paper's "available time": pass start until the commit landed —
+	// not the lock release after it, the data is visible to other
+	// devices from here — less the time the commit waited on the pass's
+	// own tail alone: from availability until the placements were
+	// stamped and journaled (the drain, for a drained batch), except
+	// while an early lock round was still running.
+	lockedAt := time.Time{} // a round started at readyAt ran beside none of it
+	if early {
+		lockedAt = round.endAt
+	}
+	report.AvailableDuration = commitDone.Sub(start) - waitedAlone(session.availAt, lockedAt, readyAt)
 	ok = true
 
 	if err := c.recordPlacements(ctx, session, overlap, report); err != nil {
@@ -319,6 +331,22 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	// The pass is fully recorded in committed metadata (including the
 	// final placements): the intent has served its purpose.
 	return changes, head, c.journal.Clear(intentID)
+}
+
+// beginUpload journals a pass's write-ahead intent: before any block
+// leaves this device, the journal records what the pass is about to
+// upload, so a crash at ANY later point leaves a replayable record
+// instead of silently leaked blocks. A retried batch (same changes
+// after a failed pass) re-begins the same intent ID.
+func (c *Client) beginUpload(changes []*meta.Change) (string, error) {
+	id := journal.BatchID(changes)
+	return id, c.journal.Begin(&journal.Intent{
+		ID:        id,
+		Kind:      journal.KindUpload,
+		Device:    c.cfg.Device,
+		CreatedAt: c.cfg.Clock.Now(),
+		Changes:   changes,
+	})
 }
 
 // recordPlacements is a committing pass's reliability second: once the
@@ -376,22 +404,64 @@ func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock) {
 // returned nothing), before the release. Callers hold Client.writer:
 // the lock manager does not exclude this device's own concurrent
 // acquisitions (qlock.Manager).
+//
+// It is a lockRound's two parts back to back; commitLocal runs the same
+// two with its upload between them.
 func (c *Client) lockedCommit(ctx context.Context, to stack, build func(head *meta.Image) ([]*meta.Change, error)) (time.Time, error) {
-	lock, err := c.locks.Acquire(ctx)
-	if err != nil {
-		return time.Time{}, err
+	round := c.startLock(ctx)
+	defer round.close()
+	return round.commit(to, build)
+}
+
+// lockRound is a locked commit split in two. The first part runs on
+// its own goroutine from startLock: acquire the quorum lock, then
+// refresh the store to the head the commit builds on. commit is the
+// second part: build, check, commit, release. close ends the round on
+// every path out, cancelling a first part still running and releasing
+// a lock won but never committed under.
+type lockRound struct {
+	c      *Client
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{} // closed when the first part has ended, at endAt
+	endAt  time.Time
+	// lock is the won lock until commit or close releases it; head and
+	// err are the first part's outcome.
+	lock *qlock.Lock
+	head *meta.Image
+	err  error
+}
+
+func (c *Client) startLock(ctx context.Context) *lockRound {
+	ctx, cancel := context.WithCancel(ctx)
+	r := &lockRound{c: c, ctx: ctx, cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(r.done)
+		defer func() { r.endAt = c.cfg.Clock.Now() }()
+		if r.lock, r.err = c.locks.Acquire(ctx); r.err != nil {
+			return
+		}
+		if c.crashNow(CrashPreCommit) {
+			r.err = ErrCrashInjected
+			return
+		}
+		// Refresh polls the cheap version stamps and catches up
+		// (delta-only when possible) only if a newer commit is pending.
+		r.head, r.err = c.store.Refresh(ctx)
+	}()
+	return r
+}
+
+// commit waits for the first part and runs the second (lockedCommit).
+func (r *lockRound) commit(to stack, build func(head *meta.Image) ([]*meta.Change, error)) (time.Time, error) {
+	<-r.done
+	if r.err != nil {
+		return time.Time{}, r.err
 	}
-	defer c.releaseLock(ctx, lock)
-	if c.crashNow(CrashPreCommit) {
-		return time.Time{}, ErrCrashInjected
-	}
-	// Refresh polls the cheap version stamps and catches up (delta-only
-	// when possible) only if a newer commit is pending.
-	head, err := c.store.Refresh(ctx)
-	if err != nil {
-		return time.Time{}, err
-	}
-	changes, err := build(head)
+	lock := r.lock
+	r.lock = nil
+	defer r.c.releaseLock(r.ctx, lock)
+	changes, err := build(r.head)
 	if err != nil {
 		return time.Time{}, err
 	}
@@ -399,11 +469,38 @@ func (c *Client) lockedCommit(ctx context.Context, to stack, build func(head *me
 		if !lock.Valid() {
 			return time.Time{}, fmt.Errorf("core: quorum lock lost before commit")
 		}
-		if _, err := to.store.Commit(ctx, changes); err != nil {
+		if _, err := to.store.Commit(r.ctx, changes); err != nil {
 			return time.Time{}, err
 		}
 	}
-	return c.cfg.Clock.Now(), nil
+	return r.c.cfg.Clock.Now(), nil
+}
+
+func (r *lockRound) close() {
+	select {
+	case <-r.done:
+	default:
+		r.cancel() // still contending or refreshing: of no use any more
+		<-r.done
+	}
+	if r.lock != nil {
+		r.c.releaseLock(r.ctx, r.lock)
+	}
+	r.cancel()
+}
+
+// waitedAlone is how long a commit waited on its pass alone: from the
+// availability instant or the end of the lock round, whichever came
+// later, to readyAt.
+func waitedAlone(availAt, lockedAt, readyAt time.Time) time.Duration {
+	from := availAt
+	if lockedAt.After(from) {
+		from = lockedAt
+	}
+	if readyAt.After(from) {
+		return readyAt.Sub(from)
+	}
+	return 0
 }
 
 // reuploadMissingSegments is the commit's dedup safety check, under the

@@ -12,6 +12,25 @@
 // the manager keeps a record of which of its flag files exist on which
 // cloud, so a lock hold is three fan-outs — upload, list, delete.
 //
+// A round is quorum-paced. Each cloud runs its own chain, flag upload
+// then list, with no barrier between the clouds: a device lists a
+// cloud only after its own flag landed there, which is all mutual
+// exclusion needs (of two contenders on one cloud, the one listing
+// second sees the other's flag, and two majorities share a cloud). The
+// round is decided at the Quorum()-th answer — won at the Quorum()-th
+// cloud held, lost as soon as the clouds still out cannot make up a
+// quorum — so it waits for the quorum-th fastest cloud, not the
+// slowest. The chains still running then (stragglers) keep going —
+// recording own flags, tracking first-seen times, breaking obsolete
+// locks. Withdraw and Release delete at once on the clouds whose chain
+// has ended, and each straggler deletes on its own cloud as it ends,
+// so a flag that lands late is not orphaned; refresh joins the
+// stragglers before it renews. A join lasts until the caller's
+// deadline at most, then cancels the stragglers, and each round tags
+// the flags it records with its generation: a Release that outlives
+// its deadline deletes only flags of its own hold or older, never
+// those of a hold won after it.
+//
 // The protocol needs only read-after-write list consistency from each
 // cloud. It requires no global clock: timestamps inside lock names
 // are purely to make names unique, and obsolescence of a crashed
@@ -29,6 +48,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"unidrive/internal/cloud"
@@ -43,6 +63,11 @@ const DefaultExpiry = 120 * time.Second
 // directory keeps List responses small (paper footnote 3: it holds at
 // most one file per device).
 const DefaultLockDir = ".unidrive/locks"
+
+// detachedTimeout bounds the lock's requests that no caller's context
+// governs: a refresh, and a withdraw, which must not inherit the
+// caller's cancellation.
+const detachedTimeout = 30 * time.Second
 
 // ErrNotAcquired reports that the quorum could not be won within the
 // configured attempts.
@@ -84,9 +109,8 @@ type Config struct {
 	Clock vclock.Clock
 	// Seed drives backoff jitter; 0 derives one from the device name.
 	Seed int64
-	// Obs receives the lock protocol's metrics ("qlock.*": acquire
-	// attempts, quorum round-trips, contention backoffs, refreshes,
-	// broken locks). nil disables recording.
+	// Obs receives the lock protocol's metrics ("qlock.*", DESIGN.md
+	// §6). nil disables recording.
 	Obs *obs.Registry
 	// Health, when set, lets the protocol skip clouds whose circuit
 	// breaker is open (degraded rounds). nil means all clouds are
@@ -122,8 +146,7 @@ func (c *Config) fillDefaults() {
 // clouds. Its methods do not race, but concurrent acquisitions through
 // one Manager are NOT mutually exclusive: a round counts every flag
 // file of its own device as held, so a second Acquire wins while the
-// first lock is held, and Release deletes every own flag file, the
-// other hold's included. The caller must serialize its acquisitions
+// first lock is held. The caller must serialize its acquisitions
 // (core.Client does, with its one writer); the lock excludes other
 // devices, not this one.
 type Manager struct {
@@ -138,9 +161,40 @@ type Manager struct {
 	// there: every name this manager uploaded and has not deleted, plus
 	// own-device names an acquisition List showed (a crashed
 	// incarnation's leftovers, or an upload that landed though it
-	// reported failure). Withdraw and release delete exactly these, by
-	// name.
-	own map[string]map[string]bool
+	// reported failure). Each name is tagged with the generation of the
+	// round that recorded it, or of the hold that refreshed it. Withdraw
+	// and release delete these by name, up to their own round's
+	// generation: a release that outlives its caller's deadline never
+	// deletes the flags of a later hold.
+	own map[string]map[string]uint64
+	// gen is the generation of the latest round.
+	gen uint64
+}
+
+// round is one acquisition round: a chain per admitted cloud, flag
+// upload then list, on a context of the round's own.
+type round struct {
+	gen    uint64
+	cancel context.CancelFunc
+	done   chan struct{} // closed when every chain has ended
+	// running names the clouds whose chain has not ended, and clearing
+	// reports that a withdraw or release has begun on the round; both
+	// are guarded by the manager's mu.
+	running  map[string]bool
+	clearing bool
+}
+
+// join waits for the round's chains until ctx ends, then cancels the
+// ones still running, so a cloud that hangs a request cannot hold a
+// withdraw, refresh or release past its deadline. A flag a cancelled
+// chain still lands goes on record, and the chain deletes it itself
+// when the round is being cleared.
+func (r *round) join(ctx context.Context) {
+	select {
+	case <-r.done:
+	case <-ctx.Done():
+	}
+	r.cancel()
 }
 
 // New creates a lock manager. It panics if no clouds or no device
@@ -158,7 +212,7 @@ func New(clouds []cloud.Interface, cfg Config) *Manager {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		firstSeen: make(map[string]map[string]time.Time),
-		own:       make(map[string]map[string]bool),
+		own:       make(map[string]map[string]uint64),
 	}
 }
 
@@ -189,9 +243,13 @@ func isLockFile(e cloud.Entry) bool {
 // Acquire runs the acquisition protocol until it wins a quorum, the
 // context is cancelled, or MaxAttempts is exhausted. On success the
 // returned Lock is being refreshed in the background; the caller must
-// Release it.
+// Release it. The winning round's stragglers run on a child of ctx
+// after Acquire returns: a caller that cancels it before Release may
+// leave a flag that landed unrecorded, which the next acquisition's
+// List finds and other devices break after Expiry.
 func (m *Manager) Acquire(ctx context.Context) (*Lock, error) {
 	backoff := m.cfg.BackoffBase
+	var first time.Time // the acquisition's first flag upload
 	for attempt := 0; ; attempt++ {
 		if m.cfg.MaxAttempts > 0 && attempt >= m.cfg.MaxAttempts {
 			m.cfg.Obs.Counter("qlock.acquire.exhausted").Inc()
@@ -202,19 +260,29 @@ func (m *Manager) Acquire(ctx context.Context) (*Lock, error) {
 		}
 		m.cfg.Obs.Counter("qlock.acquire.attempts").Inc()
 		name := m.lockFileName()
-		won := m.tryOnce(ctx, name)
-		if won >= m.Quorum() {
+		admitted := m.admitted()
+		if first.IsZero() && len(admitted) >= m.Quorum() {
+			first = m.cfg.Clock.Now()
+		}
+		r, won := m.tryOnce(ctx, name, admitted)
+		if won {
 			m.cfg.Obs.Counter("qlock.acquire.won").Inc()
-			l := &Lock{mgr: m, valid: true, stopRefresh: make(chan struct{})}
+			m.cfg.Obs.Histogram("qlock.acquire_ms").Observe(float64(m.cfg.Clock.Now().Sub(first)) / float64(time.Millisecond))
+			l := &Lock{mgr: m, round: r, valid: true, stopRefresh: make(chan struct{})}
 			l.name = name
 			l.refreshDone.Add(1)
 			go l.refreshLoop()
 			return l, nil
 		}
 		// Withdraw (delete all own lock files, including this
-		// attempt's) and back off for a random time (paper §5.2).
+		// attempt's) and back off for a random time (paper §5.2). The
+		// withdraw does not inherit the caller's cancellation: a
+		// cancelled acquisition is the likeliest to withdraw, and a flag
+		// it leaves makes every other device wait out Expiry.
 		m.cfg.Obs.Counter("qlock.backoffs").Inc()
-		m.deleteOwnLocks(ctx)
+		wctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedTimeout)
+		m.clear(wctx, r)
+		cancel()
 		m.sleepJittered(ctx, backoff)
 		backoff *= 2
 		if backoff > m.cfg.BackoffMax {
@@ -229,18 +297,17 @@ func (m *Manager) admits(name string) bool {
 	return m.cfg.Health == nil || m.cfg.Health.Admits(name)
 }
 
-// admitted returns which clouds the current round may address and
-// publishes the count. The callers treat a non-admitted cloud exactly
-// like one whose upload failed: it contributes nothing to the quorum.
-func (m *Manager) admitted() []bool {
-	ok := make([]bool, len(m.clouds))
-	n := 0
-	for i, c := range m.clouds {
+// admitted returns the clouds the current round may address and
+// publishes their count. A cloud left out counts exactly like one
+// whose upload failed: it contributes nothing to the quorum.
+func (m *Manager) admitted() []cloud.Interface {
+	var ok []cloud.Interface
+	for _, c := range m.clouds {
 		if m.admits(c.Name()) {
-			ok[i] = true
-			n++
+			ok = append(ok, c)
 		}
 	}
+	n := len(ok)
 	m.cfg.Obs.Gauge("qlock.admitted_clouds").Set(float64(n))
 	if n < len(m.clouds) {
 		m.cfg.Obs.Counter("qlock.degraded_rounds").Inc()
@@ -254,68 +321,73 @@ func (m *Manager) admitted() []bool {
 	return ok
 }
 
-// tryOnce uploads the lock file everywhere and counts won clouds.
-// Each call is one quorum round-trip: an upload fan-out followed by a
-// list fan-out over all admitted clouds.
-func (m *Manager) tryOnce(ctx context.Context, name string) int {
+// tryOnce is one quorum round over the admitted clouds: one chain per
+// cloud, flag upload then list, decided at the quorum (package doc).
+// It returns the round, whose chains may still be running, and whether
+// it was won.
+func (m *Manager) tryOnce(ctx context.Context, name string, admitted []cloud.Interface) (*round, bool) {
 	m.cfg.Obs.Counter("qlock.rounds").Inc()
-	admitted := m.admitted()
-	n := 0
-	for _, ok := range admitted {
-		if ok {
-			n++
-		}
-	}
-	if n < m.Quorum() {
-		// Too few live clouds to possibly win; send nothing.
-		return 0
+	ctx, cancel := context.WithCancel(ctx)
+	r := &round{cancel: cancel, done: make(chan struct{}), running: make(map[string]bool)}
+	m.mu.Lock()
+	m.gen++
+	r.gen = m.gen
+	m.mu.Unlock()
+	if len(admitted) < m.Quorum() {
+		close(r.done)
+		return r, false // too few live clouds to possibly win; send nothing
 	}
 	path := cloud.JoinPath(DefaultLockDir, name)
-	var wg sync.WaitGroup
-	uploaded := make([]bool, len(m.clouds))
-	for i, c := range m.clouds {
-		if !admitted[i] {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, c cloud.Interface) {
-			defer wg.Done()
+	var chains sync.WaitGroup
+	held := make(chan bool, len(admitted)) // buffered: a straggler never blocks
+	for _, c := range admitted {
+		r.running[c.Name()] = true
+	}
+	for _, c := range admitted {
+		chains.Add(1)
+		go func(c cloud.Interface) {
+			defer chains.Done()
+			won := false
 			if c.Upload(ctx, path, nil) == nil {
-				uploaded[i] = true
-				m.noteOwn(c.Name(), name)
+				m.noteOwn(c.Name(), name, r.gen)
+				won = m.checkCloud(ctx, c, r.gen)
 			}
-		}(i, c)
-	}
-	wg.Wait()
-
-	won := make([]bool, len(m.clouds))
-	for i, c := range m.clouds {
-		wg.Add(1)
-		go func(i int, c cloud.Interface) {
-			defer wg.Done()
-			if !uploaded[i] {
-				return
+			held <- won
+			m.mu.Lock()
+			delete(r.running, c.Name())
+			clearing := r.clearing
+			m.mu.Unlock()
+			if clearing {
+				// The round is being cleared: delete what this chain
+				// landed, now that it has ended — on a context of its own,
+				// since the clear may have given up on it already.
+				dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedTimeout)
+				deleteFlags(dctx, c, m.takeOwn(c.Name(), r.gen, nil))
+				cancel()
 			}
-			won[i] = m.checkCloud(ctx, c)
-		}(i, c)
+		}(c)
 	}
-	wg.Wait()
+	go func() {
+		chains.Wait()
+		close(r.done)
+	}()
 
-	count := 0
-	for _, w := range won {
-		if w {
-			count++
+	won, out := 0, len(admitted)
+	for won < m.Quorum() && won+out >= m.Quorum() {
+		out--
+		if <-held {
+			won++
 		}
 	}
-	return count
+	return r, won >= m.Quorum()
 }
 
 // checkCloud lists the lock directory on c and reports whether this
 // device holds that cloud's lock: every (non-obsolete) lock file
 // present belongs to this device. Obsolete foreign lock files —
 // first seen by this manager more than Expiry ago — are broken
-// (deleted) and ignored.
-func (m *Manager) checkCloud(ctx context.Context, c cloud.Interface) bool {
+// (deleted) and ignored. gen is the listing round's generation.
+func (m *Manager) checkCloud(ctx context.Context, c cloud.Interface, gen uint64) bool {
 	entries, err := c.List(ctx, DefaultLockDir)
 	if err != nil {
 		return false
@@ -325,7 +397,7 @@ func (m *Manager) checkCloud(ctx context.Context, c cloud.Interface) bool {
 	ok := true
 	for _, name := range live {
 		if ownedBy(name, m.cfg.Device) {
-			m.noteOwn(c.Name(), name)
+			m.noteSeen(c.Name(), name, gen)
 			continue
 		}
 		if now.Sub(m.firstSeenAt(c.Name(), name)) > m.cfg.Expiry {
@@ -378,16 +450,36 @@ func (m *Manager) firstSeenAt(cloudName, lockName string) time.Time {
 	return m.firstSeen[cloudName][lockName]
 }
 
-// noteOwn records that a flag file of this device exists on the cloud.
-func (m *Manager) noteOwn(cloudName, lockName string) {
+// noteOwn records that a flag file of this device exists on the cloud,
+// tagged with generation gen. A name keeps the latest generation that
+// recorded it.
+func (m *Manager) noteOwn(cloudName, lockName string, gen uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.noteLocked(cloudName, lockName, gen)
+}
+
+// noteSeen records an own-device flag file that round gen's List showed,
+// unless a later round has begun since: a straggler's List may show the
+// flag of a later round before that round's chain recorded it, and the
+// straggler's older tag would let this round's release delete it.
+func (m *Manager) noteSeen(cloudName, lockName string, gen uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if gen == m.gen {
+		m.noteLocked(cloudName, lockName, gen)
+	}
+}
+
+func (m *Manager) noteLocked(cloudName, lockName string, gen uint64) {
 	names := m.own[cloudName]
 	if names == nil {
-		names = make(map[string]bool)
+		names = make(map[string]uint64)
 		m.own[cloudName] = names
 	}
-	names[lockName] = true
+	if gen > names[lockName] {
+		names[lockName] = gen
+	}
 }
 
 // forgetOwn records that the flag file is gone from the cloud.
@@ -398,44 +490,63 @@ func (m *Manager) forgetOwn(cloudName, lockName string) {
 }
 
 // takeOwn returns the flag files of this device recorded on the cloud
-// and forgets them: each delete is tried once. One that fails leaves a
-// file the next acquisition's List shows again (and other devices
-// break after Expiry), so nothing is retried blindly against a cloud
-// that stays down.
-func (m *Manager) takeOwn(cloudName string) []string {
+// with a generation up to upTo, and forgets them, unless the cloud is
+// in skip (read under m.mu): each delete is tried once. One that fails leaves a file the
+// next acquisition's List shows again (and other devices break after
+// Expiry), so nothing is retried blindly against a cloud that stays
+// down.
+func (m *Manager) takeOwn(cloudName string, upTo uint64, skip map[string]bool) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.own[cloudName]))
-	for name := range m.own[cloudName] {
-		names = append(names, name)
+	if skip[cloudName] {
+		return nil
 	}
-	delete(m.own, cloudName)
+	var names []string
+	for name, gen := range m.own[cloudName] {
+		if gen <= upTo {
+			names = append(names, name)
+			delete(m.own[cloudName], name)
+		}
+	}
 	return names
 }
 
-// deleteOwnLocks removes this device's flag files from all clouds, by
-// name: the current attempt's or hold's file wherever its upload
-// succeeded, own-device names an acquisition List showed, and old names
-// a refresh could not delete. Used on withdraw and release. No List is
-// needed — every file this manager created is on its record, and one
-// it does not know of is found by the next acquisition's List — and a
-// cloud holding nothing of ours gets no request at all.
-func (m *Manager) deleteOwnLocks(ctx context.Context) {
+// clear is withdraw and release: it deletes, by name, this device's
+// flag files recorded up to round r's generation — the round's or
+// hold's file wherever its upload succeeded, own-device names an
+// acquisition List showed, and old names a refresh could not delete. It
+// deletes at once on every cloud where r's chain has ended, and each
+// straggler deletes on its own cloud as it ends, so a straggler that
+// hangs holds up no other cloud's deletes. It waits for the stragglers
+// until ctx ends. No List is needed — every file this manager created
+// is on its record, and one it does not know of is found by the next
+// acquisition's List — and a cloud holding nothing of ours gets no
+// request at all.
+func (m *Manager) clear(ctx context.Context, r *round) {
+	m.mu.Lock()
+	r.clearing = true
+	m.mu.Unlock()
 	var wg sync.WaitGroup
 	for _, c := range m.clouds {
-		names := m.takeOwn(c.Name())
+		names := m.takeOwn(c.Name(), r.gen, r.running)
 		if len(names) == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func(c cloud.Interface) {
 			defer wg.Done()
-			for _, name := range names {
-				_ = c.Delete(ctx, cloud.JoinPath(DefaultLockDir, name))
-			}
+			deleteFlags(ctx, c, names)
 		}(c)
 	}
 	wg.Wait()
+	r.join(ctx)
+}
+
+// deleteFlags deletes the named flag files from c.
+func deleteFlags(ctx context.Context, c cloud.Interface, names []string) {
+	for _, name := range names {
+		_ = c.Delete(ctx, cloud.JoinPath(DefaultLockDir, name))
+	}
 }
 
 func (m *Manager) sleepJittered(ctx context.Context, ceiling time.Duration) {
@@ -452,6 +563,7 @@ func (m *Manager) sleepJittered(ctx context.Context, ceiling time.Duration) {
 // until released.
 type Lock struct {
 	mgr         *Manager
+	round       *round // the winning round; its generation tags the hold's flags
 	stopRefresh chan struct{}
 	stopOnce    sync.Once
 	refreshDone sync.WaitGroup
@@ -483,7 +595,7 @@ func (l *Lock) refreshLoop() {
 			return
 		case <-m.cfg.Clock.After(m.cfg.RefreshInterval):
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), detachedTimeout)
 		l.refreshOnce(ctx)
 		cancel()
 	}
@@ -495,9 +607,11 @@ func (l *Lock) refreshLoop() {
 // criterion ("only my files present"): a contender's flag file may
 // sit in the directory for a moment before the contender sees ours
 // and withdraws, and that transient presence must not scare the
-// legitimate holder off.
+// legitimate holder off. The winning round's stragglers are joined
+// first, so none lands the old name after the renewal deleted it.
 func (l *Lock) refreshOnce(ctx context.Context) {
 	m := l.mgr
+	l.round.join(ctx)
 	newName := m.lockFileName()
 	l.mu.Lock()
 	oldName := l.name
@@ -505,22 +619,18 @@ func (l *Lock) refreshOnce(ctx context.Context) {
 
 	newPath := cloud.JoinPath(DefaultLockDir, newName)
 	oldPath := cloud.JoinPath(DefaultLockDir, oldName)
-	admitted := m.admitted()
 	var wg sync.WaitGroup
-	held := make([]bool, len(m.clouds))
-	for i, c := range m.clouds {
-		if !admitted[i] {
-			// A skipped cloud cannot renew; it simply does not count
-			// toward the refresh quorum, same as a failed upload.
-			continue
-		}
+	var held atomic.Int32
+	// A cloud left out cannot renew; it simply does not count toward the
+	// refresh quorum, same as a failed upload.
+	for _, c := range m.admitted() {
 		wg.Add(1)
-		go func(i int, c cloud.Interface) {
+		go func(c cloud.Interface) {
 			defer wg.Done()
 			if err := c.Upload(ctx, newPath, nil); err != nil {
 				return
 			}
-			m.noteOwn(c.Name(), newName)
+			m.noteOwn(c.Name(), newName, l.round.gen)
 			// An old name that could not be deleted stays on record and
 			// goes with the release.
 			if err := c.Delete(ctx, oldPath); err == nil || errors.Is(err, cloud.ErrNotFound) {
@@ -528,29 +638,26 @@ func (l *Lock) refreshOnce(ctx context.Context) {
 			}
 			// Renewed on this cloud (read-after-write: the new flag
 			// file is visible to every later List).
-			held[i] = true
-		}(i, c)
+			held.Add(1)
+		}(c)
 	}
 	wg.Wait()
 
-	count := 0
-	for _, h := range held {
-		if h {
-			count++
-		}
-	}
 	l.mu.Lock()
 	l.name = newName
 	m.cfg.Obs.Counter("qlock.refreshes").Inc()
-	if count < m.Quorum() {
+	if int(held.Load()) < m.Quorum() {
 		m.cfg.Obs.Counter("qlock.refresh_lost").Inc()
 		l.valid = false
 	}
 	l.mu.Unlock()
 }
 
-// Release stops refreshing and deletes this device's lock files from
-// all clouds. It is idempotent.
+// Release stops refreshing and deletes from all clouds this device's
+// lock files recorded up to the hold's generation, waiting for the
+// winning round's stragglers until ctx ends (clear): a Release still
+// running after its caller moved on to a new hold leaves that hold's
+// files alone. It is idempotent.
 func (l *Lock) Release(ctx context.Context) error {
 	l.stopOnce.Do(func() {
 		close(l.stopRefresh)
@@ -560,6 +667,6 @@ func (l *Lock) Release(ctx context.Context) error {
 	l.valid = false
 	l.mu.Unlock()
 	l.refreshDone.Wait()
-	l.mgr.deleteOwnLocks(ctx)
+	l.mgr.clear(ctx, l.round)
 	return nil
 }

@@ -151,14 +151,28 @@ func TestCrashedHolderLockBroken(t *testing.T) {
 	if waited := time.Since(start); waited < cfg.Expiry {
 		t.Fatalf("lock broken after only %v, before expiry %v", waited, cfg.Expiry)
 	}
-	// The obsolete files must have been deleted.
-	for _, c := range clouds {
-		entries, _ := c.List(context.Background(), DefaultLockDir)
-		for _, e := range entries {
-			if ownedBy(e.Name, "deadbeef") {
-				t.Fatalf("crashed device's lock file %s not broken", e.Name)
+	// The obsolete files must have been deleted: on the clouds of the
+	// winning quorum by the time Acquire returns, on the rest once the
+	// round's stragglers have ended.
+	brokenOn := func() (n int) {
+		for _, c := range clouds {
+			entries, _ := c.List(context.Background(), DefaultLockDir)
+			crashed := false
+			for _, e := range entries {
+				crashed = crashed || ownedBy(e.Name, "deadbeef")
+			}
+			if !crashed {
+				n++
 			}
 		}
+		return n
+	}
+	if n := brokenOn(); n < m.Quorum() {
+		t.Fatalf("crashed device's lock broken on %d clouds at the win, want a quorum of %d", n, m.Quorum())
+	}
+	<-l.round.done
+	if n := brokenOn(); n != len(clouds) {
+		t.Fatalf("crashed device's lock broken on %d of %d clouds", n, len(clouds))
 	}
 }
 

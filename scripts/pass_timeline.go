@@ -65,9 +65,16 @@ func main() {
 		os.Exit(1)
 	}
 	byPass := make(map[int64][]span)
+	lockClouds := make(map[string]bool)
 	for _, s := range doc.Spans {
 		byPass[s.Pass] = append(byPass[s.Pass], s)
+		if s.Layer == "qlock" {
+			lockClouds[s.Cloud] = true
+		}
 	}
+	// A lock round must hold a strict majority of the clouds the lock
+	// addresses.
+	quorum := len(lockClouds)/2 + 1
 	cols := map[string][]float64{}
 	add := func(name string, v float64) { cols[name] = append(cols[name], v) }
 	for _, p := range doc.Passes {
@@ -113,8 +120,11 @@ func main() {
 		add("available", ms(avail))
 		for i, r := range rounds(locks) {
 			share := 100 * float64(overlap(busy, r)) / float64(r.end-r.start)
-			fmt.Printf("  lock round %d   %8.1f → %.1f  (block upload in flight %.0f %% of it)\n", i+1, ms(r.start), ms(r.end), share)
+			held := acquired(locks, r, quorum)
+			fmt.Printf("  lock round %d   %8.1f → %.1f  (quorum held at %.1f; block upload in flight %.0f %% of it)\n",
+				i+1, ms(r.start), ms(r.end), ms(held), share)
 			add(fmt.Sprintf("round %d start", i+1), ms(r.start))
+			add(fmt.Sprintf("round %d quorum held", i+1), ms(held))
 			add(fmt.Sprintf("round %d end", i+1), ms(r.end))
 			add(fmt.Sprintf("round %d under uploads %%", i+1), share)
 		}
@@ -180,6 +190,23 @@ func rounds(locks []span) []iv {
 		}
 	}
 	return out
+}
+
+// acquired is the instant round r held a quorum: the end of the q-th of
+// its lock-directory lists to finish (the round's end when it listed
+// fewer clouds).
+func acquired(locks []span, r iv, q int) int64 {
+	var ends []int64
+	for _, s := range locks {
+		if s.Op == "list" && s.Start >= r.start && s.End <= r.end {
+			ends = append(ends, s.End)
+		}
+	}
+	if len(ends) < q {
+		return r.end
+	}
+	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
+	return ends[q-1]
 }
 
 // union merges overlapping intervals, sorted by start.
