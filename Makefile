@@ -14,9 +14,9 @@ vet:
 	$(GO) vet ./...
 
 # No function over 100 lines in the sync, transfer, metadata, daemon,
-# scrub, lock and scheduling packages.
+# scrub, lock, scheduling, journal and capacity packages.
 funclen:
-	./scripts/funclen.sh 100 internal/core internal/transfer internal/deltasync internal/meta internal/daemon internal/scrub internal/qlock internal/sched
+	./scripts/funclen.sh 100 internal/core internal/transfer internal/deltasync internal/meta internal/daemon internal/scrub internal/qlock internal/sched internal/journal internal/capacity
 
 test:
 	$(GO) test ./...
@@ -45,10 +45,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Fault-injection soak: the chaos, outage, failover, hedging,
-# crash-recovery, quota-exhaustion, and data-corruption tests under
-# the race detector with a generous timeout.
+# crash-recovery, quota-exhaustion, data-corruption, trim and
+# owed-placement tests under the race detector with a generous timeout.
 chaos:
-	$(GO) test -race -timeout 15m -run 'Chaos|Outage|Failover|Hedge|Flaky|Breaker|Guard|Degraded|Crash|Recover|Corrupt|Scrub|Quota' \
+	$(GO) test -race -timeout 15m -run 'Chaos|Outage|Failover|Hedge|Flaky|Breaker|Guard|Degraded|Crash|Recover|Corrupt|Scrub|Quota|Trim|Placement' \
 		./internal/core/... ./internal/transfer/... ./internal/health/... \
 		./internal/qlock/... ./internal/cloudsim/... ./internal/scrub/... \
 		./internal/capacity/...

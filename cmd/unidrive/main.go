@@ -186,6 +186,20 @@ func run() error {
 			return err
 		}
 		printReport(rep)
+		if rep.LocalChanges > 0 {
+			// Blocks the upload landed after its commit are recorded by the
+			// device's next lock hold; without it the next start would
+			// reclaim them and leave the segments thin.
+			if rep, err = client.SyncRemote(ctx); err != nil {
+				return err
+			}
+			if rep.CloudChanges > 0 {
+				printReport(rep)
+			}
+			if rep.PlacementsRecorded > 0 {
+				fmt.Printf("sync v%d: final placements of %d segments recorded\n", rep.Version, rep.PlacementsRecorded)
+			}
+		}
 		return nil
 	}
 

@@ -54,8 +54,8 @@ func (c *Client) apply(ctx context.Context, local []*meta.Change, head *meta.Ima
 // device's view. The folder agrees with head — a pass executed its plan,
 // a maintenance commit writes no file — so v_o becomes head, or the
 // store's head when nothing committed after head changes a file
-// (relocates: the pass's own final placements, a maintenance commit,
-// another device's). The blocks of segments the span dropped are
+// (relocates: a maintenance commit's, another device's, final
+// placements a hold recorded). The blocks of segments the span dropped are
 // deleted and the new state is checkpointed.
 func (c *Client) advance(ctx context.Context, head *meta.Image) {
 	if cur := c.store.CachedShared(); cur.Version > head.Version {

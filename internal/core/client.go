@@ -209,9 +209,13 @@ type Client struct {
 	// one writer, whichever goroutine asks — the sync loop, a daemon's
 	// scheduled scrub, a CLI — and so one acquirer of the quorum lock,
 	// which does not exclude this device's own concurrent acquisitions.
-	// It also guards the checkpoint cursor and the recovered map. mu
-	// below guards the fields read outside the writer.
+	// It also guards the checkpoint cursor, the recovered map and the
+	// owed placements. mu below guards the fields read outside the
+	// writer.
 	writer sync.Mutex
+	// owed are the placements an earlier pass's upload landed after its
+	// commit's stamp, for the next lock hold to record (placements.go).
+	owed owedPlacements
 
 	mu sync.Mutex
 	// last is the device's view of the committed metadata (the

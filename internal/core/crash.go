@@ -25,10 +25,11 @@ const (
 	// available: the full availability set is uploaded and entirely
 	// unreferenced.
 	CrashPreCommit CrashPoint = "pre-commit"
-	// CrashPostCommit aborts after the metadata commit but before the
-	// journal records it (the upload's reliability tail is cut short
-	// with it): the intent looks uncommitted while the image already
-	// holds the changes.
+	// CrashPostCommit aborts after a lock hold's metadata commit but
+	// before the journal records it (the upload's reliability tail is
+	// cut short with it): a pass's own intent looks uncommitted while
+	// the image already holds the changes, and the intents whose owed
+	// placements the hold recorded are still there.
 	CrashPostCommit CrashPoint = "post-commit"
 	// CrashMidApply aborts the write stage after N files have been
 	// written: the folder is half old, half new.

@@ -183,6 +183,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 				t.Fatal("the crash left no journal intent to replay")
 			}
 			syncOK(t, a2)
+			syncOK(t, a2) // records the placements the resumed commit's tail owes
 			syncOK(t, b)
 			syncOK(t, a2)
 

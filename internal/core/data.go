@@ -77,8 +77,9 @@ type uploadOutcome struct {
 // in ONE continuous batch on its own goroutine, availability first and
 // on to reliability (paper §6.2). The pass waits for the availability
 // instant, commits, and joins the batch; whether the commit overlaps
-// the batch's reliability tail is commitLocal's decision. Every path
-// out of the pass ends in close.
+// the batch's reliability tail is commitLocal's decision, and what the
+// tail lands after the commit is owed to the next lock hold (settle).
+// Every path out of the pass ends in close.
 type uploadSession struct {
 	c       *Client
 	plans   []sessionSegment
@@ -288,7 +289,9 @@ func (s *uploadSession) release() {
 // moment: the encoded bytes are already in memory. Only landed blocks
 // are named (plan.Placement), never blocks in flight, so a commit of
 // these records keeps blocks-before-metadata while the batch runs on.
-// It returns the placements by segment for the journal.
+// Blocks only accumulate, so a second stamp — the commit's, under the
+// lock — adds what landed since the first and checksums only those. It
+// returns the placements by segment for the journal.
 func (s *uploadSession) stamp(changes []*meta.Change) map[string]map[int]string {
 	placements := make(map[string]map[int]string, len(s.plans))
 	sources := make(map[string]*segmentSource, len(s.plans))
@@ -302,51 +305,49 @@ func (s *uploadSession) stamp(changes []*meta.Change) map[string]map[int]string 
 			if !ok {
 				continue
 			}
-			src := sources[seg.ID]
-			seg.Blocks = seg.Blocks[:0]
 			for blockID, cloudName := range pl {
-				seg.AddBlockSum(blockID, cloudName, src.sum(blockID))
+				// A block adopted from a crashed pass is recorded without a
+				// checksum until its first stamp.
+				if !seg.HasBlock(blockID, cloudName) || seg.BlockSum(blockID) == 0 {
+					seg.AddBlockSum(blockID, cloudName, sources[seg.ID].sum(blockID))
+				}
 			}
 			// A placement below the fair-share target is committed thin:
 			// a crash before the final placement is recorded leaves a
 			// record the scrubber knows to re-expand.
-			seg.Thin = len(pl) < s.c.normalTarget(seg)
+			seg.Thin = len(seg.Blocks) < s.c.normalTarget(seg)
 		}
 	}
 	return placements
 }
 
-// settle compares the joined batch's final placements with what stamp
-// recorded and returns relocate changes for the segments that moved on
-// — the paper's callback-updated Cloud-ID fields — plus the number of
-// over-provisioned blocks uploaded. Nothing when the commit already
-// named the full placement.
-func (s *uploadSession) settle() (relocates []*meta.Change, overProvisioned int) {
+// settle compares the joined batch's final placements with what the
+// commit named and returns, by segment, the blocks that landed after
+// the stamp — the paper's callback-updated Cloud-ID fields, owed to the
+// device's next lock hold — plus the number of over-provisioned blocks
+// uploaded. Nothing when the commit already named the full placement.
+func (s *uploadSession) settle() (landed map[string][]meta.BlockLocation, overProvisioned int) {
 	for _, p := range s.plans {
 		overProvisioned += p.plan.OverProvisioned()
 		placement := p.plan.Placement()
-		thin := len(placement) < s.c.normalTarget(p.seg)
-		if thin {
+		if len(placement) < s.c.normalTarget(p.seg) {
 			// The batch could not reach fair share — quota pressure left
 			// the segment under-replicated. It stays committed thin;
 			// scrub/rebalance re-expand it when space returns.
 			s.c.cfg.Obs.Counter("core.commit.thin_segments").Inc()
 		}
-		if len(placement) == len(p.seg.Blocks) && thin == p.seg.Thin {
-			continue // nothing new to record
-		}
-		updated := p.seg.Clone()
-		updated.Blocks = nil
-		updated.Thin = thin
 		for blockID, cloudName := range placement {
-			updated.AddBlockSum(blockID, cloudName, p.src.sum(blockID))
+			if p.seg.HasBlock(blockID, cloudName) {
+				continue
+			}
+			if landed == nil {
+				landed = make(map[string][]meta.BlockLocation)
+			}
+			landed[p.seg.ID] = append(landed[p.seg.ID],
+				meta.BlockLocation{BlockID: blockID, CloudID: cloudName, Checksum: p.src.sum(blockID)})
 		}
-		relocates = append(relocates, &meta.Change{
-			Type: meta.ChangeRelocate, Path: updated.ID,
-			Segments: []*meta.Segment{updated},
-		})
 	}
-	return relocates, overProvisioned
+	return landed, overProvisioned
 }
 
 // ErrInsufficientCapacity reports that the clouds' remaining quota
@@ -370,8 +371,8 @@ func quotaConstrained(plan *sched.UploadPlan, names []string) bool {
 // normalTarget is the full placement a segment should reach: the
 // placement parameters' normal-block count, capped by the segment's
 // code width.
-func (c *Client) normalTarget(seg *meta.Segment) int {
-	n := c.params.NormalBlocks()
+func (st *stack) normalTarget(seg *meta.Segment) int {
+	n := st.params.NormalBlocks()
 	if n > seg.N {
 		n = seg.N
 	}

@@ -108,3 +108,31 @@ func TestFreshDeviceAfterDeleteAndReAddNamesOnlyLiveBlocks(t *testing.T) {
 		t.Error("beta's image does not encode like alpha's")
 	}
 }
+
+// B applies a file and the user deletes it before any scan has seen it:
+// the scanner knows the path only by its pending self-write
+// suppression. B's next pass must commit the delete, not leave B's
+// folder without a file the image still holds.
+func TestDeleteOfAnAppliedFileBeforeAnyScanCommits(t *testing.T) {
+	r := newRig(5)
+	a, fa := r.device(t, "alpha")
+	b, fb := r.device(t, "beta")
+	writeFile(t, fa, "kept.txt", "stays everywhere")
+	writeFile(t, fa, "x.txt", "applied on beta, deleted there unscanned")
+	syncOK(t, a)
+	if rep := syncOK(t, b); rep.CloudChanges != 2 {
+		t.Fatalf("beta applied %d changes, want 2", rep.CloudChanges)
+	}
+	if err := fb.Remove("x.txt"); err != nil {
+		t.Fatal(err)
+	}
+	if rep := syncOK(t, b); rep.LocalChanges != 1 {
+		t.Fatalf("beta committed %d changes after the delete, want 1", rep.LocalChanges)
+	}
+	syncOK(t, a)
+	want := map[string]string{"kept.txt": "stays everywhere"}
+	requireFolders(t, want, map[string]*localfs.Mem{"alpha": fa, "beta": fb})
+	if snap := a.Image().Lookup("x.txt").Current(); snap == nil || !snap.Deleted {
+		t.Errorf("alpha's image still holds x.txt: %+v", snap)
+	}
+}

@@ -480,6 +480,7 @@ func TestChaosCorruptionScrubSoak(t *testing.T) {
 		writeFile(t, fa, path, content)
 	}
 	syncOK(t, a)
+	syncOK(t, a) // records the placements the commit's tail owes
 
 	// The faulted device: shares the stores, owns its connectors.
 	s, fs := r.device(t, "scrubby")

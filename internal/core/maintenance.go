@@ -38,7 +38,8 @@ func relocateChange(seg *meta.Segment) *meta.Change {
 }
 
 // TrimOverProvisioned reclaims over-provisioned parity blocks,
-// trimming every segment back to each cloud's fair share (paper §6.2:
+// trimming every segment back to each cloud's fair share but never
+// below its normal placement, and leaving thin segments alone (paper §6.2:
 // "over-provisioned parity blocks will be cleaned to reclaim storage
 // space when the corresponding file is sync'ed to all devices").
 //
@@ -81,7 +82,9 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 
 // trimSurplus deletes, on every cloud onCloud accepts, each segment's
 // blocks beyond the cloud's fair share, committing the reduced
-// placements first. It returns the number of blocks deleted.
+// placements first. A thin segment is short of its normal placement
+// and has no surplus to give, whatever one cloud holds. It returns the
+// number of blocks deleted.
 func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string) bool) (int, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()
@@ -90,7 +93,10 @@ func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string)
 	_, err := c.lockedCommit(ctx, c.stack, func(img *meta.Image) (changes []*meta.Change, err error) {
 		for _, segID := range img.SegmentIDs() {
 			seg, _ := img.Segment(segID)
-			surplus := surplusBlocks(seg, fair, onCloud)
+			if seg.Thin {
+				continue
+			}
+			surplus := surplusBlocks(seg, fair, c.normalTarget(seg), onCloud)
 			if len(surplus) == 0 {
 				continue
 			}
@@ -110,10 +116,12 @@ func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string)
 }
 
 // surplusBlocks returns the blocks a segment holds beyond the fair
-// share on each cloud onCloud accepts. The lowest block IDs on a cloud
-// are kept (the normal parity set); the surplus high IDs are the
-// over-provisioned extras.
-func surplusBlocks(seg *meta.Segment, fair int, onCloud func(cloudName string) bool) []transfer.BlockRef {
+// share on each cloud onCloud accepts, but never so many that fewer
+// than target blocks would remain: a cloud holding extras does not make
+// up for one short of its share. The lowest block IDs on a cloud are
+// kept (the normal parity set); of the surplus, the highest IDs — the
+// over-provisioned extras — go first.
+func surplusBlocks(seg *meta.Segment, fair, target int, onCloud func(cloudName string) bool) []transfer.BlockRef {
 	perCloud := make(map[string][]int)
 	for _, b := range seg.Blocks {
 		if onCloud(b.CloudID) {
@@ -127,7 +135,13 @@ func surplusBlocks(seg *meta.Segment, fair int, onCloud func(cloudName string) b
 			out = append(out, transfer.BlockRef{SegID: seg.ID, BlockID: id, Cloud: cloudName})
 		}
 	}
-	return out
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].BlockID != out[j].BlockID {
+			return out[i].BlockID > out[j].BlockID
+		}
+		return out[i].Cloud < out[j].Cloud
+	})
+	return out[:min(len(out), max(0, len(seg.Blocks)-target))]
 }
 
 // FsckReport is the result of a metadata-vs-clouds existence check.

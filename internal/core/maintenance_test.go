@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"unidrive/internal/cloudsim"
+	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
 )
 
@@ -210,4 +211,63 @@ func TestMaintenanceCommitKeepsUnappliedRemoteEdit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A trim never takes a segment below its normal placement and never
+// trims a thin one. Under quota exhaustion (the set-up of
+// TestChaosQuotaExhaustionSoak's phases A and B) segments commit thin
+// with two blocks on each of the two clouds with space; cutting each
+// cloud to its fair share would leave them two blocks, below K.
+func TestTrimSparesThinSegments(t *testing.T) {
+	r := newRig(5)
+	a, fa, _, _, _ := r.quotaDevice(t, "alpha", 71)
+	writeFile(t, fa, "base/report.txt", randContent(50, 9_000))
+	writeFile(t, fa, "base/data.bin", randContent(51, 5_000))
+	syncChaos(t, a)
+
+	r.stores[1].SetQuota(1)
+	for _, i := range []int{2, 3} {
+		f := r.flaky["alpha"][i]
+		f.AddQuotaWindow(f.Ops(), f.Ops()+12)
+	}
+	writeFile(t, fa, "burst/big.bin", randContent(52, 10_000))
+	writeFile(t, fa, "burst/note.txt", randContent(53, 2_000))
+	committed := false
+	for attempt := 0; attempt < 5 && !committed; attempt++ {
+		_, err := a.SyncOnce(ctxT(t))
+		committed = err == nil
+	}
+	if !committed {
+		t.Fatal("alpha never committed under quota exhaustion")
+	}
+	r.stores[1].SetQuota(0)
+	syncChaos(t, a) // records what the thin commit owed, if anything
+
+	before := a.Image()
+	thin := 0
+	for _, seg := range before.AllSegments() {
+		if seg.Thin {
+			thin++
+		}
+	}
+	if thin == 0 {
+		t.Fatal("no thin segments: the test tests nothing")
+	}
+	if _, err := a.TrimOverProvisioned(ctxT(t)); err != nil {
+		t.Fatal(err)
+	}
+	after := a.Image()
+	for id, seg := range before.AllSegments() {
+		now, _ := after.Segment(id)
+		switch {
+		case seg.Thin && len(now.Blocks) != len(seg.Blocks):
+			t.Errorf("thin segment %s trimmed from %d to %d blocks", id, len(seg.Blocks), len(now.Blocks))
+		case !seg.Thin && len(now.Blocks) < min(len(seg.Blocks), a.normalTarget(seg)):
+			t.Errorf("segment %s trimmed from %d to %d blocks, below its normal placement", id, len(seg.Blocks), len(now.Blocks))
+		}
+	}
+	b, fb := r.device(t, "beta")
+	syncChaos(t, b)
+	requireFolders(t, userFiles(t, fa), map[string]*localfs.Mem{"beta": fb})
+	auditBlocks(t, r, after)
 }

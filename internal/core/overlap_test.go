@@ -11,6 +11,7 @@ import (
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/deltasync"
+	"unidrive/internal/journal"
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
 	"unidrive/internal/obs"
@@ -212,9 +213,9 @@ func segmentsOf(t *testing.T, img *meta.Image, path string) []*meta.Segment {
 
 // A multi-segment commit whose slowest cloud still has fair-share
 // blocks queued when the batch becomes available: the metadata commit
-// runs while that cloud's uploads are in flight, names only landed
-// blocks, and the final placement follows in the pass's second — and
-// last — lock round.
+// runs while that cloud's uploads are in flight and names only landed
+// blocks; the pass takes that one lock round and ends when its batch
+// joins, and the device's next lock hold records the final placement.
 func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	r := newRig(5)
 	tp := newTap("c4")
@@ -274,14 +275,41 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("the pass did not finish after the gate opened")
 	}
-	if got := reg.Counter("qlock.rounds").Value() - roundsBefore; got != 2 {
-		t.Errorf("the pass took %d lock rounds, want 2", got)
+	if got := reg.Counter("qlock.rounds").Value() - roundsBefore; got != 1 {
+		t.Errorf("the pass took %d lock rounds, want 1", got)
 	}
 	if got := reg.Counter("core.commit.overlapped").Value(); got != 1 {
 		t.Errorf("core.commit.overlapped = %d, want 1", got)
 	}
 	if got := reg.Histogram("core.commit.tail_ms").Count(); got != 1 {
 		t.Errorf("core.commit.tail_ms has %d samples, want 1", got)
+	}
+	// c4's fair shares landed after the commit: owed to the next hold,
+	// with the pass's intent committed in the journal until then.
+	if got := reg.Gauge("core.placements.pending").Value(); got != float64(len(segs)) {
+		t.Errorf("core.placements.pending = %v after the pass, want its %d segments", got, len(segs))
+	}
+	if in := a.journal.Active(); len(in) != 1 || in[0].State != journal.StateCommitted {
+		t.Errorf("journal after the pass: %+v, want the pass's intent, committed", in)
+	}
+
+	rounds := reg.Counter("qlock.rounds").Value()
+	rep, err := a.SyncRemote(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PlacementsRecorded != len(segs) || rep.LocalChanges != 0 {
+		t.Errorf("the next poll recorded %d placements and %d local changes, want %d and 0",
+			rep.PlacementsRecorded, rep.LocalChanges, len(segs))
+	}
+	if got := reg.Counter("qlock.rounds").Value() - rounds; got != 1 {
+		t.Errorf("recording the placements took %d lock rounds, want 1", got)
+	}
+	if got := reg.Gauge("core.placements.pending").Value(); got != 0 {
+		t.Errorf("core.placements.pending = %v once recorded, want 0", got)
+	}
+	if n := a.journal.Len(); n != 0 {
+		t.Errorf("%d journal intents once the placements are recorded, want 0", n)
 	}
 	p := a.Params()
 	for _, seg := range segmentsOf(t, a.Image(), "big.bin") {

@@ -1,0 +1,108 @@
+package core
+
+import (
+	"context"
+	"slices"
+
+	"unidrive/internal/meta"
+	"unidrive/internal/transfer"
+)
+
+// A committing pass names the blocks that have landed when its commit
+// is built (uploadSession.stamp, under the lock), and its batch may go
+// on uploading the reliability tail after that. The blocks that land
+// after the stamp are owed to the metadata: the paper fills the blocks'
+// Cloud-ID fields in once reliability is reached (§6.2). The device's
+// next lock hold records them, whatever that hold is for — a commit
+// pass, the trim, the capacity valve, a scrub repair, SetClouds, or,
+// when nothing else is due, a pass that polls (SyncRemote, the loop's
+// remote poll): lockRound.commit adds them to what the hold commits.
+// Until then other devices read the record the commit made, which holds
+// at least K blocks of every segment, and any K decode.
+
+// owedPlacements are the blocks of committed segments that landed after
+// their commit's stamp, by segment, and the upload intents they came
+// from. Each intent stays committed in the journal until the hold that
+// records its blocks has committed; a crash or an exit before that
+// leaves the unrecorded tail to Recover's committed-intent branch,
+// which reclaims it. Guarded by Client.writer.
+type owedPlacements struct {
+	blocks  map[string][]meta.BlockLocation
+	intents []string
+}
+
+// owe hands what a pass's batch landed after its stamp to the device's
+// next lock hold.
+func (c *Client) owe(intentID string, landed map[string][]meta.BlockLocation) {
+	if c.owed.blocks == nil {
+		c.owed.blocks = make(map[string][]meta.BlockLocation, len(landed))
+	}
+	for segID, blocks := range landed {
+		c.owed.blocks[segID] = append(c.owed.blocks[segID], blocks...)
+	}
+	c.owed.intents = append(c.owed.intents, intentID)
+	c.cfg.Obs.Gauge("core.placements.pending").Set(float64(len(c.owed.blocks)))
+}
+
+// rebaseOwed turns the owed blocks into relocates on top of post — the
+// image a hold's commit leaves: its head with the hold's own changes
+// applied — for the cloud set to. A segment post still holds gets
+// post's record plus the owed blocks it does not name yet, with Thin
+// recomputed. A block is left out when the record already places its
+// block ID on another cloud, when its cloud is not in the set, or when
+// the cloud is at MaxPerCloud. Nothing post lacks is added back: the
+// owed blocks were never named, so no block a later commit removed — a
+// trim, a repair — is among them. The blocks left out, and every owed
+// block of a segment post no longer holds (it is gone from the head, or
+// this very commit drops it), are returned for deletion once the commit
+// has landed: no metadata will ever name them.
+func (c *Client) rebaseOwed(post *meta.Image, to *stack) (relocates []*meta.Change, dropped []transfer.BlockRef) {
+	for segID, blocks := range c.owed.blocks {
+		var rec *meta.Segment
+		if seg, alive := post.Segment(segID); alive {
+			rec = seg.Clone()
+		}
+		added := 0
+		for _, b := range blocks {
+			switch {
+			case rec != nil && rec.HasBlock(b.BlockID, b.CloudID):
+				// Named already: the same file, recorded by a retried hold
+				// or written by another pass.
+			case rec != nil && to.fits(rec, b):
+				rec.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
+				added++
+			default:
+				dropped = append(dropped, transfer.BlockRef{SegID: segID, BlockID: b.BlockID, Cloud: b.CloudID})
+			}
+		}
+		if added > 0 {
+			rec.Thin = len(rec.Blocks) < to.normalTarget(rec)
+			relocates = append(relocates, relocateChange(rec))
+		}
+	}
+	return relocates, dropped
+}
+
+// fits reports whether the record may name b: b's cloud is in the set
+// and below the per-cloud bound, and b's block ID is placed nowhere yet.
+func (st *stack) fits(rec *meta.Segment, b meta.BlockLocation) bool {
+	return slices.Contains(st.names, b.CloudID) &&
+		len(rec.BlocksOn(b.CloudID)) < st.params.MaxPerCloud() &&
+		!slices.ContainsFunc(rec.Blocks, func(x meta.BlockLocation) bool { return x.BlockID == b.BlockID })
+}
+
+// settleOwed ends a hold that recorded the owed placements: the owed
+// blocks no metadata names are deleted, and only then are the intents
+// cleared, so a crash in between leaves them to Recover. Best effort: a
+// lingering intent costs the next start a survey, never data.
+func (c *Client) settleOwed(ctx context.Context, dropped []transfer.BlockRef) {
+	if len(dropped) > 0 {
+		c.engine.DeleteBlocks(ctx, dropped)
+		c.cfg.Obs.Counter("core.placements.dropped").Add(int64(len(dropped)))
+	}
+	for _, id := range c.owed.intents {
+		_ = c.journal.Clear(id)
+	}
+	c.owed = owedPlacements{}
+	c.cfg.Obs.Gauge("core.placements.pending").Set(0)
+}

@@ -1,0 +1,368 @@
+package core
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"unidrive/internal/cloud"
+	"unidrive/internal/cloudsim"
+	"unidrive/internal/localfs"
+	"unidrive/internal/meta"
+	"unidrive/internal/obs"
+	"unidrive/internal/transfer"
+	"unidrive/internal/vclock"
+)
+
+// owingPass commits a big.bin of more segments than a cloud has
+// connections from alpha, with the block uploads to c4 held until the
+// commit has landed, runs meanwhile (when not nil) while they are still
+// held, then lets them go: the pass ends owing every segment's c4 share
+// to alpha's next lock hold.
+func owingPass(t *testing.T, r *rig, meanwhile func()) (*Client, *localfs.Mem, *obs.Registry, string) {
+	t.Helper()
+	tp := newTap("c4")
+	a, fa, reg := r.tappedDevice(t, "alpha", tp)
+	big := randContent(17, 10*4096)
+	writeFile(t, fa, "big.bin", big)
+	tp.blocks.hold()
+	held := true
+	defer func() {
+		if held {
+			tp.blocks.open()
+		}
+	}()
+	done := make(chan error, 1)
+	go func() { _, err := a.SyncOnce(ctxT(t)); done <- err }()
+	await(t, tp.stampPut, len(r.stores), "version stamps of the commit")
+	if meanwhile != nil {
+		meanwhile()
+	}
+	held = false
+	tp.blocks.open()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the pass did not finish after the gate opened")
+	}
+	if got := reg.Gauge("core.placements.pending").Value(); got == 0 {
+		t.Fatal("the pass owes no placements: the test tests nothing")
+	}
+	return a, fa, reg, big
+}
+
+// owedBlocks counts the blocks the device owes to its next hold.
+func owedBlocks(c *Client) int {
+	n := 0
+	for _, blocks := range c.owed.blocks {
+		n += len(blocks)
+	}
+	return n
+}
+
+// auditNamed fails on any block location the image names that its
+// cloud does not hold: metadata naming a block that is gone.
+func auditNamed(t *testing.T, r *rig, img *meta.Image) {
+	t.Helper()
+	held := make(map[string]bool)
+	for _, st := range r.stores {
+		for _, p := range st.Paths() {
+			held[st.Name()+"/"+p] = true
+		}
+	}
+	for id, seg := range img.AllSegments() {
+		for _, b := range seg.Blocks {
+			if !held[b.CloudID+"/"+transfer.DefaultBlockDir+"/"+meta.BlockName(id, b.BlockID)] {
+				t.Errorf("segment %s names block %d on %s, which the cloud does not hold", id, b.BlockID, b.CloudID)
+			}
+		}
+	}
+}
+
+// requireRecorded checks that alpha owes nothing any more: every
+// segment of big.bin names its normal block on c4, the pass's intent
+// is cleared, and the clouds hold exactly the blocks the image names.
+func requireRecorded(t *testing.T, r *rig, a *Client, reg *obs.Registry) {
+	t.Helper()
+	if got := reg.Gauge("core.placements.pending").Value(); got != 0 {
+		t.Errorf("core.placements.pending = %v, want 0", got)
+	}
+	if n := a.journal.Len(); n != 0 {
+		t.Errorf("%d journal intents left, want 0", n)
+	}
+	img := a.Image()
+	for _, seg := range segmentsOf(t, img, "big.bin") {
+		if !seg.HasBlock(4, "c4") {
+			t.Errorf("segment %s: c4's share not recorded: %+v", seg.ID, seg.Blocks)
+		}
+	}
+	auditBlocks(t, r, img)
+	auditNamed(t, r, img)
+}
+
+// Whatever a lock hold is for, it records the placements owed, in the
+// one round it takes.
+func TestOwedPlacementsRecordedByEveryHold(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hold func(t *testing.T, r *rig, a *Client, fa *localfs.Mem)
+	}{
+		{"a commit pass", func(t *testing.T, r *rig, a *Client, fa *localfs.Mem) {
+			writeFile(t, fa, "small.txt", "one more file")
+			owed := len(a.owed.blocks)
+			if rep := syncOK(t, a); rep.LocalChanges != 1 || rep.PlacementsRecorded != owed {
+				t.Errorf("the pass committed %d changes and recorded %d placements, want 1 and %d",
+					rep.LocalChanges, rep.PlacementsRecorded, owed)
+			}
+		}},
+		{"a trim", func(t *testing.T, r *rig, a *Client, fa *localfs.Mem) {
+			if _, err := a.TrimOverProvisioned(ctxT(t)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"a scrub repair", func(t *testing.T, r *rig, a *Client, fa *localfs.Mem) {
+			// A copy lost behind the device's back gives the scrub a
+			// repair to commit.
+			seg := segmentsOf(t, a.Image(), "big.bin")[0]
+			lost := seg.Blocks[0]
+			for _, st := range r.stores {
+				if st.Name() == lost.CloudID {
+					if err := cloudsim.NewDirect(st).Delete(ctxT(t), a.Engine().BlockPath(seg.ID, lost.BlockID)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			srep, err := a.Scrub(ctxT(t), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !srep.Committed {
+				t.Fatal("the scrub committed no repair")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(5)
+			a, fa, reg, _ := owingPass(t, r, nil)
+			rounds := reg.Counter("qlock.rounds").Value()
+			tc.hold(t, r, a, fa)
+			if got := reg.Counter("qlock.rounds").Value() - rounds; got != 1 {
+				t.Errorf("the hold took %d lock rounds, want 1", got)
+			}
+			requireRecorded(t, r, a, reg)
+		})
+	}
+}
+
+// With nothing else to commit, the loop's remote poll records the
+// placements owed: the dirty pass that committed ends owing them, and
+// the poll after it takes one lock round for them.
+func TestOwedPlacementsRecordedByTheLoopsRemotePoll(t *testing.T) {
+	r := newRig(5)
+	tp := newTap("c4")
+	var clouds []cloud.Interface
+	for _, st := range r.stores {
+		clouds = append(clouds, &tappedCloud{Interface: cloudsim.NewDirect(st), tap: tp})
+	}
+	clk := vclock.NewManual(time.Unix(1_700_000_000, 0))
+	fa, reg := localfs.NewMem(), obs.NewRegistry()
+	a, err := New(clouds, fa, Config{
+		Device: "alpha", Passphrase: "shared-secret", Theta: 4096,
+		LockExpiry: 500 * time.Millisecond, Obs: reg,
+		Clock: clk, SyncInterval: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startLoop(t, a, func(err error) { t.Error("pass error:", err) })
+	waitCond(t, "the first pass", func() bool { return reg.Counter("deltasync.refresh.noop").Value() >= 1 })
+
+	tp.blocks.hold()
+	writeFile(t, fa, "big.bin", randContent(17, 10*4096))
+	waitCond(t, "the watch event", func() bool { return reg.Counter("sync.watch.events").Value() >= 1 })
+	clk.Advance(time.Second) // past the settle window: the dirty pass commits
+	await(t, tp.stampPut, len(r.stores), "version stamps of the commit")
+	tp.blocks.open()
+	waitCond(t, "the dirty pass to end owing", func() bool { return reg.Gauge("core.placements.pending").Value() > 0 })
+	time.Sleep(20 * time.Millisecond) // a turn of the loop: nothing is due before the poll
+	if got := reg.Gauge("core.placements.pending").Value(); got == 0 {
+		t.Fatal("the placements were recorded before the remote poll")
+	}
+
+	rounds := reg.Counter("qlock.rounds").Value()
+	clk.Advance(time.Minute) // the remote poll is due
+	waitCond(t, "the poll to record them", func() bool { return reg.Gauge("core.placements.pending").Value() == 0 })
+	waitCond(t, "the poll to advance the view", func() bool {
+		for _, seg := range segmentsOf(t, a.Image(), "big.bin") {
+			if !seg.HasBlock(4, "c4") {
+				return false
+			}
+		}
+		return true
+	})
+	if got := reg.Counter("qlock.rounds").Value() - rounds; got != 1 {
+		t.Errorf("the poll took %d lock rounds, want 1", got)
+	}
+	requireRecorded(t, r, a, reg)
+}
+
+// Another device trims the first commit's extras while alpha's tail is
+// still uploading. The hold that records alpha's tail rebases it on the
+// trimmed record: nothing the trim deleted is named again.
+func TestOwedPlacementsRebaseOverAConcurrentTrim(t *testing.T) {
+	r := newRig(5)
+	var trimmed []transfer.BlockRef
+	a, _, reg, _ := owingPass(t, r, func() {
+		b, _ := r.device(t, "beta")
+		syncOK(t, b)
+		before := b.Image()
+		n, err := b.TrimOverProvisioned(ctxT(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Fatal("the first commit named nothing over-provisioned: the test tests nothing")
+		}
+		after := b.Image()
+		for id, seg := range before.AllSegments() {
+			now, _ := after.Segment(id)
+			for _, blk := range seg.Blocks {
+				if !now.HasBlock(blk.BlockID, blk.CloudID) {
+					trimmed = append(trimmed, transfer.BlockRef{SegID: id, BlockID: blk.BlockID, Cloud: blk.CloudID})
+				}
+			}
+		}
+	})
+	owed := len(a.owed.blocks)
+	rep, err := a.SyncRemote(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PlacementsRecorded != owed {
+		t.Errorf("recorded %d placements, want %d", rep.PlacementsRecorded, owed)
+	}
+	img := a.Image()
+	for _, b := range trimmed {
+		if seg, ok := img.Segment(b.SegID); ok && seg.HasBlock(b.BlockID, b.Cloud) {
+			t.Errorf("segment %s: block %d on %s, trimmed, is named again", b.SegID, b.BlockID, b.Cloud)
+		}
+	}
+	requireRecorded(t, r, a, reg)
+}
+
+// Owed blocks of a segment that died before the hold that would record
+// them are deleted, never named — whether another device's commit or
+// the hold's own commit drops the segment.
+func TestOwedPlacementsOfDeadSegmentsAreDeleted(t *testing.T) {
+	t.Run("another device deleted the file", func(t *testing.T) {
+		r := newRig(5)
+		var b *Client
+		a, fa, reg, _ := owingPass(t, r, func() {
+			var fb *localfs.Mem
+			b, fb = r.device(t, "beta")
+			syncOK(t, b)
+			if err := b.ScanLocal(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fb.Remove("big.bin"); err != nil {
+				t.Fatal(err)
+			}
+			if rep := syncOK(t, b); rep.LocalChanges != 1 {
+				t.Fatalf("beta committed %d changes, want its delete", rep.LocalChanges)
+			}
+		})
+		owed := owedBlocks(a)
+		if rep := syncOK(t, a); rep.PlacementsRecorded != 0 || rep.CloudChanges != 1 {
+			t.Errorf("alpha's pass recorded %d placements and applied %d changes, want 0 and the delete",
+				rep.PlacementsRecorded, rep.CloudChanges)
+		}
+		if got := reg.Counter("core.placements.dropped").Value(); got != int64(owed) {
+			t.Errorf("core.placements.dropped = %d, want the %d owed blocks", got, owed)
+		}
+		syncOK(t, b)
+		requireFolders(t, map[string]string{}, map[string]*localfs.Mem{"alpha": fa})
+		auditBlocks(t, r, a.Image())
+		auditNamed(t, r, a.Image())
+		if n := a.journal.Len(); n != 0 {
+			t.Errorf("%d journal intents left, want 0", n)
+		}
+	})
+	t.Run("the next pass overwrites the file", func(t *testing.T) {
+		r := newRig(5)
+		a, fa, reg, _ := owingPass(t, r, nil)
+		owed := owedBlocks(a)
+		rewritten := randContent(18, 10*4096)
+		writeFile(t, fa, "big.bin", rewritten)
+		if rep := syncOK(t, a); rep.PlacementsRecorded != 0 || rep.LocalChanges != 1 {
+			t.Errorf("the overwrite recorded %d placements and committed %d changes, want 0 and 1",
+				rep.PlacementsRecorded, rep.LocalChanges)
+		}
+		if got := reg.Counter("core.placements.dropped").Value(); got != int64(owed) {
+			t.Errorf("core.placements.dropped = %d, want the %d owed blocks", got, owed)
+		}
+		syncOK(t, a) // records what the overwrite owes, if anything
+		b, fb := r.device(t, "beta")
+		syncOK(t, b)
+		requireFolders(t, map[string]string{"big.bin": rewritten}, map[string]*localfs.Mem{"alpha": fa, "beta": fb})
+		auditBlocks(t, r, a.Image())
+		auditNamed(t, r, a.Image())
+	})
+}
+
+// A device that dies owing placements, before the hold that records
+// them or right after that hold commits, recovers to segments of at
+// least K blocks and clouds holding only named blocks.
+func TestOwedPlacementsSurviveACrash(t *testing.T) {
+	for _, postCommit := range []bool{false, true} {
+		name := "before the recording hold"
+		if postCommit {
+			name = "after the recording hold commits"
+		}
+		t.Run(name, func(t *testing.T) {
+			r := newRig(5)
+			a, fa, _, big := owingPass(t, r, nil)
+			if postCommit {
+				a.ArmCrash(CrashPostCommit, 0)
+				if _, err := a.SyncRemote(ctxT(t)); !errors.Is(err, ErrCrashInjected) {
+					t.Fatalf("the recording hold survived the armed crash: %v", err)
+				}
+			}
+			a2 := restartWithObs(t, r, "alpha", fa, obs.NewRegistry())
+			if _, _, err := a2.LoadState(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := a2.Recover(ctxT(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.IntentsReplayed != 1 {
+				t.Fatalf("recovery replayed %d intents, want the owing pass's", rec.IntentsReplayed)
+			}
+			if !postCommit && rec.OrphansReclaimed == 0 {
+				t.Error("recovery reclaimed none of the unrecorded tail")
+			}
+			b, fb := r.device(t, "beta")
+			syncOK(t, a2)
+			syncOK(t, b)
+			syncOK(t, a2)
+			requireFolders(t, map[string]string{"big.bin": big}, map[string]*localfs.Mem{"alpha": fa, "beta": fb})
+			img := a2.Image()
+			if bv := b.Image().Version; bv != img.Version {
+				t.Fatalf("versions diverge: alpha v%d, beta v%d", img.Version, bv)
+			}
+			for _, seg := range segmentsOf(t, img, "big.bin") {
+				if len(seg.Blocks) < seg.K {
+					t.Errorf("segment %s holds %d blocks, fewer than K=%d", seg.ID, len(seg.Blocks), seg.K)
+				}
+				if postCommit && !seg.HasBlock(4, "c4") {
+					t.Errorf("segment %s: the crashed hold's record of c4's share is gone", seg.ID)
+				}
+			}
+			auditBlocks(t, r, img)
+			auditNamed(t, r, img)
+		})
+	}
+}

@@ -262,6 +262,9 @@ func TestOverwriteDeletesEveryDeadBlockOnce(t *testing.T) {
 	if _, err := c.SyncDirty(ctxT(t), []string{"big.bin"}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.SyncRemote(ctxT(t)); err != nil { // records the placements the commit's tail owes
+		t.Fatal(err)
+	}
 	img := c.Image()
 	old := img.Lookup("big.bin").Current()
 	if len(old.SegmentIDs) < 5 {

@@ -11,6 +11,7 @@ import (
 	"unidrive/internal/meta"
 	"unidrive/internal/qlock"
 	"unidrive/internal/sched"
+	"unidrive/internal/transfer"
 )
 
 // SyncReport summarizes one SyncOnce pass.
@@ -30,9 +31,15 @@ type SyncReport struct {
 	// every committed file was AVAILABLE in the multi-cloud (K blocks
 	// per segment uploaded and metadata committed) — the paper's
 	// "available time" metric (§7.1). The pass itself runs longer: it
-	// also completes the upload to reliability and records the final
-	// placements. Zero when no local changes were committed.
+	// also completes the upload to reliability, whose final placements
+	// the device's next lock hold records. Zero when no local changes
+	// were committed.
 	AvailableDuration time.Duration
+	// PlacementsRecorded is the number of segments whose final placement
+	// — blocks an earlier pass's upload landed after its commit was
+	// stamped — this pass's lock hold recorded. LocalChanges does not
+	// count them: they change no file.
+	PlacementsRecorded int
 }
 
 // A pass is the paper's Algorithm 1 (SyncMetadata) as named stages,
@@ -40,7 +47,8 @@ type SyncReport struct {
 //
 //	observe  folder → ChangedFileList (full scan | dirty paths | nothing)
 //	commit   upload, then under the quorum lock: refresh, plan, commit
-//	         (commitLocal); a stamp poll when there is nothing to commit
+//	         (commitLocal); when there is nothing to commit, a stamp
+//	         poll, or the lock round that records owed placements
 //	plan     (local changes, span v_o→v_c, folder) → []applyAction
 //	         (plan.go): its local side under the lock when the pass
 //	         commits, the whole plan on the live folder after release
@@ -169,15 +177,19 @@ func (c *Client) SyncDirty(ctx context.Context, paths []string) (SyncReport, err
 // refresh the cached metadata if a commit is pending, and apply it to
 // the local folder. Nothing is observed; pending local changes from an
 // earlier failed pass are still committed first, since committing
-// under the lock subsumes the refresh.
+// under the lock subsumes the refresh, and so are the final placements
+// an earlier pass owes (placements.go), under a lock round of their
+// own when nothing else is to be committed.
 func (c *Client) SyncRemote(ctx context.Context) (SyncReport, error) {
 	return c.pass(ctx, nil, true)
 }
 
 // pass runs the stages in order. poll says whether a pass that finds
-// nothing to commit still asks the clouds for news. When nothing was
-// committed anywhere the pass ends before an image is materialized or
-// diffed — the property that makes event-driven passes O(changes).
+// nothing to commit still asks the clouds for news; such a pass also
+// records the placements owed, in one lock round whose refresh is the
+// poll. When nothing was committed anywhere the pass ends before an
+// image is materialized or diffed — the property that makes
+// event-driven passes O(changes).
 func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()
@@ -193,6 +205,10 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 	switch {
 	case c.changes.Len() > 0:
 		local, head, err = c.commitLocal(ctx, &report)
+	case poll && len(c.owed.intents) > 0:
+		report.PlacementsRecorded, err = c.lockedCommit(ctx, c.stack, func(*meta.Image) ([]*meta.Change, error) {
+			return nil, nil
+		})
 	case poll:
 		_, err = c.store.Refresh(ctx)
 	}
@@ -210,21 +226,23 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 // head their commit made. The pass's upload is one continuous batch
 // (startUpload); the metadata commit happens at its availability
 // instant — the files are available to other devices from here,
-// AvailableDuration marks this moment — and the final placements are
-// recorded once the batch has finished. What the commit waits for
-// depends on what the batch still owes when it becomes available:
+// AvailableDuration marks this moment — and the pass ends when the
+// batch has finished. What the commit waits for depends on what the
+// batch still owes when it becomes available:
 //
 //   - nothing queued, the rest of every fair share is in flight (a
 //     single small file): the pass waits those few blocks out and
 //     commits once, naming the full placement;
 //   - fair-share blocks still queued behind busy connections (more
-//     segments than a cloud has connections): a second locked round to
-//     record them is owed either way, so the first commit names the
-//     blocks landed so far, thin, and runs WHILE the reliability tail
-//     keeps uploading; the relocate commit follows the join.
+//     segments than a cloud has connections): the commit names the
+//     blocks landed when it is built, thin where they are short of the
+//     target, and runs WHILE the reliability tail keeps uploading. What
+//     lands after that is owed to the device's next lock hold
+//     (placements.go), and the intent stays committed until then.
 //
-// Overlapping therefore never adds a lock round, and only landed
-// blocks are ever named (blocks before metadata, DESIGN.md §8).
+// Every pass therefore takes at most one lock round — the one that also
+// records what an earlier pass owes — and only landed blocks are ever
+// named (blocks before metadata, DESIGN.md §8).
 //
 // The commit's lock round — acquire and refresh, the first part of a
 // locked commit — starts with the batch when the batch is small (one
@@ -289,6 +307,9 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 
 	var commit []*meta.Change
 	commitDone, err := round.commit(c.stack, func(head *meta.Image) ([]*meta.Change, error) {
+		// Stamp again under the lock: the commit names every block landed
+		// by now, and other devices read this record until the next hold.
+		session.stamp(changes)
 		// The plan's local side, all the commit needs: no folder call
 		// under the lock.
 		sp := c.spanTo(head)
@@ -302,16 +323,12 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	if err != nil {
 		return nil, nil, err
 	}
-	if c.crashNow(CrashPostCommit) {
-		// The commit landed but the journal still says "uploading" —
-		// recovery must detect committedness from the image itself.
-		return nil, nil, ErrCrashInjected
-	}
 	if err := c.journal.MarkCommitted(intentID, c.store.Stamp().Version); err != nil {
 		return nil, nil, err
 	}
 	head := c.store.CachedShared()
 	report.LocalChanges = len(commit)
+	report.PlacementsRecorded = round.recorded
 	// The paper's "available time": pass start until the commit landed —
 	// not the lock release after it, the data is visible to other
 	// devices from here — less the time the commit waited on the pass's
@@ -325,12 +342,10 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	report.AvailableDuration = commitDone.Sub(start) - waitedAlone(session.availAt, lockedAt, readyAt)
 	ok = true
 
-	if err := c.recordPlacements(ctx, session, overlap, report); err != nil {
+	if err := c.finishUpload(session, intentID, overlap, report); err != nil {
 		return nil, nil, err
 	}
-	// The pass is fully recorded in committed metadata (including the
-	// final placements): the intent has served its purpose.
-	return changes, head, c.journal.Clear(intentID)
+	return changes, head, nil
 }
 
 // beginUpload journals a pass's write-ahead intent: before any block
@@ -349,10 +364,13 @@ func (c *Client) beginUpload(changes []*meta.Change) (string, error) {
 	})
 }
 
-// recordPlacements is a committing pass's reliability second: once the
-// batch has finished, the fair shares (and extras) that landed after
-// the commit's stamp go into a follow-up relocate commit.
-func (c *Client) recordPlacements(ctx context.Context, session *uploadSession, overlap bool, report *SyncReport) error {
+// finishUpload is a committing pass's reliability second: it waits for
+// the batch to finish and owes the fair shares (and extras) that landed
+// after the commit's stamp to the device's next lock hold. The intent
+// stays committed until that hold records them; when nothing landed
+// after the stamp the pass is fully recorded and the intent is cleared
+// here.
+func (c *Client) finishUpload(session *uploadSession, intentID string, overlap bool, report *SyncReport) error {
 	committed := c.cfg.Clock.Now()
 	if err := session.join(); err != nil {
 		return err
@@ -364,13 +382,13 @@ func (c *Client) recordPlacements(ctx context.Context, session *uploadSession, o
 		}
 		c.cfg.Obs.Histogram("core.commit.tail_ms").Observe(float64(tail) / float64(time.Millisecond))
 	}
-	relocates, over := session.settle()
+	landed, over := session.settle()
 	report.Upload.OverProvisioned = over
-	if len(relocates) == 0 {
-		return nil
+	if len(landed) == 0 {
+		return c.journal.Clear(intentID)
 	}
-	_, err := c.lockedCommit(ctx, c.stack, func(*meta.Image) ([]*meta.Change, error) { return relocates, nil })
-	return err
+	c.owe(intentID, landed)
+	return nil
 }
 
 // releaseLock releases a quorum lock with a hard deadline so a
@@ -400,25 +418,26 @@ func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock) {
 // still holds, commit through to's store, release. to is the client's
 // own stack for every caller but SetClouds, whose commit lands on the
 // new cloud set. build runs under the lock and must not touch the
-// folder. It returns the instant the commit completed (or build
-// returned nothing), before the release. Callers hold Client.writer:
-// the lock manager does not exclude this device's own concurrent
-// acquisitions (qlock.Manager).
+// folder. Every hold also records the placements owed (placements.go);
+// it returns how many segments' records it rewrote for them. Callers
+// hold Client.writer: the lock manager does not exclude this device's
+// own concurrent acquisitions (qlock.Manager).
 //
 // It is a lockRound's two parts back to back; commitLocal runs the same
 // two with its upload between them.
-func (c *Client) lockedCommit(ctx context.Context, to stack, build func(head *meta.Image) ([]*meta.Change, error)) (time.Time, error) {
+func (c *Client) lockedCommit(ctx context.Context, to stack, build func(head *meta.Image) ([]*meta.Change, error)) (int, error) {
 	round := c.startLock(ctx)
 	defer round.close()
-	return round.commit(to, build)
+	_, err := round.commit(to, build)
+	return round.recorded, err
 }
 
 // lockRound is a locked commit split in two. The first part runs on
 // its own goroutine from startLock: acquire the quorum lock, then
 // refresh the store to the head the commit builds on. commit is the
-// second part: build, check, commit, release. close ends the round on
-// every path out, cancelling a first part still running and releasing
-// a lock won but never committed under.
+// second part: build, add the owed placements, check, commit, release.
+// close ends the round on every path out, cancelling a first part still
+// running and releasing a lock won but never committed under.
 type lockRound struct {
 	c      *Client
 	ctx    context.Context
@@ -430,6 +449,9 @@ type lockRound struct {
 	lock *qlock.Lock
 	head *meta.Image
 	err  error
+	// recorded is the number of owed segment placements the commit
+	// recorded.
+	recorded int
 }
 
 func (c *Client) startLock(ctx context.Context) *lockRound {
@@ -453,6 +475,9 @@ func (c *Client) startLock(ctx context.Context) *lockRound {
 }
 
 // commit waits for the first part and runs the second (lockedCommit).
+// It returns the instant the commit completed (or found nothing to
+// commit), before the release. A hold that recorded the owed
+// placements settles them after the release.
 func (r *lockRound) commit(to stack, build func(head *meta.Image) ([]*meta.Change, error)) (time.Time, error) {
 	<-r.done
 	if r.err != nil {
@@ -460,20 +485,55 @@ func (r *lockRound) commit(to stack, build func(head *meta.Image) ([]*meta.Chang
 	}
 	lock := r.lock
 	r.lock = nil
-	defer r.c.releaseLock(r.ctx, lock)
-	changes, err := build(r.head)
+	owing := len(r.c.owed.intents) > 0
+	dropped, err := r.commitHeld(lock, to, build)
+	committedAt := r.c.cfg.Clock.Now()
+	r.c.releaseLock(r.ctx, lock)
 	if err != nil {
 		return time.Time{}, err
 	}
-	if len(changes) > 0 {
-		if !lock.Valid() {
-			return time.Time{}, fmt.Errorf("core: quorum lock lost before commit")
-		}
-		if _, err := to.store.Commit(r.ctx, changes); err != nil {
-			return time.Time{}, err
-		}
+	if owing {
+		r.c.settleOwed(r.ctx, dropped)
 	}
-	return r.c.cfg.Clock.Now(), nil
+	return committedAt, nil
+}
+
+// commitHeld is what a hold does under the lock: build the changes from
+// the head, append the owed placements rebased on top of them, check
+// the lock and commit. It returns the owed blocks the commit does not
+// name.
+func (r *lockRound) commitHeld(lock *qlock.Lock, to stack, build func(head *meta.Image) ([]*meta.Change, error)) ([]transfer.BlockRef, error) {
+	changes, err := build(r.head)
+	if err != nil {
+		return nil, err
+	}
+	var dropped []transfer.BlockRef
+	if len(r.c.owed.intents) > 0 {
+		post, err := r.head.ApplyCOW(changes, r.c.cfg.Device)
+		if err != nil {
+			return nil, err
+		}
+		var relocates []*meta.Change
+		relocates, dropped = r.c.rebaseOwed(post, &to)
+		r.recorded = len(relocates)
+		changes = append(changes, relocates...)
+	}
+	if len(changes) == 0 {
+		return dropped, nil
+	}
+	if !lock.Valid() {
+		return nil, fmt.Errorf("core: quorum lock lost before commit")
+	}
+	if _, err := to.store.Commit(r.ctx, changes); err != nil {
+		return nil, err
+	}
+	if r.c.crashNow(CrashPostCommit) {
+		// The commit landed but the journal has not heard: the pass's own
+		// intent still says "uploading", an owed one is still there.
+		// Recovery must tell from the image itself.
+		return nil, ErrCrashInjected
+	}
+	return dropped, nil
 }
 
 func (r *lockRound) close() {

@@ -396,6 +396,12 @@ func fig14Reliability(opts Opts) *Table {
 		t.AddNote("pre-upload failed: %v", err)
 		return t
 	}
+	// The requirement is fulfilled in the metadata once the final
+	// placements are recorded, by the source's next remote poll.
+	if _, err := uni.(*uniDrive).src.Client.SyncRemote(ctx); err != nil {
+		t.AddNote("recording the placements failed: %v", err)
+		return t
+	}
 
 	names := c.CloudNames()
 	allUp := func() {

@@ -518,18 +518,31 @@ func (s *Scanner) ScanAll() ([]Event, int, error) {
 		}
 	}
 	for path := range s.prev {
-		if _, still := current[path]; still {
-			continue
+		if _, still := current[path]; !still && s.goneLocked(path) {
+			events = append(events, Event{Kind: Removed, Info: FileInfo{Path: path}})
 		}
-		if sup, ok := s.suppress[path]; ok && sup.removed {
-			delete(s.suppress, path)
-			continue
+	}
+	// A file UniDrive wrote that no scan has seen yet is known too.
+	for path := range s.suppress {
+		if _, still := current[path]; !still && s.goneLocked(path) {
+			events = append(events, Event{Kind: Removed, Info: FileInfo{Path: path}})
 		}
-		events = append(events, Event{Kind: Removed, Info: FileInfo{Path: path}})
 	}
 	s.prev = current
 	sort.Slice(events, func(i, j int) bool { return events[i].Info.Path < events[j].Info.Path })
 	return events, len(current), nil
+}
+
+// goneLocked drops a path that is no longer in the folder from the
+// baseline and from the pending suppressions, and reports whether its
+// removal is the user's: the path was known — scanned, or written by
+// UniDrive and not yet scanned (knownLocked) — and UniDrive did not
+// remove it itself. The caller holds s.mu.
+func (s *Scanner) goneLocked(path string) bool {
+	_, known := s.knownLocked(path)
+	delete(s.suppress, path)
+	delete(s.prev, path)
+	return known
 }
 
 // diffPresentLocked classifies one present file against the baseline,
@@ -581,14 +594,8 @@ func (s *Scanner) ScanDirty(paths []string) ([]Event, int, error) {
 			}
 			// Gone. Only report it if the baseline knew it (a created-
 			// then-removed temp file produces no event at all).
-			if sup, ok := s.suppress[path]; ok && sup.removed {
-				delete(s.suppress, path)
-				delete(s.prev, path)
-				continue
-			}
-			if _, existed := s.prev[path]; existed {
+			if s.goneLocked(path) {
 				events = append(events, Event{Kind: Removed, Info: FileInfo{Path: path}})
-				delete(s.prev, path)
 			}
 			continue
 		}

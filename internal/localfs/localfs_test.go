@@ -219,6 +219,41 @@ func TestScannerSuppressRemove(t *testing.T) {
 	}
 }
 
+// A file UniDrive wrote and suppressed, then the user deleted before
+// any scan saw it: the path is known only by its pending suppression,
+// and each scan must still report the removal — once.
+func TestScannerReportsRemovalOfUnscannedSelfWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		scan func(s *Scanner) ([]Event, error)
+	}{
+		{"ScanAll", func(s *Scanner) ([]Event, error) { ev, _, err := s.ScanAll(); return ev, err }},
+		{"ScanDirty", func(s *Scanner) ([]Event, error) { ev, _, err := s.ScanDirty([]string{"applied.txt"}); return ev, err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewMem()
+			s := NewScanner(f)
+			mt := time.Unix(2000, 0)
+			must(t, f.WriteFile("applied.txt", []byte("body"), mt))
+			s.Suppress("applied.txt", 4, mt, false)
+			must(t, f.Remove("applied.txt"))
+			events, err := tc.scan(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(events) != 1 || events[0].Kind != Removed || events[0].Info.Path != "applied.txt" {
+				t.Fatalf("events = %+v, want applied.txt removed", events)
+			}
+			if base := s.Baseline(); len(base) != 0 {
+				t.Fatalf("baseline after the removal = %+v, want empty", base)
+			}
+			if events, err = tc.scan(s); err != nil || len(events) != 0 {
+				t.Fatalf("second scan: %+v, %v; want nothing", events, err)
+			}
+		})
+	}
+}
+
 func TestScannerSuppressMismatchStillReported(t *testing.T) {
 	// If the user modified the file after UniDrive wrote it, the
 	// suppression must not swallow the user's change.

@@ -8,8 +8,8 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
-echo "== no function over 100 lines in internal/core, internal/transfer, internal/deltasync, internal/meta, internal/daemon, internal/scrub, internal/qlock, internal/sched"
-./scripts/funclen.sh 100 internal/core internal/transfer internal/deltasync internal/meta internal/daemon internal/scrub internal/qlock internal/sched
+echo "== no function over 100 lines in internal/core, internal/transfer, internal/deltasync, internal/meta, internal/daemon, internal/scrub, internal/qlock, internal/sched, internal/journal, internal/capacity"
+./scripts/funclen.sh 100 internal/core internal/transfer internal/deltasync internal/meta internal/daemon internal/scrub internal/qlock internal/sched internal/journal internal/capacity
 
 echo "== go build ./..."
 go build ./...
