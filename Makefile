@@ -45,13 +45,14 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Fault-injection soak: the chaos, outage, failover, hedging,
-# crash-recovery, quota-exhaustion, data-corruption, trim and
-# owed-placement tests under the race detector with a generous timeout.
+# crash-recovery, quota-exhaustion, data-corruption, trim,
+# owed-placement and metadata-poll (hung, stale and torn clouds) tests
+# under the race detector with a generous timeout.
 chaos:
-	$(GO) test -race -timeout 15m -run 'Chaos|Outage|Failover|Hedge|Flaky|Breaker|Guard|Degraded|Crash|Recover|Corrupt|Scrub|Quota|Trim|Placement' \
+	$(GO) test -race -timeout 15m -run 'Chaos|Outage|Failover|Hedge|Flaky|Breaker|Guard|Degraded|Crash|Recover|Corrupt|Scrub|Quota|Trim|Placement|Poll|Stale|Torn|Quorum' \
 		./internal/core/... ./internal/transfer/... ./internal/health/... \
 		./internal/qlock/... ./internal/cloudsim/... ./internal/scrub/... \
-		./internal/capacity/...
+		./internal/capacity/... ./internal/deltasync/...
 
 # Integrity smoke: the anti-entropy scrubber's own suite plus the
 # end-to-end corruption/repair paths in core, race-checked.

@@ -21,7 +21,9 @@ import (
 //
 //   - segments still in the local upload cache are delivered first,
 //     without touching the network;
-//   - the rest download through ONE batched dispatcher (any K blocks
+//   - the rest download — on a device that has not observed every
+//     cloud yet, after the stamp poll's last answers (awaitUnobserved)
+//     — through ONE batched dispatcher (any K blocks
 //     each, earliest segment first, later segments' blocks filling
 //     otherwise-idle connections; copies failing their stamped checksum
 //     are re-routed inside the batch) and are decoded and SHA-1-verified
@@ -67,6 +69,7 @@ func (c *Client) fetchVerified(ctx context.Context, segs []*meta.Segment, delive
 		items, index = append(items, item), append(index, i)
 	}
 	if len(items) > 0 {
+		c.awaitUnobserved(ctx)
 		partial, err := c.engine.DownloadBatch(ctx, items)
 		if err != nil {
 			return err
@@ -83,6 +86,21 @@ func (c *Client) fetchVerified(ctx context.Context, segs []*meta.Segment, delive
 		deliver(s.i, data, err)
 	}
 	return nil
+}
+
+// awaitUnobserved keeps a fresh device's first download ranked: the
+// prober puts a cloud it has never observed first in line (its first
+// transfer is the probe), and the stamp poll that opened the pass
+// decided before the slowest clouds answered. While some cloud has no
+// download estimate, the fetch waits for the poll's remaining answers,
+// each of which is that cloud's first sample; a warm device never waits.
+func (c *Client) awaitUnobserved(ctx context.Context) {
+	for _, name := range c.names {
+		if _, ok := c.engine.Prober().Estimate(name, sched.Down, 0); !ok {
+			c.store.JoinPoll(ctx)
+			return
+		}
+	}
 }
 
 // unrecoverable says why a download plan ended short of K blocks. When

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
+	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
+	"unidrive/internal/obs"
 	"unidrive/internal/transfer"
 )
 
@@ -102,5 +105,71 @@ func TestFetchVerified(t *testing.T) {
 	}
 	if n := reg.Counter("core.decode.exclusion_retries").Value(); n != 1 {
 		t.Errorf("core.decode.exclusion_retries = %d, want 1", n)
+	}
+}
+
+// recordedDeviceOn is rig.device with every request of the device also
+// counted, per cloud, by a Recorder.
+func (r *rig) recordedDeviceOn(t *testing.T, name string) (*Client, *localfs.Mem, []*cloudsim.Recorder) {
+	t.Helper()
+	folder := localfs.NewMem()
+	var clouds []cloud.Interface
+	var recs []*cloudsim.Recorder
+	r.flaky[name] = nil
+	for i, st := range r.stores {
+		f := cloudsim.NewFlaky(cloudsim.NewDirect(st), 0, int64(len(name)*10+i))
+		rec := cloudsim.NewRecorder(f)
+		r.flaky[name] = append(r.flaky[name], f)
+		recs, clouds = append(recs, rec), append(clouds, rec)
+	}
+	r.regs[name] = obs.NewRegistry()
+	c, err := New(clouds, folder, Config{
+		Device: name, Passphrase: "shared-secret", Theta: 4096,
+		LockExpiry: 500 * time.Millisecond, Obs: r.regs[name],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, folder, recs
+}
+
+// The stamp poll decides on the three fastest answers, so on a fresh
+// device the slow clouds have no estimate yet when the first block is
+// fetched — and the prober puts a cloud it never observed first. The
+// fetch waits for the poll's last answers then, and the first blocks
+// come from c0..c2; a warm device never waits.
+func TestFreshDeviceFetchWaitsOutThePoll(t *testing.T) {
+	r := newRig(5)
+	a, fa := r.device(t, "alpha")
+	content := randContent(950, 3000)
+	writeFile(t, fa, "f.bin", content)
+	syncOK(t, a)
+	reshapeSegment(t, a, fileSegments(t, a, "f.bin")[0]) // one block on each of c0..c3, two on c4
+
+	b, fb, recs := r.recordedDeviceOn(t, "beta")
+	slowTail(r, "beta")
+	syncOK(t, b)
+	if got, err := fb.ReadFile("f.bin"); err != nil || string(got) != content {
+		t.Fatalf("fresh device read f.bin: %v", err)
+	}
+	for i, rec := range recs {
+		n := rec.CountsUnder(transfer.DefaultBlockDir).Download
+		if want := 1; i < 3 && n != want || i >= 3 && n != 0 {
+			t.Errorf("c%d served %d blocks; want one from each of c0..c2 and none from the slow tail", i, n)
+		}
+	}
+	joined := r.regs["beta"].Counter("deltasync.poll.joined")
+	if n := joined.Value(); n != 1 {
+		t.Errorf("deltasync.poll.joined = %d after the first fetch, want 1", n)
+	}
+
+	writeFile(t, fa, "g.bin", randContent(951, 3000))
+	syncOK(t, a)
+	syncOK(t, b)
+	if _, err := fb.ReadFile("g.bin"); err != nil {
+		t.Fatal(err)
+	}
+	if n := joined.Value(); n != 1 {
+		t.Errorf("deltasync.poll.joined = %d after a warm fetch, want still 1", n)
 	}
 }

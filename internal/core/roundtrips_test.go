@@ -151,6 +151,7 @@ func TestMaintenanceRequestBudget(t *testing.T) {
 		if err := run(); err != nil {
 			t.Fatal(err)
 		}
+		c.store.JoinPoll(ctxT(t)) // the stamp poll's last answers may land after the entry returns
 		return requestsUnder(recs, deltasync.DefaultDir).Minus(m), requestsUnder(recs, transfer.DefaultBlockDir).Minus(b)
 	}
 	stampGETs := cloudsim.CallCounts{Download: 5}

@@ -160,16 +160,20 @@ func (s *Store) write(ctx context.Context, c cloud.Interface, steps []step) bool
 // — when the delta would exceed λ — rotates the base (see commitPlan).
 // Clouds whose version stamp shows they missed earlier commits are
 // repaired with a full base write. The stamps are the ones the
-// preceding Refresh read — under the lock nobody else rewrites them —
-// and a Commit that no poll preceded since the previous Commit polls
-// them itself.
+// preceding Refresh's poll read — under the lock nobody else rewrites
+// them — every cloud's, so Commit waits for the answers Refresh did not;
+// a Commit that no poll preceded since the previous Commit polls them
+// itself.
 func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats, error) {
 	s.mu.Lock()
-	cur, baseLen, chunkBytes := s.chain, s.baseLen, s.chunkBytes
-	seen, polled := s.seen, s.polled
+	cur, baseLen, chunkBytes, p := s.chain, s.baseLen, s.chunkBytes, s.poll
 	s.mu.Unlock()
-	if !polled {
-		seen = s.pollStamps(ctx)
+	if p == nil {
+		p = s.startPoll(ctx)
+	}
+	seen, err := p.wait(ctx)
+	if err != nil {
+		return CommitStats{}, err
 	}
 	prev := cur.img.Stamp()
 	current := make([]bool, len(s.clouds))
@@ -207,7 +211,7 @@ func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats
 	defer s.mu.Unlock()
 	// Some version files are rewritten now, whether or not a quorum was
 	// reached: what the poll saw no longer describes the clouds.
-	s.polled = false
+	s.poll = nil
 	if stats.CloudsOK < s.Quorum() {
 		return stats, fmt.Errorf("%w: %d/%d", ErrNoQuorum, stats.CloudsOK, len(s.clouds))
 	}

@@ -21,9 +21,9 @@
 // quorum lock and succeed when a majority of clouds accepted them;
 // stale clouds (down during earlier commits) are detected by their
 // version stamp and repaired with a full base write on the next
-// commit that reaches them. A fetch picks the newest version visible
-// on any reachable cloud, which under majority-commit is always the
-// latest committed state.
+// commit that reaches them. So any majority of clouds holds the latest
+// committed state: a refresh decides on the first quorum of version
+// stamps to answer and reads the newest of them from one cloud.
 //
 // Every device that reads the same base and records derives the same
 // image, because there is one record chain (chain.go): reads extend
@@ -39,6 +39,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/meta"
@@ -129,12 +130,10 @@ type Store struct {
 	// commit writes it), and the records frozen into chunks.
 	baseLen    int
 	chunkBytes int
-	// seen is what the last stamp poll read from each cloud's version
-	// file (index-aligned with clouds). polled reports that a poll has
-	// run since the last commit rewrote those files: only then may
-	// Commit decide from seen without polling itself.
-	seen   []cloudStamp
-	polled bool
+	// poll is the last stamp poll, nil when a commit has rewritten the
+	// version files since: only a poll run after the last commit may
+	// tell Commit which clouds are up to date.
+	poll *poll
 }
 
 // New creates a metadata store over the given clouds. cipher encrypts
@@ -202,43 +201,134 @@ func (c cloudStamp) upToDate(prev meta.VersionStamp) bool {
 	return c.reachable && c.err == nil && prev.Version == 0
 }
 
-// pollStamps reads every cloud's version file concurrently — the one
-// place the store asks the clouds "who committed last" — and records
-// the answers for the Commit that follows under the same lock hold.
-func (s *Store) pollStamps(ctx context.Context) []cloudStamp {
-	seen := make([]cloudStamp, len(s.clouds))
-	var wg sync.WaitGroup
-	for i, c := range s.clouds {
-		wg.Add(1)
-		go func(i int, c cloud.Interface) {
-			defer wg.Done()
-			data, err := c.Download(ctx, s.path(versionFile))
-			switch {
-			case errors.Is(err, cloud.ErrNotFound):
-				seen[i] = cloudStamp{reachable: true}
-			case err != nil:
-				seen[i] = cloudStamp{err: err}
-			default:
-				stamp, err := meta.DecodeVersionStamp(data)
-				seen[i] = cloudStamp{stamp: stamp, found: err == nil, reachable: true, err: err}
-			}
-		}(i, c)
+// clean reports an answer a decision can rest on: a stamp, or "no such
+// file".
+func (c cloudStamp) clean() bool { return c.reachable && c.err == nil }
+
+// poll is one stamp poll — the one place the store asks the clouds "who
+// committed last": every cloud's version file requested at once, each
+// answer recorded the moment it lands. Refresh decides from the first
+// quorum of clean answers (decide); the Commit that follows under the
+// same lock hold, and a fetch on a device that has not observed every
+// cloud yet, wait for the rest (wait). The requests run under the
+// context of the caller that started the poll, and a landing answer
+// never waits for a reader.
+type poll struct {
+	// answers[i] is cloud i's answer, written once before its index is
+	// sent on arrived.
+	answers []cloudStamp
+	// arrived receives each cloud's index as its answer lands; it has a
+	// slot per cloud.
+	arrived chan int
+	// all is closed once every cloud has answered; left counts the
+	// answers still to land.
+	all  chan struct{}
+	left atomic.Int32
+	// late counts the answers that land after the poll decided.
+	late    *obs.Counter
+	decided atomic.Bool
+}
+
+// startPoll sends the version-file requests and records the poll for
+// the Commit that follows.
+func (s *Store) startPoll(ctx context.Context) *poll {
+	p := &poll{
+		answers: make([]cloudStamp, len(s.clouds)),
+		arrived: make(chan int, len(s.clouds)),
+		all:     make(chan struct{}),
+		late:    s.cfg.Obs.Counter("deltasync.poll.late_answers"),
 	}
-	wg.Wait()
+	p.left.Store(int32(len(s.clouds)))
+	for i, c := range s.clouds {
+		go func() { p.land(i, s.readStamp(ctx, c)) }()
+	}
 	s.mu.Lock()
-	s.seen = seen
-	s.polled = true
+	s.poll = p
 	s.mu.Unlock()
+	return p
+}
+
+// land records cloud i's answer.
+func (p *poll) land(i int, answer cloudStamp) {
+	p.answers[i] = answer
+	if p.decided.Load() {
+		p.late.Inc()
+	}
+	p.arrived <- i
+	if p.left.Add(-1) == 0 {
+		close(p.all)
+	}
+}
+
+// readStamp is one cloud's answer to a stamp poll.
+func (s *Store) readStamp(ctx context.Context, c cloud.Interface) cloudStamp {
+	data, err := c.Download(ctx, s.path(versionFile))
+	switch {
+	case errors.Is(err, cloud.ErrNotFound):
+		return cloudStamp{reachable: true}
+	case err != nil:
+		return cloudStamp{err: err}
+	}
+	stamp, err := meta.DecodeVersionStamp(data)
+	return cloudStamp{stamp: stamp, found: err == nil, reachable: true, err: err}
+}
+
+// decide waits for the first quorum of clean answers — any quorum holds
+// the newest committed stamp, since a commit succeeds on a majority —
+// or, when fewer than a quorum can answer cleanly, for every answer,
+// and returns them; a cloud whose answer it did not wait for reads as
+// unreachable. Called once per poll.
+func (p *poll) decide(quorum int) []cloudStamp {
+	seen := make([]cloudStamp, len(p.answers))
+	clean := 0
+	for n := 0; n < len(seen) && clean < quorum; n++ {
+		i := <-p.arrived
+		seen[i] = p.answers[i]
+		if seen[i].clean() {
+			clean++
+		}
+	}
+	p.decided.Store(true)
 	return seen
 }
 
-// checkRemote reports whether any reachable cloud advertises a newer
-// metadata version than the cached one — the paper's cheap
-// cloud-update check using only the tiny version file — and hands back
-// the poll it ran.
+// wait returns every cloud's answer once the last has landed.
+func (p *poll) wait(ctx context.Context) ([]cloudStamp, error) {
+	select {
+	case <-p.all:
+		return p.answers, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// JoinPoll waits until every cloud has answered the last stamp poll,
+// Refresh having decided on the first quorum of answers: each request
+// has then finished, and been observed by whoever watches the clouds'
+// calls. It returns at once when no answer is outstanding.
+func (s *Store) JoinPoll(ctx context.Context) {
+	s.mu.Lock()
+	p := s.poll
+	s.mu.Unlock()
+	if p == nil {
+		return
+	}
+	select {
+	case <-p.all:
+		return
+	default:
+	}
+	s.cfg.Obs.Counter("deltasync.poll.joined").Inc()
+	_, _ = p.wait(ctx)
+}
+
+// checkRemote reports whether a cloud answering the stamp poll
+// advertises a newer metadata version than the cached one — the
+// paper's cheap cloud-update check using only the tiny version file —
+// and hands back the answers it decided on.
 func (s *Store) checkRemote(ctx context.Context) (pending bool, seen []cloudStamp, err error) {
 	known := s.Stamp()
-	seen = s.pollStamps(ctx)
+	seen = s.startPoll(ctx).decide(s.Quorum())
 	var anyReachable bool
 	var lastErr error
 	for _, c := range seen {
@@ -302,12 +392,15 @@ func (s *Store) readRecords(ctx context.Context, c cloud.Interface, name string)
 // bytes as possible: the active tail, and — only when the tail does
 // not join the cursor's head, because records in between were frozen
 // since — the chunks that may hold records past the head (every chunk
-// starting beyond it plus the one straddling it). It also learns where
+// starting beyond it plus the one straddling it). stamp is the version
+// c advertised, 0 when unknown: a cursor already at it with no tail of
+// its lineage to read — a fresh base, a rotation's own shape — has
+// nothing frozen past it, and nothing is listed. It also learns where
 // c's tail begins: everything before is frozen, so this device's next
 // commit re-uploads only the remote tail's worth of records. froze is
 // the sealed size of the chunks it read beyond cur's freeze boundary —
 // what λ must count on top of the chunks cur already knew.
-func (s *Store) catchUp(ctx context.Context, c cloud.Interface, cur chain) (next chain, froze int, err error) {
+func (s *Store) catchUp(ctx context.Context, c cloud.Interface, cur chain, stamp int64) (next chain, froze int, err error) {
 	records, _, err := s.readRecords(ctx, c, deltaFile)
 	if err != nil {
 		return cur, 0, err
@@ -316,7 +409,8 @@ func (s *Store) catchUp(ctx context.Context, c cloud.Interface, cur chain) (next
 	if tail := cur.own(records); len(tail) > 0 {
 		tailStart = tail[0].Version
 	}
-	if tailStart == 0 || tailStart > cur.head()+1 {
+	atStamp := tailStart == 0 && stamp > 0 && cur.head() >= stamp
+	if (tailStart == 0 || tailStart > cur.head()+1) && !atStamp {
 		starts, err := s.chunkStarts(ctx, c)
 		if err != nil {
 			return cur, 0, err
@@ -356,8 +450,10 @@ type cloudRead struct {
 }
 
 // readCloud reads one cloud's whole lineage: its base, a cursor
-// started there, and the catch-up every reader runs.
-func (s *Store) readCloud(ctx context.Context, c cloud.Interface) (cloudRead, error) {
+// started there, and the catch-up every reader runs. stamp is the
+// version c advertised, 0 when unknown.
+func (s *Store) readCloud(ctx context.Context, c cloud.Interface, stamp int64) (cloudRead, error) {
+	s.cfg.Obs.Counter("deltasync.refresh.full_reads").Inc()
 	img := meta.NewImage()
 	sealed, err := c.Download(ctx, s.path(baseFile))
 	switch {
@@ -374,14 +470,41 @@ func (s *Store) readCloud(ctx context.Context, c cloud.Interface) (cloudRead, er
 			return cloudRead{}, fmt.Errorf("deltasync: decoding base from %s: %w", c.Name(), err)
 		}
 	}
-	next, froze, err := s.catchUp(ctx, c, startChain(img, img.Version))
+	next, froze, err := s.catchUp(ctx, c, startChain(img, img.Version), stamp)
 	return cloudRead{chain: next, baseLen: len(sealed), chunkBytes: froze}, err
 }
 
-// fetchAll is Refresh's fallback when the cursor cannot be extended (a
-// cold cache, a rotated base, an unreachable delta): it reads every
-// reachable cloud's lineage, adopts the newest consistent one and
-// returns its image. It does not poll the stamps; Refresh has.
+// adopt makes a cloud's lineage the store's cursor.
+func (s *Store) adopt(r cloudRead) *meta.Image {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.chain, s.baseLen, s.chunkBytes = r.chain, r.baseLen, r.chunkBytes
+	return s.chain.img
+}
+
+// fetchNewest is Refresh's full path, taken when the cursor cannot be
+// extended (a cold cache, a rotated base, a torn delta). It reads, one
+// at a time, the lineage of each cloud that advertised the newest stamp
+// in seen and adopts the first read that reaches it: the poll heard a
+// quorum, the newest committed version sits on a quorum, so such a read
+// holds it. Only when none does is every cloud read (fetchAll).
+func (s *Store) fetchNewest(ctx context.Context, seen []cloudStamp) (*meta.Image, error) {
+	order := newestFirst(seen)
+	for _, i := range order {
+		want := seen[i].stamp.Version
+		if want < seen[order[0]].stamp.Version {
+			break
+		}
+		if read, err := s.readCloud(ctx, s.clouds[i], want); err == nil && read.chain.head() >= want {
+			return s.adopt(read), nil
+		}
+	}
+	return s.fetchAll(ctx)
+}
+
+// fetchAll reads every reachable cloud's lineage, adopts the newest
+// consistent one and returns its image: the full path when no single
+// read will do, or no poll told which cloud to read.
 func (s *Store) fetchAll(ctx context.Context) (*meta.Image, error) {
 	reads := make([]cloudRead, len(s.clouds))
 	errs := make([]error, len(s.clouds))
@@ -390,7 +513,7 @@ func (s *Store) fetchAll(ctx context.Context) (*meta.Image, error) {
 		wg.Add(1)
 		go func(i int, c cloud.Interface) {
 			defer wg.Done()
-			reads[i], errs[i] = s.readCloud(ctx, c)
+			reads[i], errs[i] = s.readCloud(ctx, c, 0)
 		}(i, c)
 	}
 	wg.Wait()
@@ -408,21 +531,20 @@ func (s *Store) fetchAll(ctx context.Context) (*meta.Image, error) {
 	if best < 0 {
 		return nil, fmt.Errorf("deltasync: no cloud yielded metadata: %w", lastErr)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.chain, s.baseLen, s.chunkBytes = reads[best].chain, reads[best].baseLen, reads[best].chunkBytes
-	return s.chain.img, nil
+	return s.adopt(reads[best]), nil
 }
 
 // Refresh brings the cache up to date with the clouds while moving as
 // few bytes as possible — the remote half of the event-driven sync
-// pipeline. It first polls the tiny version stamps — once: the same
-// answers rank the clouds for the catch-up and serve a Commit that
+// pipeline. It first polls the tiny version stamps — once, deciding on
+// the first quorum of answers: the same answers rank the clouds for the
+// catch-up, and with the rest, which run on, serve a Commit that
 // follows under the same lock hold. When nothing is pending the cached
 // image is returned untouched. When a newer commit is advertised it
 // attempts an incremental catch-up of the cursor (no base moves), and
 // only when that fails — the base rotated, or the delta does not
-// decode — falls back to reading every cloud's whole lineage.
+// decode — falls back to reading a whole lineage, one cloud's
+// (fetchNewest).
 //
 // The returned image is shared (see CachedShared) and must be treated
 // as read-only.
@@ -440,7 +562,20 @@ func (s *Store) Refresh(ctx context.Context) (*meta.Image, error) {
 		return img, nil
 	}
 	s.cfg.Obs.Counter("deltasync.refresh.full").Inc()
-	return s.fetchAll(ctx)
+	return s.fetchNewest(ctx, seen)
+}
+
+// newestFirst returns the clouds that answered with a stamp, newest
+// stamp first, ties in cloud order.
+func newestFirst(seen []cloudStamp) []int {
+	var order []int
+	for i, c := range seen {
+		if c.found {
+			order = append(order, i)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return seen[order[a]].stamp.Version > seen[order[b]].stamp.Version })
+	return order
 }
 
 // refreshIncremental catches the cursor up from the cloud advertising
@@ -454,19 +589,11 @@ func (s *Store) Refresh(ctx context.Context) (*meta.Image, error) {
 // That, like an answer the cursor cannot be extended with (a torn
 // delta, a diverging history), is left to the full path to judge.
 func (s *Store) refreshIncremental(ctx context.Context, seen []cloudStamp) (*meta.Image, bool) {
-	order := make([]int, 0, len(s.clouds))
-	for i := range s.clouds {
-		if seen[i].found {
-			order = append(order, i)
-		}
-	}
-	sort.Slice(order, func(a, b int) bool { return seen[order[a]].stamp.Version > seen[order[b]].stamp.Version })
-
 	s.mu.Lock()
 	cur := s.chain
 	s.mu.Unlock()
-	for _, i := range order {
-		next, froze, err := s.catchUp(ctx, s.clouds[i], cur)
+	for _, i := range newestFirst(seen) {
+		next, froze, err := s.catchUp(ctx, s.clouds[i], cur, seen[i].stamp.Version)
 		if errors.Is(err, errUnreachable) {
 			continue
 		}

@@ -359,6 +359,7 @@ func TestRefreshIncrementalDownloadsNoBase(t *testing.T) {
 	if _, err := reader.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	reader.JoinPoll(context.Background()) // the poll decided at the quorum; its last answer may still be in flight
 	// The incremental refresh polls the version stamps once — the same
 	// answers find the update and rank the clouds — and downloads one
 	// delta; the base files must not move again.

@@ -85,6 +85,7 @@ func TestPollThenCommitIssuesNoStampGET(t *testing.T) {
 		if err := poll.run(); err != nil {
 			t.Fatal(err)
 		}
+		s.JoinPoll(ctx) // the poll decided at the quorum; its last answer may still be in flight
 		polled := metaCounts(recs, versionFile)
 		if got := polled.Download - before.Download; got != 3 {
 			t.Fatalf("%s read %d version files, want 3", poll.name, got)
@@ -141,6 +142,7 @@ func TestCommitWithoutPollPollsAndRepairs(t *testing.T) {
 	if _, err := s.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	s.JoinPoll(context.Background())
 	before = metaCounts(recs, versionFile)
 	bases = baseUploads(recs)
 	commitOne(t, s, "e", "s5")
@@ -162,6 +164,7 @@ func TestCloudUnreachableDuringPollIsNotUpToDate(t *testing.T) {
 	if _, err := s.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
+	s.JoinPoll(ctx) // cloud 2's answer, not one it gives once it is back
 	r.flaky[2].SetDown(false)
 	bases := baseUploads(recs)
 	stats := commitOne(t, s, "b", "s2")
