@@ -110,9 +110,9 @@ type TenantConfig struct {
 
 // Tenant is one hosted (user, folder) pair.
 type Tenant struct {
-	id     string
-	weight float64
-	names  []string // the tenant's cloud names, sorted
+	id       string
+	weight   float64
+	names    []string // the tenant's cloud names, sorted
 	client   *core.Client
 	reg      *obs.Registry
 	health   *health.Tracker

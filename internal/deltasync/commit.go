@@ -3,7 +3,6 @@ package deltasync
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/meta"
@@ -171,7 +170,7 @@ func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats
 	if p == nil {
 		p = s.startPoll(ctx)
 	}
-	seen, err := p.wait(ctx)
+	seen, err := p.Wait(ctx)
 	if err != nil {
 		return CommitStats{}, err
 	}
@@ -187,20 +186,14 @@ func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats
 		return CommitStats{}, err
 	}
 
-	ok := make([]bool, len(s.clouds))
-	var wg sync.WaitGroup
-	for i, c := range s.clouds {
-		steps := plan.repair
+	// Every write is waited for, whatever ctx does: the stamps must be
+	// known to be rewritten before the poll is dropped.
+	ok, _ := cloud.Each(ctx, len(s.clouds), func(ctx context.Context, i int) bool {
 		if current[i] {
-			steps = plan.current
+			return s.write(ctx, s.clouds[i], plan.current)
 		}
-		wg.Add(1)
-		go func(i int, c cloud.Interface) {
-			defer wg.Done()
-			ok[i] = s.write(ctx, c, steps)
-		}(i, c)
-	}
-	wg.Wait()
+		return s.write(ctx, s.clouds[i], plan.repair)
+	}).Wait(context.WithoutCancel(ctx))
 	stats := plan.stats
 	for _, accepted := range ok {
 		if accepted {

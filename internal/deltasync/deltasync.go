@@ -157,8 +157,8 @@ func New(clouds []cloud.Interface, cipher *metacrypt.Cipher, cfg Config) *Store 
 	}
 }
 
-// Quorum returns the majority count for commits.
-func (s *Store) Quorum() int { return len(s.clouds)/2 + 1 }
+// Quorum returns the majority count for commits (cloud.Quorum).
+func (s *Store) Quorum() int { return cloud.Quorum(len(s.clouds)) }
 
 func (s *Store) path(name string) string { return cloud.JoinPath(s.cfg.Dir, name) }
 
@@ -206,58 +206,34 @@ func (c cloudStamp) upToDate(prev meta.VersionStamp) bool {
 func (c cloudStamp) clean() bool { return c.reachable && c.err == nil }
 
 // poll is one stamp poll — the one place the store asks the clouds "who
-// committed last": every cloud's version file requested at once, each
-// answer recorded the moment it lands. Refresh decides from the first
-// quorum of clean answers (decide); the Commit that follows under the
-// same lock hold, and a fetch on a device that has not observed every
-// cloud yet, wait for the rest (wait). The requests run under the
-// context of the caller that started the poll, and a landing answer
-// never waits for a reader.
+// committed last": every cloud's version file requested at once, a
+// fan-out (cloud.Each) whose answers land as they come. Refresh decides
+// from the first quorum of clean answers (decide); the Commit that
+// follows under the same lock hold, and a fetch on a device that has
+// not observed every cloud yet, wait for the rest (Wait). The requests
+// run under the context of the caller that started the poll.
 type poll struct {
-	// answers[i] is cloud i's answer, written once before its index is
-	// sent on arrived.
-	answers []cloudStamp
-	// arrived receives each cloud's index as its answer lands; it has a
-	// slot per cloud.
-	arrived chan int
-	// all is closed once every cloud has answered; left counts the
-	// answers still to land.
-	all  chan struct{}
-	left atomic.Int32
-	// late counts the answers that land after the poll decided.
-	late    *obs.Counter
+	*cloud.Fanout[cloudStamp]
 	decided atomic.Bool
 }
 
 // startPoll sends the version-file requests and records the poll for
-// the Commit that follows.
+// the Commit that follows. An answer that lands after the poll decided
+// counts under deltasync.poll.late_answers.
 func (s *Store) startPoll(ctx context.Context) *poll {
-	p := &poll{
-		answers: make([]cloudStamp, len(s.clouds)),
-		arrived: make(chan int, len(s.clouds)),
-		all:     make(chan struct{}),
-		late:    s.cfg.Obs.Counter("deltasync.poll.late_answers"),
-	}
-	p.left.Store(int32(len(s.clouds)))
-	for i, c := range s.clouds {
-		go func() { p.land(i, s.readStamp(ctx, c)) }()
-	}
+	p := &poll{}
+	late := s.cfg.Obs.Counter("deltasync.poll.late_answers")
+	p.Fanout = cloud.Each(ctx, len(s.clouds), func(ctx context.Context, i int) cloudStamp {
+		answer := s.readStamp(ctx, s.clouds[i])
+		if p.decided.Load() {
+			late.Inc()
+		}
+		return answer
+	})
 	s.mu.Lock()
 	s.poll = p
 	s.mu.Unlock()
 	return p
-}
-
-// land records cloud i's answer.
-func (p *poll) land(i int, answer cloudStamp) {
-	p.answers[i] = answer
-	if p.decided.Load() {
-		p.late.Inc()
-	}
-	p.arrived <- i
-	if p.left.Add(-1) == 0 {
-		close(p.all)
-	}
 }
 
 // readStamp is one cloud's answer to a stamp poll.
@@ -277,29 +253,21 @@ func (s *Store) readStamp(ctx context.Context, c cloud.Interface) cloudStamp {
 // the newest committed stamp, since a commit succeeds on a majority —
 // or, when fewer than a quorum can answer cleanly, for every answer,
 // and returns them; a cloud whose answer it did not wait for reads as
-// unreachable. Called once per poll.
-func (p *poll) decide(quorum int) []cloudStamp {
-	seen := make([]cloudStamp, len(p.answers))
-	clean := 0
-	for n := 0; n < len(seen) && clean < quorum; n++ {
-		i := <-p.arrived
-		seen[i] = p.answers[i]
-		if seen[i].clean() {
+// unreachable. n is the number of clouds polled. Called once per poll.
+func (p *poll) decide(n, quorum int) []cloudStamp {
+	seen := make([]cloudStamp, n)
+	for clean := 0; clean < quorum; {
+		i, answer, ok := p.Next()
+		if !ok {
+			break
+		}
+		seen[i] = answer
+		if answer.clean() {
 			clean++
 		}
 	}
 	p.decided.Store(true)
 	return seen
-}
-
-// wait returns every cloud's answer once the last has landed.
-func (p *poll) wait(ctx context.Context) ([]cloudStamp, error) {
-	select {
-	case <-p.all:
-		return p.answers, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // JoinPoll waits until every cloud has answered the last stamp poll,
@@ -314,12 +282,12 @@ func (s *Store) JoinPoll(ctx context.Context) {
 		return
 	}
 	select {
-	case <-p.all:
+	case <-p.Done():
 		return
 	default:
 	}
 	s.cfg.Obs.Counter("deltasync.poll.joined").Inc()
-	_, _ = p.wait(ctx)
+	_, _ = p.Wait(ctx)
 }
 
 // checkRemote reports whether a cloud answering the stamp poll
@@ -328,7 +296,7 @@ func (s *Store) JoinPoll(ctx context.Context) {
 // and hands back the answers it decided on.
 func (s *Store) checkRemote(ctx context.Context) (pending bool, seen []cloudStamp, err error) {
 	known := s.Stamp()
-	seen = s.startPoll(ctx).decide(s.Quorum())
+	seen = s.startPoll(ctx).decide(len(s.clouds), s.Quorum())
 	var anyReachable bool
 	var lastErr error
 	for _, c := range seen {
@@ -506,32 +474,29 @@ func (s *Store) fetchNewest(ctx context.Context, seen []cloudStamp) (*meta.Image
 // consistent one and returns its image: the full path when no single
 // read will do, or no poll told which cloud to read.
 func (s *Store) fetchAll(ctx context.Context) (*meta.Image, error) {
-	reads := make([]cloudRead, len(s.clouds))
-	errs := make([]error, len(s.clouds))
-	var wg sync.WaitGroup
-	for i, c := range s.clouds {
-		wg.Add(1)
-		go func(i int, c cloud.Interface) {
-			defer wg.Done()
-			reads[i], errs[i] = s.readCloud(ctx, c, 0)
-		}(i, c)
+	type result struct {
+		read cloudRead
+		err  error
 	}
-	wg.Wait()
+	results, _ := cloud.Each(ctx, len(s.clouds), func(ctx context.Context, i int) result {
+		read, err := s.readCloud(ctx, s.clouds[i], 0)
+		return result{read, err}
+	}).Wait(context.WithoutCancel(ctx))
 	best := -1
 	var lastErr error
-	for i := range reads {
-		if errs[i] != nil {
-			lastErr = errs[i]
+	for i, r := range results {
+		if r.err != nil {
+			lastErr = r.err
 			continue
 		}
-		if best < 0 || reads[i].chain.head() > reads[best].chain.head() {
+		if best < 0 || r.read.chain.head() > results[best].read.chain.head() {
 			best = i
 		}
 	}
 	if best < 0 {
 		return nil, fmt.Errorf("deltasync: no cloud yielded metadata: %w", lastErr)
 	}
-	return s.adopt(reads[best]), nil
+	return s.adopt(results[best].read), nil
 }
 
 // Refresh brings the cache up to date with the clouds while moving as

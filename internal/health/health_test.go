@@ -86,7 +86,7 @@ func TestBreakerTransitions(t *testing.T) {
 		{"half-open closes after enough probe successes", []step{
 			{"down", Open}, {"wait", HalfOpen},
 			{"allow", HalfOpen}, {"ok", HalfOpen}, // 1st probe OK
-			{"allow", HalfOpen}, {"ok", Closed},   // 2nd closes
+			{"allow", HalfOpen}, {"ok", Closed}, // 2nd closes
 		}},
 		{"half-open reopens on failed probe", []step{
 			{"down", Open}, {"wait", HalfOpen},

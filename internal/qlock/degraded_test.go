@@ -126,7 +126,7 @@ func TestRefreshDegradedKeepsMajorityValidity(t *testing.T) {
 	g.mu.Lock()
 	g.blocked["c2"] = true
 	g.mu.Unlock()
-	<-lock.round.done // the winning round's stragglers are not refresh traffic
+	<-lock.round.chains.Done() // the winning round's stragglers are not refresh traffic
 	before := recs[2].Counts().Total()
 	time.Sleep(4 * cfg.RefreshInterval)
 	if !lock.Valid() {
@@ -137,6 +137,41 @@ func TestRefreshDegradedKeepsMajorityValidity(t *testing.T) {
 	}
 	if err := lock.Release(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRenewalIsNotARound(t *testing.T) {
+	// The round metrics (DESIGN.md §6) count acquisition rounds: a
+	// renewal of a degraded hold addresses the same two clouds, but it
+	// must not count as a degraded round.
+	clouds, _ := recordedClouds(3)
+	reg := obs.NewRegistry()
+	cfg := fastCfg("d1")
+	cfg.Health = newGate("c2")
+	cfg.Obs = reg
+	m := New(clouds, cfg)
+
+	lock, err := m.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Counter("qlock.refreshes").Value() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("the hold was not renewed 3 times")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := lock.Release(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rounds := reg.Counter("qlock.rounds").Value()
+	if n := reg.Counter("qlock.degraded_rounds").Value(); n != rounds {
+		t.Errorf("degraded_rounds = %d after %d rounds and %d renewals, want %d",
+			n, rounds, reg.Counter("qlock.refreshes").Value(), rounds)
+	}
+	if n := reg.Counter("qlock.quorum_blocked").Value(); n != 0 {
+		t.Errorf("quorum_blocked = %d, want 0", n)
 	}
 }
 

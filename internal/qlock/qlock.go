@@ -22,14 +22,16 @@
 // quorum — so it waits for the quorum-th fastest cloud, not the
 // slowest. The chains still running then (stragglers) keep going —
 // recording own flags, tracking first-seen times, breaking obsolete
-// locks. Withdraw and Release delete at once on the clouds whose chain
-// has ended, and each straggler deletes on its own cloud as it ends,
-// so a flag that lands late is not orphaned; refresh joins the
-// stragglers before it renews. A join lasts until the caller's
-// deadline at most, then cancels the stragglers, and each round tags
-// the flags it records with its generation: a Release that outlives
-// its deadline deletes only flags of its own hold or older, never
-// those of a hold won after it.
+// locks. Withdraw and Release follow one rule (clear): on each cloud,
+// once the round's chain there has ended, delete the own flags recorded
+// up to the round's generation, so a flag that lands late is not
+// orphaned. Refresh joins the stragglers before it renews. A clear or a
+// join waits until the caller's deadline at most, then cancels the
+// stragglers; a clear's deletes run on a context of their own, so what
+// a cancelled straggler landed is still deleted as it ends. Each round
+// tags the flags it records with its generation: a Release that
+// outlives its deadline deletes only flags of its own hold or older,
+// never those of a hold won after it.
 //
 // The protocol needs only read-after-write list consistency from each
 // cloud. It requires no global clock: timestamps inside lock names
@@ -48,7 +50,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"unidrive/internal/cloud"
@@ -172,28 +173,20 @@ type Manager struct {
 }
 
 // round is one acquisition round: a chain per admitted cloud, flag
-// upload then list, on a context of the round's own.
+// upload then list, on a context of the round's own. chains answer
+// whether their cloud was held; chain j runs on clouds[j].
 type round struct {
 	gen    uint64
 	cancel context.CancelFunc
-	done   chan struct{} // closed when every chain has ended
-	// running names the clouds whose chain has not ended, and clearing
-	// reports that a withdraw or release has begun on the round; both
-	// are guarded by the manager's mu.
-	running  map[string]bool
-	clearing bool
+	clouds []cloud.Interface
+	chains *cloud.Fanout[bool]
 }
 
 // join waits for the round's chains until ctx ends, then cancels the
 // ones still running, so a cloud that hangs a request cannot hold a
-// withdraw, refresh or release past its deadline. A flag a cancelled
-// chain still lands goes on record, and the chain deletes it itself
-// when the round is being cleared.
+// refresh past its deadline.
 func (r *round) join(ctx context.Context) {
-	select {
-	case <-r.done:
-	case <-ctx.Done():
-	}
+	_, _ = r.chains.Wait(ctx)
 	r.cancel()
 }
 
@@ -217,8 +210,8 @@ func New(clouds []cloud.Interface, cfg Config) *Manager {
 }
 
 // Quorum returns the number of clouds whose lock must be won: a
-// strict majority of all configured clouds.
-func (m *Manager) Quorum() int { return len(m.clouds)/2 + 1 }
+// strict majority of all configured clouds (cloud.Quorum).
+func (m *Manager) Quorum() int { return cloud.Quorum(len(m.clouds)) }
 
 // lockFileName generates a fresh, unique lock file name for this
 // device. The embedded stamp is this device's local time plus a
@@ -297,26 +290,15 @@ func (m *Manager) admits(name string) bool {
 	return m.cfg.Health == nil || m.cfg.Health.Admits(name)
 }
 
-// admitted returns the clouds the current round may address and
-// publishes their count. A cloud left out counts exactly like one
-// whose upload failed: it contributes nothing to the quorum.
+// admitted returns the clouds the health gate lets the protocol
+// address right now. A cloud left out counts exactly like one whose
+// upload failed: it contributes nothing to the quorum.
 func (m *Manager) admitted() []cloud.Interface {
 	var ok []cloud.Interface
 	for _, c := range m.clouds {
 		if m.admits(c.Name()) {
 			ok = append(ok, c)
 		}
-	}
-	n := len(ok)
-	m.cfg.Obs.Gauge("qlock.admitted_clouds").Set(float64(n))
-	if n < len(m.clouds) {
-		m.cfg.Obs.Counter("qlock.degraded_rounds").Inc()
-	}
-	if n < m.Quorum() {
-		// Not enough live clouds to possibly win: the round is lost
-		// before any request goes out. Observable so operators can
-		// tell "lock contended" from "too many providers down".
-		m.cfg.Obs.Counter("qlock.quorum_blocked").Inc()
 	}
 	return ok
 }
@@ -327,55 +309,36 @@ func (m *Manager) admitted() []cloud.Interface {
 // it was won.
 func (m *Manager) tryOnce(ctx context.Context, name string, admitted []cloud.Interface) (*round, bool) {
 	m.cfg.Obs.Counter("qlock.rounds").Inc()
+	m.cfg.Obs.Gauge("qlock.admitted_clouds").Set(float64(len(admitted)))
+	if len(admitted) < len(m.clouds) {
+		m.cfg.Obs.Counter("qlock.degraded_rounds").Inc()
+	}
+	if len(admitted) < m.Quorum() {
+		// Not enough live clouds to possibly win: the round is lost
+		// before any request goes out. Observable so operators can
+		// tell "lock contended" from "too many providers down".
+		m.cfg.Obs.Counter("qlock.quorum_blocked").Inc()
+		admitted = nil
+	}
 	ctx, cancel := context.WithCancel(ctx)
-	r := &round{cancel: cancel, done: make(chan struct{}), running: make(map[string]bool)}
+	r := &round{cancel: cancel, clouds: admitted}
 	m.mu.Lock()
 	m.gen++
 	r.gen = m.gen
 	m.mu.Unlock()
-	if len(admitted) < m.Quorum() {
-		close(r.done)
-		return r, false // too few live clouds to possibly win; send nothing
-	}
 	path := cloud.JoinPath(DefaultLockDir, name)
-	var chains sync.WaitGroup
-	held := make(chan bool, len(admitted)) // buffered: a straggler never blocks
-	for _, c := range admitted {
-		r.running[c.Name()] = true
-	}
-	for _, c := range admitted {
-		chains.Add(1)
-		go func(c cloud.Interface) {
-			defer chains.Done()
-			won := false
-			if c.Upload(ctx, path, nil) == nil {
-				m.noteOwn(c.Name(), name, r.gen)
-				won = m.checkCloud(ctx, c, r.gen)
-			}
-			held <- won
-			m.mu.Lock()
-			delete(r.running, c.Name())
-			clearing := r.clearing
-			m.mu.Unlock()
-			if clearing {
-				// The round is being cleared: delete what this chain
-				// landed, now that it has ended — on a context of its own,
-				// since the clear may have given up on it already.
-				dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedTimeout)
-				deleteFlags(dctx, c, m.takeOwn(c.Name(), r.gen, nil))
-				cancel()
-			}
-		}(c)
-	}
-	go func() {
-		chains.Wait()
-		close(r.done)
-	}()
-
+	r.chains = cloud.Each(ctx, len(admitted), func(ctx context.Context, j int) bool {
+		c := admitted[j]
+		if c.Upload(ctx, path, nil) != nil {
+			return false
+		}
+		m.noteOwn(c.Name(), name, r.gen)
+		return m.checkCloud(ctx, c, r.gen)
+	})
 	won, out := 0, len(admitted)
 	for won < m.Quorum() && won+out >= m.Quorum() {
 		out--
-		if <-held {
+		if _, held, _ := r.chains.Next(); held {
 			won++
 		}
 	}
@@ -490,17 +453,13 @@ func (m *Manager) forgetOwn(cloudName, lockName string) {
 }
 
 // takeOwn returns the flag files of this device recorded on the cloud
-// with a generation up to upTo, and forgets them, unless the cloud is
-// in skip (read under m.mu): each delete is tried once. One that fails leaves a file the
-// next acquisition's List shows again (and other devices break after
-// Expiry), so nothing is retried blindly against a cloud that stays
-// down.
-func (m *Manager) takeOwn(cloudName string, upTo uint64, skip map[string]bool) []string {
+// with a generation up to upTo, and forgets them: each delete is tried
+// once. One that fails leaves a file the next acquisition's List shows
+// again (and other devices break after Expiry), so nothing is retried
+// blindly against a cloud that stays down.
+func (m *Manager) takeOwn(cloudName string, upTo uint64) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if skip[cloudName] {
-		return nil
-	}
 	var names []string
 	for name, gen := range m.own[cloudName] {
 		if gen <= upTo {
@@ -514,32 +473,30 @@ func (m *Manager) takeOwn(cloudName string, upTo uint64, skip map[string]bool) [
 // clear is withdraw and release: it deletes, by name, this device's
 // flag files recorded up to round r's generation — the round's or
 // hold's file wherever its upload succeeded, own-device names an
-// acquisition List showed, and old names a refresh could not delete. It
-// deletes at once on every cloud where r's chain has ended, and each
-// straggler deletes on its own cloud as it ends, so a straggler that
-// hangs holds up no other cloud's deletes. It waits for the stragglers
-// until ctx ends. No List is needed — every file this manager created
-// is on its record, and one it does not know of is found by the next
-// acquisition's List — and a cloud holding nothing of ours gets no
-// request at all.
+// acquisition List showed, and old names a refresh could not delete. On
+// each cloud it deletes once r's chain there has ended, so a straggler
+// that hangs holds up no other cloud's deletes, and each delete runs on
+// a context of its own, bounded by detachedTimeout: clear waits until
+// ctx ends at most, then cancels the stragglers, and what they landed
+// is still deleted as they end. No List is needed — every file this
+// manager created is on its record, and one it does not know of is
+// found by the next acquisition's List — and a cloud holding nothing of
+// ours gets no request at all.
 func (m *Manager) clear(ctx context.Context, r *round) {
-	m.mu.Lock()
-	r.clearing = true
-	m.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, c := range m.clouds {
-		names := m.takeOwn(c.Name(), r.gen, r.running)
-		if len(names) == 0 {
-			continue
+	deletes := cloud.Each(ctx, len(m.clouds), func(ctx context.Context, i int) struct{} {
+		c := m.clouds[i]
+		for j, rc := range r.clouds {
+			if rc.Name() == c.Name() {
+				<-r.chains.Ended(j)
+			}
 		}
-		wg.Add(1)
-		go func(c cloud.Interface) {
-			defer wg.Done()
-			deleteFlags(ctx, c, names)
-		}(c)
-	}
-	wg.Wait()
-	r.join(ctx)
+		dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedTimeout)
+		deleteFlags(dctx, c, m.takeOwn(c.Name(), r.gen))
+		cancel()
+		return struct{}{}
+	})
+	_, _ = deletes.Wait(ctx)
+	r.cancel()
 }
 
 // deleteFlags deletes the named flag files from c.
@@ -619,34 +576,35 @@ func (l *Lock) refreshOnce(ctx context.Context) {
 
 	newPath := cloud.JoinPath(DefaultLockDir, newName)
 	oldPath := cloud.JoinPath(DefaultLockDir, oldName)
-	var wg sync.WaitGroup
-	var held atomic.Int32
 	// A cloud left out cannot renew; it simply does not count toward the
 	// refresh quorum, same as a failed upload.
-	for _, c := range m.admitted() {
-		wg.Add(1)
-		go func(c cloud.Interface) {
-			defer wg.Done()
-			if err := c.Upload(ctx, newPath, nil); err != nil {
-				return
-			}
-			m.noteOwn(c.Name(), newName, l.round.gen)
-			// An old name that could not be deleted stays on record and
-			// goes with the release.
-			if err := c.Delete(ctx, oldPath); err == nil || errors.Is(err, cloud.ErrNotFound) {
-				m.forgetOwn(c.Name(), oldName)
-			}
-			// Renewed on this cloud (read-after-write: the new flag
-			// file is visible to every later List).
-			held.Add(1)
-		}(c)
+	admitted := m.admitted()
+	renewed, _ := cloud.Each(ctx, len(admitted), func(ctx context.Context, i int) bool {
+		c := admitted[i]
+		if err := c.Upload(ctx, newPath, nil); err != nil {
+			return false
+		}
+		m.noteOwn(c.Name(), newName, l.round.gen)
+		// An old name that could not be deleted stays on record and
+		// goes with the release.
+		if err := c.Delete(ctx, oldPath); err == nil || errors.Is(err, cloud.ErrNotFound) {
+			m.forgetOwn(c.Name(), oldName)
+		}
+		// Renewed on this cloud (read-after-write: the new flag file is
+		// visible to every later List).
+		return true
+	}).Wait(context.WithoutCancel(ctx))
+	held := 0
+	for _, ok := range renewed {
+		if ok {
+			held++
+		}
 	}
-	wg.Wait()
 
 	l.mu.Lock()
 	l.name = newName
 	m.cfg.Obs.Counter("qlock.refreshes").Inc()
-	if int(held.Load()) < m.Quorum() {
+	if held < m.Quorum() {
 		m.cfg.Obs.Counter("qlock.refresh_lost").Inc()
 		l.valid = false
 	}

@@ -170,7 +170,7 @@ func TestCrashedHolderLockBroken(t *testing.T) {
 	if n := brokenOn(); n < m.Quorum() {
 		t.Fatalf("crashed device's lock broken on %d clouds at the win, want a quorum of %d", n, m.Quorum())
 	}
-	<-l.round.done
+	<-l.round.chains.Done()
 	if n := brokenOn(); n != len(clouds) {
 		t.Fatalf("crashed device's lock broken on %d of %d clouds", n, len(clouds))
 	}

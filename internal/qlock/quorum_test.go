@@ -253,8 +253,8 @@ func abandonRelease(t *testing.T, op string) {
 		}
 	}
 	close(hung.open)
-	<-first.round.done
-	<-second.round.done
+	<-first.round.chains.Done()
+	<-second.round.chains.Done()
 
 	names = lockDirNames(t, bare)
 	for _, c := range bare {

@@ -30,8 +30,8 @@ type harness struct {
 	reg    *obs.Registry
 	jrnl   *journal.Journal
 
-	commits int
-	version int64
+	commits    int
+	version    int64
 	failCommit bool
 }
 

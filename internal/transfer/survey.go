@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"sync"
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/meta"
@@ -34,16 +33,12 @@ func (e *Engine) Survey(ctx context.Context) *Survey {
 		entries []cloud.Entry
 		err     error
 	}
-	listings := make([]listing, len(e.names))
-	var wg sync.WaitGroup
-	for i, name := range e.names {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			listings[i].entries, listings[i].err = e.clouds[name].List(ctx, e.cfg.BlockDir)
-		}()
-	}
-	wg.Wait()
+	// Every listing is waited for, so each cloud ends up listed or
+	// unknown, never empty for want of an answer.
+	listings, _ := cloud.Each(ctx, len(e.names), func(ctx context.Context, i int) listing {
+		entries, err := e.clouds[e.names[i]].List(ctx, e.cfg.BlockDir)
+		return listing{entries, err}
+	}).Wait(context.WithoutCancel(ctx))
 
 	sv := &Survey{present: make(map[BlockRef]bool), listed: make(map[string]bool, len(e.names))}
 	for i, name := range e.names {

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Tier-1 gate, runnable without make: vet, the function-length gate,
-# build, full test suite, the race detector over the concurrent
+# Tier-1 gate, runnable without make: vet, gofmt, the function-length
+# gate, build, full test suite, the race detector over the concurrent
 # data-plane packages, the benchmark module, and the shipped §3.2 output.
 set -eu
 cd "$(dirname "$0")/.."
@@ -8,8 +8,17 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
-echo "== no function over 100 lines in internal/core, internal/transfer, internal/deltasync, internal/meta, internal/daemon, internal/scrub, internal/qlock, internal/sched, internal/journal, internal/capacity"
-./scripts/funclen.sh 100 internal/core internal/transfer internal/deltasync internal/meta internal/daemon internal/scrub internal/qlock internal/sched internal/journal internal/capacity
+echo "== gofmt -l internal cmd examples"
+unformatted=$(gofmt -l internal cmd examples)
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed:"
+	echo "$unformatted"
+	exit 1
+fi
+
+echo "== no function over 100 lines (the packages in scripts/funclen_pkgs.txt)"
+# shellcheck disable=SC2046 # one argument per listed package
+./scripts/funclen.sh 100 $(grep -v '^#' scripts/funclen_pkgs.txt)
 
 echo "== go build ./..."
 go build ./...
