@@ -9,7 +9,7 @@ RACE_PKGS = $(shell grep -v '^\#' scripts/race_pkgs.txt)
 # lives in scripts/funclen_pkgs.txt, which scripts/check.sh reads too.
 FUNCLEN_PKGS = $(shell grep -v '^\#' scripts/funclen_pkgs.txt)
 
-.PHONY: build vet fmt funclen test test-race e2e-check measurement-check bench-erasure bench-sync bench-trial bench chaos scrub check cover
+.PHONY: build vet fmt funclen test test-race e2e-check measurement-check bench-erasure bench-sync bench-trial bench chaos scrub fuzz check cover
 
 build:
 	$(GO) build ./...
@@ -65,8 +65,15 @@ chaos:
 # Integrity smoke: the anti-entropy scrubber's own suite plus the
 # end-to-end corruption/repair paths in core, race-checked.
 scrub:
-	$(GO) test -race -timeout 10m -run 'Scrub|Corrupt|Integrity|Backfill' \
+	$(GO) test -race -timeout 10m -run 'Scrub|Corrupt|Integrity' \
 		./internal/scrub/... ./internal/core/...
+
+# Every fuzz target (`func Fuzz*`) for FUZZTIME each, one after the
+# other; not part of `make check`. Their seed corpora under
+# testdata/fuzz/ run with every `go test`.
+FUZZTIME ?= 10s
+fuzz:
+	./scripts/fuzz.sh $(FUZZTIME)
 
 # Coverage gate: the floors (module total and the per-package bars)
 # are the table at the top of scripts/cover.sh.

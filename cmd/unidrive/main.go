@@ -48,94 +48,49 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"unidrive/internal/capacity"
-	"unidrive/internal/cloud"
-	"unidrive/internal/cloudhttp"
 	"unidrive/internal/core"
 	"unidrive/internal/health"
-	"unidrive/internal/localfs"
-	"unidrive/internal/obs"
-	"unidrive/internal/vclock"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		if err := runServe(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "unidrive:", err)
-			os.Exit(1)
+	cmd, args := run, os.Args[1:]
+	if len(args) > 0 {
+		if sub, ok := map[string]func([]string) error{
+			"serve": runServe, "scrub": runScrub, "status": runStatus,
+		}[args[0]]; ok {
+			cmd, args = sub, args[1:]
 		}
-		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "scrub" {
-		if err := runScrub(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "unidrive:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "status" {
-		if err := runStatus(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "unidrive:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(); err != nil {
+	if err := cmd(args); err != nil {
 		fmt.Fprintln(os.Stderr, "unidrive:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	folderPath := flag.String("folder", "./unidrive-sync", "local sync folder")
-	device := flag.String("device", hostnameDefault(), "unique device name")
-	passphrase := flag.String("passphrase", "", "metadata encryption passphrase (required)")
-	cloudList := flag.String("clouds", "", "comma-separated base URLs of cloud endpoints (required)")
-	k := flag.Int("k", 3, "data blocks per segment")
-	kr := flag.Int("kr", 0, "min reachable clouds that must recover data (default N-2, >=1)")
-	ks := flag.Int("ks", 2, "min breached clouds that may reconstruct data")
-	once := flag.Bool("once", false, "sync once and exit")
-	interval := flag.Duration("interval", 30*time.Second, "remote poll (and polling-mode sync) interval in daemon mode")
-	watch := flag.Bool("watch", true, "use filesystem notifications when available (event-driven sync)")
-	debounce := flag.Duration("debounce", 0, "settle window for coalescing watcher events (default: min(500ms, interval/4))")
-	rescanInterval := flag.Duration("rescan-interval", 0, "safety-net full-rescan period in watch mode (default: 10x interval)")
-	flag.Parse()
-
-	if *passphrase == "" {
-		return fmt.Errorf("-passphrase is required")
-	}
-	urls := strings.Split(*cloudList, ",")
-	if *cloudList == "" || len(urls) == 0 {
-		return fmt.Errorf("-clouds is required")
+func run(args []string) error {
+	fs := flag.NewFlagSet("unidrive", flag.ExitOnError)
+	dev := addDeviceFlags(fs)
+	k := fs.Int("k", 3, "data blocks per segment")
+	kr := fs.Int("kr", 0, "min reachable clouds that must recover data (default N-2, >=1)")
+	ks := fs.Int("ks", 2, "min breached clouds that may reconstruct data")
+	once := fs.Bool("once", false, "sync once and exit")
+	interval := fs.Duration("interval", 30*time.Second, "remote poll (and polling-mode sync) interval in daemon mode")
+	watch := fs.Bool("watch", true, "use filesystem notifications when available (event-driven sync)")
+	debounce := fs.Duration("debounce", 0, "settle window for coalescing watcher events (default: min(500ms, interval/4))")
+	rescanInterval := fs.Duration("rescan-interval", 0, "safety-net full-rescan period in watch mode (default: 10x interval)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var clouds []cloud.Interface
-	for _, u := range urls {
-		c, err := cloudhttp.Dial(ctx, strings.TrimSpace(u), http.DefaultClient)
-		if err != nil {
-			return fmt.Errorf("dialing %s: %w", u, err)
-		}
-		fmt.Printf("connected to %s (%s)\n", c.Name(), u)
-		clouds = append(clouds, c)
-	}
-
-	folder, err := localfs.NewDir(*folderPath)
-	if err != nil {
-		return err
-	}
-	reg := obs.NewRegistry()
-	tracker := health.NewDefaultTracker(vclock.Real{}, time.Now().UnixNano(), reg)
-	capTracker := capacity.NewDefaultTracker(vclock.Real{}, reg)
 	printReport := func(rep core.SyncReport) {
 		fmt.Printf("sync v%d: %d local changes committed, %d cloud changes applied",
 			rep.Version, rep.LocalChanges, rep.CloudChanges)
@@ -148,9 +103,7 @@ func run() error {
 		}
 		fmt.Println()
 	}
-	client, err := core.New(clouds, folder, core.Config{
-		Device:             *device,
-		Passphrase:         *passphrase,
+	d, err := dev.open(ctx, core.Config{
 		K:                  *k,
 		Kr:                 *kr,
 		Ks:                 *ks,
@@ -159,13 +112,11 @@ func run() error {
 		DebounceWindow:     *debounce,
 		FullRescanInterval: *rescanInterval,
 		OnPass:             printReport,
-		Obs:                reg,
-		Health:             tracker,
-		Capacity:           capTracker,
 	})
 	if err != nil {
 		return err
 	}
+	client, folder := d.client, d.folder
 	if restored, reason, err := client.LoadState(); err == nil && restored {
 		fmt.Println("restored previous sync state")
 	} else if err == nil && reason != core.ColdStartFresh {
@@ -178,7 +129,7 @@ func run() error {
 			rec.IntentsReplayed, rec.BlocksResumed, rec.OrphansReclaimed, rec.PathsSuppressed)
 	}
 	fmt.Printf("unidrive: device %q, folder %s, %d clouds, params %+v\n",
-		*device, folder.Root(), len(clouds), client.Params())
+		*dev.device, folder.Root(), len(d.clouds), client.Params())
 
 	if *once {
 		rep, err := client.SyncOnce(ctx)
@@ -215,13 +166,13 @@ func run() error {
 	// moved data; errors surface here with breaker context.
 	client.RunLoop(ctx, func(err error) {
 		fmt.Fprintln(os.Stderr, "unidrive: sync:", err)
-		for _, c := range clouds {
-			if b := tracker.Breaker(c.Name()); b.State() != health.Closed {
+		for _, c := range d.clouds {
+			if b := d.health.Breaker(c.Name()); b.State() != health.Closed {
 				fmt.Fprintf(os.Stderr, "unidrive: cloud %s breaker %v\n", c.Name(), b.State())
 			}
-			if st := capTracker.State(c.Name()); st != capacity.OK {
+			if st := d.capacity.State(c.Name()); st != capacity.OK {
 				fmt.Fprintf(os.Stderr, "unidrive: cloud %s capacity %v (%d quota rejections)\n",
-					c.Name(), st, capTracker.Rejections(c.Name()))
+					c.Name(), st, d.capacity.Rejections(c.Name()))
 			}
 		}
 	})

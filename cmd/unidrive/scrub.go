@@ -4,19 +4,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
-	"unidrive/internal/capacity"
-	"unidrive/internal/cloud"
-	"unidrive/internal/cloudhttp"
 	"unidrive/internal/core"
-	"unidrive/internal/localfs"
-	"unidrive/internal/obs"
-	"unidrive/internal/vclock"
 )
 
 // runScrub implements `unidrive scrub`: one anti-entropy cycle over
@@ -24,49 +16,21 @@ import (
 // checksum, with an optional repair pass restoring full redundancy.
 func runScrub(args []string) error {
 	fs := flag.NewFlagSet("scrub", flag.ExitOnError)
-	folderPath := fs.String("folder", "./unidrive-sync", "local sync folder")
-	device := fs.String("device", hostnameDefault(), "unique device name")
-	passphrase := fs.String("passphrase", "", "metadata encryption passphrase (required)")
-	cloudList := fs.String("clouds", "", "comma-separated base URLs of cloud endpoints (required)")
+	dev := addDeviceFlags(fs)
 	repair := fs.Bool("repair", false, "re-encode and re-upload damaged blocks, commit refreshed placements")
 	rate := fs.Float64("rate", 0, "max block fetches per second (0 = unpaced)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *passphrase == "" {
-		return fmt.Errorf("-passphrase is required")
-	}
-	urls := strings.Split(*cloudList, ",")
-	if *cloudList == "" || len(urls) == 0 {
-		return fmt.Errorf("-clouds is required")
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var clouds []cloud.Interface
-	for _, u := range urls {
-		c, err := cloudhttp.Dial(ctx, strings.TrimSpace(u), http.DefaultClient)
-		if err != nil {
-			return fmt.Errorf("dialing %s: %w", u, err)
-		}
-		clouds = append(clouds, c)
-	}
-	folder, err := localfs.NewDir(*folderPath)
+	d, err := dev.open(ctx, core.Config{ScrubRate: *rate})
 	if err != nil {
 		return err
 	}
-	reg := obs.NewRegistry()
-	client, err := core.New(clouds, folder, core.Config{
-		Device:     *device,
-		Passphrase: *passphrase,
-		ScrubRate:  *rate,
-		Capacity:   capacity.NewDefaultTracker(vclock.Real{}, reg),
-		Obs:        reg,
-	})
-	if err != nil {
-		return err
-	}
+	client := d.client
 
 	// The repair commit starts from the device's checkpointed view, as
 	// `run` and `serve` do, not from v0.
@@ -79,9 +43,8 @@ func runScrub(args []string) error {
 	}
 	fmt.Printf("scrub: %d segments, %d copies checked: %d verified, %d missing, %d corrupt\n",
 		rep.Segments, rep.BlocksChecked, rep.BlocksVerified, rep.BlocksMissing, rep.BlocksCorrupt)
-	if rep.RepairedBlocks > 0 || rep.Backfilled > 0 {
-		fmt.Printf("scrub: %d blocks repaired, %d checksums backfilled (committed: %v)\n",
-			rep.RepairedBlocks, rep.Backfilled, rep.Committed)
+	if rep.RepairedBlocks > 0 {
+		fmt.Printf("scrub: %d blocks repaired (committed: %v)\n", rep.RepairedBlocks, rep.Committed)
 	}
 	if rep.ThinSegments > 0 || rep.ReexpandedBlocks > 0 {
 		fmt.Printf("scrub: %d thin segments walked, %d blocks re-expanded, %d thin marks cleared\n",

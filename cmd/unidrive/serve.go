@@ -12,8 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"unidrive/internal/cloud"
-	"unidrive/internal/cloudhttp"
 	"unidrive/internal/core"
 	"unidrive/internal/daemon"
 	"unidrive/internal/localfs"
@@ -121,13 +119,9 @@ func runServe(args []string) error {
 		if tc.ID == "" || tc.Passphrase == "" || tc.Folder == "" || len(tc.Clouds) == 0 {
 			return fmt.Errorf("serve: tenant needs id, passphrase, folder, and clouds (got %+v)", tc.ID)
 		}
-		var clouds []cloud.Interface
-		for _, u := range tc.Clouds {
-			c, err := cloudhttp.Dial(ctx, strings.TrimSpace(u), http.DefaultClient)
-			if err != nil {
-				return fmt.Errorf("serve: tenant %s: dialing %s: %w", tc.ID, u, err)
-			}
-			clouds = append(clouds, c)
+		clouds, err := dialClouds(ctx, tc.Clouds)
+		if err != nil {
+			return fmt.Errorf("serve: tenant %s: %w", tc.ID, err)
 		}
 		folder, err := localfs.NewDir(tc.Folder)
 		if err != nil {

@@ -4,20 +4,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 
-	"unidrive/internal/capacity"
-	"unidrive/internal/cloud"
-	"unidrive/internal/cloudhttp"
 	"unidrive/internal/core"
-	"unidrive/internal/localfs"
-	"unidrive/internal/obs"
-	"unidrive/internal/vclock"
 )
 
 // runStatus implements `unidrive status`: a read-only capacity and
@@ -30,49 +22,20 @@ import (
 // capacity pressure even from a cold start.
 func runStatus(args []string) error {
 	fs := flag.NewFlagSet("status", flag.ExitOnError)
-	folderPath := fs.String("folder", "./unidrive-sync", "local sync folder")
-	device := fs.String("device", hostnameDefault(), "unique device name")
-	passphrase := fs.String("passphrase", "", "metadata encryption passphrase (required)")
-	cloudList := fs.String("clouds", "", "comma-separated base URLs of cloud endpoints (required)")
+	dev := addDeviceFlags(fs)
 	verbose := fs.Bool("v", false, "list every thin segment, not just the count")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *passphrase == "" {
-		return fmt.Errorf("-passphrase is required")
-	}
-	urls := strings.Split(*cloudList, ",")
-	if *cloudList == "" || len(urls) == 0 {
-		return fmt.Errorf("-clouds is required")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var clouds []cloud.Interface
-	for _, u := range urls {
-		c, err := cloudhttp.Dial(ctx, strings.TrimSpace(u), http.DefaultClient)
-		if err != nil {
-			return fmt.Errorf("dialing %s: %w", u, err)
-		}
-		clouds = append(clouds, c)
-	}
-	folder, err := localfs.NewDir(*folderPath)
+	d, err := dev.open(ctx, core.Config{})
 	if err != nil {
 		return err
 	}
-	reg := obs.NewRegistry()
-	tracker := capacity.NewDefaultTracker(vclock.Real{}, reg)
-	client, err := core.New(clouds, folder, core.Config{
-		Device:     *device,
-		Passphrase: *passphrase,
-		Capacity:   tracker,
-		Obs:        reg,
-	})
-	if err != nil {
-		return err
-	}
-	img, err := client.FetchImage(ctx)
+	img, err := d.client.FetchImage(ctx)
 	if err != nil {
 		return err
 	}
@@ -96,10 +59,10 @@ func runStatus(args []string) error {
 	fmt.Printf("status: metadata v%d, %d segments, %d bytes of content\n",
 		img.Version, segments, bytesTotal)
 	fmt.Printf("%-12s %-10s %-8s %s\n", "CLOUD", "BLOCKS", "STATE", "QUOTA REJECTIONS")
-	for _, c := range clouds {
+	for _, c := range d.clouds {
 		name := c.Name()
 		fmt.Printf("%-12s %-10d %-8s %d\n",
-			name, perCloud[name], tracker.State(name), tracker.Rejections(name))
+			name, perCloud[name], d.capacity.State(name), d.capacity.Rejections(name))
 	}
 	if len(thin) == 0 {
 		fmt.Println("capacity: no thin segments — every segment holds its full placement")
@@ -110,7 +73,7 @@ func runStatus(args []string) error {
 		for _, id := range thin {
 			seg, _ := img.Segment(id)
 			fmt.Printf("  %s: %d/%d blocks (K=%d)\n",
-				id, len(seg.Blocks), client.Params().NormalBlocks(), seg.K)
+				id, len(seg.Blocks), d.client.Params().NormalBlocks(), seg.K)
 		}
 	}
 	fmt.Println("capacity: free space on the clouds, then run `unidrive scrub -repair` to re-expand")

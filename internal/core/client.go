@@ -224,9 +224,10 @@ type Client struct {
 	// segData caches content of segments pending upload.
 	segData map[string][]byte
 	// recovered holds block placements adopted from a replayed crash
-	// intent (segment ID -> block ID -> cloud); chunkFile consumes an
-	// entry the first time it re-chunks the segment, so the re-upload
-	// pass skips blocks that already survive in the clouds.
+	// intent (segment ID -> block ID -> cloud); startUpload consumes an
+	// entry the first time it plans the segment, seeding the plan, so
+	// the re-upload pass skips blocks that already survive in the
+	// clouds.
 	recovered map[string]map[int]string
 
 	// ckpt is the write cursor of the state checkpoint (see persist.go).

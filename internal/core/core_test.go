@@ -545,7 +545,8 @@ func TestRemoveCloudDropsFairPlacedReferences(t *testing.T) {
 
 	// Force the worst-case placement: block b on cloud b mod 5.
 	// Dropping c4 then leaves every survivor exactly at its fair
-	// share, so PlanRebalance has nothing to move.
+	// share, so PlanRebalance has nothing to move. Only references are
+	// checked, so the stamps are placeholders.
 	img := a.Image()
 	names := []string{"c0", "c1", "c2", "c3", "c4"}
 	var rels []*meta.Change
@@ -554,7 +555,7 @@ func TestRemoveCloudDropsFairPlacedReferences(t *testing.T) {
 		updated := cur.Clone()
 		updated.Blocks = nil
 		for i := 0; i < 9; i++ {
-			updated.AddBlock(i, names[i%5])
+			updated.AddBlockSum(i, names[i%5], uint32(i+1))
 		}
 		rels = append(rels, &meta.Change{
 			Type: meta.ChangeRelocate, Path: segID,

@@ -370,3 +370,57 @@ func TestRecoverSharedSegmentJudgedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashResumeStampsEveryLocation pins the resumed upload's
+// records: a pass that dies holding the lock, its availability set in
+// the clouds, is resumed after restart from the blocks recovery
+// adopts, and the commit names every adopted block with the checksum
+// of the bytes its cloud holds — none goes unverified — and marks a
+// segment thin exactly when it is short of its fair-share placement.
+func TestCrashResumeStampsEveryLocation(t *testing.T) {
+	r := newRig(5)
+	a, fa := r.device(t, "alpha")
+	big := randContent(43, 20_000)
+	writeFile(t, fa, "big.bin", big)
+	a.ArmCrash(CrashPreCommit, 0)
+	if _, err := a.SyncOnce(ctxT(t)); !errors.Is(err, ErrCrashInjected) {
+		t.Fatalf("pass survived the armed crash: %v", err)
+	}
+
+	a2 := restartWithObs(t, r, "alpha", fa, obs.NewRegistry())
+	if _, _, err := a2.LoadState(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := a2.Recover(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.BlocksResumed == 0 {
+		t.Fatal("recovery adopted no surviving blocks")
+	}
+	syncOK(t, a2)
+
+	segs := fileSegments(t, a2, "big.bin")
+	if len(segs) < 2 {
+		t.Fatalf("big.bin cut into %d segments, want several", len(segs))
+	}
+	stores := make(map[string]cloud.Interface)
+	for _, st := range r.stores {
+		stores[st.Name()] = cloudsim.NewDirect(st)
+	}
+	for _, seg := range segs {
+		for _, b := range seg.Blocks {
+			data, err := stores[b.CloudID].Download(ctxT(t), a2.engine.BlockPath(seg.ID, b.BlockID))
+			if err != nil {
+				t.Fatalf("segment %s block %d on %s: %v", seg.ID, b.BlockID, b.CloudID, err)
+			}
+			if want := meta.BlockSum(data); b.Checksum != want {
+				t.Errorf("segment %s block %d on %s: stamp %08x, the cloud's bytes sum to %08x",
+					seg.ID, b.BlockID, b.CloudID, b.Checksum, want)
+			}
+		}
+		if short := len(seg.Blocks) < a2.normalTarget(seg); seg.Thin != short {
+			t.Errorf("segment %s: thin=%v with %d of %d blocks", seg.ID, seg.Thin, len(seg.Blocks), a2.normalTarget(seg))
+		}
+	}
+}

@@ -17,7 +17,9 @@ import (
 // chunkFile cuts a file's content into segments, caches their bytes
 // for upload, and returns the snapshot plus pool records for any
 // segments that still need uploading (a segment already holding
-// enough blocks in the committed pool deduplicates away).
+// enough blocks in the committed pool deduplicates away). A new
+// segment's record names no blocks: it names only what startUpload
+// lands or adopts, each with its checksum.
 func (c *Client) chunkFile(info localfs.FileInfo, data []byte) (*meta.Snapshot, []*meta.Segment) {
 	segs := c.chnk.Split(data)
 	snap := &meta.Snapshot{
@@ -45,19 +47,12 @@ func (c *Client) chunkFile(info localfs.FileInfo, data []byte) (*meta.Snapshot, 
 		// lands, and a private buffer avoids pinning the whole file
 		// buffer for one small segment.
 		c.cacheSegment(id, append([]byte(nil), s.Data...))
-		rec := &meta.Segment{
+		records = append(records, &meta.Segment{
 			ID:     id,
 			Length: len(s.Data),
 			K:      c.params.K,
 			N:      c.params.CodeN(),
-		}
-		// Adopt blocks that crash recovery verified are already in the
-		// clouds from an interrupted pass: the upload plan resumes from
-		// them instead of re-uploading.
-		for blockID, cloudName := range c.takeRecovered(id) {
-			rec.AddBlock(blockID, cloudName)
-		}
-		records = append(records, rec)
+		})
 	}
 	return snap, records
 }
@@ -132,15 +127,18 @@ func (c *Client) startUpload(ctx context.Context, changes []*meta.Change) (*uplo
 				s.release()
 				return nil, err
 			}
-			// Blocks surviving from a crashed pass (adopted by recovery
-			// into the segment record) count as already uploaded.
-			for _, b := range seg.Blocks {
-				plan.SeedUploaded(b.BlockID, b.CloudID)
+			// Blocks surviving a crashed pass (adopted by recovery) count
+			// as already uploaded; stamp checksums them from this
+			// segment's bytes like any landed block.
+			for blockID, cloudName := range c.takeRecovered(seg.ID) {
+				plan.SeedUploaded(blockID, cloudName)
 			}
 			seen[seg.ID] = true
 			s.plans = append(s.plans, sessionSegment{seg: seg, plan: plan, src: src})
-			s.outcome.SegmentsUploaded++
-			s.outcome.BytesUploaded += int64(seg.Length)
+			if !plan.Available() { // a resumed segment available already moves no content
+				s.outcome.SegmentsUploaded++
+				s.outcome.BytesUploaded += int64(seg.Length)
+			}
 		}
 	}
 	if len(s.plans) == 0 {
@@ -306,9 +304,7 @@ func (s *uploadSession) stamp(changes []*meta.Change) map[string]map[int]string 
 				continue
 			}
 			for blockID, cloudName := range pl {
-				// A block adopted from a crashed pass is recorded without a
-				// checksum until its first stamp.
-				if !seg.HasBlock(blockID, cloudName) || seg.BlockSum(blockID) == 0 {
+				if !seg.HasBlock(blockID, cloudName) {
 					seg.AddBlockSum(blockID, cloudName, sources[seg.ID].sum(blockID))
 				}
 			}
@@ -459,7 +455,7 @@ func (s *segmentSource) blocks(blockID int) ([]byte, error) {
 }
 
 // sum returns the content checksum of one coded block, encoding the
-// block on demand through blocks(). Zero (the "unknown" sentinel)
+// block on demand through blocks(). Zero, which no decoder accepts,
 // only for an out-of-range ID, which upstream scheduling never
 // produces.
 func (s *segmentSource) sum(blockID int) uint32 {

@@ -182,8 +182,9 @@ var errDecodeMismatch = errors.New("core: decoded segment fails content verifica
 // path — success, decode error, or mismatch. On a content mismatch
 // (err == errDecodeMismatch) the second result names the block IDs to
 // exclude from a retry fetch: the copies indicted by their stamped
-// checksums, or — when no checksum points a finger (pre-integrity
-// metadata) — every block of the failed set.
+// checksums, or — when no checksum points a finger, every block having
+// passed its stamp at download (a stamp recorded over poisoned bytes)
+// — every block of the failed set.
 func (c *Client) decodeAndVerify(seg *meta.Segment, blocks map[int][]byte) ([]byte, map[int]bool, error) {
 	// Download results are caller-owned (cloud.Interface's contract), so
 	// nothing else can hold a reference once decoding is done with them.
@@ -201,7 +202,7 @@ func (c *Client) decodeAndVerify(seg *meta.Segment, blocks map[int][]byte) ([]by
 	}
 	excluded := make(map[int]bool)
 	for blockID, b := range blocks {
-		if want := seg.BlockSum(blockID); want != 0 && meta.BlockSum(b) != want {
+		if meta.BlockSum(b) != seg.BlockSum(blockID) {
 			excluded[blockID] = true
 		}
 	}

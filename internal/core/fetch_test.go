@@ -38,12 +38,12 @@ func TestFetchVerified(t *testing.T) {
 	}
 
 	// Fix the placements of the three that go over the network (one block
-	// each on c0..c3, two on c4) so the fault surface is exact, and take
-	// the stamp off the copy of the third that will rot on c0.
+	// each on c0..c3, two on c4) so the fault surface is exact, and
+	// poison the third's copy on c0 under a matching stamp.
 	for i := 1; i < 4; i++ {
 		segs[i] = reshapeSegment(t, a, segs[i])
 	}
-	stripStamps(t, a, segs[2].ID, segs[2].Blocks[0].BlockID)
+	poisonCopy(t, a, segs[2], "c0")
 
 	b, _ := r.device(t, "beta")
 	slowTail(r, "beta") // c0..c2 are tried first
@@ -66,8 +66,8 @@ func TestFetchVerified(t *testing.T) {
 	b.cacheSegment(segs[0].ID, plain[segs[0].ID])
 	// 1: the stamped copy on c0 rots; the batch re-routes around it.
 	corruptOn(t, r, "beta", a, segs[1], "c0", cloudsim.CorruptBitFlip)
-	// 2: the unstamped copy on c0 rots; only the decode can tell.
-	corruptOn(t, r, "beta", a, segs[2], "c0", cloudsim.CorruptStale)
+	// 2: its copy on c0, poisoned above, passes its stamp; only the
+	// decode can tell.
 	// 3: four of six copies rot; the two on c4 are not enough.
 	for _, name := range []string{"c0", "c1", "c2", "c3"} {
 		corruptOn(t, r, "beta", a, segs[3], name, cloudsim.CorruptBitFlip)
@@ -106,6 +106,33 @@ func TestFetchVerified(t *testing.T) {
 	if n := reg.Counter("core.decode.exclusion_retries").Value(); n != 1 {
 		t.Errorf("core.decode.exclusion_retries = %d, want 1", n)
 	}
+}
+
+// poisonCopy overwrites the segment's copy on cloudName with wrong
+// bytes of the same length and commits their checksum as the copy's
+// stamp: a stamp recorded over the wrong bytes, which download
+// verification passes and only the decode-time SHA-1 check catches.
+func poisonCopy(t *testing.T, c *Client, seg *meta.Segment, cloudName string) {
+	t.Helper()
+	ctx := ctxT(t)
+	poisoned := seg.Clone()
+	for i, b := range poisoned.Blocks {
+		if b.CloudID != cloudName {
+			continue
+		}
+		data, err := c.engine.FetchBlock(ctx, cloudName, seg.ID, b.BlockID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range data {
+			data[j] ^= 0x5a
+		}
+		if err := c.engine.PutBlock(ctx, cloudName, seg.ID, b.BlockID, data); err != nil {
+			t.Fatal(err)
+		}
+		poisoned.Blocks[i].Checksum = meta.BlockSum(data)
+	}
+	commitPlacement(t, c, poisoned)
 }
 
 // recordedDeviceOn is rig.device with every request of the device also

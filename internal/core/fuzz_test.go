@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
 	"time"
 
 	"unidrive/internal/localfs"
+	"unidrive/internal/meta"
 )
 
 // fuzzDevice is the device name the checked-in seed corpus was
@@ -17,7 +19,9 @@ const fuzzDevice = "alpha"
 // FuzzLoadState feeds arbitrary bytes to the checkpoint decoder as a
 // base and two delta files. It must never panic, never restore a
 // version the files do not chain to, never let a delta discard the
-// base, and any state it accepts must re-encode to itself.
+// base, and any state it accepts must re-encode to itself. The one
+// error it may return is the refusal of metadata predating the
+// integrity format.
 func FuzzLoadState(f *testing.F) {
 	// Besides the checked-in corpus, seed with the files a live client
 	// writes today, so the corpus cannot go stale with the format.
@@ -50,10 +54,10 @@ func FuzzLoadState(f *testing.F) {
 			return deltas[n-1], nil
 		}
 		st, reason, err := restoreCheckpoint(fuzzDevice, base, read)
-		if err != nil {
+		if err != nil && !errors.Is(err, meta.ErrUnstamped) {
 			t.Fatalf("restoreCheckpoint: %v", err)
 		}
-		if reason != "" {
+		if err != nil || reason != "" {
 			return
 		}
 
@@ -67,8 +71,8 @@ func FuzzLoadState(f *testing.F) {
 		head := alone.img.Version
 		reachable := map[int64]bool{head: true}
 		for _, raw := range deltas {
-			d, ok := decodeStateDelta(raw)
-			if len(raw) == 0 || !ok || len(d.Records) == 0 {
+			d, err := decodeStateDelta(raw)
+			if len(raw) == 0 || err != nil || len(d.Records) == 0 {
 				break
 			}
 			if d.Records[len(d.Records)-1].Version <= head {

@@ -54,44 +54,6 @@ func corruptOn(t *testing.T, r *rig, device string, c *Client, seg *meta.Segment
 	return n
 }
 
-// stripStamps commits the segment's metadata with the checksums of
-// the given block IDs (all, when none are named) zeroed — regressing
-// it to the pre-integrity format so tests can exercise the legacy and
-// mixed-metadata paths against real committed state.
-func stripStamps(t *testing.T, c *Client, segID string, blockIDs ...int) {
-	t.Helper()
-	ctx := ctxT(t)
-	lock, err := c.locks.Acquire(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.releaseLock(ctx, lock)
-	img, err := c.store.Refresh(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, ok := img.Segment(segID)
-	if !ok {
-		t.Fatalf("segment %s missing", segID)
-	}
-	strip := make(map[int]bool, len(blockIDs))
-	for _, id := range blockIDs {
-		strip[id] = true
-	}
-	bare := seg.Clone()
-	for i := range bare.Blocks {
-		if len(blockIDs) == 0 || strip[bare.Blocks[i].BlockID] {
-			bare.Blocks[i].Checksum = 0
-		}
-	}
-	if _, err := c.store.Commit(ctx, []*meta.Change{{
-		Type: meta.ChangeRelocate, Path: segID, Segments: []*meta.Segment{bare},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	c.setLast(c.store.CachedShared().Clone())
-}
-
 // reshapeSegment commits a deterministic placement for one segment —
 // its four smallest block IDs one per cloud c0..c3, the next two both
 // on c4 — re-uploading the copies accordingly. The natural upload
@@ -131,18 +93,26 @@ func reshapeSegment(t *testing.T, c *Client, seg *meta.Segment) *meta.Segment {
 			BlockID: blockID, CloudID: cloudName, Checksum: meta.BlockSum(data),
 		})
 	}
+	commitPlacement(t, c, shaped)
+	return shaped
+}
+
+// commitPlacement commits seg's record as its placement under the
+// quorum lock.
+func commitPlacement(t *testing.T, c *Client, seg *meta.Segment) {
+	t.Helper()
+	ctx := ctxT(t)
 	lock, err := c.locks.Acquire(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.releaseLock(ctx, lock)
 	if _, err := c.store.Commit(ctx, []*meta.Change{{
-		Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{shaped},
+		Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{seg},
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	c.setLast(c.store.CachedShared().Clone())
-	return shaped
 }
 
 // slowTail injects heavy latency on c3 and c4 for the named device.
@@ -231,101 +201,6 @@ func TestCorruptionBeyondRedundancyFailsLoud(t *testing.T) {
 	}
 	if _, err := fb.ReadFile("f.bin"); err == nil {
 		t.Fatal("unverifiable file was written to the folder")
-	}
-}
-
-// TestLegacyMetadataExclusionRecovery regresses a committed segment
-// to pre-checksum metadata and rots the first-fetched copies: the
-// engine cannot convict them (no stamps), so the decode-time SHA
-// check must catch the poison and the exclusion retry must rebuild
-// from untouched blocks.
-func TestLegacyMetadataExclusionRecovery(t *testing.T) {
-	r := newRig(5)
-	a, fa := r.device(t, "alpha")
-	content := randContent(300, 3000)
-	writeFile(t, fa, "f.bin", content)
-	syncOK(t, a)
-	seg := reshapeSegment(t, a, fileSegments(t, a, "f.bin")[0])
-	stripStamps(t, a, seg.ID)
-
-	b, fb := r.device(t, "beta")
-	slowTail(r, "beta")
-	for _, cl := range []string{"c0", "c1", "c2"} {
-		corruptOn(t, r, "beta", a, seg, cl, cloudsim.CorruptBitFlip)
-	}
-	syncOK(t, b)
-
-	got, err := fb.ReadFile("f.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte(content)) {
-		t.Fatal("exclusion retry produced wrong bytes")
-	}
-	reg := r.regs["beta"]
-	if n := reg.Counter("transfer.down.corrupt_blocks").Value(); n != 0 {
-		t.Fatalf("unstamped copies were convicted at download time (%d)", n)
-	}
-	if n := reg.Counter("core.decode.sha_mismatch").Value(); n != 1 {
-		t.Fatalf("core.decode.sha_mismatch = %d, want 1", n)
-	}
-	if n := reg.Counter("core.decode.exclusion_retries").Value(); n != 1 {
-		t.Fatalf("core.decode.exclusion_retries = %d, want 1", n)
-	}
-}
-
-func TestLegacyMetadataCorruptBeyondExclusionFailsLoud(t *testing.T) {
-	r := newRig(5)
-	a, fa := r.device(t, "alpha")
-	writeFile(t, fa, "f.bin", randContent(400, 3000))
-	syncOK(t, a)
-	seg := reshapeSegment(t, a, fileSegments(t, a, "f.bin")[0])
-	stripStamps(t, a, seg.ID)
-
-	b, fb := r.device(t, "beta")
-	for _, cl := range []string{"c0", "c1", "c2", "c3"} {
-		corruptOn(t, r, "beta", a, seg, cl, cloudsim.CorruptBitFlip)
-	}
-	_, err := b.SyncOnce(ctxT(t))
-	if err == nil {
-		t.Fatal("sync returned nil with legacy metadata corrupted beyond exclusion")
-	}
-	if !errors.Is(err, cloud.ErrCorrupt) {
-		t.Fatalf("sync error = %v, want cloud.ErrCorrupt", err)
-	}
-	if _, err := fb.ReadFile("f.bin"); err == nil {
-		t.Fatal("unverifiable file was written to the folder")
-	}
-}
-
-// TestMixedMetadataExclusionRecovery leaves the sibling stamps in
-// place but strips the rotten block's own: no stamp convicts it
-// individually, so the whole fetched set is excluded and the retry
-// must land on untouched blocks.
-func TestMixedMetadataExclusionRecovery(t *testing.T) {
-	r := newRig(5)
-	a, fa := r.device(t, "alpha")
-	content := randContent(500, 3000)
-	writeFile(t, fa, "f.bin", content)
-	syncOK(t, a)
-	seg := reshapeSegment(t, a, fileSegments(t, a, "f.bin")[0])
-	// Only the block on c0 — the rotten one — regresses to unstamped.
-	stripStamps(t, a, seg.ID, seg.Blocks[0].BlockID)
-
-	b, fb := r.device(t, "beta")
-	slowTail(r, "beta")
-	corruptOn(t, r, "beta", a, seg, "c0", cloudsim.CorruptStale)
-	syncOK(t, b)
-
-	got, err := fb.ReadFile("f.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte(content)) {
-		t.Fatal("mixed-metadata retry produced wrong bytes")
-	}
-	if n := r.regs["beta"].Counter("core.decode.exclusion_retries").Value(); n != 1 {
-		t.Fatalf("core.decode.exclusion_retries = %d, want 1", n)
 	}
 }
 
@@ -443,7 +318,7 @@ func TestClientScrubRepairsSharedClouds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.BlocksCorrupt+rep2.BlocksMissing+rep2.RepairedBlocks+rep2.Backfilled != 0 {
+	if rep2.BlocksCorrupt+rep2.BlocksMissing+rep2.RepairedBlocks != 0 {
 		t.Fatalf("store not clean after repair: %+v", rep2)
 	}
 

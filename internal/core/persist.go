@@ -99,27 +99,29 @@ func encodeStateDelta(d *stateDelta) ([]byte, error) {
 	return append([]byte(header), payload...), nil
 }
 
-// decodeStateDelta returns ok=false for a torn, short or otherwise
-// damaged delta file.
-func decodeStateDelta(data []byte) (d stateDelta, ok bool) {
+// errDamagedDelta reports a torn, short or otherwise damaged delta
+// file.
+var errDamagedDelta = errors.New("core: damaged state delta")
+
+// decodeStateDelta decodes one delta file: errDamagedDelta when its
+// frame does not hold, the decoder's error when its payload does not
+// decode.
+func decodeStateDelta(data []byte) (d stateDelta, err error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return d, false
+		return d, errDamagedDelta
 	}
 	var magic string
 	var length int
 	var sum uint32
 	if n, err := fmt.Sscanf(string(data[:nl]), "%s %d %x", &magic, &length, &sum); n != 3 || err != nil {
-		return d, false
+		return d, errDamagedDelta
 	}
 	payload := data[nl+1:]
 	if magic != deltaMagic || length != len(payload) || sum != crc32.ChecksumIEEE(payload) {
-		return d, false
+		return d, errDamagedDelta
 	}
-	if err := json.Unmarshal(payload, &d); err != nil {
-		return d, false
-	}
-	return d, true
+	return d, json.Unmarshal(payload, &d)
 }
 
 // checkpointLog describes the checkpoint files in the folder.
@@ -148,7 +150,9 @@ type checkpointState struct {
 // the private prefix, so the log is probed 1, 2, … until the first
 // missing file. reason is a ColdStart* constant when the base cannot
 // be used; a bad delta never discards the base, it ends the replay at
-// the last state the files chain to.
+// the last state the files chain to. Metadata predating the integrity
+// format, in the base or in a delta, is neither: it is refused with
+// meta.ErrUnstamped, for the folder to be re-synced.
 func restoreCheckpoint(device string, base []byte, readDelta func(n int) ([]byte, error)) (st checkpointState, reason string, err error) {
 	var ps persistentState
 	if err := json.Unmarshal(base, &ps); err != nil {
@@ -161,6 +165,9 @@ func restoreCheckpoint(device string, base []byte, readDelta func(n int) ([]byte
 		return st, ColdStartForeignDevice, nil
 	}
 	img, err := meta.DecodeImage(ps.Image)
+	if errors.Is(err, meta.ErrUnstamped) {
+		return st, "", err
+	}
 	if err != nil {
 		return st, ColdStartCorruptImage, nil
 	}
@@ -180,8 +187,11 @@ func restoreCheckpoint(device string, base []byte, readDelta func(n int) ([]byte
 		if err != nil {
 			return st, "", err
 		}
-		d, ok := decodeStateDelta(data)
-		if !ok || len(d.Records) == 0 {
+		d, err := decodeStateDelta(data)
+		if errors.Is(err, meta.ErrUnstamped) {
+			return st, "", err
+		}
+		if err != nil || len(d.Records) == 0 {
 			st.truncated = true
 			return st, "", nil
 		}

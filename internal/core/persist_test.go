@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -10,8 +11,10 @@ import (
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
+	"unidrive/internal/deltasync"
 	"unidrive/internal/journal"
 	"unidrive/internal/localfs"
+	"unidrive/internal/meta"
 	"unidrive/internal/obs"
 )
 
@@ -573,5 +576,63 @@ func TestCheckpointBytesIndependentOfFolderSize(t *testing.T) {
 	t.Logf("bytes under %s per single-file pass: %d at 1 000 files, %d at 10 000", localfs.StatePrefix, small, large)
 	if small <= 0 || large >= 2*small {
 		t.Fatalf("single-file pass wrote %d bytes at 1 000 files and %d at 10 000: not O(changes)", small, large)
+	}
+}
+
+// TestLoadStateRefusesUnstampedMetadata pins the integrity format at
+// the checkpoint: a base image or a delta record naming a block
+// location without a checksum is refused with meta.ErrUnstamped, not
+// taken for a cold start or a torn delta, and nothing of it is adopted.
+func TestLoadStateRefusesUnstampedMetadata(t *testing.T) {
+	r := newRig(5)
+	a, fa := r.device(t, "alpha")
+	writeFile(t, fa, "f.txt", "stamped content")
+	syncOK(t, a)
+	img := a.Image()
+	segID := img.SegmentIDs()[0]
+	seg, _ := img.Segment(segID)
+	bare := seg.Clone()
+	bare.Blocks[0].Checksum = 0
+
+	unstampedImg := img.Clone()
+	unstampedImg.SetSegment(bare)
+	badBase, err := encodeStateBase("alpha", time.Now(), unstampedImg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodBase, err := encodeStateBase("alpha", time.Now(), img, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badDelta, err := encodeStateDelta(&stateDelta{Records: []deltasync.Record{{
+		Version: img.Version + 1, Device: "alpha",
+		Changes: []*meta.Change{{Type: meta.ChangeRelocate, Path: segID, Segments: []*meta.Segment{bare}}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		base, delta []byte
+	}{{"base", badBase, nil}, {"delta", goodBase, badDelta}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := fa.WriteFile(statePath, tc.base, time.Now()); err != nil {
+				t.Fatal(err)
+			}
+			_ = fa.Remove(deltaPath(1))
+			if tc.delta != nil {
+				if err := fa.WriteFile(deltaPath(1), tc.delta, time.Now()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := restartDevice(t, r, "alpha", fa)
+			restored, reason, err := c.LoadState()
+			if !errors.Is(err, meta.ErrUnstamped) || restored || reason != "" {
+				t.Fatalf("LoadState = %v, %q, %v; want the ErrUnstamped refusal", restored, reason, err)
+			}
+			if v := c.Image().Version; v != 0 {
+				t.Fatalf("refused checkpoint adopted: v%d", v)
+			}
+		})
 	}
 }

@@ -85,8 +85,8 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 				// Block content is determined by (segment, blockID), so a
 				// surviving block keeps its recorded checksum; re-encoded
 				// blocks get the sum computed at upload.
-				sum := freshSums[blockID]
-				if sum == 0 {
+				sum, fresh := freshSums[blockID]
+				if !fresh {
 					sum = seg.BlockSum(blockID)
 				}
 				updated.AddBlockSum(blockID, cloudName, sum)

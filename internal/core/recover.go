@@ -327,8 +327,8 @@ func (c *Client) localMatches(path string, snap *meta.Snapshot) (localfs.FileInf
 	return fi, local != nil && local.ContentEquals(snap)
 }
 
-// addRecovered records an adopted block placement for chunkFile to
-// consume when the segment is next re-chunked.
+// addRecovered records an adopted block placement for startUpload to
+// consume when the segment is next planned.
 func (c *Client) addRecovered(segID string, blockID int, cloudName string) {
 	m := c.recovered[segID]
 	if m == nil {
@@ -339,8 +339,8 @@ func (c *Client) addRecovered(segID string, blockID int, cloudName string) {
 }
 
 // takeRecovered removes and returns the adopted placements for a
-// segment (nil when none). Single-shot: once a pass has folded the
-// blocks into a segment record they ride in the change batch, and a
+// segment (nil when none). Single-shot: once a pass has seeded a plan
+// with the blocks, its stamp names them in the change batch, and a
 // stale copy here could poison a later, different upload of the same
 // content.
 func (c *Client) takeRecovered(segID string) map[int]string {

@@ -56,6 +56,7 @@ func TestSingleFileCommitRequestBudget(t *testing.T) {
 	if _, err := c.SyncDirty(ctxT(t), []string{"warm.bin"}); err != nil {
 		t.Fatal(err)
 	}
+	c.store.JoinPoll(ctxT(t)) // the stamp poll's last answers may land after the pass returns
 
 	versionPath := deltasync.DefaultDir + "/version"
 	before := map[string]cloudsim.CallCounts{}
@@ -80,6 +81,7 @@ func TestSingleFileCommitRequestBudget(t *testing.T) {
 	if rep.LocalChanges != 1 {
 		t.Fatalf("committed %d changes, want 1", rep.LocalChanges)
 	}
+	c.store.JoinPoll(ctxT(t))
 	got := map[string]cloudsim.CallCounts{}
 	for _, d := range dirs {
 		got[d] = requestsUnder(recs, d).Minus(before[d])
@@ -121,6 +123,7 @@ func TestSingleFileCommitRequestBudget(t *testing.T) {
 	if string(data) != randContent(2, 100_000) {
 		t.Fatal("Get returned different content")
 	}
+	c.store.JoinPoll(ctxT(t))
 	if want, g := (cloudsim.CallCounts{Download: 5}), requestsUnder(recs, deltasync.DefaultDir).Minus(before[deltasync.DefaultDir]); g != want {
 		t.Errorf("Get's metadata requests = %+v, want %+v", g, want)
 	}
@@ -143,6 +146,7 @@ func TestMaintenanceRequestBudget(t *testing.T) {
 	if _, err := c.SyncDirty(ctxT(t), []string{"warm.bin"}); err != nil {
 		t.Fatal(err)
 	}
+	c.store.JoinPoll(ctxT(t)) // the stamp poll's last answers may land after the pass returns
 	// during runs one maintenance entry and returns the requests it
 	// issued under the metadata and the block directory.
 	during := func(run func() error) (metadata, blocks cloudsim.CallCounts) {

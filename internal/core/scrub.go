@@ -13,9 +13,7 @@ import (
 // every referenced block copy is checked for existence and content
 // integrity (see internal/scrub). With repair true, damaged copies
 // are re-encoded from the surviving healthy blocks, re-uploaded, and
-// the refreshed placements committed under the quorum lock; legacy
-// pre-checksum locations get their stamps backfilled in the same
-// commit.
+// the refreshed placements committed under the quorum lock.
 func (c *Client) Scrub(ctx context.Context, repair bool) (*scrub.Report, error) {
 	s, err := scrub.New(scrub.Config{
 		Engine:      c.engine,

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,19 +65,15 @@ func chunkName(firstVersion int64) string {
 }
 
 // parseChunkName extracts the first-record version from a chunk
-// object name; ok is false for non-chunk names.
+// object name; ok is false for non-chunk names, a version that does
+// not fit an int64 among them.
 func parseChunkName(name string) (int64, bool) {
-	if !strings.HasPrefix(name, chunkPrefix) {
+	digits, ok := strings.CutPrefix(name, chunkPrefix)
+	v, err := strconv.ParseUint(digits, 10, 63) // no sign, fits an int64
+	if !ok || err != nil {
 		return 0, false
 	}
-	var v int64
-	for _, c := range name[len(chunkPrefix):] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(c-'0')
-	}
-	return v, true
+	return int64(v), true
 }
 
 // DefaultDir is the metadata directory on every cloud.

@@ -69,3 +69,18 @@ func FuzzChainExtend(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseChunkName: a chunk object name the parser accepts as
+// version v is the name of a chunk it parses back to v.
+func FuzzParseChunkName(f *testing.F) {
+	f.Add("delta.v000000000042")
+	f.Fuzz(func(t *testing.T, name string) {
+		v, ok := parseChunkName(name)
+		if !ok {
+			return
+		}
+		if again, ok := parseChunkName(chunkName(v)); !ok || again != v {
+			t.Fatalf("%q parses to v%d, whose name %q parses to v%d (%v)", name, v, chunkName(v), again, ok)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package deltasync
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -374,4 +375,46 @@ func totalDownloads(recorders []*cloudsim.Recorder) int {
 		n += r.Counts().Download
 	}
 	return n
+}
+
+// TestRefreshRefusesUnstampedMetadata pins the integrity format at the
+// cloud door: a commit naming a block location without a checksum —
+// in the delta tail, or rotated into the base — is refused by a reader
+// with meta.ErrUnstamped, and the reader keeps the image it had.
+func TestRefreshRefusesUnstampedMetadata(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rotate bool
+	}{{"delta", false}, {"base", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			r := newRig(5)
+			s1 := r.store(t, "d1", Config{})
+			s2 := r.store(t, "d2", Config{})
+			if _, err := s1.Commit(ctx, []*meta.Change{addChange("a.txt", "s1")}); err != nil {
+				t.Fatal(err)
+			}
+			if img, err := s2.Refresh(ctx); err != nil || img.Version != 1 {
+				t.Fatalf("refresh to v1: %v", err)
+			}
+			if tc.rotate {
+				s1.lambda = func(int) int { return 0 }
+			}
+			unstamped := addChange("b.txt", "s2")
+			unstamped.Segments[0].Blocks = []meta.BlockLocation{{BlockID: 0, CloudID: "c0"}}
+			stats, err := s1.Commit(ctx, []*meta.Change{unstamped})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.BaseRotated != tc.rotate {
+				t.Fatalf("base rotated = %v, want %v", stats.BaseRotated, tc.rotate)
+			}
+			if _, err := s2.Refresh(ctx); !errors.Is(err, meta.ErrUnstamped) {
+				t.Fatalf("refresh = %v, want meta.ErrUnstamped", err)
+			}
+			if img := s2.CachedShared(); img.Version != 1 || img.Lookup("b.txt") != nil {
+				t.Fatalf("refused commit adopted: cached v%d", img.Version)
+			}
+		})
+	}
 }

@@ -71,13 +71,6 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-// ConsecutiveFailures returns the current consecutive-failure streak.
-func (b *Breaker) ConsecutiveFailures() int {
-	b.t.mu.Lock()
-	defer b.t.mu.Unlock()
-	return b.consecFails
-}
-
 // ErrorRate returns the EWMA of the cloud's per-request failure
 // indicator (1 = failed, 0 = succeeded), or 0 before any sample.
 func (b *Breaker) ErrorRate() float64 {

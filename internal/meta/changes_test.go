@@ -54,7 +54,7 @@ func TestChangeValidate(t *testing.T) {
 
 func TestChangeEncodeDecodeRoundTrip(t *testing.T) {
 	c := addChange("dir/f.txt", "s1", "s2")
-	c.Segments = []*Segment{seg("s1", BlockLocation{BlockID: 0, CloudID: "c1"})}
+	c.Segments = []*Segment{seg("s1", BlockLocation{BlockID: 0, CloudID: "c1", Checksum: 7})}
 	data, err := c.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -25,6 +25,7 @@ package meta
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"iter"
@@ -42,18 +43,38 @@ type BlockLocation struct {
 	BlockID int    `json:"blockId"`
 	CloudID string `json:"cloudId"`
 	// Checksum is the CRC-32C of the block's content (see BlockSum),
-	// stamped at encode time and verified on every download. Zero means
-	// "unknown": the block was recorded before checksums existed and
-	// awaits scrub backfill.
+	// stamped at encode time and verified on every download. Every
+	// location carries one: decoding refuses a location without it
+	// (ErrUnstamped).
 	Checksum uint32 `json:"crc,omitempty"`
+}
+
+// ErrUnstamped is the decoding error for metadata naming a block
+// location without a checksum: it predates the block-integrity format,
+// and the folder must be re-synced from its files.
+var ErrUnstamped = errors.New("meta: block location without a checksum: the metadata predates the integrity format; re-sync the folder")
+
+// checkStamped refuses segments naming a location without a checksum.
+func checkStamped(segs ...*Segment) error {
+	for _, s := range segs {
+		if s == nil {
+			continue // Change.Validate's to refuse
+		}
+		for _, b := range s.Blocks {
+			if b.Checksum == 0 {
+				return fmt.Errorf("%w (segment %s, block %d on %s)", ErrUnstamped, s.ID, b.BlockID, b.CloudID)
+			}
+		}
+	}
+	return nil
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // BlockSum returns the content checksum (CRC-32C) of one coded block.
-// The zero value is reserved to mean "no checksum recorded", so the
-// rare content whose CRC is genuinely 0 maps to 1; both the stamping
-// and the verifying side go through this function, so the mapping is
+// The zero value is reserved to mean "no checksum", so the rare
+// content whose CRC is genuinely 0 maps to 1; both the stamping and
+// the verifying side go through this function, so the mapping is
 // invisible.
 func BlockSum(data []byte) uint32 {
 	if s := crc32.Checksum(data, castagnoli); s != 0 {
@@ -129,69 +150,37 @@ func (s *Segment) BlocksOn(cloudID string) []int {
 	return out
 }
 
-// AddBlock records a block location if not already present.
-func (s *Segment) AddBlock(blockID int, cloudID string) {
-	if s.HasBlock(blockID, cloudID) {
-		return
-	}
-	s.Blocks = append(s.Blocks, BlockLocation{BlockID: blockID, CloudID: cloudID})
-}
-
 // AddBlockSum records a block location together with its content
-// checksum. If the location already exists, a nonzero sum backfills a
-// missing (zero) one; an already-recorded sum is never overwritten —
-// block content is immutable, so a disagreement means one side is
-// wrong and the scrubber settles it against the actual bytes.
+// checksum, unless the location is already recorded: block content is
+// immutable, so a recorded sum is never overwritten — a disagreement
+// means one side is wrong, and the scrubber settles it against the
+// actual bytes.
 func (s *Segment) AddBlockSum(blockID int, cloudID string, sum uint32) {
-	for i := range s.Blocks {
-		if s.Blocks[i].BlockID == blockID && s.Blocks[i].CloudID == cloudID {
-			if s.Blocks[i].Checksum == 0 {
-				s.Blocks[i].Checksum = sum
-			}
-			return
-		}
+	if !s.HasBlock(blockID, cloudID) {
+		s.Blocks = append(s.Blocks, BlockLocation{BlockID: blockID, CloudID: cloudID, Checksum: sum})
 	}
-	s.Blocks = append(s.Blocks, BlockLocation{BlockID: blockID, CloudID: cloudID, Checksum: sum})
 }
 
-// BlockSum returns the recorded checksum for blockID, or 0 when no
-// location of that block carries one. Block content is determined by
+// BlockSum returns the recorded checksum for blockID, or 0 when the
+// segment records no copy of it. Block content is determined by
 // (segment, blockID) alone, so any location's sum speaks for all.
 func (s *Segment) BlockSum(blockID int) uint32 {
 	for _, b := range s.Blocks {
-		if b.BlockID == blockID && b.Checksum != 0 {
+		if b.BlockID == blockID {
 			return b.Checksum
 		}
 	}
 	return 0
 }
 
-// Sums returns blockID → recorded checksum for every block that has
-// one; blocks from pre-checksum metadata are absent.
+// Sums returns blockID → recorded checksum for every block the
+// segment records.
 func (s *Segment) Sums() map[int]uint32 {
 	out := make(map[int]uint32, len(s.Blocks))
 	for _, b := range s.Blocks {
-		if b.Checksum != 0 {
-			out[b.BlockID] = b.Checksum
-		}
+		out[b.BlockID] = b.Checksum
 	}
 	return out
-}
-
-// RemoveBlocksOn drops all block records for the given cloud and
-// returns how many were removed.
-func (s *Segment) RemoveBlocksOn(cloudID string) int {
-	kept := s.Blocks[:0]
-	removed := 0
-	for _, b := range s.Blocks {
-		if b.CloudID == cloudID {
-			removed++
-		} else {
-			kept = append(kept, b)
-		}
-	}
-	s.Blocks = kept
-	return removed
 }
 
 // Clone returns a deep copy of the segment.
@@ -477,8 +466,9 @@ func (im *Image) UnmarshalJSON(data []byte) error {
 	im.files = &shardMap[*FileEntry]{}
 	im.segments = &shardMap[*Segment]{}
 	// A JSON null decodes to a nil pointer, which every walker of the
-	// image would dereference: reject it here, at the one place outside
-	// bytes become an Image.
+	// image would dereference, and a location without a checksum could
+	// not be verified: reject both here, at the one place outside bytes
+	// become an Image.
 	for p, e := range w.Files {
 		if e == nil {
 			return fmt.Errorf("meta: null entry for %q", p)
@@ -493,6 +483,9 @@ func (im *Image) UnmarshalJSON(data []byte) error {
 	for id, s := range w.Segments {
 		if s == nil {
 			return fmt.Errorf("meta: null segment %q", id)
+		}
+		if err := checkStamped(s); err != nil {
+			return err
 		}
 		im.segments.Put(id, s)
 	}

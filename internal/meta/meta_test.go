@@ -1,6 +1,9 @@
 package meta
 
 import (
+	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -36,10 +39,10 @@ func TestBlockName(t *testing.T) {
 
 func TestSegmentBlockOps(t *testing.T) {
 	s := seg("s1")
-	s.AddBlock(0, "c1")
-	s.AddBlock(1, "c2")
-	s.AddBlock(0, "c1") // duplicate ignored
-	if len(s.Blocks) != 2 {
+	s.AddBlockSum(0, "c1", 10)
+	s.AddBlockSum(1, "c2", 11)
+	s.AddBlockSum(0, "c1", 12) // duplicate ignored, recorded sum kept
+	if len(s.Blocks) != 2 || s.BlockSum(0) != 10 {
 		t.Fatalf("Blocks = %v", s.Blocks)
 	}
 	if !s.HasBlock(0, "c1") || s.HasBlock(0, "c2") {
@@ -47,12 +50,6 @@ func TestSegmentBlockOps(t *testing.T) {
 	}
 	if got := s.BlocksOn("c1"); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("BlocksOn(c1) = %v", got)
-	}
-	if removed := s.RemoveBlocksOn("c1"); removed != 1 {
-		t.Fatalf("RemoveBlocksOn = %d", removed)
-	}
-	if s.HasBlock(0, "c1") {
-		t.Fatal("block survived removal")
 	}
 }
 
@@ -86,7 +83,7 @@ func TestImageCloneIndependence(t *testing.T) {
 	im.UpsertSegment(seg("s1", BlockLocation{BlockID: 0, CloudID: "c1"}))
 	cl := im.Clone()
 	cl.SetSnapshot(snap("a.txt", "d2", "s9"))
-	segOf(cl, "s1").AddBlock(5, "c5")
+	segOf(cl, "s1").AddBlockSum(5, "c5", 1)
 	if im.Lookup("a.txt").Current().Device != "d1" {
 		t.Fatal("clone mutation leaked into original (files)")
 	}
@@ -164,7 +161,7 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 	im.Version = 42
 	im.Device = "laptop"
 	im.SetSnapshot(snap("dir/a.txt", "laptop", "s1"))
-	im.UpsertSegment(seg("s1", BlockLocation{BlockID: 0, CloudID: "c1"}, BlockLocation{BlockID: 1, CloudID: "c2"}))
+	im.UpsertSegment(seg("s1", BlockLocation{BlockID: 0, CloudID: "c1", Checksum: 7}, BlockLocation{BlockID: 1, CloudID: "c2", Checksum: 8}))
 	im.RecountRefs()
 	data, err := im.Encode()
 	if err != nil {
@@ -205,6 +202,30 @@ func TestDecodeImageEmptyObject(t *testing.T) {
 		if _, err := DecodeImage([]byte(data)); err == nil {
 			t.Errorf("DecodeImage(%s) accepted a null", data)
 		}
+	}
+}
+
+// TestDecodeRefusesUnstampedLocations pins the integrity format's one
+// door: a block location without a checksum, in an image or in a
+// change record, does not decode, and the error says to re-sync.
+func TestDecodeRefusesUnstampedLocations(t *testing.T) {
+	for _, data := range []string{
+		`{"segments":{"s":{"id":"s","blocks":[{"blockId":0,"cloudId":"c1"}]}}}`,
+		`{"segments":{"s":{"id":"s","blocks":[{"blockId":0,"cloudId":"c1","crc":5},{"blockId":1,"cloudId":"c2","crc":0}]}}}`,
+	} {
+		if _, err := DecodeImage([]byte(data)); !errors.Is(err, ErrUnstamped) {
+			t.Errorf("DecodeImage(%s) = %v, want ErrUnstamped", data, err)
+		}
+	}
+	var ch Change
+	if err := json.Unmarshal([]byte(`{"type":1,"path":"f","segments":[{"id":"s","blocks":[{"blockId":0,"cloudId":"c1"}]}]}`), &ch); !errors.Is(err, ErrUnstamped) {
+		t.Errorf("change decode = %v, want ErrUnstamped", err)
+	}
+	if !strings.Contains(ErrUnstamped.Error(), "re-sync") {
+		t.Errorf("ErrUnstamped does not say to re-sync: %v", ErrUnstamped)
+	}
+	if err := json.Unmarshal([]byte(`{"type":1,"path":"f","segments":[{"id":"s","blocks":[{"blockId":0,"cloudId":"c1","crc":5}]}]}`), &ch); err != nil {
+		t.Errorf("stamped change refused: %v", err)
 	}
 }
 

@@ -192,12 +192,6 @@ func (e *Env) epoch() int64 {
 	return e.sampler.Epoch(e.clock.Now().Sub(e.start))
 }
 
-// Degraded reports whether cloudName is in a degradation episode now.
-// Exposed for the measurement-study experiments.
-func (e *Env) Degraded(cloudName string) bool {
-	return e.sampler.DegradedCloud(e.epoch()) == cloudName
-}
-
 // mbpsToBytesPerSec converts megabits per second to bytes per second.
 func mbpsToBytesPerSec(mbps float64) float64 { return mbps * 125000 }
 

@@ -223,9 +223,23 @@ func (m *Manager) lockFileName() string {
 	return fmt.Sprintf("lock_%s_%d.%d", m.cfg.Device, m.cfg.Clock.Now().UnixNano(), m.counter)
 }
 
-// ownedBy reports whether the lock file name belongs to device.
+// flagDevice parses the device out of a lock flag name,
+// "lock_<device>_<nanos>.<counter>". It reads from the right: the stamp
+// holds no '_', a device name may.
+func flagDevice(name string) (string, bool) {
+	rest, ok := strings.CutPrefix(name, "lock_")
+	i := strings.LastIndexByte(rest, '_')
+	if !ok || i < 0 {
+		return "", false
+	}
+	return rest[:i], true
+}
+
+// ownedBy reports whether the lock file name belongs to device — that
+// device exactly: device "a" does not own "a_b"'s flags.
 func ownedBy(name, device string) bool {
-	return strings.HasPrefix(name, "lock_"+device+"_")
+	d, ok := flagDevice(name)
+	return ok && d == device
 }
 
 // isLockFile reports whether the entry looks like a lock flag file.

@@ -334,3 +334,45 @@ func TestNewEmptyDevicePanics(t *testing.T) {
 	}()
 	New(newClouds(1), Config{})
 }
+
+// TestOwnershipIsTheExactDevice regresses flag ownership by name
+// prefix: device "a" took device "a_b"'s flags for its own, so both
+// held the lock at once, and "a"'s release deleted "a_b"'s flags.
+func TestOwnershipIsTheExactDevice(t *testing.T) {
+	clouds := newClouds(5)
+	ab := New(clouds, fastCfg("a_b"))
+	cfg := fastCfg("a")
+	cfg.MaxAttempts = 1
+	a := New(clouds, cfg)
+
+	l, err := ab.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Release(context.Background())
+	if la, err := a.Acquire(context.Background()); !errors.Is(err, ErrNotAcquired) {
+		if la != nil {
+			_ = la.Release(context.Background())
+		}
+		t.Fatalf("device a acquired while a_b holds the lock: err = %v", err)
+	}
+	flagged := 0 // clouds still holding a_b's flag after a's withdrawal
+	for _, c := range clouds {
+		entries, err := c.List(context.Background(), DefaultLockDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if ownedBy(e.Name, "a_b") {
+				flagged++
+				break
+			}
+		}
+	}
+	if flagged < ab.Quorum() {
+		t.Fatalf("a_b's flags remain on %d clouds after a's failed attempt, want a quorum", flagged)
+	}
+	if !l.Valid() {
+		t.Fatal("a_b's lock lost its validity")
+	}
+}

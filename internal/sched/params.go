@@ -93,12 +93,3 @@ func (p Params) MaxBlocks() int {
 // ceiling, so extra parity blocks can be generated on demand without
 // re-coding.
 func (p Params) CodeN() int { return p.MaxBlocks() }
-
-// EffectiveCapacityFraction returns the fraction of raw multi-cloud
-// quota that stores useful data at the minimum (fair-share only)
-// redundancy: K / NormalBlocks. The paper's introduction example —
-// N=3 clouds, tolerate one vendor down — yields 2/3 (200 GB useful
-// from 300 GB raw), versus 1/2 for replication.
-func (p Params) EffectiveCapacityFraction() float64 {
-	return float64(p.K) / float64(p.NormalBlocks())
-}

@@ -52,9 +52,10 @@ func TestIntroCapacityExample(t *testing.T) {
 	// Intro example: 3 vendors, tolerate one down (Kr=2). UniDrive
 	// yields 2/3 useful capacity (200 of 300 GB) versus 1/2 for
 	// replication.
+	// The useful fraction is K over the fair-share block count.
 	p := Params{N: 3, K: 2, Kr: 2, Ks: 1}
-	if got := p.EffectiveCapacityFraction(); got != 2.0/3.0 {
-		t.Errorf("EffectiveCapacityFraction = %v, want 2/3", got)
+	if got := p.NormalBlocks(); got != 3 {
+		t.Errorf("NormalBlocks = %d, want 3 (2 of 3 blocks useful)", got)
 	}
 }
 

@@ -69,7 +69,7 @@ func (h *harness) addThinSegment(t *testing.T, seed int64, size, k, nPlace int) 
 // cannot take the write.
 func TestScrubRepairSkipsQuotaFullClouds(t *testing.T) {
 	h := newHarness(t, 5)
-	seg := h.addSegment(t, 40, 6000, 3, true)
+	seg := h.addSegment(t, 40, 6000, 3)
 
 	loc := seg.Blocks[1]
 	if n := h.engine.DeleteBlocks(context.Background(),
@@ -106,7 +106,7 @@ func TestScrubRepairSkipsQuotaFullClouds(t *testing.T) {
 // capacity-blocked — intact, deferred — NOT unrepairable data loss.
 func TestScrubUnrepairableCapacityDistinctFromDataLoss(t *testing.T) {
 	h := newHarness(t, 5)
-	seg := h.addSegment(t, 41, 6000, 3, true)
+	seg := h.addSegment(t, 41, 6000, 3)
 	loc := seg.Blocks[2]
 	if n := h.engine.DeleteBlocks(context.Background(),
 		[]transfer.BlockRef{{SegID: seg.ID, BlockID: 2, Cloud: loc.CloudID}}); n != 1 {

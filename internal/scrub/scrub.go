@@ -27,11 +27,6 @@
 // the refreshed placement committed under the quorum lock. A crash at
 // any point leaves either harmless overwrites or journaled orphans
 // that recovery reclaims.
-//
-// Blocks recorded before checksums existed (Checksum == 0) are
-// backfilled: once the segment's content is reconstructed and SHA-1
-// verified, each legacy copy is compared against its re-encoded
-// expected bytes and the stamp is committed alongside any repairs.
 package scrub
 
 import (
@@ -60,7 +55,7 @@ type Config struct {
 	Engine *transfer.Engine
 	// Image returns the current committed metadata image.
 	Image func(ctx context.Context) (*meta.Image, error)
-	// Commit commits repair/backfill relocate changes under the quorum
+	// Commit commits repair relocate changes under the quorum
 	// lock and returns the committed metadata version. The committer
 	// must re-validate against the then-current image (segments may
 	// have been dropped concurrently). Required for repair mode.
@@ -111,8 +106,7 @@ type Report struct {
 	// BlocksChecked counts (block, cloud) copies whose existence was
 	// established either way; copies on unknown clouds are excluded.
 	BlocksChecked int
-	// BlocksVerified counts copies that exist and match their stamp
-	// (or, for legacy copies, their re-encoded expected content).
+	// BlocksVerified counts copies that exist and match their stamp.
 	BlocksVerified int
 	// BlocksMissing counts copies the metadata references that their
 	// cloud's listing does not contain.
@@ -121,9 +115,6 @@ type Report struct {
 	BlocksCorrupt int
 	// RepairedBlocks counts replacement copies successfully uploaded.
 	RepairedBlocks int
-	// Backfilled counts legacy (Checksum == 0) copies that were
-	// verified and had stamps committed this cycle.
-	Backfilled int
 	// Unrepairable lists segments with damage the cycle could not
 	// repair (fewer than K verified copies reachable) — data loss
 	// territory.
@@ -146,7 +137,7 @@ type Report struct {
 	// UnknownClouds lists clouds whose block listing failed; their
 	// copies were skipped, not presumed missing.
 	UnknownClouds []string
-	// Committed reports whether a repair/backfill commit landed.
+	// Committed reports whether a repair commit landed.
 	Committed bool
 }
 
@@ -206,13 +197,6 @@ type segDamage struct {
 	corrupt []meta.BlockLocation
 	// healthy holds one verified copy per block ID.
 	healthy map[int][]byte
-	// suspect holds one unverified legacy copy per block ID (no stamp
-	// anywhere for the block; plausible shard length).
-	suspect map[int][]byte
-	// suspectLocs lists the legacy copies awaiting a verdict.
-	suspectLocs map[int][]meta.BlockLocation
-	// backfill collects verified legacy copies awaiting a stamp.
-	backfill map[locKey]uint32
 	// enc re-encodes the segment's blocks once its content has been
 	// reconstructed and SHA-verified.
 	enc *reencoder
@@ -242,8 +226,7 @@ func (r *reencoder) release() {
 
 // Cycle walks every committed segment once. With repair false it only
 // verifies and reports; with repair true it additionally re-encodes
-// and re-uploads damaged copies, backfills legacy stamps, and commits
-// the refreshed placements.
+// and re-uploads damaged copies and commits the refreshed placements.
 func (s *Scrubber) Cycle(ctx context.Context, repair bool) (*Report, error) {
 	if repair && s.cfg.Commit == nil {
 		return nil, fmt.Errorf("scrub: repair mode requires Config.Commit")
@@ -319,7 +302,7 @@ func (s *cycle) scrubSegment(ctx context.Context, seg *meta.Segment, repair bool
 	}
 	expand := repair && seg.Thin && s.cfg.Target > 0
 	damaged := len(d.missing) + len(d.corrupt)
-	if len(d.suspect) == 0 && !(repair && damaged > 0) && !expand {
+	if !(repair && damaged > 0) && !expand {
 		return nil, nil // nothing needs the segment's content
 	}
 
@@ -331,16 +314,8 @@ func (s *cycle) scrubSegment(ctx context.Context, seg *meta.Segment, repair bool
 		return nil, nil
 	}
 	defer d.enc.release()
-	// Content in hand and SHA-verified: settle every legacy copy's
-	// verdict by comparing against its re-encoded expected bytes.
-	s.settleSuspects(d)
-	if !repair {
-		return nil, nil
-	}
-	if len(d.missing)+len(d.corrupt) > 0 || expand {
-		if err := s.ensureIntent(); err != nil {
-			return nil, err
-		}
+	if err := s.ensureIntent(); err != nil {
+		return nil, err
 	}
 	change, capBlocked, err := s.repairSegment(ctx, d)
 	if err == nil && expand {
@@ -378,23 +353,14 @@ func (s *cycle) ensureIntent() error {
 }
 
 // checkSegment verifies every copy of one segment: existence against
-// the survey, content against the per-location stamp (or any sibling
-// location's stamp — block content is determined by (segment, block
-// ID), so one stamp speaks for every copy of the block).
+// the survey, content against the location's stamp.
 func (s *cycle) checkSegment(ctx context.Context, seg *meta.Segment) (*segDamage, error) {
 	d := &segDamage{
-		seg:         seg,
-		healthy:     make(map[int][]byte),
-		suspect:     make(map[int][]byte),
-		suspectLocs: make(map[int][]meta.BlockLocation),
-		backfill:    make(map[locKey]uint32),
-		full:        make(map[string]bool),
+		seg:     seg,
+		healthy: make(map[int][]byte),
+		full:    make(map[string]bool),
 	}
 	rep := s.rep
-	shardSize := 0
-	if coder, err := erasure.CoderFor(seg.K, seg.N); err == nil {
-		shardSize = coder.ShardSize(seg.Length)
-	}
 	for _, loc := range seg.Blocks {
 		if !s.sv.Listed(loc.CloudID) {
 			// Listing failed, or the cloud is not in the engine (stale
@@ -425,134 +391,54 @@ func (s *cycle) checkSegment(ctx context.Context, seg *meta.Segment) (*segDamage
 		}
 		rep.BlocksChecked++
 		s.reg.Counter("scrub.blocks_checked").Inc()
-		want := loc.Checksum
-		if want == 0 {
-			want = seg.BlockSum(loc.BlockID)
+		if meta.BlockSum(data) != loc.Checksum {
+			rep.BlocksCorrupt++
+			s.reg.Counter("scrub.blocks_corrupt").Inc()
+			d.corrupt = append(d.corrupt, loc)
+			continue
 		}
-		switch {
-		case want != 0 && meta.BlockSum(data) == want:
-			rep.BlocksVerified++
-			s.reg.Counter("scrub.blocks_verified").Inc()
-			if d.healthy[loc.BlockID] == nil {
-				d.healthy[loc.BlockID] = data
-			}
-			if loc.Checksum == 0 {
-				d.backfill[locKey{loc.BlockID, loc.CloudID}] = want
-			}
-		case want != 0:
-			rep.BlocksCorrupt++
-			s.reg.Counter("scrub.blocks_corrupt").Inc()
-			d.corrupt = append(d.corrupt, loc)
-		case shardSize != 0 && len(data) != shardSize:
-			// No stamp anywhere, but a coded block's length is fully
-			// determined by the code: a wrong-length copy is damage.
-			rep.BlocksCorrupt++
-			s.reg.Counter("scrub.blocks_corrupt").Inc()
-			d.corrupt = append(d.corrupt, loc)
-		default:
-			// Legacy copy with no stamp to check against: verdict
-			// deferred until the segment content is reconstructed.
-			if d.suspect[loc.BlockID] == nil {
-				d.suspect[loc.BlockID] = data
-			}
-			d.suspectLocs[loc.BlockID] = append(d.suspectLocs[loc.BlockID], loc)
+		rep.BlocksVerified++
+		s.reg.Counter("scrub.blocks_verified").Inc()
+		if d.healthy[loc.BlockID] == nil {
+			d.healthy[loc.BlockID] = data
 		}
 	}
 	return d, nil
 }
 
-// reconstruct decodes the segment content from verified copies,
-// falling back to legacy suspects, SHA-1 verifies the result against
-// the segment's content address and leaves it in d.enc, ready to be
-// re-encoded; the caller must release d.enc.
+// reconstruct decodes the segment content from K verified copies,
+// SHA-1 verifies the result against the segment's content address and
+// leaves it in d.enc, ready to be re-encoded; the caller must release
+// d.enc.
 func (s *Scrubber) reconstruct(d *segDamage) bool {
 	seg := d.seg
 	coder, err := erasure.CoderFor(seg.K, seg.N)
-	if err != nil {
+	if err != nil || len(d.healthy) < seg.K {
 		return false
 	}
-	healthyIDs := sortedKeys(d.healthy)
-	suspectIDs := make([]int, 0, len(d.suspect))
-	for _, id := range sortedKeys(d.suspect) {
-		if d.healthy[id] == nil {
-			suspectIDs = append(suspectIDs, id)
+	blocks := make(map[int][]byte, seg.K)
+	for _, id := range sortedKeys(d.healthy) {
+		if len(blocks) == seg.K {
+			break
 		}
+		blocks[id] = d.healthy[id]
 	}
-	// Preference order: verified copies first, legacy suspects only to
-	// fill up to K. A failed SHA check can then only be explained by a
-	// poisoned suspect, so retries drop one suspect at a time.
-	try := func(exclude int) bool {
-		blocks := make(map[int][]byte, seg.K)
-		for _, id := range healthyIDs {
-			if len(blocks) == seg.K {
-				break
-			}
-			blocks[id] = d.healthy[id]
-		}
-		for _, id := range suspectIDs {
-			if len(blocks) == seg.K {
-				break
-			}
-			if id != exclude {
-				blocks[id] = d.suspect[id]
-			}
-		}
-		if len(blocks) < seg.K {
-			return false
-		}
-		buf := erasure.GetBuffer(seg.K * coder.ShardSize(seg.Length))
-		data, err := coder.DecodeInto(buf, blocks, seg.Length)
-		if err != nil {
-			erasure.PutBuffer(buf)
-			return false
-		}
-		defer erasure.PutBuffer(data)
-		if chunker.SegmentID(data) != seg.ID {
-			s.reg.Counter("scrub.decode_sha_mismatch").Inc()
-			return false
-		}
-		// Split copies the content, so the decode buffer goes straight
-		// back to the pool.
-		sh := coder.Split(data)
-		d.enc = &reencoder{coder: coder, sh: sh, payload: erasure.GetBuffer(sh.ShardSize())}
-		return true
+	buf := erasure.GetBuffer(seg.K * coder.ShardSize(seg.Length))
+	data, err := coder.DecodeInto(buf, blocks, seg.Length)
+	if err != nil {
+		erasure.PutBuffer(buf)
+		return false
 	}
-	if try(-1) {
-		return true
+	defer erasure.PutBuffer(data)
+	if chunker.SegmentID(data) != seg.ID {
+		s.reg.Counter("scrub.decode_sha_mismatch").Inc()
+		return false
 	}
-	for _, id := range suspectIDs {
-		if try(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// settleSuspects classifies every deferred legacy copy now that the
-// segment content is known: a copy matching its re-encoded expected
-// bytes is verified (and queued for stamp backfill); anything else is
-// corrupt.
-func (s *cycle) settleSuspects(d *segDamage) {
-	for _, blockID := range sortedKeys(d.suspectLocs) {
-		want := meta.BlockSum(d.enc.block(blockID))
-		got := meta.BlockSum(d.suspect[blockID])
-		for _, loc := range d.suspectLocs[blockID] {
-			if got == want {
-				s.rep.BlocksVerified++
-				s.reg.Counter("scrub.blocks_verified").Inc()
-				d.backfill[locKey{loc.BlockID, loc.CloudID}] = want
-			} else {
-				s.rep.BlocksCorrupt++
-				s.reg.Counter("scrub.blocks_corrupt").Inc()
-				d.corrupt = append(d.corrupt, loc)
-			}
-		}
-		if got == want && d.healthy[blockID] == nil {
-			d.healthy[blockID] = d.suspect[blockID]
-		}
-	}
-	d.suspect = nil
-	d.suspectLocs = nil
+	// Split copies the content, so the decode buffer goes straight
+	// back to the pool.
+	sh := coder.Split(data)
+	d.enc = &reencoder{coder: coder, sh: sh, payload: erasure.GetBuffer(sh.ShardSize())}
+	return true
 }
 
 // repairSegment re-encodes and re-uploads every damaged copy and
@@ -593,18 +479,13 @@ func (s *cycle) repairSegment(ctx context.Context, d *segDamage) (*meta.Change, 
 		moves[locKey{loc.BlockID, loc.CloudID}] =
 			meta.BlockLocation{BlockID: loc.BlockID, CloudID: placed, Checksum: sum}
 	}
-	if len(moves) == 0 && len(d.backfill) == 0 {
+	if len(moves) == 0 {
 		return nil, capBlocked, nil
 	}
 
 	updated := seg.Clone()
 	for i := range updated.Blocks {
 		b := &updated.Blocks[i]
-		if sum, ok := d.backfill[locKey{b.BlockID, b.CloudID}]; ok {
-			b.Checksum = sum
-			s.rep.Backfilled++
-			s.reg.Counter("scrub.backfilled").Inc()
-		}
 		if repl, ok := moves[locKey{b.BlockID, b.CloudID}]; ok {
 			*b = repl
 		}

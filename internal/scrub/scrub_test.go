@@ -87,8 +87,8 @@ func (h *harness) commit(ctx context.Context, changes []*meta.Change) (int64, er
 }
 
 // addSegment encodes content, spreads one block per cloud round-robin,
-// and records the segment with stamps (or without, for legacy tests).
-func (h *harness) addSegment(t *testing.T, seed int64, size, k int, stamped bool) *meta.Segment {
+// and records the segment with its stamps.
+func (h *harness) addSegment(t *testing.T, seed int64, size, k int) *meta.Segment {
 	t.Helper()
 	content := make([]byte, size)
 	rand.New(rand.NewSource(seed)).Read(content)
@@ -107,11 +107,7 @@ func (h *harness) addSegment(t *testing.T, seed int64, size, k int, stamped bool
 		if err := h.engine.PutBlock(ctx, cloudName, seg.ID, i, b); err != nil {
 			t.Fatal(err)
 		}
-		sum := uint32(0)
-		if stamped {
-			sum = meta.BlockSum(b)
-		}
-		seg.Blocks = append(seg.Blocks, meta.BlockLocation{BlockID: i, CloudID: cloudName, Checksum: sum})
+		seg.Blocks = append(seg.Blocks, meta.BlockLocation{BlockID: i, CloudID: cloudName, Checksum: meta.BlockSum(b)})
 	}
 	h.img.SetSegment(seg)
 	return seg
@@ -136,8 +132,8 @@ func counter(reg *obs.Registry, name string) int64 {
 
 func TestScrubCleanCycle(t *testing.T) {
 	h := newHarness(t, 5)
-	h.addSegment(t, 1, 4000, 3, true)
-	h.addSegment(t, 2, 9000, 3, true)
+	h.addSegment(t, 1, 4000, 3)
+	h.addSegment(t, 2, 9000, 3)
 
 	rep, err := h.scrubber(t).Cycle(context.Background(), true)
 	if err != nil {
@@ -149,7 +145,7 @@ func TestScrubCleanCycle(t *testing.T) {
 	if rep.BlocksChecked != 10 || rep.BlocksVerified != 10 {
 		t.Fatalf("checked/verified = %d/%d, want 10/10", rep.BlocksChecked, rep.BlocksVerified)
 	}
-	if rep.BlocksMissing+rep.BlocksCorrupt+rep.RepairedBlocks+rep.Backfilled != 0 {
+	if rep.BlocksMissing+rep.BlocksCorrupt+rep.RepairedBlocks != 0 {
 		t.Fatalf("clean store reported damage: %+v", rep)
 	}
 	if h.commits != 0 {
@@ -162,7 +158,7 @@ func TestScrubCleanCycle(t *testing.T) {
 
 func TestScrubRepairsCorruptAndMissing(t *testing.T) {
 	h := newHarness(t, 5)
-	seg := h.addSegment(t, 3, 6000, 3, true)
+	seg := h.addSegment(t, 3, 6000, 3)
 
 	// Bit-flip block 1 at rest, delete block 4 outright.
 	loc1 := seg.Blocks[1]
@@ -212,7 +208,7 @@ func TestScrubRepairsCorruptAndMissing(t *testing.T) {
 
 func TestScrubVerifyOnlyNeverWrites(t *testing.T) {
 	h := newHarness(t, 5)
-	seg := h.addSegment(t, 4, 5000, 3, true)
+	seg := h.addSegment(t, 4, 5000, 3)
 	loc := seg.Blocks[2]
 	h.flaky[h.cloudIndex(t, loc.CloudID)].CorruptPath(h.blockPath(seg.ID, 2), cloudsim.CorruptStale)
 
@@ -232,102 +228,9 @@ func TestScrubVerifyOnlyNeverWrites(t *testing.T) {
 	}
 }
 
-func TestScrubBackfillsLegacyStamps(t *testing.T) {
-	h := newHarness(t, 5)
-	legacy := h.addSegment(t, 5, 7000, 3, false) // pre-checksum metadata
-	stamped := h.addSegment(t, 6, 3000, 3, true)
-
-	rep, err := h.scrubber(t).Cycle(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BlocksVerified != 10 {
-		t.Fatalf("BlocksVerified = %d, want 10", rep.BlocksVerified)
-	}
-	if rep.Backfilled != 5 {
-		t.Fatalf("Backfilled = %d, want 5 (legacy segment's copies)", rep.Backfilled)
-	}
-	if got := counter(h.reg, "scrub.backfilled"); got != 5 {
-		t.Fatalf("scrub.backfilled = %d, want 5", got)
-	}
-	cur, _ := h.img.Segment(legacy.ID)
-	for _, b := range cur.Blocks {
-		if b.Checksum == 0 {
-			t.Fatalf("legacy block %d on %s not backfilled", b.BlockID, b.CloudID)
-		}
-	}
-	if cur.RefCount != legacy.RefCount {
-		t.Fatalf("backfill changed RefCount: %d -> %d", legacy.RefCount, cur.RefCount)
-	}
-	cur2, _ := h.img.Segment(stamped.ID)
-	for _, b := range cur2.Blocks {
-		if b.Checksum == 0 {
-			t.Fatal("stamped segment lost its stamps")
-		}
-	}
-
-	// Backfill is one-shot: the next cycle has nothing to do.
-	rep2, err := h.scrubber(t).Cycle(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Backfilled != 0 {
-		t.Fatalf("second cycle backfilled %d again", rep2.Backfilled)
-	}
-}
-
-func TestScrubLegacyCorruptionFoundByExclusion(t *testing.T) {
-	h := newHarness(t, 5)
-	// Pure legacy metadata AND a silently rotten copy: no stamp can
-	// convict it, so the scrubber must find a decoding subset whose
-	// content SHA-1 matches, then convict the outlier by re-encoding.
-	seg := h.addSegment(t, 7, 8000, 3, false)
-	loc := seg.Blocks[0]
-	h.flaky[h.cloudIndex(t, loc.CloudID)].CorruptPath(h.blockPath(seg.ID, 0), cloudsim.CorruptBitFlip)
-
-	rep, err := h.scrubber(t).Cycle(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BlocksCorrupt != 1 {
-		t.Fatalf("BlocksCorrupt = %d, want 1 (the rotten legacy copy)", rep.BlocksCorrupt)
-	}
-	if rep.RepairedBlocks != 1 {
-		t.Fatalf("RepairedBlocks = %d, want 1", rep.RepairedBlocks)
-	}
-	if rep.Backfilled != 4 {
-		t.Fatalf("Backfilled = %d, want 4 (the healthy legacy copies)", rep.Backfilled)
-	}
-	// Everything stamped and healthy now.
-	rep2, err := h.scrubber(t).Cycle(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.BlocksVerified != 5 || rep2.BlocksCorrupt != 0 {
-		t.Fatalf("store not restored: %+v", rep2)
-	}
-}
-
-func TestScrubLegacyTruncationIsCorrupt(t *testing.T) {
-	h := newHarness(t, 5)
-	seg := h.addSegment(t, 8, 6000, 3, false)
-	loc := seg.Blocks[3]
-	h.flaky[h.cloudIndex(t, loc.CloudID)].CorruptPath(h.blockPath(seg.ID, 3), cloudsim.CorruptTruncate)
-
-	rep, err := h.scrubber(t).Cycle(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A truncated legacy copy is convicted by length alone — the code
-	// fixes every shard's size — without waiting for reconstruction.
-	if rep.BlocksCorrupt != 1 || rep.RepairedBlocks != 1 {
-		t.Fatalf("corrupt/repaired = %d/%d, want 1/1", rep.BlocksCorrupt, rep.RepairedBlocks)
-	}
-}
-
 func TestScrubUnknownCloudConservatism(t *testing.T) {
 	h := newHarness(t, 5)
-	h.addSegment(t, 9, 4000, 3, true)
+	h.addSegment(t, 9, 4000, 3)
 	h.flaky[2].SetDown(true)
 	defer h.flaky[2].SetDown(false)
 
@@ -353,7 +256,7 @@ func TestScrubUnknownCloudConservatism(t *testing.T) {
 
 func TestScrubUnrepairableBeyondK(t *testing.T) {
 	h := newHarness(t, 5)
-	seg := h.addSegment(t, 10, 5000, 3, true)
+	seg := h.addSegment(t, 10, 5000, 3)
 	// Corrupt 3 of 5 copies: only 2 verified remain < K=3.
 	for _, blockID := range []int{0, 1, 2} {
 		loc := seg.Blocks[blockID]
@@ -378,7 +281,7 @@ func TestScrubUnrepairableBeyondK(t *testing.T) {
 
 func TestScrubFailedCommitKeepsIntent(t *testing.T) {
 	h := newHarness(t, 5)
-	seg := h.addSegment(t, 11, 4000, 3, true)
+	seg := h.addSegment(t, 11, 4000, 3)
 	loc := seg.Blocks[2]
 	h.flaky[h.cloudIndex(t, loc.CloudID)].CorruptPath(h.blockPath(seg.ID, 2), cloudsim.CorruptBitFlip)
 	h.failCommit = true
@@ -402,7 +305,7 @@ func TestScrubFailedCommitKeepsIntent(t *testing.T) {
 
 func TestScrubFairSchedulerLowPriority(t *testing.T) {
 	h := newHarness(t, 3)
-	h.addSegment(t, 12, 3000, 2, true)
+	h.addSegment(t, 12, 3000, 2)
 
 	fair := transfer.NewFairScheduler(1, h.reg)
 	// Another tenant holds every cloud's only slot; the scrubber must
@@ -452,7 +355,7 @@ func TestScrubFairSchedulerLowPriority(t *testing.T) {
 
 func TestScrubRateLimitPacing(t *testing.T) {
 	h := newHarness(t, 3)
-	h.addSegment(t, 13, 3000, 2, true)
+	h.addSegment(t, 13, 3000, 2)
 	s, err := New(Config{
 		Engine:     h.engine,
 		Image:      func(context.Context) (*meta.Image, error) { return h.img, nil },
@@ -479,7 +382,7 @@ func TestScrubRateLimitPacing(t *testing.T) {
 
 func TestScrubRepairFallsBackToAnotherCloud(t *testing.T) {
 	h := newHarness(t, 5)
-	seg := h.addSegment(t, 15, 5000, 3, true)
+	seg := h.addSegment(t, 15, 5000, 3)
 	// Corrupt block 1's copy, then script its cloud to refuse every
 	// call after the corrupt copy has been fetched: the cycle detects
 	// the damage but cannot overwrite in place, so the replacement
@@ -521,7 +424,7 @@ func TestScrubRepairFallsBackToAnotherCloud(t *testing.T) {
 
 func TestScrubRepairUnderFairAndRateLimit(t *testing.T) {
 	h := newHarness(t, 5)
-	seg := h.addSegment(t, 16, 4000, 3, true)
+	seg := h.addSegment(t, 16, 4000, 3)
 	loc := seg.Blocks[0]
 	h.flaky[h.cloudIndex(t, loc.CloudID)].CorruptPath(h.blockPath(seg.ID, 0), cloudsim.CorruptStale)
 
@@ -556,7 +459,7 @@ func TestScrubRepairUnderFairAndRateLimit(t *testing.T) {
 
 func TestScrubCancelledContext(t *testing.T) {
 	h := newHarness(t, 3)
-	h.addSegment(t, 14, 3000, 2, true)
+	h.addSegment(t, 14, 3000, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := h.scrubber(t).Cycle(ctx, true); err == nil {
@@ -566,7 +469,7 @@ func TestScrubCancelledContext(t *testing.T) {
 
 func TestScrubCancelledWhilePacing(t *testing.T) {
 	h := newHarness(t, 3)
-	h.addSegment(t, 17, 3000, 2, true)
+	h.addSegment(t, 17, 3000, 2)
 	s, err := New(Config{
 		Engine:     h.engine,
 		Image:      func(context.Context) (*meta.Image, error) { return h.img, nil },

@@ -44,9 +44,10 @@ type DownloadItem struct {
 	// treated as a failed transfer — counted under
 	// transfer.down.corrupt_blocks, reported to the health tracker,
 	// and re-planned onto another holder — instead of being handed to
-	// the caller. Blocks absent from the map (or mapped to 0) are
-	// pre-checksum metadata and pass unverified; the decode-time
-	// segment SHA check is their safety net.
+	// the caller. Every block a committed location names is in the
+	// map: the metadata decoder refuses a location without a checksum
+	// (meta.ErrUnstamped). A block absent from it — an engine caller
+	// holding no metadata, such as a benchmark — passes unverified.
 	Sums map[int]uint32
 }
 
