@@ -62,10 +62,11 @@ chaos:
 		./internal/qlock/... ./internal/cloudsim/... ./internal/scrub/... \
 		./internal/capacity/... ./internal/deltasync/...
 
-# Integrity smoke: the anti-entropy scrubber's own suite plus the
-# end-to-end corruption/repair paths in core, race-checked.
+# Integrity smoke: the anti-entropy scrubber's own suite, the
+# end-to-end corruption/repair paths in core and every other
+# maintenance writer (rebalance, trim, owed placements), race-checked.
 scrub:
-	$(GO) test -race -timeout 10m -run 'Scrub|Corrupt|Integrity' \
+	$(GO) test -race -timeout 10m -run 'Scrub|Corrupt|Integrity|SetClouds|Rebalance|Trim|Placement' \
 		./internal/scrub/... ./internal/core/...
 
 # Every fuzz target (`func Fuzz*`) for FUZZTIME each, one after the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"unidrive/internal/erasure"
@@ -96,7 +95,7 @@ type uploadSession struct {
 type sessionSegment struct {
 	seg  *meta.Segment
 	plan *sched.UploadPlan
-	src  *segmentSource
+	src  *erasure.Source
 }
 
 // startUpload plans every segment the changes add that is not in the
@@ -123,7 +122,7 @@ func (c *Client) startUpload(ctx context.Context, changes []*meta.Change) (*uplo
 			}
 			plan, err := sched.NewUploadPlan(c.params, c.names)
 			if err != nil {
-				src.release()
+				src.Release()
 				s.release()
 				return nil, err
 			}
@@ -176,7 +175,7 @@ func (c *Client) startUpload(ctx context.Context, changes []*meta.Change) (*uplo
 	}
 	items := make([]transfer.UploadItem, len(s.plans))
 	for i, p := range s.plans {
-		items[i] = transfer.UploadItem{Plan: p.plan, SegID: p.seg.ID, Src: p.src.blocks}
+		items[i] = transfer.UploadItem{Plan: p.plan, SegID: p.seg.ID, Src: p.src.Block}
 	}
 	engine := c.engine
 	go func() {
@@ -277,7 +276,7 @@ func (s *uploadSession) close() {
 
 func (s *uploadSession) release() {
 	for _, p := range s.plans {
-		p.src.release()
+		p.src.Release()
 	}
 }
 
@@ -292,7 +291,7 @@ func (s *uploadSession) release() {
 // returns the placements by segment for the journal.
 func (s *uploadSession) stamp(changes []*meta.Change) map[string]map[int]string {
 	placements := make(map[string]map[int]string, len(s.plans))
-	sources := make(map[string]*segmentSource, len(s.plans))
+	sources := make(map[string]*erasure.Source, len(s.plans))
 	for _, p := range s.plans {
 		placements[p.seg.ID] = p.plan.Placement()
 		sources[p.seg.ID] = p.src
@@ -305,7 +304,7 @@ func (s *uploadSession) stamp(changes []*meta.Change) map[string]map[int]string 
 			}
 			for blockID, cloudName := range pl {
 				if !seg.HasBlock(blockID, cloudName) {
-					seg.AddBlockSum(blockID, cloudName, sources[seg.ID].sum(blockID))
+					seg.AddBlockSum(blockID, cloudName, blockSum(sources[seg.ID], blockID))
 				}
 			}
 			// A placement below the fair-share target is committed thin:
@@ -340,7 +339,7 @@ func (s *uploadSession) settle() (landed map[string][]meta.BlockLocation, overPr
 				landed = make(map[string][]meta.BlockLocation)
 			}
 			landed[p.seg.ID] = append(landed[p.seg.ID],
-				meta.BlockLocation{BlockID: blockID, CloudID: cloudName, Checksum: p.src.sum(blockID)})
+				meta.BlockLocation{BlockID: blockID, CloudID: cloudName, Checksum: blockSum(p.src, blockID)})
 		}
 	}
 	return landed, overProvisioned
@@ -375,35 +374,11 @@ func (st *stack) normalTarget(seg *meta.Segment) int {
 	return n
 }
 
-// segmentSource supplies a segment's coded blocks to the transfer
-// engine. The segment is split into source shards once, lazily; the
-// normal blocks are encoded in one fused pass on first request (the
-// paper generates them in advance); over-provisioned parity blocks are
-// generated on demand and memoized, since a failed extra may be
-// re-requested. All coding buffers come from the erasure package's
-// pool and go back with release(), so a steady-state sync loop encodes
-// without growing the heap.
-//
-// Buffer ownership: blocks() lends a buffer to the engine for the
-// duration of the upload; cloud.Interface.Upload must not retain its
-// data argument, and UploadBatch drains in-flight transfers before
-// returning, so release() is safe once the session's batch has been
-// joined (uploadSession.close).
-type segmentSource struct {
-	coder       *erasure.Coder
-	data        []byte
-	n           int
-	normalCount int
-
-	mu      sync.Mutex
-	sh      *erasure.Shards
-	normals [][]byte
-	extras  map[int][]byte
-}
-
-// blockSource builds the block supplier for a segment from the cached
-// content.
-func (c *Client) blockSource(seg *meta.Segment) (*segmentSource, error) {
+// blockSource is the segment's block source over its cached content:
+// the normal blocks are encoded in one fused pass, any extra on demand.
+// The caller releases it once no upload reads its blocks
+// (uploadSession.close).
+func (c *Client) blockSource(seg *meta.Segment) (*erasure.Source, error) {
 	data, ok := c.cachedSegment(seg.ID)
 	if !ok {
 		return nil, fmt.Errorf("core: no cached content for segment %s", seg.ID)
@@ -412,77 +387,16 @@ func (c *Client) blockSource(seg *meta.Segment) (*segmentSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &segmentSource{
-		coder:       coder,
-		data:        data,
-		n:           seg.N,
-		normalCount: c.normalTarget(seg),
-	}, nil
+	return erasure.NewSource(coder, data, c.normalTarget(seg)), nil
 }
 
-// blocks is the transfer.BlockSource for this segment.
-func (s *segmentSource) blocks(blockID int) ([]byte, error) {
-	if blockID < 0 || blockID >= s.n {
-		return nil, fmt.Errorf("core: block %d outside code n=%d", blockID, s.n)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sh == nil {
-		s.sh = s.coder.Split(s.data)
-	}
-	if blockID < s.normalCount {
-		if s.normals == nil {
-			ids := make([]int, s.normalCount)
-			s.normals = make([][]byte, s.normalCount)
-			for i := range ids {
-				ids[i] = i
-				s.normals[i] = erasure.GetBuffer(s.sh.ShardSize())
-			}
-			s.coder.EncodeBlocksInto(s.sh, ids, s.normals)
-		}
-		return s.normals[blockID], nil
-	}
-	if b, ok := s.extras[blockID]; ok {
-		return b, nil
-	}
-	b := erasure.GetBuffer(s.sh.ShardSize())
-	s.coder.EncodeBlocksInto(s.sh, []int{blockID}, [][]byte{b})
-	if s.extras == nil {
-		s.extras = make(map[int][]byte)
-	}
-	s.extras[blockID] = b
-	return b, nil
-}
-
-// sum returns the content checksum of one coded block, encoding the
-// block on demand through blocks(). Zero, which no decoder accepts,
-// only for an out-of-range ID, which upstream scheduling never
-// produces.
-func (s *segmentSource) sum(blockID int) uint32 {
-	b, err := s.blocks(blockID)
+// blockSum returns the content checksum of one coded block, encoding
+// the block on demand. Zero, which no decoder accepts, only for an
+// out-of-range ID, which upstream scheduling never produces.
+func blockSum(src *erasure.Source, blockID int) uint32 {
+	b, err := src.Block(blockID)
 	if err != nil {
 		return 0
 	}
 	return meta.BlockSum(b)
-}
-
-// release returns the source's shard arena and block buffers to the
-// pool. The source must not serve blocks afterwards; a late blocks()
-// call would re-split and re-encode, handing out fresh buffers that
-// then leak to the garbage collector (correct, just not pooled).
-func (s *segmentSource) release() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sh != nil {
-		s.sh.Release()
-		s.sh = nil
-	}
-	for _, b := range s.normals {
-		erasure.PutBuffer(b)
-	}
-	s.normals = nil
-	for _, b := range s.extras {
-		erasure.PutBuffer(b)
-	}
-	s.extras = nil
 }

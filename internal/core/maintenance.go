@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"unidrive/internal/meta"
 	"unidrive/internal/transfer"
@@ -81,14 +80,16 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 }
 
 // trimSurplus deletes, on every cloud onCloud accepts, each segment's
-// blocks beyond the cloud's fair share, committing the reduced
-// placements first. A thin segment is short of its normal placement
-// and has no surplus to give, whatever one cloud holds. It returns the
-// number of blocks deleted.
+// surplus (sched's Surplus rule: the blocks above the cloud's fair
+// share, highest IDs first), committing the reduced placements first.
+// It never takes so many that fewer than the normal placement remain: a
+// cloud holding extras does not make up for one short of its share. A
+// thin segment is short of its normal placement and has no surplus to
+// give, whatever one cloud holds. It returns the number of blocks
+// deleted.
 func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string) bool) (int, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()
-	fair := c.params.FairShare()
 	var doomed []transfer.BlockRef
 	_, err := c.lockedCommit(ctx, c.stack, func(img *meta.Image) (changes []*meta.Change, err error) {
 		for _, segID := range img.SegmentIDs() {
@@ -96,16 +97,19 @@ func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string)
 			if seg.Thin {
 				continue
 			}
-			surplus := surplusBlocks(seg, fair, c.normalTarget(seg), onCloud)
+			surplus := slices.DeleteFunc(c.params.Surplus(seg.Blocks), func(b meta.BlockLocation) bool {
+				return !onCloud(b.CloudID)
+			})
+			surplus = surplus[:min(len(surplus), max(0, len(seg.Blocks)-c.normalTarget(seg)))]
 			if len(surplus) == 0 {
 				continue
 			}
 			updated := seg.Clone()
-			updated.Blocks = slices.DeleteFunc(updated.Blocks, func(b meta.BlockLocation) bool {
-				return slices.Contains(surplus, transfer.BlockRef{SegID: segID, BlockID: b.BlockID, Cloud: b.CloudID})
-			})
+			updated.Blocks = slices.DeleteFunc(updated.Blocks, func(b meta.BlockLocation) bool { return slices.Contains(surplus, b) })
 			changes = append(changes, relocateChange(updated))
-			doomed = append(doomed, surplus...)
+			for _, b := range surplus {
+				doomed = append(doomed, transfer.BlockRef{SegID: segID, BlockID: b.BlockID, Cloud: b.CloudID})
+			}
 		}
 		return changes, nil
 	})
@@ -113,35 +117,6 @@ func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string)
 		return 0, err
 	}
 	return c.released(ctx, doomed), nil
-}
-
-// surplusBlocks returns the blocks a segment holds beyond the fair
-// share on each cloud onCloud accepts, but never so many that fewer
-// than target blocks would remain: a cloud holding extras does not make
-// up for one short of its share. The lowest block IDs on a cloud are
-// kept (the normal parity set); of the surplus, the highest IDs — the
-// over-provisioned extras — go first.
-func surplusBlocks(seg *meta.Segment, fair, target int, onCloud func(cloudName string) bool) []transfer.BlockRef {
-	perCloud := make(map[string][]int)
-	for _, b := range seg.Blocks {
-		if onCloud(b.CloudID) {
-			perCloud[b.CloudID] = append(perCloud[b.CloudID], b.BlockID)
-		}
-	}
-	var out []transfer.BlockRef
-	for cloudName, ids := range perCloud {
-		sort.Ints(ids)
-		for _, id := range ids[min(fair, len(ids)):] {
-			out = append(out, transfer.BlockRef{SegID: seg.ID, BlockID: id, Cloud: cloudName})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].BlockID != out[j].BlockID {
-			return out[i].BlockID > out[j].BlockID
-		}
-		return out[i].Cloud < out[j].Cloud
-	})
-	return out[:min(len(out), max(0, len(seg.Blocks)-target))]
 }
 
 // FsckReport is the result of a metadata-vs-clouds existence check.

@@ -44,22 +44,26 @@ func (c *Client) owe(intentID string, landed map[string][]meta.BlockLocation) {
 	c.cfg.Obs.Gauge("core.placements.pending").Set(float64(len(c.owed.blocks)))
 }
 
-// rebaseOwed turns the owed blocks into relocates on top of post — the
-// image a hold's commit leaves: its head with the hold's own changes
-// applied — for the cloud set to. A segment post still holds gets
-// post's record plus the owed blocks it does not name yet, with Thin
-// recomputed. A block is left out when the record already places its
-// block ID on another cloud, when its cloud is not in the set, or when
-// the cloud is at MaxPerCloud. Nothing post lacks is added back: the
-// owed blocks were never named, so no block a later commit removed — a
-// trim, a repair — is among them. The blocks left out, and every owed
-// block of a segment post no longer holds (it is gone from the head, or
-// this very commit drops it), are returned for deletion once the commit
-// has landed: no metadata will ever name them.
-func (c *Client) rebaseOwed(post *meta.Image, to *stack) (relocates []*meta.Change, dropped []transfer.BlockRef) {
+// Owed placements count as held for every maintenance decision: a hold
+// records them before its build decides anything (commitHeld), and a
+// scrub judges the image with them recorded (heldImage). So no repair
+// re-places an owed block, and no trim or rebalance misses one.
+
+// rebaseOwed turns the owed blocks into relocates on top of head — the
+// committed image a hold builds from — for the cloud set to. A segment
+// head holds gets head's record plus the owed blocks it does not name
+// yet, with Thin recomputed. A block is left out when the record
+// already places its block ID on another cloud, or when sched's Targets
+// rule does not admit its cloud (not in the set, or at MaxPerCloud).
+// Nothing head lacks is added back: the owed blocks were never named, so
+// no block a later commit removed — a trim, a repair — is among them.
+// The blocks left out, and every owed block of a segment head no longer
+// holds, are returned for deletion once the commit has landed: no
+// metadata will ever name them.
+func (c *Client) rebaseOwed(head *meta.Image, to *stack) (relocates []*meta.Change, dropped []transfer.BlockRef) {
 	for segID, blocks := range c.owed.blocks {
 		var rec *meta.Segment
-		if seg, alive := post.Segment(segID); alive {
+		if seg, alive := head.Segment(segID); alive {
 			rec = seg.Clone()
 		}
 		added := 0
@@ -68,7 +72,8 @@ func (c *Client) rebaseOwed(post *meta.Image, to *stack) (relocates []*meta.Chan
 			case rec != nil && rec.HasBlock(b.BlockID, b.CloudID):
 				// Named already: the same file, recorded by a retried hold
 				// or written by another pass.
-			case rec != nil && to.fits(rec, b):
+			case rec != nil && slices.Contains(to.params.Targets(rec.Blocks, to.names), b.CloudID) &&
+				!slices.ContainsFunc(rec.Blocks, func(x meta.BlockLocation) bool { return x.BlockID == b.BlockID }):
 				rec.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
 				added++
 			default:
@@ -83,12 +88,41 @@ func (c *Client) rebaseOwed(post *meta.Image, to *stack) (relocates []*meta.Chan
 	return relocates, dropped
 }
 
-// fits reports whether the record may name b: b's cloud is in the set
-// and below the per-cloud bound, and b's block ID is placed nowhere yet.
-func (st *stack) fits(rec *meta.Segment, b meta.BlockLocation) bool {
-	return slices.Contains(st.names, b.CloudID) &&
-		len(rec.BlocksOn(b.CloudID)) < st.params.MaxPerCloud() &&
-		!slices.ContainsFunc(rec.Blocks, func(x meta.BlockLocation) bool { return x.BlockID == b.BlockID })
+// outlived drops from relocates the segments post — the image the
+// hold's commit leaves — no longer holds: this very commit drops them,
+// and their owed blocks join dropped. No block post names stays in
+// dropped: a scrub's repair relocate may name an owed block the rebase
+// left out.
+func (c *Client) outlived(post *meta.Image, relocates []*meta.Change, dropped []transfer.BlockRef) ([]*meta.Change, []transfer.BlockRef) {
+	relocates = slices.DeleteFunc(relocates, func(ch *meta.Change) bool {
+		if _, alive := post.Segment(ch.Path); alive {
+			return false
+		}
+		for _, b := range c.owed.blocks[ch.Path] {
+			if ref := (transfer.BlockRef{SegID: ch.Path, BlockID: b.BlockID, Cloud: b.CloudID}); !slices.Contains(dropped, ref) {
+				dropped = append(dropped, ref)
+			}
+		}
+		return true
+	})
+	dropped = slices.DeleteFunc(dropped, func(b transfer.BlockRef) bool {
+		seg, alive := post.Segment(b.SegID)
+		return alive && seg.HasBlock(b.BlockID, b.Cloud)
+	})
+	return relocates, dropped
+}
+
+// heldImage is the committed head as a maintenance decision taken
+// outside a hold sees it: with the owed placements recorded.
+func (c *Client) heldImage(ctx context.Context) (*meta.Image, error) {
+	c.writer.Lock()
+	defer c.writer.Unlock()
+	head, err := c.store.Refresh(ctx)
+	if err != nil || len(c.owed.intents) == 0 {
+		return head, err
+	}
+	relocates, _ := c.rebaseOwed(head, &c.stack)
+	return head.ApplyCOW(relocates, c.cfg.Device)
 }
 
 // settleOwed ends a hold that recorded the owed placements: the owed

@@ -366,3 +366,19 @@ func TestOwedPlacementsSurviveACrash(t *testing.T) {
 		})
 	}
 }
+
+// A hold never deletes an owed block its own commit names, even one the
+// rebase left out: a scrub's repair relocate, built from an image that
+// counted the block as held, may name it.
+func TestOwedBlockNamedByTheCommitIsKept(t *testing.T) {
+	post := meta.NewImage()
+	post.SetSegment(&meta.Segment{ID: "s", K: 1, N: 2, RefCount: 1, Blocks: []meta.BlockLocation{
+		{BlockID: 0, CloudID: "c0", Checksum: 1}, {BlockID: 1, CloudID: "c4", Checksum: 2},
+	}})
+	named := transfer.BlockRef{SegID: "s", BlockID: 1, Cloud: "c4"}
+	unnamed := transfer.BlockRef{SegID: "s", BlockID: 1, Cloud: "c3"}
+	_, dropped := (&Client{}).outlived(post, nil, []transfer.BlockRef{named, unnamed})
+	if len(dropped) != 1 || dropped[0] != unnamed {
+		t.Fatalf("dropped = %v, want only %v", dropped, unnamed)
+	}
+}

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,7 +13,9 @@ import (
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/health"
+	"unidrive/internal/journal"
 	"unidrive/internal/localfs"
+	"unidrive/internal/meta"
 	"unidrive/internal/obs"
 	"unidrive/internal/transfer"
 	"unidrive/internal/vclock"
@@ -143,4 +149,84 @@ func TestSetCloudsFailureDeletesNothingCommitted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// journalWatch records every block upload its device's journal did not
+// name before the request went out.
+type journalWatch struct {
+	cloud.Interface
+	journal func() *journal.Journal
+
+	mu          sync.Mutex
+	uploads     int
+	unjournaled []string
+}
+
+func (w *journalWatch) Upload(ctx context.Context, path string, data []byte) error {
+	prefix := transfer.DefaultBlockDir + "/"
+	if segID, blockID, ok := meta.ParseBlockName(strings.TrimPrefix(path, prefix)); ok && strings.HasPrefix(path, prefix) {
+		named := slices.ContainsFunc(w.journal().Active(), func(in *journal.Intent) bool {
+			return in.Placements[segID][blockID] == w.Name()
+		})
+		w.mu.Lock()
+		w.uploads++
+		if !named {
+			w.unjournaled = append(w.unjournaled, path)
+		}
+		w.mu.Unlock()
+	}
+	return w.Interface.Upload(ctx, path, data)
+}
+
+// A rebalance that fails part-way leaves no block behind that no
+// committed metadata names — not on the clouds it kept, not on the one
+// it was adding — once it returned and Recover ran, and every block it
+// uploaded was journaled before it was sent. (SetClouds used to upload
+// without an intent and leave its uploads to the added cloud behind.)
+func TestSetCloudsFailureLeavesNoOrphans(t *testing.T) {
+	r := newRig(5)
+	a, fa := r.device(t, "alpha")
+	writeFile(t, fa, "data.bin", randContent(7, 10_000))
+	syncOK(t, a)
+
+	// The second segment in walk order cannot be reconstructed: every
+	// copy of its blocks reads back corrupt.
+	img := a.Image()
+	ids := img.SegmentIDs()
+	if len(ids) < 2 {
+		t.Fatalf("file cut into %d segments, want at least 2", len(ids))
+	}
+	broken, _ := img.Segment(ids[1])
+	for _, b := range broken.Blocks {
+		for _, f := range r.flaky["alpha"] {
+			if f.Name() == b.CloudID {
+				f.CorruptPath(a.Engine().BlockPath(broken.ID, b.BlockID), cloudsim.CorruptStale)
+			}
+		}
+	}
+
+	added := cloudsim.NewStore("c5", 0)
+	watch := &journalWatch{Interface: cloudsim.NewDirect(added), journal: func() *journal.Journal { return a.journal }}
+	clouds := []cloud.Interface{watch}
+	for _, f := range r.flaky["alpha"] {
+		clouds = append(clouds, f)
+	}
+	if err := a.SetClouds(ctxT(t), clouds); err == nil {
+		t.Fatal("SetClouds succeeded though a segment could not be reconstructed")
+	}
+	if watch.uploads == 0 {
+		t.Fatal("the rebalance uploaded nothing to the added cloud: the test tests nothing")
+	}
+	if len(watch.unjournaled) > 0 {
+		t.Errorf("rebalance uploads sent before any intent named them: %v", watch.unjournaled)
+	}
+	if _, err := a.Recover(ctxT(t)); err != nil {
+		t.Fatal(err)
+	}
+
+	committed, err := a.FetchImage(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auditBlocks(t, &rig{stores: append(slices.Clone(r.stores), added)}, committed)
 }

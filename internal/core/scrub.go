@@ -16,19 +16,18 @@ import (
 // the refreshed placements committed under the quorum lock.
 func (c *Client) Scrub(ctx context.Context, repair bool) (*scrub.Report, error) {
 	s, err := scrub.New(scrub.Config{
-		Engine:      c.engine,
-		Image:       c.store.Refresh,
-		Commit:      c.commitRepairs,
-		Journal:     c.journal,
-		Fair:        c.cfg.Fair,
-		Tenant:      c.cfg.TenantID,
-		Capacity:    c.cfg.Capacity,
-		Target:      c.params.NormalBlocks(),
-		MaxPerCloud: c.params.MaxPerCloud(),
-		RatePerSec:  c.cfg.ScrubRate,
-		Device:      c.cfg.Device,
-		Clock:       c.cfg.Clock,
-		Obs:         c.cfg.Obs,
+		Engine:     c.engine,
+		Image:      c.heldImage,
+		Commit:     c.commitRepairs,
+		Journal:    c.journal,
+		Fair:       c.cfg.Fair,
+		Tenant:     c.cfg.TenantID,
+		Capacity:   c.cfg.Capacity,
+		Params:     c.params,
+		RatePerSec: c.cfg.ScrubRate,
+		Device:     c.cfg.Device,
+		Clock:      c.cfg.Clock,
+		Obs:        c.cfg.Obs,
 	})
 	if err != nil {
 		return nil, err

@@ -498,25 +498,30 @@ func (r *lockRound) commit(to stack, build func(head *meta.Image) ([]*meta.Chang
 	return committedAt, nil
 }
 
-// commitHeld is what a hold does under the lock: build the changes from
-// the head, append the owed placements rebased on top of them, check
-// the lock and commit. It returns the owed blocks the commit does not
-// name.
+// commitHeld is what a hold does under the lock: record the owed
+// placements on the head, build the changes on top of that, check the
+// lock and commit. It returns the owed blocks the commit does not name.
 func (r *lockRound) commitHeld(lock *qlock.Lock, to stack, build func(head *meta.Image) ([]*meta.Change, error)) ([]transfer.BlockRef, error) {
-	changes, err := build(r.head)
+	base, owed, dropped := r.head, []*meta.Change(nil), []transfer.BlockRef(nil)
+	if len(r.c.owed.intents) > 0 {
+		owed, dropped = r.c.rebaseOwed(r.head, &to)
+		var err error
+		if base, err = r.head.ApplyCOW(owed, r.c.cfg.Device); err != nil {
+			return nil, err
+		}
+	}
+	changes, err := build(base)
 	if err != nil {
 		return nil, err
 	}
-	var dropped []transfer.BlockRef
 	if len(r.c.owed.intents) > 0 {
-		post, err := r.head.ApplyCOW(changes, r.c.cfg.Device)
+		post, err := base.ApplyCOW(changes, r.c.cfg.Device)
 		if err != nil {
 			return nil, err
 		}
-		var relocates []*meta.Change
-		relocates, dropped = r.c.rebaseOwed(post, &to)
-		r.recorded = len(relocates)
-		changes = append(changes, relocates...)
+		owed, dropped = r.c.outlived(post, owed, dropped)
+		r.recorded = len(owed)
+		changes = append(owed, changes...)
 	}
 	if len(changes) == 0 {
 		return dropped, nil
@@ -601,22 +606,22 @@ func (c *Client) reuploadSegment(ctx context.Context, seg *meta.Segment) error {
 	if err != nil {
 		return err
 	}
-	defer src.release()
+	defer src.Release()
 	plan, err := sched.NewUploadPlan(c.params, c.names)
 	if err != nil {
 		return err
 	}
-	if err := c.engine.UploadSegment(ctx, plan, seg.ID, src.blocks, plan.Available); err != nil {
+	if err := c.engine.UploadSegment(ctx, plan, seg.ID, src.Block, plan.Available); err != nil {
 		return err
 	}
 	if !plan.Available() {
 		return fmt.Errorf("core: segment %s could not reach availability (%d/%d blocks)",
 			seg.ID, len(plan.UploadedBlocks()), c.params.K)
 	}
-	// Stamp checksums before the deferred release: sum() reads the
+	// Stamp checksums before the deferred release: blockSum reads the
 	// still-pooled encoded buffers.
 	for blockID, cloudName := range plan.Placement() {
-		seg.AddBlockSum(blockID, cloudName, src.sum(blockID))
+		seg.AddBlockSum(blockID, cloudName, blockSum(src, blockID))
 	}
 	return nil
 }

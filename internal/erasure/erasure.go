@@ -11,8 +11,7 @@
 //
 // The encode matrix is a Cauchy matrix, every square submatrix of
 // which is invertible — exactly the property needed for any-k-of-n
-// decoding. A systematic variant (identity on the first k rows) is
-// provided for baseline comparisons and benchmarks.
+// decoding.
 package erasure
 
 import (
@@ -28,10 +27,9 @@ import (
 // is the internal decode-matrix cache, which is concurrency-safe, so a
 // Coder is safe for concurrent use.
 type Coder struct {
-	k, n       int
-	enc        *gf256.Matrix
-	systematic bool
-	dec        *decodeCache
+	k, n int
+	enc  *gf256.Matrix
+	dec  *decodeCache
 }
 
 // ErrInsufficientBlocks is returned by Decode when fewer than k
@@ -53,10 +51,10 @@ var coders sync.Map
 // CoderFor returns the process-wide (k, n) coder of the on-cloud block
 // format, building it on first use; every component that encodes or
 // decodes stored blocks (upload, download, rebalance, scrub repair)
-// shares it and its decode-matrix cache. It must be the non-systematic
-// code: the format never stores a plaintext shard, so a reader or
-// repairer speaking any other code could neither reconstruct a segment
-// nor re-encode a block the uploader's metadata describes.
+// shares it and its decode-matrix cache. The format never stores a
+// plaintext shard, and a reader or repairer speaking any other code
+// could neither reconstruct a segment nor re-encode a block the
+// uploader's metadata describes.
 func CoderFor(k, n int) (*Coder, error) {
 	key := [2]int{k, n}
 	if c, ok := coders.Load(key); ok {
@@ -70,39 +68,11 @@ func CoderFor(k, n int) (*Coder, error) {
 	return shared.(*Coder), nil
 }
 
-// NewSystematicCoder returns a (k, n) coder whose first k blocks are
-// verbatim source shards. It exists for baseline comparisons; UniDrive
-// proper always uses the non-systematic coder.
-func NewSystematicCoder(k, n int) (*Coder, error) {
-	if k <= 0 || n < k || n+k > 256 {
-		return nil, fmt.Errorf("erasure: invalid parameters k=%d n=%d", k, n)
-	}
-	// Start from a Cauchy matrix (every submatrix invertible) and
-	// normalize its top k×k square to the identity; this preserves
-	// the any-k-of-n property while making the first k rows carry
-	// the source verbatim.
-	c := gf256.Cauchy(n, k)
-	topRows := make([]int, k)
-	for i := range topRows {
-		topRows[i] = i
-	}
-	top := c.SubMatrix(topRows)
-	inv, err := top.Invert()
-	if err != nil {
-		// Impossible for a Cauchy matrix; fail loudly if it happens.
-		return nil, fmt.Errorf("erasure: cauchy top square not invertible: %w", err)
-	}
-	return &Coder{k: k, n: n, enc: c.Mul(inv), systematic: true, dec: newDecodeCache()}, nil
-}
-
 // K returns the number of source shards (blocks needed to decode).
 func (c *Coder) K() int { return c.k }
 
 // N returns the total number of coded blocks the coder can produce.
 func (c *Coder) N() int { return c.n }
-
-// Systematic reports whether the first k blocks are verbatim source.
-func (c *Coder) Systematic() bool { return c.systematic }
 
 // ShardSize returns the per-block size for a segment of segLen bytes:
 // ceil(segLen / k), with a minimum of 1 so zero-length segments still

@@ -62,8 +62,8 @@ func TestCoderForSharesOneCoder(t *testing.T) {
 			t.Fatalf("caller %d got coder %p, caller 0 got %p", i, c, got[0])
 		}
 	}
-	if got[0].Systematic() || got[0].K() != 4 || got[0].N() != 11 {
-		t.Fatalf("CoderFor(4, 11) = systematic %v, k %d, n %d", got[0].Systematic(), got[0].K(), got[0].N())
+	if got[0].K() != 4 || got[0].N() != 11 {
+		t.Fatalf("CoderFor(4, 11) = k %d, n %d", got[0].K(), got[0].N())
 	}
 	if other, _ := CoderFor(4, 12); other == got[0] {
 		t.Fatal("CoderFor(4, 12) returned the (4, 11) coder")
@@ -176,8 +176,11 @@ func TestDecodeExtraBlocksIgnored(t *testing.T) {
 func TestNonSystematicBlocksHideContent(t *testing.T) {
 	// The security rationale (paper §6.1): parity blocks must not be
 	// verbatim source. With a Cauchy (no identity rows) encode
-	// matrix, no block may equal the corresponding source shard.
-	c := mustCoder(t, 3, 10)
+	// matrix, no block of the stored format may equal a source shard.
+	c, err := CoderFor(3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(11))
 	seg := make([]byte, 3000)
 	rng.Read(seg)
@@ -190,35 +193,6 @@ func TestNonSystematicBlocksHideContent(t *testing.T) {
 				t.Fatalf("block %d equals source shard %d: code is not non-systematic", i, j)
 			}
 		}
-	}
-}
-
-func TestSystematicCoderFirstKAreSource(t *testing.T) {
-	c, err := NewSystematicCoder(3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Systematic() {
-		t.Fatal("Systematic() = false")
-	}
-	rng := rand.New(rand.NewSource(13))
-	seg := make([]byte, 999) // k*shard == len: no padding ambiguity
-	rng.Read(seg)
-	blocks := c.Encode(seg)
-	shard := c.ShardSize(len(seg))
-	for j := 0; j < 3; j++ {
-		if !bytes.Equal(blocks[j], seg[j*shard:(j+1)*shard]) {
-			t.Fatalf("systematic block %d differs from source shard", j)
-		}
-	}
-	// And still any-k-of-n decodable from parity only.
-	m := map[int][]byte{7: blocks[7], 8: blocks[8], 9: blocks[9]}
-	got, err := c.Decode(m, len(seg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, seg) {
-		t.Fatal("systematic coder failed parity-only decode")
 	}
 }
 
@@ -311,9 +285,6 @@ func TestKNAccessors(t *testing.T) {
 	c := mustCoder(t, 3, 10)
 	if c.K() != 3 || c.N() != 10 {
 		t.Fatalf("K,N = %d,%d want 3,10", c.K(), c.N())
-	}
-	if c.Systematic() {
-		t.Fatal("default coder must be non-systematic")
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package sched implements UniDrive's data-block scheduling (paper
 // §6): the reliability/security placement arithmetic, the in-channel
 // bandwidth prober, the dynamic upload plan with parity-block
-// over-provisioning, the fastest-cloud-first download plan, and the
-// rebalance planner for adding or removing clouds.
+// over-provisioning, the fastest-cloud-first download plan, the
+// placement rules every maintenance write asks (Targets, Surplus), and
+// the rebalance planner for adding or removing clouds built on them.
 //
 // The plans are pure state machines driven by the transfer engine:
 // NextBlock hands out work per cloud, Complete/Fail feed results

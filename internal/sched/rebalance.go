@@ -2,7 +2,10 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+
+	"unidrive/internal/meta"
 )
 
 // Rebalance is the per-segment work list produced when the user adds
@@ -41,11 +44,11 @@ func (r Rebalance) Empty() bool {
 // configuration (p.N must equal len(newClouds)).
 //
 // The resulting placement gives every cloud exactly its fair share:
-// clouds above it lose their surplus (over-provisioned blocks are
-// reclaimed, highest IDs first), clouds below it receive fresh block
-// IDs. An error is returned if the segment's code cannot supply
-// enough distinct blocks, which means the segment must be re-encoded
-// with a larger code (not handled here).
+// the Surplus rule sheds what clouds hold above it, and the Targets
+// rule picks the cloud that takes each fresh block ID until every
+// cloud holds it. An error is returned if the segment's code cannot
+// supply enough distinct blocks, which means the segment must be
+// re-encoded with a larger code (not handled here).
 func PlanRebalance(placement map[int]string, newClouds []string, codeN int, p Params) (Rebalance, error) {
 	if err := p.Validate(); err != nil {
 		return Rebalance{}, err
@@ -53,66 +56,91 @@ func PlanRebalance(placement map[int]string, newClouds []string, codeN int, p Pa
 	if len(newClouds) != p.N {
 		return Rebalance{}, fmt.Errorf("sched: %d clouds for N=%d", len(newClouds), p.N)
 	}
-	isNew := make(map[string]bool, len(newClouds))
-	for _, c := range newClouds {
-		isNew[c] = true
-	}
-
-	held := make(map[string][]int, len(newClouds))
-	used := make(map[int]bool, len(placement))
+	var held []meta.BlockLocation
 	for b, c := range placement {
-		if !isNew[c] {
-			continue // block lost with its cloud
+		if slices.Contains(newClouds, c) { // else lost with its cloud
+			held = append(held, meta.BlockLocation{BlockID: b, CloudID: c})
 		}
-		held[c] = append(held[c], b)
-		used[b] = true
 	}
-
-	fair := p.FairShare()
 	plan := Rebalance{
 		Upload: make(map[string][]int),
 		Delete: make(map[string][]int),
 	}
-
-	// Shed surplus above the fair share, highest block IDs (the
-	// over-provisioned ones) first.
-	for _, c := range newClouds {
-		blocks := held[c]
-		sort.Ints(blocks)
-		for len(blocks) > fair {
-			b := blocks[len(blocks)-1]
-			blocks = blocks[:len(blocks)-1]
-			plan.Delete[c] = append(plan.Delete[c], b)
-			delete(used, b)
-		}
-		held[c] = blocks
+	surplus := p.Surplus(held)
+	for _, b := range surplus {
+		plan.Delete[b.CloudID] = append(plan.Delete[b.CloudID], b.BlockID)
 	}
-
-	// Top up clouds below the fair share with fresh block IDs.
-	nextFree := 0
-	takeFree := func() (int, bool) {
-		for nextFree < codeN {
-			b := nextFree
-			nextFree++
-			if !used[b] {
-				used[b] = true
-				return b, true
-			}
+	held = slices.DeleteFunc(held, func(b meta.BlockLocation) bool { return slices.Contains(surplus, b) })
+	// No cloud holds more than its fair share now, so while the total is
+	// short of the normal placement the cloud with the fewest is short:
+	// it takes the lowest block ID placed nowhere.
+	for id := 0; len(held) < p.NormalBlocks(); id++ {
+		if id == codeN {
+			return Rebalance{}, fmt.Errorf(
+				"sched: segment code n=%d cannot supply enough blocks for rebalance to %d clouds",
+				codeN, p.N)
 		}
-		return 0, false
-	}
-	for _, c := range newClouds {
-		for need := fair - len(held[c]); need > 0; need-- {
-			b, ok := takeFree()
-			if !ok {
-				return Rebalance{}, fmt.Errorf(
-					"sched: segment code n=%d cannot supply enough blocks for rebalance to %d clouds",
-					codeN, p.N)
-			}
-			plan.Upload[c] = append(plan.Upload[c], b)
+		if slices.ContainsFunc(held, func(b meta.BlockLocation) bool { return b.BlockID == id }) {
+			continue
 		}
+		c := p.Targets(held, newClouds)[0]
+		plan.Upload[c] = append(plan.Upload[c], id)
+		held = append(held, meta.BlockLocation{BlockID: id, CloudID: c})
 	}
 	return plan, nil
+}
+
+// Targets is the placement rule for one more block of a segment, which
+// every maintenance write asks (scrub repair and re-expansion, the
+// rebalance top-up, a lock hold recording owed placements): the clouds
+// of set that hold fewer than MaxPerCloud of the segment's blocks as
+// held places them — the security bound — fewest first, the spread the
+// reliability bound wants, then by name. Invalid parameters, the zero
+// value among them, admit no cloud.
+func (p Params) Targets(held []meta.BlockLocation, set []string) []string {
+	if p.Validate() != nil {
+		return nil
+	}
+	count := make(map[string]int, len(set))
+	for _, b := range held {
+		count[b.CloudID]++
+	}
+	var out []string
+	for _, c := range set {
+		if count[c] < p.MaxPerCloud() {
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if count[out[i]] != count[out[j]] {
+			return count[out[i]] < count[out[j]]
+		}
+		return out[i] < out[j]
+	})
+	return out
+}
+
+// Surplus is the rule for what a segment can give up: every copy in
+// held above its cloud's fair share. A cloud keeps its lowest block
+// IDs, the normal placement; the surplus is ordered highest block ID
+// first — the over-provisioned extras — then by cloud name.
+func (p Params) Surplus(held []meta.BlockLocation) []meta.BlockLocation {
+	byCloud := make(map[string][]meta.BlockLocation)
+	for _, b := range held {
+		byCloud[b.CloudID] = append(byCloud[b.CloudID], b)
+	}
+	var out []meta.BlockLocation
+	for _, blocks := range byCloud {
+		sort.Slice(blocks, func(i, j int) bool { return blocks[i].BlockID < blocks[j].BlockID })
+		out = append(out, blocks[min(p.FairShare(), len(blocks)):]...)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].BlockID != out[j].BlockID {
+			return out[i].BlockID > out[j].BlockID
+		}
+		return out[i].CloudID < out[j].CloudID
+	})
+	return out
 }
 
 // ApplyRebalance returns the placement after executing the plan —

@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"unidrive/internal/meta"
 )
 
 // paperPlacement builds the placement after a clean 5-cloud upload:
@@ -173,6 +177,83 @@ func TestRebalancePropertyInvariants(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The maintenance placement rules over random placements, cloud sets
+// and damaged copies: Targets never offers a cloud at MaxPerCloud, and
+// a repair loop that moves every damaged copy to the first target never
+// takes a cloud over the cap; Surplus never takes a cloud below its
+// fair share.
+func TestPlacementRulesProperty(t *testing.T) {
+	f := func(seed int64, nRaw, kRaw, krRaw, ksRaw uint8) bool {
+		n := 2 + int(nRaw)%5
+		kr := 1 + int(krRaw)%n
+		p := Params{N: n, K: 1 + int(kRaw)%8, Kr: kr, Ks: 1 + int(ksRaw)%kr}
+		if p.Validate() != nil {
+			return true
+		}
+		rng := rand.New(rand.NewSource(seed))
+		universe := []string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"}
+		var set []string
+		for _, c := range universe {
+			if rng.Intn(3) > 0 {
+				set = append(set, c)
+			}
+		}
+		var held, damaged []meta.BlockLocation
+		for i := rng.Intn(3 * p.MaxBlocks()); i > 0; i-- {
+			b := meta.BlockLocation{BlockID: rng.Intn(p.MaxBlocks()), CloudID: universe[rng.Intn(len(universe))]}
+			if slices.ContainsFunc(held, func(h meta.BlockLocation) bool { return h.BlockID == b.BlockID }) {
+				continue // a block ID is placed once
+			}
+			held = append(held, b)
+			if rng.Intn(4) == 0 {
+				damaged = append(damaged, b)
+			}
+		}
+		count := func(blocks []meta.BlockLocation) map[string]int {
+			out := make(map[string]int)
+			for _, b := range blocks {
+				out[b.CloudID]++
+			}
+			return out
+		}
+
+		before := count(held)
+		last := -1
+		for _, c := range p.Targets(held, set) {
+			if before[c] >= p.MaxPerCloud() || !slices.Contains(set, c) || before[c] < last {
+				return false
+			}
+			last = before[c]
+		}
+		for _, d := range damaged {
+			others := slices.DeleteFunc(slices.Clone(set), func(c string) bool { return c == d.CloudID })
+			if targets := p.Targets(held, others); len(targets) > 0 {
+				i := slices.Index(held, d)
+				held[i].CloudID = targets[0]
+			}
+		}
+		for c, got := range count(held) {
+			if got > max(before[c], p.MaxPerCloud()) {
+				return false
+			}
+		}
+
+		surplus := p.Surplus(held)
+		kept := count(slices.DeleteFunc(slices.Clone(held), func(b meta.BlockLocation) bool {
+			return slices.Contains(surplus, b)
+		}))
+		for c, had := range count(held) {
+			if kept[c] != min(had, p.FairShare()) {
+				return false
+			}
+		}
+		return slices.IsSortedFunc(surplus, func(a, b meta.BlockLocation) int { return b.BlockID - a.BlockID })
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }

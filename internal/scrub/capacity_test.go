@@ -13,20 +13,24 @@ import (
 	"unidrive/internal/transfer"
 )
 
-// capScrubber builds a scrubber with the capacity tracker and thin
-// re-expansion knobs wired (paper params: Target 5, MaxPerCloud 2).
+// capScrubber builds a scrubber with the capacity tracker and the
+// paper's placement parameters wired: re-expansion target 5,
+// MaxPerCloud 2.
 func (h *harness) capScrubber(t *testing.T, tr *capacity.Tracker, target, maxPerCloud int) *Scrubber {
 	t.Helper()
+	if paperParams.NormalBlocks() != target || paperParams.MaxPerCloud() != maxPerCloud {
+		t.Fatalf("capScrubber(%d, %d): the paper's parameters give (%d, %d)",
+			target, maxPerCloud, paperParams.NormalBlocks(), paperParams.MaxPerCloud())
+	}
 	s, err := New(Config{
-		Engine:      h.engine,
-		Image:       func(context.Context) (*meta.Image, error) { return h.img, nil },
-		Commit:      h.commit,
-		Journal:     h.jrnl,
-		Capacity:    tr,
-		Target:      target,
-		MaxPerCloud: maxPerCloud,
-		Device:      "tester",
-		Obs:         h.reg,
+		Engine:   h.engine,
+		Image:    func(context.Context) (*meta.Image, error) { return h.img, nil },
+		Commit:   h.commit,
+		Journal:  h.jrnl,
+		Capacity: tr,
+		Params:   paperParams,
+		Device:   "tester",
+		Obs:      h.reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"unidrive/internal/capacity"
@@ -43,6 +44,7 @@ import (
 	"unidrive/internal/journal"
 	"unidrive/internal/meta"
 	"unidrive/internal/obs"
+	"unidrive/internal/sched"
 	"unidrive/internal/transfer"
 	"unidrive/internal/vclock"
 )
@@ -76,17 +78,16 @@ type Config struct {
 	// a full cloud would only bounce), and re-expansion of thin
 	// segments targets clouds with space first.
 	Capacity *capacity.Tracker
-	// Target, when positive, enables thin-segment re-expansion: a
-	// segment committed thin (under-replicated for capacity) is grown
-	// back toward Target distinct blocks — its fair-share placement —
-	// once clouds with space exist, and its thin mark is cleared when
-	// the target is reached. The core layer passes
-	// Params.NormalBlocks().
-	Target int
-	// MaxPerCloud bounds how many of one segment's blocks re-expansion
-	// may stack on a single cloud (the placement reliability bound);
-	// 0 means unbounded.
-	MaxPerCloud int
+	// Params are the placement rules every repair and re-expansion
+	// write obeys (sched.Params.Targets): no write brings a cloud to more
+	// than MaxPerCloud of one segment's blocks. They also enable
+	// thin-segment re-expansion: a segment committed thin
+	// (under-replicated for capacity) is grown back toward its normal
+	// placement, NormalBlocks distinct blocks, once clouds with space
+	// exist, and its thin mark is cleared when that is reached. The zero
+	// value places nothing new: a repair only overwrites a damaged copy
+	// in place, and thin segments stay as they are.
+	Params sched.Params
 	// RatePerSec caps verification fetches per second across all
 	// clouds; 0 disables pacing.
 	RatePerSec float64
@@ -158,6 +159,11 @@ func New(cfg Config) (*Scrubber, error) {
 	if cfg.Image == nil {
 		return nil, fmt.Errorf("scrub: Config.Image is required")
 	}
+	if cfg.Params != (sched.Params{}) {
+		if err := cfg.Params.Validate(); err != nil {
+			return nil, fmt.Errorf("scrub: %w", err)
+		}
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
 	}
@@ -174,19 +180,15 @@ func New(cfg Config) (*Scrubber, error) {
 // upload batch).
 func (s *Scrubber) intentID() string { return "scrub:" + s.cfg.Device }
 
-// cycle is the state of one Cycle: what the clouds hold, the report
+// cycle is the state of one Cycle: what the clouds hold, the clouds
+// whose listing answered (the only ones a write may target), the report
 // being filled in, and whether the repair intent is journaled yet.
 type cycle struct {
 	*Scrubber
 	sv        *transfer.Survey
+	listed    []string
 	rep       *Report
 	journaled bool
-}
-
-// locKey addresses one copy of one block.
-type locKey struct {
-	blockID int
-	cloudID string
 }
 
 // segDamage is everything a cycle learned about one segment.
@@ -197,31 +199,18 @@ type segDamage struct {
 	corrupt []meta.BlockLocation
 	// healthy holds one verified copy per block ID.
 	healthy map[int][]byte
-	// enc re-encodes the segment's blocks once its content has been
-	// reconstructed and SHA-verified.
-	enc *reencoder
+	// content is the segment's reconstructed, SHA-verified content,
+	// and src re-encodes its blocks; release returns both.
+	content []byte
+	src     *erasure.Source
 	// full names the clouds that rejected one of this segment's
 	// writes for quota this cycle; place skips them.
 	full map[string]bool
 }
 
-// reencoder yields any coded block of one reconstructed segment, in a
-// pooled buffer it reuses: a block is valid until the next is asked
-// for (PutBlock does not retain its data argument).
-type reencoder struct {
-	coder   *erasure.Coder
-	sh      *erasure.Shards
-	payload []byte
-}
-
-func (r *reencoder) block(blockID int) []byte {
-	r.coder.EncodeBlocksInto(r.sh, []int{blockID}, [][]byte{r.payload})
-	return r.payload
-}
-
-func (r *reencoder) release() {
-	erasure.PutBuffer(r.payload)
-	r.sh.Release()
+func (d *segDamage) release() {
+	d.src.Release()
+	erasure.PutBuffer(d.content)
 }
 
 // Cycle walks every committed segment once. With repair false it only
@@ -248,6 +237,11 @@ func (s *Scrubber) Cycle(ctx context.Context, repair bool) (*Report, error) {
 	rep := &Report{UnknownClouds: sv.UnknownClouds()}
 	s.reg.Counter("scrub.clouds_unknown").Add(int64(len(rep.UnknownClouds)))
 	c := &cycle{Scrubber: s, sv: sv, rep: rep}
+	for _, name := range s.cfg.Engine.CloudNames() {
+		if sv.Listed(name) {
+			c.listed = append(c.listed, name)
+		}
+	}
 
 	var changes []*meta.Change
 	for _, segID := range img.SegmentIDs() {
@@ -300,7 +294,7 @@ func (s *cycle) scrubSegment(ctx context.Context, seg *meta.Segment, repair bool
 		s.rep.ThinSegments++
 		s.reg.Counter("scrub.thin_segments").Inc()
 	}
-	expand := repair && seg.Thin && s.cfg.Target > 0
+	expand := repair && seg.Thin && s.cfg.Params != (sched.Params{})
 	damaged := len(d.missing) + len(d.corrupt)
 	if !(repair && damaged > 0) && !expand {
 		return nil, nil // nothing needs the segment's content
@@ -313,7 +307,7 @@ func (s *cycle) scrubSegment(ctx context.Context, seg *meta.Segment, repair bool
 		}
 		return nil, nil
 	}
-	defer d.enc.release()
+	defer d.release()
 	if err := s.ensureIntent(); err != nil {
 		return nil, err
 	}
@@ -408,8 +402,8 @@ func (s *cycle) checkSegment(ctx context.Context, seg *meta.Segment) (*segDamage
 
 // reconstruct decodes the segment content from K verified copies,
 // SHA-1 verifies the result against the segment's content address and
-// leaves it in d.enc, ready to be re-encoded; the caller must release
-// d.enc.
+// leaves it in d with its block source, ready to be re-encoded; the
+// caller must release d.
 func (s *Scrubber) reconstruct(d *segDamage) bool {
 	seg := d.seg
 	coder, err := erasure.CoderFor(seg.K, seg.N)
@@ -417,7 +411,7 @@ func (s *Scrubber) reconstruct(d *segDamage) bool {
 		return false
 	}
 	blocks := make(map[int][]byte, seg.K)
-	for _, id := range sortedKeys(d.healthy) {
+	for _, id := range slices.Sorted(maps.Keys(d.healthy)) {
 		if len(blocks) == seg.K {
 			break
 		}
@@ -429,15 +423,12 @@ func (s *Scrubber) reconstruct(d *segDamage) bool {
 		erasure.PutBuffer(buf)
 		return false
 	}
-	defer erasure.PutBuffer(data)
 	if chunker.SegmentID(data) != seg.ID {
+		erasure.PutBuffer(data)
 		s.reg.Counter("scrub.decode_sha_mismatch").Inc()
 		return false
 	}
-	// Split copies the content, so the decode buffer goes straight
-	// back to the pool.
-	sh := coder.Split(data)
-	d.enc = &reencoder{coder: coder, sh: sh, payload: erasure.GetBuffer(sh.ShardSize())}
+	d.content, d.src = data, erasure.NewSource(coder, data, 0)
 	return true
 }
 
@@ -445,20 +436,20 @@ func (s *Scrubber) reconstruct(d *segDamage) bool {
 // returns the relocate change carrying the refreshed placement (nil
 // when nothing changed). A replacement goes to the damaged copy's own
 // cloud when that is not out of quota — an idempotent overwrite of the
-// committed path — falling back to writeTargets' order. The second
-// result reports a copy left unrepaired purely for capacity: an
-// eligible destination was quota-full.
+// committed path — falling back to the targets sched's rule admits over
+// the placement so far. A copy no cloud may take is left for a later
+// cycle. The second result reports a copy left unrepaired purely for
+// capacity: an eligible destination was quota-full.
 func (s *cycle) repairSegment(ctx context.Context, d *segDamage) (*meta.Change, bool, error) {
-	seg := d.seg
-	capBlocked := false
-	moves := make(map[locKey]meta.BlockLocation) // damaged copy -> replacement
-	repaired := make(map[int]bool)               // one replacement per block ID
-	for _, loc := range append(append([]meta.BlockLocation(nil), d.missing...), d.corrupt...) {
+	cur := d.seg.Clone()
+	capBlocked, moved := false, false
+	repaired := make(map[int]bool) // one replacement per block ID
+	for _, loc := range append(slices.Clone(d.missing), d.corrupt...) {
 		if repaired[loc.BlockID] {
 			continue
 		}
 		repaired[loc.BlockID] = true
-		cands, dropped := s.writeTargets(seg.Blocks, loc.CloudID)
+		cands, dropped := s.targets(cur.Blocks, loc.CloudID)
 		if s.elig.AcceptsWrites(loc.CloudID) {
 			cands = append([]string{loc.CloudID}, cands...)
 		} else {
@@ -476,27 +467,20 @@ func (s *cycle) repairSegment(ctx context.Context, d *segDamage) (*meta.Change, 
 		}
 		s.rep.RepairedBlocks++
 		s.reg.Counter("scrub.repaired_blocks").Inc()
-		moves[locKey{loc.BlockID, loc.CloudID}] =
+		cur.Blocks[slices.Index(cur.Blocks, loc)] =
 			meta.BlockLocation{BlockID: loc.BlockID, CloudID: placed, Checksum: sum}
+		moved = true
 	}
-	if len(moves) == 0 {
+	if !moved {
 		return nil, capBlocked, nil
 	}
-
-	updated := seg.Clone()
-	for i := range updated.Blocks {
-		b := &updated.Blocks[i]
-		if repl, ok := moves[locKey{b.BlockID, b.CloudID}]; ok {
-			*b = repl
-		}
-	}
-	return relocate(updated), capBlocked, nil
+	return relocate(cur), capBlocked, nil
 }
 
-// expandThin grows a thin (under-replicated) segment back toward the
-// Target placement: missing block IDs, lowest first, are re-encoded
-// from the verified content and uploaded to clouds with space, within
-// the per-cloud bound; the thin mark is cleared once the target holds.
+// expandThin grows a thin (under-replicated) segment back toward its
+// normal placement: missing block IDs, lowest first, are re-encoded
+// from the verified content and uploaded to the targets sched's rule
+// admits; the thin mark is cleared once the normal placement holds.
 // It extends change — the segment's repair relocate, when one exists —
 // or creates a fresh one. The bool result reports a capacity block:
 // the target could not be reached because eligible clouds are full.
@@ -508,25 +492,19 @@ func (s *cycle) expandThin(ctx context.Context, d *segDamage, change *meta.Chang
 	} else {
 		base = seg.Clone()
 	}
-	target := min(s.cfg.Target, seg.N)
+	target := min(s.cfg.Params.NormalBlocks(), seg.N)
 	placed := make(map[int]bool, len(base.Blocks))
 	for _, b := range base.Blocks {
 		placed[b.BlockID] = true
 	}
-	cands, _ := s.writeTargets(base.Blocks, "")
 
 	added := 0
 	for blockID := 0; blockID < seg.N && len(placed) < target; blockID++ {
 		if placed[blockID] {
 			continue
 		}
-		var open []string // candidates still under the per-cloud bound
-		for _, name := range cands {
-			if s.cfg.MaxPerCloud <= 0 || len(base.BlocksOn(name)) < s.cfg.MaxPerCloud {
-				open = append(open, name)
-			}
-		}
-		landed, sum, err := s.place(ctx, d, blockID, open)
+		cands, _ := s.targets(base.Blocks, "")
+		landed, sum, err := s.place(ctx, d, blockID, cands)
 		if err != nil {
 			return nil, false, err
 		}
@@ -553,32 +531,17 @@ func (s *cycle) expandThin(ctx context.Context, d *segDamage, change *meta.Chang
 	return relocate(base), blocked, nil
 }
 
-// writeTargets orders the clouds a new block of a segment may be
-// written to, given where the segment's blocks are now: every listed
-// cloud but skip, fewest of this segment's blocks first — the same
-// spread-for-reliability tiebreak the upload planner uses — then
-// filtered and ranked by eligibility (out-of-quota clouds dropped,
-// Probing ones last: a probe is the last resort). The bool result
-// reports that a cloud was dropped for capacity.
-func (s *cycle) writeTargets(blocks []meta.BlockLocation, skip string) ([]string, bool) {
-	perCloud := make(map[string]int)
-	for _, b := range blocks {
-		perCloud[b.CloudID]++
-	}
-	var cands []string
-	for _, name := range s.cfg.Engine.CloudNames() {
-		if s.sv.Listed(name) && name != skip {
-			cands = append(cands, name)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if perCloud[cands[i]] != perCloud[cands[j]] {
-			return perCloud[cands[i]] < perCloud[cands[j]]
-		}
-		return cands[i] < cands[j]
-	})
-	ranked := s.elig.WriteTargets(cands)
-	return ranked, len(ranked) < len(cands)
+// targets are the clouds one more block of a segment placed as blocks
+// may be written to: those of the listed clouds but skip that sched's
+// Targets rule admits, in its order, then filtered and ranked by
+// eligibility (out-of-quota clouds dropped, Probing ones last: a probe
+// is the last resort). The bool result reports that a cloud was
+// dropped for capacity.
+func (s *cycle) targets(blocks []meta.BlockLocation, skip string) ([]string, bool) {
+	admitted := s.cfg.Params.Targets(blocks,
+		slices.DeleteFunc(slices.Clone(s.listed), func(name string) bool { return name == skip }))
+	ranked := s.elig.WriteTargets(admitted)
+	return ranked, len(ranked) < len(admitted)
 }
 
 // place re-encodes one block of a reconstructed segment and uploads it
@@ -589,20 +552,20 @@ func (s *cycle) writeTargets(blocks []meta.BlockLocation, skip string) ([]string
 // quota joins d.full and is not tried again for this segment (the
 // tracker learned of the rejection through the engine's cloud chain).
 func (s *cycle) place(ctx context.Context, d *segDamage, blockID int, cands []string) (string, uint32, error) {
-	var payload []byte
 	for _, target := range cands {
 		if d.full[target] {
 			continue
 		}
-		if payload == nil {
-			payload = d.enc.block(blockID)
+		payload, err := d.src.Block(blockID)
+		if err != nil {
+			return "", 0, err
 		}
 		if s.cfg.Journal != nil {
 			if err := s.cfg.Journal.UpdatePlacements(s.intentID(), d.seg.ID, map[int]string{blockID: target}); err != nil {
 				return "", 0, err
 			}
 		}
-		err := s.paced(ctx, target, func() error {
+		err = s.paced(ctx, target, func() error {
 			return s.cfg.Engine.PutBlock(ctx, target, d.seg.ID, blockID, payload)
 		})
 		if err == nil {
@@ -678,13 +641,4 @@ func (s *Scrubber) release(cloudName string) {
 	if s.cfg.Fair != nil {
 		s.cfg.Fair.Release(cloudName, s.cfg.Tenant)
 	}
-}
-
-func sortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

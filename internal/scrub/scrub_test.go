@@ -62,6 +62,7 @@ func (h *harness) scrubber(t *testing.T) *Scrubber {
 		Image:   func(context.Context) (*meta.Image, error) { return h.img, nil },
 		Commit:  h.commit,
 		Journal: h.jrnl,
+		Params:  paperParams,
 		Device:  "tester",
 		Obs:     h.reg,
 	})
