@@ -9,7 +9,7 @@ RACE_PKGS = $(shell grep -v '^\#' scripts/race_pkgs.txt)
 # lives in scripts/funclen_pkgs.txt, which scripts/check.sh reads too.
 FUNCLEN_PKGS = $(shell grep -v '^\#' scripts/funclen_pkgs.txt)
 
-.PHONY: build vet fmt funclen test test-race e2e-check measurement-check bench-erasure bench-sync bench-trial bench chaos scrub fuzz check cover
+.PHONY: build vet fmt funclen knobs test test-race e2e-check measurement-check bench-erasure bench-sync bench-trial bench chaos scrub fuzz check cover
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,11 @@ fmt:
 # No function over 100 lines in the packages of scripts/funclen_pkgs.txt.
 funclen:
 	./scripts/funclen.sh 100 $(FUNCLEN_PKGS)
+
+# No internal Config field that only tests set, beyond the reasoned
+# exceptions of scripts/knobs_allow.txt.
+knobs:
+	./scripts/knobs.sh
 
 test:
 	$(GO) test ./...
@@ -94,4 +99,4 @@ measurement-check:
 	./scripts/measurement_check.sh
 
 # Tier-1 gate: everything a change must pass before merging.
-check: vet fmt funclen build test test-race e2e-check measurement-check
+check: vet fmt funclen knobs build test test-race e2e-check measurement-check

@@ -13,9 +13,9 @@
 // download, list and lock traffic keeps flowing). Two signals re-open
 // a Full cloud for a probe:
 //
-//	Full ──(bytes freed ≥ ProbeFreeBytes)──▶ Probing ──(upload ok)──▶ OK
-//	  ▲  ──(ProbeInterval elapsed)────────▶    │
-//	  └──────────(quota error again)───────────┘
+//	Full ──(a delete succeeded)─────▶ Probing ──(upload ok)──▶ OK
+//	  ▲  ──(ProbeInterval elapsed)──▶    │
+//	  └──────(quota error again)─────────┘
 //
 // Probing (the "Tight" state) admits upload traffic again; the first
 // successful upload re-admits the cloud fully, the first quota
@@ -25,12 +25,12 @@
 // UI, another device garbage-collects, or an operator raises the
 // plan.
 //
-// Byte accounting is session-relative: UsedDelta is the net bytes
-// this tracker has watched flow to the cloud (uploads minus deletes),
-// not the provider-absolute usage, which consumer APIs rarely report
-// honestly. It exists to size the pressure valve and the status view,
-// not to predict rejections — the provider's own ErrQuotaExceeded is
-// always the ground truth.
+// Byte accounting is session-relative: UsedDelta is the bytes this
+// tracker has watched uploaded to the cloud this session (a delete's
+// size is not known), not the provider-absolute usage, which consumer
+// APIs rarely report honestly. It exists to size the pressure valve
+// and the status view, not to predict rejections — the provider's own
+// ErrQuotaExceeded is always the ground truth.
 //
 // Everything is deterministic under test: time comes from the
 // injected vclock.Clock, and Rejections() exposes the exact count of
@@ -78,47 +78,15 @@ func (s State) String() string {
 	}
 }
 
-// Config parameterizes a Tracker. The zero value is usable: every
-// field has a production default filled in by NewTracker.
-type Config struct {
-	// ProbeFreeBytes is how many bytes must be observed freed (via
-	// ObserveDelete) before a Full cloud becomes Probing without
-	// waiting out the cooldown. Default 1 — any reclaimed space is
-	// worth a probe.
-	ProbeFreeBytes int64
-
-	// ProbeInterval is the cooldown after which a Full cloud becomes
-	// Probing even with no observed frees, so externally-reclaimed
-	// quota (web-UI trash emptying, plan upgrades) is eventually
-	// rediscovered. Default 60s.
-	ProbeInterval time.Duration
-
-	// Clock supplies time for the re-probe cooldown. Default the real
-	// wall clock.
-	Clock vclock.Clock
-
-	// Obs receives capacity state gauges and rejection counters. Nil
-	// discards them.
-	Obs *obs.Registry
-}
-
-func (c *Config) fillDefaults() {
-	if c.ProbeFreeBytes <= 0 {
-		c.ProbeFreeBytes = 1
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 60 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = vclock.Real{}
-	}
-}
+// ProbeInterval is the cooldown after which a Full cloud becomes
+// Probing even with no observed delete, so externally-reclaimed quota
+// (web-UI trash emptying, plan upgrades) is eventually rediscovered.
+const ProbeInterval = 60 * time.Second
 
 // record is one cloud's capacity bookkeeping.
 type record struct {
 	state      State
-	usedDelta  int64     // net observed bytes: uploads − deletes
-	freedSince int64     // bytes freed since the cloud went Full
+	usedDelta  int64     // bytes uploaded this session
 	fullAt     time.Time // when the cloud last went Full
 	rejections int64     // total observed quota errors
 }
@@ -130,21 +98,18 @@ type record struct {
 // valid and tracks nothing: every cloud admits, every observation is
 // discarded — the capacity layer off.
 type Tracker struct {
-	cfg Config
+	clock vclock.Clock
+	obs   *obs.Registry
 
 	mu      sync.Mutex
 	records map[string]*record
 }
 
-// NewTracker returns a Tracker with cfg's zero fields defaulted.
-func NewTracker(cfg Config) *Tracker {
-	cfg.fillDefaults()
-	return &Tracker{cfg: cfg, records: make(map[string]*record)}
-}
-
-// NewDefaultTracker returns a production-configured Tracker.
+// NewDefaultTracker returns a Tracker whose re-probe cooldown runs on
+// clk; reg receives capacity state gauges and rejection counters (nil
+// discards them).
 func NewDefaultTracker(clk vclock.Clock, reg *obs.Registry) *Tracker {
-	return NewTracker(Config{Clock: clk, Obs: reg})
+	return &Tracker{clock: clk, obs: reg, records: make(map[string]*record)}
 }
 
 func (t *Tracker) recordLocked(cloudName string) *record {
@@ -152,7 +117,7 @@ func (t *Tracker) recordLocked(cloudName string) *record {
 	if !ok {
 		r = &record{}
 		t.records[cloudName] = r
-		t.cfg.Obs.Gauge("capacity." + cloudName + ".state").Set(float64(OK))
+		t.obs.Gauge("capacity." + cloudName + ".state").Set(float64(OK))
 	}
 	return r
 }
@@ -162,7 +127,7 @@ func (t *Tracker) setStateLocked(cloudName string, r *record, s State) {
 		return
 	}
 	r.state = s
-	t.cfg.Obs.Gauge("capacity." + cloudName + ".state").Set(float64(s))
+	t.obs.Gauge("capacity." + cloudName + ".state").Set(float64(s))
 }
 
 // refreshLocked applies the time-based re-probe transition.
@@ -170,9 +135,9 @@ func (t *Tracker) refreshLocked(cloudName string, r *record) {
 	if r.state != Full {
 		return
 	}
-	if t.cfg.Clock.Now().Sub(r.fullAt) >= t.cfg.ProbeInterval {
+	if t.clock.Now().Sub(r.fullAt) >= ProbeInterval {
 		t.setStateLocked(cloudName, r, Probing)
-		t.cfg.Obs.Counter("capacity.probe_opened").Inc()
+		t.obs.Counter("capacity.probe_opened").Inc()
 	}
 }
 
@@ -188,13 +153,12 @@ func (t *Tracker) ObserveQuotaExceeded(cloudName string) {
 	defer t.mu.Unlock()
 	r := t.recordLocked(cloudName)
 	r.rejections++
-	t.cfg.Obs.Counter("capacity.quota_rejections").Inc()
-	t.cfg.Obs.Counter("capacity." + cloudName + ".quota_rejections").Inc()
+	t.obs.Counter("capacity.quota_rejections").Inc()
+	t.obs.Counter("capacity." + cloudName + ".quota_rejections").Inc()
 	if r.state != Full {
-		t.cfg.Obs.Counter("capacity.full_marks").Inc()
+		t.obs.Counter("capacity.full_marks").Inc()
 	}
-	r.fullAt = t.cfg.Clock.Now()
-	r.freedSince = 0
+	r.fullAt = t.clock.Now()
 	t.setStateLocked(cloudName, r, Full)
 }
 
@@ -210,38 +174,25 @@ func (t *Tracker) ObserveUpload(cloudName string, bytes int64) {
 	r := t.recordLocked(cloudName)
 	r.usedDelta += bytes
 	if r.state != OK {
-		t.cfg.Obs.Counter("capacity.readmitted").Inc()
+		t.obs.Counter("capacity.readmitted").Inc()
 		t.setStateLocked(cloudName, r, OK)
-		r.freedSince = 0
 	}
 }
 
-// ObserveDelete records bytes reclaimed from the named cloud. Once a
-// Full cloud's freed bytes reach ProbeFreeBytes it becomes Probing —
-// the probe-after-free recovery path. A non-positive size (the
-// cloud.Interface does not expose object sizes on delete) still
-// credits one byte toward the probe threshold: a successful delete
-// freed SOMETHING, and a spurious probe costs one failed upload.
-func (t *Tracker) ObserveDelete(cloudName string, bytes int64) {
+// ObserveDelete records a successful delete on the named cloud. A
+// Full cloud becomes Probing — the probe-after-free recovery path: the
+// delete freed something (cloud.Interface does not say how much), and
+// a spurious probe costs one failed upload.
+func (t *Tracker) ObserveDelete(cloudName string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.recordLocked(cloudName)
-	if bytes > 0 {
-		r.usedDelta -= bytes
-	}
 	if r.state == Full {
-		credit := bytes
-		if credit <= 0 {
-			credit = 1
-		}
-		r.freedSince += credit
-		if r.freedSince >= t.cfg.ProbeFreeBytes {
-			t.setStateLocked(cloudName, r, Probing)
-			t.cfg.Obs.Counter("capacity.probe_opened").Inc()
-		}
+		t.setStateLocked(cloudName, r, Probing)
+		t.obs.Counter("capacity.probe_opened").Inc()
 	}
 }
 
@@ -308,9 +259,8 @@ func (t *Tracker) Rejections(cloudName string) int64 {
 	return t.recordLocked(cloudName).rejections
 }
 
-// UsedDelta returns the net bytes this tracker has observed flowing
-// to the named cloud (uploads minus deletes) — session-relative, for
-// the status and debug views.
+// UsedDelta returns the bytes this tracker has observed uploaded to
+// the named cloud this session, for the status and debug views.
 func (t *Tracker) UsedDelta(cloudName string) int64 {
 	if t == nil {
 		return 0

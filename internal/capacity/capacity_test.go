@@ -13,7 +13,7 @@ func newTestTracker(t *testing.T) (*Tracker, *vclock.Manual, *obs.Registry) {
 	t.Helper()
 	clk := vclock.NewManual(time.Unix(1_700_000_000, 0))
 	reg := obs.NewRegistry()
-	tr := NewTracker(Config{Clock: clk, Obs: reg})
+	tr := NewDefaultTracker(clk, reg)
 	return tr, clk, reg
 }
 
@@ -87,9 +87,8 @@ func TestProbeAfterFree(t *testing.T) {
 	if tr.Admits("c1") {
 		t.Fatal("Full cloud admits before any free")
 	}
-	// Any observed delete reopens the cloud for a probe (default
-	// ProbeFreeBytes=1).
-	tr.ObserveDelete("c1", 4096)
+	// Any observed delete reopens the cloud for a probe.
+	tr.ObserveDelete("c1")
 	if got := tr.State("c1"); got != Probing {
 		t.Fatalf("state after free = %v, want Probing", got)
 	}
@@ -109,24 +108,10 @@ func TestProbeAfterFree(t *testing.T) {
 	}
 }
 
-func TestProbeFreeBytesThreshold(t *testing.T) {
-	clk := vclock.NewManual(time.Unix(0, 0))
-	tr := NewTracker(Config{Clock: clk, ProbeFreeBytes: 1000})
-	tr.ObserveQuotaExceeded("c1")
-	tr.ObserveDelete("c1", 400)
-	if got := tr.State("c1"); got != Full {
-		t.Fatalf("state after 400 of 1000 freed = %v, want Full", got)
-	}
-	tr.ObserveDelete("c1", 600)
-	if got := tr.State("c1"); got != Probing {
-		t.Fatalf("state after 1000 freed = %v, want Probing", got)
-	}
-}
-
 func TestProbeFailureSlamsBackToFull(t *testing.T) {
 	tr, _, _ := newTestTracker(t)
 	tr.ObserveQuotaExceeded("c1")
-	tr.ObserveDelete("c1", 10)
+	tr.ObserveDelete("c1")
 	if got := tr.State("c1"); got != Probing {
 		t.Fatalf("state = %v, want Probing", got)
 	}
@@ -134,19 +119,17 @@ func TestProbeFailureSlamsBackToFull(t *testing.T) {
 	if got := tr.State("c1"); got != Full {
 		t.Fatalf("state after failed probe = %v, want Full", got)
 	}
-	// The freed-bytes credit was consumed: another small free is needed.
-	tr.ObserveDelete("c1", 1)
+	// The delete was consumed: another one is needed.
+	tr.ObserveDelete("c1")
 	if got := tr.State("c1"); got != Probing {
 		t.Fatalf("state after new free = %v, want Probing", got)
 	}
 }
 
 func TestTimeBasedReProbe(t *testing.T) {
-	clk := vclock.NewManual(time.Unix(0, 0))
-	reg := obs.NewRegistry()
-	tr := NewTracker(Config{Clock: clk, Obs: reg, ProbeInterval: time.Minute})
+	tr, clk, _ := newTestTracker(t)
 	tr.ObserveQuotaExceeded("c1")
-	clk.Advance(59 * time.Second)
+	clk.Advance(ProbeInterval - time.Second)
 	if tr.Admits("c1") {
 		t.Fatal("cloud re-admitted before the cooldown elapsed")
 	}
@@ -159,11 +142,11 @@ func TestTimeBasedReProbe(t *testing.T) {
 	}
 	// A failed probe restarts the cooldown from the failure.
 	tr.ObserveQuotaExceeded("c1")
-	clk.Advance(30 * time.Second)
+	clk.Advance(ProbeInterval / 2)
 	if tr.Admits("c1") {
 		t.Fatal("cooldown must restart after a failed probe")
 	}
-	clk.Advance(30 * time.Second)
+	clk.Advance(ProbeInterval / 2)
 	if !tr.Admits("c1") {
 		t.Fatal("second cooldown elapsed, cloud should probe")
 	}
@@ -184,9 +167,9 @@ func TestUsedDeltaAccounting(t *testing.T) {
 	tr, _, _ := newTestTracker(t)
 	tr.ObserveUpload("c1", 1000)
 	tr.ObserveUpload("c1", 500)
-	tr.ObserveDelete("c1", 300)
-	if got := tr.UsedDelta("c1"); got != 1200 {
-		t.Fatalf("UsedDelta = %d, want 1200", got)
+	tr.ObserveDelete("c1") // a delete's size is not known: uploads only
+	if got := tr.UsedDelta("c1"); got != 1500 {
+		t.Fatalf("UsedDelta = %d, want 1500", got)
 	}
 	if got := tr.UsedDelta("c2"); got != 0 {
 		t.Fatalf("untouched cloud UsedDelta = %d, want 0", got)
@@ -197,7 +180,7 @@ func TestWithSpaceFiltersAndOrders(t *testing.T) {
 	tr, _, _ := newTestTracker(t)
 	tr.ObserveQuotaExceeded("full1")
 	tr.ObserveQuotaExceeded("probe1")
-	tr.ObserveDelete("probe1", 1)
+	tr.ObserveDelete("probe1")
 	got := tr.WithSpace([]string{"probe1", "a", "full1", "b"})
 	want := []string{"a", "b", "probe1"}
 	if len(got) != len(want) {
@@ -231,8 +214,7 @@ func TestSnapshotSorted(t *testing.T) {
 }
 
 func TestAnyFull(t *testing.T) {
-	clk := vclock.NewManual(time.Unix(0, 0))
-	tr := NewTracker(Config{Clock: clk, ProbeInterval: time.Minute})
+	tr, clk, _ := newTestTracker(t)
 	if tr.AnyFull() {
 		t.Fatal("empty tracker reports AnyFull")
 	}
@@ -244,7 +226,7 @@ func TestAnyFull(t *testing.T) {
 	if !tr.AnyFull() {
 		t.Fatal("Full cloud not reported by AnyFull")
 	}
-	clk.Advance(time.Minute)
+	clk.Advance(ProbeInterval)
 	if tr.AnyFull() {
 		t.Fatal("AnyFull must apply the time-based re-probe transition")
 	}
@@ -254,7 +236,7 @@ func TestNilTrackerIsOff(t *testing.T) {
 	var tr *Tracker
 	tr.ObserveQuotaExceeded("c1")
 	tr.ObserveUpload("c1", 10)
-	tr.ObserveDelete("c1", 10)
+	tr.ObserveDelete("c1")
 	if !tr.Admits("c1") {
 		t.Fatal("nil tracker must admit everything")
 	}
@@ -289,12 +271,15 @@ func TestStateString(t *testing.T) {
 }
 
 func TestDefaultTrackerDefaults(t *testing.T) {
-	tr := NewDefaultTracker(vclock.Real{}, nil)
-	if tr.cfg.ProbeFreeBytes != 1 {
-		t.Fatalf("ProbeFreeBytes default = %d, want 1", tr.cfg.ProbeFreeBytes)
+	if ProbeInterval != 60*time.Second {
+		t.Fatalf("ProbeInterval = %v, want 60s", ProbeInterval)
 	}
-	if tr.cfg.ProbeInterval != 60*time.Second {
-		t.Fatalf("ProbeInterval default = %v, want 60s", tr.cfg.ProbeInterval)
+	// One delete of any size is a probe signal.
+	tr, _, _ := newTestTracker(t)
+	tr.ObserveQuotaExceeded("c1")
+	tr.ObserveDelete("c1")
+	if got := tr.State("c1"); got != Probing {
+		t.Fatalf("state after one delete = %v, want Probing", got)
 	}
 }
 
@@ -312,7 +297,7 @@ func TestConcurrentObservations(t *testing.T) {
 				case 1:
 					tr.ObserveUpload("c1", 1)
 				case 2:
-					tr.ObserveDelete("c1", 1)
+					tr.ObserveDelete("c1")
 				case 3:
 					tr.Admits("c1")
 					tr.Snapshot()

@@ -28,19 +28,8 @@ func (t *Tracker) ObserveCall(c cloud.Call) {
 		// Proof of none.
 		t.ObserveQuotaExceeded(c.Cloud)
 	case c.Op == cloud.OpDelete && c.Err == nil:
-		// A successful delete is a probe-after-free signal; the
-		// interface does not expose the freed object's size, so the
-		// Tracker credits at least one byte. A failed delete freed
-		// nothing. Reads say nothing about quota.
-		t.ObserveDelete(c.Cloud, 0)
+		// A successful delete is a probe-after-free signal. A failed
+		// delete freed nothing. Reads say nothing about quota.
+		t.ObserveDelete(c.Cloud)
 	}
-}
-
-// Wrap returns inner in a chain whose only observer is the tracker. A
-// nil tracker returns inner unchanged.
-func (t *Tracker) Wrap(inner cloud.Interface) cloud.Interface {
-	if t == nil {
-		return inner
-	}
-	return cloud.NewChain(inner, t.cfg.Clock, nil, t.ObserveCall)
 }

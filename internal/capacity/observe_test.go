@@ -29,10 +29,16 @@ func (f *fakeCloud) List(context.Context, string) ([]cloud.Entry, error) {
 }
 func (f *fakeCloud) Delete(context.Context, string) error { return f.deleteErr }
 
+// observed is inner in a chain whose only observer is the tracker, as
+// the client stack places it.
+func observed(tr *Tracker, inner cloud.Interface) *cloud.Chain {
+	return cloud.NewChain(inner, vclock.NewManual(time.Unix(0, 0)), nil, tr.ObserveCall)
+}
+
 func TestWrapObservesQuotaAndSuccess(t *testing.T) {
-	tr := NewTracker(Config{Clock: vclock.NewManual(time.Unix(0, 0))})
+	tr := NewDefaultTracker(vclock.NewManual(time.Unix(0, 0)), nil)
 	fc := &fakeCloud{name: "c1"}
-	w := tr.Wrap(fc)
+	w := observed(tr, fc)
 	ctx := context.Background()
 
 	if err := w.Upload(ctx, "p", make([]byte, 64)); err != nil {
@@ -78,15 +84,23 @@ func TestWrapObservesQuotaAndSuccess(t *testing.T) {
 
 func TestWrapNilTrackerPassesThrough(t *testing.T) {
 	var tr *Tracker
-	fc := &fakeCloud{name: "c1"}
-	if got := tr.Wrap(fc); got != cloud.Interface(fc) {
-		t.Fatalf("nil tracker Wrap = %T, want the inner cloud unchanged", got)
+	fc := &fakeCloud{name: "c1", uploadErr: cloud.ErrQuotaExceeded}
+	w := observed(tr, fc)
+	ctx := context.Background()
+	if err := w.Upload(ctx, "p", []byte("x")); !errors.Is(err, cloud.ErrQuotaExceeded) {
+		t.Fatalf("err = %v, want ErrQuotaExceeded through", err)
+	}
+	if err := w.Delete(ctx, "p"); err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Admits("c1") {
+		t.Fatal("a nil tracker observed a quota rejection")
 	}
 }
 
 func TestWrapReadsSayNothing(t *testing.T) {
-	tr := NewTracker(Config{Clock: vclock.NewManual(time.Unix(0, 0))})
-	w := tr.Wrap(&fakeCloud{name: "c1"})
+	tr := NewDefaultTracker(vclock.NewManual(time.Unix(0, 0)), nil)
+	w := observed(tr, &fakeCloud{name: "c1"})
 	ctx := context.Background()
 	if w.Name() != "c1" {
 		t.Fatal("name not forwarded")

@@ -169,25 +169,22 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff delay.
 	MaxDelay time.Duration
-	// Sleep is called to wait between attempts. It exists so tests
-	// and the simulation substrate control time; nil means no wait.
-	Sleep func(time.Duration)
-	// After, when non-nil, is preferred over Sleep: the backoff waits
-	// on the returned channel OR the retried call's context, so a
-	// cancellation interrupts the wait instead of sleeping it out.
-	// Wire it to the injected clock's After (vclock.Clock.After).
+	// After waits between attempts: the backoff waits on the returned
+	// channel OR the retried call's context, so a cancellation
+	// interrupts the wait instead of sleeping it out. Wire it to the
+	// injected clock's After (vclock.Clock.After); nil means no wait.
 	After func(time.Duration) <-chan time.Time
 }
 
 // DefaultRetryPolicy mirrors the implementation's behaviour of
 // retrying failed block transfers a few times before rescheduling the
-// block to a different cloud.
-func DefaultRetryPolicy(sleep func(time.Duration)) RetryPolicy {
+// block to a different cloud, its backoff waiting on after.
+func DefaultRetryPolicy(after func(time.Duration) <-chan time.Time) RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   200 * time.Millisecond,
 		MaxDelay:    5 * time.Second,
-		Sleep:       sleep,
+		After:       after,
 	}
 }
 
@@ -213,17 +210,12 @@ func Retry(ctx context.Context, p RetryPolicy, op func() error) error {
 		if !IsRetryable(err) {
 			return err
 		}
-		if attempt < p.MaxAttempts-1 && delay > 0 {
-			switch {
-			case p.After != nil:
-				select {
-				case <-ctx.Done():
-					// Cancelled mid-backoff: the loop head returns the
-					// last observed error on the next iteration.
-				case <-p.After(delay):
-				}
-			case p.Sleep != nil:
-				p.Sleep(delay)
+		if attempt < p.MaxAttempts-1 && delay > 0 && p.After != nil {
+			select {
+			case <-ctx.Done():
+				// Cancelled mid-backoff: the loop head returns the last
+				// observed error on the next iteration.
+			case <-p.After(delay):
 			}
 			delay *= 2
 			if p.MaxDelay > 0 && delay > p.MaxDelay {

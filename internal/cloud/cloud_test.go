@@ -73,7 +73,12 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	calls := 0
 	var slept []time.Duration
 	p := RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 15 * time.Millisecond,
-		Sleep: func(d time.Duration) { slept = append(slept, d) }}
+		After: func(d time.Duration) <-chan time.Time {
+			slept = append(slept, d)
+			ch := make(chan time.Time, 1)
+			ch <- time.Time{}
+			return ch
+		}}
 	err := Retry(context.Background(), p, func() error {
 		calls++
 		if calls < 3 {
@@ -203,27 +208,6 @@ func TestRetryBackoffInterruptibleByContext(t *testing.T) {
 	}
 	if !errors.Is(err, ErrTransient) {
 		t.Errorf("err = %v, want the last op error", err)
-	}
-}
-
-func TestRetryAfterPreferredOverSleep(t *testing.T) {
-	afterUsed, sleepUsed := 0, 0
-	err := Retry(context.Background(), RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   time.Millisecond,
-		Sleep:       func(time.Duration) { sleepUsed++ },
-		After: func(time.Duration) <-chan time.Time {
-			afterUsed++
-			ch := make(chan time.Time, 1)
-			ch <- time.Time{}
-			return ch
-		},
-	}, func() error { return ErrTransient })
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v", err)
-	}
-	if afterUsed != 2 || sleepUsed != 0 {
-		t.Errorf("after=%d sleep=%d, want 2/0", afterUsed, sleepUsed)
 	}
 }
 

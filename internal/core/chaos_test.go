@@ -164,20 +164,15 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // resilientDevice is chaosDevice plus the breaker stack: a health
-// tracker shared by all of the device's clouds, with a short (scaled)
-// cooldown so open breakers re-probe within the test's wall time.
+// tracker shared by all of the device's clouds, on a clock of its own
+// scaled so that the breakers' cooldown (health.OpenTimeout) lasts
+// 10ms of wall time and open breakers re-probe within the test's.
 func (r *rig) resilientDevice(t *testing.T, name string, prob float64, seed int64) (*Client, *localfs.Mem, *obs.Registry, *health.Tracker) {
 	t.Helper()
 	folder := localfs.NewMem()
 	reg := obs.NewRegistry()
 	clk := vclock.NewScaled(50)
-	tracker := health.NewTracker(health.Config{
-		TripOnUnavailable: true,
-		OpenTimeout:       500 * time.Millisecond,
-		Clock:             clk,
-		Seed:              seed,
-		Obs:               reg,
-	})
+	tracker := health.NewDefaultTracker(vclock.NewScaled(float64(health.OpenTimeout/(10*time.Millisecond))), seed, reg)
 	var clouds []cloud.Interface
 	var flakies []*cloudsim.Flaky
 	for i, st := range r.stores {
@@ -324,7 +319,7 @@ func (r *rig) quotaDevice(t *testing.T, name string, seed int64) (*Client, *loca
 	folder := localfs.NewMem()
 	reg := obs.NewRegistry()
 	capClk := vclock.NewManual(time.Unix(1_700_000_000, 0))
-	tracker := capacity.NewTracker(capacity.Config{Clock: capClk, Obs: reg})
+	tracker := capacity.NewDefaultTracker(capClk, reg)
 	var clouds []cloud.Interface
 	var flakies []*cloudsim.Flaky
 	for i, st := range r.stores {

@@ -422,7 +422,11 @@ func TestRunLoopQuotaBlockedBacksOffToSafetyNet(t *testing.T) {
 	if err := folder.WriteFile("doc.txt", make([]byte, 8192), clk.Now()); err != nil {
 		t.Fatal(err)
 	}
-	tracker := capacity.NewTracker(capacity.Config{ProbeInterval: 5 * time.Second, Clock: clk})
+	// The tracker's clock is its own: the test moves its re-probe
+	// cooldown (capacity.ProbeInterval) past in one step once space
+	// returns, without running the loop's clock that far.
+	capClk := vclock.NewManual(clk.Now())
+	tracker := capacity.NewDefaultTracker(capClk, nil)
 	var passes atomic.Int64
 	lr := newLoopRig(t, folder, Config{
 		Clock:              clk,
@@ -470,11 +474,12 @@ func TestRunLoopQuotaBlockedBacksOffToSafetyNet(t *testing.T) {
 		t.Fatalf("retried %d times within 3s of a quota block", errs.Load()-1)
 	}
 
-	// Space returns; the tracker's probe cooldown (5s) elapses before
-	// the safety-net retry, so the 10s pass re-admits and succeeds.
+	// Space returns; the tracker's probe cooldown elapses before the
+	// safety-net retry, so the 10s pass re-admits and succeeds.
 	for _, f := range lr.flaky {
 		f.SetQuotaFull(false)
 	}
+	capClk.Advance(capacity.ProbeInterval)
 	step := 50 * time.Millisecond
 	deadline := time.Now().Add(10 * time.Second)
 	for passes.Load() == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -483,4 +484,87 @@ func TestChaosCorruptionScrubSoak(t *testing.T) {
 			t.Fatalf("%s: post-repair content differs", path)
 		}
 	}
+}
+
+// A scrub's commit names only the blocks its cycle wrote. Alpha's
+// scrub reads the image and pauses at its first block read. Meanwhile
+// a copy is lost on a cloud beta cannot write to, and beta's scrub
+// repairs it onto another cloud. Alpha's cycle then repairs a copy of
+// its own and commits: beta's repair must stand, or the record would
+// name the lost copy again and leave beta's unreferenced.
+func TestScrubCommitKeepsAnotherDevicesRepair(t *testing.T) {
+	r := newRig(5)
+	tp := newTap("")
+	a, fa, _ := r.tappedDevice(t, "alpha", tp)
+	writeFile(t, fa, "doc.bin", randContent(31, 4000))
+	syncOK(t, a)
+
+	b, _ := r.device(t, "beta")
+	syncOK(t, b)
+	// Back to the normal placement, so every cloud has room for a
+	// repair whatever the pass over-provisioned.
+	if _, err := b.TrimOverProvisioned(ctxT(t)); err != nil {
+		t.Fatal(err)
+	}
+
+	syncOK(t, a)
+	seg := fileSegments(t, a, "doc.bin")[0]
+	loc := func(blockID int) meta.BlockLocation {
+		i := slices.IndexFunc(seg.Blocks, func(l meta.BlockLocation) bool { return l.BlockID == blockID })
+		if i < 0 {
+			t.Fatalf("segment %s names no block %d: %+v", seg.ID, blockID, seg.Blocks)
+		}
+		return seg.Blocks[i]
+	}
+	store := func(name string) int {
+		return slices.IndexFunc(r.stores, func(st *cloudsim.Store) bool { return st.Name() == name })
+	}
+	lose := func(l meta.BlockLocation) {
+		if err := cloudsim.NewDirect(r.stores[store(l.CloudID)]).Delete(ctxT(t), a.Engine().BlockPath(seg.ID, l.BlockID)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	own, moved := loc(0), loc(1)
+	if own.CloudID == moved.CloudID {
+		t.Fatalf("blocks 0 and 1 share %s: the test needs two clouds", own.CloudID)
+	}
+	lose(own) // both cycles repair block 0 in place
+
+	tp.blockReads.hold()
+	done := make(chan error, 1)
+	go func() {
+		rep, err := a.Scrub(ctxT(t), true)
+		if err == nil && !rep.Committed {
+			err = fmt.Errorf("alpha's scrub committed no repair: %+v", rep)
+		}
+		done <- err
+	}()
+	await(t, tp.blockAsked, 1, "alpha's scrub to read a block")
+
+	lose(moved)
+	r.flaky["beta"][store(moved.CloudID)].SetQuotaFull(true)
+	if rep, err := b.Scrub(ctxT(t), true); err != nil || !rep.Committed {
+		t.Fatalf("beta's scrub: %+v, %v", rep, err)
+	}
+	syncOK(t, b)
+	repaired, _ := b.Image().Segment(seg.ID)
+	if repaired.HasBlock(moved.BlockID, moved.CloudID) || !slices.ContainsFunc(repaired.Blocks,
+		func(l meta.BlockLocation) bool { return l.BlockID == moved.BlockID }) {
+		t.Fatalf("beta did not move block %d off %s: %+v", moved.BlockID, moved.CloudID, repaired.Blocks)
+	}
+
+	tp.blockReads.open()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	syncOK(t, a)
+	img := a.Image()
+	cur, _ := img.Segment(seg.ID)
+	for _, l := range repaired.Blocks {
+		if l.BlockID == moved.BlockID && !cur.HasBlock(l.BlockID, l.CloudID) {
+			t.Errorf("alpha's commit undid beta's repair of block %d onto %s: %+v", l.BlockID, l.CloudID, cur.Blocks)
+		}
+	}
+	auditNamed(t, r, img)
+	auditBlocks(t, r, img)
 }

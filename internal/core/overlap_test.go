@@ -53,14 +53,16 @@ func (g *gate) opened() <-chan struct{} {
 
 // tap is what the overlap tests hold over one device's clouds: block
 // uploads to one cloud stay in flight until the test lets them go (the
-// gate of transfer/delete_test.go), version-stamp reads can be held the
-// same way, lock flag uploads can be made to fail, and every
-// version-stamp write is announced.
+// gate of transfer/delete_test.go), version-stamp reads and block reads
+// can be held the same way, lock flag uploads can be made to fail, and
+// every version-stamp write is announced.
 type tap struct {
 	slow        string        // the cloud whose block uploads the blocks gate holds
 	blocks      *gate         // block uploads to slow
 	stampReads  *gate         // version-stamp reads, every cloud
 	stampAsked  chan struct{} // one per held version-stamp read that arrived
+	blockReads  *gate         // block reads, every cloud
+	blockAsked  chan struct{} // one per held block read that arrived
 	stampPut    chan struct{} // one per version-stamp write that landed
 	failLocks   atomic.Bool
 	mu          sync.Mutex
@@ -70,9 +72,10 @@ type tap struct {
 
 func newTap(slow string) *tap {
 	return &tap{
-		slow: slow, blocks: newGate(), stampReads: newGate(),
+		slow: slow, blocks: newGate(), stampReads: newGate(), blockReads: newGate(),
 		// Never block the program under test: above any test's request count.
 		stampAsked: make(chan struct{}, 1024), stampPut: make(chan struct{}, 1024),
+		blockAsked: make(chan struct{}, 1024),
 	}
 }
 
@@ -138,20 +141,34 @@ func (c *tappedCloud) Upload(ctx context.Context, path string, data []byte) erro
 }
 
 func (c *tappedCloud) Download(ctx context.Context, path string) ([]byte, error) {
-	if path == versionPath {
-		opened := c.tap.stampReads.opened()
-		select {
-		case <-opened:
-		default:
-			c.tap.stampAsked <- struct{}{}
-			select {
-			case <-opened:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
+	var err error
+	switch {
+	case path == versionPath:
+		err = through(ctx, c.tap.stampReads, c.tap.stampAsked)
+	case strings.HasPrefix(path, transfer.DefaultBlockDir+"/"):
+		err = through(ctx, c.tap.blockReads, c.tap.blockAsked)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return c.Interface.Download(ctx, path)
+}
+
+// through lets a request pass g, announcing it on asked when g holds it.
+func through(ctx context.Context, g *gate, asked chan<- struct{}) error {
+	opened := g.opened()
+	select {
+	case <-opened:
+		return nil
+	default:
+	}
+	asked <- struct{}{}
+	select {
+	case <-opened:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // tappedDevice is rig.device with every cloud behind the tap.

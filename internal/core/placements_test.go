@@ -15,13 +15,13 @@ import (
 )
 
 // owingPass commits a big.bin of more segments than a cloud has
-// connections from alpha, with the block uploads to c4 held until the
-// commit has landed, runs meanwhile (when not nil) while they are still
-// held, then lets them go: the pass ends owing every segment's c4 share
-// to alpha's next lock hold.
-func owingPass(t *testing.T, r *rig, meanwhile func()) (*Client, *localfs.Mem, *obs.Registry, string) {
+// connections from alpha, whose clouds are behind tp (newTap("c4")),
+// with the block uploads to c4 held until the commit has landed, runs
+// meanwhile (when not nil) while they are still held, then lets them
+// go: the pass ends owing every segment's c4 share to alpha's next lock
+// hold.
+func owingPass(t *testing.T, r *rig, tp *tap, meanwhile func()) (*Client, *localfs.Mem, *obs.Registry, string) {
 	t.Helper()
-	tp := newTap("c4")
 	a, fa, reg := r.tappedDevice(t, "alpha", tp)
 	big := randContent(17, 10*4096)
 	writeFile(t, fa, "big.bin", big)
@@ -146,7 +146,7 @@ func TestOwedPlacementsRecordedByEveryHold(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(5)
-			a, fa, reg, _ := owingPass(t, r, nil)
+			a, fa, reg, _ := owingPass(t, r, newTap("c4"), nil)
 			rounds := reg.Counter("qlock.rounds").Value()
 			tc.hold(t, r, a, fa)
 			if got := reg.Counter("qlock.rounds").Value() - rounds; got != 1 {
@@ -215,7 +215,7 @@ func TestOwedPlacementsRecordedByTheLoopsRemotePoll(t *testing.T) {
 func TestOwedPlacementsRebaseOverAConcurrentTrim(t *testing.T) {
 	r := newRig(5)
 	var trimmed []transfer.BlockRef
-	a, _, reg, _ := owingPass(t, r, func() {
+	a, _, reg, _ := owingPass(t, r, newTap("c4"), func() {
 		b, _ := r.device(t, "beta")
 		syncOK(t, b)
 		before := b.Image()
@@ -260,7 +260,7 @@ func TestOwedPlacementsOfDeadSegmentsAreDeleted(t *testing.T) {
 	t.Run("another device deleted the file", func(t *testing.T) {
 		r := newRig(5)
 		var b *Client
-		a, fa, reg, _ := owingPass(t, r, func() {
+		a, fa, reg, _ := owingPass(t, r, newTap("c4"), func() {
 			var fb *localfs.Mem
 			b, fb = r.device(t, "beta")
 			syncOK(t, b)
@@ -292,7 +292,7 @@ func TestOwedPlacementsOfDeadSegmentsAreDeleted(t *testing.T) {
 	})
 	t.Run("the next pass overwrites the file", func(t *testing.T) {
 		r := newRig(5)
-		a, fa, reg, _ := owingPass(t, r, nil)
+		a, fa, reg, _ := owingPass(t, r, newTap("c4"), nil)
 		owed := owedBlocks(a)
 		rewritten := randContent(18, 10*4096)
 		writeFile(t, fa, "big.bin", rewritten)
@@ -323,7 +323,7 @@ func TestOwedPlacementsSurviveACrash(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			r := newRig(5)
-			a, fa, _, big := owingPass(t, r, nil)
+			a, fa, _, big := owingPass(t, r, newTap("c4"), nil)
 			if postCommit {
 				a.ArmCrash(CrashPostCommit, 0)
 				if _, err := a.SyncRemote(ctxT(t)); !errors.Is(err, ErrCrashInjected) {

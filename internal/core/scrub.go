@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"unidrive/internal/meta"
 	"unidrive/internal/scrub"
@@ -46,10 +45,10 @@ func (c *Client) Scrub(ctx context.Context, repair bool) (*scrub.Report, error) 
 // commitRepairs commits scrub relocate changes under the quorum lock,
 // re-validated against the then-current image: a segment dropped
 // since the scrubber read its snapshot is skipped (its repair uploads
-// become orphans the next GC pass reclaims), the current RefCount is
-// preserved, and locations of block IDs the scrubber touched replace
-// the current record per block ID — so a concurrent reliability pass
-// adding copies of OTHER blocks is never clobbered.
+// become orphans the next GC pass reclaims), and the rest are laid on
+// the current record with scrub.Apply — the current RefCount is
+// preserved, and only the block IDs the cycle wrote are replaced, so a
+// concurrent pass or repair placing OTHER blocks is never clobbered.
 func (c *Client) commitRepairs(ctx context.Context, changes []*meta.Change) (int64, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()
@@ -63,18 +62,7 @@ func (c *Client) commitRepairs(ctx context.Context, changes []*meta.Change) (int
 			if !ok {
 				continue
 			}
-			want := ch.Segments[0]
-			merged := cur.Clone()
-			merged.Blocks = slices.DeleteFunc(merged.Blocks, func(b meta.BlockLocation) bool {
-				return slices.ContainsFunc(want.Blocks, func(w meta.BlockLocation) bool { return w.BlockID == b.BlockID })
-			})
-			for _, b := range want.Blocks {
-				merged.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
-			}
-			// The scrubber's thin verdict is authoritative: re-expansion
-			// clears the mark, a capacity-blocked repair leaves it.
-			merged.Thin = want.Thin
-			kept = append(kept, relocateChange(merged))
+			kept = append(kept, relocateChange(scrub.Apply(cur, ch.Segments[0])))
 		}
 		return kept, nil
 	})

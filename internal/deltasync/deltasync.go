@@ -102,8 +102,6 @@ var ErrNoQuorum = errors.New("deltasync: commit did not reach a quorum of clouds
 type Config struct {
 	// Device is this device's name, stamped into commits.
 	Device string
-	// Dir is the metadata directory on each cloud (DefaultDir).
-	Dir string
 	// Obs receives store metrics; nil disables instrumentation.
 	Obs *obs.Registry
 }
@@ -142,9 +140,6 @@ func New(clouds []cloud.Interface, cipher *metacrypt.Cipher, cfg Config) *Store 
 	if cfg.Device == "" {
 		panic("deltasync: empty device name")
 	}
-	if cfg.Dir == "" {
-		cfg.Dir = DefaultDir
-	}
 	return &Store{
 		clouds: clouds,
 		cipher: cipher,
@@ -157,7 +152,7 @@ func New(clouds []cloud.Interface, cipher *metacrypt.Cipher, cfg Config) *Store 
 // Quorum returns the majority count for commits (cloud.Quorum).
 func (s *Store) Quorum() int { return cloud.Quorum(len(s.clouds)) }
 
-func (s *Store) path(name string) string { return cloud.JoinPath(s.cfg.Dir, name) }
+func (s *Store) path(name string) string { return cloud.JoinPath(DefaultDir, name) }
 
 // Stamp returns the last known committed version stamp.
 func (s *Store) Stamp() meta.VersionStamp { return s.CachedShared().Stamp() }
@@ -320,7 +315,7 @@ var errUnreachable = errors.New("cloud did not answer")
 // record, ascending — the store's one listing, serving the reader's
 // gap backfill and a rotation's delete.
 func (s *Store) chunkStarts(ctx context.Context, c cloud.Interface) ([]int64, error) {
-	entries, err := c.List(ctx, s.cfg.Dir)
+	entries, err := c.List(ctx, DefaultDir)
 	if err != nil && !errors.Is(err, cloud.ErrNotFound) {
 		return nil, fmt.Errorf("deltasync: listing chunks on %s: %w: %w", c.Name(), errUnreachable, err)
 	}

@@ -87,7 +87,7 @@ func (b *Breaker) Latency() float64 {
 }
 
 // Allow reports whether a request may proceed. While half-open it
-// admits at most Config.HalfOpenProbes unreported probe requests;
+// admits at most halfOpenProbes unreported probe requests;
 // every admission must be matched by a Report call (the cloud chain
 // pairs them: the breaker is both its gate and one of its observers).
 func (b *Breaker) Allow() bool {
@@ -98,7 +98,7 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case HalfOpen:
-		if b.probes >= b.t.cfg.HalfOpenProbes {
+		if b.probes >= halfOpenProbes {
 			b.rejectLocked()
 			return false
 		}
@@ -172,7 +172,7 @@ func (b *Breaker) reportSuccessLocked(latency time.Duration) {
 	}
 	if b.state == HalfOpen {
 		b.probeOKs++
-		if b.probeOKs >= b.t.cfg.CloseAfter {
+		if b.probeOKs >= closeAfter {
 			b.toLocked(Closed, "closed")
 		}
 	}
@@ -186,11 +186,8 @@ func (b *Breaker) reportFailureLocked(unavailable bool) {
 		// A failed probe: the cloud is still sick, back to open.
 		b.openLocked()
 	case Closed:
-		cfg := &b.t.cfg
-		trip := b.consecFails >= cfg.FailureThreshold ||
-			(unavailable && cfg.TripOnUnavailable) ||
-			(cfg.TripErrorRate > 0 && b.errRate.Count() >= cfg.MinSamples &&
-				b.errRate.Value() >= cfg.TripErrorRate)
+		trip := b.consecFails >= failureThreshold || unavailable ||
+			(b.errRate.Count() >= minSamples && b.errRate.Value() >= tripErrorRate)
 		if trip {
 			b.openLocked()
 		}
@@ -201,15 +198,15 @@ func (b *Breaker) reportFailureLocked(unavailable bool) {
 // window with seeded jitter (±25% of OpenTimeout), so a fleet of
 // breakers tripped by one outage does not re-probe in lockstep.
 func (b *Breaker) openLocked() {
-	d := b.t.cfg.OpenTimeout
+	const d = OpenTimeout
 	jitter := time.Duration(b.t.rng.Int63n(int64(d)/2+1)) - d/4
-	b.reopenAt = b.t.cfg.Clock.Now().Add(d + jitter)
+	b.reopenAt = b.t.clock.Now().Add(d + jitter)
 	b.toLocked(Open, "opened")
 }
 
 // refreshLocked performs the time-driven open → half-open transition.
 func (b *Breaker) refreshLocked() {
-	if b.state == Open && !b.t.cfg.Clock.Now().Before(b.reopenAt) {
+	if b.state == Open && !b.t.clock.Now().Before(b.reopenAt) {
 		b.toLocked(HalfOpen, "half_opened")
 	}
 }
@@ -223,14 +220,14 @@ func (b *Breaker) toLocked(s State, transition string) {
 	if s == Closed {
 		b.consecFails = 0
 	}
-	reg := b.t.cfg.Obs
+	reg := b.t.obs
 	reg.Counter("health.breaker." + b.cloud + "." + transition).Inc()
 	reg.Counter("health.breaker." + transition).Inc()
 	reg.Gauge("health.breaker." + b.cloud + ".state").Set(float64(s))
 }
 
 func (b *Breaker) rejectLocked() {
-	reg := b.t.cfg.Obs
+	reg := b.t.obs
 	reg.Counter("health.breaker." + b.cloud + ".rejected").Inc()
 	reg.Counter("health.breaker.rejected").Inc()
 }

@@ -29,129 +29,65 @@ import (
 	"sync"
 	"time"
 
-	"unidrive/internal/cloud"
 	"unidrive/internal/obs"
 	"unidrive/internal/stats"
 	"unidrive/internal/vclock"
 )
 
-// Config parameterizes a Tracker. The zero value is usable: every
-// field has a production default filled in by NewTracker.
-type Config struct {
-	// FailureThreshold is the consecutive-failure count that trips a
-	// closed breaker. Default 3.
-	FailureThreshold int
-
-	// TripOnUnavailable trips a closed breaker on the first
-	// cloud.ErrUnavailable, since that error already means "the whole
-	// service is unreachable", not "one request failed". Default true
-	// (disable with a negative FailureThreshold-style override is not
-	// needed; set it explicitly in Config).
-	TripOnUnavailable bool
-
-	// TripErrorRate trips a closed breaker when the EWMA error rate
-	// reaches this value with at least MinSamples observations, so a
-	// cloud failing most — but not strictly all — requests still
-	// trips. 0 disables the rate trip. Default 0.8.
-	TripErrorRate float64
-
-	// MinSamples is the minimum observation count before TripErrorRate
-	// applies. Default 8.
-	MinSamples int
-
+// The breaker's rules, one value each (DESIGN.md §7).
+const (
+	// failureThreshold is the consecutive-failure count that trips a
+	// closed breaker.
+	failureThreshold = 3
+	// tripErrorRate trips a closed breaker when the EWMA error rate
+	// reaches it with at least minSamples observations, so a cloud
+	// failing most — but not strictly all — requests still trips.
+	tripErrorRate = 0.8
+	minSamples    = 8
 	// OpenTimeout is the base cooldown an open breaker waits before
 	// moving to half-open; the actual wait is jittered ±25% from the
-	// seeded PRNG. Default 30s.
-	OpenTimeout time.Duration
-
-	// HalfOpenProbes is how many unreported requests a half-open
-	// breaker admits at once. Default 1.
-	HalfOpenProbes int
-
-	// CloseAfter is how many consecutive probe successes close a
-	// half-open breaker. Default 2.
-	CloseAfter int
-
-	// Alpha is the smoothing factor of the error-rate and latency
-	// EWMAs (higher = more weight on recent samples). Default 0.3.
-	Alpha float64
-
-	// Clock supplies time for cooldown scheduling. Default the real
-	// wall clock.
-	Clock vclock.Clock
-
-	// Seed seeds the re-probe jitter PRNG; a fixed seed makes breaker
-	// timing reproducible. Default 1.
-	Seed int64
-
-	// Obs receives breaker transition counters and state gauges. Nil
-	// discards them.
-	Obs *obs.Registry
-}
-
-func (c *Config) fillDefaults() {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.TripErrorRate == 0 {
-		c.TripErrorRate = 0.8
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.OpenTimeout <= 0 {
-		c.OpenTimeout = 30 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	if c.CloseAfter <= 0 {
-		c.CloseAfter = 2
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.Clock == nil {
-		c.Clock = vclock.Real{}
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
+	// seeded PRNG.
+	OpenTimeout = 30 * time.Second
+	// halfOpenProbes is how many unreported requests a half-open
+	// breaker admits at once.
+	halfOpenProbes = 1
+	// closeAfter is how many consecutive probe successes close a
+	// half-open breaker.
+	closeAfter = 2
+	// alpha is the smoothing factor of the error-rate and latency
+	// EWMAs (higher = more weight on recent samples).
+	alpha = 0.3
+)
 
 // Tracker holds one Breaker per cloud, created lazily on first use.
 // A single Tracker is shared by the whole client stack so the
 // transfer engine, scheduler and lock protocol all see the same
 // picture of each cloud's health.
 type Tracker struct {
-	cfg Config
+	clock vclock.Clock
+	obs   *obs.Registry
 
 	mu       sync.Mutex
 	rng      *rand.Rand
 	breakers map[string]*Breaker
 }
 
-// NewTracker returns a Tracker with cfg's zero fields defaulted.
-// Note TripOnUnavailable keeps its literal value (a zero Config gets
-// false); use NewDefaultTracker for the production configuration.
-func NewTracker(cfg Config) *Tracker {
-	cfg.fillDefaults()
+// NewDefaultTracker returns a Tracker whose breakers run on clk. seed
+// seeds the re-probe jitter (0 means 1), so a fixed seed makes breaker
+// timing reproducible; reg receives transition counters and state
+// gauges (nil discards them). A cloud.ErrUnavailable trips a closed
+// breaker at once, since that error already means "the whole service
+// is unreachable", not "one request failed".
+func NewDefaultTracker(clk vclock.Clock, seed int64, reg *obs.Registry) *Tracker {
+	if seed == 0 {
+		seed = 1
+	}
 	return &Tracker{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		clock:    clk,
+		obs:      reg,
+		rng:      rand.New(rand.NewSource(seed)),
 		breakers: make(map[string]*Breaker),
 	}
-}
-
-// NewDefaultTracker returns a production-configured Tracker:
-// TripOnUnavailable on, everything else at Config defaults.
-func NewDefaultTracker(clk vclock.Clock, seed int64, reg *obs.Registry) *Tracker {
-	return NewTracker(Config{
-		TripOnUnavailable: true,
-		Clock:             clk,
-		Seed:              seed,
-		Obs:               reg,
-	})
 }
 
 // Breaker returns the named cloud's breaker, creating it (closed) on
@@ -168,11 +104,11 @@ func (t *Tracker) breakerLocked(cloudName string) *Breaker {
 		b = &Breaker{
 			t:       t,
 			cloud:   cloudName,
-			errRate: stats.NewEWMA(t.cfg.Alpha),
-			latency: stats.NewEWMA(t.cfg.Alpha),
+			errRate: stats.NewEWMA(alpha),
+			latency: stats.NewEWMA(alpha),
 		}
 		t.breakers[cloudName] = b
-		t.cfg.Obs.Gauge("health.breaker." + cloudName + ".state").Set(float64(Closed))
+		t.obs.Gauge("health.breaker." + cloudName + ".state").Set(float64(Closed))
 	}
 	return b
 }
@@ -228,13 +164,4 @@ func (t *Tracker) Healthiest(candidates []string) []string {
 // its breaker (see Breaker.ReportCorrupt).
 func (t *Tracker) ReportCorrupt(cloudName string) {
 	t.Breaker(cloudName).ReportCorrupt()
-}
-
-// Wrap returns inner behind this tracker's breaker for the cloud:
-// the breaker gates every call (cloud.Chain fails a refused one fast
-// with cloud.ErrCircuitOpen — no network traffic, no retry budget
-// spent) and observes the outcome of every call it admitted.
-func (t *Tracker) Wrap(inner cloud.Interface) *cloud.Chain {
-	b := t.Breaker(inner.Name())
-	return cloud.NewChain(inner, t.cfg.Clock, b, b.ObserveCall)
 }

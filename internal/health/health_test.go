@@ -14,24 +14,21 @@ import (
 )
 
 func testTracker(clk vclock.Clock, reg *obs.Registry) *Tracker {
-	return NewTracker(Config{
-		FailureThreshold:  3,
-		TripOnUnavailable: true,
-		TripErrorRate:     0.8,
-		MinSamples:        8,
-		OpenTimeout:       30 * time.Second,
-		HalfOpenProbes:    1,
-		CloseAfter:        2,
-		Clock:             clk,
-		Seed:              7,
-		Obs:               reg,
-	})
+	return NewDefaultTracker(clk, 7, reg)
+}
+
+// guarded is inner behind the tracker's breaker for it, as the client
+// stack builds it: the breaker gates every call and observes the
+// outcome of every call it admitted.
+func guarded(tr *Tracker, clk vclock.Clock, inner cloud.Interface) *cloud.Chain {
+	b := tr.Breaker(inner.Name())
+	return cloud.NewChain(inner, clk, b, b.ObserveCall)
 }
 
 // advancePastCooldown moves the manual clock beyond the jittered
 // cooldown window (base + 25%).
 func advancePastCooldown(clk *vclock.Manual) {
-	clk.Advance(30*time.Second + 8*time.Second)
+	clk.Advance(OpenTimeout + OpenTimeout/4 + time.Second)
 }
 
 // TestBreakerTransitions is the table-driven state machine test: each
@@ -147,26 +144,31 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
+// The error-rate trip under the production rules: F F S F F S F F
+// never runs three failures in a row, yet the EWMA error rate reaches
+// tripErrorRate at the minSamples-th sample and trips the breaker there.
 func TestBreakerErrorRateTrip(t *testing.T) {
-	clk := vclock.NewManual(time.Unix(0, 0))
-	tr := NewTracker(Config{
-		FailureThreshold: 1000, // keep the streak trip out of the way
-		TripErrorRate:    0.8,
-		MinSamples:       8,
-		Clock:            clk,
-	})
+	tr := testTracker(vclock.NewManual(time.Unix(0, 0)), nil)
 	b := tr.Breaker("c0")
-	// Alternate just enough successes to keep the streak low while
-	// the failure rate stays overwhelming.
-	for i := 0; i < 20 && b.State() == Closed; i++ {
-		if i%7 == 6 {
-			b.Report(nil, time.Millisecond)
-		} else {
+	script := "FFSFFSFF"
+	for i, outcome := range script {
+		if b.State() != Closed {
+			t.Fatalf("tripped after %d samples, want %d; rate=%.3f", i, len(script), b.ErrorRate())
+		}
+		if outcome == 'F' {
 			b.Report(cloud.ErrTransient, time.Millisecond)
+		} else {
+			b.Report(nil, time.Millisecond)
 		}
 	}
+	if len(script) != minSamples {
+		t.Fatalf("script has %d samples, want minSamples=%d", len(script), minSamples)
+	}
 	if b.State() != Open {
-		t.Fatalf("breaker should trip on sustained error rate; rate=%.2f", b.ErrorRate())
+		t.Fatalf("breaker should trip on sustained error rate at sample %d; rate=%.3f", minSamples, b.ErrorRate())
+	}
+	if b.ErrorRate() < tripErrorRate {
+		t.Fatalf("tripped below the rate: %.3f < %v", b.ErrorRate(), tripErrorRate)
 	}
 }
 
@@ -175,7 +177,7 @@ func TestBreakerReprobeJitterDeterministic(t *testing.T) {
 	// times; a different seed diverges.
 	probeDelay := func(seed int64) time.Duration {
 		clk := vclock.NewManual(time.Unix(0, 0))
-		tr := NewTracker(Config{Clock: clk, Seed: seed, OpenTimeout: 30 * time.Second, TripOnUnavailable: true})
+		tr := NewDefaultTracker(clk, seed, nil)
 		b := tr.Breaker("c0")
 		b.Report(cloud.ErrUnavailable, 0)
 		var d time.Duration
@@ -238,7 +240,7 @@ func TestGuardFailsFastAndReports(t *testing.T) {
 	store := cloudsim.NewStore("c0", 0)
 	flaky := cloudsim.NewFlaky(cloudsim.NewDirect(store), 0, 1)
 	rec := cloudsim.NewRecorder(flaky)
-	g := tr.Wrap(rec)
+	g := guarded(tr, clk, rec)
 	ctx := context.Background()
 
 	if g.Name() != "c0" {
@@ -316,7 +318,7 @@ func TestGuardFailsFastAndReports(t *testing.T) {
 func TestGuardUnwrap(t *testing.T) {
 	tr := NewDefaultTracker(vclock.Real{}, 1, nil)
 	inner := cloudsim.NewDirect(cloudsim.NewStore("c0", 0))
-	g := tr.Wrap(inner)
+	g := guarded(tr, vclock.Real{}, inner)
 	if g.Unwrap() != cloud.Interface(inner) {
 		t.Error("Unwrap should return the wrapped connector")
 	}

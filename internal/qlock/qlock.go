@@ -108,8 +108,6 @@ type Config struct {
 	BackoffMax  time.Duration
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
-	// Seed drives backoff jitter; 0 derives one from the device name.
-	Seed int64
 	// Obs receives the lock protocol's metrics ("qlock.*", DESIGN.md
 	// §6). nil disables recording.
 	Obs *obs.Registry
@@ -134,12 +132,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real{}
-	}
-	if c.Seed == 0 {
-		for _, b := range []byte(c.Device) {
-			c.Seed = c.Seed*131 + int64(b)
-		}
-		c.Seed++
 	}
 }
 
@@ -203,10 +195,21 @@ func New(clouds []cloud.Interface, cfg Config) *Manager {
 	return &Manager{
 		clouds:    clouds,
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		rng:       rand.New(rand.NewSource(deviceSeed(cfg.Device))),
 		firstSeen: make(map[string]map[string]time.Time),
 		own:       make(map[string]map[string]uint64),
 	}
+}
+
+// deviceSeed seeds a device's backoff jitter from its name, so devices
+// contending for the lock back off on different schedules and a run
+// replays the same ones.
+func deviceSeed(device string) int64 {
+	var seed int64
+	for _, b := range []byte(device) {
+		seed = seed*131 + int64(b)
+	}
+	return seed + 1
 }
 
 // Quorum returns the number of clouds whose lock must be won: a

@@ -96,9 +96,7 @@ func TestMutualExclusionStress(t *testing.T) {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			cfg := fastCfg(fmt.Sprintf("dev%d", d))
-			cfg.Seed = int64(d + 1)
-			m := New(clouds, cfg)
+			m := New(clouds, fastCfg(fmt.Sprintf("dev%d", d)))
 			for r := 0; r < rounds; r++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				l, err := m.Acquire(ctx)

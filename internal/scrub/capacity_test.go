@@ -11,6 +11,7 @@ import (
 	"unidrive/internal/erasure"
 	"unidrive/internal/meta"
 	"unidrive/internal/transfer"
+	"unidrive/internal/vclock"
 )
 
 // capScrubber builds a scrubber with the capacity tracker and the
@@ -80,7 +81,7 @@ func TestScrubRepairSkipsQuotaFullClouds(t *testing.T) {
 		[]transfer.BlockRef{{SegID: seg.ID, BlockID: 1, Cloud: loc.CloudID}}); n != 1 {
 		t.Fatalf("setup delete removed %d blocks", n)
 	}
-	tr := capacity.NewTracker(capacity.Config{})
+	tr := capacity.NewDefaultTracker(vclock.Real{}, nil)
 	tr.ObserveQuotaExceeded(loc.CloudID)
 
 	rep, err := h.capScrubber(t, tr, 5, 2).Cycle(context.Background(), true)
@@ -116,7 +117,7 @@ func TestScrubUnrepairableCapacityDistinctFromDataLoss(t *testing.T) {
 		[]transfer.BlockRef{{SegID: seg.ID, BlockID: 2, Cloud: loc.CloudID}}); n != 1 {
 		t.Fatalf("setup delete removed %d blocks", n)
 	}
-	tr := capacity.NewTracker(capacity.Config{})
+	tr := capacity.NewDefaultTracker(vclock.Real{}, nil)
 	for i := 0; i < 5; i++ {
 		tr.ObserveQuotaExceeded(fmt.Sprintf("c%d", i))
 	}
@@ -144,7 +145,7 @@ func TestScrubUnrepairableCapacityDistinctFromDataLoss(t *testing.T) {
 func TestScrubExpandThinClearsThinMark(t *testing.T) {
 	h := newHarness(t, 5)
 	seg := h.addThinSegment(t, 42, 6000, 3, 3)
-	tr := capacity.NewTracker(capacity.Config{})
+	tr := capacity.NewDefaultTracker(vclock.Real{}, nil)
 
 	rep, err := h.capScrubber(t, tr, 5, 2).Cycle(context.Background(), true)
 	if err != nil {
@@ -183,7 +184,7 @@ func TestScrubExpandThinClearsThinMark(t *testing.T) {
 func TestScrubExpandThinBlockedThenRecovers(t *testing.T) {
 	h := newHarness(t, 5)
 	seg := h.addThinSegment(t, 43, 6000, 3, 3)
-	tr := capacity.NewTracker(capacity.Config{})
+	tr := capacity.NewDefaultTracker(vclock.Real{}, nil)
 	for i := 0; i < 5; i++ {
 		tr.ObserveQuotaExceeded(fmt.Sprintf("c%d", i))
 	}
@@ -206,7 +207,7 @@ func TestScrubExpandThinBlockedThenRecovers(t *testing.T) {
 	// Space returns (probe-after-free on every cloud): the next cycle
 	// re-expands and clears the mark.
 	for i := 0; i < 5; i++ {
-		tr.ObserveDelete(fmt.Sprintf("c%d", i), 1)
+		tr.ObserveDelete(fmt.Sprintf("c%d", i))
 	}
 	rep2, err := h.capScrubber(t, tr, 5, 2).Cycle(context.Background(), true)
 	if err != nil {

@@ -49,22 +49,24 @@ import (
 	"unidrive/internal/vclock"
 )
 
-// Config parametrizes a Scrubber. Engine and Image are required;
-// Commit is required for repair mode.
+// Config parametrizes a Scrubber. Engine, Image, Journal and Params
+// are required; Commit is required for repair mode.
 type Config struct {
 	// Engine provides per-cloud block listing, fetching, and the
 	// repair write path.
 	Engine *transfer.Engine
 	// Image returns the current committed metadata image.
 	Image func(ctx context.Context) (*meta.Image, error)
-	// Commit commits repair relocate changes under the quorum
-	// lock and returns the committed metadata version. The committer
-	// must re-validate against the then-current image (segments may
-	// have been dropped concurrently). Required for repair mode.
+	// Commit commits repair relocate changes under the quorum lock
+	// and returns the committed metadata version. A relocate names, of
+	// its segment, the locations of the block IDs this cycle wrote and
+	// the thin verdict; the committer lays it on the then-current
+	// record with Apply, skipping segments dropped since. Required for
+	// repair mode.
 	Commit func(ctx context.Context, changes []*meta.Change) (int64, error)
-	// Journal, when non-nil, records repair intents so a crash between
-	// repair uploads and the metadata commit leaves a reclamation
-	// record instead of leaked blocks.
+	// Journal records repair intents so a crash between repair uploads
+	// and the metadata commit leaves a reclamation record instead of
+	// leaked blocks.
 	Journal *journal.Journal
 	// Fair, when non-nil, is the process-wide connection scheduler;
 	// every scrub fetch claims a slot with TryAcquire (never reserving
@@ -84,9 +86,7 @@ type Config struct {
 	// thin-segment re-expansion: a segment committed thin
 	// (under-replicated for capacity) is grown back toward its normal
 	// placement, NormalBlocks distinct blocks, once clouds with space
-	// exist, and its thin mark is cleared when that is reached. The zero
-	// value places nothing new: a repair only overwrites a damaged copy
-	// in place, and thin segments stay as they are.
+	// exist, and its thin mark is cleared when that is reached.
 	Params sched.Params
 	// RatePerSec caps verification fetches per second across all
 	// clouds; 0 disables pacing.
@@ -159,10 +159,11 @@ func New(cfg Config) (*Scrubber, error) {
 	if cfg.Image == nil {
 		return nil, fmt.Errorf("scrub: Config.Image is required")
 	}
-	if cfg.Params != (sched.Params{}) {
-		if err := cfg.Params.Validate(); err != nil {
-			return nil, fmt.Errorf("scrub: %w", err)
-		}
+	if cfg.Journal == nil {
+		return nil, fmt.Errorf("scrub: Config.Journal is required")
+	}
+	if err := cfg.Params.Validate(); err != nil {
+		return nil, fmt.Errorf("scrub: Config.Params: %w", err)
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
@@ -191,9 +192,14 @@ type cycle struct {
 	journaled bool
 }
 
-// segDamage is everything a cycle learned about one segment.
+// segDamage is everything a cycle learned about one segment, and what
+// it wrote.
 type segDamage struct {
 	seg *meta.Segment
+	// cur is the segment's placement as the cycle's writes leave it, and
+	// wrote the block IDs they placed.
+	cur   *meta.Segment
+	wrote map[int]bool
 	// missing and corrupt are the damaged copies.
 	missing []meta.BlockLocation
 	corrupt []meta.BlockLocation
@@ -294,7 +300,7 @@ func (s *cycle) scrubSegment(ctx context.Context, seg *meta.Segment, repair bool
 		s.rep.ThinSegments++
 		s.reg.Counter("scrub.thin_segments").Inc()
 	}
-	expand := repair && seg.Thin && s.cfg.Params != (sched.Params{})
+	expand := repair && seg.Thin
 	damaged := len(d.missing) + len(d.corrupt)
 	if !(repair && damaged > 0) && !expand {
 		return nil, nil // nothing needs the segment's content
@@ -311,10 +317,10 @@ func (s *cycle) scrubSegment(ctx context.Context, seg *meta.Segment, repair bool
 	if err := s.ensureIntent(); err != nil {
 		return nil, err
 	}
-	change, capBlocked, err := s.repairSegment(ctx, d)
+	capBlocked, err := s.repairSegment(ctx, d)
 	if err == nil && expand {
 		var expBlocked bool
-		change, expBlocked, err = s.expandThin(ctx, d, change)
+		expBlocked, err = s.expandThin(ctx, d)
 		capBlocked = capBlocked || expBlocked
 	}
 	if err != nil {
@@ -326,13 +332,13 @@ func (s *cycle) scrubSegment(ctx context.Context, seg *meta.Segment, repair bool
 		s.rep.UnrepairableCapacity = append(s.rep.UnrepairableCapacity, seg.ID)
 		s.reg.Counter("scrub.capacity_blocked_segments").Inc()
 	}
-	return change, nil
+	return d.relocate(), nil
 }
 
 // ensureIntent journals the cycle's repair intent once, before the
 // first block (repair or re-expansion) leaves this device.
 func (s *cycle) ensureIntent() error {
-	if s.cfg.Journal == nil || s.journaled {
+	if s.journaled {
 		return nil
 	}
 	in := &journal.Intent{
@@ -351,6 +357,8 @@ func (s *cycle) ensureIntent() error {
 func (s *cycle) checkSegment(ctx context.Context, seg *meta.Segment) (*segDamage, error) {
 	d := &segDamage{
 		seg:     seg,
+		cur:     seg.Clone(),
+		wrote:   make(map[int]bool),
 		healthy: make(map[int][]byte),
 		full:    make(map[string]bool),
 	}
@@ -432,24 +440,22 @@ func (s *Scrubber) reconstruct(d *segDamage) bool {
 	return true
 }
 
-// repairSegment re-encodes and re-uploads every damaged copy and
-// returns the relocate change carrying the refreshed placement (nil
-// when nothing changed). A replacement goes to the damaged copy's own
-// cloud when that is not out of quota — an idempotent overwrite of the
-// committed path — falling back to the targets sched's rule admits over
-// the placement so far. A copy no cloud may take is left for a later
-// cycle. The second result reports a copy left unrepaired purely for
-// capacity: an eligible destination was quota-full.
-func (s *cycle) repairSegment(ctx context.Context, d *segDamage) (*meta.Change, bool, error) {
-	cur := d.seg.Clone()
-	capBlocked, moved := false, false
+// repairSegment re-encodes and re-uploads every damaged copy into d's
+// placement. A replacement goes to the damaged copy's own cloud when
+// that is not out of quota — an idempotent overwrite of the committed
+// path — falling back to the targets sched's rule admits over the
+// placement so far. A copy no cloud may take is left for a later cycle.
+// The result reports a copy left unrepaired purely for capacity: an
+// eligible destination was quota-full.
+func (s *cycle) repairSegment(ctx context.Context, d *segDamage) (bool, error) {
+	capBlocked := false
 	repaired := make(map[int]bool) // one replacement per block ID
 	for _, loc := range append(slices.Clone(d.missing), d.corrupt...) {
 		if repaired[loc.BlockID] {
 			continue
 		}
 		repaired[loc.BlockID] = true
-		cands, dropped := s.targets(cur.Blocks, loc.CloudID)
+		cands, dropped := s.targets(d.cur.Blocks, loc.CloudID)
 		if s.elig.AcceptsWrites(loc.CloudID) {
 			cands = append([]string{loc.CloudID}, cands...)
 		} else {
@@ -459,7 +465,7 @@ func (s *cycle) repairSegment(ctx context.Context, d *segDamage) (*meta.Change, 
 		}
 		placed, sum, err := s.place(ctx, d, loc.BlockID, cands)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		if placed == "" {
 			capBlocked = capBlocked || dropped || len(d.full) > 0
@@ -467,38 +473,27 @@ func (s *cycle) repairSegment(ctx context.Context, d *segDamage) (*meta.Change, 
 		}
 		s.rep.RepairedBlocks++
 		s.reg.Counter("scrub.repaired_blocks").Inc()
-		cur.Blocks[slices.Index(cur.Blocks, loc)] =
+		d.cur.Blocks[slices.Index(d.cur.Blocks, loc)] =
 			meta.BlockLocation{BlockID: loc.BlockID, CloudID: placed, Checksum: sum}
-		moved = true
+		d.wrote[loc.BlockID] = true
 	}
-	if !moved {
-		return nil, capBlocked, nil
-	}
-	return relocate(cur), capBlocked, nil
+	return capBlocked, nil
 }
 
 // expandThin grows a thin (under-replicated) segment back toward its
 // normal placement: missing block IDs, lowest first, are re-encoded
 // from the verified content and uploaded to the targets sched's rule
-// admits; the thin mark is cleared once the normal placement holds.
-// It extends change — the segment's repair relocate, when one exists —
-// or creates a fresh one. The bool result reports a capacity block:
-// the target could not be reached because eligible clouds are full.
-func (s *cycle) expandThin(ctx context.Context, d *segDamage, change *meta.Change) (*meta.Change, bool, error) {
-	seg := d.seg
-	var base *meta.Segment
-	if change != nil {
-		base = change.Segments[0]
-	} else {
-		base = seg.Clone()
-	}
+// admits, into d's placement; the thin mark is cleared once the normal
+// placement holds. The result reports a capacity block: the target
+// could not be reached because eligible clouds are full.
+func (s *cycle) expandThin(ctx context.Context, d *segDamage) (bool, error) {
+	seg, base := d.seg, d.cur
 	target := min(s.cfg.Params.NormalBlocks(), seg.N)
 	placed := make(map[int]bool, len(base.Blocks))
 	for _, b := range base.Blocks {
 		placed[b.BlockID] = true
 	}
 
-	added := 0
 	for blockID := 0; blockID < seg.N && len(placed) < target; blockID++ {
 		if placed[blockID] {
 			continue
@@ -506,29 +501,25 @@ func (s *cycle) expandThin(ctx context.Context, d *segDamage, change *meta.Chang
 		cands, _ := s.targets(base.Blocks, "")
 		landed, sum, err := s.place(ctx, d, blockID, cands)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		if landed == "" {
 			continue
 		}
 		base.AddBlockSum(blockID, landed, sum)
 		placed[blockID] = true
-		added++
+		d.wrote[blockID] = true
 		s.rep.ReexpandedBlocks++
 		s.reg.Counter("scrub.reexpanded_blocks").Inc()
 	}
 
 	blocked := len(placed) < target
-	cleared := !blocked && base.Thin
-	if cleared {
+	if !blocked && base.Thin {
 		base.Thin = false
 		s.rep.ThinCleared++
 		s.reg.Counter("scrub.thin_cleared").Inc()
 	}
-	if change != nil || (added == 0 && !cleared) {
-		return change, blocked, nil // base aliases change's segment, or nothing to record
-	}
-	return relocate(base), blocked, nil
+	return blocked, nil
 }
 
 // targets are the clouds one more block of a segment placed as blocks
@@ -560,10 +551,8 @@ func (s *cycle) place(ctx context.Context, d *segDamage, blockID int, cands []st
 		if err != nil {
 			return "", 0, err
 		}
-		if s.cfg.Journal != nil {
-			if err := s.cfg.Journal.UpdatePlacements(s.intentID(), d.seg.ID, map[int]string{blockID: target}); err != nil {
-				return "", 0, err
-			}
+		if err := s.cfg.Journal.UpdatePlacements(s.intentID(), d.seg.ID, map[int]string{blockID: target}); err != nil {
+			return "", 0, err
 		}
 		err = s.paced(ctx, target, func() error {
 			return s.cfg.Engine.PutBlock(ctx, target, d.seg.ID, blockID, payload)
@@ -582,9 +571,37 @@ func (s *cycle) place(ctx context.Context, d *segDamage, blockID int, cands []st
 	return "", 0, nil
 }
 
-// relocate wraps a segment's refreshed placement in its change.
-func relocate(seg *meta.Segment) *meta.Change {
+// relocate is the segment's repair relocate: of the placement the
+// cycle's writes leave, the locations of the block IDs they placed, and
+// the thin verdict. Only those: a block ID the cycle did not write may
+// have moved since the cycle read the image — another device's repair
+// or re-expansion placed it elsewhere, and this device's next lock hold
+// deleted the copy the cycle saw — and naming it would name a deleted
+// block. Nil when the cycle wrote nothing and the verdict stands.
+func (d *segDamage) relocate() *meta.Change {
+	if len(d.wrote) == 0 && d.cur.Thin == d.seg.Thin {
+		return nil
+	}
+	seg := d.cur.Clone()
+	seg.Blocks = slices.DeleteFunc(seg.Blocks, func(b meta.BlockLocation) bool { return !d.wrote[b.BlockID] })
 	return &meta.Change{Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{seg}}
+}
+
+// Apply lays repair, the segment of a repair relocate, on cur, the
+// then-current record of the segment, and returns the result: every
+// block ID repair names is placed where repair places it, every other
+// block keeps its current location, and repair's thin verdict holds
+// (re-expansion clears the mark, a capacity-blocked repair leaves it).
+func Apply(cur, repair *meta.Segment) *meta.Segment {
+	merged := cur.Clone()
+	merged.Blocks = slices.DeleteFunc(merged.Blocks, func(b meta.BlockLocation) bool {
+		return slices.ContainsFunc(repair.Blocks, func(w meta.BlockLocation) bool { return w.BlockID == b.BlockID })
+	})
+	for _, b := range repair.Blocks {
+		merged.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
+	}
+	merged.Thin = repair.Thin
+	return merged
 }
 
 // paced runs one block request against a cloud under the rate limit

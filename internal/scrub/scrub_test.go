@@ -21,7 +21,7 @@ import (
 )
 
 // harness builds a scrubber over simulated clouds and a hand-rolled
-// metadata image, with a Commit that applies relocates in place.
+// metadata image, with a Commit that lays relocates on it with Apply.
 type harness struct {
 	stores []*cloudsim.Store
 	flaky  []*cloudsim.Flaky
@@ -55,9 +55,10 @@ func newHarness(t *testing.T, nClouds int) *harness {
 	return h
 }
 
-func (h *harness) scrubber(t *testing.T) *Scrubber {
-	t.Helper()
-	s, err := New(Config{
+// config is the scrubber's configuration over the harness, as a test
+// adjusts it.
+func (h *harness) config() Config {
+	return Config{
 		Engine:  h.engine,
 		Image:   func(context.Context) (*meta.Image, error) { return h.img, nil },
 		Commit:  h.commit,
@@ -65,7 +66,12 @@ func (h *harness) scrubber(t *testing.T) *Scrubber {
 		Params:  paperParams,
 		Device:  "tester",
 		Obs:     h.reg,
-	})
+	}
+}
+
+func (h *harness) scrubber(t *testing.T) *Scrubber {
+	t.Helper()
+	s, err := New(h.config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +87,11 @@ func (h *harness) commit(ctx context.Context, changes []*meta.Change) (int64, er
 		if ch.Type != meta.ChangeRelocate || len(ch.Segments) != 1 {
 			return 0, fmt.Errorf("harness: unexpected change shape for %q", ch.Path)
 		}
-		h.img.SetSegment(ch.Segments[0].Clone())
+		cur, ok := h.img.Segment(ch.Path)
+		if !ok {
+			return 0, fmt.Errorf("harness: relocate of unknown segment %q", ch.Path)
+		}
+		h.img.SetSegment(Apply(cur, ch.Segments[0]))
 	}
 	h.version++
 	return h.version, nil
@@ -316,15 +326,9 @@ func TestScrubFairSchedulerLowPriority(t *testing.T) {
 			t.Fatalf("foreground could not take %s", name)
 		}
 	}
-	s, err := New(Config{
-		Engine: h.engine,
-		Image:  func(context.Context) (*meta.Image, error) { return h.img, nil },
-		Commit: h.commit,
-		Fair:   fair,
-		Tenant: "scrubber",
-		Device: "tester",
-		Obs:    h.reg,
-	})
+	cfg := h.config()
+	cfg.Fair, cfg.Tenant = fair, "scrubber"
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,14 +361,9 @@ func TestScrubFairSchedulerLowPriority(t *testing.T) {
 func TestScrubRateLimitPacing(t *testing.T) {
 	h := newHarness(t, 3)
 	h.addSegment(t, 13, 3000, 2)
-	s, err := New(Config{
-		Engine:     h.engine,
-		Image:      func(context.Context) (*meta.Image, error) { return h.img, nil },
-		Commit:     h.commit,
-		RatePerSec: 1000, // 1ms per verification fetch: pacing path, fast test
-		Device:     "tester",
-		Obs:        h.reg,
-	})
+	cfg := h.config()
+	cfg.RatePerSec = 1000 // 1ms per verification fetch: pacing path, fast test
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,17 +429,9 @@ func TestScrubRepairUnderFairAndRateLimit(t *testing.T) {
 	h.flaky[h.cloudIndex(t, loc.CloudID)].CorruptPath(h.blockPath(seg.ID, 0), cloudsim.CorruptStale)
 
 	fair := transfer.NewFairScheduler(2, h.reg)
-	s, err := New(Config{
-		Engine:     h.engine,
-		Image:      func(context.Context) (*meta.Image, error) { return h.img, nil },
-		Commit:     h.commit,
-		Journal:    h.jrnl,
-		Fair:       fair,
-		Tenant:     "scrubber",
-		RatePerSec: 2000,
-		Device:     "tester",
-		Obs:        h.reg,
-	})
+	cfg := h.config()
+	cfg.Fair, cfg.Tenant, cfg.RatePerSec = fair, "scrubber", 2000
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,14 +462,9 @@ func TestScrubCancelledContext(t *testing.T) {
 func TestScrubCancelledWhilePacing(t *testing.T) {
 	h := newHarness(t, 3)
 	h.addSegment(t, 17, 3000, 2)
-	s, err := New(Config{
-		Engine:     h.engine,
-		Image:      func(context.Context) (*meta.Image, error) { return h.img, nil },
-		Commit:     h.commit,
-		RatePerSec: 0.001, // ~17 minutes per fetch: the cycle must die waiting
-		Device:     "tester",
-		Obs:        h.reg,
-	})
+	cfg := h.config()
+	cfg.RatePerSec = 0.001 // ~17 minutes per fetch: the cycle must die waiting
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,13 +480,21 @@ func TestScrubConfigValidation(t *testing.T) {
 		t.Fatal("New accepted an empty config")
 	}
 	h := newHarness(t, 3)
-	if _, err := New(Config{Engine: h.engine}); err == nil {
-		t.Fatal("New accepted a config without Image")
+	for name, drop := range map[string]func(*Config){
+		"Engine":  func(c *Config) { c.Engine = nil },
+		"Image":   func(c *Config) { c.Image = nil },
+		"Journal": func(c *Config) { c.Journal = nil },
+		"Params":  func(c *Config) { c.Params = sched.Params{} },
+	} {
+		cfg := h.config()
+		drop(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted a config without %s", name)
+		}
 	}
-	s, err := New(Config{
-		Engine: h.engine,
-		Image:  func(context.Context) (*meta.Image, error) { return h.img, nil },
-	})
+	cfg := h.config()
+	cfg.Commit = nil
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func (d *dispatcher) markOutcome(cloudName string, err error) (dead bool) {
 		return true
 	}
 	d.streak[cloudName]++
-	return d.streak[cloudName] >= d.e.cfg.DeadAfter
+	return d.streak[cloudName] >= deadAfter
 }
 
 // take claims an idle connection slot on cloudName and publishes the

@@ -23,7 +23,7 @@ func TestExclusionReasonDecidesWhoStillServesReads(t *testing.T) {
 	reg := obs.NewRegistry()
 	clk := vclock.NewManual(time.Unix(0, 0)) // breakers stay open, quota stays full
 	breakers := health.NewDefaultTracker(clk, 1, reg)
-	quota := capacity.NewTracker(capacity.Config{Clock: clk, Obs: reg})
+	quota := capacity.NewDefaultTracker(clk, reg)
 	var clouds []cloud.Interface
 	for _, f := range r.flaky {
 		b := breakers.Breaker(f.Name())

@@ -35,12 +35,7 @@ type guardedRig struct {
 func newGuardedRig(t *testing.T, n int, cfg Config) *guardedRig {
 	t.Helper()
 	r := &guardedRig{reg: obs.NewRegistry()}
-	r.tracker = health.NewTracker(health.Config{
-		TripOnUnavailable: true,
-		Clock:             vclock.Real{},
-		Seed:              7,
-		Obs:               r.reg,
-	})
+	r.tracker = health.NewDefaultTracker(vclock.Real{}, 7, r.reg)
 	var clouds []cloud.Interface
 	for i := 0; i < n; i++ {
 		st := cloudsim.NewStore(fmt.Sprintf("c%d", i), 0)
@@ -50,7 +45,8 @@ func newGuardedRig(t *testing.T, n int, cfg Config) *guardedRig {
 		r.flaky = append(r.flaky, fl)
 		r.recs = append(r.recs, rec)
 		r.names = append(r.names, st.Name())
-		clouds = append(clouds, r.tracker.Wrap(rec))
+		b := r.tracker.Breaker(rec.Name())
+		clouds = append(clouds, cloud.NewChain(rec, vclock.Real{}, b, b.ObserveCall))
 	}
 	cfg.Health = r.tracker
 	cfg.Obs = r.reg

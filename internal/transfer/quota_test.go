@@ -66,7 +66,7 @@ func TestUploadQuotaReplansNotRetries(t *testing.T) {
 func TestUploadCapacityGateRoutesAroundFullCloud(t *testing.T) {
 	r := newDirectRig(t, 5)
 	reg := obs.NewRegistry()
-	tr := capacity.NewTracker(capacity.Config{Clock: vclock.NewManual(time.Unix(0, 0))})
+	tr := capacity.NewDefaultTracker(vclock.NewManual(time.Unix(0, 0)), nil)
 	tr.ObserveQuotaExceeded("c1")
 	r.engine = New(enginesClouds(r), sched.NewProber(0), Config{Obs: reg, Capacity: tr})
 
@@ -151,7 +151,7 @@ func TestDownloadServedByCapacityFullClouds(t *testing.T) {
 	}
 
 	// Every cloud is now Full in the tracker AND rejects new uploads.
-	tr := capacity.NewTracker(capacity.Config{Clock: vclock.NewManual(time.Unix(0, 0))})
+	tr := capacity.NewDefaultTracker(vclock.NewManual(time.Unix(0, 0)), nil)
 	for _, n := range r.names {
 		tr.ObserveQuotaExceeded(n)
 	}

@@ -36,7 +36,7 @@ func (e *Engine) Survey(ctx context.Context) *Survey {
 	// Every listing is waited for, so each cloud ends up listed or
 	// unknown, never empty for want of an answer.
 	listings, _ := cloud.Each(ctx, len(e.names), func(ctx context.Context, i int) listing {
-		entries, err := e.clouds[e.names[i]].List(ctx, e.cfg.BlockDir)
+		entries, err := e.clouds[e.names[i]].List(ctx, DefaultBlockDir)
 		return listing{entries, err}
 	}).Wait(context.WithoutCancel(ctx))
 

@@ -36,10 +36,10 @@ func TestSurveyUnknownIsNotEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := clouds[0].Upload(ctx, cloud.JoinPath(e.BlockDir(), "README"), []byte("not a block")); err != nil {
+	if err := clouds[0].Upload(ctx, cloud.JoinPath(DefaultBlockDir, "README"), []byte("not a block")); err != nil {
 		t.Fatal(err)
 	}
-	if err := clouds[0].CreateDir(ctx, cloud.JoinPath(e.BlockDir(), "segC.7")); err != nil {
+	if err := clouds[0].CreateDir(ctx, cloud.JoinPath(DefaultBlockDir, "segC.7")); err != nil {
 		t.Fatal(err)
 	}
 	flaky[1].SetDown(true)

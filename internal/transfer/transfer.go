@@ -37,18 +37,14 @@ const DefaultBlockDir = ".unidrive/blocks"
 // up to 5 connections to each cloud").
 const DefaultConnsPerCloud = 5
 
+// deadAfter is the number of consecutive failed block transfers after
+// which a cloud is excluded from the current plan.
+const deadAfter = 3
+
 // Config parametrizes an Engine.
 type Config struct {
 	// ConnsPerCloud is the maximum concurrent transfers per cloud.
 	ConnsPerCloud int
-	// BlockDir is the cloud directory for coded blocks.
-	BlockDir string
-	// RetryAttempts is how many times a single block transfer is
-	// tried against one cloud before counting as a failure.
-	RetryAttempts int
-	// DeadAfter is the number of consecutive failed block transfers
-	// after which a cloud is excluded from the current plan.
-	DeadAfter int
 	// Clock paces retry backoff; defaults to the real clock.
 	Clock vclock.Clock
 	// Obs receives the engine's metrics (per-block retries, straggler
@@ -91,15 +87,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.ConnsPerCloud <= 0 {
 		c.ConnsPerCloud = DefaultConnsPerCloud
-	}
-	if c.BlockDir == "" {
-		c.BlockDir = DefaultBlockDir
-	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = 3
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real{}
@@ -149,22 +136,16 @@ func New(clouds []cloud.Interface, prober *sched.Prober, cfg Config) *Engine {
 // Prober returns the engine's prober.
 func (e *Engine) Prober() *sched.Prober { return e.prober }
 
-// BlockDir returns the cloud directory used for coded blocks.
-func (e *Engine) BlockDir() string { return e.cfg.BlockDir }
-
 // BlockPath returns the cloud path of one coded block.
 func (e *Engine) BlockPath(segID string, blockID int) string {
-	return cloud.JoinPath(e.cfg.BlockDir, meta.BlockName(segID, blockID))
+	return cloud.JoinPath(DefaultBlockDir, meta.BlockName(segID, blockID))
 }
 
-// retryPolicy builds the per-block retry policy using the engine's
-// clock for backoff. Backoff waits go through Clock.After so a hedge
-// winner's cancellation interrupts a loser stuck mid-backoff.
+// retryPolicy is the per-block retry policy, its backoff waiting on
+// the engine's clock: a hedge winner's cancellation interrupts a loser
+// stuck mid-backoff.
 func (e *Engine) retryPolicy() cloud.RetryPolicy {
-	p := cloud.DefaultRetryPolicy(nil)
-	p.After = e.cfg.Clock.After
-	p.MaxAttempts = e.cfg.RetryAttempts
-	return p
+	return cloud.DefaultRetryPolicy(e.cfg.Clock.After)
 }
 
 // CloudNames returns the engine's cloud names, sorted.

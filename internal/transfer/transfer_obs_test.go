@@ -19,7 +19,7 @@ import (
 // attempts, the segment must come back unrecoverable, and the obs
 // counters must reconcile with the retry arithmetic.
 func TestDownloadRetryExhaustion(t *testing.T) {
-	const retryAttempts = 3
+	retryAttempts := int64(cloud.DefaultRetryPolicy(nil).MaxAttempts)
 	r := newDirectRig(t, 5)
 	seg := make([]byte, 900)
 	rand.New(rand.NewSource(20)).Read(seg)
@@ -40,9 +40,8 @@ func TestDownloadRetryExhaustion(t *testing.T) {
 		broken = append(broken, cloudsim.NewFlaky(cloudsim.NewDirect(st), 1.0, 99))
 	}
 	engine := New(broken, sched.NewProber(0), Config{
-		RetryAttempts: retryAttempts,
-		Clock:         vclock.NewScaled(1000),
-		Obs:           reg,
+		Clock: vclock.NewScaled(1000),
+		Obs:   reg,
 	})
 
 	locations := make(map[int][]string)

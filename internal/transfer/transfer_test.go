@@ -185,7 +185,7 @@ func TestUploadRetriesTransientFailures(t *testing.T) {
 	for i, st := range r.stores {
 		clouds = append(clouds, cloudsim.NewFlaky(cloudsim.NewDirect(st), 0.3, int64(100+i)))
 	}
-	engine := New(clouds, sched.NewProber(0), Config{RetryAttempts: 5, DeadAfter: 10})
+	engine := New(clouds, sched.NewProber(0), Config{Clock: vclock.NewScaled(1000)})
 	seg := make([]byte, 600)
 	rand.New(rand.NewSource(4)).Read(seg)
 	plan, err := sched.NewUploadPlan(paperParams, r.names)
@@ -467,9 +467,6 @@ func TestBlockPath(t *testing.T) {
 	r := newDirectRig(t, 1)
 	if got := r.engine.BlockPath("abc", 4); got != ".unidrive/blocks/abc.4" {
 		t.Fatalf("BlockPath = %q", got)
-	}
-	if r.engine.BlockDir() != DefaultBlockDir {
-		t.Fatal("BlockDir default wrong")
 	}
 }
 

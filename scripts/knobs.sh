@@ -1,0 +1,11 @@
+#!/usr/bin/env bash
+# Test-only options gate: fails when an exported field of a `Config`
+# under internal/ is set by no non-test code outside its own package —
+# an option whose only value in use is its default, which should be a
+# constant. Deliberate exceptions are scripts/knobs_allow.txt, one
+# `pkg.Config.Field reason` line each:
+#
+#   scripts/knobs.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+go run scripts/knobs.go scripts/knobs_allow.txt
