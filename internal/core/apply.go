@@ -14,17 +14,17 @@ import (
 // device's view (Algorithm 1's v_o) to a head the store has cached.
 type span struct {
 	before, after *meta.Image
-	// diff is the per-path content difference and gcPaths the
-	// garbage-collection candidate set (diffForApply); both are left
-	// empty when the head has not moved.
-	diff    meta.Diff
-	gcPaths []string
+	// diff is the per-path content difference and paths the paths whose
+	// entries the span moved (diffForApply); both are left empty when
+	// the head has not moved.
+	diff  meta.Diff
+	paths []string
 }
 
 func (c *Client) spanTo(head *meta.Image) span {
 	sp := span{before: c.lastImage(), after: head}
 	if sp.moved() {
-		sp.diff, sp.gcPaths = c.diffForApply(sp.before, sp.after)
+		sp.diff, sp.paths = c.diffForApply(sp.before, sp.after)
 	}
 	return sp
 }
@@ -45,7 +45,7 @@ func (c *Client) apply(ctx context.Context, local []*meta.Change, head *meta.Ima
 	if err != nil {
 		return err
 	}
-	c.advance(ctx, head)
+	c.advance(head)
 	report.Version = c.lastImage().Version
 	return nil
 }
@@ -55,9 +55,12 @@ func (c *Client) apply(ctx context.Context, local []*meta.Change, head *meta.Ima
 // a maintenance commit writes no file — so v_o becomes head, or the
 // store's head when nothing committed after head changes a file
 // (relocates: a maintenance commit's, another device's, final
-// placements a hold recorded). The blocks of segments the span dropped are
-// deleted and the new state is checkpointed.
-func (c *Client) advance(ctx context.Context, head *meta.Image) {
+// placements a hold recorded). The local content cache of the segments
+// the span committed is dropped and the new state is checkpointed.
+// Moving the view deletes no block: the blocks of a segment a commit
+// released are deleted once, by the pass that made that commit
+// (releasedBlocks).
+func (c *Client) advance(head *meta.Image) {
 	if cur := c.store.CachedShared(); cur.Version > head.Version {
 		if d, _ := c.diffForApply(head, cur); len(d) == 0 {
 			head = cur
@@ -65,7 +68,7 @@ func (c *Client) advance(ctx context.Context, head *meta.Image) {
 	}
 	if sp := c.spanTo(head); sp.moved() {
 		c.setLast(sp.after)
-		c.gcSegments(ctx, sp.before, sp.after, sp.gcPaths)
+		c.dropSegmentCache(referencedSegments(sp.after, sp.paths))
 		// Best effort: a failed checkpoint only costs restart efficiency,
 		// not correctness.
 		_ = c.checkpoint()
@@ -77,11 +80,11 @@ func (c *Client) advance(ctx context.Context, head *meta.Image) {
 // span, only the paths named by the chain's change records are
 // compared — O(changes in the span) instead of the O(folder) tree
 // walk of meta.DiffImages, which is what keeps applying passes flat
-// as the folder grows. The second result is the garbage-collection
-// candidate set: the unique file paths the chain reported changed
-// (including ones whose current content ended up equal — their entry
-// may still have shed segment references), or nil when the chain did
-// not cover the span and the caller must consider every path.
+// as the folder grows. The second result is the unique file paths the
+// chain reported changed (including ones whose current content ended up
+// equal — their entry may still have shed or gained segment
+// references), or nil when the chain did not cover the span and the
+// caller must consider every path.
 func (c *Client) diffForApply(before, after *meta.Image) (meta.Diff, []string) {
 	if after.Version > before.Version {
 		if changes, ok := c.store.ChangesSince(before.Version, after.Version); ok {
@@ -231,65 +234,63 @@ func (c *Client) copyAside(a applyAction, report *SyncReport) error {
 	return err
 }
 
-// gcSegments deletes the coded blocks of segments that disappeared
-// from the pool between two committed images (their refcount reached
-// zero), and drops the local content cache for segments now safely
-// committed.
-//
-// paths narrows the work to the files that actually changed between
-// the images (from diffForApply's chain walk): only their entries can
-// have shed or gained segment references, so only their segments are
-// inspected — O(changes). nil paths means the span was not chain-
-// covered and both whole pools are compared, the O(folder) fallback.
-func (c *Client) gcSegments(ctx context.Context, from, to *meta.Image, paths []string) {
-	var committed []string
-	dead := make(map[string]*meta.Segment)
+// referencedSegments lists the segments the entries of paths reference
+// in img, every snapshot of each; nil paths means every segment of img.
+func referencedSegments(img *meta.Image, paths []string) []string {
+	var ids []string
 	if paths == nil {
-		for id := range to.AllSegments() {
-			committed = append(committed, id)
+		for id := range img.AllSegments() {
+			ids = append(ids, id)
 		}
-		for id, seg := range from.AllSegments() {
-			if _, alive := to.Segment(id); !alive {
-				dead[id] = seg
-			}
-		}
-	} else {
-		seen := make(map[string]bool)
-		for _, p := range paths {
-			if e := to.Lookup(p); e != nil {
-				for _, snap := range e.Snapshots {
-					for _, id := range snap.SegmentIDs {
-						if !seen[id] {
-							seen[id] = true
-							committed = append(committed, id)
-						}
-					}
-				}
-			}
-			// Every snapshot of the old entry, not just the current one:
-			// a conflict-retaining entry holds references beyond Current().
-			if e := from.Lookup(p); e != nil {
-				for _, snap := range e.Snapshots {
-					for _, id := range snap.SegmentIDs {
-						if _, alive := to.Segment(id); alive {
-							continue
-						}
-						if seg, ok := from.Segment(id); ok {
-							dead[id] = seg
-						}
+		return ids
+	}
+	seen := make(map[string]bool)
+	for _, p := range paths {
+		if e := img.Lookup(p); e != nil {
+			for _, snap := range e.Snapshots {
+				for _, id := range snap.SegmentIDs {
+					if !seen[id] {
+						seen[id] = true
+						ids = append(ids, id)
 					}
 				}
 			}
 		}
 	}
-	c.dropSegmentCache(committed)
-	// One batch for the whole pass: the deletes of every dead segment
-	// overlap, per cloud, instead of costing one API latency each.
+	return ids
+}
+
+// releasedSegments lists the segments a commit of changes from one
+// image to the next released: referenced by the entries of the changes'
+// paths in from — every snapshot, since a conflict-retaining entry
+// holds references beyond Current() — and held by to no more. Their
+// records are from's.
+func releasedSegments(from, to *meta.Image, changes []*meta.Change) []*meta.Segment {
+	paths := make([]string, len(changes))
+	for i, ch := range changes {
+		paths[i] = ch.Path
+	}
+	var dead []*meta.Segment
+	for _, id := range referencedSegments(from, paths) {
+		if _, alive := to.Segment(id); alive {
+			continue
+		}
+		if seg, ok := from.Segment(id); ok {
+			dead = append(dead, seg)
+		}
+	}
+	return dead
+}
+
+// releasedBlocks lists the coded blocks of releasedSegments: what a
+// committing pass deletes, once, after its batch has joined
+// (finishUpload). No other device deletes them.
+func releasedBlocks(from, to *meta.Image, changes []*meta.Change) []transfer.BlockRef {
 	var doomed []transfer.BlockRef
-	for id, seg := range dead {
+	for _, seg := range releasedSegments(from, to, changes) {
 		for _, b := range seg.Blocks {
-			doomed = append(doomed, transfer.BlockRef{SegID: id, BlockID: b.BlockID, Cloud: b.CloudID})
+			doomed = append(doomed, transfer.BlockRef{SegID: seg.ID, BlockID: b.BlockID, Cloud: b.CloudID})
 		}
 	}
-	c.engine.DeleteBlocks(ctx, doomed)
+	return doomed
 }

@@ -228,6 +228,43 @@ func TestCrashRecoverySoak(t *testing.T) {
 	}
 }
 
+// A device that dies right after its commit, before its pass deleted
+// the blocks that commit released, is their only deleter: no other
+// device runs here to apply the commit. Recover deletes them, and after
+// it and one pass no cloud holds a block the image does not name.
+func TestPostCommitCrashAloneLeavesNoReleasedBlocks(t *testing.T) {
+	r := newRig(5)
+	a, fa := r.device(t, "alpha")
+	writeFile(t, fa, "keep.txt", "stable, edited by the crashed batch")
+	writeFile(t, fa, "doomed.txt", "deleted by the crashed batch")
+	syncOK(t, a)
+	syncOK(t, a) // records the placements the commit's tail owes
+
+	writeFile(t, fa, "keep.txt", "edited before the crash")
+	if err := fa.Remove("doomed.txt"); err != nil {
+		t.Fatal(err)
+	}
+	a.ArmCrash(CrashPostCommit, 0)
+	if _, err := a.SyncOnce(ctxT(t)); !errors.Is(err, ErrCrashInjected) {
+		t.Fatalf("pass survived the armed crash: %v", err)
+	}
+
+	a2 := restartWithObs(t, r, "alpha", fa, obs.NewRegistry())
+	if _, _, err := a2.LoadState(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := a2.Recover(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.OrphansReclaimed == 0 {
+		t.Error("recovery deleted none of the blocks the commit released")
+	}
+	syncOK(t, a2)
+	requireFolders(t, map[string]string{"keep.txt": "edited before the crash"}, map[string]*localfs.Mem{"alpha": fa})
+	auditBlocks(t, r, a2.Image())
+}
+
 // TestCrashRecoveryMidApply kills the RECEIVING device halfway through
 // materializing a cloud update, then asserts the half-applied folder
 // recovers to byte-identical state without misreading the downloaded

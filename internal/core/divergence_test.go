@@ -136,3 +136,47 @@ func TestDeleteOfAnAppliedFileBeforeAnyScanCommits(t *testing.T) {
 		t.Errorf("alpha's image still holds x.txt: %+v", snap)
 	}
 }
+
+// Alpha deletes f.bin and adds g.bin; beta starts applying that commit
+// and is held on g.bin's blocks. Meanwhile alpha restores f.bin with the
+// same bytes — the same segment, so the same block names — and commits.
+// Beta's apply then finishes on the head it read, which released f.bin's
+// segment. Only the pass whose commit released a segment deletes its
+// blocks, so beta deletes nothing, and a fresh device reads the restored
+// file.
+func TestReaderApplyKeepsRestoredBlocks(t *testing.T) {
+	r := newRig(5)
+	a, fa := r.device(t, "alpha")
+	tp := newTap("")
+	b, _, _ := r.tappedDevice(t, "beta", tp)
+	content := randContent(11, 3000)
+	writeFile(t, fa, "f.bin", content)
+	syncOK(t, a)
+	syncOK(t, b)
+
+	if err := fa.Remove("f.bin"); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, fa, "g.bin", randContent(12, 3000))
+	syncOK(t, a)
+
+	tp.blockReads.hold()
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.SyncOnce(ctxT(t))
+		done <- err
+	}()
+	await(t, tp.blockAsked, 1, "beta's block reads of g.bin")
+	writeFile(t, fa, "f.bin", content)
+	syncOK(t, a)
+	tp.blockReads.open()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	g, fg := r.device(t, "gamma")
+	syncOK(t, g)
+	if got, err := fg.ReadFile("f.bin"); err != nil || string(got) != content {
+		t.Fatalf("a fresh device reads f.bin as %d bytes, %v; want alpha's restored %d", len(got), err, len(content))
+	}
+}

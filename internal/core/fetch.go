@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"unidrive/internal/chunker"
 	"unidrive/internal/cloud"
@@ -15,9 +17,9 @@ import (
 
 // fetchVerified is the one way segment content comes back from the
 // multi-cloud — the apply stage, Get and rebalance all read through
-// it. Every segment gets exactly one deliver call, on the calling
-// goroutine, with content that hashes to its ID or the reason there is
-// none:
+// it. Every segment gets exactly one deliver call, one at a time, all
+// of them before fetchVerified returns, with content that hashes to its
+// ID or the reason there is none:
 //
 //   - segments still in the local upload cache are delivered first,
 //     without touching the network;
@@ -26,28 +28,33 @@ import (
 //     — through ONE batched dispatcher (any K blocks
 //     each, earliest segment first, later segments' blocks filling
 //     otherwise-idle connections; copies failing their stamped checksum
-//     are re-routed inside the batch) and are decoded and SHA-1-verified
-//     the moment their K-th block lands, while later ones still
+//     are re-routed inside the batch). The moment a segment's K-th
+//     block lands the dispatcher hands the blocks to a decode worker
+//     and goes back to its connections; at most GOMAXPROCS workers
+//     decode and SHA-1-verify at once, while later segments still
 //     transfer;
 //   - a plan the batch could not complete is classified once
 //     (unrecoverable);
 //   - a segment whose decoded bytes fail the content SHA-1 gets one
 //     replacement fetch that excludes the indicted blocks (refetch),
-//     after the batch has returned.
+//     after the batch and its workers have returned.
 //
 // Corrupt bytes never leave this function. Its own error is the
 // cancelled pass's; deliveries already made stand.
 func (c *Client) fetchVerified(ctx context.Context, segs []*meta.Segment, deliver func(i int, data []byte, err error)) error {
 	var items []transfer.DownloadItem
 	var index []int // items[j] fetches segs[index[j]]
-	// suspects are the segments refetch gets a second go at. It is
-	// appended to from Done callbacks, which is race-free: DownloadBatch
-	// runs every Done on this goroutine (transfer.DownloadItem.Done).
+	// suspects are the segments refetch gets a second go at. The workers
+	// append to it, and call deliver, holding mu; every worker has ended
+	// before either is read or called again here.
 	type suspect struct {
 		i        int
 		excluded map[int]bool
 	}
 	var suspects []suspect
+	var mu sync.Mutex
+	var workers sync.WaitGroup
+	decoding := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, seg := range segs {
 		if data, ok := c.cachedSegment(seg.ID); ok {
 			deliver(i, data, nil)
@@ -59,18 +66,27 @@ func (c *Client) fetchVerified(ctx context.Context, segs []*meta.Segment, delive
 			continue
 		}
 		item.Done = func(blocks map[int][]byte) {
-			data, excluded, err := c.decodeAndVerify(seg, blocks)
-			if errors.Is(err, errDecodeMismatch) {
-				suspects = append(suspects, suspect{i, excluded})
-				return
-			}
-			deliver(i, data, err)
+			workers.Add(1)
+			go func() {
+				defer workers.Done()
+				decoding <- struct{}{}
+				data, excluded, err := c.decodeAndVerify(seg, blocks)
+				<-decoding
+				mu.Lock()
+				defer mu.Unlock()
+				if errors.Is(err, errDecodeMismatch) {
+					suspects = append(suspects, suspect{i, excluded})
+					return
+				}
+				deliver(i, data, err)
+			}()
 		}
 		items, index = append(items, item), append(index, i)
 	}
 	if len(items) > 0 {
 		c.awaitUnobserved(ctx)
 		partial, err := c.engine.DownloadBatch(ctx, items)
+		workers.Wait()
 		if err != nil {
 			return err
 		}
@@ -118,9 +134,9 @@ func unrecoverable(seg *meta.Segment, plan *sched.DownloadPlan) error {
 // refetch is fetchVerified's decode-time last line of defense: any K
 // blocks of the segment other than the excluded ones, decoded and
 // verified again. It must run after the first batch has returned — a
-// nested DownloadBatch inside a Done callback could deadlock on the
-// shared fair scheduler, whose slots the outer batch releases on that
-// very goroutine. If the replacement cannot produce verified content
+// nested DownloadBatch beside it could deadlock on the shared fair
+// scheduler, whose slots the outer batch releases on its own
+// goroutine. If the replacement cannot produce verified content
 // either, the caller gets a loud cloud.ErrCorrupt, never silently wrong
 // data.
 func (c *Client) refetch(ctx context.Context, seg *meta.Segment, excluded map[int]bool) ([]byte, error) {
@@ -227,7 +243,8 @@ func recycleBlocks(blocks map[int][]byte) {
 // segment pool, every segment of every file in one fetchVerified batch
 // so that all cloud connections stay busy, and hands file i's bytes to
 // done the moment its last segment has verified (the paper's
-// availability-first pipeline, on the receive side). It returns the
+// availability-first pipeline, on the receive side) — one call at a
+// time, on the goroutine that delivered that segment. It returns the
 // first failure in file order — a segment that could not be had, or
 // done's own error — so a pass that trips several reports the same one
 // every time.

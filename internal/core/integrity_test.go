@@ -2,16 +2,23 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
+	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
+	"unidrive/internal/obs"
+	"unidrive/internal/transfer"
 )
 
 // fileSegments returns the committed segments of a file, in order.
@@ -267,6 +274,116 @@ func TestDecodeExclusionTargetsStampedPoison(t *testing.T) {
 	}
 	if n := reg.Counter("core.decode.exclusion_retries").Value(); n != 1 {
 		t.Fatalf("core.decode.exclusion_retries = %d, want 1", n)
+	}
+}
+
+// crcNull is the CRC-32C generator polynomial x^32 + 0x1EDC6F41 laid
+// out in the checksum's reflected bit order: XORed into a block at any
+// offset, it changes the bytes and leaves meta.BlockSum as it was.
+var crcNull = []byte{0xf1, 0x76, 0xec, 0x05, 0x01}
+
+// poisonFirst serves the first download of one segment's blocks
+// poisoned past what its stamp can see (crcNull): the copy passes the
+// download checksum, and only the content SHA-1 after decoding can
+// catch it. Every later download is clean.
+type poisonFirst struct {
+	cloud.Interface
+	prefix string // the segment's block paths
+	fired  *atomic.Bool
+}
+
+func (p poisonFirst) Download(ctx context.Context, path string) ([]byte, error) {
+	data, err := p.Interface.Download(ctx, path)
+	if err != nil || !strings.HasPrefix(path, p.prefix) || !p.fired.CompareAndSwap(false, true) {
+		return data, err
+	}
+	data = bytes.Clone(data)
+	for i, x := range crcNull {
+		data[i] ^= x
+	}
+	return data, nil
+}
+
+// The decode workers of fetchVerified, over a multi-segment batch with
+// one segment whose first fetched block set is poisoned past its
+// stamps (TestDecodeExclusionTargetsStampedPoison's gap, reached
+// through the network): every segment is delivered exactly once, with
+// its own bytes, no two deliveries overlap, and the poisoned segment
+// is refetched from blocks outside the failed set.
+func TestDecodeWorkersDeliverEachSegmentOnce(t *testing.T) {
+	r := newRig(5)
+	a, fa := r.device(t, "alpha")
+	content := randContent(601, 30_000)
+	writeFile(t, fa, "f.bin", content)
+	syncOK(t, a)
+	syncOK(t, a) // records the placements the commit's tail owes
+	segs := fileSegments(t, a, "f.bin")
+	if len(segs) < 4 {
+		t.Fatalf("f.bin cut into %d segments, want several", len(segs))
+	}
+	plain := make(map[string][]byte)
+	for _, ch := range a.chnk.Split([]byte(content)) {
+		plain[ch.ID()] = ch.Data
+	}
+	poisoned := segs[len(segs)/2]
+	if len(poisoned.Blocks) < 2*poisoned.K {
+		t.Fatalf("segment %s has %d blocks; the refetch needs K=%d beyond the failed set", poisoned.ID, len(poisoned.Blocks), poisoned.K)
+	}
+	// The poison's premise: the stamp cannot see it.
+	probe := randContent(602, 100)
+	sum := meta.BlockSum([]byte(probe))
+	poked := []byte(probe)
+	for i, x := range crcNull {
+		poked[40+i] ^= x
+	}
+	if meta.BlockSum(poked) != sum {
+		t.Fatal("crcNull changes the block checksum")
+	}
+
+	var fired atomic.Bool
+	clouds := make([]cloud.Interface, len(r.stores))
+	for i, st := range r.stores {
+		clouds[i] = poisonFirst{cloudsim.NewDirect(st), transfer.DefaultBlockDir + "/" + poisoned.ID + ".", &fired}
+	}
+	reg := obs.NewRegistry()
+	b, err := New(clouds, localfs.NewMem(), Config{Device: "beta", Passphrase: "shared-secret", Theta: 4096, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inside atomic.Int32
+	calls := make([]int, len(segs))
+	got := make([][]byte, len(segs))
+	err = b.fetchVerified(ctxT(t), segs, func(i int, data []byte, err error) {
+		if inside.Add(1) != 1 {
+			t.Error("deliver entered while another delivery was running")
+		}
+		defer inside.Add(-1)
+		runtime.Gosched() // widen the window a concurrent delivery would need
+		if err != nil {
+			t.Errorf("segment %d: %v", i, err)
+		}
+		calls[i]++
+		got[i] = data
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fired.Load() {
+		t.Fatal("no block of the poisoned segment was downloaded")
+	}
+	for i, seg := range segs {
+		if calls[i] != 1 {
+			t.Errorf("segment %d delivered %d times, want once", i, calls[i])
+		}
+		if !bytes.Equal(got[i], plain[seg.ID]) {
+			t.Errorf("segment %d delivered wrong bytes", i)
+		}
+	}
+	if n := reg.Counter("core.decode.sha_mismatch").Value(); n != 1 {
+		t.Errorf("core.decode.sha_mismatch = %d, want 1", n)
+	}
+	if n := reg.Counter("core.decode.exclusion_retries").Value(); n != 1 {
+		t.Errorf("core.decode.exclusion_retries = %d, want 1: the poisoned segment is refetched", n)
 	}
 }
 

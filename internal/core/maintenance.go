@@ -27,7 +27,7 @@ import (
 // conflict copy. It returns the number of blocks deleted.
 func (c *Client) released(ctx context.Context, doomed []transfer.BlockRef) int {
 	deleted := c.engine.DeleteBlocks(ctx, doomed)
-	c.advance(ctx, c.lastImage())
+	c.advance(c.lastImage())
 	return deleted
 }
 

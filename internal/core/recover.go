@@ -52,7 +52,11 @@ type RecoveryReport struct {
 //	                           every surveyed block of the intent's
 //	                           segments that the image does not
 //	                           reference is reliability-phase surplus —
-//	                           reclaim it; clear the intent.
+//	                           reclaim it; so is every surveyed block of
+//	                           a segment the commit released (the
+//	                           batch's paths in the pre-crash view,
+//	                           gone from the image), which the pass
+//	                           would have deleted; clear the intent.
 //	upload, uncommitted,
 //	  local file unchanged   → resume: adopt surveyed blocks of the
 //	                           batch's segments so the re-upload skips
@@ -178,7 +182,7 @@ func (c *Client) shield(path string, snap *meta.Snapshot, known map[string]bool)
 // reference them.
 func (c *Client) recoverRepair(ctx context.Context, in *journal.Intent, img *meta.Image, sv *transfer.Survey) int {
 	var orphans []transfer.BlockRef
-	for _, b := range surveyedBlocks(sv, in) {
+	for _, b := range surveyedBlocks(sv, in.SegmentIDs()) {
 		if pool, _ := img.Segment(b.SegID); pool != nil && pool.HasBlock(b.BlockID, b.Cloud) {
 			continue // referenced by committed metadata: not ours
 		}
@@ -191,12 +195,11 @@ func (c *Client) recoverRepair(ctx context.Context, in *journal.Intent, img *met
 	return c.reclaimOrphans(ctx, orphans)
 }
 
-// surveyedBlocks hands an intent the blocks of its segments that exist
-// in the clouds, and takes them out of the survey: each block is
-// judged once, so a later intent naming the same segment can neither
-// adopt what this one reclaims nor reclaim what this one adopts.
-func surveyedBlocks(sv *transfer.Survey, in *journal.Intent) []transfer.BlockRef {
-	ids := in.SegmentIDs() // sorted
+// surveyedBlocks hands an intent the blocks of the segments ids (sorted)
+// that exist in the clouds, and takes them out of the survey: each
+// block is judged once, so a later intent naming the same segment can
+// neither adopt what this one reclaims nor reclaim what this one adopts.
+func surveyedBlocks(sv *transfer.Survey, ids []string) []transfer.BlockRef {
 	blocks := sv.Blocks(func(segID string) bool {
 		_, ok := slices.BinarySearch(ids, segID)
 		return ok
@@ -219,7 +222,18 @@ func (c *Client) reclaimOrphans(ctx context.Context, orphans []transfer.BlockRef
 func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *meta.Image, sv *transfer.Survey, known map[string]bool, rep *RecoveryReport) (bool, error) {
 	committed := in.State == journal.StateCommitted || c.changesReflected(img, in.Changes)
 
+	var orphans []transfer.BlockRef
 	if committed {
+		// The segments the commit released, which the pass would have
+		// deleted before clearing its intent: the device's pre-crash view
+		// against the committed image, for the batch's paths. Every
+		// surveyed block of theirs goes.
+		var released []string
+		for _, seg := range releasedSegments(c.lastImage(), img, in.Changes) {
+			released = append(released, seg.ID)
+		}
+		slices.Sort(released)
+		orphans = surveyedBlocks(sv, released)
 		// The commit landed before the crash, but the restored scanner
 		// baseline predates it: without suppression the next scan
 		// re-detects the batch as fresh local edits and re-uploads
@@ -256,8 +270,7 @@ func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *met
 	}
 
 	adopted := 0
-	var orphans []transfer.BlockRef
-	for _, b := range surveyedBlocks(sv, in) {
+	for _, b := range surveyedBlocks(sv, in.SegmentIDs()) {
 		pool, _ := img.Segment(b.SegID)
 		switch {
 		case pool != nil && pool.HasBlock(b.BlockID, b.Cloud):

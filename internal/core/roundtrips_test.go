@@ -21,14 +21,25 @@ import (
 // a Recorder, configured as cmd/unidrive configures it.
 func recordedDevice(t *testing.T) (*Client, *localfs.Mem, []*cloudsim.Recorder) {
 	t.Helper()
-	recs := make([]*cloudsim.Recorder, 5)
+	stores := make([]*cloudsim.Store, 5)
+	for i := range stores {
+		stores[i] = cloudsim.NewStore(fmt.Sprintf("c%d", i), 0)
+	}
+	return recordedDeviceOn(t, "alpha", stores)
+}
+
+// recordedDeviceOn is recordedDevice for the named device over shared
+// stores, each behind a Recorder of its own.
+func recordedDeviceOn(t *testing.T, name string, stores []*cloudsim.Store) (*Client, *localfs.Mem, []*cloudsim.Recorder) {
+	t.Helper()
+	recs := make([]*cloudsim.Recorder, len(stores))
 	clouds := make([]cloud.Interface, len(recs))
-	for i := range recs {
-		recs[i] = cloudsim.NewRecorder(cloudsim.NewDirect(cloudsim.NewStore(fmt.Sprintf("c%d", i), 0)))
+	for i, st := range stores {
+		recs[i] = cloudsim.NewRecorder(cloudsim.NewDirect(st))
 		clouds[i] = recs[i]
 	}
 	folder := localfs.NewMem()
-	c, err := New(clouds, folder, Config{Device: "alpha", Passphrase: "shared-secret", Obs: obs.NewRegistry()})
+	c, err := New(clouds, folder, Config{Device: name, Passphrase: "shared-secret", Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +219,66 @@ func TestMaintenanceRequestBudget(t *testing.T) {
 	}
 	if want := (cloudsim.CallCounts{List: 5}); blocks != want {
 		t.Errorf("Recover: block-directory requests = %+v, want %+v", blocks, want)
+	}
+}
+
+// The request budget of block deletes: the device whose commit
+// releases segments — an overwrite and a delete — deletes each of their
+// blocks exactly once, after its commit, and a device that applies the
+// commit deletes none.
+func TestApplyingDeviceDeletesNoBlocks(t *testing.T) {
+	stores := make([]*cloudsim.Store, 5)
+	for i := range stores {
+		stores[i] = cloudsim.NewStore(fmt.Sprintf("c%d", i), 0)
+	}
+	a, fa, recsA := recordedDeviceOn(t, "alpha", stores)
+	b, _, recsB := recordedDeviceOn(t, "beta", stores)
+	writeFile(t, fa, "edit.bin", randContent(1, 100_000))
+	writeFile(t, fa, "gone.bin", randContent(2, 100_000))
+	if _, err := a.SyncOnce(ctxT(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.SyncRemote(ctxT(t)); err != nil { // records the placements the commit's tail owes
+		t.Fatal(err)
+	}
+	if rep, err := b.SyncOnce(ctxT(t)); err != nil || rep.CloudChanges != 2 {
+		t.Fatalf("beta's first pass: %+v, %v; want 2 files applied", rep, err)
+	}
+	img := a.Image()
+	released := make(map[string]bool) // cloud/path of every block the next commit releases
+	for _, path := range []string{"edit.bin", "gone.bin"} {
+		for _, seg := range segmentsOf(t, img, path) {
+			for _, l := range seg.Blocks {
+				released[l.CloudID+"/"+a.Engine().BlockPath(seg.ID, l.BlockID)] = true
+			}
+		}
+	}
+
+	writeFile(t, fa, "edit.bin", randContent(3, 100_000))
+	if err := fa.Remove("gone.bin"); err != nil {
+		t.Fatal(err)
+	}
+	before := requestsUnder(recsA, transfer.DefaultBlockDir)
+	if _, err := a.SyncDirty(ctxT(t), []string{"edit.bin", "gone.bin"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := requestsUnder(recsA, transfer.DefaultBlockDir).Minus(before).Delete; got != len(released) {
+		t.Errorf("the committing device issued %d block DELETEs, want one per released block (%d)", got, len(released))
+	}
+	for _, st := range stores {
+		for _, p := range st.Paths() {
+			if released[st.Name()+"/"+p] {
+				t.Errorf("%s: released block %s survives the commit", st.Name(), p)
+			}
+		}
+	}
+
+	before = requestsUnder(recsB, transfer.DefaultBlockDir)
+	if rep, err := b.SyncOnce(ctxT(t)); err != nil || rep.CloudChanges != 2 {
+		t.Fatalf("beta's apply: %+v, %v; want the overwrite and the delete applied", rep, err)
+	}
+	if got := requestsUnder(recsB, transfer.DefaultBlockDir).Minus(before).Delete; got != 0 {
+		t.Errorf("the applying device issued %d block DELETEs, want 0", got)
 	}
 }
 

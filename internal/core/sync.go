@@ -55,7 +55,8 @@ type SyncReport struct {
 //	fetch    conflict copies, then removals, then the plan's files
 //	         through fetchVerified
 //	write    verified content → folder
-//	advance  v_o := the pass's head; GC; checkpoint
+//	advance  v_o := the pass's head; checkpoint (no block DELETEs: the
+//	         committing pass deleted what its commit released)
 //
 // One writer: a pass holds Client.writer throughout, as does every
 // other operation that commits, moves v_o or writes the folder.
@@ -327,6 +328,10 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 		return nil, nil, err
 	}
 	head := c.store.CachedShared()
+	// What the commit released, on the head it built on against the head
+	// it made. Owed blocks of a released segment are the hold's to delete
+	// (outlived).
+	released := releasedBlocks(round.head, head, commit)
 	report.LocalChanges = len(commit)
 	report.PlacementsRecorded = round.recorded
 	// The paper's "available time": pass start until the commit landed —
@@ -342,7 +347,7 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	report.AvailableDuration = commitDone.Sub(start) - waitedAlone(session.availAt, lockedAt, readyAt)
 	ok = true
 
-	if err := c.finishUpload(session, intentID, overlap, report); err != nil {
+	if err := c.finishUpload(ctx, session, intentID, overlap, released, report); err != nil {
 		return nil, nil, err
 	}
 	return changes, head, nil
@@ -365,16 +370,23 @@ func (c *Client) beginUpload(changes []*meta.Change) (string, error) {
 }
 
 // finishUpload is a committing pass's reliability second: it waits for
-// the batch to finish and owes the fair shares (and extras) that landed
-// after the commit's stamp to the device's next lock hold. The intent
-// stays committed until that hold records them; when nothing landed
-// after the stamp the pass is fully recorded and the intent is cleared
-// here.
-func (c *Client) finishUpload(session *uploadSession, intentID string, overlap bool, report *SyncReport) error {
+// the batch to finish, deletes the blocks its commit released, and owes
+// the fair shares (and extras) that landed after the commit's stamp to
+// the device's next lock hold. The intent stays committed until that
+// hold records them; when nothing landed after the stamp the pass is
+// fully recorded and the intent is cleared here.
+//
+// The released blocks go after the join — a tenant has one open batch
+// at the shared FairScheduler — and before the intent is cleared, so a
+// crash in between leaves them to Recover's committed-upload branch.
+// This pass is their only deleter: a device that applies the commit
+// deletes nothing.
+func (c *Client) finishUpload(ctx context.Context, session *uploadSession, intentID string, overlap bool, released []transfer.BlockRef, report *SyncReport) error {
 	committed := c.cfg.Clock.Now()
 	if err := session.join(); err != nil {
 		return err
 	}
+	c.engine.DeleteBlocks(ctx, released)
 	if overlap {
 		tail := session.endAt.Sub(committed)
 		if tail < 0 {

@@ -30,7 +30,11 @@ type DownloadItem struct {
 	// before the rest of the batch finishes. Callers use it to
 	// assemble and deliver early files while later files still
 	// transfer (the paper's per-file completion). It must return
-	// quickly: it runs on the dispatcher goroutine.
+	// quickly: it runs on the dispatcher goroutine, and no connection
+	// is handed new work until it returns. Work that takes longer —
+	// core decodes and hashes each segment — is handed to the caller's
+	// own workers from here and joined after DownloadBatch returns;
+	// the batch does not touch the blocks map again once Done has it.
 	//
 	// Serialization contract: every Done callback of a batch runs on
 	// the single goroutine that called DownloadBatch, strictly one at

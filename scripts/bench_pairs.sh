@@ -14,7 +14,9 @@
 # needs at least nine tenths of the pairs (ties count for neither) and
 # a median shift beyond the parent's own quartile distance; a
 # regression is a median worse than the parent's by more than the
-# metric's bound.
+# metric's bound. Under the table it lists every run's end-to-end
+# values in the order the runs were made, so one outlier run — or a
+# drift across the session — shows instead of hiding in a tally.
 #
 # Needs python3 (standard library only) for the statistics. Raw run
 # output is kept under the printed directory.
@@ -104,4 +106,15 @@ for m in metrics:
         verdict = "within bound"
     fmt = lambda a, b, c: f"{a:.4g}/{b:.4g}/{c:.4g}"
     print(f"{name:<24}{fmt(p1, pm, p3):>30}{fmt(c1, cm, c3):>30}{shift:>+9.1%}{wins:>4}-{losses:<2}  {verdict}")
+
+names = [m["name"] for m in metrics]
+print("\nruns in order:")
+print(f"{'seed':>6} {'side':<7}" + "".join(f"{n:>{max(len(n), 9) + 1}}" for n in names))
+for i in range(pairs):
+    s = seed + i
+    for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+        r = result(side, s)
+        vals = r["metrics"] if r else {}
+        cells = [f"{vals[n]['value']:.4g}" if n in vals else "-" for n in names]
+        print(f"{s:>6} {side:<7}" + "".join(f"{c:>{max(len(n), 9) + 1}}" for n, c in zip(names, cells)))
 EOF
