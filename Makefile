@@ -9,7 +9,7 @@ RACE_PKGS = $(shell grep -v '^\#' scripts/race_pkgs.txt)
 # lives in scripts/funclen_pkgs.txt, which scripts/check.sh reads too.
 FUNCLEN_PKGS = $(shell grep -v '^\#' scripts/funclen_pkgs.txt)
 
-.PHONY: build vet fmt funclen knobs test test-race e2e-check measurement-check bench-erasure bench-sync bench-trial bench chaos scrub fuzz check cover
+.PHONY: build vet fmt funclen knobs test test-race portable e2e-check measurement-check bench-erasure bench-sync bench-trial bench chaos scrub fuzz check cover
 
 build:
 	$(GO) build ./...
@@ -38,9 +38,10 @@ test-race:
 	$(GO) test -race $(RACE_PKGS)
 
 # The data-plane throughput numbers (kernels, pooled encode/decode,
-# size sweep). BENCH_erasure.json snapshots a run of these.
+# size sweep, segment hashing). BENCH_erasure.json snapshots a run of
+# these.
 bench-erasure:
-	$(GO) test -run '^$$' -bench 'BenchmarkErasure|BenchmarkGF' -benchmem ./internal/erasure/ ./internal/gf256/
+	$(GO) test -run '^$$' -bench 'BenchmarkErasure|BenchmarkGF|BenchmarkSegmentID' -benchmem ./internal/erasure/ ./internal/gf256/ ./internal/chunker/
 
 # Control-plane pass latency: full rescan vs event-driven at 1k/10k/50k
 # files. BENCH_sync.json snapshots a run of these
@@ -86,6 +87,13 @@ fuzz:
 cover:
 	./scripts/cover.sh
 
+# The portable fallbacks of the assembly kernels (gf256's word
+# kernels, chunker's crypto/sha1 path): tested on this machine with the
+# purego tag, and vetted for a platform with no assembly at all.
+portable:
+	$(GO) test -tags purego ./internal/gf256 ./internal/chunker
+	GOARCH=arm64 $(GO) vet ./internal/gf256 ./internal/chunker
+
 # The end-to-end benchmark harness (BENCHMARK.json) is its own module,
 # so ./... neither builds nor tests it and a core API change could
 # break the benchmark unnoticed.
@@ -99,4 +107,4 @@ measurement-check:
 	./scripts/measurement_check.sh
 
 # Tier-1 gate: everything a change must pass before merging.
-check: vet fmt funclen knobs build test test-race e2e-check measurement-check
+check: vet fmt funclen knobs build test test-race portable e2e-check measurement-check

@@ -16,13 +16,24 @@
 // measurement study showed transfer efficiency peaks for block sizes
 // in a bounded range (paper §3.2, §7.1). Only a file's final segment
 // may be smaller than 0.5·θ.
+//
+// SegmentID is the one place a segment is named, and every content
+// check (chunking, the decode check, the scrubber, the on-disk
+// comparison of a plan) goes through it. On amd64 with the SHA
+// extensions it runs a SHA-NI block function (sha1_amd64.s), about
+// 1.8× crypto/sha1; elsewhere, or built with the purego tag, it is
+// crypto/sha1. Both give the same digest, so a segment's name does not
+// depend on the machine that named it. IDs names many segments at once
+// on every core.
 package chunker
 
 import (
-	"crypto/sha1"
 	"encoding/hex"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Segment is one content-defined piece of a file.
@@ -34,15 +45,40 @@ type Segment struct {
 	Data []byte
 }
 
-// ID returns the content hash identifying this segment.
-func (s Segment) ID() string { return SegmentID(s.Data) }
-
 // SegmentID returns the hex SHA-1 of data — the segment's name in the
 // multi-cloud (paper: "indexed by the SHA-1 hash of all their
 // content").
 func SegmentID(data []byte) string {
-	sum := sha1.Sum(data)
-	return hex.EncodeToString(sum[:])
+	d := sum(data)
+	return hex.EncodeToString(d[:])
+}
+
+// IDs returns SegmentID of every segment, in order. It hashes on up to
+// GOMAXPROCS goroutines, each taking the next unhashed segment, so one
+// large segment does not hold the small ones behind it; a lone segment
+// is hashed inline.
+func IDs(segs []Segment) []string {
+	ids := make([]string, len(segs))
+	workers := min(runtime.GOMAXPROCS(0), len(segs))
+	if workers <= 1 {
+		for i, s := range segs {
+			ids[i] = SegmentID(s.Data)
+		}
+		return ids
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(segs); i = int(next.Add(1)) - 1 {
+				ids[i] = SegmentID(segs[i].Data)
+			}
+		}()
+	}
+	wg.Wait()
+	return ids
 }
 
 // gearTable is a fixed pseudo-random substitution table for the gear

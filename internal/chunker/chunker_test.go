@@ -99,7 +99,7 @@ func TestEmptyInput(t *testing.T) {
 	if len(segs) != 1 || len(segs[0].Data) != 0 {
 		t.Fatalf("Split(nil) = %v, want single empty segment", segs)
 	}
-	if segs[0].ID() != SegmentID(nil) {
+	if SegmentID(segs[0].Data) != SegmentID(nil) {
 		t.Fatal("empty segment ID unstable")
 	}
 }
@@ -126,11 +126,11 @@ func TestEditLocality(t *testing.T) {
 	after := c.Split(edited)
 	beforeIDs := make(map[string]bool, len(before))
 	for _, s := range before {
-		beforeIDs[s.ID()] = true
+		beforeIDs[SegmentID(s.Data)] = true
 	}
 	changed := 0
 	for _, s := range after {
-		if !beforeIDs[s.ID()] {
+		if !beforeIDs[SegmentID(s.Data)] {
 			changed++
 		}
 	}
@@ -156,11 +156,11 @@ func TestInsertionLocality(t *testing.T) {
 
 	beforeIDs := make(map[string]bool, len(before))
 	for _, s := range before {
-		beforeIDs[s.ID()] = true
+		beforeIDs[SegmentID(s.Data)] = true
 	}
 	shared := 0
 	for _, s := range after {
-		if beforeIDs[s.ID()] {
+		if beforeIDs[SegmentID(s.Data)] {
 			shared++
 		}
 	}

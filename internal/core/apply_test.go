@@ -35,7 +35,7 @@ func newPlanRig(t *testing.T) *planRig {
 func (p *planRig) snap(path, content string, modTime time.Time) *meta.Snapshot {
 	s := &meta.Snapshot{Path: path, Size: int64(len(content)), ModTime: modTime, Device: "beta"}
 	for _, seg := range p.c.chnk.Split([]byte(content)) {
-		s.SegmentIDs = append(s.SegmentIDs, seg.ID())
+		s.SegmentIDs = append(s.SegmentIDs, chunker.SegmentID(seg.Data))
 	}
 	return s
 }

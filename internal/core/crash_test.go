@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"unidrive/internal/chunker"
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/journal"
@@ -358,7 +359,7 @@ func TestRecoverSharedSegmentJudgedOnce(t *testing.T) {
 		if len(segs) != 1 {
 			t.Fatalf("content cut into %d segments, want 1", len(segs))
 		}
-		segID := segs[0].ID()
+		segID := chunker.SegmentID(segs[0].Data)
 		// kept.bin still holds the journaled content, so its batch is
 		// resumable; edited.bin was rewritten after the crash, so its
 		// batch is stale and its unreferenced blocks are orphans.

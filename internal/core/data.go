@@ -6,54 +6,40 @@ import (
 	"fmt"
 	"time"
 
+	"unidrive/internal/chunker"
 	"unidrive/internal/erasure"
-	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
 	"unidrive/internal/sched"
 	"unidrive/internal/transfer"
 )
 
-// chunkFile cuts a file's content into segments, caches their bytes
-// for upload, and returns the snapshot plus pool records for any
-// segments that still need uploading (a segment already holding
-// enough blocks in the committed pool deduplicates away). A new
-// segment's record names no blocks: it names only what startUpload
-// lands or adopts, each with its checksum.
-func (c *Client) chunkFile(info localfs.FileInfo, data []byte) (*meta.Snapshot, []*meta.Segment) {
-	segs := c.chnk.Split(data)
-	snap := &meta.Snapshot{
-		Path:    info.Path,
-		Size:    int64(len(data)),
-		ModTime: info.ModTime,
-		Device:  c.cfg.Device,
-	}
-	var records []*meta.Segment
+// stageSegments caches a recorded file's segment bytes for upload and
+// returns their pool records: a segment already holding enough blocks
+// in the committed pool deduplicates away to its committed record, and
+// a new segment's record names no blocks — it names only what
+// startUpload lands or adopts, each with its checksum.
+//
+// The cache aliases the file buffer without copying: every caller
+// hands over a fresh, never-mutated read of the file, and advance drops
+// a path's segments together, so a private copy of one segment would
+// free nothing sooner.
+func (c *Client) stageSegments(segs []chunker.Segment, ids []string) []*meta.Segment {
+	records := make([]*meta.Segment, len(segs))
 	known := c.lastImage()
-	for _, s := range segs {
-		id := s.ID()
-		snap.SegmentIDs = append(snap.SegmentIDs, id)
-		if existing, ok := known.Segment(id); ok && len(existing.Blocks) >= c.params.K {
-			// Dedup: content already in the multi-cloud. Cache the
-			// segment view without copying — it aliases the file
-			// buffer, which every caller hands over as a fresh,
-			// never-mutated read of the file, and it is only consulted
-			// again if the dedup assumption later breaks.
-			c.cacheSegment(id, s.Data)
-			records = append(records, existing.Clone())
+	for i, s := range segs {
+		c.cacheSegment(ids[i], s.Data)
+		if existing, ok := known.Segment(ids[i]); ok && len(existing.Blocks) >= c.params.K {
+			records[i] = existing.Clone()
 			continue
 		}
-		// Copy: the upload path keeps these bytes until the commit
-		// lands, and a private buffer avoids pinning the whole file
-		// buffer for one small segment.
-		c.cacheSegment(id, append([]byte(nil), s.Data...))
-		records = append(records, &meta.Segment{
-			ID:     id,
+		records[i] = &meta.Segment{
+			ID:     ids[i],
 			Length: len(s.Data),
 			K:      c.params.K,
 			N:      c.params.CodeN(),
-		})
+		}
 	}
-	return snap, records
+	return records
 }
 
 // uploadOutcome summarizes one batch upload.

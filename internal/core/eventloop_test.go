@@ -3,15 +3,19 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"unidrive/internal/capacity"
+	"unidrive/internal/chunker"
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/localfs"
+	"unidrive/internal/meta"
 	"unidrive/internal/obs"
 	"unidrive/internal/vclock"
 )
@@ -315,6 +319,119 @@ func TestSpuriousMtimeDoesNotCommit(t *testing.T) {
 	rep = syncOK(t, c)
 	if rep.LocalChanges != 1 || rep.Version != 2 {
 		t.Fatalf("real edit pass = %+v", rep)
+	}
+}
+
+// TestTouchedFileCachesNothing pins that the touch(1) guard decides
+// before it caches: a file rewritten with the same bytes and a new
+// mtime leaves no segment in the upload cache, which nothing would
+// drop until the path is committed again.
+func TestTouchedFileCachesNothing(t *testing.T) {
+	mem := localfs.NewMem()
+	lr := newLoopRig(t, mem, Config{})
+	c := lr.client
+	content := randContent(5, 10000)
+	writeFile(t, mem, "stable.bin", content)
+	syncOK(t, c)
+	cached := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.segData)
+	}
+	if n := cached(); n != 0 {
+		t.Fatalf("segData holds %d segments after the commit, want 0", n)
+	}
+	if err := mem.WriteFile("stable.bin", []byte(content), time.Now().Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if rep := syncOK(t, c); rep.LocalChanges != 0 {
+		t.Fatalf("touch committed %d changes", rep.LocalChanges)
+	}
+	if n := cached(); n != 0 {
+		t.Fatalf("segData holds %d segments after a touch, want 0", n)
+	}
+}
+
+// TestRecordEventsMatchesSerialHashing drives recordEvents over many
+// files of one to several segments, mixed with a delete, a touch, a
+// real edit and a file gone before it is read, and checks the recorded
+// changes against the events in order, each named by serial SegmentID.
+func TestRecordEventsMatchesSerialHashing(t *testing.T) {
+	mem := localfs.NewMem()
+	lr := newLoopRig(t, mem, Config{})
+	c := lr.client
+	writeFile(t, mem, "old/touched.bin", randContent(1, 9000))
+	writeFile(t, mem, "old/edited.bin", randContent(2, 9000))
+	writeFile(t, mem, "old/removed.bin", randContent(3, 9000))
+	syncOK(t, c)
+
+	stat := func(path string) localfs.FileInfo {
+		info, err := mem.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	var events []localfs.Event
+	var want []string // the paths that record a change, in event order
+	for i := 0; i < 40; i++ {
+		path := fmt.Sprintf("new/f%02d.bin", i)
+		writeFile(t, mem, path, randContent(int64(100+i), 1+i*i*20))
+		events = append(events, localfs.Event{Kind: localfs.Added, Info: stat(path)})
+		want = append(want, path)
+		switch i {
+		case 10:
+			events = append(events, localfs.Event{Kind: localfs.Modified, Info: stat("old/touched.bin")})
+		case 20:
+			writeFile(t, mem, "old/edited.bin", randContent(4, 12000))
+			events = append(events, localfs.Event{Kind: localfs.Modified, Info: stat("old/edited.bin")})
+			want = append(want, "old/edited.bin")
+		case 30:
+			if err := mem.Remove("old/removed.bin"); err != nil {
+				t.Fatal(err)
+			}
+			events = append(events, localfs.Event{Kind: localfs.Removed, Info: localfs.FileInfo{Path: "old/removed.bin"}})
+			want = append(want, "old/removed.bin")
+			events = append(events, localfs.Event{Kind: localfs.Added, Info: localfs.FileInfo{Path: "new/gone.bin"}})
+		}
+	}
+
+	c.writer.Lock()
+	recorded, err := c.recordEvents(events)
+	c.writer.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes := c.changes.Snapshot()
+	if recorded != len(want) || len(changes) != len(want) {
+		t.Fatalf("recorded %d changes (%d listed), want %d", recorded, len(changes), len(want))
+	}
+	for i, ch := range changes {
+		if ch.Path != want[i] {
+			t.Fatalf("change %d is %s, want %s", i, ch.Path, want[i])
+		}
+		if ch.Type == meta.ChangeDelete {
+			continue
+		}
+		data, err := mem.ReadFile(ch.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, seg := range c.chnk.Split(data) {
+			ids = append(ids, chunker.SegmentID(seg.Data))
+		}
+		if !slices.Equal(ch.Snapshot.SegmentIDs, ids) {
+			t.Fatalf("%s: snapshot names %v, serial hashing %v", ch.Path, ch.Snapshot.SegmentIDs, ids)
+		}
+		if len(ch.Segments) != len(ids) {
+			t.Fatalf("%s: %d segment records for %d segments", ch.Path, len(ch.Segments), len(ids))
+		}
+		for j, rec := range ch.Segments {
+			if rec.ID != ids[j] {
+				t.Fatalf("%s: record %d is %s, want %s", ch.Path, j, rec.ID, ids[j])
+			}
+		}
 	}
 }
 

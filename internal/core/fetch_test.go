@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"unidrive/internal/chunker"
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/localfs"
@@ -32,7 +33,7 @@ func TestFetchVerified(t *testing.T) {
 		writeFile(t, fa, path, content)
 		syncOK(t, a)
 		for _, ch := range a.chnk.Split([]byte(content)) {
-			plain[ch.ID()] = ch.Data
+			plain[chunker.SegmentID(ch.Data)] = ch.Data
 		}
 		segs = append(segs, fileSegments(t, a, path)[0])
 	}

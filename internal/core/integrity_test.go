@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"unidrive/internal/chunker"
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/localfs"
@@ -228,7 +229,7 @@ func TestDecodeExclusionTargetsStampedPoison(t *testing.T) {
 	// segment's own chunk, not necessarily the whole file.
 	var plain []byte
 	for _, ch := range a.chnk.Split([]byte(content)) {
-		if ch.ID() == seg.ID {
+		if chunker.SegmentID(ch.Data) == seg.ID {
 			plain = ch.Data
 		}
 	}
@@ -323,7 +324,7 @@ func TestDecodeWorkersDeliverEachSegmentOnce(t *testing.T) {
 	}
 	plain := make(map[string][]byte)
 	for _, ch := range a.chnk.Split([]byte(content)) {
-		plain[ch.ID()] = ch.Data
+		plain[chunker.SegmentID(ch.Data)] = ch.Data
 	}
 	poisoned := segs[len(segs)/2]
 	if len(poisoned.Blocks) < 2*poisoned.K {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"unidrive/internal/chunker"
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
 )
@@ -185,15 +186,11 @@ func (c *Client) conflictAt(path string, snap *meta.Snapshot, reason string) app
 
 // readSnapshot returns the snapshot the bytes at path would commit as
 // (size and segment IDs), nil when they cannot be read. It has no
-// caching side effects, unlike chunkFile.
+// caching side effects, unlike recordEvents.
 func (c *Client) readSnapshot(folder localfs.Folder, path string) *meta.Snapshot {
 	data, err := folder.ReadFile(path)
 	if err != nil {
 		return nil
 	}
-	snap := &meta.Snapshot{Path: path, Size: int64(len(data))}
-	for _, seg := range c.chnk.Split(data) {
-		snap.SegmentIDs = append(snap.SegmentIDs, seg.ID())
-	}
-	return snap
+	return &meta.Snapshot{Path: path, Size: int64(len(data)), SegmentIDs: chunker.IDs(c.chnk.Split(data))}
 }

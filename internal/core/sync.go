@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"unidrive/internal/chunker"
 	"unidrive/internal/journal"
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
@@ -99,59 +100,100 @@ func (c *Client) observe(look scan) error {
 	return nil
 }
 
-// recordEvents converts scanner events into ChangedFileList entries.
+// recordEvents converts scanner events into ChangedFileList entries,
+// in three steps: every added or modified file is read and split
+// (readEvents), all their segments are named in one chunker.IDs call,
+// which hashes on every core, and each event is recorded in order.
 // Modified events are guarded against spurious mtime changes
-// (touch(1), editors rewriting identical bytes): the re-chunked
-// content is compared against the committed snapshot, and an
-// identical file records nothing — re-uploading it would waste a
-// commit and a metadata version. Skips are counted under
-// scan.spurious_mtime.
+// (touch(1), editors rewriting identical bytes): the re-chunked content
+// is compared against the committed snapshot before anything is
+// cached, and an identical file records nothing — re-uploading it
+// would waste a commit and a metadata version. Skips are counted under
+// scan.spurious_mtime. A read error ends the walk at that event: the
+// events before it are still recorded.
 func (c *Client) recordEvents(events []localfs.Event) (int, error) {
+	files, readErr := c.readEvents(events)
+	var segs []chunker.Segment
+	for _, f := range files {
+		segs = append(segs, f.segs...)
+	}
+	ids := chunker.IDs(segs)
 	recorded := 0
-	for _, ev := range events {
-		// Every event moved the scanner's baseline entry for its path,
-		// including the spurious ones skipped below.
-		c.noteDirty(ev.Info.Path)
-		switch ev.Kind {
+	for _, f := range files {
+		fileIDs := ids[:len(f.segs):len(f.segs)]
+		ids = ids[len(f.segs):]
+		var ch *meta.Change
+		switch f.ev.Kind {
 		case localfs.Added, localfs.Modified:
-			data, err := c.folder.ReadFile(ev.Info.Path)
-			if err != nil {
-				if errors.Is(err, localfs.ErrNotExist) {
-					continue // deleted between scan and read
-				}
-				return recorded, err
+			if f.segs == nil {
+				continue // deleted between scan and read
 			}
-			snap, segs := c.chunkFile(ev.Info, data)
+			snap := &meta.Snapshot{
+				Path: f.ev.Info.Path, Size: int64(len(f.data)), ModTime: f.ev.Info.ModTime,
+				Device: c.cfg.Device, SegmentIDs: fileIDs,
+			}
 			typ := meta.ChangeAdd
-			if ev.Kind == localfs.Modified {
+			if f.ev.Kind == localfs.Modified {
 				typ = meta.ChangeEdit
-				if known := c.lastImage().Lookup(ev.Info.Path).Current(); snap.ContentEquals(known) {
+				if known := c.lastImage().Lookup(f.ev.Info.Path).Current(); snap.ContentEquals(known) {
 					c.cfg.Obs.Counter("scan.spurious_mtime").Inc()
 					continue
 				}
 			}
-			err = c.changes.Record(&meta.Change{
-				Type: typ, Path: ev.Info.Path,
-				Snapshot: snap, Segments: segs, Time: ev.Info.ModTime,
-			})
-			if err != nil {
-				return recorded, err
+			ch = &meta.Change{
+				Type: typ, Path: f.ev.Info.Path, Snapshot: snap,
+				Segments: c.stageSegments(f.segs, fileIDs), Time: f.ev.Info.ModTime,
 			}
-			recorded++
 		case localfs.Removed:
 			// Stamp the scan-observed time: the tombstone committed for
 			// this delete carries it, and a zero time would make a
 			// deleted-then-recreated path look infinitely old to any
 			// reader ordering versions by timestamp.
-			if err := c.changes.Record(&meta.Change{
-				Type: meta.ChangeDelete, Path: ev.Info.Path, Time: c.cfg.Clock.Now(),
-			}); err != nil {
-				return recorded, err
-			}
-			recorded++
+			ch = &meta.Change{Type: meta.ChangeDelete, Path: f.ev.Info.Path, Time: c.cfg.Clock.Now()}
+		default:
+			continue
 		}
+		if err := c.changes.Record(ch); err != nil {
+			return recorded, err
+		}
+		recorded++
 	}
-	return recorded, nil
+	return recorded, readErr
+}
+
+// eventFile is one scanner event with, for an added or modified file,
+// the bytes read and their segments; segs is nil when the file was
+// deleted between scan and read (Split names even an empty file).
+type eventFile struct {
+	ev   localfs.Event
+	data []byte
+	segs []chunker.Segment
+}
+
+// readEvents is recordEvents' first step: it reads and splits every
+// added or modified file, in event order, and stops at the first read
+// error other than the file having gone, returning the events before
+// it.
+func (c *Client) readEvents(events []localfs.Event) ([]eventFile, error) {
+	files := make([]eventFile, 0, len(events))
+	for _, ev := range events {
+		// Every event moved the scanner's baseline entry for its path,
+		// including the spurious ones recordEvents skips.
+		c.noteDirty(ev.Info.Path)
+		f := eventFile{ev: ev}
+		if ev.Kind == localfs.Added || ev.Kind == localfs.Modified {
+			data, err := c.folder.ReadFile(ev.Info.Path)
+			switch {
+			case errors.Is(err, localfs.ErrNotExist):
+			case err != nil:
+				return files, err
+			default:
+				f.data, f.segs = data, c.chnk.Split(data)
+			}
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // SyncOnce runs one full pass: every file in the folder is observed,

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1 gate, runnable without make: vet, gofmt, the function-length
 # gate, the test-only options gate, build, full test suite, the race
-# detector over the concurrent data-plane packages, the benchmark
-# module, and the shipped §3.2 output.
+# detector over the concurrent data-plane packages, the portable
+# (non-assembly) kernels, the benchmark module, and the shipped §3.2
+# output.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -33,6 +34,10 @@ go test ./...
 echo "== go test -race (the packages in scripts/race_pkgs.txt)"
 # shellcheck disable=SC2046 # one argument per listed package
 go test -race $(grep -v '^#' scripts/race_pkgs.txt)
+
+echo "== portable kernels: go test -tags purego, GOARCH=arm64 go vet (gf256, chunker)"
+go test -tags purego ./internal/gf256 ./internal/chunker
+GOARCH=arm64 go vet ./internal/gf256 ./internal/chunker
 
 echo "== benchmarks/e2e (its own module): go vet, go test"
 (cd benchmarks/e2e && go vet . && go test .)

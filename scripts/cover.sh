@@ -18,6 +18,7 @@ internal/scrub     85.0
 internal/capacity  85.0
 internal/cloud     85.0
 internal/deltasync 85.0
+internal/chunker   90.0
 "
 PROFILE="${COVER_PROFILE:-/tmp/unidrive-cover.out}"
 
