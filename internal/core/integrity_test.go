@@ -115,7 +115,7 @@ func commitPlacement(t *testing.T, c *Client, seg *meta.Segment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.releaseLock(ctx, lock)
+	defer func() { c.releaseLock(ctx, lock)() }()
 	if _, err := c.store.Commit(ctx, []*meta.Change{{
 		Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{seg},
 	}}); err != nil {

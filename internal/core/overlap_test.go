@@ -53,9 +53,10 @@ func (g *gate) opened() <-chan struct{} {
 
 // tap is what the overlap tests hold over one device's clouds: block
 // uploads to one cloud stay in flight until the test lets them go (the
-// gate of transfer/delete_test.go), version-stamp reads and block reads
-// can be held the same way, lock flag uploads can be made to fail, and
-// every version-stamp write is announced.
+// gate of transfer/delete_test.go), version-stamp reads, block reads
+// and the version-stamp writes to that cloud can be held the same way,
+// lock flag uploads can be made to fail, and every version-stamp write
+// is announced.
 type tap struct {
 	slow        string        // the cloud whose block uploads the blocks gate holds
 	blocks      *gate         // block uploads to slow
@@ -63,6 +64,8 @@ type tap struct {
 	stampAsked  chan struct{} // one per held version-stamp read that arrived
 	blockReads  *gate         // block reads, every cloud
 	blockAsked  chan struct{} // one per held block read that arrived
+	stampWrites *gate         // version-stamp writes to slow
+	writeAsked  chan struct{} // one per held version-stamp write that arrived
 	stampPut    chan struct{} // one per version-stamp write that landed
 	failLocks   atomic.Bool
 	mu          sync.Mutex
@@ -72,10 +75,10 @@ type tap struct {
 
 func newTap(slow string) *tap {
 	return &tap{
-		slow: slow, blocks: newGate(), stampReads: newGate(), blockReads: newGate(),
+		slow: slow, blocks: newGate(), stampReads: newGate(), blockReads: newGate(), stampWrites: newGate(),
 		// Never block the program under test: above any test's request count.
 		stampAsked: make(chan struct{}, 1024), stampPut: make(chan struct{}, 1024),
-		blockAsked: make(chan struct{}, 1024),
+		blockAsked: make(chan struct{}, 1024), writeAsked: make(chan struct{}, 1024),
 	}
 }
 
@@ -109,6 +112,11 @@ func (c *tappedCloud) Upload(ctx context.Context, path string, data []byte) erro
 	case strings.HasPrefix(path, qlock.DefaultLockDir+"/") && tp.failLocks.Load():
 		return cloud.ErrUnavailable
 	case path == versionPath:
+		if c.Name() == tp.slow {
+			if err := through(ctx, tp.stampWrites, tp.writeAsked); err != nil {
+				return err
+			}
+		}
 		err := c.Interface.Upload(ctx, path, data)
 		if err == nil {
 			tp.stampPut <- struct{}{}

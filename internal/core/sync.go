@@ -445,14 +445,15 @@ func (c *Client) finishUpload(ctx context.Context, session *uploadSession, inten
 	return nil
 }
 
-// releaseLock releases a quorum lock with a hard deadline so a
-// stalled cloud cannot hang shutdown: the release proceeds in the
-// background for at most ReleaseTimeout (detached from the caller's
-// cancellation — a cancelled sync must still try to unlock), after
-// which it is abandoned and counted under qlock.release_timeouts.
-// An abandoned release is safe: the flag files expire after
-// LockExpiry and every other device breaks them.
-func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock) {
+// releaseLock starts releasing a quorum lock with a hard deadline, so
+// a stalled cloud cannot hang shutdown, and returns the wait for it:
+// the release runs beside whatever its caller does next, detached from
+// the caller's cancellation (a cancelled sync must still try to
+// unlock), and the wait returns once it ended or ReleaseTimeout after
+// it started, when it is abandoned and counted under
+// qlock.release_timeouts. An abandoned release is safe: the flag files
+// expire after LockExpiry and every other device breaks them.
+func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock) (wait func()) {
 	rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.ReleaseTimeout)
 	done := make(chan struct{})
 	go func() {
@@ -460,10 +461,12 @@ func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock) {
 		defer cancel()
 		_ = lock.Release(rctx)
 	}()
-	select {
-	case <-done:
-	case <-rctx.Done():
-		c.cfg.Obs.Counter("qlock.release_timeouts").Inc()
+	return func() {
+		select {
+		case <-done:
+		case <-rctx.Done():
+			c.cfg.Obs.Counter("qlock.release_timeouts").Inc()
+		}
 	}
 }
 
@@ -489,9 +492,11 @@ func (c *Client) lockedCommit(ctx context.Context, to stack, build func(head *me
 // lockRound is a locked commit split in two. The first part runs on
 // its own goroutine from startLock: acquire the quorum lock, then
 // refresh the store to the head the commit builds on. commit is the
-// second part: build, add the owed placements, check, commit, release.
-// close ends the round on every path out, cancelling a first part still
-// running and releasing a lock won but never committed under.
+// second part: build, add the owed placements, check, commit, start
+// the release. close ends the round on every path out, cancelling a
+// first part still running, releasing a lock won but never committed
+// under, and waiting for the release: what the caller does after the
+// commit runs beside it, and no lock request outlives the round.
 type lockRound struct {
 	c      *Client
 	ctx    context.Context
@@ -503,6 +508,8 @@ type lockRound struct {
 	lock *qlock.Lock
 	head *meta.Image
 	err  error
+	// released waits for the release commit started.
+	released func()
 	// recorded is the number of owed segment placements the commit
 	// recorded.
 	recorded int
@@ -530,8 +537,9 @@ func (c *Client) startLock(ctx context.Context) *lockRound {
 
 // commit waits for the first part and runs the second (lockedCommit).
 // It returns the instant the commit completed (or found nothing to
-// commit), before the release. A hold that recorded the owed
-// placements settles them after the release.
+// commit), with the release started and still running (close waits for
+// it). A hold that recorded the owed placements settles them beside the
+// release.
 func (r *lockRound) commit(to stack, build func(head *meta.Image) ([]*meta.Change, error)) (time.Time, error) {
 	<-r.done
 	if r.err != nil {
@@ -542,7 +550,7 @@ func (r *lockRound) commit(to stack, build func(head *meta.Image) ([]*meta.Chang
 	owing := len(r.c.owed.intents) > 0
 	dropped, err := r.commitHeld(lock, to, build)
 	committedAt := r.c.cfg.Clock.Now()
-	r.c.releaseLock(r.ctx, lock)
+	r.released = r.c.releaseLock(r.ctx, lock)
 	if err != nil {
 		return time.Time{}, err
 	}
@@ -603,7 +611,10 @@ func (r *lockRound) close() {
 		<-r.done
 	}
 	if r.lock != nil {
-		r.c.releaseLock(r.ctx, r.lock)
+		r.released = r.c.releaseLock(r.ctx, r.lock)
+	}
+	if r.released != nil {
+		r.released()
 	}
 	r.cancel()
 }

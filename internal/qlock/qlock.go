@@ -22,14 +22,35 @@
 // quorum — so it waits for the quorum-th fastest cloud, not the
 // slowest. The chains still running then (stragglers) keep going —
 // recording own flags, tracking first-seen times, breaking obsolete
-// locks. Withdraw and Release follow one rule (clear): on each cloud,
-// once the round's chain there has ended, delete the own flags recorded
-// up to the round's generation, so a flag that lands late is not
-// orphaned. Refresh joins the stragglers before it renews. A clear or a
-// join waits until the caller's deadline at most, then cancels the
-// stragglers; a clear's deletes run on a context of their own, so what
-// a cancelled straggler landed is still deleted as it ends. Each round
-// tags the flags it records with its generation: a Release that
+// locks.
+//
+// A won hold keeps its flags on the quorum that won it and nowhere
+// else: every other chain of the round (a straggler, or a cloud that
+// answered "not held" before the win) sheds — deletes this device's
+// flags on its cloud — as it ends, on a context of its own. Exclusion
+// does not need more. On each cloud of the winning quorum our list
+// showed no live foreign flag, so a contender's flag landed there
+// after our list, hence after our flag, and the contender's own list
+// there shows ours: it cannot hold any cloud of our quorum while we
+// hold, and the clouds outside it are a minority. Our quorum's flags
+// stay until the release. The shed runs inside the chain, so a refresh
+// (which joins the round's chains first) and a release (which waits for
+// each cloud's chain) wait for it as they waited for the chain before.
+// A refresh renews on every admitted cloud, so the first renewal
+// re-flags the shed clouds: validity stays "renewed on at least
+// Quorum() clouds", judged by the renewal alone, and since the refresh
+// interval (ΔT/4) is well below ΔT, no flag of the winning quorum can
+// age into a break before that first renewal.
+//
+// Withdraw and Release follow one rule (clear): on each cloud, once the
+// round's chain there has ended, delete the own flags recorded up to
+// the round's generation, so a flag that lands late is not orphaned; a
+// cloud whose flags were shed gets no request. Refresh joins the
+// stragglers before it renews. A clear or a join waits until the
+// caller's deadline at most, then cancels the stragglers; a clear's and
+// a shed's deletes run on a context of their own, so what a cancelled
+// straggler landed is still deleted as it ends. Each round tags the
+// flags it records with its generation: a Release or a shed that
 // outlives its deadline deletes only flags of its own hold or older,
 // never those of a hold won after it.
 //
@@ -165,13 +186,26 @@ type Manager struct {
 }
 
 // round is one acquisition round: a chain per admitted cloud, flag
-// upload then list, on a context of the round's own. chains answer
-// whether their cloud was held; chain j runs on clouds[j].
+// upload then list, on a context of the round's own. Chain j runs on
+// clouds[j]; it hands tryOnce its verdict on answers the moment it has
+// one and then waits for decided, closed once tryOnce has read enough
+// verdicts to decide. From then on won marks a won round's quorum, the
+// chains whose held verdicts won it (nil for a lost round), and every
+// other chain of a won round sheds its cloud's flags before it ends.
 type round struct {
-	gen    uint64
-	cancel context.CancelFunc
-	clouds []cloud.Interface
-	chains *cloud.Fanout[bool]
+	gen     uint64
+	cancel  context.CancelFunc
+	clouds  []cloud.Interface
+	chains  *cloud.Fanout[struct{}]
+	answers chan verdict
+	decided chan struct{}
+	won     []bool
+}
+
+// verdict is chain j's answer: whether its cloud was held.
+type verdict struct {
+	j    int
+	held bool
 }
 
 // join waits for the round's chains until ctx ends, then cancels the
@@ -338,28 +372,39 @@ func (m *Manager) tryOnce(ctx context.Context, name string, admitted []cloud.Int
 		admitted = nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	r := &round{cancel: cancel, clouds: admitted}
+	r := &round{cancel: cancel, clouds: admitted, answers: make(chan verdict, len(admitted)), decided: make(chan struct{})}
 	m.mu.Lock()
 	m.gen++
 	r.gen = m.gen
 	m.mu.Unlock()
 	path := cloud.JoinPath(DefaultLockDir, name)
-	r.chains = cloud.Each(ctx, len(admitted), func(ctx context.Context, j int) bool {
+	r.chains = cloud.Each(ctx, len(admitted), func(ctx context.Context, j int) struct{} {
 		c := admitted[j]
-		if c.Upload(ctx, path, nil) != nil {
-			return false
+		held := c.Upload(ctx, path, nil) == nil
+		if held {
+			m.noteOwn(c.Name(), name, r.gen)
+			held = m.checkCloud(ctx, c, r.gen)
 		}
-		m.noteOwn(c.Name(), name, r.gen)
-		return m.checkCloud(ctx, c, r.gen)
+		r.answers <- verdict{j, held}
+		<-r.decided
+		if r.won != nil && !r.won[j] {
+			m.cfg.Obs.Counter("qlock.shed_flags").Add(int64(m.deleteOwn(ctx, c, r.gen)))
+		}
+		return struct{}{}
 	})
-	won, out := 0, len(admitted)
-	for won < m.Quorum() && won+out >= m.Quorum() {
+	won, held, out := make([]bool, len(admitted)), 0, len(admitted)
+	for held < m.Quorum() && held+out >= m.Quorum() {
 		out--
-		if _, held, _ := r.chains.Next(); held {
-			won++
+		if v := <-r.answers; v.held {
+			won[v.j] = true
+			held++
 		}
 	}
-	return r, won >= m.Quorum()
+	if held >= m.Quorum() {
+		r.won = won
+	}
+	close(r.decided)
+	return r, r.won != nil
 }
 
 // checkCloud lists the lock directory on c and reports whether this
@@ -489,16 +534,16 @@ func (m *Manager) takeOwn(cloudName string, upTo uint64) []string {
 
 // clear is withdraw and release: it deletes, by name, this device's
 // flag files recorded up to round r's generation — the round's or
-// hold's file wherever its upload succeeded, own-device names an
-// acquisition List showed, and old names a refresh could not delete. On
-// each cloud it deletes once r's chain there has ended, so a straggler
-// that hangs holds up no other cloud's deletes, and each delete runs on
-// a context of its own, bounded by detachedTimeout: clear waits until
-// ctx ends at most, then cancels the stragglers, and what they landed
-// is still deleted as they end. No List is needed — every file this
-// manager created is on its record, and one it does not know of is
-// found by the next acquisition's List — and a cloud holding nothing of
-// ours gets no request at all.
+// hold's file wherever its upload succeeded and no shed took it,
+// own-device names an acquisition List showed, and old names a refresh
+// could not delete. On each cloud it deletes once r's chain there has
+// ended, so a straggler that hangs holds up no other cloud's deletes,
+// and each delete runs on a context of its own (deleteOwn): clear
+// waits until ctx ends at most, then cancels the stragglers, and what
+// they landed is still deleted as they end. No List is needed — every
+// file this manager created is on its record, and one it does not know
+// of is found by the next acquisition's List — and a cloud holding
+// nothing of ours, a shed one included, gets no request at all.
 func (m *Manager) clear(ctx context.Context, r *round) {
 	deletes := cloud.Each(ctx, len(m.clouds), func(ctx context.Context, i int) struct{} {
 		c := m.clouds[i]
@@ -507,20 +552,25 @@ func (m *Manager) clear(ctx context.Context, r *round) {
 				<-r.chains.Ended(j)
 			}
 		}
-		dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedTimeout)
-		deleteFlags(dctx, c, m.takeOwn(c.Name(), r.gen))
-		cancel()
+		m.deleteOwn(ctx, c, r.gen)
 		return struct{}{}
 	})
 	_, _ = deletes.Wait(ctx)
 	r.cancel()
 }
 
-// deleteFlags deletes the named flag files from c.
-func deleteFlags(ctx context.Context, c cloud.Interface, names []string) {
+// deleteOwn deletes from c, by name, this device's flag files recorded
+// there up to generation upTo, on a context detached from ctx and
+// bounded by detachedTimeout, and returns how many it sent: what a
+// cancelled chain landed is still deleted.
+func (m *Manager) deleteOwn(ctx context.Context, c cloud.Interface, upTo uint64) int {
+	names := m.takeOwn(c.Name(), upTo)
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedTimeout)
+	defer cancel()
 	for _, name := range names {
-		_ = c.Delete(ctx, cloud.JoinPath(DefaultLockDir, name))
+		_ = c.Delete(dctx, cloud.JoinPath(DefaultLockDir, name))
 	}
+	return len(names)
 }
 
 func (m *Manager) sleepJittered(ctx context.Context, ceiling time.Duration) {
@@ -628,11 +678,12 @@ func (l *Lock) refreshOnce(ctx context.Context) {
 	l.mu.Unlock()
 }
 
-// Release stops refreshing and deletes from all clouds this device's
-// lock files recorded up to the hold's generation, waiting for the
-// winning round's stragglers until ctx ends (clear): a Release still
-// running after its caller moved on to a new hold leaves that hold's
-// files alone. It is idempotent.
+// Release stops refreshing and deletes this device's lock files
+// recorded up to the hold's generation — those of the winning quorum,
+// unless a refresh re-flagged the shed clouds — waiting for the
+// winning round's stragglers, their shed included, until ctx ends
+// (clear): a Release still running after its caller moved on to a new
+// hold leaves that hold's files alone. It is idempotent.
 func (l *Lock) Release(ctx context.Context) error {
 	l.stopOnce.Do(func() {
 		close(l.stopRefresh)

@@ -206,10 +206,11 @@ func TestReleaseWaitsForParkedUploads(t *testing.T) {
 
 // A Release whose deadline passes while a straggler hangs returns at
 // the deadline, having deleted the quorum's flags, as core gives up on
-// a release after ReleaseTimeout. The hold won next keeps its flags
-// once the hung straggler ends — what the first hold's round deletes
-// late is only its own — and its own Release leaves no flag, the late
-// landing one included.
+// a release after ReleaseTimeout. Once the hung straggler ends, its
+// late flag is gone — its chain sheds it, the round having been won
+// without it — and the hold won next keeps its flags on the clouds
+// that won it: what the first hold's round deletes late is only its
+// own. The second hold's own Release leaves no flag.
 func TestAbandonedReleaseSparesTheNextHold(t *testing.T) {
 	for _, op := range []string{"upload", "list"} {
 		t.Run("hung "+op, func(t *testing.T) { abandonRelease(t, op) })
@@ -256,14 +257,20 @@ func abandonRelease(t *testing.T, op string) {
 	<-first.round.chains.Done()
 	<-second.round.chains.Done()
 
+	if second.round.won[4] {
+		t.Fatal("the second hold was won on the hung cloud")
+	}
 	names = lockDirNames(t, bare)
-	for _, c := range bare {
+	for j, c := range bare {
 		found := false
 		for _, n := range names[c.Name()] {
 			found = found || n == second.name
+			if n == first.name {
+				t.Errorf("%s keeps the first hold's flag after its chain ended", c.Name())
+			}
 		}
-		if !found {
-			t.Errorf("%s lost the second hold's flag %s", c.Name(), second.name)
+		if won := second.round.won[j]; found != won {
+			t.Errorf("%s holds the second hold's flag: %v, want %v (whether the hold was won there)", c.Name(), found, won)
 		}
 	}
 	if err := second.Release(context.Background()); err != nil {

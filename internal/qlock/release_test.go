@@ -2,6 +2,7 @@ package qlock
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -132,11 +133,17 @@ func (f *failingDeletes) Delete(ctx context.Context, path string) error {
 
 // A refresh that uploaded the new flag but could not delete the old
 // one leaves two own files on that cloud; the release removes both,
-// still without listing.
+// still without listing. The failing delete is armed on a cloud of the
+// winning quorum, whose flag stays there until the release: the other
+// clouds' flags were shed and the refresh has no old flag there to
+// delete.
 func TestReleaseDeletesNameARefreshLeftBehind(t *testing.T) {
 	clouds, recs := recordedClouds(5)
-	faulty := &failingDeletes{Interface: clouds[3], failed: make(map[string]bool)}
-	clouds[3] = faulty
+	wrapped := make([]*failingDeletes, len(clouds))
+	for i := range clouds {
+		wrapped[i] = &failingDeletes{Interface: clouds[i], failed: make(map[string]bool)}
+		clouds[i] = wrapped[i]
+	}
 	cfg := fastCfg("d1")
 	cfg.RefreshInterval = time.Hour // refreshes are driven by hand below
 	m := New(clouds, cfg)
@@ -144,6 +151,7 @@ func TestReleaseDeletesNameARefreshLeftBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	faulty := wrapped[slices.Index(lock.round.won, true)]
 	faulty.mu.Lock()
 	faulty.armed = true
 	faulty.mu.Unlock()
@@ -159,8 +167,8 @@ func TestReleaseDeletesNameARefreshLeftBehind(t *testing.T) {
 		t.Fatal("lock lost validity though every flag was renewed")
 	}
 	names := lockDirNames(t, clouds)
-	if got := names["c3"]; len(got) != 2 {
-		t.Fatalf("c3 holds %v after the failed cleanup, want the old and the new flag", got)
+	if got := names[faulty.Name()]; len(got) != 2 {
+		t.Fatalf("%s holds %v after the failed cleanup, want the old and the new flag", faulty.Name(), got)
 	}
 	for name, got := range names {
 		for _, n := range got {

@@ -12,9 +12,17 @@
 // end with the share of it during which a block upload was in flight,
 // the last block upload's end, and, per cloud, the gaps longer than
 // -gap inside its own upload (first block start to last block end).
-// The slowest cloud is the one whose last block ends last. The closing
-// lines are medians over the passes, so a parent/change pair of traced
-// runs shows where a saving sits.
+// The slowest cloud is the one whose last block ends last. A pass that
+// uploads no block (a delete commit) prints only the lines below.
+//
+// Then the end of the hold: the instant the commit's last version
+// stamp landed; the last round's shed deletes, first start → last end
+// (the flag deletes a chain outside the quorum sends as it ends; see
+// holdEnd); the release wave, start → end, and its clouds (every other
+// flag delete of the round); and the deletes of the blocks the commit
+// released, first start → last end. The closing lines are medians over
+// the passes, so a parent/change pair of traced runs shows where a
+// saving sits.
 package main
 
 import (
@@ -82,43 +90,28 @@ func main() {
 			continue
 		}
 		ms := func(t int64) float64 { return float64(t-p.Start) / 1e6 }
-		var blocks, locks []span
+		var blocks, locks, gc []span
+		stamped := int64(0)
 		for _, s := range byPass[p.ID] {
 			switch {
 			case s.Layer == "transfer.block" && s.Op == "upload":
 				blocks = append(blocks, s)
+			case s.Layer == "transfer.block" && s.Op == "delete":
+				gc = append(gc, s)
 			case s.Layer == "qlock":
 				locks = append(locks, s)
+			case s.Layer == "deltasync.version" && s.Op == "upload":
+				stamped = max(stamped, s.End)
 			}
 		}
-		if len(blocks) == 0 {
-			continue
-		}
-		first, last := blocks[0].Start, blocks[0].End
-		landed := make(map[string][]int64) // segment -> block end times
-		byCloud := make(map[string][]iv)
-		var busy []iv
-		for _, b := range blocks {
-			first, last = min(first, b.Start), max(last, b.End)
-			seg := b.Path[:strings.LastIndex(b.Path, ".")]
-			landed[seg] = append(landed[seg], b.End)
-			byCloud[b.Cloud] = append(byCloud[b.Cloud], iv{b.Start, b.End})
-			busy = append(busy, iv{b.Start, b.End})
-		}
-		busy = union(busy)
-		avail := int64(0)
-		for _, ends := range landed {
-			sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
-			if len(ends) >= *k {
-				avail = max(avail, ends[*k-1])
-			}
-		}
-		fmt.Printf("pass %d: %.0f ms, %d block uploads, %d segments\n", p.ID, ms(p.End), len(blocks), len(landed))
-		fmt.Printf("  first block    %8.1f\n  available      %8.1f\n", ms(first), ms(avail))
+		fmt.Printf("pass %d: %.0f ms, %d block uploads\n", p.ID, ms(p.End), len(blocks))
 		add("pass", ms(p.End))
-		add("first block", ms(first))
-		add("available", ms(avail))
-		for i, r := range rounds(locks) {
+		var busy []iv
+		if len(blocks) > 0 {
+			busy = blockLines(blocks, ms, add, *k, *gap)
+		}
+		rs := rounds(locks)
+		for i, r := range rs {
 			share := 100 * float64(overlap(busy, r)) / float64(r.end-r.start)
 			held := acquired(locks, r, quorum)
 			fmt.Printf("  lock round %d   %8.1f → %.1f  (quorum held at %.1f; block upload in flight %.0f %% of it)\n",
@@ -128,32 +121,16 @@ func main() {
 			add(fmt.Sprintf("round %d end", i+1), ms(r.end))
 			add(fmt.Sprintf("round %d under uploads %%", i+1), share)
 		}
-		fmt.Printf("  last block end %8.1f\n", ms(last))
-		add("last block end", ms(last))
-		names := make([]string, 0, len(byCloud))
-		for c := range byCloud {
-			names = append(names, c)
+		if stamped > 0 {
+			fmt.Printf("  stamps landed  %8.1f\n", ms(stamped))
+			add("stamps landed", ms(stamped))
 		}
-		sort.Strings(names)
-		slowest, slowestEnd, slowestGap := "", int64(0), 0.0
-		for _, c := range names {
-			u := union(byCloud[c])
-			worst := 0.0
-			var gaps []string
-			for i := 1; i < len(u); i++ {
-				g := float64(u[i].start-u[i-1].end) / 1e6
-				worst = max(worst, g)
-				if g > *gap {
-					gaps = append(gaps, fmt.Sprintf("%.0f→%.0f", ms(u[i-1].end), ms(u[i].start)))
-				}
-			}
-			if end := u[len(u)-1].end; end > slowestEnd {
-				slowest, slowestEnd, slowestGap = c, end, worst
-			}
-			fmt.Printf("  %-8s %2d blocks %7.1f → %-7.1f idle > %.0f ms: %s\n", c, len(byCloud[c]), ms(u[0].start), ms(u[len(u)-1].end), *gap, strings.Join(gaps, " "))
+		if len(rs) > 0 {
+			shed, release := holdEnd(locks, rs[len(rs)-1], quorum)
+			wave("shed deletes", shed, ms, add)
+			wave("release wave", release, ms, add)
 		}
-		fmt.Printf("  slowest cloud %s, longest idle gap %.1f ms\n", slowest, slowestGap)
-		add("slowest cloud's longest idle gap", slowestGap)
+		wave("block deletes", gc, ms, add)
 	}
 	names := make([]string, 0, len(cols))
 	for n := range cols {
@@ -166,6 +143,116 @@ func main() {
 		sort.Float64s(v)
 		fmt.Printf("  %-34s %8.1f  (n=%d)\n", n, v[len(v)/2], len(v))
 	}
+}
+
+// blockLines prints a pass's block-upload lines and returns the merged
+// intervals during which a block upload was in flight.
+func blockLines(blocks []span, ms func(int64) float64, add func(string, float64), k int, gap float64) []iv {
+	first, last := blocks[0].Start, blocks[0].End
+	landed := make(map[string][]int64) // segment -> block end times
+	byCloud := make(map[string][]iv)
+	var busy []iv
+	for _, b := range blocks {
+		first, last = min(first, b.Start), max(last, b.End)
+		seg := b.Path[:strings.LastIndex(b.Path, ".")]
+		landed[seg] = append(landed[seg], b.End)
+		byCloud[b.Cloud] = append(byCloud[b.Cloud], iv{b.Start, b.End})
+		busy = append(busy, iv{b.Start, b.End})
+	}
+	avail := int64(0)
+	for _, ends := range landed {
+		sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
+		if len(ends) >= k {
+			avail = max(avail, ends[k-1])
+		}
+	}
+	fmt.Printf("  %d segments\n  first block    %8.1f\n  available      %8.1f\n  last block end %8.1f\n", len(landed), ms(first), ms(avail), ms(last))
+	add("first block", ms(first))
+	add("available", ms(avail))
+	add("last block end", ms(last))
+	names := make([]string, 0, len(byCloud))
+	for c := range byCloud {
+		names = append(names, c)
+	}
+	sort.Strings(names)
+	slowest, slowestEnd, slowestGap := "", int64(0), 0.0
+	for _, c := range names {
+		u := union(byCloud[c])
+		worst := 0.0
+		var gaps []string
+		for i := 1; i < len(u); i++ {
+			g := float64(u[i].start-u[i-1].end) / 1e6
+			worst = max(worst, g)
+			if g > gap {
+				gaps = append(gaps, fmt.Sprintf("%.0f→%.0f", ms(u[i-1].end), ms(u[i].start)))
+			}
+		}
+		if end := u[len(u)-1].end; end > slowestEnd {
+			slowest, slowestEnd, slowestGap = c, end, worst
+		}
+		fmt.Printf("  %-8s %2d blocks %7.1f → %-7.1f idle > %.0f ms: %s\n", c, len(byCloud[c]), ms(u[0].start), ms(u[len(u)-1].end), gap, strings.Join(gaps, " "))
+	}
+	fmt.Printf("  slowest cloud %s, longest idle gap %.1f ms\n", slowest, slowestGap)
+	add("slowest cloud's longest idle gap", slowestGap)
+	return union(busy)
+}
+
+// holdEnd splits the flag deletes of round r into the shed — a delete
+// on a cloud outside the quorum that its chain sent as it ended: within
+// a millisecond of that cloud's list — and the release: every other
+// flag delete of the round. The quorum is the q clouds whose lists
+// ended first. A dump of a build that does not shed shows no shed: its
+// deletes all start after the commit.
+func holdEnd(locks []span, r iv, q int) (shed, release []span) {
+	var lists, deletes []span
+	for _, s := range locks {
+		if s.Start < r.start || s.End > r.end {
+			continue
+		}
+		switch s.Op {
+		case "list":
+			lists = append(lists, s)
+		case "delete":
+			deletes = append(deletes, s)
+		}
+	}
+	sort.Slice(lists, func(i, j int) bool { return lists[i].End < lists[j].End })
+	listed := make(map[string]int64) // cloud -> its list's end
+	inQuorum := make(map[string]bool)
+	for i, s := range lists {
+		listed[s.Cloud] = s.End
+		inQuorum[s.Cloud] = i < q
+	}
+	for _, s := range deletes {
+		if end, ok := listed[s.Cloud]; ok && !inQuorum[s.Cloud] && s.Start >= end && s.Start-end < 1e6 {
+			shed = append(shed, s)
+		} else {
+			release = append(release, s)
+		}
+	}
+	return shed, release
+}
+
+// wave prints the first start → last end of a group of requests, with
+// their clouds, and adds both instants to the medians.
+func wave(name string, ss []span, ms func(int64) float64, add func(string, float64)) {
+	if len(ss) == 0 {
+		return
+	}
+	first, last := ss[0].Start, ss[0].End
+	clouds := make(map[string]bool)
+	for _, s := range ss {
+		first, last = min(first, s.Start), max(last, s.End)
+		clouds[s.Cloud] = true
+	}
+	names := make([]string, 0, len(clouds))
+	for c := range clouds {
+		names = append(names, c)
+	}
+	sort.Strings(names)
+	fmt.Printf("  %-14s %8.1f → %.1f  (%d on %s)\n", name, ms(first), ms(last), len(ss), strings.Join(names, " "))
+	add(name+" start", ms(first))
+	add(name+" end", ms(last))
 }
 
 // rounds groups a pass's lock requests into acquire-to-release rounds:
