@@ -26,8 +26,9 @@ fmt:
 funclen:
 	./scripts/funclen.sh 100 $(FUNCLEN_PKGS)
 
-# No internal Config field that only tests set, beyond the reasoned
-# exceptions of scripts/knobs_allow.txt.
+# No internal Config field that only tests set, and no exported
+# function or method under internal/ that only tests call, beyond the
+# reasoned exceptions of scripts/knobs_allow.txt.
 knobs:
 	./scripts/knobs.sh
 

@@ -34,17 +34,17 @@ func BenchmarkExperiments(b *testing.B) {
 // every upload and download. internal/erasure/bench_test.go has the
 // finer-grained kernel and size-sweep benchmarks.
 func BenchmarkDataPlaneCoding(b *testing.B) {
-	const segSize = 4 << 20
+	const segSize, k, n = 4 << 20, 4, 8
 	seg := make([]byte, segSize)
 	rand.New(rand.NewSource(1)).Read(seg)
-	coder, err := erasure.NewCoder(4, 8)
+	coder, err := erasure.NewCoder(k, n)
 	if err != nil {
 		b.Fatal(err)
 	}
 
 	b.Run("encode", func(b *testing.B) {
-		indices := make([]int, coder.N())
-		dst := make([][]byte, coder.N())
+		indices := make([]int, n)
+		dst := make([][]byte, n)
 		for i := range dst {
 			indices[i] = i
 			dst[i] = make([]byte, coder.ShardSize(segSize))
@@ -62,7 +62,7 @@ func BenchmarkDataPlaneCoding(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		blocks := coder.Encode(seg)
 		have := map[int][]byte{1: blocks[1], 3: blocks[3], 5: blocks[5], 7: blocks[7]}
-		dst := make([]byte, coder.K()*coder.ShardSize(segSize))
+		dst := make([]byte, k*coder.ShardSize(segSize))
 		b.SetBytes(segSize)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -259,17 +259,6 @@ func (t *Tracker) Rejections(cloudName string) int64 {
 	return t.recordLocked(cloudName).rejections
 }
 
-// UsedDelta returns the bytes this tracker has observed uploaded to
-// the named cloud this session, for the status and debug views.
-func (t *Tracker) UsedDelta(cloudName string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.recordLocked(cloudName).usedDelta
-}
-
 // CloudState is one row of a capacity snapshot.
 type CloudState struct {
 	Cloud      string `json:"cloud"`

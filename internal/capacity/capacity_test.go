@@ -168,10 +168,10 @@ func TestUsedDeltaAccounting(t *testing.T) {
 	tr.ObserveUpload("c1", 1000)
 	tr.ObserveUpload("c1", 500)
 	tr.ObserveDelete("c1") // a delete's size is not known: uploads only
-	if got := tr.UsedDelta("c1"); got != 1500 {
+	if got := usedDelta(tr, "c1"); got != 1500 {
 		t.Fatalf("UsedDelta = %d, want 1500", got)
 	}
-	if got := tr.UsedDelta("c2"); got != 0 {
+	if got := usedDelta(tr, "c2"); got != 0 {
 		t.Fatalf("untouched cloud UsedDelta = %d, want 0", got)
 	}
 }
@@ -246,7 +246,7 @@ func TestNilTrackerIsOff(t *testing.T) {
 	if got := tr.Rejections("c1"); got != 0 {
 		t.Fatalf("nil tracker Rejections = %d, want 0", got)
 	}
-	if got := tr.UsedDelta("c1"); got != 0 {
+	if got := usedDelta(tr, "c1"); got != 0 {
 		t.Fatalf("nil tracker UsedDelta = %d, want 0", got)
 	}
 	if tr.AnyFull() {
@@ -309,4 +309,15 @@ func TestConcurrentObservations(t *testing.T) {
 	if got := tr.Rejections("c1"); got != 8*50 {
 		t.Fatalf("concurrent rejections = %d, want %d", got, 8*50)
 	}
+}
+
+// usedDelta is the bytes tr's snapshot reports uploaded to cloudName
+// this session.
+func usedDelta(tr *Tracker, cloudName string) int64 {
+	for _, st := range tr.Snapshot() {
+		if st.Cloud == cloudName {
+			return st.UsedDelta
+		}
+	}
+	return 0
 }

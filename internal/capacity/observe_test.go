@@ -44,7 +44,7 @@ func TestWrapObservesQuotaAndSuccess(t *testing.T) {
 	if err := w.Upload(ctx, "p", make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.UsedDelta("c1"); got != 64 {
+	if got := usedDelta(tr, "c1"); got != 64 {
 		t.Fatalf("UsedDelta after upload = %d, want 64", got)
 	}
 

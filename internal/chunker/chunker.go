@@ -138,15 +138,6 @@ func New(theta int) (*Chunker, error) {
 	}, nil
 }
 
-// Theta returns the target segment size.
-func (c *Chunker) Theta() int { return c.theta }
-
-// MinSize returns the smallest non-final segment size.
-func (c *Chunker) MinSize() int { return c.minSize }
-
-// MaxSize returns the largest possible segment size.
-func (c *Chunker) MaxSize() int { return c.maxSize }
-
 // Split divides data into content-defined segments. The segments
 // tile the input exactly: concatenating Data in order reproduces the
 // input. Splitting an empty input produces a single empty segment so

@@ -27,8 +27,8 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("New(10) should fail below MinTheta")
 	}
 	c := mustNew(t, 4096)
-	if c.Theta() != 4096 || c.MinSize() != 2048 || c.MaxSize() != 6144 {
-		t.Fatalf("bounds = (%d, %d, %d)", c.MinSize(), c.Theta(), c.MaxSize())
+	if c.theta != 4096 || c.minSize != 2048 || c.maxSize != 6144 {
+		t.Fatalf("bounds = (%d, %d, %d)", c.minSize, c.theta, c.maxSize)
 	}
 }
 
@@ -58,11 +58,11 @@ func TestSegmentSizeBounds(t *testing.T) {
 		t.Fatalf("only %d segments for 200KB at θ=1KB; chunking inert", len(segs))
 	}
 	for i, s := range segs {
-		if len(s.Data) > c.MaxSize() {
-			t.Fatalf("segment %d size %d exceeds max %d", i, len(s.Data), c.MaxSize())
+		if len(s.Data) > c.maxSize {
+			t.Fatalf("segment %d size %d exceeds max %d", i, len(s.Data), c.maxSize)
 		}
-		if i < len(segs)-1 && len(s.Data) <= c.MinSize() {
-			t.Fatalf("non-final segment %d size %d not above min %d", i, len(s.Data), c.MinSize())
+		if i < len(segs)-1 && len(s.Data) <= c.minSize {
+			t.Fatalf("non-final segment %d size %d not above min %d", i, len(s.Data), c.minSize)
 		}
 	}
 }
@@ -196,7 +196,7 @@ func TestSplitPropertyTiling(t *testing.T) {
 				return false
 			}
 			total += len(s.Data)
-			if len(s.Data) > c.MaxSize() {
+			if len(s.Data) > c.maxSize {
 				return false
 			}
 			if i < len(segs)-1 && len(segs) > 1 && len(s.Data) == 0 {
@@ -217,7 +217,7 @@ func TestCompressibleContentStillBounded(t *testing.T) {
 	data := make([]byte, 100_000)
 	segs := c.Split(data)
 	for i, s := range segs {
-		if len(s.Data) > c.MaxSize() {
+		if len(s.Data) > c.maxSize {
 			t.Fatalf("segment %d size %d over max on zero data", i, len(s.Data))
 		}
 	}

@@ -76,9 +76,6 @@ func NewChain(inner Interface, clock vclock.Clock, gate Gate, observers ...Obser
 // Name implements Interface.
 func (c *Chain) Name() string { return c.name }
 
-// Unwrap returns the wrapped cloud.
-func (c *Chain) Unwrap() Interface { return c.inner }
-
 // begin asks the gate and starts the request's record.
 func (c *Chain) begin(op Op, path string) (Call, error) {
 	if c.gate != nil && !c.gate.Allow() {

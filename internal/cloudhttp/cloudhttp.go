@@ -238,9 +238,6 @@ func (c *Client) Name() string { return c.name }
 // calls; configure the client before handing it to a transfer engine.
 func (c *Client) SetOpTimeout(d time.Duration) { c.opTimeout = d }
 
-// OpTimeout reports the current per-call deadline.
-func (c *Client) OpTimeout() time.Duration { return c.opTimeout }
-
 // mapErr converts an HTTP error response into the sentinel errors.
 func mapErr(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))

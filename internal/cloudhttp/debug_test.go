@@ -63,14 +63,11 @@ func TestDebugEndpointReflectsTraffic(t *testing.T) {
 		t.Fatalf("bad snapshot JSON: %v", err)
 	}
 
-	up, ok := s.Op("observed", obs.OpUpload)
-	if !ok {
-		t.Fatalf("no upload row in %+v", s.Ops)
-	}
+	up := opRow(s, "observed", obs.OpUpload)
 	if up.Outcome(obs.OK) != 2 || up.BytesUp != int64(2*len(payload)) {
 		t.Fatalf("upload row = %+v", up)
 	}
-	down, _ := s.Op("observed", obs.OpDownload)
+	down := opRow(s, "observed", obs.OpDownload)
 	if down.Outcome(obs.OK) != 1 || down.Outcome(obs.NotFound) != 1 {
 		t.Fatalf("download row = %+v", down)
 	}
@@ -78,9 +75,8 @@ func TestDebugEndpointReflectsTraffic(t *testing.T) {
 		t.Fatalf("download bytes = %d", down.BytesDown)
 	}
 	for _, op := range []string{obs.OpCreateDir, obs.OpList, obs.OpDelete} {
-		row, ok := s.Op("observed", op)
-		if !ok || row.Outcome(obs.OK) != 1 {
-			t.Fatalf("%s row = %+v (ok=%v)", op, row, ok)
+		if row := opRow(s, "observed", op); row.Outcome(obs.OK) != 1 {
+			t.Fatalf("%s row = %+v", op, row)
 		}
 	}
 
@@ -98,4 +94,14 @@ func TestDebugEndpointReflectsTraffic(t *testing.T) {
 	if _, ok := vars["cloudhttp_test"]; !ok {
 		t.Fatal("published registry missing from /debug/vars")
 	}
+}
+
+// opRow is the snapshot's table row for (cloud, op), zero when absent.
+func opRow(s obs.Snapshot, cloud, op string) obs.OpSnapshot {
+	for _, row := range s.Ops {
+		if row.Cloud == cloud && row.Op == op {
+			return row
+		}
+	}
+	return obs.OpSnapshot{}
 }

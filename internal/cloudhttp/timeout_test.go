@@ -49,8 +49,8 @@ func TestDialSetsDefaultOpTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.OpTimeout() != DefaultOpTimeout {
-		t.Fatalf("OpTimeout = %v, want %v", c.OpTimeout(), DefaultOpTimeout)
+	if c.opTimeout != DefaultOpTimeout {
+		t.Fatalf("per-call deadline = %v, want %v", c.opTimeout, DefaultOpTimeout)
 	}
 }
 

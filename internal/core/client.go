@@ -203,9 +203,9 @@ type Client struct {
 	crash crashState
 
 	// writer is held for the whole of every operation that commits,
-	// moves v_o or writes the folder: a pass (and ScanLocal, its first
-	// stage), the trim and the capacity valve, scrub's repair commit,
-	// SetClouds, LoadState, SaveState and Recover. It makes the client
+	// moves v_o or writes the folder: a pass, the trim and the
+	// capacity valve, scrub's repair commit, SetClouds, LoadState,
+	// SaveState and Recover. It makes the client
 	// one writer, whichever goroutine asks — the sync loop, a daemon's
 	// scheduled scrub, a CLI — and so one acquirer of the quorum lock,
 	// which does not exclude this device's own concurrent acquisitions.
@@ -374,9 +374,6 @@ func (c *Client) Params() sched.Params { return c.params }
 
 // Device returns the device name.
 func (c *Client) Device() string { return c.cfg.Device }
-
-// Engine exposes the transfer engine (prober statistics etc.).
-func (c *Client) Engine() *transfer.Engine { return c.engine }
 
 // Obs returns the client's metrics registry (nil when none was
 // configured).

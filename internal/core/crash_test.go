@@ -366,7 +366,7 @@ func TestRecoverSharedSegmentJudgedOnce(t *testing.T) {
 		writeFile(t, folder, "kept.bin", content)
 		writeFile(t, folder, "edited.bin", randContent(32, 1000))
 		for _, b := range []int{0, 1, 2} {
-			if err := c.Engine().PutBlock(ctxT(t), r.stores[b].Name(), segID, b, []byte("block")); err != nil {
+			if err := c.engine.PutBlock(ctxT(t), r.stores[b].Name(), segID, b, []byte("block")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -398,7 +398,7 @@ func TestRecoverSharedSegmentJudgedOnce(t *testing.T) {
 			for _, st := range r.stores {
 				if st.Name() == cloudName {
 					for _, p := range st.Paths() {
-						stored = stored || p == c.Engine().BlockPath(segID, blockID)
+						stored = stored || p == c.engine.BlockPath(segID, blockID)
 					}
 				}
 			}

@@ -171,8 +171,10 @@ func (l *syncLoop) runDue(ctx context.Context) bool {
 	case l.dirtyDue(now):
 		paths := l.takeDirty()
 		if rep, err = c.SyncDirty(ctx, paths); err != nil && ctx.Err() == nil {
-			// Nothing was lost: re-mark the paths dirty and retry them
-			// once the backoff allows.
+			// The scanner's baseline moved only past the events the
+			// pass recorded, and those wait in the ChangedFileList:
+			// re-mark the paths dirty so the retry, once the backoff
+			// allows, reports the rest again.
 			for _, p := range paths {
 				l.dirty[p] = struct{}{}
 			}

@@ -402,7 +402,7 @@ func TestRecordEventsMatchesSerialHashing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	changes := c.changes.Snapshot()
+	changes := c.changes.Drain()
 	if recorded != len(want) || len(changes) != len(want) {
 		t.Fatalf("recorded %d changes (%d listed), want %d", recorded, len(changes), len(want))
 	}

@@ -242,10 +242,11 @@ func TestDecodeExclusionTargetsStampedPoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := a.engine.DownloadSegment(ctx, item.Plan, seg.ID)
-	if err != nil {
-		t.Fatal(err)
+	res, err := a.engine.DownloadBatch(ctx, []transfer.DownloadItem{item})
+	if err != nil || !item.Plan.Done() {
+		t.Fatal(err, item.Plan.Done())
 	}
+	blocks := res[0]
 	// Poison one fetched block in memory, past the engine's checks.
 	var poisoned int
 	for id := range blocks {
@@ -638,7 +639,7 @@ func TestScrubCommitKeepsAnotherDevicesRepair(t *testing.T) {
 		return slices.IndexFunc(r.stores, func(st *cloudsim.Store) bool { return st.Name() == name })
 	}
 	lose := func(l meta.BlockLocation) {
-		if err := cloudsim.NewDirect(r.stores[store(l.CloudID)]).Delete(ctxT(t), a.Engine().BlockPath(seg.ID, l.BlockID)); err != nil {
+		if err := cloudsim.NewDirect(r.stores[store(l.CloudID)]).Delete(ctxT(t), a.engine.BlockPath(seg.ID, l.BlockID)); err != nil {
 			t.Fatal(err)
 		}
 	}

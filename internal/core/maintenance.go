@@ -118,53 +118,3 @@ func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string)
 	}
 	return c.released(ctx, doomed), nil
 }
-
-// FsckReport is the result of a metadata-vs-clouds existence check.
-type FsckReport struct {
-	// AtRisk lists segments with fewer than K blocks confirmed or
-	// presumed present — candidates for Scrub's repair pass.
-	AtRisk []string
-	// UnknownClouds lists clouds whose block listing failed; their
-	// blocks were presumed present, so the verdict is partial and a
-	// clean AtRisk does not certify those clouds' copies.
-	UnknownClouds []string
-}
-
-// Fsck verifies that every segment in the committed metadata still
-// has at least K reachable blocks (spot-checking existence via one
-// List per cloud). It is a read-only health check; at-risk segments
-// are repaired by Scrub with repair enabled.
-//
-// A cloud whose listing fails is UNKNOWN, not empty: its blocks are
-// presumed present (so an unreachable cloud does not flood the report
-// with spurious at-risk segments) and the cloud is named in
-// UnknownClouds so the caller knows the verdict is partial.
-func (c *Client) Fsck(ctx context.Context) (*FsckReport, error) {
-	img, err := c.store.Refresh(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sv := c.engine.Survey(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return fsckVerdict(img, sv), nil
-}
-
-// fsckVerdict judges the image against a survey.
-func fsckVerdict(img *meta.Image, sv *transfer.Survey) *FsckReport {
-	rep := &FsckReport{UnknownClouds: sv.UnknownClouds()}
-	for _, segID := range img.SegmentIDs() {
-		seg, _ := img.Segment(segID)
-		live := 0
-		for _, b := range seg.Blocks {
-			if sv.Unknown(b.CloudID) || sv.Has(b.CloudID, segID, b.BlockID) {
-				live++
-			}
-		}
-		if live < seg.K {
-			rep.AtRisk = append(rep.AtRisk, segID)
-		}
-	}
-	return rep
-}

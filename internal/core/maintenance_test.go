@@ -2,10 +2,8 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
-	"unidrive/internal/cloudsim"
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
 )
@@ -66,68 +64,6 @@ func TestTrimOverProvisionedReclaimsSpace(t *testing.T) {
 	}
 	if deleted != 0 {
 		t.Fatalf("second trim deleted %d blocks", deleted)
-	}
-}
-
-func TestFsckReportsAtRiskSegments(t *testing.T) {
-	r := newRig(5)
-	a, fa := r.device(t, "alpha")
-	writeFile(t, fa, "checked.bin", randContent(23, 4000))
-	syncOK(t, a)
-
-	rep, err := a.Fsck(ctxT(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.AtRisk) != 0 {
-		t.Fatalf("healthy store reported at-risk segments: %v", rep.AtRisk)
-	}
-	if len(rep.UnknownClouds) != 0 {
-		t.Fatalf("healthy store reported unknown clouds: %v", rep.UnknownClouds)
-	}
-	// Destroy blocks behind UniDrive's back on four clouds: fewer
-	// than K=3 blocks remain per segment.
-	ctx := context.Background()
-	for _, st := range r.stores[:4] {
-		if err := cloudsim.NewDirect(st).Delete(ctx, ".unidrive/blocks"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err = a.Fsck(ctxT(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.AtRisk) == 0 {
-		t.Fatal("Fsck missed segments below the recovery threshold")
-	}
-}
-
-func TestFsckTreatsListFailureAsUnknown(t *testing.T) {
-	r := newRig(5)
-	a, fa := r.device(t, "alpha")
-	writeFile(t, fa, "checked.bin", randContent(29, 4000))
-	syncOK(t, a)
-
-	// Take three clouds fully down: their listings fail. A naive Fsck
-	// would presume their blocks gone and cry wolf on every segment; a
-	// conservative one reports the clouds as unknown instead.
-	for _, fl := range r.flaky["alpha"][:3] {
-		fl.SetDown(true)
-	}
-	defer func() {
-		for _, fl := range r.flaky["alpha"][:3] {
-			fl.SetDown(false)
-		}
-	}()
-	rep, err := a.Fsck(ctxT(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.AtRisk) != 0 {
-		t.Fatalf("unreachable clouds reported as data loss: %v", rep.AtRisk)
-	}
-	if len(rep.UnknownClouds) != 3 {
-		t.Fatalf("UnknownClouds = %v, want the 3 downed clouds", rep.UnknownClouds)
 	}
 }
 

@@ -286,8 +286,8 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	}
 	for _, seg := range segs {
 		// (Thin or not depends on how many extras the fast clouds landed.)
-		if len(seg.BlocksOn("c4")) != 0 || len(seg.Blocks) < seg.K {
-			t.Fatalf("first commit recorded segment %s with %d blocks, %d on the held cloud", seg.ID, len(seg.Blocks), len(seg.BlocksOn("c4")))
+		if blocksOn(seg, "c4") != 0 || len(seg.Blocks) < seg.K {
+			t.Fatalf("first commit recorded segment %s with %d blocks, %d on the held cloud", seg.ID, len(seg.Blocks), blocksOn(seg, "c4"))
 		}
 	}
 
@@ -466,4 +466,15 @@ func TestFailedUploadReleasesTheEarlyLock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// blocksOn counts the blocks seg records on cloud.
+func blocksOn(seg *meta.Segment, cloud string) int {
+	n := 0
+	for _, b := range seg.Blocks {
+		if b.CloudID == cloud {
+			n++
+		}
+	}
+	return n
 }

@@ -239,6 +239,15 @@ func (c *Client) noteDirty(path string) {
 	c.ckpt.dirty[path] = struct{}{}
 }
 
+// accept moves the scanner's baseline past events the pass handled and
+// marks their paths for the next checkpoint delta.
+func (c *Client) accept(files []eventFile) {
+	for _, f := range files {
+		c.scanner.Accept(f.ev)
+		c.noteDirty(f.ev.Info.Path)
+	}
+}
+
 // suppress records a self-write with the scanner and marks the path
 // for the next checkpoint delta.
 func (c *Client) suppress(path string, size int64, modTime time.Time, removed bool) {

@@ -315,7 +315,7 @@ func TestRestartIsExactAfterDeltaCheckpoints(t *testing.T) {
 		t.Fatalf("%d files re-chunked after restart", got)
 	}
 	for _, st := range r.stores {
-		if got := reg.Op(st.Name(), obs.OpUpload).Calls(); got != 0 {
+		if got := opRow(reg.Snapshot(), st.Name(), obs.OpUpload).Calls(); got != 0 {
 			t.Fatalf("%d uploads to %s after restart, want 0", got, st.Name())
 		}
 	}
@@ -595,7 +595,8 @@ func TestLoadStateRefusesUnstampedMetadata(t *testing.T) {
 	bare.Blocks[0].Checksum = 0
 
 	unstampedImg := img.Clone()
-	unstampedImg.SetSegment(bare)
+	unstampedImg.DropSegments([]string{segID})
+	unstampedImg.UpsertSegment(bare)
 	badBase, err := encodeStateBase("alpha", time.Now(), unstampedImg, nil)
 	if err != nil {
 		t.Fatal(err)

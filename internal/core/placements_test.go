@@ -130,7 +130,7 @@ func TestOwedPlacementsRecordedByEveryHold(t *testing.T) {
 			lost := seg.Blocks[0]
 			for _, st := range r.stores {
 				if st.Name() == lost.CloudID {
-					if err := cloudsim.NewDirect(st).Delete(ctxT(t), a.Engine().BlockPath(seg.ID, lost.BlockID)); err != nil {
+					if err := cloudsim.NewDirect(st).Delete(ctxT(t), a.engine.BlockPath(seg.ID, lost.BlockID)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -264,9 +264,6 @@ func TestOwedPlacementsOfDeadSegmentsAreDeleted(t *testing.T) {
 			var fb *localfs.Mem
 			b, fb = r.device(t, "beta")
 			syncOK(t, b)
-			if err := b.ScanLocal(); err != nil {
-				t.Fatal(err)
-			}
 			if err := fb.Remove("big.bin"); err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +369,7 @@ func TestOwedPlacementsSurviveACrash(t *testing.T) {
 // counted the block as held, may name it.
 func TestOwedBlockNamedByTheCommitIsKept(t *testing.T) {
 	post := meta.NewImage()
-	post.SetSegment(&meta.Segment{ID: "s", K: 1, N: 2, RefCount: 1, Blocks: []meta.BlockLocation{
+	post.UpsertSegment(&meta.Segment{ID: "s", K: 1, N: 2, RefCount: 1, Blocks: []meta.BlockLocation{
 		{BlockID: 0, CloudID: "c0", Checksum: 1}, {BlockID: 1, CloudID: "c4", Checksum: 2},
 	}})
 	named := transfer.BlockRef{SegID: "s", BlockID: 1, Cloud: "c4"}

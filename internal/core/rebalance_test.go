@@ -53,8 +53,8 @@ func TestSetCloudsKeepsTheWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The rebalance's own block moves are real requests: op-table rows.
-	if row, ok := reg.Snapshot().Op("c5", obs.OpUpload); !ok || row.Outcome(obs.OK) == 0 {
-		t.Fatalf("rebalance uploads to the added cloud left no op-table row (found %v)", ok)
+	if reg.Op("c5", obs.OpUpload).Count(obs.OK) == 0 {
+		t.Fatal("rebalance uploads to the added cloud left no op-table row")
 	}
 
 	grantedBefore := fairReg.Counter("fair.granted").Value()
@@ -89,10 +89,22 @@ func TestSetCloudsKeepsTheWiring(t *testing.T) {
 // opCalls totals the op-table rows of one cloud.
 func opCalls(reg *obs.Registry, cloudName string) int64 {
 	var n int64
-	for _, op := range []string{obs.OpUpload, obs.OpDownload, obs.OpCreateDir, obs.OpList, obs.OpDelete} {
-		n += reg.Op(cloudName, op).Calls()
+	for _, row := range reg.Snapshot().Ops {
+		if row.Cloud == cloudName {
+			n += row.Calls()
+		}
 	}
 	return n
+}
+
+// opRow is the snapshot's table row for (cloud, op), zero when absent.
+func opRow(s obs.Snapshot, cloud, op string) obs.OpSnapshot {
+	for _, row := range s.Ops {
+		if row.Cloud == cloud && row.Op == op {
+			return row
+		}
+	}
+	return obs.OpSnapshot{}
 }
 
 // A rebalance that fails part-way must leave the committed metadata
@@ -117,7 +129,7 @@ func TestSetCloudsFailureDeletesNothingCommitted(t *testing.T) {
 	for _, b := range broken.Blocks {
 		for _, f := range r.flaky["alpha"] {
 			if f.Name() == b.CloudID {
-				f.CorruptPath(a.Engine().BlockPath(broken.ID, b.BlockID), cloudsim.CorruptStale)
+				f.CorruptPath(a.engine.BlockPath(broken.ID, b.BlockID), cloudsim.CorruptStale)
 			}
 		}
 	}
@@ -144,7 +156,7 @@ func TestSetCloudsFailureDeletesNothingCommitted(t *testing.T) {
 	}
 	for _, seg := range committed.AllSegments() {
 		for _, b := range seg.Blocks {
-			if !stored[b.CloudID+"/"+a.Engine().BlockPath(seg.ID, b.BlockID)] {
+			if !stored[b.CloudID+"/"+a.engine.BlockPath(seg.ID, b.BlockID)] {
 				t.Errorf("committed image names block %d of %s on %s, which is gone", b.BlockID, seg.ID, b.CloudID)
 			}
 		}
@@ -200,7 +212,7 @@ func TestSetCloudsFailureLeavesNoOrphans(t *testing.T) {
 	for _, b := range broken.Blocks {
 		for _, f := range r.flaky["alpha"] {
 			if f.Name() == b.CloudID {
-				f.CorruptPath(a.Engine().BlockPath(broken.ID, b.BlockID), cloudsim.CorruptStale)
+				f.CorruptPath(a.engine.BlockPath(broken.ID, b.BlockID), cloudsim.CorruptStale)
 			}
 		}
 	}

@@ -73,7 +73,8 @@ type RecoveryReport struct {
 // block directories — one transfer.Engine.Survey for the whole
 // journal, taken when the first intent needs it. A cloud whose listing
 // fails contributes nothing — its blocks are neither adopted nor
-// deleted, and a later recovery or GC pass picks them up.
+// deleted, and a later recovery picks them up; what no recovery
+// revisits stays on the cloud until ROADMAP item 2's sweep.
 func (c *Client) Recover(ctx context.Context) (RecoveryReport, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()

@@ -177,7 +177,6 @@ func TestMaintenanceRequestBudget(t *testing.T) {
 	}{
 		{"Scrub(false)", func() error { _, err := c.Scrub(ctxT(t), false); return err }},
 		{"Scrub(true)", func() error { _, err := c.Scrub(ctxT(t), true); return err }},
-		{"Fsck", func() error { _, err := c.Fsck(ctxT(t)); return err }},
 	} {
 		metadata, blocks := during(entry.run)
 		if metadata != stampGETs {
@@ -249,7 +248,7 @@ func TestApplyingDeviceDeletesNoBlocks(t *testing.T) {
 	for _, path := range []string{"edit.bin", "gone.bin"} {
 		for _, seg := range segmentsOf(t, img, path) {
 			for _, l := range seg.Blocks {
-				released[l.CloudID+"/"+a.Engine().BlockPath(seg.ID, l.BlockID)] = true
+				released[l.CloudID+"/"+a.engine.BlockPath(seg.ID, l.BlockID)] = true
 			}
 		}
 	}
@@ -357,7 +356,7 @@ func TestOverwriteDeletesEveryDeadBlockOnce(t *testing.T) {
 			if want[b.CloudID] == nil {
 				want[b.CloudID] = make(map[string]bool)
 			}
-			want[b.CloudID][c.Engine().BlockPath(id, b.BlockID)] = true
+			want[b.CloudID][c.engine.BlockPath(id, b.BlockID)] = true
 			nWant++
 		}
 	}

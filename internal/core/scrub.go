@@ -45,7 +45,8 @@ func (c *Client) Scrub(ctx context.Context, repair bool) (*scrub.Report, error) 
 // commitRepairs commits scrub relocate changes under the quorum lock,
 // re-validated against the then-current image: a segment dropped
 // since the scrubber read its snapshot is skipped (its repair uploads
-// become orphans the next GC pass reclaims), and the rest are laid on
+// become orphans that stay on the clouds until ROADMAP item 2's sweep
+// reclaims them), and the rest are laid on
 // the current record with scrub.Apply — the current RefCount is
 // preserved, and only the block IDs the cycle wrote are replaced, so a
 // concurrent pass or repair placing OTHER blocks is never clobbered.

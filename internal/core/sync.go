@@ -15,7 +15,7 @@ import (
 	"unidrive/internal/transfer"
 )
 
-// SyncReport summarizes one SyncOnce pass.
+// SyncReport summarizes one pass: SyncOnce, SyncDirty or SyncRemote.
 type SyncReport struct {
 	// LocalChanges is the number of local file changes committed.
 	LocalChanges int
@@ -71,15 +71,6 @@ type SyncReport struct {
 // nothing.
 type scan func() (events []localfs.Event, statted int, err error)
 
-// ScanLocal polls the sync folder once and records detected changes
-// in the ChangedFileList. It is called by SyncOnce but is exported so
-// tests and tools can drive detection explicitly.
-func (c *Client) ScanLocal() error {
-	c.writer.Lock()
-	defer c.writer.Unlock()
-	return c.observe(c.scanner.ScanAll)
-}
-
 // observe is a pass's first stage: it records the real changes among
 // the scan's events in the ChangedFileList and the scan's control-plane
 // cost in the obs histograms the sync-pass benchmark and operators
@@ -109,17 +100,19 @@ func (c *Client) observe(look scan) error {
 // is compared against the committed snapshot before anything is
 // cached, and an identical file records nothing — re-uploading it
 // would waste a commit and a metadata version. Skips are counted under
-// scan.spurious_mtime. A read error ends the walk at that event: the
-// events before it are still recorded.
+// scan.spurious_mtime. The scanner's baseline moves past the events
+// handled, recorded or skipped, and no further: an event left out —
+// its file unreadable, or its Record failed — is reported again by the
+// next scan.
 func (c *Client) recordEvents(events []localfs.Event) (int, error) {
-	files, readErr := c.readEvents(events)
+	files := c.readEvents(events)
 	var segs []chunker.Segment
 	for _, f := range files {
 		segs = append(segs, f.segs...)
 	}
 	ids := chunker.IDs(segs)
 	recorded := 0
-	for _, f := range files {
+	for i, f := range files {
 		fileIDs := ids[:len(f.segs):len(f.segs)]
 		ids = ids[len(f.segs):]
 		var ch *meta.Change
@@ -154,11 +147,13 @@ func (c *Client) recordEvents(events []localfs.Event) (int, error) {
 			continue
 		}
 		if err := c.changes.Record(ch); err != nil {
+			c.accept(files[:i])
 			return recorded, err
 		}
 		recorded++
 	}
-	return recorded, readErr
+	c.accept(files)
+	return recorded, nil
 }
 
 // eventFile is one scanner event with, for an added or modified file,
@@ -171,29 +166,29 @@ type eventFile struct {
 }
 
 // readEvents is recordEvents' first step: it reads and splits every
-// added or modified file, in event order, and stops at the first read
-// error other than the file having gone, returning the events before
-// it.
-func (c *Client) readEvents(events []localfs.Event) ([]eventFile, error) {
+// added or modified file, in event order. A file that cannot be read
+// for any reason other than having gone is left out and counted under
+// scan.read_errors: one unreadable file holds up neither the other
+// changes nor the pass, and its unaccepted event comes back with the
+// next full scan.
+func (c *Client) readEvents(events []localfs.Event) []eventFile {
 	files := make([]eventFile, 0, len(events))
 	for _, ev := range events {
-		// Every event moved the scanner's baseline entry for its path,
-		// including the spurious ones recordEvents skips.
-		c.noteDirty(ev.Info.Path)
 		f := eventFile{ev: ev}
 		if ev.Kind == localfs.Added || ev.Kind == localfs.Modified {
 			data, err := c.folder.ReadFile(ev.Info.Path)
 			switch {
 			case errors.Is(err, localfs.ErrNotExist):
 			case err != nil:
-				return files, err
+				c.cfg.Obs.Counter("scan.read_errors").Inc()
+				continue
 			default:
 				f.data, f.segs = data, c.chnk.Split(data)
 			}
 		}
 		files = append(files, f)
 	}
-	return files, nil
+	return files
 }
 
 // SyncOnce runs one full pass: every file in the folder is observed,

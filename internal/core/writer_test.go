@@ -112,7 +112,7 @@ func TestScrubRepairWaitsForThePass(t *testing.T) {
 	lost := seg.Blocks[0]
 	for _, st := range r.stores {
 		if st.Name() == lost.CloudID {
-			if err := cloudsim.NewDirect(st).Delete(ctxT(t), a.Engine().BlockPath(seg.ID, lost.BlockID)); err != nil {
+			if err := cloudsim.NewDirect(st).Delete(ctxT(t), a.engine.BlockPath(seg.ID, lost.BlockID)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -47,7 +47,6 @@ import (
 	"unidrive/internal/health"
 	"unidrive/internal/localfs"
 	"unidrive/internal/obs"
-	"unidrive/internal/scrub"
 	"unidrive/internal/transfer"
 	"unidrive/internal/vclock"
 )
@@ -108,50 +107,27 @@ type TenantConfig struct {
 	Core core.Config
 }
 
-// Tenant is one hosted (user, folder) pair.
+// Tenant is one hosted (user, folder) pair. Its client owns the
+// tenant's private registry, breaker tracker and quota tracker.
 type Tenant struct {
-	id       string
-	weight   float64
-	names    []string // the tenant's cloud names, sorted
-	client   *core.Client
-	reg      *obs.Registry
-	health   *health.Tracker
-	capacity *capacity.Tracker
-
-	// loop state, guarded by the daemon's mu.
-	cancel context.CancelFunc
-	done   chan struct{}
+	id     string
+	weight float64
+	names  []string // the tenant's cloud names, sorted
+	client *core.Client
 }
-
-// ID returns the tenant's daemon-unique identity.
-func (t *Tenant) ID() string { return t.id }
 
 // Client returns the tenant's UniDrive client.
 func (t *Tenant) Client() *core.Client { return t.client }
 
-// Obs returns the tenant's private metrics registry.
-func (t *Tenant) Obs() *obs.Registry { return t.reg }
-
-// Health returns the tenant's private breaker tracker.
-func (t *Tenant) Health() *health.Tracker { return t.health }
-
-// Capacity returns the tenant's private quota-exhaustion tracker.
-func (t *Tenant) Capacity() *capacity.Tracker { return t.capacity }
-
-// CloudNames returns the tenant's cloud names, sorted.
-func (t *Tenant) CloudNames() []string { return append([]string(nil), t.names...) }
-
 // Daemon hosts the tenants. All methods are safe for concurrent use.
+// The tenants are fixed before Run: AddTenant registers a tenant, and
+// Run starts every registered tenant's loops.
 type Daemon struct {
 	cfg  Config
 	fair *transfer.FairScheduler
 
 	mu      sync.Mutex
 	tenants map[string]*Tenant
-	running bool
-	runCtx  context.Context
-	onError func(tenantID string, err error)
-	wg      sync.WaitGroup
 }
 
 // New creates an empty daemon.
@@ -170,19 +146,15 @@ func (d *Daemon) Fair() *transfer.FairScheduler { return d.fair }
 
 // AddTenant builds the tenant's full client stack — private registry,
 // private breaker tracker, core.Client bound to the shared fair
-// scheduler — and registers it. If the daemon is running, the
-// tenant's sync loop starts immediately.
+// scheduler — and registers it for Run.
 func (d *Daemon) AddTenant(tc TenantConfig) (*Tenant, error) {
 	if tc.ID == "" {
 		return nil, fmt.Errorf("daemon: empty tenant ID")
 	}
-	reg := obs.NewRegistry()
-	tracker := health.NewDefaultTracker(d.cfg.Clock, d.tenantSeed(tc.ID), reg)
-	capTracker := capacity.NewDefaultTracker(d.cfg.Clock, reg)
 	cc := tc.Core
-	cc.Obs = reg
-	cc.Health = tracker
-	cc.Capacity = capTracker
+	cc.Obs = obs.NewRegistry()
+	cc.Health = health.NewDefaultTracker(d.cfg.Clock, d.tenantSeed(tc.ID), cc.Obs)
+	cc.Capacity = capacity.NewDefaultTracker(d.cfg.Clock, cc.Obs)
 	cc.Fair = d.fair
 	cc.TenantID = tc.ID
 	if cc.Clock == nil {
@@ -205,15 +177,7 @@ func (d *Daemon) AddTenant(tc TenantConfig) (*Tenant, error) {
 		names[i] = c.Name()
 	}
 	sort.Strings(names)
-	t := &Tenant{
-		id:       tc.ID,
-		weight:   tc.Weight,
-		names:    names,
-		client:   client,
-		reg:      reg,
-		health:   tracker,
-		capacity: capTracker,
-	}
+	t := &Tenant{id: tc.ID, weight: tc.Weight, names: names, client: client}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -224,9 +188,6 @@ func (d *Daemon) AddTenant(tc TenantConfig) (*Tenant, error) {
 	if tc.Weight > 0 {
 		d.fair.SetWeight(tc.ID, tc.Weight)
 	}
-	if d.running {
-		d.startLoopLocked(t)
-	}
 	return t, nil
 }
 
@@ -236,27 +197,6 @@ func (d *Daemon) tenantSeed(id string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(id))
 	return d.cfg.HealthSeed ^ int64(h.Sum64())
-}
-
-// RemoveTenant stops the tenant's loop (waiting for it to exit),
-// clears its scheduler state, and deregisters it. Removing an unknown
-// tenant is a no-op.
-func (d *Daemon) RemoveTenant(id string) {
-	d.mu.Lock()
-	t, ok := d.tenants[id]
-	if ok {
-		delete(d.tenants, id)
-	}
-	d.mu.Unlock()
-	if !ok {
-		return
-	}
-	if t.cancel != nil {
-		t.cancel()
-		<-t.done
-	}
-	d.fair.SetWeight(id, 0)
-	d.fair.EndBatch(id)
 }
 
 // Tenant looks a tenant up by ID.
@@ -279,113 +219,44 @@ func (d *Daemon) Tenants() []*Tenant {
 	return out
 }
 
-// SyncTenant runs one synchronous sync pass for the tenant.
-func (d *Daemon) SyncTenant(ctx context.Context, id string) (core.SyncReport, error) {
-	t, ok := d.Tenant(id)
-	if !ok {
-		return core.SyncReport{}, fmt.Errorf("daemon: unknown tenant %q", id)
+// Run starts every tenant's sync loop (and scheduled scrub, when
+// configured) and blocks until ctx is cancelled and all of them have
+// drained. onError (which may be nil) receives per-tenant loop errors
+// tagged with the tenant ID.
+func (d *Daemon) Run(ctx context.Context, onError func(tenantID string, err error)) {
+	if onError == nil {
+		onError = func(string, error) {}
 	}
-	return t.client.SyncOnce(ctx)
-}
-
-// SyncAll runs one sync pass for every tenant concurrently — this is
-// where the fair scheduler earns its keep — and returns per-tenant
-// reports plus the first error of each failing tenant.
-func (d *Daemon) SyncAll(ctx context.Context) (map[string]core.SyncReport, map[string]error) {
-	tenants := d.Tenants()
-	reports := make(map[string]core.SyncReport, len(tenants))
-	errs := make(map[string]error)
-	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, t := range tenants {
+	for _, t := range d.Tenants() {
 		wg.Add(1)
-		go func(t *Tenant) {
+		go func() {
 			defer wg.Done()
-			rep, err := t.client.SyncOnce(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[t.id] = err
-				return
-			}
-			reports[t.id] = rep
-		}(t)
+			t.client.RunLoop(ctx, func(err error) { onError(t.id, err) })
+		}()
+		if d.cfg.ScrubInterval > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d.scrubLoop(ctx, t, onError)
+			}()
+		}
 	}
 	wg.Wait()
-	if len(errs) == 0 {
-		errs = nil
-	}
-	return reports, errs
 }
 
-// Run starts every tenant's sync loop and blocks until ctx is
-// cancelled and all loops have drained. Tenants added while running
-// are started immediately; onError (which may be nil) receives
-// per-tenant loop errors tagged with the tenant ID.
-func (d *Daemon) Run(ctx context.Context, onError func(tenantID string, err error)) {
-	d.mu.Lock()
-	d.running = true
-	d.runCtx = ctx
-	d.onError = onError
-	for _, t := range d.tenants {
-		d.startLoopLocked(t)
+// scrubLoop runs the tenant's scheduled scrub cycles until ctx ends.
+func (d *Daemon) scrubLoop(ctx context.Context, t *Tenant, onError func(tenantID string, err error)) {
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-d.cfg.Clock.After(d.cfg.ScrubInterval):
+		}
+		if _, err := t.client.Scrub(ctx, d.cfg.ScrubRepair); err != nil && ctx.Err() == nil {
+			onError(t.id, err)
+		}
 	}
-	d.mu.Unlock()
-
-	<-ctx.Done()
-	d.wg.Wait()
-	d.mu.Lock()
-	d.running = false
-	d.runCtx = nil
-	d.mu.Unlock()
-}
-
-func (d *Daemon) startLoopLocked(t *Tenant) {
-	if t.cancel != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(d.runCtx)
-	t.cancel = cancel
-	t.done = make(chan struct{})
-	onError := d.onError
-	id := t.id
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer close(t.done)
-		t.client.RunLoop(ctx, func(err error) {
-			if onError != nil {
-				onError(id, err)
-			}
-		})
-	}()
-	if d.cfg.ScrubInterval > 0 {
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-d.cfg.Clock.After(d.cfg.ScrubInterval):
-				}
-				if _, err := t.client.Scrub(ctx, d.cfg.ScrubRepair); err != nil && ctx.Err() == nil {
-					if onError != nil {
-						onError(id, err)
-					}
-				}
-			}
-		}()
-	}
-}
-
-// ScrubTenant runs one synchronous scrub cycle for the tenant.
-func (d *Daemon) ScrubTenant(ctx context.Context, id string, repair bool) (*scrub.Report, error) {
-	t, ok := d.Tenant(id)
-	if !ok {
-		return nil, fmt.Errorf("daemon: unknown tenant %q", id)
-	}
-	return t.client.Scrub(ctx, repair)
 }
 
 // FleetSnapshot merges the daemon registry and every tenant registry
@@ -395,7 +266,7 @@ func (d *Daemon) ScrubTenant(ctx context.Context, id string, repair bool) (*scru
 func (d *Daemon) FleetSnapshot() obs.Snapshot {
 	snaps := []obs.Snapshot{d.cfg.Obs.Snapshot()}
 	for _, t := range d.Tenants() {
-		snaps = append(snaps, t.reg.Snapshot())
+		snaps = append(snaps, t.client.Obs().Snapshot())
 	}
 	return obs.MergeSnapshots(snaps...)
 }

@@ -19,7 +19,9 @@ import (
 	"unidrive/internal/daemon"
 	"unidrive/internal/health"
 	"unidrive/internal/localfs"
+	"unidrive/internal/meta"
 	"unidrive/internal/obs"
+	"unidrive/internal/transfer"
 	"unidrive/internal/vclock"
 )
 
@@ -116,7 +118,8 @@ func syncTenant(t *testing.T, d *daemon.Daemon, id string) core.SyncReport {
 	t.Helper()
 	var lastErr error
 	for attempt := 0; attempt < 25; attempt++ {
-		rep, err := d.SyncTenant(ctxT(t), id)
+		tn, _ := d.Tenant(id)
+		rep, err := tn.Client().SyncOnce(ctxT(t))
 		if err == nil {
 			return rep
 		}
@@ -124,6 +127,36 @@ func syncTenant(t *testing.T, d *daemon.Daemon, id string) core.SyncReport {
 	}
 	t.Fatalf("tenant %s: sync never succeeded: %v", id, lastErr)
 	return core.SyncReport{}
+}
+
+// syncAll runs one sync pass for every tenant concurrently — where
+// the fair scheduler earns its keep — and returns per-tenant reports
+// plus each failing tenant's error (nil when none failed).
+func syncAll(t *testing.T, rigs ...*tenantRig) (map[string]core.SyncReport, map[string]error) {
+	t.Helper()
+	reports := make(map[string]core.SyncReport)
+	errs := make(map[string]error)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, r := range rigs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := r.tenant.Client().SyncOnce(ctxT(t))
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				errs[r.id] = err
+				return
+			}
+			reports[r.id] = rep
+		}()
+	}
+	wg.Wait()
+	if len(errs) == 0 {
+		errs = nil
+	}
+	return reports, errs
 }
 
 // syncClientTo drives a standalone client until its committed
@@ -164,7 +197,7 @@ func TestDaemonMultiTenantConvergence(t *testing.T) {
 		writeFile(t, rigs[id].folder, "secret-"+id+".txt", "only for "+id)
 	}
 
-	reports, errs := d.SyncAll(ctxT(t))
+	reports, errs := syncAll(t, rigs["alice"], rigs["bob"], rigs["carol"])
 	if errs != nil {
 		t.Fatalf("SyncAll errors: %v", errs)
 	}
@@ -218,7 +251,7 @@ func TestDaemonBreakerIsolation(t *testing.T) {
 	// Warm both tenants with all clouds healthy.
 	writeFile(t, a.folder, "warm.txt", "a")
 	writeFile(t, b.folder, "warm.txt", "b")
-	if _, errs := d.SyncAll(ctxT(t)); errs != nil {
+	if _, errs := syncAll(t, a, b); errs != nil {
 		t.Fatalf("warm sync: %v", errs)
 	}
 
@@ -230,10 +263,10 @@ func TestDaemonBreakerIsolation(t *testing.T) {
 	writeFile(t, a.folder, "more.bin", randContent(6, 8_000))
 	syncTenant(t, d, "A")
 
-	if st := a.tenant.Health().Breaker("c1").State(); st == health.Closed {
+	if st := a.tenant.Client().Health().Breaker("c1").State(); st == health.Closed {
 		t.Fatalf("A's c1 breaker = %v, want tripped", st)
 	}
-	sa := a.tenant.Obs().Snapshot()
+	sa := a.tenant.Client().Obs().Snapshot()
 	if sa.Counter("health.breaker.c1.opened") < 1 {
 		t.Fatal("A's c1 breaker never recorded an open transition")
 	}
@@ -245,13 +278,13 @@ func TestDaemonBreakerIsolation(t *testing.T) {
 	// rejected or fail, and B's c1 account keeps receiving data.
 	c1Before := b.stores[1].FileCount()
 	writeFile(t, b.folder, "during.bin", randContent(7, 12_000))
-	if _, err := d.SyncTenant(ctxT(t), "B"); err != nil {
+	if _, err := b.tenant.Client().SyncOnce(ctxT(t)); err != nil {
 		t.Fatalf("B's sync failed while A's breaker was open: %v", err)
 	}
-	if st := b.tenant.Health().Breaker("c1").State(); st != health.Closed {
+	if st := b.tenant.Client().Health().Breaker("c1").State(); st != health.Closed {
 		t.Errorf("B's c1 breaker = %v, want closed — breaker state leaked across tenants", st)
 	}
-	sb := b.tenant.Obs().Snapshot()
+	sb := b.tenant.Client().Obs().Snapshot()
 	if n := sb.Counter("health.breaker.c1.rejected"); n != 0 {
 		t.Errorf("B suffered %d breaker rejections on c1 from A's outage", n)
 	}
@@ -342,7 +375,7 @@ func TestDaemonChaosSoak(t *testing.T) {
 
 		// Exact fault reconciliation, per tenant per cloud: observed
 		// error outcomes == injected faults, one for one.
-		s := rigs[id].tenant.Obs().Snapshot()
+		s := rigs[id].tenant.Client().Obs().Snapshot()
 		for i, fl := range rigs[id].flaky {
 			name := rigs[id].stores[i].Name()
 			transient, outage := fl.InjectedFaults()
@@ -363,7 +396,7 @@ func TestDaemonChaosSoak(t *testing.T) {
 		name := fmt.Sprintf("c%d", i)
 		var sum int64
 		for _, id := range ids {
-			sum += rigs[id].tenant.Obs().Snapshot().OutcomeTotal(name, obs.Transient)
+			sum += rigs[id].tenant.Client().Obs().Snapshot().OutcomeTotal(name, obs.Transient)
 		}
 		if got := fleet.OutcomeTotal(name, obs.Transient); got != sum {
 			t.Errorf("fleet transient total on %s = %d, tenant sum = %d", name, got, sum)
@@ -376,12 +409,14 @@ func TestDaemonChaosSoak(t *testing.T) {
 	}
 }
 
-// TestDaemonRunAndDynamicTenants: the daemon's Run hosts per-tenant
-// event loops; tenants can join and leave while it runs.
-func TestDaemonRunAndDynamicTenants(t *testing.T) {
+// TestDaemonRunHostsEveryTenant: the daemon's Run hosts one event
+// loop per tenant registered before it, each syncing its own folder,
+// and returns once cancelled.
+func TestDaemonRunHostsEveryTenant(t *testing.T) {
 	clk := vclock.NewScaled(200)
 	d := daemon.New(daemon.Config{ConnsPerCloud: 4, Clock: clk})
 	a := addTenant(t, d, "A", 0, 51, clk, 0)
+	b := addTenant(t, d, "B", 0, 52, clk, 2)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -405,22 +440,9 @@ func TestDaemonRunAndDynamicTenants(t *testing.T) {
 	}
 
 	writeFile(t, a.folder, "live.txt", "written while the daemon runs")
+	writeFile(t, b.folder, "late.txt", "written while the daemon runs")
 	waitVersion(a, 1)
-
-	// A tenant arriving mid-run starts syncing without a restart.
-	b := addTenant(t, d, "B", 0, 52, clk, 2)
-	writeFile(t, b.folder, "late.txt", "added after Run started")
 	waitVersion(b, 1)
-
-	// Removing a tenant stops its loop and clears its scheduler state.
-	d.RemoveTenant("A")
-	if _, ok := d.Tenant("A"); ok {
-		t.Fatal("tenant A still registered after RemoveTenant")
-	}
-	if got := len(d.Tenants()); got != 1 {
-		t.Fatalf("daemon hosts %d tenants after removal, want 1", got)
-	}
-	d.RemoveTenant("A") // idempotent
 
 	cancel()
 	select {
@@ -440,15 +462,15 @@ func TestDaemonDebugEndpoint(t *testing.T) {
 	b := addTenant(t, d, "B", 0, 62, clk, 0)
 	writeFile(t, a.folder, "a.txt", randContent(1, 5_000))
 	writeFile(t, b.folder, "b.txt", randContent(2, 5_000))
-	if _, errs := d.SyncAll(ctxT(t)); errs != nil {
+	if _, errs := syncAll(t, a, b); errs != nil {
 		t.Fatalf("SyncAll: %v", errs)
 	}
 
 	// Fleet aggregate equals the per-tenant sum.
 	fleet := d.FleetSnapshot()
 	for _, name := range []string{"c0", "c4"} {
-		sum := a.tenant.Obs().Snapshot().OutcomeTotal(name, obs.OK) +
-			b.tenant.Obs().Snapshot().OutcomeTotal(name, obs.OK)
+		sum := a.tenant.Client().Obs().Snapshot().OutcomeTotal(name, obs.OK) +
+			b.tenant.Client().Obs().Snapshot().OutcomeTotal(name, obs.OK)
 		if got := fleet.OutcomeTotal(name, obs.OK); got != sum || got == 0 {
 			t.Errorf("fleet OK total on %s = %d, tenant sum = %d (want equal, nonzero)", name, got, sum)
 		}
@@ -531,9 +553,6 @@ func TestDaemonAddTenantErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("tenant without a passphrase accepted")
 	}
-	if _, err := d.SyncTenant(ctxT(t), "ghost"); err == nil {
-		t.Error("sync of an unknown tenant did not fail")
-	}
 }
 
 // TestDaemonCapacityRollup pins per-tenant capacity isolation and the
@@ -548,14 +567,14 @@ func TestDaemonCapacityRollup(t *testing.T) {
 	a.flaky[1].SetQuotaFull(true)
 	writeFile(t, a.folder, "a.txt", randContent(3, 20_000))
 	writeFile(t, b.folder, "b.txt", randContent(4, 20_000))
-	if _, errs := d.SyncAll(ctxT(t)); errs != nil {
+	if _, errs := syncAll(t, a, b); errs != nil {
 		t.Fatalf("SyncAll: %v", errs)
 	}
 
-	if got := a.tenant.Capacity().State("c1"); got.String() != "full" {
+	if got := a.tenant.Client().Capacity().State("c1"); got.String() != "full" {
 		t.Fatalf("tenant A c1 capacity = %v, want full", got)
 	}
-	if got := b.tenant.Capacity().State("c1"); got.String() != "ok" {
+	if got := b.tenant.Client().Capacity().State("c1"); got.String() != "ok" {
 		t.Fatalf("tenant B c1 capacity = %v, want ok — quota bled across tenants", got)
 	}
 
@@ -661,7 +680,7 @@ func TestDaemonScheduledScrubRepairsBesideTheLoops(t *testing.T) {
 	img := a.tenant.Client().Image()
 	seg, _ := img.Segment(img.Lookup("first.bin").Current().SegmentIDs[0])
 	lost := seg.Blocks[0]
-	blockPath := a.tenant.Client().Engine().BlockPath(seg.ID, lost.BlockID)
+	blockPath := cloud.JoinPath(transfer.DefaultBlockDir, meta.BlockName(seg.ID, lost.BlockID))
 	var lostOn *cloudsim.Store
 	for _, st := range a.stores {
 		if st.Name() == lost.CloudID {

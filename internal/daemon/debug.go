@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"unidrive/internal/capacity"
-	"unidrive/internal/health"
 	"unidrive/internal/obs"
 )
 
@@ -65,24 +64,21 @@ func (d *Daemon) debugTenant(t *Tenant) debugTenant {
 		Device: t.client.Device(),
 		Weight: max(t.weight, 1),
 	}
+	breakers, quotas := t.client.Health(), t.client.Capacity()
 	for _, name := range t.names {
-		state := health.Closed
-		if t.health != nil {
-			state = t.health.Breaker(name).State()
-		}
-		cap := t.capacity.State(name)
+		cap := quotas.State(name)
 		if cap == capacity.Full {
 			dt.CapacityFullClouds++
 		}
 		dt.Clouds = append(dt.Clouds, debugCloud{
 			Name:            name,
-			Breaker:         state.String(),
+			Breaker:         breakers.Breaker(name).State().String(),
 			Held:            d.fair.Held(name, t.id),
 			Capacity:        cap.String(),
-			QuotaRejections: t.capacity.Rejections(name),
+			QuotaRejections: quotas.Rejections(name),
 		})
 	}
-	dt.ThinCommits = t.reg.Counter("core.commit.thin_segments").Value()
+	dt.ThinCommits = t.client.Obs().Counter("core.commit.thin_segments").Value()
 	return dt
 }
 
@@ -100,7 +96,7 @@ func (d *Daemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, `{"error":"unknown tenant"}`, http.StatusNotFound)
 			return
 		}
-		writeJSON(w, tenantView{Tenant: d.debugTenant(t), Snapshot: t.reg.Snapshot()})
+		writeJSON(w, tenantView{Tenant: d.debugTenant(t), Snapshot: t.client.Obs().Snapshot()})
 		return
 	}
 	view := fleetView{

@@ -119,7 +119,7 @@ func wantSameImage(t *testing.T, what string, got, want *meta.Image) {
 	}
 	if !bytes.Equal(g, w) {
 		t.Errorf("%s: image v%d (%d files, %d segments) does not encode like the committer's v%d (%d files, %d segments)",
-			what, got.Version, got.NumFiles(), got.NumSegments(), want.Version, want.NumFiles(), want.NumSegments())
+			what, got.Version, got.NumFiles(), len(got.SegmentIDs()), want.Version, want.NumFiles(), len(want.SegmentIDs()))
 	}
 }
 

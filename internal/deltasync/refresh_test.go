@@ -17,7 +17,7 @@ import (
 // depends on.
 func imagesEqual(a, b *meta.Image) bool {
 	if a.Version != b.Version || a.Device != b.Device ||
-		a.NumFiles() != b.NumFiles() || a.NumSegments() != b.NumSegments() {
+		a.NumFiles() != b.NumFiles() || len(a.SegmentIDs()) != len(b.SegmentIDs()) {
 		return false
 	}
 	for p := range a.AllFiles() {

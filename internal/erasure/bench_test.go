@@ -32,7 +32,7 @@ func BenchmarkErasureThroughput(b *testing.B) {
 
 	b.Run("encode/pooled", func(b *testing.B) {
 		c := benchCoder(b, 4, 8)
-		indices := allIndices(c.N())
+		indices := allIndices(c.n)
 		shardSize := c.ShardSize(len(seg))
 		dst := make([][]byte, len(indices))
 		for i := range dst {
@@ -62,7 +62,7 @@ func BenchmarkErasureThroughput(b *testing.B) {
 		c := benchCoder(b, 4, 8)
 		blocks := c.Encode(seg)
 		m := map[int][]byte{1: blocks[1], 3: blocks[3], 5: blocks[5], 7: blocks[7]}
-		dst := make([]byte, c.K()*c.ShardSize(len(seg)))
+		dst := make([]byte, c.k*c.ShardSize(len(seg)))
 		b.SetBytes(benchSegment)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -165,7 +165,7 @@ func BenchmarkErasureQuickSizes(b *testing.B) {
 		rng.Read(seg)
 		b.Run(fmt.Sprintf("encode/%dKiB", size>>10), func(b *testing.B) {
 			c := benchCoder(b, 4, 8)
-			indices := allIndices(c.N())
+			indices := allIndices(c.n)
 			dst := make([][]byte, len(indices))
 			for i := range dst {
 				dst[i] = make([]byte, c.ShardSize(size))

@@ -53,10 +53,9 @@ type decodeCacheEntry struct {
 
 // decodeCache is a small concurrency-safe LRU.
 type decodeCache struct {
-	mu           sync.Mutex
-	entries      map[decodeKey]*list.Element
-	lru          *list.List // front = most recently used
-	hits, misses uint64
+	mu      sync.Mutex
+	entries map[decodeKey]*list.Element
+	lru     *list.List // front = most recently used
 }
 
 func newDecodeCache() *decodeCache {
@@ -71,10 +70,8 @@ func (c *decodeCache) get(key decodeKey) *gf256.Matrix {
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
 		return nil
 	}
-	c.hits++
 	c.lru.MoveToFront(el)
 	return el.Value.(*decodeCacheEntry).inv
 }
@@ -95,19 +92,6 @@ func (c *decodeCache) put(key decodeKey, inv *gf256.Matrix) {
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*decodeCacheEntry).key)
 	}
-}
-
-func (c *decodeCache) stats() (hits, misses uint64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.lru.Len()
-}
-
-// DecodeCacheStats reports the coder's decode-matrix cache counters:
-// cache hits, misses (each miss is one Gaussian elimination), and the
-// number of currently cached inverses.
-func (c *Coder) DecodeCacheStats() (hits, misses uint64, entries int) {
-	return c.dec.stats()
 }
 
 // decodeMatrix returns the inverse of the encode submatrix for the

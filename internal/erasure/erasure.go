@@ -68,12 +68,6 @@ func CoderFor(k, n int) (*Coder, error) {
 	return shared.(*Coder), nil
 }
 
-// K returns the number of source shards (blocks needed to decode).
-func (c *Coder) K() int { return c.k }
-
-// N returns the total number of coded blocks the coder can produce.
-func (c *Coder) N() int { return c.n }
-
 // ShardSize returns the per-block size for a segment of segLen bytes:
 // ceil(segLen / k), with a minimum of 1 so zero-length segments still
 // produce well-formed blocks.

@@ -62,8 +62,8 @@ func TestCoderForSharesOneCoder(t *testing.T) {
 			t.Fatalf("caller %d got coder %p, caller 0 got %p", i, c, got[0])
 		}
 	}
-	if got[0].K() != 4 || got[0].N() != 11 {
-		t.Fatalf("CoderFor(4, 11) = k %d, n %d", got[0].K(), got[0].N())
+	if got[0].k != 4 || got[0].n != 11 {
+		t.Fatalf("CoderFor(4, 11) = k %d, n %d", got[0].k, got[0].n)
 	}
 	if other, _ := CoderFor(4, 12); other == got[0] {
 		t.Fatal("CoderFor(4, 12) returned the (4, 11) coder")
@@ -278,13 +278,6 @@ func TestShardSize(t *testing.T) {
 		if got := c.ShardSize(tt.segLen); got != tt.want {
 			t.Errorf("ShardSize(%d) = %d, want %d", tt.segLen, got, tt.want)
 		}
-	}
-}
-
-func TestKNAccessors(t *testing.T) {
-	c := mustCoder(t, 3, 10)
-	if c.K() != 3 || c.N() != 10 {
-		t.Fatalf("K,N = %d,%d want 3,10", c.K(), c.N())
 	}
 }
 

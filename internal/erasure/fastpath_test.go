@@ -18,7 +18,7 @@ func TestEncodeBlocksIntoMatchesEncode(t *testing.T) {
 		want := c.Encode(seg)
 
 		sh := c.Split(seg)
-		indices := allIndices(c.N())
+		indices := allIndices(c.n)
 		got := make([][]byte, len(indices))
 		for i := range got {
 			got[i] = GetBuffer(sh.ShardSize()) // deliberately dirty
@@ -78,7 +78,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		t.Fatal("Decode did not reconstruct the segment")
 	}
 
-	dst := GetBuffer(c.K() * c.ShardSize(len(seg)))
+	dst := GetBuffer(c.k * c.ShardSize(len(seg)))
 	for i := range dst {
 		dst[i] = 0xaa
 	}
@@ -105,7 +105,8 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestDecodeMatrixCache proves hit/miss accounting and LRU eviction.
+// TestDecodeMatrixCache proves the cache keeps one inverse per index
+// set and evicts the least recently used.
 func TestDecodeMatrixCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := mustCoder(t, 2, 130) // enough distinct index pairs to overflow the cache
@@ -124,37 +125,39 @@ func TestDecodeMatrixCache(t *testing.T) {
 		}
 	}
 
-	// First use of an index set is a miss, repeats are hits.
-	decodeWith(0, 1)
-	if h, m, n := c.DecodeCacheStats(); h != 0 || m != 1 || n != 1 {
-		t.Fatalf("after first decode: hits=%d misses=%d entries=%d, want 0/1/1", h, m, n)
+	cached := func(i, j int) bool {
+		key, _ := makeDecodeKey([]int{i, j})
+		c.dec.mu.Lock()
+		defer c.dec.mu.Unlock()
+		_, ok := c.dec.entries[key]
+		return ok
 	}
+
+	// First use of an index set caches its inverse; repeats add none.
+	decodeWith(0, 1)
 	for r := 0; r < 5; r++ {
 		decodeWith(0, 1)
 	}
-	if h, m, n := c.DecodeCacheStats(); h != 5 || m != 1 || n != 1 {
-		t.Fatalf("after repeats: hits=%d misses=%d entries=%d, want 5/1/1", h, m, n)
+	if !cached(0, 1) || c.dec.lru.Len() != 1 {
+		t.Fatalf("after repeats: %d entries, (0,1) cached %v; want 1, true", c.dec.lru.Len(), cached(0, 1))
 	}
 
-	// Fill the cache with decodeCacheCap distinct further index sets:
-	// the original entry must eventually be evicted (capacity + LRU).
-	for s := 0; s < decodeCacheCap; s++ {
+	// Fill the cache with decodeCacheCap-1 distinct further index
+	// sets, then use (0,1) again: the hit makes it the most recently
+	// used, so the next new set evicts the oldest fill entry instead.
+	for s := 0; s < decodeCacheCap-1; s++ {
 		decodeWith(2+s, 3+s)
 	}
-	if _, _, n := c.DecodeCacheStats(); n != decodeCacheCap {
+	decodeWith(0, 1)
+	decodeWith(100, 101)
+	if n := c.dec.lru.Len(); n != decodeCacheCap {
 		t.Fatalf("cache has %d entries, want the capacity %d", n, decodeCacheCap)
 	}
-	hBefore, mBefore, _ := c.DecodeCacheStats()
-	decodeWith(0, 1) // was evicted: must count as a miss again
-	if h, m, _ := c.DecodeCacheStats(); h != hBefore || m != mBefore+1 {
-		t.Fatalf("evicted set hit the cache: hits %d->%d misses %d->%d", hBefore, h, mBefore, m)
+	if !cached(0, 1) || cached(2, 3) {
+		t.Fatalf("LRU evicted the wrong entry: (0,1) cached %v, (2,3) cached %v", cached(0, 1), cached(2, 3))
 	}
-
-	// The most recently used of the fill entries must still be cached.
-	hBefore, mBefore, _ = c.DecodeCacheStats()
-	decodeWith(2+decodeCacheCap-1, 3+decodeCacheCap-1)
-	if h, m, _ := c.DecodeCacheStats(); h != hBefore+1 || m != mBefore {
-		t.Fatalf("MRU set missed the cache: hits %d->%d misses %d->%d", hBefore, h, mBefore, m)
+	if !cached(2+decodeCacheCap-2, 3+decodeCacheCap-2) {
+		t.Fatal("the most recently filled set was evicted")
 	}
 }
 
@@ -217,8 +220,8 @@ func TestConcurrentCoderUse(t *testing.T) {
 			for it := 0; it < 5; it++ {
 				blocks := c.Encode(seg)
 				m := map[int][]byte{}
-				for i := (g + it) % 4; len(m) < c.K(); i++ {
-					m[i%c.N()] = blocks[i%c.N()]
+				for i := (g + it) % 4; len(m) < c.k; i++ {
+					m[i%c.n] = blocks[i%c.n]
 				}
 				out, err := c.Decode(m, len(seg))
 				if err != nil {

@@ -64,9 +64,6 @@ func newTables() *tables {
 // Add returns a + b in GF(2^8). Addition and subtraction coincide.
 func Add(a, b byte) byte { return a ^ b }
 
-// Sub returns a - b in GF(2^8); identical to Add.
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -96,15 +93,6 @@ func Inv(a byte) byte {
 		panic("gf256: inverse of zero")
 	}
 	return _tab.exp[255-int(_tab.log[a])]
-}
-
-// Exp returns the generator raised to the power n (n may be any
-// non-negative integer).
-func Exp(n int) byte {
-	if n < 0 {
-		panic("gf256: negative exponent")
-	}
-	return _tab.exp[n%255]
 }
 
 // MulSlice sets dst[i] = c * src[i] for all i. dst and src must have
@@ -214,12 +202,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Rows reports the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols reports the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns the element at row r, column c.
 func (m *Matrix) At(r, c int) byte { return m.data[r*m.cols+c] }
 
@@ -261,24 +243,6 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 			}
 			MulAddSlice(a, other.Row(k), out.Row(i))
 		}
-	}
-	return out
-}
-
-// MulVec multiplies m by the column vector v (len(v) == Cols) and
-// returns the resulting vector of length Rows.
-func (m *Matrix) MulVec(v []byte) []byte {
-	if len(v) != m.cols {
-		panic("gf256: MulVec dimension mismatch")
-	}
-	out := make([]byte, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var acc byte
-		for j, rv := range row {
-			acc ^= Mul(rv, v[j])
-		}
-		out[i] = acc
 	}
 	return out
 }
@@ -357,25 +321,5 @@ func Cauchy(n, k int) *Matrix {
 			m.Set(i, j, Inv(Add(xi, yj)))
 		}
 	}
-	return m
-}
-
-// Vandermonde builds an n×k Vandermonde matrix with rows
-// (1, a_i, a_i^2, ..., a_i^{k-1}) for distinct a_i. Used by the
-// systematic Reed–Solomon variant kept for benchmarking comparisons.
-func Vandermonde(n, k int) *Matrix {
-	if n <= 0 || k <= 0 || n > 256 {
-		panic(fmt.Sprintf("gf256: invalid Vandermonde dimensions n=%d k=%d", n, k))
-	}
-	m := NewMatrix(n, k)
-	for i := 0; i < n; i++ {
-		v := byte(1)
-		a := byte(i)
-		for j := 0; j < k; j++ {
-			m.Set(i, j, v)
-			v = Mul(v, a)
-		}
-	}
-	// Row 0 of a Vandermonde over a_0 = 0 is (1,0,0,...) which is fine.
 	return m
 }

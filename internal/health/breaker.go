@@ -71,21 +71,6 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-// ErrorRate returns the EWMA of the cloud's per-request failure
-// indicator (1 = failed, 0 = succeeded), or 0 before any sample.
-func (b *Breaker) ErrorRate() float64 {
-	b.t.mu.Lock()
-	defer b.t.mu.Unlock()
-	return b.errRate.Value()
-}
-
-// Latency returns the EWMA request latency in seconds.
-func (b *Breaker) Latency() float64 {
-	b.t.mu.Lock()
-	defer b.t.mu.Unlock()
-	return b.latency.Value()
-}
-
 // Allow reports whether a request may proceed. While half-open it
 // admits at most halfOpenProbes unreported probe requests;
 // every admission must be matched by a Report call (the cloud chain

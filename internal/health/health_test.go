@@ -153,7 +153,7 @@ func TestBreakerErrorRateTrip(t *testing.T) {
 	script := "FFSFFSFF"
 	for i, outcome := range script {
 		if b.State() != Closed {
-			t.Fatalf("tripped after %d samples, want %d; rate=%.3f", i, len(script), b.ErrorRate())
+			t.Fatalf("tripped after %d samples, want %d; rate=%.3f", i, len(script), b.errRate.Value())
 		}
 		if outcome == 'F' {
 			b.Report(cloud.ErrTransient, time.Millisecond)
@@ -165,10 +165,10 @@ func TestBreakerErrorRateTrip(t *testing.T) {
 		t.Fatalf("script has %d samples, want minSamples=%d", len(script), minSamples)
 	}
 	if b.State() != Open {
-		t.Fatalf("breaker should trip on sustained error rate at sample %d; rate=%.3f", minSamples, b.ErrorRate())
+		t.Fatalf("breaker should trip on sustained error rate at sample %d; rate=%.3f", minSamples, b.errRate.Value())
 	}
-	if b.ErrorRate() < tripErrorRate {
-		t.Fatalf("tripped below the rate: %.3f < %v", b.ErrorRate(), tripErrorRate)
+	if b.errRate.Value() < tripErrorRate {
+		t.Fatalf("tripped below the rate: %.3f < %v", b.errRate.Value(), tripErrorRate)
 	}
 }
 
@@ -312,15 +312,6 @@ func TestGuardFailsFastAndReports(t *testing.T) {
 	}
 	if v := reg.Gauge("health.breaker.c0.state").Value(); v != float64(Closed) {
 		t.Errorf("state gauge = %v, want %v", v, float64(Closed))
-	}
-}
-
-func TestGuardUnwrap(t *testing.T) {
-	tr := NewDefaultTracker(vclock.Real{}, 1, nil)
-	inner := cloudsim.NewDirect(cloudsim.NewStore("c0", 0))
-	g := guarded(tr, vclock.Real{}, inner)
-	if g.Unwrap() != cloud.Interface(inner) {
-		t.Error("Unwrap should return the wrapped connector")
 	}
 }
 

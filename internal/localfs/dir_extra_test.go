@@ -100,7 +100,7 @@ func TestScannerRestoreBaseline(t *testing.T) {
 		{Path: "edited.txt", Size: 3, ModTime: mt},
 		{Path: "gone.txt", Size: 9, ModTime: mt},
 	})
-	changes, err := s.Scan()
+	changes, err := scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}

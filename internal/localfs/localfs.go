@@ -350,10 +350,15 @@ type Event struct {
 	Info FileInfo // for Removed, only Path is set
 }
 
-// Scanner detects folder changes by polling: each Scan compares the
-// folder against the previous state and returns the events in
+// Scanner detects folder changes by polling: each scan compares the
+// folder against the known baseline and returns the events in
 // deterministic (path-sorted) order. The UniDrive client ignores
 // paths for which it itself performed the write (see Suppress).
+//
+// The baseline moves past an event only when the caller Accepts it,
+// once the change is recorded: an event the caller failed to record
+// is reported again by the next scan. What produced no event (an
+// unchanged file, UniDrive's own write) moves it at once.
 type Scanner struct {
 	folder Folder
 
@@ -368,30 +373,14 @@ type suppressedState struct {
 	removed bool
 }
 
-// NewScanner returns a Scanner over folder. The first Scan reports
-// every existing file as Added, unless Prime is called first.
+// NewScanner returns a Scanner over folder. The first scan reports
+// every existing file as Added, unless Restore is called first.
 func NewScanner(folder Folder) *Scanner {
 	return &Scanner{
 		folder:   folder,
 		prev:     make(map[string]FileInfo),
 		suppress: make(map[string]suppressedState),
 	}
-}
-
-// Prime records the current folder state as already-known so the next
-// Scan reports only subsequent changes.
-func (s *Scanner) Prime() error {
-	infos, err := s.folder.ListAll()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.prev = make(map[string]FileInfo, len(infos))
-	for _, fi := range infos {
-		s.prev[fi.Path] = fi
-	}
-	return nil
 }
 
 // Suppress tells the scanner that UniDrive itself wrote (or removed)
@@ -423,7 +412,7 @@ func (s *Scanner) Restore(infos []FileInfo) {
 // Baseline returns the scanner's current known state, sorted by path,
 // for persistence. Pending suppressions are folded in: a suppressed
 // path is one UniDrive itself just wrote (or removed), and that state
-// is exactly what the next Scan will record as known — persisting the
+// is exactly what the next scan will record as known — persisting the
 // pre-write baseline instead would make a restarted client re-detect
 // its own applied downloads as fresh local edits.
 func (s *Scanner) Baseline() []FileInfo {
@@ -480,17 +469,25 @@ func (s *Scanner) knownLocked(path string) (FileInfo, bool) {
 	return fi, ok
 }
 
-// Scan compares the folder against the previous scan and returns the
-// changes.
-func (s *Scanner) Scan() ([]Event, error) {
-	events, _, err := s.ScanAll()
-	return events, err
+// Accept moves the baseline past events a scan returned: the caller
+// has recorded them.
+func (s *Scanner) Accept(events ...Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ev := range events {
+		if ev.Kind == Removed {
+			delete(s.prev, ev.Info.Path)
+		} else {
+			s.prev[ev.Info.Path] = ev.Info
+		}
+	}
 }
 
-// ScanAll is Scan plus the number of files examined (every file in
-// the folder) — the denominator of the event-driven pipeline's win:
-// an incremental pass stats only dirty paths, a full pass stats all
-// of these.
+// ScanAll compares the whole folder against the baseline and returns
+// the changes, plus the number of files examined (every file in the
+// folder) — the denominator of the event-driven pipeline's win: an
+// incremental pass stats only dirty paths, a full pass stats all of
+// these.
 func (s *Scanner) ScanAll() ([]Event, int, error) {
 	infos, err := s.folder.ListAll()
 	if err != nil {
@@ -528,27 +525,42 @@ func (s *Scanner) ScanAll() ([]Event, int, error) {
 			events = append(events, Event{Kind: Removed, Info: FileInfo{Path: path}})
 		}
 	}
+	// The baseline becomes the folder as listed, except where an event
+	// awaits Accept: there it keeps what it knew.
+	n := len(current)
+	for _, ev := range events {
+		if known, ok := s.prev[ev.Info.Path]; ok {
+			current[ev.Info.Path] = known
+		} else {
+			delete(current, ev.Info.Path)
+		}
+	}
 	s.prev = current
 	sort.Slice(events, func(i, j int) bool { return events[i].Info.Path < events[j].Info.Path })
-	return events, len(current), nil
+	return events, n, nil
 }
 
 // goneLocked drops a path that is no longer in the folder from the
-// baseline and from the pending suppressions, and reports whether its
-// removal is the user's: the path was known — scanned, or written by
-// UniDrive and not yet scanned (knownLocked) — and UniDrive did not
-// remove it itself. The caller holds s.mu.
+// pending suppressions, and reports whether its removal is the user's:
+// the path was known — scanned, or written by UniDrive and not yet
+// scanned (knownLocked) — and UniDrive did not remove it itself. A
+// known path stays in the baseline, as known, until its Removed event
+// is accepted; any other leaves it. The caller holds s.mu.
 func (s *Scanner) goneLocked(path string) bool {
-	_, known := s.knownLocked(path)
+	fi, known := s.knownLocked(path)
 	delete(s.suppress, path)
-	delete(s.prev, path)
+	if known {
+		s.prev[path] = fi
+	} else {
+		delete(s.prev, path)
+	}
 	return known
 }
 
 // diffPresentLocked classifies one present file against the baseline,
 // consuming any matching self-write suppression. The caller holds
-// s.mu and is responsible for recording fi into the baseline (Scan
-// replaces s.prev wholesale; ScanDirty updates entries in place).
+// s.mu and records fi into the baseline when there is no event; an
+// event's is recorded by Accept.
 func (s *Scanner) diffPresentLocked(path string, fi FileInfo) (Event, bool) {
 	prev, existed := s.prev[path]
 	if sup, ok := s.suppress[path]; ok && !sup.removed &&
@@ -565,47 +577,55 @@ func (s *Scanner) diffPresentLocked(path string, fi FileInfo) (Event, bool) {
 	return Event{}, false
 }
 
-// ScanDirty is the incremental counterpart of Scan: it stats only the
-// given paths (the dirty set accumulated from watcher notifications)
-// and diffs each against the known baseline, updating the baseline in
-// place. Cost is O(len(paths)) regardless of folder size. Paths that
-// turn out unchanged — watchers over-report — produce no event. The
-// returned count is the number of stat calls performed.
+// ScanDirty is the incremental counterpart of ScanAll: it stats only
+// the given paths (the dirty set accumulated from watcher
+// notifications) and diffs each against the known baseline. Cost is
+// O(len(paths)) regardless of folder size. Paths that turn out
+// unchanged — watchers over-report — produce no event. The returned
+// count is the number of stat calls performed. Every path is statted
+// before anything is diffed, so a failed stat leaves the baseline and
+// the suppressions as they were.
 //
 // ScanDirty trusts the dirty set for completeness: a change on a path
-// not listed stays undetected until the next full Scan, which is why
+// not listed stays undetected until the next full scan, which is why
 // the sync loop pairs watchers with a full-rescan safety net.
 func (s *Scanner) ScanDirty(paths []string) ([]Event, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	statted := 0
-	seen := make(map[string]bool, len(paths))
-	var events []Event
+	present := make(map[string]bool, len(paths)) // each path statted: whether it exists
+	var infos []FileInfo                         // Path alone for a path that is gone
 	for _, path := range paths {
-		if seen[path] || strings.HasPrefix(path, StatePrefix) {
+		if _, dup := present[path]; dup || strings.HasPrefix(path, StatePrefix) {
 			continue
 		}
-		seen[path] = true
 		fi, err := s.folder.Stat(path)
-		statted++
-		if err != nil {
-			if !errors.Is(err, ErrNotExist) {
-				return nil, statted, err
-			}
+		switch {
+		case errors.Is(err, ErrNotExist):
+			fi = FileInfo{Path: path}
+		case err != nil:
+			return nil, len(infos) + 1, err
+		}
+		present[path] = err == nil
+		infos = append(infos, fi)
+	}
+	var events []Event
+	for _, fi := range infos {
+		if !present[fi.Path] {
 			// Gone. Only report it if the baseline knew it (a created-
 			// then-removed temp file produces no event at all).
-			if s.goneLocked(path) {
-				events = append(events, Event{Kind: Removed, Info: FileInfo{Path: path}})
+			if s.goneLocked(fi.Path) {
+				events = append(events, Event{Kind: Removed, Info: fi})
 			}
 			continue
 		}
-		if ev, emit := s.diffPresentLocked(path, fi); emit {
+		if ev, emit := s.diffPresentLocked(fi.Path, fi); emit {
 			events = append(events, ev)
+		} else {
+			s.prev[fi.Path] = fi
 		}
-		s.prev[path] = fi
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].Info.Path < events[j].Info.Path })
-	return events, statted, nil
+	return events, len(infos), nil
 }
 
 // ConflictCopyPath derives the path used to materialize the losing

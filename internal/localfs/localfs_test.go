@@ -115,13 +115,13 @@ func TestDirSkipsUniDriveState(t *testing.T) {
 func TestScannerDetectsAddModifyRemove(t *testing.T) {
 	f := NewMem()
 	s := NewScanner(f)
-	if _, err := s.Scan(); err != nil { // establish empty baseline
+	if _, err := scan(s); err != nil { // establish empty baseline
 		t.Fatal(err)
 	}
 
 	t0 := time.Unix(1000, 0)
 	must(t, f.WriteFile("a.txt", []byte("v1"), t0))
-	events, err := s.Scan()
+	events, err := scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestScannerDetectsAddModifyRemove(t *testing.T) {
 	}
 
 	must(t, f.WriteFile("a.txt", []byte("v2!"), t0.Add(time.Second)))
-	events, err = s.Scan()
+	events, err = scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestScannerDetectsAddModifyRemove(t *testing.T) {
 	}
 
 	must(t, f.Remove("a.txt"))
-	events, err = s.Scan()
+	events, err = scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestScannerDetectsAddModifyRemove(t *testing.T) {
 	}
 
 	// No change -> no events.
-	events, err = s.Scan()
+	events, err = scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,16 @@ func TestScannerDetectsAddModifyRemove(t *testing.T) {
 	}
 }
 
+// A scanner primed by a scan whose events were accepted reports only
+// later changes.
 func TestScannerPrime(t *testing.T) {
 	f := NewMem()
 	must(t, f.WriteFile("pre.txt", []byte("x"), time.Unix(1, 0)))
 	s := NewScanner(f)
-	if err := s.Prime(); err != nil {
+	if _, err := scan(s); err != nil {
 		t.Fatal(err)
 	}
-	events, err := s.Scan()
+	events, err := scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +178,14 @@ func TestScannerPrime(t *testing.T) {
 func TestScannerSuppressOwnWrites(t *testing.T) {
 	f := NewMem()
 	s := NewScanner(f)
-	if _, err := s.Scan(); err != nil {
+	if _, err := scan(s); err != nil {
 		t.Fatal(err)
 	}
 	mt := time.Unix(2000, 0)
 	// UniDrive applies a cloud update locally and suppresses it.
 	must(t, f.WriteFile("from-cloud.txt", []byte("body"), mt))
 	s.Suppress("from-cloud.txt", 4, mt, false)
-	events, err := s.Scan()
+	events, err := scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestScannerSuppressOwnWrites(t *testing.T) {
 	}
 	// A later user edit is still detected.
 	must(t, f.WriteFile("from-cloud.txt", []byte("user edit"), mt.Add(time.Minute)))
-	events, err = s.Scan()
+	events, err = scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +207,12 @@ func TestScannerSuppressRemove(t *testing.T) {
 	f := NewMem()
 	must(t, f.WriteFile("doomed.txt", []byte("x"), time.Unix(1, 0)))
 	s := NewScanner(f)
-	if err := s.Prime(); err != nil {
+	if _, err := scan(s); err != nil {
 		t.Fatal(err)
 	}
 	must(t, f.Remove("doomed.txt"))
 	s.Suppress("doomed.txt", 0, time.Time{}, true)
-	events, err := s.Scan()
+	events, err := scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +229,8 @@ func TestScannerReportsRemovalOfUnscannedSelfWrite(t *testing.T) {
 		name string
 		scan func(s *Scanner) ([]Event, error)
 	}{
-		{"ScanAll", func(s *Scanner) ([]Event, error) { ev, _, err := s.ScanAll(); return ev, err }},
-		{"ScanDirty", func(s *Scanner) ([]Event, error) { ev, _, err := s.ScanDirty([]string{"applied.txt"}); return ev, err }},
+		{"ScanAll", scan},
+		{"ScanDirty", func(s *Scanner) ([]Event, error) { ev, _, err := scanDirty(s, []string{"applied.txt"}); return ev, err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := NewMem()
@@ -259,12 +261,12 @@ func TestScannerSuppressMismatchStillReported(t *testing.T) {
 	// suppression must not swallow the user's change.
 	f := NewMem()
 	s := NewScanner(f)
-	if _, err := s.Scan(); err != nil {
+	if _, err := scan(s); err != nil {
 		t.Fatal(err)
 	}
 	s.Suppress("f.txt", 4, time.Unix(2000, 0), false)
 	must(t, f.WriteFile("f.txt", []byte("different content"), time.Unix(3000, 0)))
-	events, err := s.Scan()
+	events, err := scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +285,7 @@ func TestBaselineFoldsPendingSuppressions(t *testing.T) {
 	must(t, f.WriteFile("kept.txt", []byte("old"), time.Unix(1, 0)))
 	must(t, f.WriteFile("gone.txt", []byte("x"), time.Unix(1, 0)))
 	s := NewScanner(f)
-	if err := s.Prime(); err != nil {
+	if _, err := scan(s); err != nil {
 		t.Fatal(err)
 	}
 	// UniDrive applies: rewrites kept.txt, writes new.txt, removes
@@ -315,7 +317,7 @@ func TestBaselineFoldsPendingSuppressions(t *testing.T) {
 	}
 	// Folding must not consume the entries: the next Scan still needs
 	// them to stay quiet.
-	events, err := s.Scan()
+	events, err := scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,4 +359,19 @@ func must(t *testing.T, err error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// scan runs a full scan and accepts every event, as a client that
+// recorded them does.
+func scan(s *Scanner) ([]Event, error) {
+	events, _, err := s.ScanAll()
+	s.Accept(events...)
+	return events, err
+}
+
+// scanDirty is scan over the given paths.
+func scanDirty(s *Scanner, paths []string) ([]Event, int, error) {
+	events, statted, err := s.ScanDirty(paths)
+	s.Accept(events...)
+	return events, statted, err
 }

@@ -261,7 +261,7 @@ func TestScanDirtyReportsOnlyRealChanges(t *testing.T) {
 	if err := m.WriteFile("b.txt", []byte("bb"), time.Unix(10, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prime(); err != nil {
+	if _, err := scan(s); err != nil {
 		t.Fatal(err)
 	}
 
@@ -272,7 +272,7 @@ func TestScanDirtyReportsOnlyRealChanges(t *testing.T) {
 	if err := m.WriteFile("c.txt", []byte("c"), time.Unix(20, 0)); err != nil {
 		t.Fatal(err)
 	}
-	events, statted, err := s.ScanDirty([]string{"a.txt", "b.txt", "c.txt", "a.txt"})
+	events, statted, err := scanDirty(s, []string{"a.txt", "b.txt", "c.txt", "a.txt"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestScanDirtyReportsOnlyRealChanges(t *testing.T) {
 	}
 
 	// Baseline updated in place: re-scanning the same dirty set is quiet.
-	events, _, err = s.ScanDirty([]string{"a.txt", "b.txt", "c.txt"})
+	events, _, err = scanDirty(s, []string{"a.txt", "b.txt", "c.txt"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,13 +305,13 @@ func TestScanDirtyRemovals(t *testing.T) {
 	if err := m.WriteFile("gone.txt", []byte("x"), time.Unix(10, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prime(); err != nil {
+	if _, err := scan(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Remove("gone.txt"); err != nil {
 		t.Fatal(err)
 	}
-	events, _, err := s.ScanDirty([]string{"gone.txt", "never-existed.txt"})
+	events, _, err := scanDirty(s, []string{"gone.txt", "never-existed.txt"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestScanDirtyRemovals(t *testing.T) {
 		t.Fatalf("events = %v, want one Removed gone.txt", events)
 	}
 	// A full scan afterwards must not re-report the removal.
-	events, err = s.Scan()
+	events, err = scan(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestScanDirtyHonorsSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Suppress("dl.txt", int64(len("cloud")), mt, false)
-	events, _, err := s.ScanDirty([]string{"dl.txt"})
+	events, _, err := scanDirty(s, []string{"dl.txt"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,14 +348,14 @@ func TestScanDirtyHonorsSuppression(t *testing.T) {
 	if err := m.WriteFile("rm.txt", []byte("x"), mt); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.ScanDirty([]string{"rm.txt"}); err != nil {
+	if _, _, err := scanDirty(s, []string{"rm.txt"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Remove("rm.txt"); err != nil {
 		t.Fatal(err)
 	}
 	s.Suppress("rm.txt", 0, time.Time{}, true)
-	events, _, err = s.ScanDirty([]string{"rm.txt"})
+	events, _, err = scanDirty(s, []string{"rm.txt"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestScanDirtySkipsStateDir(t *testing.T) {
 	if err := m.WriteFile(StatePrefix+"state.json", []byte("{}"), time.Unix(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	events, statted, err := s.ScanDirty([]string{StatePrefix + "state.json"})
+	events, statted, err := scanDirty(s, []string{StatePrefix + "state.json"})
 	if err != nil {
 		t.Fatal(err)
 	}

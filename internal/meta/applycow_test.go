@@ -35,8 +35,8 @@ func imagesEquivalent(a, b *Image) error {
 			return fmt.Errorf("entry %q differs:\n  %+v\n  %+v", p, ea, eb)
 		}
 	}
-	if a.NumSegments() != b.NumSegments() {
-		return fmt.Errorf("segment counts differ: %d vs %d", a.NumSegments(), b.NumSegments())
+	if len(a.SegmentIDs()) != len(b.SegmentIDs()) {
+		return fmt.Errorf("segment counts differ: %d vs %d", len(a.SegmentIDs()), len(b.SegmentIDs()))
 	}
 	for id, sa := range a.AllSegments() {
 		sb := segOf(b, id)

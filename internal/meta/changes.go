@@ -277,31 +277,11 @@ func (l *ChangedFileList) Record(c *Change) error {
 	return nil
 }
 
-// Empty reports whether there are no pending changes — the paper's
-// check_local_update is !Empty().
-func (l *ChangedFileList) Empty() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.changes) == 0
-}
-
 // Len returns the number of pending (coalesced) changes.
 func (l *ChangedFileList) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.changes)
-}
-
-// Snapshot returns the pending changes in first-recorded order
-// without clearing them.
-func (l *ChangedFileList) Snapshot() []*Change {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]*Change, 0, len(l.changes))
-	for _, p := range l.order {
-		out = append(out, l.changes[p])
-	}
-	return out
 }
 
 // Drain returns the pending changes and clears the list — called

@@ -128,7 +128,7 @@ func TestApplyDeleteStampsTombstoneTime(t *testing.T) {
 
 func TestChangedFileListCoalesces(t *testing.T) {
 	l := NewChangedFileList()
-	if !l.Empty() {
+	if l.Len() != 0 {
 		t.Fatal("new list not empty")
 	}
 	must(t, l.Record(addChange("a", "s1")))
@@ -137,7 +137,7 @@ func TestChangedFileListCoalesces(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
 	}
-	got := l.Snapshot()
+	got := l.Drain()
 	if got[0].Path != "a" || got[1].Path != "b" {
 		t.Fatalf("order = %v,%v", got[0].Path, got[1].Path)
 	}
@@ -154,7 +154,7 @@ func TestChangedFileListAddThenDelete(t *testing.T) {
 	if len(got) != 1 || got[0].Type != ChangeDelete {
 		t.Fatalf("got %+v, want single delete", got)
 	}
-	if !l.Empty() {
+	if l.Len() != 0 {
 		t.Fatal("Drain did not clear")
 	}
 }
@@ -174,7 +174,7 @@ func TestRequeuePreservesNewerChanges(t *testing.T) {
 	// Meanwhile a newer change to "a" arrives.
 	must(t, l.Record(addChange("a", "new")))
 	l.Requeue(drained)
-	got := l.Snapshot()
+	got := l.Drain()
 	if len(got) != 2 {
 		t.Fatalf("len = %d, want 2", len(got))
 	}

@@ -139,17 +139,6 @@ func (s *Segment) HasBlock(blockID int, cloudID string) bool {
 	return false
 }
 
-// BlocksOn returns the block IDs stored on the given cloud.
-func (s *Segment) BlocksOn(cloudID string) []int {
-	var out []int
-	for _, b := range s.Blocks {
-		if b.CloudID == cloudID {
-			out = append(out, b.BlockID)
-		}
-	}
-	return out
-}
-
 // AddBlockSum records a block location together with its content
 // checksum, unless the location is already recorded: block content is
 // immutable, so a recorded sum is never overwritten — a disagreement
@@ -332,9 +321,6 @@ func (im *Image) Lookup(path string) *FileEntry {
 	return e
 }
 
-// SetEntry installs the entry under its path.
-func (im *Image) SetEntry(e *FileEntry) { im.files.Put(e.Path, e) }
-
 // NumFiles returns the number of file entries (including tombstones).
 func (im *Image) NumFiles() int { return im.files.Len() }
 
@@ -343,13 +329,6 @@ func (im *Image) AllFiles() iter.Seq2[string, *FileEntry] { return im.files.All(
 
 // Segment returns the pool segment with the given ID.
 func (im *Image) Segment(id string) (*Segment, bool) { return im.segments.Get(id) }
-
-// SetSegment installs seg in the pool under its ID, replacing any
-// existing record.
-func (im *Image) SetSegment(seg *Segment) { im.segments.Put(seg.ID, seg) }
-
-// NumSegments returns the size of the segment pool.
-func (im *Image) NumSegments() int { return im.segments.Len() }
 
 // AllSegments iterates every ID -> segment pair, in unspecified order.
 func (im *Image) AllSegments() iter.Seq2[string, *Segment] { return im.segments.All() }
@@ -399,7 +378,9 @@ func (im *Image) UpsertSegment(seg *Segment) {
 // RecountRefs recomputes every segment's RefCount from the snapshots
 // currently in the image (including retained conflict versions, whose
 // content must stay recoverable). It returns the IDs of segments
-// whose count dropped to zero — candidates for garbage collection.
+// whose count dropped to zero. The sync path keeps counts exact
+// incrementally (ApplyCOW); this full recount is the reference its
+// tests compare against.
 // It mutates segment values in place, so it must only run on images
 // with owned values (fresh from Clone or DecodeImage), never on ones
 // sharing entries copy-on-write.

@@ -48,9 +48,6 @@ func TestSegmentBlockOps(t *testing.T) {
 	if !s.HasBlock(0, "c1") || s.HasBlock(0, "c2") {
 		t.Fatal("HasBlock wrong")
 	}
-	if got := s.BlocksOn("c1"); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("BlocksOn(c1) = %v", got)
-	}
 }
 
 func TestSnapshotContentEquals(t *testing.T) {
@@ -145,9 +142,8 @@ func TestRecountRefsAndDedup(t *testing.T) {
 
 func TestRefCountIncludesConflictCopies(t *testing.T) {
 	im := NewImage()
-	im.SetEntry(&FileEntry{Path: "f", Snapshots: []*Snapshot{
-		snap("f", "d1", "s1"), snap("f", "d2", "s2"),
-	}})
+	im.SetSnapshot(snap("f", "d1", "s1"))
+	im.Lookup("f").Snapshots = append(im.Lookup("f").Snapshots, snap("f", "d2", "s2"))
 	im.UpsertSegment(seg("s1"))
 	im.UpsertSegment(seg("s2"))
 	im.RecountRefs()

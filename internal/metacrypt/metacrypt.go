@@ -73,9 +73,6 @@ func New(alg Algorithm, passphrase string) (*Cipher, error) {
 	return &Cipher{alg: alg, desKey: sum[:8], aesKey: sum[:]}, nil
 }
 
-// Algorithm returns the cipher's algorithm.
-func (c *Cipher) Algorithm() Algorithm { return c.alg }
-
 // Seal encrypts plaintext. Output layout: tag byte, IV, ciphertext.
 func (c *Cipher) Seal(plaintext []byte) ([]byte, error) {
 	switch c.alg {

@@ -138,7 +138,7 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestAlgorithmAccessor(t *testing.T) {
 	c, _ := New(AES, "k")
-	if c.Algorithm() != AES {
+	if c.alg != AES {
 		t.Fatal("Algorithm() mismatch")
 	}
 }

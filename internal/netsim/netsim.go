@@ -162,16 +162,6 @@ func NewEnv(clock vclock.Clock, cfg Config, clouds []CloudProfile) *Env {
 	}
 }
 
-// Clock returns the environment's clock.
-func (e *Env) Clock() vclock.Clock { return e.clock }
-
-// Sampler returns the environment's deterministic network-condition
-// sampler.
-func (e *Env) Sampler() *Sampler { return e.sampler }
-
-// Clouds returns the sorted names of the modeled clouds.
-func (e *Env) Clouds() []string { return e.sampler.Clouds() }
-
 // SetOutage marks a cloud as completely unavailable (or available
 // again). Used by the reliability experiments (paper Fig 14).
 func (e *Env) SetOutage(cloudName string, down bool) {
@@ -250,12 +240,6 @@ func (h *Host) randFloat() float64 {
 	defer h.mu.Unlock()
 	return h.rng.Float64()
 }
-
-// Location returns the host's location name.
-func (h *Host) Location() string { return h.loc.Name }
-
-// Env returns the environment the host is attached to.
-func (h *Host) Env() *Env { return h.env }
 
 // Traffic reports the total bytes and API calls issued by this host,
 // split by direction. Upload counts request payloads, download counts

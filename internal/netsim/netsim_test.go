@@ -188,15 +188,15 @@ func TestFailuresAreSizeDependent(t *testing.T) {
 func TestTempMultiplierDeterministicAndVarying(t *testing.T) {
 	env := testEnv(t, 42)
 	cp := FiveClouds()[0]
-	a := env.Sampler().TempMultiplier(cp.Name, Upload, 7)
-	b := env.Sampler().TempMultiplier(cp.Name, Upload, 7)
+	a := env.sampler.TempMultiplier(cp.Name, Upload, 7)
+	b := env.sampler.TempMultiplier(cp.Name, Upload, 7)
 	if a != b {
 		t.Fatal("multiplier not deterministic for equal epoch")
 	}
 	// Across epochs the multiplier must actually vary.
 	var vals []float64
 	for ep := int64(0); ep < 200; ep++ {
-		vals = append(vals, env.Sampler().TempMultiplier(cp.Name, Upload, ep))
+		vals = append(vals, env.sampler.TempMultiplier(cp.Name, Upload, ep))
 	}
 	if stats.Max(vals)/stats.Min(vals) < 3 {
 		t.Fatalf("multiplier range too tight: min=%v max=%v", stats.Min(vals), stats.Max(vals))
@@ -209,7 +209,7 @@ func TestTempMultiplierDiffersAcrossSeeds(t *testing.T) {
 	cp := FiveClouds()[0]
 	same := 0
 	for ep := int64(0); ep < 50; ep++ {
-		if e1.Sampler().TempMultiplier(cp.Name, Upload, ep) == e2.Sampler().TempMultiplier(cp.Name, Upload, ep) {
+		if e1.sampler.TempMultiplier(cp.Name, Upload, ep) == e2.sampler.TempMultiplier(cp.Name, Upload, ep) {
 			same++
 		}
 	}
@@ -222,10 +222,10 @@ func TestDegradedCloudAtMostOne(t *testing.T) {
 	env := testEnv(t, 3)
 	seen := make(map[string]bool)
 	for ep := int64(0); ep < 500; ep++ {
-		name := env.Sampler().DegradedCloud(ep)
+		name := env.sampler.DegradedCloud(ep)
 		if name != "" {
 			seen[name] = true
-			if _, ok := env.Sampler().Profile(name); !ok {
+			if _, ok := env.sampler.Profile(name); !ok {
 				t.Fatalf("degraded cloud %q not a known cloud", name)
 			}
 		}
@@ -237,7 +237,7 @@ func TestDegradedCloudAtMostOne(t *testing.T) {
 
 func TestCloudsSortedAndComplete(t *testing.T) {
 	env := testEnv(t, 1)
-	names := env.Clouds()
+	names := env.sampler.Clouds()
 	if len(names) != 5 {
 		t.Fatalf("Clouds() returned %d names, want 5", len(names))
 	}
@@ -282,9 +282,6 @@ func TestProfileAccessorsPanicOnUnknown(t *testing.T) {
 func TestBuiltinProfilesConsistent(t *testing.T) {
 	if len(FiveClouds()) != 5 {
 		t.Fatal("FiveClouds must return 5 profiles")
-	}
-	if len(USClouds()) != 3 {
-		t.Fatal("USClouds must return 3 profiles")
 	}
 	if len(EC2Locations()) != 7 {
 		t.Fatal("EC2Locations must return 7 locations (paper §7)")

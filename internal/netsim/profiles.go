@@ -61,13 +61,6 @@ func FiveClouds() []CloudProfile {
 	}
 }
 
-// USClouds returns only the three US cloud profiles, used by the
-// temporal-variation and failure-correlation studies.
-func USClouds() []CloudProfile {
-	all := FiveClouds()
-	return []CloudProfile{all[0], all[1], all[2]}
-}
-
 // usLoc builds a location with typical US/EU connectivity to the five
 // clouds; the fine per-cloud factors shape the spatial diversity.
 func loc(name string, up, down float64, factors map[string]float64, failureBoost float64) LocationProfile {

@@ -40,9 +40,6 @@ func NewSampler(cfg Config, clouds []CloudProfile) *Sampler {
 	return &Sampler{cfg: cfg, clouds: m, order: order}
 }
 
-// Config returns the sampler's configuration.
-func (s *Sampler) Config() Config { return s.cfg }
-
 // Clouds returns the sorted names of the modeled clouds.
 func (s *Sampler) Clouds() []string {
 	out := make([]string, len(s.order))

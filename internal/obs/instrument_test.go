@@ -59,9 +59,6 @@ func TestInstrumentRecordsAllOps(t *testing.T) {
 	if in.Name() != "dropbox" {
 		t.Fatalf("Name = %q", in.Name())
 	}
-	if in.Unwrap() != cloud.Interface(fc) {
-		t.Fatal("Unwrap lost the inner cloud")
-	}
 
 	if err := in.Upload(ctx, "f", []byte("12345")); err != nil {
 		t.Fatal(err)
@@ -81,7 +78,7 @@ func TestInstrumentRecordsAllOps(t *testing.T) {
 
 	s := r.Snapshot()
 	for _, op := range []string{OpUpload, OpDownload, OpCreateDir, OpList, OpDelete} {
-		row, ok := s.Op("dropbox", op)
+		row, ok := opRow(s, "dropbox", op)
 		if !ok {
 			t.Fatalf("no row for %s", op)
 		}
@@ -93,11 +90,11 @@ func TestInstrumentRecordsAllOps(t *testing.T) {
 			t.Fatalf("%s p50 = %v, want ~0.02", op, got)
 		}
 	}
-	up, _ := s.Op("dropbox", OpUpload)
+	up, _ := opRow(s, "dropbox", OpUpload)
 	if up.BytesUp != 5 || up.BytesDown != 0 {
 		t.Fatalf("upload bytes = %d/%d", up.BytesUp, up.BytesDown)
 	}
-	down, _ := s.Op("dropbox", OpDownload)
+	down, _ := opRow(s, "dropbox", OpDownload)
 	if down.BytesDown != 4 || down.BytesUp != 0 {
 		t.Fatalf("download bytes = %d/%d", down.BytesUp, down.BytesDown)
 	}
@@ -118,7 +115,7 @@ func TestInstrumentClassifiesErrors(t *testing.T) {
 	}
 
 	s := r.Snapshot()
-	row, _ := s.Op("box", OpUpload)
+	row, _ := opRow(s, "box", OpUpload)
 	if row.Outcome(Transient) != 1 || row.Outcome(OK) != 0 {
 		t.Fatalf("upload row = %+v", row)
 	}
@@ -126,7 +123,7 @@ func TestInstrumentClassifiesErrors(t *testing.T) {
 	if row.BytesUp != 0 {
 		t.Fatalf("failed upload counted %d bytes", row.BytesUp)
 	}
-	row, _ = s.Op("box", OpDownload)
+	row, _ = opRow(s, "box", OpDownload)
 	if row.Outcome(Unavailable) != 1 {
 		t.Fatalf("download row = %+v", row)
 	}

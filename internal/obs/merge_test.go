@@ -59,10 +59,10 @@ func TestMergeSnapshotsTotals(t *testing.T) {
 	if m.Counter("syncs") != 7 || m.Counter("only2") != 1 {
 		t.Fatalf("counters: %v", m.Counters)
 	}
-	if m.Gauge("occupancy") != 7 {
-		t.Fatalf("gauge sum = %v, want 7", m.Gauge("occupancy"))
+	if m.Gauges["occupancy"] != 7 {
+		t.Fatalf("gauge sum = %v, want 7", m.Gauges["occupancy"])
 	}
-	row, ok := m.Op("dropbox", OpUpload)
+	row, ok := opRow(m, "dropbox", OpUpload)
 	if !ok {
 		t.Fatal("merged dropbox/put row missing")
 	}

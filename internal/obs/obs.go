@@ -62,17 +62,6 @@ type Gauge struct {
 // Set stores v as the gauge's current value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		v := math.Float64frombits(old) + delta
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the gauge's current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -118,19 +118,7 @@ func (s *OpStats) Count(o Outcome) int64 {
 	return s.outcomes[o].Load()
 }
 
-// Calls returns the total number of recorded calls across outcomes.
-func (s *OpStats) Calls() int64 {
-	var n int64
-	for i := range s.outcomes {
-		n += s.outcomes[i].Load()
-	}
-	return n
-}
-
 // Bytes returns the cumulative payload bytes recorded up and down.
 func (s *OpStats) Bytes() (up, down int64) {
 	return s.bytesUp.Load(), s.bytesDown.Load()
 }
-
-// Latency returns the row's latency histogram.
-func (s *OpStats) Latency() *Histogram { return s.lat }

@@ -46,7 +46,7 @@ func TestConcurrentRecording(t *testing.T) {
 			ctx := context.Background()
 			for i := 0; i < perG; i++ {
 				r.Counter("shared").Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Set(float64(i))
 				r.Histogram("h").Observe(0.005)
 				r.Op("c", OpUpload).Record(OK, 1, 0, time.Millisecond)
 				_ = in.Upload(ctx, "f", []byte("x"))
@@ -62,13 +62,13 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := s.Counter("shared"); got != total {
 		t.Errorf("counter = %d, want %d", got, total)
 	}
-	if got := s.Gauge("g"); got != float64(total) {
-		t.Errorf("gauge = %v, want %d", got, total)
+	if got := s.Gauges["g"]; got != perG-1 {
+		t.Errorf("gauge = %v, want %d", got, perG-1)
 	}
 	if got := s.Histograms["h"].Count; got != total {
 		t.Errorf("histogram count = %d, want %d", got, total)
 	}
-	row, ok := s.Op("c", OpUpload)
+	row, ok := opRow(s, "c", OpUpload)
 	if !ok {
 		t.Fatal("op row missing")
 	}

@@ -88,20 +88,6 @@ func (r *Registry) Snapshot() Snapshot {
 // absent).
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 
-// Gauge returns the snapshotted value of the named gauge (0 when
-// absent).
-func (s Snapshot) Gauge(name string) float64 { return s.Gauges[name] }
-
-// Op returns the table row for (cloud, op) and whether it exists.
-func (s Snapshot) Op(cloud, op string) (OpSnapshot, bool) {
-	for _, row := range s.Ops {
-		if row.Cloud == cloud && row.Op == op {
-			return row, true
-		}
-	}
-	return OpSnapshot{}, false
-}
-
 // Outcome returns the row's count for the given outcome.
 func (o OpSnapshot) Outcome(out Outcome) int64 { return o.Outcomes[out.String()] }
 

@@ -64,26 +64,6 @@ func NewDownloadPlan(k int, locations map[int][]string) (*DownloadPlan, error) {
 	return p, nil
 }
 
-// Clouds returns the clouds that hold at least one still-needed
-// block, for ranking by the prober.
-func (p *DownloadPlan) Clouds() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for c, blocks := range p.byCloud {
-		if p.dead[c] {
-			continue
-		}
-		for _, b := range blocks {
-			if !p.done[b] {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // NextBlock returns a block for the cloud to download and marks it in
 // flight. It never hands out more than K total (done+inflight)
 // blocks: fetching more would waste bandwidth.
@@ -247,30 +227,6 @@ func (p *DownloadPlan) Done() bool {
 	return len(p.done) >= p.k
 }
 
-// Stuck reports that the plan can no longer finish: fewer than K
-// blocks remain reachable (done + inflight + assignable from live
-// clouds).
-func (p *DownloadPlan) Stuck() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.done) >= p.k {
-		return false
-	}
-	reachable := len(p.done) + len(p.inflight)
-	for b := range p.sources {
-		if p.done[b] {
-			continue
-		}
-		if len(p.inflight[b]) > 0 {
-			continue
-		}
-		if p.liveSourcesLocked(b) > 0 {
-			reachable++
-		}
-	}
-	return reachable < p.k
-}
-
 // Unassigned returns how many of the K blocks the plan has not yet
 // handed out: neither fetched nor in flight (NextBlock keeps the two
 // at or below K together).
@@ -374,38 +330,4 @@ func (p *DownloadPlan) HasWork(cloudName string) bool {
 		return true
 	}
 	return false
-}
-
-// CloudDone reports that cloudName will never get more work: it is
-// dead, the plan is done, or it holds no still-needed block.
-func (p *DownloadPlan) CloudDone(cloudName string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.dead[cloudName] || len(p.done) >= p.k {
-		return true
-	}
-	for _, b := range p.byCloud[cloudName] {
-		if !p.done[b] {
-			return false
-		}
-	}
-	return true
-}
-
-// InFlight returns the number of running downloads.
-func (p *DownloadPlan) InFlight() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.inflight)
-}
-
-// DoneBlocks returns the IDs of fetched blocks.
-func (p *DownloadPlan) DoneBlocks() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]int, 0, len(p.done))
-	for b := range p.done {
-		out = append(out, b)
-	}
-	return out
 }

@@ -43,9 +43,6 @@ func TestDownloadCompletesAfterK(t *testing.T) {
 	if _, ok := plan.NextBlock("a"); ok {
 		t.Fatal("work handed out after Done")
 	}
-	if len(plan.DoneBlocks()) != 3 {
-		t.Fatalf("DoneBlocks = %v", plan.DoneBlocks())
-	}
 }
 
 func TestDownloadNeverExceedsKInFlight(t *testing.T) {
@@ -67,8 +64,8 @@ func TestDownloadNeverExceedsKInFlight(t *testing.T) {
 	if _, ok := plan.NextBlock("b"); ok {
 		t.Fatal("over-issued beyond K in flight")
 	}
-	if plan.InFlight() != 3 {
-		t.Fatalf("InFlight = %d", plan.InFlight())
+	if len(plan.inflight) != 3 {
+		t.Fatalf("%d blocks in flight, want 3", len(plan.inflight))
 	}
 }
 
@@ -132,11 +129,8 @@ func TestDownloadMarkDead(t *testing.T) {
 	if _, ok := plan.NextBlock("a"); ok {
 		t.Fatal("dead cloud got work")
 	}
-	clouds := plan.Clouds()
-	for _, c := range clouds {
-		if c == "a" {
-			t.Fatal("dead cloud listed as source")
-		}
+	if plan.HasWork("a") {
+		t.Fatal("dead cloud listed as source")
 	}
 	// b supplies 1 and 4, c supplies 2 and 5: still k=3 reachable.
 	for _, step := range []struct {
@@ -160,18 +154,22 @@ func TestDownloadStuck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Stuck() {
-		t.Fatal("fresh plan reported stuck")
-	}
 	plan.MarkDead("a")
-	if !plan.Stuck() {
-		t.Fatal("plan with < k reachable blocks not stuck")
+	b, ok := plan.NextBlock("b")
+	if !ok {
+		t.Fatal("no work for the live cloud")
+	}
+	plan.Complete("b", b)
+	// Fewer than k blocks were reachable: the plan ends short, with no
+	// work left for anyone.
+	if plan.Done() || plan.HasWork("a") || plan.HasWork("b") {
+		t.Fatal("plan with < k reachable blocks still looks finishable")
 	}
 }
 
 func TestDownloadCloudDone(t *testing.T) {
 	plan := threeOfSix(t)
-	if plan.CloudDone("b") {
+	if !plan.HasWork("b") {
 		t.Fatal("b done though it holds needed blocks")
 	}
 	b1, _ := plan.NextBlock("b")
@@ -179,7 +177,7 @@ func TestDownloadCloudDone(t *testing.T) {
 	b2, _ := plan.NextBlock("b")
 	plan.Complete("b", b2)
 	// b held blocks 1 and 4; both done now.
-	if !plan.CloudDone("b") {
+	if plan.HasWork("b") {
 		t.Fatal("b not done after supplying all its blocks")
 	}
 }

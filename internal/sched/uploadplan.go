@@ -100,11 +100,11 @@ func (p *UploadPlan) SetObs(reg *obs.Registry) {
 
 // NextBlock returns the next block the cloud should upload and marks
 // it in flight. ok is false when the cloud has no work right now
-// (more may appear later; see CloudDone). extras is the driver's
-// decision whether over-provisioned blocks may still be handed out:
-// they exist to reach availability sooner, so the transfer engine
-// withdraws it at the batch's availability instant and the plan then
-// serves queued normal blocks only.
+// (more may appear later). extras is the driver's decision whether
+// over-provisioned blocks may still be handed out: they exist to reach
+// availability sooner, so the transfer engine withdraws it at the
+// batch's availability instant and the plan then serves queued normal
+// blocks only.
 func (p *UploadPlan) NextBlock(cloudName string, extras bool) (blockID int, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -368,14 +368,9 @@ func (p *UploadPlan) Available() bool {
 	return len(p.uploaded) >= p.params.K
 }
 
-// Reliable reports whether every cloud still in the plan has received
-// its fair share (the paper's reliability goal for the segment).
-func (p *UploadPlan) Reliable() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reliableLocked()
-}
-
+// reliableLocked reports whether every cloud still in the plan has
+// received its fair share (the paper's reliability goal for the
+// segment).
 func (p *UploadPlan) reliableLocked() bool {
 	fair := p.params.FairShare()
 	for _, c := range p.clouds {
@@ -387,32 +382,6 @@ func (p *UploadPlan) reliableLocked() bool {
 		}
 	}
 	return true
-}
-
-// CloudDone reports that cloudName will never receive more work from
-// this plan: it is excluded, or it has no pending normal blocks and
-// over-provisioning can no longer apply to it.
-func (p *UploadPlan) CloudDone(cloudName string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.excluded[cloudName] != 0 {
-		return true
-	}
-	if len(p.fairQueue[cloudName]) > 0 {
-		return false
-	}
-	if p.reliableLocked() {
-		return true
-	}
-	if p.countByCloud[cloudName] >= p.params.MaxPerCloud() {
-		return true
-	}
-	if len(p.extraFree) == 0 && p.nextExtra >= p.params.MaxBlocks() {
-		return true
-	}
-	// Not done: extras may open up once this cloud's fair share (or
-	// another's) completes.
-	return false
 }
 
 // Queued returns the number of normal blocks not yet handed out: the
@@ -427,13 +396,6 @@ func (p *UploadPlan) Queued() int {
 		n += len(q)
 	}
 	return n
-}
-
-// InFlight returns the number of blocks currently being uploaded.
-func (p *UploadPlan) InFlight() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.inflight)
 }
 
 // Placement returns the final block placement: block ID -> cloud, for

@@ -69,9 +69,9 @@ func TestQuotaShapeOneCloudFull(t *testing.T) {
 	if len(got["c0"]) != 0 {
 		t.Fatalf("full cloud c0 received blocks %v", got["c0"])
 	}
-	if !plan.Available() || !plan.Reliable() {
+	if !plan.Available() || !reliable(plan) {
 		t.Fatalf("one-full plan: Available=%v Reliable=%v, want both true",
-			plan.Available(), plan.Reliable())
+			plan.Available(), reliable(plan))
 	}
 	if n := reg.Counter("sched.plan.quota_moved").Value(); n != 1 {
 		t.Fatalf("quota_moved = %d, want 1", n)
@@ -122,7 +122,7 @@ func TestQuotaShapeMajorityFull(t *testing.T) {
 	if !plan.Available() {
 		t.Fatal("thin plan with 4 >= K=3 blocks must be Available")
 	}
-	if !plan.Reliable() {
+	if !reliable(plan) {
 		t.Fatal("full clouds' fair shares are waived; live clouds done ⇒ Reliable")
 	}
 	if n := reg.Counter("sched.plan.quota_dropped").Value(); n != 1 {

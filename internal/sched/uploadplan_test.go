@@ -67,12 +67,12 @@ func TestReliabilityNeedsEveryCloud(t *testing.T) {
 		b, _ := plan.NextBlock(c, true)
 		plan.Complete(c, b)
 	}
-	if plan.Reliable() {
+	if reliable(plan) {
 		t.Fatal("reliable with one cloud missing its fair share")
 	}
 	b, _ := plan.NextBlock("c4", true)
 	plan.Complete("c4", b)
-	if !plan.Reliable() {
+	if !reliable(plan) {
 		t.Fatal("not reliable after every cloud got its fair share")
 	}
 }
@@ -152,15 +152,12 @@ func TestOverProvisioningStopsWhenReliable(t *testing.T) {
 		b, _ := plan.NextBlock(c, true)
 		plan.Complete(c, b)
 	}
-	if !plan.Reliable() {
+	if !reliable(plan) {
 		t.Fatal("should be reliable")
 	}
 	for _, c := range fiveClouds {
 		if _, ok := plan.NextBlock(c, true); ok {
 			t.Fatalf("%s received work after reliability was met", c)
-		}
-		if !plan.CloudDone(c) {
-			t.Fatalf("%s not done after reliability", c)
 		}
 	}
 }
@@ -218,18 +215,15 @@ func TestExcludeWritesCloudOff(t *testing.T) {
 			if _, ok := plan.NextBlock("c0", true); ok {
 				t.Fatal("excluded cloud received work")
 			}
-			if !plan.CloudDone("c0") {
-				t.Fatal("excluded cloud not done")
-			}
 			// Reliability ignores the excluded cloud, and only it.
 			for _, c := range fiveClouds[1:] {
-				if plan.Reliable() {
+				if reliable(plan) {
 					t.Fatalf("plan reliable with %s's fair share outstanding", c)
 				}
 				b, _ := plan.NextBlock(c, true)
 				plan.Complete(c, b)
 			}
-			if !plan.Reliable() {
+			if !reliable(plan) {
 				t.Fatal("reliability must ignore excluded clouds")
 			}
 		})
@@ -258,7 +252,7 @@ func TestAvailabilityReachableWithDeadCloudViaOverProvisioning(t *testing.T) {
 	if !plan.Available() {
 		t.Fatalf("not available with %d blocks uploaded (need %d)", uploaded, p.K)
 	}
-	if !plan.Reliable() {
+	if !reliable(plan) {
 		t.Fatal("not reliable over the live clouds")
 	}
 }
@@ -397,7 +391,7 @@ func TestFailoverReassignsDeadClouds(t *testing.T) {
 	if !plan.Available() {
 		t.Error("plan not available after failover drain")
 	}
-	if !plan.Reliable() {
+	if !reliable(plan) {
 		t.Error("plan not reliable: live clouds should all have their fair share")
 	}
 }
@@ -578,7 +572,7 @@ func TestSeedUploadedCountsTowardGoals(t *testing.T) {
 	if !plan.Available() {
 		t.Fatal("plan not available after seeding K blocks")
 	}
-	if plan.Reliable() {
+	if reliable(plan) {
 		t.Fatal("plan reliable while c4 owes its fair share")
 	}
 	for {
@@ -588,7 +582,7 @@ func TestSeedUploadedCountsTowardGoals(t *testing.T) {
 		}
 		plan.Complete("c4", b)
 	}
-	if !plan.Reliable() {
+	if !reliable(plan) {
 		t.Fatal("plan not reliable after the last cloud caught up")
 	}
 }
@@ -667,7 +661,15 @@ func TestExtrasRefusedAndQueuedBacklog(t *testing.T) {
 			t.Fatalf("%s: Queued() = %d, want %d", step.name, got, step.queued)
 		}
 	}
-	if !plan.Reliable() {
+	if !reliable(plan) {
 		t.Fatal("the live clouds' fair shares are up: the plan must be reliable")
 	}
+}
+
+// reliable reports whether the plan met the paper's reliability goal:
+// every cloud still in it holds its fair share.
+func reliable(p *UploadPlan) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.reliableLocked()
 }

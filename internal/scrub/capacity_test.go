@@ -65,7 +65,7 @@ func (h *harness) addThinSegment(t *testing.T, seed int64, size, k, nPlace int) 
 			BlockID: i, CloudID: cloudName, Checksum: meta.BlockSum(blocks[i]),
 		})
 	}
-	h.img.SetSegment(seg)
+	h.img.UpsertSegment(seg)
 	return seg
 }
 

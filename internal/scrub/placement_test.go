@@ -37,7 +37,7 @@ func (h *harness) addWideSegment(t *testing.T, seed int64, size, k, n int) *meta
 		}
 		seg.Blocks = append(seg.Blocks, meta.BlockLocation{BlockID: i, CloudID: cloudName, Checksum: meta.BlockSum(b)})
 	}
-	h.img.SetSegment(seg)
+	h.img.UpsertSegment(seg)
 	return seg
 }
 
@@ -64,7 +64,7 @@ func TestScrubRepairKeepsTheSecurityCap(t *testing.T) {
 	}
 	cur, _ := h.img.Segment(seg.ID)
 	for _, name := range h.engine.CloudNames() {
-		if n := len(cur.BlocksOn(name)); n > paperParams.MaxPerCloud() {
+		if n := blocksOn(cur, name); n > paperParams.MaxPerCloud() {
 			t.Errorf("%s holds %d blocks of the segment, above MaxPerCloud %d", name, n, paperParams.MaxPerCloud())
 		}
 	}
@@ -74,4 +74,15 @@ func TestScrubRepairKeepsTheSecurityCap(t *testing.T) {
 	if len(rep.Unrepairable) != 0 {
 		t.Errorf("a reconstructible segment reported as data loss: %v", rep.Unrepairable)
 	}
+}
+
+// blocksOn counts the blocks seg records on cloud.
+func blocksOn(seg *meta.Segment, cloud string) int {
+	n := 0
+	for _, b := range seg.Blocks {
+		if b.CloudID == cloud {
+			n++
+		}
+	}
+	return n
 }

@@ -91,7 +91,8 @@ func (h *harness) commit(ctx context.Context, changes []*meta.Change) (int64, er
 		if !ok {
 			return 0, fmt.Errorf("harness: relocate of unknown segment %q", ch.Path)
 		}
-		h.img.SetSegment(Apply(cur, ch.Segments[0]))
+		h.img.DropSegments([]string{ch.Path})
+		h.img.UpsertSegment(Apply(cur, ch.Segments[0]))
 	}
 	h.version++
 	return h.version, nil
@@ -120,7 +121,7 @@ func (h *harness) addSegment(t *testing.T, seed int64, size, k int) *meta.Segmen
 		}
 		seg.Blocks = append(seg.Blocks, meta.BlockLocation{BlockID: i, CloudID: cloudName, Checksum: meta.BlockSum(b)})
 	}
-	h.img.SetSegment(seg)
+	h.img.UpsertSegment(seg)
 	return seg
 }
 

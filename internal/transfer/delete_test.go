@@ -120,7 +120,7 @@ func TestDeleteBlocksOverlapsWithinConnsPerCloud(t *testing.T) {
 	if got := s.Counter("transfer.delete.skipped") + s.Counter("transfer.delete.blocks_failed"); got != 0 {
 		t.Errorf("skipped + failed = %d, want 0", got)
 	}
-	if got := s.Gauge("transfer.active"); got != 0 {
+	if got := s.Gauges["transfer.active"]; got != 0 {
 		t.Errorf("active gauge = %v after the batch", got)
 	}
 }

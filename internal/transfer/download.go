@@ -55,20 +55,6 @@ type DownloadItem struct {
 	Sums map[int]uint32
 }
 
-// DownloadSegment runs a single download plan to completion and
-// returns the fetched blocks (block ID -> content). It fails with
-// ErrSegmentUnrecoverable when fewer than K blocks remain reachable.
-func (e *Engine) DownloadSegment(ctx context.Context, plan *sched.DownloadPlan, segID string) (map[int][]byte, error) {
-	res, err := e.DownloadBatch(ctx, []DownloadItem{{Plan: plan, SegID: segID}})
-	if err != nil {
-		return nil, err
-	}
-	if !plan.Done() {
-		return nil, fmt.Errorf("%w: got %d blocks", ErrSegmentUnrecoverable, len(res[0]))
-	}
-	return res[0], nil
-}
-
 // flightKey names one block of one item being fetched.
 type flightKey struct{ item, blockID int }
 

@@ -117,7 +117,7 @@ func TestUploadRoutesAroundOpenBreaker(t *testing.T) {
 	if !plan.Available() {
 		t.Fatal("plan not available")
 	}
-	if !plan.Reliable() {
+	if !reliable(plan, r.names, r.names[3]) {
 		t.Fatal("plan not reliable: live clouds lack their fair share")
 	}
 
@@ -215,7 +215,7 @@ func TestHedgedDownloadWithStalledCloud(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	blocks, err := r.engine.DownloadSegment(ctx, dplan, "segH")
+	blocks, err := downloadSegment(ctx, r.engine, dplan, "segH")
 	if err != nil {
 		t.Fatalf("hedged download: %v", err)
 	}

@@ -35,8 +35,8 @@ func TestUploadQuotaReplansNotRetries(t *testing.T) {
 		coderSource(t, coder, seg), nil); err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Available() || !plan.Reliable() {
-		t.Fatalf("plan state: available=%v reliable=%v", plan.Available(), plan.Reliable())
+	if ok := reliable(plan, r.names, "c1"); !plan.Available() || !ok {
+		t.Fatalf("plan state: available=%v reliable=%v", plan.Available(), ok)
 	}
 	for b, c := range plan.Placement() {
 		if c == "c1" {
@@ -81,8 +81,8 @@ func TestUploadCapacityGateRoutesAroundFullCloud(t *testing.T) {
 		coderSource(t, coder, seg), nil); err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Available() || !plan.Reliable() {
-		t.Fatalf("plan state: available=%v reliable=%v", plan.Available(), plan.Reliable())
+	if ok := reliable(plan, r.names, "c1"); !plan.Available() || !ok {
+		t.Fatalf("plan state: available=%v reliable=%v", plan.Available(), ok)
 	}
 	// Not one byte reached c1: the gate fires before dispatch, so the
 	// full cloud sees zero upload attempts (and zero rejections).
@@ -168,7 +168,7 @@ func TestDownloadServedByCapacityFullClouds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := engine.DownloadSegment(context.Background(), dplan, "segQ")
+	blocks, err := downloadSegment(context.Background(), engine, dplan, "segQ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,14 @@ package transfer
 import (
 	"context"
 	"errors"
-	"slices"
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/meta"
 )
 
 // Survey is what the clouds' block directories held at one instant:
-// the existence evidence every maintenance pass (scrub, Fsck, orphan
-// GC, crash recovery) judges the metadata against. A cloud is in one
+// the existence evidence every maintenance pass (scrub, crash
+// recovery) judges the metadata against. A cloud is in one
 // of three states: listed (its blocks are known exactly — a missing
 // block directory is an empty cloud), unknown (its List failed, so its
 // blocks are neither present nor absent and a caller must not act on
@@ -70,9 +69,6 @@ func (s *Survey) Has(cloudName, segID string, blockID int) bool {
 // Listed reports whether the cloud is in the engine and its listing
 // succeeded, so that Has is the whole truth about it.
 func (s *Survey) Listed(cloudName string) bool { return s.listed[cloudName] }
-
-// Unknown reports whether the cloud's listing failed.
-func (s *Survey) Unknown(cloudName string) bool { return slices.Contains(s.unknown, cloudName) }
 
 // UnknownClouds returns the clouds whose listing failed, sorted.
 func (s *Survey) UnknownClouds() []string { return s.unknown }

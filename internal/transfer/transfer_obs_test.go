@@ -52,7 +52,7 @@ func TestDownloadRetryExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = engine.DownloadSegment(context.Background(), dplan, "segR")
+	_, err = downloadSegment(context.Background(), engine, dplan, "segR")
 	if !errors.Is(err, ErrSegmentUnrecoverable) {
 		t.Fatalf("err = %v, want ErrSegmentUnrecoverable", err)
 	}
@@ -72,7 +72,7 @@ func TestDownloadRetryExhaustion(t *testing.T) {
 			got, want, failed, retryAttempts-1)
 	}
 	// All slots were drained before returning.
-	if got := s.Gauge("transfer.active"); got != 0 {
+	if got := s.Gauges["transfer.active"]; got != 0 {
 		t.Fatalf("active gauge = %v after batch", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -73,8 +74,8 @@ func TestUploadSegmentToReliability(t *testing.T) {
 	if err := r.engine.UploadSegment(context.Background(), plan, "seg1", coderSource(t, coder, seg), nil); err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Available() || !plan.Reliable() {
-		t.Fatalf("plan state: available=%v reliable=%v", plan.Available(), plan.Reliable())
+	if ok := reliable(plan, r.names); !plan.Available() || !ok {
+		t.Fatalf("plan state: available=%v reliable=%v", plan.Available(), ok)
 	}
 	// Every cloud holds exactly its fair share (no over-provisioning
 	// needed: instant clouds all finish together).
@@ -131,7 +132,7 @@ func TestUploadPastAvailabilitySendsOnlyNormalBlocks(t *testing.T) {
 	if extrasAtInstant < 0 {
 		t.Fatal("the batch returned without an availability instant")
 	}
-	if !plan.Reliable() {
+	if !reliable(plan, r.names) {
 		t.Fatalf("the batch ended at %d blocks, short of reliability (%d landed at the instant)",
 			len(plan.UploadedBlocks()), landedAtInstant)
 	}
@@ -165,7 +166,7 @@ func TestUploadSurvivesCloudOutage(t *testing.T) {
 	if !plan.Available() {
 		t.Fatal("upload not available despite 4 live clouds")
 	}
-	if !plan.Reliable() {
+	if !reliable(plan, r.names, "c2") {
 		t.Fatal("reliability over live clouds not reached")
 	}
 	if r.stores[2].FileCount() != 0 {
@@ -196,7 +197,7 @@ func TestUploadRetriesTransientFailures(t *testing.T) {
 		coderSource(t, paperCoder(t), seg), nil); err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Reliable() {
+	if !reliable(plan, r.names) {
 		t.Fatal("transient failures defeated the upload")
 	}
 }
@@ -223,7 +224,7 @@ func TestDownloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := r.engine.DownloadSegment(context.Background(), dplan, "segX")
+	blocks, err := downloadSegment(context.Background(), r.engine, dplan, "segX")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestDownloadWithOutagesUsesSurvivors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := r.engine.DownloadSegment(context.Background(), dplan, "segX")
+	blocks, err := downloadSegment(context.Background(), r.engine, dplan, "segX")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestDownloadUnrecoverable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.engine.DownloadSegment(context.Background(), dplan, "segX")
+	_, err = downloadSegment(context.Background(), r.engine, dplan, "segX")
 	if !errors.Is(err, ErrSegmentUnrecoverable) {
 		t.Fatalf("err = %v, want ErrSegmentUnrecoverable (security property)", err)
 	}
@@ -351,7 +352,7 @@ func TestOverProvisioningFavoursFastClouds(t *testing.T) {
 	// does: extras flow only while the slowest cloud is still
 	// uploading its fair share.
 	if err := engine.UploadSegment(context.Background(), plan, "segOP",
-		coderSource(t, coder, seg), plan.Reliable); err != nil {
+		coderSource(t, coder, seg), func() bool { return reliable(plan, names) }); err != nil {
 		t.Fatal(err)
 	}
 	if plan.OverProvisioned() == 0 {
@@ -530,7 +531,7 @@ func TestDownloadSpeedFavoursFastClouds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.DownloadSegment(context.Background(), dplan, "segD")
+	got, err := downloadSegment(context.Background(), engine, dplan, "segD")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,4 +546,40 @@ func TestDownloadSpeedFavoursFastClouds(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("download took %v simulated; fastest-cloud scheduling ineffective", elapsed)
 	}
+}
+
+// downloadSegment runs one download plan to completion and returns the
+// fetched blocks (block ID -> content), failing with
+// ErrSegmentUnrecoverable when the plan ends short of K blocks.
+func downloadSegment(ctx context.Context, e *Engine, plan *sched.DownloadPlan, segID string) (map[int][]byte, error) {
+	res, err := e.DownloadBatch(ctx, []DownloadItem{{Plan: plan, SegID: segID}})
+	if err != nil {
+		return nil, err
+	}
+	if !plan.Done() {
+		return nil, fmt.Errorf("%w: got %d blocks", ErrSegmentUnrecoverable, len(res[0]))
+	}
+	return res[0], nil
+}
+
+// reliable reports whether the plan over names reached the paper's
+// reliability goal without the dropped clouds: each other cloud holds
+// at least its fair share of the landed blocks, and each dropped one
+// holds none and gets no more work from the plan.
+func reliable(plan *sched.UploadPlan, names []string, dropped ...string) bool {
+	held := map[string]int{}
+	for _, c := range plan.Placement() {
+		held[c]++
+	}
+	for _, c := range dropped {
+		if _, work := plan.NextBlock(c, true); work || held[c] > 0 {
+			return false
+		}
+	}
+	for _, c := range names {
+		if !slices.Contains(dropped, c) && held[c] < plan.Params().FairShare() {
+			return false
+		}
+	}
+	return true
 }

@@ -109,7 +109,7 @@ func TestUploadTailRefillsSlowCloudAfterAvailability(t *testing.T) {
 		t.Fatal("the batch did not finish")
 	}
 	for _, it := range items {
-		if !it.Plan.Reliable() {
+		if !reliable(it.Plan, r.names) {
 			t.Errorf("%s ended short of reliability: %v", it.SegID, it.Plan.Placement())
 		}
 	}

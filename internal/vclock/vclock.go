@@ -39,10 +39,10 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 // After returns a channel that fires after d of wall time.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// Scaled is a Clock in which durations shrink by Factor: sleeping one
-// simulated second occupies 1/Factor seconds of wall time. Now returns
-// a synthetic timeline that starts at the epoch the clock was created
-// with and advances Factor times faster than the wall clock.
+// Scaled is a Clock in which durations shrink by its factor: sleeping
+// one simulated second occupies 1/factor seconds of wall time. Now
+// returns a synthetic timeline that starts at the epoch the clock was
+// created with and advances factor times faster than the wall clock.
 //
 // A Scaled clock preserves the interleaving behaviour of concurrent
 // transfers (they still genuinely block and race) while letting
@@ -66,9 +66,6 @@ func NewScaled(factor float64) *Scaled {
 	now := time.Now()
 	return &Scaled{factor: factor, wallStart: now, simStart: now}
 }
-
-// Factor reports the speed-up factor of the clock.
-func (c *Scaled) Factor() float64 { return c.factor }
 
 // Now returns the current simulated time.
 func (c *Scaled) Now() time.Time {

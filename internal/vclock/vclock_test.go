@@ -78,12 +78,6 @@ func TestNewScaledPanicsOnSubUnity(t *testing.T) {
 	NewScaled(0.5)
 }
 
-func TestScaledFactor(t *testing.T) {
-	if got := NewScaled(42).Factor(); got != 42 {
-		t.Fatalf("Factor() = %v, want 42", got)
-	}
-}
-
 func TestManualSleepReleasesOnAdvance(t *testing.T) {
 	c := NewManual(time.Unix(0, 0))
 	var wg sync.WaitGroup

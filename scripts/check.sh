@@ -1,9 +1,9 @@
 #!/bin/sh
 # Tier-1 gate, runnable without make: vet, gofmt, the function-length
-# gate, the test-only options gate, build, full test suite, the race
-# detector over the concurrent data-plane packages, the portable
-# (non-assembly) kernels, the benchmark module, and the shipped §3.2
-# output.
+# gate, the test-only options and API gate, build, full test suite,
+# the race detector over the concurrent data-plane packages, the
+# portable (non-assembly) kernels, the benchmark module, and the
+# shipped §3.2 output.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,7 +22,7 @@ echo "== no function over 100 lines (the packages in scripts/funclen_pkgs.txt)"
 # shellcheck disable=SC2046 # one argument per listed package
 ./scripts/funclen.sh 100 $(grep -v '^#' scripts/funclen_pkgs.txt)
 
-echo "== no internal Config field only tests set (scripts/knobs_allow.txt aside)"
+echo "== no internal Config field only tests set, no exported function only tests call (scripts/knobs_allow.txt aside)"
 ./scripts/knobs.sh
 
 echo "== go build ./..."

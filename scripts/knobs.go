@@ -1,20 +1,30 @@
 //go:build ignore
 
-// knobs lists the exported fields of every `Config` struct under
-// internal/ that no non-test code outside the struct's own package ever
-// sets — options whose only value in use is the default, which should
-// be constants — and exits 1 if one is not in the allow list:
+// knobs is the test-only API gate. It type-checks the non-test code of
+// internal/, cmd/, examples/ and the benchmark harness (benchmarks/e2e)
+// and lists two kinds of exported name under internal/ that only tests
+// reach, exiting 1 if one is not in the allow list:
 //
 //	go run scripts/knobs.go scripts/knobs_allow.txt
 //
-// A field counts as set when a keyed composite literal of the Config
-// names it, when an unkeyed one exists, or when it is assigned to, in a
-// non-test file of internal/, cmd/, examples/ or the benchmark harness
-// (benchmarks/e2e) outside its package.
-// The allow list holds one `pkg.Config.Field reason` line per deliberate
-// exception; blank lines and lines starting with # are skipped. An
-// entry that names no unset field is reported too, so the list cannot
-// go stale.
+// "pkg.Config.Field" is a field of a `Config` struct that no non-test
+// code outside the struct's package sets: an option whose only value in
+// use is the default, which should be a constant. A field counts as set
+// when a keyed composite literal of the Config names it, when an
+// unkeyed one exists, or when it is assigned to.
+//
+// "pkg.Func" or "pkg.Type.Method" is an exported function or method
+// that no non-test code uses, its own body aside, which should be
+// deleted. A use in its own package counts; a method of a generic type
+// is used when any instance's is; and a method that implements an
+// interface (String, Error, MarshalJSON, ServeHTTP, cloud.Interface,
+// ...) counts as used.
+//
+// The allow list holds one `name reason` line per deliberate exception;
+// blank lines and lines starting with # are skipped. A name ending in
+// ".*" allows every reported name it prefixes ("cloudsim.*"). An entry
+// that matches nothing either rule reports is reported too, so the
+// list cannot go stale.
 package main
 
 import (
@@ -51,13 +61,61 @@ func main() {
 		os.Exit(2)
 	}
 
-	// fields are the exported Config fields by name ("pkg.Config.Field");
-	// set marks the ones set from outside their package.
-	fields := map[*types.Var]string{}
-	for _, p := range pkgs {
-		if !strings.HasPrefix(p.path, module+"/internal/") {
-			continue
+	bad := false
+	matched := map[string]bool{}
+	report := func(names []string, why string) {
+		for _, name := range names {
+			if entry, ok := allows(allowed, name); ok {
+				matched[entry] = true
+				continue
+			}
+			fmt.Printf("%s: %s, or list it in %s with the reason\n", name, why, os.Args[1])
+			bad = true
 		}
+	}
+	report(unsetFields(pkgs), "set by tests only; make it a constant")
+	report(unusedFuncs(pkgs), "called by tests only; delete it")
+	for entry := range allowed {
+		if !matched[entry] {
+			fmt.Printf("%s: listed in %s, but matches no unset field or unused function\n", entry, os.Args[1])
+			bad = true
+		}
+	}
+	if bad {
+		os.Exit(1)
+	}
+}
+
+// allows returns the allow-list entry that covers name: name itself,
+// or a "pkg.*" entry whose prefix it has.
+func allows(allowed map[string]string, name string) (string, bool) {
+	if _, ok := allowed[name]; ok {
+		return name, true
+	}
+	for entry := range allowed {
+		if prefix, ok := strings.CutSuffix(entry, "*"); ok && strings.HasPrefix(name, prefix) {
+			return entry, true
+		}
+	}
+	return "", false
+}
+
+// internalPkgs are the loaded packages under internal/.
+func internalPkgs(pkgs map[string]*pkg) []*pkg {
+	var out []*pkg
+	for _, p := range pkgs {
+		if strings.HasPrefix(p.path, module+"/internal/") {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// unsetFields names the exported Config fields under internal/ that no
+// code outside their package sets ("pkg.Config.Field"), sorted.
+func unsetFields(pkgs map[string]*pkg) []string {
+	fields := map[*types.Var]string{}
+	for _, p := range internalPkgs(pkgs) {
 		obj, ok := p.types.Scope().Lookup("Config").(*types.TypeName)
 		if !ok {
 			continue
@@ -85,7 +143,6 @@ func main() {
 			})
 		}
 	}
-
 	var unset []string
 	for f, name := range fields {
 		if !set[f] {
@@ -93,22 +150,131 @@ func main() {
 		}
 	}
 	sort.Strings(unset)
-	bad := false
-	for _, name := range unset {
-		if _, ok := allowed[name]; ok {
-			delete(allowed, name)
-			continue
+	return unset
+}
+
+// unusedFuncs names the exported functions and methods declared under
+// internal/ that no code uses outside their own body ("pkg.Func",
+// "pkg.Type.Method"), sorted. Methods that implement an interface are
+// left out: their caller is whoever holds the interface.
+func unusedFuncs(pkgs map[string]*pkg) []string {
+	ifaces := interfaces(pkgs)
+	funcs := map[*types.Func]string{}
+	for _, p := range internalPkgs(pkgs) {
+		for _, file := range p.files {
+			for _, d := range file.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				name := p.types.Name() + "." + fd.Name.Name
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					named := baseNamed(recv.Type())
+					if implementsAny(named, fn.Name(), ifaces) {
+						continue
+					}
+					name = p.types.Name() + "." + named.Obj().Name() + "." + fd.Name.Name
+				}
+				funcs[fn] = name
+			}
 		}
-		fmt.Printf("%s: set by tests only; make it a constant, or list it in %s with the reason\n", name, os.Args[1])
-		bad = true
 	}
-	for name := range allowed {
-		fmt.Printf("%s: listed in %s, but no such unset field\n", name, os.Args[1])
-		bad = true
+	used := map[*types.Func]bool{}
+	for _, p := range pkgs {
+		for _, file := range p.files {
+			for _, d := range file.Decls {
+				var in *types.Func // the function d declares: its own uses are recursion
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					in = p.info.Defs[fd.Name].(*types.Func)
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := p.info.Uses[id].(*types.Func); ok && fn.Origin() != in {
+							used[fn.Origin()] = true
+						}
+					}
+					return true
+				})
+			}
+		}
 	}
-	if bad {
-		os.Exit(1)
+	var unused []string
+	for fn, name := range funcs {
+		if !used[fn] {
+			unused = append(unused, name)
+		}
 	}
+	sort.Strings(unused)
+	return unused
+}
+
+// baseNamed is the named type of a method receiver, pointer or not.
+func baseNamed(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return t.(*types.Named)
+}
+
+// implementsAny reports whether named or *named implements one of
+// ifaces that has a method called method.
+func implementsAny(named *types.Named, method string, ifaces []*types.Interface) bool {
+	if named.TypeParams().Len() > 0 {
+		return false // its methods are used through their instances
+	}
+	for _, it := range ifaces {
+		if has(it, method) && (types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+			return true
+		}
+	}
+	return false
+}
+
+// has reports whether it has a method called method.
+func has(it *types.Interface, method string) bool {
+	for i := 0; i < it.NumMethods(); i++ {
+		if it.Method(i).Name() == method {
+			return true
+		}
+	}
+	return false
+}
+
+// interfaces are the non-empty interface types declared in the loaded
+// packages and everything they import, written inline included.
+func interfaces(pkgs map[string]*pkg) []*types.Interface {
+	var out []*types.Interface
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			out = append(out, it)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var walk func(tp *types.Package)
+	walk = func(tp *types.Package) {
+		if seen[tp] {
+			return
+		}
+		seen[tp] = true
+		for _, name := range tp.Scope().Names() {
+			if tn, ok := tp.Scope().Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, imp := range tp.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range pkgs {
+		walk(p.types)
+		for _, tv := range p.info.Types {
+			if tv.Type != nil {
+				add(tv.Type)
+			}
+		}
+	}
+	return out
 }
 
 // setFields returns the struct fields node sets: the keys of a keyed
@@ -229,7 +395,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return tp, nil
 }
 
-// readAllow reads the allow list: "pkg.Config.Field reason" per line.
+// readAllow reads the allow list: "name reason" per line.
 func readAllow(path string) (map[string]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
