@@ -271,7 +271,7 @@ func TestChaosBreakerFailover(t *testing.T) {
 
 	// Drive beta until its breaker re-probes c3 (the outage window is
 	// over, so probes succeed) and closes again. Each committing sync
-	// fans metadata out to every cloud, giving the half-open breaker
+	// reads every cloud's version stamp, giving the half-open breaker
 	// its probe; the real sleeps let the (scaled) cooldown elapse.
 	recovered := false
 	for i := 0; i < 300 && !recovered; i++ {

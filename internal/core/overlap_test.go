@@ -54,9 +54,8 @@ func (g *gate) opened() <-chan struct{} {
 // tap is what the overlap tests hold over one device's clouds: block
 // uploads to one cloud stay in flight until the test lets them go (the
 // gate of transfer/delete_test.go), version-stamp reads, block reads
-// and the version-stamp writes to that cloud can be held the same way,
-// lock flag uploads can be made to fail, and every version-stamp write
-// is announced.
+// and version-stamp writes can be held the same way, lock flag uploads
+// can be made to fail, and every version-stamp write is announced.
 type tap struct {
 	slow        string        // the cloud whose block uploads the blocks gate holds
 	blocks      *gate         // block uploads to slow
@@ -64,7 +63,7 @@ type tap struct {
 	stampAsked  chan struct{} // one per held version-stamp read that arrived
 	blockReads  *gate         // block reads, every cloud
 	blockAsked  chan struct{} // one per held block read that arrived
-	stampWrites *gate         // version-stamp writes to slow
+	stampWrites *gate         // version-stamp writes, every cloud
 	writeAsked  chan struct{} // one per held version-stamp write that arrived
 	stampPut    chan struct{} // one per version-stamp write that landed
 	failLocks   atomic.Bool
@@ -112,10 +111,8 @@ func (c *tappedCloud) Upload(ctx context.Context, path string, data []byte) erro
 	case strings.HasPrefix(path, qlock.DefaultLockDir+"/") && tp.failLocks.Load():
 		return cloud.ErrUnavailable
 	case path == versionPath:
-		if c.Name() == tp.slow {
-			if err := through(ctx, tp.stampWrites, tp.writeAsked); err != nil {
-				return err
-			}
+		if err := through(ctx, tp.stampWrites, tp.writeAsked); err != nil {
+			return err
 		}
 		err := c.Interface.Upload(ctx, path, data)
 		if err == nil {
@@ -251,7 +248,7 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	if got := reg.Counter("core.commit.drained").Value(); got != 1 {
 		t.Fatalf("core.commit.drained = %d after a single-segment commit, want 1", got)
 	}
-	await(t, tp.stampPut, len(r.stores), "warm-up version stamps")
+	await(t, tp.stampPut, cloud.Quorum(len(r.stores)), "warm-up version stamps")
 
 	big := randContent(7, 10*4096) // more segments than connections per cloud
 	writeFile(t, fa, "big.bin", big)
@@ -266,7 +263,7 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	// and more of its fair share queued behind them. The gate holds every
 	// upload to it, so none can finish while the test waits for all of
 	// them to arrive.
-	await(t, tp.stampPut, len(r.stores), "version stamps of the first commit")
+	await(t, tp.stampPut, cloud.Quorum(len(r.stores)), "version stamps of the first commit")
 	tp.awaitHeld(transfer.DefaultConnsPerCloud)
 	if inFlight, asked := tp.held(); inFlight != transfer.DefaultConnsPerCloud || asked-warmAsked != inFlight {
 		t.Fatalf("at the first commit c4 has %d block uploads in flight of %d asked, want %d held and none finished",

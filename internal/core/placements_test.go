@@ -34,7 +34,7 @@ func owingPass(t *testing.T, r *rig, tp *tap, meanwhile func()) (*Client, *local
 	}()
 	done := make(chan error, 1)
 	go func() { _, err := a.SyncOnce(ctxT(t)); done <- err }()
-	await(t, tp.stampPut, len(r.stores), "version stamps of the commit")
+	await(t, tp.stampPut, cloud.Quorum(len(r.stores)), "version stamps of the commit")
 	if meanwhile != nil {
 		meanwhile()
 	}
@@ -184,7 +184,7 @@ func TestOwedPlacementsRecordedByTheLoopsRemotePoll(t *testing.T) {
 	writeFile(t, fa, "big.bin", randContent(17, 10*4096))
 	waitCond(t, "the watch event", func() bool { return reg.Counter("sync.watch.events").Value() >= 1 })
 	clk.Advance(time.Second) // past the settle window: the dirty pass commits
-	await(t, tp.stampPut, len(r.stores), "version stamps of the commit")
+	await(t, tp.stampPut, cloud.Quorum(len(r.stores)), "version stamps of the commit")
 	tp.blocks.open()
 	waitCond(t, "the dirty pass to end owing", func() bool { return reg.Gauge("core.placements.pending").Value() > 0 })
 	time.Sleep(20 * time.Millisecond) // a turn of the loop: nothing is due before the poll

@@ -58,8 +58,10 @@ func requestsUnder(recs []*cloudsim.Recorder, dir string) cloudsim.CallCounts {
 
 // The request budget of a single-file commit, the deterministic gate
 // on the pass's round trips: one lock hold is an upload, a list and a
-// delete per cloud; the version stamps are read once and written once;
-// the delta is written once. Request counts over unshaped clouds do not
+// delete on each of the three clouds that won the device's previous
+// round; the version stamps are read once on every cloud and written
+// once on a quorum; the delta is written once on that quorum — 20
+// requests and the blocks. Request counts over unshaped clouds do not
 // depend on timing, so any extra round trip fails here.
 func TestSingleFileCommitRequestBudget(t *testing.T) {
 	c, folder, recs := recordedDevice(t)
@@ -98,17 +100,17 @@ func TestSingleFileCommitRequestBudget(t *testing.T) {
 		got[d] = requestsUnder(recs, d).Minus(before[d])
 	}
 
-	if want := (cloudsim.CallCounts{Upload: 5, List: 5, Delete: 5}); got[qlock.DefaultLockDir] != want {
+	if want := (cloudsim.CallCounts{Upload: 3, List: 3, Delete: 3}); got[qlock.DefaultLockDir] != want {
 		t.Errorf("lock requests = %+v, want %+v", got[qlock.DefaultLockDir], want)
 	}
-	if want := (cloudsim.CallCounts{Download: 5, Upload: 5}); got[versionPath] != want {
+	if want := (cloudsim.CallCounts{Download: 5, Upload: 3}); got[versionPath] != want {
 		t.Errorf("version-stamp requests = %+v, want %+v", got[versionPath], want)
 	}
-	if want := (cloudsim.CallCounts{Upload: 5}); got[deltasync.DefaultDir+"/delta"] != want {
+	if want := (cloudsim.CallCounts{Upload: 3}); got[deltasync.DefaultDir+"/delta"] != want {
 		t.Errorf("delta requests = %+v, want %+v", got[deltasync.DefaultDir+"/delta"], want)
 	}
-	if n := got[deltasync.DefaultDir].Total(); n != 15 {
-		t.Errorf("%d metadata requests, want 15 (stamps and delta only): %+v", n, got[deltasync.DefaultDir])
+	if n := got[deltasync.DefaultDir].Total(); n != 11 {
+		t.Errorf("%d metadata requests, want 11 (stamps and delta only): %+v", n, got[deltasync.DefaultDir])
 	}
 	// Blocks: the fair share at least, the whole code at most (how many
 	// over-provisioned blocks go out depends on timing); nothing read,
@@ -118,8 +120,8 @@ func TestSingleFileCommitRequestBudget(t *testing.T) {
 	if blocks.Upload < p.NormalBlocks() || blocks.Upload > p.CodeN() || blocks.Total() != blocks.Upload {
 		t.Errorf("block requests = %+v, want %d..%d uploads and nothing else", blocks, p.NormalBlocks(), p.CodeN())
 	}
-	if n := total() - totalBefore; n != 15+15+blocks.Upload {
-		t.Errorf("%d requests in the pass, want %d: something outside the three layouts", n, 30+blocks.Upload)
+	if n := total() - totalBefore; n != 9+11+blocks.Upload {
+		t.Errorf("%d requests in the pass, want %d: something outside the three layouts", n, 20+blocks.Upload)
 	}
 
 	// A read with nothing pending: the five stamp GETs, then blocks.

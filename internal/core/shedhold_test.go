@@ -10,8 +10,8 @@ import (
 
 // Two devices commit different files while the first one's hold has
 // shed its flags down to the quorum that won it. Alpha's commit is
-// held at its version-stamp write to the slowest cloud, after the
-// shed; beta's commit meanwhile finds alpha's flags on that quorum,
+// held at its version-stamp writes, after the shed; beta's commit
+// meanwhile finds alpha's flags on that quorum,
 // backs off, and commits on top of alpha's commit once alpha's hold
 // is released. Both files reach both devices, with no conflict copy.
 func TestPeerWaitsOutAShedHold(t *testing.T) {

@@ -12,7 +12,8 @@ import (
 // lives (a rotation every round): one cloud's base and tail, a listing
 // only when the tail may not be all there is — never when the tail
 // joins the base, or when the base already stands at the stamp the
-// cloud advertised.
+// cloud advertised. The per-cloud budgets are those of the clouds the
+// commit reached.
 func TestFullRefreshRequestBudget(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(3)
@@ -32,7 +33,8 @@ func TestFullRefreshRequestBudget(t *testing.T) {
 		}
 	}
 	known, knownRecs := r.recordedStore(t, "dK", Config{})
-	for i, rec := range knownRecs {
+	for _, i := range r.atStamp(t, w) {
+		rec := knownRecs[i]
 		read, err := known.readCloud(ctx, known.clouds[i], 1)
 		if err != nil || read.chain.head() != 1 {
 			t.Fatalf("cloud %d: read at the stamp: v%d, %v", i, read.chain.head(), err)
@@ -78,8 +80,8 @@ func TestFullRefreshRequestBudget(t *testing.T) {
 	if img, err := cold.fetchAll(ctx); err != nil || img.Version != 3 {
 		t.Fatalf("cold fetch: %v", err)
 	}
-	for i, rec := range coldRecs {
-		if got, want := rec.Counts(), (cloudsim.CallCounts{Download: 2}); got != want {
+	for _, i := range r.atStamp(t, w) {
+		if got, want := coldRecs[i].Counts(), (cloudsim.CallCounts{Download: 2}); got != want {
 			t.Errorf("cloud %d: cold fetch of base + tail issued %+v, want %+v", i, got, want)
 		}
 	}

@@ -51,9 +51,10 @@ func chunkStarts(t *testing.T, st *cloudsim.Store) []int64 {
 // chunkedWriter commits one large batch — which rotates, leaving a
 // base big enough that λ (a quarter of it) exceeds two chunk caps —
 // and returns the writer standing on that base with an empty chain.
+// The writer is pinned: its commits write the first quorum of clouds.
 func chunkedWriter(t *testing.T, r *rig) *Store {
 	t.Helper()
-	w := r.store(t, "dW", Config{})
+	w := r.pinnedStore(t, "dW", Config{})
 	stats, err := w.Commit(context.Background(), batch("base", 3000))
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func TestTailPastCapFreezesIntoChunk(t *testing.T) {
 	first := w.Stamp().Version + 1
 	appendUntilFreeze(t, r, w)
 
-	for i, st := range r.stores {
+	for i, st := range r.stores[:w.Quorum()] {
 		if got := chunkStarts(t, st); len(got) != 1 || got[0] != first {
 			t.Fatalf("cloud %d holds chunks %v, want the one named after the tail's first record v%d", i, got, first)
 		}
@@ -221,7 +222,7 @@ func TestIncrementalBackfillsOnlyChunksAfterHead(t *testing.T) {
 	if _, err := reader.Commit(ctx, batch("reader", 1)); err != nil {
 		t.Fatal(err)
 	}
-	tail, err := reader.decodeDelta(download(t, r.stores[0], deltaFile))
+	tail, err := reader.decodeDelta(download(t, r.stores[r.atStamp(t, reader)[0]], deltaFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestFullFetchOverFrozenChunks(t *testing.T) {
 	if _, err := reader.Commit(context.Background(), batch("reader", 1)); err != nil {
 		t.Fatal(err)
 	}
-	tail, err := reader.decodeDelta(download(t, r.stores[0], deltaFile))
+	tail, err := reader.decodeDelta(download(t, r.stores[r.atStamp(t, reader)[0]], deltaFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,9 @@ func TestInterruptedFreezeIsDeduplicatedByVersion(t *testing.T) {
 	w := chunkedWriter(t, r)
 	appendUntilFreeze(t, r, w) // an earlier chunk, so the overlap is not at the base
 	appendBatch(t, r, w)
-	mid, _ := r.recordedStore(t, "dM", Config{})
+	// The warm reader reads the writer's quorum, clouds 0 and 1.
+	quorum := []cloud.Interface{cloudsim.NewDirect(r.stores[0]), cloudsim.NewDirect(r.stores[1])}
+	mid := New(quorum, testCipher(t), Config{Device: "dM"})
 	if _, err := mid.fetchAll(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +334,8 @@ func TestInterruptedFreezeIsDeduplicatedByVersion(t *testing.T) {
 	default:
 		t.Fatalf("cold reader of the interrupted cloud reached v%d, want v%d or v%d", img.Version, committed-1, committed)
 	}
-	// The warm reader, over all three clouds: the two that finished the
-	// freeze advertise the commit, and their chunk overlaps its cursor.
+	// The warm reader: cloud 1, which finished the freeze, advertises the
+	// commit, and its chunk overlaps the reader's cursor.
 	img, err = mid.Refresh(ctx)
 	if err != nil {
 		t.Fatal(err)

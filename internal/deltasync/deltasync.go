@@ -9,21 +9,53 @@
 //   - delta holds an encrypted log of commit records appended since
 //     the base was written, its older part frozen into immutable
 //     delta.v<version> chunk objects;
-//   - version holds a tiny plaintext stamp {device, version} that
-//     devices poll to detect pending cloud updates without
-//     downloading any metadata.
+//   - version holds a tiny plaintext stamp {device, version, commit}
+//     that devices poll to detect pending cloud updates without
+//     downloading any metadata; commit is the ID of the record that
+//     made the version (a digest chained over the history), so two
+//     commits at one version — one that failed to reach a quorum and
+//     its retry — are told apart.
 //
 // When the delta grows past the threshold λ — a fraction of the base
 // size with a floor (the paper suggests 0.25·base or 10 KB) — the
 // committing device merges it into a fresh base and clears the delta.
 //
-// All files are replicated to every cloud. Commits happen under the
-// quorum lock and succeed when a majority of clouds accepted them;
-// stale clouds (down during earlier commits) are detected by their
-// version stamp and repaired with a full base write on the next
-// commit that reaches them. So any majority of clouds holds the latest
-// committed state: a refresh decides on the first quorum of version
-// stamps to answer and reads the newest of them from one cloud.
+// A commit writes a quorum, not every cloud. It happens under the
+// quorum lock, takes the stamp poll's answers in the order they land,
+// starts each cloud's write the moment that cloud's answer does, writes
+// the first Quorum() clouds to answer cleanly — one more for each write
+// that fails — and returns once a quorum accepted and no write it
+// started is in flight. A cloud the commit writes that stands behind
+// it is caught up in the same write, by its stamp: on the cursor, by
+// the records it lacks; anywhere else, from the lineage's base. The
+// clouds left out stay behind until a later commit reaches them.
+//
+// Why a quorum is enough. Any two sets of Quorum(n) clouds share a
+// cloud (cloud.Quorum), so every read quorum intersects the write
+// quorum of the last commit: a refresh, which decides on the first
+// quorum of stamps to answer, hears at least one cloud that holds the
+// newest commit, and reads it from such a cloud. This needs that the
+// newest commit's stamps are not overwritten behind the reader's back,
+// and no write outlives the hold that made it: a write is started only
+// under the lock, and Commit returns — and the lock is released — only
+// once every write it started has been answered, so the next holder's
+// commit cannot be hidden by a late write of this one (the same
+// argument as qlock's for its flags, which the next holder meets on
+// the cloud the two quorums share). A commit that failed to reach a
+// quorum leaves its stamp on the clouds it did reach, and its retry
+// takes the same version under another ID: a reader whose answers name
+// both reads on until one holds a quorum of answers (poll.decide), and
+// a cursor's overlap check compares IDs, so a lost commit is never kept
+// beneath a later one.
+//
+// What this gives up against the paper's "replicated to all clouds":
+// between catch-ups the newest version lives on a quorum of clouds,
+// not on every one. The metadata is then readable while a majority of
+// the clouds is — the lock's own availability envelope, since no
+// commit can be made without a majority either — but a reader no
+// longer finds the newest version on any single cloud it reaches, and
+// losing the stores of a majority at once loses the newest commits
+// that only they held (DESIGN.md §7).
 //
 // Every device that reads the same base and records derives the same
 // image, because there is one record chain (chain.go): reads extend
@@ -182,17 +214,6 @@ type cloudStamp struct {
 	err       error
 }
 
-// upToDate reports whether the cloud is known to hold exactly the
-// commit prev — the condition for appending to its delta instead of
-// rewriting its base. A cloud with no version file is up to date only
-// at genesis; an unreachable one never is.
-func (c cloudStamp) upToDate(prev meta.VersionStamp) bool {
-	if c.found {
-		return c.stamp == prev
-	}
-	return c.reachable && c.err == nil && prev.Version == 0
-}
-
 // clean reports an answer a decision can rest on: a stamp, or "no such
 // file".
 func (c cloudStamp) clean() bool { return c.reachable && c.err == nil }
@@ -201,26 +222,44 @@ func (c cloudStamp) clean() bool { return c.reachable && c.err == nil }
 // committed last": every cloud's version file requested at once, a
 // fan-out (cloud.Each) whose answers land as they come. Refresh decides
 // from the first quorum of clean answers (decide); the Commit that
-// follows under the same lock hold, and a fetch on a device that has
-// not observed every cloud yet, wait for the rest (Wait). The requests
-// run under the context of the caller that started the poll.
+// follows under the same lock hold takes the answers in the same order
+// (take) and writes each cloud as its answer lands; a fetch on a device
+// that has not observed every cloud yet waits for the rest (JoinPoll).
+// The requests run under the context of the caller that started the
+// poll.
 type poll struct {
-	*cloud.Fanout[cloudStamp]
+	*cloud.Fanout[stampRead]
 	decided atomic.Bool
+	// spent is set by the Commit that used the poll: its answers no
+	// longer describe the clouds, though JoinPoll still waits for them.
+	spent atomic.Bool
+
+	// mu guards the record below, and landed signals each addition.
+	mu     sync.Mutex
+	landed *sync.Cond
+	// seen holds the answers taken from the fan-out so far and arrived
+	// their clouds, in the order the answers landed; over is set once
+	// every answer has been taken, reading while a take is in Next.
+	seen    []cloudStamp
+	arrived []int
+	over    bool
+	reading bool
 }
 
 // startPoll sends the version-file requests and records the poll for
 // the Commit that follows. An answer that lands after the poll decided
 // counts under deltasync.poll.late_answers.
 func (s *Store) startPoll(ctx context.Context) *poll {
-	p := &poll{}
+	p := &poll{seen: make([]cloudStamp, len(s.clouds))}
+	p.landed = sync.NewCond(&p.mu)
 	late := s.cfg.Obs.Counter("deltasync.poll.late_answers")
-	p.Fanout = cloud.Each(ctx, len(s.clouds), func(ctx context.Context, i int) cloudStamp {
-		answer := s.readStamp(ctx, s.clouds[i])
+	path := s.path(versionFile)
+	p.Fanout = cloud.Each(ctx, len(s.clouds), func(ctx context.Context, i int) stampRead {
+		data, err := s.clouds[i].Download(ctx, path)
 		if p.decided.Load() {
 			late.Inc()
 		}
-		return answer
+		return stampRead{data, err}
 	})
 	s.mu.Lock()
 	s.poll = p
@@ -228,16 +267,57 @@ func (s *Store) startPoll(ctx context.Context) *poll {
 	return p
 }
 
-// readStamp is one cloud's answer to a stamp poll.
-func (s *Store) readStamp(ctx context.Context, c cloud.Interface) cloudStamp {
-	data, err := c.Download(ctx, s.path(versionFile))
-	switch {
-	case errors.Is(err, cloud.ErrNotFound):
-		return cloudStamp{reachable: true}
-	case err != nil:
-		return cloudStamp{err: err}
+// take returns the k-th answer of the poll to land, counting from 0,
+// blocking until it lands; ok is false when fewer than k+1 clouds
+// exist. Every reader of the poll sees the answers in the one order
+// they landed in: Refresh's decision, then the Commit that follows.
+// One reader at a time takes the next answer from the fan-out, without
+// the lock; any other waits for it to record what it took.
+func (p *poll) take(k int) (i int, answer cloudStamp, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.arrived) <= k && !p.over {
+		if p.reading {
+			p.landed.Wait()
+			continue
+		}
+		p.reading = true
+		p.mu.Unlock()
+		i, read, ok := p.Next()
+		p.mu.Lock()
+		p.reading = false
+		if ok {
+			p.seen[i] = read.answer()
+			p.arrived = append(p.arrived, i)
+		}
+		p.over = !ok
+		p.landed.Broadcast()
 	}
-	stamp, err := meta.DecodeVersionStamp(data)
+	if k >= len(p.arrived) {
+		return 0, cloudStamp{}, false
+	}
+	i = p.arrived[k]
+	return i, p.seen[i], true
+}
+
+// stampRead is what one cloud's version-file request returned. The
+// poll's requests return it undecoded, and the poll's reader decodes
+// it (answer): a decode on each request's short-lived goroutine grew
+// that goroutine's stack, a copy per cloud per poll.
+type stampRead struct {
+	data []byte
+	err  error
+}
+
+// answer is one cloud's answer to a stamp poll.
+func (r stampRead) answer() cloudStamp {
+	switch {
+	case errors.Is(r.err, cloud.ErrNotFound):
+		return cloudStamp{reachable: true}
+	case r.err != nil:
+		return cloudStamp{err: r.err}
+	}
+	stamp, err := meta.DecodeVersionStamp(r.data)
 	return cloudStamp{stamp: stamp, found: err == nil, reachable: true, err: err}
 }
 
@@ -245,11 +325,15 @@ func (s *Store) readStamp(ctx context.Context, c cloud.Interface) cloudStamp {
 // the newest committed stamp, since a commit succeeds on a majority —
 // or, when fewer than a quorum can answer cleanly, for every answer,
 // and returns them; a cloud whose answer it did not wait for reads as
-// unreachable. n is the number of clouds polled. Called once per poll.
+// unreachable. Where the answers at the newest version name different
+// commits — one a commit that failed to reach a quorum, one its retry
+// — it reads on until one of them holds a quorum of answers or every
+// answer is in (settled). n is the number of clouds polled. Called once
+// per poll.
 func (p *poll) decide(n, quorum int) []cloudStamp {
 	seen := make([]cloudStamp, n)
-	for clean := 0; clean < quorum; {
-		i, answer, ok := p.Next()
+	for k, clean := 0, 0; clean < quorum || !settled(seen, quorum); k++ {
+		i, answer, ok := p.take(k)
 		if !ok {
 			break
 		}
@@ -260,6 +344,43 @@ func (p *poll) decide(n, quorum int) []cloudStamp {
 	}
 	p.decided.Store(true)
 	return seen
+}
+
+// top returns the newest commit the answers name: the highest version,
+// and at that version the commit most answers name, ties in cloud
+// order. votes counts those answers and rivals the answers at that
+// version naming another commit. ok is false when no answer holds a
+// stamp.
+func top(seen []cloudStamp) (stamp meta.VersionStamp, votes, rivals int, ok bool) {
+	count := func(st meta.VersionStamp) (n int) {
+		for _, c := range seen {
+			if c.found && c.stamp == st {
+				n++
+			}
+		}
+		return n
+	}
+	for _, c := range seen { // in cloud order: the first of equals wins
+		if !c.found {
+			continue
+		}
+		if n := count(c.stamp); !ok || c.stamp.Version > stamp.Version || c.stamp.Version == stamp.Version && n > votes {
+			stamp, votes, ok = c.stamp, n, true
+		}
+	}
+	for _, c := range seen {
+		if c.found && c.stamp.Version == stamp.Version && c.stamp != stamp {
+			rivals++
+		}
+	}
+	return stamp, votes, rivals, ok
+}
+
+// settled reports whether the answers agree on the newest commit: no
+// rival at its version, or a quorum of answers for it.
+func settled(seen []cloudStamp, quorum int) bool {
+	_, votes, rivals, _ := top(seen)
+	return rivals == 0 || votes >= quorum
 }
 
 // JoinPoll waits until every cloud has answered the last stamp poll,
@@ -282,8 +403,8 @@ func (s *Store) JoinPoll(ctx context.Context) {
 	_, _ = p.Wait(ctx)
 }
 
-// checkRemote reports whether a cloud answering the stamp poll
-// advertises a newer metadata version than the cached one — the
+// checkRemote reports whether the stamp poll's answers name a newer
+// commit than the cached one, or another commit at its version — the
 // paper's cheap cloud-update check using only the tiny version file —
 // and hands back the answers it decided on.
 func (s *Store) checkRemote(ctx context.Context) (pending bool, seen []cloudStamp, err error) {
@@ -296,10 +417,10 @@ func (s *Store) checkRemote(ctx context.Context) (pending bool, seen []cloudStam
 			lastErr = c.err
 		}
 		anyReachable = anyReachable || c.reachable
-		if c.found && (c.stamp.Version > known.Version ||
-			(c.stamp.Version == known.Version && c.stamp.Device != known.Device)) {
-			return true, seen, nil
-		}
+	}
+	if newest, _, _, ok := top(seen); ok && (newest.Version > known.Version ||
+		newest.Version == known.Version && newest != known) {
+		return true, seen, nil
 	}
 	if !anyReachable {
 		return false, seen, fmt.Errorf("deltasync: no cloud reachable for version check: %w", lastErr)
@@ -447,25 +568,50 @@ func (s *Store) adopt(r cloudRead) *meta.Image {
 // at a time, the lineage of each cloud that advertised the newest stamp
 // in seen and adopts the first read that reaches it: the poll heard a
 // quorum, the newest committed version sits on a quorum, so such a read
-// holds it. Only when none does is every cloud read (fetchAll).
+// holds it. Only when none does is every cloud read (readAll); a read
+// that stops short of the newest commit is then adopted only when no
+// read of that commit failed: a commit no reader can take (it does not
+// decode, or names blocks without checksums) is refused, not hidden
+// behind an older image.
 func (s *Store) fetchNewest(ctx context.Context, seen []cloudStamp) (*meta.Image, error) {
-	order := newestFirst(seen)
-	for _, i := range order {
-		want := seen[i].stamp.Version
-		if want < seen[order[0]].stamp.Version {
+	newest, _, _, _ := top(seen)
+	var refused error
+	for _, i := range newestFirst(seen) {
+		if seen[i].stamp != newest {
 			break
 		}
-		if read, err := s.readCloud(ctx, s.clouds[i], want); err == nil && read.chain.head() >= want {
+		read, err := s.readCloud(ctx, s.clouds[i], newest.Version)
+		if err == nil && read.chain.holds(newest) {
 			return s.adopt(read), nil
 		}
+		if err != nil {
+			refused = err
+		}
 	}
-	return s.fetchAll(ctx)
+	read, err := s.readAll(ctx)
+	switch {
+	case err != nil:
+		return nil, err
+	case refused != nil && !read.chain.holds(newest):
+		return nil, refused
+	}
+	return s.adopt(read), nil
 }
 
 // fetchAll reads every reachable cloud's lineage, adopts the newest
 // consistent one and returns its image: the full path when no single
 // read will do, or no poll told which cloud to read.
 func (s *Store) fetchAll(ctx context.Context) (*meta.Image, error) {
+	read, err := s.readAll(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return s.adopt(read), nil
+}
+
+// readAll reads every reachable cloud's lineage and returns the newest
+// consistent one.
+func (s *Store) readAll(ctx context.Context) (cloudRead, error) {
 	type result struct {
 		read cloudRead
 		err  error
@@ -486,9 +632,9 @@ func (s *Store) fetchAll(ctx context.Context) (*meta.Image, error) {
 		}
 	}
 	if best < 0 {
-		return nil, fmt.Errorf("deltasync: no cloud yielded metadata: %w", lastErr)
+		return cloudRead{}, fmt.Errorf("deltasync: no cloud yielded metadata: %w", lastErr)
 	}
-	return s.adopt(results[best].read), nil
+	return results[best].read, nil
 }
 
 // Refresh brings the cache up to date with the clouds while moving as
@@ -522,12 +668,16 @@ func (s *Store) Refresh(ctx context.Context) (*meta.Image, error) {
 	return s.fetchNewest(ctx, seen)
 }
 
-// newestFirst returns the clouds that answered with a stamp, newest
-// stamp first, ties in cloud order.
+// newestFirst returns the clouds that answered with a stamp: those
+// naming the newest commit (top) first, then the older ones, newest
+// stamp first, ties in cloud order. A cloud naming a rival of the
+// newest commit at its version is left out: what it holds is a commit
+// that lost.
 func newestFirst(seen []cloudStamp) []int {
+	newest, _, _, _ := top(seen)
 	var order []int
 	for i, c := range seen {
-		if c.found {
+		if c.found && (c.stamp == newest || c.stamp.Version < newest.Version) {
 			order = append(order, i)
 		}
 	}
@@ -538,7 +688,7 @@ func newestFirst(seen []cloudStamp) []int {
 // refreshIncremental catches the cursor up from the cloud advertising
 // the newest stamp, moving on to the next one only when that cloud
 // stops answering. seen is the stamp poll that found the update
-// pending. A catch-up counts only when it reaches what that cloud
+// pending. A catch-up counts only when it reaches the commit that cloud
 // advertised: a stamp is written last, so the cloud holds every record
 // up to it, and a cursor that stops short was fed something else — a
 // rotation emptied the delta, or left a chunk of the cursor's lineage
@@ -554,7 +704,7 @@ func (s *Store) refreshIncremental(ctx context.Context, seen []cloudStamp) (*met
 		if errors.Is(err, errUnreachable) {
 			continue
 		}
-		if err != nil || next.head() <= cur.head() || next.head() < seen[i].stamp.Version {
+		if err != nil || next.head() <= cur.head() || !next.holds(seen[i].stamp) {
 			return nil, false
 		}
 		s.mu.Lock()

@@ -47,6 +47,39 @@ func (r *rig) store(t *testing.T, device string, cfg Config) *Store {
 	return New(r.clouds, testCipher(t), cfg)
 }
 
+// atStamp returns the clouds whose version file names the commit s
+// stands at: those its commits reached.
+func (r *rig) atStamp(t *testing.T, s *Store) []int {
+	t.Helper()
+	var out []int
+	for i, st := range r.stores {
+		data, err := cloudsim.NewDirect(st).Download(context.Background(), DefaultDir+"/"+versionFile)
+		if err != nil {
+			continue
+		}
+		if stamp, err := meta.DecodeVersionStamp(data); err == nil && stamp == s.Stamp() {
+			out = append(out, i)
+		}
+	}
+	if len(out) < s.Quorum() {
+		t.Fatalf("v%d stands on clouds %v, fewer than a quorum", s.Stamp().Version, out)
+	}
+	return out
+}
+
+// pinnedStore is a store over the rig's clouds that writes the same
+// quorum every time: the first Quorum() clouds, since the others'
+// version-file reads hang until the test ends.
+func (r *rig) pinnedStore(t *testing.T, device string, cfg Config) *Store {
+	t.Helper()
+	var hung []int
+	for i := cloud.Quorum(len(r.clouds)); i < len(r.clouds); i++ {
+		hung = append(hung, i)
+	}
+	s, _, _ := r.gatedStore(t, device, cfg, hung...)
+	return s
+}
+
 func addChange(path, segID string) *meta.Change {
 	return &meta.Change{
 		Type: meta.ChangeAdd,
@@ -67,7 +100,7 @@ func TestCommitAndFetchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Version != 1 || stats.CloudsOK != 5 {
+	if stats.Version != 1 || stats.CloudsOK != s1.Quorum() {
 		t.Fatalf("stats = %+v", stats)
 	}
 	// A different device fetches and sees the file.
@@ -264,11 +297,14 @@ func TestStaleCloudRepairedOnNextCommit(t *testing.T) {
 	if _, err := s.Commit(context.Background(), []*meta.Change{addChange("b", "s2")}); err != nil {
 		t.Fatal(err)
 	}
-	// Cloud 0 recovers; third commit must repair it.
+	// Cloud 0 recovers and cloud 1 goes down: the third commit's quorum
+	// holds cloud 0, which it must catch up.
 	r.flaky[0].SetDown(false)
+	r.flaky[1].SetDown(true)
 	if _, err := s.Commit(context.Background(), []*meta.Change{addChange("c", "s3")}); err != nil {
 		t.Fatal(err)
 	}
+	r.flaky[1].SetDown(false)
 	// A reader that can only see cloud 0 must observe all three files.
 	only0 := New([]cloud.Interface{cloudsim.NewDirect(r.stores[0])}, testCipher(t), Config{Device: "dR"})
 	img, err := only0.fetchAll(context.Background())

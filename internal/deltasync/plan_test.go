@@ -3,6 +3,7 @@ package deltasync
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,31 +25,38 @@ func stepNames(steps []step) []string {
 }
 
 // TestCommitPlanWriteOrder pins what each commit mode writes to a
-// cloud standing at the commit being extended and to any other cloud,
-// in the crash-safe order commitPlan documents, and the cursor and λ
-// sizes the store moves to.
+// cloud standing at the commit being extended, to one behind it on the
+// cursor before the freeze boundary (an empty cloud: genesis) and to
+// one off the cursor (an answer that was not clean), in the crash-safe
+// order commitPlan documents, and the cursor and λ sizes the store
+// moves to.
 func TestCommitPlanWriteOrder(t *testing.T) {
 	s := newRig(1).store(t, "d1", Config{})
-	repairOrder := []string{baseFile, "-" + chunkPrefix + "*", deltaFile, versionFile}
+	rotateOrder := []string{baseFile, "-" + chunkPrefix + "*", deltaFile, versionFile}
+	repair := []string{baseFile, "-" + chunkPrefix + "*"}
 	never, always := func(int) int { return 1 << 30 }, func(int) int { return 1 }
+	cat := func(lists ...[]string) []string { return slices.Concat(lists...) }
 
 	// One record on the chain, frozen, so that the modes below are seen
 	// with a frozen prefix in place: the tail excludes it.
-	cur, err := startChain(meta.NewImage(), 0).extend([]Record{{Version: 1, Device: "d0", Changes: batch("old", 1)}})
+	cur, err := startChain(meta.NewImage(), 0).extend([]Record{{Version: 1, Device: "d0", Changes: batch("old", 1), ID: "c1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cur = cur.frozenBefore(0)
 	const chunkBytes = 500
+	current := cloudStamp{found: true, reachable: true, stamp: meta.VersionStamp{Device: "d0", Version: 1, Commit: "c1"}}
+	empty := cloudStamp{reachable: true}
+	frozen := []string{chunkName(1)}
 
 	for _, tc := range []struct {
 		name    string
 		lambda  func(int) int
 		changes []*meta.Change
-		repair  bool
+		stale   bool // also check the clouds behind the commit
 
 		mode                    commitMode
-		current, repairSteps    []string
+		current                 []string
 		records, frozen, start  int
 		tailRecords             int // records in the blob that holds the tail
 		rotated, chunkBytesGrow bool
@@ -56,45 +64,62 @@ func TestCommitPlanWriteOrder(t *testing.T) {
 		{name: "append", lambda: never, changes: batch("a", 1),
 			mode: modeAppend, current: []string{deltaFile, versionFile},
 			records: 2, frozen: 1, tailRecords: 1},
-		{name: "append beside a stale cloud", lambda: never, changes: batch("a", 1), repair: true,
-			mode: modeAppend, current: []string{deltaFile, versionFile}, repairSteps: repairOrder,
+		{name: "append beside a stale cloud", lambda: never, changes: batch("a", 1), stale: true,
+			mode: modeAppend, current: []string{deltaFile, versionFile},
 			records: 2, frozen: 1, tailRecords: 1},
 		{name: "freeze", lambda: never, changes: batch("big", 250),
 			mode: modeFreeze, current: []string{chunkName(2), deltaFile, versionFile},
 			records: 2, frozen: 2, tailRecords: 1, chunkBytesGrow: true},
-		{name: "freeze beside a stale cloud", lambda: never, changes: batch("big", 250), repair: true,
-			mode: modeFreeze, current: []string{chunkName(2), deltaFile, versionFile}, repairSteps: repairOrder,
+		{name: "freeze beside a stale cloud", lambda: never, changes: batch("big", 250), stale: true,
+			mode: modeFreeze, current: []string{chunkName(2), deltaFile, versionFile},
 			records: 2, frozen: 2, tailRecords: 1, chunkBytesGrow: true},
 		{name: "rotate", lambda: always, changes: batch("a", 1),
-			mode: modeRotate, current: repairOrder, repairSteps: repairOrder,
-			start: 2, rotated: true},
-		{name: "rotate wins over freeze", lambda: always, changes: batch("big", 250), repair: true,
-			mode: modeRotate, current: repairOrder, repairSteps: repairOrder,
-			start: 2, rotated: true},
+			mode: modeRotate, current: rotateOrder, start: 2, rotated: true},
+		{name: "rotate wins over freeze", lambda: always, changes: batch("big", 250), stale: true,
+			mode: modeRotate, current: rotateOrder, start: 2, rotated: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s.lambda = tc.lambda
-			p, err := s.planCommit(cur, 1000, chunkBytes, tc.changes, tc.repair)
+			p, err := s.planCommit(cur, 1000, chunkBytes, tc.changes)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if p.mode != tc.mode {
 				t.Fatalf("mode = %d, want %d", p.mode, tc.mode)
 			}
-			if got := stepNames(p.current); !reflect.DeepEqual(got, tc.current) {
-				t.Errorf("a current cloud receives %v, want %v", got, tc.current)
+			wantBehind, wantOff := cat(frozen, tc.current), cat(repair, frozen, tc.current)
+			if tc.rotated {
+				wantBehind, wantOff = tc.current, tc.current
 			}
-			if got := stepNames(p.repair); !reflect.DeepEqual(got, tc.repairSteps) {
-				t.Errorf("a stale cloud receives %v, want %v", got, tc.repairSteps)
+			clouds := []struct {
+				who   string
+				a     cloudStamp
+				want  []string
+				where standing
+			}{
+				{"a current cloud", current, tc.current, atHead},
+				{"a cloud behind the freeze", empty, wantBehind, onCursor},
+				{"a cloud off the cursor", cloudStamp{}, wantOff, offCursor},
 			}
-			// Every list ends with the stamp of the new version.
-			for _, steps := range [][]step{p.current, p.repair} {
-				if len(steps) == 0 {
-					continue
+			if !tc.stale {
+				clouds = clouds[:1]
+			}
+			for _, c := range clouds {
+				steps, where, err := s.behind(&p, c.a)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if got := stepNames(steps); !reflect.DeepEqual(got, c.want) {
+					t.Errorf("%s receives %v, want %v", c.who, got, c.want)
+				}
+				if !tc.rotated && where != c.where {
+					t.Errorf("%s stands at %d, want %d", c.who, where, c.where)
+				}
+				// Every list ends with the stamp of the new version.
 				stamp, err := meta.DecodeVersionStamp(steps[len(steps)-1].blob)
-				if err != nil || stamp != (meta.VersionStamp{Device: "d1", Version: 2}) {
-					t.Errorf("last step carries stamp %+v, %v", stamp, err)
+				want := meta.VersionStamp{Device: "d1", Version: 2, Commit: p.next.img.Commit}
+				if err != nil || stamp != want || stamp.Commit == "" {
+					t.Errorf("%s: last step carries stamp %+v, %v; want %+v", c.who, stamp, err, want)
 				}
 			}
 			if p.next.head() != 2 || p.next.start != int64(tc.start) || p.next.lineage != int64(tc.start) ||
@@ -125,7 +150,7 @@ func TestCommitPlanWriteOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 				base, err := meta.DecodeImage(plain)
-				if err != nil || base.Version != 2 || base.NumFiles() != p.next.img.NumFiles() {
+				if err != nil || base.Version != 2 || base.NumFiles() != p.next.img.NumFiles() || base.Commit != p.next.img.Commit {
 					t.Errorf("rotated base: %v, v%d", err, base.Version)
 				}
 				return
@@ -142,14 +167,30 @@ func TestCommitPlanWriteOrder(t *testing.T) {
 					t.Errorf("tail after the chunk: %d records, %v", len(rest), err)
 				}
 			}
+			if !tc.stale {
+				return
+			}
+			// The catch-up's chunk holds the frozen records, and the base
+			// an off-cursor cloud receives is the lineage's: genesis here.
+			if recs, err := s.decodeDelta(p.frozen); err != nil || len(recs) != 1 || recs[0].Version != 1 {
+				t.Errorf("catch-up chunk: %d records, %v", len(recs), err)
+			}
+			plain, err := s.cipher.Open(p.base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base, err := meta.DecodeImage(plain); err != nil || base.Version != 0 {
+				t.Errorf("repair base: %v, v%d, want the lineage's v0", err, base.Version)
+			}
 		})
 	}
 }
 
-// The one loop uploads a cloud's list in the plan's order.
+// The one loop uploads a cloud's list in the plan's order. One cloud
+// is its own quorum, so every commit writes it.
 func TestCommitWritesThePlanInOrder(t *testing.T) {
 	ctx := context.Background()
-	r := newRig(3)
+	r := newRig(1)
 	s, recs := r.recordedStore(t, "d1", Config{})
 	s.lambda = func(int) int { return 1 << 30 }
 	commitOne(t, s, "a", "s1")

@@ -154,25 +154,33 @@ func TestQuorumPollFindsEveryCommit(t *testing.T) {
 	}
 }
 
-// Refresh decides without two hung clouds; the Commit that follows needs
-// every cloud's state, waits for their answers, and repairs exactly the
-// one that is stale — from the poll's answers, reading no stamp itself.
+// Refresh decides without two hung clouds, and so does the Commit that
+// follows: it writes the three clouds that answered — catching up, by
+// the tail alone, the one of them a commit left behind — and returns
+// with the two hung clouds' answers still out, reading no stamp itself.
 func TestPollWithTwoHungClouds(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(5)
 	w := r.store(t, "dW", Config{})
 	commitOne(t, w, "a", "s1")
 	r.flaky[4].SetDown(true)
-	commitOne(t, w, "b", "s2") // cloud 4 stays at v1
+	r.flaky[3].SetDown(true)
+	commitOne(t, w, "b", "s2") // clouds 3 and 4 stay at v1
+	w.JoinPoll(ctx)
 	r.flaky[4].SetDown(false)
+	r.flaky[0].SetDown(true)
+	commitOne(t, w, "c", "s3") // cloud 0 stays at v2, cloud 3 at v1
+	w.JoinPoll(ctx)
+	r.flaky[0].SetDown(false)
+	r.flaky[3].SetDown(false)
 
 	reg := obs.NewRegistry()
 	s, gates, recs := r.gatedStore(t, "dR", Config{Obs: reg}, 3, 4)
 	if _, err := s.fetchAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := refreshWithin(t, s); got != 2 {
-		t.Fatalf("Refresh stands at v%d, want v2", got)
+	if got := refreshWithin(t, s); got != 3 {
+		t.Fatalf("Refresh stands at v%d, want v3", got)
 	}
 	if n := reg.Counter("deltasync.refresh.noop").Value(); n != 1 {
 		t.Errorf("noop refreshes = %d, want 1: the three answers show nothing newer", n)
@@ -185,15 +193,32 @@ func TestPollWithTwoHungClouds(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		stats, err := s.Commit(ctx, batch("c", 1))
+		stats, err := s.Commit(ctx, batch("d", 1))
 		done <- result{stats, err}
 	}()
-	openGates(gates, 3, 4)
-	res := <-done
-	if res.err != nil || res.stats.CloudsOK != 5 {
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("Commit waited for a hung cloud")
+	}
+	if res.err != nil || res.stats.CloudsOK != 3 {
 		t.Fatalf("commit: %+v, %v", res.stats, res.err)
 	}
-	wantBaseUploads(t, recs, bases, 4)
+	wantBaseUploads(t, recs, bases, -1)
+	if n := reg.Counter("deltasync.commit.catchups.tail").Value(); n != 1 {
+		t.Errorf("tail catch-ups = %d, want 1: cloud 0's", n)
+	}
+	if g := reg.Gauge("deltasync.commit.behind").Value(); g != 2 {
+		t.Errorf("clouds behind = %v, want 2", g)
+	}
+	for i, rec := range recs {
+		if got := rec.CountsUnder(DefaultDir + "/" + versionFile).Upload; (i < 3) != (got == 1) {
+			t.Errorf("cloud %d: %d version files written", i, got)
+		}
+	}
+	openGates(gates, 3, 4)
+	s.JoinPoll(ctx)
 	if got := metaCounts(recs, versionFile).Download; got != 5 {
 		t.Errorf("%d version files read, want the poll's 5", got)
 	}
@@ -215,11 +240,12 @@ func TestPollBelowQuorumWaitsForEveryAnswer(t *testing.T) {
 	if _, err := reader.fetchAll(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// Clouds 0 and 1 down: v2 reaches clouds 2 to 4.
+	r.flaky[0].SetDown(true)
+	r.flaky[1].SetDown(true)
 	commitOne(t, w, "b", "s2")
 
 	// Two down and one unreadable stamp: two clean answers.
-	r.flaky[0].SetDown(true)
-	r.flaky[1].SetDown(true)
 	upload(t, r.stores[2], versionFile, []byte("not a stamp"))
 	img, err := reader.Refresh(ctx)
 	if err != nil {
@@ -278,7 +304,7 @@ func TestQuorumFullReadReadsOneCloud(t *testing.T) {
 // the next cloud advertising the same stamp.
 func TestTornDeltaFullReadMovesOn(t *testing.T) {
 	r := newRig(5)
-	w := r.store(t, "dW", Config{})
+	w := r.pinnedStore(t, "dW", Config{}) // writes clouds 0..2
 	w.lambda = func(int) int { return 1 }
 	commitOne(t, w, "a", "s1") // base v1
 	w.lambda = func(int) int { return 1 << 30 }

@@ -302,37 +302,49 @@ func TestLazyBaseSkipsEncodeUntilRotation(t *testing.T) {
 	}
 }
 
+// A cloud off the cursor — here its stamp, written before commits were
+// named, carries no ID — is repaired with the lineage's base, sealed
+// only then, and stays whole for a reader of it alone through the
+// commits that follow: the base it received is the cursor's, so the
+// records later appended to it extend that base.
 func TestLazyBaseRepairsStaleCloud(t *testing.T) {
+	ctx := context.Background()
 	r := newRig(3)
-	lazy := r.store(t, "dL", Config{})
-	if _, err := lazy.Commit(context.Background(), []*meta.Change{addChange("a.txt", "s1")}); err != nil {
-		t.Fatal(err)
+	reg := obs.NewRegistry()
+	lazy := r.store(t, "dL", Config{Obs: reg})
+	lazy.lambda = func(int) int { return 1 << 30 }
+	commitOne(t, lazy, "a.txt", "s1")
+	commitOne(t, lazy, "b.txt", "s2")
+	lazy.JoinPoll(ctx)
+	upload(t, r.stores[2], versionFile, []byte(`{"device":"dL","version":2}`))
+
+	// Cloud 0 is down, so the next commit's quorum holds cloud 2.
+	r.flaky[0].SetDown(true)
+	commitOne(t, lazy, "c.txt", "s3")
+	lazy.JoinPoll(ctx)
+	r.flaky[0].SetDown(false)
+	if n := reg.Counter("deltasync.base_seals").Value(); n != 1 {
+		t.Errorf("%d full-image seals, want the repair's 1", n)
 	}
-	// Cloud 2 misses the next commit.
-	r.flaky[2].SetDown(true)
-	if _, err := lazy.Commit(context.Background(), []*meta.Change{addChange("b.txt", "s2")}); err != nil {
-		t.Fatal(err)
+	if n := reg.Counter("deltasync.commit.catchups.base").Value(); n != 1 {
+		t.Errorf("%d base catch-ups, want 1", n)
 	}
-	r.flaky[2].SetDown(false)
-	// The next commit must repair cloud 2 with a full base, which under
-	// LazyBase forces the deferred encode.
-	if _, err := lazy.Commit(context.Background(), []*meta.Change{addChange("c.txt", "s3")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cloudsim.NewDirect(r.stores[2]).Download(context.Background(), DefaultDir+"/base"); err != nil {
+	if _, err := cloudsim.NewDirect(r.stores[2]).Download(ctx, DefaultDir+"/base"); err != nil {
 		t.Fatalf("stale cloud not repaired with a base: %v", err)
 	}
+	// Cloud 1 is down, so the commit after holds clouds 0 and 2.
+	r.flaky[1].SetDown(true)
+	commitOne(t, lazy, "d.txt", "s4")
+	lazy.JoinPoll(ctx)
+	r.flaky[1].SetDown(false)
+
 	// A reader served only by the repaired cloud sees everything.
 	only2 := New([]cloud.Interface{cloudsim.NewDirect(r.stores[2])}, testCipher(t), Config{Device: "dR"})
-	img, err := only2.fetchAll(context.Background())
+	img, err := only2.fetchAll(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{"a.txt", "b.txt", "c.txt"} {
-		if img.Lookup(p).Current() == nil {
-			t.Errorf("repaired cloud missing %s", p)
-		}
-	}
+	wantSameImage(t, "reader of the repaired cloud", img, lazy.CachedShared())
 }
 
 func TestRefreshIncrementalDownloadsNoBase(t *testing.T) {

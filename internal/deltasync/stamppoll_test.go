@@ -42,7 +42,7 @@ func baseUploads(recs []*cloudsim.Recorder) []int {
 }
 
 // wantBaseUploads checks that since the snapshot exactly one cloud —
-// repaired — received a base file, once.
+// repaired — received a base file, once; repaired -1: none did.
 func wantBaseUploads(t *testing.T, recs []*cloudsim.Recorder, since []int, repaired int) {
 	t.Helper()
 	for i, n := range baseUploads(recs) {
@@ -67,12 +67,14 @@ func commitOne(t *testing.T, s *Store, path, seg string) CommitStats {
 
 // The poll that precedes a Commit under the lock — Refresh's, or
 // CheckRemote's — is the only time the version files are read: the
-// commit decides up-to-date vs repair from its answers.
+// commit takes its answers in order and writes the first quorum, a
+// cloud behind it caught up by the tail alone.
 func TestPollThenCommitIssuesNoStampGET(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(3)
 	s, recs := r.recordedStore(t, "d1", Config{})
 	commitOne(t, s, "a", "s1")
+	s.JoinPoll(ctx) // the commit returned at the quorum; its poll's last answer may still be in flight
 
 	for _, poll := range []struct {
 		name string
@@ -96,48 +98,53 @@ func TestPollThenCommitIssuesNoStampGET(t *testing.T) {
 		if got := after.Download - polled.Download; got != 0 {
 			t.Errorf("Commit after %s read %d version files, want 0", poll.name, got)
 		}
-		if got := after.Upload - polled.Upload; got != 3 {
-			t.Errorf("Commit after %s wrote %d version files, want 3", poll.name, got)
+		if got := after.Upload - polled.Upload; got != s.Quorum() {
+			t.Errorf("Commit after %s wrote %d version files, want a quorum's %d", poll.name, got, s.Quorum())
 		}
-		if got := metaCounts(recs, baseFile).Upload - baseBefore; got != 0 || stats.CloudsOK != 3 {
-			t.Errorf("Commit after %s: %d base uploads, %d clouds ok; every cloud was up to date", poll.name, got, stats.CloudsOK)
+		if got := metaCounts(recs, baseFile).Upload - baseBefore; got != 0 || stats.CloudsOK != s.Quorum() {
+			t.Errorf("Commit after %s: %d base uploads, %d clouds ok; every cloud stood on the cursor", poll.name, got, stats.CloudsOK)
 		}
 	}
 }
 
 // A Commit that no poll preceded since the previous Commit polls
-// itself, and still repairs a cloud left one version behind.
+// itself, and catches up a cloud left one version behind — with the
+// tail alone: it stands on the cursor. Cloud 1 is down for the catch-up
+// commit, so that the commit's quorum holds the stale cloud.
 func TestCommitWithoutPollPollsAndRepairs(t *testing.T) {
 	r := newRig(3)
 	s, recs := r.recordedStore(t, "d1", Config{})
 	commitOne(t, s, "a", "s1")
 	r.flaky[0].SetDown(true)
 	commitOne(t, s, "b", "s2") // cloud 0 stays at v1
+	s.JoinPoll(context.Background())
 	r.flaky[0].SetDown(false)
 
 	before := metaCounts(recs, versionFile)
 	bases := baseUploads(recs)
+	r.flaky[1].SetDown(true)
 	stats := commitOne(t, s, "c", "s3")
+	s.JoinPoll(context.Background())
+	r.flaky[1].SetDown(false)
 	if got := metaCounts(recs, versionFile).Download - before.Download; got != 3 {
 		t.Errorf("unpolled Commit read %d version files, want 3", got)
 	}
-	if stats.CloudsOK != 3 {
-		t.Errorf("commit reached %d clouds, want 3", stats.CloudsOK)
+	if stats.CloudsOK != 2 {
+		t.Errorf("commit reached %d clouds, want 2", stats.CloudsOK)
 	}
-	// Only the stale cloud is rewritten in full.
-	wantBaseUploads(t, recs, bases, 0)
+	wantBaseUploads(t, recs, bases, -1)
 	only0 := New([]cloud.Interface{cloudsim.NewDirect(r.stores[0])}, testCipher(t), Config{Device: "dR"})
 	img, err := only0.fetchAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if img.Version != 3 || len(img.Paths()) != 3 {
-		t.Errorf("repaired cloud serves v%d with %v, want v3 with three files", img.Version, img.Paths())
+		t.Errorf("caught-up cloud serves v%d with %v, want v3 with three files", img.Version, img.Paths())
 	}
 
-	// The same repair when the staleness is found by a Refresh instead.
+	// The same catch-up when the staleness is found by a Refresh instead.
 	r.flaky[1].SetDown(true)
-	commitOne(t, s, "d", "s4") // cloud 1 stays at v3
+	commitOne(t, s, "d", "s4") // cloud 1 stays at v3 or before
 	r.flaky[1].SetDown(false)
 	if _, err := s.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
@@ -145,15 +152,24 @@ func TestCommitWithoutPollPollsAndRepairs(t *testing.T) {
 	s.JoinPoll(context.Background())
 	before = metaCounts(recs, versionFile)
 	bases = baseUploads(recs)
+	r.flaky[2].SetDown(true)
 	commitOne(t, s, "e", "s5")
+	r.flaky[2].SetDown(false)
 	if got := metaCounts(recs, versionFile).Download - before.Download; got != 0 {
 		t.Errorf("polled Commit read %d version files, want 0", got)
 	}
-	wantBaseUploads(t, recs, bases, 1)
+	wantBaseUploads(t, recs, bases, -1)
+	only1 := New([]cloud.Interface{cloudsim.NewDirect(r.stores[1])}, testCipher(t), Config{Device: "dR"})
+	if img, err := only1.fetchAll(context.Background()); err != nil || img.Version != 5 {
+		t.Errorf("caught-up cloud serves v%d (%v), want v5", img.Version, err)
+	}
 }
 
-// A cloud that did not answer the poll is not known to be up to date:
-// it gets the full repair, whatever its version file says.
+// A cloud that did not answer the poll is not known to stand anywhere:
+// it is written only once every cloud that did answer has been tried,
+// and then with the full repair, whatever its version file says.
+// Cloud 1 answers the poll and then refuses the write, so that the
+// commit widens to cloud 2.
 func TestCloudUnreachableDuringPollIsNotUpToDate(t *testing.T) {
 	ctx := context.Background()
 	r := newRig(3)
@@ -166,10 +182,11 @@ func TestCloudUnreachableDuringPollIsNotUpToDate(t *testing.T) {
 	}
 	s.JoinPoll(ctx) // cloud 2's answer, not one it gives once it is back
 	r.flaky[2].SetDown(false)
+	r.flaky[1].SetDown(true)
 	bases := baseUploads(recs)
 	stats := commitOne(t, s, "b", "s2")
-	if stats.CloudsOK != 3 {
-		t.Errorf("commit reached %d clouds, want 3", stats.CloudsOK)
+	if stats.CloudsOK != 2 {
+		t.Errorf("commit reached %d clouds, want 2", stats.CloudsOK)
 	}
 	wantBaseUploads(t, recs, bases, 2)
 }

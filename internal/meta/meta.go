@@ -263,6 +263,12 @@ type Image struct {
 	Version int64 `json:"version"`
 	// Device is the device that committed this version.
 	Device string `json:"device"`
+	// Commit names the commit that produced this version (the record's
+	// ID, deltasync): two attempts at one version differ here, so a
+	// version a failed commit left on a minority of clouds is told apart
+	// from the one that replaced it. Empty at genesis and in metadata
+	// written before commits were named.
+	Commit string `json:"commit,omitempty"`
 
 	files    *shardMap[*FileEntry]
 	segments *shardMap[*Segment]
@@ -281,6 +287,7 @@ func (im *Image) Clone() *Image {
 	out := NewImage()
 	out.Version = im.Version
 	out.Device = im.Device
+	out.Commit = im.Commit
 	for p, e := range im.files.All() {
 		out.files.Put(p, e.Clone())
 	}
@@ -297,6 +304,7 @@ func (im *Image) cloneShared() *Image {
 	return &Image{
 		Version:  im.Version,
 		Device:   im.Device,
+		Commit:   im.Commit,
 		files:    im.files.CloneShared(),
 		segments: im.segments.CloneShared(),
 	}
@@ -422,6 +430,7 @@ func (im *Image) DropSegments(ids []string) {
 type imageJSON struct {
 	Version  int64                 `json:"version"`
 	Device   string                `json:"device"`
+	Commit   string                `json:"commit,omitempty"`
 	Files    map[string]*FileEntry `json:"files"`
 	Segments map[string]*Segment   `json:"segments"`
 }
@@ -431,6 +440,7 @@ func (im *Image) MarshalJSON() ([]byte, error) {
 	return json.Marshal(imageJSON{
 		Version:  im.Version,
 		Device:   im.Device,
+		Commit:   im.Commit,
 		Files:    im.files.flatten(),
 		Segments: im.segments.flatten(),
 	})
@@ -444,6 +454,7 @@ func (im *Image) UnmarshalJSON(data []byte) error {
 	}
 	im.Version = w.Version
 	im.Device = w.Device
+	im.Commit = w.Commit
 	im.files = &shardMap[*FileEntry]{}
 	im.segments = &shardMap[*Segment]{}
 	// A JSON null decodes to a nil pointer, which every walker of the
@@ -494,14 +505,18 @@ func DecodeImage(data []byte) (*Image, error) {
 
 // Version file support (paper §5.2): a tiny file used to detect
 // pending cloud updates without downloading the metadata. It contains
-// the committing device's name and a commit counter — no global clock
-// is needed; any difference from the locally known version signals an
-// update.
+// the committing device's name, a commit counter and the commit's ID —
+// no global clock is needed; any difference from the locally known
+// version signals an update.
 
-// VersionStamp is the content of the version file.
+// VersionStamp is the content of the version file. Commit names the
+// commit (Image.Commit): a version number alone does not, since a
+// commit that failed to reach a quorum leaves its version on the
+// clouds it did reach, and the retry takes the same number.
 type VersionStamp struct {
 	Device  string `json:"device"`
 	Version int64  `json:"version"`
+	Commit  string `json:"commit,omitempty"`
 }
 
 // Encode serializes the stamp.
@@ -524,5 +539,5 @@ func DecodeVersionStamp(data []byte) (VersionStamp, error) {
 
 // Stamp returns the image's version stamp.
 func (im *Image) Stamp() VersionStamp {
-	return VersionStamp{Device: im.Device, Version: im.Version}
+	return VersionStamp{Device: im.Device, Version: im.Version, Commit: im.Commit}
 }

@@ -237,6 +237,12 @@ func abandonRelease(t *testing.T, op string) {
 	released := make(chan error, 1)
 	go func() { released <- first.Release(ctx) }()
 	<-ctx.Done()
+	// The second hold asks every cloud, as a hold after a lost round
+	// does, so that it meets the straggler on the hung cloud (a hold
+	// after a won one asks only the clouds that won it).
+	m.mu.Lock()
+	m.preferred = nil
+	m.mu.Unlock()
 	second := acquireWithin(t, m)
 	hung.await(t, 1, "second hung "+op)
 	select {

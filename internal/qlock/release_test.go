@@ -10,6 +10,7 @@ import (
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
+	"unidrive/internal/obs"
 )
 
 // lockDirNames lists the lock directory of every cloud.
@@ -30,19 +31,29 @@ func lockDirNames(t *testing.T, clouds []cloud.Interface) map[string][]string {
 
 // An uncontended lock hold costs three fan-outs — the flag upload, the
 // list that decides the quorum, and the delete of that flag by name —
-// and nothing else: release does not list.
-func TestUncontendedHoldIsFifteenRequests(t *testing.T) {
+// and nothing else: release does not list. The first hold asks every
+// cloud (5 + 5 + 5 requests: the deletes are the shed outside the
+// winning quorum and the release inside it); the next asks only the
+// three clouds that won the first, and sends nine.
+func TestUncontendedHoldIsNineRequests(t *testing.T) {
 	clouds, recs := recordedClouds(5)
 	cfg := fastCfg("d1")
 	cfg.RefreshInterval = time.Hour // no refresh inside this hold
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
 	m := New(clouds, cfg)
-	lock, err := m.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	hold := func() *Lock {
+		t.Helper()
+		lock, err := m.Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lock.Release(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return lock
 	}
-	if err := lock.Release(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	first := hold()
 	var sum cloudsim.CallCounts
 	for i, rec := range recs {
 		c := rec.Counts()
@@ -52,16 +63,51 @@ func TestUncontendedHoldIsFifteenRequests(t *testing.T) {
 		sum = sum.Plus(c)
 	}
 	if sum.Total() != 15 || sum.Upload != 5 || sum.List != 5 || sum.Delete != 5 {
-		t.Errorf("acquire+release = %+v, want 5 uploads + 5 lists + 5 deletes", sum)
+		t.Errorf("first acquire+release = %+v, want 5 uploads + 5 lists + 5 deletes", sum)
+	}
+
+	before := make([]cloudsim.CallCounts, len(recs))
+	for i, rec := range recs {
+		before[i] = rec.Counts()
+	}
+	hold()
+	sum = cloudsim.CallCounts{}
+	for i, rec := range recs {
+		c := rec.Counts().Minus(before[i])
+		want := cloudsim.CallCounts{}
+		if first.round.won[i] {
+			want = cloudsim.CallCounts{Upload: 1, List: 1, Delete: 1}
+		}
+		if c != want {
+			t.Errorf("second hold: cloud c%d saw %+v, want %+v", i, c, want)
+		}
+		sum = sum.Plus(c)
+	}
+	if sum.Total() != 9 {
+		t.Errorf("second acquire+release = %+v, want 3 uploads + 3 lists + 3 deletes", sum)
+	}
+	if n := reg.Counter("qlock.widened").Value(); n != 0 {
+		t.Errorf("qlock.widened = %d, want 0", n)
+	}
+	if n := reg.Counter("qlock.degraded_rounds").Value(); n != 0 {
+		t.Errorf("a quorum-only round counted as degraded (%d)", n)
+	}
+	if g := reg.Gauge("qlock.admitted_clouds").Value(); g != 5 {
+		t.Errorf("qlock.admitted_clouds = %v after a quorum-only round, want 5", g)
 	}
 	// A second release has nothing on record and sends nothing.
-	if err := lock.Release(context.Background()); err != nil {
+	total := 0
+	for _, rec := range recs {
+		total += rec.Counts().Total()
+	}
+	if err := first.Release(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range recs {
-		if n := rec.Counts().Total(); n != 3 {
-			t.Errorf("cloud c%d saw %d requests after a repeated release, want 3", i, n)
-		}
+	for _, rec := range recs {
+		total -= rec.Counts().Total()
+	}
+	if total != 0 {
+		t.Errorf("a repeated release sent %d requests, want 0", -total)
 	}
 	if left := lockDirNames(t, clouds); len(left) != 0 {
 		t.Errorf("lock files left after release: %v", left)

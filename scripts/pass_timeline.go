@@ -15,8 +15,13 @@
 // The slowest cloud is the one whose last block ends last. A pass that
 // uploads no block (a delete commit) prints only the lines below.
 //
-// Then the end of the hold: the instant the commit's last version
-// stamp landed; the last round's shed deletes, first start → last end
+// Then the lock's contact set: the clouds the last round sent a flag
+// to, and the pass's lock requests in all. The metadata write wave:
+// the instant the stamp poll under the lock decided (its quorum-th
+// answer), the first metadata write, the quorum-th version stamp to
+// land and the last. Then the end of the hold: the instant the
+// commit's last version stamp landed; the last round's shed deletes,
+// first start → last end
 // (the flag deletes a chain outside the quorum sends as it ends; see
 // holdEnd); the release wave, start → end, and its clouds (every other
 // flag delete of the round); and the deletes of the blocks the commit
@@ -90,7 +95,7 @@ func main() {
 			continue
 		}
 		ms := func(t int64) float64 { return float64(t-p.Start) / 1e6 }
-		var blocks, locks, gc []span
+		var blocks, locks, gc, polls, stamps, writes []span
 		stamped := int64(0)
 		for _, s := range byPass[p.ID] {
 			switch {
@@ -100,8 +105,13 @@ func main() {
 				gc = append(gc, s)
 			case s.Layer == "qlock":
 				locks = append(locks, s)
+			case s.Layer == "deltasync.version" && s.Op == "download":
+				polls = append(polls, s)
 			case s.Layer == "deltasync.version" && s.Op == "upload":
 				stamped = max(stamped, s.End)
+				stamps = append(stamps, s)
+			case s.Layer == "deltasync.meta" && s.Op == "upload":
+				writes = append(writes, s)
 			}
 		}
 		fmt.Printf("pass %d: %.0f ms, %d block uploads\n", p.ID, ms(p.End), len(blocks))
@@ -120,6 +130,12 @@ func main() {
 			add(fmt.Sprintf("round %d quorum held", i+1), ms(held))
 			add(fmt.Sprintf("round %d end", i+1), ms(r.end))
 			add(fmt.Sprintf("round %d under uploads %%", i+1), share)
+		}
+		if len(rs) > 0 {
+			contact(locks, rs[len(rs)-1], add)
+			if len(stamps) > 0 {
+				metaWave(polls, append(writes, stamps...), stamps, acquired(locks, rs[len(rs)-1], quorum), quorum, ms, add)
+			}
 		}
 		if stamped > 0 {
 			fmt.Printf("  stamps landed  %8.1f\n", ms(stamped))
@@ -195,6 +211,61 @@ func blockLines(blocks []span, ms func(int64) float64, add func(string, float64)
 	fmt.Printf("  slowest cloud %s, longest idle gap %.1f ms\n", slowest, slowestGap)
 	add("slowest cloud's longest idle gap", slowestGap)
 	return union(busy)
+}
+
+// contact prints the clouds round r sent a flag to, and the pass's lock
+// requests in all.
+func contact(locks []span, r iv, add func(string, float64)) {
+	clouds := make(map[string]bool)
+	for _, s := range locks {
+		if s.Op == "upload" && s.Start >= r.start && s.End <= r.end {
+			clouds[s.Cloud] = true
+		}
+	}
+	names := make([]string, 0, len(clouds))
+	for c := range clouds {
+		names = append(names, c)
+	}
+	sort.Strings(names)
+	fmt.Printf("  lock contact   %d clouds (%s), %d lock requests in the pass\n", len(names), strings.Join(names, " "), len(locks))
+	add("lock contact clouds", float64(len(names)))
+	add("lock requests", float64(len(locks)))
+}
+
+// metaWave prints the metadata write wave of a commit: the stamp poll's
+// decision — the q-th answer to land of the version reads sent once
+// the lock was held at held — then the first metadata write, the q-th
+// version stamp to land and the last.
+func metaWave(polls, writes, stamps []span, held int64, q int, ms func(int64) float64, add func(string, float64)) {
+	var answers []int64
+	for _, s := range polls {
+		if s.Start >= held {
+			answers = append(answers, s.End)
+		}
+	}
+	sort.Slice(answers, func(i, j int) bool { return answers[i] < answers[j] })
+	first := writes[0].Start
+	for _, s := range writes {
+		first = min(first, s.Start)
+	}
+	ends := make([]int64, len(stamps))
+	for i, s := range stamps {
+		ends[i] = s.End
+	}
+	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
+	quorumAt := ends[min(q, len(ends))-1]
+	if len(answers) > 0 {
+		decided := answers[min(q, len(answers))-1]
+		fmt.Printf("  metadata wave  poll decided %.1f → first write %.1f → quorum stamped %.1f → last stamp %.1f (%d stamps)\n",
+			ms(decided), ms(first), ms(quorumAt), ms(ends[len(ends)-1]), len(ends))
+		add("meta poll decided", ms(decided))
+	} else {
+		fmt.Printf("  metadata wave  first write %.1f → quorum stamped %.1f → last stamp %.1f (%d stamps)\n",
+			ms(first), ms(quorumAt), ms(ends[len(ends)-1]), len(ends))
+	}
+	add("meta first write", ms(first))
+	add("meta quorum stamped", ms(quorumAt))
+	add("meta last stamp", ms(ends[len(ends)-1]))
 }
 
 // holdEnd splits the flag deletes of round r into the shed — a delete
