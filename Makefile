@@ -9,7 +9,7 @@ RACE_PKGS = $(shell grep -v '^\#' scripts/race_pkgs.txt)
 # lives in scripts/funclen_pkgs.txt, which scripts/check.sh reads too.
 FUNCLEN_PKGS = $(shell grep -v '^\#' scripts/funclen_pkgs.txt)
 
-.PHONY: build vet fmt funclen knobs test test-race portable e2e-check measurement-check bench-erasure bench-sync bench-trial bench chaos scrub fuzz check cover
+.PHONY: build vet fmt funclen knobs test test-race overlap portable e2e-check measurement-check bench-erasure bench-sync bench-trial bench chaos scrub fuzz check cover
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,16 @@ test:
 
 test-race:
 	$(GO) test -race $(RACE_PKGS)
+
+# A lock hold's tail runs beside the device's next operation: the
+# overlap tests of qlock (a release or a withdraw beside another hold)
+# and core (a re-add, a crash, an off-cursor catch-up and a withdraw
+# beside the tail), repeated under the race detector; a few
+# seconds in all. The list lives in scripts/overlap_tests.txt, which
+# scripts/check.sh reads too.
+OVERLAP_TESTS = $(shell grep -v '^\#' scripts/overlap_tests.txt | paste -sd'|' -)
+overlap:
+	$(GO) test -race -count=20 -run '^($(OVERLAP_TESTS))$$' ./internal/qlock ./internal/core
 
 # The data-plane throughput numbers (kernels, pooled encode/decode,
 # size sweep, segment hashing). BENCH_erasure.json snapshots a run of
@@ -108,4 +118,4 @@ measurement-check:
 	./scripts/measurement_check.sh
 
 # Tier-1 gate: everything a change must pass before merging.
-check: vet fmt funclen knobs build test test-race portable e2e-check measurement-check
+check: vet fmt funclen knobs build test test-race overlap portable e2e-check measurement-check

@@ -151,7 +151,10 @@ func run(args []string) error {
 				fmt.Printf("sync v%d: final placements of %d segments recorded\n", rep.Version, rep.PlacementsRecorded)
 			}
 		}
-		return nil
+		// A pass returns once its commit is on a quorum; the lock release
+		// and the released blocks' deletes finish in the hold's tail,
+		// which SaveState joins before the process exits.
+		return client.SaveState()
 	}
 
 	if *watch {

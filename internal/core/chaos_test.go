@@ -147,7 +147,10 @@ func TestChaosSoak(t *testing.T) {
 				t.Errorf("deleted notes.md still on beta (err=%v)", err)
 			}
 
-			// Exact fault accounting, both devices.
+			// Exact fault accounting, both devices, once no request of a
+			// hold's tail is in flight.
+			settle(t, a)
+			settle(t, b)
 			reconcile(t, r, "alpha", regA)
 			reconcile(t, r, "beta", regB)
 
@@ -304,6 +307,8 @@ func TestChaosBreakerFailover(t *testing.T) {
 	}
 
 	// Fault accounting stays exact with breakers in the stack.
+	settle(t, a)
+	settle(t, b)
 	reconcile(t, r, "alpha", regA)
 	reconcile(t, r, "beta", regB)
 }
@@ -491,6 +496,8 @@ func TestChaosQuotaExhaustionSoak(t *testing.T) {
 	if r.flaky["alpha"][2].InjectedQuota() == 0 || r.flaky["alpha"][3].InjectedQuota() == 0 {
 		t.Error("quota windows on c2/c3 injected nothing — the exhaustion missed the workload")
 	}
+	settle(t, a)
+	settle(t, b)
 	reconcileQuota(t, r, trackers)
 
 	// Phase C: capacity returns. c1's quota is lifted and the probe
@@ -553,6 +560,8 @@ func TestChaosQuotaExhaustionSoak(t *testing.T) {
 
 	// The quota books still balance after probing and re-expansion,
 	// and the transient/outage books were never touched.
+	settle(t, a)
+	settle(t, b)
 	reconcileQuota(t, r, trackers)
 	reconcile(t, r, "alpha", regA)
 	reconcile(t, r, "beta", regB)
@@ -606,5 +615,6 @@ func TestChaosFullOutage(t *testing.T) {
 	if !bytes.Equal(got, []byte(outageContent)) {
 		t.Error("outage-era file corrupt on beta")
 	}
+	settle(t, a)
 	reconcile(t, r, "alpha", regA)
 }

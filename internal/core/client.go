@@ -209,13 +209,15 @@ type Client struct {
 	// one writer, whichever goroutine asks — the sync loop, a daemon's
 	// scheduled scrub, a CLI — and so one acquirer of the quorum lock,
 	// which does not exclude this device's own concurrent acquisitions.
-	// It also guards the checkpoint cursor, the recovered map and the
-	// owed placements. mu below guards the fields read outside the
+	// It also guards the checkpoint cursor, the recovered map, the owed
+	// placements and the hold's tail. mu below guards the fields read outside the
 	// writer.
 	writer sync.Mutex
 	// owed are the placements an earlier pass's upload landed after its
 	// commit's stamp, for the next lock hold to record (placements.go).
 	owed owedPlacements
+	// tail is the last committing hold's tail, nil once joined (tail.go).
+	tail *holdTail
 
 	mu sync.Mutex
 	// last is the device's view of the committed metadata (the

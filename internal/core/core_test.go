@@ -94,6 +94,16 @@ func syncOK(t *testing.T, c *Client) SyncReport {
 	return rep
 }
 
+// settle joins the device's last lock hold's tail — its release, its
+// block deletes and the clear of its intents — through SaveState, the
+// entry point a clean exit takes.
+func settle(t *testing.T, c *Client) {
+	t.Helper()
+	if err := c.SaveState(); err != nil {
+		t.Fatalf("%s: SaveState: %v", c.Device(), err)
+	}
+}
+
 func TestSingleDeviceUploadAndState(t *testing.T) {
 	r := newRig(5)
 	a, fa := r.device(t, "alpha")
@@ -196,7 +206,8 @@ func TestDeletePropagatesAndGCsBlocks(t *testing.T) {
 	if _, err := fb.ReadFile("temp.bin"); err == nil {
 		t.Fatal("delete did not propagate to beta")
 	}
-	// The segment's blocks were garbage-collected by alpha.
+	// The segment's blocks were garbage-collected by alpha's hold.
+	settle(t, a)
 	blocksAfter := 0
 	for _, st := range r.stores {
 		blocksAfter += st.FileCount()

@@ -34,6 +34,11 @@ const (
 	// CrashMidApply aborts the write stage after N files have been
 	// written: the folder is half old, half new.
 	CrashMidApply CrashPoint = "mid-apply"
+	// CrashInTail aborts a committing hold's tail before its block
+	// deletes: the pass has returned and moved v_o, the blocks its
+	// commit released are still on the clouds, and its intent is still
+	// committed, with the released segments journaled.
+	CrashInTail CrashPoint = "in-tail"
 )
 
 // ErrCrashInjected is returned by a pass aborted at an armed crash

@@ -197,6 +197,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 			if bv := b.Image().Version; bv != img.Version {
 				t.Fatalf("device versions diverge after recovery: alpha v%d, beta v%d", img.Version, bv)
 			}
+			settle(t, a2) // the last hold's deletes run in its tail
 			auditBlocks(t, r, img)
 
 			// Surviving blocks must have been adopted, not re-uploaded:
@@ -263,6 +264,7 @@ func TestPostCommitCrashAloneLeavesNoReleasedBlocks(t *testing.T) {
 	}
 	syncOK(t, a2)
 	requireFolders(t, map[string]string{"keep.txt": "edited before the crash"}, map[string]*localfs.Mem{"alpha": fa})
+	settle(t, a2) // the last hold's deletes run in its tail
 	auditBlocks(t, r, a2.Image())
 }
 
@@ -322,6 +324,7 @@ func TestCrashRecoveryMidApply(t *testing.T) {
 	if av := a.Image().Version; av != img.Version {
 		t.Fatalf("device versions diverge after recovery: alpha v%d, beta v%d", av, img.Version)
 	}
+	settle(t, a) // alpha's overwrite released blocks in its hold's tail
 	auditBlocks(t, r, img)
 }
 
@@ -332,6 +335,7 @@ func TestRecoverNoJournalIsNoop(t *testing.T) {
 	a, fa := r.device(t, "alpha")
 	writeFile(t, fa, "f.txt", "clean")
 	syncOK(t, a)
+	settle(t, a) // the hold's tail clears the intent
 	if _, err := fa.ReadFile(journal.Path); err == nil {
 		t.Fatal("journal file survives a clean pass")
 	}

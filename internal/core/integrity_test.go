@@ -115,7 +115,7 @@ func commitPlacement(t *testing.T, c *Client, seg *meta.Segment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { c.releaseLock(ctx, lock)() }()
+	defer func() { c.releaseLock(ctx, lock, c.store)() }()
 	if _, err := c.store.Commit(ctx, []*meta.Change{{
 		Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{seg},
 	}}); err != nil {
@@ -677,6 +677,7 @@ func TestScrubCommitKeepsAnotherDevicesRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncOK(t, a)
+	settle(t, a) // the hold's deletes run in its tail
 	img := a.Image()
 	cur, _ := img.Segment(seg.ID)
 	for _, l := range repaired.Blocks {

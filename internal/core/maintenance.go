@@ -15,11 +15,14 @@ import (
 // policy over (image, survey) decide, commit its relocates through
 // lockedCommit, and only then delete the blocks the commit released
 // (released). The policies are the short functions below and in
-// scrub.go, rebalance.go and recover.go; each holds Client.writer.
+// scrub.go, rebalance.go and recover.go; each holds Client.writer and
+// joins the last hold's tail first (tail.go).
 
 // released ends a maintenance commit: the blocks it released are
 // deleted — after the commit, so metadata never names a block that is
-// already gone — and the view advances as far as the span changes no
+// already gone — beside the hold's tail, which it then joins: a
+// maintenance operation returns with its hold released. The view
+// advances as far as the span changes no
 // file. A file change of another device's that the lock's refresh
 // pulled in is left unapplied and v_o behind it: maintenance never
 // writes the folder, and the next pass, which observes the folder
@@ -27,6 +30,7 @@ import (
 // conflict copy. It returns the number of blocks deleted.
 func (c *Client) released(ctx context.Context, doomed []transfer.BlockRef) int {
 	deleted := c.engine.DeleteBlocks(ctx, doomed)
+	c.joinTail()
 	c.advance(c.lastImage())
 	return deleted
 }
@@ -90,6 +94,7 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string) bool) (int, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()
+	c.joinTail()
 	var doomed []transfer.BlockRef
 	_, err := c.lockedCommit(ctx, c.stack, func(img *meta.Image) (changes []*meta.Change, err error) {
 		for _, segID := range img.SegmentIDs() {

@@ -330,6 +330,7 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	if got := reg.Gauge("core.placements.pending").Value(); got != 0 {
 		t.Errorf("core.placements.pending = %v once recorded, want 0", got)
 	}
+	settle(t, a) // the recording hold's tail clears the intent
 	if n := a.journal.Len(); n != 0 {
 		t.Errorf("%d journal intents once the placements are recorded, want 0", n)
 	}

@@ -125,18 +125,21 @@ func (c *Client) heldImage(ctx context.Context) (*meta.Image, error) {
 	return head.ApplyCOW(relocates, c.cfg.Device)
 }
 
-// settleOwed ends a hold that recorded the owed placements: the owed
-// blocks no metadata names are deleted, and only then are the intents
-// cleared, so a crash in between leaves them to Recover. Best effort: a
-// lingering intent costs the next start a survey, never data.
+// settleOwed ends a hold that recorded the owed placements, in the
+// hold's tail: the owed blocks no metadata names are deleted, and only
+// then are the intents cleared, so a crash in between leaves them to
+// Recover. Best effort: a lingering intent costs the next start a
+// survey, never data.
 func (c *Client) settleOwed(ctx context.Context, dropped []transfer.BlockRef) {
-	if len(dropped) > 0 {
-		c.engine.DeleteBlocks(ctx, dropped)
-		c.cfg.Obs.Counter("core.placements.dropped").Add(int64(len(dropped)))
-	}
-	for _, id := range c.owed.intents {
-		_ = c.journal.Clear(id)
-	}
+	intents := c.owed.intents
 	c.owed = owedPlacements{}
 	c.cfg.Obs.Gauge("core.placements.pending").Set(0)
+	if len(dropped) > 0 {
+		c.cfg.Obs.Counter("core.placements.dropped").Add(int64(len(dropped)))
+	}
+	c.deleteInTail(ctx, dropped, func() {
+		for _, id := range intents {
+			_ = c.journal.Clear(id)
+		}
+	})
 }

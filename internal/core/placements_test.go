@@ -90,6 +90,7 @@ func requireRecorded(t *testing.T, r *rig, a *Client, reg *obs.Registry) {
 	if got := reg.Gauge("core.placements.pending").Value(); got != 0 {
 		t.Errorf("core.placements.pending = %v, want 0", got)
 	}
+	settle(t, a) // the recording hold's tail clears the intents
 	if n := a.journal.Len(); n != 0 {
 		t.Errorf("%d journal intents left, want 0", n)
 	}
@@ -280,6 +281,8 @@ func TestOwedPlacementsOfDeadSegmentsAreDeleted(t *testing.T) {
 			t.Errorf("core.placements.dropped = %d, want the %d owed blocks", got, owed)
 		}
 		syncOK(t, b)
+		settle(t, a) // the owed blocks go in the hold's tail
+		settle(t, b) // and beta's delete released the file's in its own
 		requireFolders(t, map[string]string{}, map[string]*localfs.Mem{"alpha": fa})
 		auditBlocks(t, r, a.Image())
 		auditNamed(t, r, a.Image())
@@ -304,6 +307,7 @@ func TestOwedPlacementsOfDeadSegmentsAreDeleted(t *testing.T) {
 		b, fb := r.device(t, "beta")
 		syncOK(t, b)
 		requireFolders(t, map[string]string{"big.bin": rewritten}, map[string]*localfs.Mem{"alpha": fa, "beta": fb})
+		settle(t, a) // the overwrite's released blocks go in its hold's tail
 		auditBlocks(t, r, a.Image())
 		auditNamed(t, r, a.Image())
 	})
@@ -358,6 +362,7 @@ func TestOwedPlacementsSurviveACrash(t *testing.T) {
 					t.Errorf("segment %s: the crashed hold's record of c4's share is gone", seg.ID)
 				}
 			}
+			settle(t, a2) // the last hold's deletes run in its tail
 			auditBlocks(t, r, img)
 			auditNamed(t, r, img)
 		})

@@ -177,6 +177,7 @@ func TestCommitReturnsWithoutTheTwoSlowestClouds(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("alpha's pass waited for the parked clouds")
 	}
+	settle(t, a) // the release runs in the hold's tail
 	await(t, w.asked, 2, "parked stamp reads")
 	committed := a.store.Stamp()
 	holders := 0

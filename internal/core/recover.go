@@ -53,10 +53,15 @@ type RecoveryReport struct {
 //	                           segments that the image does not
 //	                           reference is reliability-phase surplus —
 //	                           reclaim it; so is every surveyed block of
-//	                           a segment the commit released (the
-//	                           batch's paths in the pre-crash view,
-//	                           gone from the image), which the pass
-//	                           would have deleted; clear the intent.
+//	                           a segment the commit released and the
+//	                           image does not hold (journaled with the
+//	                           commit, or the batch's paths in the
+//	                           pre-crash view, gone from the image),
+//	                           which the hold's tail would have
+//	                           deleted, unless an uncommitted upload
+//	                           intent names it (a later pass re-adding
+//	                           the content: that intent judges its
+//	                           blocks); clear the intent.
 //	upload, uncommitted,
 //	  local file unchanged   → resume: adopt surveyed blocks of the
 //	                           batch's segments so the re-upload skips
@@ -78,6 +83,7 @@ type RecoveryReport struct {
 func (c *Client) Recover(ctx context.Context) (RecoveryReport, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()
+	c.joinTail()
 	var rep RecoveryReport
 	if c.journal.Len() == 0 {
 		return rep, nil
@@ -196,6 +202,20 @@ func (c *Client) recoverRepair(ctx context.Context, in *journal.Intent, img *met
 	return c.reclaimOrphans(ctx, orphans)
 }
 
+// uploadingSegments returns the segments the journal's uncommitted
+// upload intents name.
+func (c *Client) uploadingSegments() map[string]bool {
+	segs := make(map[string]bool)
+	for _, in := range c.journal.Active() {
+		if in.Kind == journal.KindUpload && in.State != journal.StateCommitted {
+			for _, id := range in.SegmentIDs() {
+				segs[id] = true
+			}
+		}
+	}
+	return segs
+}
+
 // surveyedBlocks hands an intent the blocks of the segments ids (sorted)
 // that exist in the clouds, and takes them out of the survey: each
 // block is judged once, so a later intent naming the same segment can
@@ -225,16 +245,27 @@ func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *met
 
 	var orphans []transfer.BlockRef
 	if committed {
-		// The segments the commit released, which the pass would have
-		// deleted before clearing its intent: the device's pre-crash view
-		// against the committed image, for the batch's paths. Every
-		// surveyed block of theirs goes.
-		var released []string
+		// The segments the commit released, which the hold's tail would
+		// have deleted before clearing the intent: those journaled with
+		// the commit — the pass may have moved v_o past it before the
+		// crash — and, for a crash before the journal heard of the
+		// commit, the device's pre-crash view against the committed
+		// image, for the batch's paths. Every surveyed block of those the
+		// image does not hold goes, but for those an uncommitted upload
+		// intent names: a later pass that re-added their content may
+		// have uploaded them again, and that intent adopts or reclaims
+		// its blocks itself.
+		released := slices.Clone(in.Released)
 		for _, seg := range releasedSegments(c.lastImage(), img, in.Changes) {
 			released = append(released, seg.ID)
 		}
+		uploading := c.uploadingSegments()
+		released = slices.DeleteFunc(released, func(id string) bool {
+			_, alive := img.Segment(id)
+			return alive || uploading[id]
+		})
 		slices.Sort(released)
-		orphans = surveyedBlocks(sv, released)
+		orphans = surveyedBlocks(sv, slices.Compact(released))
 		// The commit landed before the crash, but the restored scanner
 		// baseline predates it: without suppression the next scan
 		// re-detects the batch as fresh local edits and re-uploads
@@ -276,10 +307,13 @@ func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *met
 		switch {
 		case pool != nil && pool.HasBlock(b.BlockID, b.Cloud):
 			// Referenced by committed metadata: not ours to touch.
-		case !committed && resumable[b.SegID] && pool == nil:
+		case !committed && resumable[b.SegID] && pool == nil && c.recovered[b.SegID][b.BlockID] == "":
 			c.addRecovered(b.SegID, b.BlockID, b.Cloud)
 			adopted++
 		default:
+			// Unreferenced, or a second copy of a block adopted on
+			// another cloud (left by an earlier upload of the same
+			// content): nothing will name it.
 			orphans = append(orphans, b)
 		}
 	}

@@ -62,13 +62,15 @@ func requestsUnder(recs []*cloudsim.Recorder, dir string) cloudsim.CallCounts {
 // round; the version stamps are read once on every cloud and written
 // once on a quorum; the delta is written once on that quorum — 20
 // requests and the blocks. Request counts over unshaped clouds do not
-// depend on timing, so any extra round trip fails here.
+// depend on timing, so any extra round trip fails here. Both passes
+// are counted once their hold's tail — the release — is joined.
 func TestSingleFileCommitRequestBudget(t *testing.T) {
 	c, folder, recs := recordedDevice(t)
 	writeFile(t, folder, "warm.bin", randContent(1, 100_000))
 	if _, err := c.SyncDirty(ctxT(t), []string{"warm.bin"}); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, c)
 	c.store.JoinPoll(ctxT(t)) // the stamp poll's last answers may land after the pass returns
 
 	versionPath := deltasync.DefaultDir + "/version"
@@ -94,6 +96,7 @@ func TestSingleFileCommitRequestBudget(t *testing.T) {
 	if rep.LocalChanges != 1 {
 		t.Fatalf("committed %d changes, want 1", rep.LocalChanges)
 	}
+	settle(t, c)
 	c.store.JoinPoll(ctxT(t))
 	got := map[string]cloudsim.CallCounts{}
 	for _, d := range dirs {
@@ -159,6 +162,7 @@ func TestMaintenanceRequestBudget(t *testing.T) {
 	if _, err := c.SyncDirty(ctxT(t), []string{"warm.bin"}); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, c)
 	c.store.JoinPoll(ctxT(t)) // the stamp poll's last answers may land after the pass returns
 	// during runs one maintenance entry and returns the requests it
 	// issued under the metadata and the block directory.
@@ -242,6 +246,7 @@ func TestApplyingDeviceDeletesNoBlocks(t *testing.T) {
 	if _, err := a.SyncRemote(ctxT(t)); err != nil { // records the placements the commit's tail owes
 		t.Fatal(err)
 	}
+	settle(t, a)
 	if rep, err := b.SyncOnce(ctxT(t)); err != nil || rep.CloudChanges != 2 {
 		t.Fatalf("beta's first pass: %+v, %v; want 2 files applied", rep, err)
 	}
@@ -263,6 +268,7 @@ func TestApplyingDeviceDeletesNoBlocks(t *testing.T) {
 	if _, err := a.SyncDirty(ctxT(t), []string{"edit.bin", "gone.bin"}); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, a) // the deletes run in the hold's tail
 	if got := requestsUnder(recsA, transfer.DefaultBlockDir).Minus(before).Delete; got != len(released) {
 		t.Errorf("the committing device issued %d block DELETEs, want one per released block (%d)", got, len(released))
 	}
@@ -367,6 +373,7 @@ func TestOverwriteDeletesEveryDeadBlockOnce(t *testing.T) {
 	if _, err := c.SyncDirty(ctxT(t), []string{"big.bin"}); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, c) // the deletes run in the hold's tail
 	for i, w := range watches {
 		name := stores[i].Name()
 		if len(w.deletes) != len(want[name]) {

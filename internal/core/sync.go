@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"unidrive/internal/chunker"
+	"unidrive/internal/deltasync"
 	"unidrive/internal/journal"
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
@@ -49,7 +50,9 @@ type SyncReport struct {
 //	observe  folder → ChangedFileList (full scan | dirty paths | nothing)
 //	commit   upload, then under the quorum lock: refresh, plan, commit
 //	         (commitLocal); when there is nothing to commit, a stamp
-//	         poll, or the lock round that records owed placements
+//	         poll, or the lock round that records owed placements. The
+//	         release and the released blocks' deletes run on in the
+//	         hold's tail (tail.go)
 //	plan     (local changes, span v_o→v_c, folder) → []applyAction
 //	         (plan.go): its local side under the lock when the pass
 //	         commits, the whole plan on the live folder after release
@@ -57,7 +60,7 @@ type SyncReport struct {
 //	         through fetchVerified
 //	write    verified content → folder
 //	advance  v_o := the pass's head; checkpoint (no block DELETEs: the
-//	         committing pass deleted what its commit released)
+//	         committing hold's tail deletes what its commit released)
 //
 // One writer: a pass holds Client.writer throughout, as does every
 // other operation that commits, moves v_o or writes the folder.
@@ -303,6 +306,7 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	if err != nil {
 		return nil, nil, err
 	}
+	c.joinTailFor(changes)
 	session, err := c.startUpload(ctx, changes)
 	if err != nil {
 		return nil, nil, err
@@ -361,14 +365,11 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := c.journal.MarkCommitted(intentID, c.store.Stamp().Version); err != nil {
+	head := c.store.CachedShared()
+	released, err := c.markCommitted(intentID, round.head, head, commit)
+	if err != nil {
 		return nil, nil, err
 	}
-	head := c.store.CachedShared()
-	// What the commit released, on the head it built on against the head
-	// it made. Owed blocks of a released segment are the hold's to delete
-	// (outlived).
-	released := releasedBlocks(round.head, head, commit)
 	report.LocalChanges = len(commit)
 	report.PlacementsRecorded = round.recorded
 	// The paper's "available time": pass start until the commit landed —
@@ -384,10 +385,24 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	report.AvailableDuration = commitDone.Sub(start) - waitedAlone(session.availAt, lockedAt, readyAt)
 	ok = true
 
-	if err := c.finishUpload(ctx, session, intentID, overlap, released, report); err != nil {
+	if err := c.finishUpload(ctx, session, intentID, overlap, releasedBlocks(released), report); err != nil {
 		return nil, nil, err
 	}
 	return changes, head, nil
+}
+
+// markCommitted journals the pass's intent as committed at head, with
+// the segments the commit released — on from, the head it built on,
+// against head, the one it made — and returns those: the hold's tail
+// deletes their blocks, and Recover does when the tail did not. Owed
+// blocks of a released segment are the hold's to delete (outlived).
+func (c *Client) markCommitted(intentID string, from, head *meta.Image, commit []*meta.Change) ([]*meta.Segment, error) {
+	released := releasedSegments(from, head, commit)
+	ids := make([]string, len(released))
+	for i, seg := range released {
+		ids[i] = seg.ID
+	}
+	return released, c.journal.MarkCommitted(intentID, head.Version, ids)
 }
 
 // beginUpload journals a pass's write-ahead intent: before any block
@@ -407,23 +422,23 @@ func (c *Client) beginUpload(changes []*meta.Change) (string, error) {
 }
 
 // finishUpload is a committing pass's reliability second: it waits for
-// the batch to finish, deletes the blocks its commit released, and owes
-// the fair shares (and extras) that landed after the commit's stamp to
-// the device's next lock hold. The intent stays committed until that
-// hold records them; when nothing landed after the stamp the pass is
-// fully recorded and the intent is cleared here.
+// the batch to finish, starts the deletes of the blocks its commit
+// released in the hold's tail, and owes the fair shares (and extras)
+// that landed after the commit's stamp to the device's next lock hold.
+// The intent stays committed until that hold records them; when nothing
+// landed after the stamp the pass is fully recorded, and the tail
+// clears the intent once the deletes have ended.
 //
-// The released blocks go after the join — a tenant has one open batch
-// at the shared FairScheduler — and before the intent is cleared, so a
-// crash in between leaves them to Recover's committed-upload branch.
-// This pass is their only deleter: a device that applies the commit
+// The released blocks go after the join, the instant the batch's
+// connections are free, and before the intent is cleared, so a crash
+// in between leaves them to Recover's committed-upload branch. This
+// pass's hold is their only deleter: a device that applies the commit
 // deletes nothing.
 func (c *Client) finishUpload(ctx context.Context, session *uploadSession, intentID string, overlap bool, released []transfer.BlockRef, report *SyncReport) error {
 	committed := c.cfg.Clock.Now()
 	if err := session.join(); err != nil {
 		return err
 	}
-	c.engine.DeleteBlocks(ctx, released)
 	if overlap {
 		tail := session.endAt.Sub(committed)
 		if tail < 0 {
@@ -433,10 +448,14 @@ func (c *Client) finishUpload(ctx context.Context, session *uploadSession, inten
 	}
 	landed, over := session.settle()
 	report.Upload.OverProvisioned = over
-	if len(landed) == 0 {
-		return c.journal.Clear(intentID)
+	if len(landed) > 0 {
+		c.owe(intentID, landed)
 	}
-	c.owe(intentID, landed)
+	c.deleteInTail(ctx, released, func() {
+		if len(landed) == 0 {
+			_ = c.journal.Clear(intentID)
+		}
+	})
 	return nil
 }
 
@@ -447,13 +466,17 @@ func (c *Client) finishUpload(ctx context.Context, session *uploadSession, inten
 // unlock), and the wait returns once it ended or ReleaseTimeout after
 // it started, when it is abandoned and counted under
 // qlock.release_timeouts. An abandoned release is safe: the flag files
-// expire after LockExpiry and every other device breaks them.
-func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock) (wait func()) {
+// expire after LockExpiry and every other device breaks them. The flags
+// go only once no metadata write of the hold's commit through store is
+// in flight (deltasync.Store.JoinWrites): one landing after the release
+// could hide the next holder's commit from a read quorum.
+func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock, store *deltasync.Store) (wait func()) {
 	rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.ReleaseTimeout)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		defer cancel()
+		store.JoinWrites()
 		_ = lock.Release(rctx)
 	}()
 	return func() {
@@ -467,7 +490,8 @@ func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock) (wait func()
 
 // lockedCommit is the one locked commit: acquire the quorum lock,
 // refresh, build the changes from the committed head, check the lock
-// still holds, commit through to's store, release. to is the client's
+// still holds, commit through to's store, and leave the release to the
+// hold's tail (tail.go). to is the client's
 // own stack for every caller but SetClouds, whose commit lands on the
 // new cloud set. build runs under the lock and must not touch the
 // folder. Every hold also records the placements owed (placements.go);
@@ -487,11 +511,12 @@ func (c *Client) lockedCommit(ctx context.Context, to stack, build func(head *me
 // lockRound is a locked commit split in two. The first part runs on
 // its own goroutine from startLock: acquire the quorum lock, then
 // refresh the store to the head the commit builds on. commit is the
-// second part: build, add the owed placements, check, commit, start
-// the release. close ends the round on every path out, cancelling a
-// first part still running, releasing a lock won but never committed
-// under, and waiting for the release: what the caller does after the
-// commit runs beside it, and no lock request outlives the round.
+// second part: join the last hold's tail, build, add the owed
+// placements, check, commit, and hand the release to the hold's tail
+// (tail.go). close ends the round on every path out, cancelling a
+// first part still running, and releasing a lock won but never
+// committed under, or whose commit failed, and waiting for that
+// release: no lock request of a failed round outlives it.
 type lockRound struct {
 	c      *Client
 	ctx    context.Context
@@ -503,7 +528,7 @@ type lockRound struct {
 	lock *qlock.Lock
 	head *meta.Image
 	err  error
-	// released waits for the release commit started.
+	// released waits for the release of a lock whose commit failed.
 	released func()
 	// recorded is the number of owed segment placements the commit
 	// recorded.
@@ -530,11 +555,12 @@ func (c *Client) startLock(ctx context.Context) *lockRound {
 	return r
 }
 
-// commit waits for the first part and runs the second (lockedCommit).
-// It returns the instant the commit completed (or found nothing to
-// commit), with the release started and still running (close waits for
-// it). A hold that recorded the owed placements settles them beside the
-// release.
+// commit waits for the first part, joins the last hold's tail and runs
+// the second part (lockedCommit). It returns the instant the commit
+// completed (or found nothing to commit), with the release running in
+// the hold's tail; a hold that recorded the owed placements settles
+// them there too. A commit that failed is released beside the caller,
+// and close waits for that release.
 func (r *lockRound) commit(to stack, build func(head *meta.Image) ([]*meta.Change, error)) (time.Time, error) {
 	<-r.done
 	if r.err != nil {
@@ -542,13 +568,16 @@ func (r *lockRound) commit(to stack, build func(head *meta.Image) ([]*meta.Chang
 	}
 	lock := r.lock
 	r.lock = nil
+	tail := r.c.startTail()
 	owing := len(r.c.owed.intents) > 0
 	dropped, err := r.commitHeld(lock, to, build)
 	committedAt := r.c.cfg.Clock.Now()
-	r.released = r.c.releaseLock(r.ctx, lock)
+	release := r.c.releaseLock(r.ctx, lock, to.store)
 	if err != nil {
+		r.released = release
 		return time.Time{}, err
 	}
+	tail.run(release)
 	if owing {
 		r.c.settleOwed(r.ctx, dropped)
 	}
@@ -606,7 +635,7 @@ func (r *lockRound) close() {
 		<-r.done
 	}
 	if r.lock != nil {
-		r.released = r.c.releaseLock(r.ctx, r.lock)
+		r.released = r.c.releaseLock(r.ctx, r.lock, r.c.store)
 	}
 	if r.released != nil {
 		r.released()

@@ -113,7 +113,8 @@ func (r *tenantRig) peer(t *testing.T) (*core.Client, *localfs.Mem) {
 }
 
 // syncTenant retries the tenant's pass while fault injection defeats
-// it; every attempt's faults still land in the tenant's op table.
+// it; every attempt's faults still land in the tenant's op table. The
+// pass that succeeds has its hold's tail joined.
 func syncTenant(t *testing.T, d *daemon.Daemon, id string) core.SyncReport {
 	t.Helper()
 	var lastErr error
@@ -121,6 +122,7 @@ func syncTenant(t *testing.T, d *daemon.Daemon, id string) core.SyncReport {
 		tn, _ := d.Tenant(id)
 		rep, err := tn.Client().SyncOnce(ctxT(t))
 		if err == nil {
+			settle(t, tn.Client())
 			return rep
 		}
 		lastErr = err
@@ -130,8 +132,9 @@ func syncTenant(t *testing.T, d *daemon.Daemon, id string) core.SyncReport {
 }
 
 // syncAll runs one sync pass for every tenant concurrently — where
-// the fair scheduler earns its keep — and returns per-tenant reports
-// plus each failing tenant's error (nil when none failed).
+// the fair scheduler earns its keep — joins each pass's hold tail
+// (SaveState), and returns per-tenant reports plus each failing
+// tenant's error (nil when none failed).
 func syncAll(t *testing.T, rigs ...*tenantRig) (map[string]core.SyncReport, map[string]error) {
 	t.Helper()
 	reports := make(map[string]core.SyncReport)
@@ -143,6 +146,9 @@ func syncAll(t *testing.T, rigs ...*tenantRig) (map[string]core.SyncReport, map[
 		go func() {
 			defer wg.Done()
 			rep, err := r.tenant.Client().SyncOnce(ctxT(t))
+			if err == nil {
+				err = r.tenant.Client().SaveState()
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -157,6 +163,16 @@ func syncAll(t *testing.T, rigs ...*tenantRig) (map[string]core.SyncReport, map[
 		errs = nil
 	}
 	return reports, errs
+}
+
+// settle joins the client's last lock hold's tail — its release and
+// block deletes run on after the pass returns — so the ledgers and the
+// shared scheduler are read with none of its requests in flight.
+func settle(t *testing.T, c *core.Client) {
+	t.Helper()
+	if err := c.SaveState(); err != nil {
+		t.Fatalf("%s: SaveState: %v", c.Device(), err)
+	}
 }
 
 // syncClientTo drives a standalone client until its committed

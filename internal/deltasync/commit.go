@@ -271,72 +271,153 @@ func (s *Store) Commit(ctx context.Context, changes []*meta.Change) (CommitStats
 }
 
 // writeQuorum writes the plan to a quorum of clouds and returns how
-// many accepted it. It takes the poll's answers in the order they land
-// and starts each cloud's write the moment its answer does, as long as
-// the writes under way could still fall short of a quorum: one cloud
-// per write the quorum needs, one more for each that fails. A cloud
-// whose answer was not clean is written only once every clean one has
-// been, with the full catch-up. It returns once a quorum accepted, or
-// every cloud was tried, and no write it started is still in flight,
-// whatever ctx does: a write that landed after the lock's release could
-// hide the next holder's commit from a read quorum.
+// many held the commit when it returned. It takes the poll's answers in
+// the order they land and starts each cloud's write the moment its
+// answer does, as long as the writes under way could still fall short
+// of a quorum: one cloud per write the quorum needs, one more for each
+// that fails. A clean answer off the cursor starts its catch-up from
+// the lineage's base at once, but as a spare: the next answer is
+// written as well, and the spare counts towards the quorum only if it
+// lands while the quorum still needs a write, so a commit does not wait
+// for a base upload the clean answers on the cursor can spare it. A
+// cloud whose answer was not clean is written only once every clean
+// one has been, with the full catch-up, and only when the writes under
+// way, spares included, cannot make the quorum.
+//
+// It returns once a quorum accepted, or every cloud was tried. A write
+// still in flight then — a spare the quorum did not need — is the
+// commit's straggler: JoinWrites waits for it, and the next stamp poll
+// starts only once it has ended, so no poll reads a cloud half written.
+// Every write runs whatever ctx does: the lock holder waits for the
+// stragglers before its release, since a write that landed after the
+// release could hide the next holder's commit from a read quorum.
 func (s *Store) writeQuorum(ctx context.Context, p *poll, plan *commitPlan) int {
-	k := 0
-	var unclean []int // clouds whose answer was not clean, tried last
-	next := func() (int, cloudStamp, bool) {
-		for {
+	answers := p.inOrder(len(s.clouds))
+	tails, bases := s.cfg.Obs.Counter("deltasync.commit.catchups.tail"), s.cfg.Obs.Counter("deltasync.commit.catchups.base")
+	wctx := context.WithoutCancel(ctx)
+	type wrote struct{ ok, spare bool }
+	results := make(chan wrote, len(s.clouds))
+	// accepted and inflight count the writes the quorum rests on, spares
+	// the spare writes in flight, and sparesOK the spares that landed
+	// when the quorum did not need them.
+	accepted, inflight, spares, sparesOK := 0, 0, 0, 0
+	var unclean []int
+	start := func(i int, a cloudStamp) {
+		steps, where, err := s.behind(plan, a)
+		if err != nil {
+			return
+		}
+		switch where {
+		case onCursor:
+			tails.Inc()
+		case offCursor:
+			bases.Inc()
+		}
+		spare := where == offCursor && a.clean()
+		if spare {
+			spares++
+		} else {
+			inflight++
+		}
+		go func() { results <- wrote{s.write(wctx, s.clouds[i], steps), spare} }()
+	}
+	for accepted < s.Quorum() {
+		need := s.Quorum() - accepted - inflight
+		if answers == nil && len(unclean) > 0 && need > spares {
+			start(unclean[0], cloudStamp{})
+			unclean = unclean[1:]
+			continue
+		}
+		var in <-chan answer
+		if need > 0 {
+			in = answers
+		}
+		if in == nil && inflight+spares == 0 {
+			break
+		}
+		select {
+		case ans, ok := <-in:
+			switch {
+			case !ok:
+				answers = nil
+			case ans.a.clean():
+				start(ans.i, ans.a)
+			default:
+				unclean = append(unclean, ans.i)
+			}
+		case r := <-results:
+			if r.spare {
+				spares--
+			} else {
+				inflight--
+			}
+			switch {
+			case !r.ok:
+			case !r.spare || accepted+inflight < s.Quorum():
+				accepted++
+			default:
+				sparesOK++
+			}
+		}
+	}
+	if left := inflight + spares; left > 0 {
+		s.cfg.Obs.Counter("deltasync.commit.stragglers").Add(int64(left))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for ; left > 0; left-- {
+				<-results
+			}
+		}()
+		s.mu.Lock()
+		s.writing = done
+		s.mu.Unlock()
+	}
+	return accepted + sparesOK
+}
+
+// answer is one cloud's answer to a stamp poll, with the cloud's index.
+type answer struct {
+	i int
+	a cloudStamp
+}
+
+// inOrder hands on the poll's answers in the order they land, the clean
+// ones first: an unclean answer is handed on, as the zero answer, only
+// once every answer is in. n is the number of clouds polled, and the
+// channel holds them all, so its goroutine ends once every answer is
+// in, whether or not anyone reads on.
+func (p *poll) inOrder(n int) <-chan answer {
+	answers := make(chan answer, n)
+	go func() {
+		defer close(answers)
+		var unclean []int
+		for k := 0; ; k++ {
 			i, a, ok := p.take(k)
 			if !ok {
 				break
 			}
-			k++
 			if a.clean() {
-				return i, a, true
+				answers <- answer{i, a}
+			} else {
+				unclean = append(unclean, i)
 			}
-			unclean = append(unclean, i)
 		}
-		if len(unclean) == 0 {
-			return 0, cloudStamp{}, false
+		for _, i := range unclean {
+			answers <- answer{i: i}
 		}
-		i := unclean[0]
-		unclean = unclean[1:]
-		return i, cloudStamp{}, true
+	}()
+	return answers
+}
+
+// JoinWrites waits until no write of the last Commit is in flight: the
+// catch-ups its quorum did not need (writeQuorum). A lock holder calls
+// it before releasing.
+func (s *Store) JoinWrites() {
+	s.mu.Lock()
+	w := s.writing
+	s.mu.Unlock()
+	if w != nil {
+		<-w
 	}
-	tails, bases := s.cfg.Obs.Counter("deltasync.commit.catchups.tail"), s.cfg.Obs.Counter("deltasync.commit.catchups.base")
-	wctx := context.WithoutCancel(ctx)
-	results := make(chan bool, len(s.clouds))
-	accepted, inflight := 0, 0
-	for accepted < s.Quorum() {
-		for accepted+inflight < s.Quorum() {
-			i, a, ok := next()
-			if !ok {
-				break
-			}
-			steps, where, err := s.behind(plan, a)
-			if err != nil {
-				continue
-			}
-			switch where {
-			case onCursor:
-				tails.Inc()
-			case offCursor:
-				bases.Inc()
-			}
-			inflight++
-			go func() { results <- s.write(wctx, s.clouds[i], steps) }()
-		}
-		if inflight == 0 {
-			break
-		}
-		if <-results {
-			accepted++
-		}
-		inflight--
-	}
-	for ; inflight > 0; inflight-- {
-		if <-results {
-			accepted++
-		}
-	}
-	return accepted
 }

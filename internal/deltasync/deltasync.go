@@ -161,6 +161,9 @@ type Store struct {
 	// version files since: only a poll run after the last commit may
 	// tell Commit which clouds are up to date.
 	poll *poll
+	// writing is closed once the last Commit's straggling writes have
+	// ended (writeQuorum); nil before any straggled.
+	writing chan struct{}
 }
 
 // New creates a metadata store over the given clouds. cipher encrypts
@@ -247,9 +250,12 @@ type poll struct {
 }
 
 // startPoll sends the version-file requests and records the poll for
-// the Commit that follows. An answer that lands after the poll decided
-// counts under deltasync.poll.late_answers.
+// the Commit that follows, once the last Commit's straggling writes have
+// ended: a cloud half written would answer with the stamp it had before,
+// and the next commit would catch it up again. An answer that lands
+// after the poll decided counts under deltasync.poll.late_answers.
 func (s *Store) startPoll(ctx context.Context) *poll {
+	s.JoinWrites()
 	p := &poll{seen: make([]cloudStamp, len(s.clouds))}
 	p.landed = sync.NewCond(&p.mu)
 	late := s.cfg.Obs.Counter("deltasync.poll.late_answers")

@@ -101,6 +101,10 @@ type Intent struct {
 	// CommittedVersion is the metadata version the commit produced
 	// (set with StateCommitted).
 	CommittedVersion int64 `json:"committedVersion,omitempty"`
+	// Released names the segments the commit released (set with
+	// StateCommitted): their blocks are the committing pass's to delete
+	// after the commit, and recovery's when it crashed first.
+	Released []string `json:"released,omitempty"`
 	// Paths lists the folder paths an apply intent is rewriting.
 	Paths []string `json:"paths,omitempty"`
 }
@@ -208,7 +212,11 @@ func (j *Journal) Active() []*Intent {
 
 // Begin persists a new intent before the pass it describes starts
 // mutating shared state. An intent with the same ID (a retried batch)
-// is replaced.
+// is replaced. The journal keeps its own copy of the batch's segment
+// records: the pass goes on stamping its records with the blocks it
+// lands while the journal is persisted from other goroutines (a lock
+// hold's tail clears its intent beside the device's next pass). The
+// blocks landed are journaled with UpdatePlacements.
 func (j *Journal) Begin(in *Intent) error {
 	if in.ID == "" {
 		return fmt.Errorf("journal: intent without ID")
@@ -216,12 +224,22 @@ func (j *Journal) Begin(in *Intent) error {
 	if in.State == "" {
 		in.State = StateUploading
 	}
+	rec := *in
+	rec.Changes = make([]*meta.Change, len(in.Changes))
+	for i, ch := range in.Changes {
+		c := *ch
+		c.Segments = make([]*meta.Segment, len(ch.Segments))
+		for k, seg := range ch.Segments {
+			c.Segments[k] = seg.Clone()
+		}
+		rec.Changes[i] = &c
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, dup := j.intents[in.ID]; !dup {
 		j.order = append(j.order, in.ID)
 	}
-	j.intents[in.ID] = in
+	j.intents[in.ID] = &rec
 	return j.persistLocked()
 }
 
@@ -281,8 +299,9 @@ func (j *Journal) UpdatePlacementsBatch(id string, placements map[string]map[int
 }
 
 // MarkCommitted transitions an intent to StateCommitted at the given
-// metadata version and persists the journal.
-func (j *Journal) MarkCommitted(id string, version int64) error {
+// metadata version, with the segments the commit released, and
+// persists the journal.
+func (j *Journal) MarkCommitted(id string, version int64, released []string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	in, ok := j.intents[id]
@@ -291,6 +310,7 @@ func (j *Journal) MarkCommitted(id string, version int64) error {
 	}
 	in.State = StateCommitted
 	in.CommittedVersion = version
+	in.Released = released
 	return j.persistLocked()
 }
 

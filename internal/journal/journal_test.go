@@ -56,7 +56,7 @@ func TestLifecycleAndReload(t *testing.T) {
 	if err := j.UpdatePlacements("batch1", "seg1", map[int]string{2: "c2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.MarkCommitted("batch1", 7); err != nil {
+	if err := j.MarkCommitted("batch1", 7, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,7 +163,7 @@ func TestErrorsOnUnknownIntent(t *testing.T) {
 	if err := j.UpdatePlacements("nope", "seg", nil); err == nil {
 		t.Fatal("UpdatePlacements on unknown intent succeeded")
 	}
-	if err := j.MarkCommitted("nope", 1); err == nil {
+	if err := j.MarkCommitted("nope", 1, nil); err == nil {
 		t.Fatal("MarkCommitted on unknown intent succeeded")
 	}
 	if err := j.Begin(&Intent{}); err == nil {

@@ -58,16 +58,23 @@
 // age into a break before that first renewal.
 //
 // Withdraw and Release follow one rule (clear): on each cloud, once the
-// round's chain there has ended, delete the own flags recorded up to
-// the round's generation, so a flag that lands late is not orphaned; a
+// round's chain there has ended, delete the own flags recorded with the
+// round's generation, so a flag that lands late is not orphaned; a
 // cloud whose flags were shed gets no request. Refresh joins the
 // stragglers before it renews. A clear or a join waits until the
 // caller's deadline at most, then cancels the stragglers; a clear's and
 // a shed's deletes run on a context of their own, so what a cancelled
 // straggler landed is still deleted as it ends. Each round tags the
-// flags it records with its generation: a Release or a shed that
-// outlives its deadline deletes only flags of its own hold or older,
-// never those of a hold won after it.
+// flags it records with its generation, and a withdraw, a shed or a
+// Release deletes only flags of its own round: never those of a hold
+// won after it, nor those of an earlier hold not yet released. So a
+// Release may run beside the same Manager's next Acquire, or start
+// after it: the new round wins on its own device's flags as on any free
+// cloud, a List of it that shows a flag of the earlier hold leaves that
+// flag to the earlier hold's Release, and the new round, withdrawn,
+// shed or released, deletes only what it uploaded or recorded. The
+// earlier hold keeps its quorum until its own Release, whatever the
+// rounds beside it do.
 //
 // The protocol needs only read-after-write list consistency from each
 // cloud. It requires no global clock: timestamps inside lock names
@@ -83,6 +90,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -203,10 +211,12 @@ type Manager struct {
 	// own-device names an acquisition List showed (a crashed
 	// incarnation's leftovers, or an upload that landed though it
 	// reported failure). Each name is tagged with the generation of the
-	// round that recorded it, or of the hold that refreshed it. Withdraw
-	// and release delete these by name, up to their own round's
-	// generation: a release that outlives its caller's deadline never
-	// deletes the flags of a later hold.
+	// round that recorded it, or of the hold that refreshed it, and with
+	// deleting while its delete is in flight. Withdraw and release delete
+	// these by name, those of their own round's generation only: a
+	// release that runs beside the next hold's acquisition never deletes
+	// the flags of the later hold, and that acquisition never deletes
+	// those of the hold still to be released.
 	own map[string]map[string]uint64
 	// gen is the generation of the latest round.
 	gen uint64
@@ -611,14 +621,19 @@ func (m *Manager) noteOwn(cloudName, lockName string, gen uint64) {
 	m.noteLocked(cloudName, lockName, gen)
 }
 
-// noteSeen records an own-device flag file that round gen's List showed,
-// unless a later round has begun since: a straggler's List may show the
-// flag of a later round before that round's chain recorded it, and the
-// straggler's older tag would let this round's release delete it.
+// noteSeen records an own-device flag file that round gen's List showed
+// and that is not on record yet — a crashed incarnation's leftover, or
+// an upload that landed though it reported failure — unless a later
+// round has begun since: a straggler's List may show the flag of a
+// later round before that round's chain recorded it, and the
+// straggler's older tag would let this round's release delete it. A
+// name on record keeps its tag: an earlier hold's flag stays that
+// hold's release's to delete, and one being deleted is not deleted
+// twice.
 func (m *Manager) noteSeen(cloudName, lockName string, gen uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if gen == m.gen {
+	if _, known := m.own[cloudName][lockName]; gen == m.gen && !known {
 		m.noteLocked(cloudName, lockName, gen)
 	}
 }
@@ -641,26 +656,31 @@ func (m *Manager) forgetOwn(cloudName, lockName string) {
 	delete(m.own[cloudName], lockName)
 }
 
+// deleting tags a recorded flag whose delete is in flight: no
+// generation reaches it, so no clear takes the flag twice.
+const deleting = math.MaxUint64
+
 // takeOwn returns the flag files of this device recorded on the cloud
-// with a generation up to upTo, and forgets them: each delete is tried
-// once. One that fails leaves a file the next acquisition's List shows
+// with generation gen, and tags them deleting; deleteOwn
+// forgets each once its delete has returned. Each delete is tried
+// once: one that fails leaves a file the next acquisition's List shows
 // again (and other devices break after Expiry), so nothing is retried
 // blindly against a cloud that stays down.
-func (m *Manager) takeOwn(cloudName string, upTo uint64) []string {
+func (m *Manager) takeOwn(cloudName string, gen uint64) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var names []string
-	for name, gen := range m.own[cloudName] {
-		if gen <= upTo {
+	for name, g := range m.own[cloudName] {
+		if g == gen {
 			names = append(names, name)
-			delete(m.own[cloudName], name)
+			m.own[cloudName][name] = deleting
 		}
 	}
 	return names
 }
 
 // clear is withdraw and release: it deletes, by name, this device's
-// flag files recorded up to round r's generation — the round's or
+// flag files recorded with round r's generation — the round's or
 // hold's file wherever its upload succeeded and no shed took it,
 // own-device names an acquisition List showed, and old names a refresh
 // could not delete. On each cloud it deletes once r's chain there has
@@ -687,15 +707,16 @@ func (m *Manager) clear(ctx context.Context, r *round) {
 }
 
 // deleteOwn deletes from c, by name, this device's flag files recorded
-// there up to generation upTo, on a context detached from ctx and
+// there with generation gen, on a context detached from ctx and
 // bounded by detachedTimeout, and returns how many it sent: what a
 // cancelled chain landed is still deleted.
-func (m *Manager) deleteOwn(ctx context.Context, c cloud.Interface, upTo uint64) int {
-	names := m.takeOwn(c.Name(), upTo)
+func (m *Manager) deleteOwn(ctx context.Context, c cloud.Interface, gen uint64) int {
+	names := m.takeOwn(c.Name(), gen)
 	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedTimeout)
 	defer cancel()
 	for _, name := range names {
 		_ = c.Delete(dctx, cloud.JoinPath(DefaultLockDir, name))
+		m.forgetOwn(c.Name(), name)
 	}
 	return len(names)
 }
@@ -806,7 +827,7 @@ func (l *Lock) refreshOnce(ctx context.Context) {
 }
 
 // Release stops refreshing and deletes this device's lock files
-// recorded up to the hold's generation — those of the winning quorum,
+// recorded with the hold's generation — those of the winning quorum,
 // unless a refresh re-flagged the shed clouds — waiting for the
 // winning round's stragglers, their shed included, until ctx ends
 // (clear): a Release still running after its caller moved on to a new

@@ -273,7 +273,7 @@ func (s *Scrubber) Cycle(ctx context.Context, repair bool) (*Report, error) {
 		}
 		rep.Committed = true
 		if c.journaled {
-			if err := s.cfg.Journal.MarkCommitted(s.intentID(), version); err != nil {
+			if err := s.cfg.Journal.MarkCommitted(s.intentID(), version, nil); err != nil {
 				return rep, err
 			}
 		}

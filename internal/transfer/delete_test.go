@@ -226,3 +226,35 @@ func TestDeleteBlocksHonoursFairScheduler(t *testing.T) {
 		}
 	}
 }
+
+// A batch delete beside the same tenant's upload batch leaves that
+// batch's waiting marks alone: it claims its slots without a mark and
+// ends without clearing the tenant's.
+func TestDeleteBlocksKeepsTheTenantsWaitingMarks(t *testing.T) {
+	fair := NewFairScheduler(2, nil)
+	held, engine, blocks := heldRig(2, 2, Config{ConnsPerCloud: 5, Fair: fair, Tenant: "me"})
+	close(held[0].release)
+	close(held[1].release)
+	// The tenant's upload batch waits for c0, whose whole budget another
+	// tenant holds.
+	if !fair.Acquire("c0", "other") || !fair.Acquire("c0", "other") || fair.Acquire("c0", "me") {
+		t.Fatal("setup: c0 not held by the other tenant")
+	}
+	var onC1 []BlockRef
+	for _, b := range blocks {
+		if b.Cloud == "c1" {
+			onC1 = append(onC1, b)
+		}
+	}
+	if n := engine.DeleteBlocks(context.Background(), onC1); n != len(onC1) {
+		t.Fatalf("deleted %d of %d", n, len(onC1))
+	}
+	fair.Release("c0", "other")
+	// The freed slot is still reserved for the waiting batch.
+	if fair.Acquire("c0", "other") {
+		t.Fatal("the batch delete cleared the tenant's waiting mark on c0")
+	}
+	if !fair.Acquire("c0", "me") {
+		t.Fatal("the waiting tenant was refused its reserved slot")
+	}
+}

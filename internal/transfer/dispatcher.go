@@ -62,6 +62,11 @@ type dispatcher struct {
 	// act on what is in flight (hedging) and returns when to be asked
 	// again, nil for never.
 	wake func() <-chan time.Time
+	// unmarked batches (deletes) claim shared slots without leaving a
+	// waiting mark, and so have none to clear when they end: a tenant's
+	// batch delete may run beside its upload batch, whose marks it must
+	// not clear (FairScheduler.EndBatch clears every mark of a tenant).
+	unmarked bool
 }
 
 // newDispatcher returns a dispatcher for a batch of the given number
@@ -162,7 +167,14 @@ func (d *dispatcher) publish(cloudName string) {
 // records the refusal. Always true without a shared scheduler.
 func (d *dispatcher) acquireFair(cloudName string) bool {
 	f := d.e.cfg.Fair
-	if f == nil || f.Acquire(cloudName, d.e.cfg.Tenant) {
+	if f == nil {
+		return true
+	}
+	acquire := f.Acquire
+	if d.unmarked {
+		acquire = f.TryAcquire
+	}
+	if acquire(cloudName, d.e.cfg.Tenant) {
 		return true
 	}
 	d.fairDenied = true
@@ -184,7 +196,7 @@ func (d *dispatcher) releaseFair(cloudName string) {
 // one result at a time.
 func (d *dispatcher) run(ctx context.Context, dispatch func(), handle func(result)) {
 	fair := d.e.cfg.Fair
-	if fair != nil {
+	if fair != nil && !d.unmarked {
 		defer fair.EndBatch(d.e.cfg.Tenant)
 	}
 	redispatch := func() {

@@ -197,7 +197,10 @@ type BlockRef struct {
 // transfers: at most ConnsPerCloud in flight per cloud, each holding a
 // shared-scheduler slot when one is configured — a delete is one Web
 // API latency, so a pass that drops a large file's segments would
-// otherwise wait for them one after another. Individual failures are
+// otherwise wait for them one after another. A refused slot leaves no
+// waiting mark (FairScheduler.TryAcquire): the deletes may run beside
+// the same tenant's next upload batch, and ending them clears none of
+// its marks. Individual failures are
 // ignored (orphaned blocks are garbage-collected by later passes) and a
 // delete is tried once. Once ctx is done no further request is
 // launched; the blocks not tried are counted under
@@ -205,6 +208,7 @@ type BlockRef struct {
 func (e *Engine) DeleteBlocks(ctx context.Context, blocks []BlockRef) int {
 	reg := e.cfg.Obs
 	d := e.newDispatcher(len(blocks))
+	d.unmarked = true
 	for i, b := range blocks {
 		if _, ok := e.clouds[b.Cloud]; !ok {
 			reg.Counter("transfer.delete.unknown_cloud").Inc()

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tier-1 gate, runnable without make: vet, gofmt, the function-length
 # gate, the test-only options and API gate, build, full test suite,
-# the race detector over the concurrent data-plane packages, the
-# portable (non-assembly) kernels, the benchmark module, and the
-# shipped §3.2 output.
+# the race detector over the concurrent data-plane packages and,
+# repeated, over the lock hold's overlap tests, the portable
+# (non-assembly) kernels, the benchmark module, and the shipped §3.2
+# output.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -34,6 +35,9 @@ go test ./...
 echo "== go test -race (the packages in scripts/race_pkgs.txt)"
 # shellcheck disable=SC2046 # one argument per listed package
 go test -race $(grep -v '^#' scripts/race_pkgs.txt)
+
+echo "== the hold's tail beside the next operation: the tests in scripts/overlap_tests.txt, go test -race -count=20"
+go test -race -count=20 -run "^($(grep -v '^#' scripts/overlap_tests.txt | paste -sd'|' -))\$" ./internal/qlock ./internal/core
 
 echo "== portable kernels: go test -tags purego, GOARCH=arm64 go vet (gf256, chunker)"
 go test -tags purego ./internal/gf256 ./internal/chunker

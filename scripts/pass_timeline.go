@@ -25,9 +25,13 @@
 // (the flag deletes a chain outside the quorum sends as it ends; see
 // holdEnd); the release wave, start → end, and its clouds (every other
 // flag delete of the round); and the deletes of the blocks the commit
-// released, first start → last end. The closing lines are medians over
-// the passes, so a parent/change pair of traced runs shows where a
-// saving sits.
+// released, first start → last end. Last, the pass's end against its
+// hold's end (the last release or block delete to end) and the tail:
+// how far the hold ran past the pass. The harness tags a request with
+// the pass running when it started; the release and block deletes a
+// hold's tail sends after its pass returned are handed back to that
+// pass (holdsOwn). The closing lines are medians over the passes, so a
+// parent/change pair of traced runs shows where a saving sits.
 package main
 
 import (
@@ -41,6 +45,7 @@ import (
 
 type span struct {
 	Pass       int64
+	Dev        string
 	Layer, Op  string
 	Cloud      string
 	Path       string
@@ -50,6 +55,7 @@ type span struct {
 type pass struct {
 	ID         int64
 	Kind       string
+	Dev        string
 	Start, End int64
 }
 
@@ -79,7 +85,7 @@ func main() {
 	}
 	byPass := make(map[int64][]span)
 	lockClouds := make(map[string]bool)
-	for _, s := range doc.Spans {
+	for _, s := range holdsOwn(doc.Spans) {
 		byPass[s.Pass] = append(byPass[s.Pass], s)
 		if s.Layer == "qlock" {
 			lockClouds[s.Cloud] = true
@@ -141,12 +147,15 @@ func main() {
 			fmt.Printf("  stamps landed  %8.1f\n", ms(stamped))
 			add("stamps landed", ms(stamped))
 		}
+		var release []span
 		if len(rs) > 0 {
-			shed, release := holdEnd(locks, rs[len(rs)-1], quorum)
+			var shed []span
+			shed, release = holdEnd(locks, rs[len(rs)-1], quorum)
 			wave("shed deletes", shed, ms, add)
 			wave("release wave", release, ms, add)
 		}
 		wave("block deletes", gc, ms, add)
+		tailLine(p, append(release, gc...), ms, add)
 	}
 	names := make([]string, 0, len(cols))
 	for n := range cols {
@@ -159,6 +168,70 @@ func main() {
 		sort.Float64s(v)
 		fmt.Printf("  %-34s %8.1f  (n=%d)\n", n, v[len(v)/2], len(v))
 	}
+}
+
+// holdsOwn hands every request of a hold's tail back to the commit pass
+// whose hold it is. The harness tags a request with the pass running
+// when it started, and a hold's release and block deletes may start
+// after its pass has returned, inside the device's next pass or
+// another device's: a lock flag delete goes to the pass whose round
+// uploaded that flag, and a block delete to the last pass of its
+// device to have started its metadata writes before it (a pass joins
+// the last hold's tail before it writes).
+func holdsOwn(spans []span) []span {
+	owner := make(map[string]int64) // lock flag path -> the pass that uploaded it
+	type mark struct{ at, pass int64 }
+	first := make(map[int64]mark) // pass -> its first metadata write
+	dev := make(map[int64]string)
+	for _, s := range spans {
+		switch {
+		case s.Pass == 0:
+		case s.Layer == "qlock" && s.Op == "upload":
+			owner[s.Path] = s.Pass
+		case strings.HasPrefix(s.Layer, "deltasync.") && s.Op == "upload":
+			if m, ok := first[s.Pass]; !ok || s.Start < m.at {
+				first[s.Pass], dev[s.Pass] = mark{s.Start, s.Pass}, s.Dev
+			}
+		}
+	}
+	writes := make(map[string][]mark) // device -> its passes' first metadata writes, by time
+	for id, m := range first {
+		writes[dev[id]] = append(writes[dev[id]], m)
+	}
+	for _, ms := range writes {
+		sort.Slice(ms, func(i, j int) bool { return ms[i].at < ms[j].at })
+	}
+	out := make([]span, len(spans))
+	for i, s := range spans {
+		switch {
+		case s.Layer == "qlock" && s.Op == "delete" && owner[s.Path] != 0:
+			s.Pass = owner[s.Path]
+		case s.Layer == "transfer.block" && s.Op == "delete":
+			ms := writes[s.Dev]
+			if j := sort.Search(len(ms), func(j int) bool { return ms[j].at > s.Start }); j > 0 {
+				s.Pass = ms[j-1].pass
+			}
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// tailLine prints the pass's end against its hold's — the last release
+// or block delete to end — and how far the hold ran past the pass (its
+// tail; zero when the pass waited for it).
+func tailLine(p pass, hold []span, ms func(int64) float64, add func(string, float64)) {
+	if len(hold) == 0 {
+		return
+	}
+	end := hold[0].End
+	for _, s := range hold {
+		end = max(end, s.End)
+	}
+	past := max(0, ms(end)-ms(p.End))
+	fmt.Printf("  pass end %8.1f, hold end %.1f: tail past the pass %.1f\n", ms(p.End), ms(end), past)
+	add("hold end", ms(end))
+	add("tail past the pass", past)
 }
 
 // blockLines prints a pass's block-upload lines and returns the merged
