@@ -98,12 +98,12 @@ fuzz:
 cover:
 	./scripts/cover.sh
 
-# The portable fallbacks of the assembly kernels (gf256's word
-# kernels, chunker's crypto/sha1 path): tested on this machine with the
-# purego tag, and vetted for a platform with no assembly at all.
+# The portable fallback of gf256's assembly kernels (its word
+# kernels): tested on this machine with the purego tag, and vetted for
+# a platform with no assembly at all.
 portable:
-	$(GO) test -tags purego ./internal/gf256 ./internal/chunker
-	GOARCH=arm64 $(GO) vet ./internal/gf256 ./internal/chunker
+	$(GO) test -tags purego ./internal/gf256
+	GOARCH=arm64 $(GO) vet ./internal/gf256
 
 # The end-to-end benchmark harness (BENCHMARK.json) is its own module,
 # so ./... neither builds nor tests it and a core API change could

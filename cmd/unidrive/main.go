@@ -117,9 +117,11 @@ func run(args []string) error {
 		return err
 	}
 	client, folder := d.client, d.folder
-	if restored, reason, err := client.LoadState(); err == nil && restored {
+	if restored, reason, err := client.LoadState(); err != nil {
+		return err
+	} else if restored {
 		fmt.Println("restored previous sync state")
-	} else if err == nil && reason != core.ColdStartFresh {
+	} else if reason != core.ColdStartFresh {
 		fmt.Printf("cold start (%s): rescanning the whole folder\n", reason)
 	}
 	if rec, err := client.Recover(ctx); err != nil {

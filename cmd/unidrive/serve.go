@@ -156,9 +156,11 @@ func runServe(args []string) error {
 		}
 		// Same cold-start path as single-tenant mode: restore the
 		// checkpoint, replay crash intents.
-		if restored, reason, err := tn.Client().LoadState(); err == nil && restored {
+		if restored, reason, err := tn.Client().LoadState(); err != nil {
+			return fmt.Errorf("tenant %s: %w", tc.ID, err)
+		} else if restored {
 			fmt.Printf("serve: tenant %s: restored previous sync state\n", tc.ID)
-		} else if err == nil && reason != core.ColdStartFresh {
+		} else if reason != core.ColdStartFresh {
 			fmt.Printf("serve: tenant %s: cold start (%s), rescanning\n", tc.ID, reason)
 		}
 		if rec, err := tn.Client().Recover(ctx); err != nil {

@@ -7,8 +7,11 @@
 // boundaries depend only on nearby bytes, an insertion or edit shifts
 // the data but re-aligns within a segment or two — so only the edited
 // segments change identity, and everything else deduplicates. Segment
-// identity is the SHA-1 of the content ("segments with same content,
-// even from different files, will have the same file name").
+// identity is the hash of the content ("segments with same content,
+// even from different files, will have the same file name"). The paper
+// names segments by SHA-1; this implementation uses SHA-256, because a
+// SHA-1 collision would merge two different segments into one (see
+// DESIGN.md §1).
 //
 // Segment sizes are constrained to (0.5·θ, 1.5·θ) for a tunable target
 // θ — small boundaries are skipped (merging small neighbours) and a
@@ -19,15 +22,12 @@
 //
 // SegmentID is the one place a segment is named, and every content
 // check (chunking, the decode check, the scrubber, the on-disk
-// comparison of a plan) goes through it. On amd64 with the SHA
-// extensions it runs a SHA-NI block function (sha1_amd64.s), about
-// 1.8× crypto/sha1; elsewhere, or built with the purego tag, it is
-// crypto/sha1. Both give the same digest, so a segment's name does not
-// depend on the machine that named it. IDs names many segments at once
-// on every core.
+// comparison of a plan) goes through it. IDs names many segments at
+// once on every core.
 package chunker
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math/bits"
@@ -45,11 +45,11 @@ type Segment struct {
 	Data []byte
 }
 
-// SegmentID returns the hex SHA-1 of data — the segment's name in the
-// multi-cloud (paper: "indexed by the SHA-1 hash of all their
-// content").
+// SegmentID returns the hex SHA-256 of data — the segment's name in
+// the multi-cloud (paper: "indexed by the SHA-1 hash of all their
+// content", with SHA-256 in SHA-1's place).
 func SegmentID(data []byte) string {
-	d := sum(data)
+	d := sha256.Sum256(data)
 	return hex.EncodeToString(d[:])
 }
 

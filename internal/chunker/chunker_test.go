@@ -180,8 +180,8 @@ func TestIdenticalContentSameID(t *testing.T) {
 	if a == SegmentID([]byte("other bytes")) {
 		t.Fatal("different content produced equal IDs")
 	}
-	if len(a) != 40 {
-		t.Fatalf("ID length %d, want 40 hex chars (SHA-1)", len(a))
+	if len(a) != 64 {
+		t.Fatalf("ID length %d, want 64 hex chars (SHA-256)", len(a))
 	}
 }
 

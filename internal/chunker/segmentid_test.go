@@ -1,7 +1,7 @@
 package chunker
 
 import (
-	"crypto/sha1"
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -9,18 +9,16 @@ import (
 	"testing"
 )
 
-// checkSegmentIDs holds SegmentID to crypto/sha1 on every length
-// 0–2048 (each padding case: tails of 0–63 bytes, one or two final
-// blocks) and on random unaligned slices of up to 8 MB.
-func checkSegmentIDs(t *testing.T) {
-	t.Helper()
+// TestSegmentIDMatchesSHA256 holds SegmentID to crypto/sha256 on every
+// length 0–2048 and on random unaligned slices of up to 8 MB.
+func TestSegmentIDMatchesSHA256(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	buf := make([]byte, 8<<20+64)
 	rng.Read(buf)
 	for n := 0; n <= 2048; n++ {
 		data := buf[n%61 : n%61+n]
 		if got, want := SegmentID(data), referenceID(data); got != want {
-			t.Fatalf("len %d: SegmentID = %s, crypto/sha1 = %s", n, got, want)
+			t.Fatalf("len %d: SegmentID = %s, crypto/sha256 = %s", n, got, want)
 		}
 	}
 	for i := 0; i < 12; i++ {
@@ -28,24 +26,22 @@ func checkSegmentIDs(t *testing.T) {
 		off := rng.Intn(len(buf) - n + 1)
 		data := buf[off : off+n]
 		if got, want := SegmentID(data), referenceID(data); got != want {
-			t.Fatalf("slice [%d:+%d]: SegmentID = %s, crypto/sha1 = %s", off, n, got, want)
+			t.Fatalf("slice [%d:+%d]: SegmentID = %s, crypto/sha256 = %s", off, n, got, want)
 		}
 	}
 }
 
 func referenceID(data []byte) string {
-	d := sha1.Sum(data)
+	d := sha256.Sum256(data)
 	return hex.EncodeToString(d[:])
 }
 
-func TestSegmentIDMatchesSHA1(t *testing.T) { checkSegmentIDs(t) }
-
-// FuzzSegmentID holds SegmentID to crypto/sha1 on arbitrary input.
+// FuzzSegmentID holds SegmentID to crypto/sha256 on arbitrary input.
 func FuzzSegmentID(f *testing.F) {
 	f.Add([]byte("abc"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if got, want := SegmentID(data), referenceID(data); got != want {
-			t.Fatalf("len %d: SegmentID = %s, crypto/sha1 = %s", len(data), got, want)
+			t.Fatalf("len %d: SegmentID = %s, crypto/sha256 = %s", len(data), got, want)
 		}
 	})
 }

@@ -104,7 +104,7 @@ var (
 	ErrCircuitOpen = errors.New("cloud: circuit breaker open")
 	// ErrCorrupt reports that a downloaded block's content failed its
 	// integrity check (CRC-32C mismatch against the checksum stamped
-	// in metadata, or reconstructed bytes failing the segment SHA-1).
+	// in metadata, or reconstructed bytes failing the segment SHA-256).
 	// Blocks are immutable, so retrying the same copy cannot help —
 	// the block must be re-fetched from a different cloud and the bad
 	// copy repaired by the scrubber.

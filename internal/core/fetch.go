@@ -31,11 +31,11 @@ import (
 //     are re-routed inside the batch). The moment a segment's K-th
 //     block lands the dispatcher hands the blocks to a decode worker
 //     and goes back to its connections; at most GOMAXPROCS workers
-//     decode and SHA-1-verify at once, while later segments still
+//     decode and SHA-256-verify at once, while later segments still
 //     transfer;
 //   - a plan the batch could not complete is classified once
 //     (unrecoverable);
-//   - a segment whose decoded bytes fail the content SHA-1 gets one
+//   - a segment whose decoded bytes fail the content SHA-256 gets one
 //     replacement fetch that excludes the indicted blocks (refetch),
 //     after the batch and its workers have returned.
 //
@@ -189,7 +189,7 @@ func downloadItem(seg *meta.Segment, excluded map[int]bool) (transfer.DownloadIt
 }
 
 // errDecodeMismatch reports decoded segment bytes failing the content
-// SHA-1. Internal only: fetchVerified retries once on a replacement
+// SHA-256. Internal only: fetchVerified retries once on a replacement
 // block set and surfaces cloud.ErrCorrupt if that fails too.
 var errDecodeMismatch = errors.New("core: decoded segment fails content verification")
 

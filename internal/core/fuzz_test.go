@@ -54,7 +54,7 @@ func FuzzLoadState(f *testing.F) {
 			return deltas[n-1], nil
 		}
 		st, reason, err := restoreCheckpoint(fuzzDevice, base, read)
-		if err != nil && !errors.Is(err, meta.ErrUnstamped) {
+		if err != nil && !errors.Is(err, meta.ErrOldFormat) {
 			t.Fatalf("restoreCheckpoint: %v", err)
 		}
 		if err != nil || reason != "" {

@@ -150,9 +150,10 @@ type checkpointState struct {
 // the private prefix, so the log is probed 1, 2, … until the first
 // missing file. reason is a ColdStart* constant when the base cannot
 // be used; a bad delta never discards the base, it ends the replay at
-// the last state the files chain to. Metadata predating the integrity
-// format, in the base or in a delta, is neither: it is refused with
-// meta.ErrUnstamped, for the folder to be re-synced.
+// the last state the files chain to. Metadata in an old format (no
+// block checksums, or segments named by SHA-1), in the base or in a
+// delta, is neither: it is refused with meta.ErrOldFormat, for the
+// folder to be re-synced.
 func restoreCheckpoint(device string, base []byte, readDelta func(n int) ([]byte, error)) (st checkpointState, reason string, err error) {
 	var ps persistentState
 	if err := json.Unmarshal(base, &ps); err != nil {
@@ -165,7 +166,7 @@ func restoreCheckpoint(device string, base []byte, readDelta func(n int) ([]byte
 		return st, ColdStartForeignDevice, nil
 	}
 	img, err := meta.DecodeImage(ps.Image)
-	if errors.Is(err, meta.ErrUnstamped) {
+	if errors.Is(err, meta.ErrOldFormat) {
 		return st, "", err
 	}
 	if err != nil {
@@ -188,7 +189,7 @@ func restoreCheckpoint(device string, base []byte, readDelta func(n int) ([]byte
 			return st, "", err
 		}
 		d, err := decodeStateDelta(data)
-		if errors.Is(err, meta.ErrUnstamped) {
+		if errors.Is(err, meta.ErrOldFormat) {
 			return st, "", err
 		}
 		if err != nil || len(d.Records) == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -581,7 +582,7 @@ func TestCheckpointBytesIndependentOfFolderSize(t *testing.T) {
 
 // TestLoadStateRefusesUnstampedMetadata pins the integrity format at
 // the checkpoint: a base image or a delta record naming a block
-// location without a checksum is refused with meta.ErrUnstamped, not
+// location without a checksum is refused with meta.ErrOldFormat, not
 // taken for a cold start or a torn delta, and nothing of it is adopted.
 func TestLoadStateRefusesUnstampedMetadata(t *testing.T) {
 	r := newRig(5)
@@ -628,8 +629,130 @@ func TestLoadStateRefusesUnstampedMetadata(t *testing.T) {
 			}
 			c := restartDevice(t, r, "alpha", fa)
 			restored, reason, err := c.LoadState()
-			if !errors.Is(err, meta.ErrUnstamped) || restored || reason != "" {
+			if !errors.Is(err, meta.ErrOldFormat) || restored || reason != "" {
 				t.Fatalf("LoadState = %v, %q, %v; want the ErrUnstamped refusal", restored, reason, err)
+			}
+			if v := c.Image().Version; v != 0 {
+				t.Fatalf("refused checkpoint adopted: v%d", v)
+			}
+		})
+	}
+}
+
+// TestSHA1NamedMetadataRefused pins segment names at every door
+// metadata comes in by: a cloud base, a cloud delta record and the
+// checkpoint (base and delta) naming a segment by 40 hex digits — the
+// SHA-1 names of the format before SHA-256 — are refused with
+// meta.ErrOldFormat. A refresh adopts nothing, a scrub neither
+// verifies nor repairs, and LoadState returns the error and restores
+// nothing.
+func TestSHA1NamedMetadataRefused(t *testing.T) {
+	// sha1Named renames every segment of im to 40 hex digits.
+	sha1Named := func(im *meta.Image) *meta.Image {
+		out := im.Clone()
+		for id, seg := range im.AllSegments() {
+			old := seg.Clone()
+			old.ID = id[:40]
+			out.DropSegments([]string{id})
+			out.UpsertSegment(old)
+		}
+		for _, e := range im.AllFiles() {
+			snap := e.Current().Clone()
+			for i, id := range snap.SegmentIDs {
+				snap.SegmentIDs[i] = id[:40]
+			}
+			out.SetSnapshot(snap)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		// refs is how many times the committed file names its one
+		// SHA-1 segment: enough records rotate the cloud base.
+		refs   int
+		rotate bool
+	}{{"cloud delta", 1, false}, {"cloud base", 400, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(5)
+			a, fa := r.device(t, "alpha")
+			b, _ := r.device(t, "beta")
+			writeFile(t, fa, "f.txt", "current content")
+			syncOK(t, a)
+			syncOK(t, b)
+			seg, _ := a.Image().Segment(a.Image().SegmentIDs()[0])
+			old := seg.Clone()
+			old.ID = seg.ID[:40]
+			stats, err := a.stack.store.Commit(ctxT(t), []*meta.Change{{
+				Type: meta.ChangeAdd, Path: "g.txt", Time: time.Now(),
+				Snapshot: &meta.Snapshot{Path: "g.txt", Size: int64(tc.refs * old.Length), Device: "alpha",
+					SegmentIDs: slices.Repeat([]string{old.ID}, tc.refs)},
+				Segments: []*meta.Segment{old},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.BaseRotated != tc.rotate {
+				t.Fatalf("base rotated = %v, want %v", stats.BaseRotated, tc.rotate)
+			}
+			v := b.Image().Version
+			if _, err := b.SyncOnce(ctxT(t)); !errors.Is(err, meta.ErrOldFormat) {
+				t.Fatalf("beta SyncOnce = %v, want meta.ErrOldFormat", err)
+			}
+			if img := b.Image(); img.Version != v || img.Lookup("g.txt") != nil {
+				t.Fatalf("refused commit adopted: beta at v%d, was v%d", img.Version, v)
+			}
+			if img := b.stack.store.CachedShared(); img.Version != v {
+				t.Fatalf("refused commit cached: v%d, was v%d", img.Version, v)
+			}
+			if rep, err := b.Scrub(ctxT(t), true); !errors.Is(err, meta.ErrOldFormat) {
+				t.Fatalf("beta Scrub = %+v, %v; want meta.ErrOldFormat, nothing verified or repaired", rep, err)
+			}
+		})
+	}
+
+	r := newRig(5)
+	a, fa := r.device(t, "alpha")
+	writeFile(t, fa, "f.txt", "current content")
+	syncOK(t, a)
+	settle(t, a)
+	img := a.Image()
+	oldBase, err := encodeStateBase("alpha", time.Now(), sha1Named(img), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodBase, err := encodeStateBase("alpha", time.Now(), img, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segID := img.SegmentIDs()[0]
+	seg, _ := img.Segment(segID)
+	old := seg.Clone()
+	old.ID = segID[:40]
+	oldDelta, err := encodeStateDelta(&stateDelta{Records: []deltasync.Record{{
+		Version: img.Version + 1, Device: "alpha",
+		Changes: []*meta.Change{{Type: meta.ChangeRelocate, Path: old.ID, Segments: []*meta.Segment{old}}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		base, delta []byte
+	}{{"checkpoint base", oldBase, nil}, {"checkpoint delta", goodBase, oldDelta}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := fa.WriteFile(statePath, tc.base, time.Now()); err != nil {
+				t.Fatal(err)
+			}
+			_ = fa.Remove(deltaPath(1))
+			if tc.delta != nil {
+				if err := fa.WriteFile(deltaPath(1), tc.delta, time.Now()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := restartDevice(t, r, "alpha", fa)
+			restored, reason, err := c.LoadState()
+			if !errors.Is(err, meta.ErrOldFormat) || restored || reason != "" {
+				t.Fatalf("LoadState = %v, %q, %v; want the ErrOldFormat refusal", restored, reason, err)
 			}
 			if v := c.Image().Version; v != 0 {
 				t.Fatalf("refused checkpoint adopted: v%d", v)

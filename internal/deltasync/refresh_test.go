@@ -392,7 +392,7 @@ func totalDownloads(recorders []*cloudsim.Recorder) int {
 // TestRefreshRefusesUnstampedMetadata pins the integrity format at the
 // cloud door: a commit naming a block location without a checksum —
 // in the delta tail, or rotated into the base — is refused by a reader
-// with meta.ErrUnstamped, and the reader keeps the image it had.
+// with meta.ErrOldFormat, and the reader keeps the image it had.
 func TestRefreshRefusesUnstampedMetadata(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -421,8 +421,8 @@ func TestRefreshRefusesUnstampedMetadata(t *testing.T) {
 			if stats.BaseRotated != tc.rotate {
 				t.Fatalf("base rotated = %v, want %v", stats.BaseRotated, tc.rotate)
 			}
-			if _, err := s2.Refresh(ctx); !errors.Is(err, meta.ErrUnstamped) {
-				t.Fatalf("refresh = %v, want meta.ErrUnstamped", err)
+			if _, err := s2.Refresh(ctx); !errors.Is(err, meta.ErrOldFormat) {
+				t.Fatalf("refresh = %v, want meta.ErrOldFormat", err)
 			}
 			if img := s2.CachedShared(); img.Version != 1 || img.Lookup("b.txt") != nil {
 				t.Fatalf("refused commit adopted: cached v%d", img.Version)

@@ -13,10 +13,8 @@ func mulAddVecAVX2(lo, hi *[16]byte, src, dst *byte, n int)
 //go:noescape
 func mulVecAVX2(lo, hi *[16]byte, src, dst *byte, n int)
 
-// CPUID executes the CPUID instruction for leaf op, subleaf subop. It
-// is this module's one feature probe: chunker's SHA-1 kernel asks it
-// too.
-func CPUID(op, subop uint32) (eax, ebx, ecx, edx uint32)
+// cpuid executes the CPUID instruction for leaf op, subleaf subop.
+func cpuid(op, subop uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
@@ -24,11 +22,11 @@ func xgetbv0() (eax, edx uint32)
 // bit itself, plus OSXSAVE/AVX and the OS actually saving the XMM+YMM
 // state across context switches.
 func detectAVX2() bool {
-	maxID, _, _, _ := CPUID(0, 0)
+	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
 		return false
 	}
-	_, _, ecx1, _ := CPUID(1, 0)
+	_, _, ecx1, _ := cpuid(1, 0)
 	const osxsave = 1 << 27
 	const avx = 1 << 28
 	if ecx1&osxsave == 0 || ecx1&avx == 0 {
@@ -37,7 +35,7 @@ func detectAVX2() bool {
 	if eax, _ := xgetbv0(); eax&6 != 6 { // XMM and YMM state enabled
 		return false
 	}
-	_, ebx7, _, _ := CPUID(7, 0)
+	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&(1<<5) != 0 // AVX2
 }
 

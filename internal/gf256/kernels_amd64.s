@@ -73,8 +73,8 @@ setloop:
 	VZEROUPPER
 	RET
 
-// func CPUID(op, subop uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·CPUID(SB), NOSPLIT, $0-24
+// func cpuid(op, subop uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL op+0(FP), AX
 	MOVL subop+4(FP), CX
 	CPUID

@@ -27,7 +27,7 @@
 package journal
 
 import (
-	"crypto/sha1"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -130,10 +130,10 @@ func (in *Intent) SegmentIDs() []string {
 }
 
 // BatchID derives the upload-intent ID for a change batch: the hex
-// SHA-1 over the ordered, encoded changes. Identical batches (a
+// SHA-256 over the ordered, encoded changes. Identical batches (a
 // requeued retry) map to the same intent.
 func BatchID(changes []*meta.Change) string {
-	h := sha1.New()
+	h := sha256.New()
 	for _, ch := range changes {
 		if data, err := ch.Encode(); err == nil {
 			h.Write(data)
@@ -162,7 +162,9 @@ type Journal struct {
 // journal; an unparseable one (possible only on folders without
 // durable writes) is reported via recovered=false with the journal
 // reset to empty, so a damaged record degrades to the pre-journal
-// behavior instead of wedging the client.
+// behavior instead of wedging the client. A journal whose changes are
+// in an old metadata format is refused with meta.ErrOldFormat and left
+// in place: the folder must be re-synced.
 func Open(folder localfs.Folder) (j *Journal, recovered bool, err error) {
 	j = &Journal{folder: folder, intents: make(map[string]*Intent)}
 	data, err := folder.ReadFile(Path)
@@ -173,7 +175,9 @@ func Open(folder localfs.Folder) (j *Journal, recovered bool, err error) {
 		return nil, false, fmt.Errorf("journal: reading %s: %w", Path, err)
 	}
 	var f journalFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	if err := json.Unmarshal(data, &f); errors.Is(err, meta.ErrOldFormat) {
+		return nil, false, fmt.Errorf("journal: %s: %w", Path, err)
+	} else if err != nil {
 		_ = folder.Remove(Path)
 		return j, false, nil
 	}

@@ -158,6 +158,24 @@ func TestCorruptJournalResets(t *testing.T) {
 	}
 }
 
+// TestOldFormatJournalRefused: a journal left by a version that named
+// segments by SHA-1 is refused with the re-sync error, not reset as
+// damaged, and stays on disk.
+func TestOldFormatJournalRefused(t *testing.T) {
+	f := localfs.NewMem()
+	old := `{"intents":[{"id":"b1","kind":"upload","state":"uploading","changes":[{"type":1,"path":"f",` +
+		`"segments":[{"id":"a9993e364706816aba3e25717850c26c9cd0d89d","blocks":[{"blockId":0,"cloudId":"c1","crc":5}]}]}]}]}`
+	if err := f.WriteFile(Path, []byte(old), time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(f); !errors.Is(err, meta.ErrOldFormat) {
+		t.Fatalf("Open = %v, want meta.ErrOldFormat", err)
+	}
+	if data, err := f.ReadFile(Path); err != nil || string(data) != old {
+		t.Fatalf("refused journal not left in place: %v", err)
+	}
+}
+
 func TestErrorsOnUnknownIntent(t *testing.T) {
 	j := mustOpen(t, localfs.NewMem())
 	if err := j.UpdatePlacements("nope", "seg", nil); err == nil {

@@ -91,16 +91,20 @@ func (c *Change) Validate() error {
 	return nil
 }
 
-// UnmarshalJSON decodes a change and refuses one whose segments name a
-// location without a checksum (ErrUnstamped): every persisted change —
-// a delta record, the local checkpoint's, a journal intent's — comes in
-// through here.
+// UnmarshalJSON decodes a change and refuses one in an old format
+// (ErrOldFormat): every persisted change — a delta record, the local
+// checkpoint's, a journal intent's — comes in through here.
 func (c *Change) UnmarshalJSON(data []byte) error {
 	type plain Change // the same fields, without this method
 	if err := json.Unmarshal(data, (*plain)(c)); err != nil {
 		return err
 	}
-	return checkStamped(c.Segments...)
+	if c.Snapshot != nil {
+		if err := checkIDs(c.Snapshot.SegmentIDs...); err != nil {
+			return err
+		}
+	}
+	return checkSegments(c.Segments...)
 }
 
 // Encode serializes the change as one JSON line (no trailing newline).

@@ -7,8 +7,9 @@ import (
 
 // FuzzDecodeImage feeds arbitrary bytes to the image decoder, the door
 // every base and checkpoint image comes in by. It must never panic; an
-// image it accepts names no location without a checksum, and encodes
-// to a fixed point: decoding its encoding encodes the same bytes.
+// image it accepts is in the current format (no location without a
+// checksum, no segment named by SHA-1), and encodes to a fixed point:
+// decoding its encoding encodes the same bytes.
 func FuzzDecodeImage(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":3,"device":"d","files":{"a":{"path":"a","snapshots":[{"path":"a","size":1,"modTime":"2024-01-02T03:04:05+01:00","device":"d","segmentIds":["s"]}]}},"segments":{"s":{"id":"s","length":1,"k":3,"n":10,"refCount":1,"blocks":[{"blockId":0,"cloudId":"c0","crc":7}]}}}`))
@@ -18,8 +19,15 @@ func FuzzDecodeImage(f *testing.F) {
 			return
 		}
 		for id, seg := range im.AllSegments() {
-			if err := checkStamped(seg); err != nil {
+			if err := checkSegments(seg); err != nil {
 				t.Fatalf("accepted segment %s: %v", id, err)
+			}
+		}
+		for p, e := range im.AllFiles() {
+			for _, snap := range e.Snapshots {
+				if err := checkIDs(snap.SegmentIDs...); err != nil {
+					t.Fatalf("accepted snapshot of %s: %v", p, err)
+				}
 			}
 		}
 		first, err := im.Encode()

@@ -45,25 +45,42 @@ type BlockLocation struct {
 	// Checksum is the CRC-32C of the block's content (see BlockSum),
 	// stamped at encode time and verified on every download. Every
 	// location carries one: decoding refuses a location without it
-	// (ErrUnstamped).
+	// (ErrOldFormat).
 	Checksum uint32 `json:"crc,omitempty"`
 }
 
-// ErrUnstamped is the decoding error for metadata naming a block
-// location without a checksum: it predates the block-integrity format,
-// and the folder must be re-synced from its files.
-var ErrUnstamped = errors.New("meta: block location without a checksum: the metadata predates the integrity format; re-sync the folder")
+// ErrOldFormat is the decoding error for metadata written in a format
+// this version does not read: a block location without a checksum
+// (before the integrity format) or a segment named by its SHA-1
+// (before segments were named by SHA-256). Neither is guessed at: the
+// folder must be re-synced from its files.
+var ErrOldFormat = errors.New("meta: the metadata predates the current format; re-sync the folder")
 
-// checkStamped refuses segments naming a location without a checksum.
-func checkStamped(segs ...*Segment) error {
+// checkSegments refuses segments in an old format: named by SHA-1, or
+// naming a location without a checksum.
+func checkSegments(segs ...*Segment) error {
 	for _, s := range segs {
 		if s == nil {
 			continue // Change.Validate's to refuse
 		}
+		if err := checkIDs(s.ID); err != nil {
+			return err
+		}
 		for _, b := range s.Blocks {
 			if b.Checksum == 0 {
-				return fmt.Errorf("%w (segment %s, block %d on %s)", ErrUnstamped, s.ID, b.BlockID, b.CloudID)
+				return fmt.Errorf("%w (segment %s, block %d on %s has no checksum)", ErrOldFormat, s.ID, b.BlockID, b.CloudID)
 			}
+		}
+	}
+	return nil
+}
+
+// checkIDs refuses segment IDs of the SHA-1 era with ErrOldFormat: 40
+// hex digits, where chunker.SegmentID gives 64.
+func checkIDs(ids ...string) error {
+	for _, id := range ids {
+		if len(id) == 40 && strings.Trim(id, "0123456789abcdef") == "" {
+			return fmt.Errorf("%w (segment %s is named by SHA-1)", ErrOldFormat, id)
 		}
 	}
 	return nil
@@ -85,7 +102,7 @@ func BlockSum(data []byte) uint32 {
 
 // Segment describes one content-addressed segment in the pool.
 type Segment struct {
-	// ID is the hex SHA-1 of the segment content.
+	// ID is the hex SHA-256 of the segment content (chunker.SegmentID).
 	ID string `json:"id"`
 	// Length is the original (unpadded) segment length in bytes,
 	// needed to strip erasure-code padding on decode.
@@ -458,9 +475,8 @@ func (im *Image) UnmarshalJSON(data []byte) error {
 	im.files = &shardMap[*FileEntry]{}
 	im.segments = &shardMap[*Segment]{}
 	// A JSON null decodes to a nil pointer, which every walker of the
-	// image would dereference, and a location without a checksum could
-	// not be verified: reject both here, at the one place outside bytes
-	// become an Image.
+	// image would dereference, and an old format could not be verified:
+	// reject both here, at the one place outside bytes become an Image.
 	for p, e := range w.Files {
 		if e == nil {
 			return fmt.Errorf("meta: null entry for %q", p)
@@ -469,6 +485,9 @@ func (im *Image) UnmarshalJSON(data []byte) error {
 			if snap == nil {
 				return fmt.Errorf("meta: null snapshot in entry %q", p)
 			}
+			if err := checkIDs(snap.SegmentIDs...); err != nil {
+				return err
+			}
 		}
 		im.files.Put(p, e)
 	}
@@ -476,7 +495,7 @@ func (im *Image) UnmarshalJSON(data []byte) error {
 		if s == nil {
 			return fmt.Errorf("meta: null segment %q", id)
 		}
-		if err := checkStamped(s); err != nil {
+		if err := checkSegments(s); err != nil {
 			return err
 		}
 		im.segments.Put(id, s)

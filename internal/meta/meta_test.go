@@ -209,19 +209,53 @@ func TestDecodeRefusesUnstampedLocations(t *testing.T) {
 		`{"segments":{"s":{"id":"s","blocks":[{"blockId":0,"cloudId":"c1"}]}}}`,
 		`{"segments":{"s":{"id":"s","blocks":[{"blockId":0,"cloudId":"c1","crc":5},{"blockId":1,"cloudId":"c2","crc":0}]}}}`,
 	} {
-		if _, err := DecodeImage([]byte(data)); !errors.Is(err, ErrUnstamped) {
-			t.Errorf("DecodeImage(%s) = %v, want ErrUnstamped", data, err)
+		if _, err := DecodeImage([]byte(data)); !errors.Is(err, ErrOldFormat) {
+			t.Errorf("DecodeImage(%s) = %v, want ErrOldFormat", data, err)
 		}
 	}
 	var ch Change
-	if err := json.Unmarshal([]byte(`{"type":1,"path":"f","segments":[{"id":"s","blocks":[{"blockId":0,"cloudId":"c1"}]}]}`), &ch); !errors.Is(err, ErrUnstamped) {
-		t.Errorf("change decode = %v, want ErrUnstamped", err)
+	if err := json.Unmarshal([]byte(`{"type":1,"path":"f","segments":[{"id":"s","blocks":[{"blockId":0,"cloudId":"c1"}]}]}`), &ch); !errors.Is(err, ErrOldFormat) {
+		t.Errorf("change decode = %v, want ErrOldFormat", err)
 	}
-	if !strings.Contains(ErrUnstamped.Error(), "re-sync") {
-		t.Errorf("ErrUnstamped does not say to re-sync: %v", ErrUnstamped)
+	if !strings.Contains(ErrOldFormat.Error(), "re-sync") {
+		t.Errorf("ErrOldFormat does not say to re-sync: %v", ErrOldFormat)
 	}
 	if err := json.Unmarshal([]byte(`{"type":1,"path":"f","segments":[{"id":"s","blocks":[{"blockId":0,"cloudId":"c1","crc":5}]}]}`), &ch); err != nil {
 		t.Errorf("stamped change refused: %v", err)
+	}
+}
+
+// TestDecodeRefusesSHA1Names: a segment named by 40 hex digits, in an
+// image's pool or snapshot or in a change record, is the SHA-1 era's
+// and does not decode; other names, SHA-256's 64 digits included, do.
+func TestDecodeRefusesSHA1Names(t *testing.T) {
+	const sha1ID = "a9993e364706816aba3e25717850c26c9cd0d89d"
+	const sha256ID = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+	image := func(snapID, segID string) string {
+		return `{"files":{"f":{"path":"f","snapshots":[{"path":"f","segmentIds":["` + snapID + `"]}]}},` +
+			`"segments":{"` + segID + `":{"id":"` + segID + `","blocks":[{"blockId":0,"cloudId":"c1","crc":5}]}}}`
+	}
+	change := func(snapID, segID string) string {
+		return `{"type":1,"path":"f","snapshot":{"path":"f","segmentIds":["` + snapID + `"]},` +
+			`"segments":[{"id":"` + segID + `","blocks":[{"blockId":0,"cloudId":"c1","crc":5}]}]}`
+	}
+	for _, ids := range [][2]string{{sha1ID, sha1ID}, {sha1ID, sha256ID}, {sha256ID, sha1ID}} {
+		if _, err := DecodeImage([]byte(image(ids[0], ids[1]))); !errors.Is(err, ErrOldFormat) {
+			t.Errorf("DecodeImage naming %v = %v, want ErrOldFormat", ids, err)
+		}
+		var ch Change
+		if err := json.Unmarshal([]byte(change(ids[0], ids[1])), &ch); !errors.Is(err, ErrOldFormat) {
+			t.Errorf("change decode naming %v = %v, want ErrOldFormat", ids, err)
+		}
+	}
+	for _, id := range []string{sha256ID, "seg1", strings.Repeat("g", 40)} {
+		if _, err := DecodeImage([]byte(image(id, id))); err != nil {
+			t.Errorf("DecodeImage naming %q: %v", id, err)
+		}
+		var ch Change
+		if err := json.Unmarshal([]byte(change(id, id)), &ch); err != nil {
+			t.Errorf("change decode naming %q: %v", id, err)
+		}
 	}
 }
 

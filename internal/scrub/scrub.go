@@ -409,8 +409,8 @@ func (s *cycle) checkSegment(ctx context.Context, seg *meta.Segment) (*segDamage
 }
 
 // reconstruct decodes the segment content from K verified copies,
-// SHA-1 verifies the result against the segment's content address and
-// leaves it in d with its block source, ready to be re-encoded; the
+// checks the result against the segment's content address (SegmentID)
+// and leaves it in d with its block source, ready to be re-encoded; the
 // caller must release d.
 func (s *Scrubber) reconstruct(d *segDamage) bool {
 	seg := d.seg

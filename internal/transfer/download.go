@@ -50,7 +50,7 @@ type DownloadItem struct {
 	// and re-planned onto another holder — instead of being handed to
 	// the caller. Every block a committed location names is in the
 	// map: the metadata decoder refuses a location without a checksum
-	// (meta.ErrUnstamped). A block absent from it — an engine caller
+	// (meta.ErrOldFormat). A block absent from it — an engine caller
 	// holding no metadata, such as a benchmark — passes unverified.
 	Sums map[int]uint32
 }

@@ -39,9 +39,9 @@ go test -race $(grep -v '^#' scripts/race_pkgs.txt)
 echo "== the hold's tail beside the next operation: the tests in scripts/overlap_tests.txt, go test -race -count=20"
 go test -race -count=20 -run "^($(grep -v '^#' scripts/overlap_tests.txt | paste -sd'|' -))\$" ./internal/qlock ./internal/core
 
-echo "== portable kernels: go test -tags purego, GOARCH=arm64 go vet (gf256, chunker)"
-go test -tags purego ./internal/gf256 ./internal/chunker
-GOARCH=arm64 go vet ./internal/gf256 ./internal/chunker
+echo "== portable gf256 kernels: go test -tags purego, GOARCH=arm64 go vet"
+go test -tags purego ./internal/gf256
+GOARCH=arm64 go vet ./internal/gf256
 
 echo "== benchmarks/e2e (its own module): go vet, go test"
 (cd benchmarks/e2e && go vet . && go test .)

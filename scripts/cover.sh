@@ -21,9 +21,14 @@ internal/deltasync 85.0
 internal/chunker   90.0
 "
 PROFILE="${COVER_PROFILE:-/tmp/unidrive-cover.out}"
+LOG="$PROFILE.log"
 
-echo "== go test -coverprofile (all packages)"
-go test -coverprofile="$PROFILE" -coverpkg=./... ./... > /dev/null
+echo "== go test -coverprofile (all packages), output in $LOG"
+if ! go test -coverprofile="$PROFILE" -coverpkg=./... ./... > "$LOG" 2>&1; then
+	echo "FAIL: the instrumented test run failed:" >&2
+	grep -E -e '--- FAIL|^FAIL|^panic' "$LOG" >&2 || tail -n 20 "$LOG" >&2
+	exit 1
+fi
 
 echo "== per-package coverage"
 go tool cover -func="$PROFILE" | awk '
