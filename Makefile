@@ -40,8 +40,8 @@ test-race:
 
 # A lock hold's tail runs beside the device's next operation: the
 # overlap tests of qlock (a release or a withdraw beside another hold)
-# and core (a re-add, a crash, an off-cursor catch-up and a withdraw
-# beside the tail), repeated under the race detector; a few
+# and core (a re-add, a crash, an off-cursor catch-up, a withdraw and a
+# bulk pass's upload beside the tail), repeated under the race detector; a few
 # seconds in all. The list lives in scripts/overlap_tests.txt, which
 # scripts/check.sh reads too.
 OVERLAP_TESTS = $(shell grep -v '^\#' scripts/overlap_tests.txt | paste -sd'|' -)

@@ -140,9 +140,12 @@ func run(args []string) error {
 		}
 		printReport(rep)
 		if rep.LocalChanges > 0 {
-			// Blocks the upload landed after its commit are recorded by the
-			// device's next lock hold; without it the next start would
-			// reclaim them and leave the segments thin.
+			// The pass returns at its commit, and its upload runs on to
+			// reliability in the hold's tail. The blocks it lands after the
+			// commit are recorded by the device's next lock hold; without
+			// it the next start would reclaim them and leave the segments
+			// thin. A poll takes them only from an upload that has ended.
+			client.JoinTail()
 			if rep, err = client.SyncRemote(ctx); err != nil {
 				return err
 			}

@@ -432,6 +432,7 @@ func TestChaosQuotaExhaustionSoak(t *testing.T) {
 	if !committed {
 		t.Fatal("alpha never committed within 5 passes under quota exhaustion — hot loop or livelock")
 	}
+	settle(t, a) // the batch is settled in the hold's tail
 	if got := regA.Counter("core.commit.thin_segments").Value(); got == 0 {
 		t.Error("no thin-segment commits counted despite 3 exhausted clouds")
 	}

@@ -35,9 +35,11 @@ const (
 	// written: the folder is half old, half new.
 	CrashMidApply CrashPoint = "mid-apply"
 	// CrashInTail aborts a committing hold's tail before its block
-	// deletes: the pass has returned and moved v_o, the blocks its
-	// commit released are still on the clouds, and its intent is still
-	// committed, with the released segments journaled.
+	// deletes, cancelling a commit pass's upload batch still running
+	// there: the pass has returned and moved v_o, the blocks its commit
+	// released are still on the clouds, what its batch landed after the
+	// commit is named by no metadata, and its intent is still committed,
+	// with the released segments journaled.
 	CrashInTail CrashPoint = "in-tail"
 )
 

@@ -184,6 +184,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 				t.Fatal("the crash left no journal intent to replay")
 			}
 			syncOK(t, a2)
+			settle(t, a2) // the resumed commit's batch ends in its hold's tail
 			syncOK(t, a2) // records the placements the resumed commit's tail owes
 			syncOK(t, b)
 			syncOK(t, a2)
@@ -240,6 +241,7 @@ func TestPostCommitCrashAloneLeavesNoReleasedBlocks(t *testing.T) {
 	writeFile(t, fa, "keep.txt", "stable, edited by the crashed batch")
 	writeFile(t, fa, "doomed.txt", "deleted by the crashed batch")
 	syncOK(t, a)
+	settle(t, a) // the commit's batch ends in its hold's tail
 	syncOK(t, a) // records the placements the commit's tail owes
 
 	writeFile(t, fa, "keep.txt", "edited before the crash")

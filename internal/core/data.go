@@ -49,17 +49,16 @@ type uploadOutcome struct {
 	SegmentsUploaded int
 	// BytesUploaded is pre-coding content bytes of uploaded segments.
 	BytesUploaded int64
-	// OverProvisioned counts extra parity blocks uploaded.
-	OverProvisioned int
 }
 
 // uploadSession is one commit pass's upload: every new segment's plan
 // in ONE continuous batch on its own goroutine, availability first and
 // on to reliability (paper §6.2). The pass waits for the availability
-// instant, commits, and joins the batch; whether the commit overlaps
-// the batch's reliability tail is commitLocal's decision, and what the
-// tail lands after the commit is owed to the next lock hold (settle).
-// Every path out of the pass ends in close.
+// instant and commits; whether the commit overlaps the batch's
+// reliability tail is commitLocal's decision. A committed pass hands the
+// session to its hold's tail (finishUpload), which joins the batch, and
+// what the batch lands after the commit is owed to the next lock hold
+// (settle). Every path ends in close.
 type uploadSession struct {
 	c       *Client
 	plans   []sessionSegment
@@ -90,7 +89,15 @@ type sessionSegment struct {
 // queued for it ("all networking resources are immediately assigned to
 // the next file"), with over-provisioned extras until the batch is
 // available and the queued fair shares alone after that.
+//
+// A tenant has one open batch at the FairScheduler, whose EndBatch
+// clears all of the tenant's waiting marks: the last pass's batch, still
+// running in its hold's tail, is joined first (core.tail.upload_joins).
 func (c *Client) startUpload(ctx context.Context, changes []*meta.Change) (*uploadSession, error) {
+	if c.tail != nil && c.tail.upload != nil && c.tail.upload.running() {
+		c.cfg.Obs.Counter("core.tail.upload_joins").Inc()
+		c.joinTail()
+	}
 	s := &uploadSession{c: c, available: make(chan struct{}), done: make(chan struct{}), cancel: func() {}}
 	seen := make(map[string]bool)
 	for _, ch := range changes {
@@ -305,11 +312,10 @@ func (s *uploadSession) stamp(changes []*meta.Change) map[string]map[int]string 
 // settle compares the joined batch's final placements with what the
 // commit named and returns, by segment, the blocks that landed after
 // the stamp — the paper's callback-updated Cloud-ID fields, owed to the
-// device's next lock hold — plus the number of over-provisioned blocks
-// uploaded. Nothing when the commit already named the full placement.
-func (s *uploadSession) settle() (landed map[string][]meta.BlockLocation, overProvisioned int) {
+// device's next lock hold. Nothing when the commit already named the
+// full placement.
+func (s *uploadSession) settle() (landed map[string][]meta.BlockLocation) {
 	for _, p := range s.plans {
-		overProvisioned += p.plan.OverProvisioned()
 		placement := p.plan.Placement()
 		if len(placement) < s.c.normalTarget(p.seg) {
 			// The batch could not reach fair share — quota pressure left
@@ -328,7 +334,7 @@ func (s *uploadSession) settle() (landed map[string][]meta.BlockLocation, overPr
 				meta.BlockLocation{BlockID: blockID, CloudID: cloudName, Checksum: blockSum(p.src, blockID)})
 		}
 	}
-	return landed, overProvisioned
+	return landed
 }
 
 // ErrInsufficientCapacity reports that the clouds' remaining quota

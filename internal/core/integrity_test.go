@@ -318,6 +318,7 @@ func TestDecodeWorkersDeliverEachSegmentOnce(t *testing.T) {
 	content := randContent(601, 30_000)
 	writeFile(t, fa, "f.bin", content)
 	syncOK(t, a)
+	settle(t, a) // the commit's batch ends in its hold's tail
 	syncOK(t, a) // records the placements the commit's tail owes
 	segs := fileSegments(t, a, "f.bin")
 	if len(segs) < 4 {
@@ -475,6 +476,7 @@ func TestChaosCorruptionScrubSoak(t *testing.T) {
 		writeFile(t, fa, path, content)
 	}
 	syncOK(t, a)
+	settle(t, a) // the commit's batch ends in its hold's tail
 	syncOK(t, a) // records the placements the commit's tail owes
 
 	// The faulted device: shares the stores, owns its connectors.

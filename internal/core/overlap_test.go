@@ -39,10 +39,15 @@ func (g *gate) hold() {
 	g.ch = make(chan struct{})
 }
 
+// open lets requests through; opening an open gate does nothing.
 func (g *gate) open() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	close(g.ch)
+	select {
+	case <-g.ch:
+	default:
+		close(g.ch)
+	}
 }
 
 func (g *gate) opened() <-chan struct{} {
@@ -70,6 +75,14 @@ type tap struct {
 	mu          sync.Mutex
 	blocksHeld  int // block uploads to slow in flight right now
 	blocksAsked int // block uploads to slow that ever arrived
+	// park, when set (parkUntil), holds the block uploads of one segment
+	// to every cloud but spare until another segment has landed surplus
+	// blocks; landed counts the blocks landed by segment meanwhile.
+	park    string
+	spare   string
+	surplus int
+	parked  *gate
+	landed  map[string]int
 }
 
 func newTap(slow string) *tap {
@@ -79,6 +92,42 @@ func newTap(slow string) *tap {
 		stampAsked: make(chan struct{}, 1024), stampPut: make(chan struct{}, 1024),
 		blockAsked: make(chan struct{}, 1024), writeAsked: make(chan struct{}, 1024),
 	}
+}
+
+// parkUntil makes the extras flow: the block uploads of segment segID
+// to every cloud but spare (and the slow one, which the blocks gate
+// holds) wait until some other segment has landed surplus blocks.
+// Until then segID holds spare's blocks alone, fewer than K, so the
+// batch is not available and every cloud that has landed its fair share
+// of another segment is handed that segment's extras.
+func (tp *tap) parkUntil(segID, spare string, surplus int) {
+	tp.park, tp.spare, tp.surplus = segID, spare, surplus
+	tp.parked, tp.landed = newGate(), make(map[string]int)
+	tp.parked.hold()
+}
+
+// parkedUpload is a block upload to a cloud the blocks gate does not
+// hold, under parkUntil's rule.
+func (c *tappedCloud) parkedUpload(ctx context.Context, path string, data []byte) error {
+	tp := c.tap
+	segID, _, _ := meta.ParseBlockName(strings.TrimPrefix(path, transfer.DefaultBlockDir+"/"))
+	if segID == tp.park && c.Name() != tp.spare {
+		select {
+		case <-tp.parked.opened():
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	err := c.Interface.Upload(ctx, path, data)
+	if err == nil {
+		tp.mu.Lock()
+		tp.landed[segID]++
+		if segID != tp.park && tp.landed[segID] >= tp.surplus {
+			tp.parked.open()
+		}
+		tp.mu.Unlock()
+	}
+	return err
 }
 
 func (tp *tap) held() (inFlight, asked int) {
@@ -119,7 +168,11 @@ func (c *tappedCloud) Upload(ctx context.Context, path string, data []byte) erro
 			tp.stampPut <- struct{}{}
 		}
 		return err
-	case c.Name() != tp.slow || !strings.HasPrefix(path, transfer.DefaultBlockDir+"/"):
+	case !strings.HasPrefix(path, transfer.DefaultBlockDir+"/"):
+		return c.Interface.Upload(ctx, path, data)
+	case c.Name() != tp.slow && tp.park != "":
+		return c.parkedUpload(ctx, path, data)
+	case c.Name() != tp.slow:
 		return c.Interface.Upload(ctx, path, data)
 	}
 	tp.mu.Lock()
@@ -236,8 +289,9 @@ func segmentsOf(t *testing.T, img *meta.Image, path string) []*meta.Segment {
 // A multi-segment commit whose slowest cloud still has fair-share
 // blocks queued when the batch becomes available: the metadata commit
 // runs while that cloud's uploads are in flight and names only landed
-// blocks; the pass takes that one lock round and ends when its batch
-// joins, and the device's next lock hold records the final placement.
+// blocks; the pass takes that one lock round and ends at its commit, its
+// batch runs on in the hold's tail, and the device's next lock hold
+// records the final placement.
 func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	r := newRig(5)
 	tp := newTap("c4")
@@ -297,6 +351,7 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("the pass did not finish after the gate opened")
 	}
+	settle(t, a) // the batch ends in the hold's tail, which hands over what it owes
 	if got := reg.Counter("qlock.rounds").Value() - roundsBefore; got != 1 {
 		t.Errorf("the pass took %d lock rounds, want 1", got)
 	}

@@ -32,7 +32,8 @@ type owedPlacements struct {
 }
 
 // owe hands what a pass's batch landed after its stamp to the device's
-// next lock hold.
+// next lock hold; the pass's hold's tail settles the batch, and the
+// writer takes what it owes from there (takeOwed).
 func (c *Client) owe(intentID string, landed map[string][]meta.BlockLocation) {
 	if c.owed.blocks == nil {
 		c.owed.blocks = make(map[string][]meta.BlockLocation, len(landed))
@@ -42,6 +43,14 @@ func (c *Client) owe(intentID string, landed map[string][]meta.BlockLocation) {
 	}
 	c.owed.intents = append(c.owed.intents, intentID)
 	c.cfg.Obs.Gauge("core.placements.pending").Set(float64(len(c.owed.blocks)))
+}
+
+// owing reports whether placements are owed to the device's next lock
+// hold, taking first those of a batch that has ended in the last hold's
+// tail; a batch still running is left to run.
+func (c *Client) owing() bool {
+	c.takeOwed()
+	return len(c.owed.intents) > 0
 }
 
 // Owed placements count as held for every maintenance decision: a hold

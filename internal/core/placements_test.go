@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"unidrive/internal/chunker"
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/localfs"
@@ -18,12 +19,13 @@ import (
 // connections from alpha, whose clouds are behind tp (newTap("c4")),
 // with the block uploads to c4 held until the commit has landed, runs
 // meanwhile (when not nil) while they are still held, then lets them
-// go: the pass ends owing every segment's c4 share to alpha's next lock
-// hold.
+// go. The pass returns at its commit, with the gate still shut; once
+// its hold's tail is joined alpha owes every segment's c4 share to its
+// next lock hold.
 func owingPass(t *testing.T, r *rig, tp *tap, meanwhile func()) (*Client, *localfs.Mem, *obs.Registry, string) {
 	t.Helper()
 	a, fa, reg := r.tappedDevice(t, "alpha", tp)
-	big := randContent(17, 10*4096)
+	big := owedFile()
 	writeFile(t, fa, "big.bin", big)
 	tp.blocks.hold()
 	held := true
@@ -48,10 +50,31 @@ func owingPass(t *testing.T, r *rig, tp *tap, meanwhile func()) (*Client, *local
 	case <-time.After(20 * time.Second):
 		t.Fatal("the pass did not finish after the gate opened")
 	}
+	settle(t, a) // the batch ends in the hold's tail, which hands over what it owes
 	if got := reg.Gauge("core.placements.pending").Value(); got == 0 {
 		t.Fatal("the pass owes no placements: the test tests nothing")
 	}
 	return a, fa, reg, big
+}
+
+// owedFile is the content owingPass commits.
+func owedFile() string { return randContent(17, 10*4096) }
+
+// tailSettled reports whether the batch of the last commit pass's hold
+// tail, if it has one, has been settled: a polling pass takes what it
+// owes from here on.
+func tailSettled(c *Client) bool {
+	c.writer.Lock()
+	defer c.writer.Unlock()
+	if c.tail == nil || c.tail.upload == nil {
+		return true
+	}
+	select {
+	case <-c.tail.upload.settled:
+		return true
+	default:
+		return false
+	}
 }
 
 // owedBlocks counts the blocks the device owes to its next hold.
@@ -186,16 +209,15 @@ func TestOwedPlacementsRecordedByTheLoopsRemotePoll(t *testing.T) {
 	waitCond(t, "the watch event", func() bool { return reg.Counter("sync.watch.events").Value() >= 1 })
 	clk.Advance(time.Second) // past the settle window: the dirty pass commits
 	await(t, tp.stampPut, cloud.Quorum(len(r.stores)), "version stamps of the commit")
+	rounds := reg.Counter("qlock.rounds").Value()
 	tp.blocks.open()
-	waitCond(t, "the dirty pass to end owing", func() bool { return reg.Gauge("core.placements.pending").Value() > 0 })
+	waitCond(t, "the dirty pass's batch to be settled in its tail", func() bool { return tailSettled(a) })
 	time.Sleep(20 * time.Millisecond) // a turn of the loop: nothing is due before the poll
-	if got := reg.Gauge("core.placements.pending").Value(); got == 0 {
-		t.Fatal("the placements were recorded before the remote poll")
+	if got := reg.Counter("qlock.rounds").Value() - rounds; got != 0 {
+		t.Fatalf("%d lock rounds before the remote poll, want none", got)
 	}
 
-	rounds := reg.Counter("qlock.rounds").Value()
 	clk.Advance(time.Minute) // the remote poll is due
-	waitCond(t, "the poll to record them", func() bool { return reg.Gauge("core.placements.pending").Value() == 0 })
 	waitCond(t, "the poll to advance the view", func() bool {
 		for _, seg := range segmentsOf(t, a.Image(), "big.bin") {
 			if !seg.HasBlock(4, "c4") {
@@ -216,7 +238,16 @@ func TestOwedPlacementsRecordedByTheLoopsRemotePoll(t *testing.T) {
 func TestOwedPlacementsRebaseOverAConcurrentTrim(t *testing.T) {
 	r := newRig(5)
 	var trimmed []transfer.BlockRef
-	a, _, reg, _ := owingPass(t, r, newTap("c4"), func() {
+	// Whether the first commit names a block over the normal placement of
+	// five must not depend on how the machine schedules the uploads: one
+	// segment is parked until another has landed six blocks.
+	chnk, err := chunker.New(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := newTap("c4")
+	tp.parkUntil(chunker.IDs(chnk.Split([]byte(owedFile())))[0], "c0", 6)
+	a, _, reg, _ := owingPass(t, r, tp, func() {
 		b, _ := r.device(t, "beta")
 		syncOK(t, b)
 		before := b.Image()
@@ -303,6 +334,7 @@ func TestOwedPlacementsOfDeadSegmentsAreDeleted(t *testing.T) {
 		if got := reg.Counter("core.placements.dropped").Value(); got != int64(owed) {
 			t.Errorf("core.placements.dropped = %d, want the %d owed blocks", got, owed)
 		}
+		settle(t, a) // the overwrite's batch ends in its hold's tail
 		syncOK(t, a) // records what the overwrite owes, if anything
 		b, fb := r.device(t, "beta")
 		syncOK(t, b)

@@ -29,7 +29,10 @@ import (
 func TestSetCloudsKeepsTheWiring(t *testing.T) {
 	reg, fairReg := obs.NewRegistry(), obs.NewRegistry()
 	breakers := health.NewDefaultTracker(vclock.Real{}, 1, reg)
-	quota := capacity.NewDefaultTracker(vclock.Real{}, reg)
+	// The capacity tracker's clock moves only when the test says: a cloud
+	// it holds Full gets no block until the re-probe interval has passed.
+	quotaClock := vclock.NewManual(time.Unix(1_700_000_000, 0))
+	quota := capacity.NewDefaultTracker(quotaClock, reg)
 	fair := transfer.NewFairScheduler(transfer.DefaultConnsPerCloud, fairReg)
 
 	var clouds []cloud.Interface
@@ -76,6 +79,11 @@ func TestSetCloudsKeepsTheWiring(t *testing.T) {
 		t.Fatalf("capacity tracker saw %d quota rejections on c5, the cloud injected %d", got, want)
 	}
 	added.SetQuotaFull(false)
+	// The quota is lifted and the tracker's re-probe is due, so the next
+	// pass offers c5 its blocks. Without that its only request to c5 would
+	// be a version-stamp read beyond the quorum, whose failure the breaker
+	// may hear after the pass has returned.
+	quotaClock.Advance(capacity.ProbeInterval)
 
 	// A scripted outage trips its breaker, and the client routes around it.
 	added.SetDown(true)

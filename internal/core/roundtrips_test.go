@@ -243,7 +243,10 @@ func TestApplyingDeviceDeletesNoBlocks(t *testing.T) {
 	if _, err := a.SyncOnce(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.SyncRemote(ctxT(t)); err != nil { // records the placements the commit's tail owes
+	// The commit's batch ends in its hold's tail, and the poll records the
+	// placements it owes.
+	settle(t, a)
+	if _, err := a.SyncRemote(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
 	settle(t, a)
@@ -345,7 +348,10 @@ func TestOverwriteDeletesEveryDeadBlockOnce(t *testing.T) {
 	if _, err := c.SyncDirty(ctxT(t), []string{"big.bin"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SyncRemote(ctxT(t)); err != nil { // records the placements the commit's tail owes
+	// The batch ends in the hold's tail, and the poll records what it
+	// landed after the commit.
+	settle(t, c)
+	if _, err := c.SyncRemote(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
 	img := c.Image()

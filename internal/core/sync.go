@@ -32,10 +32,11 @@ type SyncReport struct {
 	// AvailableDuration is the time from the start of the pass until
 	// every committed file was AVAILABLE in the multi-cloud (K blocks
 	// per segment uploaded and metadata committed) — the paper's
-	// "available time" metric (§7.1). The pass itself runs longer: it
-	// also completes the upload to reliability, whose final placements
-	// the device's next lock hold records. Zero when no local changes
-	// were committed.
+	// "available time" metric (§7.1). The pass itself runs a little
+	// longer, to its commit's journal record and the apply stage. Its
+	// upload runs on to reliability in the hold's tail (tail.go), and the
+	// final placements are recorded by the device's next lock hold. Zero
+	// when no local changes were committed.
 	AvailableDuration time.Duration
 	// PlacementsRecorded is the number of segments whose final placement
 	// — blocks an earlier pass's upload landed after its commit was
@@ -51,8 +52,8 @@ type SyncReport struct {
 //	commit   upload, then under the quorum lock: refresh, plan, commit
 //	         (commitLocal); when there is nothing to commit, a stamp
 //	         poll, or the lock round that records owed placements. The
-//	         release and the released blocks' deletes run on in the
-//	         hold's tail (tail.go)
+//	         release, the upload's reliability second and the released
+//	         blocks' deletes run on in the hold's tail (tail.go)
 //	plan     (local changes, span v_o→v_c, folder) → []applyAction
 //	         (plan.go): its local side under the lock when the pass
 //	         commits, the whole plan on the live folder after release
@@ -246,7 +247,7 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 	switch {
 	case c.changes.Len() > 0:
 		local, head, err = c.commitLocal(ctx, &report)
-	case poll && len(c.owed.intents) > 0:
+	case poll && c.owing():
 		report.PlacementsRecorded, err = c.lockedCommit(ctx, c.stack, func(*meta.Image) ([]*meta.Change, error) {
 			return nil, nil
 		})
@@ -267,9 +268,10 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 // head their commit made. The pass's upload is one continuous batch
 // (startUpload); the metadata commit happens at its availability
 // instant — the files are available to other devices from here,
-// AvailableDuration marks this moment — and the pass ends when the
-// batch has finished. What the commit waits for depends on what the
-// batch still owes when it becomes available:
+// AvailableDuration marks this moment — and the pass ends at its
+// commit, handing the batch to the hold's tail (finishUpload). What the
+// commit waits for depends on what the batch still owes when it becomes
+// available:
 //
 //   - nothing queued, the rest of every fair share is in flight (a
 //     single small file): the pass waits those few blocks out and
@@ -277,9 +279,10 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 //   - fair-share blocks still queued behind busy connections (more
 //     segments than a cloud has connections): the commit names the
 //     blocks landed when it is built, thin where they are short of the
-//     target, and runs WHILE the reliability tail keeps uploading. What
-//     lands after that is owed to the device's next lock hold
-//     (placements.go), and the intent stays committed until then.
+//     target, and the reliability tail keeps uploading beside the commit
+//     and after the pass. What lands after the commit is owed to the
+//     device's next lock hold (placements.go), and the intent stays
+//     committed until then.
 //
 // Every pass therefore takes at most one lock round — the one that also
 // records what an earlier pass owes — and only landed blocks are ever
@@ -311,11 +314,16 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	if err != nil {
 		return nil, nil, err
 	}
-	// Whatever ends the pass — commit error, lost lock, injected crash,
-	// cancelled ctx — the batch is cancelled and drained before the
-	// coding buffers it reads go back to the pool, and a lock won is
-	// released.
-	defer session.close()
+	// Whatever ends the pass short of its commit — commit error, lost
+	// lock, injected crash, cancelled ctx — the batch is cancelled and
+	// drained before the coding buffers it reads go back to the pool, and
+	// a lock won is released. A committed pass hands the batch to its
+	// hold's tail instead (finishUpload).
+	defer func() {
+		if !ok {
+			session.close()
+		}
+	}()
 	var round *lockRound
 	early := session.small()
 	if early {
@@ -384,10 +392,7 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	}
 	report.AvailableDuration = commitDone.Sub(start) - waitedAlone(session.availAt, lockedAt, readyAt)
 	ok = true
-
-	if err := c.finishUpload(ctx, session, intentID, overlap, releasedBlocks(released), report); err != nil {
-		return nil, nil, err
-	}
+	c.finishUpload(ctx, session, intentID, overlap, releasedBlocks(released))
 	return changes, head, nil
 }
 
@@ -421,42 +426,50 @@ func (c *Client) beginUpload(changes []*meta.Change) (string, error) {
 	})
 }
 
-// finishUpload is a committing pass's reliability second: it waits for
-// the batch to finish, starts the deletes of the blocks its commit
-// released in the hold's tail, and owes the fair shares (and extras)
-// that landed after the commit's stamp to the device's next lock hold.
-// The intent stays committed until that hold records them; when nothing
-// landed after the stamp the pass is fully recorded, and the tail
-// clears the intent once the deletes have ended.
+// finishUpload hands a committed pass's batch to its hold's tail, the
+// paper's reliability second, and returns: the pass ends at its commit.
+// In the tail the batch runs on to every fair share and is settled: the
+// blocks it landed after the commit's stamp are owed to the device's
+// next lock hold, which takes them from the tail (takeOwed). Beside the
+// batch, from the commit on, the blocks the commit released are deleted:
+// none of them is the batch's, whose segments the commit names. The
+// intent is cleared once both have ended if nothing is owed; otherwise
+// it stays committed until the hold that records the owed blocks. The
+// coding buffers go back to the pool once the batch has been settled.
 //
-// The released blocks go after the join, the instant the batch's
-// connections are free, and before the intent is cleared, so a crash
-// in between leaves them to Recover's committed-upload branch. This
-// pass's hold is their only deleter: a device that applies the commit
-// deletes nothing.
-func (c *Client) finishUpload(ctx context.Context, session *uploadSession, intentID string, overlap bool, released []transfer.BlockRef, report *SyncReport) error {
-	committed := c.cfg.Clock.Now()
-	if err := session.join(); err != nil {
-		return err
-	}
-	if overlap {
-		tail := session.endAt.Sub(committed)
-		if tail < 0 {
-			tail = 0 // the batch finished under the commit
+// The batch keeps the pass's context: a shutdown stops it. A cancelled
+// batch, or a crash in the tail (CrashInTail: the batch is cancelled and
+// nothing deleted), leaves the intent committed with nothing owed, so a
+// crash anywhere after the commit leaves the same record: Recover
+// deletes the released blocks and the batch's blocks no metadata names.
+// This pass's hold is the released blocks' only deleter: a device that
+// applies the commit deletes nothing.
+func (c *Client) finishUpload(ctx context.Context, session *uploadSession, intentID string, overlap bool, released []transfer.BlockRef) {
+	up := &tailUpload{done: session.done, settled: make(chan struct{}), intent: intentID}
+	c.tail.upload = up
+	deletes := c.tailDeletes(ctx, released)
+	returned := c.cfg.Clock.Now()
+	c.tail.run(func() {
+		if c.crashNow(CrashInTail) {
+			session.close()
+			close(up.settled)
+			return
 		}
-		c.cfg.Obs.Histogram("core.commit.tail_ms").Observe(float64(tail) / float64(time.Millisecond))
-	}
-	landed, over := session.settle()
-	report.Upload.OverProvisioned = over
-	if len(landed) > 0 {
-		c.owe(intentID, landed)
-	}
-	c.deleteInTail(ctx, released, func() {
-		if len(landed) == 0 {
+		deleted := make(chan bool, 1)
+		go func() { deleted <- deletes() }()
+		err := session.join()
+		if err == nil {
+			if overlap {
+				c.cfg.Obs.Histogram("core.commit.tail_ms").Observe(float64(max(0, session.endAt.Sub(returned))) / float64(time.Millisecond))
+			}
+			up.landed = session.settle()
+		}
+		session.close()
+		close(up.settled)
+		if <-deleted && err == nil && len(up.landed) == 0 {
 			_ = c.journal.Clear(intentID)
 		}
 	})
-	return nil
 }
 
 // releaseLock starts releasing a quorum lock with a hard deadline, so

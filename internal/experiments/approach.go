@@ -127,9 +127,12 @@ func (u *uniDrive) put(ctx context.Context, files []workload.File) (time.Duratio
 			return 0, err
 		}
 	}
-	// The pass runs on into the background reliability phase, which the
-	// paper's figures do not count.
+	// The pass returns at its commit, and its upload runs on to
+	// reliability in the hold's tail, which the paper's figures do not
+	// count. put waits it out before it returns, so the next put or get
+	// does not share the network with it and traffic counts its blocks.
 	rep, err := u.src.Client.SyncOnce(ctx)
+	u.src.Client.JoinTail()
 	return rep.AvailableDuration, err
 }
 

@@ -421,17 +421,3 @@ func (p *UploadPlan) UploadedBlocks() []int {
 	sort.Ints(out)
 	return out
 }
-
-// OverProvisioned returns how many blocks beyond the normal set were
-// uploaded.
-func (p *UploadPlan) OverProvisioned() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for b := range p.uploaded {
-		if b >= p.params.NormalBlocks() {
-			n++
-		}
-	}
-	return n
-}

@@ -117,8 +117,14 @@ func TestOverProvisioningToFastClouds(t *testing.T) {
 		}
 		plan.Complete(c, b)
 	}
-	if plan.OverProvisioned() != 2 {
-		t.Fatalf("OverProvisioned = %d, want 2", plan.OverProvisioned())
+	extras := 0
+	for b := range plan.Placement() {
+		if b >= p.NormalBlocks() {
+			extras++
+		}
+	}
+	if extras != 2 {
+		t.Fatalf("%d over-provisioned blocks uploaded, want 2", extras)
 	}
 }
 

@@ -25,12 +25,14 @@
 // (the flag deletes a chain outside the quorum sends as it ends; see
 // holdEnd); the release wave, start → end, and its clouds (every other
 // flag delete of the round); and the deletes of the blocks the commit
-// released, first start → last end. Last, the pass's end against its
-// hold's end (the last release or block delete to end) and the tail:
-// how far the hold ran past the pass. The harness tags a request with
-// the pass running when it started; the release and block deletes a
-// hold's tail sends after its pass returned are handed back to that
-// pass (holdsOwn). The closing lines are medians over the passes, so a
+// released, first start → last end. Last, how far the pass's block
+// uploads ran past the pass (the reliability tail past the pass), and
+// the pass's end against its hold's end (the last release, block delete
+// or block upload to end) and the tail: how far the hold ran past the
+// pass. The harness tags a request with the pass running when it
+// started; the release, block deletes and block uploads a hold's tail
+// sends after its pass returned are handed back to that pass
+// (holdsOwn). The closing lines are medians over the passes, so a
 // parent/change pair of traced runs shows where a saving sits.
 package main
 
@@ -39,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -85,7 +88,7 @@ func main() {
 	}
 	byPass := make(map[int64][]span)
 	lockClouds := make(map[string]bool)
-	for _, s := range holdsOwn(doc.Spans) {
+	for _, s := range holdsOwn(doc.Spans, doc.Passes) {
 		byPass[s.Pass] = append(byPass[s.Pass], s)
 		if s.Layer == "qlock" {
 			lockClouds[s.Cloud] = true
@@ -155,7 +158,8 @@ func main() {
 			wave("release wave", release, ms, add)
 		}
 		wave("block deletes", gc, ms, add)
-		tailLine(p, append(release, gc...), ms, add)
+		reliabilityLine(p, blocks, ms, add)
+		tailLine(p, append(append(release, gc...), blocks...), ms, add)
 	}
 	names := make([]string, 0, len(cols))
 	for n := range cols {
@@ -172,17 +176,28 @@ func main() {
 
 // holdsOwn hands every request of a hold's tail back to the commit pass
 // whose hold it is. The harness tags a request with the pass running
-// when it started, and a hold's release and block deletes may start
-// after its pass has returned, inside the device's next pass or
+// when it started (and drops one started between passes), and a hold's
+// release, block deletes and the reliability second of its upload may
+// start after its pass has returned, inside the device's next pass or
 // another device's: a lock flag delete goes to the pass whose round
-// uploaded that flag, and a block delete to the last pass of its
-// device to have started its metadata writes before it (a pass joins
-// the last hold's tail before it writes).
-func holdsOwn(spans []span) []span {
+// uploaded that flag; a block upload to the device's last commit pass
+// to have started uploads of the same segment before it (a batch
+// uploads K blocks of every segment before its pass commits); and a
+// block delete to the last pass of its device to have started its
+// metadata writes before it (a pass joins the last hold's tail before
+// it writes).
+func holdsOwn(spans []span, passes []pass) []span {
+	commits := make(map[int64]bool)
+	for _, p := range passes {
+		if p.Kind == "commit" {
+			commits[p.ID] = true
+		}
+	}
 	owner := make(map[string]int64) // lock flag path -> the pass that uploaded it
 	type mark struct{ at, pass int64 }
 	first := make(map[int64]mark) // pass -> its first metadata write
 	dev := make(map[int64]string)
+	uploaders := make(map[string][]mark) // device and segment -> the commit passes uploading it, by first upload
 	for _, s := range spans {
 		switch {
 		case s.Pass == 0:
@@ -192,14 +207,29 @@ func holdsOwn(spans []span) []span {
 			if m, ok := first[s.Pass]; !ok || s.Start < m.at {
 				first[s.Pass], dev[s.Pass] = mark{s.Start, s.Pass}, s.Dev
 			}
+		case s.Layer == "transfer.block" && s.Op == "upload" && commits[s.Pass]:
+			key := s.Dev + " " + blockSegment(s.Path)
+			if i := slices.IndexFunc(uploaders[key], func(m mark) bool { return m.pass == s.Pass }); i < 0 {
+				uploaders[key] = append(uploaders[key], mark{s.Start, s.Pass})
+			} else {
+				uploaders[key][i].at = min(uploaders[key][i].at, s.Start)
+			}
 		}
 	}
 	writes := make(map[string][]mark) // device -> its passes' first metadata writes, by time
 	for id, m := range first {
 		writes[dev[id]] = append(writes[dev[id]], m)
 	}
-	for _, ms := range writes {
-		sort.Slice(ms, func(i, j int) bool { return ms[i].at < ms[j].at })
+	for _, groups := range []map[string][]mark{writes, uploaders} {
+		for _, ms := range groups {
+			sort.Slice(ms, func(i, j int) bool { return ms[i].at < ms[j].at })
+		}
+	}
+	last := func(ms []mark, at int64) (int64, bool) {
+		if j := sort.Search(len(ms), func(j int) bool { return ms[j].at > at }); j > 0 {
+			return ms[j-1].pass, true
+		}
+		return 0, false
 	}
 	out := make([]span, len(spans))
 	for i, s := range spans {
@@ -207,9 +237,12 @@ func holdsOwn(spans []span) []span {
 		case s.Layer == "qlock" && s.Op == "delete" && owner[s.Path] != 0:
 			s.Pass = owner[s.Path]
 		case s.Layer == "transfer.block" && s.Op == "delete":
-			ms := writes[s.Dev]
-			if j := sort.Search(len(ms), func(j int) bool { return ms[j].at > s.Start }); j > 0 {
-				s.Pass = ms[j-1].pass
+			if p, ok := last(writes[s.Dev], s.Start); ok {
+				s.Pass = p
+			}
+		case s.Layer == "transfer.block" && s.Op == "upload":
+			if p, ok := last(uploaders[s.Dev+" "+blockSegment(s.Path)], s.Start); ok {
+				s.Pass = p
 			}
 		}
 		out[i] = s
@@ -217,9 +250,28 @@ func holdsOwn(spans []span) []span {
 	return out
 }
 
-// tailLine prints the pass's end against its hold's — the last release
-// or block delete to end — and how far the hold ran past the pass (its
-// tail; zero when the pass waited for it).
+// blockSegment is the segment a block file belongs to.
+func blockSegment(path string) string { return path[:strings.LastIndex(path, ".")] }
+
+// reliabilityLine prints how far the pass's block uploads — the
+// reliability second of its batch — ran past the pass: zero when the
+// pass waited for its batch.
+func reliabilityLine(p pass, blocks []span, ms func(int64) float64, add func(string, float64)) {
+	if len(blocks) == 0 {
+		return
+	}
+	end := blocks[0].End
+	for _, b := range blocks {
+		end = max(end, b.End)
+	}
+	past := max(0, ms(end)-ms(p.End))
+	fmt.Printf("  reliability tail past the pass %.1f\n", past)
+	add("reliability tail past the pass", past)
+}
+
+// tailLine prints the pass's end against its hold's — the last release,
+// block delete or block upload to end — and how far the hold ran past
+// the pass (its tail; zero when the pass waited for it).
 func tailLine(p pass, hold []span, ms func(int64) float64, add func(string, float64)) {
 	if len(hold) == 0 {
 		return
@@ -243,7 +295,7 @@ func blockLines(blocks []span, ms func(int64) float64, add func(string, float64)
 	var busy []iv
 	for _, b := range blocks {
 		first, last = min(first, b.Start), max(last, b.End)
-		seg := b.Path[:strings.LastIndex(b.Path, ".")]
+		seg := blockSegment(b.Path)
 		landed[seg] = append(landed[seg], b.End)
 		byCloud[b.Cloud] = append(byCloud[b.Cloud], iv{b.Start, b.End})
 		busy = append(busy, iv{b.Start, b.End})
