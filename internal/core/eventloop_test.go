@@ -456,9 +456,9 @@ func TestSyncDirtyCommitsOnlyDirtyPaths(t *testing.T) {
 		t.Fatalf("dirty pass = %+v", rep)
 	}
 	// The pass statted exactly one file (histogram sum tracks it).
-	h := lr.reg.Histogram("sync.pass.files_statted")
-	if h.Count() < 2 {
-		t.Fatalf("files_statted observations = %d", h.Count())
+	h := lr.reg.Snapshot().Histograms["sync.pass.files_statted"]
+	if h.Count < 2 {
+		t.Fatalf("files_statted observations = %d", h.Count)
 	}
 
 	// An empty dirty set is a no-op that touches nothing remote.

@@ -358,7 +358,7 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	if got := reg.Counter("core.commit.overlapped").Value(); got != 1 {
 		t.Errorf("core.commit.overlapped = %d, want 1", got)
 	}
-	if got := reg.Histogram("core.commit.tail_ms").Count(); got != 1 {
+	if got := reg.Snapshot().Histograms["core.commit.tail_ms"].Count; got != 1 {
 		t.Errorf("core.commit.tail_ms has %d samples, want 1", got)
 	}
 	// c4's fair shares landed after the commit: owed to the next hold,

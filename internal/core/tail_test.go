@@ -355,8 +355,11 @@ func commitBesideParkedCatchUp(t *testing.T) (*rig, *tailWatch, *Client, *localf
 		writeFile(t, fa, "warm.txt", randContent(int64(44+i), 100))
 		syncOK(t, a)
 		settle(t, a)
+		// A pass decides on the first quorum of stamp answers; the rest
+		// of its poll may still be in flight, and would reach the clouds
+		// among the next hold's requests.
+		a.store.JoinPoll(ctxT(t))
 	}
-	a.store.JoinPoll(ctxT(t))
 	// A stamp of no commit, at a version no commit has: off the cursor,
 	// and no rival of any commit the other answers name.
 	stamp := meta.VersionStamp{Device: "alpha"}
@@ -382,6 +385,7 @@ func commitBesideParkedCatchUp(t *testing.T) (*rig, *tailWatch, *Client, *localf
 		t.Fatal("the pass waited for the off-cursor cloud's base upload")
 	}
 	w.holdLate.Store(false)
+	a.store.JoinPoll(ctxT(t))
 	await(t, w.baseAsked, 1, "parked base uploads")
 	return r, w, a, fa, reg
 }

@@ -62,37 +62,12 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile estimates the q-th quantile (q in [0,1]) of the observed
-// samples, interpolating linearly within the containing bucket.
-// Samples in the +Inf bucket report the last finite bound. It returns
-// 0 before any observation.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	buckets := make([]int64, len(h.counts))
-	for i := range h.counts {
-		buckets[i] = h.counts[i].Load()
-	}
-	return bucketQuantile(h.bounds, buckets, total, q)
-}
-
 // bucketQuantile estimates the q-th quantile from raw bucket counts
 // over the given bounds (buckets has one extra trailing +Inf slot).
-// Shared by live Histograms and merged HistogramSnapshots so a fleet
+// Shared by live Histograms' snapshots and merged ones so a fleet
 // rollup reports exactly what one histogram holding the union of the
 // samples would.
 func bucketQuantile(bounds []float64, buckets []int64, total int64, q float64) float64 {

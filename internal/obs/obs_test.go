@@ -81,45 +81,49 @@ func TestNilRegistry(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
+	quantile := func(h *Histogram, q float64) float64 {
+		s := h.snapshot()
+		return bucketQuantile(s.Bounds, s.Buckets, s.Count, q)
+	}
 	h := newHistogram([]float64{1, 2, 4, 8})
-	if h.Quantile(0.5) != 0 {
-		t.Fatalf("empty histogram p50 = %v", h.Quantile(0.5))
+	if quantile(h, 0.5) != 0 {
+		t.Fatalf("empty histogram p50 = %v", quantile(h, 0.5))
 	}
 	// 100 samples uniform over (0,1]: whole distribution in bucket 0.
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) / 100)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	if h.snapshot().Count != 100 {
+		t.Fatalf("count = %d", h.snapshot().Count)
 	}
 	if got, want := h.Sum(), 50.5; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("sum = %v, want %v", got, want)
 	}
 	// Interpolated p50 within [0,1): rank 50 of 100 -> 0.5.
-	if got := h.Quantile(0.5); math.Abs(got-0.5) > 1e-9 {
+	if got := quantile(h, 0.5); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("p50 = %v, want 0.5", got)
 	}
 	// q outside [0,1] is clamped.
-	if got := h.Quantile(-1); got != h.Quantile(0) {
-		t.Fatalf("q<0 not clamped: %v vs %v", got, h.Quantile(0))
+	if got := quantile(h, -1); got != quantile(h, 0) {
+		t.Fatalf("q<0 not clamped: %v vs %v", got, quantile(h, 0))
 	}
-	if got := h.Quantile(2); got != h.Quantile(1) {
-		t.Fatalf("q>1 not clamped: %v vs %v", got, h.Quantile(1))
+	if got := quantile(h, 2); got != quantile(h, 1) {
+		t.Fatalf("q>1 not clamped: %v vs %v", got, quantile(h, 1))
 	}
 
 	// A sample beyond the last bound lands in +Inf and reports the
 	// last finite bound.
 	h2 := newHistogram([]float64{1, 2})
 	h2.Observe(100)
-	if got := h2.Quantile(0.99); got != 2 {
+	if got := quantile(h2, 0.99); got != 2 {
 		t.Fatalf("+Inf bucket quantile = %v, want 2", got)
 	}
 
 	// Negative durations clamp to zero.
 	h3 := newHistogram(DefaultLatencyBuckets)
 	h3.ObserveDuration(-time.Second)
-	if h3.Sum() != 0 || h3.Count() != 1 {
-		t.Fatalf("negative duration: sum=%v count=%d", h3.Sum(), h3.Count())
+	if h3.Sum() != 0 || h3.snapshot().Count != 1 {
+		t.Fatalf("negative duration: sum=%v count=%d", h3.Sum(), h3.snapshot().Count)
 	}
 }
 
@@ -198,7 +202,7 @@ func TestOpStats(t *testing.T) {
 	if up != 150 || down != 0 {
 		t.Fatalf("bytes = %d/%d", up, down)
 	}
-	if got := st.lat.Count(); got != 4 {
+	if got := st.lat.snapshot().Count; got != 4 {
 		t.Fatalf("latency count = %d", got)
 	}
 }

@@ -145,7 +145,7 @@ func TestAcquireReturnsAtTheQuorum(t *testing.T) {
 	if n := reg.Counter("qlock.rounds").Value(); n != 1 {
 		t.Errorf("qlock.rounds = %d, want 1", n)
 	}
-	if n := reg.Histogram("qlock.acquire_ms").Count(); n != 1 {
+	if n := reg.Snapshot().Histograms["qlock.acquire_ms"].Count; n != 1 {
 		t.Errorf("qlock.acquire_ms has %d observations, want 1 per Acquire", n)
 	}
 	names := lockDirNames(t, bare)

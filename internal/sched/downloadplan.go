@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -102,42 +102,20 @@ func (p *DownloadPlan) NextBlock(cloudName string) (blockID int, ok bool) {
 func (p *DownloadPlan) Hedge(blockID int, spare string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	running := p.inflight[blockID]
-	if len(running) == 0 || p.done[blockID] || p.dead[spare] || running[spare] {
+	if !p.spareLocked(blockID, spare) {
 		return false
 	}
-	holds := false
-	for _, c := range p.sources[blockID] {
-		if c == spare {
-			holds = true
-			break
-		}
-	}
-	if !holds {
-		return false
-	}
-	running[spare] = true
+	p.inflight[blockID][spare] = true
 	return true
 }
 
-// HedgeCandidates returns the live clouds that hold the block and are
-// not already fetching it, sorted for determinism. Empty when the
-// block is done or not in flight.
-func (p *DownloadPlan) HedgeCandidates(blockID int) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// spareLocked reports whether the cloud could duplicate the running
+// fetch of the block: it holds the block, is live and is not fetching
+// it already.
+func (p *DownloadPlan) spareLocked(blockID int, cloudName string) bool {
 	running := p.inflight[blockID]
-	if len(running) == 0 || p.done[blockID] {
-		return nil
-	}
-	var out []string
-	for _, c := range p.sources[blockID] {
-		if !p.dead[c] && !running[c] {
-			out = append(out, c)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return len(running) > 0 && !p.done[blockID] && !p.dead[cloudName] &&
+		!running[cloudName] && slices.Contains(p.sources[blockID], cloudName)
 }
 
 func (p *DownloadPlan) liveSourcesLocked(b int) int {
@@ -308,6 +286,47 @@ func AdmitDownload(p *Prober, plan *DownloadPlan, cloudName string, others []str
 		drain = float64(unassigned) / rate
 	}
 	return mine.Seconds() <= drain+fastest.Seconds()
+}
+
+// DuplicateDownload is the download dispatcher's duplicate rule, the
+// other half of AdmitDownload's finish-time comparison. A fetch of the
+// plan's block of blockBytes that has run on primary for elapsed has
+// E(primary) − elapsed left while within its estimate; once past it,
+// it is taken to need as long again as it has overrun, elapsed −
+// E(primary). The spare is the cloud of idle with the lowest estimate
+// that holds the block, is live and is not fetching it; it gets the
+// duplicate if its own estimate is below the time left. Otherwise wait
+// is how much longer the fetch must run before that spare qualifies,
+// zero if none ever will. A cloud the prober has never observed is
+// never the spare, and a fetch on one has no estimate to be late
+// against: neither makes a duplicate.
+func DuplicateDownload(p *Prober, plan *DownloadPlan, blockID int, primary string,
+	idle []string, blockBytes int64, elapsed time.Duration) (spare string, wait time.Duration) {
+
+	mine, ok := p.Estimate(primary, Down, blockBytes)
+	if !ok {
+		return "", 0
+	}
+	best := time.Duration(-1)
+	plan.mu.Lock()
+	for _, c := range idle {
+		if !plan.spareLocked(blockID, c) {
+			continue
+		}
+		if est, ok := p.Estimate(c, Down, blockBytes); ok && (best < 0 || est < best) {
+			spare, best = c, est
+		}
+	}
+	plan.mu.Unlock()
+	left := mine - elapsed
+	switch {
+	case best < 0:
+		return "", 0
+	case best < left || best < -left:
+		return spare, 0
+	}
+	// The first instant past an overrun of the spare's own estimate.
+	return "", mine + best - elapsed + time.Nanosecond
 }
 
 // HasWork reports whether cloudName holds at least one needed block

@@ -214,17 +214,11 @@ func TestHedgeDuplicateFetch(t *testing.T) {
 	if plan.Hedge(5, "b") {
 		t.Error("hedging onto a cloud that does not hold the block must be refused")
 	}
-	if cands := plan.HedgeCandidates(5); len(cands) != 1 || cands[0] != "c" {
-		t.Fatalf("HedgeCandidates(5) = %v, want [c]", cands)
-	}
 	if !plan.Hedge(5, "c") {
 		t.Fatal("valid hedge refused")
 	}
 	if plan.Hedge(5, "c") {
 		t.Error("second hedge by the same cloud must be refused")
-	}
-	if cands := plan.HedgeCandidates(5); len(cands) != 0 {
-		t.Fatalf("HedgeCandidates after hedge = %v, want none", cands)
 	}
 
 	// The hedge (c) wins: Complete must accept it and clear the flight.
@@ -278,8 +272,5 @@ func TestHedgeRefusedForIdleOrDeadTargets(t *testing.T) {
 	plan.MarkDead("c")
 	if plan.Hedge(5, "c") {
 		t.Error("hedging onto a dead cloud must be refused")
-	}
-	if cands := plan.HedgeCandidates(5); len(cands) != 0 {
-		t.Fatalf("HedgeCandidates with dead spare = %v, want none", cands)
 	}
 }

@@ -257,6 +257,55 @@ func TestAdmitDownload(t *testing.T) {
 	}
 }
 
+// TestDuplicateDownload is the decision table of the download
+// duplicate rule.
+func TestDuplicateDownload(t *testing.T) {
+	p := NewProber(0)
+	// Per connection: fast moves a block in 50 ms, fast2 in 60 ms, slow
+	// in 400 ms; other is the fastest but holds no copy of the block.
+	p.Observe("fast", Down, block, 50*time.Millisecond)
+	p.Observe("fast2", Down, block, 60*time.Millisecond)
+	p.Observe("slow", Down, block, 400*time.Millisecond)
+	p.Observe("other", Down, block, 10*time.Millisecond)
+	const ms = time.Millisecond
+	// running returns a plan whose one needed block, held by every cloud
+	// but other, is being fetched from primary.
+	running := func(primary string) *DownloadPlan {
+		plan, err := NewDownloadPlan(1, map[int][]string{0: {"fast", "fast2", "slow", "fresh"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, ok := plan.NextBlock(primary); !ok || b != 0 {
+			t.Fatalf("NextBlock(%s) = %d, %v", primary, b, ok)
+		}
+		return plan
+	}
+	cases := []struct {
+		name    string
+		prober  *Prober
+		primary string
+		idle    []string
+		elapsed time.Duration
+		spare   string
+		wait    time.Duration
+	}{
+		{"within its estimate, no spare faster than what it has left", p, "fast2", []string{"fast", "slow"}, 20 * ms, "", 90*ms + 1},
+		{"within its estimate, a spare finishes first", p, "slow", []string{"fast2", "fast"}, 100 * ms, "fast", 0},
+		{"overran by more than a spare's estimate: the lowest-estimate holder", p, "fast2", []string{"slow", "other", "fast"}, 200 * ms, "fast", 0},
+		{"overran by less than every spare's estimate", p, "fast2", []string{"fast", "slow"}, 100 * ms, "", 10*ms + 1},
+		{"the primary is no spare of its own fetch", p, "fast", []string{"fast"}, time.Second, "", 0},
+		{"a never-observed cloud is never the spare", p, "slow", []string{"fresh"}, time.Second, "", 0},
+		{"a fetch on a never-observed cloud has nothing to be late against", p, "fresh", []string{"fast"}, time.Second, "", 0},
+		{"no estimate anywhere", NewProber(0), "slow", []string{"fast", "fast2", "fresh"}, time.Second, "", 0},
+	}
+	for _, c := range cases {
+		spare, wait := DuplicateDownload(c.prober, running(c.primary), 0, c.primary, c.idle, block, c.elapsed)
+		if spare != c.spare || wait != c.wait {
+			t.Errorf("%s: spare %q, wait %v; want %q, %v", c.name, spare, wait, c.spare, c.wait)
+		}
+	}
+}
+
 func TestDownloadPlanRequiresAndUnassigned(t *testing.T) {
 	plan, err := NewDownloadPlan(2, map[int][]string{0: {"a"}, 1: {"b"}, 2: {"c", "a"}})
 	if err != nil {

@@ -1,14 +1,18 @@
 package transfer
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"path"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
+	"unidrive/internal/meta"
 	"unidrive/internal/obs"
 	"unidrive/internal/sched"
 	"unidrive/internal/vclock"
@@ -16,26 +20,32 @@ import (
 
 // simWorld drives shaped clouds on a manual clock: a request takes
 // latency + size ÷ rate of virtual time on its connection, and run
-// steps the clock from completion to completion, each time only after
-// everybody has finished reacting to the previous one — so virtual
-// time passes only while requests are the one thing anybody waits for,
-// and the schedule that comes out does not depend on how fast the
-// test's goroutines happen to run.
+// steps the clock from event to event — a request's completion or the
+// dispatcher's wake timer — each time only after everybody has
+// finished reacting to the previous one, so virtual time passes only
+// while requests and timers are the one thing anybody waits for, and
+// the schedule that comes out does not depend on how fast the test's
+// goroutines happen to run.
 type simWorld struct {
 	clk *vclock.Manual
 
 	mu       sync.Mutex
-	inFlight map[int]time.Time // request -> virtual completion time
+	inFlight map[int]simRequest
 	next     int
-	finished int // requests answered
-	armed    int // dispatcher loop iterations that reached their wait
-	starts   []simStart
+	// wakeAt is the deadline of the last timer the dispatcher armed.
+	wakeAt time.Time
+	starts []simStart
 }
 
-// dispatcherClock is the clock handed to the engine: the batch
-// dispatcher arms its hedge timer once per loop iteration, right
-// before it blocks for the next result, which is how the world learns
-// that it has finished reacting.
+// simRequest is one request a cloud is serving.
+type simRequest struct {
+	ctx context.Context
+	at  time.Time // virtual completion time
+}
+
+// dispatcherClock is the clock handed to the engine: it records the
+// wake timer the batch dispatcher arms before it blocks for the next
+// result, so that the world steps to that instant too.
 type dispatcherClock struct {
 	*vclock.Manual
 	w *simWorld
@@ -43,9 +53,26 @@ type dispatcherClock struct {
 
 func (c dispatcherClock) After(d time.Duration) <-chan time.Time {
 	c.w.mu.Lock()
-	c.w.armed++
+	c.w.wakeAt = c.Manual.Now().Add(d)
 	c.w.mu.Unlock()
 	return c.Manual.After(d)
+}
+
+// dispatcherParked reports that the batch dispatcher has finished
+// reacting: its goroutine is blocked in the select that waits for a
+// result or its wake timer. The wake hook arms no timer while no
+// running fetch can qualify for a duplicate, so the goroutine's state
+// is the one signal every loop iteration gives.
+func dispatcherParked() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("transfer.(*dispatcher).run(")) {
+			header, _, _ := bytes.Cut(g, []byte("\n"))
+			return bytes.Contains(header, []byte("[select"))
+		}
+	}
+	return false
 }
 
 // simStart logs one block download as it was handed to a cloud.
@@ -59,7 +86,7 @@ type simStart struct {
 var simEpoch = time.Unix(1_700_000_000, 0)
 
 func newSimWorld() *simWorld {
-	return &simWorld{clk: vclock.NewManual(simEpoch), inFlight: make(map[int]time.Time)}
+	return &simWorld{clk: vclock.NewManual(simEpoch), inFlight: make(map[int]simRequest)}
 }
 
 // simCloud is one shaped provider over an in-memory store.
@@ -101,7 +128,7 @@ func (c *simCloud) spend(ctx context.Context, path string, d time.Duration) (err
 	now := w.clk.Now()
 	id := w.next
 	w.next++
-	w.inFlight[id] = now.Add(d)
+	w.inFlight[id] = simRequest{ctx: ctx, at: now.Add(d)}
 	w.starts = append(w.starts, simStart{cloud: c.Name(), path: path, at: now.Sub(simEpoch), finish: now.Add(d).Sub(simEpoch)})
 	timer := w.clk.After(d)
 	w.mu.Unlock()
@@ -112,14 +139,13 @@ func (c *simCloud) spend(ctx context.Context, path string, d time.Duration) (err
 	}
 	w.mu.Lock()
 	delete(w.inFlight, id)
-	w.finished++
 	w.mu.Unlock()
 	return err
 }
 
-// run executes f while stepping the clock from completion to
-// completion, and returns the virtual time f took. settled reports,
-// under w.mu, that nobody is still reacting to the last step.
+// run executes f while stepping the clock from event to event, and
+// returns the virtual time f took. settled reports, under w.mu, that
+// nobody is still reacting to the last step.
 func (w *simWorld) run(f func(), settled func() bool) time.Duration {
 	start := w.clk.Now()
 	done := make(chan struct{})
@@ -134,17 +160,21 @@ func (w *simWorld) run(f func(), settled func() bool) time.Duration {
 		case <-time.After(100 * time.Microsecond): // poll a condition, not the passage of time
 		}
 		w.mu.Lock()
+		now := w.clk.Now()
 		var due time.Time
 		if settled() {
-			for _, at := range w.inFlight {
-				if due.IsZero() || at.Before(due) {
-					due = at
+			if w.wakeAt.After(now) {
+				due = w.wakeAt
+			}
+			for _, r := range w.inFlight {
+				if due.IsZero() || r.at.Before(due) {
+					due = r.at
 				}
 			}
 		}
 		w.mu.Unlock()
 		if !due.IsZero() {
-			w.clk.Advance(due.Sub(w.clk.Now()))
+			w.clk.Advance(due.Sub(now))
 		}
 	}
 }
@@ -156,17 +186,25 @@ func (w *simWorld) sequential(f func()) time.Duration {
 }
 
 // batch runs one DownloadBatch. The dispatcher has finished reacting
-// when it has taken every answered request off its result channel and
-// reached its wait again (one more loop iteration armed than results
-// consumed), and every transfer it launched has reached its cloud.
+// when it is parked, has taken every answered request off its result
+// channel and every transfer it launched has reached its cloud (as many
+// requests in flight as it counts active), and no request it cancelled
+// is still on its way out.
 func (r *simRig) batch(items []DownloadItem) (took time.Duration, err error) {
 	w := r.w
-	w.mu.Lock()
-	w.finished, w.armed = 0, 0
-	w.mu.Unlock()
 	active := r.reg.Gauge("transfer.active")
 	took = w.run(func() { _, err = r.engine.DownloadBatch(context.Background(), items) },
-		func() bool { return w.armed == w.finished+1 && len(w.inFlight) == int(active.Value()) })
+		func() bool {
+			if !dispatcherParked() || len(w.inFlight) != int(active.Value()) {
+				return false
+			}
+			for _, req := range w.inFlight {
+				if req.ctx.Err() != nil {
+					return false
+				}
+			}
+			return true
+		})
 	return took, err
 }
 
@@ -198,9 +236,7 @@ func newSimRig() *simRig {
 		r.probed[c.Name()] = NewProbing(c, prober, w.clk)
 		clouds = append(clouds, r.probed[c.Name()])
 	}
-	// Hedging stays out of the way: its deadline would come from the
-	// block-latency histogram the registry brings along.
-	r.engine = New(clouds, prober, Config{Clock: dispatcherClock{w.clk, w}, Obs: r.reg, HedgeMinSamples: 1 << 30})
+	r.engine = New(clouds, prober, Config{Clock: dispatcherClock{w.clk, w}, Obs: r.reg})
 	return r
 }
 
@@ -384,5 +420,107 @@ func TestControlTrafficYieldsLatencyRanking(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("rank = %v, want latency order %v", got, want)
 		}
+	}
+}
+
+// TestDownloadEndGameDuplicatesTheOverdueBlock: the cloud the prober
+// knows as the fastest slows to the slow clouds' rate after the
+// warm-up, with the segment's last block in flight on it. The fast
+// holders' connections stand idle; once the fetch has overrun its
+// estimate by a spare's, one duplicate goes to the lowest-estimate
+// holder, wins, and the overdue fetch is cancelled.
+func TestDownloadEndGameDuplicatesTheOverdueBlock(t *testing.T) {
+	r := newSimRig()
+	r.warm(t)
+	prober := r.engine.Prober()
+	primary, _ := prober.Estimate("fast1", sched.Down, simBlock)
+	spare, _ := prober.Estimate("fast2", sched.Down, simBlock)
+	r.clouds["fast1"].rate = 1e6
+	locations := map[int][]string{0: {"fast2"}, 1: {"fast3"}, 2: {"fast1", "fast2", "fast3"}}
+	for id, holders := range locations {
+		for _, name := range holders {
+			r.put(t, name, "seg", id, simBlock)
+		}
+	}
+	plan, err := sched.NewDownloadPlan(3, locations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := r.w.clk.Now().Sub(simEpoch)
+	took, err := r.batch([]DownloadItem{{Plan: plan, SegID: "seg", Size: simBlock}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Done() {
+		t.Fatal("segment incomplete")
+	}
+	overdue := r.engine.BlockPath("seg", 2)
+	var dups []simStart
+	for _, s := range r.w.starts {
+		if s.path == overdue && s.cloud != "fast1" {
+			dups = append(dups, s)
+		}
+	}
+	if len(r.w.starts) != 4 || len(dups) != 1 {
+		t.Fatalf("starts %+v: want the three blocks and one duplicate of block 2", r.w.starts)
+	}
+	if d := dups[0]; d.cloud != "fast2" {
+		t.Errorf("duplicate on %s, want fast2, the lowest-estimate holder", d.cloud)
+	}
+	if at, want := dups[0].at-start, primary+spare; at < want || at > want+time.Millisecond {
+		t.Errorf("duplicate started at +%v, want once the fetch overran its estimate by the spare's (+%v)", at, want)
+	}
+	if want := primary + 2*spare + time.Millisecond; took > want {
+		t.Errorf("batch took %v, want the duplicate's finish (%v), not the slowed fetch's", took, want)
+	}
+	for name, want := range map[string]int64{"hedges": 1, "hedge_wins": 1, "hedge_losses": 0, "hedge_cancelled": 1} {
+		if n := r.reg.Counter("transfer.down." + name).Value(); n != want {
+			t.Errorf("transfer.down.%s = %d, want %d", name, n, want)
+		}
+	}
+}
+
+// TestDownloadWithinEstimatesSendsNoDuplicate: every block of a
+// 10-segment batch has a second fast holder, and every fetch lands
+// within its estimate. The batch sends exactly K block GETs per
+// segment: no spare ever finishes first.
+func TestDownloadWithinEstimatesSendsNoDuplicate(t *testing.T) {
+	r := newSimRig()
+	r.warm(t)
+	pairs := [][]string{{"fast1", "fast2"}, {"fast2", "fast3"}, {"fast3", "fast1"}}
+	var items []DownloadItem
+	for i := 0; i < 10; i++ {
+		segID := fmt.Sprintf("seg%d", i)
+		locations := make(map[int][]string)
+		for id, holders := range append(append(pairs, pairs...), []string{"slow1"}, []string{"slow2"}) {
+			for _, name := range holders {
+				r.put(t, name, segID, id, simBlock)
+			}
+			locations[id] = holders
+		}
+		plan, err := sched.NewDownloadPlan(3, locations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, DownloadItem{Plan: plan, SegID: segID, Size: simBlock})
+	}
+	if _, err := r.batch(items); err != nil {
+		t.Fatal(err)
+	}
+	perSegment := make(map[string]int)
+	for _, s := range r.w.starts {
+		segID, _, _ := meta.ParseBlockName(path.Base(s.path))
+		perSegment[segID]++
+	}
+	for i, it := range items {
+		if !it.Plan.Done() {
+			t.Fatalf("segment %d incomplete", i)
+		}
+		if n := perSegment[it.SegID]; n != 3 {
+			t.Errorf("%s: %d block GETs, want K=3", it.SegID, n)
+		}
+	}
+	if n := r.reg.Counter("transfer.down.hedges").Value(); n != 0 {
+		t.Errorf("%d duplicates, want 0", n)
 	}
 }

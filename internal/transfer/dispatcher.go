@@ -58,9 +58,10 @@ type dispatcher struct {
 	// replan tells the batch's plans that a cloud is excluded and
 	// reports whether blocks moved onto other clouds' queues.
 	replan func(cloudName string, reason sched.Reason) bool
-	// wake, when set, is asked before every wait for a result: it may
-	// act on what is in flight (hedging) and returns when to be asked
-	// again, nil for never.
+	// wake, when set, is asked before every wait for a result while
+	// the context is live: it returns when to dispatch again with
+	// nothing landed (a running fetch qualifying for a duplicate), nil
+	// for never.
 	wake func() <-chan time.Time
 	// unmarked batches (deletes) claim shared slots without leaving a
 	// waiting mark, and so have none to clear when they end: a tenant's
@@ -148,8 +149,7 @@ func (d *dispatcher) take(cloudName string) {
 
 // release returns a connection slot (local and shared) and publishes
 // the new occupancy. Every in-flight transfer holds exactly one
-// shared-scheduler slot, claimed by dispatch or the hedge path before
-// launch.
+// shared-scheduler slot, claimed by dispatch before launch.
 func (d *dispatcher) release(cloudName string) {
 	d.idle[cloudName]++
 	d.active--
@@ -229,7 +229,7 @@ func (d *dispatcher) run(ctx context.Context, dispatch func(), handle func(resul
 			continue
 		}
 		var wake <-chan time.Time
-		if d.wake != nil {
+		if d.wake != nil && ctx.Err() == nil {
 			wake = d.wake()
 		}
 		select {
@@ -238,6 +238,7 @@ func (d *dispatcher) run(ctx context.Context, dispatch func(), handle func(resul
 			handle(r)
 			redispatch()
 		case <-wake:
+			redispatch()
 		}
 	}
 }

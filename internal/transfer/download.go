@@ -58,21 +58,18 @@ type DownloadItem struct {
 // flightKey names one block of one item being fetched.
 type flightKey struct{ item, blockID int }
 
-// flight tracks one (item, block) currently being fetched — possibly
-// by two clouds at once when hedged. Each attempt gets its own
-// cancelable context so first-response-wins can cancel the loser.
+// flight tracks one (item, block) currently being fetched — by two
+// clouds at once once duplicated. Each attempt gets its own cancelable
+// context so first-response-wins can cancel the loser.
 type flight struct {
 	start   time.Time
 	primary string
 	// attempts maps each fetching cloud to its cancel func.
 	attempts map[string]context.CancelFunc
-	// hedged records that hedging was decided (at most once per
-	// flight, even when no spare was available); dup records that a
-	// duplicate request actually went out — only those flights count
-	// toward the win/loss tally.
-	hedged bool
-	dup    bool
-	done   bool
+	// dup records that the flight's one duplicate went out; only those
+	// flights count toward the win/loss tally.
+	dup  bool
+	done bool
 }
 
 // downloadBatch is one DownloadBatch call's state.
@@ -93,7 +90,11 @@ type downloadBatch struct {
 	rankBytes int64
 	bytesOK   int64
 	notified  []bool
-	// others is admits' scratch list, reused across calls.
+	// due is the earliest instant a running fetch qualifies for a
+	// duplicate on a connection idle now; zero when none will.
+	due time.Time
+	// others is admits' and duplicate's scratch list, reused across
+	// calls.
 	others []string
 }
 
@@ -101,8 +102,10 @@ type downloadBatch struct {
 // dispatcher — an idle connection serves the earliest unfinished
 // segment its cloud is admitted for (sched.AdmitDownload: the block
 // would not finish later there than by waiting for the faster
-// holders) — and returns each item's fetched blocks, indexed like
-// items. Individual segments may come back
+// holders) and a connection the walks of the queues left idle
+// duplicates a running fetch it would finish first
+// (sched.DuplicateDownload) — and returns each item's fetched blocks,
+// indexed like items. Individual segments may come back
 // incomplete (fewer than K blocks) when too many clouds failed; the
 // caller checks each plan's Done.
 //
@@ -119,7 +122,7 @@ func (e *Engine) DownloadBatch(ctx context.Context, items []DownloadItem) ([]map
 		rem:        make([]int, len(items)),
 		notified:   make([]bool, len(items)),
 	}
-	b.replan, b.wake = b.markDead, b.hedgeTimer
+	b.replan, b.wake = b.markDead, b.wakeAt
 	for i, it := range items {
 		b.blocks[i] = make(map[int][]byte)
 		b.account(i)
@@ -155,7 +158,7 @@ func (b *downloadBatch) markDead(cloudName string, _ sched.Reason) bool {
 }
 
 // launch starts one fetch of the block from the cloud, as a new flight
-// or as the hedge of a running one.
+// or as the duplicate of a running one.
 func (b *downloadBatch) launch(item int, name string, blockID int) {
 	actx, cancel := context.WithCancel(b.ctx)
 	key := flightKey{item, blockID}
@@ -189,6 +192,7 @@ func (b *downloadBatch) dispatch() {
 	for _, name := range live {
 		b.fill(name, live)
 	}
+	b.duplicate(live)
 }
 
 // fill walks the cloud's queue in place, launching what the admission
@@ -246,76 +250,61 @@ func (b *downloadBatch) admits(i int, name string, live []string) bool {
 		b.e.cfg.ConnsPerCloud, b.items[i].Size, b.unassigned)
 }
 
-// hedgeQuantile is the latency quantile of the observed download block
-// histogram past which an in-flight download counts as a straggler and
-// earns a duplicate (hedged) request on a spare cloud.
-const hedgeQuantile = 0.95
-
-// hedgeDeadline is the straggler threshold: the hedgeQuantile of
-// observed block latencies, falling back to a fixed delay until the
-// histogram is populated (Aktaş et al.: duplicate the slow reads, take
-// the fastest responses).
-func (b *downloadBatch) hedgeDeadline() time.Duration {
-	cfg := &b.e.cfg
-	if cfg.Obs != nil {
-		h := cfg.Obs.Histogram("transfer.down.block_seconds")
-		if h.Count() >= int64(cfg.HedgeMinSamples) {
-			if q := h.Quantile(hedgeQuantile); q > 0 {
-				return time.Duration(q * float64(time.Second))
-			}
+// duplicate hands the connections the queue walks left idle one more
+// kind of work: the duplicate of a running fetch that one of them
+// would finish first (sched.DuplicateDownload), at most one per
+// flight. Its shared slot is taken opportunistically: TryAcquire
+// leaves no waiting mark, so a refused duplicate never reserves
+// capacity against other tenants. due becomes the earliest instant a
+// fetch not duplicated yet qualifies.
+func (b *downloadBatch) duplicate(live []string) {
+	b.due = time.Time{}
+	idle := b.others[:0]
+	for _, name := range live {
+		if b.idle[name] > 0 {
+			idle = append(idle, name)
 		}
 	}
-	return cfg.HedgeFallbackDelay
-}
-
-// hedgeTimer is the batch's wake hook: it hedges every flight already
-// past the deadline and returns a timer for the earliest one that is
-// not, nil when every flight is hedged.
-func (b *downloadBatch) hedgeTimer() <-chan time.Time {
-	deadline := b.hedgeDeadline()
-	now := b.e.cfg.Clock.Now()
-	var due time.Time
-	for key, f := range b.flights {
-		switch t := f.start.Add(deadline); {
-		case f.done || f.hedged:
-		case !now.Before(t):
-			b.hedge(key, f)
-		case due.IsZero() || t.Before(due):
-			due = t
-		}
-	}
-	if due.IsZero() {
-		return nil
-	}
-	return b.e.cfg.Clock.After(due.Sub(now))
-}
-
-// hedge issues one duplicate request for a straggling flight, on the
-// healthiest spare cloud that holds the block and has an idle
-// connection. A flight is hedged at most once.
-func (b *downloadBatch) hedge(key flightKey, f *flight) {
-	f.hedged = true
-	e, plan := b.e, b.items[key.item].Plan
-	for _, spare := range e.elig.ReadSources(plan.HedgeCandidates(key.blockID)) {
-		if b.excluded[spare] != 0 || b.idle[spare] <= 0 {
-			continue
-		}
-		// Hedges take spare shared capacity opportunistically:
-		// TryAcquire leaves no waiting mark, so a refused hedge never
-		// reserves capacity against other tenants.
-		if fair := e.cfg.Fair; fair != nil && !fair.TryAcquire(spare, e.cfg.Tenant) {
-			continue
-		}
-		if !plan.Hedge(key.blockID, spare) {
-			b.releaseFair(spare)
-			continue
-		}
-		b.launch(key.item, spare, key.blockID)
-		f.dup = true
-		e.cfg.Obs.Counter("transfer.down.hedges").Inc()
+	b.others = idle
+	if len(idle) == 0 {
 		return
 	}
-	e.cfg.Obs.Counter("transfer.down.hedge_skipped").Inc()
+	e := b.e
+	now := e.cfg.Clock.Now()
+	for key, f := range b.flights {
+		if f.dup || f.done {
+			continue
+		}
+		it := b.items[key.item]
+		spare, wait := sched.DuplicateDownload(e.prober, it.Plan, key.blockID, f.primary, idle, it.Size, now.Sub(f.start))
+		switch {
+		case spare != "":
+			if b.idle[spare] <= 0 {
+				continue
+			}
+			if fair := e.cfg.Fair; fair != nil && !fair.TryAcquire(spare, e.cfg.Tenant) {
+				continue
+			}
+			if !it.Plan.Hedge(key.blockID, spare) {
+				b.releaseFair(spare)
+				continue
+			}
+			b.launch(key.item, spare, key.blockID)
+			f.dup = true
+			e.cfg.Obs.Counter("transfer.down.hedges").Inc()
+		case wait > 0 && (b.due.IsZero() || now.Add(wait).Before(b.due)):
+			b.due = now.Add(wait)
+		}
+	}
+}
+
+// wakeAt is the batch's wake hook: a timer for the earliest instant a
+// running fetch qualifies for a duplicate, nil when none will.
+func (b *downloadBatch) wakeAt() <-chan time.Time {
+	if b.due.IsZero() {
+		return nil
+	}
+	return b.e.cfg.Clock.After(b.due.Sub(b.e.cfg.Clock.Now()))
 }
 
 func (b *downloadBatch) handle(r result) {
@@ -352,7 +341,7 @@ func (b *downloadBatch) handle(r result) {
 // re-fetches from another holder — corrupt bytes must never reach the
 // caller — and feeds the breaker: a cloud serving garbage is evidence
 // of unhealth just like a cloud refusing requests. The flight stays
-// open (f.done unset): a hedged twin may still deliver a good copy.
+// open (f.done unset): a duplicate may still deliver a good copy.
 func (b *downloadBatch) verify(r result) error {
 	it := b.items[r.item]
 	if want := it.Sums[r.blockID]; want == 0 || meta.BlockSum(r.data) == want {

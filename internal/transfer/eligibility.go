@@ -37,18 +37,12 @@ func (el Eligibility) AcceptsWrites(name string) bool {
 // breaker loses it (the quorum then forms over the remaining clouds).
 func (el Eligibility) HoldsVote(name string) bool { return el.ServesReads(name) }
 
-// ReadSources filters candidates down to clouds that serve reads,
-// healthiest first.
-func (el Eligibility) ReadSources(candidates []string) []string {
-	if el.Health == nil {
-		return candidates
-	}
-	return el.Health.Healthiest(candidates)
-}
-
 // WriteTargets filters candidates down to clouds that accept writes
 // and ranks them: healthiest first, clouds whose quota is merely being
 // probed last — a probe is a last resort, not the first target.
 func (el Eligibility) WriteTargets(candidates []string) []string {
-	return el.Capacity.WithSpace(el.ReadSources(candidates))
+	if el.Health != nil {
+		candidates = el.Health.Healthiest(candidates)
+	}
+	return el.Capacity.WithSpace(candidates)
 }

@@ -187,9 +187,13 @@ func TestUploadRoutesAroundOpenBreaker(t *testing.T) {
 // the download completes at the healthy clouds' latency instead of
 // hanging on the stall.
 func TestHedgedDownloadWithStalledCloud(t *testing.T) {
-	r := newGuardedRig(t, 3, Config{
-		HedgeFallbackDelay: 50 * time.Millisecond,
-	})
+	r := newGuardedRig(t, 3, Config{})
+	// One earlier answer per cloud, alike: the stalled cloud ranks first
+	// by name, and each stalled fetch qualifies for a duplicate once it
+	// has overrun its estimate by a spare's.
+	for _, name := range r.names {
+		r.engine.Prober().Observe(name, sched.Down, 0, 5*time.Millisecond)
+	}
 
 	// Two blocks, each replicated on the (to-be) stalled cloud c0 and
 	// one healthy spare; k=2 means both are needed.

@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"unidrive/internal/capacity"
 	"unidrive/internal/cloud"
@@ -63,15 +62,6 @@ type Config struct {
 	// evidence. Downloads are unaffected: a full cloud still serves
 	// every read. nil disables capacity gating.
 	Capacity *capacity.Tracker
-	// HedgeMinSamples is the minimum histogram population before the
-	// hedgeQuantile deadline is trusted; below it HedgeFallbackDelay is
-	// used. Default 8.
-	HedgeMinSamples int
-	// HedgeFallbackDelay is the straggler deadline used while the
-	// latency histogram has too few samples (or Obs is nil). Default
-	// 30s, far above any healthy block time, so hedging effectively
-	// waits for real latency data unless a cloud is truly stuck.
-	HedgeFallbackDelay time.Duration
 	// Fair, when non-nil, is a weighted-fair connection scheduler
 	// shared by every engine in the process (one engine per tenant):
 	// each launched transfer additionally claims a (cloud, Tenant)
@@ -90,12 +80,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real{}
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 8
-	}
-	if c.HedgeFallbackDelay <= 0 {
-		c.HedgeFallbackDelay = 30 * time.Second
 	}
 }
 
@@ -142,7 +126,7 @@ func (e *Engine) BlockPath(segID string, blockID int) string {
 }
 
 // retryPolicy is the per-block retry policy, its backoff waiting on
-// the engine's clock: a hedge winner's cancellation interrupts a loser
+// the engine's clock: a duplicate winner's cancellation interrupts a loser
 // stuck mid-backoff.
 func (e *Engine) retryPolicy() cloud.RetryPolicy {
 	return cloud.DefaultRetryPolicy(e.cfg.Clock.After)
