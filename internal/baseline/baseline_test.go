@@ -164,7 +164,7 @@ func TestIntuitiveSlowestCloudDominates(t *testing.T) {
 	// One slow cloud out of three: the intuitive multi-cloud must be
 	// slower than the benchmark coded one, which only needs k of n
 	// blocks. This is the heart of the paper's Figure 11 ordering.
-	clk := vclock.NewScaled(300)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	cfg := netsim.DefaultConfig(3)
 	cfg.DegradedProb = 0
 	profiles := []netsim.CloudProfile{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/netsim"
@@ -223,9 +224,9 @@ func TestConcurrentUploadsDistinctPaths(t *testing.T) {
 }
 
 func TestClientShapedBySimulatedNetwork(t *testing.T) {
-	// A modest scale factor keeps real compute time (the 1 MB copy)
-	// from inflating simulated time on slow machines.
-	clk := vclock.NewScaled(500)
+	// On a world clock the 1 MB copy takes no simulated time, however
+	// slow the machine.
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	cfg := netsim.DefaultConfig(1)
 	cfg.DegradedProb = 0
 	env := netsim.NewEnv(clk, cfg, []netsim.CloudProfile{{
@@ -258,7 +259,7 @@ func TestClientShapedBySimulatedNetwork(t *testing.T) {
 }
 
 func TestClientOutagePropagates(t *testing.T) {
-	clk := vclock.NewScaled(5000)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	env := netsim.NewEnv(clk, netsim.DefaultConfig(1), netsim.FiveClouds())
 	host := env.NewHost(netsim.EC2Location("virginia"))
 	c := NewClient(NewStore(netsim.Dropbox, 0), host)

@@ -18,7 +18,7 @@ import (
 
 // chaosDevice builds a client whose every cloud connector injects
 // transient failures with probability prob, with full telemetry and a
-// scaled clock so retry backoffs don't burn wall time. All randomness
+// world clock so retry backoffs don't burn wall time. All randomness
 // is seeded, so a failing run reproduces exactly.
 func (r *rig) chaosDevice(t *testing.T, name string, prob float64, seed int64) (*Client, *localfs.Mem, *obs.Registry) {
 	t.Helper()
@@ -36,7 +36,7 @@ func (r *rig) chaosDevice(t *testing.T, name string, prob float64, seed int64) (
 		Device:     name,
 		Passphrase: "shared-secret",
 		Theta:      4096,
-		Clock:      vclock.NewScaled(50),
+		Clock:      vclock.NewWorld(time.Unix(0, 0)),
 		LockExpiry: 2 * time.Second,
 		Obs:        reg,
 	})
@@ -167,15 +167,15 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // resilientDevice is chaosDevice plus the breaker stack: a health
-// tracker shared by all of the device's clouds, on a clock of its own
-// scaled so that the breakers' cooldown (health.OpenTimeout) lasts
-// 10ms of wall time and open breakers re-probe within the test's.
+// tracker shared by all of the device's clouds, on the device's world
+// clock, so open breakers re-probe once the device's own waits have
+// covered their cooldown (health.OpenTimeout).
 func (r *rig) resilientDevice(t *testing.T, name string, prob float64, seed int64) (*Client, *localfs.Mem, *obs.Registry, *health.Tracker) {
 	t.Helper()
 	folder := localfs.NewMem()
 	reg := obs.NewRegistry()
-	clk := vclock.NewScaled(50)
-	tracker := health.NewDefaultTracker(vclock.NewScaled(float64(health.OpenTimeout/(10*time.Millisecond))), seed, reg)
+	clk := vclock.NewWorld(time.Unix(0, 0))
+	tracker := health.NewDefaultTracker(clk, seed, reg)
 	var clouds []cloud.Interface
 	var flakies []*cloudsim.Flaky
 	for i, st := range r.stores {
@@ -234,7 +234,7 @@ func TestChaosBreakerFailover(t *testing.T) {
 	if _, outage := deadUp.InjectedFaults(); outage.Total() == 0 {
 		t.Fatal("upload sync never hit the dying cloud — outage window missed the transfer")
 	}
-	// Open, or half-open if the (scaled) cooldown elapsed between the
+	// Open, or half-open if the cooldown elapsed between the
 	// trip and this read — the transition counters below pin down that
 	// it tripped and never closed.
 	if st := trkA.Breaker("c1").State(); st == health.Closed {
@@ -275,10 +275,11 @@ func TestChaosBreakerFailover(t *testing.T) {
 	// Drive beta until its breaker re-probes c3 (the outage window is
 	// over, so probes succeed) and closes again. Each committing sync
 	// reads every cloud's version stamp, giving the half-open breaker
-	// its probe; the real sleeps let the (scaled) cooldown elapse.
+	// its probe; the sleeps on beta's world clock let the cooldown
+	// elapse.
 	recovered := false
 	for i := 0; i < 300 && !recovered; i++ {
-		time.Sleep(5 * time.Millisecond)
+		b.cfg.Clock.Sleep(health.OpenTimeout / 10)
 		writeFile(t, fb, "beta-note.txt", randContent(40+int64(i), 200))
 		syncChaos(t, b)
 		recovered = trkB.Breaker("c3").State() == health.Closed
@@ -315,8 +316,8 @@ func TestChaosBreakerFailover(t *testing.T) {
 
 // quotaDevice is chaosDevice plus the capacity stack: a per-device
 // tracker on its own manual clock, so the test controls exactly when
-// Full clouds become eligible for re-probing. The core clock stays
-// scaled — qlock sleeps on it between acquisition attempts, and a
+// Full clouds become eligible for re-probing. The core clock is a
+// world clock — qlock sleeps on it between acquisition attempts, and a
 // frozen clock there would hang a contended lock — while the tracker
 // only ever reads its clock, never sleeps on it.
 func (r *rig) quotaDevice(t *testing.T, name string, seed int64) (*Client, *localfs.Mem, *obs.Registry, *capacity.Tracker, *vclock.Manual) {
@@ -337,7 +338,7 @@ func (r *rig) quotaDevice(t *testing.T, name string, seed int64) (*Client, *loca
 		Device:     name,
 		Passphrase: "shared-secret",
 		Theta:      4096,
-		Clock:      vclock.NewScaled(50),
+		Clock:      vclock.NewWorld(time.Unix(0, 0)),
 		LockExpiry: 2 * time.Second,
 		Obs:        reg,
 		Capacity:   tracker,

@@ -100,11 +100,6 @@ type Config struct {
 	Clock vclock.Clock
 	// LockExpiry is the lock-breaking threshold ΔT.
 	LockExpiry time.Duration
-	// ReleaseTimeout bounds the quorum-lock release performed after
-	// every commit: a stalled cloud must not hang shutdown, so the
-	// release is abandoned after this long (the flag files expire on
-	// their own after LockExpiry). Default 10s.
-	ReleaseTimeout time.Duration
 	// Obs, when non-nil, receives the client's full telemetry: every
 	// Web API call of every cloud (per-cloud op table), the transfer
 	// engine's counters, the prober's throughput gauges, and the
@@ -178,9 +173,6 @@ func (c *Config) fillDefaults(n int) {
 	}
 	if c.LockExpiry <= 0 {
 		c.LockExpiry = qlock.DefaultExpiry
-	}
-	if c.ReleaseTimeout <= 0 {
-		c.ReleaseTimeout = 10 * time.Second
 	}
 	if c.TenantID == "" {
 		c.TenantID = c.Device

@@ -78,7 +78,7 @@ func (h *lockDeleteHang) Delete(ctx context.Context, path string) error {
 
 // TestReleaseLockBoundedByTimeout pins the unlock-path bound: a cloud
 // that hangs on the lock-flag delete must not hang the pass. The
-// release is abandoned after ReleaseTimeout, counted in the obs table,
+// release is abandoned after releaseTimeout, counted in the obs table,
 // and the pass completes normally (the flag expires on its own).
 func TestReleaseLockBoundedByTimeout(t *testing.T) {
 	r := newRig(5)
@@ -94,18 +94,17 @@ func TestReleaseLockBoundedByTimeout(t *testing.T) {
 		clouds = append(clouds, c)
 	}
 	reg := obs.NewRegistry()
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	a, err := New(clouds, folder, Config{
 		Device: "alpha", Passphrase: "shared-secret", Theta: 4096,
-		LockExpiry:     500 * time.Millisecond,
-		ReleaseTimeout: 50 * time.Millisecond,
-		Obs:            reg,
+		Clock: clk, LockExpiry: 500 * time.Millisecond, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeFile(t, folder, "f.txt", "content behind a stuck unlock")
 
-	start := time.Now()
+	start := clk.Now()
 	rep, err := a.SyncOnce(ctxT(t))
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +113,8 @@ func TestReleaseLockBoundedByTimeout(t *testing.T) {
 		t.Fatalf("LocalChanges = %d, want 1", rep.LocalChanges)
 	}
 	settle(t, a) // the release runs in the hold's tail
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("pass and release took %v despite the release bound", elapsed)
+	if elapsed := clk.Now().Sub(start); elapsed != releaseTimeout {
+		t.Fatalf("pass and release took %v, want the release abandoned at its %v bound", elapsed, releaseTimeout)
 	}
 	if got := reg.Counter("qlock.release_timeouts").Value(); got < 1 {
 		t.Fatalf("qlock.release_timeouts = %d, want >= 1", got)

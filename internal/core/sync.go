@@ -14,6 +14,7 @@ import (
 	"unidrive/internal/qlock"
 	"unidrive/internal/sched"
 	"unidrive/internal/transfer"
+	"unidrive/internal/vclock"
 )
 
 // SyncReport summarizes one pass: SyncOnce, SyncDirty or SyncRemote.
@@ -472,11 +473,17 @@ func (c *Client) finishUpload(ctx context.Context, session *uploadSession, inten
 	})
 }
 
+// releaseTimeout bounds the quorum-lock release performed after every
+// commit, and the block deletes of a hold's tail: a stalled cloud must
+// not hang shutdown, so they are abandoned after this long (the flag
+// files expire on their own after LockExpiry).
+const releaseTimeout = 10 * time.Second
+
 // releaseLock starts releasing a quorum lock with a hard deadline, so
 // a stalled cloud cannot hang shutdown, and returns the wait for it:
 // the release runs beside whatever its caller does next, detached from
 // the caller's cancellation (a cancelled sync must still try to
-// unlock), and the wait returns once it ended or ReleaseTimeout after
+// unlock), and the wait returns once it ended or releaseTimeout after
 // it started, when it is abandoned and counted under
 // qlock.release_timeouts. An abandoned release is safe: the flag files
 // expire after LockExpiry and every other device breaks them. The flags
@@ -484,7 +491,7 @@ func (c *Client) finishUpload(ctx context.Context, session *uploadSession, inten
 // in flight (deltasync.Store.JoinWrites): one landing after the release
 // could hide the next holder's commit from a read quorum.
 func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock, store *deltasync.Store) (wait func()) {
-	rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.ReleaseTimeout)
+	rctx, cancel := vclock.WithTimeout(c.cfg.Clock, context.WithoutCancel(ctx), releaseTimeout)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

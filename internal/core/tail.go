@@ -6,6 +6,7 @@ import (
 
 	"unidrive/internal/meta"
 	"unidrive/internal/transfer"
+	"unidrive/internal/vclock"
 )
 
 // A commit is visible to every device once its version stamp is on a
@@ -180,7 +181,7 @@ func (c *Client) deleteInTail(ctx context.Context, blocks []transfer.BlockRef, t
 // intents committed, as a crash would: the next start's Recover deletes
 // the blocks.
 func (c *Client) tailDeletes(ctx context.Context, blocks []transfer.BlockRef) func() bool {
-	t, engine, bound := c.tail, c.engine, c.cfg.ReleaseTimeout
+	t, engine, clk := c.tail, c.engine, c.cfg.Clock
 	for _, b := range blocks {
 		if t.deleting == nil {
 			t.deleting = make(map[string]bool)
@@ -188,7 +189,7 @@ func (c *Client) tailDeletes(ctx context.Context, blocks []transfer.BlockRef) fu
 		t.deleting[b.SegID] = true
 	}
 	return func() bool {
-		dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), bound)
+		dctx, cancel := vclock.WithTimeout(clk, context.WithoutCancel(ctx), releaseTimeout)
 		defer cancel()
 		engine.DeleteBlocks(dctx, blocks)
 		if dctx.Err() != nil {

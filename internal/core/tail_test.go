@@ -19,6 +19,7 @@ import (
 	"unidrive/internal/obs"
 	"unidrive/internal/qlock"
 	"unidrive/internal/transfer"
+	"unidrive/internal/vclock"
 )
 
 // tailWatch is what the tail tests hold over one device's clouds: block
@@ -124,8 +125,8 @@ func (c *tailCloud) Delete(ctx context.Context, path string) error {
 	return err
 }
 
-// tailDevice is rig.device with every cloud behind the watch.
-func (r *rig) tailDevice(t *testing.T, name string, w *tailWatch) (*Client, *localfs.Mem, *obs.Registry) {
+// tailDevice is rig.device with every cloud behind the watch, on clk.
+func (r *rig) tailDevice(t *testing.T, name string, w *tailWatch, clk vclock.Clock) (*Client, *localfs.Mem, *obs.Registry) {
 	t.Helper()
 	var clouds []cloud.Interface
 	for _, st := range r.stores {
@@ -134,7 +135,7 @@ func (r *rig) tailDevice(t *testing.T, name string, w *tailWatch) (*Client, *loc
 	folder, reg := localfs.NewMem(), obs.NewRegistry()
 	c, err := New(clouds, folder, Config{
 		Device: name, Passphrase: "shared-secret", Theta: 4096,
-		LockExpiry: time.Minute, Obs: reg,
+		Clock: clk, LockExpiry: time.Minute, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +165,7 @@ func blockNames(t *testing.T, c *Client, img *meta.Image, path string) []string 
 func TestReaddWhileTheTailDeletesTheReleasedBlocks(t *testing.T) {
 	r := newRig(5)
 	w := newTailWatch("none")
-	a, fa, reg := r.tailDevice(t, "alpha", w)
+	a, fa, reg := r.tailDevice(t, "alpha", w, vclock.Real{})
 	b, fb := r.device(t, "beta")
 	content := randContent(41, 3*4096)
 	writeFile(t, fa, "first.bin", content)
@@ -350,7 +351,7 @@ func commitBesideParkedCatchUp(t *testing.T) (*rig, *tailWatch, *Client, *localf
 	t.Helper()
 	r := newRig(5)
 	w := newTailWatch("c2", "c3", "c4")
-	a, fa, reg := r.tailDevice(t, "alpha", w)
+	a, fa, reg := r.tailDevice(t, "alpha", w, vclock.Real{})
 	for i := 0; i < 2; i++ {
 		writeFile(t, fa, "warm.txt", randContent(int64(44+i), 100))
 		syncOK(t, a)
@@ -461,7 +462,7 @@ func ownFlags(r *rig, device string) (flags []string) {
 	return flags
 }
 
-// Block deletes that ReleaseTimeout cuts short leave the pass's intent
+// Block deletes that releaseTimeout cuts short leave the pass's intent
 // committed, its released segments journaled, as a crash in the tail
 // would. The device then adds the same content again in a pass that
 // crashes before its commit: the restarted device's Recover leaves the
@@ -472,8 +473,9 @@ func ownFlags(r *rig, device string) (flags []string) {
 func TestCutTailDeletesLeaveTheIntentToRecover(t *testing.T) {
 	r := newRig(5)
 	w := newTailWatch("none")
-	a, fa, reg := r.tailDevice(t, "alpha", w)
-	a.cfg.ReleaseTimeout = 30 * time.Millisecond
+	// On a world clock, the held deletes wait out the bound in virtual
+	// time.
+	a, fa, reg := r.tailDevice(t, "alpha", w, vclock.NewWorld(time.Unix(0, 0)))
 	content := randContent(46, 3*4096)
 	writeFile(t, fa, "first.bin", content)
 	syncOK(t, a)

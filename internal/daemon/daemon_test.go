@@ -199,7 +199,7 @@ func syncClientTo(t *testing.T, c *core.Client, version int64) {
 // tenants, and one tenant's secret file must never appear on another
 // tenant's devices.
 func TestDaemonMultiTenantConvergence(t *testing.T) {
-	clk := vclock.NewScaled(50)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	d := daemon.New(daemon.Config{ConnsPerCloud: 4, Clock: clk, Obs: obs.NewRegistry()})
 	ids := []string{"alice", "bob", "carol"}
 	rigs := make(map[string]*tenantRig)
@@ -259,7 +259,7 @@ func TestDaemonMultiTenantConvergence(t *testing.T) {
 // account only — B's calls to its own c1 account must keep flowing:
 // zero rejections, zero unavailable outcomes, bytes still landing.
 func TestDaemonBreakerIsolation(t *testing.T) {
-	clk := vclock.NewScaled(50)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	d := daemon.New(daemon.Config{ConnsPerCloud: 4, Clock: clk})
 	a := addTenant(t, d, "A", 0, 21, clk, 0)
 	b := addTenant(t, d, "B", 0, 22, clk, 0)
@@ -320,7 +320,7 @@ func TestDaemonBreakerIsolation(t *testing.T) {
 // tenant's op table and in no other's, which a single shared registry
 // could never establish.
 func TestDaemonChaosSoak(t *testing.T) {
-	clk := vclock.NewScaled(50)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	d := daemon.New(daemon.Config{ConnsPerCloud: 5, Clock: clk, Obs: obs.NewRegistry()})
 	ids := []string{"t0", "t1", "t2", "t3"}
 	rigs := make(map[string]*tenantRig)
@@ -429,7 +429,7 @@ func TestDaemonChaosSoak(t *testing.T) {
 // loop per tenant registered before it, each syncing its own folder,
 // and returns once cancelled.
 func TestDaemonRunHostsEveryTenant(t *testing.T) {
-	clk := vclock.NewScaled(200)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	d := daemon.New(daemon.Config{ConnsPerCloud: 4, Clock: clk})
 	a := addTenant(t, d, "A", 0, 51, clk, 0)
 	b := addTenant(t, d, "B", 0, 52, clk, 2)
@@ -472,7 +472,7 @@ func TestDaemonRunHostsEveryTenant(t *testing.T) {
 // aggregates per-tenant ledgers exactly; the tenant view returns one
 // tenant's snapshot; unknown tenants 404.
 func TestDaemonDebugEndpoint(t *testing.T) {
-	clk := vclock.NewScaled(50)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	d := daemon.New(daemon.Config{ConnsPerCloud: 4, Clock: clk, Obs: obs.NewRegistry()})
 	a := addTenant(t, d, "A", 0, 61, clk, 2)
 	b := addTenant(t, d, "B", 0, 62, clk, 0)
@@ -545,7 +545,7 @@ func TestDaemonDebugEndpoint(t *testing.T) {
 
 // TestDaemonAddTenantErrors pins the registration failure modes.
 func TestDaemonAddTenantErrors(t *testing.T) {
-	clk := vclock.NewScaled(50)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	d := daemon.New(daemon.Config{Clock: clk})
 	if _, err := d.AddTenant(daemon.TenantConfig{}); err == nil {
 		t.Error("empty tenant ID accepted")
@@ -576,7 +576,7 @@ func TestDaemonAddTenantErrors(t *testing.T) {
 // full and surfaces in A's fleet-view row, while tenant B's account on
 // the same provider name stays untouched.
 func TestDaemonCapacityRollup(t *testing.T) {
-	clk := vclock.NewScaled(50)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	d := daemon.New(daemon.Config{ConnsPerCloud: 4, Clock: clk, Obs: obs.NewRegistry()})
 	a := addTenant(t, d, "A", 0, 71, clk, 0)
 	b := addTenant(t, d, "B", 0, 72, clk, 0)

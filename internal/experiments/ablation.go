@@ -24,7 +24,7 @@ type ablationRig struct {
 }
 
 func newAblationRig(opts Opts) (*ablationRig, error) {
-	c := NewCluster(opts.Seed, opts.Scale)
+	c := NewCluster(opts.Seed)
 	coder, err := erasure.NewCoder(paperParams.K, paperParams.CodeN())
 	return &ablationRig{c: c, clouds: c.Site(netsim.EC2Location("virginia")).Clouds(), coder: coder}, err
 }

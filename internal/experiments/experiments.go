@@ -89,19 +89,12 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// DefaultScale is the simulated-to-wall time compression of the §7
-// experiments (a zero Opts.Scale). 200× keeps per-sleep OS jitter well
-// under 1 simulated second while letting an hour-long transfer study
-// finish in seconds. The §3.2 measurement study does not use it: it
-// runs on a stepping clock (see stepClock).
-const DefaultScale = 200
-
 // DataScale shrinks the bytes that actually move through the
 // simulator. Both workload sizes and link rates are divided by it, so
-// simulated durations still correspond to the NOMINAL sizes, while
-// real CPU work (hashing, coding, copying) — which a scaled clock
-// would otherwise magnify into fake simulated seconds — shrinks
-// proportionally.
+// simulated durations still correspond to the NOMINAL sizes. The world
+// clock charges no virtual time for client CPU, so DataScale only
+// bounds the wall time an experiment takes: the real hashing, coding
+// and copying shrink with it.
 const DataScale = 8
 
 // Opts sizes an experiment. Each row of All reads the fields its
@@ -109,8 +102,6 @@ const DataScale = 8
 type Opts struct {
 	// Seed drives the simulated network and the workload content.
 	Seed int64
-	// Scale is the clock compression (0 = DefaultScale).
-	Scale float64
 	// Trials is the number of samples per measured point (Fig 10:
 	// the number of hourly samples).
 	Trials int
@@ -129,9 +120,6 @@ type Opts struct {
 // fill completes o from def: every field o leaves zero takes def's
 // value.
 func (o Opts) fill(def Opts) Opts {
-	if o.Scale == 0 {
-		o.Scale = def.Scale
-	}
 	if o.Trials == 0 {
 		o.Trials = def.Trials
 	}
@@ -195,24 +183,24 @@ var All = []Experiment{
 		Sizes: Sizes{Paper: Opts{Trials: 8}, Quick: Opts{Trials: 3}, Mini: Opts{Trials: 3}}},
 	{Name: "tab1", Run: one(table1FailureCorrelation)},
 	{Name: "fig8", Run: fig8Micro,
-		Sizes: Sizes{Paper: Opts{Trials: 5, SizeMB: 32}, Quick: Opts{Trials: 2, SizeMB: 16}, Mini: Opts{Scale: 800, Trials: 1, SizeMB: 4}}},
+		Sizes: Sizes{Paper: Opts{Trials: 5, SizeMB: 32}, Quick: Opts{Trials: 2, SizeMB: 16}, Mini: Opts{Trials: 1, SizeMB: 4}}},
 	{Name: "fig9", Run: one(fig9FileSizes),
-		Sizes: Sizes{Paper: Opts{Trials: 5, SizeMB: 32}, Quick: Opts{Trials: 2}, Mini: Opts{Scale: 800, Trials: 1, SizeMB: 8}}},
+		Sizes: Sizes{Paper: Opts{Trials: 5, SizeMB: 32}, Quick: Opts{Trials: 2}, Mini: Opts{Trials: 1, SizeMB: 8}}},
 	{Name: "fig10", Run: one(fig10HourlyVariation),
-		Sizes: Sizes{Paper: Opts{Trials: 24, SizeMB: 32}, Quick: Opts{SizeMB: 16}, Mini: Opts{Scale: 800, Trials: 2, SizeMB: 8}}},
+		Sizes: Sizes{Paper: Opts{Trials: 24, SizeMB: 32}, Quick: Opts{SizeMB: 16}, Mini: Opts{Trials: 2, SizeMB: 8}}},
 	{Name: "fig11", Aliases: []string{"tab2"}, Run: fig11BatchSync,
-		Sizes: Sizes{Paper: Opts{Files: 100, FileKB: 1024, Sources: 7}, Quick: Opts{Files: 20, Sources: 3}, Mini: Opts{Scale: 800, Files: 10, Sources: 2}}},
+		Sizes: Sizes{Paper: Opts{Files: 100, FileKB: 1024, Sources: 7}, Quick: Opts{Files: 20, Sources: 3}, Mini: Opts{Files: 10, Sources: 2}}},
 	{Name: "fig12", Run: one(fig12CumulativeSync),
-		Sizes: Sizes{Paper: Opts{Files: 100, FileKB: 1024}, Quick: Opts{Files: 20}, Mini: Opts{Scale: 800, Files: 8}}},
+		Sizes: Sizes{Paper: Opts{Files: 100, FileKB: 1024}, Quick: Opts{Files: 20}, Mini: Opts{Files: 8}}},
 	{Name: "tab3", Run: one(table3Overhead),
-		Sizes: Sizes{Paper: Opts{Files: 100, FileKB: 1024}, Quick: Opts{Files: 20}, Mini: Opts{Scale: 800, Files: 8}}},
+		Sizes: Sizes{Paper: Opts{Files: 100, FileKB: 1024}, Quick: Opts{Files: 20}, Mini: Opts{Files: 8}}},
 	{Name: "fig13", Run: one(fig13DeltaSync),
 		Sizes: Sizes{Paper: Opts{Files: 1024, FileKB: 100}, Quick: Opts{Files: 256}, Mini: Opts{Files: 256}}},
 	{Name: "fig14", Run: one(fig14Reliability),
-		Sizes: Sizes{Paper: Opts{SizeMB: 32, Trials: 12}, Quick: Opts{Trials: 6}, Mini: Opts{Scale: 800, SizeMB: 16, Trials: 4}}},
+		Sizes: Sizes{Paper: Opts{SizeMB: 32, Trials: 12}, Quick: Opts{Trials: 6}, Mini: Opts{SizeMB: 16, Trials: 4}}},
 	{Name: "ablation", Run: func(o Opts) []*Table {
 		return []*Table{ablationOverProvisioning(o), ablationDownloadScheduling(o), ablationChunkerTheta(o)}
-	}, Sizes: Sizes{Paper: Opts{Trials: 7, SizeMB: 16}, Quick: Opts{Trials: 5}, Mini: Opts{Scale: 800, Trials: 3, SizeMB: 8}}},
+	}, Sizes: Sizes{Paper: Opts{Trials: 7, SizeMB: 16}, Quick: Opts{Trials: 5}, Mini: Opts{Trials: 3, SizeMB: 8}}},
 }
 
 // Cluster is a simulated multi-cloud world shared by any number of
@@ -224,16 +212,12 @@ type Cluster struct {
 	Stores map[string]*cloudsim.Store
 }
 
-// NewCluster builds a five-cloud world on a scaled wall clock with
-// the given seed and time compression (0 uses DefaultScale).
-func NewCluster(seed int64, scale float64) *Cluster {
-	if scale <= 0 {
-		scale = DefaultScale
-	}
-	return newCluster(seed, vclock.NewScaled(scale))
-}
-
-func newCluster(seed int64, clk vclock.Clock) *Cluster {
+// NewCluster builds a five-cloud world with the given seed on a world
+// clock (vclock.World): its virtual time moves only while every
+// goroutine waits, so the simulated durations are those of the modelled
+// network and protocol timers, whatever the host's speed or load.
+func NewCluster(seed int64) *Cluster {
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	profiles := netsim.FiveClouds()
 	for i := range profiles {
 		profiles[i].UpMbps /= DataScale
@@ -248,28 +232,6 @@ func newCluster(seed int64, clk vclock.Clock) *Cluster {
 		c.Stores[p.Name] = cloudsim.NewStore(p.Name, 0)
 	}
 	return c
-}
-
-// stepClock is a vclock.Clock whose Sleep simply advances Now: no wall
-// time passes and equal inputs give equal timelines. It is for ONE
-// goroutine only — two sleepers would each push the shared timeline
-// forward instead of overlapping — which is exactly the §3.2 study: one
-// raw transfer at a time, no client compute, no concurrency.
-type stepClock struct{ now time.Time }
-
-func (c *stepClock) Now() time.Time { return c.now }
-
-func (c *stepClock) Sleep(d time.Duration) {
-	if d > 0 {
-		c.now = c.now.Add(d)
-	}
-}
-
-func (c *stepClock) After(d time.Duration) <-chan time.Time {
-	c.Sleep(d)
-	ch := make(chan time.Time, 1)
-	ch <- c.now
-	return ch
 }
 
 // Size converts a nominal byte count into the scaled-down size that

@@ -64,7 +64,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestClusterScalingConsistent(t *testing.T) {
-	c := NewCluster(1, 500)
+	c := NewCluster(1)
 	if c.Size(32<<20) != 4<<20 {
 		t.Fatalf("Size(32MB) = %d", c.Size(32<<20))
 	}
@@ -90,8 +90,8 @@ func TestMbpsHelper(t *testing.T) {
 
 // TestOptsFill: a size lists only what differs from the paper's.
 func TestOptsFill(t *testing.T) {
-	got := Opts{Trials: 2, Scale: 800}.fill(Opts{Trials: 5, SizeMB: 32, Files: 100})
-	want := Opts{Scale: 800, Trials: 2, SizeMB: 32, Files: 100}
+	got := Opts{Trials: 2, Sources: 3}.fill(Opts{Trials: 5, SizeMB: 32, Files: 100})
+	want := Opts{Trials: 2, SizeMB: 32, Files: 100, Sources: 3}
 	if got != want {
 		t.Fatalf("fill = %+v, want %+v", got, want)
 	}
@@ -166,8 +166,9 @@ func TestMeasurementShapes(t *testing.T) {
 	}
 }
 
-// TestMeasurementDeterministic: the §3.2 study runs on the stepping
-// clock, so two runs at one seed render byte-identical tables.
+// TestMeasurementDeterministic: the §3.2 study issues one transfer at a
+// time on the world clock, so two runs at one seed render
+// byte-identical tables.
 func TestMeasurementDeterministic(t *testing.T) {
 	for _, e := range All[:5] { // fig1, fig2, fig3, fig4, tab1
 		a, b := render(e.Tables(e.Sizes.Mini, 5)), render(e.Tables(e.Sizes.Mini, 5))
@@ -260,8 +261,7 @@ func TestFig11SmallShape(t *testing.T) {
 		}
 	}
 	// The quantitative speedup claim (paper: 1.33x) is validated by
-	// the full-size unibench run; at this test's tiny scale — and
-	// under CI CPU contention, which a scaled clock amplifies — the
+	// the full-size unibench run; at this test's tiny scale the
 	// draw-to-draw spread is several-fold, so here we only require
 	// that the measurement ran and produced a sane figure.
 	if speedup <= 0 {

@@ -74,7 +74,7 @@ func fig8Micro(opts Opts) []*Table {
 	}
 	var upSpeedups, downSpeedups, upVsBench []float64
 	for li, loc := range netsim.EC2Locations() {
-		c := NewCluster(opts.Seed+int64(li), opts.Scale)
+		c := NewCluster(opts.Seed + int64(li))
 		apps, err := newLineup(names, c, loc)
 		if err != nil {
 			upT.AddNote("%s: setup failed: %v", loc.Name, err)
@@ -116,7 +116,7 @@ func fig8Micro(opts Opts) []*Table {
 // file size (1 MB doubling up to opts.SizeMB) on the Virginia node for
 // UniDrive, the three US native apps and the benchmark.
 func fig9FileSizes(opts Opts) *Table {
-	c := NewCluster(opts.Seed, opts.Scale)
+	c := NewCluster(opts.Seed)
 	loc := netsim.EC2Location("virginia")
 	names := lineupNames(usProviders, benchmarkName)
 	t := &Table{
@@ -152,7 +152,7 @@ func fig9FileSizes(opts Opts) *Table {
 // Virginia — UniDrive should be both faster and far more stable. Both
 // columns are available times, as in Fig 8.
 func fig10HourlyVariation(opts Opts) *Table {
-	c := NewCluster(opts.Seed, opts.Scale)
+	c := NewCluster(opts.Seed)
 	names := []string{uniDriveName, netsim.OneDrive}
 	t := &Table{
 		Title:   fmt.Sprintf("Fig 10: hourly %d MB upload time over one day, Virginia [s]", opts.SizeMB),
@@ -211,7 +211,7 @@ func fig11BatchSync(opts Opts) []*Table {
 
 	for _, src := range locations {
 		// Fresh world per source so approaches see fresh stores.
-		c := NewCluster(opts.Seed+int64(len(fig.Rows)), opts.Scale)
+		c := NewCluster(opts.Seed + int64(len(fig.Rows)))
 		files := workload.Batch(opts.Seed, opts.Files, c.Size(opts.FileKB<<10))
 		apps, err := newLineup(names, c, src)
 		if err != nil {
@@ -292,7 +292,7 @@ func fig12CumulativeSync(opts Opts) *Table {
 	ctx := context.Background()
 	// The fastest CCS stands in for the single-cloud curve.
 	for _, name := range []string{uniDriveName, netsim.GDrive, benchmarkName} {
-		c := NewCluster(opts.Seed, opts.Scale)
+		c := NewCluster(opts.Seed)
 		files := workload.Batch(opts.Seed, opts.Files, c.Size(opts.FileKB<<10))
 		a, err := newApproach(name, c, src)
 		if err == nil {
@@ -342,7 +342,7 @@ func table3Overhead(opts Opts) *Table {
 		Headers: []string{"approach", "wire [KB]", "payload [KB]", "overhead"},
 	}
 	for _, name := range lineupNames(fiveProviders, intuitiveName, benchmarkName) {
-		c := NewCluster(opts.Seed, opts.Scale)
+		c := NewCluster(opts.Seed)
 		files := workload.Batch(opts.Seed, opts.Files, c.Size(opts.FileKB<<10))
 		a, err := newApproach(name, c, netsim.EC2Location("virginia"))
 		if err == nil {
@@ -375,7 +375,7 @@ func table3Overhead(opts Opts) *Table {
 // recovery MUST fail — that is the Ks = 2 security property. Download
 // time grows as clouds disappear.
 func fig14Reliability(opts Opts) *Table {
-	c := NewCluster(opts.Seed, opts.Scale)
+	c := NewCluster(opts.Seed)
 	loc := netsim.EC2Location("tokyo")
 	ctx := context.Background()
 	t := &Table{

@@ -13,14 +13,6 @@ import (
 // study, so they land in different fluctuation epochs.
 const measurementGap = 45 * time.Second
 
-// newMeasurementCluster builds the world of the §3.2 study: Figs 1–4
-// and Table 1 issue one raw transfer at a time from one goroutine, so
-// they run on a stepping clock — no wall time passes, Opts.Scale does
-// not apply, and a seed gives the same tables every run.
-func newMeasurementCluster(seed int64) *Cluster {
-	return newCluster(seed, &stepClock{now: time.Unix(0, 0)})
-}
-
 // rawTransfer issues one Web-API transfer of size bytes and reports
 // its simulated duration; failed requests report ok=false.
 func rawTransfer(c *Cluster, h *netsim.Host, cloudName string, dir netsim.Direction, size int64) (time.Duration, bool) {
@@ -35,7 +27,7 @@ func rawTransfer(c *Cluster, h *netsim.Host, cloudName string, dir netsim.Direct
 func fig1SpatialVariation(opts Opts) []*Table {
 	var tables []*Table
 	for _, dir := range []netsim.Direction{netsim.Upload, netsim.Download} {
-		c := newMeasurementCluster(opts.Seed)
+		c := NewCluster(opts.Seed)
 		size := int64(c.Size(8 << 20))
 		t := &Table{
 			Title:   fmt.Sprintf("Fig 1 (%s): 8 MB %s time per CCS across PlanetLab nodes [s, avg (min-max)]", dir, dir),
@@ -82,7 +74,7 @@ func fig1SpatialVariation(opts Opts) []*Table {
 // size on the Princeton node — throughput rises with size and
 // flattens past ~4 MB (per-request latency amortization).
 func fig2FileSizeThroughput(opts Opts) *Table {
-	c := newMeasurementCluster(opts.Seed)
+	c := NewCluster(opts.Seed)
 	h := c.Host(netsim.PlanetLabLocation("princeton"))
 	sizes := []int64{512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20}
 	t := &Table{
@@ -128,7 +120,7 @@ func fig2FileSizeThroughput(opts Opts) *Table {
 // to 17×) and near-independent clouds.
 func fig3TemporalVariation(opts Opts) *Table {
 	const days = 30
-	c := newMeasurementCluster(opts.Seed)
+	c := NewCluster(opts.Seed)
 	size := int64(c.Size(8 << 20))
 	h := c.Host(netsim.PlanetLabLocation("princeton"))
 	clouds := usProviders
@@ -179,7 +171,7 @@ func fig3TemporalVariation(opts Opts) *Table {
 // fig4FailureBySize reproduces Figure 4: among all failed requests,
 // the share contributed by each file size — larger files fail more.
 func fig4FailureBySize(opts Opts) *Table {
-	c := newMeasurementCluster(opts.Seed)
+	c := NewCluster(opts.Seed)
 	h := c.Host(netsim.PlanetLabLocation("princeton"))
 	sizes := []int64{0, 512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20}
 	labels := []string{"0", "0.5MB", "1MB", "2MB", "4MB", "8MB"}
@@ -220,7 +212,7 @@ func fig4FailureBySize(opts Opts) *Table {
 // time windows. The paper finds negative correlations — clouds
 // rarely fail together.
 func table1FailureCorrelation(opts Opts) *Table {
-	c := newMeasurementCluster(opts.Seed)
+	c := NewCluster(opts.Seed)
 	h := c.Host(netsim.PlanetLabLocation("princeton"))
 	clouds := usProviders
 	const windows = 60

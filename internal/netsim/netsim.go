@@ -22,7 +22,8 @@
 //     cloud's bad minutes are the others' normal minutes.
 //
 // All waiting goes through a vclock.Clock, so experiments run the
-// model in scaled time.
+// model in virtual time (vclock.World) and benchmarks on the wall
+// clock.
 package netsim
 
 import (
@@ -374,9 +375,9 @@ func (h *Host) Do(ctx context.Context, cloudName string, dir Direction, size int
 		quantum = 256 * 1024
 	}
 	// Sleep toward a cumulative deadline rather than per-quantum
-	// durations: real sleeps always overshoot a little, and under a
-	// scaled clock that overhead would be multiplied by the scale
-	// factor. With a running deadline each sleep absorbs the previous
+	// durations: real sleeps always overshoot a little, and on the
+	// wall clock those overshoots would add up over a transfer's
+	// quanta. With a running deadline each sleep absorbs the previous
 	// one's overshoot, so only the final sleep's overhead remains.
 	deadline := env.clock.Now()
 	sleepQuantum := func(bytes int64) {

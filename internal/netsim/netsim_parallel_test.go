@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"unidrive/internal/vclock"
 )
@@ -49,7 +50,7 @@ func TestConcurrentHostsDeterministic(t *testing.T) {
 
 	mkEnv := func() *Env {
 		cfg := cleanConfig(seed) // no degradation episodes: epoch-free failures
-		return NewEnv(vclock.NewScaled(500000), cfg, []CloudProfile{flakyProfile("flaky")})
+		return NewEnv(vclock.NewWorld(time.Unix(0, 0)), cfg, []CloudProfile{flakyProfile("flaky")})
 	}
 	// Hosts are seeded by (env seed, location, attach order), so the
 	// solo baselines attach both hosts in the same order as the
@@ -101,7 +102,7 @@ func TestConcurrentHostsDeterministic(t *testing.T) {
 // same location in one environment must not share a draw stream.
 func TestHostSeedsDiffer(t *testing.T) {
 	t.Parallel()
-	env := NewEnv(vclock.NewScaled(500000), cleanConfig(7), []CloudProfile{flakyProfile("flaky")})
+	env := NewEnv(vclock.NewWorld(time.Unix(0, 0)), cleanConfig(7), []CloudProfile{flakyProfile("flaky")})
 	h1 := env.NewHost(ResidentialLocation("home"))
 	h2 := env.NewHost(ResidentialLocation("home"))
 	same := true

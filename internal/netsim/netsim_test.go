@@ -13,7 +13,7 @@ import (
 
 func testEnv(t *testing.T, seed int64) *Env {
 	t.Helper()
-	return NewEnv(vclock.NewScaled(20000), DefaultConfig(seed), FiveClouds())
+	return NewEnv(vclock.NewWorld(time.Unix(0, 0)), DefaultConfig(seed), FiveClouds())
 }
 
 // cleanProfile returns a cloud profile with no failures or latency,
@@ -46,7 +46,7 @@ func TestDoTransfersAtModeledRate(t *testing.T) {
 	// Scale 50: the ~4 simulated seconds are ~80 ms of real time and the
 	// upper bound leaves 120 ms of slack — at 5000 the whole transfer
 	// was 0.8 ms, inside one scheduler hiccup on a loaded box.
-	clk := vclock.NewScaled(50)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	env := NewEnv(clk, cleanConfig(1), []CloudProfile{cleanProfile("c1", 8)})
 	h := env.NewHost(loc("here", 1000, 1000, nil, 1))
 	const size = 4 << 20 // 4 MB at 8 Mbps = ~4 simulated seconds
@@ -95,14 +95,14 @@ func TestBlockedLocationUnreachable(t *testing.T) {
 }
 
 func TestContextCancellationStopsTransfer(t *testing.T) {
-	clk := vclock.NewScaled(1000)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	env := NewEnv(clk, DefaultConfig(1), []CloudProfile{cleanProfile("c1", 0.1)})
 	h := env.NewHost(loc("here", 1000, 1000, nil, 1))
+	// 64 MB at 0.1 Mbps takes well over an hour; cancel after 10 s.
 	ctx, cancel := context.WithCancel(context.Background())
+	clk.AfterFunc(10*time.Second, cancel)
 	done := make(chan error, 1)
 	go func() { done <- h.Do(ctx, "c1", Upload, 64<<20) }()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
@@ -114,7 +114,7 @@ func TestContextCancellationStopsTransfer(t *testing.T) {
 }
 
 func TestCapacitySharingSlowsParallelConns(t *testing.T) {
-	clk := vclock.NewScaled(5000)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	// Cloud cap 8 Mbps, per-conn also 8: two parallel conns must share.
 	env := NewEnv(clk, cleanConfig(1), []CloudProfile{cleanProfile("c1", 8)})
 	h := env.NewHost(loc("here", 1000, 1000, nil, 1))
@@ -137,7 +137,7 @@ func TestCapacitySharingSlowsParallelConns(t *testing.T) {
 }
 
 func TestClientLinkLimitsAggregateRate(t *testing.T) {
-	clk := vclock.NewScaled(5000)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	clouds := []CloudProfile{cleanProfile("c1", 50), cleanProfile("c2", 50)}
 	env := NewEnv(clk, cleanConfig(1), clouds)
 	h := env.NewHost(loc("narrow", 10, 10, nil, 1)) // 10 Mbps uplink
@@ -161,7 +161,7 @@ func TestClientLinkLimitsAggregateRate(t *testing.T) {
 func TestFailuresAreSizeDependent(t *testing.T) {
 	cfg := DefaultConfig(7)
 	cfg.DegradedProb = 0 // isolate the size effect
-	env := NewEnv(vclock.NewScaled(1e6), cfg, []CloudProfile{{
+	env := NewEnv(vclock.NewWorld(time.Unix(0, 0)), cfg, []CloudProfile{{
 		Name: "c1", UpMbps: 1000, DownMbps: 1000, PerConnMbps: 1000,
 		BaseFailure: 0.01, FailurePerMB: 0.02, Sigma: 0.0001,
 	}})
@@ -250,7 +250,7 @@ func TestCloudsSortedAndComplete(t *testing.T) {
 
 func TestTrafficMetering(t *testing.T) {
 	cfg := DefaultConfig(1)
-	env := NewEnv(vclock.NewScaled(1e6), cfg, []CloudProfile{cleanProfile("c1", 1000)})
+	env := NewEnv(vclock.NewWorld(time.Unix(0, 0)), cfg, []CloudProfile{cleanProfile("c1", 1000)})
 	h := env.NewHost(loc("here", 1e6, 1e6, nil, 1))
 	if err := h.Do(context.Background(), "c1", Upload, 1000); err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@ import (
 // DefaultLatencyBuckets are the upper bounds, in seconds, of the
 // fixed histogram buckets used for Web API and block-transfer
 // latencies. They span 1 ms to 60 s roughly exponentially — wide
-// enough for both the simulation substrate (scaled clocks compress
-// real transfers into milliseconds) and real consumer clouds, whose
+// enough for both the simulation substrate (shrunken data over a
+// virtual clock) and real consumer clouds, whose
 // per-request latencies the paper measured in the 0.1–10 s range. An
 // implicit +Inf bucket catches everything beyond the last bound.
 var DefaultLatencyBuckets = []float64{

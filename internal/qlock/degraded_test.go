@@ -52,7 +52,7 @@ func TestAcquireDegradedSkipsBlockedCloud(t *testing.T) {
 	// blocked one a single request, and must say so in the metrics.
 	clouds, recs := recordedClouds(3)
 	reg := obs.NewRegistry()
-	cfg := fastCfg("d1")
+	cfg := fastCfg(newWorld(), "d1")
 	cfg.Health = newGate("c2")
 	cfg.Obs = reg
 	m := New(clouds, cfg)
@@ -84,24 +84,21 @@ func TestAcquireDegradedSkipsBlockedCloud(t *testing.T) {
 func TestAcquireQuorumBlockedSendsNothing(t *testing.T) {
 	// With a majority of breakers open the quorum is arithmetically
 	// out of reach: every round must be refused locally (no uploads at
-	// all) and acquisition must exhaust its attempts.
+	// all) until the acquisition's deadline.
 	clouds, recs := recordedClouds(3)
 	reg := obs.NewRegistry()
-	cfg := fastCfg("d1")
+	cfg := fastCfg(newWorld(), "d1")
 	cfg.Health = newGate("c1", "c2")
 	cfg.Obs = reg
-	cfg.MaxAttempts = 2
 	m := New(clouds, cfg)
 
-	_, err := m.Acquire(context.Background())
-	if !errors.Is(err, ErrNotAcquired) {
-		t.Fatalf("err = %v, want ErrNotAcquired", err)
+	_, err := acquireFor(m, 10*time.Second)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if n := reg.Counter("qlock.quorum_blocked").Value(); n != 2 {
-		t.Errorf("quorum_blocked = %d, want 2 (one per attempt)", n)
-	}
-	if n := reg.Counter("qlock.acquire.exhausted").Value(); n != 1 {
-		t.Errorf("exhausted = %d, want 1", n)
+	attempts := reg.Counter("qlock.acquire.attempts").Value()
+	if n := reg.Counter("qlock.quorum_blocked").Value(); attempts < 2 || n != attempts {
+		t.Errorf("quorum_blocked = %d after %d attempts, want one per attempt and at least 2", n, attempts)
 	}
 	for i, rec := range recs {
 		if got := rec.Counts().Upload; got != 0 {
@@ -114,7 +111,8 @@ func TestRefreshDegradedKeepsMajorityValidity(t *testing.T) {
 	// A held lock stays valid while renewals still reach a majority,
 	// and the blocked cloud is left alone by the refresh loop too.
 	clouds, recs := recordedClouds(3)
-	cfg := fastCfg("d1")
+	clk := newWorld()
+	cfg := fastCfg(clk, "d1")
 	g := newGate()
 	cfg.Health = g
 	m := New(clouds, cfg)
@@ -128,7 +126,7 @@ func TestRefreshDegradedKeepsMajorityValidity(t *testing.T) {
 	g.mu.Unlock()
 	<-lock.round.chains.Done() // the winning round's stragglers are not refresh traffic
 	before := recs[2].Counts().Total()
-	time.Sleep(4 * cfg.RefreshInterval)
+	clk.Sleep(cfg.Expiry) // four renewals
 	if !lock.Valid() {
 		t.Fatal("lock lost validity though a majority still renews")
 	}
@@ -146,7 +144,8 @@ func TestRenewalIsNotARound(t *testing.T) {
 	// must not count as a degraded round.
 	clouds, _ := recordedClouds(3)
 	reg := obs.NewRegistry()
-	cfg := fastCfg("d1")
+	clk := newWorld()
+	cfg := fastCfg(clk, "d1")
 	cfg.Health = newGate("c2")
 	cfg.Obs = reg
 	m := New(clouds, cfg)
@@ -155,12 +154,9 @@ func TestRenewalIsNotARound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for reg.Counter("qlock.refreshes").Value() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("the hold was not renewed 3 times")
-		}
-		time.Sleep(time.Millisecond)
+	clk.Sleep(cfg.Expiry) // four renewals
+	if n := reg.Counter("qlock.refreshes").Value(); n < 3 {
+		t.Fatalf("the hold was renewed %d times in ΔT, want at least 3", n)
 	}
 	if err := lock.Release(context.Background()); err != nil {
 		t.Fatal(err)
@@ -186,10 +182,7 @@ func TestAcquireBackoffInterruptibleByContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := vclock.NewManual(time.Unix(0, 0))
-	cfg := fastCfg("d1")
-	cfg.Clock = clk
-	cfg.MaxAttempts = 3
-	m := New([]cloud.Interface{direct}, cfg)
+	m := New([]cloud.Interface{direct}, fastCfg(clk, "d1"))
 
 	cctx, cancel := context.WithCancel(ctx)
 	done := make(chan error, 1)
@@ -216,50 +209,35 @@ func TestAcquireBackoffInterruptibleByContext(t *testing.T) {
 }
 
 func TestAcquireExhaustsAttemptsThroughBackoffs(t *testing.T) {
-	// Contended throughout: each failed attempt must back off (jittered
-	// on the injected clock) and MaxAttempts must bound the loop.
+	// Contended throughout: each failed attempt must back off, jittered
+	// on the injected clock around a ceiling that doubles up to
+	// backoffMax, until the context's deadline ends the loop.
 	store := cloudsim.NewStore("c0", 0)
 	ctx := context.Background()
 	direct := cloudsim.NewDirect(store)
 	if err := direct.Upload(ctx, cloud.JoinPath(DefaultLockDir, "lock_other_1.1"), nil); err != nil {
 		t.Fatal(err)
 	}
-	clk := vclock.NewManual(time.Unix(0, 0))
+	clk := newWorld()
 	reg := obs.NewRegistry()
-	cfg := fastCfg("d1")
-	cfg.Clock = clk
+	cfg := fastCfg(clk, "d1")
+	cfg.Expiry = time.Hour // the other device's flag never expires here
 	cfg.Obs = reg
-	cfg.MaxAttempts = 3
 	m := New([]cloud.Interface{direct}, cfg)
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.Acquire(ctx)
-		done <- err
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrNotAcquired) {
-				t.Fatalf("err = %v, want ErrNotAcquired", err)
-			}
-			if n := reg.Counter("qlock.backoffs").Value(); n != 3 {
-				t.Errorf("backoffs = %d, want 3", n)
-			}
-			if n := reg.Counter("qlock.acquire.exhausted").Value(); n != 1 {
-				t.Errorf("exhausted = %d, want 1", n)
-			}
-			return
-		default:
-			if time.Now().After(deadline) {
-				t.Fatal("acquisition did not finish")
-			}
-			if clk.PendingWaiters() > 0 {
-				clk.Advance(cfg.BackoffMax + cfg.BackoffMax/2)
-			} else {
-				time.Sleep(time.Millisecond)
-			}
-		}
+	start := clk.Now()
+	_, err := acquireFor(m, time.Minute)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if took := clk.Now().Sub(start); took != time.Minute {
+		t.Errorf("acquisition ended after %v, want at its 1m deadline", took)
+	}
+	// Ceilings 0.2, 0.4, ..., 3.2 s, then 5 s: each backoff sleeps a
+	// quarter to five quarters of its ceiling, so a minute holds 12 to
+	// 52 of them.
+	attempts := reg.Counter("qlock.acquire.attempts").Value()
+	if n := reg.Counter("qlock.backoffs").Value(); n != attempts || n < 12 || n > 52 {
+		t.Errorf("backoffs = %d after %d attempts, want one per attempt, 12 to 52 in a minute", n, attempts)
 	}
 }

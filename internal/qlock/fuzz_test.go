@@ -21,9 +21,7 @@ func FuzzLockFlagName(f *testing.F) {
 		if device == "" {
 			return // New refuses it
 		}
-		cfg := fastCfg(device)
-		cfg.Clock = vclock.NewManual(time.Unix(0, nanos))
-		name := New(newClouds(1), cfg).lockFileName()
+		name := New(newClouds(1), fastCfg(vclock.NewManual(time.Unix(0, nanos)), device)).lockFileName()
 		if got, ok := flagDevice(name); !ok || got != device {
 			t.Fatalf("flag %q parses to device %q (ok=%v), want %q", name, got, ok, device)
 		}

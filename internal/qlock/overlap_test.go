@@ -106,8 +106,8 @@ func parkedClouds(n int) (clouds []cloud.Interface, parked []*parkedFlags, recs 
 // the new hold's flag where it is.
 func TestReleaseBesideTheNextAcquire(t *testing.T) {
 	clouds, parked, recs := parkedClouds(5)
-	cfg := fastCfg("d1")
-	cfg.RefreshInterval = time.Hour // no renewal inside these holds
+	cfg := fastCfg(newWorld(), "d1")
+	cfg.Expiry = time.Hour // no renewal inside these holds
 	m := New(clouds, cfg)
 	counts := func() (sum cloudsim.CallCounts) {
 		for _, r := range recs {
@@ -178,9 +178,10 @@ func TestReleaseBesideTheNextAcquireExcludes(t *testing.T) {
 		}
 		locks = append(locks, l)
 	}
+	clk := newWorld()
 	cfgFor := func(device string) Config {
-		cfg := fastCfg(device)
-		cfg.RefreshInterval = time.Hour
+		cfg := fastCfg(clk, device)
+		cfg.Expiry = time.Hour // no renewal inside the holds
 		return cfg
 	}
 	a, b := New(clouds, cfgFor("a")), New(bare, cfgFor("b"))
@@ -196,9 +197,7 @@ func TestReleaseBesideTheNextAcquireExcludes(t *testing.T) {
 				return
 			default:
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-			l, err := b.Acquire(ctx)
-			cancel()
+			l, err := acquireFor(b, 2*time.Second)
 			if err != nil {
 				if !errors.Is(err, context.DeadlineExceeded) {
 					t.Errorf("b: %v", err)
@@ -207,20 +206,19 @@ func TestReleaseBesideTheNextAcquireExcludes(t *testing.T) {
 				continue
 			}
 			won(l)
-			time.Sleep(time.Millisecond)
+			clk.Sleep(10 * time.Millisecond)
 			if err := l.Release(context.Background()); err != nil {
 				t.Errorf("b: %v", err)
 				return
 			}
 			wins++
+			clk.Sleep(10 * time.Millisecond) // a gap for a to win in
 		}
 	}()
 
 	acquire := func() *Lock {
 		t.Helper()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		l, err := a.Acquire(ctx)
+		l, err := acquireFor(a, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,15 +239,14 @@ func TestReleaseBesideTheNextAcquireExcludes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Once a's last release has ended, b wins.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	for i := 0; i < 1000; i++ {
 		mu.Lock()
 		last := locks[len(locks)-1].mgr
 		mu.Unlock()
-		if last == b || time.Now().After(deadline) {
+		if last == b {
 			break
 		}
-		time.Sleep(time.Millisecond)
+		clk.Sleep(10 * time.Millisecond)
 	}
 	close(stop)
 	if <-contender == 0 {
@@ -265,10 +262,8 @@ func TestReleaseBesideTheNextAcquireExcludes(t *testing.T) {
 // deletes only what its own round uploaded — until its own Release.
 func TestWithdrawBesideAnUnreleasedHoldKeepsItsFlags(t *testing.T) {
 	clouds, _ := recordedClouds(5)
-	cfg := fastCfg("d1")
-	cfg.RefreshInterval = time.Hour // no renewal inside the hold
-	cfg.Expiry = time.Hour          // the second device's flags stay live
-	cfg.MaxAttempts = 1
+	cfg := fastCfg(newWorld(), "d1")
+	cfg.Expiry = time.Hour // no renewal inside the hold, and the second device's flags stay live
 	m := New(clouds, cfg)
 	held := acquireWithin(t, m)
 	<-held.round.chains.Done() // the hold's shed has landed
@@ -277,7 +272,8 @@ func TestWithdrawBesideAnUnreleasedHoldKeepsItsFlags(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.Acquire(context.Background()); !errors.Is(err, ErrNotAcquired) {
+	// One round: the deadline ends its first backoff.
+	if _, err := acquireFor(m, backoffBase/8); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("the round beside the hold: %v, want it lost to d2", err)
 	}
 	keepsFlag(t, clouds, held)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"unidrive/internal/obs"
+	"unidrive/internal/vclock"
 )
 
 // A preferred cloud that hangs its flag upload makes a quorum-only
@@ -18,8 +19,9 @@ import (
 func TestHungPreferredCloudWidens(t *testing.T) {
 	clouds, held, bare := heldClouds(5)
 	reg := obs.NewRegistry()
-	cfg := fastCfg("d1")
-	cfg.RefreshInterval = time.Hour
+	clk := newWorld()
+	cfg := fastCfg(clk, "d1")
+	cfg.Expiry = time.Hour // no renewal inside the holds
 	cfg.Obs = reg
 	m := New(clouds, cfg)
 	if err := acquireWithin(t, m).Release(context.Background()); err != nil {
@@ -34,9 +36,9 @@ func TestHungPreferredCloudWidens(t *testing.T) {
 		}
 	}
 
-	start := time.Now()
+	start := clk.Now()
 	second := acquireWithin(t, m)
-	if took := time.Since(start); took > 5*time.Second {
+	if took := clk.Now().Sub(start); took > 5*time.Second {
 		t.Errorf("the widened round took %v", took)
 	}
 	hung.await(t, 1, "hung upload")
@@ -51,7 +53,7 @@ func TestHungPreferredCloudWidens(t *testing.T) {
 			t.Error("the round was won on the hung cloud")
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := vclock.WithTimeout(clk, context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := second.Release(ctx); err != nil {
 		t.Fatal(err)
@@ -71,12 +73,13 @@ func TestMutualExclusionStressPreferringDifferentClouds(t *testing.T) {
 	const devices = 4
 	const rounds = 5
 	var inCritical, violations, acquired atomic.Int32
+	clk := newWorld()
 	var wg sync.WaitGroup
 	for d := 0; d < devices; d++ {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			m := New(clouds, fastCfg(fmt.Sprintf("dev%d", d)))
+			m := New(clouds, fastCfg(clk, fmt.Sprintf("dev%d", d)))
 			for r := 0; r < rounds; r++ {
 				m.mu.Lock()
 				m.preferred = nil
@@ -84,9 +87,7 @@ func TestMutualExclusionStressPreferringDifferentClouds(t *testing.T) {
 					m.preferred = append(m.preferred, clouds[(d+k)%len(clouds)].Name())
 				}
 				m.mu.Unlock()
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				l, err := m.Acquire(ctx)
-				cancel()
+				l, err := acquireFor(m, 10*time.Minute)
 				if err != nil {
 					t.Errorf("dev%d round %d: %v", d, r, err)
 					return
@@ -94,7 +95,7 @@ func TestMutualExclusionStressPreferringDifferentClouds(t *testing.T) {
 				if inCritical.Add(1) != 1 {
 					violations.Add(1)
 				}
-				time.Sleep(2 * time.Millisecond) // critical section
+				clk.Sleep(20 * time.Millisecond) // critical section
 				inCritical.Add(-1)
 				acquired.Add(1)
 				if err := l.Release(context.Background()); err != nil {

@@ -115,6 +115,13 @@ const DefaultLockDir = ".unidrive/locks"
 // caller's cancellation.
 const detachedTimeout = 30 * time.Second
 
+// backoffBase is the first random-backoff ceiling after a lost round;
+// it doubles every lost round up to backoffMax.
+const (
+	backoffBase = 200 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
+
 // widenFactor and widenFloor bound how long a quorum-only round waits
 // for the clouds it asked before it asks one more cloud for each that
 // is still silent: widenFactor times the previous round's quorum time,
@@ -125,10 +132,6 @@ const (
 	widenFactor = 4
 	widenFloor  = 500 * time.Millisecond
 )
-
-// ErrNotAcquired reports that the quorum could not be won within the
-// configured attempts.
-var ErrNotAcquired = errors.New("qlock: lock not acquired")
 
 // Health gates which clouds the lock protocol talks to; a
 // health.Tracker satisfies it. A cloud whose breaker is open cannot
@@ -150,18 +153,9 @@ type Config struct {
 	// Device is this device's unique name.
 	Device string
 	// Expiry is ΔT: how long a lock file may sit unrefreshed before
-	// other devices break it. Defaults to DefaultExpiry.
+	// other devices break it; a holder renews its flags every
+	// Expiry/4. Defaults to DefaultExpiry.
 	Expiry time.Duration
-	// RefreshInterval is how often a holder renews its lock files.
-	// Defaults to Expiry/4.
-	RefreshInterval time.Duration
-	// MaxAttempts bounds acquisition attempts; 0 means retry until
-	// the context is cancelled.
-	MaxAttempts int
-	// BackoffBase is the first random-backoff ceiling; it doubles
-	// every failed attempt up to BackoffMax. Defaults 200ms / 5s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
 	// Obs receives the lock protocol's metrics ("qlock.*", DESIGN.md
@@ -176,15 +170,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Expiry <= 0 {
 		c.Expiry = DefaultExpiry
-	}
-	if c.RefreshInterval <= 0 {
-		c.RefreshInterval = c.Expiry / 4
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 200 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real{}
@@ -330,21 +315,17 @@ func isLockFile(e cloud.Entry) bool {
 	return !e.IsDir && strings.HasPrefix(e.Name, "lock_")
 }
 
-// Acquire runs the acquisition protocol until it wins a quorum, the
-// context is cancelled, or MaxAttempts is exhausted. On success the
+// Acquire runs the acquisition protocol until it wins a quorum or the
+// context ends. On success the
 // returned Lock is being refreshed in the background; the caller must
 // Release it. The winning round's stragglers run on a child of ctx
 // after Acquire returns: a caller that cancels it before Release may
 // leave a flag that landed unrecorded, which the next acquisition's
 // List finds and other devices break after Expiry.
 func (m *Manager) Acquire(ctx context.Context) (*Lock, error) {
-	backoff := m.cfg.BackoffBase
+	backoff := backoffBase
 	var first time.Time // the acquisition's first flag upload
-	for attempt := 0; ; attempt++ {
-		if m.cfg.MaxAttempts > 0 && attempt >= m.cfg.MaxAttempts {
-			m.cfg.Obs.Counter("qlock.acquire.exhausted").Inc()
-			return nil, fmt.Errorf("%w after %d attempts", ErrNotAcquired, attempt)
-		}
+	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("qlock: acquire: %w", err)
 		}
@@ -370,14 +351,11 @@ func (m *Manager) Acquire(ctx context.Context) (*Lock, error) {
 		// cancelled acquisition is the likeliest to withdraw, and a flag
 		// it leaves makes every other device wait out Expiry.
 		m.cfg.Obs.Counter("qlock.backoffs").Inc()
-		wctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedTimeout)
+		wctx, cancel := vclock.WithTimeout(m.cfg.Clock, context.WithoutCancel(ctx), detachedTimeout)
 		m.clear(wctx, r)
 		cancel()
 		m.sleepJittered(ctx, backoff)
-		backoff *= 2
-		if backoff > m.cfg.BackoffMax {
-			backoff = m.cfg.BackoffMax
-		}
+		backoff = min(2*backoff, backoffMax)
 	}
 }
 
@@ -712,7 +690,7 @@ func (m *Manager) clear(ctx context.Context, r *round) {
 // cancelled chain landed is still deleted.
 func (m *Manager) deleteOwn(ctx context.Context, c cloud.Interface, gen uint64) int {
 	names := m.takeOwn(c.Name(), gen)
-	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedTimeout)
+	dctx, cancel := vclock.WithTimeout(m.cfg.Clock, context.WithoutCancel(ctx), detachedTimeout)
 	defer cancel()
 	for _, name := range names {
 		_ = c.Delete(dctx, cloud.JoinPath(DefaultLockDir, name))
@@ -754,7 +732,7 @@ func (l *Lock) Valid() bool {
 	return l.valid
 }
 
-// refreshLoop periodically renews the lock files so observers never
+// refreshLoop renews the lock files every Expiry/4 so observers never
 // see them unrefreshed past ΔT. Renewal uploads a freshly named file
 // and deletes the old one, which resets every observer's first-seen
 // clock for this device's lock.
@@ -765,9 +743,9 @@ func (l *Lock) refreshLoop() {
 		select {
 		case <-l.stopRefresh:
 			return
-		case <-m.cfg.Clock.After(m.cfg.RefreshInterval):
+		case <-m.cfg.Clock.After(m.cfg.Expiry / 4):
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), detachedTimeout)
+		ctx, cancel := vclock.WithTimeout(m.cfg.Clock, context.Background(), detachedTimeout)
 		l.refreshOnce(ctx)
 		cancel()
 	}

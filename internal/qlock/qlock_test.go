@@ -11,6 +11,7 @@ import (
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
+	"unidrive/internal/vclock"
 )
 
 // newClouds builds n direct (unshaped) simulated clouds sharing
@@ -23,19 +24,27 @@ func newClouds(n int) []cloud.Interface {
 	return out
 }
 
-func fastCfg(device string) Config {
-	return Config{
-		Device:          device,
-		Expiry:          300 * time.Millisecond,
-		RefreshInterval: 50 * time.Millisecond,
-		BackoffBase:     5 * time.Millisecond,
-		BackoffMax:      40 * time.Millisecond,
-	}
+// newWorld returns a test's world clock: every device of the test
+// shares it, so their backoffs, renewals and expiries take virtual time
+// and interleave as the protocol's waits order them.
+func newWorld() *vclock.World { return vclock.NewWorld(time.Unix(0, 0)) }
+
+// fastCfg configures device on clk with a short ΔT (renewals every
+// 75 ms), so that tests waiting out an expiry take few clock steps.
+func fastCfg(clk vclock.Clock, device string) Config {
+	return Config{Device: device, Expiry: 300 * time.Millisecond, Clock: clk}
+}
+
+// acquireFor runs m.Acquire bounded by d of the manager's clock.
+func acquireFor(m *Manager, d time.Duration) (*Lock, error) {
+	ctx, cancel := vclock.WithTimeout(m.cfg.Clock, context.Background(), d)
+	defer cancel()
+	return m.Acquire(ctx)
 }
 
 func TestAcquireReleaseSingleDevice(t *testing.T) {
 	clouds := newClouds(5)
-	m := New(clouds, fastCfg("d1"))
+	m := New(clouds, fastCfg(newWorld(), "d1"))
 	if m.Quorum() != 3 {
 		t.Fatalf("Quorum = %d, want 3 of 5", m.Quorum())
 	}
@@ -67,10 +76,9 @@ func TestAcquireReleaseSingleDevice(t *testing.T) {
 
 func TestSecondDeviceBlockedWhileHeld(t *testing.T) {
 	clouds := newClouds(5)
-	m1 := New(clouds, fastCfg("d1"))
-	cfg2 := fastCfg("d2")
-	cfg2.MaxAttempts = 3
-	m2 := New(clouds, cfg2)
+	clk := newWorld()
+	m1 := New(clouds, fastCfg(clk, "d1"))
+	m2 := New(clouds, fastCfg(clk, "d2"))
 
 	l1, err := m1.Acquire(context.Background())
 	if err != nil {
@@ -78,7 +86,7 @@ func TestSecondDeviceBlockedWhileHeld(t *testing.T) {
 	}
 	defer l1.Release(context.Background())
 
-	if _, err := m2.Acquire(context.Background()); !errors.Is(err, ErrNotAcquired) {
+	if _, err := acquireFor(m2, 10*time.Second); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("second device acquired while held: err = %v", err)
 	}
 }
@@ -91,16 +99,15 @@ func TestMutualExclusionStress(t *testing.T) {
 	var violations atomic.Int32
 	var acquired atomic.Int32
 
+	clk := newWorld()
 	var wg sync.WaitGroup
 	for d := 0; d < devices; d++ {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			m := New(clouds, fastCfg(fmt.Sprintf("dev%d", d)))
+			m := New(clouds, fastCfg(clk, fmt.Sprintf("dev%d", d)))
 			for r := 0; r < rounds; r++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				l, err := m.Acquire(ctx)
-				cancel()
+				l, err := acquireFor(m, 10*time.Minute)
 				if err != nil {
 					t.Errorf("dev%d round %d: %v", d, r, err)
 					return
@@ -108,7 +115,7 @@ func TestMutualExclusionStress(t *testing.T) {
 				if inCritical.Add(1) != 1 {
 					violations.Add(1)
 				}
-				time.Sleep(2 * time.Millisecond) // critical section
+				clk.Sleep(20 * time.Millisecond) // critical section
 				inCritical.Add(-1)
 				acquired.Add(1)
 				if err := l.Release(context.Background()); err != nil {
@@ -136,17 +143,16 @@ func TestCrashedHolderLockBroken(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cfg := fastCfg("survivor")
+	clk := newWorld()
+	cfg := fastCfg(clk, "survivor")
 	m := New(clouds, cfg)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	start := time.Now()
-	l, err := m.Acquire(ctx)
+	start := clk.Now()
+	l, err := acquireFor(m, time.Minute)
 	if err != nil {
 		t.Fatalf("survivor never acquired after crash: %v", err)
 	}
 	defer l.Release(context.Background())
-	if waited := time.Since(start); waited < cfg.Expiry {
+	if waited := clk.Now().Sub(start); waited < cfg.Expiry {
 		t.Fatalf("lock broken after only %v, before expiry %v", waited, cfg.Expiry)
 	}
 	// The obsolete files must have been deleted: on the clouds of the
@@ -176,20 +182,19 @@ func TestCrashedHolderLockBroken(t *testing.T) {
 
 func TestRefreshKeepsLockAliveBeyondExpiry(t *testing.T) {
 	clouds := newClouds(3)
-	m1 := New(clouds, fastCfg("holder"))
+	clk := newWorld()
+	m1 := New(clouds, fastCfg(clk, "holder"))
 	l, err := m1.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Release(context.Background())
 
-	// A second device keeps trying for 3x expiry; it must never win
+	// A second device keeps trying for 10x expiry; it must never win
 	// because the holder refreshes.
-	cfg2 := fastCfg("challenger")
+	cfg2 := fastCfg(clk, "challenger")
 	m2 := New(clouds, cfg2)
-	ctx, cancel := context.WithTimeout(context.Background(), 3*cfg2.Expiry)
-	defer cancel()
-	if l2, err := m2.Acquire(ctx); err == nil {
+	if l2, err := acquireFor(m2, 10*cfg2.Expiry); err == nil {
 		l2.Release(context.Background())
 		t.Fatal("challenger acquired a live, refreshing lock")
 	}
@@ -211,7 +216,7 @@ func TestQuorumToleratesMinorityOutage(t *testing.T) {
 	flaky[0].SetDown(true)
 	flaky[1].SetDown(true)
 
-	m := New(clouds, fastCfg("d1"))
+	m := New(clouds, fastCfg(newWorld(), "d1"))
 	l, err := m.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("acquire with 2/5 clouds down: %v", err)
@@ -229,10 +234,8 @@ func TestNoQuorumWithMajorityOutage(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		flaky[i].SetDown(true)
 	}
-	cfg := fastCfg("d1")
-	cfg.MaxAttempts = 2
-	m := New(clouds, cfg)
-	if _, err := m.Acquire(context.Background()); !errors.Is(err, ErrNotAcquired) {
+	m := New(clouds, fastCfg(newWorld(), "d1"))
+	if _, err := acquireFor(m, 10*time.Second); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("acquired without a possible quorum: %v", err)
 	}
 }
@@ -244,7 +247,8 @@ func TestLockLosesValidityWhenCloudsVanish(t *testing.T) {
 		flaky[i] = cloudsim.NewFlaky(cloudsim.NewDirect(cloudsim.NewStore(fmt.Sprintf("c%d", i), 0)), 0, int64(i+1))
 		clouds[i] = flaky[i]
 	}
-	m := New(clouds, fastCfg("d1"))
+	clk := newWorld()
+	m := New(clouds, fastCfg(clk, "d1"))
 	l, err := m.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -253,10 +257,7 @@ func TestLockLosesValidityWhenCloudsVanish(t *testing.T) {
 	for _, f := range flaky {
 		f.SetDown(true)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for l.Valid() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	clk.Sleep(m.cfg.Expiry) // four renewals
 	if l.Valid() {
 		t.Fatal("lock stayed valid though every cloud is unreachable")
 	}
@@ -264,16 +265,17 @@ func TestLockLosesValidityWhenCloudsVanish(t *testing.T) {
 
 func TestAcquireContextCancelled(t *testing.T) {
 	clouds := newClouds(3)
-	holder := New(clouds, fastCfg("holder"))
+	clk := newWorld()
+	holder := New(clouds, fastCfg(clk, "holder"))
 	l, err := holder.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Release(context.Background())
 
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	m := New(clouds, fastCfg("waiter"))
+	ctx, cancel := context.WithCancel(context.Background())
+	clk.AfterFunc(time.Second, cancel)
+	m := New(clouds, fastCfg(clk, "waiter"))
 	if _, err := m.Acquire(ctx); err == nil {
 		t.Fatal("acquire succeeded against a held lock with cancelled context")
 	}
@@ -288,7 +290,7 @@ func TestOwnStaleLocksDoNotBlockSelf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := New(clouds, fastCfg("d1"))
+	m := New(clouds, fastCfg(newWorld(), "d1"))
 	l, err := m.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("own stale lock files blocked reacquisition: %v", err)
@@ -321,7 +323,7 @@ func TestNewValidation(t *testing.T) {
 			t.Fatal("New with no clouds did not panic")
 		}
 	}()
-	New(nil, fastCfg("d"))
+	New(nil, fastCfg(vclock.Real{}, "d"))
 }
 
 func TestNewEmptyDevicePanics(t *testing.T) {
@@ -338,17 +340,17 @@ func TestNewEmptyDevicePanics(t *testing.T) {
 // held the lock at once, and "a"'s release deleted "a_b"'s flags.
 func TestOwnershipIsTheExactDevice(t *testing.T) {
 	clouds := newClouds(5)
-	ab := New(clouds, fastCfg("a_b"))
-	cfg := fastCfg("a")
-	cfg.MaxAttempts = 1
-	a := New(clouds, cfg)
+	clk := newWorld()
+	ab := New(clouds, fastCfg(clk, "a_b"))
+	a := New(clouds, fastCfg(clk, "a"))
 
 	l, err := ab.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Release(context.Background())
-	if la, err := a.Acquire(context.Background()); !errors.Is(err, ErrNotAcquired) {
+	// One round: the deadline ends a's first backoff.
+	if la, err := acquireFor(a, backoffBase/8); !errors.Is(err, context.DeadlineExceeded) {
 		if la != nil {
 			_ = la.Release(context.Background())
 		}

@@ -12,6 +12,7 @@ import (
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/obs"
+	"unidrive/internal/vclock"
 )
 
 // valve holds the calls that reach it until the test opens it; a held
@@ -132,8 +133,8 @@ func TestAcquireReturnsAtTheQuorum(t *testing.T) {
 	parked := newValve()
 	held[3].uploads, held[4].uploads = parked, parked
 	reg := obs.NewRegistry()
-	cfg := fastCfg("d1")
-	cfg.RefreshInterval = time.Hour
+	cfg := fastCfg(newWorld(), "d1")
+	cfg.Expiry = time.Hour // no renewal inside the hold
 	cfg.Obs = reg
 	m := New(clouds, cfg)
 
@@ -171,8 +172,8 @@ func TestReleaseWaitsForParkedUploads(t *testing.T) {
 	clouds, held, bare := heldClouds(5)
 	parked := newValve()
 	held[3].uploads, held[4].uploads = parked, parked
-	cfg := fastCfg("d1")
-	cfg.RefreshInterval = time.Hour
+	cfg := fastCfg(newWorld(), "d1")
+	cfg.Expiry = time.Hour // no renewal inside the hold
 	m := New(clouds, cfg)
 	lock := acquireWithin(t, m)
 	parked.await(t, 2, "parked flag uploads")
@@ -226,13 +227,14 @@ func abandonRelease(t *testing.T, op string) {
 	} else {
 		held[4].lists = hung
 	}
-	cfg := fastCfg("d1")
-	cfg.RefreshInterval = time.Hour
+	clk := newWorld()
+	cfg := fastCfg(clk, "d1")
+	cfg.Expiry = time.Hour // no renewal inside the holds
 	m := New(clouds, cfg)
 
 	first := acquireWithin(t, m)
 	hung.await(t, 1, "hung "+op)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	ctx, cancel := vclock.WithTimeout(clk, context.Background(), 20*time.Millisecond)
 	defer cancel()
 	released := make(chan error, 1)
 	go func() { released <- first.Release(ctx) }()
@@ -301,29 +303,30 @@ func TestLostRoundWithdrawsLateFlags(t *testing.T) {
 	parked := newValve()
 	held[3].uploads, held[4].uploads = parked, parked
 	reg := obs.NewRegistry()
-	cfg := fastCfg("d1")
+	clk := newWorld()
+	cfg := fastCfg(clk, "d1")
 	cfg.Obs = reg
-	cfg.MaxAttempts = 1
 	m := New(clouds, cfg)
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.Acquire(context.Background())
+		// One round: the deadline ends its first backoff.
+		_, err := acquireFor(m, backoffBase/8)
 		done <- err
 	}()
 	parked.await(t, 2, "parked flag uploads")
-	for deadline := time.Now().Add(5 * time.Second); reg.Counter("qlock.backoffs").Value() == 0; {
-		if time.Now().After(deadline) {
+	for i := 0; reg.Counter("qlock.backoffs").Value() == 0; i++ {
+		if i == 10 {
 			close(parked.open)
 			t.Fatal("the round was not decided lost while two clouds were still out")
 		}
-		time.Sleep(time.Millisecond)
+		clk.Sleep(time.Millisecond)
 	}
 	close(parked.open)
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrNotAcquired) {
-			t.Fatalf("err = %v, want ErrNotAcquired", err)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Acquire did not return")
@@ -352,7 +355,7 @@ func TestCancelledAcquireWithdrawsItsFlags(t *testing.T) {
 	for _, h := range held {
 		h.lists = lists
 	}
-	m := New(clouds, fastCfg("waiter"))
+	m := New(clouds, fastCfg(newWorld(), "waiter"))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -383,9 +386,11 @@ func TestCancelledAcquireWithdrawsItsFlags(t *testing.T) {
 // stragglers run beside other devices' rounds. No two holds overlap,
 // and no flag outlives the last release.
 func TestMutualExclusionStressOutOfOrder(t *testing.T) {
+	clk := newWorld()
 	clouds := make([]cloud.Interface, 5)
 	for i := range clouds {
 		f := cloudsim.NewFlaky(cloudsim.NewDirect(cloudsim.NewStore(fmt.Sprintf("c%d", i), 0)), 0, int64(i+7))
+		f.SetClock(clk)
 		f.SetLatency(0, 3*time.Millisecond)
 		clouds[i] = f
 	}
@@ -396,9 +401,9 @@ func TestMutualExclusionStressOutOfOrder(t *testing.T) {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			m := New(clouds, fastCfg(fmt.Sprintf("dev%d", d)))
+			m := New(clouds, fastCfg(clk, fmt.Sprintf("dev%d", d)))
 			for r := 0; r < rounds; r++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				ctx, cancel := vclock.WithTimeout(clk, context.Background(), 10*time.Minute)
 				l, err := m.Acquire(ctx)
 				if err != nil {
 					cancel()
@@ -408,7 +413,7 @@ func TestMutualExclusionStressOutOfOrder(t *testing.T) {
 				if inCritical.Add(1) != 1 {
 					violations.Add(1)
 				}
-				time.Sleep(2 * time.Millisecond) // critical section
+				clk.Sleep(20 * time.Millisecond) // critical section
 				inCritical.Add(-1)
 				acquired.Add(1)
 				if err := l.Release(ctx); err != nil {

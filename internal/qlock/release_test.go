@@ -37,8 +37,8 @@ func lockDirNames(t *testing.T, clouds []cloud.Interface) map[string][]string {
 // three clouds that won the first, and sends nine.
 func TestUncontendedHoldIsNineRequests(t *testing.T) {
 	clouds, recs := recordedClouds(5)
-	cfg := fastCfg("d1")
-	cfg.RefreshInterval = time.Hour // no refresh inside this hold
+	cfg := fastCfg(newWorld(), "d1")
+	cfg.Expiry = time.Hour // no refresh inside this hold
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
 	m := New(clouds, cfg)
@@ -128,8 +128,8 @@ func TestReleaseDeletesOwnFlagSeenDuringAcquire(t *testing.T) {
 	for i, rec := range recs {
 		before[i] = rec.Counts()
 	}
-	cfg := fastCfg("d1")
-	cfg.RefreshInterval = time.Hour
+	cfg := fastCfg(newWorld(), "d1")
+	cfg.Expiry = time.Hour // no refresh inside this hold
 	m := New(clouds, cfg)
 	lock, err := m.Acquire(context.Background())
 	if err != nil {
@@ -190,8 +190,8 @@ func TestReleaseDeletesNameARefreshLeftBehind(t *testing.T) {
 		wrapped[i] = &failingDeletes{Interface: clouds[i], failed: make(map[string]bool)}
 		clouds[i] = wrapped[i]
 	}
-	cfg := fastCfg("d1")
-	cfg.RefreshInterval = time.Hour // refreshes are driven by hand below
+	cfg := fastCfg(newWorld(), "d1")
+	cfg.Expiry = time.Hour // refreshes are driven by hand below
 	m := New(clouds, cfg)
 	lock, err := m.Acquire(context.Background())
 	if err != nil {

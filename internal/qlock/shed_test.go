@@ -26,19 +26,18 @@ func (g *gatedDeletes) Delete(ctx context.Context, path string) error {
 }
 
 // contend runs one acquisition round of m and reports whether it won;
-// a won lock is released.
+// a won lock is released. The deadline ends a lost round's first
+// backoff.
 func contend(t *testing.T, m *Manager) bool {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	l, err := m.Acquire(ctx)
-	if errors.Is(err, ErrNotAcquired) {
+	l, err := acquireFor(m, backoffBase/8)
+	if errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Release(ctx); err != nil {
+	if err := l.Release(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return true
@@ -58,16 +57,15 @@ func TestShedHoldExcludes(t *testing.T) {
 		clouds[i] = gates[i]
 	}
 	reg := obs.NewRegistry()
-	cfg := fastCfg("a")
-	cfg.Expiry = time.Minute // no flag of the test ages into a break
-	cfg.RefreshInterval = time.Hour
+	clk := newWorld()
+	cfg := fastCfg(clk, "a")
+	cfg.Expiry = time.Hour // no renewal, and no flag of the test ages into a break
 	cfg.Obs = reg
 	a := acquireWithin(t, New(clouds, cfg))
 	parked.await(t, 2, "parked straggler lists")
 
-	ccfg := fastCfg("c")
-	ccfg.Expiry = time.Minute
-	ccfg.MaxAttempts = 1
+	ccfg := fastCfg(clk, "c")
+	ccfg.Expiry = time.Hour
 	c := New(bare, ccfg)
 	flagged := func(what string, want func(j int) bool) {
 		t.Helper()

@@ -1,11 +1,9 @@
 package transfer
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,61 +16,17 @@ import (
 	"unidrive/internal/vclock"
 )
 
-// simWorld drives shaped clouds on a manual clock: a request takes
-// latency + size ÷ rate of virtual time on its connection, and run
-// steps the clock from event to event — a request's completion or the
-// dispatcher's wake timer — each time only after everybody has
-// finished reacting to the previous one, so virtual time passes only
-// while requests and timers are the one thing anybody waits for, and
-// the schedule that comes out does not depend on how fast the test's
-// goroutines happen to run.
+// simWorld drives shaped clouds on a world clock: a request takes
+// latency + size ÷ rate of virtual time on its connection, and the
+// clock steps from event to event — a request's completion or the
+// dispatcher's wake timer — only once every goroutine has finished
+// reacting to the previous one, so the schedule that comes out does not
+// depend on how fast the test's goroutines happen to run.
 type simWorld struct {
-	clk *vclock.Manual
+	clk *vclock.World
 
-	mu       sync.Mutex
-	inFlight map[int]simRequest
-	next     int
-	// wakeAt is the deadline of the last timer the dispatcher armed.
-	wakeAt time.Time
+	mu     sync.Mutex
 	starts []simStart
-}
-
-// simRequest is one request a cloud is serving.
-type simRequest struct {
-	ctx context.Context
-	at  time.Time // virtual completion time
-}
-
-// dispatcherClock is the clock handed to the engine: it records the
-// wake timer the batch dispatcher arms before it blocks for the next
-// result, so that the world steps to that instant too.
-type dispatcherClock struct {
-	*vclock.Manual
-	w *simWorld
-}
-
-func (c dispatcherClock) After(d time.Duration) <-chan time.Time {
-	c.w.mu.Lock()
-	c.w.wakeAt = c.Manual.Now().Add(d)
-	c.w.mu.Unlock()
-	return c.Manual.After(d)
-}
-
-// dispatcherParked reports that the batch dispatcher has finished
-// reacting: its goroutine is blocked in the select that waits for a
-// result or its wake timer. The wake hook arms no timer while no
-// running fetch can qualify for a duplicate, so the goroutine's state
-// is the one signal every loop iteration gives.
-func dispatcherParked() bool {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte("transfer.(*dispatcher).run(")) {
-			header, _, _ := bytes.Cut(g, []byte("\n"))
-			return bytes.Contains(header, []byte("[select"))
-		}
-	}
-	return false
 }
 
 // simStart logs one block download as it was handed to a cloud.
@@ -86,7 +40,7 @@ type simStart struct {
 var simEpoch = time.Unix(1_700_000_000, 0)
 
 func newSimWorld() *simWorld {
-	return &simWorld{clk: vclock.NewManual(simEpoch), inFlight: make(map[int]simRequest)}
+	return &simWorld{clk: vclock.NewWorld(simEpoch)}
 }
 
 // simCloud is one shaped provider over an in-memory store.
@@ -122,89 +76,30 @@ func (c *simCloud) List(ctx context.Context, path string) ([]cloud.Entry, error)
 }
 
 // spend keeps the request in flight for d of virtual time.
-func (c *simCloud) spend(ctx context.Context, path string, d time.Duration) (err error) {
+func (c *simCloud) spend(ctx context.Context, path string, d time.Duration) error {
 	w := c.w
 	w.mu.Lock()
 	now := w.clk.Now()
-	id := w.next
-	w.next++
-	w.inFlight[id] = simRequest{ctx: ctx, at: now.Add(d)}
 	w.starts = append(w.starts, simStart{cloud: c.Name(), path: path, at: now.Sub(simEpoch), finish: now.Add(d).Sub(simEpoch)})
-	timer := w.clk.After(d)
 	w.mu.Unlock()
 	select {
-	case <-timer:
+	case <-w.clk.After(d):
+		return nil
 	case <-ctx.Done():
-		err = ctx.Err()
+		return ctx.Err()
 	}
-	w.mu.Lock()
-	delete(w.inFlight, id)
-	w.mu.Unlock()
-	return err
 }
 
-// run executes f while stepping the clock from event to event, and
-// returns the virtual time f took. settled reports, under w.mu, that
-// nobody is still reacting to the last step.
-func (w *simWorld) run(f func(), settled func() bool) time.Duration {
+// run executes f and returns the virtual time it took.
+func (w *simWorld) run(f func()) time.Duration {
 	start := w.clk.Now()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		f()
-	}()
-	for {
-		select {
-		case <-done:
-			return w.clk.Now().Sub(start)
-		case <-time.After(100 * time.Microsecond): // poll a condition, not the passage of time
-		}
-		w.mu.Lock()
-		now := w.clk.Now()
-		var due time.Time
-		if settled() {
-			if w.wakeAt.After(now) {
-				due = w.wakeAt
-			}
-			for _, r := range w.inFlight {
-				if due.IsZero() || r.at.Before(due) {
-					due = r.at
-				}
-			}
-		}
-		w.mu.Unlock()
-		if !due.IsZero() {
-			w.clk.Advance(due.Sub(now))
-		}
-	}
+	f()
+	return w.clk.Now().Sub(start)
 }
 
-// sequential is run for an f that issues one request at a time: the
-// request being in flight is all there is to wait for.
-func (w *simWorld) sequential(f func()) time.Duration {
-	return w.run(f, func() bool { return true })
-}
-
-// batch runs one DownloadBatch. The dispatcher has finished reacting
-// when it is parked, has taken every answered request off its result
-// channel and every transfer it launched has reached its cloud (as many
-// requests in flight as it counts active), and no request it cancelled
-// is still on its way out.
+// batch runs one DownloadBatch.
 func (r *simRig) batch(items []DownloadItem) (took time.Duration, err error) {
-	w := r.w
-	active := r.reg.Gauge("transfer.active")
-	took = w.run(func() { _, err = r.engine.DownloadBatch(context.Background(), items) },
-		func() bool {
-			if !dispatcherParked() || len(w.inFlight) != int(active.Value()) {
-				return false
-			}
-			for _, req := range w.inFlight {
-				if req.ctx.Err() != nil {
-					return false
-				}
-			}
-			return true
-		})
+	took = r.w.run(func() { _, err = r.engine.DownloadBatch(context.Background(), items) })
 	return took, err
 }
 
@@ -236,7 +131,7 @@ func newSimRig() *simRig {
 		r.probed[c.Name()] = NewProbing(c, prober, w.clk)
 		clouds = append(clouds, r.probed[c.Name()])
 	}
-	r.engine = New(clouds, prober, Config{Clock: dispatcherClock{w.clk, w}, Obs: r.reg})
+	r.engine = New(clouds, prober, Config{Clock: w.clk, Obs: r.reg})
 	return r
 }
 
@@ -259,7 +154,7 @@ func (r *simRig) warm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.w.sequential(func() {
+	r.w.run(func() {
 		for _, c := range r.probed {
 			for i := 0; i < 3; i++ {
 				if _, err := c.Download(ctx, "stamp"); err != nil {
@@ -396,7 +291,7 @@ func TestControlTrafficYieldsLatencyRanking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.w.sequential(func() {
+	r.w.run(func() {
 		for _, c := range r.probed {
 			if _, err := c.Download(ctx, "meta/stamp"); err != nil {
 				t.Error(err)

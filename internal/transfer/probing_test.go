@@ -137,10 +137,14 @@ func TestProbingDeleteAndCreateDirPassThrough(t *testing.T) {
 
 func TestProbingThroughputReflectsClock(t *testing.T) {
 	prober := sched.NewProber(0)
-	clk := vclock.NewScaled(100)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	// Interface compliance and a sanity check that durations come
-	// from the supplied clock (a finite bandwidth on an instant store).
-	var c cloud.Interface = NewProbing(cloudsim.NewDirect(cloudsim.NewStore("c1", 0)), prober, clk)
+	// from the supplied clock: a store whose calls take 100 ms of the
+	// world's time yields a finite bandwidth.
+	slow := cloudsim.NewFlaky(cloudsim.NewDirect(cloudsim.NewStore("c1", 0)), 0, 1)
+	slow.SetClock(clk)
+	slow.SetLatency(100*time.Millisecond, 0)
+	var c cloud.Interface = NewProbing(slow, prober, clk)
 	if err := c.Upload(context.Background(), "f", make([]byte, 1<<16)); err != nil {
 		t.Fatal(err)
 	}

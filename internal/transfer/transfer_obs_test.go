@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
@@ -32,15 +33,15 @@ func TestDownloadRetryExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same stores, but every call now fails transiently; the scaled
-	// clock compresses the retry backoff sleeps.
+	// Same stores, but every call now fails transiently; on the world
+	// clock the retry backoff sleeps take no wall time.
 	reg := obs.NewRegistry()
 	var broken []cloud.Interface
 	for _, st := range r.stores {
 		broken = append(broken, cloudsim.NewFlaky(cloudsim.NewDirect(st), 1.0, 99))
 	}
 	engine := New(broken, sched.NewProber(0), Config{
-		Clock: vclock.NewScaled(1000),
+		Clock: vclock.NewWorld(time.Unix(0, 0)),
 		Obs:   reg,
 	})
 

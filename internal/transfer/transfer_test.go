@@ -186,7 +186,7 @@ func TestUploadRetriesTransientFailures(t *testing.T) {
 	for i, st := range r.stores {
 		clouds = append(clouds, cloudsim.NewFlaky(cloudsim.NewDirect(st), 0.3, int64(100+i)))
 	}
-	engine := New(clouds, sched.NewProber(0), Config{Clock: vclock.NewScaled(1000)})
+	engine := New(clouds, sched.NewProber(0), Config{Clock: vclock.NewWorld(time.Unix(0, 0))})
 	seg := make([]byte, 600)
 	rand.New(rand.NewSource(4)).Read(seg)
 	plan, err := sched.NewUploadPlan(paperParams, r.names)
@@ -315,7 +315,7 @@ func TestOverProvisioningFavoursFastClouds(t *testing.T) {
 	// Two fast clouds, two very slow ones: the fast pair must finish
 	// their fair shares and take over-provisioned extras while the
 	// slow pair grinds.
-	clk := vclock.NewScaled(300)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	cfg := netsim.DefaultConfig(1)
 	cfg.DegradedProb = 0
 	profiles := []netsim.CloudProfile{
@@ -489,7 +489,7 @@ func TestDownloadSpeedFavoursFastClouds(t *testing.T) {
 	}
 	// Blocks replicated on both a fast and a slow cloud: the engine
 	// should fetch predominantly from the fast one once probed.
-	clk := vclock.NewScaled(300)
+	clk := vclock.NewWorld(time.Unix(0, 0))
 	cfg := netsim.DefaultConfig(2)
 	cfg.DegradedProb = 0
 	profiles := []netsim.CloudProfile{

@@ -15,7 +15,7 @@
 //
 // Two harnesses run the one population (newUser) and reduce the one
 // kind of sample (group): Run drives a real UniDrive client per user
-// on the scaled clock — faithful, a few thousand users per CPU minute
+// on a world clock — faithful, a few thousand users per CPU minute
 // — and RunBench (bench.go) evaluates the same network model
 // analytically at six-figure population sizes.
 package trial
@@ -182,9 +182,9 @@ func (r *Result) OpSuccessRate() float64 {
 }
 
 // Run simulates the whole trial with real clients: opts.Users users
-// uploading opts.Files files each. One user at a time — concurrent
-// users would contend for CPU, which a scaled clock turns into fake
-// simulated seconds.
+// uploading opts.Files files each. One user at a time: a user's world
+// clock steps only while every goroutine of the process is parked, so
+// concurrent users would only take turns at each other's steps.
 func Run(opts experiments.Opts) (*Result, error) {
 	samples, tot, err := collect(opts.Users, 1, func(u int) ([]sample, totals, error) { return runUser(opts, u) })
 	if err != nil {
@@ -204,7 +204,7 @@ func Run(opts experiments.Opts) (*Result, error) {
 // runUser runs user u's week on a world of its own.
 func runUser(opts experiments.Opts, u int) ([]sample, totals, error) {
 	usr, rng := newUser(opts.Seed, u)
-	c := experiments.NewCluster(opts.Seed*1000+int64(u), opts.Scale)
+	c := experiments.NewCluster(opts.Seed*1000 + int64(u))
 	d, err := c.NewDevice(usr.loc, fmt.Sprintf("user-%d", u))
 	if err != nil {
 		return nil, totals{}, err
@@ -255,9 +255,9 @@ func runUser(opts experiments.Opts, u int) ([]sample, totals, error) {
 var Experiments = []experiments.Experiment{{
 	Name: "trial", Aliases: []string{"fig15", "fig16"},
 	Sizes: experiments.Sizes{
-		Paper: experiments.Opts{Scale: 400, Users: 272, Files: 10},
+		Paper: experiments.Opts{Users: 272, Files: 10},
 		Quick: experiments.Opts{Users: 32, Files: 6},
-		Mini:  experiments.Opts{Scale: 800, Users: 6, Files: 4},
+		Mini:  experiments.Opts{Users: 6, Files: 4},
 	},
 	Run: func(opts experiments.Opts) []*experiments.Table {
 		res, err := Run(opts)

@@ -126,8 +126,9 @@ func TestFullBytesIsPerUser(t *testing.T) {
 	if alone.fullBytes <= 0 || first.fullBytes <= 0 {
 		t.Fatalf("no full-image traffic recorded: %d, %d", first.fullBytes, alone.fullBytes)
 	}
-	// Placements differ a little from run to run on the scaled clock,
-	// and with them the encoded image by a few bytes.
+	// Placements differ a little from run to run, since concurrent
+	// transfers released at one virtual instant race, and with them the
+	// encoded image by a few bytes.
 	got := both.FullBytes - first.fullBytes
 	if got < alone.fullBytes*9/10 || got > alone.fullBytes*11/10 {
 		t.Fatalf("user 1 contributes %d bytes after user 0 but %d alone", got, alone.fullBytes)

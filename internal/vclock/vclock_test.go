@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -25,57 +26,212 @@ func TestRealSleepWaits(t *testing.T) {
 	}
 }
 
-func TestScaledSpeedsUpSleep(t *testing.T) {
-	c := NewScaled(1000)
-	start := time.Now()
-	c.Sleep(time.Second) // should take ~1ms of wall time
-	wall := time.Since(start)
-	if wall > 200*time.Millisecond {
-		t.Fatalf("scaled sleep of 1s took %v wall time; want ~1ms", wall)
+// TestWorldSleepTakesNoWallTime: an hour of the world's time passes in
+// one step, at once, to the nanosecond.
+func TestWorldSleepTakesNoWallTime(t *testing.T) {
+	start := time.Unix(0, 0)
+	c := NewWorld(start)
+	wall := time.Now()
+	c.Sleep(time.Hour)
+	if took := time.Since(wall); took > time.Second {
+		t.Errorf("a world sleep of 1h took %v of wall time", took)
+	}
+	if got := c.Now().Sub(start); got != time.Hour {
+		t.Errorf("world at %v after a 1h sleep, want 1h", got)
 	}
 }
 
-func TestScaledNowRunsFast(t *testing.T) {
-	c := NewScaled(1000)
+// TestWorldNowStandsStill: wall time passing moves nothing; only a
+// step does.
+func TestWorldNowStandsStill(t *testing.T) {
+	c := NewWorld(time.Unix(0, 0))
 	a := c.Now()
 	time.Sleep(5 * time.Millisecond)
-	b := c.Now()
-	if sim := b.Sub(a); sim < time.Second {
-		t.Fatalf("scaled clock advanced only %v of simulated time in 5ms wall", sim)
+	if b := c.Now(); !b.Equal(a) {
+		t.Fatalf("world moved from %v to %v with nothing armed", a, b)
 	}
 }
 
-func TestScaledAfterFires(t *testing.T) {
-	c := NewScaled(1000)
+// TestWorldAfterFires: an After channel receives the instant it was
+// due.
+func TestWorldAfterFires(t *testing.T) {
+	start := time.Unix(0, 0)
+	c := NewWorld(start)
 	select {
-	case <-c.After(time.Second):
+	case at := <-c.After(time.Second):
+		if !at.Equal(start.Add(time.Second)) {
+			t.Errorf("After(1s) fired at %v, want 1s", at.Sub(start))
+		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("scaled After(1s) did not fire within 2s wall time")
+		t.Fatal("world After(1s) did not fire within 2s of wall time")
 	}
 }
 
-func TestScaledZeroSleepReturns(t *testing.T) {
-	c := NewScaled(10)
-	done := make(chan struct{})
+// TestWorldZeroSleepReturns: a wait that is already due returns at once
+// and steps nothing.
+func TestWorldZeroSleepReturns(t *testing.T) {
+	start := time.Unix(0, 0)
+	c := NewWorld(start)
+	c.Sleep(0)
+	c.Sleep(-time.Second)
+	<-c.After(0)
+	if got := c.Now(); !got.Equal(start) {
+		t.Errorf("world at %v after waits already due, want %v", got, start)
+	}
+}
+
+// TestWorldSpinBeforeEarlierDeadline: a goroutine that computes keeps
+// the world from stepping, however long it computes, so a deadline
+// armed before the computation began fires only after it ended.
+func TestWorldSpinBeforeEarlierDeadline(t *testing.T) {
+	c := NewWorld(time.Unix(0, 0))
+	fired := make(chan time.Time, 1)
+	c.AfterFunc(time.Millisecond, func() { fired <- c.Now() })
+	spun := make(chan bool)
 	go func() {
-		c.Sleep(0)
-		c.Sleep(-time.Second)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Sleep(0) blocked")
-	}
-}
-
-func TestNewScaledPanicsOnSubUnity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewScaled(0.5) did not panic")
+		// A bounded spin: it runs for far longer than the stepper needs
+		// to take a snapshot, without parking once.
+		x := uint64(1)
+		for i := 0; i < 50_000_000; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+		select {
+		case <-fired:
+			spun <- false
+		default:
+			spun <- x != 0
 		}
 	}()
-	NewScaled(0.5)
+	if !<-spun {
+		t.Fatal("the 1 ms deadline fired while a goroutine was computing")
+	}
+	if at := <-fired; !at.Equal(time.Unix(0, 0).Add(time.Millisecond)) {
+		t.Fatalf("fired at %v, want exactly 1ms", at.Sub(time.Unix(0, 0)))
+	}
+}
+
+// TestWorldSleepersWakeInDeadlineOrder: sleepers armed in any order wake
+// in the order of their deadlines, each at its exact virtual instant.
+func TestWorldSleepersWakeInDeadlineOrder(t *testing.T) {
+	start := time.Unix(1000, 0)
+	c := NewWorld(start)
+	type wake struct {
+		d  time.Duration
+		at time.Duration
+	}
+	var (
+		mu    sync.Mutex
+		wakes []wake
+		wg    sync.WaitGroup
+	)
+	for _, d := range []time.Duration{5 * time.Second, time.Second, 3 * time.Second, 2 * time.Second, 4 * time.Second} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Sleep(d)
+			mu.Lock()
+			wakes = append(wakes, wake{d, c.Now().Sub(start)})
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if len(wakes) != 5 {
+		t.Fatalf("%d wakes, want 5", len(wakes))
+	}
+	for i, w := range wakes {
+		if want := time.Duration(i+1) * time.Second; w.d != want || w.at != want {
+			t.Errorf("wake %d: sleeper of %v woke at %v, want the sleeper of %v at %v", i, w.d, w.at, want, want)
+		}
+	}
+	if got := c.Now().Sub(start); got != 5*time.Second {
+		t.Errorf("world at %v after the last wake, want 5s", got)
+	}
+}
+
+// TestWorldWithTimeout: the context ends at the virtual deadline, with
+// the error context.WithTimeout gives, and not before it.
+func TestWorldWithTimeout(t *testing.T) {
+	start := time.Unix(0, 0)
+	c := NewWorld(start)
+	ctx, cancel := WithTimeout(c, context.Background(), 10*time.Second)
+	defer cancel()
+	go c.Sleep(9 * time.Second)
+	c.Sleep(9*time.Second + time.Millisecond)
+	if err := ctx.Err(); err != nil {
+		t.Fatalf("Err = %v at 9.001s, want nil before the 10s deadline", err)
+	}
+	<-ctx.Done()
+	if got := c.Now().Sub(start); got != 10*time.Second {
+		t.Errorf("context ended at %v, want 10s", got)
+	}
+	if err := ctx.Err(); err != context.DeadlineExceeded {
+		t.Errorf("Err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestWorldWithTimeoutStop: cancelling disarms the deadline: the
+// context ends with context.Canceled and keeps that error past the
+// deadline.
+func TestWorldWithTimeoutStop(t *testing.T) {
+	start := time.Unix(0, 0)
+	c := NewWorld(start)
+	ctx, cancel := WithTimeout(c, context.Background(), 10*time.Second)
+	c.Sleep(time.Second)
+	cancel()
+	if err := ctx.Err(); err != context.Canceled {
+		t.Fatalf("Err = %v after cancel, want context.Canceled", err)
+	}
+	c.mu.Lock()
+	armed := len(c.waiters)
+	c.mu.Unlock()
+	if armed != 0 {
+		t.Errorf("%d waiters left after cancel, want the deadline disarmed", armed)
+	}
+	c.Sleep(20 * time.Second)
+	if err := ctx.Err(); err != context.Canceled {
+		t.Errorf("Err = %v past the deadline, want context.Canceled", err)
+	}
+}
+
+// TestRealWithTimeout: on Real the helper is context.WithTimeout, and
+// its error is one that obs and the health breakers count as the
+// caller's (a cancellation), not as a fault of the cloud.
+func TestRealWithTimeout(t *testing.T) {
+	ctx, cancel := WithTimeout(Real{}, context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if _, ok := ctx.Deadline(); !ok {
+		t.Error("Real WithTimeout has no deadline")
+	}
+	<-ctx.Done()
+	if err := ctx.Err(); err != context.DeadlineExceeded {
+		t.Errorf("Err = %v, want context.DeadlineExceeded", err)
+	}
+	ctx, cancel = WithTimeout(Real{}, context.Background(), time.Hour)
+	cancel()
+	if err := ctx.Err(); err != context.Canceled {
+		t.Errorf("Err after cancel = %v, want context.Canceled", err)
+	}
+}
+
+// TestManualAfterFunc: an AfterFunc fires at its deadline, and one
+// stopped in time never does.
+func TestManualAfterFunc(t *testing.T) {
+	c := NewManual(time.Unix(0, 0))
+	fired := make(chan struct{})
+	c.AfterFunc(time.Second, func() { close(fired) })
+	stop := c.AfterFunc(time.Second, func() { t.Error("stopped AfterFunc fired") })
+	if !stop() {
+		t.Fatal("stop reported the AfterFunc already fired")
+	}
+	c.Advance(time.Second)
+	select {
+	case <-fired:
+	case <-time.After(time.Second):
+		t.Fatal("AfterFunc did not fire at its deadline")
+	}
+	if stop() {
+		t.Error("a second stop reported it stopped the call")
+	}
 }
 
 func TestManualSleepReleasesOnAdvance(t *testing.T) {

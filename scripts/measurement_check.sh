@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The §3.2 measurement study (Figs 1-4, Table 1) runs on a stepping
-# clock, so its output is a pure function of the seed: seed 1 at paper
+# The §3.2 measurement study (Figs 1-4, Table 1) issues one transfer at
+# a time on the world clock (vclock.World), so its output is a pure
+# function of the seed: seed 1 at paper
 # size must equal unibench_measurement.txt, the wall-time
 # "-- … finished in … --" lines aside. Regenerate the file with
 #
