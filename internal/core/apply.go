@@ -58,8 +58,8 @@ func (c *Client) apply(ctx context.Context, local []*meta.Change, head *meta.Ima
 // placements a hold recorded). The local content cache of the segments
 // the span committed is dropped and the new state is checkpointed.
 // Moving the view deletes no block: the blocks of a segment a commit
-// released are deleted once, in the tail of the hold that made that
-// commit (releasedBlocks).
+// released are deleted once, by the hold that made that commit
+// (releasedBlocks).
 func (c *Client) advance(head *meta.Image) {
 	if cur := c.store.CachedShared(); cur.Version > head.Version {
 		if d, _ := c.diffForApply(head, cur); len(d) == 0 {
@@ -283,8 +283,8 @@ func releasedSegments(from, to *meta.Image, changes []*meta.Change) []*meta.Segm
 }
 
 // releasedBlocks lists the coded blocks of releasedSegments: what a
-// committing pass deletes, once, in its hold's tail from the instant
-// its batch has joined (finishUpload). No other device deletes them.
+// committing pass's hold deletes, once, from the instant of its commit
+// (hold.upload). No other device deletes them.
 func releasedBlocks(released []*meta.Segment) []transfer.BlockRef {
 	var doomed []transfer.BlockRef
 	for _, seg := range released {

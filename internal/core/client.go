@@ -202,19 +202,20 @@ type Client struct {
 	// scheduled scrub, a CLI — and so one acquirer of the quorum lock,
 	// which does not exclude this device's own concurrent acquisitions.
 	// It also guards the checkpoint cursor, the recovered map, the owed
-	// placements and the hold's tail. mu below guards the fields read outside the
-	// writer.
+	// placements and the last hold. mu below guards the fields read
+	// outside the writer.
 	writer sync.Mutex
 	// owed are the placements an earlier pass's upload landed after its
 	// commit's stamp, for the next lock hold to record (placements.go).
 	owed owedPlacements
-	// tail is the last committing hold's tail, nil once joined (tail.go).
-	tail *holdTail
+	// last is the device's last lock hold (hold.go), nil before its
+	// first.
+	last *hold
 
 	mu sync.Mutex
-	// last is the device's view of the committed metadata (the
+	// view is the device's view of the committed metadata (the
 	// algorithm's v_o).
-	last *meta.Image
+	view *meta.Image
 	// segData caches content of segments pending upload.
 	segData map[string][]byte
 	// recovered holds block placements adopted from a replayed crash
@@ -345,7 +346,7 @@ func New(clouds []cloud.Interface, folder localfs.Folder, cfg Config) (*Client, 
 		chnk:      chnk,
 		stack:     newStack(cfg, params, clouds, prober, cipher),
 		changes:   meta.NewChangedFileList(),
-		last:      meta.NewImage(),
+		view:      meta.NewImage(),
 		segData:   make(map[string][]byte),
 		recovered: make(map[string]map[int]string),
 	}
@@ -386,7 +387,7 @@ func (c *Client) Capacity() *capacity.Tracker { return c.cfg.Capacity }
 func (c *Client) Image() *meta.Image {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.last.Clone()
+	return c.view.Clone()
 }
 
 // FetchImage fetches the current committed metadata image from the
@@ -406,13 +407,13 @@ func (c *Client) FetchImage(ctx context.Context) (*meta.Image, error) {
 func (c *Client) setLast(img *meta.Image) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.last = img
+	c.view = img
 }
 
 func (c *Client) lastImage() *meta.Image {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.last
+	return c.view
 }
 
 func (c *Client) cacheSegment(id string, data []byte) {

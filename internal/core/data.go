@@ -56,7 +56,7 @@ type uploadOutcome struct {
 // on to reliability (paper §6.2). The pass waits for the availability
 // instant and commits; whether the commit overlaps the batch's
 // reliability tail is commitLocal's decision. A committed pass hands the
-// session to its hold's tail (finishUpload), which joins the batch, and
+// session to its hold (hold.upload), which joins the batch, and
 // what the batch lands after the commit is owed to the next lock hold
 // (settle). Every path ends in close.
 type uploadSession struct {
@@ -92,11 +92,11 @@ type sessionSegment struct {
 //
 // A tenant has one open batch at the FairScheduler, whose EndBatch
 // clears all of the tenant's waiting marks: the last pass's batch, still
-// running in its hold's tail, is joined first (core.tail.upload_joins).
+// running in its hold, is waited for first (core.tail.upload_joins).
 func (c *Client) startUpload(ctx context.Context, changes []*meta.Change) (*uploadSession, error) {
-	if c.tail != nil && c.tail.upload != nil && c.tail.upload.running() {
+	if c.last.uploading() {
 		c.cfg.Obs.Counter("core.tail.upload_joins").Inc()
-		c.joinTail()
+		c.last.Wait()
 	}
 	s := &uploadSession{c: c, available: make(chan struct{}), done: make(chan struct{}), cancel: func() {}}
 	seen := make(map[string]bool)

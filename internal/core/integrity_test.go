@@ -115,7 +115,10 @@ func commitPlacement(t *testing.T, c *Client, seg *meta.Segment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { c.releaseLock(ctx, lock, c.store)() }()
+	defer func() {
+		c.store.JoinWrites()
+		_ = lock.Release(ctx)
+	}()
 	if _, err := c.store.Commit(ctx, []*meta.Change{{
 		Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{seg},
 	}}); err != nil {
@@ -314,7 +317,18 @@ func (p poisonFirst) Download(ctx context.Context, path string) ([]byte, error) 
 // is refetched from blocks outside the failed set.
 func TestDecodeWorkersDeliverEachSegmentOnce(t *testing.T) {
 	r := newRig(5)
-	a, fa := r.device(t, "alpha")
+	// K=2 of five clouds: the fair share alone places five blocks of
+	// every segment, more than 2K, so the refetch finds K blocks beyond
+	// the failed set whichever over-provisioned extras won their races.
+	var direct []cloud.Interface
+	for _, st := range r.stores {
+		direct = append(direct, cloudsim.NewDirect(st))
+	}
+	fa := localfs.NewMem()
+	a, err := New(direct, fa, Config{Device: "alpha", Passphrase: "shared-secret", Theta: 4096, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	content := randContent(601, 30_000)
 	writeFile(t, fa, "f.bin", content)
 	syncOK(t, a)
@@ -349,7 +363,7 @@ func TestDecodeWorkersDeliverEachSegmentOnce(t *testing.T) {
 		clouds[i] = poisonFirst{cloudsim.NewDirect(st), transfer.DefaultBlockDir + "/" + poisoned.ID + ".", &fired}
 	}
 	reg := obs.NewRegistry()
-	b, err := New(clouds, localfs.NewMem(), Config{Device: "beta", Passphrase: "shared-secret", Theta: 4096, Obs: reg})
+	b, err := New(clouds, localfs.NewMem(), Config{Device: "beta", Passphrase: "shared-secret", Theta: 4096, K: 2, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

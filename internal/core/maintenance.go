@@ -16,21 +16,21 @@ import (
 // lockedCommit, and only then delete the blocks the commit released
 // (released). The policies are the short functions below and in
 // scrub.go, rebalance.go and recover.go; each holds Client.writer and
-// joins the last hold's tail first (tail.go).
+// waits for the last hold first (hold.go).
 
 // released ends a maintenance commit: the blocks it released are
 // deleted — after the commit, so metadata never names a block that is
-// already gone — beside the hold's tail, which it then joins: a
-// maintenance operation returns with its hold released. The view
-// advances as far as the span changes no
-// file. A file change of another device's that the lock's refresh
-// pulled in is left unapplied and v_o behind it: maintenance never
-// writes the folder, and the next pass, which observes the folder
-// first, applies the change or turns a concurrent local edit into a
-// conflict copy. It returns the number of blocks deleted.
+// already gone — beside the rest of the hold, which it then waits for:
+// a maintenance operation returns with its hold ended. The view
+// advances as far as the span changes no file. A file change of another
+// device's that the lock's refresh pulled in is left unapplied and v_o
+// behind it: maintenance never writes the folder, and the next pass,
+// which observes the folder first, applies the change or turns a
+// concurrent local edit into a conflict copy. It returns the number of
+// blocks deleted.
 func (c *Client) released(ctx context.Context, doomed []transfer.BlockRef) int {
 	deleted := c.engine.DeleteBlocks(ctx, doomed)
-	c.joinTail()
+	c.last.Wait()
 	c.advance(c.lastImage())
 	return deleted
 }
@@ -94,7 +94,7 @@ func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string) bool) (int, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()
-	c.joinTail()
+	c.last.Wait()
 	var doomed []transfer.BlockRef
 	_, err := c.lockedCommit(ctx, c.stack, func(img *meta.Image) (changes []*meta.Change, err error) {
 		for _, segID := range img.SegmentIDs() {

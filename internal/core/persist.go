@@ -349,14 +349,14 @@ func (c *Client) writeBase(img *meta.Image) (int, error) {
 
 // SaveState forces a compaction: it rewrites the checkpoint base at
 // the client's current state and deletes the delta log, once the last
-// hold's tail has ended (tail.go). Applying passes checkpoint
+// hold has ended (hold.go). Applying passes checkpoint
 // incrementally on their own; this is for tools and for RunLoop's exit,
 // where the next start should read one file and no lock release or
 // block delete of this device is left behind.
 func (c *Client) SaveState() error {
 	c.writer.Lock()
 	defer c.writer.Unlock()
-	c.joinTail()
+	c.last.Wait()
 	_, err := c.writeBase(c.lastImage())
 	return err
 }

@@ -16,7 +16,7 @@ import (
 // next lock hold records them, whatever that hold is for — a commit
 // pass, the trim, the capacity valve, a scrub repair, SetClouds, or,
 // when nothing else is due, a pass that polls (SyncRemote, the loop's
-// remote poll): lockRound.commit adds them to what the hold commits.
+// remote poll): hold.commitHeld adds them to what the hold commits.
 // Until then other devices read the record the commit made, which holds
 // at least K blocks of every segment, and any K decode.
 
@@ -32,8 +32,8 @@ type owedPlacements struct {
 }
 
 // owe hands what a pass's batch landed after its stamp to the device's
-// next lock hold; the pass's hold's tail settles the batch, and the
-// writer takes what it owes from there (takeOwed).
+// next lock hold; the pass's hold settles the batch, and hands what it
+// owes over from there (hold.handOver).
 func (c *Client) owe(intentID string, landed map[string][]meta.BlockLocation) {
 	if c.owed.blocks == nil {
 		c.owed.blocks = make(map[string][]meta.BlockLocation, len(landed))
@@ -43,14 +43,6 @@ func (c *Client) owe(intentID string, landed map[string][]meta.BlockLocation) {
 	}
 	c.owed.intents = append(c.owed.intents, intentID)
 	c.cfg.Obs.Gauge("core.placements.pending").Set(float64(len(c.owed.blocks)))
-}
-
-// owing reports whether placements are owed to the device's next lock
-// hold, taking first those of a batch that has ended in the last hold's
-// tail; a batch still running is left to run.
-func (c *Client) owing() bool {
-	c.takeOwed()
-	return len(c.owed.intents) > 0
 }
 
 // Owed placements count as held for every maintenance decision: a hold
@@ -132,23 +124,4 @@ func (c *Client) heldImage(ctx context.Context) (*meta.Image, error) {
 	}
 	relocates, _ := c.rebaseOwed(head, &c.stack)
 	return head.ApplyCOW(relocates, c.cfg.Device)
-}
-
-// settleOwed ends a hold that recorded the owed placements, in the
-// hold's tail: the owed blocks no metadata names are deleted, and only
-// then are the intents cleared, so a crash in between leaves them to
-// Recover. Best effort: a lingering intent costs the next start a
-// survey, never data.
-func (c *Client) settleOwed(ctx context.Context, dropped []transfer.BlockRef) {
-	intents := c.owed.intents
-	c.owed = owedPlacements{}
-	c.cfg.Obs.Gauge("core.placements.pending").Set(0)
-	if len(dropped) > 0 {
-		c.cfg.Obs.Counter("core.placements.dropped").Add(int64(len(dropped)))
-	}
-	c.deleteInTail(ctx, dropped, func() {
-		for _, id := range intents {
-			_ = c.journal.Clear(id)
-		}
-	})
 }

@@ -60,17 +60,17 @@ func owingPass(t *testing.T, r *rig, tp *tap, meanwhile func()) (*Client, *local
 // owedFile is the content owingPass commits.
 func owedFile() string { return randContent(17, 10*4096) }
 
-// tailSettled reports whether the batch of the last commit pass's hold
-// tail, if it has one, has been settled: a polling pass takes what it
-// owes from here on.
+// tailSettled reports whether the batch of the last commit pass's hold,
+// if it has one, has been settled: a polling pass takes what it owes
+// from here on.
 func tailSettled(c *Client) bool {
 	c.writer.Lock()
 	defer c.writer.Unlock()
-	if c.tail == nil || c.tail.upload == nil {
+	if c.last == nil || c.last.batch == nil {
 		return true
 	}
 	select {
-	case <-c.tail.upload.settled:
+	case <-c.last.batch.settled:
 		return true
 	default:
 		return false

@@ -30,7 +30,7 @@ import (
 func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) error {
 	c.writer.Lock()
 	defer c.writer.Unlock()
-	c.joinTail()
+	c.last.Wait()
 	if len(newClouds) == 0 {
 		return fmt.Errorf("core: cannot rebalance to zero clouds")
 	}

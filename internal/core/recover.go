@@ -57,9 +57,9 @@ type RecoveryReport struct {
 //	                           image does not hold (journaled with the
 //	                           commit, or the batch's paths in the
 //	                           pre-crash view, gone from the image),
-//	                           which the hold's tail would have
-//	                           deleted, unless an uncommitted upload
-//	                           intent names it (a later pass re-adding
+//	                           which the hold would have deleted,
+//	                           unless an uncommitted upload intent
+//	                           names it (a later pass re-adding
 //	                           the content: that intent judges its
 //	                           blocks); clear the intent.
 //	upload, uncommitted,
@@ -83,7 +83,7 @@ type RecoveryReport struct {
 func (c *Client) Recover(ctx context.Context) (RecoveryReport, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()
-	c.joinTail()
+	c.last.Wait()
 	var rep RecoveryReport
 	if c.journal.Len() == 0 {
 		return rep, nil
@@ -245,7 +245,7 @@ func (c *Client) recoverUpload(ctx context.Context, in *journal.Intent, img *met
 
 	var orphans []transfer.BlockRef
 	if committed {
-		// The segments the commit released, which the hold's tail would
+		// The segments the commit released, which the hold would
 		// have deleted before clearing the intent: those journaled with
 		// the commit — the pass may have moved v_o past it before the
 		// crash — and, for a crash before the journal heard of the

@@ -15,7 +15,7 @@ import (
 // the refreshed placements committed under the quorum lock.
 func (c *Client) Scrub(ctx context.Context, repair bool) (*scrub.Report, error) {
 	c.writer.Lock()
-	c.joinTail() // the cycle reads the clouds the last hold's deletes are changing
+	c.last.Wait() // the cycle reads the clouds the last hold's deletes are changing
 	c.writer.Unlock()
 	s, err := scrub.New(scrub.Config{
 		Engine:     c.engine,
@@ -56,7 +56,7 @@ func (c *Client) Scrub(ctx context.Context, repair bool) (*scrub.Report, error) 
 func (c *Client) commitRepairs(ctx context.Context, changes []*meta.Change) (int64, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()
-	c.joinTail()
+	c.last.Wait()
 	_, err := c.lockedCommit(ctx, c.stack, func(img *meta.Image) ([]*meta.Change, error) {
 		kept := make([]*meta.Change, 0, len(changes))
 		for _, ch := range changes {

@@ -7,14 +7,10 @@ import (
 	"time"
 
 	"unidrive/internal/chunker"
-	"unidrive/internal/deltasync"
 	"unidrive/internal/journal"
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
-	"unidrive/internal/qlock"
 	"unidrive/internal/sched"
-	"unidrive/internal/transfer"
-	"unidrive/internal/vclock"
 )
 
 // SyncReport summarizes one pass: SyncOnce, SyncDirty or SyncRemote.
@@ -35,7 +31,7 @@ type SyncReport struct {
 	// per segment uploaded and metadata committed) — the paper's
 	// "available time" metric (§7.1). The pass itself runs a little
 	// longer, to its commit's journal record and the apply stage. Its
-	// upload runs on to reliability in the hold's tail (tail.go), and the
+	// upload runs on to reliability in its lock hold (hold.go), and the
 	// final placements are recorded by the device's next lock hold. Zero
 	// when no local changes were committed.
 	AvailableDuration time.Duration
@@ -52,9 +48,9 @@ type SyncReport struct {
 //	observe  folder → ChangedFileList (full scan | dirty paths | nothing)
 //	commit   upload, then under the quorum lock: refresh, plan, commit
 //	         (commitLocal); when there is nothing to commit, a stamp
-//	         poll, or the lock round that records owed placements. The
+//	         poll, or the lock hold that records owed placements. The
 //	         release, the upload's reliability second and the released
-//	         blocks' deletes run on in the hold's tail (tail.go)
+//	         blocks' deletes run on in the hold (hold.go)
 //	plan     (local changes, span v_o→v_c, folder) → []applyAction
 //	         (plan.go): its local side under the lock when the pass
 //	         commits, the whole plan on the live folder after release
@@ -62,7 +58,7 @@ type SyncReport struct {
 //	         through fetchVerified
 //	write    verified content → folder
 //	advance  v_o := the pass's head; checkpoint (no block DELETEs: the
-//	         committing hold's tail deletes what its commit released)
+//	         committing hold deletes what its commit released)
 //
 // One writer: a pass holds Client.writer throughout, as does every
 // other operation that commits, moves v_o or writes the folder.
@@ -221,7 +217,7 @@ func (c *Client) SyncDirty(ctx context.Context, paths []string) (SyncReport, err
 // the local folder. Nothing is observed; pending local changes from an
 // earlier failed pass are still committed first, since committing
 // under the lock subsumes the refresh, and so are the final placements
-// an earlier pass owes (placements.go), under a lock round of their
+// an earlier pass owes (placements.go), under a lock hold of their
 // own when nothing else is to be committed.
 func (c *Client) SyncRemote(ctx context.Context) (SyncReport, error) {
 	return c.pass(ctx, nil, true)
@@ -229,7 +225,7 @@ func (c *Client) SyncRemote(ctx context.Context) (SyncReport, error) {
 
 // pass runs the stages in order. poll says whether a pass that finds
 // nothing to commit still asks the clouds for news; such a pass also
-// records the placements owed, in one lock round whose refresh is the
+// records the placements owed, in one lock hold whose refresh is the
 // poll. When nothing was committed anywhere the pass ends before an
 // image is materialized or diffed — the property that makes
 // event-driven passes O(changes).
@@ -245,10 +241,11 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 	var local []*meta.Change
 	var head *meta.Image
 	var err error
+	c.last.handOver()
 	switch {
 	case c.changes.Len() > 0:
 		local, head, err = c.commitLocal(ctx, &report)
-	case poll && c.owing():
+	case poll && len(c.owed.intents) > 0:
 		report.PlacementsRecorded, err = c.lockedCommit(ctx, c.stack, func(*meta.Image) ([]*meta.Change, error) {
 			return nil, nil
 		})
@@ -270,7 +267,7 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 // (startUpload); the metadata commit happens at its availability
 // instant — the files are available to other devices from here,
 // AvailableDuration marks this moment — and the pass ends at its
-// commit, handing the batch to the hold's tail (finishUpload). What the
+// commit, handing the batch to its hold (hold.upload). What the
 // commit waits for depends on what the batch still owes when it becomes
 // available:
 //
@@ -285,17 +282,16 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 //     device's next lock hold (placements.go), and the intent stays
 //     committed until then.
 //
-// Every pass therefore takes at most one lock round — the one that also
+// Every pass therefore takes at most one lock hold — the one that also
 // records what an earlier pass owes — and only landed blocks are ever
 // named (blocks before metadata, DESIGN.md §8).
 //
-// The commit's lock round — acquire and refresh, the first part of a
-// locked commit — starts with the batch when the batch is small (one
-// dispatch, at most θ of content: the single-file commit's shape), so
-// it runs beside the upload and the lock hold grows by at most that
-// dispatch. Otherwise it starts where it always did, once the pass is
-// ready to commit: available (drained: joined), placements stamped and
-// journaled.
+// The hold's acquire and refresh (startHold) start with the batch when
+// the batch is small (one dispatch, at most θ of content: the
+// single-file commit's shape), so they run beside the upload and the
+// lock hold grows by at most that dispatch. Otherwise they start where
+// they always did, once the pass is ready to commit: available
+// (drained: joined), placements stamped and journaled.
 func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.Change, *meta.Image, error) {
 	start := c.cfg.Clock.Now()
 	changes := c.changes.Drain()
@@ -310,7 +306,10 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	if err != nil {
 		return nil, nil, err
 	}
-	c.joinTailFor(changes)
+	if c.last.deletes(changes) {
+		c.cfg.Obs.Counter("core.tail.reupload_joins").Inc()
+		c.last.Wait()
+	}
 	session, err := c.startUpload(ctx, changes)
 	if err != nil {
 		return nil, nil, err
@@ -318,18 +317,17 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	// Whatever ends the pass short of its commit — commit error, lost
 	// lock, injected crash, cancelled ctx — the batch is cancelled and
 	// drained before the coding buffers it reads go back to the pool, and
-	// a lock won is released. A committed pass hands the batch to its
-	// hold's tail instead (finishUpload).
+	// a lock won is released (hold.close); a commit hands both to the hold.
 	defer func() {
 		if !ok {
 			session.close()
 		}
 	}()
-	var round *lockRound
+	var h *hold
 	early := session.small()
 	if early {
-		round = c.startLock(ctx)
-		defer round.close()
+		h = c.startHold(ctx)
+		defer h.close()
 	}
 	if err := session.awaitAvailable(); err != nil {
 		return nil, nil, err
@@ -352,12 +350,12 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	_ = c.journal.UpdatePlacementsBatch(intentID, session.stamp(changes))
 	readyAt := c.cfg.Clock.Now()
 	if !early {
-		round = c.startLock(ctx)
-		defer round.close()
+		h = c.startHold(ctx)
+		defer h.close()
 	}
 
 	var commit []*meta.Change
-	commitDone, err := round.commit(c.stack, func(head *meta.Image) ([]*meta.Change, error) {
+	commitDone, err := h.commit(c.stack, func(head *meta.Image) ([]*meta.Change, error) {
 		// Stamp again under the lock: the commit names every block landed
 		// by now, and other devices read this record until the next hold.
 		session.stamp(changes)
@@ -375,32 +373,25 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 		return nil, nil, err
 	}
 	head := c.store.CachedShared()
-	released, err := c.markCommitted(intentID, round.head, head, commit)
+	released, err := c.markCommitted(intentID, h.head, head, commit)
 	if err != nil {
 		return nil, nil, err
 	}
 	report.LocalChanges = len(commit)
-	report.PlacementsRecorded = round.recorded
+	report.PlacementsRecorded = h.recorded
 	// The paper's "available time": pass start until the commit landed —
-	// not the lock release after it, the data is visible to other
-	// devices from here — less the time the commit waited on the pass's
-	// own tail alone: from availability until the placements were
-	// stamped and journaled (the drain, for a drained batch), except
-	// while an early lock round was still running.
-	lockedAt := time.Time{} // a round started at readyAt ran beside none of it
-	if early {
-		lockedAt = round.endAt
-	}
-	report.AvailableDuration = commitDone.Sub(start) - waitedAlone(session.availAt, lockedAt, readyAt)
+	// not the release after it, the data is visible to other devices from
+	// here — less the time the commit waited on the pass's own tail alone.
+	report.AvailableDuration = commitDone.Sub(start) - h.waitedAlone(session.availAt, readyAt)
 	ok = true
-	c.finishUpload(ctx, session, intentID, overlap, releasedBlocks(released))
+	h.upload(session, intentID, overlap, releasedBlocks(released))
 	return changes, head, nil
 }
 
 // markCommitted journals the pass's intent as committed at head, with
 // the segments the commit released — on from, the head it built on,
-// against head, the one it made — and returns those: the hold's tail
-// deletes their blocks, and Recover does when the tail did not. Owed
+// against head, the one it made — and returns those: the hold deletes
+// their blocks, and Recover does when the hold did not. Owed
 // blocks of a released segment are the hold's to delete (outlived).
 func (c *Client) markCommitted(intentID string, from, head *meta.Image, commit []*meta.Change) ([]*meta.Segment, error) {
 	released := releasedSegments(from, head, commit)
@@ -427,254 +418,17 @@ func (c *Client) beginUpload(changes []*meta.Change) (string, error) {
 	})
 }
 
-// finishUpload hands a committed pass's batch to its hold's tail, the
-// paper's reliability second, and returns: the pass ends at its commit.
-// In the tail the batch runs on to every fair share and is settled: the
-// blocks it landed after the commit's stamp are owed to the device's
-// next lock hold, which takes them from the tail (takeOwed). Beside the
-// batch, from the commit on, the blocks the commit released are deleted:
-// none of them is the batch's, whose segments the commit names. The
-// intent is cleared once both have ended if nothing is owed; otherwise
-// it stays committed until the hold that records the owed blocks. The
-// coding buffers go back to the pool once the batch has been settled.
-//
-// The batch keeps the pass's context: a shutdown stops it. A cancelled
-// batch, or a crash in the tail (CrashInTail: the batch is cancelled and
-// nothing deleted), leaves the intent committed with nothing owed, so a
-// crash anywhere after the commit leaves the same record: Recover
-// deletes the released blocks and the batch's blocks no metadata names.
-// This pass's hold is the released blocks' only deleter: a device that
-// applies the commit deletes nothing.
-func (c *Client) finishUpload(ctx context.Context, session *uploadSession, intentID string, overlap bool, released []transfer.BlockRef) {
-	up := &tailUpload{done: session.done, settled: make(chan struct{}), intent: intentID}
-	c.tail.upload = up
-	deletes := c.tailDeletes(ctx, released)
-	returned := c.cfg.Clock.Now()
-	c.tail.run(func() {
-		if c.crashNow(CrashInTail) {
-			session.close()
-			close(up.settled)
-			return
-		}
-		deleted := make(chan bool, 1)
-		go func() { deleted <- deletes() }()
-		err := session.join()
-		if err == nil {
-			if overlap {
-				c.cfg.Obs.Histogram("core.commit.tail_ms").Observe(float64(max(0, session.endAt.Sub(returned))) / float64(time.Millisecond))
-			}
-			up.landed = session.settle()
-		}
-		session.close()
-		close(up.settled)
-		if <-deleted && err == nil && len(up.landed) == 0 {
-			_ = c.journal.Clear(intentID)
-		}
-	})
-}
-
-// releaseTimeout bounds the quorum-lock release performed after every
-// commit, and the block deletes of a hold's tail: a stalled cloud must
-// not hang shutdown, so they are abandoned after this long (the flag
-// files expire on their own after LockExpiry).
-const releaseTimeout = 10 * time.Second
-
-// releaseLock starts releasing a quorum lock with a hard deadline, so
-// a stalled cloud cannot hang shutdown, and returns the wait for it:
-// the release runs beside whatever its caller does next, detached from
-// the caller's cancellation (a cancelled sync must still try to
-// unlock), and the wait returns once it ended or releaseTimeout after
-// it started, when it is abandoned and counted under
-// qlock.release_timeouts. An abandoned release is safe: the flag files
-// expire after LockExpiry and every other device breaks them. The flags
-// go only once no metadata write of the hold's commit through store is
-// in flight (deltasync.Store.JoinWrites): one landing after the release
-// could hide the next holder's commit from a read quorum.
-func (c *Client) releaseLock(ctx context.Context, lock *qlock.Lock, store *deltasync.Store) (wait func()) {
-	rctx, cancel := vclock.WithTimeout(c.cfg.Clock, context.WithoutCancel(ctx), releaseTimeout)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer cancel()
-		store.JoinWrites()
-		_ = lock.Release(rctx)
-	}()
-	return func() {
-		select {
-		case <-done:
-		case <-rctx.Done():
-			c.cfg.Obs.Counter("qlock.release_timeouts").Inc()
-		}
-	}
-}
-
-// lockedCommit is the one locked commit: acquire the quorum lock,
-// refresh, build the changes from the committed head, check the lock
-// still holds, commit through to's store, and leave the release to the
-// hold's tail (tail.go). to is the client's
-// own stack for every caller but SetClouds, whose commit lands on the
-// new cloud set. build runs under the lock and must not touch the
-// folder. Every hold also records the placements owed (placements.go);
-// it returns how many segments' records it rewrote for them. Callers
-// hold Client.writer: the lock manager does not exclude this device's
-// own concurrent acquisitions (qlock.Manager).
-//
-// It is a lockRound's two parts back to back; commitLocal runs the same
-// two with its upload between them.
-func (c *Client) lockedCommit(ctx context.Context, to stack, build func(head *meta.Image) ([]*meta.Change, error)) (int, error) {
-	round := c.startLock(ctx)
-	defer round.close()
-	_, err := round.commit(to, build)
-	return round.recorded, err
-}
-
-// lockRound is a locked commit split in two. The first part runs on
-// its own goroutine from startLock: acquire the quorum lock, then
-// refresh the store to the head the commit builds on. commit is the
-// second part: join the last hold's tail, build, add the owed
-// placements, check, commit, and hand the release to the hold's tail
-// (tail.go). close ends the round on every path out, cancelling a
-// first part still running, and releasing a lock won but never
-// committed under, or whose commit failed, and waiting for that
-// release: no lock request of a failed round outlives it.
-type lockRound struct {
-	c      *Client
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{} // closed when the first part has ended, at endAt
-	endAt  time.Time
-	// lock is the won lock until commit or close releases it; head and
-	// err are the first part's outcome.
-	lock *qlock.Lock
-	head *meta.Image
-	err  error
-	// released waits for the release of a lock whose commit failed.
-	released func()
-	// recorded is the number of owed segment placements the commit
-	// recorded.
-	recorded int
-}
-
-func (c *Client) startLock(ctx context.Context) *lockRound {
-	ctx, cancel := context.WithCancel(ctx)
-	r := &lockRound{c: c, ctx: ctx, cancel: cancel, done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		defer func() { r.endAt = c.cfg.Clock.Now() }()
-		if r.lock, r.err = c.locks.Acquire(ctx); r.err != nil {
-			return
-		}
-		if c.crashNow(CrashPreCommit) {
-			r.err = ErrCrashInjected
-			return
-		}
-		// Refresh polls the cheap version stamps and catches up
-		// (delta-only when possible) only if a newer commit is pending.
-		r.head, r.err = c.store.Refresh(ctx)
-	}()
-	return r
-}
-
-// commit waits for the first part, joins the last hold's tail and runs
-// the second part (lockedCommit). It returns the instant the commit
-// completed (or found nothing to commit), with the release running in
-// the hold's tail; a hold that recorded the owed placements settles
-// them there too. A commit that failed is released beside the caller,
-// and close waits for that release.
-func (r *lockRound) commit(to stack, build func(head *meta.Image) ([]*meta.Change, error)) (time.Time, error) {
-	<-r.done
-	if r.err != nil {
-		return time.Time{}, r.err
-	}
-	lock := r.lock
-	r.lock = nil
-	tail := r.c.startTail()
-	owing := len(r.c.owed.intents) > 0
-	dropped, err := r.commitHeld(lock, to, build)
-	committedAt := r.c.cfg.Clock.Now()
-	release := r.c.releaseLock(r.ctx, lock, to.store)
-	if err != nil {
-		r.released = release
-		return time.Time{}, err
-	}
-	tail.run(release)
-	if owing {
-		r.c.settleOwed(r.ctx, dropped)
-	}
-	return committedAt, nil
-}
-
-// commitHeld is what a hold does under the lock: record the owed
-// placements on the head, build the changes on top of that, check the
-// lock and commit. It returns the owed blocks the commit does not name.
-func (r *lockRound) commitHeld(lock *qlock.Lock, to stack, build func(head *meta.Image) ([]*meta.Change, error)) ([]transfer.BlockRef, error) {
-	base, owed, dropped := r.head, []*meta.Change(nil), []transfer.BlockRef(nil)
-	if len(r.c.owed.intents) > 0 {
-		owed, dropped = r.c.rebaseOwed(r.head, &to)
-		var err error
-		if base, err = r.head.ApplyCOW(owed, r.c.cfg.Device); err != nil {
-			return nil, err
-		}
-	}
-	changes, err := build(base)
-	if err != nil {
-		return nil, err
-	}
-	if len(r.c.owed.intents) > 0 {
-		post, err := base.ApplyCOW(changes, r.c.cfg.Device)
-		if err != nil {
-			return nil, err
-		}
-		owed, dropped = r.c.outlived(post, owed, dropped)
-		r.recorded = len(owed)
-		changes = append(owed, changes...)
-	}
-	if len(changes) == 0 {
-		return dropped, nil
-	}
-	if !lock.Valid() {
-		return nil, fmt.Errorf("core: quorum lock lost before commit")
-	}
-	if _, err := to.store.Commit(r.ctx, changes); err != nil {
-		return nil, err
-	}
-	if r.c.crashNow(CrashPostCommit) {
-		// The commit landed but the journal has not heard: the pass's own
-		// intent still says "uploading", an owed one is still there.
-		// Recovery must tell from the image itself.
-		return nil, ErrCrashInjected
-	}
-	return dropped, nil
-}
-
-func (r *lockRound) close() {
-	select {
-	case <-r.done:
-	default:
-		r.cancel() // still contending or refreshing: of no use any more
-		<-r.done
-	}
-	if r.lock != nil {
-		r.released = r.c.releaseLock(r.ctx, r.lock, r.c.store)
-	}
-	if r.released != nil {
-		r.released()
-	}
-	r.cancel()
-}
-
-// waitedAlone is how long a commit waited on its pass alone: from the
-// availability instant or the end of the lock round, whichever came
-// later, to readyAt.
-func waitedAlone(availAt, lockedAt, readyAt time.Time) time.Duration {
+// waitedAlone is how long the hold's commit waited on its pass alone:
+// from the availability instant until readyAt, when the placements had
+// been stamped and journaled (the drain, for a drained batch), less the
+// part the hold's acquisition and refresh ran beside. A hold started at
+// readyAt ran beside none of it.
+func (h *hold) waitedAlone(availAt, readyAt time.Time) time.Duration {
 	from := availAt
-	if lockedAt.After(from) {
-		from = lockedAt
+	if h.startedAt.Before(readyAt) && h.lockedAt.After(from) {
+		from = h.lockedAt
 	}
-	if readyAt.After(from) {
-		return readyAt.Sub(from)
-	}
-	return 0
+	return max(0, readyAt.Sub(from))
 }
 
 // reuploadMissingSegments is the commit's dedup safety check, under the

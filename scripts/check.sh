@@ -1,10 +1,10 @@
 #!/bin/sh
-# Tier-1 gate, runnable without make: vet, gofmt, the function-length
-# gate, the test-only options and API gate, build, full test suite,
-# the race detector over the concurrent data-plane packages and,
-# repeated, over the lock hold's overlap tests, the portable
-# (non-assembly) kernels, the benchmark module, and the shipped §3.2
-# output.
+# Tier-1 gate, and the one list of its steps (`make check` runs this
+# script): vet, gofmt, the function-length gate, the test-only options
+# and API gate, build, full test suite, the race detector over the
+# concurrent data-plane packages and, repeated, over the lock hold's
+# overlap tests, the portable (non-assembly) kernels, the benchmark
+# module, and the shipped §3.2 output.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,7 +36,7 @@ echo "== go test -race (the packages in scripts/race_pkgs.txt)"
 # shellcheck disable=SC2046 # one argument per listed package
 go test -race $(grep -v '^#' scripts/race_pkgs.txt)
 
-echo "== the hold's tail beside the next operation: the tests in scripts/overlap_tests.txt, go test -race -count=20"
+echo "== the last hold beside the next operation: the tests in scripts/overlap_tests.txt, go test -race -count=20"
 go test -race -count=20 -run "^($(grep -v '^#' scripts/overlap_tests.txt | paste -sd'|' -))\$" ./internal/qlock ./internal/core
 
 echo "== portable gf256 kernels: go test -tags purego, GOARCH=arm64 go vet"
