@@ -54,7 +54,7 @@ func (c *Client) apply(ctx context.Context, local []*meta.Change, head *meta.Ima
 // device's view. The folder agrees with head — a pass executed its plan,
 // a maintenance commit writes no file — so v_o becomes head, or the
 // store's head when nothing committed after head changes a file
-// (relocates: a maintenance commit's, another device's, final
+// (placement records: a maintenance commit's, another device's, final
 // placements a hold recorded). The local content cache of the segments
 // the span committed is dropped and the new state is checkpointed.
 // Moving the view deletes no block: the blocks of a segment a commit
@@ -93,7 +93,7 @@ func (c *Client) diffForApply(before, after *meta.Image) (meta.Diff, []string) {
 			seen := make(map[string]bool, len(changes))
 			var paths []string
 			for _, ch := range changes {
-				if ch.Type == meta.ChangeRelocate || seen[ch.Path] {
+				if ch.Type == meta.ChangePlace || seen[ch.Path] {
 					continue
 				}
 				seen[ch.Path] = true

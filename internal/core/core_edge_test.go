@@ -212,6 +212,7 @@ func TestRelocateCommitRecordsReliabilityPlacements(t *testing.T) {
 	a, fa := r.device(t, "alpha")
 	writeFile(t, fa, "file.bin", randContent(9, 8000))
 	syncOK(t, a)
+	recordPlacements(t, a)
 	img := a.Image()
 	params := a.Params()
 	for id, seg := range img.AllSegments() {

@@ -104,6 +104,20 @@ func settle(t *testing.T, c *Client) {
 	}
 }
 
+// recordPlacements joins the device's last lock hold and runs the one
+// after it, which records the placements the last commit pass owes: a
+// pass commits at availability, and the blocks its upload lands after
+// that are named by the device's next lock hold (placements.go). A test
+// reads a file's full placement from here on.
+func recordPlacements(t *testing.T, c *Client) {
+	t.Helper()
+	settle(t, c)
+	if _, err := c.SyncRemote(ctxT(t)); err != nil {
+		t.Fatalf("%s: SyncRemote: %v", c.Device(), err)
+	}
+	settle(t, c)
+}
+
 func TestSingleDeviceUploadAndState(t *testing.T) {
 	r := newRig(5)
 	a, fa := r.device(t, "alpha")
@@ -568,10 +582,7 @@ func TestRemoveCloudDropsFairPlacedReferences(t *testing.T) {
 		for i := 0; i < 9; i++ {
 			updated.AddBlockSum(i, names[i%5], uint32(i+1))
 		}
-		rels = append(rels, &meta.Change{
-			Type: meta.ChangeRelocate, Path: segID,
-			Segments: []*meta.Segment{updated},
-		})
+		rels = append(rels, meta.PlaceChange(cur, updated))
 	}
 	if _, err := a.store.Commit(ctxT(t), rels); err != nil {
 		t.Fatal(err)

@@ -288,6 +288,7 @@ func TestCrashRecoveryMidApply(t *testing.T) {
 	writeFile(t, fa, "two.txt", "v2 two — rewritten")
 	writeFile(t, fa, "big.bin", big)
 	syncOK(t, a)
+	recordPlacements(t, a)
 
 	// Beta dies after applying exactly one of the three files.
 	b.ArmCrash(CrashMidApply, 1)
@@ -337,7 +338,7 @@ func TestRecoverNoJournalIsNoop(t *testing.T) {
 	a, fa := r.device(t, "alpha")
 	writeFile(t, fa, "f.txt", "clean")
 	syncOK(t, a)
-	settle(t, a) // the hold's tail clears the intent
+	recordPlacements(t, a) // the recording hold's tail clears the intent
 	if _, err := fa.ReadFile(journal.Path); err == nil {
 		t.Fatal("journal file survives a clean pass")
 	}

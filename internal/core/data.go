@@ -54,11 +54,10 @@ type uploadOutcome struct {
 // uploadSession is one commit pass's upload: every new segment's plan
 // in ONE continuous batch on its own goroutine, availability first and
 // on to reliability (paper §6.2). The pass waits for the availability
-// instant and commits; whether the commit overlaps the batch's
-// reliability tail is commitLocal's decision. A committed pass hands the
-// session to its hold (hold.upload), which joins the batch, and
-// what the batch lands after the commit is owed to the next lock hold
-// (settle). Every path ends in close.
+// instant and commits; a committed pass hands the session to its hold
+// (hold.upload), which joins the batch, and what the batch lands after
+// the commit is owed to the next lock hold (settle). Every path ends in
+// close.
 type uploadSession struct {
 	c       *Client
 	plans   []sessionSegment
@@ -236,18 +235,6 @@ func (s *uploadSession) awaitAvailable() error {
 func (s *uploadSession) small() bool {
 	return len(s.plans)*s.c.params.FairShare() <= s.c.cfg.ConnsPerCloud &&
 		s.outcome.BytesUploaded <= int64(s.c.cfg.Theta)
-}
-
-// backlog reports whether any plan still has a fair-share block that
-// no connection has taken: the batch's tail is then longer than what
-// is in flight, and a commit made now overlaps real upload time.
-func (s *uploadSession) backlog() bool {
-	for _, p := range s.plans {
-		if p.plan.Queued() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // join waits for the batch to finish, every plan reliable or dry and

@@ -286,7 +286,7 @@ func (h *hold) release(store *deltasync.Store) {
 // deletes the released blocks and the batch's blocks no metadata names.
 // This pass's hold is the released blocks' only deleter: a device that
 // applies the commit deletes nothing.
-func (h *hold) upload(session *uploadSession, intentID string, overlap bool, released []transfer.BlockRef) {
+func (h *hold) upload(session *uploadSession, intentID string, released []transfer.BlockRef) {
 	c := h.c
 	b := &heldBatch{done: session.done, settled: make(chan struct{}), intent: intentID}
 	h.batch = b
@@ -302,8 +302,8 @@ func (h *hold) upload(session *uploadSession, intentID string, overlap bool, rel
 		go func() { deleted <- runDeletes() }()
 		err := session.join()
 		if err == nil {
-			if overlap {
-				c.cfg.Obs.Histogram("core.commit.tail_ms").Observe(float64(max(0, session.endAt.Sub(returned))) / float64(time.Millisecond))
+			if session.endAt.After(returned) {
+				c.cfg.Obs.Histogram("core.commit.tail_ms").Observe(float64(session.endAt.Sub(returned)) / float64(time.Millisecond))
 			}
 			b.landed = session.settle()
 		}
@@ -317,10 +317,12 @@ func (h *hold) upload(session *uploadSession, intentID string, overlap bool, rel
 
 // delete marks the blocks' segments as the hold's to delete and returns
 // the deletes, for the hold to run: on a context detached from the pass
-// and bounded by releaseTimeout from the instant they start. They report
-// whether every delete was tried within that bound. Deletes the bound
-// cut short (core.tail.deletes_cut) leave the intents committed, as a
-// crash would: the next start's Recover deletes the blocks.
+// and bounded by releaseTimeout from the instant they start, through the
+// engine of the cloud set the blocks were sent to (SetClouds replaces
+// the Client's after its commit). They report whether every delete was
+// tried within that bound. Deletes the bound cut short
+// (core.tail.deletes_cut) leave the intents committed, as a crash would:
+// the next start's Recover deletes the blocks.
 func (h *hold) delete(blocks []transfer.BlockRef) func() bool {
 	for _, b := range blocks {
 		if h.deleting == nil {
@@ -328,11 +330,11 @@ func (h *hold) delete(blocks []transfer.BlockRef) func() bool {
 		}
 		h.deleting[b.SegID] = true
 	}
-	c := h.c
+	c, engine := h.c, h.c.engine
 	return func() bool {
 		dctx, cancel := vclock.WithTimeout(c.cfg.Clock, context.WithoutCancel(h.ctx), releaseTimeout)
 		defer cancel()
-		c.engine.DeleteBlocks(dctx, blocks)
+		engine.DeleteBlocks(dctx, blocks)
 		if dctx.Err() != nil {
 			c.cfg.Obs.Counter("core.tail.deletes_cut").Inc()
 			return false

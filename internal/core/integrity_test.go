@@ -69,10 +69,16 @@ func corruptOn(t *testing.T, r *rig, device string, c *Client, seg *meta.Segment
 // plan over-provisions blocks unevenly across clouds, which makes
 // "corrupt everything cloud X holds" convict a run-dependent number
 // of copies; the decision-table tests need the exact same fault
-// surface every run. Old copies stay behind as unreferenced files.
+// surface every run. Old copies stay behind as unreferenced files. It
+// starts from the segment's full placement, recorded first.
 func reshapeSegment(t *testing.T, c *Client, seg *meta.Segment) *meta.Segment {
 	t.Helper()
 	ctx := ctxT(t)
+	recordPlacements(t, c)
+	seg, ok := c.Image().Segment(seg.ID)
+	if !ok {
+		t.Fatal("the segment is not committed")
+	}
 	firstLoc := make(map[int]meta.BlockLocation)
 	var order []int
 	for _, b := range seg.Blocks {
@@ -107,8 +113,17 @@ func reshapeSegment(t *testing.T, c *Client, seg *meta.Segment) *meta.Segment {
 }
 
 // commitPlacement commits seg's record as its placement under the
-// quorum lock.
+// quorum lock, unless the committed record places it so already.
 func commitPlacement(t *testing.T, c *Client, seg *meta.Segment) {
+	t.Helper()
+	cur, ok := c.store.CachedShared().Segment(seg.ID)
+	if !ok {
+		t.Fatalf("segment %s is not committed", seg.ID)
+	}
+	place := meta.PlaceChange(cur, seg)
+	if place == nil {
+		return
+	}
 	t.Helper()
 	ctx := ctxT(t)
 	lock, err := c.locks.Acquire(ctx)
@@ -119,9 +134,7 @@ func commitPlacement(t *testing.T, c *Client, seg *meta.Segment) {
 		c.store.JoinWrites()
 		_ = lock.Release(ctx)
 	}()
-	if _, err := c.store.Commit(ctx, []*meta.Change{{
-		Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{seg},
-	}}); err != nil {
+	if _, err := c.store.Commit(ctx, []*meta.Change{place}); err != nil {
 		t.Fatal(err)
 	}
 	c.setLast(c.store.CachedShared().Clone())
@@ -227,6 +240,7 @@ func TestDecodeExclusionTargetsStampedPoison(t *testing.T) {
 	content := randContent(600, 3000)
 	writeFile(t, fa, "f.bin", content)
 	syncOK(t, a)
+	recordPlacements(t, a)
 	seg := fileSegments(t, a, "f.bin")[0]
 	// The chunker may split the file; the expected plaintext is this
 	// segment's own chunk, not necessarily the whole file.

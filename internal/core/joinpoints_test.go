@@ -193,7 +193,7 @@ func parkDeletesInTheLastHold(t *testing.T) *parkedHold {
 	}
 	writeFile(t, p.fa, "first.bin", randContent(51, 3000)) // one segment
 	syncOK(t, p.a)
-	settle(t, p.a)
+	recordPlacements(t, p.a)
 	released := blockNames(t, p.a, p.a.Image(), "first.bin")
 
 	p.w.deletes.hold()

@@ -12,7 +12,7 @@ import (
 // committed image through the store's delta cursor (five stamp GETs
 // when nothing is pending), survey what the clouds actually hold where
 // the policy needs it (one List per cloud, concurrently), let a pure
-// policy over (image, survey) decide, commit its relocates through
+// policy over (image, survey) decide, commit its placement records through
 // lockedCommit, and only then delete the blocks the commit released
 // (released). The policies are the short functions below and in
 // scrub.go, rebalance.go and recover.go; each holds Client.writer and
@@ -33,11 +33,6 @@ func (c *Client) released(ctx context.Context, doomed []transfer.BlockRef) int {
 	c.last.Wait()
 	c.advance(c.lastImage())
 	return deleted
-}
-
-// relocateChange wraps a segment's new placement in its change.
-func relocateChange(seg *meta.Segment) *meta.Change {
-	return &meta.Change{Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{seg}}
 }
 
 // TrimOverProvisioned reclaims over-provisioned parity blocks,
@@ -111,7 +106,7 @@ func (c *Client) trimSurplus(ctx context.Context, onCloud func(cloudName string)
 			}
 			updated := seg.Clone()
 			updated.Blocks = slices.DeleteFunc(updated.Blocks, func(b meta.BlockLocation) bool { return slices.Contains(surplus, b) })
-			changes = append(changes, relocateChange(updated))
+			changes = append(changes, meta.PlaceChange(seg, updated))
 			for _, b := range surplus {
 				doomed = append(doomed, transfer.BlockRef{SegID: segID, BlockID: b.BlockID, Cloud: b.CloudID})
 			}

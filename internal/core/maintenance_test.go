@@ -22,6 +22,7 @@ func TestTrimOverProvisionedReclaimsSpace(t *testing.T) {
 	content := randContent(21, 9000)
 	writeFile(t, fa, "file.bin", content)
 	syncOK(t, a)
+	recordPlacements(t, a)
 
 	img := a.Image()
 	fair := a.Params().FairShare()

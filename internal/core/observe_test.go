@@ -145,7 +145,7 @@ func TestUnreadableFolderRemovesNothing(t *testing.T) {
 	writeFile(t, folder.Mem, "a.txt", "alpha")
 	writeFile(t, folder.Mem, "b.txt", "bravo")
 	syncOK(t, a)
-	settle(t, a) // the first hold's release deletes its flags in its tail
+	recordPlacements(t, a) // the last hold's release deletes its flags in its tail
 	version := a.Image().Version
 	before := make([]int, len(recs))
 	for i, rec := range recs {

@@ -299,9 +299,7 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	b, fb := r.device(t, "beta")
 	writeFile(t, fa, "warm.txt", "one segment: everything in flight at availability")
 	syncOK(t, a)
-	if got := reg.Counter("core.commit.drained").Value(); got != 1 {
-		t.Fatalf("core.commit.drained = %d after a single-segment commit, want 1", got)
-	}
+	settle(t, a) // the warm-up's batch ends in its hold; the next hold records what it owes
 	await(t, tp.stampPut, cloud.Quorum(len(r.stores)), "warm-up version stamps")
 
 	big := randContent(7, 10*4096) // more segments than connections per cloud
@@ -310,6 +308,7 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	_, warmAsked := tp.held()
 	warmBlocks := blockFiles(r.stores[4])
 	roundsBefore := reg.Counter("qlock.rounds").Value()
+	tailsBefore := reg.Snapshot().Histograms["core.commit.tail_ms"].Count
 	done := make(chan error, 1)
 	go func() { _, err := a.SyncOnce(ctxT(t)); done <- err }()
 
@@ -355,11 +354,8 @@ func TestCommitOverlapsTheReliabilityTail(t *testing.T) {
 	if got := reg.Counter("qlock.rounds").Value() - roundsBefore; got != 1 {
 		t.Errorf("the pass took %d lock rounds, want 1", got)
 	}
-	if got := reg.Counter("core.commit.overlapped").Value(); got != 1 {
-		t.Errorf("core.commit.overlapped = %d, want 1", got)
-	}
-	if got := reg.Snapshot().Histograms["core.commit.tail_ms"].Count; got != 1 {
-		t.Errorf("core.commit.tail_ms has %d samples, want 1", got)
+	if got := reg.Snapshot().Histograms["core.commit.tail_ms"].Count - tailsBefore; got != 1 {
+		t.Errorf("core.commit.tail_ms has %d samples of the pass, want 1", got)
 	}
 	// c4's fair shares landed after the commit: owed to the next hold,
 	// with the pass's intent committed in the journal until then.

@@ -608,7 +608,7 @@ func TestLoadStateRefusesUnstampedMetadata(t *testing.T) {
 	}
 	badDelta, err := encodeStateDelta(&stateDelta{Records: []deltasync.Record{{
 		Version: img.Version + 1, Device: "alpha",
-		Changes: []*meta.Change{{Type: meta.ChangeRelocate, Path: segID, Segments: []*meta.Segment{bare}}},
+		Changes: []*meta.Change{{Type: meta.ChangePlace, Path: segID, Place: bare.Blocks[:1]}},
 	}}})
 	if err != nil {
 		t.Fatal(err)
@@ -730,7 +730,7 @@ func TestSHA1NamedMetadataRefused(t *testing.T) {
 	old.ID = segID[:40]
 	oldDelta, err := encodeStateDelta(&stateDelta{Records: []deltasync.Record{{
 		Version: img.Version + 1, Device: "alpha",
-		Changes: []*meta.Change{{Type: meta.ChangeRelocate, Path: old.ID, Segments: []*meta.Segment{old}}},
+		Changes: []*meta.Change{{Type: meta.ChangePlace, Path: old.ID, Place: old.Blocks}},
 	}}})
 	if err != nil {
 		t.Fatal(err)

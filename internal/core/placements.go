@@ -50,24 +50,24 @@ func (c *Client) owe(intentID string, landed map[string][]meta.BlockLocation) {
 // scrub judges the image with them recorded (heldImage). So no repair
 // re-places an owed block, and no trim or rebalance misses one.
 
-// rebaseOwed turns the owed blocks into relocates on top of head — the
-// committed image a hold builds from — for the cloud set to. A segment
-// head holds gets head's record plus the owed blocks it does not name
-// yet, with Thin recomputed. A block is left out when the record
-// already places its block ID on another cloud, or when sched's Targets
-// rule does not admit its cloud (not in the set, or at MaxPerCloud).
-// Nothing head lacks is added back: the owed blocks were never named, so
-// no block a later commit removed — a trim, a repair — is among them.
-// The blocks left out, and every owed block of a segment head no longer
-// holds, are returned for deletion once the commit has landed: no
-// metadata will ever name them.
-func (c *Client) rebaseOwed(head *meta.Image, to *stack) (relocates []*meta.Change, dropped []transfer.BlockRef) {
+// rebaseOwed turns the owed blocks into placement records on top of
+// head — the committed image a hold builds from — for the cloud set to.
+// A segment head holds gets a record of the owed blocks it admits, with
+// the thin verdict of head's record plus those. A block is left out
+// when the record already places its block ID, on this cloud or another,
+// or when sched's Targets rule does not admit its cloud (not in the
+// set, or at MaxPerCloud). Nothing head lacks is added back: the owed
+// blocks were never named, so no block a later commit removed — a trim,
+// a repair — is among them. The blocks left out, and every owed block
+// of a segment head no longer holds, are returned for deletion once the
+// commit has landed: no metadata will ever name them.
+func (c *Client) rebaseOwed(head *meta.Image, to *stack) (places []*meta.Change, dropped []transfer.BlockRef) {
 	for segID, blocks := range c.owed.blocks {
 		var rec *meta.Segment
 		if seg, alive := head.Segment(segID); alive {
 			rec = seg.Clone()
 		}
-		added := 0
+		place := &meta.Change{Type: meta.ChangePlace, Path: segID}
 		for _, b := range blocks {
 			switch {
 			case rec != nil && rec.HasBlock(b.BlockID, b.CloudID):
@@ -76,26 +76,26 @@ func (c *Client) rebaseOwed(head *meta.Image, to *stack) (relocates []*meta.Chan
 			case rec != nil && slices.Contains(to.params.Targets(rec.Blocks, to.names), b.CloudID) &&
 				!slices.ContainsFunc(rec.Blocks, func(x meta.BlockLocation) bool { return x.BlockID == b.BlockID }):
 				rec.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
-				added++
+				place.Place = append(place.Place, b)
 			default:
 				dropped = append(dropped, transfer.BlockRef{SegID: segID, BlockID: b.BlockID, Cloud: b.CloudID})
 			}
 		}
-		if added > 0 {
-			rec.Thin = len(rec.Blocks) < to.normalTarget(rec)
-			relocates = append(relocates, relocateChange(rec))
+		if len(place.Place) > 0 {
+			place.Thin = len(rec.Blocks) < to.normalTarget(rec)
+			places = append(places, place)
 		}
 	}
-	return relocates, dropped
+	return places, dropped
 }
 
-// outlived drops from relocates the segments post — the image the
-// hold's commit leaves — no longer holds: this very commit drops them,
-// and their owed blocks join dropped. No block post names stays in
-// dropped: a scrub's repair relocate may name an owed block the rebase
+// outlived drops from places the records of segments post — the image
+// the hold's commit leaves — no longer holds: this very commit drops
+// them, and their owed blocks join dropped. No block post names stays
+// in dropped: a scrub's repair record may name an owed block the rebase
 // left out.
-func (c *Client) outlived(post *meta.Image, relocates []*meta.Change, dropped []transfer.BlockRef) ([]*meta.Change, []transfer.BlockRef) {
-	relocates = slices.DeleteFunc(relocates, func(ch *meta.Change) bool {
+func (c *Client) outlived(post *meta.Image, places []*meta.Change, dropped []transfer.BlockRef) ([]*meta.Change, []transfer.BlockRef) {
+	places = slices.DeleteFunc(places, func(ch *meta.Change) bool {
 		if _, alive := post.Segment(ch.Path); alive {
 			return false
 		}
@@ -110,7 +110,7 @@ func (c *Client) outlived(post *meta.Image, relocates []*meta.Change, dropped []
 		seg, alive := post.Segment(b.SegID)
 		return alive && seg.HasBlock(b.BlockID, b.Cloud)
 	})
-	return relocates, dropped
+	return places, dropped
 }
 
 // heldImage is the committed head as a maintenance decision taken
@@ -122,6 +122,6 @@ func (c *Client) heldImage(ctx context.Context) (*meta.Image, error) {
 	if err != nil || len(c.owed.intents) == 0 {
 		return head, err
 	}
-	relocates, _ := c.rebaseOwed(head, &c.stack)
-	return head.ApplyCOW(relocates, c.cfg.Device)
+	places, _ := c.rebaseOwed(head, &c.stack)
+	return head.ApplyCOW(places, c.cfg.Device)
 }

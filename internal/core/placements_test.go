@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"unidrive/internal/chunker"
 	"unidrive/internal/cloud"
 	"unidrive/internal/cloudsim"
+	"unidrive/internal/deltasync"
 	"unidrive/internal/localfs"
 	"unidrive/internal/meta"
 	"unidrive/internal/obs"
@@ -133,6 +137,9 @@ func TestOwedPlacementsRecordedByEveryHold(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		hold func(t *testing.T, r *rig, a *Client, fa *localfs.Mem)
+		// owes: the hold's own commit owes placements in turn, which the
+		// hold after it records.
+		owes bool
 	}{
 		{"a commit pass", func(t *testing.T, r *rig, a *Client, fa *localfs.Mem) {
 			writeFile(t, fa, "small.txt", "one more file")
@@ -141,12 +148,12 @@ func TestOwedPlacementsRecordedByEveryHold(t *testing.T) {
 				t.Errorf("the pass committed %d changes and recorded %d placements, want 1 and %d",
 					rep.LocalChanges, rep.PlacementsRecorded, owed)
 			}
-		}},
+		}, true},
 		{"a trim", func(t *testing.T, r *rig, a *Client, fa *localfs.Mem) {
 			if _, err := a.TrimOverProvisioned(ctxT(t)); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, false},
 		{"a scrub repair", func(t *testing.T, r *rig, a *Client, fa *localfs.Mem) {
 			// A copy lost behind the device's back gives the scrub a
 			// repair to commit.
@@ -166,7 +173,7 @@ func TestOwedPlacementsRecordedByEveryHold(t *testing.T) {
 			if !srep.Committed {
 				t.Fatal("the scrub committed no repair")
 			}
-		}},
+		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(5)
@@ -175,6 +182,12 @@ func TestOwedPlacementsRecordedByEveryHold(t *testing.T) {
 			tc.hold(t, r, a, fa)
 			if got := reg.Counter("qlock.rounds").Value() - rounds; got != 1 {
 				t.Errorf("the hold took %d lock rounds, want 1", got)
+			}
+			if got := reg.Gauge("core.placements.pending").Value(); got != 0 {
+				t.Errorf("core.placements.pending = %v after the hold, want 0", got)
+			}
+			if tc.owes {
+				recordPlacements(t, a)
 			}
 			requireRecorded(t, r, a, reg)
 		})
@@ -414,5 +427,75 @@ func TestOwedBlockNamedByTheCommitIsKept(t *testing.T) {
 	_, dropped := (&Client{}).outlived(post, nil, []transfer.BlockRef{named, unnamed})
 	if len(dropped) != 1 || dropped[0] != unnamed {
 		t.Fatalf("dropped = %v, want only %v", dropped, unnamed)
+	}
+}
+
+// A bulk pass whose slowest cloud's uploads are all parked at its commit
+// owes that cloud's block of every segment. The next commit, of one
+// file, records them as placement records, each of a segment ID and the
+// one location it adds: its delta stays under λ, so the cloud base
+// does not rotate and the checkpoint appends a delta instead of
+// rewriting its base.
+func TestOwedPlacementsOfABulkPassRideTheNextCommit(t *testing.T) {
+	const bulk = 2000
+	r := newRig(5)
+	tp := newTap("c4")
+	a, fa, reg := r.tappedDevice(t, "alpha", tp)
+	for i := 0; i < bulk; i++ {
+		writeFile(t, fa, fmt.Sprintf("dir%02d/f%04d.txt", i%20, i), fmt.Sprintf("content of file %d", i))
+	}
+	tp.blocks.hold()
+	syncOK(t, a)
+	tp.blocks.open()
+	waitCond(t, "the bulk batch to be settled in its hold", func() bool { return tailSettled(a) })
+	if got := reg.Counter("core.checkpoint.compactions").Value(); got != 1 {
+		t.Fatalf("core.checkpoint.compactions = %d after the bulk pass, want its 1", got)
+	}
+	// The bases of the clouds the bulk commit rotated: no later commit of
+	// the lineage may rewrite them.
+	bases := make(map[string][]byte)
+	for _, st := range r.stores {
+		if b, err := cloudsim.NewDirect(st).Download(ctxT(t), deltasync.DefaultDir+"/base"); err == nil && len(b) > 100_000 {
+			bases[st.Name()] = b
+		}
+	}
+	if len(bases) < cloud.Quorum(len(r.stores)) {
+		t.Fatalf("%d clouds hold the bulk commit's base, want a quorum", len(bases))
+	}
+
+	writeFile(t, fa, "one.txt", "one more file")
+	rep := syncOK(t, a)
+	if rep.LocalChanges != 1 || rep.PlacementsRecorded != bulk {
+		t.Fatalf("the pass committed %d changes and recorded %d placements, want 1 and %d", rep.LocalChanges, rep.PlacementsRecorded, bulk)
+	}
+	for name, b := range bases {
+		if now, err := cloudsim.NewDirect(r.stores[name[1]-'0']).Download(ctxT(t), deltasync.DefaultDir+"/base"); err != nil || !bytes.Equal(now, b) {
+			t.Errorf("%s's base was rewritten: the one-file commit rotated it", name)
+		}
+	}
+	if got := reg.Counter("core.checkpoint.compactions").Value(); got != 1 {
+		t.Errorf("core.checkpoint.compactions = %d, want 1: the one-file commit rewrote the checkpoint base", got)
+	}
+	// The sealed records past the base — chunks and the active tail — on
+	// a cloud holding the commit are the bulk commit's empty tail and the
+	// one-file commit's record.
+	sealed := 0
+	for _, st := range r.stores {
+		n := 0
+		for _, p := range st.Paths() {
+			if name, ok := strings.CutPrefix(p, deltasync.DefaultDir+"/"); ok && strings.HasPrefix(name, "delta") {
+				b, err := cloudsim.NewDirect(st).Download(ctxT(t), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += len(b)
+			}
+		}
+		sealed = max(sealed, n)
+	}
+	perSegment := sealed / bulk
+	t.Logf("the one-file commit's delta: %d sealed bytes, %d per owed segment", sealed, perSegment)
+	if perSegment < 64 || perSegment > 265 {
+		t.Errorf("%d sealed delta bytes per owed segment, want a record of at least its 64-digit ID and at most 265 (half a whole-record relocate)", perSegment)
 	}
 }

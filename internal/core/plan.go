@@ -94,7 +94,7 @@ func (c *Client) plan(local []*meta.Change, sp span, folder localfs.Folder) []ap
 		a := c.planLocal(ch, sp.diff)
 		// The span may hold the pass's own commit: its paths, conflict
 		// copies included, are the local side's.
-		mine[a.path], mine[a.copyPath] = ch.Type != meta.ChangeRelocate, true
+		mine[a.path], mine[a.copyPath] = true, true
 		actions = append(actions, a)
 	}
 	for _, path := range sp.diff.Paths() {
@@ -110,7 +110,7 @@ func (c *Client) plan(local []*meta.Change, sp span, folder localfs.Folder) []ap
 func (c *Client) planLocal(ch *meta.Change, diff meta.Diff) applyAction {
 	a := applyAction{op: applyUpload, path: ch.Path, commit: ch, reason: reasonLocalOnly}
 	d, contested := diff[ch.Path]
-	if ch.Type == meta.ChangeRelocate || !contested {
+	if !contested {
 		return a
 	}
 	theirs := d.After

@@ -56,22 +56,22 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 		return err
 	}
 
-	_, err = c.lockedCommit(ctx, next, func(img *meta.Image) (relocates []*meta.Change, err error) {
+	_, err = c.lockedCommit(ctx, next, func(img *meta.Image) (places []*meta.Change, err error) {
 		for _, segID := range img.SegmentIDs() {
 			seg, _ := img.Segment(segID)
-			relocate, err := rb.segment(ctx, seg)
+			place, err := rb.segment(ctx, seg)
 			if err != nil {
 				return nil, fmt.Errorf("core: rebalancing segment %s: %w", segID, err)
 			}
-			if relocate != nil {
-				relocates = append(relocates, relocate)
+			if place != nil {
+				places = append(places, place)
 			}
 		}
 		// The commit goes through the store over the NEW cloud set; its
 		// refresh adopts the latest state from the overlapping clouds,
 		// and its commit fully repairs brand-new ones.
 		_, err = next.store.Refresh(ctx)
-		return relocates, err
+		return places, err
 	})
 	if err != nil {
 		// No committed metadata names what this call uploaded. An intent
@@ -100,7 +100,7 @@ type rebalance struct {
 }
 
 // segment moves one segment's blocks as sched's rebalance plan says and
-// returns its relocate, nil when the placement stands. Blocks the plan
+// returns its placement record, nil when the placement stands. Blocks the plan
 // wants uploaded are re-encoded from the segment's content, fetched
 // from wherever enough blocks remain in the OLD set; the blocks it
 // reclaims on clouds that stay are deleted after the commit.
@@ -144,7 +144,7 @@ func (rb *rebalance) segment(ctx context.Context, seg *meta.Segment) (*meta.Chan
 		}
 		updated.AddBlockSum(blockID, cloudName, sum)
 	}
-	return relocateChange(updated), nil
+	return meta.PlaceChange(seg, updated), nil
 }
 
 // upload puts the wanted blocks of one segment on their clouds of the

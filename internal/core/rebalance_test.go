@@ -125,6 +125,7 @@ func TestSetCloudsFailureDeletesNothingCommitted(t *testing.T) {
 	a, fa := r.device(t, "alpha")
 	writeFile(t, fa, "data.bin", randContent(7, 10_000))
 	syncOK(t, a)
+	recordPlacements(t, a)
 
 	// The second segment in walk order cannot be reconstructed: every
 	// copy of its blocks reads back corrupt.
@@ -208,6 +209,7 @@ func TestSetCloudsFailureLeavesNoOrphans(t *testing.T) {
 	a, fa := r.device(t, "alpha")
 	writeFile(t, fa, "data.bin", randContent(7, 10_000))
 	syncOK(t, a)
+	recordPlacements(t, a)
 
 	// The second segment in walk order cannot be reconstructed: every
 	// copy of its blocks reads back corrupt.

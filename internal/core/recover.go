@@ -180,7 +180,7 @@ func (c *Client) shield(path string, snap *meta.Snapshot, known map[string]bool)
 }
 
 // recoverRepair replays a scrub-repair intent that died before its
-// relocate commit. Repair writes are either overwrites of committed
+// placement commit. Repair writes are either overwrites of committed
 // block paths (harmless: the content of a block is determined by its
 // name) or fresh copies at locations no committed metadata references
 // — the latter are orphans to reclaim. Survey is trust-but-verify,

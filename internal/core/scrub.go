@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"unidrive/internal/meta"
 	"unidrive/internal/scrub"
@@ -45,31 +44,19 @@ func (c *Client) Scrub(ctx context.Context, repair bool) (*scrub.Report, error) 
 	return s.Cycle(ctx, repair)
 }
 
-// commitRepairs commits scrub relocate changes under the quorum lock,
-// re-validated against the then-current image: a segment dropped
-// since the scrubber read its snapshot is skipped (its repair uploads
+// commitRepairs commits scrub's placement records under the quorum
+// lock as they are: each names only the block IDs the cycle wrote, so
+// laid on the then-current record it never clobbers a concurrent pass
+// or repair placing OTHER blocks, and one whose segment was dropped
+// since the scrubber read its snapshot is ignored (its repair uploads
 // become orphans that stay on the clouds until ROADMAP item 2's sweep
-// reclaims them), and the rest are laid on
-// the current record with scrub.Apply — the current RefCount is
-// preserved, and only the block IDs the cycle wrote are replaced, so a
-// concurrent pass or repair placing OTHER blocks is never clobbered.
+// reclaims them).
 func (c *Client) commitRepairs(ctx context.Context, changes []*meta.Change) (int64, error) {
 	c.writer.Lock()
 	defer c.writer.Unlock()
 	c.last.Wait()
-	_, err := c.lockedCommit(ctx, c.stack, func(img *meta.Image) ([]*meta.Change, error) {
-		kept := make([]*meta.Change, 0, len(changes))
-		for _, ch := range changes {
-			if ch.Type != meta.ChangeRelocate || len(ch.Segments) != 1 {
-				return nil, fmt.Errorf("core: scrub commit: malformed change for %q", ch.Path)
-			}
-			cur, ok := img.Segment(ch.Path)
-			if !ok {
-				continue
-			}
-			kept = append(kept, relocateChange(scrub.Apply(cur, ch.Segments[0])))
-		}
-		return kept, nil
+	_, err := c.lockedCommit(ctx, c.stack, func(*meta.Image) ([]*meta.Change, error) {
+		return changes, nil
 	})
 	if err != nil {
 		return 0, err

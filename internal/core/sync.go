@@ -267,20 +267,11 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 // (startUpload); the metadata commit happens at its availability
 // instant — the files are available to other devices from here,
 // AvailableDuration marks this moment — and the pass ends at its
-// commit, handing the batch to its hold (hold.upload). What the
-// commit waits for depends on what the batch still owes when it becomes
-// available:
-//
-//   - nothing queued, the rest of every fair share is in flight (a
-//     single small file): the pass waits those few blocks out and
-//     commits once, naming the full placement;
-//   - fair-share blocks still queued behind busy connections (more
-//     segments than a cloud has connections): the commit names the
-//     blocks landed when it is built, thin where they are short of the
-//     target, and the reliability tail keeps uploading beside the commit
-//     and after the pass. What lands after the commit is owed to the
-//     device's next lock hold (placements.go), and the intent stays
-//     committed until then.
+// commit, handing the batch to its hold (hold.upload). The commit names
+// the blocks landed when it is built, thin where they are short of the
+// target, and the batch runs on to reliability in the hold, after the
+// pass. What lands after the commit is owed to the device's next lock
+// hold (placements.go), and the intent stays committed until then.
 //
 // Every pass therefore takes at most one lock hold — the one that also
 // records what an earlier pass owes — and only landed blocks are ever
@@ -289,9 +280,9 @@ func (c *Client) pass(ctx context.Context, observer scan, poll bool) (SyncReport
 // The hold's acquire and refresh (startHold) start with the batch when
 // the batch is small (one dispatch, at most θ of content: the
 // single-file commit's shape), so they run beside the upload and the
-// lock hold grows by at most that dispatch. Otherwise they start where
-// they always did, once the pass is ready to commit: available
-// (drained: joined), placements stamped and journaled.
+// lock hold grows by at most that dispatch. Otherwise they start once
+// the pass is ready to commit: available, placements stamped and
+// journaled.
 func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.Change, *meta.Image, error) {
 	start := c.cfg.Clock.Now()
 	changes := c.changes.Drain()
@@ -333,15 +324,6 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 		return nil, nil, err
 	}
 	report.Upload = session.outcome
-	overlap := session.backlog()
-	if overlap {
-		c.cfg.Obs.Counter("core.commit.overlapped").Inc()
-	} else {
-		c.cfg.Obs.Counter("core.commit.drained").Inc()
-		if err := session.join(); err != nil {
-			return nil, nil, err
-		}
-	}
 
 	// Record the landed placements. Best effort: recovery re-verifies
 	// against a live survey, so a lost update costs nothing; but an
@@ -381,10 +363,10 @@ func (c *Client) commitLocal(ctx context.Context, report *SyncReport) ([]*meta.C
 	report.PlacementsRecorded = h.recorded
 	// The paper's "available time": pass start until the commit landed —
 	// not the release after it, the data is visible to other devices from
-	// here — less the time the commit waited on the pass's own tail alone.
+	// here — less the time the commit waited on the pass alone.
 	report.AvailableDuration = commitDone.Sub(start) - h.waitedAlone(session.availAt, readyAt)
 	ok = true
-	h.upload(session, intentID, overlap, releasedBlocks(released))
+	h.upload(session, intentID, releasedBlocks(released))
 	return changes, head, nil
 }
 
@@ -420,9 +402,8 @@ func (c *Client) beginUpload(changes []*meta.Change) (string, error) {
 
 // waitedAlone is how long the hold's commit waited on its pass alone:
 // from the availability instant until readyAt, when the placements had
-// been stamped and journaled (the drain, for a drained batch), less the
-// part the hold's acquisition and refresh ran beside. A hold started at
-// readyAt ran beside none of it.
+// been stamped and journaled, less the part the hold's acquisition and
+// refresh ran beside. A hold started at readyAt ran beside none of it.
 func (h *hold) waitedAlone(availAt, readyAt time.Time) time.Duration {
 	from := availAt
 	if h.startedAt.Before(readyAt) && h.lockedAt.After(from) {

@@ -101,51 +101,77 @@ func TestBulkPassEndsAtItsCommit(t *testing.T) {
 	}
 }
 
-// A second bulk pass started while the first one's batch is parked in
-// its hold's tail waits at its upload for that batch to end: it uploads
-// no block beside it, so the tenant has one batch open at a time.
+// A second pass started while the first one's batch is parked in its
+// hold's tail waits at its upload for that batch to end: it uploads no
+// block beside it, so the tenant has one batch open at a time. Its
+// commit then records what the first batch owes. A single-file pass
+// commits at availability as a bulk pass does, and returns with the
+// slowest cloud's block parked.
 func TestNextBulkPassJoinsTheRunningBatch(t *testing.T) {
-	r := newRig(5)
-	tp := newTap("c4")
-	a, fa, reg := r.tappedDevice(t, "alpha", tp)
-	parkedPass(t, r, a, fa, tp, "big.bin", randContent(17, 10*4096))
-	defer tp.blocks.open()
+	for _, tc := range []struct {
+		name          string
+		first, second string
+	}{
+		{"bulk", randContent(17, 10*4096), randContent(18, 10*4096)},
+		{"single file", randContent(27, 3000), randContent(28, 3000)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(5)
+			tp := newTap("c4")
+			a, fa, reg := r.tappedDevice(t, "alpha", tp)
+			parkedPass(t, r, a, fa, tp, "first.bin", tc.first)
+			defer tp.blocks.open()
+			owed := len(segmentsOf(t, a.Image(), "first.bin"))
 
-	second := randContent(18, 10*4096)
-	writeFile(t, fa, "second.bin", second)
-	done := make(chan error, 1)
-	go func() { _, err := a.SyncOnce(ctxT(t)); done <- err }()
-	waitCond(t, "the second pass to join the batch", func() bool { return reg.Counter("core.tail.upload_joins").Value() == 1 })
-	time.Sleep(20 * time.Millisecond) // room for a block the second pass should not send
-	ids := chunker.IDs(a.chnk.Split([]byte(second)))
-	for _, st := range r.stores {
-		for _, p := range st.Paths() {
-			if segID, _, ok := meta.ParseBlockName(strings.TrimPrefix(p, transfer.DefaultBlockDir+"/")); ok && slices.Contains(ids, segID) {
-				t.Fatalf("%s holds %s beside the parked batch: two batches open", st.Name(), p)
+			writeFile(t, fa, "second.bin", tc.second)
+			type result struct {
+				rep SyncReport
+				err error
 			}
-		}
+			done := make(chan result, 1)
+			go func() {
+				rep, err := a.SyncOnce(ctxT(t))
+				done <- result{rep, err}
+			}()
+			waitCond(t, "the second pass to join the batch", func() bool { return reg.Counter("core.tail.upload_joins").Value() == 1 })
+			time.Sleep(20 * time.Millisecond) // room for a block the second pass should not send
+			ids := chunker.IDs(a.chnk.Split([]byte(tc.second)))
+			for _, st := range r.stores {
+				for _, p := range st.Paths() {
+					if segID, _, ok := meta.ParseBlockName(strings.TrimPrefix(p, transfer.DefaultBlockDir+"/")); ok && slices.Contains(ids, segID) {
+						t.Fatalf("%s holds %s beside the parked batch: two batches open", st.Name(), p)
+					}
+				}
+			}
+			tp.blocks.open()
+			select {
+			case res := <-done:
+				if res.err != nil {
+					t.Fatal(res.err)
+				}
+				if res.rep.PlacementsRecorded != owed {
+					t.Errorf("the second pass recorded %d placements, want the first's %d segments", res.rep.PlacementsRecorded, owed)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("the second pass did not finish after the batch ended")
+			}
+			if got := reg.Counter("core.tail.upload_joins").Value(); got != 1 {
+				t.Errorf("core.tail.upload_joins = %d, want 1", got)
+			}
+			for _, seg := range segmentsOf(t, a.Image(), "first.bin") {
+				if blocksOn(seg, "c4") == 0 {
+					t.Errorf("segment %s: c4's block, owed, is not recorded: %+v", seg.ID, seg.Blocks)
+				}
+			}
+			recordPlacements(t, a) // records what the second pass owes
+			b, fb := r.device(t, "beta")
+			syncOK(t, b)
+			requireFolders(t, map[string]string{"first.bin": tc.first, "second.bin": tc.second},
+				map[string]*localfs.Mem{"beta": fb})
+			auditBlocks(t, r, a.Image())
+			auditNamed(t, r, a.Image())
+		})
 	}
-	tp.blocks.open()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("the second pass did not finish after the batch ended")
-	}
-	if got := reg.Counter("core.tail.upload_joins").Value(); got != 1 {
-		t.Errorf("core.tail.upload_joins = %d, want 1", got)
-	}
-	settle(t, a)
-	syncOK(t, a) // records what the second pass owes
-	settle(t, a)
-	b, fb := r.device(t, "beta")
-	syncOK(t, b)
-	requireFolders(t, map[string]string{"big.bin": randContent(17, 10*4096), "second.bin": second},
-		map[string]*localfs.Mem{"beta": fb})
-	auditBlocks(t, r, a.Image())
-	auditNamed(t, r, a.Image())
 }
 
 // A crash in the tail of an overwrite whose batch is parked: the

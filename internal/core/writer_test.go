@@ -139,7 +139,7 @@ func TestScrubRepairWaitsForThePass(t *testing.T) {
 	}
 
 	// A fresh device sees both commits: the edit, and the repair's
-	// relocate of the damaged segment.
+	// placement record for the damaged segment.
 	c, fc := r.device(t, "gamma")
 	syncOK(t, c)
 	requireFolders(t, map[string]string{"old.bin": old, "new.bin": edit}, map[string]*localfs.Mem{"gamma": fc})
@@ -149,7 +149,7 @@ func TestScrubRepairWaitsForThePass(t *testing.T) {
 	}
 	repaired := false
 	for _, ch := range changes {
-		repaired = repaired || ch.Type == meta.ChangeRelocate && ch.Path == seg.ID
+		repaired = repaired || ch.Type == meta.ChangePlace && ch.Path == seg.ID
 	}
 	if !repaired {
 		t.Fatal("the scrub's repair commit was lost")

@@ -52,9 +52,10 @@ const (
 	// KindApply records a cloud-apply pass: files are being rewritten
 	// in the local folder from a fetched metadata update.
 	KindApply = "apply"
-	// KindRepair records a scrub-repair pass: replacement blocks for
-	// missing or corrupt copies are (or are about to be) in flight,
-	// to be committed as relocate changes. Placements carries the
+	// KindRepair records a scrub-repair pass (or a SetClouds
+	// rebalance): replacement blocks for missing or corrupt copies are
+	// (or are about to be) in flight, to be committed as placement
+	// records (meta.ChangePlace). Placements carries the
 	// repair targets; a crash before the commit leaves at worst
 	// re-uploaded copies at their committed paths (harmless
 	// overwrites) plus orphans at new locations, which recovery

@@ -72,7 +72,7 @@ func TestApplyCOWMatchesSlowPath(t *testing.T) {
 		for n := rng.Intn(6) + 1; n > 0; n-- {
 			i := rng.Intn(30)
 			path := fmt.Sprintf("f%02d.txt", i)
-			switch rng.Intn(4) {
+			switch rng.Intn(8) {
 			case 0: // edit onto a fresh segment
 				segID := fmt.Sprintf("seg-r%d-%d", round, n)
 				ch := &Change{Type: ChangeEdit, Path: path,
@@ -92,6 +92,20 @@ func TestApplyCOWMatchesSlowPath(t *testing.T) {
 					Snapshot: snap(path, "dev", segID, shared), Time: time.Unix(int64(round), 0)}
 				ch.Segments = []*Segment{seg(segID, BlockLocation{BlockID: 2, CloudID: "c1"})}
 				batch = append(batch, ch)
+			case 4: // a place over an existing block ID
+				batch = append(batch, &Change{Type: ChangePlace, Path: fmt.Sprintf("seg%02d", i),
+					Place: []BlockLocation{{BlockID: 0, CloudID: "c4", Checksum: 4}, {BlockID: 5, CloudID: "c5", Checksum: 5}}})
+			case 5: // a drop
+				batch = append(batch, &Change{Type: ChangePlace, Path: fmt.Sprintf("seg%02d", i), Drop: []int{1}})
+			case 6: // a thin flip
+				batch = append(batch, &Change{Type: ChangePlace, Path: fmt.Sprintf("seg%02d", i), Thin: rng.Intn(2) == 0})
+			case 7: // a record for a segment a later change of the batch drops
+				segID := fmt.Sprintf("seg%02d", i)
+				if cur := im.Lookup(path).Current(); cur != nil && !cur.Deleted {
+					segID = cur.SegmentIDs[0]
+				}
+				batch = append(batch, &Change{Type: ChangePlace, Path: segID,
+					Place: []BlockLocation{{BlockID: 3, CloudID: "c3", Checksum: 3}}, Thin: true}, delChange(path))
 			}
 		}
 		wantInput := im.Clone()
@@ -110,12 +124,13 @@ func TestApplyCOWMatchesSlowPath(t *testing.T) {
 	}
 }
 
-// TestApplyCOWRelocatePreservesRefCount pins the relocate rule: the
-// replacement placement record must not clobber the live refcount.
-func TestApplyCOWRelocatePreservesRefCount(t *testing.T) {
+// TestApplyCOWPlacePreservesRefCount pins the placement rule: a
+// placement record moves locations and keeps the live refcount, and a
+// record for a segment the image no longer holds changes nothing.
+func TestApplyCOWPlacePreservesRefCount(t *testing.T) {
 	im := NewImage()
 	ch := addChange("a.txt", "s1")
-	ch.Segments = []*Segment{seg("s1", BlockLocation{BlockID: 0, CloudID: "c1"})}
+	ch.Segments = []*Segment{seg("s1", BlockLocation{BlockID: 0, CloudID: "c1"}, BlockLocation{BlockID: 1, CloudID: "c2"})}
 	base, err := im.ApplyCOW([]*Change{ch}, "dev")
 	if err != nil {
 		t.Fatal(err)
@@ -123,18 +138,25 @@ func TestApplyCOWRelocatePreservesRefCount(t *testing.T) {
 	if segOf(base, "s1").RefCount != 1 {
 		t.Fatalf("RefCount = %d, want 1", segOf(base, "s1").RefCount)
 	}
-	moved := seg("s1", BlockLocation{BlockID: 0, CloudID: "c9"})
-	out, err := base.ApplyCOW([]*Change{{Type: ChangeRelocate, Path: "s1",
-		Segments: []*Segment{moved}, Time: time.Unix(1, 0)}}, "dev")
+	out, err := base.ApplyCOW([]*Change{
+		{Type: ChangePlace, Path: "s1", Place: []BlockLocation{{BlockID: 0, CloudID: "c9", Checksum: 9}}, Drop: []int{1}, Thin: true},
+		{Type: ChangePlace, Path: "gone", Place: []BlockLocation{{BlockID: 0, CloudID: "c9", Checksum: 9}}},
+	}, "dev")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := segOf(out, "s1")
 	if got.RefCount != 1 {
-		t.Fatalf("relocate lost the refcount: %d", got.RefCount)
+		t.Fatalf("the placement lost the refcount: %d", got.RefCount)
 	}
-	if !got.HasBlock(0, "c9") || got.HasBlock(0, "c1") {
-		t.Fatalf("relocate did not replace the placement: %+v", got.Blocks)
+	if want := []BlockLocation{{BlockID: 0, CloudID: "c9", Checksum: 9}}; !reflect.DeepEqual(got.Blocks, want) || !got.Thin {
+		t.Fatalf("placed %+v (thin %v), want %+v, thin", got.Blocks, got.Thin, want)
+	}
+	if _, alive := out.Segment("gone"); alive {
+		t.Fatal("a placement record brought a segment into the pool")
+	}
+	if b := segOf(base, "s1"); len(b.Blocks) != 2 || b.Thin {
+		t.Fatalf("the placement leaked into the input image: %+v", b)
 	}
 }
 

@@ -3,6 +3,7 @@ package meta
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -15,10 +16,15 @@ const (
 	ChangeAdd ChangeType = iota + 1
 	ChangeEdit
 	ChangeDelete
-	// ChangeRelocate rewrites one segment's block placement without
-	// touching any file entry — committed after an add/remove-cloud
-	// rebalance (paper §6.2). Path carries the segment ID.
-	ChangeRelocate
+	// changeWholeRecord (4) replaced a segment's whole pool record: the
+	// format before placement records, refused on decoding.
+	changeWholeRecord
+	// ChangePlace is a placement record: it moves one segment's block
+	// locations without touching any file entry (paper §6.2: the
+	// Cloud-ID fields filled in at reliability, a trim, a rebalance, a
+	// repair). Path carries the segment ID; Place, Drop and Thin are all
+	// it carries besides.
+	ChangePlace
 )
 
 // String names the change type.
@@ -30,8 +36,8 @@ func (t ChangeType) String() string {
 		return "edit"
 	case ChangeDelete:
 		return "delete"
-	case ChangeRelocate:
-		return "relocate"
+	case ChangePlace:
+		return "place"
 	default:
 		return fmt.Sprintf("ChangeType(%d)", int(t))
 	}
@@ -51,6 +57,12 @@ type Change struct {
 	Segments []*Segment `json:"segments,omitempty"`
 	// Time is the local observation time (informational).
 	Time time.Time `json:"time"`
+	// Place lists the locations a placement record places, each
+	// replacing every location of its block ID; Drop the block IDs it
+	// drops; Thin is its verdict on the segment (Segment.Thin).
+	Place []BlockLocation `json:"place,omitempty"`
+	Drop  []int           `json:"drop,omitempty"`
+	Thin  bool            `json:"thin,omitempty"`
 }
 
 // Validate checks structural invariants of the change.
@@ -74,16 +86,9 @@ func (c *Change) Validate() error {
 		if c.Snapshot.Path != c.Path {
 			return fmt.Errorf("meta: change path %q != snapshot path %q", c.Path, c.Snapshot.Path)
 		}
-	case ChangeDelete:
-		if c.Snapshot != nil {
-			return fmt.Errorf("meta: delete change for %q carries a snapshot", c.Path)
-		}
-	case ChangeRelocate:
-		if c.Snapshot != nil {
-			return fmt.Errorf("meta: relocate change for %q carries a snapshot", c.Path)
-		}
-		if len(c.Segments) != 1 || c.Segments[0].ID != c.Path {
-			return fmt.Errorf("meta: relocate change for %q must carry exactly that segment", c.Path)
+	case ChangeDelete, ChangePlace:
+		if c.Snapshot != nil || c.Type == ChangePlace && len(c.Segments) > 0 {
+			return fmt.Errorf("meta: %v change for %q carries what it cannot: a snapshot, or segments for a placement", c.Type, c.Path)
 		}
 	default:
 		return fmt.Errorf("meta: unknown change type %d", int(c.Type))
@@ -99,12 +104,33 @@ func (c *Change) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, (*plain)(c)); err != nil {
 		return err
 	}
-	if c.Snapshot != nil {
+	switch {
+	case c.Type == changeWholeRecord:
+		return fmt.Errorf("%w (a whole-record relocate of segment %s)", ErrOldFormat, c.Path)
+	case c.Type == ChangePlace:
+		return checkSegments(&Segment{ID: c.Path, Blocks: c.Place})
+	case c.Snapshot != nil:
 		if err := checkIDs(c.Snapshot.SegmentIDs...); err != nil {
 			return err
 		}
 	}
 	return checkSegments(c.Segments...)
+}
+
+// MarshalJSON writes a placement record with only the fields it
+// carries, and every other change in its plain form.
+func (c Change) MarshalJSON() ([]byte, error) {
+	type plain Change // the same fields, without this method
+	if c.Type != ChangePlace {
+		return json.Marshal(plain(c))
+	}
+	return json.Marshal(struct {
+		Type  ChangeType      `json:"type"`
+		Path  string          `json:"path"`
+		Place []BlockLocation `json:"place,omitempty"`
+		Drop  []int           `json:"drop,omitempty"`
+		Thin  bool            `json:"thin,omitempty"`
+	}{c.Type, c.Path, c.Place, c.Drop, c.Thin})
 }
 
 // Encode serializes the change as one JSON line (no trailing newline).
@@ -117,15 +143,17 @@ func (c *Change) Encode() ([]byte, error) {
 }
 
 // Apply applies the change to the image: upserts any new segments,
-// installs the snapshot (or tombstone) and leaves refcount
-// maintenance to RecountRefs.
+// installs the snapshot (or tombstone), lays a placement record on its
+// segment if the segment lives, and leaves refcount maintenance to
+// RecountRefs.
 func (im *Image) Apply(c *Change, device string) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	if c.Type == ChangeRelocate {
-		// Replace (not union) the segment's placement.
-		im.segments.Put(c.Path, c.Segments[0].Clone())
+	if c.Type == ChangePlace {
+		if seg, ok := im.segments.Get(c.Path); ok {
+			seg.place(c)
+		}
 		return nil
 	}
 	for _, seg := range c.Segments {
@@ -186,15 +214,10 @@ func (im *Image) ApplyCOW(changes []*Change, device string) (*Image, error) {
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
-		if c.Type == ChangeRelocate {
-			// Replace (not union) the segment's placement, preserving the
-			// live refcount the relocate change does not know.
-			seg := c.Segments[0].Clone()
-			if old, ok := out.segments.Get(c.Path); ok {
-				seg.RefCount = old.RefCount
+		if c.Type == ChangePlace {
+			if seg := segFor(c.Path); seg != nil {
+				seg.place(c)
 			}
-			out.segments.Put(c.Path, seg)
-			owned[c.Path], touched[c.Path] = true, true
 			continue
 		}
 		for _, cs := range c.Segments {
@@ -205,15 +228,7 @@ func (im *Image) ApplyCOW(changes []*Change, device string) (*Image, error) {
 				owned[cs.ID], touched[cs.ID] = true, true
 				continue
 			}
-			seg := segFor(cs.ID)
-			for _, b := range cs.Blocks {
-				seg.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
-			}
-			if seg.Length == 0 && cs.Length != 0 {
-				seg.Length, seg.K, seg.N = cs.Length, cs.K, cs.N
-			}
-			// Same thin union rule as UpsertSegment.
-			seg.Thin = seg.Thin && cs.Thin
+			segFor(cs.ID).union(cs)
 		}
 		// The entry is replaced wholesale (same as SetSnapshot /
 		// Tombstone): every old snapshot's references go, the new
@@ -245,6 +260,45 @@ func (im *Image) ApplyCOW(changes []*Change, device string) (*Image, error) {
 		}
 	}
 	return out, nil
+}
+
+// place lays a placement record on the segment: every location of a
+// block ID the record drops or places goes, the record's locations
+// come, and its thin verdict holds.
+func (s *Segment) place(c *Change) {
+	s.Blocks = slices.DeleteFunc(s.Blocks, func(b BlockLocation) bool {
+		return slices.Contains(c.Drop, b.BlockID) ||
+			slices.ContainsFunc(c.Place, func(p BlockLocation) bool { return p.BlockID == b.BlockID })
+	})
+	for _, b := range c.Place {
+		s.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
+	}
+	s.Thin = c.Thin
+}
+
+// PlaceChange returns the placement record that takes seg's block list
+// to to's, with to's thin verdict: it places anew every location of a
+// block ID whose locations differ, and drops the block IDs to lacks.
+// Nil when the two agree.
+func PlaceChange(seg, to *Segment) *Change {
+	c := &Change{Type: ChangePlace, Path: seg.ID, Thin: to.Thin}
+	of := func(s *Segment, id int) []BlockLocation {
+		return slices.DeleteFunc(slices.Clone(s.Blocks), func(b BlockLocation) bool { return b.BlockID != id })
+	}
+	for _, b := range to.Blocks {
+		if !slices.Equal(of(seg, b.BlockID), of(to, b.BlockID)) {
+			c.Place = append(c.Place, b)
+		}
+	}
+	for _, b := range seg.Blocks {
+		if len(of(to, b.BlockID)) == 0 && !slices.Contains(c.Drop, b.BlockID) {
+			c.Drop = append(c.Drop, b.BlockID)
+		}
+	}
+	if len(c.Place) == 0 && len(c.Drop) == 0 && seg.Thin == to.Thin {
+		return nil
+	}
+	return c
 }
 
 // ChangedFileList accumulates local changes between synchronizations

@@ -2,6 +2,9 @@ package meta
 
 import (
 	"encoding/json"
+	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -41,7 +44,10 @@ func TestChangeValidate(t *testing.T) {
 		{"delete with snapshot", &Change{Type: ChangeDelete, Path: "a", Snapshot: snap("a", "d")}, true},
 		{"unknown type", &Change{Type: ChangeType(9), Path: "a"}, true},
 		{"nil change", nil, true},
-		{"nil segment", &Change{Type: ChangeRelocate, Path: "s", Segments: []*Segment{nil}}, true},
+		{"nil segment", &Change{Type: ChangeDelete, Path: "s", Segments: []*Segment{nil}}, true},
+		{"valid placement", &Change{Type: ChangePlace, Path: "s", Drop: []int{1}}, false},
+		{"placement with a snapshot", &Change{Type: ChangePlace, Path: "s", Snapshot: snap("s", "d")}, true},
+		{"placement with a segment", &Change{Type: ChangePlace, Path: "s", Segments: []*Segment{seg("s")}}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -71,6 +77,69 @@ func TestChangeEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if len(got.Segments) != 1 || !got.Segments[0].HasBlock(0, "c1") {
 		t.Fatal("segments lost")
+	}
+}
+
+// A placement record goes on the wire as its segment ID and the
+// locations it moves, nothing else, and decodes back to itself; a
+// whole-record relocate, its predecessor, is refused as an old format.
+func TestPlaceRecordWireForm(t *testing.T) {
+	id := strings.Repeat("ab", 32)
+	c := &Change{Type: ChangePlace, Path: id, Place: []BlockLocation{{BlockID: 4, CloudID: "c4", Checksum: 7}}, Drop: []int{6}}
+	data, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"type":5,"path":"` + id + `","place":[{"blockId":4,"cloudId":"c4","crc":7}],"drop":[6]}`
+	if string(data) != want {
+		t.Fatalf("encoded %s\nwant    %s", data, want)
+	}
+	got := new(Change)
+	if err := json.Unmarshal(data, got); err != nil || !reflect.DeepEqual(got, c) {
+		t.Fatalf("decoded %+v, %v; want %+v", got, err, c)
+	}
+	for _, old := range []string{
+		`{"type":4,"path":"` + id + `","segments":[{"id":"` + id + `","length":1,"k":3,"n":5,"refCount":0,"blocks":[{"blockId":0,"cloudId":"c0","crc":1}]}],"time":"0001-01-01T00:00:00Z"}`,
+		`{"type":5,"path":"` + id + `","place":[{"blockId":4,"cloudId":"c4"}]}`,
+		`{"type":5,"path":"` + id[:40] + `","drop":[1]}`,
+	} {
+		if err := json.Unmarshal([]byte(old), new(Change)); !errors.Is(err, ErrOldFormat) {
+			t.Errorf("decoding %s: %v, want ErrOldFormat", old, err)
+		}
+	}
+}
+
+// PlaceChange states what differs between two records of a segment,
+// and a record laid on the first gives the second.
+func TestPlaceChangeTakesOneRecordToAnother(t *testing.T) {
+	loc := func(id int, cloud string) BlockLocation {
+		return BlockLocation{BlockID: id, CloudID: cloud, Checksum: uint32(id + 1)}
+	}
+	from := seg("s", loc(0, "c0"), loc(1, "c1"), loc(2, "c2"), loc(2, "c3"))
+	for _, to := range []*Segment{
+		seg("s", loc(0, "c0"), loc(1, "c1")),                                 // trimmed
+		seg("s", loc(0, "c0"), loc(1, "c1"), loc(2, "c3")),                   // one copy of a duplicate ID trimmed
+		seg("s", loc(0, "c4"), loc(1, "c1"), loc(2, "c2"), loc(3, "c3")),     // moved and added
+		{ID: "s", Length: 100, K: 3, N: 10, Blocks: from.Blocks, Thin: true}, // only the verdict
+	} {
+		c := PlaceChange(from, to)
+		im := NewImage()
+		im.UpsertSegment(from)
+		if err := im.Apply(c, "dev"); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := im.Segment("s")
+		if !reflect.DeepEqual(got.Sums(), to.Sums()) || len(got.Blocks) != len(to.Blocks) || got.Thin != to.Thin {
+			t.Errorf("%+v laid on %+v gives %+v, want %+v", c, from.Blocks, got.Blocks, to.Blocks)
+		}
+		for _, b := range to.Blocks {
+			if !got.HasBlock(b.BlockID, b.CloudID) {
+				t.Errorf("%+v laid on %+v lacks %+v", c, from.Blocks, b)
+			}
+		}
+	}
+	if c := PlaceChange(from, from.Clone()); c != nil {
+		t.Errorf("two equal records differ by %+v", c)
 	}
 }
 

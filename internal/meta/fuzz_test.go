@@ -2,7 +2,11 @@ package meta
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzDecodeImage feeds arbitrary bytes to the image decoder, the door
@@ -44,6 +48,79 @@ func FuzzDecodeImage(f *testing.F) {
 		}
 		if !bytes.Equal(first, second) {
 			t.Fatalf("encoding is not a fixed point:\n%s\n%s", first, second)
+		}
+	})
+}
+
+// FuzzDecodeChange feeds arbitrary bytes to the change decoder, the
+// door every delta record, checkpoint delta and journal intent comes in
+// by, then validates what it accepts and applies it to a seeded image.
+// Nothing may panic; a whole-record relocate is never accepted; and an
+// applied change leaves every refcount what a full recount says, the
+// input image untouched.
+func FuzzDecodeChange(f *testing.F) {
+	id := func(c byte) string { return strings.Repeat(string(c), 64) }
+	when := time.Unix(10, 0).UTC()
+	base, err := NewImage().ApplyCOW([]*Change{
+		{Type: ChangeAdd, Path: "a", Snapshot: &Snapshot{Path: "a", Size: 1, ModTime: when, Device: "d", SegmentIDs: []string{id('a'), id('b')}},
+			Segments: []*Segment{
+				{ID: id('a'), Length: 1, K: 3, N: 5, Blocks: []BlockLocation{{BlockID: 0, CloudID: "c0", Checksum: 1}, {BlockID: 1, CloudID: "c1", Checksum: 2}}},
+				{ID: id('b'), Length: 1, K: 3, N: 5, Blocks: []BlockLocation{{BlockID: 0, CloudID: "c0", Checksum: 3}}},
+			}, Time: when},
+		{Type: ChangeAdd, Path: "b", Snapshot: &Snapshot{Path: "b", Size: 1, ModTime: when, Device: "d", SegmentIDs: []string{id('b')}}, Time: when},
+	}, "d")
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := []*Change{
+		{Type: ChangeAdd, Path: "c", Snapshot: &Snapshot{Path: "c", Size: 1, ModTime: when, Device: "d", SegmentIDs: []string{id('c')}},
+			Segments: []*Segment{{ID: id('c'), Length: 1, K: 3, N: 5, Blocks: []BlockLocation{{BlockID: 2, CloudID: "c2", Checksum: 4}}}}, Time: when},
+		{Type: ChangeEdit, Path: "a", Snapshot: &Snapshot{Path: "a", Size: 1, ModTime: when, Device: "d", SegmentIDs: []string{id('b')}}, Time: when},
+		{Type: ChangeDelete, Path: "b", Time: when},
+		{Type: ChangePlace, Path: id('a'), Place: []BlockLocation{{BlockID: 1, CloudID: "c4", Checksum: 2}}, Drop: []int{0}, Thin: true},
+	}
+	for _, c := range seeds {
+		data, err := c.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	relocate := []byte(`{"type":4,"path":"` + id('a') + `","segments":[{"id":"` + id('a') + `","length":1,"k":3,"n":5,"refCount":0,"blocks":[{"blockId":0,"cloudId":"c3","crc":1}]}],"time":"0001-01-01T00:00:00Z"}`)
+	if err := json.Unmarshal(relocate, new(Change)); !errors.Is(err, ErrOldFormat) {
+		f.Fatalf("a whole-record relocate decodes with %v, want ErrOldFormat", err)
+	}
+	f.Add(relocate)
+	want, err := base.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := new(Change)
+		if err := json.Unmarshal(data, c); err != nil {
+			return
+		}
+		if c.Type == changeWholeRecord {
+			t.Fatalf("accepted a whole-record relocate: %s", data)
+		}
+		if c.Validate() != nil {
+			return
+		}
+		out, err := base.ApplyCOW([]*Change{c}, "fuzz")
+		if err != nil {
+			t.Fatalf("a valid change does not apply: %v", err)
+		}
+		if got, _ := base.Encode(); !bytes.Equal(got, want) {
+			t.Fatal("ApplyCOW changed its input image")
+		}
+		recount := out.Clone()
+		if dead := recount.RecountRefs(); len(dead) > 0 {
+			t.Fatalf("segments %v kept without a reference", dead)
+		}
+		for id, seg := range out.AllSegments() {
+			if r, _ := recount.Segment(id); seg.RefCount != r.RefCount {
+				t.Fatalf("segment %s: refcount %d, a recount says %d", id, seg.RefCount, r.RefCount)
+			}
 		}
 	})
 }

@@ -119,10 +119,12 @@ type Segment struct {
 	// blocks may live on the same cloud.
 	Blocks []BlockLocation `json:"blocks"`
 	// Thin marks the segment under-replicated: it holds at least K
-	// blocks (readable) but fewer than its full fair-share placement,
-	// typically because cloud quotas were exhausted at commit time.
-	// The scrub/rebalance passes re-expand thin segments back to fair
-	// share when capacity returns and clear the flag via a relocate.
+	// blocks (readable) but fewer than its full fair-share placement —
+	// committed at availability, before the slowest clouds' blocks
+	// landed, or short because cloud quotas were exhausted. A placement
+	// record states the verdict anew: the next lock hold's, recording
+	// the blocks that landed after the commit, or a scrub's or
+	// rebalance's that re-expands the segment once capacity returns.
 	Thin bool `json:"thin,omitempty"`
 }
 
@@ -384,20 +386,24 @@ func (im *Image) Tombstone(path, device string, now time.Time) {
 // into the existing record. Refcounts are not touched; call
 // RecountRefs after a batch of structural changes.
 func (im *Image) UpsertSegment(seg *Segment) {
-	existing, ok := im.segments.Get(seg.ID)
-	if !ok {
+	if existing, ok := im.segments.Get(seg.ID); ok {
+		existing.union(seg)
+	} else {
 		im.segments.Put(seg.ID, seg.Clone())
-		return
 	}
-	for _, b := range seg.Blocks {
-		existing.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
+}
+
+// union adds o's block locations to the segment's, and its code when
+// the segment names none. Blocks only union upward: the segment stays
+// thin only while both records believe it is.
+func (s *Segment) union(o *Segment) {
+	for _, b := range o.Blocks {
+		s.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
 	}
-	if existing.Length == 0 && seg.Length != 0 {
-		existing.Length, existing.K, existing.N = seg.Length, seg.K, seg.N
+	if s.Length == 0 && o.Length != 0 {
+		s.Length, s.K, s.N = o.Length, o.K, o.N
 	}
-	// Blocks only union upward: the segment stays thin only while both
-	// records believe it is.
-	existing.Thin = existing.Thin && seg.Thin
+	s.Thin = s.Thin && o.Thin
 }
 
 // RecountRefs recomputes every segment's RefCount from the snapshots

@@ -384,20 +384,6 @@ func (p *UploadPlan) reliableLocked() bool {
 	return true
 }
 
-// Queued returns the number of normal blocks not yet handed out: the
-// fair-share work that is neither landed nor in flight. Failed blocks
-// count again once re-queued; blocks an exclusion could not re-home
-// are dropped from the plan and do not.
-func (p *UploadPlan) Queued() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, q := range p.fairQueue {
-		n += len(q)
-	}
-	return n
-}
-
 // Placement returns the final block placement: block ID -> cloud, for
 // recording into the segment metadata.
 func (p *UploadPlan) Placement() map[int]string {

@@ -57,12 +57,12 @@ type Config struct {
 	Engine *transfer.Engine
 	// Image returns the current committed metadata image.
 	Image func(ctx context.Context) (*meta.Image, error)
-	// Commit commits repair relocate changes under the quorum lock
-	// and returns the committed metadata version. A relocate names, of
+	// Commit commits repair placement records under the quorum lock
+	// and returns the committed metadata version. A record places, of
 	// its segment, the locations of the block IDs this cycle wrote and
-	// the thin verdict; the committer lays it on the then-current
-	// record with Apply, skipping segments dropped since. Required for
-	// repair mode.
+	// states the thin verdict; applying it lays it on the then-current
+	// record (meta.Image.Apply), and a segment dropped since ignores
+	// it. Required for repair mode.
 	Commit func(ctx context.Context, changes []*meta.Change) (int64, error)
 	// Journal records repair intents so a crash between repair uploads
 	// and the metadata commit leaves a reclamation record instead of
@@ -287,7 +287,7 @@ func (s *Scrubber) Cycle(ctx context.Context, repair bool) (*Report, error) {
 }
 
 // scrubSegment verifies one segment and, in repair mode, restores it.
-// It returns the segment's relocate change, nil when its committed
+// It returns the segment's placement record, nil when its committed
 // placement stands.
 func (s *cycle) scrubSegment(ctx context.Context, seg *meta.Segment, repair bool) (*meta.Change, error) {
 	s.rep.Segments++
@@ -332,7 +332,7 @@ func (s *cycle) scrubSegment(ctx context.Context, seg *meta.Segment, repair bool
 		s.rep.UnrepairableCapacity = append(s.rep.UnrepairableCapacity, seg.ID)
 		s.reg.Counter("scrub.capacity_blocked_segments").Inc()
 	}
-	return d.relocate(), nil
+	return d.placement(), nil
 }
 
 // ensureIntent journals the cycle's repair intent once, before the
@@ -571,37 +571,21 @@ func (s *cycle) place(ctx context.Context, d *segDamage, blockID int, cands []st
 	return "", 0, nil
 }
 
-// relocate is the segment's repair relocate: of the placement the
-// cycle's writes leave, the locations of the block IDs they placed, and
-// the thin verdict. Only those: a block ID the cycle did not write may
-// have moved since the cycle read the image — another device's repair
-// or re-expansion placed it elsewhere, and this device's next lock hold
-// deleted the copy the cycle saw — and naming it would name a deleted
-// block. Nil when the cycle wrote nothing and the verdict stands.
-func (d *segDamage) relocate() *meta.Change {
+// placement is the segment's repair placement record: of the placement
+// the cycle's writes leave, the locations of the block IDs they placed,
+// and the thin verdict (re-expansion clears the mark, a
+// capacity-blocked repair leaves it). Only those: a block ID the cycle
+// did not write may have moved since the cycle read the image — another
+// device's repair or re-expansion placed it elsewhere, and this
+// device's next lock hold deleted the copy the cycle saw — and naming
+// it would name a deleted block. Nil when the cycle wrote nothing and
+// the verdict stands.
+func (d *segDamage) placement() *meta.Change {
 	if len(d.wrote) == 0 && d.cur.Thin == d.seg.Thin {
 		return nil
 	}
-	seg := d.cur.Clone()
-	seg.Blocks = slices.DeleteFunc(seg.Blocks, func(b meta.BlockLocation) bool { return !d.wrote[b.BlockID] })
-	return &meta.Change{Type: meta.ChangeRelocate, Path: seg.ID, Segments: []*meta.Segment{seg}}
-}
-
-// Apply lays repair, the segment of a repair relocate, on cur, the
-// then-current record of the segment, and returns the result: every
-// block ID repair names is placed where repair places it, every other
-// block keeps its current location, and repair's thin verdict holds
-// (re-expansion clears the mark, a capacity-blocked repair leaves it).
-func Apply(cur, repair *meta.Segment) *meta.Segment {
-	merged := cur.Clone()
-	merged.Blocks = slices.DeleteFunc(merged.Blocks, func(b meta.BlockLocation) bool {
-		return slices.ContainsFunc(repair.Blocks, func(w meta.BlockLocation) bool { return w.BlockID == b.BlockID })
-	})
-	for _, b := range repair.Blocks {
-		merged.AddBlockSum(b.BlockID, b.CloudID, b.Checksum)
-	}
-	merged.Thin = repair.Thin
-	return merged
+	wrote := slices.DeleteFunc(slices.Clone(d.cur.Blocks), func(b meta.BlockLocation) bool { return !d.wrote[b.BlockID] })
+	return &meta.Change{Type: meta.ChangePlace, Path: d.seg.ID, Place: wrote, Thin: d.cur.Thin}
 }
 
 // paced runs one block request against a cloud under the rate limit

@@ -21,7 +21,7 @@ import (
 )
 
 // harness builds a scrubber over simulated clouds and a hand-rolled
-// metadata image, with a Commit that lays relocates on it with Apply.
+// metadata image, with a Commit that lays placement records on it.
 type harness struct {
 	stores []*cloudsim.Store
 	flaky  []*cloudsim.Flaky
@@ -84,15 +84,15 @@ func (h *harness) commit(ctx context.Context, changes []*meta.Change) (int64, er
 	}
 	h.commits++
 	for _, ch := range changes {
-		if ch.Type != meta.ChangeRelocate || len(ch.Segments) != 1 {
+		if ch.Type != meta.ChangePlace {
 			return 0, fmt.Errorf("harness: unexpected change shape for %q", ch.Path)
 		}
-		cur, ok := h.img.Segment(ch.Path)
-		if !ok {
-			return 0, fmt.Errorf("harness: relocate of unknown segment %q", ch.Path)
+		if _, ok := h.img.Segment(ch.Path); !ok {
+			return 0, fmt.Errorf("harness: placement of unknown segment %q", ch.Path)
 		}
-		h.img.DropSegments([]string{ch.Path})
-		h.img.UpsertSegment(Apply(cur, ch.Segments[0]))
+		if err := h.img.Apply(ch, "tester"); err != nil {
+			return 0, err
+		}
 	}
 	h.version++
 	return h.version, nil
